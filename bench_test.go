@@ -79,7 +79,7 @@ func BenchmarkFigure7ViT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		serial := vit.TrainSerial(ds, mcfg, tc)
 		for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
-			h, err := vit.TrainTesseract(shape.q, shape.d, ds, mcfg, tc)
+			h, err := vit.TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 			if err != nil {
 				b.Fatal(err)
 			}

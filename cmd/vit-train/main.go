@@ -27,15 +27,13 @@ import (
 	"os"
 
 	"repro/internal/dist"
-	// Importing the family packages registers them with the parallel
-	// runtime; their PlanAlgo descriptors feed -plan's search.
 	"repro/internal/megatron"
-	"repro/internal/optimus"
 	"repro/internal/parallel"
 	"repro/internal/plan"
-	"repro/internal/seqpar"
 	"repro/internal/serve"
-	"repro/internal/tesseract"
+	// tables imports every family package, which registers them with the
+	// parallel runtime; its DefaultAlgos is the list -plan searches.
+	"repro/internal/tables"
 	"repro/internal/vit"
 )
 
@@ -88,29 +86,62 @@ func main() {
 	}
 	tc := vit.TrainConfig{Epochs: *epochs, BatchSize: *batch, LR: *lr, WeightDecay: *wd, Seed: *seed + 2}
 
-	fmt.Fprintf(os.Stderr, "vit-train: %d classes, %d train / %d test samples, seq %d, patch dim %d\n",
-		*classes, len(ds.Train), len(ds.Test), mcfg.SeqLen, mcfg.PatchDim)
-
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	if *elastic || *chaos || *doServe {
-		from := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
-		if *family != "" {
-			var err error
-			from, err = layoutFromFlags(*family, *q, *d, *ranks, set)
-			if err != nil {
-				fatalf("%v", err)
-			}
+	// Everything below is decided and checked before the first training
+	// run: a flag combination the model or the layout cannot honour is one
+	// actionable line on stderr, never a panic deep inside model
+	// construction, a NaN curve, or an error after the serial baseline has
+	// already trained.
+	if *batch < 1 || *batch > len(ds.Train) {
+		fatalf("-batch %d outside [1, %d training samples]: no step would run (lower -batch or raise -classes/-train-per-class)",
+			*batch, len(ds.Train))
+	}
+	staged := *elastic || *chaos || *doServe
+	var layouts []parallel.Layout
+	var planNotes []string // -plan's report, printed where the planned run starts
+	switch {
+	case staged && *family == "":
+		layouts = []parallel.Layout{{Family: "tesseract", Q: 2, D: 2}}
+	case staged || (*planFor == 0 && *family != ""):
+		l, err := layoutFromFlags(*family, *q, *d, *ranks, set)
+		if err != nil {
+			fatalf("%v", err)
 		}
-		switch {
-		case *doServe:
-			runServe(from, *srvRate, *srvBudget, *srvReqs, *srvBatch, *srvDepth, *srvSteps, ds, mcfg, tc)
-		case *chaos:
-			runChaos(from, *chaosAt, ds, mcfg, tc)
-		default:
-			runElastic(from, *failAt, ds, mcfg, tc)
+		layouts = []parallel.Layout{l}
+	case *planFor > 0:
+		l, notes, err := planLayout(*planFor, *batch, mcfg)
+		if err != nil {
+			fatalf("%v", err)
 		}
+		layouts, planNotes = []parallel.Layout{l}, notes
+	default:
+		layouts = []parallel.Layout{{Family: "tesseract", Q: 2, D: 1}, {Family: "tesseract", Q: 2, D: 2}}
+	}
+	for i, l := range layouts {
+		nl, err := parallel.Validate(l)
+		if err == nil {
+			err = vit.TrainableErr(nl, tc.BatchSize, mcfg)
+		}
+		if err != nil {
+			fatalf("%v", err)
+		}
+		layouts[i] = nl
+	}
+
+	fmt.Fprintf(os.Stderr, "vit-train: %d classes, %d train / %d test samples, seq %d, patch dim %d\n",
+		*classes, len(ds.Train), len(ds.Test), mcfg.SeqLen, mcfg.PatchDim)
+
+	switch {
+	case *doServe:
+		runServe(layouts[0], *srvRate, *srvBudget, *srvReqs, *srvBatch, *srvDepth, *srvSteps, ds, mcfg, tc)
+		return
+	case *chaos:
+		runChaos(layouts[0], *chaosAt, ds, mcfg, tc)
+		return
+	case *elastic:
+		runElastic(layouts[0], *failAt, ds, mcfg, tc)
 		return
 	}
 
@@ -120,61 +151,54 @@ func main() {
 			fmt.Printf("%s,%d,%.6f,%.4f,%.4f\n", h.Setting, e+1, h.Loss[e], h.TrainAcc[e], h.TestAcc[e])
 		}
 	}
-	trainLayout := func(l parallel.Layout) {
-		// Validate the layout against the model up front: an unknown family
-		// or an indivisible width is one actionable line on stderr, never a
-		// panic deep inside model construction.
-		nl, err := parallel.Validate(l)
-		if err == nil {
-			err = vit.TrainableErr(nl, tc.BatchSize, mcfg)
-		}
-		if err != nil {
-			fatalf("%v", err)
-		}
-		hist, err := vit.TrainLayout(nl, ds, mcfg, tc)
+	emit(vit.TrainSerial(ds, mcfg, tc))
+	for _, note := range planNotes {
+		fmt.Fprintln(os.Stderr, "vit-train:", note)
+	}
+	for _, l := range layouts {
+		hist, err := vit.TrainLayout(l, ds, mcfg, tc)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		emit(hist)
 	}
-
-	emit(vit.TrainSerial(ds, mcfg, tc))
-	switch {
-	case *planFor > 0:
-		// Search → instantiate → train. The search's feasibility filter is
-		// per-token (the timing harness's unit), while the ViT trainer
-		// needs whole sequences per rank, so pick the best candidate whose
-		// layout this model can actually train on.
-		w := plan.Workload{Batch: *batch, SeqLen: mcfg.SeqLen, Hidden: *hidden, Heads: *heads, Layers: *layers}
-		algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
-		plans, err := plan.Search(w, plan.Topology{RankBudget: *planFor}, algos)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vit-train:", err)
-			os.Exit(1)
-		}
-		best, skipped := pickTrainable(plans, *batch, mcfg)
-		if skipped == len(plans) {
-			fmt.Fprintln(os.Stderr, "vit-train: no searched layout can train this model (batch/patch-dim divisibility)")
-			os.Exit(1)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "vit-train: skipped %d higher-ranked candidates this model cannot train on\n", skipped)
-		}
-		fmt.Fprintf(os.Stderr, "vit-train: plan.Search picked %s (predicted %.3gs/step over %d candidates)\n",
-			best, best.Predicted.Step(), len(plans))
-		trainLayout(best.Layout())
-	case *family != "":
-		l, err := layoutFromFlags(*family, *q, *d, *ranks, set)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		trainLayout(l)
-	default:
-		for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
-			trainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d})
-		}
-	}
 	fmt.Fprintln(os.Stderr, "vit-train: done — the claim holds iff the curves coincide with serial")
+}
+
+// planLayout is -plan: search → pick the layout to instantiate and train.
+// The search's feasibility filter is per-token (the timing harness's unit),
+// while the ViT trainer needs whole sequences per rank, so the pick is the
+// best candidate whose layout this model can actually train on. notes are
+// the lines reporting the choice.
+func planLayout(budget, batch int, mcfg vit.ModelConfig) (parallel.Layout, []string, error) {
+	plans, err := plan.Search(workload(batch, mcfg), plan.Topology{RankBudget: budget}, tables.DefaultAlgos())
+	if err != nil {
+		return parallel.Layout{}, nil, err
+	}
+	best, skipped := pickTrainable(plans, batch, mcfg)
+	if skipped == len(plans) {
+		return parallel.Layout{}, nil, fmt.Errorf("no searched layout can train this model (batch/patch-dim divisibility)")
+	}
+	var notes []string
+	if skipped > 0 {
+		notes = append(notes, fmt.Sprintf("skipped %d higher-ranked candidates this model cannot train on", skipped))
+	}
+	notes = append(notes, fmt.Sprintf("plan.Search picked %s (predicted %.3gs/step over %d candidates)",
+		best, best.Predicted.Step(), len(plans)))
+	return best.Layout(), notes, nil
+}
+
+// workload is the planner's view of one training step of this model.
+func workload(batch int, mcfg vit.ModelConfig) plan.Workload {
+	return plan.Workload{Batch: batch, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
+}
+
+// replanBudget is the per-rank memory budget the -elastic and -chaos
+// replanners run under: just below the whole model's single-rank
+// footprint, so a replan may not collapse onto one survivor — the usual
+// reason elasticity matters in the first place.
+func replanBudget(w plan.Workload) int64 {
+	return megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1
 }
 
 func fatalf(format string, args ...any) {
@@ -271,18 +295,12 @@ func runElastic(from parallel.Layout, failAt int, ds *vit.Dataset, mcfg vit.Mode
 		fmt.Fprintf(os.Stderr, "vit-train: -fail-step %d outside (0, %d)\n", failAt, total)
 		os.Exit(1)
 	}
-	// The replanner may not collapse onto one survivor: the per-rank memory
-	// budget sits just below the whole model's single-rank footprint, the
-	// usual reason elasticity matters in the first place.
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
-	topo := plan.Topology{MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1}
 	run, err := vit.TrainElastic(from, vit.ElasticConfig{
 		FailStep:   failAt,
 		TotalSteps: total,
 		FailRank:   -1,
-		Algos:      algos,
-		Topology:   topo,
+		Algos:      tables.DefaultAlgos(),
+		Topology:   plan.Topology{MemoryBudget: replanBudget(workload(tc.BatchSize, mcfg))},
 	}, ds, mcfg, tc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vit-train:", err)
@@ -310,11 +328,6 @@ func runElastic(from parallel.Layout, failAt int, ds *vit.Dataset, mcfg vit.Mode
 // CSV is unchanged by construction — gray faults move clocks, never
 // arithmetic.
 func runChaos(from parallel.Layout, seed uint64, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig) {
-	from, err := from.Normalize()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vit-train:", err)
-		os.Exit(1)
-	}
 	spe := len(ds.Train) / tc.BatchSize
 	total := tc.Epochs * spe
 	const probe = 6
@@ -328,19 +341,13 @@ func runChaos(from parallel.Layout, seed uint64, ds *vit.Dataset, mcfg vit.Model
 	// clock. A scaled-down machine keeps the demo compute-bound, as the
 	// paper's real workloads are (same model as tables.StragglerStudy).
 	cost := dist.CostModel{FLOPS: 1e8, Alpha: 1e-7, BetaIntra: 1.0 / 250e9, BetaInter: 1.0 / 6.25e9}
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
-	topo := plan.Topology{
-		Cost:         cost,
-		MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1,
-	}
 	run, err := vit.TrainAdaptive(from, vit.AdaptiveConfig{
 		TotalSteps: total,
 		Probe:      probe,
 		Monitor:    dist.MonitorConfig{Window: probe, K: 1.5, W: 3},
 		Faults:     fp,
-		Algos:      algos,
-		Topology:   topo,
+		Algos:      tables.DefaultAlgos(),
+		Topology:   plan.Topology{Cost: cost, MemoryBudget: replanBudget(workload(tc.BatchSize, mcfg))},
 	}, ds, mcfg, tc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vit-train:", err)

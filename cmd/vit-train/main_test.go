@@ -1,12 +1,102 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"repro/internal/parallel"
 	"repro/internal/vit"
 )
+
+// TestMain lets the tests run this binary as the vit-train command: with
+// the marker set, the process is the CLI with the test binary's arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("VIT_TRAIN_TEST_AS_CLI") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// vitTrain runs the CLI on a 16-sample dataset and returns its exit code
+// and both streams.
+func vitTrain(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	base := []string{"-epochs", "1", "-classes", "4", "-train-per-class", "4", "-test-per-class", "2"}
+	cmd := exec.Command(os.Args[0], append(base, args...)...)
+	cmd.Env = append(os.Environ(), "VIT_TRAIN_TEST_AS_CLI=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatalf("running vit-train %v: %v", args, err)
+	}
+	return code, out.String(), errb.String()
+}
+
+// TestMisuseIsOneLineBeforeTraining: flag values the model or the layout
+// cannot honour exit 1 with a single actionable line on stderr and nothing
+// on stdout, in every mode — these used to reach a divide by zero, an nn
+// constructor panic, a NaN curve declared a success, or an error printed
+// only after the serial baseline had trained.
+func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
+	misuses := []struct {
+		name string
+		args []string
+		want string // substring of the message
+	}{
+		{"no heads", []string{"-heads", "0"}, "heads"},
+		{"hidden not divisible by heads", []string{"-hidden", "66", "-heads", "4"}, "66"},
+		{"batch larger than the dataset", []string{"-batch", "64"}, "-batch 64"},
+		{"layout without ranks", []string{"-family", "megatron", "-ranks", "0"}, "rank count"},
+	}
+	modes := []struct {
+		name string
+		args []string
+	}{
+		{"figure7", nil},
+		{"plan", []string{"-plan", "4"}},
+		{"elastic", []string{"-elastic"}},
+		{"chaos", []string{"-chaos"}},
+		{"serve", []string{"-serve"}},
+	}
+	for _, mode := range modes {
+		for _, mis := range misuses {
+			if mode.name == "plan" && mis.name == "layout without ranks" {
+				continue // -plan overrides -family: the flags are not a misuse there
+			}
+			t.Run(mode.name+"/"+mis.name, func(t *testing.T) {
+				code, stdout, stderr := vitTrain(t, append(mode.args, mis.args...)...)
+				if code != 1 {
+					t.Errorf("exit code %d, want 1", code)
+				}
+				if stdout != "" {
+					t.Errorf("stdout before the error: %q", stdout)
+				}
+				if strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "vit-train: ") ||
+					!strings.Contains(stderr, mis.want) || strings.Contains(stderr, "goroutine") {
+					t.Errorf("stderr is not one actionable line naming %q: %q", mis.want, stderr)
+				}
+			})
+		}
+	}
+}
+
+// TestValidFlagsStillTrain: the up-front checks do not reject what worked.
+func TestValidFlagsStillTrain(t *testing.T) {
+	code, stdout, stderr := vitTrain(t, "-family", "seqpar", "-ranks", "2")
+	if code != 0 || !strings.Contains(stdout, "seqpar [2],1,") || !strings.Contains(stderr, "done") {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}
 
 // TestLayoutFromFlags: the flag→layout mapping per family, and rejection of
 // explicitly set flags that do not apply — a silently dropped -d would train
@@ -46,5 +136,11 @@ func TestLayoutValidationIsOneLine(t *testing.T) {
 	err = vit.TrainableErr(parallel.Layout{Family: "tesseract", Q: 3, D: 1}, 9, mcfg)
 	if err == nil || !strings.Contains(err.Error(), "q=3") {
 		t.Fatalf("want a mesh-side divisibility error, got %v", err)
+	}
+	// Model-only checks hold whatever the layout.
+	for _, bad := range []vit.ModelConfig{{Hidden: 64, Heads: 0}, {Hidden: 66, Heads: 4}} {
+		if err := vit.TrainableErr(parallel.Layout{Family: "megatron", Ranks: 1}, 8, bad); err == nil || !strings.Contains(err.Error(), "heads") {
+			t.Fatalf("hidden %d heads %d: want a heads error, got %v", bad.Hidden, bad.Heads, err)
+		}
 	}
 }

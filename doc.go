@@ -12,9 +12,12 @@
 //   - internal/summa      — 2-D SUMMA kernels (AB, ABᵀ, AᵀB) shared by all schemes
 //   - internal/cannon     — Cannon's algorithm (baseline, §2.1)
 //   - internal/solomonik  — 2.5-D matrix multiplication (baseline, §2.3)
-//   - internal/parallel   — family-agnostic model layer: the Family/Layer contracts
+//   - internal/parallel   — family-agnostic model layer: the Family/Layer contracts,
+//     the shared block composition and the one per-head attention core
 //   - internal/tesseract  — the paper's contribution: Tesseract matmul + layers
-//   - internal/megatron   — 1-D Megatron-LM baseline (§2.5)
+//   - internal/megatron   — the one 1-D implementation: Megatron-LM (§2.5) and
+//     sequence parallelism are its replicated and row-sharded activation brackets
+//   - internal/seqpar     — the sequence-parallel family adapter over those layers
 //   - internal/optimus    — 2-D Optimus baseline (§2.2)
 //   - internal/plan       — auto-parallelism planner over the [p, q, d] space
 //   - internal/nn         — serial reference layers, losses, optimisers

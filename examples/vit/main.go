@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/parallel"
+	_ "repro/internal/tesseract" // registers the family TrainLayout names
 	"repro/internal/vit"
 )
 
@@ -33,7 +35,7 @@ func main() {
 
 	histories := []vit.History{vit.TrainSerial(ds, mcfg, tc)}
 	for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
-		h, err := vit.TrainTesseract(shape.q, shape.d, ds, mcfg, tc)
+		h, err := vit.TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 		if err != nil {
 			log.Fatal(err)
 		}

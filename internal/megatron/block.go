@@ -2,32 +2,31 @@ package megatron
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/compute"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Attention is the Megatron-parallel self-attention module: a fused,
+// Attention is the 1-D parallel self-attention module: a fused,
 // head-aligned column-parallel QKV projection (heads split across the p
-// processors), purely local per-head attention, and a row-parallel output
-// projection whose forward all-reduce restores the replicated activation.
+// processors), purely local per-head attention over full rows, and a
+// row-parallel output projection whose forward all-reduce (or
+// reduce-scatter) restores the bracket's activation layout.
 type Attention struct {
 	H, Heads, SeqLen int
 
 	QKV  *ColLinear // h -> 3h, head-aligned permutation
 	Proj *RowLinear // h -> h
 
-	q, k, v *tensor.Matrix
-	probs   []*tensor.Matrix
+	core parallel.HeadAttention // the n/p local heads
 }
 
 // NewAttention draws Wq, Wk, Wv, Wo from rng in the serial order and packs
 // the first three into the fused column-permuted QKV weight: rank r holds
 // [Wq_r | Wk_r | Wv_r].
 func NewAttention(p *Proc, h, heads, seqLen int, rng *tensor.RNG) *Attention {
-	validate(p, h, heads)
+	a := newAttention(p, h, heads, seqLen)
 	wq := tensor.XavierMatrix(h, h, rng)
 	wk := tensor.XavierMatrix(h, h, rng)
 	wv := tensor.XavierMatrix(h, h, rng)
@@ -41,30 +40,30 @@ func NewAttention(p *Proc, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 			wk.SubMatrix(0, r*bc, h, bc),
 			wv.SubMatrix(0, r*bc, h, bc))
 	}
-	fused := tensor.HCat(cols...)
-
-	a := &Attention{H: h, Heads: heads, SeqLen: seqLen}
-	a.QKV = newColFromGlobal(p, fused, nn.ActNone, true)
+	a.QKV = newColFromGlobal(p, tensor.HCat(cols...), nn.ActNone, true)
 	a.Proj = newRowFromGlobal(p, wo, true)
 	return a
 }
 
 // NewAttentionPhantom builds the shape-only variant.
 func NewAttentionPhantom(p *Proc, h, heads, seqLen int) *Attention {
-	validate(p, h, heads)
-	a := &Attention{H: h, Heads: heads, SeqLen: seqLen}
+	a := newAttention(p, h, heads, seqLen)
 	a.QKV = NewColLinearPhantom(p, h, 3*h, nn.ActNone, true)
 	a.Proj = NewRowLinearPhantom(p, h, h, true)
 	return a
 }
 
-func validate(p *Proc, h, heads int) {
+// newAttention checks that heads split over the group and returns the
+// module without its projections.
+func newAttention(p *Proc, h, heads, seqLen int) *Attention {
 	if h%heads != 0 {
 		panic(fmt.Sprintf("megatron: hidden %d not divisible by heads %d", h, heads))
 	}
 	if heads%p.P != 0 {
 		panic(fmt.Sprintf("megatron: heads %d not divisible by p=%d", heads, p.P))
 	}
+	return &Attention{H: h, Heads: heads, SeqLen: seqLen,
+		core: parallel.HeadAttention{Heads: heads / p.P, HeadDim: h / heads, SeqLen: seqLen}}
 }
 
 // Params returns the local shards.
@@ -72,135 +71,112 @@ func (a *Attention) Params() []*nn.Param {
 	return append(a.QKV.Params(), a.Proj.Params()...)
 }
 
-// Forward runs attention over the replicated input x of shape [b·s, h].
-// The Q/K/V slices and the per-head probabilities are retained for the
-// backward pass in workspace buffers, released at the step boundary.
+// Forward runs attention over the bracket's activation x ([b·s, h]
+// replicated, or this rank's b·s/p rows of it). Replicated, the fused QKV
+// buffer, the Q/K/V slices and the per-head probabilities all ride to the
+// step boundary; RowSharded, the fused buffer is recycled once split.
 func (a *Attention) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
 	qkv := a.QKV.Forward(p, x)
-	hp := a.H / p.P
-	ph := qkv.Phantom()
-	aq := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	ak := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	av := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	tensor.SubMatrixInto(aq, qkv, 0, 0)
-	tensor.SubMatrixInto(ak, qkv, 0, hp)
-	tensor.SubMatrixInto(av, qkv, 0, 2*hp)
-	a.q, a.k, a.v = aq, ak, av
-	out := a.attendForward(p, aq, ak, av)
-	return a.Proj.Forward(p, out)
-}
-
-func (a *Attention) attendForward(p *Proc, q, k, v *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.P
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	if q.Phantom() {
-		seqF := float64(q.Rows) / float64(s)
-		perHead := 4*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(q.Rows, q.Cols, true)
+	a.core.Split(p.W, qkv)
+	if p.bracket == RowSharded {
+		p.W.Workspace().Put(qkv)
 	}
-	if q.Rows%s != 0 {
-		panic(fmt.Sprintf("megatron: attention rows %d not divisible by seq len %d", q.Rows, s))
-	}
-	nseq := q.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	out := ws.GetUninit(q.Rows, q.Cols) // every head block is overwritten below
-	a.probs = a.probs[:0]
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	scores := ws.GetUninit(s, s)
-	head := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			tensor.SubMatrixInto(qs, q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, v, sq*s, hd*dh)
-			compute.MatMulNTInto(p.W, scores, qs, ks)
-			tensor.ScaleInPlace(scores, scale)
-			probs := ws.GetUninit(s, s) // retained for the backward pass
-			compute.SoftmaxRowsTo(p.W, probs, scores)
-			a.probs = append(a.probs, probs)
-			head.Zero()
-			compute.MatMulInto(p.W, head, probs, vs)
-			out.SetSubMatrix(sq*s, hd*dh, head)
-		}
-	}
-	ws.Put(qs, ks, vs, scores, head)
-	return out
+	return a.Proj.Forward(p, a.core.Forward(p.W))
 }
 
 // Backward propagates through the module, recycling gradient intermediates
-// as soon as their last reader returns.
+// as soon as their last reader returns — and, RowSharded, the saved Q/K/V
+// and probabilities the moment their gradients are done.
 func (a *Attention) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 	ws := p.W.Workspace()
 	dout := a.Proj.Backward(p, dy)
-	dqkv := a.attendBackward(p, dout)
+	dqkv := a.core.Backward(p.W, dout)
 	ws.Put(dout)
+	if p.bracket == RowSharded {
+		a.core.Release(p.W)
+	}
 	dx := a.QKV.Backward(p, dqkv)
 	ws.Put(dqkv)
 	return dx
 }
 
-func (a *Attention) attendBackward(p *Proc, dout *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.P
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	hp := a.H / p.P
-	if dout.Phantom() {
-		seqF := float64(dout.Rows) / float64(s)
-		perHead := 8*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(dout.Rows, 3*hp, true)
-	}
-	nseq := dout.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	dqkv := ws.GetUninit(dout.Rows, 3*hp) // every block is overwritten below
-	dhead := ws.GetUninit(s, dh)
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	dvs := ws.GetUninit(s, dh)
-	dprobs := ws.GetUninit(s, s)
-	dscores := ws.GetUninit(s, s)
-	dqs := ws.GetUninit(s, dh)
-	dks := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			probs := a.probs[sq*headsLocal+hd]
-			tensor.SubMatrixInto(dhead, dout, sq*s, hd*dh)
-			tensor.SubMatrixInto(qs, a.q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, a.k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, a.v, sq*s, hd*dh)
-
-			dvs.Zero()
-			compute.MatMulTNInto(p.W, dvs, probs, dhead)
-			compute.MatMulNTInto(p.W, dprobs, dhead, vs)
-			compute.SoftmaxRowsBackwardTo(p.W, dscores, probs, dprobs)
-			tensor.ScaleInPlace(dscores, scale)
-			dqs.Zero()
-			compute.MatMulInto(p.W, dqs, dscores, ks)
-			dks.Zero()
-			compute.MatMulTNInto(p.W, dks, dscores, qs)
-
-			dqkv.SetSubMatrix(sq*s, hd*dh, dqs)
-			dqkv.SetSubMatrix(sq*s, hp+hd*dh, dks)
-			dqkv.SetSubMatrix(sq*s, 2*hp+hd*dh, dvs)
-		}
-	}
-	ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
-	return dqkv
+// MLP is the 1-D parallel feed-forward module: column-parallel fc1
+// (h → 4h/p, GELU fused) feeding row-parallel fc2 (4h/p → h), so the
+// 4h-wide activation never leaves the rank. RowSharded, only the fc1
+// pre-activation rides to the backward pass — the GELU output is
+// recomputed there — halving the module's retained activations.
+type MLP struct {
+	Fc1 *ColLinear
+	Fc2 *RowLinear
 }
 
-// The Block, MLP and LayerNorm wrappers that used to live here were
-// deleted in favor of the shared generic composition: the family's
-// NewBlock assembles parallel.Block from this package's Attention and
-// column/row-parallel linears plus parallel.ReplicatedLayerNorm (see
-// family.go). Per layer the composition still performs exactly two forward
-// all-reduces and two backward all-reduces of the [b·s, h] activation —
-// the communication volume 2β(p−1)·b·s·h/p per direction that §3.1
-// attributes to Megatron-LM.
+// NewMLP draws Fc1, Fc2 from rng in the serial order.
+func NewMLP(p *Proc, h int, rng *tensor.RNG) *MLP {
+	return pairMLP(NewColLinear(p, h, 4*h, nn.ActGELU, true, rng), NewRowLinear(p, 4*h, h, true, rng))
+}
+
+// NewMLPPhantom builds the shape-only variant.
+func NewMLPPhantom(p *Proc, h int) *MLP {
+	return pairMLP(NewColLinearPhantom(p, h, 4*h, nn.ActGELU, true), NewRowLinearPhantom(p, 4*h, h, true))
+}
+
+func pairMLP(fc1 *ColLinear, fc2 *RowLinear) *MLP {
+	fc2.src = fc1
+	return &MLP{Fc1: fc1, Fc2: fc2}
+}
+
+// Params returns the local shards.
+func (m *MLP) Params() []*nn.Param {
+	return append(m.Fc1.Params(), m.Fc2.Params()...)
+}
+
+// Forward applies both projections.
+func (m *MLP) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
+	return m.Fc2.Forward(p, m.Fc1.Forward(p, x))
+}
+
+// Backward propagates through both projections. Replicated, the inner
+// gradient rides to the step boundary; RowSharded it is recycled once fc1
+// has consumed it.
+func (m *MLP) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
+	d1 := m.Fc2.Backward(p, dy)
+	dx := m.Fc1.Backward(p, d1)
+	if p.bracket == RowSharded {
+		p.W.Workspace().Put(d1)
+	}
+	return dx
+}
+
+// newBlock composes one 1-D parallel Transformer block from its two
+// modules via the shared composition. The layer norms and residual adds
+// are row-local, so they run on whatever rows the bracket leaves on the
+// rank. Per layer and direction the Replicated block performs exactly two
+// all-reduces of the [b·s, h] activation — the volume 2β(p−1)·b·s·h/p §3.1
+// attributes to Megatron-LM; the RowSharded block moves the same bytes
+// forward as two all-gathers plus two reduce-scatters, and half again
+// backward for the re-gathers.
+func newBlock(p *Proc, h int, attn *Attention, mlp *MLP) parallel.Layer {
+	return parallel.NewBlock(p.W, h,
+		bound{p: p, m: attn}, parallel.NewReplicatedLayerNorm(p.W, h),
+		bound{p: p, m: mlp}, parallel.NewReplicatedLayerNorm(p.W, h))
+}
+
+// procModule is the method shape every sub-layer in this package shares:
+// forward/backward over the group view plus the owned parameter shards.
+type procModule interface {
+	Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix
+	Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix
+	Params() []*nn.Param
+	State(p *Proc) []parallel.State
+}
+
+// bound binds a sub-layer to its group view, adapting it to parallel.Layer.
+type bound struct {
+	p *Proc
+	m procModule
+}
+
+func (b bound) Forward(x *tensor.Matrix) *tensor.Matrix   { return b.m.Forward(b.p, x) }
+func (b bound) Backward(dy *tensor.Matrix) *tensor.Matrix { return b.m.Backward(b.p, dy) }
+func (b bound) Params() []*nn.Param                       { return b.m.Params() }
+func (b bound) State() []parallel.State                   { return b.m.State(b.p) }

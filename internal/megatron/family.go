@@ -17,7 +17,7 @@ func init() {
 		return nil
 	})
 	parallel.Register("megatron", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
-		return &Family{p: NewProcAt(w, l.Ranks, l.Base), layout: l}, nil
+		return NewFamily(w, l, Replicated), nil
 	})
 }
 
@@ -28,16 +28,20 @@ func init() {
 // replication is this family's distribution — and the Transformer block is
 // the shared parallel.Block composition over this package's column/row
 // linears and attention, with parallel.ReplicatedLayerNorm for the
-// un-sharded layer norms.
+// un-sharded layer norms. Package seqpar embeds it under the RowSharded
+// bracket and overrides the distribution half.
 type Family struct {
 	p      *Proc
 	layout parallel.Layout
 }
 
 // NewFamily attaches the calling worker to the tensor-parallel group
-// spanning cluster ranks [0, p) and returns the family view.
-func NewFamily(w *dist.Worker, p int) *Family {
-	return &Family{p: NewProc(w, p), layout: parallel.Layout{Family: "megatron", Ranks: p}}
+// layout l names and returns the family view whose blocks run under
+// bracket b.
+func NewFamily(w *dist.Worker, l parallel.Layout, b Bracket) *Family {
+	p := NewProcAt(w, l.Ranks, l.Base)
+	p.bracket = b
+	return &Family{p: p, layout: l}
 }
 
 // Name returns "megatron".
@@ -63,23 +67,16 @@ func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tenso
 	return parallel.NewReplicatedLinearAt(f.p.W, f.layout.Base, in, out, act, bias, rng)
 }
 
-// NewBlock builds one Megatron-parallel Transformer block via the shared
-// composition, drawing parameters from rng in the serial order
-// (attention Wq..Wo, then MLP Fc1, Fc2).
+// NewBlock builds one 1-D parallel Transformer block under the family's
+// bracket, drawing parameters from rng in the serial order (attention
+// Wq..Wo, then MLP Fc1, Fc2).
 func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	attn := bound{p: f.p, m: NewAttention(f.p, h, heads, seqLen, rng)}
-	mlp := newMLP(f.p, h, rng)
-	return parallel.NewBlock(f.p.W, h, attn, f.NewLayerNorm(h), mlp, f.NewLayerNorm(h))
+	return newBlock(f.p, h, NewAttention(f.p, h, heads, seqLen, rng), NewMLP(f.p, h, rng))
 }
 
 // NewBlockPhantom builds the shape-only block for paper-scale timing.
 func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	attn := bound{p: f.p, m: NewAttentionPhantom(f.p, h, heads, seqLen)}
-	mlp := parallel.NewSequence(
-		bound{p: f.p, m: NewColLinearPhantom(f.p, h, 4*h, nn.ActGELU, true)},
-		bound{p: f.p, m: NewRowLinearPhantom(f.p, 4*h, h, true)},
-	)
-	return parallel.NewBlock(f.p.W, h, attn, f.NewLayerNorm(h), mlp, f.NewLayerNorm(h))
+	return newBlock(f.p, h, NewAttentionPhantom(f.p, h, heads, seqLen), NewMLPPhantom(f.p, h))
 }
 
 // NewLayerNorm builds the replicated (un-sharded) layer norm.
@@ -114,32 +111,3 @@ func (f *Family) DrainGradients() {}
 
 // EndStep recycles the rank's workspace at the step boundary.
 func (f *Family) EndStep() { f.p.W.Workspace().ReleaseAll() }
-
-// newMLP chains the column-parallel h→4h GELU linear with the row-parallel
-// 4h→h linear, drawing Fc1, Fc2 from rng in the serial order.
-func newMLP(p *Proc, h int, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewSequence(
-		bound{p: p, m: NewColLinear(p, h, 4*h, nn.ActGELU, true, rng)},
-		bound{p: p, m: NewRowLinear(p, 4*h, h, true, rng)},
-	)
-}
-
-// procModule is the method shape every sub-layer in this package shares:
-// forward/backward over the group view plus the owned parameter shards.
-type procModule interface {
-	Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix
-	Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix
-	Params() []*nn.Param
-	State(p *Proc) []parallel.State
-}
-
-// bound binds a sub-layer to its group view, adapting it to parallel.Layer.
-type bound struct {
-	p *Proc
-	m procModule
-}
-
-func (b bound) Forward(x *tensor.Matrix) *tensor.Matrix   { return b.m.Forward(b.p, x) }
-func (b bound) Backward(dy *tensor.Matrix) *tensor.Matrix { return b.m.Backward(b.p, dy) }
-func (b bound) Params() []*nn.Param                       { return b.m.Params() }
-func (b bound) State() []parallel.State                   { return b.m.State(b.p) }

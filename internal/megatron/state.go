@@ -12,9 +12,8 @@ import "repro/internal/parallel"
 // (and its bias slice onto [1, Out]).
 func (l *ColLinear) State(p *Proc) []parallel.State {
 	bc := l.Out / p.P
-	out := []parallel.State{
-		parallel.BlockState(l.W, l.In, l.Out, 0, p.Rank*bc, true),
-	}
+	out := make([]parallel.State, 0, 2)
+	out = append(out, parallel.BlockState(l.W, l.In, l.Out, 0, p.Rank*bc, true))
 	if l.B != nil {
 		out = append(out, parallel.BlockState(l.B, 1, l.Out, 0, p.Rank*bc, true))
 	}
@@ -25,9 +24,8 @@ func (l *ColLinear) State(p *Proc) []parallel.State {
 // replicated bias is a full slot written by group rank 0.
 func (l *RowLinear) State(p *Proc) []parallel.State {
 	br := l.In / p.P
-	out := []parallel.State{
-		parallel.BlockState(l.W, l.In, l.Out, p.Rank*br, 0, true),
-	}
+	out := make([]parallel.State, 0, 2)
+	out = append(out, parallel.BlockState(l.W, l.In, l.Out, p.Rank*br, 0, true))
 	if l.B != nil {
 		out = append(out, parallel.FullState(l.B, 1, l.Out, p.Rank == 0))
 	}
@@ -42,19 +40,26 @@ func (l *RowLinear) State(p *Proc) []parallel.State {
 func (a *Attention) State(p *Proc) []parallel.State {
 	h := a.H
 	bc := h / p.P
-	w := parallel.State{Param: a.QKV.W, Rows: h, Cols: 3 * h, Primary: true}
-	b := parallel.State{Param: a.QKV.B, Rows: 1, Cols: 3 * h, Primary: true}
+	w := parallel.State{Param: a.QKV.W, Rows: h, Cols: 3 * h, Primary: true, Blocks: make([]parallel.StateBlock, 3)}
+	b := parallel.State{Param: a.QKV.B, Rows: 1, Cols: 3 * h, Primary: true, Blocks: make([]parallel.StateBlock, 3)}
 	for t := 0; t < 3; t++ {
-		w.Blocks = append(w.Blocks, parallel.StateBlock{
+		w.Blocks[t] = parallel.StateBlock{
 			LocalCol:  t * bc,
 			GlobalCol: t*h + p.Rank*bc,
 			Rows:      h, Cols: bc,
-		})
-		b.Blocks = append(b.Blocks, parallel.StateBlock{
+		}
+		b.Blocks[t] = parallel.StateBlock{
 			LocalCol:  t * bc,
 			GlobalCol: t*h + p.Rank*bc,
 			Rows:      1, Cols: bc,
-		})
+		}
 	}
-	return append([]parallel.State{w, b}, a.Proj.State(p)...)
+	out := make([]parallel.State, 0, 4)
+	return append(append(out, w, b), a.Proj.State(p)...)
+}
+
+// State concatenates both projections' slots.
+func (m *MLP) State(p *Proc) []parallel.State {
+	out := make([]parallel.State, 0, 4)
+	return append(append(out, m.Fc1.State(p)...), m.Fc2.State(p)...)
 }

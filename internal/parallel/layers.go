@@ -218,47 +218,3 @@ func (l *ReplicatedLayerNorm) Params() []*nn.Param { return nil }
 
 // State returns nil: nothing to checkpoint.
 func (l *ReplicatedLayerNorm) State() []State { return nil }
-
-// Sequence chains layers: Forward applies them left to right, Backward
-// right to left. Megatron's MLP is a Sequence of its column- and
-// row-parallel linears.
-type Sequence struct {
-	layers []Layer
-}
-
-// NewSequence builds the chain.
-func NewSequence(layers ...Layer) *Sequence { return &Sequence{layers: layers} }
-
-// Forward applies every layer in order.
-func (s *Sequence) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, l := range s.layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates in reverse order.
-func (s *Sequence) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		dy = s.layers[i].Backward(dy)
-	}
-	return dy
-}
-
-// Params concatenates the chain's parameters in layer order.
-func (s *Sequence) Params() []*nn.Param {
-	var out []*nn.Param
-	for _, l := range s.layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
-
-// State concatenates the chain's canonical slots in layer order.
-func (s *Sequence) State() []State {
-	var out []State
-	for _, l := range s.layers {
-		out = append(out, l.State()...)
-	}
-	return out
-}

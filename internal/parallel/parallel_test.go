@@ -81,13 +81,14 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	Register("parallel-test-dup", func(w *dist.Worker, l Layout) (Family, error) { return nil, nil })
 }
 
-func TestSequenceChainsAndReverses(t *testing.T) {
+// TestReplicatedLinearMatchesSerial chains a GELU and a plain replicated
+// linear and checks both directions bitwise against nn.Linear.
+func TestReplicatedLinearMatchesSerial(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
 		rng := tensor.NewRNG(3)
 		a := NewReplicatedLinear(w, 4, 6, nn.ActGELU, true, rng)
 		b := NewReplicatedLinear(w, 6, 4, nn.ActNone, true, rng)
-		seq := NewSequence(a, b)
 
 		refA := nn.NewLinear(4, 6, nn.ActGELU, true, tensor.NewRNG(3))
 		rng2 := tensor.NewRNG(3)
@@ -97,15 +98,15 @@ func TestSequenceChainsAndReverses(t *testing.T) {
 		x := tensor.RandomMatrix(5, 4, tensor.NewRNG(9))
 		dy := tensor.RandomMatrix(5, 4, tensor.NewRNG(10))
 		want := refB.Forward(refA.Forward(x))
-		if got := seq.Forward(x); !got.Equal(want) {
-			t.Errorf("Sequence.Forward diverged: %g", got.MaxAbsDiff(want))
+		if got := b.Forward(a.Forward(x)); !got.Equal(want) {
+			t.Errorf("forward diverged: %g", got.MaxAbsDiff(want))
 		}
 		wantDx := refA.Backward(refB.Backward(dy))
-		if got := seq.Backward(dy); !got.Equal(wantDx) {
-			t.Errorf("Sequence.Backward diverged: %g", got.MaxAbsDiff(wantDx))
+		if got := a.Backward(b.Backward(dy)); !got.Equal(wantDx) {
+			t.Errorf("backward diverged: %g", got.MaxAbsDiff(wantDx))
 		}
-		if got, want := len(seq.Params()), len(refA.Params())+len(refB.Params()); got != want {
-			t.Errorf("Sequence.Params = %d, want %d", got, want)
+		if got, want := len(a.Params())+len(b.Params()), len(refA.Params())+len(refB.Params()); got != want {
+			t.Errorf("params = %d, want %d", got, want)
 		}
 		return nil
 	}); err != nil {

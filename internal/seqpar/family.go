@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
+	"repro/internal/megatron"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -18,137 +19,94 @@ func init() {
 	})
 	parallel.RegisterRowShards("seqpar", func(l parallel.Layout) int { return l.Ranks })
 	parallel.Register("seqpar", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
-		return &Family{p: NewProcAt(w, l.Ranks, l.Base), layout: l}, nil
+		return NewFamily(w, l), nil
 	})
 }
 
 // Family is sequence parallelism's implementation of the family-agnostic
 // model layer: activations sharded p ways along rows (whole sequences per
-// rank), weights sharded exactly like Megatron-LM. Distribute slices the
-// rank's row block, Collect all-gathers it back, and the Transformer block
-// is the shared parallel.Block composition — the layer norms and residual
-// adds inside it run on 1/p of the rows, which is where the family's
-// activation-memory edge over Megatron comes from.
+// rank), weights sharded exactly like Megatron-LM. It is megatron's family
+// under the RowSharded bracket — layout, blocks, layer norms, head and step
+// boundary are inherited; the layer norms and residual adds inside the
+// block run on 1/p of the rows, which is where the activation-memory edge
+// over Megatron comes from — with the distribution half overridden:
+// Distribute slices the rank's row block, Collect all-gathers it back.
 type Family struct {
-	p      *Proc
-	layout parallel.Layout
+	*megatron.Family
+
+	// pending are the replicated-weight gradient all-reduces the patch
+	// embedding queues per backward pass, drained by DrainGradients.
+	pending []gradSync
 }
 
 // NewFamily attaches the calling worker to the sequence-parallel group
-// spanning cluster ranks [0, p) and returns the family view.
-func NewFamily(w *dist.Worker, p int) *Family {
-	return &Family{p: NewProcAt(w, p, 0), layout: parallel.Layout{Family: "seqpar", Ranks: p}}
+// layout l names and returns the family view.
+func NewFamily(w *dist.Worker, l parallel.Layout) *Family {
+	return &Family{Family: megatron.NewFamily(w, l, megatron.RowSharded)}
 }
 
 // Name returns "seqpar".
 func (f *Family) Name() string { return "seqpar" }
 
-// Layout returns the 1-D layout.
-func (f *Family) Layout() parallel.Layout { return f.layout }
-
-// Worker returns the rank's cluster view.
-func (f *Family) Worker() *dist.Worker { return f.p.W }
-
-// Proc exposes the underlying sequence-parallel view.
-func (f *Family) Proc() *Proc { return f.p }
-
 // RowShards returns p: every rank owns 1/p of the activation rows.
-func (f *Family) RowShards() int { return f.p.P }
+func (f *Family) RowShards() int { return f.Proc().P }
 
 // NewLinear builds the shard-local linear (the ViT patch embedding): the
 // weight is replicated, the GEMM runs on the local rows, and the gradient
 // all-reduce is deferred to DrainGradients.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
-	return newShardLinear(f.p, in, out, act, bias, rng)
-}
-
-// NewBlock builds one sequence-parallel Transformer block via the shared
-// composition, drawing parameters from rng in the serial order (attention
-// Wq..Wo, then MLP Fc1, Fc2).
-func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	attn := bound{p: f.p, m: NewAttention(f.p, h, heads, seqLen, rng)}
-	mlp := bound{p: f.p, m: NewMLP(f.p, h, rng)}
-	return parallel.NewBlock(f.p.W, h, attn, f.NewLayerNorm(h), mlp, f.NewLayerNorm(h))
-}
-
-// NewBlockPhantom builds the shape-only block for paper-scale timing.
-func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	attn := bound{p: f.p, m: NewAttentionPhantom(f.p, h, heads, seqLen)}
-	mlp := bound{p: f.p, m: NewMLPPhantom(f.p, h)}
-	return parallel.NewBlock(f.p.W, h, attn, f.NewLayerNorm(h), mlp, f.NewLayerNorm(h))
-}
-
-// NewLayerNorm builds the replicated layer norm — row-local arithmetic, so
-// on sharded rows it simply normalises 1/p of them.
-func (f *Family) NewLayerNorm(h int) parallel.Layer {
-	return parallel.NewReplicatedLayerNorm(f.p.W, h)
-}
-
-// NewHead builds the replicated classifier head; it runs on replicated
-// pooled features (GatherPooled's output), so the serial layer applies.
-func (f *Family) NewHead(in, out int, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewReplicatedLinearAt(f.p.W, f.layout.Base, in, out, nn.ActNone, true, rng)
+	return newShardLinear(f, in, out, act, bias, rng)
 }
 
 // Distribute slices this rank's row block out of the replicated global
 // activation into a pooled buffer.
 func (f *Family) Distribute(global *tensor.Matrix) *tensor.Matrix {
-	if global.Rows%f.p.P != 0 {
-		panic(fmt.Sprintf("seqpar: cannot distribute %d rows across p=%d", global.Rows, f.p.P))
+	p := f.Proc()
+	if global.Rows%p.P != 0 {
+		panic(fmt.Sprintf("seqpar: cannot distribute %d rows across p=%d", global.Rows, p.P))
 	}
-	br := global.Rows / f.p.P
-	local := f.p.W.Workspace().GetUninitMatch(br, global.Cols, global.Phantom())
-	tensor.SubMatrixInto(local, global, f.p.Rank*br, 0)
+	br := global.Rows / p.P
+	local := p.W.Workspace().GetUninitMatch(br, global.Cols, global.Phantom())
+	tensor.SubMatrixInto(local, global, p.Rank*br, 0)
 	return local
 }
 
 // Collect all-gathers the row shards into the full replicated activation
 // on every rank. The local shard stays checked out by its owner.
 func (f *Family) Collect(local *tensor.Matrix) *tensor.Matrix {
-	return f.p.gather(local)
+	return f.Proc().Gather(local)
 }
 
 // Slice reports this rank's row block of a replicated [rows, cols]
 // activation.
 func (f *Family) Slice(rows, cols int) parallel.Slice {
-	if rows%f.p.P != 0 {
-		panic(fmt.Sprintf("seqpar: cannot slice %d rows across p=%d", rows, f.p.P))
+	p := f.Proc()
+	if rows%p.P != 0 {
+		panic(fmt.Sprintf("seqpar: cannot slice %d rows across p=%d", rows, p.P))
 	}
-	br := rows / f.p.P
-	return parallel.Slice{Row0: f.p.Rank * br, Rows: br, Cols: cols}
+	br := rows / p.P
+	return parallel.Slice{Row0: p.Rank * br, Rows: br, Cols: cols}
 }
 
 // GatherPooled all-gathers a row-pooled local block into the full
 // replicated matrix and recycles the local buffer, whose ownership the
 // contract transfers here.
 func (f *Family) GatherPooled(local *tensor.Matrix) *tensor.Matrix {
-	full := f.p.gather(local)
-	f.p.W.Workspace().Put(local)
+	full := f.Proc().Gather(local)
+	f.Worker().Workspace().Put(local)
 	return full
 }
 
 // DrainGradients completes the patch embedding's queued replicated-weight
 // gradient all-reduces; afterwards gradients are final on every rank.
-func (f *Family) DrainGradients() { f.p.drain() }
-
-// EndStep recycles the rank's workspace at the step boundary.
-func (f *Family) EndStep() { f.p.W.Workspace().ReleaseAll() }
-
-// procModule is the method shape the sub-layers in this package share.
-type procModule interface {
-	Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix
-	Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix
-	Params() []*nn.Param
-	State(p *Proc) []parallel.State
+func (f *Family) DrainGradients() {
+	ws := f.Worker().Workspace()
+	for i := range f.pending {
+		s := &f.pending[i]
+		s.h.Wait()
+		s.param.AccumGrad(s.buf)
+		ws.Put(s.buf)
+		*s = gradSync{}
+	}
+	f.pending = f.pending[:0]
 }
-
-// bound binds a sub-layer to its group view, adapting it to parallel.Layer.
-type bound struct {
-	p *Proc
-	m procModule
-}
-
-func (b bound) Forward(x *tensor.Matrix) *tensor.Matrix   { return b.m.Forward(b.p, x) }
-func (b bound) Backward(dy *tensor.Matrix) *tensor.Matrix { return b.m.Backward(b.p, dy) }
-func (b bound) Params() []*nn.Param                       { return b.m.Params() }
-func (b bound) State() []parallel.State                   { return b.m.State(b.p) }

@@ -1,4 +1,4 @@
-// Package seqpar implements sequence parallelism (Korthikanti et al.,
+// Package seqpar is the sequence-parallel family (Korthikanti et al.,
 // "Reducing Activation Recomputation in Large Transformer Models"; the
 // natural fourth member of the paper's family zoo): a 1-D layout [p] that
 // shards *activations* along the sequence/row dimension instead of
@@ -11,37 +11,23 @@
 // as Megatron-LM per layer while holding 1/p of its activations — the
 // memory/comm trade the planner exploits under tight memory budgets.
 //
-// Weight sharding is identical to Megatron-LM (column-parallel QKV and fc1,
-// row-parallel projection and fc2), so checkpoints re-shard freely between
-// the two. The memory lever is in the activation lifetime regime: gathered
-// full-row tensors are transient — discarded right after their GEMM and
-// re-gathered in the backward pass — and the backward pass recycles saved
-// activations eagerly the moment their last gradient GEMM has read them.
+// The weight sharding is Megatron-LM's, and so are the layers: the
+// Transformer block is package megatron's column/row-parallel linears,
+// attention and MLP run under the megatron.RowSharded bracket, which is
+// also why checkpoints re-shard freely between the two families. What
+// lives here is what genuinely differs for row-sharded activations: the
+// Family adapter (Distribute slices rows, Collect and GatherPooled
+// all-gather them), the shard-local patch embedding with its deferred
+// replicated-weight gradient sync, and the planner descriptor.
 package seqpar
 
 import (
-	"fmt"
-
 	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
-
-// Proc is one processor's view of a sequence-parallel group.
-type Proc struct {
-	W *dist.Worker
-	// P is the sequence-parallel size.
-	P int
-	// Rank is the index within the group.
-	Rank int
-	// TP is the sequence-parallel communicator.
-	TP *dist.Group
-
-	// pending are the replicated-weight gradient all-reduces the patch
-	// embedding queues per backward pass, drained by DrainGradients.
-	pending []gradSync
-}
 
 // gradSync is one in-flight replicated-parameter gradient all-reduce: the
 // handle, the parameter it lands on, and the pooled buffer carrying the sum.
@@ -49,43 +35,6 @@ type gradSync struct {
 	h     dist.Handle
 	param *nn.Param
 	buf   *tensor.Matrix
-}
-
-// NewProcAt attaches the calling worker to the sequence-parallel group
-// spanning cluster ranks [base, base+p).
-func NewProcAt(w *dist.Worker, p, base int) *Proc {
-	ranks := make([]int, p)
-	for i := range ranks {
-		ranks[i] = base + i
-	}
-	g := w.Cluster().Group(ranks...)
-	idx := g.Index(w.Rank())
-	if idx < 0 {
-		panic(fmt.Sprintf("seqpar: rank %d outside sequence-parallel group [%d,%d)", w.Rank(), base, base+p))
-	}
-	return &Proc{W: w, P: p, Rank: idx, TP: g}
-}
-
-// gather all-gathers a row-sharded activation into a pooled full-row
-// buffer: member blocks concatenate in group order, which is exactly the
-// global row order Distribute sliced by. The caller owns the result and
-// Puts it as soon as its GEMM has run.
-func (p *Proc) gather(x *tensor.Matrix) *tensor.Matrix {
-	full := p.W.Workspace().GetUninitMatch(p.P*x.Rows, x.Cols, x.Phantom())
-	return p.TP.AllGatherInto(p.W, x, full)
-}
-
-// drain completes the queued replicated-weight gradient syncs.
-func (p *Proc) drain() {
-	ws := p.W.Workspace()
-	for i := range p.pending {
-		s := &p.pending[i]
-		s.h.Wait()
-		s.param.AccumGrad(s.buf)
-		ws.Put(s.buf)
-		*s = gradSync{}
-	}
-	p.pending = p.pending[:0]
 }
 
 // shardLinear is the family's fully connected layer (the ViT patch
@@ -101,15 +50,15 @@ type shardLinear struct {
 	W       *nn.Param // [In, Out], replicated
 	B       *nn.Param // [1, Out], replicated
 
-	p   *Proc
+	f   *Family
 	x   *tensor.Matrix
 	pre *tensor.Matrix
 }
 
 // newShardLinear draws the full Xavier weight from rng (the serial stream)
 // and replicates it, like nn.NewLinear with a deferred gradient sum.
-func newShardLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *shardLinear {
-	l := &shardLinear{In: in, Out: out, Act: act, p: p}
+func newShardLinear(f *Family, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *shardLinear {
+	l := &shardLinear{In: in, Out: out, Act: act, f: f}
 	l.W = nn.NewParam("seqpar.linear.w", tensor.XavierMatrix(in, out, rng))
 	if bias {
 		l.B = nn.NewParam("seqpar.linear.b", tensor.New(1, out))
@@ -121,7 +70,7 @@ func newShardLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *ten
 // into the write-back.
 func (l *shardLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	w := l.p.W
+	w := l.f.Worker()
 	ws := w.Workspace()
 	ph := x.Phantom() || l.W.Value.Phantom()
 	pre := ws.GetUninitMatch(x.Rows, l.Out, ph)
@@ -147,7 +96,7 @@ func (l *shardLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward computes the shard-local gradient partials, queues their
 // all-reduce for DrainGradients, and returns the sharded input gradient.
 func (l *shardLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	w := l.p.W
+	f, w := l.f, l.f.Worker()
 	ws := w.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
 	var dyScratch *tensor.Matrix
@@ -159,14 +108,14 @@ func (l *shardLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dw := ws.GetUninitMatch(l.In, l.Out, ph)
 	dw.Zero()
 	compute.MatMulTNInto(w, dw, l.x, dy)
-	l.p.pending = append(l.p.pending, gradSync{
-		h: l.p.TP.IAllReduceInto(w, dw, dw), param: l.W, buf: dw,
+	f.pending = append(f.pending, gradSync{
+		h: f.Proc().TP.IAllReduceInto(w, dw, dw), param: l.W, buf: dw,
 	})
 	if l.B != nil {
 		db := ws.GetUninitMatch(1, l.Out, ph)
 		compute.ColSumsInto(w, db, dy)
-		l.p.pending = append(l.p.pending, gradSync{
-			h: l.p.TP.IAllReduceInto(w, db, db), param: l.B, buf: db,
+		f.pending = append(f.pending, gradSync{
+			h: f.Proc().TP.IAllReduceInto(w, db, db), param: l.B, buf: db,
 		})
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
@@ -183,4 +132,15 @@ func (l *shardLinear) Params() []*nn.Param {
 		return []*nn.Param{l.W}
 	}
 	return []*nn.Param{l.W, l.B}
+}
+
+// State exposes the replicated patch-embedding parameters as full
+// checkpoint slots; the group's base rank is the primary.
+func (l *shardLinear) State() []parallel.State {
+	primary := l.f.Proc().Rank == 0
+	out := []parallel.State{parallel.FullState(l.W, l.In, l.Out, primary)}
+	if l.B != nil {
+		out = append(out, parallel.FullState(l.B, 1, l.Out, primary))
+	}
+	return out
 }

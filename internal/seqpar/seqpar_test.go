@@ -11,22 +11,15 @@ import (
 	"repro/internal/testutil"
 )
 
-func runSP(t *testing.T, p int, fn func(sp *Proc) error) *dist.Cluster {
-	t.Helper()
-	return testutil.Run(t, p, func(w *dist.Worker) error {
-		return fn(NewProcAt(w, p, 0))
-	})
-}
+// The Transformer layers this family runs are package megatron's under the
+// RowSharded bracket and are tested there, both brackets in one table; the
+// tests here cover what the family adds: the shard-local patch embedding
+// and the row-sharded Distribute/Collect adapter around the block.
 
 // shard returns rank's row block of a replicated matrix.
 func shard(m *tensor.Matrix, rank, p int) *tensor.Matrix {
 	br := m.Rows / p
 	return m.SubMatrix(rank*br, 0, br, m.Cols)
-}
-
-// regather reassembles the row shards into the full matrix.
-func regather(sp *Proc, local *tensor.Matrix) *tensor.Matrix {
-	return tensor.VCat(sp.TP.AllGather(sp.W, local)...)
 }
 
 func TestShardLinearMatchesSerial(t *testing.T) {
@@ -45,15 +38,16 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 			dxs := testutil.NewCollector()
 			gws := testutil.NewCollector()
 			gbs := testutil.NewCollector()
-			runSP(t, tp, func(sp *Proc) error {
-				l := newShardLinear(sp, in, out, nn.ActGELU, true, tensor.NewRNG(9))
-				y := l.Forward(shard(x, sp.Rank, tp))
-				dx := l.Backward(shard(dy, sp.Rank, tp))
-				sp.drain()
-				ys.Put(sp.W.Rank(), regather(sp, y))
-				dxs.Put(sp.W.Rank(), regather(sp, dx))
-				gws.Put(sp.W.Rank(), l.W.Grad)
-				gbs.Put(sp.W.Rank(), l.B.Grad)
+			testutil.Run(t, tp, func(w *dist.Worker) error {
+				f := NewFamily(w, parallel.Layout{Family: "seqpar", Ranks: tp})
+				l := newShardLinear(f, in, out, nn.ActGELU, true, tensor.NewRNG(9))
+				y := l.Forward(shard(x, w.Rank(), tp))
+				dx := l.Backward(shard(dy, w.Rank(), tp))
+				f.DrainGradients()
+				ys.Put(w.Rank(), f.Collect(y))
+				dxs.Put(w.Rank(), f.Collect(dx))
+				gws.Put(w.Rank(), l.W.Grad)
+				gbs.Put(w.Rank(), l.B.Grad)
 				return nil
 			})
 			for r := 0; r < tp; r++ {
@@ -63,66 +57,6 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 				// drain they match the serial full-batch gradients.
 				testutil.CheckClose(t, "dW", gws.Get(r), ref.W.Grad, 1e-9)
 				testutil.CheckClose(t, "dB", gbs.Get(r), ref.B.Grad, 1e-9)
-			}
-		})
-	}
-}
-
-func TestMLPMatchesSerial(t *testing.T) {
-	const h, rows = 8, 8
-	for _, tp := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("p%d", tp), func(t *testing.T) {
-			dataRng := tensor.NewRNG(3)
-			x := tensor.RandomMatrix(rows, h, dataRng)
-			dy := tensor.RandomMatrix(rows, h, dataRng)
-
-			ref := nn.NewMLP(h, tensor.NewRNG(13))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			runSP(t, tp, func(sp *Proc) error {
-				m := NewMLP(sp, h, tensor.NewRNG(13))
-				y := m.Forward(sp, shard(x, sp.Rank, tp))
-				dx := m.Backward(sp, shard(dy, sp.Rank, tp))
-				ys.Put(sp.W.Rank(), regather(sp, y))
-				dxs.Put(sp.W.Rank(), regather(sp, dx))
-				return nil
-			})
-			for r := 0; r < tp; r++ {
-				testutil.CheckClose(t, "y", ys.Get(r), wantY, 1e-9)
-				testutil.CheckClose(t, "dx", dxs.Get(r), wantDx, 1e-9)
-			}
-		})
-	}
-}
-
-func TestAttentionMatchesSerial(t *testing.T) {
-	const h, heads, seqLen, rows = 8, 4, 2, 8
-	for _, tp := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("p%d", tp), func(t *testing.T) {
-			dataRng := tensor.NewRNG(4)
-			x := tensor.RandomMatrix(rows, h, dataRng)
-			dy := tensor.RandomMatrix(rows, h, dataRng)
-
-			ref := nn.NewMultiHeadAttention(h, heads, seqLen, tensor.NewRNG(17))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			runSP(t, tp, func(sp *Proc) error {
-				a := NewAttention(sp, h, heads, seqLen, tensor.NewRNG(17))
-				y := a.Forward(sp, shard(x, sp.Rank, tp))
-				dx := a.Backward(sp, shard(dy, sp.Rank, tp))
-				ys.Put(sp.W.Rank(), regather(sp, y))
-				dxs.Put(sp.W.Rank(), regather(sp, dx))
-				return nil
-			})
-			for r := 0; r < tp; r++ {
-				testutil.CheckClose(t, "y", ys.Get(r), wantY, 1e-9)
-				testutil.CheckClose(t, "dx", dxs.Get(r), wantDx, 1e-9)
 			}
 		})
 	}
@@ -143,7 +77,7 @@ func TestBlockMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			testutil.Run(t, tp, func(w *dist.Worker) error {
-				f := NewFamily(w, tp)
+				f := NewFamily(w, parallel.Layout{Family: "seqpar", Ranks: tp})
 				b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(19))
 				y := b.Forward(f.Distribute(x))
 				dx := b.Backward(f.Distribute(dy))
@@ -156,81 +90,6 @@ func TestBlockMatchesSerial(t *testing.T) {
 				testutil.CheckClose(t, "dx", dxs.Get(r), wantDx, 1e-8)
 			}
 		})
-	}
-}
-
-func TestBlockCollectiveCount(t *testing.T) {
-	// Each parallel linear pair is bracketed by one all-gather in and one
-	// reduce-scatter out: 2+2 forward. The backward pass gathers the output
-	// gradient, reduce-scatters the input gradient, and re-gathers the
-	// discarded forward input per module: 4 gathers + 2 scatters. No
-	// all-reduce of activations ever happens.
-	const h, heads, seqLen, rows, tp = 8, 4, 2, 8, 4
-	c := dist.New(dist.Config{WorldSize: tp})
-	if err := c.Run(func(w *dist.Worker) error {
-		f := NewFamily(w, tp)
-		b := f.NewBlockPhantom(h, heads, seqLen)
-		x := tensor.NewPhantom(rows/tp, h)
-		y := b.Forward(x)
-		b.Backward(y)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	stats := c.Stats()
-	if got := stats.PerOp["allgather"].Calls; got != 6 {
-		t.Fatalf("block fwd+bwd performed %d all-gathers, want 6", got)
-	}
-	if got := stats.PerOp["reducescatter"].Calls; got != 4 {
-		t.Fatalf("block fwd+bwd performed %d reduce-scatters, want 4", got)
-	}
-	if got := stats.PerOp["allreduce"].Calls; got != 0 {
-		t.Fatalf("block fwd+bwd performed %d all-reduces, want 0", got)
-	}
-}
-
-func TestPhantomMatchesRealClock(t *testing.T) {
-	const h, heads, seqLen, rows, tp = 8, 4, 2, 8, 4
-	clock := func(phantom bool) float64 {
-		c := dist.New(dist.Config{WorldSize: tp})
-		if err := c.Run(func(w *dist.Worker) error {
-			f := NewFamily(w, tp)
-			var b parallel.Layer
-			var x *tensor.Matrix
-			if phantom {
-				b = f.NewBlockPhantom(h, heads, seqLen)
-				x = tensor.NewPhantom(rows/tp, h)
-			} else {
-				b = f.NewBlock(h, heads, seqLen, tensor.NewRNG(23))
-				x = tensor.RandomMatrix(rows/tp, h, tensor.NewRNG(29))
-			}
-			y := b.Forward(x)
-			b.Backward(y)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return c.MaxClock()
-	}
-	real, ph := clock(false), clock(true)
-	if real <= 0 {
-		t.Fatal("expected nonzero simulated time")
-	}
-	if rel := (real - ph) / real; rel > 1e-12 || rel < -1e-12 {
-		t.Fatalf("phantom clock %g != real clock %g", ph, real)
-	}
-}
-
-func TestProcValidation(t *testing.T) {
-	c := dist.New(dist.Config{WorldSize: 2})
-	err := c.Run(func(w *dist.Worker) error {
-		defer func() { recover() }()
-		NewProcAt(w, 4, 0) // group larger than the cluster
-		t.Errorf("rank %d: expected panic", w.Rank())
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,10 +2,9 @@ package tesseract
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/compute"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -22,8 +21,7 @@ type Attention struct {
 	QKV  *Linear // h -> 3h, head-aligned column permutation
 	Proj *Linear // h -> h
 
-	q, k, v *tensor.Matrix
-	probs   []*tensor.Matrix
+	core parallel.HeadAttention // the n/q local heads
 }
 
 // NewAttention draws Wq, Wk, Wv, Wo (plus zero biases) from rng in the same
@@ -31,7 +29,7 @@ type Attention struct {
 // column-permuted QKV weight: grid column j holds [Wq_j | Wk_j | Wv_j], so
 // the local output splits into aligned Q, K, V blocks of h/q columns each.
 func NewAttention(p *Proc, h, heads, seqLen int, rng *tensor.RNG) *Attention {
-	validateAttention(p, h, heads)
+	a := newAttention(p, h, heads, seqLen)
 	wq := tensor.XavierMatrix(h, h, rng)
 	wk := tensor.XavierMatrix(h, h, rng)
 	wv := tensor.XavierMatrix(h, h, rng)
@@ -48,7 +46,6 @@ func NewAttention(p *Proc, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 	}
 	fused := tensor.HCat(cols...)
 
-	a := &Attention{H: h, Heads: heads, SeqLen: seqLen}
 	a.QKV = newLinearFromGlobal(p, fused, nn.ActNone, true)
 	a.Proj = newLinearFromGlobal(p, wo, nn.ActNone, true)
 	return a
@@ -56,20 +53,23 @@ func NewAttention(p *Proc, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 
 // NewAttentionPhantom builds the shape-only variant for paper-scale timing.
 func NewAttentionPhantom(p *Proc, h, heads, seqLen int) *Attention {
-	validateAttention(p, h, heads)
-	a := &Attention{H: h, Heads: heads, SeqLen: seqLen}
+	a := newAttention(p, h, heads, seqLen)
 	a.QKV = NewLinearPhantom(p, h, 3*h, nn.ActNone, true)
 	a.Proj = NewLinearPhantom(p, h, h, nn.ActNone, true)
 	return a
 }
 
-func validateAttention(p *Proc, h, heads int) {
+// newAttention checks that heads split over the grid columns and returns
+// the module without its projections.
+func newAttention(p *Proc, h, heads, seqLen int) *Attention {
 	if h%heads != 0 {
 		panic(fmt.Sprintf("tesseract: hidden %d not divisible by heads %d", h, heads))
 	}
 	if heads%p.Shape.Q != 0 {
 		panic(fmt.Sprintf("tesseract: heads %d not divisible by q=%d", heads, p.Shape.Q))
 	}
+	return &Attention{H: h, Heads: heads, SeqLen: seqLen,
+		core: parallel.HeadAttention{Heads: heads / p.Shape.Q, HeadDim: h / heads, SeqLen: seqLen}}
 }
 
 // Params returns the shards this processor owns.
@@ -78,70 +78,12 @@ func (a *Attention) Params() []*nn.Param {
 }
 
 // Forward runs attention over the local block x of shape [m̂, h/q], where
-// m̂ = b·s/(d·q) rows cover whole sequences. The Q/K/V slices and the
-// per-head probabilities are retained for the backward pass in workspace
-// buffers, released at the step boundary.
+// m̂ = b·s/(d·q) rows cover whole sequences (the batch must divide d·q).
+// The Q/K/V slices and the per-head probabilities are retained for the
+// backward pass in workspace buffers, released at the step boundary.
 func (a *Attention) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	qkv := a.QKV.Forward(p, x)
-	hq := a.H / p.Shape.Q
-	ph := qkv.Phantom()
-	aq := ws.GetUninitMatch(qkv.Rows, hq, ph)
-	ak := ws.GetUninitMatch(qkv.Rows, hq, ph)
-	av := ws.GetUninitMatch(qkv.Rows, hq, ph)
-	tensor.SubMatrixInto(aq, qkv, 0, 0)
-	tensor.SubMatrixInto(ak, qkv, 0, hq)
-	tensor.SubMatrixInto(av, qkv, 0, 2*hq)
-	a.q, a.k, a.v = aq, ak, av
-
-	out := a.attendForward(p, aq, ak, av)
-	return a.Proj.Forward(p, out)
-}
-
-// attendForward performs the local per-head attention. In phantom mode the
-// arithmetic is skipped and the flop cost is charged analytically, using a
-// possibly fractional sequences-per-processor count (the paper's Table 1
-// includes shapes like [4,4,2] with batch 12, where b/(dq) = 1.5).
-func (a *Attention) attendForward(p *Proc, q, k, v *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.Shape.Q
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	if q.Phantom() {
-		seqF := float64(q.Rows) / float64(s)
-		perHead := 4*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(q.Rows, q.Cols, true)
-	}
-	if q.Rows%s != 0 {
-		panic(fmt.Sprintf("tesseract: attention rows %d not divisible by seq len %d (batch must divide d*q)", q.Rows, s))
-	}
-	nseq := q.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	out := ws.GetUninit(q.Rows, q.Cols) // every head block is overwritten below
-	a.probs = a.probs[:0]
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	scores := ws.GetUninit(s, s)
-	head := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			tensor.SubMatrixInto(qs, q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, v, sq*s, hd*dh)
-			compute.MatMulNTInto(p.W, scores, qs, ks)
-			tensor.ScaleInPlace(scores, scale)
-			probs := ws.GetUninit(s, s) // retained for the backward pass
-			compute.SoftmaxRowsTo(p.W, probs, scores)
-			a.probs = append(a.probs, probs)
-			head.Zero()
-			compute.MatMulInto(p.W, head, probs, vs)
-			out.SetSubMatrix(sq*s, hd*dh, head)
-		}
-	}
-	ws.Put(qs, ks, vs, scores, head)
-	return out
+	a.core.Split(p.W, a.QKV.Forward(p, x))
+	return a.Proj.Forward(p, a.core.Forward(p.W))
 }
 
 // Backward propagates through the attention module and returns the local
@@ -150,60 +92,9 @@ func (a *Attention) attendForward(p *Proc, q, k, v *tensor.Matrix) *tensor.Matri
 func (a *Attention) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 	ws := p.W.Workspace()
 	dout := a.Proj.Backward(p, dy)
-	dqkv := a.attendBackward(p, dout)
+	dqkv := a.core.Backward(p.W, dout)
 	ws.Put(dout)
 	dx := a.QKV.Backward(p, dqkv)
 	ws.Put(dqkv)
 	return dx
-}
-
-func (a *Attention) attendBackward(p *Proc, dout *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.Shape.Q
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	hq := a.H / p.Shape.Q
-	if dout.Phantom() {
-		seqF := float64(dout.Rows) / float64(s)
-		perHead := 8*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(dout.Rows, 3*hq, true)
-	}
-	nseq := dout.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	dqkv := ws.GetUninit(dout.Rows, 3*hq) // every block is overwritten below
-	dhead := ws.GetUninit(s, dh)
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	dvs := ws.GetUninit(s, dh)
-	dprobs := ws.GetUninit(s, s)
-	dscores := ws.GetUninit(s, s)
-	dqs := ws.GetUninit(s, dh)
-	dks := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			probs := a.probs[sq*headsLocal+hd]
-			tensor.SubMatrixInto(dhead, dout, sq*s, hd*dh)
-			tensor.SubMatrixInto(qs, a.q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, a.k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, a.v, sq*s, hd*dh)
-
-			dvs.Zero()
-			compute.MatMulTNInto(p.W, dvs, probs, dhead)
-			compute.MatMulNTInto(p.W, dprobs, dhead, vs)
-			compute.SoftmaxRowsBackwardTo(p.W, dscores, probs, dprobs)
-			tensor.ScaleInPlace(dscores, scale)
-			dqs.Zero()
-			compute.MatMulInto(p.W, dqs, dscores, ks)
-			dks.Zero()
-			compute.MatMulTNInto(p.W, dks, dscores, qs)
-
-			dqkv.SetSubMatrix(sq*s, hd*dh, dqs)
-			dqkv.SetSubMatrix(sq*s, hq+hd*dh, dks)
-			dqkv.SetSubMatrix(sq*s, 2*hq+hd*dh, dvs)
-		}
-	}
-	ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
-	return dqkv
 }

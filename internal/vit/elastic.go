@@ -145,11 +145,18 @@ func Trainable(l parallel.Layout, batch int, mcfg ModelConfig) bool {
 // TrainableErr is Trainable with the reason: nil when the layout can train
 // the model, otherwise one actionable error naming the dimension that does
 // not divide — what the CLIs print instead of panicking deep inside model
-// construction.
+// construction. The head checks hold for the serial model too, so a CLI
+// that validates any layout first never reaches nn's constructor panics.
 func TrainableErr(l parallel.Layout, batch int, mcfg ModelConfig) error {
 	l, err := l.Normalize()
 	if err != nil {
 		return err
+	}
+	switch {
+	case mcfg.Heads < 1:
+		return fmt.Errorf("vit: %d attention heads, need at least 1", mcfg.Heads)
+	case mcfg.Hidden%mcfg.Heads != 0:
+		return fmt.Errorf("vit: hidden %d not divisible by %d heads", mcfg.Hidden, mcfg.Heads)
 	}
 	if batch%l.RowShards() != 0 {
 		return fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", batch, l, l.RowShards())

@@ -7,10 +7,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
-
-	// TrainTesseract names the tesseract family, so this package links it;
-	// other families register through the caller's imports.
-	_ "repro/internal/tesseract"
 )
 
 // TrainConfig controls a Figure 7 training run. The paper uses Adam with
@@ -169,12 +165,6 @@ func TrainLayout(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainConfi
 		return History{}, err
 	}
 	return hist, nil
-}
-
-// TrainTesseract trains under a [q, q, d] Tesseract mesh — the Figure 7
-// configuration, kept as a convenience over TrainLayout.
-func TrainTesseract(q, d int, ds *Dataset, mcfg ModelConfig, tc TrainConfig) (History, error) {
-	return TrainLayout(parallel.Layout{Family: "tesseract", Q: q, D: d}, ds, mcfg, tc)
 }
 
 // evalDist computes test accuracy on every rank (the forward pass is

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/tesseract"
 	"repro/internal/testutil"
@@ -213,7 +214,7 @@ func TestFigure7CurvesCoincide(t *testing.T) {
 	tc := TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.003, WeightDecay: 0.3, Seed: 5}
 	serial := TrainSerial(ds, mcfg, tc)
 	for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
-		hist, err := TrainTesseract(shape.q, shape.d, ds, mcfg, tc)
+		hist, err := TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
