@@ -518,6 +518,41 @@ func BenchmarkReduceScatter8(b *testing.B) {
 	b.ReportMetric(float64(b.N)*64*64*8/b.Elapsed().Seconds()/1e9, "GB/s")
 }
 
+// BenchmarkRendezvous isolates the round itself — arrive, register, park,
+// wake, retire — from everything a collective does with its payload: one
+// persistent cluster run, phantom payloads (no bytes move, no sum runs), b.N
+// rounds inside, so ns/op is ns per round. barrier8 and barrier64 are the
+// blocking path at the step fixture's and the tables' group sizes;
+// ibroadcast64 is the nonblocking one (issue, then Wait registers late).
+func BenchmarkRendezvous(b *testing.B) {
+	run := func(world int, op func(w *dist.Worker, g *dist.Group, m *tensor.Matrix)) func(b *testing.B) {
+		return func(b *testing.B) {
+			c := dist.New(dist.Config{WorldSize: world})
+			g := c.WorldGroup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			err := c.Run(func(w *dist.Worker) error {
+				m := w.Workspace().GetMatch(64, 64, true)
+				for i := 0; i < b.N; i++ {
+					op(w, g, m)
+				}
+				w.Workspace().ReleaseAll()
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	barrier := func(w *dist.Worker, g *dist.Group, _ *tensor.Matrix) { g.Barrier(w) }
+	b.Run("barrier8", run(8, barrier))
+	b.Run("barrier64", run(64, barrier))
+	b.Run("ibroadcast64", run(64, func(w *dist.Worker, g *dist.Group, m *tensor.Matrix) {
+		h := g.IBroadcastInto(w, 0, m, m)
+		h.Wait()
+	}))
+}
+
 func BenchmarkTesseractMatMulReal(b *testing.B) {
 	// Real-data Algorithm 3 on a [2,2,2] mesh, 64×48 by 48×32.
 	rng := tensor.NewRNG(3)

@@ -54,7 +54,10 @@ func (h *Handle) Wait() {
 	}
 	h.waited = true
 	h.r.waited[h.idx] = true
-	h.g.waitRound(h.w, h.r, h.finisher)
+	if !h.finisher && !h.r.completed.Load() && h.g.register(h.w, h.r) {
+		h.w.park()
+	}
+	h.r.settle(h.w)
 	ws := h.w.Workspace()
 	ws.Release(h.payload)
 	ws.Release(h.dst)
@@ -67,18 +70,22 @@ func (g *Group) issueAsync(w *Worker, kind opKind, root, idx int, payload, dst *
 	ws := w.Workspace()
 	ws.Borrow(payload)
 	ws.Borrow(dst)
-	r, finisher := g.join(w, kind, root, idx, payload, dst)
+	r, finisher := g.join(w, kind, root, idx, payload, dst, false)
 	// r cannot be recycled before this member retires (which happens only
 	// in Wait), so the generation read here is stable.
 	return Handle{g: g, w: w, r: r, gen: r.gen.Load(), idx: idx, finisher: finisher, payload: payload, dst: dst, valid: true}
 }
 
-// runBlocking is the shared blocking path: join, park until the round
-// completes, return it for result extraction. The caller must retire the
-// round after reading what it needs.
+// runBlocking is the shared blocking path: join — registering for a wake-up
+// in the same critical section — park until the round completes, return it
+// for result extraction. The caller must retire the round after reading what
+// it needs.
 func (g *Group) runBlocking(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix) *round {
-	r, finisher := g.join(w, kind, root, idx, slot, dst)
-	g.waitRound(w, r, finisher)
+	r, finisher := g.join(w, kind, root, idx, slot, dst, true)
+	if !finisher {
+		w.park()
+	}
+	r.settle(w)
 	return r
 }
 

@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Config describes a simulated cluster.
@@ -23,6 +25,10 @@ type Config struct {
 	// identical. New panics on an invalid plan.
 	Faults *FaultPlan
 }
+
+// ErrRunActive is returned by Run when another Run is still active on the
+// same cluster.
+var ErrRunActive = errors.New("dist: Run called while another Run is active on this cluster (nested from a worker, or concurrent)")
 
 // abortSignal is the panic value collectives raise to unwind a worker whose
 // cluster has aborted; Run's wrapper swallows it.
@@ -77,9 +83,17 @@ type Cluster struct {
 	fault   *FaultPlan
 	monitor *Monitor
 
+	// aborted is what collectives poll; the abort channel is closed with it
+	// for the one blocking wait that is not a rendezvous (mailbox.take).
+	// abortErr is written before aborted is set and never again.
+	aborted   atomic.Bool
 	abort     chan struct{}
 	abortOnce sync.Once
 	abortErr  error
+
+	// running is set for the duration of a Run: the workers' clocks and
+	// parking slots belong to that Run's goroutines alone.
+	running atomic.Bool
 
 	failMu   sync.Mutex
 	failures []*Failure
@@ -110,9 +124,11 @@ func New(cfg Config) *Cluster {
 		}
 		c.fault = cfg.Faults
 	}
+	workers := make([]Worker, cfg.WorldSize)
 	c.workers = make([]*Worker, cfg.WorldSize)
-	for r := range c.workers {
-		c.workers[r] = &Worker{c: c, rank: r, slow: 1}
+	for r := range workers {
+		workers[r] = Worker{c: c, rank: r, slow: 1, wake: make(chan struct{}, 2)}
+		c.workers[r] = &workers[r]
 	}
 	return c
 }
@@ -147,10 +163,18 @@ func (c *Cluster) node(rank int) int { return rank / c.gpn }
 // becomes Run's error, wrapped so errors.Is sees the cause and the message
 // names the worker; every other worker is unblocked and unwound. After such
 // an abort the cluster is permanently poisoned: subsequent Runs fail fast.
+//
+// A cluster runs one Run at a time: a Run issued while another is active on
+// the same cluster — nested from a worker, or from a second goroutine —
+// returns ErrRunActive without starting anything.
 func (c *Cluster) Run(fn func(w *Worker) error) error {
 	if err := c.abortedErr(); err != nil {
 		return fmt.Errorf("dist: cluster aborted by earlier run: %w", err)
 	}
+	if !c.running.CompareAndSwap(false, true) {
+		return ErrRunActive
+	}
+	defer c.running.Store(false)
 	errs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
 	for _, w := range c.workers {
@@ -189,11 +213,17 @@ func (c *Cluster) Run(fn func(w *Worker) error) error {
 }
 
 // abortWith poisons the cluster with the first failure and releases every
-// blocked worker.
+// blocked worker: the flag first, so that whoever wakes sees it, then the
+// channel for receivers blocked on a mailbox, then one token into every
+// parking slot.
 func (c *Cluster) abortWith(err error) {
 	c.abortOnce.Do(func() {
 		c.abortErr = err
+		c.aborted.Store(true)
 		close(c.abort)
+		for _, w := range c.workers {
+			w.wake <- struct{}{}
+		}
 	})
 }
 
@@ -267,21 +297,17 @@ func (c *Cluster) Recover() (*Cluster, error) {
 
 // abortedErr returns the poisoning error, if any.
 func (c *Cluster) abortedErr() error {
-	select {
-	case <-c.abort:
+	if c.aborted.Load() {
 		return c.abortErr
-	default:
-		return nil
 	}
+	return nil
 }
 
 // checkAbort panics with abortSignal if the cluster has aborted — the
-// unwind path for workers parked inside collectives.
+// unwind path for workers arriving at, or woken inside, a collective.
 func (c *Cluster) checkAbort() {
-	select {
-	case <-c.abort:
+	if c.aborted.Load() {
 		panic(abortSignal{})
-	default:
 	}
 }
 

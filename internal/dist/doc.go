@@ -11,8 +11,10 @@
 // dist.New(dist.Config{WorldSize: n}) builds a Cluster of n Workers; Run
 // executes one function per rank, each on its own goroutine. A worker that
 // errors or panics aborts the whole cluster (peers unwind, Run names the
-// rank; a fresh cluster is the recovery). Clocks and traffic statistics
-// persist across Runs; ResetClocks opens a new timing window.
+// rank; a fresh cluster is the recovery). A cluster runs one Run at a time:
+// a nested or concurrent Run on the same cluster returns ErrRunActive.
+// Clocks and traffic statistics persist across Runs; ResetClocks opens a
+// new timing window.
 //
 // # Groups and collectives
 //
@@ -22,7 +24,8 @@
 // association of a binomial tree over the group's virtual positions, so
 // results are deterministic and replicas stay bit-identical. Every
 // operation is a rendezvous round: members file arrivals without blocking
-// and the last arriver computes the whole outcome once. The
+// and the last arriver computes the whole outcome once, then wakes exactly
+// the members that registered to block, each on its own parking slot. The
 // destination-passing variants (BroadcastInto, ReduceInto, AllReduceInto,
 // AllGatherInto) land results in caller-supplied buffers with the contract
 // that every cross-member read completes before any member returns — which

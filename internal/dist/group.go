@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -33,6 +34,7 @@ type Group struct {
 	lastFinish float64
 
 	vdata [][]float64 // finish()-local scratch: slot data in virtual tree order
+	tree  []float64   // finish()-local scratch: treeSumInto's per-level partials
 }
 
 // opKind names the collective an arrival wants to run; arrivals pairing
@@ -68,23 +70,38 @@ func (k opKind) String() string { return opKindNames[k] }
 // in arrival order), results are bit-identical across runs and identical to
 // the distributed tree schedule this engine replaced.
 //
-// Arrivals need not block: a nonblocking issue fills its slot and returns a
-// Handle, and the member collects the outcome at Wait. Rounds are recycled
-// through the spare list once every member has retired.
+// The life of one member's arrival:
 //
-// done is a buffered token channel rather than a closed one so it survives
-// recycling: the finisher deposits exactly one token per member registered
-// in r.parked (members that committed to blocking before completion), each
-// parked member consumes exactly one, and members that observe completion
-// first never touch the channel at all — so deposits always equal
-// consumptions and the drained channel is ready for the next round without
-// reallocation. completed is set after the deposits; parking registration
-// and completion serialise under the group lock.
+//	arrive   join files clock and slots under g.mu; the last arrival is the
+//	         finisher and runs finish before it lets go of the lock
+//	register a member that has to block for the outcome appends itself to
+//	         r.parked — a blocking call inside join's critical section, a
+//	         Handle.Wait that finds the round still open under a second,
+//	         short one; completed is set under the same lock, so a member
+//	         either registers before completion or sees it and never parks
+//	park     the member receives one token from its own Worker.wake slot —
+//	         nothing shared, so 64 parked ranks touch 64 different locks
+//	wake     the finisher, after dropping g.mu, deposits exactly one token
+//	         per registered member (r.parked is frozen once completed is set,
+//	         and r cannot recycle before the finisher itself retires)
+//	retire   each member reads what it needs and retires; the last one
+//	         returns the round to the spare list
+//
+// A nonblocking issue is the same arrival without the register/park half:
+// it fills its slot and returns a Handle, and the member collects the
+// outcome at Wait.
+//
+// Tokens and registrations pair one to one, so a run that ends cleanly
+// leaves every slot empty. Abort (Cluster.abortWith) raises an atomic flag
+// and drops one extra token into every worker's slot; whoever wakes checks
+// the flag and unwinds. A token nobody consumes — abort's to a worker that
+// never parks again, or a finisher's to a member abort already unwound — is
+// harmless: it can only exist on a poisoned cluster, which never runs again.
 type round struct {
 	kind    opKind
 	root    int // group index of the root, -1 for rootless ops
 	arrived int
-	parked  int // members registered on the done channel before completion
+	parked  []*Worker // members the finisher must wake; capacity n, never regrown
 	exited  atomic.Int32
 	filled  []bool
 	waited  []bool // per-member: a nonblocking handle already waited this slot
@@ -93,7 +110,6 @@ type round struct {
 	slots   []*tensor.Matrix
 	dsts    []*tensor.Matrix
 	results []*tensor.Matrix // per-member owned outputs (classic all-reduce)
-	done    chan struct{}
 
 	// gen increments every time the round is recycled, so a stale Handle
 	// (kept past its Wait while the round moved on) is detected instead of
@@ -158,9 +174,12 @@ func (g *Group) mustIndex(w *Worker, op opKind) int {
 // join files the caller's arrival for its next operation on this group: the
 // oldest open round this member has not joined yet, or a fresh one. It
 // never blocks. If the arrival completes the round, the caller runs finish
-// inline and wakes the parked members. Returns the round and whether the
+// inline and, once the group lock is dropped, wakes the registered members —
+// after the unlock so that they do not wake into a lock the finisher still
+// holds. With park set, a caller that did not complete the round is
+// registered for a wake-up and must park. Returns the round and whether the
 // caller was the finisher.
-func (g *Group) join(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix) (*round, bool) {
+func (g *Group) join(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix, park bool) (*round, bool) {
 	w.c.checkAbort()
 	g.mu.Lock()
 	var r *round
@@ -197,12 +216,16 @@ func (g *Group) join(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Ma
 		g.open[len(g.open)-1] = nil
 		g.open = g.open[:len(g.open)-1]
 		g.finish(w.rank, r)
-		for i := 0; i < r.parked; i++ {
-			r.done <- struct{}{}
-		}
 		r.completed.Store(true)
+	} else if park {
+		r.parked = append(r.parked, w)
 	}
 	g.mu.Unlock()
+	if last {
+		for _, p := range r.parked {
+			p.wake <- struct{}{}
+		}
+	}
 	return r, last
 }
 
@@ -213,29 +236,23 @@ func rootRank(g *Group, rootIdx int) int {
 	return g.ranks[rootIdx]
 }
 
-// waitRound parks the caller until the round completes (the finisher and
-// post-completion waiters pass through without blocking), then advances the
-// caller's clock to the operation's completion time and accounts how much of
-// the operation's comm time the caller's own compute hid.
-func (g *Group) waitRound(w *Worker, r *round, finisher bool) {
-	if !finisher && !r.completed.Load() {
-		// Register as parked under the lock (tokens are deposited only for
-		// registered parkers, so a recycled round's channel is always
-		// drained), unless completion raced ahead of us.
-		g.mu.Lock()
-		parking := !r.completed.Load()
-		if parking {
-			r.parked++
-		}
-		g.mu.Unlock()
-		if parking {
-			select {
-			case <-r.done:
-			case <-w.c.abort:
-				panic(abortSignal{})
-			}
-		}
+// register files w for a wake-up on a round it joined without blocking and
+// now has to wait for. It reports false when the round completed first, in
+// which case no token is coming and the caller must not park.
+func (g *Group) register(w *Worker, r *round) bool {
+	g.mu.Lock()
+	open := !r.completed.Load()
+	if open {
+		r.parked = append(r.parked, w)
 	}
+	g.mu.Unlock()
+	return open
+}
+
+// settle advances the caller's clock to the completed operation's finish
+// time and accounts how much of the operation's comm time the caller's own
+// compute hid.
+func (r *round) settle(w *Worker) {
 	if total := r.newClock - r.commBase; total > 0 {
 		hidden := w.clock - r.commBase
 		if hidden < 0 {
@@ -260,7 +277,7 @@ func (g *Group) newRound(kind opKind, root int) *round {
 		g.spare[s-1] = nil
 		g.spare = g.spare[:s-1]
 		r.kind, r.root = kind, root
-		r.arrived, r.parked = 0, 0
+		r.arrived, r.parked = 0, r.parked[:0]
 		r.exited.Store(0)
 		r.gen.Add(1)
 		for i := 0; i < n; i++ {
@@ -285,7 +302,7 @@ func (g *Group) newRound(kind opKind, root int) *round {
 		slots:   make([]*tensor.Matrix, n),
 		dsts:    make([]*tensor.Matrix, n),
 		results: make([]*tensor.Matrix, n),
-		done:    make(chan struct{}, n),
+		parked:  make([]*Worker, 0, n),
 	}
 }
 
@@ -478,7 +495,7 @@ func (g *Group) combineInto(r *round, dst *tensor.Matrix) {
 		vdata = append(vdata, r.slots[(v+root)%n].Data)
 	}
 	g.vdata = vdata
-	treeSumInto(dst.Data, vdata)
+	treeSumInto(dst.Data, vdata, g.partials())
 	// Drop the data references now that the sum is done: an idle group must
 	// not pin its last reduction's matrices (mirrors retire's slot clearing).
 	for i := range g.vdata {
@@ -487,39 +504,71 @@ func (g *Group) combineInto(r *round, dst *tensor.Matrix) {
 	g.vdata = g.vdata[:0]
 }
 
+// treeChunk is how many elements treeSumInto carries through the whole tree
+// before moving on: 4 KB per partial, so even a 64-way sum's partials and the
+// chunk being read stay in L1.
+const treeChunk = 512
+
+// partials returns the scratch treeSumInto keeps its partial sums in — one
+// chunk per tree level strictly between the members' own data and the top —
+// allocated on the group's first real (non-phantom) reduction. The caller
+// must hold g.mu; the group has at least two members.
+func (g *Group) partials() []float64 {
+	if g.tree == nil {
+		g.tree = make([]float64, (bits.Len(uint(len(g.ranks)))-2)*treeChunk)
+	}
+	return g.tree
+}
+
 // treeSumInto writes dd[e] = Σ_v vdata[v][e] in the association of a
-// binomial reduction tree over the virtual order vdata: partial sums pair up
-// like a binary counter, every element accumulates with individually rounded
-// adds. Because the association is per-element, summing a pre-sliced row
-// window is bit-identical to summing the whole matrix and slicing the range
-// after — the property that makes reduce-scatter ≡ reduce + scatter down to
-// the bit. Callers pass windows of equal length len(dd).
-func treeSumInto(dd []float64, vdata [][]float64) {
+// binomial reduction tree over the virtual order vdata (n = len(vdata) ≥ 2):
+// partial sums pair up like a binary counter — member v carries into level
+// 1, 2, … for every trailing one bit of v — and every element accumulates
+// with individually rounded adds. Because the association is per-element,
+// summing a pre-sliced row window is bit-identical to summing the whole
+// matrix and slicing the range after — the property that makes
+// reduce-scatter ≡ reduce + scatter down to the bit — and running the
+// counter over a chunk of elements at a time with the vector add kernel is
+// bit-identical to running it per element (treeSumScalar in the tests).
+//
+// Level 0 of the counter is the members' own data, the top level
+// (⌊log₂ n⌋, always occupied at the end) lives in dd itself, and scratch
+// holds one chunk for each level in between (see partials). Callers pass
+// windows of equal length len(dd); dd may alias vdata[0], which is consumed
+// before anything is written to dd.
+func treeSumInto(dd []float64, vdata [][]float64, scratch []float64) {
 	n := len(vdata)
-	var stack [16]float64 // level l holds a partial of 2^l members; 16 levels cover any practical group
-	for e := range dd {
-		cnt := 0
+	top := bits.Len(uint(n)) - 1
+	var stack [16][]float64 // level l holds a partial of 2^l members; 16 levels cover any practical group
+	for lo := 0; lo < len(dd); lo += treeChunk {
+		hi := min(lo+treeChunk, len(dd))
+		stack[top] = dd[lo:hi]
+		for l := 1; l < top; l++ {
+			stack[l] = scratch[(l-1)*treeChunk:][:hi-lo]
+		}
 		for v := 0; v < n; v++ {
-			x := vdata[v][e]
-			lvl := 0
-			for c := cnt; c&1 == 1; c >>= 1 {
-				x = stack[lvl] + x
-				lvl++
+			x := vdata[v][lo:hi]
+			carry := bits.TrailingZeros(^uint(v)) // v's carry stops at this level
+			if carry == 0 {
+				stack[0] = x
+				continue
 			}
-			stack[lvl] = x
-			cnt++
-		}
-		lvl := 0
-		for cnt&(1<<lvl) == 0 {
-			lvl++
-		}
-		t := stack[lvl]
-		for lvl++; 1<<lvl <= cnt; lvl++ {
-			if cnt&(1<<lvl) != 0 {
-				t = stack[lvl] + t
+			sum := stack[carry]
+			tensor.AddSlices(sum, stack[0], x)
+			for l := 1; l < carry; l++ {
+				tensor.AddSlices(sum, stack[l], sum)
 			}
 		}
-		dd[e] = t
+		// Fold the partials the counter is left holding, lowest level first,
+		// each into the next occupied level's own buffer; the last is dd's.
+		l := bits.TrailingZeros(uint(n))
+		t := stack[l]
+		for l++; l <= top; l++ {
+			if n&(1<<l) != 0 {
+				tensor.AddSlices(stack[l], stack[l], t)
+				t = stack[l]
+			}
+		}
 	}
 }
 
@@ -561,12 +610,13 @@ func (g *Group) scatterCombineInto(r *round) {
 	}
 	g.vdata = vdata
 	blockLen := br * ref.Cols
+	scratch := g.partials()
 	for i := 0; i < n; i++ {
 		off := i * blockLen
 		for v := 0; v < n; v++ {
 			vdata[v] = r.slots[v].Data[off : off+blockLen]
 		}
-		treeSumInto(r.dsts[i].Data, vdata)
+		treeSumInto(r.dsts[i].Data, vdata, scratch)
 	}
 	for i := range g.vdata {
 		g.vdata[i] = nil

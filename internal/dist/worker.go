@@ -15,6 +15,13 @@ type Worker struct {
 	clock float64 // simulated seconds since the last ResetClocks
 	ws    *tensor.Workspace
 
+	// wake is this worker's parking slot: a collective that has to block
+	// registers the worker on the round and receives one token here, and
+	// only the round's finisher (or abort) ever sends. Capacity 2 so that
+	// neither sender can block: at most one finisher token is outstanding —
+	// a worker waits on one round at a time — plus abort's single token.
+	wake chan struct{}
+
 	// Overlap accounting, maintained by the collective wait path: commTotal
 	// is the simulated comm time of every collective this worker took part
 	// in, commHidden the part of it that elapsed while the worker was off
@@ -56,6 +63,13 @@ func (w *Worker) EndStep() {
 	if w.c.monitor != nil {
 		w.c.monitor.record(w.rank, w.step, w.clock-w.stepStart, w.busy)
 	}
+}
+
+// park blocks until the finisher of the round this worker registered on, or
+// abort, deposits a token in its slot; on abort it unwinds the worker.
+func (w *Worker) park() {
+	<-w.wake
+	w.c.checkAbort()
 }
 
 // Rank returns the cluster rank.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/dist"
 	"repro/internal/nn"
@@ -47,8 +48,9 @@ type Checkpoint struct {
 type CheckpointSlot struct {
 	Value *tensor.Matrix
 	M, V  *tensor.Matrix
-	// Sum is the FNV-1a digest over the slot's shapes and float bits,
-	// recorded by CollectInto and checked by Verify/Restore. Zero means
+	// Sum is a digest over the slot's shapes and float bits, recorded by
+	// CollectInto and checked by Verify/Restore. It lives in memory only —
+	// nothing persists it, so the function behind it may change. Zero means
 	// "no checksum" (a hand-built slot), which verification skips.
 	Sum uint64
 }
@@ -58,14 +60,10 @@ type CheckpointSlot struct {
 // buffer — changes the digest.
 func (e *CheckpointSlot) sum() uint64 {
 	h := uint64(14695981039346656037)
-	for _, m := range []*tensor.Matrix{e.Value, e.M, e.V} {
+	for _, m := range [...]*tensor.Matrix{e.Value, e.M, e.V} {
 		h = sumWord(h, uint64(m.Rows))
 		h = sumWord(h, uint64(m.Cols))
-		for r := 0; r < m.Rows; r++ {
-			for _, x := range m.Row(r) {
-				h = sumWord(h, math.Float64bits(x))
-			}
-		}
+		h = sumFloats(h, m.Data)
 	}
 	if h == 0 {
 		h = 1 // keep 0 meaning "no checksum"
@@ -73,14 +71,30 @@ func (e *CheckpointSlot) sum() uint64 {
 	return h
 }
 
-// sumWord folds one 64-bit word into an FNV-1a state byte by byte.
+// sumWord folds one 64-bit word into the state: FNV-1a's xor-then-multiply
+// taken a word at a time, with a rotate so that high input bits reach the
+// low state bits too. Each step is a bijection of the state and of the word,
+// so changing any one word always changes the digest.
 func sumWord(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= 1099511628211
-		x >>= 8
+	return bits.RotateLeft64(h^x, 31) * 1099511628211
+}
+
+// sumFloats folds the bit patterns of xs into h. Every rank hashes its whole
+// replica on every collect, so the elements go round-robin onto four lanes
+// whose multiplies overlap instead of queueing behind one another; the lanes
+// fold into the state, in order, at the end.
+func sumFloats(h uint64, xs []float64) uint64 {
+	h0, h1, h2, h3 := h, h, h, h
+	for ; len(xs) >= 4; xs = xs[4:] {
+		h0 = sumWord(h0, math.Float64bits(xs[0]))
+		h1 = sumWord(h1, math.Float64bits(xs[1]))
+		h2 = sumWord(h2, math.Float64bits(xs[2]))
+		h3 = sumWord(h3, math.Float64bits(xs[3]))
 	}
-	return h
+	for _, x := range xs {
+		h0 = sumWord(h0, math.Float64bits(x))
+	}
+	return sumWord(sumWord(sumWord(sumWord(h, h0), h1), h2), h3)
 }
 
 // Verify recomputes every slot's checksum and reports the first mismatch,

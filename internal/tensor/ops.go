@@ -225,6 +225,12 @@ func AddTo(dst, a, b *Matrix) {
 	vaddTo(dst.Data, a.Data, b.Data)
 }
 
+// AddSlices computes dst[i] = a[i] + b[i] for every i < len(dst) with the
+// same vector kernel as AddTo — for callers that sum windows of matrices
+// rather than whole ones (dist's tree reduction). dst may alias either
+// operand; a and b must be at least as long as dst.
+func AddSlices(dst, a, b []float64) { vaddTo(dst, a, b) }
+
 // MulTo computes dst = a ⊙ b elementwise into an existing matrix. dst may
 // alias either operand.
 func MulTo(dst, a, b *Matrix) {

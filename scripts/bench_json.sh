@@ -37,6 +37,12 @@ go test -run '^$' -bench . -benchtime 1x -benchmem . ./internal/tensor/ > "$tmp"
 # their GB/s throughput.
 go test -run '^$' -bench 'TesseractStep|FamilyStep|Reshard|ServeStep|SeqparMemory|AllReduce8|ReduceScatter8' -benchtime 50x -benchmem . >> "$tmp"
 
+# BenchmarkRendezvous/{barrier8,barrier64,ibroadcast64} (PR 13) is the round
+# itself on phantom payloads — ns/op is ns per round, next to AllReduce8's
+# ns per round-with-bytes. A round is microseconds, so it gets its own
+# iteration count: 50 would time the cluster start-up, not the rounds.
+go test -run '^$' -bench 'Rendezvous' -benchtime 20000x -benchmem . >> "$tmp"
+
 # The packed-kernel GFLOPS rows (PR 6): one cold iteration says nothing
 # about arithmetic throughput, so re-run the NN/NT/TN kernel benches long
 # enough for the timer to amortise warm-up. These rows override the smoke
