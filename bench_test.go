@@ -116,7 +116,7 @@ func BenchmarkTesseractStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	if hidden, total := sb.Overlap(); total > 0 {
+	if hidden, total := sb.Cluster().Overlap(); total > 0 {
 		b.ReportMetric(hidden/total, "overlap-frac")
 	}
 }

@@ -171,7 +171,7 @@ func main() {
 // best candidate whose layout this model can actually train on. notes are
 // the lines reporting the choice.
 func planLayout(budget, batch int, mcfg vit.ModelConfig) (parallel.Layout, []string, error) {
-	plans, err := plan.Search(workload(batch, mcfg), plan.Topology{RankBudget: budget}, tables.DefaultAlgos())
+	plans, err := plan.Search(mcfg.Workload(batch), plan.Topology{RankBudget: budget}, tables.DefaultAlgos())
 	if err != nil {
 		return parallel.Layout{}, nil, err
 	}
@@ -186,11 +186,6 @@ func planLayout(budget, batch int, mcfg vit.ModelConfig) (parallel.Layout, []str
 	notes = append(notes, fmt.Sprintf("plan.Search picked %s (predicted %.3gs/step over %d candidates)",
 		best, best.Predicted.Step(), len(plans)))
 	return best.Layout(), notes, nil
-}
-
-// workload is the planner's view of one training step of this model.
-func workload(batch int, mcfg vit.ModelConfig) plan.Workload {
-	return plan.Workload{Batch: batch, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
 }
 
 // replanBudget is the per-rank memory budget the -elastic and -chaos
@@ -300,7 +295,7 @@ func runElastic(from parallel.Layout, failAt int, ds *vit.Dataset, mcfg vit.Mode
 		TotalSteps: total,
 		FailRank:   -1,
 		Algos:      tables.DefaultAlgos(),
-		Topology:   plan.Topology{MemoryBudget: replanBudget(workload(tc.BatchSize, mcfg))},
+		Topology:   plan.Topology{MemoryBudget: replanBudget(mcfg.Workload(tc.BatchSize))},
 	}, ds, mcfg, tc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vit-train:", err)
@@ -347,7 +342,7 @@ func runChaos(from parallel.Layout, seed uint64, ds *vit.Dataset, mcfg vit.Model
 		Monitor:    dist.MonitorConfig{Window: probe, K: 1.5, W: 3},
 		Faults:     fp,
 		Algos:      tables.DefaultAlgos(),
-		Topology:   plan.Topology{Cost: cost, MemoryBudget: replanBudget(workload(tc.BatchSize, mcfg))},
+		Topology:   plan.Topology{Cost: cost, MemoryBudget: replanBudget(mcfg.Workload(tc.BatchSize))},
 	}, ds, mcfg, tc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vit-train:", err)

@@ -21,7 +21,9 @@
 //   - internal/optimus    — 2-D Optimus baseline (§2.2)
 //   - internal/plan       — auto-parallelism planner over the [p, q, d] space
 //   - internal/nn         — serial reference layers, losses, optimisers
-//   - internal/vit        — the Figure 7 Vision Transformer experiment
+//   - internal/vit        — the Figure 7 Vision Transformer experiment; its Session
+//     (one layout, model and optimiser on one cluster) is what every
+//     distributed trainer, the step bencher and internal/serve drive
 //   - internal/claims     — the paper's closed-form formulas (Eqs. 1-10, §3.1)
 //   - internal/tables     — harness regenerating Tables 1-2 and the studies
 //

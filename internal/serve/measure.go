@@ -105,23 +105,8 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 		for i := range blocks {
 			blocks[i] = f.NewBlockPhantom(w.Hidden, w.Heads, w.SeqLen)
 		}
-		clk, clks := tensor.New(1, 1), tensor.New(l.Ranks, 1)
-		world := wk.Cluster().WorldGroup()
-		sync := func() float64 {
-			if l.Ranks == 1 {
-				return wk.Clock()
-			}
-			clk.Data[0] = wk.Clock()
-			world.AllGatherInto(wk, clk, clks)
-			var m float64
-			for _, v := range clks.Data {
-				if v > m {
-					m = v
-				}
-			}
-			return m
-		}
-		prev := sync()
+		sync := newClockSync(c)
+		prev := sync.now(wk)
 		tr := runTrace(cfg, arrivals, func(ids []int) (int, float64) {
 			padded := (len(ids) + unit - 1) / unit * unit
 			sl := f.Slice(padded*w.SeqLen, w.Hidden)
@@ -130,7 +115,7 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 				x = b.Forward(x)
 			}
 			f.EndStep()
-			now := sync()
+			now := sync.now(wk)
 			dur := now - prev
 			prev = now
 			return padded, dur

@@ -4,141 +4,101 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/vit"
 )
 
-// Server runs a distributed ViT in inference mode on one persistent
-// simulated cluster: requests index the dataset's test split (round-robin),
-// the batcher coalesces them, and every forward slices a padded batch
-// through the same vit.DistModel path the trainer evaluates with —
-// workspace-pooled, so steady-state serving stays out of the allocator
-// exactly like steady-state training.
+// Server is a vit.Session in inference mode on its own simulated cluster:
+// requests index the dataset's test split (round-robin), the batcher
+// coalesces them, and every forward slices a padded batch through the same
+// vit.DistModel path the trainer evaluates with — workspace-pooled, so
+// steady-state serving stays out of the allocator exactly like steady-state
+// training. The session owns the model, the optimiser, the TrainConfig
+// defaults and their validation, so the served weights are the trainer's.
 type Server struct {
+	*vit.Session
 	cfg  Config
-	l    parallel.Layout
 	ds   *vit.Dataset
 	mcfg vit.ModelConfig
-	tc   vit.TrainConfig
 
-	c      *dist.Cluster
-	fams   []parallel.Family
-	models []*vit.DistModel
-	opts   []*nn.Adam
-
-	s, unit   int
-	steps     int              // training steps taken so far (step indices)
-	xbuf      []*tensor.Matrix // per-rank [maxPadded·s, patchDim] batch assembly buffer
-	views     [][]*tensor.Matrix
-	clk, clks []*tensor.Matrix // per-rank 1×1 clock block and [world,1] gather
-	world     []*dist.Group    // per-rank cached world group (Group() allocates its key)
+	unit  int
+	xbuf  []*tensor.Matrix // per-rank [maxPadded·s, patchDim] batch assembly buffer
+	views [][]*tensor.Matrix
+	sync  []*clockSync
 }
 
-// NewServer validates the layout against the model, builds the cluster and
-// the per-rank models (drawn from ModelConfig.Seed, so every rank and every
-// independently built reference shard the same weights), and preallocates
-// the serving buffers. tc configures TrainSteps; its batch size must divide
-// by the layout's row shards.
+// NewServer builds the session (per-rank models drawn from ModelConfig.Seed,
+// so every rank and every independently built reference shard the same
+// weights) and preallocates the serving buffers. tc configures TrainSteps;
+// a train batch the layout cannot use is TrainSteps' error, not NewServer's.
 func NewServer(l parallel.Layout, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig, cfg Config) (*Server, error) {
 	cfg, err := cfg.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
-	l, err = parallel.Validate(l)
 	if err != nil {
 		return nil, err
 	}
 	if len(ds.Test) == 0 {
 		return nil, fmt.Errorf("serve: dataset has no test samples to serve")
 	}
-	unit := l.RowShards()
-	if err := vit.TrainableErr(l, unit, mcfg); err != nil {
-		return nil, fmt.Errorf("serve: %s cannot run this model: %w", l, err)
-	}
-	world := l.Ranks
-	s := &Server{
-		cfg: cfg, l: l, ds: ds, mcfg: mcfg, tc: tc,
-		c:      dist.New(dist.Config{WorldSize: world}),
-		fams:   make([]parallel.Family, world),
-		models: make([]*vit.DistModel, world),
-		opts:   make([]*nn.Adam, world),
-		s:      mcfg.SeqLen,
-		unit:   unit,
-		xbuf:   make([]*tensor.Matrix, world),
-		views:  make([][]*tensor.Matrix, world),
-		clk:    make([]*tensor.Matrix, world),
-		clks:   make([]*tensor.Matrix, world),
-		world:  make([]*dist.Group, world),
-	}
-	maxPadded := (cfg.MaxBatch + unit - 1) / unit * unit
-	err = s.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		s.fams[r] = f
-		s.models[r] = vit.NewDistModel(f, mcfg)
-		s.opts[r] = nn.NewAdam(tc.LR, tc.WeightDecay)
-		s.xbuf[r] = tensor.New(maxPadded*s.s, mcfg.PatchDim)
-		for k := 1; k <= maxPadded/unit; k++ {
-			rows := k * unit * s.s
-			s.views[r] = append(s.views[r], tensor.FromSlice(rows, mcfg.PatchDim, s.xbuf[r].Data[:rows*mcfg.PatchDim]))
-		}
-		s.clk[r] = tensor.New(1, 1)
-		s.clks[r] = tensor.New(world, 1)
-		s.world[r] = w.Cluster().WorldGroup()
-		return nil
-	})
+	sess, err := vit.NewSession(nil, l, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
+	}
+	world := sess.Layout().Ranks
+	unit := sess.Layout().RowShards()
+	s := &Server{
+		Session: sess, cfg: cfg, ds: ds, mcfg: mcfg,
+		unit:  unit,
+		xbuf:  make([]*tensor.Matrix, world),
+		views: make([][]*tensor.Matrix, world),
+		sync:  make([]*clockSync, world),
+	}
+	maxPadded := (cfg.MaxBatch + unit - 1) / unit * unit
+	for r := range s.xbuf {
+		s.xbuf[r] = tensor.New(maxPadded*mcfg.SeqLen, mcfg.PatchDim)
+		for k := 1; k <= maxPadded/unit; k++ {
+			rows := k * unit * mcfg.SeqLen
+			s.views[r] = append(s.views[r], tensor.FromSlice(rows, mcfg.PatchDim, s.xbuf[r].Data[:rows*mcfg.PatchDim]))
+		}
+		s.sync[r] = newClockSync(s.Cluster())
 	}
 	return s, nil
 }
 
-// Layout returns the layout the server runs.
-func (s *Server) Layout() parallel.Layout { return s.l }
-
 // TrainSteps advances the model n steps down the trainer's exact step path
-// (epoch-shuffled batches, step-indexed), so a served model is bitwise the
-// model an equally trained trainer holds.
+// (vit.Session.Train), so a served model is bitwise the model an equally
+// trained trainer holds.
 func (s *Server) TrainSteps(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if s.tc.BatchSize > 0 && s.tc.BatchSize%s.unit != 0 {
-		return fmt.Errorf("serve: train batch %d not divisible by %s's %d row shards", s.tc.BatchSize, s.l, s.unit)
-	}
-	start := s.steps
-	err := s.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		for step := start; step < start+n; step++ {
-			vit.TrainStep(w, s.fams[r], s.models[r], s.opts[r], s.ds, s.tc, s.s, step)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.steps += n
-	return nil
+	_, err := s.Train(n)
+	return err
 }
 
-// syncClock agrees on the current instant across the cluster: every rank
+// clockSync agrees on the current instant across a cluster: every rank
 // contributes its simulated clock as data and takes the max locally, so all
-// ranks compute the identical value. The gather itself is the batch's
-// completion barrier and is charged to the clock like any collective.
-func (s *Server) syncClock(w *dist.Worker) float64 {
-	r := w.Rank()
-	if s.l.Ranks == 1 {
+// ranks compute the identical value. The gather itself is a batch's
+// completion barrier and is charged to the clock like any collective. One
+// per rank: the world group is cached (Group() allocates its key) and the
+// two blocks are the gather's operands.
+type clockSync struct {
+	world     *dist.Group
+	clk, clks *tensor.Matrix // 1×1 own clock, [world,1] gathered
+}
+
+func newClockSync(c *dist.Cluster) *clockSync {
+	return &clockSync{world: c.WorldGroup(), clk: tensor.New(1, 1), clks: tensor.New(c.WorldSize(), 1)}
+}
+
+func (cs *clockSync) now(w *dist.Worker) float64 {
+	if cs.clks.Rows == 1 {
 		return w.Clock()
 	}
-	s.clk[r].Data[0] = w.Clock()
-	s.world[r].AllGatherInto(w, s.clk[r], s.clks[r])
+	cs.clk.Data[0] = w.Clock()
+	cs.world.AllGatherInto(w, cs.clk, cs.clks)
 	var m float64
-	for _, v := range s.clks[r].Data {
+	for _, v := range cs.clks.Data {
 		if v > m {
 			m = v
 		}
@@ -165,11 +125,11 @@ func (s *Server) Serve(a ArrivalConfig) (*Report, error) {
 	// Fresh timing window: durations are differences of synced clocks, and
 	// starting every trace at t=0 keeps them bit-identical across repeated
 	// Serve calls (a large clock base would perturb the low-order bits).
-	s.c.ResetClocks()
-	err = s.c.Run(func(w *dist.Worker) error {
+	s.Cluster().ResetClocks()
+	err = s.Cluster().Run(func(w *dist.Worker) error {
 		r := w.Rank()
-		f, model := s.fams[r], s.models[r]
-		prev := s.syncClock(w)
+		model, sync, seq := s.Model(r), s.sync[r], s.mcfg.SeqLen
+		prev := sync.now(w)
 		tr := runTrace(s.cfg, arrivals, func(ids []int) (int, float64) {
 			padded := (len(ids) + s.unit - 1) / s.unit * s.unit
 			x := s.views[r][padded/s.unit-1]
@@ -178,9 +138,9 @@ func (s *Server) Serve(a ArrivalConfig) (*Report, error) {
 				if j < len(ids) {
 					id = ids[j]
 				}
-				x.SetSubMatrix(j*s.s, 0, s.ds.Test[id%len(s.ds.Test)].Patches)
+				x.SetSubMatrix(j*seq, 0, s.ds.Test[id%len(s.ds.Test)].Patches)
 			}
-			out := model.Forward(vit.DistributeBatch(f, x, s.s))
+			out := model.Forward(vit.DistributeBatch(model.F, x, seq))
 			if r == 0 {
 				for j, id := range ids {
 					classes[id] = argmax(out.Row(j))
@@ -189,8 +149,8 @@ func (s *Server) Serve(a ArrivalConfig) (*Report, error) {
 					}
 				}
 			}
-			f.EndStep()
-			t := s.syncClock(w)
+			model.F.EndStep()
+			t := sync.now(w)
 			dur := t - prev
 			prev = t
 			return padded, dur

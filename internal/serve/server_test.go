@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 	"repro/internal/vit"
 
 	// Serving is family-agnostic; register all three for the parity tests.
@@ -181,5 +182,106 @@ func TestServerRejectsUntrainableLayout(t *testing.T) {
 	_, err = NewServer(parallel.Layout{Family: "nosuch", Ranks: 4}, ds, mcfg, tc, Config{})
 	if err == nil || !strings.Contains(err.Error(), "unknown family") {
 		t.Fatalf("want an unknown-family error, got %v", err)
+	}
+}
+
+// TestZeroConfigServerMatchesZeroConfigBencher: the session applies the
+// TrainConfig defaults for every caller, so a server and a step bencher both
+// built from the zero config hold bitwise the same weights and Adam moments
+// after three trainer steps. (NewServer used to take the config raw and
+// train with LR = 0 against the bencher's 0.003.)
+func TestZeroConfigServerMatchesZeroConfigBencher(t *testing.T) {
+	ds, mcfg, _ := fixture()
+	l := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
+	srv, err := NewServer(l, ds, mcfg, vit.TrainConfig{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := vit.NewStepBencher(l, ds, mcfg, vit.TrainConfig{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.TrainSteps(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.TrainSteps(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sb.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := srv.Checkpoint(), sb.Checkpoint()
+	if got.Step != 3 || want.Step != 3 || len(got.Slots) != len(want.Slots) {
+		t.Fatalf("checkpoint shape: server step %d, %d slots; bencher step %d, %d slots", got.Step, len(got.Slots), want.Step, len(want.Slots))
+	}
+	moved := false
+	for i := range want.Slots {
+		a, b := got.Slots[i], want.Slots[i]
+		if !a.Value.Equal(b.Value) || !a.M.Equal(b.M) || !a.V.Equal(b.V) {
+			t.Fatalf("slot %d: server and bencher differ after 3 zero-config steps", i)
+		}
+		moved = moved || a.M.MaxAbsDiff(tensor.New(a.M.Rows, a.M.Cols)) != 0
+	}
+	if !moved {
+		t.Fatal("no Adam moment moved: the comparison would pass on untrained models")
+	}
+}
+
+// TestServerUnusableTrainBatch: a train batch the layout or the training
+// split cannot use is TrainSteps' clean error — the same one whether the
+// batch was spelled out or defaulted — never a refusal to build a server
+// that only serves, and never a panic inside a worker that poisons the
+// cluster: Serve still works afterwards.
+func TestServerUnusableTrainBatch(t *testing.T) {
+	ds, mcfg, _ := fixture()
+	small := vit.NewDataset(vit.DataConfig{Classes: 2, ImageSize: 8, Channels: 3, PatchSize: 4, Train: 2, Test: 4, Seed: 11})
+	smallCfg := mcfg
+	smallCfg.Classes = 2
+	mcfg.Hidden, mcfg.Heads = 12, 3 // splits over a q=3 mesh
+	cases := []struct {
+		name  string
+		l     parallel.Layout
+		ds    *vit.Dataset
+		mcfg  vit.ModelConfig
+		tcs   []vit.TrainConfig // must all fail identically
+		wants []string
+	}{
+		{"default batch 8 on tesseract [3,3]", parallel.Layout{Family: "tesseract", Q: 3}, ds, mcfg,
+			[]vit.TrainConfig{{}, {BatchSize: 8}}, []string{"batch 8 not divisible", "3 row shards"}},
+		{"batch 8 on 4 training samples", parallel.Layout{Family: "megatron", Ranks: 2}, small, smallCfg,
+			[]vit.TrainConfig{{}, {BatchSize: 8}}, []string{"batch 8", "4 training samples"}},
+	}
+	for _, tc := range cases {
+		var first string
+		for _, cfg := range tc.tcs {
+			srv, err := NewServer(tc.l, tc.ds, tc.mcfg, cfg, Config{MaxBatch: 4})
+			if err != nil {
+				t.Fatalf("%s: a serve-only server was refused: %v", tc.name, err)
+			}
+			err = srv.TrainSteps(1)
+			if err == nil {
+				t.Fatalf("%s: TrainSteps succeeded", tc.name)
+			}
+			for _, want := range tc.wants {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+				}
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("%s: defaulted and spelled-out batch disagree:\n%s\n%s", tc.name, first, err)
+			}
+			rep, err := srv.Serve(Saturated(6))
+			if err != nil {
+				t.Fatalf("%s: Serve after the refused TrainSteps: %v", tc.name, err)
+			}
+			if rep.Completed != 6 {
+				t.Errorf("%s: served %d of 6 requests", tc.name, rep.Completed)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 )
@@ -28,38 +27,20 @@ type FaultyRun struct {
 // to bit-for-bit.
 func TrainFaulty(l parallel.Layout, faults *dist.FaultPlan, cost dist.CostModel,
 	ds *Dataset, mcfg ModelConfig, tc TrainConfig, total int) (*FaultyRun, error) {
-	tc = tc.withDefaults()
 	l, err := parallel.Validate(l)
 	if err != nil {
 		return nil, err
 	}
-	if tc.BatchSize%l.RowShards() != 0 {
-		return nil, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, l, l.RowShards())
-	}
 	c := dist.New(dist.Config{WorldSize: l.Ranks, Cost: cost, Faults: faults})
-	run := &FaultyRun{Losses: make([]float64, total)}
-	s := mcfg.SeqLen
-	err = c.Run(func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		model := NewDistModel(f, mcfg)
-		opt := nn.NewAdam(tc.LR, tc.WeightDecay)
-		for step := 0; step < total; step++ {
-			loss := trainStep(w, f, model, opt, ds, tc, s, step)
-			if w.Rank() == 0 {
-				run.Losses[step] = loss
-			}
-		}
-		return nil
-	})
+	s, err := NewSession(c, l, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
 	}
-	run.Seconds = c.MaxClock()
-	run.Stats = c.Stats()
-	return run, nil
+	losses, err := s.Train(total)
+	if err != nil {
+		return nil, err
+	}
+	return &FaultyRun{Losses: losses, Seconds: c.MaxClock(), Stats: c.Stats()}, nil
 }
 
 // AdaptiveConfig controls a TrainAdaptive run: the fault schedule under
@@ -163,16 +144,12 @@ func predictStep(algos []plan.Algo, wl plan.Workload, l parallel.Layout, t plan.
 // (at From before RelayoutStep, at To after) within the usual cross-layout
 // 1e-8 reduction-order tolerance, whatever the plan did to the clock.
 func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg ModelConfig, tc TrainConfig) (*AdaptiveRun, error) {
-	tc = tc.withDefaults()
 	from, err := parallel.Validate(from)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.TotalSteps < 1 {
 		return nil, fmt.Errorf("vit: adaptive needs TotalSteps ≥ 1, got %d", cfg.TotalSteps)
-	}
-	if tc.BatchSize%from.RowShards() != 0 {
-		return nil, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, from, from.RowShards())
 	}
 	if len(cfg.Algos) == 0 {
 		return nil, fmt.Errorf("vit: adaptive replan needs planner algos")
@@ -185,12 +162,9 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 	}
 	run := &AdaptiveRun{
 		From: from, To: from,
-		Losses:       make([]float64, cfg.TotalSteps),
+		Losses:       make([]float64, 0, cfg.TotalSteps),
 		DetectedStep: -1, RelayoutStep: -1,
 	}
-	s := mcfg.SeqLen
-	wl := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-
 	newCluster := func(world int, faults *dist.FaultPlan) *dist.Cluster {
 		return dist.New(dist.Config{
 			WorldSize:   world,
@@ -199,63 +173,27 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 			Faults:      faults,
 		})
 	}
-	buildFamilies := func(c *dist.Cluster, l parallel.Layout) ([]parallel.Family, []*DistModel, []*nn.Adam, error) {
-		fams := make([]parallel.Family, l.Ranks)
-		models := make([]*DistModel, l.Ranks)
-		opts := make([]*nn.Adam, l.Ranks)
-		err := c.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= l.Ranks {
-				return nil // healthy but idle: the plan uses fewer ranks
-			}
-			f, err := parallel.New(w, l)
-			if err != nil {
-				return err
-			}
-			fams[r] = f
-			models[r] = NewDistModel(f, mcfg)
-			opts[r] = nn.NewAdam(tc.LR, tc.WeightDecay)
-			return nil
-		})
-		return fams, models, opts, err
-	}
 
-	cur := from
 	c := newCluster(from.Ranks, cfg.Faults)
 	mon := c.AttachMonitor(cfg.Monitor)
 	probe := cfg.Probe
 	if probe <= 0 {
 		probe = mon.Config().Window
 	}
-	fams, models, opts, err := buildFamilies(c, cur)
+	s, err := NewSession(c, from, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
 	}
+	wl := s.Workload()
 
-	step, relayouts := 0, 0
-	for step < cfg.TotalSteps {
-		n := probe
-		if step+n > cfg.TotalSteps {
-			n = cfg.TotalSteps - step
-		}
-		base := step
-		err := c.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= cur.Ranks {
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				loss := trainStep(w, fams[r], models[r], opts[r], ds, tc, s, base+i)
-				if r == 0 {
-					run.Losses[base+i] = loss
-				}
-			}
-			return nil
-		})
+	relayouts := 0
+	for len(run.Losses) < cfg.TotalSteps {
+		losses, err := s.Train(min(probe, cfg.TotalSteps-len(run.Losses)))
 		if err != nil {
 			return nil, err
 		}
-		step += n
+		run.Losses = append(run.Losses, losses...)
+		step, cur := len(run.Losses), s.l
 
 		// The watchdog reads the monitor only here, between cluster runs,
 		// where the per-rank telemetry shards are quiescent.
@@ -266,7 +204,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 			}
 			continue
 		}
-		if step >= cfg.TotalSteps || relayouts >= cfg.MaxRelayouts || cur.Ranks != c.WorldSize() {
+		if step >= cfg.TotalSteps || relayouts >= cfg.MaxRelayouts || cur.Ranks != s.c.WorldSize() {
 			continue
 		}
 		suspects := mon.Suspects()
@@ -293,9 +231,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		}
 		topo := cfg.Topology
 		topo.Cost = mon.EffectiveCost(cfg.Topology.Cost, healthy)
-		best, err := plan.Replan(wl, topo, cfg.Algos, len(healthy), func(p plan.Plan) bool {
-			return Trainable(p.Layout(), tc.BatchSize, mcfg)
-		})
+		to, err := s.Replan(topo, cfg.Algos, len(healthy))
 		if err != nil {
 			var nf *plan.NoFeasibleError
 			if errors.As(err, &nf) {
@@ -305,10 +241,6 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 				run.RideOutReason = fmt.Sprintf("no feasible layout on %d healthy ranks: %v", len(healthy), nf.Err)
 				continue
 			}
-			return nil, err
-		}
-		to, err := parallel.Validate(best.Layout())
-		if err != nil {
 			return nil, err
 		}
 
@@ -353,47 +285,20 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		// Re-layout: checkpoint on the live (degraded) cluster, rebuild
 		// over the healthy ranks, re-shard, resume. Every phase is charged
 		// to the clock that TotalSeconds accumulates.
-		pre := c.MaxClock()
-		cks := make([]*parallel.Checkpoint, cur.Ranks)
-		err = c.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= cur.Ranks {
-				return nil
-			}
-			ck, err := parallel.Collect(fams[r], models[r], opts[r])
-			cks[r] = ck
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		run.CollectSeconds = c.MaxClock() - pre
-		run.TotalSeconds += c.MaxClock()
-
 		c2 := newCluster(len(healthy), cfg.Faults.Remap(healthy))
 		mon = c2.AttachMonitor(cfg.Monitor)
-		fams, models, opts, err = buildFamilies(c2, to)
+		next, collect, restore, err := s.Relayout(c2, to)
 		if err != nil {
 			return nil, err
 		}
-		pre = c2.MaxClock()
-		err = c2.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= to.Ranks {
-				return nil
-			}
-			return parallel.Reshard(fams[r], models[r], opts[r], cks[0])
-		})
-		if err != nil {
-			return nil, err
-		}
-		run.RestoreSeconds = c2.MaxClock() - pre
-		c, cur = c2, to
+		run.CollectSeconds, run.RestoreSeconds = collect, restore
+		run.TotalSeconds += s.c.MaxClock()
+		s = next
 		run.To = to
 		run.RelayoutStep = step
 		run.RodeOut, run.RideOutReason = false, ""
 		relayouts++
 	}
-	run.TotalSeconds += c.MaxClock()
+	run.TotalSeconds += s.c.MaxClock()
 	return run, nil
 }

@@ -1,72 +1,38 @@
 package vit
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// StepBencher drives repeated training steps of the distributed ViT on one
-// persistent cluster under any registered family, so benchmarks and leak
-// tests can separate model construction and warm-up from the steady-state
-// step they measure. The same fixed batch is used for every step.
+// StepBencher is a session on its own cluster plus one fixed batch, so
+// benchmarks and leak tests can separate model construction and warm-up from
+// the steady-state step they measure. Steps and StepsCheckpointed train on
+// the fixed batch; everything the session offers (TrainSteps' trainer path,
+// EvalLogits, Cluster, Model, WorkspaceStats) runs on the same weights.
 type StepBencher struct {
-	c      *dist.Cluster
-	fams   []parallel.Family
-	models []*DistModel
-	opts   []*nn.Adam
-
+	*Session
 	x      *tensor.Matrix
 	labels []int
-	s      int
-
-	ds    *Dataset
-	tc    TrainConfig
-	steps int // trainer-path steps taken so far (TrainSteps indices)
 }
 
-// NewStepBencher builds the cluster, the per-rank models and optimisers, and
-// runs warmup steps so pools, caches and optimiser state reach steady state.
+// NewStepBencher builds the session and runs warmup steps so pools, caches
+// and optimiser state reach steady state.
 func NewStepBencher(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainConfig, warmup int) (*StepBencher, error) {
-	tc = tc.withDefaults()
-	l, err := parallel.Validate(l)
+	s, err := NewSession(nil, l, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
 	}
-	if tc.BatchSize%l.RowShards() != 0 {
-		return nil, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, l, l.RowShards())
+	if s.batchErr != nil {
+		return nil, s.batchErr
 	}
-	world := l.Ranks
-	sb := &StepBencher{
-		c:      dist.New(dist.Config{WorldSize: world}),
-		fams:   make([]parallel.Family, world),
-		models: make([]*DistModel, world),
-		opts:   make([]*nn.Adam, world),
-		s:      mcfg.SeqLen,
-		ds:     ds,
-		tc:     tc,
-	}
-	idx := make([]int, tc.BatchSize)
+	idx := make([]int, s.tc.BatchSize)
 	for i := range idx {
-		idx[i] = i % len(ds.Train)
+		idx[i] = i
 	}
+	sb := &StepBencher{Session: s}
 	sb.x, sb.labels = ds.Batch(ds.Train, idx)
-	err = sb.c.Run(func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		sb.fams[w.Rank()] = f
-		sb.models[w.Rank()] = NewDistModel(f, mcfg)
-		sb.opts[w.Rank()] = nn.NewAdam(tc.LR, tc.WeightDecay)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	if warmup > 0 {
 		if err := sb.Steps(warmup); err != nil {
 			return nil, err
@@ -75,100 +41,37 @@ func NewStepBencher(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainCo
 	return sb, nil
 }
 
-// Cluster exposes the persistent cluster for clock, stats and per-rank
-// workspace inspection between step batches.
-func (sb *StepBencher) Cluster() *dist.Cluster { return sb.c }
-
-// Steps runs n full training steps (forward, loss, backward, optimiser
-// update, workspace release) on every rank within a single cluster run.
+// Steps runs n full training steps on the fixed batch on every rank within
+// a single cluster run.
 func (sb *StepBencher) Steps(n int) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		f := sb.fams[w.Rank()]
-		model := sb.models[w.Rank()]
-		opt := sb.opts[w.Rank()]
-		params := model.Params()
+	return sb.run(func(w *dist.Worker) error {
 		for i := 0; i < n; i++ {
-			logits := model.Forward(DistributeBatch(f, sb.x, sb.s))
-			dl := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
-			nn.CrossEntropyInto(dl, logits, sb.labels)
-			for _, pa := range params {
-				pa.ZeroGrad()
-			}
-			model.Backward(dl)
-			opt.Step(params)
-			f.EndStep()
+			sb.stepOn(w, sb.x, sb.labels, nil)
 		}
 		return nil
 	})
 }
 
 // TrainSteps advances every rank n steps down the trainer's exact step path
-// (epoch-shuffled batches, flat step indices continuing across calls) — the
-// reference the serving runtime's TrainSteps is compared against bitwise.
+// — the reference the serving runtime's TrainSteps is compared against
+// bitwise.
 func (sb *StepBencher) TrainSteps(n int) error {
-	start := sb.steps
-	err := sb.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		for step := start; step < start+n; step++ {
-			trainStep(w, sb.fams[r], sb.models[r], sb.opts[r], sb.ds, sb.tc, sb.s, step)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sb.steps += n
-	return nil
+	_, err := sb.Train(n)
+	return err
 }
 
-// EvalLogits runs the trainer's eval forward (evalDist's padded per-batch
-// body) over the given test rows and returns a copy of the replicated
-// logits for the real rows — what the trainer would classify these samples
-// as, bit for bit.
-func (sb *StepBencher) EvalLogits(idx []int) (*tensor.Matrix, error) {
-	var out *tensor.Matrix
-	err := sb.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		logits := evalForward(sb.fams[r], sb.models[r], sb.ds, idx, sb.s)
-		if r == 0 {
-			out = tensor.New(len(idx), logits.Cols)
-			tensor.SubMatrixInto(out, logits, 0, 0)
-		}
-		sb.fams[r].EndStep()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepsCheckpointed runs n training steps with a checkpoint collected after
-// every one — the elastic steady state the allocation tests and
+// StepsCheckpointed runs n fixed-batch steps with a checkpoint collected
+// after every one — the elastic steady state the allocation tests and
 // BenchmarkReshard measure. cks must have one (possibly nil) slot per rank;
 // the checkpoints are built on first use and reused (and returned) so the
 // steady state allocates nothing.
 func (sb *StepBencher) StepsCheckpointed(n int, cks []*parallel.Checkpoint) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		f := sb.fams[w.Rank()]
-		model := sb.models[w.Rank()]
-		opt := sb.opts[w.Rank()]
-		params := model.Params()
+	return sb.run(func(w *dist.Worker) error {
 		for i := 0; i < n; i++ {
-			logits := model.Forward(DistributeBatch(f, sb.x, sb.s))
-			dl := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
-			nn.CrossEntropyInto(dl, logits, sb.labels)
-			for _, pa := range params {
-				pa.ZeroGrad()
-			}
-			model.Backward(dl)
-			opt.Step(params)
-			f.EndStep()
-			ck, err := parallel.CollectInto(cks[w.Rank()], f, model, opt)
-			if err != nil {
+			sb.stepOn(w, sb.x, sb.labels, nil)
+			if err := sb.collect(w, cks); err != nil {
 				return err
 			}
-			cks[w.Rank()] = ck
 		}
 		return nil
 	})
@@ -178,9 +81,8 @@ func (sb *StepBencher) StepsCheckpointed(n int, cks []*parallel.Checkpoint) erro
 // the same-layout restore path, used to measure re-shard cost against step
 // cost on one persistent cluster.
 func (sb *StepBencher) Restore(ck *parallel.Checkpoint) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		return parallel.Restore(sb.fams[w.Rank()], sb.models[w.Rank()], sb.opts[w.Rank()], ck)
-	})
+	_, err := sb.Reshard(ck)
+	return err
 }
 
 // MaxClock exposes the cluster's largest simulated clock, and ResetClocks
@@ -190,31 +92,3 @@ func (sb *StepBencher) MaxClock() float64 { return sb.c.MaxClock() }
 
 // ResetClocks zeroes the simulated clocks between phases.
 func (sb *StepBencher) ResetClocks() { sb.c.ResetClocks() }
-
-// SetPooling toggles workspace recycling on every rank — the switch the
-// bitwise property tests use to compare the pooled path against the plain
-// allocating path on identical models.
-func (sb *StepBencher) SetPooling(enabled bool) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		w.Workspace().SetPooling(enabled)
-		return nil
-	})
-}
-
-// WorkspaceStats snapshots every rank's pool counters, indexed by rank.
-func (sb *StepBencher) WorkspaceStats() ([]tensor.WorkspaceStats, error) {
-	out := make([]tensor.WorkspaceStats, len(sb.models))
-	err := sb.c.Run(func(w *dist.Worker) error {
-		out[w.Rank()] = w.Workspace().Stats()
-		return nil
-	})
-	return out, err
-}
-
-// Model returns rank r's model, letting tests inspect parameter values.
-func (sb *StepBencher) Model(r int) *DistModel { return sb.models[r] }
-
-// Overlap reports the cluster's hidden and total simulated communication
-// seconds accumulated over the steps run so far — the overlap-frac metric
-// the step benchmark publishes (hidden/total).
-func (sb *StepBencher) Overlap() (hidden, total float64) { return sb.c.Overlap() }

@@ -138,11 +138,12 @@ func (m *DistModel) addPositionalLocal(h *tensor.Matrix) *tensor.Matrix {
 // DistributeBatch slices a global token matrix [b·s, patchDim] into this
 // processor's block. Whole sequences land on one processor, which requires
 // b to divide by the family's row-shard count (d·q for Tesseract, 1 for
-// replicated-activation families).
+// replicated-activation families). Callers validate the batch first
+// (TrainableErr is the error a user sees); the panic guards the invariant.
 func DistributeBatch(f parallel.Family, x *tensor.Matrix, s int) *tensor.Matrix {
 	b := x.Rows / s
 	if b%f.RowShards() != 0 {
-		panic(fmt.Sprintf("vit: batch %d not divisible by the %s family's %d row shards",
+		panic(fmt.Sprintf("vit: DistributeBatch: %d sequences do not split over the %s family's %d row shards",
 			b, f.Name(), f.RowShards()))
 	}
 	return f.Distribute(x)

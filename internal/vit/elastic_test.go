@@ -28,8 +28,7 @@ func elasticTC() TrainConfig {
 // collapse onto a single survivor, and the knob that makes the replan keep a
 // multi-rank layout.
 func elasticTopology(mcfg ModelConfig, tc TrainConfig) plan.Topology {
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	oneRank := megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1})
+	oneRank := megatron.PlanAlgo().Memory(mcfg.Workload(tc.BatchSize), plan.Grid{Ranks: 1})
 	return plan.Topology{MemoryBudget: oneRank - 1}
 }
 
@@ -204,10 +203,5 @@ func TestRestoreBitwise(t *testing.T) {
 
 // collectAll snapshots every rank of the bencher's live model.
 func collectAll(sb *StepBencher, cks []*parallel.Checkpoint) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		ck, err := parallel.CollectInto(cks[r], sb.fams[r], sb.models[r], sb.opts[r])
-		cks[r] = ck
-		return err
-	})
+	return sb.run(func(w *dist.Worker) error { return sb.collect(w, cks) })
 }

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/nn"
-	"repro/internal/tesseract"
+	"repro/internal/parallel"
 )
 
 // raggedData builds a dataset whose test set (12 samples) does not divide
@@ -58,18 +58,32 @@ func TestEvalSerialCoversTail(t *testing.T) {
 // TestEvalDistCoversTail checks the distributed eval pads the final partial
 // batch to mesh divisibility, counts only real rows, and agrees exactly
 // with the serial reference on [2,2,1] and [2,2,2] meshes — including a
-// batch larger than the whole test set (the old code returned 0).
+// batch larger than the whole test set (the old code returned 0). Every
+// rank's replicated logits are scored, and so is the accuracy TrainLayout
+// records.
 func TestEvalDistCoversTail(t *testing.T) {
 	ds, mcfg := raggedData()
 	want := evalReference(NewModel(mcfg), ds)
-	for _, sh := range []struct{ q, d int }{{2, 1}, {2, 2}} {
+	n := len(ds.Test)
+	for _, d := range []int{1, 2} {
 		for _, batch := range []int{4, 8, 16} {
-			accs := make([]float64, sh.q*sh.q*sh.d)
-			c := dist.New(dist.Config{WorldSize: sh.q * sh.q * sh.d})
-			err := c.Run(func(w *dist.Worker) error {
-				f := tesseract.NewFamily(w, sh.q, sh.d)
-				model := NewDistModel(f, mcfg)
-				accs[w.Rank()] = evalDist(f, model, ds, batch, mcfg.SeqLen)
+			l := parallel.Layout{Family: "tesseract", Q: 2, D: d}
+			s, err := NewSession(nil, l, ds, mcfg, TrainConfig{BatchSize: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			accs := make([]float64, s.l.Ranks)
+			err = s.c.Run(func(w *dist.Worker) error {
+				correct := 0
+				for start := 0; start < n; start += batch {
+					var idx, labels []int
+					for i := start; i < min(start+batch, n); i++ {
+						idx, labels = append(idx, i), append(labels, ds.Test[i].Label)
+					}
+					correct += nn.CorrectCount(s.evalForward(w, idx), labels)
+					s.fams[w.Rank()].EndStep()
+				}
+				accs[w.Rank()] = float64(correct) / float64(n)
 				return nil
 			})
 			if err != nil {
@@ -77,9 +91,11 @@ func TestEvalDistCoversTail(t *testing.T) {
 			}
 			for r, got := range accs {
 				if got != want {
-					t.Fatalf("[%d,%d,%d] batch=%d rank %d: evalDist = %g, want %g",
-						sh.q, sh.q, sh.d, batch, r, got, want)
+					t.Fatalf("%s batch=%d rank %d: eval accuracy = %g, want %g", l, batch, r, got, want)
 				}
+			}
+			if got, err := testAccuracy(ds, batch, s.EvalLogits); err != nil || got != want {
+				t.Fatalf("%s batch=%d: testAccuracy over EvalLogits = %g, %v, want %g", l, batch, got, err, want)
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 package vit
 
 import (
-	"fmt"
-
-	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -84,134 +81,71 @@ func TrainSerial(ds *Dataset, mcfg ModelConfig, tc TrainConfig) History {
 	return hist
 }
 
-func evalSerial(model *Model, ds *Dataset, batch int) float64 {
+// testAccuracy scores the whole test split in batches of the given size —
+// the final partial batch included, not dropped — through forward, which
+// returns at least one logits row per requested test index.
+func testAccuracy(ds *Dataset, batch int, forward func(idx []int) (*tensor.Matrix, error)) (float64, error) {
 	n := len(ds.Test)
 	if n == 0 {
-		return 0
+		return 0, nil
 	}
 	correct := 0
 	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n // final partial batch: evaluate the tail instead of dropping it
-		}
-		idx := make([]int, end-start)
+		idx := make([]int, min(batch, n-start))
+		labels := make([]int, len(idx))
 		for i := range idx {
 			idx[i] = start + i
+			labels[i] = ds.Test[start+i].Label
 		}
-		x, labels := ds.Batch(ds.Test, idx)
-		logits := model.Forward(x)
+		logits, err := forward(idx)
+		if err != nil {
+			return 0, err
+		}
 		correct += nn.CorrectCount(logits, labels)
 	}
-	return float64(correct) / float64(n)
+	return float64(correct) / float64(n), nil
+}
+
+func evalSerial(model *Model, ds *Dataset, batch int) float64 {
+	acc, _ := testAccuracy(ds, batch, func(idx []int) (*tensor.Matrix, error) {
+		x, _ := ds.Batch(ds.Test, idx)
+		return model.Forward(x), nil
+	}) // the serial forward cannot fail
+	return acc
 }
 
 // TrainLayout trains the same model under any registered tensor-parallel
 // family and returns its curve. With the same dataset, seeds and optimiser
 // the curve must coincide with TrainSerial's up to floating-point reduction
-// order — the Figure 7 claim, now checkable for every family.
+// order — the Figure 7 claim, now checkable for every family. It is a
+// session trained one epoch at a time and evaluated in between, so its
+// Loss[e] is the in-order mean of TrainLayoutSteps' losses over epoch e.
 func TrainLayout(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainConfig) (History, error) {
-	tc = tc.withDefaults()
-	l, err := parallel.Validate(l)
+	s, err := NewSession(nil, l, ds, mcfg, tc)
 	if err != nil {
 		return History{}, err
 	}
-	if tc.BatchSize%l.RowShards() != 0 {
-		return History{}, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, l, l.RowShards())
+	if s.batchErr != nil {
+		return History{}, s.batchErr
 	}
-	c := dist.New(dist.Config{WorldSize: l.Ranks})
-	hist := History{Setting: l.String()}
-	s := mcfg.SeqLen
-	err = c.Run(func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
+	hist := History{Setting: s.l.String()}
+	losses := make([]float64, len(ds.Train)/s.tc.BatchSize)
+	for epoch := 0; epoch < s.tc.Epochs; epoch++ {
+		correct := 0
+		if err := s.train(losses, &correct); err != nil {
+			return History{}, err
+		}
+		var lossSum float64
+		for _, loss := range losses {
+			lossSum += loss
+		}
+		acc, err := testAccuracy(ds, s.tc.BatchSize, s.EvalLogits)
 		if err != nil {
-			return err
+			return History{}, err
 		}
-		model := NewDistModel(f, mcfg)
-		opt := nn.NewAdam(tc.LR, tc.WeightDecay)
-		params := model.Params()
-		for epoch := 0; epoch < tc.Epochs; epoch++ {
-			order := epochOrder(len(ds.Train), epoch, tc.Seed)
-			var lossSum float64
-			var correct, seen int
-			for start := 0; start+tc.BatchSize <= len(order); start += tc.BatchSize {
-				x, labels := ds.Batch(ds.Train, order[start:start+tc.BatchSize])
-				logits := model.Forward(DistributeBatch(f, x, s))
-				dlogits := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
-				loss := nn.CrossEntropyInto(dlogits, logits, labels)
-				lossSum += loss
-				correct += nn.CorrectCount(logits, labels)
-				seen += len(labels)
-				for _, pa := range params {
-					pa.ZeroGrad()
-				}
-				model.Backward(dlogits)
-				opt.Step(params)
-				f.EndStep() // step boundary: recycle every activation and scratch buffer
-			}
-			if w.Rank() == 0 {
-				steps := len(order) / tc.BatchSize
-				hist.Loss = append(hist.Loss, lossSum/float64(steps))
-				hist.TrainAcc = append(hist.TrainAcc, float64(correct)/float64(seen))
-			}
-			acc := evalDist(f, model, ds, tc.BatchSize, s)
-			if w.Rank() == 0 {
-				hist.TestAcc = append(hist.TestAcc, acc)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return History{}, err
+		hist.Loss = append(hist.Loss, lossSum/float64(len(losses)))
+		hist.TrainAcc = append(hist.TrainAcc, float64(correct)/float64(len(losses)*s.tc.BatchSize))
+		hist.TestAcc = append(hist.TestAcc, acc)
 	}
 	return hist, nil
-}
-
-// evalDist computes test accuracy on every rank (the forward pass is
-// collective). The final partial batch is padded up to the family's row
-// divisibility unit by repeating the first tail sample — per-sample logits
-// are independent, so padding rows cannot perturb real rows — and only the
-// real labels are counted.
-func evalDist(f parallel.Family, model *DistModel, ds *Dataset, batch, s int) float64 {
-	n := len(ds.Test)
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		logits := evalForward(f, model, ds, idx, s)
-		labels := make([]int, len(idx))
-		for i, j := range idx {
-			labels[i] = ds.Test[j].Label
-		}
-		correct += nn.CorrectCount(logits, labels)
-		f.EndStep() // eval step boundary: the logits row counts are consumed
-	}
-	return float64(correct) / float64(n)
-}
-
-// evalForward is the trainer's one eval forward: the test rows idx, padded
-// up to the family's row divisibility unit by repeating the first sample —
-// per-sample logits are independent, so padding rows cannot perturb real
-// rows. It returns the replicated logits; rows past len(idx) are padding
-// and must be discarded. The caller owns the step boundary (Family.EndStep)
-// once it is done with the logits.
-func evalForward(f parallel.Family, model *DistModel, ds *Dataset, idx []int, s int) *tensor.Matrix {
-	unit := f.RowShards()
-	padded := (len(idx) + unit - 1) / unit * unit
-	pidx := make([]int, padded)
-	copy(pidx, idx)
-	for i := len(idx); i < padded; i++ {
-		pidx[i] = idx[0] // padding; its predictions are discarded by the caller
-	}
-	x, _ := ds.Batch(ds.Test, pidx)
-	return model.Forward(DistributeBatch(f, x, s))
 }

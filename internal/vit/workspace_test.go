@@ -3,6 +3,7 @@ package vit
 import (
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -21,7 +22,11 @@ func trainSteps(t *testing.T, pooling bool, n int) []*tensor.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.SetPooling(pooling); err != nil {
+	err = sb.c.Run(func(w *dist.Worker) error {
+		w.Workspace().SetPooling(pooling)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sb.Steps(n); err != nil {

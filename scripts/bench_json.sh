@@ -53,7 +53,10 @@ cat "$tmp"
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 BEGIN { n = 0 }
 /^Benchmark/ {
+    # go test appends "-GOMAXPROCS" to the name on a multi-core runner (none
+    # at 1); the committed baselines and bench_check.sh use the bare name.
     name = $1
+    sub(/-[0-9]+$/, "", name)
     nsop = ""
     allocs = ""
     bytes = ""
