@@ -45,33 +45,14 @@ func MatMulTN(w *dist.Worker, a, b *tensor.Matrix) *tensor.Matrix {
 }
 
 // MatMulNTInto computes c = a·bᵀ (overwriting c) and charges 2mnk flops.
-// Large products route through the packed NT kernel with a workspace-drawn
-// transpose panel (bitwise identical to the plain kernel, roughly twice the
-// throughput at SUMMA panel sizes — see BenchmarkGEMMKernels/NT256).
 func MatMulNTInto(w *dist.Worker, c, a, b *tensor.Matrix) {
 	w.ChargeGEMM(float64(a.Rows), float64(b.Rows), float64(a.Cols))
-	if !c.Phantom() && !a.Phantom() && !b.Phantom() && tensor.NTPackProfitable(a.Rows, b.Rows, a.Cols) {
-		ws := w.Workspace()
-		pack := ws.GetUninit(a.Cols, b.Rows)
-		tensor.MatMulNTIntoPacked(c, a, b, pack)
-		ws.Put(pack)
-		return
-	}
 	tensor.MatMulNTInto(c, a, b)
 }
 
-// MatMulTNInto computes c += aᵀ·b and charges 2mnk flops. Large products
-// route through the packed TN kernel with a workspace-drawn transpose panel
-// (bitwise identical; the in-place TN kernel's C traffic grows with k).
+// MatMulTNInto computes c += aᵀ·b and charges 2mnk flops.
 func MatMulTNInto(w *dist.Worker, c, a, b *tensor.Matrix) {
 	w.ChargeGEMM(float64(a.Cols), float64(b.Cols), float64(a.Rows))
-	if !c.Phantom() && !a.Phantom() && !b.Phantom() && tensor.TNPackProfitable(a.Cols, b.Cols, a.Rows) {
-		ws := w.Workspace()
-		pack := ws.GetUninit(a.Cols, a.Rows)
-		tensor.MatMulTNIntoPacked(c, a, b, pack)
-		ws.Put(pack)
-		return
-	}
 	tensor.MatMulTNInto(c, a, b)
 }
 

@@ -110,3 +110,28 @@ func TestElementwiseResults(t *testing.T) {
 		}
 	})
 }
+
+// TestMatMulIntoWrappersAllocateNothing: the charged GEMM wrappers add only
+// clock arithmetic to the tensor kernels — no workspace panel, no heap.
+func TestMatMulIntoWrappersAllocateNothing(t *testing.T) {
+	rng := tensor.NewRNG(7)
+	const m, k, n = 12, 300, 20
+	a, b := tensor.RandomMatrix(m, k, rng), tensor.RandomMatrix(k, n, rng)
+	bt, at := tensor.RandomMatrix(n, k, rng), tensor.RandomMatrix(k, m, rng)
+	c := tensor.New(m, n)
+	withWorker(t, func(w *dist.Worker) {
+		gets := w.Workspace().Stats().Gets
+		for name, f := range map[string]func(){
+			"MatMulInto":   func() { MatMulInto(w, c, a, b) },
+			"MatMulNTInto": func() { MatMulNTInto(w, c, a, bt) },
+			"MatMulTNInto": func() { MatMulTNInto(w, c, at, b) },
+		} {
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Errorf("%s: %v allocations per run, want 0", name, allocs)
+			}
+		}
+		if got := w.Workspace().Stats().Gets; got != gets {
+			t.Errorf("GEMM wrappers drew %d workspace buffers, want 0", got-gets)
+		}
+	})
+}

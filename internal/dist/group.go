@@ -215,7 +215,7 @@ func (g *Group) join(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Ma
 		copy(g.open, g.open[1:])
 		g.open[len(g.open)-1] = nil
 		g.open = g.open[:len(g.open)-1]
-		g.finish(w.rank, r)
+		g.finishOrUnlock(w.rank, r)
 		r.completed.Store(true)
 	} else if park {
 		r.parked = append(r.parked, w)
@@ -324,6 +324,22 @@ func (g *Group) retire(r *round) {
 	g.mu.Lock()
 	g.spare = append(g.spare, r)
 	g.mu.Unlock()
+}
+
+// finishOrUnlock runs finish for join and, should finish panic (mismatched
+// payload shapes, a nil root payload), releases g.mu on the way out. The
+// round then never completes: members parked on it are woken by the abort the
+// panic becomes, and members still holding a Handle must be able to take the
+// lock in register to park and meet that abort too.
+func (g *Group) finishOrUnlock(rank int, r *round) {
+	finished := false
+	defer func() {
+		if !finished {
+			g.mu.Unlock()
+		}
+	}()
+	g.finish(rank, r)
+	finished = true
 }
 
 // finish computes a completed round's outcome exactly once, under g.mu:

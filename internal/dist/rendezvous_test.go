@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -180,6 +181,57 @@ func TestAbortAnywhereNoLeak(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRendezvousFinishPanicNoLeak makes the finisher panic inside the group
+// lock: ranks 0-2 issue a nonblocking 2×2 all-reduce, rank 3 arrives last
+// with a 3×2 payload, so combining the slots panics on the shape mismatch.
+// Only once rank 3 is unwinding do ranks 0-2 Wait, which takes the group
+// lock to register for a wake-up; the lock must have been released on the
+// panic path, or they hang where no abort token reaches them. Run must
+// return rank 3's Failure and leave no goroutine behind.
+func TestRendezvousFinishPanicNoLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := New(Config{WorldSize: 4})
+	var issued sync.WaitGroup
+	issued.Add(3)
+	unwinding := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- c.Run(func(w *Worker) error {
+			world := w.Cluster().WorldGroup()
+			if w.Rank() == 3 {
+				defer close(unwinding)
+				issued.Wait()
+				m := tensor.New(3, 2)
+				world.IAllReduceInto(w, m, m)
+				return errors.New("the mismatched arrival did not panic")
+			}
+			m := tensor.New(2, 2)
+			h := world.IAllReduceInto(w, m, m)
+			issued.Done()
+			<-unwinding
+			h.Wait()
+			return nil
+		})
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a member waiting on the round whose finish panicked never unwound")
+	}
+	var f *Failure
+	if !errors.As(err, &f) || f.Rank != 3 || !f.Panicked {
+		t.Fatalf("Run returned %v, want rank 3's panic as a Failure", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the Run, %d after", base, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
 	}
 }
 

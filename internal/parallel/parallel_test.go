@@ -71,8 +71,22 @@ func TestNewUnknownFamily(t *testing.T) {
 	}
 }
 
+// unregisterAfter removes a family a test registered when the test ends: the
+// registry lives as long as the process, and a second pass (-count=2) must
+// find the name free again.
+func unregisterAfter(t *testing.T, name string) {
+	t.Cleanup(func() {
+		registryMu.Lock()
+		defer registryMu.Unlock()
+		delete(registry, name)
+		delete(checks, name)
+		delete(rowShards, name)
+	})
+}
+
 func TestRegisterDuplicatePanics(t *testing.T) {
 	Register("parallel-test-dup", func(w *dist.Worker, l Layout) (Family, error) { return nil, nil })
+	unregisterAfter(t, "parallel-test-dup")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register must panic")
@@ -140,6 +154,7 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 
 func TestValidateAppliesRegisteredCheck(t *testing.T) {
 	Register("parallel-test-checked", func(w *dist.Worker, l Layout) (Family, error) { return nil, nil })
+	unregisterAfter(t, "parallel-test-checked")
 	RegisterCheck("parallel-test-checked", func(l Layout) error {
 		if l.Q != 0 {
 			return fmt.Errorf("checked: no meshes")

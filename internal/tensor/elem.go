@@ -13,14 +13,15 @@ import "math"
 // implementation). Division and square root are included: VDIVPD and
 // VSQRTPD are correctly rounded per lane, exactly like their scalar forms.
 //
-// The package-level function variables follow the accum4/axpy pattern:
-// declared here with the portable implementation, rebound to the AVX2
-// versions by the amd64 init when the CPU qualifies.
+// The package-level function variables are declared here with the portable
+// implementation and rebound to the AVX2 versions by the amd64 init when the
+// CPU qualifies.
 var (
 	vaddTo = vaddToGeneric // dst[i] = a[i] + b[i]
 	vaddIn = vaddInGeneric // dst[i] += src[i]
 	vmulTo = vmulToGeneric // dst[i] = a[i] * b[i]
 	vscale = vscaleGeneric // dst[i] *= alpha
+	axpy   = axpyGeneric   // c[i] += a * b[i]
 
 	adamKernel = adamUpdateGeneric
 )
@@ -54,6 +55,16 @@ func vmulToGeneric(dst, a, b []float64) {
 	_ = b[len(dst)-1]
 	for i := range dst {
 		dst[i] = a[i] * b[i]
+	}
+}
+
+func axpyGeneric(c, b []float64, a float64) {
+	if len(c) == 0 {
+		return
+	}
+	_ = b[len(c)-1]
+	for j := range c {
+		c[j] += a * b[j]
 	}
 }
 

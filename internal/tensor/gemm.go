@@ -2,37 +2,71 @@ package tensor
 
 import "runtime"
 
-// GEMM execution strategy. The three kernels (NN accumulate, NT, TN) share
-// the same structure:
+// GEMM execution strategy. One register-tiled micro-kernel serves all three
+// orientations (C += A·B, C = A·Bᵀ, C += Aᵀ·B):
 //
-//   - an inner microkernel that is vectorised on amd64 (see gemm_amd64.s)
-//     with a pure-Go fallback, both accumulating every C element in
-//     ascending-k order with separate multiply and add roundings — so the
-//     optimised kernels are bitwise identical to the naive reference
-//     kernels kept in naive.go;
-//   - cache blocking: the NN kernel tiles k so a panel of B rows stays
-//     resident while a block of C rows streams through, and the NT/TN
-//     kernels pack their transposed operand into a contiguous panel above a
-//     size threshold (see pack.go) so the same NN microkernels serve all
-//     three orientations;
+//   - the micro-kernel (gemmTile: assembly on amd64 with AVX2, see
+//     gemm_amd64.s; gemmTileGeneric everywhere else) owns a gemmMR×gemmNR
+//     tile of C for a whole k block. The tile sits in registers while k
+//     runs, every k step loads one gemmNR-wide row of B once and reuses it
+//     for gemmMR broadcast A scalars, and each C element still receives one
+//     individually rounded multiply and one individually rounded add per k
+//     step, in ascending k — exactly the sequence of roundings the naive
+//     kernels in naive.go perform, so results are bitwise identical to them;
+//   - the orientations are addressing modes of that kernel, not transposes
+//     in front of it. A is read in place through a row stride and a k
+//     stride (swapped for Aᵀ). B reaches the kernel as a [kc][gemmNR] strip
+//     panel on the stack (pack.go) that stays cache-resident while the
+//     band's row tiles stream past it: a row copy for B, a gather of
+//     gemmNR rows for Bᵀ. C = A·Bᵀ overwrites, so its first k block starts
+//     the accumulators from zero instead of reading C;
+//   - ragged edges (rows%gemmMR, cols%gemmNR) run the same kernel on a
+//     full-size stack tile and copy the valid corner back;
 //   - row-band parallelism over the rows of C through the persistent worker
 //     pool (pool.go), gated behind a flop threshold so tiny test matrices
 //     stay serial. Banding never changes results: each C row's arithmetic
 //     is independent and identical in any band split.
 const (
-	// gemmKC is the k-tile: gemmKC rows of B (×8 bytes×n columns) form the
-	// panel reused across a block of C rows.
+	// gemmMR×gemmNR is the C tile: four rows of two 4-lane vectors, eight
+	// accumulators, which with two B vectors and the broadcast/product
+	// temporaries fills the sixteen YMM registers.
+	gemmMR = 4
+	gemmNR = 8
+	// gemmKC is the k block: the strip panel holds gemmKC rows of gemmNR
+	// columns of B, and the C tile is stored and reloaded (exactly, so
+	// without a rounding) between blocks.
 	gemmKC = 256
+	// gemmKCShallow is the depth of the small panel (see gemmRows).
+	gemmKCShallow = 32
 	// gemmParallelFlops gates row banding: below 2·m·n·k of one million
 	// flops the hand-off overhead outweighs the help.
 	gemmParallelFlops = 1 << 20
 )
 
+// tileAsm selects the assembly micro-kernel. The amd64 init sets it when the
+// CPU qualifies; tests clear it to drive the pure-Go twin through the same
+// loop nest. It is a flag rather than a rebindable function value because a
+// call through a function value would force the stack panel to the heap.
+var tileAsm bool
+
+// gemmOp is the orientation of a GEMM: how the kernel addresses A and B and
+// whether it accumulates into C or overwrites it.
+type gemmOp uint8
+
+const (
+	opNN gemmOp = iota // C += A·B
+	opNT               // C = A·Bᵀ (overwrites)
+	opTN               // C += Aᵀ·B
+)
+
 // gemmBands picks the number of row bands for a kernel of the given flop
 // count and row count.
 func gemmBands(flops float64, rows int) int {
+	if flops < gemmParallelFlops || rows < 2 {
+		return 1 // before GOMAXPROCS, which takes the scheduler lock
+	}
 	procs := runtime.GOMAXPROCS(0)
-	if procs <= 1 || flops < gemmParallelFlops || rows < 2 {
+	if procs <= 1 {
 		return 1
 	}
 	if procs > rows {
@@ -48,178 +82,113 @@ func bandRange(rows, band, bands int) (int, int) {
 	return lo, hi
 }
 
-// matMulAccum computes C += A·B on real matrices (the shared kernel behind
-// MatMul, MatMulInto and the packed NT/TN paths), applying the epilogue to
-// each band of C rows as it finishes.
-func matMulAccum(c, a, b *Matrix, epi epilogue) {
-	flops := 2 * float64(a.Rows) * float64(b.Cols) * float64(a.Cols)
-	t := gemmTask{op: opNN, c: c, a: a, b: b, epi: epi}
-	runGEMM(&t, a.Rows, gemmBands(flops, a.Rows))
+// gemm runs one GEMM of the given orientation over all rows of C, banded
+// through the pool, applying the epilogue to each band as it finishes.
+func gemm(op gemmOp, c, a, b *Matrix, epi epilogue) {
+	t := gemmTask{op: op, c: c, a: a, b: b, epi: epi}
+	runGEMM(&t, c.Rows, gemmBands(GEMMFlops(float64(c.Rows), float64(c.Cols), float64(t.depth())), c.Rows))
 }
 
-// nnRowNarrow, when non-nil (bound on amd64 with AVX2), handles NN row bands
-// whose C rows fit in vector registers — n of 4 or 8, the projection widths
-// of the per-rank test models. It keeps each C row resident in YMM registers
-// across the whole k loop instead of storing and reloading it every four
-// steps; the per-element operation sequence is unchanged, so results stay
-// bitwise identical. Returns false to fall through to the general kernel.
-var nnRowNarrow func(c, a, b *Matrix, i0, i1 int) bool
+// depth is the inner dimension k of the task's product.
+func (t *gemmTask) depth() int {
+	if t.op == opTN {
+		return t.a.Rows
+	}
+	return t.a.Cols
+}
 
-// matMulAccumRows runs the NN kernel over C rows [i0, i1): k-tiled, with a
-// four-row microkernel that reuses the loaded C row across four B rows.
-func matMulAccumRows(c, a, b *Matrix, i0, i1 int) {
-	n, k := b.Cols, a.Cols
-	if n == 0 || k == 0 {
+// gemmRows runs the tile kernel over C rows [i0, i1) with a strip panel on
+// its own stack. Go zeroes a stack array on entry, and clearing gemmKC rows
+// costs more than the whole product of the Hidden-16 models, so products no
+// deeper than gemmKCShallow take a panel of that depth instead.
+func gemmRows(t *gemmTask, i0, i1 int) {
+	if t.depth() <= gemmKCShallow {
+		var panel [gemmKCShallow * gemmNR]float64
+		gemmRowsPanel(t, i0, i1, panel[:])
 		return
 	}
-	if nnRowNarrow != nil && nnRowNarrow(c, a, b, i0, i1) {
-		return
+	gemmRowsDeep(t, i0, i1)
+}
+
+// gemmRowsDeep is gemmRows with the full-depth panel; it is its own frame so
+// that shallow products do not grow the goroutine stack for a panel they
+// never touch.
+//
+//go:noinline
+func gemmRowsDeep(t *gemmTask, i0, i1 int) {
+	var panel [gemmKC * gemmNR]float64
+	gemmRowsPanel(t, i0, i1, panel[:])
+}
+
+// gemmRowsPanel is the loop nest: k blocks of the panel's depth outermost,
+// then gemmNR-column strips of B packed once per block, then the band's row
+// tiles against the packed strip.
+func gemmRowsPanel(t *gemmTask, i0, i1 int, panel []float64) {
+	c, a, b := t.c, t.a, t.b
+	n, k := c.Cols, t.depth()
+	ars, aks := a.Cols, 1
+	if t.op == opTN {
+		ars, aks = 1, a.Cols
 	}
-	for kc := 0; kc < k; kc += gemmKC {
-		kend := kc + gemmKC
-		if kend > k {
-			kend = k
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := c.Data[i*n : (i+1)*n]
-			l := kc
-			for ; l+4 <= kend; l += 4 {
-				accum4(crow,
-					b.Data[l*n:(l+1)*n],
-					b.Data[(l+1)*n:(l+2)*n],
-					b.Data[(l+2)*n:(l+3)*n],
-					b.Data[(l+3)*n:(l+4)*n],
-					arow[l], arow[l+1], arow[l+2], arow[l+3])
+	if k == 0 && t.op == opNT {
+		clear(c.Data[i0*n : i1*n])
+	}
+	var edge [gemmMR * gemmNR]float64
+	for k0 := 0; k0 < k; k0 += len(panel) / gemmNR {
+		kc := min(len(panel)/gemmNR, k-k0)
+		zero := t.op == opNT && k0 == 0
+		for j0 := 0; j0 < n; j0 += gemmNR {
+			nr := min(gemmNR, n-j0)
+			if t.op == opNT {
+				packCols(panel, b.Data[j0*k+k0:], k, nr, kc)
+			} else {
+				packRows(panel, b.Data[k0*n+j0:], n, nr, kc)
 			}
-			for ; l < kend; l++ {
-				axpy(crow, b.Data[l*n:(l+1)*n], arow[l])
+			for i := i0; i < i1; i += gemmMR {
+				mr := min(gemmMR, i1-i)
+				at := a.Data[i*ars+k0*aks:]
+				if mr == gemmMR && nr == gemmNR {
+					gemmTile(c.Data[i*n+j0:], n, at, ars, aks, mr, panel, kc, zero)
+					continue
+				}
+				for r := 0; r < mr && !zero; r++ {
+					copy(edge[r*gemmNR:r*gemmNR+nr], c.Data[(i+r)*n+j0:])
+				}
+				gemmTile(edge[:], gemmNR, at, ars, aks, mr, panel, kc, zero)
+				for r := 0; r < mr; r++ {
+					copy(c.Data[(i+r)*n+j0:(i+r)*n+j0+nr], edge[r*gemmNR:])
+				}
 			}
 		}
 	}
 }
 
-// matMulNTKernel computes C = A·Bᵀ on real matrices (it overwrites C, never
-// reading it).
-func matMulNTKernel(c, a, b *Matrix) {
-	flops := 2 * float64(a.Rows) * float64(b.Rows) * float64(a.Cols)
-	t := gemmTask{op: opNT, c: c, a: a, b: b}
-	runGEMM(&t, a.Rows, gemmBands(flops, a.Rows))
-}
-
-// matMulNTRows runs the NT kernel over C rows [i0, i1): 2×2 register
-// blocking of independent dot products, each accumulated in plain k order.
-func matMulNTRows(c, a, b *Matrix, i0, i1 int) {
-	k, n := a.Cols, b.Rows
-	i := i0
-	for ; i+2 <= i1; i += 2 {
-		a0 := a.Data[i*k : (i+1)*k]
-		a1 := a.Data[(i+1)*k : (i+2)*k]
-		c0 := c.Data[i*n : (i+1)*n]
-		c1 := c.Data[(i+1)*n : (i+2)*n]
-		j := 0
-		for ; j+2 <= n; j += 2 {
-			b0 := b.Data[j*k : (j+1)*k]
-			b1 := b.Data[(j+1)*k : (j+2)*k]
-			var s00, s01, s10, s11 float64
-			for l, av0 := range a0 {
-				av1 := a1[l]
-				bv0, bv1 := b0[l], b1[l]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-			}
-			c0[j], c0[j+1] = s00, s01
-			c1[j], c1[j+1] = s10, s11
+// gemmTileGeneric is the portable micro-kernel and the reference twin of the
+// assembly one: rows [0, mr) of the gemmMR×gemmNR tile at c (row stride ldc)
+// gain Σ_l a[r·ars+l·aks]·b[l·gemmNR+j] over l in [0, k), one rounded
+// multiply and one rounded add per step in ascending l, starting from zero
+// instead of from c when zero is set.
+func gemmTileGeneric(c []float64, ldc int, a []float64, ars, aks, mr int, b []float64, k int, zero bool) {
+	for r := 0; r < mr; r++ {
+		cr := c[r*ldc : r*ldc+gemmNR : r*ldc+gemmNR]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		if !zero {
+			s0, s1, s2, s3, s4, s5, s6, s7 = cr[0], cr[1], cr[2], cr[3], cr[4], cr[5], cr[6], cr[7]
 		}
-		for ; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s0, s1 float64
-			for l, av0 := range a0 {
-				s0 += av0 * brow[l]
-				s1 += a1[l] * brow[l]
-			}
-			c0[j], c1[j] = s0, s1
+		ai := r * ars
+		for l := 0; l < k; l++ {
+			av := a[ai]
+			bp := b[l*gemmNR : l*gemmNR+gemmNR : l*gemmNR+gemmNR]
+			s0 += av * bp[0]
+			s1 += av * bp[1]
+			s2 += av * bp[2]
+			s3 += av * bp[3]
+			s4 += av * bp[4]
+			s5 += av * bp[5]
+			s6 += av * bp[6]
+			s7 += av * bp[7]
+			ai += aks
 		}
-	}
-	for ; i < i1; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := c.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s float64
-			for l, av := range arow {
-				s += av * brow[l]
-			}
-			crow[j] = s
-		}
-	}
-}
-
-// matMulTNKernel computes C += Aᵀ·B on real matrices.
-func matMulTNKernel(c, a, b *Matrix) {
-	flops := 2 * float64(a.Cols) * float64(b.Cols) * float64(a.Rows)
-	t := gemmTask{op: opTN, c: c, a: a, b: b}
-	runGEMM(&t, a.Cols, gemmBands(flops, a.Cols))
-}
-
-// matMulTNRows runs the in-place TN kernel over C rows [i0, i1) (columns of
-// A): blocks of four C rows stay L1-resident while B streams through once,
-// and every element still accumulates in ascending-l order like the naive
-// kernel. Above the packing threshold matMulTNPacked replaces this with a
-// transpose plus the NN kernels — this in-place form reloads each C row per
-// l, so its C traffic grows with k.
-func matMulTNRows(c, a, b *Matrix, i0, i1 int) {
-	m, ac, n := a.Rows, a.Cols, b.Cols
-	if n == 0 {
-		return
-	}
-	i := i0
-	for ; i+4 <= i1; i += 4 {
-		c0 := c.Data[i*n : (i+1)*n]
-		c1 := c.Data[(i+1)*n : (i+2)*n]
-		c2 := c.Data[(i+2)*n : (i+3)*n]
-		c3 := c.Data[(i+3)*n : (i+4)*n]
-		for l := 0; l < m; l++ {
-			arow := a.Data[l*ac : (l+1)*ac]
-			brow := b.Data[l*n : (l+1)*n]
-			axpy(c0, brow, arow[i])
-			axpy(c1, brow, arow[i+1])
-			axpy(c2, brow, arow[i+2])
-			axpy(c3, brow, arow[i+3])
-		}
-	}
-	for ; i < i1; i++ {
-		crow := c.Data[i*n : (i+1)*n]
-		for l := 0; l < m; l++ {
-			axpy(crow, b.Data[l*n:(l+1)*n], a.Data[l*ac+i])
-		}
-	}
-}
-
-// accum4Generic is the portable microkernel: c[j] += a0·b0[j], then
-// a1·b1[j], a2·b2[j], a3·b3[j] — four ascending-k accumulation steps with
-// individually rounded multiplies and adds, exactly like the naive loop.
-func accum4Generic(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	_ = b0[len(c)-1]
-	_ = b1[len(c)-1]
-	_ = b2[len(c)-1]
-	_ = b3[len(c)-1]
-	for j := range c {
-		s := c[j]
-		s += a0 * b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
-		c[j] = s
-	}
-}
-
-// axpyGeneric is the portable single-row microkernel: c[j] += a·b[j].
-func axpyGeneric(c, b []float64, a float64) {
-	_ = b[len(c)-1]
-	for j := range c {
-		c[j] += a * b[j]
+		cr[0], cr[1], cr[2], cr[3], cr[4], cr[5], cr[6], cr[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 }

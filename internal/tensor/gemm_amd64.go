@@ -2,95 +2,53 @@
 
 package tensor
 
-// amd64 microkernels: AVX2 vectorisation over the output columns with
+// amd64 micro-kernel: AVX2 vectorisation over the output columns with
 // separate multiply and add instructions (never FMA), so every C element
 // sees exactly the scalar kernel's sequence of individually rounded
 // operations — the optimised path is bitwise identical to the naive one.
-// Detection happens at init; pre-AVX2 machines keep the portable kernels.
-
-// accum4 and axpy are the microkernels the blocked GEMM drivers call; on
-// amd64 init rebinds them to the AVX2 versions when the CPU qualifies.
-var (
-	accum4 = accum4Generic
-	axpy   = axpyGeneric
-)
+// Detection happens at init; pre-AVX2 machines keep the portable kernel.
 
 // cpuHasAVX2 reports AVX2 plus OS support for YMM state (CPUID + XGETBV).
 func cpuHasAVX2() bool
 
+// gemmTile4x8 is gemmTileGeneric's full-tile case in assembly: strides and
+// the three row offsets ao1..ao3 of A are in elements, and all four C rows
+// are loaded and stored whatever ao1..ao3 repeat.
+//
 //go:noescape
-func accum4Ptr(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
+func gemmTile4x8(c *float64, ldc int, a *float64, ao1, ao2, ao3, aks int, b *float64, k int, zero bool)
 
-//go:noescape
-func axpyPtr(c, b *float64, n int, a float64)
+func init() { tileAsm = cpuHasAVX2() }
 
-//go:noescape
-func nnRow8Ptr(c, a, b *float64, k int)
-
-//go:noescape
-func nnRow4Ptr(c, a, b *float64, k int)
-
-//go:noescape
-func nnRow8x2Ptr(c0, c1, a0, a1, b *float64, k int)
-
-//go:noescape
-func nnRow4x2Ptr(c0, c1, a0, a1, b *float64, k int)
-
-func init() {
-	if cpuHasAVX2() {
-		accum4 = accum4AVX2
-		axpy = axpyAVX2
-		nnRowNarrow = nnRowNarrowAVX2
-	}
-}
-
-// nnRowNarrowAVX2 runs the NN kernel over C rows [i0, i1) when C is 4 or 8
-// columns wide — the per-rank projection widths of the test models — keeping
-// each C row in YMM registers across the full k loop. Rows are processed in
-// pairs so the two accumulation chains hide each other's add latency; the
-// per-row, per-element operation order is exactly the general kernel's.
-func nnRowNarrowAVX2(c, a, b *Matrix, i0, i1 int) bool {
-	n, k := b.Cols, a.Cols
-	switch n {
-	case 8:
-		_ = b.Data[k*8-1]
-		i := i0
-		for ; i+2 <= i1; i += 2 {
-			nnRow8x2Ptr(&c.Data[i*8], &c.Data[(i+1)*8], &a.Data[i*k], &a.Data[(i+1)*k], &b.Data[0], k)
-		}
-		for ; i < i1; i++ {
-			nnRow8Ptr(&c.Data[i*8], &a.Data[i*k], &b.Data[0], k)
-		}
-	case 4:
-		_ = b.Data[k*4-1]
-		i := i0
-		for ; i+2 <= i1; i += 2 {
-			nnRow4x2Ptr(&c.Data[i*4], &c.Data[(i+1)*4], &a.Data[i*k], &a.Data[(i+1)*k], &b.Data[0], k)
-		}
-		for ; i < i1; i++ {
-			nnRow4Ptr(&c.Data[i*4], &a.Data[i*k], &b.Data[0], k)
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-func accum4AVX2(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	if len(c) == 0 {
+// gemmTile runs the micro-kernel on one tile (see gemmTileGeneric for the
+// contract). The assembly kernel always computes gemmMR rows, so a tile
+// with mr < gemmMR — always the driver's stack tile — repeats A's last valid
+// row in the rows past mr, whose results the driver never copies out.
+func gemmTile(c []float64, ldc int, a []float64, ars, aks, mr int, b []float64, k int, zero bool) {
+	if !tileAsm {
+		gemmTileGeneric(c, ldc, a, ars, aks, mr, b, k, zero)
 		return
 	}
-	_ = b0[len(c)-1]
-	_ = b1[len(c)-1]
-	_ = b2[len(c)-1]
-	_ = b3[len(c)-1]
-	accum4Ptr(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], len(c), a0, a1, a2, a3)
+	last := (mr - 1) * ars
+	_ = c[(gemmMR-1)*ldc+gemmNR-1]
+	_ = a[last+(k-1)*aks]
+	_ = b[k*gemmNR-1]
+	gemmTile4x8(&c[0], ldc, &a[0], min(ars, last), min(2*ars, last), last, aks, &b[0], k, zero)
 }
 
-func axpyAVX2(c, b []float64, a float64) {
-	if len(c) == 0 {
+// packRows8 is packRowsGeneric's full-width case: one 64-byte row per step,
+// prefetching the same row of the next strip, which shares its page.
+//
+//go:noescape
+func packRows8(panel, b *float64, ldb, k int)
+
+// packRows packs a strip of a row-major B (see packRowsGeneric).
+func packRows(panel, b []float64, ldb, nr, kc int) {
+	if !tileAsm || nr < gemmNR {
+		packRowsGeneric(panel, b, ldb, nr, kc)
 		return
 	}
-	_ = b[len(c)-1]
-	axpyPtr(&c[0], &b[0], len(c), a)
+	_ = panel[kc*gemmNR-1]
+	_ = b[(kc-1)*ldb+gemmNR-1]
+	packRows8(&panel[0], &b[0], ldb, kc)
 }

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 GEMM microkernels. Both functions accumulate with separate VMULPD /
-// VADDPD (never FMA) in ascending-k order, making them bitwise identical
-// to the scalar reference kernels. Tails run scalar in the same order.
+// AVX2 GEMM micro-kernel. It accumulates with separate VMULPD / VADDPD
+// (never FMA — scripts/docs_check.sh rejects the mnemonic in this file) in
+// ascending-k order, making it bitwise identical to the scalar reference
+// kernels.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -34,262 +35,115 @@ novx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func accum4Ptr(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
-// c[j] += a0*b0[j]; c[j] += a1*b1[j]; c[j] += a2*b2[j]; c[j] += a3*b3[j]
-TEXT ·accum4Ptr(SB), NOSPLIT, $0-80
+// func gemmTile4x8(c *float64, ldc int, a *float64, ao1, ao2, ao3, aks int, b *float64, k int, zero bool)
+//
+// The 4×8 tile of C at c (row stride ldc) lives in Y0..Y7 — row r in
+// Y(2r), Y(2r+1) — for the whole k loop. Each step loads the panel row
+// b[l*8 : l*8+8] into Y8, Y9 once and, for each of the four A scalars
+// a[l*aks], a[ao1+l*aks], a[ao2+l*aks], a[ao3+l*aks], broadcasts it and
+// does one VMULPD and one VADDPD per accumulator: eight independent
+// add chains, so the adds' latency hides behind each other. With zero set
+// the accumulators start from +0 and C is only written.
+TEXT ·gemmTile4x8(SB), NOSPLIT, $0-73
 	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ n+40(FP), CX
-	VBROADCASTSD a0+48(FP), Y0
-	VBROADCASTSD a1+56(FP), Y1
-	VBROADCASTSD a2+64(FP), Y2
-	VBROADCASTSD a3+72(FP), Y3
-	XORQ AX, AX
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   tail4
-loop8:
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(SI)(AX*8), Y0, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R8)(AX*8), Y1, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(R8)(AX*8), Y1, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R9)(AX*8), Y2, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(R9)(AX*8), Y2, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R10)(AX*8), Y3, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(R10)(AX*8), Y3, Y7
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	DECQ DX
-	JNZ  loop8
-tail4:
-	TESTQ $4, CX
-	JZ    tail1
-	VMOVUPD (DI)(AX*8), Y4
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  (R8)(AX*8), Y1, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  (R9)(AX*8), Y2, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  (R10)(AX*8), Y3, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-tail1:
-	CMPQ AX, CX
-	JGE  done
-scalar:
-	MOVSD (DI)(AX*8), X4
-	MOVSD (SI)(AX*8), X5
-	MULSD X0, X5
-	ADDSD X5, X4
-	MOVSD (R8)(AX*8), X5
-	MULSD X1, X5
-	ADDSD X5, X4
-	MOVSD (R9)(AX*8), X5
-	MULSD X2, X5
-	ADDSD X5, X4
-	MOVSD (R10)(AX*8), X5
-	MULSD X3, X5
-	ADDSD X5, X4
-	MOVSD X4, (DI)(AX*8)
-	INCQ AX
-	CMPQ AX, CX
-	JL   scalar
-done:
+	MOVQ ldc+8(FP), DX
+	MOVQ a+16(FP), SI
+	MOVQ ao1+24(FP), R9
+	MOVQ ao2+32(FP), R10
+	MOVQ ao3+40(FP), R11
+	MOVQ aks+48(FP), R12
+	MOVQ b+56(FP), R8
+	MOVQ k+64(FP), CX
+	SHLQ $3, DX
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	SHLQ $3, R12
+	LEAQ (DX)(DX*2), BX
+	CMPB zero+72(FP), $0
+	JNE  tzero
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(DX*1), Y2
+	VMOVUPD 32(DI)(DX*1), Y3
+	VMOVUPD (DI)(DX*2), Y4
+	VMOVUPD 32(DI)(DX*2), Y5
+	VMOVUPD (DI)(BX*1), Y6
+	VMOVUPD 32(DI)(BX*1), Y7
+	JMP  tcheck
+tzero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+tcheck:
+	TESTQ CX, CX
+	JZ    tstore
+tloop:
+	VMOVUPD (R8), Y8
+	VMOVUPD 32(R8), Y9
+	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(R9*1), Y11
+	VMULPD  Y8, Y10, Y12
+	VADDPD  Y12, Y0, Y0
+	VMULPD  Y9, Y10, Y13
+	VADDPD  Y13, Y1, Y1
+	VMULPD  Y8, Y11, Y14
+	VADDPD  Y14, Y2, Y2
+	VMULPD  Y9, Y11, Y15
+	VADDPD  Y15, Y3, Y3
+	VBROADCASTSD (SI)(R10*1), Y10
+	VBROADCASTSD (SI)(R11*1), Y11
+	VMULPD  Y8, Y10, Y12
+	VADDPD  Y12, Y4, Y4
+	VMULPD  Y9, Y10, Y13
+	VADDPD  Y13, Y5, Y5
+	VMULPD  Y8, Y11, Y14
+	VADDPD  Y14, Y6, Y6
+	VMULPD  Y9, Y11, Y15
+	VADDPD  Y15, Y7, Y7
+	ADDQ $64, R8
+	ADDQ R12, SI
+	DECQ CX
+	JNZ  tloop
+tstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(DX*1)
+	VMOVUPD Y3, 32(DI)(DX*1)
+	VMOVUPD Y4, (DI)(DX*2)
+	VMOVUPD Y5, 32(DI)(DX*2)
+	VMOVUPD Y6, (DI)(BX*1)
+	VMOVUPD Y7, 32(DI)(BX*1)
 	VZEROUPPER
 	RET
 
-// func axpyPtr(c, b *float64, n int, a float64)
-// c[j] += a*b[j]
-TEXT ·axpyPtr(SB), NOSPLIT, $0-32
-	MOVQ c+0(FP), DI
+// func packRows8(panel, b *float64, ldb, k int)
+// panel[l*8 : l*8+8] = b[l*ldb : l*ldb+8] for l < k. The strip to the right
+// is the next one packed and starts on the next cache line of the same row,
+// so each step prefetches it (a prefetch past the end of B cannot fault).
+TEXT ·packRows8(SB), NOSPLIT, $0-32
+	MOVQ panel+0(FP), DI
 	MOVQ b+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   atail4
-aloop8:
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(SI)(AX*8), Y0, Y7
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	DECQ DX
-	JNZ  aloop8
-atail4:
-	TESTQ $4, CX
-	JZ    atail1
-	VMOVUPD (DI)(AX*8), Y4
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-atail1:
-	CMPQ AX, CX
-	JGE  adone
-ascalar:
-	MOVSD (DI)(AX*8), X4
-	MOVSD (SI)(AX*8), X5
-	MULSD X0, X5
-	ADDSD X5, X4
-	MOVSD X4, (DI)(AX*8)
-	INCQ AX
-	CMPQ AX, CX
-	JL   ascalar
-adone:
-	VZEROUPPER
-	RET
-
-// Narrow-row NN kernels: when C has 4 or 8 columns the whole C row fits in
-// YMM registers, so the k loop runs entirely in-register — no C store/load
-// per four k steps and no per-call overhead. Accumulation is still one
-// broadcast multiply plus one add per k step in ascending order, bitwise
-// identical to accum4/axpy and the naive kernel.
-
-// func nnRow8Ptr(c, a, b *float64, k int)
-// c[0:8] += a[l] * b[l*8 : l*8+8] for l in ascending order
-TEXT ·nnRow8Ptr(SB), NOSPLIT, $0-32
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
+	MOVQ ldb+16(FP), DX
 	MOVQ k+24(FP), CX
-	VMOVUPD (DI), Y1
-	VMOVUPD 32(DI), Y2
-	XORQ AX, AX
+	SHLQ $3, DX
 	TESTQ CX, CX
-	JZ   n8done
-n8loop:
-	VBROADCASTSD (SI)(AX*8), Y0
-	VMULPD  (R8), Y0, Y3
-	VADDPD  Y3, Y1, Y1
-	VMULPD  32(R8), Y0, Y4
-	VADDPD  Y4, Y2, Y2
-	ADDQ $64, R8
-	INCQ AX
-	CMPQ AX, CX
-	JL   n8loop
-n8done:
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	VZEROUPPER
-	RET
-
-// func nnRow4Ptr(c, a, b *float64, k int)
-// c[0:4] += a[l] * b[l*4 : l*4+4] for l in ascending order
-TEXT ·nnRow4Ptr(SB), NOSPLIT, $0-32
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
-	MOVQ k+24(FP), CX
-	VMOVUPD (DI), Y1
-	XORQ AX, AX
-	TESTQ CX, CX
-	JZ   n4done
-n4loop:
-	VBROADCASTSD (SI)(AX*8), Y0
-	VMULPD  (R8), Y0, Y3
-	VADDPD  Y3, Y1, Y1
-	ADDQ $32, R8
-	INCQ AX
-	CMPQ AX, CX
-	JL   n4loop
-n4done:
-	VMOVUPD Y1, (DI)
-	VZEROUPPER
-	RET
-
-// func nnRow8x2Ptr(c0, c1, a0, a1, b *float64, k int)
-// Two adjacent C rows at once: the two accumulation chains interleave so
-// the VADDPD latency of one row hides behind the other, and each packed B
-// row is loaded once and used twice. Per-row arithmetic order is exactly
-// nnRow8Ptr's.
-TEXT ·nnRow8x2Ptr(SB), NOSPLIT, $0-48
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), DX
-	MOVQ a0+16(FP), SI
-	MOVQ a1+24(FP), R9
-	MOVQ b+32(FP), R8
-	MOVQ k+40(FP), CX
-	VMOVUPD (DI), Y1
-	VMOVUPD 32(DI), Y2
-	VMOVUPD (DX), Y3
-	VMOVUPD 32(DX), Y4
-	XORQ AX, AX
-	TESTQ CX, CX
-	JZ   n82done
-n82loop:
-	VBROADCASTSD (SI)(AX*8), Y0
-	VBROADCASTSD (R9)(AX*8), Y5
-	VMOVUPD (R8), Y6
-	VMOVUPD 32(R8), Y7
-	VMULPD  Y6, Y0, Y8
-	VADDPD  Y8, Y1, Y1
-	VMULPD  Y7, Y0, Y9
-	VADDPD  Y9, Y2, Y2
-	VMULPD  Y6, Y5, Y8
-	VADDPD  Y8, Y3, Y3
-	VMULPD  Y7, Y5, Y9
-	VADDPD  Y9, Y4, Y4
-	ADDQ $64, R8
-	INCQ AX
-	CMPQ AX, CX
-	JL   n82loop
-n82done:
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	VMOVUPD Y3, (DX)
-	VMOVUPD Y4, 32(DX)
-	VZEROUPPER
-	RET
-
-// func nnRow4x2Ptr(c0, c1, a0, a1, b *float64, k int)
-TEXT ·nnRow4x2Ptr(SB), NOSPLIT, $0-48
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), DX
-	MOVQ a0+16(FP), SI
-	MOVQ a1+24(FP), R9
-	MOVQ b+32(FP), R8
-	MOVQ k+40(FP), CX
-	VMOVUPD (DI), Y1
-	VMOVUPD (DX), Y3
-	XORQ AX, AX
-	TESTQ CX, CX
-	JZ   n42done
-n42loop:
-	VBROADCASTSD (SI)(AX*8), Y0
-	VBROADCASTSD (R9)(AX*8), Y5
-	VMOVUPD (R8), Y6
-	VMULPD  Y6, Y0, Y8
-	VADDPD  Y8, Y1, Y1
-	VMULPD  Y6, Y5, Y8
-	VADDPD  Y8, Y3, Y3
-	ADDQ $32, R8
-	INCQ AX
-	CMPQ AX, CX
-	JL   n42loop
-n42done:
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y3, (DX)
+	JZ   prdone
+prloop:
+	PREFETCHT0 64(SI)
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ DX, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  prloop
+prdone:
 	VZEROUPPER
 	RET

@@ -10,12 +10,19 @@ import (
 // BenchmarkGEMMNaive256 is the baseline BenchmarkGEMM256 (in the repo root)
 // must beat by ≥ 3×.
 
-func benchPair(b *testing.B, n int, opt, naive func(c, x, y *Matrix)) {
+// benchPair times one orientation at C[m,n] with inner dimension k: the
+// tiled kernel ("blocked") against its naive reference.
+func benchPair(b *testing.B, op gemmOp, m, k, n int) {
 	rng := NewRNG(uint64(n))
-	x := RandomMatrix(n, n, rng)
-	y := RandomMatrix(n, n, rng)
-	c := New(n, n)
-	flops := 2 * float64(n) * float64(n) * float64(n)
+	x, y, naive := RandomMatrix(m, k, rng), RandomMatrix(k, n, rng), matMulAccumNaive
+	switch op {
+	case opNT:
+		y, naive = RandomMatrix(n, k, rng), matMulNTNaive
+	case opTN:
+		x, naive = RandomMatrix(k, m, rng), matMulTNNaive
+	}
+	c := New(m, n)
+	flops := GEMMFlops(float64(m), float64(n), float64(k))
 	run := func(b *testing.B, kernel func(c, x, y *Matrix)) {
 		b.ReportMetric(0, "ns/op") // replaced below; keeps metric slot stable
 		b.ResetTimer()
@@ -26,59 +33,23 @@ func benchPair(b *testing.B, n int, opt, naive func(c, x, y *Matrix)) {
 		b.StopTimer()
 		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 	}
-	b.Run("blocked", func(b *testing.B) { run(b, opt) })
+	b.Run("blocked", func(b *testing.B) { run(b, func(c, x, y *Matrix) { gemm(op, c, x, y, epilogue{}) }) })
 	b.Run("naive", func(b *testing.B) { run(b, naive) })
 }
 
 func BenchmarkGEMMKernels(b *testing.B) {
 	for _, n := range []int{64, 128, 256, 384} {
-		b.Run(fmt.Sprintf("NN%d", n), func(b *testing.B) {
-			benchPair(b, n, func(c, x, y *Matrix) { matMulAccum(c, x, y, epilogue{}) }, matMulAccumNaive)
-		})
+		b.Run(fmt.Sprintf("NN%d", n), func(b *testing.B) { benchPair(b, opNN, n, n, n) })
 	}
-	b.Run("NT256", func(b *testing.B) {
-		benchPair(b, 256, matMulNTKernel, matMulNTNaive)
-		// The packed path: transpose B once into a scratch panel, then run
-		// the vectorised NN microkernels. This row is the evidence for the
-		// NTPackProfitable threshold — it must beat "blocked" decisively at
-		// this size (the panel is allocated once, outside the timed loop,
-		// exactly as the workspace-drawn scratch behaves in training).
-		pack := New(256, 256)
-		b.Run("packed", func(b *testing.B) {
-			rng := NewRNG(256)
-			x := RandomMatrix(256, 256, rng)
-			y := RandomMatrix(256, 256, rng)
-			c := New(256, 256)
-			flops := 2 * float64(256) * float64(256) * float64(256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				matMulNTPacked(c, x, y, pack, epilogue{})
-			}
-			b.StopTimer()
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-	})
-	b.Run("TN256", func(b *testing.B) {
-		benchPair(b, 256, matMulTNKernel, matMulTNNaive)
-		// The TN packed path: transpose A once into a scratch panel, then
-		// accumulate with the NN microkernels — quarter the C traffic of the
-		// in-place axpy TN kernel, whose C rows reload once per k step.
-		pack := New(256, 256)
-		b.Run("packed", func(b *testing.B) {
-			rng := NewRNG(256)
-			x := RandomMatrix(256, 256, rng)
-			y := RandomMatrix(256, 256, rng)
-			c := New(256, 256)
-			flops := 2 * float64(256) * float64(256) * float64(256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Zero()
-				matMulTNPacked(c, x, y, pack)
-			}
-			b.StopTimer()
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-	})
+	b.Run("NT256", func(b *testing.B) { benchPair(b, opNT, 256, 256, 256) })
+	b.Run("TN256", func(b *testing.B) { benchPair(b, opTN, 256, 256, 256) })
+	// The repository benchmark's probe shapes (bench/, m×k×n): the two MLP
+	// tiles of train-wide and the MLP tile of train-small.
+	for _, s := range []struct{ m, k, n int }{{64, 128, 512}, {64, 512, 128}, {8, 8, 32}} {
+		for op, name := range []string{opNN: "NN", opNT: "NT", opTN: "TN"} {
+			b.Run(fmt.Sprintf("%s%dx%dx%d", name, s.m, s.k, s.n), func(b *testing.B) { benchPair(b, gemmOp(op), s.m, s.k, s.n) })
+		}
+	}
 }
 
 // BenchmarkGEMMNaive256 is the single-goroutine seed kernel at the

@@ -8,9 +8,9 @@ import (
 )
 
 // The GEMM contract: at every shape — odd sizes, degenerate slivers, sizes
-// straddling the parallelism threshold — the blocked/vectorised kernels
-// and any row-band split of them produce bitwise exactly the naive
-// reference results.
+// straddling the parallelism threshold — the tiled kernel in all three
+// orientations and any row-band split of it produce bitwise exactly the
+// naive reference results.
 
 func gemmShapes() []struct{ m, k, n int } {
 	return []struct{ m, k, n int }{
@@ -56,12 +56,10 @@ func TestMatMulNTMatchesNaiveBitwise(t *testing.T) {
 	}
 }
 
-// TestMatMulNTPackedMatchesNaiveBitwise forces the packed NT path (transpose
-// panel + NN microkernels) at EVERY shape, not just the sizes where
-// NTPackProfitable would select it, and demands bitwise agreement with the
-// naive dot-product reference — the property that lets MatMulNT switch
-// kernels on a size threshold without perturbing a single bit.
-func TestMatMulNTPackedMatchesNaiveBitwise(t *testing.T) {
+// TestMatMulNTIntoMatchesNaiveBitwise checks the overwrite contract of the NT
+// orientation at every shape: whatever C held, the result is the naive
+// dot-product reference bit for bit.
+func TestMatMulNTIntoMatchesNaiveBitwise(t *testing.T) {
 	for _, s := range gemmShapes() {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
 			rng := NewRNG(uint64(s.m*313 + s.k*31 + s.n))
@@ -70,23 +68,23 @@ func TestMatMulNTPackedMatchesNaiveBitwise(t *testing.T) {
 			want := New(s.m, s.n)
 			matMulNTNaive(want, a, b)
 			got := RandomMatrix(s.m, s.n, rng) // stale contents must be overwritten
-			MatMulNTIntoPacked(got, a, b, New(s.k, s.n))
+			MatMulNTInto(got, a, b)
 			if !got.Equal(want) {
-				t.Fatalf("packed NT diverges from naive kernel (max diff %g)", got.MaxAbsDiff(want))
+				t.Fatalf("MatMulNTInto diverges from naive kernel (max diff %g)", got.MaxAbsDiff(want))
 			}
 		})
 	}
-	// Special values survive the packed path: 0·NaN must stay NaN.
+	// Special values survive the strip panel: 0·NaN must stay NaN.
 	a := FromRows([][]float64{{0, 1}, {2, 0}})
 	b := FromRows([][]float64{{1, 3}, {2, 4}}) // bᵀ = {{1,2},{3,4}}
 	b.Set(0, 0, math.NaN())
 	want := New(2, 2)
 	matMulNTNaive(want, a, b)
 	got := New(2, 2)
-	MatMulNTIntoPacked(got, a, b, New(2, 2))
+	MatMulNTInto(got, a, b)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("element %d: packed %v vs naive %v", i, got.Data[i], want.Data[i])
+			t.Fatalf("element %d: tiled %v vs naive %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -106,12 +104,11 @@ func TestMatMulTNMatchesNaiveBitwise(t *testing.T) {
 	}
 }
 
-// TestMatMulTNPackedMatchesNaiveBitwise forces the packed TN path (transpose
-// A into a panel, accumulate with the NN microkernels) at EVERY shape —
-// odd, ragged, and k not divisible by any panel tile — and demands bitwise
-// agreement with the naive reference. The packed TN contract is +=, so the
-// test also seeds C with prior contents and checks the accumulation.
-func TestMatMulTNPackedMatchesNaiveBitwise(t *testing.T) {
+// TestMatMulTNIntoMatchesNaiveBitwise checks the += contract of the TN
+// orientation (A read through swapped strides) at every shape — odd, ragged,
+// and k not divisible by the k block: C is seeded with prior contents and
+// must equal the naive accumulation onto the same seed.
+func TestMatMulTNIntoMatchesNaiveBitwise(t *testing.T) {
 	for _, s := range gemmShapes() {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
 			rng := NewRNG(uint64(s.m*517 + s.k*51 + s.n))
@@ -121,33 +118,32 @@ func TestMatMulTNPackedMatchesNaiveBitwise(t *testing.T) {
 			want := seed.Clone()
 			matMulTNNaive(want, a, b)
 			got := seed.Clone()
-			MatMulTNIntoPacked(got, a, b, New(s.m, s.k))
+			MatMulTNInto(got, a, b)
 			if !got.Equal(want) {
-				t.Fatalf("packed TN diverges from naive kernel (max diff %g)", got.MaxAbsDiff(want))
+				t.Fatalf("MatMulTNInto diverges from naive kernel (max diff %g)", got.MaxAbsDiff(want))
 			}
 		})
 	}
-	// Special values survive the packed path: 0·NaN must stay NaN.
+	// Special values survive the stride swap: 0·NaN must stay NaN.
 	a := FromRows([][]float64{{0, 2}, {1, 0}}) // aᵀ = {{0,1},{2,0}}
 	a.Set(0, 0, math.NaN())
 	b := FromRows([][]float64{{1, 2}, {3, 4}})
 	want := New(2, 2)
 	matMulTNNaive(want, a, b)
 	got := New(2, 2)
-	MatMulTNIntoPacked(got, a, b, New(2, 2))
+	MatMulTNInto(got, a, b)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("element %d: packed %v vs naive %v", i, got.Data[i], want.Data[i])
+			t.Fatalf("element %d: tiled %v vs naive %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
-// TestNarrowRowKernelsMatchNaiveBitwise pins the register-resident NN row
-// kernels (n of 4 and 8, where a C row lives in YMM registers across the
-// whole k loop on amd64) to the naive reference at shapes that exercise the
-// paired-row path, the odd trailing row, and k values around the microkernel
-// widths. On non-AVX2 hosts this degenerates to re-testing the general path.
-func TestNarrowRowKernelsMatchNaiveBitwise(t *testing.T) {
+// TestNarrowOutputMatchesNaiveBitwise pins the kernel at n of 4 and 8 — the
+// per-rank projection widths of the test models, one half-empty strip or
+// exactly one strip — to the naive reference at shapes that exercise full
+// row tiles, the ragged trailing rows, and k on both sides of the k block.
+func TestNarrowOutputMatchesNaiveBitwise(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
 		{1, 1, 4}, {1, 1, 8}, {2, 3, 4}, {3, 5, 8}, {7, 300, 4},
 		{8, 511, 8}, {33, 100, 8}, {17, 53, 4}, {16, 256, 8}, {5, 1024, 4},
@@ -158,9 +154,9 @@ func TestNarrowRowKernelsMatchNaiveBitwise(t *testing.T) {
 		want := New(s.m, s.n)
 		matMulAccumNaive(want, a, b)
 		got := New(s.m, s.n)
-		matMulAccumRows(got, a, b, 0, s.m)
+		gemmRows(&gemmTask{op: opNN, c: got, a: a, b: b}, 0, s.m)
 		if !got.Equal(want) {
-			t.Fatalf("%dx%dx%d: narrow-row kernel diverges from naive (max diff %g)", s.m, s.k, s.n, got.MaxAbsDiff(want))
+			t.Fatalf("%dx%dx%d: narrow-output kernel diverges from naive (max diff %g)", s.m, s.k, s.n, got.MaxAbsDiff(want))
 		}
 	}
 }
@@ -182,11 +178,11 @@ func TestBandedGEMMBitwiseAtEveryBandCount(t *testing.T) {
 		bNT := RandomMatrix(s.n, s.k, rng)
 
 		wantNN := New(s.m, s.n)
-		matMulAccumRows(wantNN, a, b, 0, s.m)
+		gemmRows(&gemmTask{op: opNN, c: wantNN, a: a, b: b}, 0, s.m)
 		wantNT := New(s.m, s.n)
-		matMulNTRows(wantNT, a, bNT, 0, s.m)
+		gemmRows(&gemmTask{op: opNT, c: wantNT, a: a, b: bNT}, 0, s.m)
 		wantTN := New(s.m, s.n)
-		matMulTNRows(wantTN, aT, b, 0, s.m)
+		gemmRows(&gemmTask{op: opTN, c: wantTN, a: aT, b: b}, 0, s.m)
 
 		for bands := 1; bands <= s.m+1; bands++ {
 			gotNN := New(s.m, s.n)
@@ -221,7 +217,7 @@ func TestGEMMPoolHammer(t *testing.T) {
 	a := RandomMatrix(33, 17, rng)
 	b := RandomMatrix(17, 21, rng)
 	want := New(33, 21)
-	matMulAccumRows(want, a, b, 0, 33)
+	gemmRows(&gemmTask{op: opNN, c: want, a: a, b: b}, 0, 33)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
@@ -282,5 +278,26 @@ func TestGEMMSpecialValues(t *testing.T) {
 	}
 	if !math.IsNaN(got.At(0, 0)) { // 0·NaN + 1·3 must be NaN
 		t.Fatalf("MatMul swallowed a NaN: got %g", got.At(0, 0))
+	}
+}
+
+// TestGEMMIntoAllocatesNothing pins the strip panel to the stack: all three
+// orientations, at a shape on the shallow panel, one on the deep panel and
+// one large enough to band through the pool, run without a heap allocation.
+func TestGEMMIntoAllocatesNothing(t *testing.T) {
+	for _, s := range []struct{ m, k, n int }{{8, 8, 32}, {9, 300, 13}, {96, 128, 96}} {
+		rng := NewRNG(uint64(s.m + s.k + s.n))
+		a, b := RandomMatrix(s.m, s.k, rng), RandomMatrix(s.k, s.n, rng)
+		bt, at := RandomMatrix(s.n, s.k, rng), RandomMatrix(s.k, s.m, rng)
+		c := New(s.m, s.n)
+		for name, f := range map[string]func(){
+			"MatMulInto":   func() { MatMulInto(c, a, b) },
+			"MatMulNTInto": func() { MatMulNTInto(c, a, bt) },
+			"MatMulTNInto": func() { MatMulTNInto(c, at, b) },
+		} {
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Errorf("%s %dx%dx%d: %v allocations per run, want 0", name, s.m, s.k, s.n, allocs)
+			}
+		}
 	}
 }

@@ -15,11 +15,10 @@ func phantomAny(ms ...*Matrix) bool {
 	return false
 }
 
-// MatMul returns C = A·B via the blocked kernel in gemm.go: i-k-j order
-// (the cache-friendly ordering for row-major storage) with a vectorised
-// multi-row microkernel and, above a size threshold on multi-core hosts,
-// goroutine row-band parallelism. Results are bitwise identical to the
-// naive reference kernel in naive.go at every size and band count.
+// MatMul returns C = A·B via the register-tiled kernel in gemm.go and, above
+// a size threshold on multi-core hosts, goroutine row-band parallelism.
+// Results are bitwise identical to the naive reference kernel in naive.go at
+// every size and band count.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -28,7 +27,7 @@ func MatMul(a, b *Matrix) *Matrix {
 		return NewPhantom(a.Rows, b.Cols)
 	}
 	c := New(a.Rows, b.Cols)
-	matMulAccum(c, a, b, epilogue{})
+	gemm(opNN, c, a, b, epilogue{})
 	return c
 }
 
@@ -40,7 +39,7 @@ func MatMulInto(c, a, b *Matrix) {
 	if phantomAny(c, a, b) {
 		return
 	}
-	matMulAccum(c, a, b, epilogue{})
+	gemm(opNN, c, a, b, epilogue{})
 }
 
 // MatMulBiasInto computes C += A·B and then adds the row vector bias to
@@ -58,7 +57,7 @@ func MatMulBiasInto(c, a, b, bias *Matrix) {
 	if phantomAny(c, a, b, bias) {
 		return
 	}
-	matMulAccum(c, a, b, epilogue{bias: bias})
+	gemm(opNN, c, a, b, epilogue{bias: bias})
 }
 
 // MatMulBiasGELUInto computes pre += A·B, adds bias to every row, and writes
@@ -79,12 +78,10 @@ func MatMulBiasGELUInto(act, pre, a, b, bias *Matrix) {
 	if phantomAny(act, pre, a, b) || (bias != nil && bias.Phantom()) {
 		return
 	}
-	matMulAccum(pre, a, b, epilogue{bias: bias, act: act})
+	gemm(opNN, pre, a, b, epilogue{bias: bias, act: act})
 }
 
-// MatMulNT returns C = A·Bᵀ. Large products take the packed path (transpose
-// B once, then run the vectorised NN microkernels); the result is bitwise
-// identical either way.
+// MatMulNT returns C = A·Bᵀ.
 func MatMulNT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulNT %dx%d by %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -93,11 +90,7 @@ func MatMulNT(a, b *Matrix) *Matrix {
 		return NewPhantom(a.Rows, b.Rows)
 	}
 	c := New(a.Rows, b.Rows)
-	if NTPackProfitable(a.Rows, b.Rows, a.Cols) {
-		matMulNTPacked(c, a, b, New(a.Cols, b.Rows), epilogue{})
-	} else {
-		matMulNTKernel(c, a, b)
-	}
+	gemm(opNT, c, a, b, epilogue{})
 	return c
 }
 
@@ -110,12 +103,13 @@ func MatMulTN(a, b *Matrix) *Matrix {
 		return NewPhantom(a.Cols, b.Cols)
 	}
 	c := New(a.Cols, b.Cols)
-	matMulTNKernel(c, a, b)
+	gemm(opTN, c, a, b, epilogue{})
 	return c
 }
 
 // MatMulNTInto computes C = A·Bᵀ into an existing matrix (A.Rows×B.Rows),
-// overwriting it — the NT kernel is dot-product shaped and never reads C.
+// overwriting it — the NT kernel starts its accumulators from zero and never
+// reads C.
 func MatMulNTInto(c, a, b *Matrix) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulNTInto %dx%d += %dx%d * %dx%dᵀ", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -123,25 +117,7 @@ func MatMulNTInto(c, a, b *Matrix) {
 	if phantomAny(c, a, b) {
 		return
 	}
-	matMulNTKernel(c, a, b)
-}
-
-// MatMulNTIntoPacked computes C = A·Bᵀ like MatMulNTInto but through the
-// packed kernel, using the caller-supplied [A.Cols, B.Rows] scratch panel —
-// the allocation-free way onto the fast NT path (compute.MatMulNTInto draws
-// the panel from the worker's workspace when NTPackProfitable says the
-// transpose pays for itself). Bitwise identical to MatMulNTInto.
-func MatMulNTIntoPacked(c, a, b, pack *Matrix) {
-	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulNTIntoPacked %dx%d = %dx%d * %dx%dᵀ", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if pack.Rows != a.Cols || pack.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulNTIntoPacked pack %dx%d, want %dx%d", pack.Rows, pack.Cols, a.Cols, b.Rows))
-	}
-	if phantomAny(c, a, b) {
-		return
-	}
-	matMulNTPacked(c, a, b, pack, epilogue{})
+	gemm(opNT, c, a, b, epilogue{})
 }
 
 // MatMulTNInto computes C += Aᵀ·B into an existing matrix (A.Cols×B.Cols).
@@ -153,26 +129,7 @@ func MatMulTNInto(c, a, b *Matrix) {
 	if phantomAny(c, a, b) {
 		return
 	}
-	matMulTNKernel(c, a, b)
-}
-
-// MatMulTNIntoPacked computes C += Aᵀ·B like MatMulTNInto but through the
-// packed kernel, using the caller-supplied [A.Cols, A.Rows] scratch panel:
-// A is transposed once into the panel and the vectorised NN microkernels
-// accumulate C += panel·B (compute.MatMulTNInto draws the panel from the
-// worker's workspace when TNPackProfitable says the transpose pays for
-// itself). Bitwise identical to MatMulTNInto.
-func MatMulTNIntoPacked(c, a, b, pack *Matrix) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTNIntoPacked %dx%d += %dx%dᵀ * %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if pack.Rows != a.Cols || pack.Cols != a.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTNIntoPacked pack %dx%d, want %dx%d", pack.Rows, pack.Cols, a.Cols, a.Rows))
-	}
-	if phantomAny(c, a, b) {
-		return
-	}
-	matMulTNPacked(c, a, b, pack)
+	gemm(opTN, c, a, b, epilogue{})
 }
 
 // Transpose returns mᵀ.

@@ -1,97 +1,60 @@
 package tensor
 
-// Panel packing. The vectorised NN microkernels (accum4/axpy and the
-// narrow-row kernels) want B as a contiguous row-major [k, n] panel so every
-// inner step streams whole cache lines. Each GEMM orientation reaches that
-// layout differently:
+// Strip packing. The tile kernel reads B as a contiguous [kc][gemmNR] panel:
+// one 64-byte row per k step, so a strip's whole k block sits in a few KB of
+// L1 however wide B is (read in place, a gemmNR-column strip of a row-major
+// B touches one cache line per row at a stride of the full row — at the
+// power-of-two widths the models use those lines alias into one L1 set).
+// The panel belongs to the band that packs it: a stack array in gemmRows,
+// filled once per (k block, strip) and reused by every row tile of the band.
 //
-//   - NN: B already *is* a row-major [k, n] panel — the identity packing.
-//     Copying it into scratch would add traffic without changing a single
-//     access pattern, so NN runs in place by construction.
-//   - NT: Bᵀ is needed; transposeInto packs B into a [k, n] scratch panel
-//     once, then the NN kernels run over the panel (PR 3, extended here).
-//   - TN: Aᵀ is needed on the *left*. transposeInto packs A into an
-//     [a.Cols, a.Rows] panel and the NN kernels accumulate C += panel·B —
-//     replacing the axpy-per-l TN kernel, whose C-row load/store per l made
-//     C traffic grow with k.
+//   - B (NN, TN): packRows copies gemmNR consecutive elements of each row.
+//   - Bᵀ (NT): packCols gathers one element from each of gemmNR rows of B —
+//     the only transposition left in the package, eight rows at a time.
 //
-// Every packed path performs, per C element, the same ascending-k sequence
-// of individually rounded multiplies and adds as the in-place kernel and
-// the naive reference, because packing only relocates operands (and an IEEE
-// multiply reads the same either side of a copy). The packed results are
-// therefore bitwise identical — see TestMatMulNTPackedMatchesNaiveBitwise
-// and TestMatMulTNPackedMatchesNaiveBitwise.
-// packMinRows: the transpose touches every panel element once, the GEMM
-// reads the panel once per C row — so the pack amortises once a handful of
-// rows reuse it. Below the floor (single-row products, bias-shaped blocks)
-// the scratch-free kernels win.
-const packMinRows = 4
+// Packing only relocates operands, so it cannot change a bit of the result.
+// A strip narrower than gemmNR fills only its own columns; the kernel still
+// computes all gemmNR lanes, and the lanes past the strip — whatever the
+// panel held there — land in the part of the edge tile that is never copied
+// back to C.
 
-// NTPackProfitable reports whether C = A·Bᵀ of shape [m, n] = [m, k]·[n, k]ᵀ
-// is worth the packed path's [k, n] scratch panel. Callers that can supply
-// pooled scratch (compute.MatMulNTInto) consult it before drawing a buffer.
-func NTPackProfitable(m, n, k int) bool {
-	return m >= packMinRows
-}
-
-// TNPackProfitable reports whether C += Aᵀ·B of shape [m, n] += [k, m]ᵀ·[k, n]
-// is worth the packed path's [m, k] scratch panel.
-func TNPackProfitable(m, n, k int) bool {
-	return m >= packMinRows
-}
-
-// matMulNTPacked computes C = A·Bᵀ by packing Bᵀ into the caller-supplied
-// [k, n] panel and accumulating with the NN kernels from a zeroed C. The
-// epilogue, when set, is fused into the write-back of the final C rows.
-func matMulNTPacked(c, a, b, pack *Matrix, epi epilogue) {
-	transposeInto(pack, b)
-	c.Zero()
-	matMulAccum(c, a, pack, epi)
-}
-
-// matMulTNPacked computes C += Aᵀ·B by packing Aᵀ into the caller-supplied
-// [a.Cols, a.Rows] panel and running the NN kernels. C is accumulated, not
-// overwritten, matching the TN kernel contract.
-func matMulTNPacked(c, a, b, pack *Matrix) {
-	transposeInto(pack, a)
-	matMulAccum(c, pack, b, epilogue{})
-}
-
-// transposeInto writes srcᵀ into dst ([src.Cols, src.Rows]). Eight-row
-// strips within 64-column tiles: each inner iteration reads one element
-// from eight source rows and writes eight contiguous destination elements —
-// one cache line per store. (The earlier 32×32-tile version scattered
-// stores across 32 destination rows; at power-of-two dimensions those
-// strides alias in L1 and the transpose cost more than 10× this one.)
-func transposeInto(dst, src *Matrix) {
-	const jt = 64
-	rows, cols := src.Rows, src.Cols
-	for j0 := 0; j0 < cols; j0 += jt {
-		j1 := j0 + jt
-		if j1 > cols {
-			j1 = cols
+// packRowsGeneric fills panel[l·gemmNR+j] = b[l·ldb+j] for l < kc, j < nr. It
+// is the portable twin of packRows, which on amd64 hands full-width strips
+// to assembly.
+func packRowsGeneric(panel, b []float64, ldb, nr, kc int) {
+	if nr < gemmNR {
+		for l := 0; l < kc; l++ {
+			copy(panel[l*gemmNR:l*gemmNR+nr], b[l*ldb:])
 		}
-		i := 0
-		for ; i+8 <= rows; i += 8 {
-			r0 := src.Data[i*cols : (i+1)*cols]
-			r1 := src.Data[(i+1)*cols : (i+2)*cols]
-			r2 := src.Data[(i+2)*cols : (i+3)*cols]
-			r3 := src.Data[(i+3)*cols : (i+4)*cols]
-			r4 := src.Data[(i+4)*cols : (i+5)*cols]
-			r5 := src.Data[(i+5)*cols : (i+6)*cols]
-			r6 := src.Data[(i+6)*cols : (i+7)*cols]
-			r7 := src.Data[(i+7)*cols : (i+8)*cols]
-			for j := j0; j < j1; j++ {
-				d := dst.Data[j*rows+i : j*rows+i+8 : j*rows+i+8]
-				d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
-				d[4], d[5], d[6], d[7] = r4[j], r5[j], r6[j], r7[j]
+		return
+	}
+	for l := 0; l < kc; l++ {
+		d := panel[l*gemmNR : l*gemmNR+gemmNR : l*gemmNR+gemmNR]
+		s := b[l*ldb : l*ldb+gemmNR : l*ldb+gemmNR]
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	}
+}
+
+// packCols fills panel[l·gemmNR+j] = b[j·ldb+l] for l < kc, j < nr.
+func packCols(panel, b []float64, ldb, nr, kc int) {
+	if nr < gemmNR {
+		for j := 0; j < nr; j++ {
+			for l, v := range b[j*ldb : j*ldb+kc] {
+				panel[l*gemmNR+j] = v
 			}
 		}
-		for ; i < rows; i++ {
-			row := src.Data[i*cols : (i+1)*cols]
-			for j := j0; j < j1; j++ {
-				dst.Data[j*rows+i] = row[j]
-			}
-		}
+		return
+	}
+	r0 := b[0*ldb : 0*ldb+kc]
+	r1 := b[1*ldb : 1*ldb+kc]
+	r2 := b[2*ldb : 2*ldb+kc]
+	r3 := b[3*ldb : 3*ldb+kc]
+	r4 := b[4*ldb : 4*ldb+kc]
+	r5 := b[5*ldb : 5*ldb+kc]
+	r6 := b[6*ldb : 6*ldb+kc]
+	r7 := b[7*ldb : 7*ldb+kc]
+	for l := range r0 {
+		d := panel[l*gemmNR : l*gemmNR+gemmNR : l*gemmNR+gemmNR]
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[l], r1[l], r2[l], r3[l], r4[l], r5[l], r6[l], r7[l]
 	}
 }

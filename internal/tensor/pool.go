@@ -10,7 +10,7 @@ import "sync/atomic"
 //
 //   - a worker is a goroutine parked on a buffered wake channel; waking it
 //     is one channel send, no scheduling of a new G;
-//   - work travels as a plain-old-data gemmTask value (kernel selector plus
+//   - work travels as a plain-old-data gemmTask value (orientation plus
 //     operand pointers), so nothing escapes to the heap — zero allocations
 //     per call, however many bands run;
 //   - the submitter claims workers from a free list with a non-blocking
@@ -24,15 +24,6 @@ import "sync/atomic"
 // serial fast path in runGEMM means a GOMAXPROCS=1 process never spawns
 // any), and once spawned they persist for the life of the process.
 const gemmPoolCap = 64
-
-// gemmOp selects the row kernel a pooled worker runs over its band.
-type gemmOp uint8
-
-const (
-	opNN gemmOp = iota // matMulAccumRows: C += A·B
-	opNT               // matMulNTRows:    C = A·Bᵀ (overwrites)
-	opTN               // matMulTNRows:    C += Aᵀ·B
-)
 
 // gemmTask is one banded GEMM: plain data shared read-only by every band.
 // The epilogue, when set, is applied to each band's C rows right after they
@@ -87,19 +78,12 @@ func claimWorker() *gemmWorker {
 	return w
 }
 
-// runTaskRows dispatches a task's row kernel over [i0, i1) and applies the
+// runTaskRows runs a task's tile kernel over C rows [i0, i1) and applies the
 // fused epilogue to those rows. Band splits never change results: each C
 // row's arithmetic is independent and identical in any split, so the pooled
 // run is bitwise identical to the serial one at every band count.
 func runTaskRows(t *gemmTask, i0, i1 int) {
-	switch t.op {
-	case opNN:
-		matMulAccumRows(t.c, t.a, t.b, i0, i1)
-	case opNT:
-		matMulNTRows(t.c, t.a, t.b, i0, i1)
-	case opTN:
-		matMulTNRows(t.c, t.a, t.b, i0, i1)
-	}
+	gemmRows(t, i0, i1)
 	t.epi.applyRows(t.c, i0, i1)
 }
 

@@ -43,10 +43,11 @@ go test -run '^$' -bench 'TesseractStep|FamilyStep|Reshard|ServeStep|SeqparMemor
 # iteration count: 50 would time the cluster start-up, not the rounds.
 go test -run '^$' -bench 'Rendezvous' -benchtime 20000x -benchmem . >> "$tmp"
 
-# The packed-kernel GFLOPS rows (PR 6): one cold iteration says nothing
-# about arithmetic throughput, so re-run the NN/NT/TN kernel benches long
-# enough for the timer to amortise warm-up. These rows override the smoke
-# rows the same way the step rows above do.
+# The kernel GFLOPS rows (NN64…NN384, NT256, TN256 since PR 6; the three
+# repository-benchmark shapes per orientation since PR 16): one cold
+# iteration says nothing about arithmetic throughput, so re-run the NN/NT/TN
+# kernel benches long enough for the timer to amortise warm-up. These rows
+# override the smoke rows the same way the step rows above do.
 go test -run '^$' -bench 'GEMMKernels' -benchtime 0.5s ./internal/tensor/ >> "$tmp"
 cat "$tmp"
 
