@@ -49,6 +49,19 @@ func main() {
 	)
 	flag.Parse()
 
+	// Zero means "preset" (or "default") for every count below; a negative
+	// one used to be ignored in silence and the preset planned instead.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"batch", *batch}, {"seq", *seqLen}, {"hidden", *hidden}, {"heads", *heads}, {"layers", *layers},
+		{"top", *top}, {"validate-top", *valTop},
+	} {
+		if f.v < 0 {
+			fatal(fmt.Errorf("-%s %d must not be negative", f.name, f.v))
+		}
+	}
 	w, ok := presets[*model]
 	if !ok {
 		fatal(fmt.Errorf("unknown -model %q (have table1, table2, vit-base, vit-large)", *model))

@@ -1,45 +1,24 @@
 package main
 
 import (
-	"bytes"
-	"errors"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/testutil"
 	"repro/internal/vit"
 )
 
-// TestMain lets the tests run this binary as the vit-train command: with
-// the marker set, the process is the CLI with the test binary's arguments.
-func TestMain(m *testing.M) {
-	if os.Getenv("VIT_TRAIN_TEST_AS_CLI") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+const asCLI = "VIT_TRAIN_TEST_AS_CLI"
+
+func TestMain(m *testing.M) { testutil.CLIMain(m, asCLI, main) }
 
 // vitTrain runs the CLI on a 16-sample dataset and returns its exit code
 // and both streams.
 func vitTrain(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	base := []string{"-epochs", "1", "-classes", "4", "-train-per-class", "4", "-test-per-class", "2"}
-	cmd := exec.Command(os.Args[0], append(base, args...)...)
-	cmd.Env = append(os.Environ(), "VIT_TRAIN_TEST_AS_CLI=1")
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case errors.As(err, &exit):
-		code = exit.ExitCode()
-	case err != nil:
-		t.Fatalf("running vit-train %v: %v", args, err)
-	}
-	return code, out.String(), errb.String()
+	return testutil.RunCLI(t, asCLI, append(base, args...)...)
 }
 
 // TestMisuseIsOneLineBeforeTraining: flag values the model or the layout
@@ -75,16 +54,7 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 			}
 			t.Run(mode.name+"/"+mis.name, func(t *testing.T) {
 				code, stdout, stderr := vitTrain(t, append(mode.args, mis.args...)...)
-				if code != 1 {
-					t.Errorf("exit code %d, want 1", code)
-				}
-				if stdout != "" {
-					t.Errorf("stdout before the error: %q", stdout)
-				}
-				if strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "vit-train: ") ||
-					!strings.Contains(stderr, mis.want) || strings.Contains(stderr, "goroutine") {
-					t.Errorf("stderr is not one actionable line naming %q: %q", mis.want, stderr)
-				}
+				testutil.CheckMisuse(t, "vit-train", mis.want, code, stdout, stderr)
 			})
 		}
 	}

@@ -8,6 +8,7 @@
 //
 //   - internal/tensor     — dense float64 linear algebra, phantom mode, Workspace pool
 //   - internal/dist       — simulated multi-GPU cluster with an α–β cost model
+//   - internal/compute    — tensor ops that also charge the worker's simulated clock
 //   - internal/mesh       — [q, q, d] grid and communicator bookkeeping
 //   - internal/summa      — 2-D SUMMA kernels (AB, ABᵀ, AᵀB) shared by all schemes
 //   - internal/cannon     — Cannon's algorithm (baseline, §2.1)
@@ -18,7 +19,8 @@
 //   - internal/megatron   — the one 1-D implementation: Megatron-LM (§2.5) and
 //     sequence parallelism are its replicated and row-sharded activation brackets
 //   - internal/seqpar     — the sequence-parallel family adapter over those layers
-//   - internal/optimus    — 2-D Optimus baseline (§2.2)
+//   - internal/optimus    — 2-D Optimus baseline (§2.2): the depth-1 Tesseract family
+//     and planner descriptor under their own name
 //   - internal/plan       — auto-parallelism planner over the [p, q, d] space
 //   - internal/nn         — serial reference layers, losses, optimisers
 //   - internal/vit        — the Figure 7 Vision Transformer experiment; its Session
@@ -27,17 +29,18 @@
 //   - internal/claims     — the paper's closed-form formulas (Eqs. 1-10, §3.1)
 //   - internal/tables     — harness regenerating Tables 1-2 and the studies
 //
-// Everything runs on the simulated cluster: one goroutine per rank,
-// collectives that move pointers instead of bytes, simulated clocks priced
-// by the α–β model, and shape-only (phantom) matrices that let a 64-GPU
-// table row execute its full communication schedule in milliseconds of
-// wall time. Nonblocking collectives overlap communication with compute
-// (clock = max, not sum), every buffer is pooled through per-worker
-// workspaces, and the SUMMA kernels run as double-buffered pipelines —
-// all held bit-identical to their blocking, allocating, serial reference
-// forms by property tests. The auto-parallelism planner (internal/plan)
-// searches layouts and algorithm families against the same cost model and
-// is validated by replay on the cluster.
+// Everything runs on the simulated cluster: one goroutine per rank, one
+// destination-passing form of each collective that the last rank to arrive
+// completes in shared memory, simulated clocks priced by the α–β model, and
+// shape-only (phantom) matrices that let a 64-GPU table row execute its
+// full communication schedule in milliseconds of wall time. Nonblocking
+// collectives overlap communication with compute (clock = max, not sum),
+// every buffer is pooled through per-worker workspaces, and the SUMMA
+// kernels run as double-buffered pipelines — all held bit-identical to
+// their blocking and serial reference forms by property tests. The
+// auto-parallelism planner (internal/plan) searches layouts and algorithm
+// families against the same cost model and is validated by replay on the
+// cluster.
 //
 // The benchmarks in bench_test.go regenerate every table and figure; the
 // binaries under cmd/ print them (tesseract-bench for the paper's tables,

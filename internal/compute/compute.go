@@ -20,28 +20,10 @@ const (
 	FlopsPerNorm    = 8  // layer-norm normalise step per element
 )
 
-// MatMul returns a·b and charges 2mnk flops.
-func MatMul(w *dist.Worker, a, b *tensor.Matrix) *tensor.Matrix {
-	w.ChargeGEMM(float64(a.Rows), float64(b.Cols), float64(a.Cols))
-	return tensor.MatMul(a, b)
-}
-
 // MatMulInto computes c += a·b and charges 2mnk flops.
 func MatMulInto(w *dist.Worker, c, a, b *tensor.Matrix) {
 	w.ChargeGEMM(float64(a.Rows), float64(b.Cols), float64(a.Cols))
 	tensor.MatMulInto(c, a, b)
-}
-
-// MatMulNT returns a·bᵀ and charges 2mnk flops.
-func MatMulNT(w *dist.Worker, a, b *tensor.Matrix) *tensor.Matrix {
-	w.ChargeGEMM(float64(a.Rows), float64(b.Rows), float64(a.Cols))
-	return tensor.MatMulNT(a, b)
-}
-
-// MatMulTN returns aᵀ·b and charges 2mnk flops.
-func MatMulTN(w *dist.Worker, a, b *tensor.Matrix) *tensor.Matrix {
-	w.ChargeGEMM(float64(a.Cols), float64(b.Cols), float64(a.Rows))
-	return tensor.MatMulTN(a, b)
 }
 
 // MatMulNTInto computes c = a·bᵀ (overwriting c) and charges 2mnk flops.
@@ -79,54 +61,11 @@ func MatMulBiasGELUInto(w *dist.Worker, act, pre, a, b, bias *tensor.Matrix) {
 	tensor.MatMulBiasGELUInto(act, pre, a, b, bias)
 }
 
-// Add returns a+b, charging one flop per element.
-func Add(w *dist.Worker, a, b *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(a.Size()) * FlopsPerAdd)
-	return tensor.Add(a, b)
-}
-
-// AddInPlace computes a += b, charging one flop per element.
-func AddInPlace(w *dist.Worker, a, b *tensor.Matrix) {
-	w.Compute(float64(a.Size()) * FlopsPerAdd)
-	tensor.AddInPlace(a, b)
-}
-
-// Sub returns a−b, charging one flop per element.
-func Sub(w *dist.Worker, a, b *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(a.Size()) * FlopsPerAdd)
-	return tensor.Sub(a, b)
-}
-
-// Mul returns the Hadamard product, charging one flop per element.
-func Mul(w *dist.Worker, a, b *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(a.Size()) * FlopsPerAdd)
-	return tensor.Mul(a, b)
-}
-
 // AddTo computes dst = a+b (dst may alias either operand), one flop per
 // element.
 func AddTo(w *dist.Worker, dst, a, b *tensor.Matrix) {
 	w.Compute(float64(a.Size()) * FlopsPerAdd)
 	tensor.AddTo(dst, a, b)
-}
-
-// MulTo computes the Hadamard product into dst (dst may alias either
-// operand), one flop per element.
-func MulTo(w *dist.Worker, dst, a, b *tensor.Matrix) {
-	w.Compute(float64(a.Size()) * FlopsPerAdd)
-	tensor.MulTo(dst, a, b)
-}
-
-// Scale returns alpha·m, charging one flop per element.
-func Scale(w *dist.Worker, alpha float64, m *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(m.Size()) * FlopsPerAdd)
-	return tensor.Scale(alpha, m)
-}
-
-// AddRowVector returns m + 1·vᵀ (bias add), charging one flop per element.
-func AddRowVector(w *dist.Worker, m, v *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(m.Size()) * FlopsPerAdd)
-	return tensor.AddRowVector(m, v)
 }
 
 // AddRowVectorInPlace computes m += 1·vᵀ (bias add) in place, one flop per
@@ -136,41 +75,11 @@ func AddRowVectorInPlace(w *dist.Worker, m, v *tensor.Matrix) {
 	tensor.AddRowVectorInPlace(m, v)
 }
 
-// ColSums returns the column sums (bias gradient), one flop per element.
-func ColSums(w *dist.Worker, m *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(m.Size()) * FlopsPerAdd)
-	return tensor.ColSums(m)
-}
-
 // ColSumsInto computes the column sums into dst (overwriting it), one flop
 // per element.
 func ColSumsInto(w *dist.Worker, dst, m *tensor.Matrix) {
 	w.Compute(float64(m.Size()) * FlopsPerAdd)
 	tensor.ColSumsInto(dst, m)
-}
-
-// GELU applies the activation, charging FlopsPerGELU per element.
-func GELU(w *dist.Worker, m *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(m.Size()) * FlopsPerGELU)
-	return tensor.GELU(m)
-}
-
-// GELUGrad evaluates the activation derivative, same charge as GELU.
-func GELUGrad(w *dist.Worker, m *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(m.Size()) * FlopsPerGELU)
-	return tensor.GELUGrad(m)
-}
-
-// SoftmaxRows applies a row softmax, charging FlopsPerSoftmax per element.
-func SoftmaxRows(w *dist.Worker, m *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(m.Size()) * FlopsPerSoftmax)
-	return tensor.SoftmaxRows(m)
-}
-
-// SoftmaxRowsBackward charges FlopsPerSoftmax per element.
-func SoftmaxRowsBackward(w *dist.Worker, s, ds *tensor.Matrix) *tensor.Matrix {
-	w.Compute(float64(s.Size()) * FlopsPerSoftmax)
-	return tensor.SoftmaxRowsBackward(s, ds)
 }
 
 // GELUTo computes dst = GELU(m), charging FlopsPerGELU per element.
@@ -179,15 +88,10 @@ func GELUTo(w *dist.Worker, dst, m *tensor.Matrix) {
 	tensor.GELUTo(dst, m)
 }
 
-// GELUGradTo computes dst = GELU'(m), same charge as GELU.
-func GELUGradTo(w *dist.Worker, dst, m *tensor.Matrix) {
-	w.Compute(float64(m.Size()) * FlopsPerGELU)
-	tensor.GELUGradTo(dst, m)
-}
-
 // GELUGradHadamardTo computes dst = dy ⊙ GELU'(pre) in one pass — the fused
 // backward of a GELU linear layer. Charges FlopsPerGELU plus one multiply
-// per element, exactly what GELUGradTo + MulTo charge separately.
+// per element, exactly what a GELU-gradient pass and a Hadamard pass would
+// charge separately.
 func GELUGradHadamardTo(w *dist.Worker, dst, pre, dy *tensor.Matrix) {
 	w.Compute(float64(pre.Size()) * (FlopsPerGELU + FlopsPerAdd))
 	tensor.GELUGradHadamardTo(dst, pre, dy)

@@ -25,12 +25,12 @@ func TestMatMulChargesAndComputes(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	a := tensor.RandomMatrix(3, 4, rng)
 	b := tensor.RandomMatrix(4, 5, rng)
-	var got *tensor.Matrix
+	got := tensor.New(3, 5)
 	clock := withWorker(t, func(w *dist.Worker) {
-		got = MatMul(w, a, b)
+		MatMulInto(w, got, a, b)
 	})
 	if got.MaxAbsDiff(tensor.MatMul(a, b)) != 0 {
-		t.Fatal("charged MatMul must compute the same product")
+		t.Fatal("charged MatMulInto must compute the same product")
 	}
 	want := 2.0 * 3 * 5 * 4 / dist.MeluxinaModel().FLOPS
 	if math.Abs(clock-want) > 1e-25 {
@@ -43,72 +43,95 @@ func TestTransposedVariantsChargeSameFlops(t *testing.T) {
 	a := tensor.RandomMatrix(4, 6, rng)
 	bNT := tensor.RandomMatrix(5, 6, rng)
 	bTN := tensor.RandomMatrix(4, 5, rng)
-	cNT := withWorker(t, func(w *dist.Worker) { MatMulNT(w, a, bNT) })
-	cTN := withWorker(t, func(w *dist.Worker) { MatMulTN(w, a, bTN) })
+	cNT := withWorker(t, func(w *dist.Worker) { MatMulNTInto(w, tensor.New(4, 5), a, bNT) })
+	cTN := withWorker(t, func(w *dist.Worker) { MatMulTNInto(w, tensor.New(6, 5), a, bTN) })
 	// Both are 2·m·n·k with the same m·n·k product (4·6·5).
-	if cNT != cTN {
-		t.Fatalf("NT charge %g != TN charge %g", cNT, cTN)
+	if want := 2.0 * 4 * 6 * 5 / dist.MeluxinaModel().FLOPS; cNT != cTN || math.Abs(cNT-want) > 1e-25 {
+		t.Fatalf("NT charge %g, TN charge %g, want both %g", cNT, cTN, want)
 	}
 }
 
 func TestPhantomChargesEqualReal(t *testing.T) {
+	chain := func(mk func(rows, cols int) *tensor.Matrix) func(w *dist.Worker) {
+		return func(w *dist.Worker) {
+			x, y, z := mk(6, 6), mk(6, 6), mk(6, 6)
+			GELUTo(w, y, x)
+			SoftmaxRowsTo(w, z, y)
+			AddTo(w, z, z, z)
+			ColSumsInto(w, mk(1, 6), z)
+			MatMulBiasGELUInto(w, y, x, z, z, mk(1, 6))
+		}
+	}
 	rng := tensor.NewRNG(3)
-	realClock := withWorker(t, func(w *dist.Worker) {
-		x := tensor.RandomMatrix(6, 6, rng)
-		y := GELU(w, x)
-		z := SoftmaxRows(w, y)
-		Add(w, z, z)
-		ColSums(w, z)
-	})
-	phClock := withWorker(t, func(w *dist.Worker) {
-		x := tensor.NewPhantom(6, 6)
-		y := GELU(w, x)
-		z := SoftmaxRows(w, y)
-		Add(w, z, z)
-		ColSums(w, z)
-	})
-	if realClock != phClock {
+	realClock := withWorker(t, chain(func(r, c int) *tensor.Matrix { return tensor.RandomMatrix(r, c, rng) }))
+	phClock := withWorker(t, chain(tensor.NewPhantom))
+	if realClock <= 0 || realClock != phClock {
 		t.Fatalf("phantom clock %g != real clock %g", phClock, realClock)
 	}
 }
 
+// TestElementwiseResults: every charged wrapper computes exactly what its
+// tensor kernel computes and advances the clock by its per-element flop
+// estimate — the two halves the package exists to keep together.
 func TestElementwiseResults(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	a := tensor.RandomMatrix(3, 3, rng)
 	b := tensor.RandomMatrix(3, 3, rng)
-	withWorker(t, func(w *dist.Worker) {
-		if Sub(w, a, b).MaxAbsDiff(tensor.Sub(a, b)) != 0 {
-			t.Error("Sub mismatch")
+	v := tensor.RandomMatrix(1, 3, rng)
+	soft := tensor.SoftmaxRows(a)
+	const size = 3 * 3
+	gemm := 2.0 * 3 * 3 * 3
+	for _, tc := range []struct {
+		name  string
+		flops float64
+		run   func(w *dist.Worker) *tensor.Matrix
+		want  func() *tensor.Matrix
+	}{
+		{"AddTo", size * FlopsPerAdd,
+			func(w *dist.Worker) *tensor.Matrix { d := tensor.New(3, 3); AddTo(w, d, a, b); return d },
+			func() *tensor.Matrix { return tensor.Add(a, b) }},
+		{"AddRowVectorInPlace", size * FlopsPerAdd,
+			func(w *dist.Worker) *tensor.Matrix { d := a.Clone(); AddRowVectorInPlace(w, d, v); return d },
+			func() *tensor.Matrix { return tensor.AddRowVector(a, v) }},
+		{"ColSumsInto", size * FlopsPerAdd,
+			func(w *dist.Worker) *tensor.Matrix { d := tensor.New(1, 3); ColSumsInto(w, d, a); return d },
+			func() *tensor.Matrix { return tensor.ColSums(a) }},
+		{"GELUTo", size * FlopsPerGELU,
+			func(w *dist.Worker) *tensor.Matrix { d := tensor.New(3, 3); GELUTo(w, d, a); return d },
+			func() *tensor.Matrix { return tensor.GELU(a) }},
+		{"GELUGradHadamardTo", size * (FlopsPerGELU + FlopsPerAdd),
+			func(w *dist.Worker) *tensor.Matrix { d := tensor.New(3, 3); GELUGradHadamardTo(w, d, a, b); return d },
+			func() *tensor.Matrix { return tensor.Mul(b, tensor.GELUGrad(a)) }},
+		{"SoftmaxRowsTo", size * FlopsPerSoftmax,
+			func(w *dist.Worker) *tensor.Matrix { d := tensor.New(3, 3); SoftmaxRowsTo(w, d, a); return d },
+			func() *tensor.Matrix { return soft }},
+		{"SoftmaxRowsBackwardTo", size * FlopsPerSoftmax,
+			func(w *dist.Worker) *tensor.Matrix {
+				d := tensor.New(3, 3)
+				SoftmaxRowsBackwardTo(w, d, soft, b)
+				return d
+			},
+			func() *tensor.Matrix { return tensor.SoftmaxRowsBackward(soft, b) }},
+		{"MatMulBiasInto", gemm + size*FlopsPerAdd,
+			func(w *dist.Worker) *tensor.Matrix { d := tensor.New(3, 3); MatMulBiasInto(w, d, a, b, v); return d },
+			func() *tensor.Matrix { return tensor.AddRowVector(tensor.MatMul(a, b), v) }},
+		{"MatMulBiasGELUInto", gemm + size*FlopsPerAdd + size*FlopsPerGELU,
+			func(w *dist.Worker) *tensor.Matrix {
+				act := tensor.New(3, 3)
+				MatMulBiasGELUInto(w, act, tensor.New(3, 3), a, b, v)
+				return act
+			},
+			func() *tensor.Matrix { return tensor.GELU(tensor.AddRowVector(tensor.MatMul(a, b), v)) }},
+	} {
+		var got *tensor.Matrix
+		clock := withWorker(t, func(w *dist.Worker) { got = tc.run(w) })
+		if got.MaxAbsDiff(tc.want()) != 0 {
+			t.Errorf("%s: result differs from the tensor kernel", tc.name)
 		}
-		if Mul(w, a, b).MaxAbsDiff(tensor.Mul(a, b)) != 0 {
-			t.Error("Mul mismatch")
+		if want := tc.flops / dist.MeluxinaModel().FLOPS; math.Abs(clock-want) > 1e-25 {
+			t.Errorf("%s: clock %g, want %g flops = %g", tc.name, clock, tc.flops, want)
 		}
-		if Scale(w, 2, a).MaxAbsDiff(tensor.Scale(2, a)) != 0 {
-			t.Error("Scale mismatch")
-		}
-		v := tensor.RandomMatrix(1, 3, rng)
-		if AddRowVector(w, a, v).MaxAbsDiff(tensor.AddRowVector(a, v)) != 0 {
-			t.Error("AddRowVector mismatch")
-		}
-		g := GELUGrad(w, a)
-		if g.MaxAbsDiff(tensor.GELUGrad(a)) != 0 {
-			t.Error("GELUGrad mismatch")
-		}
-		s := SoftmaxRows(w, a)
-		if SoftmaxRowsBackward(w, s, b).MaxAbsDiff(tensor.SoftmaxRowsBackward(s, b)) != 0 {
-			t.Error("SoftmaxRowsBackward mismatch")
-		}
-		c := a.Clone()
-		AddInPlace(w, c, b)
-		if c.MaxAbsDiff(tensor.Add(a, b)) != 0 {
-			t.Error("AddInPlace mismatch")
-		}
-		acc := tensor.New(3, 3)
-		MatMulInto(w, acc, a, b)
-		if acc.MaxAbsDiff(tensor.MatMul(a, b)) != 0 {
-			t.Error("MatMulInto mismatch")
-		}
-	})
+	}
 }
 
 // TestMatMulIntoWrappersAllocateNothing: the charged GEMM wrappers add only

@@ -77,16 +77,16 @@ func (g *Group) issueAsync(w *Worker, kind opKind, root, idx int, payload, dst *
 }
 
 // runBlocking is the shared blocking path: join — registering for a wake-up
-// in the same critical section — park until the round completes, return it
-// for result extraction. The caller must retire the round after reading what
-// it needs.
-func (g *Group) runBlocking(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix) *round {
+// in the same critical section — park until the round completes, settle the
+// caller's clock and retire. The outcome itself already sits in the
+// members' destinations.
+func (g *Group) runBlocking(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix) {
 	r, finisher := g.join(w, kind, root, idx, slot, dst, true)
 	if !finisher {
 		w.park()
 	}
 	r.settle(w)
-	return r
+	g.retire(r)
 }
 
 // mustRootIdx validates that root is a member and returns its slot.
@@ -98,41 +98,22 @@ func (g *Group) mustRootIdx(root int, kind opKind) int {
 	return ridx
 }
 
-// Broadcast distributes the root's payload to every member and returns it.
+// BroadcastInto distributes the root's payload into every member's dst.
 // root is a cluster rank that must belong to the group; non-root callers
-// pass payload == nil. The root snapshots the payload once; every member
-// then shares that immutable snapshot zero-copy, so the root is free to
-// mutate its original (an optimiser step on a broadcast weight) while slow
-// peers are still reading. Results are read-only by convention. Callers on
-// a hot path that would immediately copy or discard the snapshot should use
-// BroadcastInto instead.
-func (g *Group) Broadcast(w *Worker, root int, payload *tensor.Matrix) *tensor.Matrix {
+// pass payload == nil and a dst of the payload's shape — a receiver has to
+// know the shape it is about to receive, exactly as with MPI_Bcast — and
+// the root may pass its payload as dst to skip the self-copy. The member
+// completing the operation copies the payload into every dst while the
+// operation is still in flight, so the root's buffer is never aliased once
+// the call returns and the root may mutate it immediately. Time is charged
+// as a binomial tree. Returns dst.
+func (g *Group) BroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opBroadcast)
 	ridx := g.mustRootIdx(root, opBroadcast)
-	if payload != nil && len(g.ranks) > 1 {
-		payload = payload.Clone()
-	}
-	r := g.runBlocking(w, opBroadcast, ridx, idx, payload, nil)
-	out := r.result
-	g.retire(r)
-	return out
-}
-
-// BroadcastInto distributes the root's payload into caller-supplied
-// destinations without the snapshot clone: the member completing the
-// operation copies the payload into every member's dst while the operation
-// is still in flight, so the root's buffer is never aliased once the call
-// returns and the root may mutate it immediately. Every member must pass a
-// dst of the payload's shape; the root may pass its payload as dst to skip
-// the self-copy. Time and statistics are charged exactly like Broadcast.
-// Returns dst.
-func (g *Group) BroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opBroadcastInto)
-	ridx := g.mustRootIdx(root, opBroadcastInto)
 	if dst == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil dst to broadcast-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil dst to broadcast", w.rank))
 	}
-	g.retire(g.runBlocking(w, opBroadcastInto, ridx, idx, payload, dst))
+	g.runBlocking(w, opBroadcast, ridx, idx, payload, dst)
 	return dst
 }
 
@@ -141,45 +122,26 @@ func (g *Group) BroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix) 
 // flight and is visible once Wait returns. Payload and dst are borrowed
 // until Wait (see Handle).
 func (g *Group) IBroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix) Handle {
-	idx := g.mustIndex(w, opBroadcastInto)
-	ridx := g.mustRootIdx(root, opBroadcastInto)
+	idx := g.mustIndex(w, opBroadcast)
+	ridx := g.mustRootIdx(root, opBroadcast)
 	if dst == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil dst to broadcast-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil dst to broadcast", w.rank))
 	}
-	return g.issueAsync(w, opBroadcastInto, ridx, idx, payload, dst)
+	return g.issueAsync(w, opBroadcast, ridx, idx, payload, dst)
 }
 
-// Reduce sums every member's matrix onto the root: the root receives an
-// owned buffer it may mutate, every other member receives nil. The partial
-// sums combine in the fixed association of a binomial tree over the group's
-// virtual positions, so the result is schedule-independent down to the bit.
-func (g *Group) Reduce(w *Worker, root int, m *tensor.Matrix) *tensor.Matrix {
+// ReduceInto sums every member's matrix into the root's dst (which may
+// alias its m). The partial sums combine in the fixed association of a
+// binomial tree over the group's virtual positions, so the result is
+// schedule-independent down to the bit. Non-root members pass dst == nil
+// and receive nil. Every member's m is fully consumed before the collective
+// returns, so callers may overwrite their partials immediately — the
+// contract that lets SUMMA reuse its partial buffers across iterations.
+func (g *Group) ReduceInto(w *Worker, root int, m, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opReduce)
 	ridx := g.mustRootIdx(root, opReduce)
-	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to reduce", w.rank))
-	}
-	r := g.runBlocking(w, opReduce, ridx, idx, m, nil)
-	var out *tensor.Matrix
-	if idx == ridx {
-		out = r.result
-	}
-	g.retire(r)
-	return out
-}
-
-// ReduceInto is Reduce with a root-supplied accumulator: the sum lands in
-// the root's dst (which may alias its m) instead of a freshly allocated
-// buffer, in the same binomial-tree association — bit-identical to Reduce.
-// Non-root members pass dst == nil and receive nil. Every member's m is
-// fully consumed before the collective returns, so callers may overwrite
-// their partials immediately — the contract that lets SUMMA reuse its
-// partial buffers across iterations.
-func (g *Group) ReduceInto(w *Worker, root int, m, dst *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opReduceInto)
-	ridx := g.mustRootIdx(root, opReduceInto)
 	checkReduceInto(w, idx, ridx, m, dst)
-	g.retire(g.runBlocking(w, opReduceInto, ridx, idx, m, dst))
+	g.runBlocking(w, opReduce, ridx, idx, m, dst)
 	return dst
 }
 
@@ -187,44 +149,31 @@ func (g *Group) ReduceInto(w *Worker, root int, m, dst *tensor.Matrix) *tensor.M
 // until Wait — only then may the caller overwrite its partial — and the
 // root's dst holds the finished sum once the root's Wait returns.
 func (g *Group) IReduceInto(w *Worker, root int, m, dst *tensor.Matrix) Handle {
-	idx := g.mustIndex(w, opReduceInto)
-	ridx := g.mustRootIdx(root, opReduceInto)
+	idx := g.mustIndex(w, opReduce)
+	ridx := g.mustRootIdx(root, opReduce)
 	checkReduceInto(w, idx, ridx, m, dst)
-	return g.issueAsync(w, opReduceInto, ridx, idx, m, dst)
+	return g.issueAsync(w, opReduce, ridx, idx, m, dst)
 }
 
 func checkReduceInto(w *Worker, idx, ridx int, m, dst *tensor.Matrix) {
 	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to reduce-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil to reduce", w.rank))
 	}
 	if (idx == ridx) != (dst != nil) {
-		panic(fmt.Sprintf("dist: reduce-into rank %d root=%v dst=%v — exactly the root must supply dst", w.rank, idx == ridx, dst != nil))
+		panic(fmt.Sprintf("dist: reduce rank %d root=%v dst=%v — exactly the root must supply dst", w.rank, idx == ridx, dst != nil))
 	}
 }
 
-// AllReduce sums every member's matrix and hands each member its own owned
-// copy of the result (callers may mutate it; the replicas are bit-identical
-// because one sum is computed once, then cloned). Time is charged as a
-// bandwidth-optimal ring.
-func (g *Group) AllReduce(w *Worker, m *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opAllReduce)
-	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to allreduce", w.rank))
-	}
-	r := g.runBlocking(w, opAllReduce, -1, idx, m, nil)
-	out := r.results[idx]
-	g.retire(r)
-	return out
-}
-
-// AllReduceInto sums every member's matrix into each member's own dst —
-// bit-identical to AllReduce but with no retained allocation. dst may alias
-// m, giving an in-place all-reduce. Every member's buffers are exclusively
-// owned again the moment the call returns. Returns dst.
+// AllReduceInto sums every member's matrix into each member's own dst, in
+// ReduceInto's binomial-tree association: one sum is computed once and
+// copied, so the replicas are bit-identical. dst may alias m, giving an
+// in-place all-reduce. Every member's buffers are exclusively owned again
+// the moment the call returns. Time is charged as a bandwidth-optimal ring.
+// Returns dst.
 func (g *Group) AllReduceInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opAllReduceInto)
+	idx := g.mustIndex(w, opAllReduce)
 	checkAllReduceInto(w, m, dst)
-	g.retire(g.runBlocking(w, opAllReduceInto, -1, idx, m, dst))
+	g.runBlocking(w, opAllReduce, -1, idx, m, dst)
 	return dst
 }
 
@@ -233,62 +182,42 @@ func (g *Group) AllReduceInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 // ready, keep computing, Wait at optimiser time. m and dst (which may alias
 // m) are borrowed until Wait.
 func (g *Group) IAllReduceInto(w *Worker, m, dst *tensor.Matrix) Handle {
-	idx := g.mustIndex(w, opAllReduceInto)
+	idx := g.mustIndex(w, opAllReduce)
 	checkAllReduceInto(w, m, dst)
-	return g.issueAsync(w, opAllReduceInto, -1, idx, m, dst)
+	return g.issueAsync(w, opAllReduce, -1, idx, m, dst)
 }
 
 func checkAllReduceInto(w *Worker, m, dst *tensor.Matrix) {
 	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to allreduce-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil to allreduce", w.rank))
 	}
 	if dst == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil dst to allreduce-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil dst to allreduce", w.rank))
 	}
 }
 
-// AllGather returns every member's matrix in the group's canonical order.
-// Each member snapshots its own block once at entry; the n members then
-// share the n immutable snapshots (read-only by convention) instead of
-// paying n−1 copies each. The returned slice itself is private.
-func (g *Group) AllGather(w *Worker, m *tensor.Matrix) []*tensor.Matrix {
+// AllGatherInto gathers every member's equal-shaped block into each
+// member's own dst, concatenated in the group's canonical order. The
+// orientation follows dst's shape: [n·rows, cols] stacks the blocks
+// vertically, [rows, n·cols] side by side. Every member's m is fully read
+// before the call returns (no snapshot, no aliasing). Time is charged as a
+// ring. Returns dst.
+func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opAllGather)
 	if m == nil {
 		panic(fmt.Sprintf("dist: rank %d passed nil to allgather", w.rank))
 	}
-	if len(g.ranks) > 1 {
-		m = m.Clone()
-	}
-	r := g.runBlocking(w, opAllGather, -1, idx, m, nil)
-	out := make([]*tensor.Matrix, len(r.slots))
-	copy(out, r.slots)
-	g.retire(r)
-	return out
-}
-
-// AllGatherInto gathers every member's equal-shaped block into each
-// member's own dst, concatenated in canonical order — the allocation-free
-// AllGather for callers that would immediately pack the blocks into one
-// matrix. The orientation follows dst's shape: [n·rows, cols] stacks the
-// blocks vertically, [rows, n·cols] side by side. Every member's m is fully
-// read before the call returns (no snapshot, no aliasing), and time and
-// statistics are charged exactly like AllGather. Returns dst.
-func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opAllGatherInto)
-	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to allgather-into", w.rank))
-	}
 	if dst == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil dst to allgather-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil dst to allgather", w.rank))
 	}
 	n := len(g.ranks)
 	vcat := dst.Rows == n*m.Rows && dst.Cols == m.Cols
 	hcat := dst.Rows == m.Rows && dst.Cols == n*m.Cols
 	if !vcat && !hcat {
-		panic(fmt.Sprintf("dist: allgather-into dst %dx%d fits neither %dx%d nor %dx%d for %d blocks of %dx%d",
+		panic(fmt.Sprintf("dist: allgather dst %dx%d fits neither %dx%d nor %dx%d for %d blocks of %dx%d",
 			dst.Rows, dst.Cols, n*m.Rows, m.Cols, m.Rows, n*m.Cols, n, m.Rows, m.Cols))
 	}
-	g.retire(g.runBlocking(w, opAllGatherInto, -1, idx, m, dst))
+	g.runBlocking(w, opAllGather, -1, idx, m, dst)
 	return dst
 }
 
@@ -304,9 +233,9 @@ func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 // call returns. Time is charged as the first half of the bandwidth-optimal
 // ring all-reduce. Returns dst.
 func (g *Group) ReduceScatterInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opReduceScatterInto)
+	idx := g.mustIndex(w, opReduceScatter)
 	checkReduceScatterInto(w, g, m, dst)
-	g.retire(g.runBlocking(w, opReduceScatterInto, -1, idx, m, dst))
+	g.runBlocking(w, opReduceScatter, -1, idx, m, dst)
 	return dst
 }
 
@@ -314,24 +243,24 @@ func (g *Group) ReduceScatterInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matr
 // scatter-reduction the moment a partial is ready, keep computing, Wait
 // before touching dst. m and dst are borrowed until Wait (see Handle).
 func (g *Group) IReduceScatterInto(w *Worker, m, dst *tensor.Matrix) Handle {
-	idx := g.mustIndex(w, opReduceScatterInto)
+	idx := g.mustIndex(w, opReduceScatter)
 	checkReduceScatterInto(w, g, m, dst)
-	return g.issueAsync(w, opReduceScatterInto, -1, idx, m, dst)
+	return g.issueAsync(w, opReduceScatter, -1, idx, m, dst)
 }
 
 func checkReduceScatterInto(w *Worker, g *Group, m, dst *tensor.Matrix) {
 	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to reduce-scatter-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil to reduce-scatter", w.rank))
 	}
 	if dst == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil dst to reduce-scatter-into", w.rank))
+		panic(fmt.Sprintf("dist: rank %d passed nil dst to reduce-scatter", w.rank))
 	}
 	n := len(g.ranks)
 	if m.Rows%n != 0 {
-		panic(fmt.Sprintf("dist: reduce-scatter-into payload rows %d not divisible by group size %d", m.Rows, n))
+		panic(fmt.Sprintf("dist: reduce-scatter payload rows %d not divisible by group size %d", m.Rows, n))
 	}
 	if dst.Rows*n != m.Rows || dst.Cols != m.Cols {
-		panic(fmt.Sprintf("dist: reduce-scatter-into dst %dx%d wants %dx%d for %d-way scatter of %dx%d",
+		panic(fmt.Sprintf("dist: reduce-scatter dst %dx%d wants %dx%d for %d-way scatter of %dx%d",
 			dst.Rows, dst.Cols, m.Rows/n, m.Cols, n, m.Rows, m.Cols))
 	}
 }
@@ -340,5 +269,5 @@ func checkReduceScatterInto(w *Worker, g *Group, m, dst *tensor.Matrix) {
 // the common post-barrier time. It moves no payload.
 func (g *Group) Barrier(w *Worker) {
 	idx := g.mustIndex(w, opBarrier)
-	g.retire(g.runBlocking(w, opBarrier, -1, idx, nil, nil))
+	g.runBlocking(w, opBarrier, -1, idx, nil, nil)
 }

@@ -35,26 +35,33 @@ func MeluxinaModel() CostModel {
 	}
 }
 
-// WithDefaults validates the model and substitutes the Meluxina preset per
-// field — the exported form of the normalisation dist.New applies to
-// Config.Cost, so out-of-cluster consumers (the auto-parallelism planner,
-// analytic studies) price operations with exactly the model a cluster built
-// from the same config would charge. A zero field selects the preset;
-// negative or non-finite fields panic.
-func (m CostModel) WithDefaults() CostModel { return m.withDefaults() }
-
-// withDefaults validates the model and substitutes the Meluxina preset per
-// field, so dist.New(dist.Config{WorldSize: n}) charges sane times out of
-// the box and a caller who overrides only some fields (say, Alpha for a
-// latency study) still gets a finite FLOPS rate instead of Inf/NaN compute
-// times. A zero field always and uniformly means "use the preset" — a
-// study that wants genuinely free links must pass an epsilon instead —
-// and non-finite or negative fields are nonsensical and panic.
-func (m CostModel) withDefaults() CostModel {
+// Check reports a model no cluster can run on: a negative, NaN or infinite
+// field (zero is valid everywhere — it selects the Meluxina default). It is
+// the one validity rule of the cost model: WithDefaults and dist.New panic
+// with its error, and callers that take a model from configuration (the
+// planner's Topology, the tables harness) return it instead.
+func (m CostModel) Check() error {
 	for _, v := range [...]float64{m.FLOPS, m.Alpha, m.BetaIntra, m.BetaInter} {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("dist: invalid cost model %+v (fields must be finite and non-negative; zero selects the Meluxina default)", m))
+			return fmt.Errorf("dist: invalid cost model %+v (fields must be finite and non-negative; zero selects the Meluxina default)", m)
 		}
+	}
+	return nil
+}
+
+// WithDefaults validates the model and substitutes the Meluxina preset per
+// field. It is the normalisation dist.New applies to Config.Cost — so
+// dist.New(dist.Config{WorldSize: n}) charges sane times out of the box and
+// a caller who overrides only some fields (say, Alpha for a latency study)
+// still gets a finite FLOPS rate instead of Inf/NaN compute times — and the
+// one out-of-cluster consumers (the auto-parallelism planner, analytic
+// studies) use to price operations with exactly the model a cluster built
+// from the same config would charge. A zero field always and uniformly
+// means "use the preset" — a study that wants genuinely free links must
+// pass an epsilon instead — and a model that fails Check panics.
+func (m CostModel) WithDefaults() CostModel {
+	if err := m.Check(); err != nil {
+		panic(err.Error())
 	}
 	def := MeluxinaModel()
 	if m.FLOPS == 0 {

@@ -6,11 +6,11 @@ import (
 )
 
 func TestCostModelPartialOverrideGetsPerFieldDefaults(t *testing.T) {
-	// Regression: withDefaults used to check only FLOPS == 0, so a caller
+	// Regression: WithDefaults used to check only FLOPS == 0, so a caller
 	// overriding a single communication field ended up with a model whose
 	// other fields were zero — Inf/NaN compute times or free links.
 	def := MeluxinaModel()
-	m := CostModel{Alpha: 5e-6}.withDefaults()
+	m := CostModel{Alpha: 5e-6}.WithDefaults()
 	if m.Alpha != 5e-6 {
 		t.Fatalf("explicit Alpha %g was overwritten to %g", 5e-6, m.Alpha)
 	}
@@ -21,7 +21,7 @@ func TestCostModelPartialOverrideGetsPerFieldDefaults(t *testing.T) {
 		t.Fatalf("compute time %g must be finite and positive", t1)
 	}
 
-	m = CostModel{FLOPS: 1e12}.withDefaults()
+	m = CostModel{FLOPS: 1e12}.WithDefaults()
 	if m.FLOPS != 1e12 {
 		t.Fatalf("explicit FLOPS overwritten: %+v", m)
 	}
@@ -29,28 +29,44 @@ func TestCostModelPartialOverrideGetsPerFieldDefaults(t *testing.T) {
 		t.Fatalf("communication fields must default, got %+v", m)
 	}
 
-	if m := (CostModel{}).withDefaults(); m != def {
+	if m := (CostModel{}).WithDefaults(); m != def {
 		t.Fatalf("zero model must equal the full preset, got %+v", m)
 	}
 }
 
+// TestCostModelNegativeFieldPanics: one rule, two deliveries — Check
+// returns the error a configuration reader reports, WithDefaults (and so
+// dist.New) panics with it — for every field and every kind of nonsense.
 func TestCostModelNegativeFieldPanics(t *testing.T) {
+	for _, ok := range []CostModel{{}, MeluxinaModel(), {Alpha: 5e-6}} {
+		if err := ok.Check(); err != nil {
+			t.Errorf("model %+v must pass Check: %v", ok, err)
+		}
+	}
 	for _, bad := range []CostModel{
 		{FLOPS: -1},
 		{Alpha: -1e-6},
 		{BetaIntra: -1},
 		{BetaInter: -1},
 		{FLOPS: math.NaN()},
-		{Alpha: math.Inf(1)},
+		{Alpha: math.NaN()},
+		{BetaIntra: math.NaN()},
+		{BetaInter: math.NaN()},
 		{FLOPS: math.Inf(1)},
+		{Alpha: math.Inf(1)},
+		{BetaIntra: math.Inf(1)},
+		{BetaInter: math.Inf(-1)},
 	} {
+		if bad.Check() == nil {
+			t.Errorf("model %+v must fail Check", bad)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("model %+v must panic", bad)
 				}
 			}()
-			bad.withDefaults()
+			bad.WithDefaults()
 		}()
 	}
 }

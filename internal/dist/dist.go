@@ -111,7 +111,7 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		cost:   cfg.Cost.withDefaults(),
+		cost:   cfg.Cost.WithDefaults(),
 		gpn:    gpn,
 		groups: make(map[string]*Group),
 		mail:   newMailboxSet(),

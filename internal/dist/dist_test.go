@@ -28,12 +28,13 @@ func TestAllReduceSumsAndIsolates(t *testing.T) {
 			runWorld(t, n, func(w *Worker) error {
 				m := tensor.New(3, 2)
 				m.Fill(float64(w.Rank()))
-				sum := w.Cluster().WorldGroup().AllReduce(w, m)
+				sum := w.Cluster().WorldGroup().AllReduceInto(w, m, tensor.New(3, 2))
 				mu.Lock()
 				results[w.Rank()] = sum
 				mu.Unlock()
-				// The result must be the caller's own mutable buffer:
-				// scaling it here must not disturb the peers' copies.
+				// The result is the caller's own buffer again the moment the
+				// call returns: scaling it here must not disturb the peers'
+				// copies.
 				tensor.ScaleInPlace(sum, float64(w.Rank()+1))
 				if m.At(0, 0) != float64(w.Rank()) {
 					return fmt.Errorf("allreduce mutated its input")
@@ -55,7 +56,11 @@ func TestReduceDeliversToRootOnly(t *testing.T) {
 		g := w.Cluster().WorldGroup()
 		m := tensor.New(2, 2)
 		m.Fill(1)
-		out := g.Reduce(w, 2, m)
+		var dst *tensor.Matrix
+		if w.Rank() == 2 {
+			dst = tensor.New(2, 2)
+		}
+		out := g.ReduceInto(w, 2, m, dst)
 		if w.Rank() == 2 {
 			if out == nil || out.At(0, 0) != n {
 				return fmt.Errorf("root sum wrong: %v", out)
@@ -67,39 +72,15 @@ func TestReduceDeliversToRootOnly(t *testing.T) {
 	})
 }
 
-func TestBroadcastSharesSnapshot(t *testing.T) {
-	runWorld(t, 4, func(w *Worker) error {
-		g := w.Cluster().WorldGroup()
-		var payload *tensor.Matrix
-		if w.Rank() == 1 {
-			payload = tensor.New(2, 3)
-			payload.Fill(42)
-		}
-		got := g.Broadcast(w, 1, payload)
-		if got.At(1, 2) != 42 {
-			return fmt.Errorf("rank %d got %g", w.Rank(), got.At(1, 2))
-		}
-		if w.Rank() == 1 {
-			// The root's original is free to change afterwards; peers read
-			// the snapshot. (The race detector enforces the claim.)
-			payload.Fill(-1)
-		}
-		return nil
-	})
-}
-
 func TestAllGatherCanonicalOrder(t *testing.T) {
 	runWorld(t, 5, func(w *Worker) error {
 		g := w.Cluster().WorldGroup()
 		m := tensor.New(1, 1)
 		m.Set(0, 0, float64(10*w.Rank()))
-		parts := g.AllGather(w, m)
-		if len(parts) != 5 {
-			return fmt.Errorf("got %d parts", len(parts))
-		}
-		for i, p := range parts {
-			if p.At(0, 0) != float64(10*i) {
-				return fmt.Errorf("slot %d holds %g", i, p.At(0, 0))
+		parts := g.AllGatherInto(w, m, tensor.New(5, 1))
+		for i := 0; i < 5; i++ {
+			if parts.At(i, 0) != float64(10*i) {
+				return fmt.Errorf("slot %d holds %g", i, parts.At(i, 0))
 			}
 		}
 		return nil
@@ -118,7 +99,7 @@ func TestSubgroupCollectivesRunConcurrently(t *testing.T) {
 		m := tensor.New(1, 1)
 		m.Set(0, 0, 1)
 		for i := 0; i < 10; i++ {
-			m = g.AllReduce(w, m)
+			g.AllReduceInto(w, m, m)
 		}
 		if m.At(0, 0) != 59049 { // 3^10
 			return fmt.Errorf("rank %d: %g", w.Rank(), m.At(0, 0))
@@ -143,7 +124,7 @@ func TestPhantomPropagation(t *testing.T) {
 				m.Fill(float64(w.Rank() + 1))
 				return m
 			}
-			sum := g.AllReduce(w, mk(3, 5))
+			sum := g.AllReduceInto(w, mk(3, 5), mk(3, 5))
 			if phantom && !sum.Phantom() {
 				return errors.New("allreduce lost phantomness")
 			}
@@ -151,7 +132,11 @@ func TestPhantomPropagation(t *testing.T) {
 				return fmt.Errorf("allreduce shape %dx%d", sum.Rows, sum.Cols)
 			}
 
-			red := g.Reduce(w, 0, mk(2, 2))
+			var rdst *tensor.Matrix
+			if w.Rank() == 0 {
+				rdst = mk(2, 2)
+			}
+			red := g.ReduceInto(w, 0, mk(2, 2), rdst)
 			if w.Rank() == 0 {
 				if phantom && !red.Phantom() {
 					return errors.New("reduce lost phantomness")
@@ -165,7 +150,7 @@ func TestPhantomPropagation(t *testing.T) {
 			if w.Rank() == 2 {
 				payload = mk(4, 1)
 			}
-			bc := g.Broadcast(w, 2, payload)
+			bc := g.BroadcastInto(w, 2, payload, mk(4, 1))
 			if phantom && !bc.Phantom() {
 				return errors.New("broadcast lost phantomness")
 			}
@@ -173,14 +158,12 @@ func TestPhantomPropagation(t *testing.T) {
 				return fmt.Errorf("broadcast shape %dx%d", bc.Rows, bc.Cols)
 			}
 
-			parts := g.AllGather(w, mk(1, 6))
-			for _, p := range parts {
-				if phantom && !p.Phantom() {
-					return errors.New("allgather lost phantomness")
-				}
-				if p.Rows != 1 || p.Cols != 6 {
-					return fmt.Errorf("allgather shape %dx%d", p.Rows, p.Cols)
-				}
+			parts := g.AllGatherInto(w, mk(1, 6), mk(4, 6))
+			if phantom && !parts.Phantom() {
+				return errors.New("allgather lost phantomness")
+			}
+			if parts.Rows != 4 || parts.Cols != 6 {
+				return fmt.Errorf("allgather shape %dx%d", parts.Rows, parts.Cols)
 			}
 
 			g.Barrier(w)
@@ -229,7 +212,7 @@ func TestCollectiveClocksAgree(t *testing.T) {
 	if err := c.Run(func(w *Worker) error {
 		w.Compute(float64(w.Rank()+1) * 1e9) // skew the clocks
 		m := tensor.New(8, 8)
-		w.Cluster().WorldGroup().AllReduce(w, m)
+		w.Cluster().WorldGroup().AllReduceInto(w, m, m)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -250,11 +233,12 @@ func TestIntraNodeCheaperThanInterNode(t *testing.T) {
 			if g.Index(w.Rank()) < 0 {
 				return nil
 			}
+			dst := tensor.New(64, 64)
 			var payload *tensor.Matrix
 			if w.Rank() == ranks[0] {
-				payload = tensor.New(64, 64)
+				payload = dst
 			}
-			g.Broadcast(w, ranks[0], payload)
+			g.BroadcastInto(w, ranks[0], payload, dst)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -334,7 +318,7 @@ func TestDeterministicTreeReduction(t *testing.T) {
 		runWorld(t, 7, func(w *Worker) error {
 			m := tensor.New(1, 1)
 			m.Set(0, 0, 0.1*float64(w.Rank()+1))
-			s := w.Cluster().WorldGroup().AllReduce(w, m)
+			s := w.Cluster().WorldGroup().AllReduceInto(w, m, m)
 			mu.Lock()
 			if w.Rank() == 3 {
 				out = s.At(0, 0)
@@ -363,7 +347,7 @@ func TestReduceShapeMismatchPanics(t *testing.T) {
 		if w.Rank() == 1 {
 			m = tensor.New(4, 4)
 		}
-		g.AllReduce(w, m)
+		g.AllReduceInto(w, m, m)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "contributed") {

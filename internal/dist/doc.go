@@ -20,22 +20,27 @@
 //
 // Workers build communicators with w.Cluster().Group(ranks...); the rank
 // list is the group's canonical order, and groups are cached per list.
-// Collectives move pointers, not bytes; reductions sum in the fixed
-// association of a binomial tree over the group's virtual positions, so
-// results are deterministic and replicas stay bit-identical. Every
-// operation is a rendezvous round: members file arrivals without blocking
-// and the last arriver computes the whole outcome once, then wakes exactly
-// the members that registered to block, each on its own parking slot. The
-// destination-passing variants (BroadcastInto, ReduceInto, AllReduceInto,
-// AllGatherInto) land results in caller-supplied buffers with the contract
-// that every cross-member read completes before any member returns — which
-// is what lets SUMMA reuse its panels (see tensor.Workspace for ownership
-// rules). Steady-state collectives allocate nothing.
+// There is one form of each collective — BroadcastInto, ReduceInto,
+// AllReduceInto, AllGatherInto, ReduceScatterInto, Barrier — and it is
+// destination-passing: the caller supplies the buffer the result lands in
+// (which may alias the payload: the in-place form), so a receiver states the
+// shape it expects and every rank knows an operation's byte count from its
+// own arguments. Every operation is a rendezvous round: members file
+// arrivals without blocking and the last arriver computes the whole outcome
+// once — copies into every destination, sums in the fixed association of a
+// binomial tree over the group's virtual positions, so results are
+// deterministic and replicas stay bit-identical — then wakes exactly the
+// members that registered to block, each on its own parking slot. Every
+// cross-member read completes before any member returns, so a member's
+// buffers are exclusively its own again the moment its call does — which is
+// what lets SUMMA reuse its panels (see tensor.Workspace for ownership
+// rules) — and dist never allocates a result: steady-state collectives
+// allocate nothing.
 //
 // # Nonblocking collectives
 //
-// IBroadcastInto, IReduceInto and IAllReduceInto issue without blocking
-// and return a Handle: issue, compute, Wait (exactly once). Operations on
+// IBroadcastInto, IReduceInto, IAllReduceInto and IReduceScatterInto issue
+// without blocking and return a Handle: issue, compute, Wait (exactly once). Operations on
 // one group pair up in per-worker issue order (mismatches panic), buffers
 // lent to an in-flight operation are borrowed until Wait (the workspace
 // panics on Put or ReleaseAll while a borrow is outstanding), and results

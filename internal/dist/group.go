@@ -10,12 +10,12 @@ import (
 )
 
 // Group is a communicator over a fixed, ordered set of cluster ranks. The
-// rank list passed to Cluster.Group is the canonical order: AllGather
-// returns blocks in it, Index maps a cluster rank to its slot. Members must
-// invoke the same sequence of collectives on a group — blocking calls and
-// nonblocking issues count alike, in per-member program order; the runtime
-// checks that the arrivals pairing into one operation agree on the kind and
-// root.
+// rank list passed to Cluster.Group is the canonical order: AllGatherInto
+// concatenates blocks in it, Index maps a cluster rank to its slot. Members
+// must invoke the same sequence of collectives on a group — blocking calls
+// and nonblocking issues count alike, in per-member program order; the
+// runtime checks that the arrivals pairing into one operation agree on the
+// kind and root.
 type Group struct {
 	c     *Cluster
 	ranks []int
@@ -38,29 +38,21 @@ type Group struct {
 }
 
 // opKind names the collective an arrival wants to run; arrivals pairing
-// into one round must agree on it.
+// into one round must agree on it. There is one kind per collective the
+// statistics record, under the same value and name, so a finished round
+// books its traffic under statOp(kind).
 type opKind uint8
 
 const (
-	opBroadcast opKind = iota
-	opBroadcastInto
-	opReduce
-	opReduceInto
-	opAllReduce
-	opAllReduceInto
-	opAllGather
-	opAllGatherInto
-	opReduceScatterInto
-	opBarrier
+	opBroadcast     = opKind(statBroadcast)
+	opReduce        = opKind(statReduce)
+	opAllReduce     = opKind(statAllReduce)
+	opAllGather     = opKind(statAllGather)
+	opReduceScatter = opKind(statReduceScatter)
+	opBarrier       = opKind(statBarrier)
 )
 
-var opKindNames = [...]string{
-	"broadcast", "broadcast-into", "reduce", "reduce-into",
-	"allreduce", "allreduce-into", "allgather", "allgather-into",
-	"reduce-scatter-into", "barrier",
-}
-
-func (k opKind) String() string { return opKindNames[k] }
+func (k opKind) String() string { return statNames[k] }
 
 // round is one collective operation in flight: every member contributes its
 // clock and payload/destination slots, and the last member to arrive
@@ -109,7 +101,6 @@ type round struct {
 	steps   []int // per-member step index at arrival, for fault activation
 	slots   []*tensor.Matrix
 	dsts    []*tensor.Matrix
-	results []*tensor.Matrix // per-member owned outputs (classic all-reduce)
 
 	// gen increments every time the round is recycled, so a stale Handle
 	// (kept past its Wait while the round moved on) is detected instead of
@@ -124,8 +115,6 @@ type round struct {
 	// attribute to the operation.
 	commBase float64
 	newClock float64
-
-	result *tensor.Matrix
 }
 
 func newGroup(c *Cluster, ranks []int) *Group {
@@ -285,24 +274,22 @@ func (g *Group) newRound(kind opKind, root int) *round {
 			r.waited[i] = false
 			r.clocks[i] = 0
 			r.steps[i] = 0
-			r.slots[i], r.dsts[i], r.results[i] = nil, nil, nil
+			r.slots[i], r.dsts[i] = nil, nil
 		}
 		r.completed.Store(false)
 		r.commBase, r.newClock = 0, 0
-		r.result = nil
 		return r
 	}
 	return &round{
-		kind:    kind,
-		root:    root,
-		filled:  make([]bool, n),
-		waited:  make([]bool, n),
-		clocks:  make([]float64, n),
-		steps:   make([]int, n),
-		slots:   make([]*tensor.Matrix, n),
-		dsts:    make([]*tensor.Matrix, n),
-		results: make([]*tensor.Matrix, n),
-		parked:  make([]*Worker, 0, n),
+		kind:   kind,
+		root:   root,
+		filled: make([]bool, n),
+		waited: make([]bool, n),
+		clocks: make([]float64, n),
+		steps:  make([]int, n),
+		slots:  make([]*tensor.Matrix, n),
+		dsts:   make([]*tensor.Matrix, n),
+		parked: make([]*Worker, 0, n),
 	}
 }
 
@@ -318,9 +305,8 @@ func (g *Group) retire(r *round) {
 	// Drop payload references now rather than at reuse: a group that goes
 	// quiet must not pin its last collective's matrices.
 	for i := range r.slots {
-		r.slots[i], r.dsts[i], r.results[i] = nil, nil, nil
+		r.slots[i], r.dsts[i] = nil, nil
 	}
-	r.result = nil
 	g.mu.Lock()
 	g.spare = append(g.spare, r)
 	g.mu.Unlock()
@@ -354,78 +340,43 @@ func (g *Group) finish(rank int, r *round) {
 		r.commBase = g.lastFinish
 	}
 	cost := &g.c.cost
+	var wire float64      // the operation's α–β time
+	var msgs, bytes int64 // the traffic it books
 	switch r.kind {
-	case opBroadcast, opBroadcastInto:
+	case opBroadcast:
 		m := r.slots[r.root]
 		if m == nil {
 			panic(fmt.Sprintf("dist: broadcast root %d passed a nil payload", rootRank(g, r.root)))
 		}
-		if r.kind == opBroadcast {
-			r.result = m
-		} else {
-			for _, d := range r.dsts {
-				if d == m {
-					// The root broadcasting into its own payload (the
-					// in-place idiom) needs no copy.
-					continue
-				}
-				tensor.CopyInto(d, m)
+		for _, d := range r.dsts {
+			if d == m {
+				// The root broadcasting into its own payload (the
+				// in-place idiom) needs no copy.
+				continue
 			}
+			tensor.CopyInto(d, m)
 		}
-		bytes := matrixBytes(m)
-		r.newClock = r.commBase + cost.broadcastTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statBroadcast, int64(n-1), int64(n-1)*bytes)
+		b := matrixBytes(m)
+		wire = cost.broadcastTime(n, b, g.beta)
+		msgs, bytes = int64(n-1), int64(n-1)*b
 
 	case opReduce:
-		m := r.slots[r.root]
-		var dst *tensor.Matrix
-		if m.Phantom() {
-			dst = tensor.NewPhantom(m.Rows, m.Cols)
-		} else {
-			dst = tensor.New(m.Rows, m.Cols)
-		}
-		g.combineInto(r, dst)
-		r.result = dst
-		bytes := matrixBytes(m)
-		r.newClock = r.commBase + cost.broadcastTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statReduce, int64(n-1), int64(n-1)*bytes)
-
-	case opReduceInto:
 		g.combineInto(r, r.dsts[r.root])
-		bytes := matrixBytes(r.slots[r.root])
-		r.newClock = r.commBase + cost.broadcastTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statReduce, int64(n-1), int64(n-1)*bytes)
+		b := matrixBytes(r.slots[r.root])
+		wire = cost.broadcastTime(n, b, g.beta)
+		msgs, bytes = int64(n-1), int64(n-1)*b
 
 	case opAllReduce:
-		m := r.slots[0]
-		var dst *tensor.Matrix
-		if m.Phantom() {
-			dst = tensor.NewPhantom(m.Rows, m.Cols)
-		} else {
-			dst = tensor.New(m.Rows, m.Cols)
-		}
-		g.combineInto(r, dst)
-		// Every member owns its copy outright, so the copies must exist
-		// before any member can see the outcome and start mutating its own.
-		r.results[0] = dst
-		for i := 1; i < n; i++ {
-			r.results[i] = dst.Clone()
-		}
-		bytes := matrixBytes(m)
-		r.newClock = r.commBase + cost.allReduceTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statAllReduce, 2*int64(n-1), 2*int64(n-1)*bytes)
-
-	case opAllReduceInto:
 		dst := r.dsts[0]
 		g.combineInto(r, dst)
 		for i := 1; i < n; i++ {
 			tensor.CopyInto(r.dsts[i], dst)
 		}
-		bytes := matrixBytes(r.slots[0])
-		r.newClock = r.commBase + cost.allReduceTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statAllReduce, 2*int64(n-1), 2*int64(n-1)*bytes)
+		b := matrixBytes(r.slots[0])
+		wire = cost.allReduceTime(n, b, g.beta)
+		msgs, bytes = 2*int64(n-1), 2*int64(n-1)*b
 
-	case opAllGather, opAllGatherInto:
+	case opAllGather:
 		var sum, max int64
 		for _, s := range r.slots {
 			b := matrixBytes(s)
@@ -434,22 +385,21 @@ func (g *Group) finish(rank int, r *round) {
 				max = b
 			}
 		}
-		if r.kind == opAllGatherInto {
-			g.gatherInto(r)
-		}
-		r.newClock = r.commBase + cost.allGatherTime(n, max, g.beta)
-		g.c.stats.record(rank, statAllGather, int64(n)*int64(n-1), int64(n-1)*sum)
+		g.gatherInto(r)
+		wire = cost.allGatherTime(n, max, g.beta)
+		msgs, bytes = int64(n)*int64(n-1), int64(n-1)*sum
 
-	case opReduceScatterInto:
+	case opReduceScatter:
 		g.scatterCombineInto(r)
-		bytes := matrixBytes(r.slots[0])
-		r.newClock = r.commBase + cost.reduceScatterTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statReduceScatter, int64(n)*int64(n-1), int64(n-1)*bytes)
+		b := matrixBytes(r.slots[0])
+		wire = cost.reduceScatterTime(n, b, g.beta)
+		msgs, bytes = int64(n)*int64(n-1), int64(n-1)*b
 
 	case opBarrier:
-		r.newClock = r.commBase + cost.barrierTime(n)
-		g.c.stats.record(rank, statBarrier, 0, 0)
+		wire = cost.barrierTime(n)
 	}
+	r.newClock = r.commBase + wire
+	g.c.stats.record(rank, statOp(r.kind), msgs, bytes)
 	if f := g.c.fault; f != nil {
 		// The operation runs at the latest member step (faults activate by
 		// the furthest-along participant's window). Degraded links stretch

@@ -22,18 +22,15 @@ func fillRank(rank, rows, cols int) *tensor.Matrix {
 	return m
 }
 
+// TestBroadcastIntoMatchesBroadcast: every member's dst holds exactly what
+// the root broadcast, whether the root lends its payload as its own dst (the
+// in-place idiom) or receives a copy like everyone else.
 func TestBroadcastIntoMatchesBroadcast(t *testing.T) {
 	const n, root = 4, 2
-	want := make([]*tensor.Matrix, n)
-	got := make([]*tensor.Matrix, n)
+	inPlace := make([]*tensor.Matrix, n)
+	copied := make([]*tensor.Matrix, n)
 	runWorld(t, n, func(w *Worker) error {
 		g := w.Cluster().WorldGroup()
-		var payload *tensor.Matrix
-		if w.Rank() == root {
-			payload = fillRank(root, 3, 5)
-		}
-		want[w.Rank()] = g.Broadcast(w, root, payload)
-
 		dst := tensor.New(3, 5)
 		if w.Rank() == root {
 			dst = fillRank(root, 3, 5)
@@ -41,12 +38,22 @@ func TestBroadcastIntoMatchesBroadcast(t *testing.T) {
 		} else {
 			g.BroadcastInto(w, root, nil, dst)
 		}
-		got[w.Rank()] = dst
+		inPlace[w.Rank()] = dst
+
+		var payload *tensor.Matrix
+		if w.Rank() == root {
+			payload = fillRank(root, 3, 5)
+		}
+		copied[w.Rank()] = g.BroadcastInto(w, root, payload, tensor.New(3, 5))
 		return nil
 	})
+	want := fillRank(root, 3, 5)
 	for r := 0; r < n; r++ {
-		if !want[r].Equal(got[r]) {
-			t.Fatalf("rank %d: BroadcastInto differs from Broadcast", r)
+		if !inPlace[r].Equal(want) {
+			t.Fatalf("rank %d: in-place BroadcastInto delivered something other than the payload", r)
+		}
+		if !copied[r].Equal(want) {
+			t.Fatalf("rank %d: BroadcastInto into a separate dst delivered something other than the payload", r)
 		}
 	}
 }
@@ -79,39 +86,63 @@ func TestBroadcastIntoRootMayMutateImmediately(t *testing.T) {
 	}
 }
 
+// TestReduceIntoMatchesReduceBitwise: reducing into a separate accumulator
+// and reducing in place over the root's own contribution are the same
+// reduction, bit for bit and equal to the scalar tree, down to the
+// single-member group; only the root gets a result.
 func TestReduceIntoMatchesReduceBitwise(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8} {
 		const root = 0
-		var want, got *tensor.Matrix
+		data := make([][]float64, n)
+		for r := range data {
+			data[r] = fillRank(r, 4, 4).Data
+		}
+		want := make([]float64, 16)
+		treeSumScalar(want, data)
+		var fresh, aliased *tensor.Matrix
 		runWorld(t, n, func(w *Worker) error {
 			g := w.Cluster().WorldGroup()
-			m := fillRank(w.Rank(), 4, 4)
-			r := g.Reduce(w, root, m)
 			var dst *tensor.Matrix
 			if w.Rank() == root {
 				dst = tensor.New(4, 4)
 			}
-			r2 := g.ReduceInto(w, root, fillRank(w.Rank(), 4, 4), dst)
+			r1 := g.ReduceInto(w, root, fillRank(w.Rank(), 4, 4), dst)
+			m := fillRank(w.Rank(), 4, 4)
 			if w.Rank() == root {
-				want, got = r, r2
-			} else if r2 != nil {
+				dst = m
+			}
+			r2 := g.ReduceInto(w, root, m, dst)
+			if w.Rank() == root {
+				fresh, aliased = r1, r2
+			} else if r1 != nil || r2 != nil {
 				t.Errorf("n=%d rank %d: non-root ReduceInto must return nil", n, w.Rank())
 			}
 			return nil
 		})
-		if !want.Equal(got) {
-			t.Fatalf("n=%d: ReduceInto differs bitwise from Reduce", n)
+		if !sameBits(fresh.Data, want) {
+			t.Fatalf("n=%d: ReduceInto differs bitwise from the scalar tree", n)
+		}
+		if !sameBits(aliased.Data, want) {
+			t.Fatalf("n=%d: in-place ReduceInto differs bitwise from ReduceInto into a separate dst", n)
 		}
 	}
 }
 
+// TestAllReduceIntoMatchesAllReduceBitwise: the in-place all-reduce (dst
+// aliases m) and the all-reduce into a separate dst hand every member the
+// same bits, down to the single-member group, and leave a separate input
+// untouched.
 func TestAllReduceIntoMatchesAllReduceBitwise(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		want := make([]*tensor.Matrix, n)
 		got := make([]*tensor.Matrix, n)
 		runWorld(t, n, func(w *Worker) error {
 			g := w.Cluster().WorldGroup()
-			want[w.Rank()] = g.AllReduce(w, fillRank(w.Rank(), 3, 3))
+			in := fillRank(w.Rank(), 3, 3)
+			want[w.Rank()] = g.AllReduceInto(w, in, tensor.New(3, 3))
+			if !in.Equal(fillRank(w.Rank(), 3, 3)) {
+				t.Errorf("AllReduceInto into a separate dst mutated its input")
+			}
 			// In-place variant: dst aliases m.
 			m := fillRank(w.Rank(), 3, 3)
 			out := g.AllReduceInto(w, m, m)
@@ -122,8 +153,8 @@ func TestAllReduceIntoMatchesAllReduceBitwise(t *testing.T) {
 			return nil
 		})
 		for r := 0; r < n; r++ {
-			if !want[r].Equal(got[r]) {
-				t.Fatalf("n=%d rank %d: in-place AllReduceInto differs bitwise from AllReduce", n, r)
+			if !sameBits(want[r].Data, got[r].Data) || !sameBits(want[r].Data, want[0].Data) {
+				t.Fatalf("n=%d rank %d: in-place AllReduceInto differs bitwise from AllReduceInto into a separate dst", n, r)
 			}
 		}
 	}
@@ -132,7 +163,7 @@ func TestAllReduceIntoMatchesAllReduceBitwise(t *testing.T) {
 func TestReduceIntoConsumesPartialBeforeReturn(t *testing.T) {
 	// SUMMA's reuse contract: a member may overwrite its partial the moment
 	// ReduceInto returns. Run q rounds reusing one buffer per member and
-	// check the root sums against fresh-buffer Reduce.
+	// check the root sums against reductions of fresh buffers.
 	const n, rounds = 4, 3
 	sums := make([]*tensor.Matrix, rounds)
 	wants := make([]*tensor.Matrix, rounds)
@@ -152,9 +183,13 @@ func TestReduceIntoConsumesPartialBeforeReturn(t *testing.T) {
 			}
 		}
 		for round := 0; round < rounds; round++ {
-			r := g.Reduce(w, 0, fillRank(w.Rank()+round*10, 2, 2))
+			var fresh *tensor.Matrix
 			if w.Rank() == 0 {
-				wants[round] = r
+				fresh = tensor.New(2, 2)
+			}
+			g.ReduceInto(w, 0, fillRank(w.Rank()+round*10, 2, 2), fresh)
+			if w.Rank() == 0 {
+				wants[round] = fresh
 			}
 		}
 		return nil
@@ -219,11 +254,14 @@ func TestIntoCollectivesPropagatePhantoms(t *testing.T) {
 	})
 }
 
+// TestIntoCollectivesChargeLikeClassic: a broadcast, a reduce and an
+// all-reduce advance the simulated clocks by exactly the classic α–β
+// charges the exported pricing helpers quote — tree, tree, ring — whether
+// or not a destination aliases the payload.
 func TestIntoCollectivesChargeLikeClassic(t *testing.T) {
-	// Same payload, same group: the Into variants must advance the
-	// simulated clocks exactly as the snapshot/cloning variants do.
+	const n = 4
 	timeOf := func(fn func(w *Worker, g *Group)) float64 {
-		c := New(Config{WorldSize: 4})
+		c := New(Config{WorldSize: n})
 		if err := c.Run(func(w *Worker) error {
 			fn(w, c.WorldGroup())
 			return nil
@@ -232,36 +270,37 @@ func TestIntoCollectivesChargeLikeClassic(t *testing.T) {
 		}
 		return c.MaxClock()
 	}
-	classic := timeOf(func(w *Worker, g *Group) {
-		var payload *tensor.Matrix
+	separate := timeOf(func(w *Worker, g *Group) {
+		var payload, rdst *tensor.Matrix
 		if w.Rank() == 0 {
-			payload = tensor.New(8, 8)
+			payload, rdst = tensor.New(8, 8), tensor.New(8, 8)
 		}
-		g.Broadcast(w, 0, payload)
-		g.Reduce(w, 0, tensor.New(8, 8))
-		g.AllReduce(w, tensor.New(8, 8))
+		g.BroadcastInto(w, 0, payload, tensor.New(8, 8))
+		g.ReduceInto(w, 0, tensor.New(8, 8), rdst)
+		g.AllReduceInto(w, tensor.New(8, 8), tensor.New(8, 8))
 	})
-	into := timeOf(func(w *Worker, g *Group) {
+	aliased := timeOf(func(w *Worker, g *Group) {
 		m := tensor.New(8, 8)
+		var payload, rdst *tensor.Matrix
 		if w.Rank() == 0 {
-			g.BroadcastInto(w, 0, m, m)
-		} else {
-			g.BroadcastInto(w, 0, nil, m)
+			payload, rdst = m, m
 		}
-		var dst *tensor.Matrix
-		if w.Rank() == 0 {
-			dst = tensor.New(8, 8)
-		}
-		g.ReduceInto(w, 0, m, dst)
+		g.BroadcastInto(w, 0, payload, m)
+		g.ReduceInto(w, 0, m, rdst)
 		g.AllReduceInto(w, m, m)
 	})
-	if classic != into {
-		t.Fatalf("simulated time drifted: classic %g vs into %g", classic, into)
+	cost := MeluxinaModel()
+	const bytes = 8 * 8 * 8
+	classic := cost.BroadcastSeconds(n, bytes, false)
+	classic += cost.ReduceSeconds(n, bytes, false)
+	classic += cost.AllReduceSeconds(n, bytes, false)
+	if separate != classic || aliased != classic {
+		t.Fatalf("simulated time drifted: classic %g vs separate dsts %g, aliased %g", classic, separate, aliased)
 	}
 }
 
-// TestAllGatherInto covers both orientations, phantom propagation, and the
-// accounting equivalence with the snapshotting AllGather.
+// TestAllGatherInto covers both orientations, phantom propagation, bad
+// destination shapes, and the clock and traffic accounting.
 func TestAllGatherInto(t *testing.T) {
 	const n = 4
 	rows := make([]*tensor.Matrix, n)
@@ -312,29 +351,21 @@ func TestAllGatherInto(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Clock and traffic must match AllGather exactly.
-	timeAndStats := func(into bool) (float64, Stats) {
-		c := New(Config{WorldSize: n})
-		if err := c.Run(func(w *Worker) error {
-			g := w.Cluster().WorldGroup()
-			m := fillRank(w.Rank(), 2, 3)
-			if into {
-				g.AllGatherInto(w, m, tensor.New(n*2, 3))
-			} else {
-				g.AllGather(w, m)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return c.MaxClock(), c.Stats()
+	// Clock and traffic: a ring of n−1 steps each forwarding one block,
+	// booked as n(n−1) block transfers.
+	c = New(Config{WorldSize: n})
+	if err := c.Run(func(w *Worker) error {
+		c.WorldGroup().AllGatherInto(w, fillRank(w.Rank(), 2, 3), tensor.New(n*2, 3))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	classicClock, classicStats := timeAndStats(false)
-	intoClock, intoStats := timeAndStats(true)
-	if classicClock != intoClock {
-		t.Fatalf("AllGatherInto clock %g != AllGather clock %g", intoClock, classicClock)
+	const blockBytes = 2 * 3 * 8
+	if want := MeluxinaModel().AllGatherSeconds(n, blockBytes, false); c.MaxClock() != want {
+		t.Fatalf("AllGatherInto clock %g, want %g", c.MaxClock(), want)
 	}
-	if classicStats.Messages != intoStats.Messages || classicStats.Bytes != intoStats.Bytes {
-		t.Fatalf("AllGatherInto stats %+v != AllGather stats %+v", intoStats, classicStats)
+	want := OpStats{Calls: 1, Messages: n * (n - 1), Bytes: (n - 1) * n * blockBytes}
+	if st := c.Stats(); st.PerOp["allgather"] != want || st.Messages != want.Messages || st.Bytes != want.Bytes {
+		t.Fatalf("AllGatherInto stats %+v, want %+v", st, want)
 	}
 }

@@ -24,9 +24,8 @@ type Stats struct {
 	PerOp map[string]OpStats
 }
 
-// statOp indexes the fixed set of recorded operation kinds. The Into and
-// nonblocking variants record under their base kind, so traffic accounting
-// is independent of which API flavour moved the data.
+// statOp indexes the fixed set of recorded operation kinds. A nonblocking
+// collective records under the same kind as its blocking form.
 type statOp uint8
 
 const (

@@ -2,7 +2,6 @@ package megatron
 
 import (
 	"repro/internal/compute"
-	"repro/internal/dist"
 	"repro/internal/plan"
 )
 
@@ -36,21 +35,17 @@ func megatronGrids(w plan.Workload, budget int) []plan.Grid {
 
 func mbytes(elems float64) int64 { return int64(plan.BytesPerElem * elems) }
 
-// megatronCoster accumulates one rank's compute and comm seconds across a
-// layer; the tensor-parallel group spans ranks [0, p), so it pays
+// megatronCoster adds the family's one collective to the shared
+// accumulator; the tensor-parallel group spans ranks [0, p), so it pays
 // inter-node rates as soon as p exceeds the node size.
 type megatronCoster struct {
-	m     dist.CostModel
+	plan.Coster
 	p     int
 	inter bool
-	comp  float64
-	comm  float64
 }
 
-func (c *megatronCoster) flops(f float64)      { c.comp += f / c.m.FLOPS }
-func (c *megatronCoster) gemm(m, n, k float64) { c.comp += c.m.GEMMSeconds(m, n, k) }
 func (c *megatronCoster) allReduce(elems float64) {
-	c.comm += c.m.AllReduceSeconds(c.p, mbytes(elems), c.inter)
+	c.Comm += c.Model.AllReduceSeconds(c.p, mbytes(elems), c.inter)
 }
 
 // forwardLayer prices one Block.Forward on the replicated activation of R
@@ -58,51 +53,51 @@ func (c *megatronCoster) allReduce(elems float64) {
 // the output projection's forward all-reduce, the MLP's fc1 (local, GELU)
 // and fc2 (all-reduce), with replicated layer norms and residual adds.
 func (c *megatronCoster) forwardLayer(R, h, hp, s, dh, hl float64) {
-	c.gemm(R, 3*hp, h) // QKV
-	c.flops(R * 3 * hp * compute.FlopsPerAdd)
-	c.flops(R / s * hl * (4*s*s*dh + compute.FlopsPerSoftmax*s*s))
-	c.gemm(R, h, hp) // projection partial
+	c.GEMM(R, 3*hp, h) // QKV
+	c.Flops(R * 3 * hp * compute.FlopsPerAdd)
+	c.Flops(R / s * hl * (4*s*s*dh + compute.FlopsPerSoftmax*s*s))
+	c.GEMM(R, h, hp) // projection partial
 	c.allReduce(R * h)
-	c.flops(R * h * compute.FlopsPerAdd) // projection bias
-	c.flops(R * h * compute.FlopsPerAdd) // residual
-	c.flops(R * h * (compute.FlopsPerNorm + 2))
-	c.gemm(R, 4*hp, h) // fc1
-	c.flops(R * 4 * hp * (compute.FlopsPerAdd + compute.FlopsPerGELU))
-	c.gemm(R, h, 4*hp) // fc2 partial
+	c.Flops(R * h * compute.FlopsPerAdd) // projection bias
+	c.Flops(R * h * compute.FlopsPerAdd) // residual
+	c.Flops(R * h * (compute.FlopsPerNorm + 2))
+	c.GEMM(R, 4*hp, h) // fc1
+	c.Flops(R * 4 * hp * (compute.FlopsPerAdd + compute.FlopsPerGELU))
+	c.GEMM(R, h, 4*hp) // fc2 partial
 	c.allReduce(R * h)
-	c.flops(R * h * compute.FlopsPerAdd)
-	c.flops(R * h * compute.FlopsPerAdd)
-	c.flops(R * h * (compute.FlopsPerNorm + 2))
+	c.Flops(R * h * compute.FlopsPerAdd)
+	c.Flops(R * h * compute.FlopsPerAdd)
+	c.Flops(R * h * (compute.FlopsPerNorm + 2))
 }
 
 // backwardLayer prices one Block.Backward: the row-parallel linears
 // propagate without communication, the column-parallel linears all-reduce
 // the replicated input gradient — again two all-reduces per layer.
 func (c *megatronCoster) backwardLayer(R, h, hp, s, dh, hl float64) {
-	c.flops(R * h * (compute.FlopsPerNorm + 2)) // ln2
+	c.Flops(R * h * (compute.FlopsPerNorm + 2)) // ln2
 	// fc2 (row-parallel): dW, bias sums, local dx.
-	c.gemm(4*hp, h, R)
-	c.flops(R * h * compute.FlopsPerAdd)
-	c.gemm(R, 4*hp, h)
+	c.GEMM(4*hp, h, R)
+	c.Flops(R * h * compute.FlopsPerAdd)
+	c.GEMM(R, 4*hp, h)
 	// fc1 (column-parallel): GELU gradient, dW, bias sums, dx all-reduce.
-	c.flops(R * 4 * hp * (compute.FlopsPerGELU + compute.FlopsPerAdd))
-	c.gemm(h, 4*hp, R)
-	c.flops(R * 4 * hp * compute.FlopsPerAdd)
-	c.gemm(R, h, 4*hp)
+	c.Flops(R * 4 * hp * (compute.FlopsPerGELU + compute.FlopsPerAdd))
+	c.GEMM(h, 4*hp, R)
+	c.Flops(R * 4 * hp * compute.FlopsPerAdd)
+	c.GEMM(R, h, 4*hp)
 	c.allReduce(R * h)
-	c.flops(R * h * compute.FlopsPerAdd) // residual
-	c.flops(R * h * (compute.FlopsPerNorm + 2))
+	c.Flops(R * h * compute.FlopsPerAdd) // residual
+	c.Flops(R * h * (compute.FlopsPerNorm + 2))
 	// Projection (row-parallel).
-	c.gemm(hp, h, R)
-	c.flops(R * h * compute.FlopsPerAdd)
-	c.gemm(R, hp, h)
-	c.flops(R / s * hl * (8*s*s*dh + compute.FlopsPerSoftmax*s*s))
+	c.GEMM(hp, h, R)
+	c.Flops(R * h * compute.FlopsPerAdd)
+	c.GEMM(R, hp, h)
+	c.Flops(R / s * hl * (8*s*s*dh + compute.FlopsPerSoftmax*s*s))
 	// QKV (column-parallel).
-	c.gemm(h, 3*hp, R)
-	c.flops(R * 3 * hp * compute.FlopsPerAdd)
-	c.gemm(R, h, 3*hp)
+	c.GEMM(h, 3*hp, R)
+	c.Flops(R * 3 * hp * compute.FlopsPerAdd)
+	c.GEMM(R, h, 3*hp)
 	c.allReduce(R * h)
-	c.flops(R * h * compute.FlopsPerAdd)
+	c.Flops(R * h * compute.FlopsPerAdd)
 }
 
 // megatronCost prices a workload on one [p] layout.
@@ -115,26 +110,12 @@ func megatronCost(w plan.Workload, g plan.Grid, t plan.Topology) plan.Breakdown 
 	dh := h / float64(w.Heads)
 	hl := float64(w.Heads) / float64(p)
 	inter := t.SpansNodes(0, p-1)
-	L := float64(w.Layers)
 
-	fwd := &megatronCoster{m: t.Cost, p: p, inter: inter}
+	fwd := &megatronCoster{Coster: plan.Coster{Model: t.Cost}, p: p, inter: inter}
 	fwd.forwardLayer(R, h, hp, s, dh, hl)
-	bwd := &megatronCoster{m: t.Cost, p: p, inter: inter}
+	bwd := &megatronCoster{Coster: plan.Coster{Model: t.Cost}, p: p, inter: inter}
 	bwd.backwardLayer(R, h, hp, s, dh, hl)
-
-	fwdPhase := L * (fwd.comp + fwd.comm)
-	comp := L * (fwd.comp + bwd.comp)
-	backward := L * (bwd.comp + bwd.comm)
-	if !w.NoRecompute {
-		backward += fwdPhase
-		comp += L * fwd.comp
-	}
-	return plan.Breakdown{
-		Forward:        fwdPhase,
-		Backward:       backward,
-		ComputeSeconds: comp,
-		CommSeconds:    fwdPhase + backward - comp,
-	}
+	return plan.Assemble(w, &fwd.Coster, &bwd.Coster, 0)
 }
 
 // megatronMemory estimates the bytes one rank holds across a training

@@ -65,8 +65,8 @@ type Proc struct {
 }
 
 // NewProcAt attaches the calling worker to the tensor-parallel group
-// spanning cluster ranks [base, base+p) — used when composing with data or
-// pipeline parallelism, where each stage's group starts at its own base.
+// spanning cluster ranks [base, base+p), so the group can sit anywhere on a
+// cluster it shares with others.
 func NewProcAt(w *dist.Worker, p, base int) *Proc {
 	ranks := make([]int, p)
 	for i := range ranks {

@@ -64,7 +64,7 @@ func global(mp *Proc, m *tensor.Matrix) *tensor.Matrix {
 	if mp.bracket == Replicated {
 		return m
 	}
-	return tensor.VCat(mp.TP.AllGather(mp.W, m)...)
+	return mp.TP.AllGatherInto(mp.W, m, tensor.New(mp.P*m.Rows, m.Cols))
 }
 
 // colBlock returns this rank's column block of a full-row matrix, and
@@ -75,7 +75,7 @@ func colBlock(mp *Proc, m *tensor.Matrix) *tensor.Matrix {
 }
 
 func hcat(mp *Proc, m *tensor.Matrix) *tensor.Matrix {
-	return tensor.HCat(mp.TP.AllGather(mp.W, m)...)
+	return mp.TP.AllGatherInto(mp.W, m, tensor.New(m.Rows, mp.P*m.Cols))
 }
 
 func TestColLinearMatchesSerial(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 type Shape struct {
 	Q, D int
 	// Base is the first cluster rank used by the mesh, allowing several
-	// meshes (e.g. data-parallel replicas, Figure 6) to share a cluster.
+	// meshes to share a cluster.
 	Base int
 }
 

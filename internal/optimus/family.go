@@ -1,3 +1,14 @@
+// Package optimus is the 2-D tensor parallelism of Optimus (Xu et al., §2.2
+// of the paper), the paper's second baseline. Optimus distributes both
+// activations and parameters over a q×q SUMMA mesh; structurally it is
+// exactly the d = 1 special case of Tesseract — the paper itself notes that
+// "d = 1 makes Tesseract a 2-D algorithm like SUMMA", and its Table 1/2
+// shapes [2,2] vs [2,2,1] confirm near-identical behaviour. The package is
+// therefore two descriptors over the shared SUMMA layers and no layer code
+// of its own: Family runs them on a depth-1 mesh under the name "optimus",
+// PlanAlgo prices them for the planner. Keeping one implementation
+// guarantees the baseline and the contribution differ only in the dimension
+// under study.
 package optimus
 
 import (

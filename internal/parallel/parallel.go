@@ -10,8 +10,8 @@
 // Slice, GatherPooled), how to build the distributed layers that operate on
 // that layout (NewLinear, NewBlock, NewLayerNorm, NewHead), and how a
 // training step finishes (DrainGradients, EndStep). Everything above —
-// vit.DistModel, the trainers, hybrid's DP×TP composition, the tables
-// runners — only ever sees these contracts, which is what lets
+// vit.DistModel, vit.Session and the trainers, serving and tables runners
+// that drive it — only ever sees these contracts, which is what lets
 // plan.Plan.Instantiate turn a searched layout directly into a trainable
 // model.
 //
@@ -38,10 +38,10 @@
 //
 // EndStep marks a training-step boundary: after the optimiser update (or
 // after an evaluation forward whose outputs were consumed), every rank
-// calls EndStep to recycle its workspace. Compositions that hand buffers
-// across workers by pointer (the hybrid pipeline) insert a barrier before
-// the release — see hybrid.Proc.EndStep — so a Family's EndStep must be
-// safe to call collectively at the same program point on every rank.
+// calls EndStep to recycle its workspace. A composition that hands buffers
+// across workers by pointer (Worker.Send) must insert a barrier before the
+// release, so a Family's EndStep must be safe to call collectively at the
+// same program point on every rank.
 package parallel
 
 import (

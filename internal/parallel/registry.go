@@ -21,9 +21,10 @@ type Layout struct {
 	// Ranks is the total processor count. Zero means "derive from the
 	// mesh" (q²·d) in Normalize.
 	Ranks int
-	// Base is the first cluster rank the family occupies, so several
-	// families can share a cluster (hybrid's pipeline stages and
-	// data-parallel replicas).
+	// Base is the first cluster rank the family occupies, so a layout can
+	// sit anywhere on a cluster larger than itself and several can share
+	// one; ranks outside [Base, Base+Ranks) idle. vit.Session is the caller
+	// that runs layouts on shared, oversized clusters.
 	Base int
 }
 

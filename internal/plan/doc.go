@@ -13,7 +13,11 @@
 // closures: Grids (feasible layouts within a rank budget), Cost (analytic
 // forward/backward seconds for a workload on a grid, mirroring the exact
 // schedule the implementation executes on the simulated cluster) and Memory
-// (bytes a rank must hold). megatron.PlanAlgo, optimus.PlanAlgo and
+// (bytes a rank must hold). A Cost closure is a family's own list of terms
+// added to two Costers — one layer's forward pass and its backward pass,
+// compute and non-hidden comm apart — and Assemble is the one place those
+// become a Breakdown (Layers passes, the recompute forward, comm as the
+// remainder). megatron.PlanAlgo, optimus.PlanAlgo and
 // tesseract.PlanAlgo are the built-in descriptors; internal/tables bundles
 // them as tables.DefaultAlgos, and a later scheme joins the search by
 // exporting one more Algo.

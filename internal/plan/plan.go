@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/dist"
@@ -104,8 +105,11 @@ type Topology struct {
 }
 
 // WithDefaults fills the zero fields (Meluxina cost model, 4 GPUs per node)
-// and validates the rank budget.
+// and validates the rest.
 func (t Topology) WithDefaults() (Topology, error) {
+	if err := t.Cost.Check(); err != nil {
+		return t, fmt.Errorf("plan: %w", err)
+	}
 	t.Cost = t.Cost.WithDefaults()
 	if t.GPUsPerNode == 0 {
 		t.GPUsPerNode = 4
@@ -152,6 +156,48 @@ type Breakdown struct {
 // Step returns the predicted seconds per training step (forward plus
 // backward).
 func (b Breakdown) Step() float64 { return b.Forward + b.Backward }
+
+// Coster accumulates one rank's compute seconds and non-hidden comm seconds
+// over one pass of one layer. Every family's Cost closure is a list of
+// terms added to a pair of them — one forward, one backward — which
+// Assemble turns into the stack's Breakdown. Families add their own
+// collectives to Comm; the arithmetic charges are the same everywhere.
+type Coster struct {
+	Model dist.CostModel
+	Comp  float64
+	Comm  float64
+}
+
+// Flops charges f elementwise flops.
+func (c *Coster) Flops(f float64) { c.Comp += f / c.Model.FLOPS }
+
+// GEMM charges an [m×k]·[k×n] multiply.
+func (c *Coster) GEMM(m, n, k float64) { c.Comp += c.Model.GEMMSeconds(m, n, k) }
+
+// Assemble scores a stack of w.Layers layers from one layer's forward and
+// backward passes. The forward phase is Layers forward passes; the backward
+// phase re-runs the forward first (activation recompute, unless the
+// workload disables it) and then the backward passes. queued is comm one
+// layer's backward pass issues without waiting for it (Tesseract's depth
+// all-reduces; zero for families that synchronise eagerly): it overlaps the
+// backward work, so the phase ends no earlier than either finishes.
+// Whatever of the two phases is not arithmetic is reported as comm.
+func Assemble(w Workload, fwd, bwd *Coster, queued float64) Breakdown {
+	L := float64(w.Layers)
+	fwdPhase := L * (fwd.Comp + fwd.Comm)
+	backward := math.Max(L*(bwd.Comp+bwd.Comm), L*queued)
+	comp := L * (fwd.Comp + bwd.Comp)
+	if !w.NoRecompute {
+		backward += fwdPhase
+		comp += L * fwd.Comp
+	}
+	return Breakdown{
+		Forward:        fwdPhase,
+		Backward:       backward,
+		ComputeSeconds: comp,
+		CommSeconds:    fwdPhase + backward - comp,
+	}
+}
 
 // Algo describes one algorithm family to the planner: a name plus the three
 // closures the search needs. The closures must be pure — the planner calls

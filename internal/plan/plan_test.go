@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"strings"
@@ -243,5 +244,30 @@ func TestWorkloadAndTopologyValidation(t *testing.T) {
 	}
 	if topo.SpansNodes(0, 3) || !topo.SpansNodes(0, 4) {
 		t.Fatal("SpansNodes must split at the node size")
+	}
+}
+
+// TestBadCostModelIsAnErrorNotAPanic: a negative or non-finite cost field is
+// a configuration value, so every planner entry point reports it like any
+// other bad Topology field instead of panicking in CostModel.WithDefaults.
+func TestBadCostModelIsAnErrorNotAPanic(t *testing.T) {
+	w := plan.Workload{Batch: 16, Hidden: 64, Heads: 4}
+	for _, bad := range []dist.CostModel{
+		{FLOPS: -1}, {Alpha: -1}, {BetaIntra: -1}, {BetaInter: -1},
+		{FLOPS: math.NaN()}, {Alpha: math.Inf(1)},
+	} {
+		topo := plan.Topology{RankBudget: 8, Cost: bad}
+		if _, err := topo.WithDefaults(); err == nil || !strings.Contains(err.Error(), "invalid cost model") {
+			t.Errorf("Topology.WithDefaults with %+v: got %v, want the cost-model error", bad, err)
+		}
+		if _, err := plan.Search(w, topo, algos()); err == nil || errors.Is(err, plan.ErrNoFeasible) {
+			t.Errorf("Search with %+v: got %v, want a configuration error", bad, err)
+		}
+		if _, err := plan.SearchServing(w, topo, algos(), plan.ServingObjective{}); err == nil {
+			t.Errorf("SearchServing with %+v must error", bad)
+		}
+		if _, err := plan.Replan(w, topo, algos(), 4, nil); err == nil || errors.Is(err, plan.ErrNoFeasible) {
+			t.Errorf("Replan with %+v: got %v, want a configuration error", bad, err)
+		}
 	}
 }

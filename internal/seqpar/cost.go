@@ -2,7 +2,6 @@ package seqpar
 
 import (
 	"repro/internal/compute"
-	"repro/internal/dist"
 	"repro/internal/plan"
 )
 
@@ -40,30 +39,25 @@ func seqparGrids(w plan.Workload, budget int) []plan.Grid {
 
 func mbytes(elems float64) int64 { return int64(plan.BytesPerElem * elems) }
 
-// seqparCoster accumulates one rank's compute and comm seconds across a
-// layer; the group spans ranks [0, p), so it pays inter-node rates as soon
-// as p exceeds the node size.
+// seqparCoster adds the family's two collectives to the shared
+// accumulator; the group spans ranks [0, p), so it pays inter-node rates as
+// soon as p exceeds the node size.
 type seqparCoster struct {
-	m     dist.CostModel
+	plan.Coster
 	p     int
 	inter bool
-	comp  float64
-	comm  float64
 }
-
-func (c *seqparCoster) flops(f float64)      { c.comp += f / c.m.FLOPS }
-func (c *seqparCoster) gemm(m, n, k float64) { c.comp += c.m.GEMMSeconds(m, n, k) }
 
 // allGather prices gathering the row shards (perRank elements contributed
 // by every member) into full rows.
 func (c *seqparCoster) allGather(perRank float64) {
-	c.comm += c.m.AllGatherSeconds(c.p, mbytes(perRank), c.inter)
+	c.Comm += c.Model.AllGatherSeconds(c.p, mbytes(perRank), c.inter)
 }
 
 // reduceScatter prices summing full-row partials (full elements of
 // payload) down to the local row shard.
 func (c *seqparCoster) reduceScatter(full float64) {
-	c.comm += c.m.ReduceScatterSeconds(c.p, mbytes(full), c.inter)
+	c.Comm += c.Model.ReduceScatterSeconds(c.p, mbytes(full), c.inter)
 }
 
 // forwardLayer prices one Block.Forward: each parallel linear pair gathers
@@ -74,22 +68,22 @@ func (c *seqparCoster) reduceScatter(full float64) {
 func (c *seqparCoster) forwardLayer(R, h, hp, s, dh, hl float64) {
 	Rl := R / float64(c.p)
 	c.allGather(Rl * h)
-	c.gemm(R, 3*hp, h) // QKV
-	c.flops(R * 3 * hp * compute.FlopsPerAdd)
-	c.flops(R / s * hl * (4*s*s*dh + compute.FlopsPerSoftmax*s*s))
-	c.gemm(R, h, hp) // projection partial
+	c.GEMM(R, 3*hp, h) // QKV
+	c.Flops(R * 3 * hp * compute.FlopsPerAdd)
+	c.Flops(R / s * hl * (4*s*s*dh + compute.FlopsPerSoftmax*s*s))
+	c.GEMM(R, h, hp) // projection partial
 	c.reduceScatter(R * h)
-	c.flops(Rl * h * compute.FlopsPerAdd) // projection bias
-	c.flops(Rl * h * compute.FlopsPerAdd) // residual
-	c.flops(Rl * h * (compute.FlopsPerNorm + 2))
+	c.Flops(Rl * h * compute.FlopsPerAdd) // projection bias
+	c.Flops(Rl * h * compute.FlopsPerAdd) // residual
+	c.Flops(Rl * h * (compute.FlopsPerNorm + 2))
 	c.allGather(Rl * h)
-	c.gemm(R, 4*hp, h) // fc1
-	c.flops(R * 4 * hp * (compute.FlopsPerAdd + compute.FlopsPerGELU))
-	c.gemm(R, h, 4*hp) // fc2 partial
+	c.GEMM(R, 4*hp, h) // fc1
+	c.Flops(R * 4 * hp * (compute.FlopsPerAdd + compute.FlopsPerGELU))
+	c.GEMM(R, h, 4*hp) // fc2 partial
 	c.reduceScatter(R * h)
-	c.flops(Rl * h * compute.FlopsPerAdd)
-	c.flops(Rl * h * compute.FlopsPerAdd)
-	c.flops(Rl * h * (compute.FlopsPerNorm + 2))
+	c.Flops(Rl * h * compute.FlopsPerAdd)
+	c.Flops(Rl * h * compute.FlopsPerAdd)
+	c.Flops(Rl * h * (compute.FlopsPerNorm + 2))
 }
 
 // backwardLayer prices one Block.Backward: each module gathers the sharded
@@ -99,35 +93,35 @@ func (c *seqparCoster) forwardLayer(R, h, hp, s, dh, hl float64) {
 // The fc1 GELU output is recomputed from the saved pre-activation.
 func (c *seqparCoster) backwardLayer(R, h, hp, s, dh, hl float64) {
 	Rl := R / float64(c.p)
-	c.flops(Rl * h * (compute.FlopsPerNorm + 2)) // ln2
+	c.Flops(Rl * h * (compute.FlopsPerNorm + 2)) // ln2
 	// MLP: dz gather, GELU recompute, shard gradients, dx reduce-scatter,
 	// input re-gather for dW1.
 	c.allGather(Rl * h)
-	c.flops(R * h * compute.FlopsPerAdd)       // fc2 bias sums
-	c.flops(R * 4 * hp * compute.FlopsPerGELU) // GELU recompute
-	c.gemm(4*hp, h, R)
-	c.gemm(R, 4*hp, h)
-	c.flops(R * 4 * hp * (compute.FlopsPerGELU + compute.FlopsPerAdd))
-	c.flops(R * 4 * hp * compute.FlopsPerAdd) // fc1 bias sums
-	c.gemm(R, h, 4*hp)
+	c.Flops(R * h * compute.FlopsPerAdd)       // fc2 bias sums
+	c.Flops(R * 4 * hp * compute.FlopsPerGELU) // GELU recompute
+	c.GEMM(4*hp, h, R)
+	c.GEMM(R, 4*hp, h)
+	c.Flops(R * 4 * hp * (compute.FlopsPerGELU + compute.FlopsPerAdd))
+	c.Flops(R * 4 * hp * compute.FlopsPerAdd) // fc1 bias sums
+	c.GEMM(R, h, 4*hp)
 	c.reduceScatter(R * h)
 	c.allGather(Rl * h)
-	c.gemm(h, 4*hp, R)
-	c.flops(Rl * h * compute.FlopsPerAdd) // residual
-	c.flops(Rl * h * (compute.FlopsPerNorm + 2))
+	c.GEMM(h, 4*hp, R)
+	c.Flops(Rl * h * compute.FlopsPerAdd) // residual
+	c.Flops(Rl * h * (compute.FlopsPerNorm + 2))
 	// Attention: dy gather, projection gradients, attention backward, dx
 	// reduce-scatter, input re-gather for dQKV.
 	c.allGather(Rl * h)
-	c.flops(R * h * compute.FlopsPerAdd) // projection bias sums
-	c.gemm(hp, h, R)
-	c.gemm(R, hp, h)
-	c.flops(R / s * hl * (8*s*s*dh + compute.FlopsPerSoftmax*s*s))
-	c.gemm(R, h, 3*hp)
+	c.Flops(R * h * compute.FlopsPerAdd) // projection bias sums
+	c.GEMM(hp, h, R)
+	c.GEMM(R, hp, h)
+	c.Flops(R / s * hl * (8*s*s*dh + compute.FlopsPerSoftmax*s*s))
+	c.GEMM(R, h, 3*hp)
 	c.reduceScatter(R * h)
 	c.allGather(Rl * h)
-	c.gemm(h, 3*hp, R)
-	c.flops(R * 3 * hp * compute.FlopsPerAdd)
-	c.flops(Rl * h * compute.FlopsPerAdd)
+	c.GEMM(h, 3*hp, R)
+	c.Flops(R * 3 * hp * compute.FlopsPerAdd)
+	c.Flops(Rl * h * compute.FlopsPerAdd)
 }
 
 // seqparCost prices a workload on one [p] layout.
@@ -140,26 +134,12 @@ func seqparCost(w plan.Workload, g plan.Grid, t plan.Topology) plan.Breakdown {
 	dh := h / float64(w.Heads)
 	hl := float64(w.Heads) / float64(p)
 	inter := t.SpansNodes(0, p-1)
-	L := float64(w.Layers)
 
-	fwd := &seqparCoster{m: t.Cost, p: p, inter: inter}
+	fwd := &seqparCoster{Coster: plan.Coster{Model: t.Cost}, p: p, inter: inter}
 	fwd.forwardLayer(R, h, hp, s, dh, hl)
-	bwd := &seqparCoster{m: t.Cost, p: p, inter: inter}
+	bwd := &seqparCoster{Coster: plan.Coster{Model: t.Cost}, p: p, inter: inter}
 	bwd.backwardLayer(R, h, hp, s, dh, hl)
-
-	fwdPhase := L * (fwd.comp + fwd.comm)
-	comp := L * (fwd.comp + bwd.comp)
-	backward := L * (bwd.comp + bwd.comm)
-	if !w.NoRecompute {
-		backward += fwdPhase
-		comp += L * fwd.comp
-	}
-	return plan.Breakdown{
-		Forward:        fwdPhase,
-		Backward:       backward,
-		ComputeSeconds: comp,
-		CommSeconds:    fwdPhase + backward - comp,
-	}
+	return plan.Assemble(w, &fwd.Coster, &bwd.Coster, 0)
 }
 
 // seqparMemory estimates the bytes one rank holds across a training step:

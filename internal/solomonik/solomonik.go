@@ -23,26 +23,32 @@ import (
 // MulAB multiplies 2-D block-distributed matrices with the 2.5-D algorithm
 // on a [q, q, d] mesh where d divides q. The caller at (i, j, 0) passes its
 // blocks A[i,j], B[i,j] of the q×q front-layer distribution; callers on
-// deeper layers pass nil and receive the operands via the initial depth
-// broadcast. Every caller returns the complete local block C[i,j] (the depth
-// reduction is an all-reduce so the front layer and the replicas agree).
+// deeper layers pass receive buffers of the same block shapes, which the
+// initial depth broadcast fills (a receiver has to know the shape it is
+// about to receive). Blocks travel between ranks by pointer during the
+// shifts, so no caller may reuse a or b afterwards. Every caller returns the
+// complete local block C[i,j] (the depth reduction is an all-reduce so the
+// front layer and the replicas agree).
 func MulAB(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 	q, d := p.Shape.Q, p.Shape.D
 	if q%d != 0 {
 		panic(fmt.Sprintf("solomonik: depth %d must divide dimension %d", d, q))
 	}
-	if p.K == 0 {
-		if a == nil || b == nil {
-			panic("solomonik: front layer must provide blocks")
-		}
-		if a.Cols != b.Rows {
-			panic(fmt.Sprintf("solomonik: local blocks %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-		}
+	if a == nil || b == nil {
+		panic("solomonik: every layer must provide blocks (receive buffers behind the front layer)")
+	}
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("solomonik: local blocks %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	// Step 1: replicate the front layer's blocks across the depth fibre.
+	// The front layer lends its blocks as their own destinations.
+	var srcA, srcB *tensor.Matrix
+	if p.K == 0 {
+		srcA, srcB = a, b
+	}
 	front := p.DepthRank(0)
-	a = p.Depth.Broadcast(p.W, front, a)
-	b = p.Depth.Broadcast(p.W, front, b)
+	p.Depth.BroadcastInto(p.W, front, srcA, a)
+	p.Depth.BroadcastInto(p.W, front, srcB, b)
 
 	var c *tensor.Matrix
 	if a.Phantom() || b.Phantom() {
@@ -67,7 +73,7 @@ func MulAB(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 	}
 
 	// Step 3: sum the partial products across the depth fibre.
-	return p.Depth.AllReduce(p.W, c)
+	return p.Depth.AllReduceInto(p.W, c, c)
 }
 
 // Transfers returns the paper's closed-form transfer count for the 2.5-D

@@ -12,6 +12,9 @@ import (
 	"repro/internal/testutil"
 )
 
+// TestMulABMatchesSerial: the front layer supplies the operands, the deeper
+// layers receive buffers of the block shape, and every layer ends up with
+// the serial product's block — at d = 1 (Cannon), d = 2, and d = q (3-D).
 func TestMulABMatchesSerial(t *testing.T) {
 	for _, tc := range []struct{ q, d int }{
 		{2, 1}, {2, 2}, {3, 3}, {4, 2}, {4, 4},
@@ -24,7 +27,7 @@ func TestMulABMatchesSerial(t *testing.T) {
 			want := tensor.MatMul(ga, gb)
 			testutil.Run(t, s.Size(), func(w *dist.Worker) error {
 				p := mesh.NewProc(w, s)
-				var la, lb *tensor.Matrix
+				la, lb := tensor.New(4, 3), tensor.New(3, 2)
 				if p.K == 0 {
 					la = ga.SubMatrix(p.I*4, p.J*3, 4, 3)
 					lb = gb.SubMatrix(p.I*3, p.J*2, 3, 2)
@@ -68,12 +71,7 @@ func TestDepthReducesShiftTraffic(t *testing.T) {
 		s := mesh.Shape{Q: 4, D: d}
 		c := dist.New(dist.Config{WorldSize: s.Size()})
 		if err := c.Run(func(w *dist.Worker) error {
-			p := mesh.NewProc(w, s)
-			var la, lb *tensor.Matrix
-			if p.K == 0 {
-				la, lb = tensor.NewPhantom(2, 2), tensor.NewPhantom(2, 2)
-			}
-			MulAB(p, la, lb)
+			MulAB(mesh.NewProc(w, s), tensor.NewPhantom(2, 2), tensor.NewPhantom(2, 2))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -101,11 +99,7 @@ func TestDepthMustDivideQ(t *testing.T) {
 	err := c.Run(func(w *dist.Worker) error {
 		p := mesh.NewProc(w, s)
 		defer func() { recover() }()
-		var la, lb *tensor.Matrix
-		if p.K == 0 {
-			la, lb = tensor.New(2, 2), tensor.New(2, 2)
-		}
-		MulAB(p, la, lb)
+		MulAB(p, tensor.New(2, 2), tensor.New(2, 2))
 		t.Errorf("rank %d: expected panic for d∤q", w.Rank())
 		return nil
 	})

@@ -23,7 +23,7 @@
 // dist runtime keeps nonblocking collectives bit-identical to their
 // blocking forms and pairs them in per-worker issue order, so the
 // pipelined schedules produce exactly the bits of the blocking schedules
-// kept in blocking.go — TestPipelinedMatchesBlockingBitwise holds the
+// kept in blocking_test.go — TestPipelinedMatchesBlockingBitwise holds the
 // kernels to that.
 package summa
 
@@ -273,31 +273,30 @@ func DistributeA(p *mesh.Proc, global *tensor.Matrix) *tensor.Matrix {
 
 // CollectA reassembles an A-distributed matrix on every processor via
 // all-gathers along the row (columns of the matrix) and the slab (block
-// rows). It is used by tests and by redundantly-computed model heads.
+// rows). It is used by tests and by redundantly-computed model heads; the
+// caller owns the returned matrix.
 func CollectA(p *mesh.Proc, local *tensor.Matrix) *tensor.Matrix {
-	rowParts := p.Row.AllGather(p.W, local)
-	wide := hcat(rowParts)
-	slabParts := p.Slab.AllGather(p.W, wide)
 	// Slab order is h = i + k·q ascending, i.e. exactly block-row order.
-	return vcat(slabParts)
+	return collect(p, p.Slab, local)
 }
 
 // CollectB reassembles a B-distributed matrix on every processor of a layer.
 func CollectB(p *mesh.Proc, local *tensor.Matrix) *tensor.Matrix {
-	rowParts := p.Row.AllGather(p.W, local)
-	wide := hcat(rowParts)
-	colParts := p.Col.AllGather(p.W, wide)
-	return vcat(colParts)
+	return collect(p, p.Col, local)
 }
 
-func hcat(parts []*tensor.Matrix) *tensor.Matrix {
-	blocks := make([]*tensor.Matrix, len(parts))
-	copy(blocks, parts)
-	return tensor.Combine(1, len(blocks), blocks)
+// collect gathers local side by side along the grid row, then stacks the
+// wide blocks over the given group.
+func collect(p *mesh.Proc, stack *dist.Group, local *tensor.Matrix) *tensor.Matrix {
+	wide := newLike(local, local.Rows, p.Row.Size()*local.Cols)
+	p.Row.AllGatherInto(p.W, local, wide)
+	return stack.AllGatherInto(p.W, wide, newLike(wide, stack.Size()*wide.Rows, wide.Cols))
 }
 
-func vcat(parts []*tensor.Matrix) *tensor.Matrix {
-	blocks := make([]*tensor.Matrix, len(parts))
-	copy(blocks, parts)
-	return tensor.Combine(len(blocks), 1, blocks)
+// newLike allocates a [rows, cols] matrix that is phantom exactly when m is.
+func newLike(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m.Phantom() {
+		return tensor.NewPhantom(rows, cols)
+	}
+	return tensor.New(rows, cols)
 }

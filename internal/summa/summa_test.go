@@ -118,7 +118,7 @@ func TestMulATBAcrossDepthSumsToSerial(t *testing.T) {
 		la := DistributeA(p, ga)
 		lc := DistributeA(p, gc)
 		partial := MulATB(p, la, lc)
-		full := p.Depth.AllReduce(p.W, partial)
+		full := p.Depth.AllReduceInto(p.W, partial, partial)
 		results.Put(p.W.Rank(), CollectB(p, full))
 		return nil
 	})
@@ -127,21 +127,70 @@ func TestMulATBAcrossDepthSumsToSerial(t *testing.T) {
 	}
 }
 
+// TestDistributeCollectRoundTrip: Collect(Distribute(x)) ≡ x bit for bit on
+// every rank, and the two all-gathers behind it cost what they always did —
+// the clocks and traffic below were recorded from the allocating AllGather
+// path CollectA/CollectB ran on before they were ported to AllGatherInto,
+// and hold for shape-only operands too.
 func TestDistributeCollectRoundTrip(t *testing.T) {
-	s := mesh.Shape{Q: 2, D: 2}
-	rng := tensor.NewRNG(7)
-	ga := tensor.RandomMatrix(8, 6, rng)
-	gb := tensor.RandomMatrix(6, 4, rng)
-	results := testutil.NewCollector()
-	bResults := testutil.NewCollector()
-	runMesh(t, s, func(p *mesh.Proc) error {
-		results.Put(p.W.Rank(), CollectA(p, DistributeA(p, ga)))
-		bResults.Put(p.W.Rank(), CollectB(p, DistributeB(p, gb)))
-		return nil
-	})
-	for r := 0; r < s.Size(); r++ {
-		testutil.CheckClose(t, "A roundtrip", results.Get(r), ga, 0)
-		testutil.CheckClose(t, "B roundtrip", bResults.Get(r), gb, 0)
+	for _, tc := range []struct {
+		q, d           int
+		clockA, clockB float64
+		statsA, statsB dist.OpStats
+	}{
+		{2, 1, 4.000576e-06, 4.000576e-06,
+			dist.OpStats{Calls: 4, Messages: 8, Bytes: 576}, dist.OpStats{Calls: 4, Messages: 8, Bytes: 576}},
+		{2, 2, 8.046272e-06, 4.000576e-06,
+			dist.OpStats{Calls: 6, Messages: 32, Bytes: 2688}, dist.OpStats{Calls: 8, Messages: 16, Bytes: 1152}},
+		{3, 2, 1.4130559999999999e-05, 8.06144e-06,
+			dist.OpStats{Calls: 9, Messages: 126, Bytes: 14688}, dist.OpStats{Calls: 12, Messages: 72, Bytes: 6912}},
+	} {
+		s := mesh.Shape{Q: tc.q, D: tc.d}
+		rng := tensor.NewRNG(5)
+		ga := tensor.RandomMatrix(2*tc.q*tc.d, 3*tc.q, rng)
+		gb := tensor.RandomMatrix(2*tc.q, 3*tc.q, rng)
+		for _, side := range []struct {
+			name       string
+			global     *tensor.Matrix
+			distribute func(*mesh.Proc, *tensor.Matrix) *tensor.Matrix
+			collect    func(*mesh.Proc, *tensor.Matrix) *tensor.Matrix
+			clock      float64
+			stats      dist.OpStats
+		}{
+			{"A", ga, DistributeA, CollectA, tc.clockA, tc.statsA},
+			{"B", gb, DistributeB, CollectB, tc.clockB, tc.statsB},
+		} {
+			for _, phantom := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/q%dd%d/phantom=%v", side.name, tc.q, tc.d, phantom), func(t *testing.T) {
+					results := testutil.NewCollector()
+					c := runMesh(t, s, func(p *mesh.Proc) error {
+						local := side.distribute(p, side.global)
+						if phantom {
+							local = tensor.NewPhantom(local.Rows, local.Cols)
+						}
+						results.Put(p.W.Rank(), side.collect(p, local))
+						return nil
+					})
+					for r := 0; r < s.Size(); r++ {
+						got := results.Get(r)
+						if phantom {
+							if !got.Phantom() || !got.SameShape(side.global) {
+								t.Fatalf("rank %d: phantom collect gave %dx%d (phantom=%v)", r, got.Rows, got.Cols, got.Phantom())
+							}
+							continue
+						}
+						testutil.CheckClose(t, fmt.Sprintf("rank %d roundtrip", r), got, side.global, 0)
+					}
+					if c.MaxClock() != side.clock {
+						t.Errorf("clock %v, recorded %v", c.MaxClock(), side.clock)
+					}
+					st := c.Stats()
+					if st.PerOp["allgather"] != side.stats || st.Messages != side.stats.Messages || st.Bytes != side.stats.Bytes {
+						t.Errorf("stats %+v, recorded all-gathers only: %+v", st, side.stats)
+					}
+				})
+			}
+		}
 	}
 }
 

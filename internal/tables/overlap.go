@@ -30,7 +30,10 @@ type OverlapPoint struct {
 // versus measured communication overlap for each. Rows from other schemes
 // are skipped (they have no pipelined SUMMA schedule to predict).
 func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	var out []OverlapPoint
 	for _, row := range rows {
 		if row.Scheme != Tesseract {

@@ -130,7 +130,10 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 	if topN <= 0 {
 		topN = 3
 	}
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	var out []PlannerPoint
 	for _, sc := range scenarios {
 		topo := plan.Topology{Cost: opts.Cost, GPUsPerNode: opts.GPUsPerNode, RankBudget: sc.RankBudget, ExactRanks: true}

@@ -34,7 +34,17 @@ type Options struct {
 	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills the zero fields and rejects what no run can honour — a
+// negative size or a cost model dist.New would panic on — before any cluster
+// is built. Zero always means "default".
+func (o Options) withDefaults() (Options, error) {
+	if o.SeqLen < 0 || o.Layers < 0 || o.GPUsPerNode < 0 {
+		return o, fmt.Errorf("tables: sequence length %d, layers %d and GPUs per node %d must not be negative (zero selects the default)",
+			o.SeqLen, o.Layers, o.GPUsPerNode)
+	}
+	if err := o.Cost.Check(); err != nil {
+		return o, fmt.Errorf("tables: %w", err)
+	}
 	if o.SeqLen == 0 {
 		o.SeqLen = DefaultSeqLen
 	}
@@ -50,7 +60,7 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	return o
+	return o, nil
 }
 
 // blockRunner abstracts one rank's view of a Transformer layer stack so the
@@ -65,7 +75,10 @@ type blockRunner interface {
 // by resetting the simulated clocks in between, exactly mirroring the
 // paper's forward-time/backward-time split.
 func RunRow(row Row, opts Options) (Result, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return Result{}, err
+	}
 	c := dist.New(dist.Config{
 		WorldSize:   row.GPUs,
 		GPUsPerNode: opts.GPUsPerNode,
@@ -74,7 +87,7 @@ func RunRow(row Row, opts Options) (Result, error) {
 	runners := make([]blockRunner, row.GPUs)
 
 	// Phase 0 (untimed): construct the model and inputs.
-	err := c.Run(func(w *dist.Worker) error {
+	err = c.Run(func(w *dist.Worker) error {
 		r, err := newRunner(row, opts, w)
 		if err != nil {
 			return err

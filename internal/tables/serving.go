@@ -136,7 +136,10 @@ func ServingPlannerStudy(topN int, opts Options) (*ServingPlannerPoint, error) {
 	if topN <= 0 {
 		topN = 3
 	}
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	w := plan.Workload{Batch: 16, SeqLen: opts.SeqLen, Hidden: 3072, Heads: 64, Layers: opts.Layers}
 	topo := plan.Topology{Cost: opts.Cost, GPUsPerNode: opts.GPUsPerNode, RankBudget: 64, ExactRanks: true}
 	o := plan.ServingObjective{}

@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/plan"
 )
 
 // smallOpts shrinks the problem so Real mode is affordable in tests.
@@ -255,6 +258,14 @@ func TestTransmissionStudy(t *testing.T) {
 	if points[0].MeasuredBlocks <= points[1].MeasuredBlocks || points[0].MeasuredBlocks <= points[2].MeasuredBlocks {
 		t.Errorf("Cannon must move the most blocks: %+v", points)
 	}
+	// The counts themselves are a property of the three schedules: the
+	// 2.5-D depth broadcasts and all-reduce and SUMMA's panel broadcasts
+	// book the same transfers whichever buffers they land in.
+	for i, want := range []int64{1008, 288, 384} {
+		if points[i].MeasuredBlocks != want {
+			t.Errorf("%s measured %d blocks, want %d", points[i].Algorithm, points[i].MeasuredBlocks, want)
+		}
+	}
 }
 
 func TestFormatOutputs(t *testing.T) {
@@ -362,6 +373,56 @@ func TestFamilyParityStudy(t *testing.T) {
 		}
 		if p.SimSeconds <= 0 || p.Bytes <= 0 {
 			t.Errorf("%s reported no simulated cost (%gs, %dB)", p.Layout, p.SimSeconds, p.Bytes)
+		}
+	}
+}
+
+// TestNegativeOptionsAreOneError: a negative sequence length, layer count or
+// node size (or a cost model no cluster accepts) is one error from every
+// entry point that takes Options, before any cluster is built — they used to
+// print ±Inf rows or die inside a worker on negative tensor dimensions. Zero
+// keeps meaning "default".
+func TestNegativeOptionsAreOneError(t *testing.T) {
+	row := smallRow(Megatron, 2, 0, 0)
+	if _, err := RunRow(row, Options{}); err != nil {
+		t.Fatalf("zero options must select the defaults: %v", err)
+	}
+	for name, bad := range map[string]Options{
+		"seqlen":        {SeqLen: -1},
+		"layers":        {Layers: -1},
+		"gpus per node": {GPUsPerNode: -4},
+		"cost":          {Cost: dist.CostModel{Alpha: -1}},
+	} {
+		entries := map[string]func() error{
+			"RunRow":   func() error { _, err := RunRow(row, bad); return err },
+			"RunTable": func() error { _, err := RunTable([]Row{row}, bad); return err },
+			"DepthAblation": func() error {
+				_, err := DepthAblation(2, []int{1}, bad)
+				return err
+			},
+			"OverlapStudy": func() error {
+				_, err := OverlapStudy([]Row{smallRow(Tesseract, 4, 2, 1)}, bad)
+				return err
+			},
+			"PlannerStudy": func() error {
+				_, err := PlannerStudy(PlannerScenarios()[:1], 1, bad)
+				return err
+			},
+			"ServingPlannerStudy": func() error { _, err := ServingPlannerStudy(1, bad); return err },
+		}
+		if name == "gpus per node" || name == "cost" {
+			// The workload overrides SeqLen and Layers; the rest is Options'.
+			entries["MeasurePlan"] = func() error {
+				w := plan.Workload{Batch: 8, SeqLen: 4, Hidden: 16, Heads: 4}
+				_, err := MeasurePlan(w, bad)(plan.Plan{Family: "megatron", Grid: plan.Grid{Ranks: 2}})
+				return err
+			}
+		}
+		for entry, run := range entries {
+			err := run()
+			if err == nil || !strings.Contains(err.Error(), "tables: ") || strings.Contains(err.Error(), "\n") {
+				t.Errorf("%s with bad %s: got %v, want one tables error", entry, name, err)
+			}
 		}
 	}
 }

@@ -85,26 +85,6 @@ func GELUGradHadamardTo(dst, pre, dy *Matrix) {
 	}
 }
 
-// ReLU applies max(0, x) elementwise.
-func ReLU(m *Matrix) *Matrix {
-	return Apply(m, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
-
-// ReLUGrad returns the elementwise derivative of ReLU at m (1 for x>0 else 0).
-func ReLUGrad(m *Matrix) *Matrix {
-	return Apply(m, func(x float64) float64 {
-		if x > 0 {
-			return 1
-		}
-		return 0
-	})
-}
-
 // SoftmaxRows applies a numerically stable softmax to each row of m.
 func SoftmaxRows(m *Matrix) *Matrix {
 	if m.Phantom() {

@@ -21,7 +21,6 @@ var (
 	vaddIn = vaddInGeneric // dst[i] += src[i]
 	vmulTo = vmulToGeneric // dst[i] = a[i] * b[i]
 	vscale = vscaleGeneric // dst[i] *= alpha
-	axpy   = axpyGeneric   // c[i] += a * b[i]
 
 	adamKernel = adamUpdateGeneric
 )
@@ -55,16 +54,6 @@ func vmulToGeneric(dst, a, b []float64) {
 	_ = b[len(dst)-1]
 	for i := range dst {
 		dst[i] = a[i] * b[i]
-	}
-}
-
-func axpyGeneric(c, b []float64, a float64) {
-	if len(c) == 0 {
-		return
-	}
-	_ = b[len(c)-1]
-	for j := range c {
-		c[j] += a * b[j]
 	}
 }
 

@@ -22,9 +22,6 @@ func vmulToPtr(dst, a, b *float64, n int)
 func vscalePtr(dst *float64, n int, alpha float64)
 
 //go:noescape
-func axpyPtr(c, b *float64, n int, a float64)
-
-//go:noescape
 func adamPtr(val, grad, m, v *float64, n int, lr, b1, omb1, b2, omb2, eps, wd, bc1, bc2 float64)
 
 func init() {
@@ -33,7 +30,6 @@ func init() {
 		vaddIn = vaddInAVX2
 		vmulTo = vmulToAVX2
 		vscale = vscaleAVX2
-		axpy = axpyAVX2
 		adamKernel = adamAVX2
 	}
 }
@@ -53,14 +49,6 @@ func vaddInAVX2(dst, src []float64) {
 	}
 	_ = src[len(dst)-1]
 	vaddInPtr(&dst[0], &src[0], len(dst))
-}
-
-func axpyAVX2(c, b []float64, a float64) {
-	if len(c) == 0 {
-		return
-	}
-	_ = b[len(c)-1]
-	axpyPtr(&c[0], &b[0], len(c), a)
 }
 
 func vmulToAVX2(dst, a, b []float64) {

@@ -287,50 +287,3 @@ adloop4:
 adone2:
 	VZEROUPPER
 	RET
-
-// func axpyPtr(c, b *float64, n int, a float64)
-// c[j] += a*b[j]
-TEXT ·axpyPtr(SB), NOSPLIT, $0-32
-	MOVQ c+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   atail4
-aloop8:
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(SI)(AX*8), Y0, Y7
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	DECQ DX
-	JNZ  aloop8
-atail4:
-	TESTQ $4, CX
-	JZ    atail1
-	VMOVUPD (DI)(AX*8), Y4
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-atail1:
-	CMPQ AX, CX
-	JGE  adone
-ascalar:
-	MOVSD (DI)(AX*8), X4
-	MOVSD (SI)(AX*8), X5
-	MULSD X0, X5
-	ADDSD X5, X4
-	MOVSD X4, (DI)(AX*8)
-	INCQ AX
-	CMPQ AX, CX
-	JL   ascalar
-adone:
-	VZEROUPPER
-	RET

@@ -211,17 +211,6 @@ func AddInPlace(a, b *Matrix) {
 	vaddIn(a.Data, b.Data)
 }
 
-// AxpyInPlace computes a += alpha*b.
-func AxpyInPlace(a *Matrix, alpha float64, b *Matrix) {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: AxpyInPlace %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if phantomAny(a, b) || len(a.Data) == 0 {
-		return
-	}
-	axpy(a.Data, b.Data, alpha)
-}
-
 // Scale returns alpha*m as a new matrix.
 func Scale(alpha float64, m *Matrix) *Matrix {
 	if m.Phantom() {

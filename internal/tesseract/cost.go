@@ -101,17 +101,14 @@ func dims(w plan.Workload, g plan.Grid) layerDims {
 }
 
 // summaCoster prices the three double-buffered SUMMA kernels and the
-// point collectives of one layer, splitting every charge into compute and
-// non-hidden comm so the Breakdown can report the comm share.
+// point collectives of one layer on the shared accumulator, splitting
+// every charge into compute and non-hidden comm so the Breakdown can report
+// the comm share.
 type summaCoster struct {
-	m    dist.CostModel
-	q    int
-	l    meshLinks
-	comp float64 // accumulated compute seconds
-	comm float64 // accumulated non-hidden comm seconds
+	plan.Coster
+	q int
+	l meshLinks
 }
-
-func (c *summaCoster) flops(f float64) { c.comp += f / c.m.FLOPS }
 
 // pipeline charges one double-buffered SUMMA pass of q iterations whose
 // stages — the prefetch broadcast, the GEMM, and (in the transposed
@@ -126,32 +123,32 @@ func (c *summaCoster) pipeline(bcast, reduce, gemm float64) {
 	slowest := math.Max(bcast, math.Max(reduce, gemm))
 	total := float64(c.q)*slowest + (bcast + reduce + gemm - slowest)
 	compute := float64(c.q) * gemm
-	c.comp += compute
-	c.comm += total - compute
+	c.Comp += compute
+	c.Comm += total - compute
 }
 
 // mulAB prices C = A·B on local blocks [rows × kl]·[kl × nl]: A panels
 // broadcast along rows, B panels along columns, no reduce.
 func (c *summaCoster) mulAB(rows, kl, nl float64) {
 	if c.q == 1 {
-		c.flops(2 * rows * nl * kl)
+		c.Flops(2 * rows * nl * kl)
 		return
 	}
-	rowB := c.m.BroadcastSeconds(c.q, bytesOf(rows*kl), c.l.row)
-	colB := c.m.BroadcastSeconds(c.q, bytesOf(kl*nl), c.l.col)
-	c.pipeline(math.Max(rowB, colB), 0, c.m.GEMMSeconds(rows, nl, kl))
+	rowB := c.Model.BroadcastSeconds(c.q, bytesOf(rows*kl), c.l.row)
+	colB := c.Model.BroadcastSeconds(c.q, bytesOf(kl*nl), c.l.col)
+	c.pipeline(math.Max(rowB, colB), 0, c.Model.GEMMSeconds(rows, nl, kl))
 }
 
 // mulABT prices C = A·Bᵀ for dy [rows × cl] and W [rl × cl]: W panels
 // broadcast down columns, partials reduced along rows.
 func (c *summaCoster) mulABT(rows, rl, cl float64) {
 	if c.q == 1 {
-		c.flops(2 * rows * rl * cl)
+		c.Flops(2 * rows * rl * cl)
 		return
 	}
-	colB := c.m.BroadcastSeconds(c.q, bytesOf(rl*cl), c.l.col)
-	rowR := c.m.ReduceSeconds(c.q, bytesOf(rows*rl), c.l.row)
-	c.pipeline(colB, rowR, c.m.GEMMSeconds(rows, rl, cl))
+	colB := c.Model.BroadcastSeconds(c.q, bytesOf(rl*cl), c.l.col)
+	rowR := c.Model.ReduceSeconds(c.q, bytesOf(rows*rl), c.l.row)
+	c.pipeline(colB, rowR, c.Model.GEMMSeconds(rows, rl, cl))
 }
 
 // mulATB prices C = Aᵀ·B for x [rows × kl] and dy [rows × nl]: x panels
@@ -159,30 +156,30 @@ func (c *summaCoster) mulABT(rows, rl, cl float64) {
 // of the result is queued, not synchronous — the caller accounts it.
 func (c *summaCoster) mulATB(rows, kl, nl float64) {
 	if c.q == 1 {
-		c.flops(2 * kl * nl * rows)
+		c.Flops(2 * kl * nl * rows)
 		return
 	}
-	rowB := c.m.BroadcastSeconds(c.q, bytesOf(rows*kl), c.l.row)
-	colR := c.m.ReduceSeconds(c.q, bytesOf(kl*nl), c.l.col)
-	c.pipeline(rowB, colR, c.m.GEMMSeconds(kl, nl, rows))
+	rowB := c.Model.BroadcastSeconds(c.q, bytesOf(rows*kl), c.l.row)
+	colR := c.Model.ReduceSeconds(c.q, bytesOf(kl*nl), c.l.col)
+	c.pipeline(rowB, colR, c.Model.GEMMSeconds(kl, nl, rows))
 }
 
 // colBroadcast charges a blocking broadcast over the column group (the
 // bias distribution path).
 func (c *summaCoster) colBroadcast(elems float64) {
-	c.comm += c.m.BroadcastSeconds(c.q, bytesOf(elems), c.l.col)
+	c.Comm += c.Model.BroadcastSeconds(c.q, bytesOf(elems), c.l.col)
 }
 
 // colReduce charges a blocking reduce over the column group (the bias
 // gradient path).
 func (c *summaCoster) colReduce(elems float64) {
-	c.comm += c.m.ReduceSeconds(c.q, bytesOf(elems), c.l.col)
+	c.Comm += c.Model.ReduceSeconds(c.q, bytesOf(elems), c.l.col)
 }
 
 // rowAllReduce charges the layer norms' fused statistics all-reduce over
 // the row group.
 func (c *summaCoster) rowAllReduce(elems float64) {
-	c.comm += c.m.AllReduceSeconds(c.q, bytesOf(elems), c.l.row)
+	c.Comm += c.Model.AllReduceSeconds(c.q, bytesOf(elems), c.l.row)
 }
 
 // linearForward prices Linear.Forward on local blocks: one SUMMA AB pass,
@@ -190,9 +187,9 @@ func (c *summaCoster) rowAllReduce(elems float64) {
 func (c *summaCoster) linearForward(d layerDims, inl, outl float64, gelu bool) {
 	c.mulAB(d.mh, inl, outl)
 	c.colBroadcast(outl)
-	c.flops(d.mh * outl * compute.FlopsPerAdd)
+	c.Flops(d.mh * outl * compute.FlopsPerAdd)
 	if gelu {
-		c.flops(d.mh * outl * compute.FlopsPerGELU)
+		c.Flops(d.mh * outl * compute.FlopsPerGELU)
 	}
 }
 
@@ -201,10 +198,10 @@ func (c *summaCoster) linearForward(d layerDims, inl, outl float64, gelu bool) {
 // gradient, the bias column-sum and reduce, and the A·Bᵀ input gradient.
 func (c *summaCoster) linearBackward(d layerDims, inl, outl float64, gelu bool) {
 	if gelu {
-		c.flops(d.mh * outl * (compute.FlopsPerGELU + compute.FlopsPerAdd))
+		c.Flops(d.mh * outl * (compute.FlopsPerGELU + compute.FlopsPerAdd))
 	}
 	c.mulATB(d.mh, inl, outl)
-	c.flops(d.mh * outl * compute.FlopsPerAdd) // bias column sums
+	c.Flops(d.mh * outl * compute.FlopsPerAdd) // bias column sums
 	c.colReduce(outl)
 	c.mulABT(d.mh, inl, outl)
 }
@@ -212,22 +209,22 @@ func (c *summaCoster) linearBackward(d layerDims, inl, outl float64, gelu bool) 
 // layerNorm prices one LayerNorm pass (forward and backward charge alike):
 // the packed row statistics, their row all-reduce, and the normalise step.
 func (c *summaCoster) layerNorm(d layerDims) {
-	c.flops(2 * d.mh * d.hq * compute.FlopsPerAdd)
+	c.Flops(2 * d.mh * d.hq * compute.FlopsPerAdd)
 	c.rowAllReduce(d.mh * 2)
-	c.flops(d.mh * d.hq * compute.FlopsPerNorm)
+	c.Flops(d.mh * d.hq * compute.FlopsPerNorm)
 }
 
 // forwardLayer prices one Block.Forward: QKV linear, local attention,
 // output projection, and the MLP, with residual adds and layer norms.
 func (c *summaCoster) forwardLayer(d layerDims) {
 	c.linearForward(d, d.hq, 3*d.hq, false) // fused QKV
-	c.flops(d.mh / d.s * d.hl * (4*d.s*d.s*d.dh + compute.FlopsPerSoftmax*d.s*d.s))
+	c.Flops(d.mh / d.s * d.hl * (4*d.s*d.s*d.dh + compute.FlopsPerSoftmax*d.s*d.s))
 	c.linearForward(d, d.hq, d.hq, false) // output projection
-	c.flops(d.mh * d.hq * compute.FlopsPerAdd)
+	c.Flops(d.mh * d.hq * compute.FlopsPerAdd)
 	c.layerNorm(d)
 	c.linearForward(d, d.hq, 4*d.hq, true) // MLP fc1 + GELU
 	c.linearForward(d, 4*d.hq, d.hq, false)
-	c.flops(d.mh * d.hq * compute.FlopsPerAdd)
+	c.Flops(d.mh * d.hq * compute.FlopsPerAdd)
 	c.layerNorm(d)
 }
 
@@ -237,12 +234,12 @@ func (c *summaCoster) backwardLayer(d layerDims) {
 	c.layerNorm(d)
 	c.linearBackward(d, 4*d.hq, d.hq, false) // fc2
 	c.linearBackward(d, d.hq, 4*d.hq, true)  // fc1 (GELU)
-	c.flops(d.mh * d.hq * compute.FlopsPerAdd)
+	c.Flops(d.mh * d.hq * compute.FlopsPerAdd)
 	c.layerNorm(d)
 	c.linearBackward(d, d.hq, d.hq, false) // projection
-	c.flops(d.mh / d.s * d.hl * (8*d.s*d.s*d.dh + compute.FlopsPerSoftmax*d.s*d.s))
+	c.Flops(d.mh / d.s * d.hl * (8*d.s*d.s*d.dh + compute.FlopsPerSoftmax*d.s*d.s))
 	c.linearBackward(d, d.hq, 3*d.hq, false) // QKV
-	c.flops(d.mh * d.hq * compute.FlopsPerAdd)
+	c.Flops(d.mh * d.hq * compute.FlopsPerAdd)
 }
 
 // depthComm is the serial comm time of the §3.1 depth all-reduces one
@@ -272,31 +269,12 @@ func depthComm(m dist.CostModel, g plan.Grid, l meshLinks, d layerDims) float64 
 func tesseractCost(w plan.Workload, g plan.Grid, t plan.Topology) plan.Breakdown {
 	d := dims(w, g)
 	l := links(g, t)
-	L := float64(w.Layers)
 
-	fwd := &summaCoster{m: t.Cost, q: g.Q, l: l}
+	fwd := &summaCoster{Coster: plan.Coster{Model: t.Cost}, q: g.Q, l: l}
 	fwd.forwardLayer(d)
-
-	bwd := &summaCoster{m: t.Cost, q: g.Q, l: l}
+	bwd := &summaCoster{Coster: plan.Coster{Model: t.Cost}, q: g.Q, l: l}
 	bwd.backwardLayer(d)
-
-	fwdPhase := L * (fwd.comp + fwd.comm)
-	bwdSerial := L * (bwd.comp + bwd.comm)
-	depth := L * depthComm(t.Cost, g, l, d)
-	bwdPhase := math.Max(bwdSerial, depth)
-
-	comp := L * (fwd.comp + bwd.comp)
-	backward := bwdPhase
-	if !w.NoRecompute {
-		backward += fwdPhase
-		comp += L * fwd.comp
-	}
-	return plan.Breakdown{
-		Forward:        fwdPhase,
-		Backward:       backward,
-		ComputeSeconds: comp,
-		CommSeconds:    fwdPhase + backward - comp,
-	}
+	return plan.Assemble(w, &fwd.Coster, &bwd.Coster, depthComm(t.Cost, g, l, d))
 }
 
 // tesseractMemory estimates the bytes one rank holds across a training

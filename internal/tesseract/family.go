@@ -38,8 +38,7 @@ func NewFamily(w *dist.Worker, q, d int) *Family {
 }
 
 // NewFamilyAt attaches the calling worker to an arbitrary mesh shape —
-// used when composing with data or pipeline parallelism and by the Optimus
-// depth-1 delegation.
+// used by the Optimus depth-1 delegation.
 func NewFamilyAt(w *dist.Worker, s mesh.Shape) *Family {
 	return &Family{
 		p:      NewProcAt(w, s),
@@ -56,10 +55,6 @@ func (f *Family) Layout() parallel.Layout { return f.layout }
 // Worker returns the rank's cluster view.
 func (f *Family) Worker() *dist.Worker { return f.p.W }
 
-// Proc exposes the underlying mesh view for Tesseract-specific callers
-// (tests, hybrid's rank arithmetic).
-func (f *Family) Proc() *Proc { return f.p }
-
 // RowShards returns d·q: activation rows split across the depth layers and
 // grid rows.
 func (f *Family) RowShards() int { return f.p.Shape.Q * f.p.Shape.D }
@@ -71,12 +66,12 @@ func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tenso
 
 // NewBlock builds one Tesseract-parallel Transformer block.
 func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	return &BlockLayer{bound{p: f.p, m: NewBlock(f.p, h, heads, seqLen, rng)}}
+	return bound{p: f.p, m: NewBlock(f.p, h, heads, seqLen, rng)}
 }
 
 // NewBlockPhantom builds the shape-only block for paper-scale timing.
 func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	return &BlockLayer{bound{p: f.p, m: NewBlockPhantom(f.p, h, heads, seqLen)}}
+	return bound{p: f.p, m: NewBlockPhantom(f.p, h, heads, seqLen)}
 }
 
 // NewLayerNorm builds the distributed layer norm of §3.2.2.
@@ -162,13 +157,3 @@ func (b bound) Forward(x *tensor.Matrix) *tensor.Matrix   { return b.m.Forward(b
 func (b bound) Backward(dy *tensor.Matrix) *tensor.Matrix { return b.m.Backward(b.p, dy) }
 func (b bound) Params() []*nn.Param                       { return b.m.Params() }
 func (b bound) State() []parallel.State                   { return b.m.State(b.p) }
-
-// BlockLayer is the bound Block, kept as a named type so
-// Tesseract-specific callers (tests, hybrid's gradient inspection) can
-// reach the underlying struct.
-type BlockLayer struct {
-	bound
-}
-
-// Block returns the underlying Tesseract block.
-func (a *BlockLayer) Block() *Block { return a.m.(*Block) }

@@ -86,8 +86,8 @@ func NewProc(w *dist.Worker, q, d int) *Proc {
 	return NewProcAt(w, mesh.Shape{Q: q, D: d})
 }
 
-// NewProcAt attaches the calling worker to an arbitrary mesh shape (used
-// when composing with data or pipeline parallelism, Figure 6).
+// NewProcAt attaches the calling worker to an arbitrary mesh shape: any
+// base rank on a cluster the mesh shares with others.
 func NewProcAt(w *dist.Worker, s mesh.Shape) *Proc {
 	return &Proc{Proc: mesh.NewProc(w, s)}
 }

@@ -1,9 +1,14 @@
 // Package testutil provides shared helpers for the repository's tests:
-// running simulated clusters, comparing matrices, and collecting per-rank
-// results deterministically.
+// running simulated clusters, comparing matrices, collecting per-rank
+// results deterministically, and driving a command's real main().
 package testutil
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 
@@ -95,4 +100,52 @@ func (s *Scalars) Get(rank int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.vals[rank]
+}
+
+// CLIMain is the TestMain of a command's tests: with the marker set in the
+// environment the process is the command itself — main() with the test
+// binary's arguments, flag parsing, os.Exit and all — otherwise it runs the
+// tests, which reach the command through RunCLI.
+func CLIMain(m *testing.M, marker string, main func()) {
+	if os.Getenv(marker) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// RunCLI re-executes the test binary as the command (see CLIMain) and
+// returns its exit code and both streams.
+func RunCLI(t *testing.T, marker string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), marker+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatalf("running %v: %v", args, err)
+	}
+	return code, out.String(), errb.String()
+}
+
+// CheckMisuse asserts the shape of a rejected invocation: exit code 1,
+// nothing on stdout, and on stderr exactly one line that starts with the
+// program's name, contains want, and is not a goroutine dump.
+func CheckMisuse(t *testing.T, prog, want string, code int, stdout, stderr string) {
+	t.Helper()
+	if code != 1 {
+		t.Errorf("exit code %d, want 1", code)
+	}
+	if stdout != "" {
+		t.Errorf("stdout before the error: %q", stdout)
+	}
+	if strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, prog+": ") ||
+		!strings.Contains(stderr, want) || strings.Contains(stderr, "goroutine") {
+		t.Errorf("stderr is not one actionable line naming %q: %q", want, stderr)
+	}
 }

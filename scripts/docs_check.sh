@@ -3,7 +3,9 @@
 # docs. Every relative link target referenced from README.md and docs/*.md
 # must exist in the repository, so the package map and the architecture
 # notes cannot silently rot as files move. It also holds the GEMM kernel to
-# what the docs promise of it: no fused multiply-add (docs/architecture.md §3).
+# what the docs promise of it: no fused multiply-add (docs/architecture.md §3),
+# and the tree to what the package map promises: no internal package that
+# nothing shipped imports.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -25,6 +27,18 @@ if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/gemm_amd64.s >&2; then
     echo "docs_check: internal/tensor/gemm_amd64.s uses a fused multiply-add" >&2
     fail=1
 fi
+
+# An internal package outside the import graph of every command, example and
+# the benchmark is code only its own tests run. internal/testutil is the
+# tests' shared helper and the one exception.
+shipped="$({ go list -deps ./cmd/... ./examples/... && go -C bench list -deps .; } | sort -u)" || fail=1
+for pkg in $(go list ./internal/...); do
+    [ "$pkg" = "repro/internal/testutil" ] && continue
+    if ! printf '%s\n' "$shipped" | grep -qxF "$pkg"; then
+        echo "docs_check: $pkg is imported by no command, example or the benchmark" >&2
+        fail=1
+    fi
+done
 
 for doc in README.md docs/*.md; do
     [ -f "$doc" ] || { echo "docs_check: $doc missing" >&2; fail=1; continue; }
