@@ -39,8 +39,8 @@
 // kernels run as double-buffered pipelines — all held bit-identical to
 // their blocking and serial reference forms by property tests. The
 // auto-parallelism planner (internal/plan) searches layouts and algorithm
-// families against the same cost model and is validated by replay on the
-// cluster.
+// families by replaying each candidate's phantom layers on one
+// representative rank of that cluster.
 //
 // The benchmarks in bench_test.go regenerate every table and figure; the
 // binaries under cmd/ print them (tesseract-bench for the paper's tables,

@@ -73,11 +73,3 @@ func ShiftUp(p *mesh.Proc, m *tensor.Matrix, s int) *tensor.Matrix {
 	p.W.Send(dst, m)
 	return p.W.Recv(src)
 }
-
-// Transfers returns the closed-form number of inter-GPU block transfers one
-// Cannon multiplication performs on p = q² processors: 2p^{3/2} − 2p^{1/2}
-// (§3.1 of the paper). The skew moves 2·q(q−1) blocks and each of the q−1
-// shift rounds moves 2q², giving 2q(q²−1) = 2q³ − 2q.
-func Transfers(q int) int {
-	return 2*q*q*q - 2*q
-}

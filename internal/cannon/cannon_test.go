@@ -2,8 +2,10 @@ package cannon
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/claims"
 	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/tensor"
@@ -37,8 +39,11 @@ func TestMulABMatchesSerial(t *testing.T) {
 }
 
 func TestTransferCountMatchesFormula(t *testing.T) {
-	// §3.1: Cannon needs 2p^{3/2} − 2p^{1/2} = 2q³ − 2q block transfers.
-	for _, q := range []int{2, 3, 4} {
+	// §3.1: Cannon needs 2p^{3/2} − 2p^{1/2} = 2q³ − 2q block transfers: the
+	// skew moves 2·q(q−1) blocks and each of the q−1 shift rounds 2q². At
+	// p = 64 that is the 1008 behind the paper's "31.5 times the
+	// communication of Tesseract" (1008/32).
+	for _, q := range []int{2, 3, 4, 8} {
 		s := mesh.Shape{Q: q, D: 1}
 		c := dist.New(dist.Config{WorldSize: s.Size()})
 		err := c.Run(func(w *dist.Worker) error {
@@ -52,18 +57,10 @@ func TestTransferCountMatchesFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := c.Stats().PerOp["send"].Messages
-		want := int64(Transfers(q))
-		if got != want {
+		want := int64(math.Round(claims.CannonTransfers(float64(q * q))))
+		if got != want || want != int64(2*q*q*q-2*q) {
 			t.Fatalf("q=%d: measured %d transfers, formula says %d", q, got, want)
 		}
-	}
-}
-
-func TestTransfersFormulaValues(t *testing.T) {
-	// p = 64 -> q = 8 -> 2·8³ − 2·8 = 1008, the number behind the paper's
-	// "31.5 times the communication of Tesseract" claim (1008/32).
-	if Transfers(8) != 1008 {
-		t.Fatalf("Transfers(8) = %d, want 1008", Transfers(8))
 	}
 }
 

@@ -79,15 +79,6 @@ func (m CostModel) WithDefaults() CostModel {
 	return m
 }
 
-// OverlapTime is the overlap-aware cost of one pipelined stage: comm that
-// runs concurrently with compute costs max(comm, compute) instead of their
-// sum. It is the per-iteration term of PipelinedSummaTime, exposed so
-// callers can price other overlapped schedules (gradient sync behind a
-// backward pass, a pipeline handoff behind a reduce).
-func OverlapTime(comm, compute float64) float64 {
-	return math.Max(comm, compute)
-}
-
 // HiddenFraction predicts the fraction of comm time a perfectly pipelined
 // schedule hides behind compute: min(comm, compute)/comm — all of it when
 // compute dominates, compute/comm of it when comm dominates. Zero comm
@@ -100,61 +91,16 @@ func HiddenFraction(comm, compute float64) float64 {
 	return math.Min(comm, compute) / comm
 }
 
-// PipelinedSummaTime predicts one double-buffered SUMMA pass of q
-// iterations with per-iteration communication commPerIter and GEMM time
-// computePerIter: the first panel transfer cannot hide (pipeline fill),
-// after which every iteration costs max(comm, compute) instead of the
-// blocking schedule's comm + compute.
-func (m CostModel) PipelinedSummaTime(q int, commPerIter, computePerIter float64) float64 {
-	if q <= 0 {
-		return 0
-	}
-	return commPerIter + float64(q)*OverlapTime(commPerIter, computePerIter)
-}
-
-// linkBeta selects the per-byte rate the exported pricing helpers charge:
-// the inter-node link when the group spans nodes, the intra-node link
-// otherwise.
-func (m CostModel) linkBeta(interNode bool) float64 {
-	if interNode {
-		return m.BetaInter
-	}
-	return m.BetaIntra
-}
-
 // BroadcastSeconds prices a binomial-tree broadcast of b bytes among n
-// ranks (inter-node links when interNode is set) — the per-iteration comm
-// term analytic studies feed into PipelinedSummaTime and HiddenFraction.
+// ranks (inter-node links when interNode is set), exactly as the simulated
+// Group charges it — the per-iteration comm term tables.OverlapStudy feeds
+// into HiddenFraction.
 func (m CostModel) BroadcastSeconds(n int, b int64, interNode bool) float64 {
-	return m.broadcastTime(n, b, m.linkBeta(interNode))
-}
-
-// ReduceSeconds prices a binomial-tree reduce of b bytes among n ranks —
-// identical to a broadcast of the same payload (the tree runs in reverse),
-// which is exactly how the simulated Group charges it.
-func (m CostModel) ReduceSeconds(n int, b int64, interNode bool) float64 {
-	return m.BroadcastSeconds(n, b, interNode)
-}
-
-// AllReduceSeconds prices a bandwidth-optimal ring all-reduce of b bytes
-// among n ranks: 2(n−1) steps each moving b/n bytes (reduce-scatter then
-// all-gather), matching the charge the simulated Group applies.
-func (m CostModel) AllReduceSeconds(n int, b int64, interNode bool) float64 {
-	return m.allReduceTime(n, b, m.linkBeta(interNode))
-}
-
-// AllGatherSeconds prices a ring all-gather among n ranks where every member
-// contributes b bytes: n−1 steps each forwarding one member block.
-func (m CostModel) AllGatherSeconds(n int, b int64, interNode bool) float64 {
-	return m.allGatherTime(n, b, m.linkBeta(interNode))
-}
-
-// ReduceScatterSeconds prices a ring reduce-scatter of b payload bytes among
-// n ranks: n−1 steps each moving b/n bytes — exactly the first half of the
-// bandwidth-optimal ring all-reduce, matching the charge the simulated Group
-// applies to ReduceScatterInto.
-func (m CostModel) ReduceScatterSeconds(n int, b int64, interNode bool) float64 {
-	return m.reduceScatterTime(n, b, m.linkBeta(interNode))
+	beta := m.BetaIntra
+	if interNode {
+		beta = m.BetaInter
+	}
+	return m.broadcastTime(n, b, beta)
 }
 
 // GEMMSeconds prices the 2·m·n·k flops of an [mm×kk]·[kk×nn] multiply at

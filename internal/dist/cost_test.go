@@ -86,9 +86,6 @@ func TestClusterWithPartialCostModelHasFiniteClocks(t *testing.T) {
 }
 
 func TestOverlapEstimates(t *testing.T) {
-	if got := OverlapTime(3, 5); got != 5 {
-		t.Fatalf("OverlapTime(3,5) = %g, want max = 5", got)
-	}
 	if got := HiddenFraction(4, 2); got != 0.5 {
 		t.Fatalf("HiddenFraction(4,2) = %g, want 0.5 (compute hides half the comm)", got)
 	}
@@ -99,20 +96,6 @@ func TestOverlapEstimates(t *testing.T) {
 		t.Fatalf("HiddenFraction(0,4) = %g, want the trivial 1", got)
 	}
 	m := MeluxinaModel()
-	// Blocking SUMMA pays q·(comm+compute); the pipelined estimate pays the
-	// fill plus q·max — strictly cheaper whenever both terms are nonzero.
-	q, comm, comp := 4, 3.0, 2.0
-	blocking := float64(q) * (comm + comp)
-	pipelined := m.PipelinedSummaTime(q, comm, comp)
-	if want := comm + float64(q)*comm; pipelined != want {
-		t.Fatalf("PipelinedSummaTime = %g, want fill + q·max = %g", pipelined, want)
-	}
-	if pipelined >= blocking {
-		t.Fatalf("pipelined estimate %g should undercut blocking %g", pipelined, blocking)
-	}
-	if m.PipelinedSummaTime(0, comm, comp) != 0 {
-		t.Fatal("zero iterations must cost nothing")
-	}
 	// Exported pricing helpers agree with the internal charge functions.
 	if got, want := m.BroadcastSeconds(4, 1024, false), m.broadcastTime(4, 1024, m.BetaIntra); got != want {
 		t.Fatalf("BroadcastSeconds intra = %g, want %g", got, want)
@@ -136,18 +119,18 @@ func TestTreeStepsAndSingletonGroups(t *testing.T) {
 	}
 	m := MeluxinaModel()
 	const b = int64(1 << 20)
-	for _, inter := range []bool{false, true} {
-		if got := m.BroadcastSeconds(1, b, inter); got != 0 {
-			t.Errorf("broadcast over a singleton must be free, got %g", got)
+	for _, beta := range []float64{m.BetaIntra, m.BetaInter} {
+		if got := m.broadcastTime(1, b, beta); got != 0 {
+			t.Errorf("broadcast (and reduce) over a singleton must be free, got %g", got)
 		}
-		if got := m.ReduceSeconds(1, b, inter); got != 0 {
-			t.Errorf("reduce over a singleton must be free, got %g", got)
-		}
-		if got := m.AllReduceSeconds(1, b, inter); got != 0 {
+		if got := m.allReduceTime(1, b, beta); got != 0 {
 			t.Errorf("all-reduce over a singleton must be free, got %g", got)
 		}
-		if got := m.AllGatherSeconds(1, b, inter); got != 0 {
+		if got := m.allGatherTime(1, b, beta); got != 0 {
 			t.Errorf("all-gather over a singleton must be free, got %g", got)
+		}
+		if got := m.reduceScatterTime(1, b, beta); got != 0 {
+			t.Errorf("reduce-scatter over a singleton must be free, got %g", got)
 		}
 	}
 	if got := m.barrierTime(1); got != 0 {
@@ -165,36 +148,13 @@ func TestNonPowerOfTwoGroupPricing(t *testing.T) {
 	if got, want := m.BroadcastSeconds(3, b, false), 2*(m.Alpha+bf*m.BetaIntra); got != want {
 		t.Errorf("broadcast over 3 = %g, want two tree steps %g", got, want)
 	}
-	if got, want := m.AllReduceSeconds(3, b, true), 2*2*(m.Alpha+bf/3*m.BetaInter); got != want {
+	if got, want := m.allReduceTime(3, b, m.BetaInter), 2*2*(m.Alpha+bf/3*m.BetaInter); got != want {
 		t.Errorf("all-reduce over 3 = %g, want 2(n−1) ring steps %g", got, want)
 	}
-	if got, want := m.AllGatherSeconds(5, b, false), 4*(m.Alpha+bf*m.BetaIntra); got != want {
+	if got, want := m.allGatherTime(5, b, m.BetaIntra), 4*(m.Alpha+bf*m.BetaIntra); got != want {
 		t.Errorf("all-gather over 5 = %g, want n−1 ring steps %g", got, want)
 	}
-	if got, want := m.ReduceSeconds(6, b, true), m.BroadcastSeconds(6, b, true); got != want {
-		t.Errorf("reduce %g must price like broadcast %g (reversed tree)", got, want)
-	}
-}
-
-// TestPipelinedSummaTimeMonotonicInQ: more SUMMA iterations can never be
-// predicted cheaper — the planner's ranking depends on this.
-func TestPipelinedSummaTimeMonotonicInQ(t *testing.T) {
-	m := MeluxinaModel()
-	for _, tc := range []struct{ comm, comp float64 }{
-		{1e-3, 2e-3}, // compute-bound
-		{2e-3, 1e-3}, // comm-bound
-		{1e-3, 1e-3}, // balanced
-		{0, 1e-3},    // free links
-		{1e-3, 0},    // free compute
-	} {
-		prev := m.PipelinedSummaTime(1, tc.comm, tc.comp)
-		for q := 2; q <= 16; q++ {
-			cur := m.PipelinedSummaTime(q, tc.comm, tc.comp)
-			if cur <= prev && (tc.comm > 0 || tc.comp > 0) {
-				t.Errorf("PipelinedSummaTime(comm=%g, comp=%g) not increasing at q=%d: %g then %g",
-					tc.comm, tc.comp, q, prev, cur)
-			}
-			prev = cur
-		}
+	if got, want := m.BroadcastSeconds(6, b, true), 3*(m.Alpha+bf*m.BetaInter); got != want {
+		t.Errorf("broadcast over 6 across nodes = %g, want three tree steps %g", got, want)
 	}
 }

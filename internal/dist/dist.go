@@ -70,6 +70,10 @@ type Cluster struct {
 	gpn     int
 	workers []*Worker
 
+	// solo marks a cluster built by NewSolo: workers holds rank 0 alone and
+	// every group completes a round on that one arrival.
+	solo bool
+
 	groupMu sync.Mutex
 	groups  map[string]*Group
 
@@ -102,6 +106,34 @@ type Cluster struct {
 // New builds a cluster with WorldSize workers. It panics on a non-positive
 // world size; a zero cost model defaults to MeluxinaModel.
 func New(cfg Config) *Cluster {
+	c := newCluster(cfg, cfg.WorldSize)
+	if !cfg.Faults.Empty() {
+		if err := cfg.Faults.Check(cfg.WorldSize); err != nil {
+			panic(err.Error())
+		}
+		c.fault = cfg.Faults
+	}
+	return c
+}
+
+// NewSolo builds a solo cluster: a world of WorldSize ranks — groups have
+// their full size and span the links their rank lists say — of which Run
+// executes rank 0 alone, on the calling goroutine, every collective
+// completing on its arrival. It prices SPMD phantom schedules and is exact
+// only under the rank symmetry the package comment spells out ("Solo
+// clusters"), which the caller vouches for; it panics on a fault plan.
+func NewSolo(cfg Config) *Cluster {
+	if !cfg.Faults.Empty() {
+		panic("dist: a solo cluster takes no fault plan (faults break the rank symmetry a solo run stands on)")
+	}
+	c := newCluster(cfg, 1)
+	c.solo = true
+	return c
+}
+
+// newCluster builds the cluster state shared by New and NewSolo with the
+// first live of the world's ranks materialised as workers.
+func newCluster(cfg Config, live int) *Cluster {
 	if cfg.WorldSize < 1 {
 		panic(fmt.Sprintf("dist: world size %d", cfg.WorldSize))
 	}
@@ -115,17 +147,11 @@ func New(cfg Config) *Cluster {
 		gpn:    gpn,
 		groups: make(map[string]*Group),
 		mail:   newMailboxSet(),
-		stats:  newStatsBook(cfg.WorldSize),
+		stats:  newStatsBook(live),
 		abort:  make(chan struct{}),
 	}
-	if !cfg.Faults.Empty() {
-		if err := cfg.Faults.Check(cfg.WorldSize); err != nil {
-			panic(err.Error())
-		}
-		c.fault = cfg.Faults
-	}
-	workers := make([]Worker, cfg.WorldSize)
-	c.workers = make([]*Worker, cfg.WorldSize)
+	workers := make([]Worker, live)
+	c.workers = make([]*Worker, live)
 	for r := range workers {
 		workers[r] = Worker{c: c, rank: r, slow: 1, wake: make(chan struct{}, 2)}
 		c.workers[r] = &workers[r]
@@ -142,6 +168,9 @@ func (c *Cluster) Faults() *FaultPlan { return c.fault }
 // first Run; it panics on a second attach or a world-size mismatch. Returns
 // the monitor for convenience.
 func (c *Cluster) AttachMonitor(cfg MonitorConfig) *Monitor {
+	if c.solo {
+		panic("dist: a solo cluster takes no monitor (it would see one rank of the world)")
+	}
 	if c.monitor != nil {
 		panic("dist: cluster already has a monitor attached")
 	}
@@ -163,6 +192,8 @@ func (c *Cluster) node(rank int) int { return rank / c.gpn }
 // becomes Run's error, wrapped so errors.Is sees the cause and the message
 // names the worker; every other worker is unblocked and unwound. After such
 // an abort the cluster is permanently poisoned: subsequent Runs fail fast.
+// On a solo cluster (NewSolo) Run calls fn for rank 0 only, on the caller's
+// own goroutine, with the same error and panic handling.
 //
 // A cluster runs one Run at a time: a Run issued while another is active on
 // the same cluster — nested from a worker, or from a second goroutine —
@@ -176,29 +207,19 @@ func (c *Cluster) Run(fn func(w *Worker) error) error {
 	}
 	defer c.running.Store(false)
 	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
-	for _, w := range c.workers {
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, quiet := r.(abortSignal); quiet {
-						return
-					}
-					f := &Failure{Rank: w.rank, Clock: w.clock, Panicked: true, Err: fmt.Errorf("%v", r)}
-					errs[w.rank] = f
-					c.recordFailure(f)
-				}
-			}()
-			if err := fn(w); err != nil {
-				f := &Failure{Rank: w.rank, Clock: w.clock, Err: err}
-				errs[w.rank] = f
-				c.recordFailure(f)
-			}
-		}(w)
+	if c.solo {
+		errs[0] = c.runWorker(c.workers[0], fn)
+	} else {
+		var wg sync.WaitGroup
+		for _, w := range c.workers {
+			wg.Add(1)
+			go func(w *Worker) {
+				defer wg.Done()
+				errs[w.rank] = c.runWorker(w, fn)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -208,6 +229,28 @@ func (c *Cluster) Run(fn func(w *Worker) error) error {
 	// failure surfaced outside any worker's own frame): report the poison.
 	if err := c.abortedErr(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// runWorker calls fn for one rank and turns its error or panic into the
+// recorded *Failure that aborts the cluster; the quiet unwind of a worker
+// some other rank's failure released is no failure of its own.
+func (c *Cluster) runWorker(w *Worker, fn func(w *Worker) error) (failure error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, quiet := r.(abortSignal); quiet {
+				return
+			}
+			f := &Failure{Rank: w.rank, Clock: w.clock, Panicked: true, Err: fmt.Errorf("%v", r)}
+			c.recordFailure(f)
+			failure = f
+		}
+	}()
+	if err := fn(w); err != nil {
+		f := &Failure{Rank: w.rank, Clock: w.clock, Err: err}
+		c.recordFailure(f)
+		return f
 	}
 	return nil
 }
@@ -321,8 +364,8 @@ func (c *Cluster) Group(ranks ...int) *Group {
 	}
 	var key strings.Builder
 	for i, r := range ranks {
-		if r < 0 || r >= len(c.workers) {
-			panic(fmt.Sprintf("dist: group rank %d outside world of %d", r, len(c.workers)))
+		if r < 0 || r >= c.cfg.WorldSize {
+			panic(fmt.Sprintf("dist: group rank %d outside world of %d", r, c.cfg.WorldSize))
 		}
 		if i > 0 {
 			key.WriteByte(',')
@@ -341,7 +384,7 @@ func (c *Cluster) Group(ranks ...int) *Group {
 
 // WorldGroup returns the group spanning every rank in order.
 func (c *Cluster) WorldGroup() *Group {
-	ranks := make([]int, len(c.workers))
+	ranks := make([]int, c.cfg.WorldSize)
 	for i := range ranks {
 		ranks[i] = i
 	}
@@ -360,12 +403,13 @@ func (c *Cluster) MaxClock() float64 {
 	return out
 }
 
-// ResetClocks zeroes every worker clock and every group's comm-channel
-// state, starting a new timing window while keeping traffic statistics.
-// Call it between Runs only.
+// ResetClocks zeroes every worker clock, busy and overlap account and every
+// group's comm-channel state, starting a new timing window while keeping
+// traffic statistics. Call it between Runs only.
 func (c *Cluster) ResetClocks() {
 	for _, w := range c.workers {
 		w.clock = 0
+		w.busy = 0
 		w.commTotal = 0
 		w.commHidden = 0
 	}

@@ -16,6 +16,21 @@
 // Clocks and traffic statistics persist across Runs; ResetClocks opens a
 // new timing window.
 //
+// # Solo clusters
+//
+// dist.NewSolo builds the same world but runs rank 0 alone, on the caller's
+// goroutine: groups keep their full size and the links their rank lists
+// span, every collective completes on rank 0's arrival, is priced by the one
+// α–β switch in Group.finish from the byte count rank 0's own arguments
+// state, and moves nothing. It exists to price SPMD schedules — the
+// planner's replay — and is exact for rank 0's clock, busy seconds and
+// overlap account exactly when all ranks of the full run would agree on
+// them: same operations, same shapes, same compute everywhere, and sibling
+// groups on the same link class. The caller owns that argument; what dist
+// can see it refuses loudly instead of pricing wrong — a real (non-phantom)
+// payload fails the Run naming the operation, a fault plan panics in
+// NewSolo, AttachMonitor, Send and Recv panic.
+//
 // # Groups and collectives
 //
 // Workers build communicators with w.Cluster().Group(ranks...); the rank
@@ -48,8 +63,7 @@
 // overlap: Wait advances the clock to max(compute, comm) instead of their
 // sum, with each group serialising its own operations like one pipeline
 // channel. Cluster.Overlap reports the comm time hidden behind compute;
-// CostModel.PipelinedSummaTime and HiddenFraction are the analytic
-// counterparts.
+// HiddenFraction is the analytic counterpart for one pipelined stage.
 //
 // # Cost model and phantom mode
 //
@@ -58,10 +72,8 @@
 // the slowest link it spans, with Config.GPUsPerNode mapping ranks to
 // nodes. MeluxinaModel is the paper's testbed preset. The per-op charges
 // (binomial-tree broadcast/reduce, ring all-reduce/all-gather) are tabled
-// in docs/architecture.md, and the exported pricing helpers
-// (BroadcastSeconds, AllReduceSeconds, …) expose exactly the formulas the
-// runtime charges, which is what the auto-parallelism planner
-// (internal/plan) builds its predictions from. Costs depend only on shapes
-// and topology — never on data or scheduling — so phantom (shape-only)
-// runs advance exactly the clocks of the real execution.
+// in docs/architecture.md. Costs depend only on shapes and topology — never
+// on data or scheduling — so phantom (shape-only) runs advance exactly the
+// clocks of the real execution, which is what the auto-parallelism planner
+// (internal/plan) prices a layout by: it runs the layers.
 package dist

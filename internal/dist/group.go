@@ -22,6 +22,10 @@ type Group struct {
 	index map[int]int
 	beta  float64 // per-byte cost of the slowest link the group spans
 
+	// quorum is how many arrivals complete a round: every member's, or on a
+	// solo cluster the one rank that runs.
+	quorum int
+
 	mu    sync.Mutex
 	open  []*round // incomplete operations, oldest first
 	spare []*round // retired rounds, recycled to keep collectives off the allocator
@@ -124,6 +128,10 @@ func newGroup(c *Cluster, ranks []int) *Group {
 		index: make(map[int]int, len(ranks)),
 		beta:  c.cost.BetaIntra,
 	}
+	g.quorum = len(g.ranks)
+	if c.solo {
+		g.quorum = 1
+	}
 	for i, r := range g.ranks {
 		if _, dup := g.index[r]; dup {
 			panic(fmt.Sprintf("dist: duplicate rank %d in group %v", r, g.ranks))
@@ -193,7 +201,7 @@ func (g *Group) join(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Ma
 	r.slots[idx] = slot
 	r.dsts[idx] = dst
 	r.arrived++
-	last := r.arrived == len(g.ranks)
+	last := r.arrived == g.quorum
 	if last {
 		// Members fill rounds oldest-first, so a complete round is
 		// necessarily the oldest open one.
@@ -299,7 +307,7 @@ func (g *Group) newRound(kind opKind, root int) *round {
 // unwound by an abort never retires — that round is simply dropped to the
 // garbage collector along with the poisoned cluster.
 func (g *Group) retire(r *round) {
-	if int(r.exited.Add(1)) != len(g.ranks) {
+	if int(r.exited.Add(1)) != g.quorum {
 		return
 	}
 	// Drop payload references now rather than at reuse: a group that goes
@@ -329,7 +337,7 @@ func (g *Group) finishOrUnlock(rank int, r *round) {
 }
 
 // finish computes a completed round's outcome exactly once, under g.mu:
-// data movement and summation, the post-op clock, and the traffic
+// data movement and summation (move), the post-op clock, and the traffic
 // statistics. It runs on whichever member arrived last, but everything it
 // computes is a pure function of the slots, so the outcome is independent
 // of scheduling.
@@ -339,62 +347,28 @@ func (g *Group) finish(rank int, r *round) {
 	if g.lastFinish > r.commBase {
 		r.commBase = g.lastFinish
 	}
+	var b, gathered int64
+	if g.c.solo {
+		b, gathered = g.soloBytes(r, g.index[rank])
+	} else {
+		b, gathered = g.move(r)
+	}
 	cost := &g.c.cost
 	var wire float64      // the operation's α–β time
 	var msgs, bytes int64 // the traffic it books
 	switch r.kind {
-	case opBroadcast:
-		m := r.slots[r.root]
-		if m == nil {
-			panic(fmt.Sprintf("dist: broadcast root %d passed a nil payload", rootRank(g, r.root)))
-		}
-		for _, d := range r.dsts {
-			if d == m {
-				// The root broadcasting into its own payload (the
-				// in-place idiom) needs no copy.
-				continue
-			}
-			tensor.CopyInto(d, m)
-		}
-		b := matrixBytes(m)
+	case opBroadcast, opReduce:
 		wire = cost.broadcastTime(n, b, g.beta)
 		msgs, bytes = int64(n-1), int64(n-1)*b
-
-	case opReduce:
-		g.combineInto(r, r.dsts[r.root])
-		b := matrixBytes(r.slots[r.root])
-		wire = cost.broadcastTime(n, b, g.beta)
-		msgs, bytes = int64(n-1), int64(n-1)*b
-
 	case opAllReduce:
-		dst := r.dsts[0]
-		g.combineInto(r, dst)
-		for i := 1; i < n; i++ {
-			tensor.CopyInto(r.dsts[i], dst)
-		}
-		b := matrixBytes(r.slots[0])
 		wire = cost.allReduceTime(n, b, g.beta)
 		msgs, bytes = 2*int64(n-1), 2*int64(n-1)*b
-
 	case opAllGather:
-		var sum, max int64
-		for _, s := range r.slots {
-			b := matrixBytes(s)
-			sum += b
-			if b > max {
-				max = b
-			}
-		}
-		g.gatherInto(r)
-		wire = cost.allGatherTime(n, max, g.beta)
-		msgs, bytes = int64(n)*int64(n-1), int64(n-1)*sum
-
+		wire = cost.allGatherTime(n, b, g.beta)
+		msgs, bytes = int64(n)*int64(n-1), int64(n-1)*gathered
 	case opReduceScatter:
-		g.scatterCombineInto(r)
-		b := matrixBytes(r.slots[0])
 		wire = cost.reduceScatterTime(n, b, g.beta)
 		msgs, bytes = int64(n)*int64(n-1), int64(n-1)*b
-
 	case opBarrier:
 		wire = cost.barrierTime(n)
 	}
@@ -420,6 +394,79 @@ func (g *Group) finish(rank int, r *round) {
 		}
 	}
 	g.lastFinish = r.newClock
+}
+
+// move performs a completed round's data movement — copies into every
+// destination, sums in tree order — and returns the byte counts finish
+// prices the operation by: b, the payload one member contributes (the
+// largest block of an all-gather), and gathered, the all-gather's blocks
+// added up (zero for every other kind).
+func (g *Group) move(r *round) (b, gathered int64) {
+	switch r.kind {
+	case opBroadcast:
+		m := r.slots[r.root]
+		if m == nil {
+			panic(fmt.Sprintf("dist: broadcast root %d passed a nil payload", rootRank(g, r.root)))
+		}
+		for _, d := range r.dsts {
+			if d == m {
+				// The root broadcasting into its own payload (the
+				// in-place idiom) needs no copy.
+				continue
+			}
+			tensor.CopyInto(d, m)
+		}
+		return matrixBytes(m), 0
+
+	case opReduce:
+		g.combineInto(r, r.dsts[r.root])
+		return matrixBytes(r.slots[r.root]), 0
+
+	case opAllReduce:
+		dst := r.dsts[0]
+		g.combineInto(r, dst)
+		for _, d := range r.dsts[1:] {
+			tensor.CopyInto(d, dst)
+		}
+		return matrixBytes(r.slots[0]), 0
+
+	case opAllGather:
+		for _, s := range r.slots {
+			sb := matrixBytes(s)
+			gathered += sb
+			if sb > b {
+				b = sb
+			}
+		}
+		g.gatherInto(r)
+		return b, gathered
+
+	case opReduceScatter:
+		g.scatterCombineInto(r)
+		return matrixBytes(r.slots[0]), 0
+	}
+	return 0, 0
+}
+
+// soloBytes stands in for move on a solo cluster. Nothing moves: the round
+// holds the arrival of the one running rank, in slot idx, alone, and what it
+// lent must be phantom — a real matrix would come back unsummed, so it is
+// refused here rather than priced. The byte counts come from that rank's own
+// arguments, which the destination-passing API makes sufficient: every
+// member knows an operation's shape from its own payload, or for a broadcast
+// receiver its destination.
+func (g *Group) soloBytes(r *round, idx int) (b, gathered int64) {
+	m, dst := r.slots[idx], r.dsts[idx]
+	for _, x := range [...]*tensor.Matrix{m, dst} {
+		if x != nil && !x.Phantom() {
+			panic(fmt.Sprintf("dist: %s of a real %dx%d matrix on a solo cluster, which prices phantom schedules only", r.kind, x.Rows, x.Cols))
+		}
+	}
+	if m == nil {
+		m = dst
+	}
+	b = matrixBytes(m)
+	return b, int64(len(g.ranks)) * b
 }
 
 // combineInto sums every member's slot into dst using the association of a

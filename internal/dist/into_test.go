@@ -291,9 +291,9 @@ func TestIntoCollectivesChargeLikeClassic(t *testing.T) {
 	})
 	cost := MeluxinaModel()
 	const bytes = 8 * 8 * 8
-	classic := cost.BroadcastSeconds(n, bytes, false)
-	classic += cost.ReduceSeconds(n, bytes, false)
-	classic += cost.AllReduceSeconds(n, bytes, false)
+	classic := cost.broadcastTime(n, bytes, cost.BetaIntra) // the broadcast
+	classic += cost.broadcastTime(n, bytes, cost.BetaIntra) // the reduce: the same tree in reverse
+	classic += cost.allReduceTime(n, bytes, cost.BetaIntra)
 	if separate != classic || aliased != classic {
 		t.Fatalf("simulated time drifted: classic %g vs separate dsts %g, aliased %g", classic, separate, aliased)
 	}
@@ -361,7 +361,8 @@ func TestAllGatherInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	const blockBytes = 2 * 3 * 8
-	if want := MeluxinaModel().AllGatherSeconds(n, blockBytes, false); c.MaxClock() != want {
+	m := MeluxinaModel()
+	if want := m.allGatherTime(n, blockBytes, m.BetaIntra); c.MaxClock() != want {
 		t.Fatalf("AllGatherInto clock %g, want %g", c.MaxClock(), want)
 	}
 	want := OpStats{Calls: 1, Messages: n * (n - 1), Bytes: (n - 1) * n * blockBytes}

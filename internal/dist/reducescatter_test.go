@@ -118,7 +118,7 @@ func TestReduceScatterIntoRejectsBadShapes(t *testing.T) {
 }
 
 // TestReduceScatterChargesHalfRingAllReduce pins the pricing: the simulated
-// clock advances by ReduceScatterSeconds — the first half of the ring
+// clock advances by reduceScatterTime — the first half of the ring
 // all-reduce of the same payload — and the traffic lands under its own
 // stats kind with the all-gather message convention.
 func TestReduceScatterChargesHalfRingAllReduce(t *testing.T) {
@@ -132,12 +132,13 @@ func TestReduceScatterChargesHalfRingAllReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := int64(rows * cols * 8)
-	want := MeluxinaModel().ReduceScatterSeconds(n, bytes, false)
+	m := MeluxinaModel()
+	want := m.reduceScatterTime(n, bytes, m.BetaIntra)
 	if relDiffF(c.MaxClock(), want) > 1e-12 {
 		t.Fatalf("reduce-scatter clock %g, want %g", c.MaxClock(), want)
 	}
-	if half := MeluxinaModel().AllReduceSeconds(n, bytes, false) / 2; relDiffF(want, half) > 1e-12 {
-		t.Fatalf("ReduceScatterSeconds %g, want half the ring all-reduce %g", want, half)
+	if half := m.allReduceTime(n, bytes, m.BetaIntra) / 2; relDiffF(want, half) > 1e-12 {
+		t.Fatalf("reduceScatterTime %g, want half the ring all-reduce %g", want, half)
 	}
 	st := c.Stats().PerOp["reducescatter"]
 	if st.Calls != 1 || st.Messages != int64(n)*int64(n-1) || st.Bytes != int64(n-1)*bytes {

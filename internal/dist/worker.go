@@ -33,11 +33,11 @@ type Worker struct {
 	// last passed to BeginStep (0 for loops that never call it); slow is the
 	// fault plan's compute-time factor for that step (always 1 without a
 	// plan); busy accumulates the seconds this rank spent on its own work —
-	// compute plus issued sends — since BeginStep. Total − busy is wait:
-	// time parked on collectives or inbound messages. busy matters because
-	// synchronized collectives drag every member's clock to the straggler's
-	// pace, so per-rank step totals equalise and cannot identify the
-	// straggler; busy time can.
+	// compute plus issued sends — since BeginStep (or ResetClocks). Total −
+	// busy is wait: time parked on collectives or inbound messages. busy
+	// matters because synchronized collectives drag every member's clock to
+	// the straggler's pace, so per-rank step totals equalise and cannot
+	// identify the straggler; busy time can.
 	step      int
 	slow      float64
 	busy      float64
@@ -72,6 +72,14 @@ func (w *Worker) park() {
 	w.c.checkAbort()
 }
 
+// refuseSolo panics on a solo cluster, where the peer of a point-to-point
+// transfer never runs.
+func (c *Cluster) refuseSolo(op string) {
+	if c.solo {
+		panic("dist: " + op + " on a solo cluster, which runs rank 0 alone")
+	}
+}
+
 // Rank returns the cluster rank.
 func (w *Worker) Rank() int { return w.rank }
 
@@ -82,6 +90,13 @@ func (w *Worker) Rank() int { return w.rank }
 // each other's clocks — that is how the serving runtime stamps batch
 // completions identically on every rank.
 func (w *Worker) Clock() float64 { return w.clock }
+
+// Busy returns the simulated seconds this rank has spent on its own work —
+// compute plus issued sends, never time parked on a collective — since the
+// timing window opened: the last BeginStep or ResetClocks. It never exceeds
+// Clock over the same window. Call it from the worker's own goroutine, or
+// between Runs.
+func (w *Worker) Busy() float64 { return w.busy }
 
 // Cluster returns the owning cluster.
 func (w *Worker) Cluster() *Cluster { return w.c }
@@ -132,6 +147,7 @@ func matrixBytes(m *tensor.Matrix) int64 {
 // the matrix is handed over by pointer, so the sender must not use it
 // afterwards. The sender's clock pays the full α + Bβ transfer.
 func (w *Worker) Send(dst int, m *tensor.Matrix) {
+	w.c.refuseSolo("Send")
 	if dst < 0 || dst >= len(w.c.workers) {
 		panic(fmt.Sprintf("dist: send to rank %d outside world of %d", dst, len(w.c.workers)))
 	}
@@ -157,6 +173,7 @@ func (w *Worker) Send(dst int, m *tensor.Matrix) {
 // receiver's clock advances to the message's arrival time (it cannot see
 // data before the sender finished pushing it).
 func (w *Worker) Recv(src int) *tensor.Matrix {
+	w.c.refuseSolo("Recv")
 	if src < 0 || src >= len(w.c.workers) {
 		panic(fmt.Sprintf("dist: recv from rank %d outside world of %d", src, len(w.c.workers)))
 	}

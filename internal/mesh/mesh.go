@@ -50,6 +50,34 @@ func (s Shape) Coords(rank int) (i, j, k int) {
 	return r / s.Q, r % s.Q, k
 }
 
+// UniformLinks reports whether placement treats every processor alike: with
+// ranks mapped to nodes gpusPerNode at a time, do all the mesh's rows span
+// the same link class (all inside a node, or all across nodes — the
+// slowest-link rule dist.Group prices by), and likewise all its columns and
+// all its depth fibres, the three communicator families the layer schedules
+// run on? Then every rank's clock advances identically and one rank stands
+// for all. [3,3,d] at four GPUs per node is the counter-example: its first
+// row sits inside node 0, its second straddles nodes 0 and 1.
+func (s Shape) UniformLinks(gpusPerNode int) bool {
+	spans := func(lo, hi int) bool { return lo/gpusPerNode != hi/gpusPerNode }
+	last := s.Q - 1
+	row, col := spans(s.Rank(0, 0, 0), s.Rank(0, last, 0)), spans(s.Rank(0, 0, 0), s.Rank(last, 0, 0))
+	depth := spans(s.Rank(0, 0, 0), s.Rank(0, 0, s.D-1))
+	for i := 0; i < s.Q; i++ {
+		for k := 0; k < s.D; k++ {
+			if spans(s.Rank(i, 0, k), s.Rank(i, last, k)) != row || spans(s.Rank(0, i, k), s.Rank(last, i, k)) != col {
+				return false
+			}
+		}
+		for j := 0; j < s.Q; j++ {
+			if spans(s.Rank(i, j, 0), s.Rank(i, j, s.D-1)) != depth {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Proc is one processor's view of the mesh: its coordinates plus the
 // communicator groups it participates in. All groups order their members
 // canonically (ascending in the varying coordinate) so every member builds

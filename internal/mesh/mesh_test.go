@@ -152,3 +152,55 @@ func TestProcOutsideMeshPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUniformLinks: at four GPUs per node the meshes the paper's tables use
+// place every row, column and depth fibre on one link class, and [3,3,d]
+// does not — its first row sits inside node 0, its second straddles nodes 0
+// and 1. The predicate is what lets the planner price a mesh from one rank.
+func TestUniformLinks(t *testing.T) {
+	for _, tc := range []struct {
+		q, d, gpn int
+		want      bool
+	}{
+		{1, 1, 4, true}, {2, 2, 4, true}, {4, 4, 4, true}, {8, 1, 4, true}, {6, 1, 4, true},
+		{2, 1, 4, true}, {4, 1, 4, true}, {4, 2, 4, true}, {8, 8, 4, true}, {5, 1, 4, true},
+		{3, 1, 4, false}, {3, 2, 4, false}, {3, 3, 4, false},
+		{2, 1, 3, false}, // rows {0,1} and {2,3}: the second straddles nodes 0 and 1
+		{3, 3, 9, true},  // a layer per node: rows and columns inside, fibres across
+		{3, 3, 3, true},  // a row per node
+		{6, 1, 8, false}, // row 0 inside node 0, row 1 across nodes 0 and 1
+		{2, 2, 8, true},  // the whole mesh on one node
+	} {
+		s := Shape{Q: tc.q, D: tc.d}
+		if got := s.UniformLinks(tc.gpn); got != tc.want {
+			t.Errorf("[%d,%d,%d] at %d GPUs per node: UniformLinks = %v, want %v", tc.q, tc.q, tc.d, tc.gpn, got, tc.want)
+		}
+		// The predicate must agree with the groups dist actually prices:
+		// all instances of a family on the same β.
+		if tc.q*tc.q*tc.d > 64 {
+			continue
+		}
+		c := dist.New(dist.Config{WorldSize: s.Size(), GPUsPerNode: tc.gpn})
+		type key struct {
+			family string
+			inter  bool
+		}
+		seen := map[key]bool{}
+		var mu sync.Mutex
+		if err := c.Run(func(w *dist.Worker) error {
+			p := NewProc(w, s)
+			mu.Lock()
+			defer mu.Unlock()
+			for name, g := range map[string]*dist.Group{"row": p.Row, "col": p.Col, "depth": p.Depth} {
+				r := g.Ranks()
+				seen[key{name, r[0]/tc.gpn != r[len(r)-1]/tc.gpn}] = true
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if uniform := len(seen) == 3; uniform != tc.want {
+			t.Errorf("[%d,%d,%d] at %d GPUs per node: groups span %v, predicate says uniform=%v", tc.q, tc.q, tc.d, tc.gpn, seen, tc.want)
+		}
+	}
+}

@@ -7,10 +7,9 @@ import (
 
 // PlanAlgo describes Optimus to the auto-parallelism planner. Optimus is
 // the depth-1 special case of Tesseract — this package instantiates the
-// shared SUMMA layers on a [q, q, 1] mesh — so its cost and memory closures
-// delegate to the Tesseract descriptor pinned at d = 1; only the family
-// name and the 2-D grid enumeration differ, exactly like the runtime
-// implementation.
+// shared SUMMA layers on a [q, q, 1] mesh — so its memory closure delegates
+// to the Tesseract descriptor pinned at d = 1; only the family name and the
+// 2-D grid enumeration differ, exactly like the runtime implementation.
 func PlanAlgo() plan.Algo {
 	inner := tesseract.PlanAlgo()
 	return plan.Algo{
@@ -24,7 +23,6 @@ func PlanAlgo() plan.Algo {
 			}
 			return out
 		},
-		Cost:   inner.Cost,
 		Memory: inner.Memory,
 	}
 }

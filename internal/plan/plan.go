@@ -3,7 +3,6 @@ package plan
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dist"
@@ -84,9 +83,9 @@ func (g Grid) Shape() string {
 	}
 }
 
-// Topology is the machine the plans are priced against: the α–β cost model,
-// the node size that decides which communicator groups pay inter-node
-// rates, and the search budgets.
+// Topology is the machine the plans are priced against: the α–β cost model
+// and the node size the replay's cluster is built with, and the search
+// budgets.
 type Topology struct {
 	// Cost is the α–β machine model (zero fields take the Meluxina preset,
 	// exactly as in dist.Config).
@@ -126,27 +125,20 @@ func (t Topology) WithDefaults() (Topology, error) {
 	return t, nil
 }
 
-// SpansNodes reports whether the rank interval [lo, hi] crosses a node
-// boundary — the test that decides whether a communicator group over ranks
-// with ascending ids pays the inter-node β (node ids are monotone in rank,
-// so only the endpoints matter).
-func (t Topology) SpansNodes(lo, hi int) bool {
-	return lo/t.GPUsPerNode != hi/t.GPUsPerNode
-}
-
-// Breakdown is the analytic score of one candidate: simulated seconds for
-// the forward and backward phases (the backward includes the recompute
-// forward unless the workload disables it), with the comm/compute split
-// kept for diagnostics, plus the per-rank memory estimate.
+// Breakdown is the score of one candidate: the simulated seconds its forward
+// and backward phases take (the backward includes the recompute forward
+// unless the workload disables it) as replayed by Price, with the
+// comm/compute split kept for diagnostics, plus the per-rank memory
+// estimate.
 type Breakdown struct {
 	// Forward and Backward are predicted seconds per phase for the whole
 	// layer stack, comparable to tables.Result.
 	Forward, Backward float64
-	// ComputeSeconds is the arithmetic-only part of Forward+Backward.
+	// ComputeSeconds is the arithmetic-only part of Forward+Backward: the
+	// replay's representative rank's busy seconds.
 	ComputeSeconds float64
-	// CommSeconds is the non-hidden communication part of
-	// Forward+Backward — what the double-buffered schedules could not
-	// overlap with compute.
+	// CommSeconds is the rest of Forward+Backward — the communication the
+	// double-buffered schedules could not overlap with compute.
 	CommSeconds float64
 	// MemoryBytes is the per-rank memory estimate from the family's
 	// Memory closure.
@@ -157,75 +149,30 @@ type Breakdown struct {
 // backward).
 func (b Breakdown) Step() float64 { return b.Forward + b.Backward }
 
-// Coster accumulates one rank's compute seconds and non-hidden comm seconds
-// over one pass of one layer. Every family's Cost closure is a list of
-// terms added to a pair of them — one forward, one backward — which
-// Assemble turns into the stack's Breakdown. Families add their own
-// collectives to Comm; the arithmetic charges are the same everywhere.
-type Coster struct {
-	Model dist.CostModel
-	Comp  float64
-	Comm  float64
-}
-
-// Flops charges f elementwise flops.
-func (c *Coster) Flops(f float64) { c.Comp += f / c.Model.FLOPS }
-
-// GEMM charges an [m×k]·[k×n] multiply.
-func (c *Coster) GEMM(m, n, k float64) { c.Comp += c.Model.GEMMSeconds(m, n, k) }
-
-// Assemble scores a stack of w.Layers layers from one layer's forward and
-// backward passes. The forward phase is Layers forward passes; the backward
-// phase re-runs the forward first (activation recompute, unless the
-// workload disables it) and then the backward passes. queued is comm one
-// layer's backward pass issues without waiting for it (Tesseract's depth
-// all-reduces; zero for families that synchronise eagerly): it overlaps the
-// backward work, so the phase ends no earlier than either finishes.
-// Whatever of the two phases is not arithmetic is reported as comm.
-func Assemble(w Workload, fwd, bwd *Coster, queued float64) Breakdown {
-	L := float64(w.Layers)
-	fwdPhase := L * (fwd.Comp + fwd.Comm)
-	backward := math.Max(L*(bwd.Comp+bwd.Comm), L*queued)
-	comp := L * (fwd.Comp + bwd.Comp)
-	if !w.NoRecompute {
-		backward += fwdPhase
-		comp += L * fwd.Comp
-	}
-	return Breakdown{
-		Forward:        fwdPhase,
-		Backward:       backward,
-		ComputeSeconds: comp,
-		CommSeconds:    fwdPhase + backward - comp,
-	}
-}
-
-// Algo describes one algorithm family to the planner: a name plus the three
-// closures the search needs. The closures must be pure — the planner calls
-// them for every candidate grid.
+// Algo describes one algorithm family to the planner: the name its runtime
+// constructor is registered under (internal/parallel) plus the two closures
+// only the family can state. What a layout costs is not among them: the
+// planner replays the family's own layers (see Price). The closures must be
+// pure — the planner calls them for every candidate grid.
 type Algo struct {
 	// Family names the scheme ("tesseract", "megatron", "optimus").
 	Family string
 	// Grids enumerates the family's feasible layouts for a workload
 	// within a rank budget (divisibility constraints included).
 	Grids func(w Workload, rankBudget int) []Grid
-	// Cost prices a workload on one grid against the topology's cost
-	// model, mirroring the communication schedule the implementation
-	// actually executes. Cost must not fill Breakdown.MemoryBytes; the
-	// search does, from Memory.
-	Cost func(w Workload, g Grid, t Topology) Breakdown
 	// Memory estimates the bytes one rank must hold: parameter shards
 	// with gradients, retained activations, and the pipeline's working
 	// buffers.
 	Memory func(w Workload, g Grid) int64
 }
 
-// Plan is one ranked candidate: a family, a grid, and its analytic score.
+// Plan is one ranked candidate: a family, a grid, and its score.
 type Plan struct {
 	// Family is the Algo.Family that produced the candidate.
 	Family string
 	// Grid is the processor layout.
 	Grid Grid
-	// Predicted is the analytic score the ranking sorted by.
+	// Predicted is the replayed score the ranking sorted by.
 	Predicted Breakdown
 }
 
@@ -233,12 +180,30 @@ type Plan struct {
 func (p Plan) String() string { return fmt.Sprintf("%s %s", p.Family, p.Grid.Shape()) }
 
 // Search enumerates every feasible (family, grid) candidate within the
-// topology's budgets, scores each analytically, and returns the full list
+// topology's budgets, prices each by replay, and returns the full list
 // ranked by predicted step time (ties: fewer ranks first, then less
 // memory). Candidates over the memory budget are dropped; if every
 // candidate is dropped, Search returns an error naming the tightest one so
 // the caller can see how far the budget misses.
 func Search(w Workload, t Topology, algos []Algo) ([]Plan, error) {
+	return search(w, t, algos, "", nil, func(w Workload, t Topology, c Plan) (Plan, float64, error) {
+		b, err := Price(w, c.Layout(), t)
+		b.MemoryBytes = c.Predicted.MemoryBytes
+		c.Predicted = b
+		return c, b.Step(), err
+	})
+}
+
+// search is the one candidate walk behind Search and SearchServing: defaults
+// and validation, every family's grids, the admit filter (nil admits all),
+// the exact-rank and memory filters, score, the no-feasible error — what
+// names the search in it — and the ranking. A candidate is a Plan with
+// nothing predicted yet but, once past admit, its memory estimate; score
+// receives the defaulted workload and topology and returns the candidate's
+// ranked value with its key (ascending; ties prefer fewer ranks, then less
+// memory).
+func search[P any](w Workload, t Topology, algos []Algo, what string, admit func(Workload, Plan) bool,
+	score func(Workload, Topology, Plan) (P, float64, error)) ([]P, error) {
 	w, err := w.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -250,10 +215,19 @@ func Search(w Workload, t Topology, algos []Algo) ([]Plan, error) {
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("plan: no algorithm families to search")
 	}
-	var out []Plan
+	type ranked struct {
+		p   P
+		key float64
+		c   Plan
+	}
+	var out []ranked
 	var tightest int64 = -1
 	for _, a := range algos {
 		for _, g := range a.Grids(w, t.RankBudget) {
+			c := Plan{Family: a.Family, Grid: g}
+			if admit != nil && !admit(w, c) {
+				continue
+			}
 			if t.ExactRanks && g.Ranks != t.RankBudget {
 				continue
 			}
@@ -264,9 +238,12 @@ func Search(w Workload, t Topology, algos []Algo) ([]Plan, error) {
 				}
 				continue
 			}
-			b := a.Cost(w, g, t)
-			b.MemoryBytes = mem
-			out = append(out, Plan{Family: a.Family, Grid: g, Predicted: b})
+			c.Predicted.MemoryBytes = mem
+			p, key, err := score(w, t, c)
+			if err != nil {
+				return nil, fmt.Errorf("plan: pricing %s: %w", c, err)
+			}
+			out = append(out, ranked{p, key, c})
 		}
 	}
 	if len(out) == 0 {
@@ -278,17 +255,20 @@ func Search(w Workload, t Topology, algos []Algo) ([]Plan, error) {
 		if t.ExactRanks {
 			constraint = "using exactly"
 		}
-		return nil, fmt.Errorf("plan: %w %s %d ranks (check divisibility of batch/hidden/heads)", ErrNoFeasible, constraint, t.RankBudget)
+		return nil, fmt.Errorf("plan: %w %s %d ranks%s (check divisibility of batch/hidden/heads)", ErrNoFeasible, constraint, t.RankBudget, what)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := out[i].Predicted.Step(), out[j].Predicted.Step()
-		if si != sj {
-			return si < sj
+		if out[i].key != out[j].key {
+			return out[i].key < out[j].key
 		}
-		if out[i].Grid.Ranks != out[j].Grid.Ranks {
-			return out[i].Grid.Ranks < out[j].Grid.Ranks
+		if out[i].c.Grid.Ranks != out[j].c.Grid.Ranks {
+			return out[i].c.Grid.Ranks < out[j].c.Grid.Ranks
 		}
-		return out[i].Predicted.MemoryBytes < out[j].Predicted.MemoryBytes
+		return out[i].c.Predicted.MemoryBytes < out[j].c.Predicted.MemoryBytes
 	})
-	return out, nil
+	plans := make([]P, len(out))
+	for i, r := range out {
+		plans[i] = r.p
+	}
+	return plans, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/megatron"
 	"repro/internal/optimus"
+	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/tables"
 	"repro/internal/tesseract"
@@ -162,6 +163,38 @@ func TestPredictionMatchesSimulatedCluster(t *testing.T) {
 	}
 }
 
+// TestPriceIsTheSearchsScore: Price is what Search ranks by, callable on its
+// own for one layout (the adaptive trainer's break-even does), and a layout
+// nothing can replay is an error, not a number.
+func TestPriceIsTheSearchsScore(t *testing.T) {
+	plans, err := plan.Search(table1, plan.Topology{RankBudget: 16}, algos())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range plans {
+		b, err := plan.Price(table1, p.Layout(), plan.Topology{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.MemoryBytes = p.Predicted.MemoryBytes
+		if b != p.Predicted {
+			t.Errorf("%s: Price %+v, Search ranked it by %+v", p, b, p.Predicted)
+		}
+	}
+	for name, l := range map[string]parallel.Layout{
+		"unregistered family": {Family: "nope", Ranks: 4},
+		"depth beyond q":      {Family: "tesseract", Q: 2, D: 3},
+		"hidden not split":    {Family: "megatron", Ranks: 7},
+	} {
+		if _, err := plan.Price(table1, l, plan.Topology{}); err == nil {
+			t.Errorf("%s: Price(%s) must fail", name, l)
+		}
+	}
+	if _, err := plan.Price(plan.Workload{Batch: 1, Hidden: 100, Heads: 3}, parallel.Layout{Family: "megatron", Ranks: 1}, plan.Topology{}); err == nil {
+		t.Error("a malformed workload must fail")
+	}
+}
+
 func TestValidateTopAndMaxStepErr(t *testing.T) {
 	plans := []plan.Plan{
 		{Family: "a", Predicted: plan.Breakdown{Forward: 1, Backward: 1}},
@@ -241,9 +274,6 @@ func TestWorkloadAndTopologyValidation(t *testing.T) {
 	}
 	if topo.GPUsPerNode != 4 || topo.Cost.FLOPS == 0 {
 		t.Fatalf("defaults not applied: %+v", topo)
-	}
-	if topo.SpansNodes(0, 3) || !topo.SpansNodes(0, 4) {
-		t.Fatal("SpansNodes must split at the node size")
 	}
 }
 

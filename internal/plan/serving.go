@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/parallel"
@@ -34,9 +33,10 @@ func (o ServingObjective) WithDefaults() (ServingObjective, error) {
 	return o, nil
 }
 
-// ServingPredicted is the analytic serving score of one candidate. The
+// ServingPredicted is the replayed serving score of one candidate. The
 // workload's Batch is the batcher's full batch; MinBatch is the smallest
-// batch the grid can run (its row-shard count — one request padded up).
+// batch the layout can run (parallel.Layout.RowShards — one request padded
+// up — which is also what serve.MeasureLayout measures at).
 type ServingPredicted struct {
 	// MinBatch is the padded interactive batch size in sequences.
 	MinBatch int
@@ -59,7 +59,7 @@ type ServingPlan struct {
 	Family string
 	// Grid is the processor layout.
 	Grid Grid
-	// Predicted is the analytic serving score.
+	// Predicted is the replayed serving score.
 	Predicted ServingPredicted
 	// Score is the weighted objective the ranking sorted by (lower is
 	// better).
@@ -71,106 +71,45 @@ func (p ServingPlan) String() string { return fmt.Sprintf("%s %s", p.Family, p.G
 
 // Layout converts the candidate into the runtime layout, exactly like
 // Plan.Layout.
-func (p ServingPlan) Layout() parallel.Layout {
-	return parallel.Layout{Family: p.Family, Q: p.Grid.Q, D: p.Grid.D, Ranks: p.Grid.Ranks}
-}
-
-// gridRowShards is the batch divisibility unit of a grid: q·d sequences for
-// the meshes, 1 for the replicated-activation 1-D family — the same rule as
-// parallel.Layout.RowShards, derivable here without instantiating anything.
-func gridRowShards(g Grid) int {
-	if g.Q == 0 {
-		return 1
-	}
-	d := g.D
-	if d < 1 {
-		d = 1
-	}
-	return g.Q * d
-}
+func (p ServingPlan) Layout() parallel.Layout { return Plan{Family: p.Family, Grid: p.Grid}.Layout() }
 
 // SearchServing enumerates every feasible (family, grid) candidate exactly
-// like Search, but scores each for serving: the family's Cost closure is
-// evaluated forward-only at two batch sizes — the grid's minimum and the
+// like Search, but scores each for serving: the family's layer stack is
+// replayed forward-only at two batch sizes — the grid's minimum and the
 // workload's full batch — and the weighted objective ranks the list
 // (ascending; ties prefer fewer ranks, then less memory). The workload's
 // Batch is the serving batcher's MaxBatch. The memory filter reuses the
 // training-shaped Memory closure, a conservative bound for an inference
 // process that holds no gradients or optimiser state.
 func SearchServing(w Workload, t Topology, algos []Algo, o ServingObjective) ([]ServingPlan, error) {
-	w, err := w.WithDefaults()
+	o, err := o.WithDefaults()
 	if err != nil {
 		return nil, err
 	}
-	t, err = t.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
-	o, err = o.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if len(algos) == 0 {
-		return nil, fmt.Errorf("plan: no algorithm families to search")
-	}
-	var out []ServingPlan
-	var tightest int64 = -1
-	for _, a := range algos {
-		for _, g := range a.Grids(w, t.RankBudget) {
-			unit := gridRowShards(g)
-			if unit > w.Batch {
-				continue // the grid cannot even fit one padded request per forward
-			}
-			if t.ExactRanks && g.Ranks != t.RankBudget {
-				continue
-			}
-			mem := a.Memory(w, g)
-			if t.MemoryBudget > 0 && mem > t.MemoryBudget {
-				if tightest < 0 || mem < tightest {
-					tightest = mem
-				}
-				continue
-			}
-			wmin := w
-			wmin.Batch = unit
-			pred := ServingPredicted{
-				MinBatch:    unit,
-				MinLatency:  a.Cost(wmin, g, t).Forward,
-				FullLatency: a.Cost(w, g, t).Forward,
-				MemoryBytes: mem,
-			}
-			if pred.FullLatency > 0 {
-				pred.Throughput = float64(w.Batch) / pred.FullLatency
-			}
-			out = append(out, ServingPlan{
-				Family:    a.Family,
-				Grid:      g,
-				Predicted: pred,
-				Score:     o.LatencyWeight*pred.MinLatency + o.ThroughputWeight*pred.FullLatency/float64(w.Batch),
-			})
+	// A layout whose row-shard unit exceeds the batch cannot fit even one
+	// padded request per forward.
+	admit := func(w Workload, c Plan) bool { return c.Layout().RowShards() <= w.Batch }
+	return search(w, t, algos, " for serving", admit, func(w Workload, t Topology, c Plan) (ServingPlan, float64, error) {
+		l := c.Layout()
+		pred := ServingPredicted{MinBatch: l.RowShards(), MemoryBytes: c.Predicted.MemoryBytes}
+		var err error
+		if pred.MinLatency, err = priceForward(w, pred.MinBatch, l, t); err != nil {
+			return ServingPlan{}, 0, err
 		}
-	}
-	if len(out) == 0 {
-		if tightest >= 0 {
-			return nil, fmt.Errorf("plan: %w within %s per rank (smallest candidate needs %s)",
-				ErrNoFeasible, FormatBytes(t.MemoryBudget), FormatBytes(tightest))
+		if pred.FullLatency, err = priceForward(w, w.Batch, l, t); err != nil {
+			return ServingPlan{}, 0, err
 		}
-		constraint := "within"
-		if t.ExactRanks {
-			constraint = "using exactly"
+		if pred.FullLatency > 0 {
+			pred.Throughput = float64(w.Batch) / pred.FullLatency
 		}
-		return nil, fmt.Errorf("plan: %w %s %d ranks for serving (check divisibility of batch/hidden/heads)", ErrNoFeasible, constraint, t.RankBudget)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
+		p := ServingPlan{
+			Family:    c.Family,
+			Grid:      c.Grid,
+			Predicted: pred,
+			Score:     o.LatencyWeight*pred.MinLatency + o.ThroughputWeight*pred.FullLatency/float64(w.Batch),
 		}
-		if out[i].Grid.Ranks != out[j].Grid.Ranks {
-			return out[i].Grid.Ranks < out[j].Grid.Ranks
-		}
-		return out[i].Predicted.MemoryBytes < out[j].Predicted.MemoryBytes
+		return p, p.Score, nil
 	})
-	return out, nil
 }
 
 // ServingMeasurement is what a serving replay of one candidate observed —

@@ -10,6 +10,7 @@ import (
 	"repro/internal/megatron"
 	"repro/internal/optimus"
 	"repro/internal/plan"
+	"repro/internal/seqpar"
 	"repro/internal/tesseract"
 )
 
@@ -78,6 +79,29 @@ func TestSearchServingSkipsOversizedGrids(t *testing.T) {
 		if p.Predicted.MinBatch > small.Batch {
 			t.Fatalf("%s: min batch %d exceeds workload batch %d", p, p.Predicted.MinBatch, small.Batch)
 		}
+	}
+}
+
+// TestSearchServingMinBatchIsTheLayoutsRowShards: the interactive batch a
+// candidate is priced at is the one the runtime pads a lone request to —
+// q·d on a mesh, p for sequence parallelism (whole sequences per rank), 1
+// for Megatron — so a sequence length no rank count divides (5) is no
+// obstacle: the replay never has to split a sequence.
+func TestSearchServingMinBatchIsTheLayoutsRowShards(t *testing.T) {
+	w := plan.Workload{Batch: 6, SeqLen: 5, Hidden: 36, Heads: 6}
+	plans, err := plan.SearchServing(w, plan.Topology{RankBudget: 8}, append(servingAlgos(), seqpar.PlanAlgo()), plan.ServingObjective{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams := map[string]bool{}
+	for _, p := range plans {
+		fams[p.Family] = true
+		if want := p.Layout().RowShards(); p.Predicted.MinBatch != want {
+			t.Errorf("%s: priced at min batch %d, the layout pads to %d", p, p.Predicted.MinBatch, want)
+		}
+	}
+	if !fams["seqpar"] || !fams["tesseract"] || !fams["megatron"] {
+		t.Fatalf("ranking covers %v, want seqpar, tesseract and megatron in it", fams)
 	}
 }
 

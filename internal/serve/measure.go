@@ -15,8 +15,8 @@ const measureBatches = 3
 
 // MeasureLayout replays one serving candidate for real: it builds the
 // candidate's layout on a fresh simulated cluster, stacks the workload's
-// Transformer blocks in phantom mode — exactly the execution the planner's
-// Cost closures price — and drives two saturated traces through the real
+// Transformer blocks in phantom mode — the parallel.Stack the planner's
+// serving scorer replays — and drives two saturated traces through the real
 // batcher event loop with clock-synced completions: one at the workload's
 // full batch (full-batch latency and saturated throughput) and one at the
 // grid's row-shard minimum (interactive latency). It is plan.Validate's
@@ -101,19 +101,14 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 		if err != nil {
 			return err
 		}
-		blocks := make([]parallel.Layer, w.Layers)
-		for i := range blocks {
-			blocks[i] = f.NewBlockPhantom(w.Hidden, w.Heads, w.SeqLen)
-		}
+		st := parallel.NewPhantomStack(f, batch, w.SeqLen, w.Hidden, w.Heads, w.Layers)
 		sync := newClockSync(c)
 		prev := sync.now(wk)
 		tr := runTrace(cfg, arrivals, func(ids []int) (int, float64) {
 			padded := (len(ids) + unit - 1) / unit * unit
 			sl := f.Slice(padded*w.SeqLen, w.Hidden)
-			x := tensor.NewPhantom(sl.Rows, sl.Cols)
-			for _, b := range blocks {
-				x = b.Forward(x)
-			}
+			st.X = tensor.NewPhantom(sl.Rows, sl.Cols)
+			st.Forward()
 			f.EndStep()
 			now := sync.now(wk)
 			dur := now - prev

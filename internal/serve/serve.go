@@ -212,14 +212,3 @@ func (r *Report) P95() float64 { return r.Percentile(0.95) }
 
 // P99 is the 99th percentile of completed-request latency.
 func (r *Report) P99() float64 { return r.Percentile(0.99) }
-
-// MaxWait is the longest co-batching delay any completed request saw.
-func (r *Report) MaxWait() float64 {
-	var out float64
-	for _, q := range r.Requests {
-		if !q.Rejected && q.Wait() > out {
-			out = q.Wait()
-		}
-	}
-	return out
-}

@@ -12,7 +12,6 @@ package solomonik
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cannon"
 	"repro/internal/compute"
@@ -74,10 +73,4 @@ func MulAB(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 
 	// Step 3: sum the partial products across the depth fibre.
 	return p.Depth.AllReduceInto(p.W, c, c)
-}
-
-// Transfers returns the paper's closed-form transfer count for the 2.5-D
-// algorithm on p processors: 2p − 2p^{1/3} (§3.1).
-func Transfers(p int) float64 {
-	return 2*float64(p) - 2*math.Cbrt(float64(p))
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cannon"
+	"repro/internal/claims"
 	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/tensor"
@@ -58,8 +58,8 @@ func TestDepthOneReducesToCannonSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.Stats().PerOp["send"].Messages
-	if got != int64(cannon.Transfers(q)) {
-		t.Fatalf("d=1 sends %d messages, Cannon sends %d", got, cannon.Transfers(q))
+	if want := int64(math.Round(claims.CannonTransfers(float64(q * q)))); got != want {
+		t.Fatalf("d=1 sends %d messages, Cannon sends %d", got, want)
 	}
 }
 
@@ -80,13 +80,6 @@ func TestDepthReducesShiftTraffic(t *testing.T) {
 	}
 	if !(counts[4] < counts[2] && counts[2] < counts[1]) {
 		t.Fatalf("shift messages should fall with depth: %v", counts)
-	}
-}
-
-func TestTransfersFormula(t *testing.T) {
-	// p = 64: 2·64 − 2·4 = 120, which is 3.75× Tesseract's 32 (§1).
-	if got := Transfers(64); math.Abs(got-120) > 1e-9 {
-		t.Fatalf("Transfers(64) = %g, want 120", got)
 	}
 }
 

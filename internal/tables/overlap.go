@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dist"
+	"repro/internal/parallel"
 )
 
 // OverlapPoint compares the cost model's predicted hidden-communication
@@ -49,31 +50,22 @@ func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
 }
 
 func overlapRow(row Row, opts Options) (OverlapPoint, error) {
-	c := dist.New(dist.Config{
-		WorldSize:   row.GPUs,
-		GPUsPerNode: opts.GPUsPerNode,
-		Cost:        opts.Cost,
-	})
-	runners := make([]blockRunner, row.GPUs)
-	if err := c.Run(func(w *dist.Worker) error {
-		r, err := newRunner(row, opts, w)
-		if err != nil {
-			return err
-		}
-		runners[w.Rank()] = r
-		return nil
+	l, err := LayoutForRow(row)
+	if err != nil {
+		return OverlapPoint{}, err
+	}
+	rp, err := newReplay(l, row, opts)
+	if err != nil {
+		return OverlapPoint{}, err
+	}
+	// One window over the whole layer, without the recompute forward.
+	if _, err := rp.Phase(func(s *parallel.Stack) {
+		s.Forward()
+		s.Backward()
 	}); err != nil {
 		return OverlapPoint{}, err
 	}
-	c.ResetClocks()
-	if err := c.Run(func(w *dist.Worker) error {
-		runners[w.Rank()].forward()
-		runners[w.Rank()].backward()
-		return nil
-	}); err != nil {
-		return OverlapPoint{}, err
-	}
-	hidden, total := c.Overlap()
+	hidden, total := rp.Cluster().Overlap()
 	pt := OverlapPoint{Row: row, HiddenSeconds: hidden, TotalCommSeconds: total}
 	if total > 0 {
 		pt.MeasuredFrac = hidden / total

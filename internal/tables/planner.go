@@ -7,6 +7,7 @@ import (
 	"repro/internal/claims"
 	"repro/internal/megatron"
 	"repro/internal/optimus"
+	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/seqpar"
 	"repro/internal/tesseract"
@@ -24,31 +25,11 @@ func DefaultAlgos() []plan.Algo {
 	}
 }
 
-// rowForPlan converts a planner candidate into the table row that executes
-// the same configuration on the simulated cluster.
-func rowForPlan(p plan.Plan, w plan.Workload) (Row, error) {
-	row := Row{GPUs: p.Grid.Ranks, Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
-	switch p.Family {
-	case "megatron":
-		row.Scheme = Megatron
-	case "seqpar":
-		row.Scheme = SeqPar
-	case "optimus":
-		row.Scheme = Optimus
-		row.Q = p.Grid.Q
-	case "tesseract":
-		row.Scheme = Tesseract
-		row.Q, row.D = p.Grid.Q, p.Grid.D
-	default:
-		return Row{}, fmt.Errorf("tables: no runner for planner family %q", p.Family)
-	}
-	return row, nil
-}
-
-// MeasurePlan returns the plan.Measurer that replays candidates through
-// RunRow on a fresh simulated cluster. The workload's sequence length,
-// layer count and recompute setting override the options so both sides of
-// the predicted-vs-measured comparison describe the same execution.
+// MeasurePlan returns the plan.Measurer that replays candidates the way
+// RunRow replays a table row: the full cluster, every rank. The workload's
+// sequence length, layer count and recompute setting override the options so
+// both sides of the predicted-vs-measured comparison describe the same
+// execution.
 func MeasurePlan(w plan.Workload, opts Options) plan.Measurer {
 	w, werr := w.WithDefaults()
 	opts.SeqLen = w.SeqLen
@@ -58,15 +39,12 @@ func MeasurePlan(w plan.Workload, opts Options) plan.Measurer {
 		if werr != nil {
 			return plan.Measurement{}, werr
 		}
-		row, err := rowForPlan(p, w)
+		l, err := parallel.Validate(p.Layout())
 		if err != nil {
 			return plan.Measurement{}, err
 		}
-		res, err := RunRow(row, opts)
-		if err != nil {
-			return plan.Measurement{}, err
-		}
-		return plan.Measurement{Forward: res.Forward, Backward: res.Backward}, nil
+		st, err := timeStep(l, Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}, opts)
+		return plan.Measurement{Forward: st.Forward, Backward: st.Backward}, err
 	}
 }
 

@@ -63,66 +63,47 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// blockRunner abstracts one rank's view of a Transformer layer stack so the
-// three schemes share the timing scaffold.
-type blockRunner interface {
-	forward()
-	backward()
-}
-
 // RunRow executes one table row on a fresh simulated cluster and returns the
 // measured columns. The forward pass and backward pass are timed separately
-// by resetting the simulated clocks in between, exactly mirroring the
-// paper's forward-time/backward-time split.
+// (parallel.Replay.Step resets the simulated clocks in between), exactly
+// mirroring the paper's forward-time/backward-time split.
 func RunRow(row Row, opts Options) (Result, error) {
-	opts, err := opts.withDefaults()
+	l, err := LayoutForRow(row)
 	if err != nil {
 		return Result{}, err
 	}
+	st, err := timeStep(l, row, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return newResult(row.Batch, st.Forward, st.Backward), nil
+}
+
+// timeStep times one training step of the row's model (its Batch, Hidden and
+// Heads) under a layout.
+func timeStep(l parallel.Layout, row Row, opts Options) (parallel.StepClocks, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return parallel.StepClocks{}, err
+	}
+	rp, err := newReplay(l, row, opts)
+	if err != nil {
+		return parallel.StepClocks{}, err
+	}
+	return rp.Step(!opts.NoRecompute)
+}
+
+// newReplay builds the layout's cluster and, untimed, the row's layer stack
+// and inputs on every rank.
+func newReplay(l parallel.Layout, row Row, opts Options) (*parallel.Replay, error) {
 	c := dist.New(dist.Config{
-		WorldSize:   row.GPUs,
+		WorldSize:   l.Ranks,
 		GPUsPerNode: opts.GPUsPerNode,
 		Cost:        opts.Cost,
 	})
-	runners := make([]blockRunner, row.GPUs)
-
-	// Phase 0 (untimed): construct the model and inputs.
-	err = c.Run(func(w *dist.Worker) error {
-		r, err := newRunner(row, opts, w)
-		if err != nil {
-			return err
-		}
-		runners[w.Rank()] = r
-		return nil
+	return parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
+		return newStack(l, row, opts, w)
 	})
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Phase 1: forward.
-	c.ResetClocks()
-	if err := c.Run(func(w *dist.Worker) error {
-		runners[w.Rank()].forward()
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
-	fwd := c.MaxClock()
-
-	// Phase 2: backward (with activation recomputation unless disabled).
-	c.ResetClocks()
-	if err := c.Run(func(w *dist.Worker) error {
-		if !opts.NoRecompute {
-			runners[w.Rank()].forward()
-		}
-		runners[w.Rank()].backward()
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
-	bwd := c.MaxClock()
-
-	return newResult(row.Batch, fwd, bwd), nil
 }
 
 // LayoutForRow converts a table row into the runtime layout its scheme
@@ -151,65 +132,28 @@ func LayoutForRow(row Row) (parallel.Layout, error) {
 	return l, nil
 }
 
-// familyRunner drives a layer stack of any family through the timing
-// scaffold: the schemes differ only in the parallel.Family they
-// instantiate, which is the whole point of the interface.
-type familyRunner struct {
-	f      parallel.Family
-	blocks []parallel.Layer
-	x, dy  *tensor.Matrix
-	out    []*tensor.Matrix
-}
-
-func newRunner(row Row, opts Options, w *dist.Worker) (blockRunner, error) {
-	l, err := LayoutForRow(row)
-	if err != nil {
-		return nil, err
-	}
+// newStack builds one rank's layer stack for a row: phantom blocks and
+// inputs by default, real random ones under Options.Real.
+func newStack(l parallel.Layout, row Row, opts Options, w *dist.Worker) (*parallel.Stack, error) {
 	f, err := parallel.New(w, l)
 	if err != nil {
 		return nil, err
 	}
-	r := &familyRunner{f: f}
+	if !opts.Real {
+		return parallel.NewPhantomStack(f, row.Batch, opts.SeqLen, row.Hidden, row.Heads, opts.Layers), nil
+	}
+	s := &parallel.Stack{Family: f}
 	for i := 0; i < opts.Layers; i++ {
-		if opts.Real {
-			r.blocks = append(r.blocks, f.NewBlock(row.Hidden, row.Heads, opts.SeqLen, tensor.NewRNG(opts.Seed+uint64(i))))
-		} else {
-			r.blocks = append(r.blocks, f.NewBlockPhantom(row.Hidden, row.Heads, opts.SeqLen))
-		}
+		s.Blocks = append(s.Blocks, f.NewBlock(row.Hidden, row.Heads, opts.SeqLen, tensor.NewRNG(opts.Seed+uint64(i))))
 	}
+	// Replicated activations (Megatron) must be identical on every rank;
+	// split activations get independent per-rank blocks.
 	sl := f.Slice(row.Batch*opts.SeqLen, row.Hidden)
-	if opts.Real {
-		// Replicated activations (Megatron) must be identical on every
-		// rank; split activations get independent per-rank blocks.
-		seed := opts.Seed
-		if sl.Rows != row.Batch*opts.SeqLen || sl.Cols != row.Hidden {
-			seed += uint64(w.Rank())
-		}
-		r.x = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(seed+100))
-		r.dy = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(seed+200))
-	} else {
-		r.x = tensor.NewPhantom(sl.Rows, sl.Cols)
-		r.dy = tensor.NewPhantom(sl.Rows, sl.Cols)
+	seed := opts.Seed
+	if sl.Rows != row.Batch*opts.SeqLen || sl.Cols != row.Hidden {
+		seed += uint64(w.Rank())
 	}
-	return r, nil
-}
-
-func (r *familyRunner) forward() {
-	x := r.x
-	for _, b := range r.blocks {
-		x = b.Forward(x)
-	}
-	r.out = append(r.out[:0], x)
-}
-
-func (r *familyRunner) backward() {
-	dy := r.dy
-	for i := len(r.blocks) - 1; i >= 0; i-- {
-		dy = r.blocks[i].Backward(dy)
-	}
-	// Deferred gradient synchronisations (Tesseract's §3.1 depth
-	// all-reduces) overlap the per-layer backward work; the row reports
-	// the time with that overlap, so drain inside the timed phase.
-	r.f.DrainGradients()
+	s.X = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(seed+100))
+	s.DY = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(seed+200))
+	return s, nil
 }

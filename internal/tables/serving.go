@@ -151,11 +151,11 @@ func ServingPlannerStudy(topN int, opts Options) (*ServingPlannerPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tables: serving planner study: %w", err)
 	}
-	pt := &ServingPlannerPoint{Workload: w, Objective: o, Plans: plans, Validations: vs}
-	if trained, err := plan.Search(w, topo, DefaultAlgos()); err == nil && len(trained) > 0 {
-		pt.TrainingBest = trained[0].String()
+	trained, err := plan.Search(w, topo, DefaultAlgos())
+	if err != nil {
+		return nil, fmt.Errorf("tables: serving planner study: training search: %w", err)
 	}
-	return pt, nil
+	return &ServingPlannerPoint{Workload: w, Objective: o, Plans: plans, Validations: vs, TrainingBest: trained[0].String()}, nil
 }
 
 // FormatServingPlanner renders the serving-planner study: the serving

@@ -16,7 +16,6 @@ package tesseract
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/mesh"
@@ -166,11 +165,4 @@ func (p *Proc) BBlockShape(rows, cols int) (int, int) {
 		panic(fmt.Sprintf("tesseract: parameter %dx%d not divisible by q=%d", rows, cols, q))
 	}
 	return rows / q, cols / q
-}
-
-// Transfers returns the paper's closed-form transfer count for Tesseract in
-// the d = q (3-D) configuration: 2p^{2/3} (§3.1).
-func Transfers(p int) float64 {
-	c := math.Cbrt(float64(p))
-	return 2 * c * c
 }

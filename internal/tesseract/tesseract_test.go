@@ -360,15 +360,6 @@ func TestBlockShapeValidation(t *testing.T) {
 	})
 }
 
-func TestTransfersFormula(t *testing.T) {
-	// p = 64 -> 2·64^{2/3} = 32, the denominator of the paper's 31.5×/3.75×
-	// comparisons.
-	got := Transfers(64)
-	if got < 31.999999 || got > 32.000001 {
-		t.Fatalf("Transfers(64) = %g, want 32", got)
-	}
-}
-
 func TestABBlockShapeHelpers(t *testing.T) {
 	runMesh(t, 2, 2, func(p *Proc) error {
 		if r, c := p.ABlockShape(16, 8); r != 4 || c != 4 {

@@ -116,23 +116,6 @@ type AdaptiveRun struct {
 	TotalSeconds float64
 }
 
-// predictStep prices a layout's training step with the matching planner
-// algo under a topology — the analytic half of the break-even policy.
-func predictStep(algos []plan.Algo, wl plan.Workload, l parallel.Layout, t plan.Topology) (float64, error) {
-	t.RankBudget = l.Ranks
-	t, err := t.WithDefaults()
-	if err != nil {
-		return 0, err
-	}
-	g := plan.Grid{Ranks: l.Ranks, Q: l.Q, D: l.D}
-	for _, a := range algos {
-		if a.Family == l.Family {
-			return a.Cost(wl, g, t).Step(), nil
-		}
-	}
-	return 0, fmt.Errorf("vit: no planner algo prices family %q", l.Family)
-}
-
 // TrainAdaptive is the gray-failure watchdog loop: train in probe windows,
 // read the monitor between them, and on sustained straggler detection
 // checkpoint, replan over the healthy subset priced at the measured
@@ -253,17 +236,17 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		// The current layout is priced under the spec-sheet cost (its
 		// healthy baseline was measured on a healthy cluster); the candidate
 		// under the measured effective cost of the ranks it would run on.
-		predFrom, err := predictStep(cfg.Algos, wl, cur, cfg.Topology)
+		predFrom, err := plan.Price(wl, cur, cfg.Topology)
 		if err != nil {
 			return nil, err
 		}
-		predTo, err := predictStep(cfg.Algos, wl, to, topo)
+		predTo, err := plan.Price(wl, to, topo)
 		if err != nil {
 			return nil, err
 		}
 		estNew := run.HealthyStepSeconds
-		if predFrom > 0 {
-			estNew = run.HealthyStepSeconds * predTo / predFrom
+		if predFrom.Step() > 0 {
+			estNew = run.HealthyStepSeconds * predTo.Step() / predFrom.Step()
 		}
 		run.PredictedStepSeconds = estNew
 		gain := degraded - estNew

@@ -5,7 +5,8 @@
 # notes cannot silently rot as files move. It also holds the GEMM kernel to
 # what the docs promise of it: no fused multiply-add (docs/architecture.md §3),
 # and the tree to what the package map promises: no internal package that
-# nothing shipped imports.
+# nothing shipped imports, and no family package restating its schedule as
+# cost-model arithmetic.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -25,6 +26,16 @@ go vet ./... || fail=1
 # such instruction in the micro-kernel would break bitwise equality with them.
 if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/gemm_amd64.s >&2; then
     echo "docs_check: internal/tensor/gemm_amd64.s uses a fused multiply-add" >&2
+    fail=1
+fi
+
+# The planner prices a layout by replaying the family's layers
+# (docs/architecture.md §11). A family package that calls a dist.CostModel
+# pricing method, or brings back plan's term accumulators, is growing a second
+# copy of its schedule that nothing holds equal to the first.
+if grep -rnE 'Seconds\(|plan\.Coster|plan\.Assemble' --include='*.go' \
+    internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
+    echo "docs_check: a family package prices with the cost model instead of being replayed" >&2
     fail=1
 fi
 
