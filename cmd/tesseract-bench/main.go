@@ -42,9 +42,14 @@ func main() {
 		fatal(err)
 	}
 	opts := tables.Options{SeqLen: *seqLen, Layers: *layers, NoRecompute: *noRecomp}
+	// Once, before the first study prints: some studies take no options, so
+	// leaving the check to the first one that does would let them run first.
+	if err := opts.Check(); err != nil {
+		fatal(err)
+	}
 	all := !*claimsOnly && !*memory && !*ablation && !*overlap && !*planner && !*families && !*elastic && !*straggler && !*serving && !*speedups && *table == ""
 
-	runTable := func(num string, rows []tables.Row, title string, derive func([]tables.TableResult) []tables.Speedup, label string) {
+	runTable := func(rows []tables.Row, title string, derive func([]tables.TableResult) []tables.Speedup, label string) {
 		res, err := tables.RunTable(rows, opts)
 		if err != nil {
 			fatal(err)
@@ -53,16 +58,15 @@ func main() {
 		if all || *speedups {
 			fmt.Println(tables.FormatSpeedups(label, derive(res)))
 		}
-		_ = num
 	}
 
 	if all || *table == "1" {
-		runTable("1", tables.Table1Rows(),
+		runTable(tables.Table1Rows(),
 			"Table 1 — strong scaling (batch 12/16, hidden 3072, 64 heads; simulated seconds)",
 			tables.StrongScalingSpeedups, "Derived §4.1 strong-scaling speedups (Tesseract [4,4,4] vs baselines)")
 	}
 	if all || *table == "2" {
-		runTable("2", tables.Table2Rows(),
+		runTable(tables.Table2Rows(),
 			"Table 2 — weak scaling (per-GPU problem fixed; simulated seconds)",
 			tables.WeakScalingSpeedups, "Derived §4.2 weak-scaling speedups (Tesseract [4,4,4] vs baselines)")
 	}

@@ -47,6 +47,9 @@ func TestMisuseIsOneLine(t *testing.T) {
 		{"negative layers, one table", []string{"-table", "1", "-layers", "-1"}, "layers -1"},
 		{"negative seqlen, planner study", []string{"-planner", "-seqlen", "-1"}, "sequence length -1"},
 		{"negative layers, ablation", []string{"-ablation", "-layers", "-3"}, "layers -3"},
+		// The serving table takes no options and used to print in full
+		// before the serving planner, next in line, rejected them.
+		{"negative layers, serving", []string{"-serving", "-layers", "-1"}, "layers -1"},
 	} {
 		t.Run(mis.name, func(t *testing.T) {
 			code, stdout, stderr := testutil.RunCLI(t, asCLI, mis.args...)

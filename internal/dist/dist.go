@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -362,23 +361,29 @@ func (c *Cluster) Group(ranks ...int) *Group {
 	if len(ranks) == 0 {
 		panic("dist: empty group")
 	}
-	var key strings.Builder
+	// The key is spelled into a stack buffer and looked up as
+	// groups[string(key)], which the compiler does without materialising the
+	// string: mesh.NewProc asks for four groups on every rank, and only the
+	// first asker of each pays for a key, on insert. 64 ranks fit the buffer;
+	// a longer list spills to the heap and still works.
+	var buf [256]byte
+	key := buf[:0]
 	for i, r := range ranks {
 		if r < 0 || r >= c.cfg.WorldSize {
 			panic(fmt.Sprintf("dist: group rank %d outside world of %d", r, c.cfg.WorldSize))
 		}
 		if i > 0 {
-			key.WriteByte(',')
+			key = append(key, ',')
 		}
-		key.WriteString(strconv.Itoa(r))
+		key = strconv.AppendInt(key, int64(r), 10)
 	}
 	c.groupMu.Lock()
 	defer c.groupMu.Unlock()
-	if g, ok := c.groups[key.String()]; ok {
+	if g, ok := c.groups[string(key)]; ok {
 		return g
 	}
 	g := newGroup(c, ranks)
-	c.groups[key.String()] = g
+	c.groups[string(key)] = g
 	return g
 }
 

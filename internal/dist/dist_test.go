@@ -289,6 +289,40 @@ func TestGroupIdentityAndValidation(t *testing.T) {
 	if g.Ranks()[0] != 3 {
 		t.Fatal("Ranks must return a private copy")
 	}
+	for name, bad := range map[string][]int{"empty": {}, "out of range": {0, 4}, "negative": {-1}, "duplicate": {1, 2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s rank list must panic", name)
+				}
+			}()
+			c.Group(bad...)
+		}()
+	}
+}
+
+// TestGroupLookupKey: rank lists that spell alike are different groups, a
+// list longer than the key's stack buffer still finds its group, and finding
+// a cached group allocates nothing — mesh.NewProc asks for four on every
+// rank of every cluster a replay builds.
+func TestGroupLookupKey(t *testing.T) {
+	c := New(Config{WorldSize: 200})
+	if c.Group(1, 12) == c.Group(11, 2) || c.Group(1, 12) == c.Group(112) || c.Group(1, 1+1, 0) == c.Group(1, 20) {
+		t.Fatal("rank lists whose digits run together alike must stay different groups")
+	}
+	world := c.WorldGroup() // "0,1,…,199" is 689 bytes of key
+	if world.Size() != 200 || c.WorldGroup() != world {
+		t.Fatal("a long rank list must build one group and find it again")
+	}
+	row := []int{64, 65, 66, 67, 68, 69, 70, 71}
+	g := c.Group(row...)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if c.Group(row...) != g {
+			t.Fatal("lookup missed the cached group")
+		}
+	}); allocs != 0 {
+		t.Errorf("looking up a cached group allocates %v times, want 0", allocs)
+	}
 }
 
 func TestRunErrorNamesWorkerAndPoisons(t *testing.T) {

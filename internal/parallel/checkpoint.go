@@ -198,8 +198,9 @@ func Collect(f Family, m Stater, opt *nn.Adam) (*Checkpoint, error) {
 // each canonical tensor over the family group — charging the simulated
 // clock with the real re-shard traffic — and every rank slices its own
 // rectangles out of the replicated copy into its parameter shards and
-// freshly shaped Adam moments. Non-root ranks only read ck for shapes; the
-// data they install arrived over the wire.
+// shard-shaped Adam moments (the optimiser's existing buffers when it has
+// them, see momentBuffer). Non-root ranks only read ck for shapes; the data
+// they install arrived over the wire.
 //
 // The model must have been built for the same architecture (same State()
 // walk); mismatched slot shapes are an error. Gradients are left untouched
@@ -254,17 +255,20 @@ func Restore(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
 				stageRestore(s.Param.Value, s, recv)
 			}
 		})
+		var mm, vv *tensor.Matrix
 		restoreMoments := opt != nil && s.Param != nil && !s.Param.Value.Phantom()
+		if restoreMoments {
+			have, haveV := opt.Moments(s.Param)
+			mm, vv = momentBuffer(have, s.Param.Value), momentBuffer(haveV, s.Param.Value)
+		}
 		install(e.M, func(recv *tensor.Matrix) {
 			if restoreMoments {
-				mm := tensor.New(s.Param.Value.Rows, s.Param.Value.Cols)
 				stageRestore(mm, s, recv)
 				opt.SetMoments(s.Param, mm, nil)
 			}
 		})
 		install(e.V, func(recv *tensor.Matrix) {
 			if restoreMoments {
-				vv := tensor.New(s.Param.Value.Rows, s.Param.Value.Cols)
 				stageRestore(vv, s, recv)
 				opt.SetMoments(s.Param, nil, vv)
 			}
@@ -281,6 +285,20 @@ func Restore(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
 // rank loss — from a checkpoint collected under a different one.
 func Reshard(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
 	return Restore(f, m, opt, ck)
+}
+
+// momentBuffer returns the zeroed shard-shaped buffer a restored moment is
+// staged into: the optimiser's own when it already holds one of the shard's
+// shape — a session re-sharded back and forth keeps its moment storage —
+// and a fresh one otherwise, as on the first restore. Zeroing the reused
+// buffer makes the restore bit for bit what it is into a fresh one even
+// where the slot's rectangles leave part of the shard uncovered.
+func momentBuffer(have, shard *tensor.Matrix) *tensor.Matrix {
+	if have == nil || have.Phantom() || have.Rows != shard.Rows || have.Cols != shard.Cols {
+		return tensor.New(shard.Rows, shard.Cols)
+	}
+	have.Zero()
+	return have
 }
 
 // checkState validates one rank's slot view: rectangles must stay inside

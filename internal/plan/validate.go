@@ -55,7 +55,10 @@ func (p Plan) Validate(measure Measurer) (Validation, error) {
 
 // ValidateTop replays the first n plans of a ranked list (all of them when
 // n exceeds the list, none when n is negative) and returns their
-// validations in rank order.
+// validations in rank order. It calls measure one plan at a time, in that
+// order, on the calling goroutine, so a Measurer may carry state — a tracer,
+// running sums. A batch of stateless replays that wants them concurrent
+// calls Plan.Validate itself, as tables.PlannerStudy does.
 func ValidateTop(plans []Plan, n int, measure Measurer) ([]Validation, error) {
 	if n > len(plans) {
 		n = len(plans)

@@ -37,19 +37,8 @@ func chainSegment(t *testing.T, l parallel.Layout, ck *parallel.Checkpoint, step
 				return err
 			}
 		}
-		params := model.Params()
-		for s := 0; s < steps; s++ {
-			lg := model.Forward(vit.DistributeBatch(f, x, mcfg.SeqLen))
-			_, dl := nn.CrossEntropy(lg, labels)
-			if w.Rank() == 0 && s == steps-1 {
-				logits = lg.Clone()
-			}
-			for _, pa := range params {
-				pa.ZeroGrad()
-			}
-			model.Backward(dl)
-			opt.Step(params)
-			f.EndStep()
+		if lg := fixedBatchSteps(f, model, opt, steps, mcfg.SeqLen, x, labels); w.Rank() == 0 {
+			logits = lg
 		}
 		out, err := parallel.Collect(f, model, opt)
 		cks[w.Rank()] = out
@@ -59,6 +48,28 @@ func chainSegment(t *testing.T, l parallel.Layout, ck *parallel.Checkpoint, step
 		t.Fatal(err)
 	}
 	return cks[0], logits
+}
+
+// fixedBatchSteps trains one rank's model for `steps` steps on the same
+// batch and returns a copy of the last step's logits (nil when steps == 0).
+func fixedBatchSteps(f parallel.Family, model *vit.DistModel, opt *nn.Adam, steps, seqLen int,
+	x *tensor.Matrix, labels []int) *tensor.Matrix {
+	params := model.Params()
+	var logits *tensor.Matrix
+	for s := 0; s < steps; s++ {
+		lg := model.Forward(vit.DistributeBatch(f, x, seqLen))
+		_, dl := nn.CrossEntropy(lg, labels)
+		if s == steps-1 {
+			logits = lg.Clone()
+		}
+		for _, pa := range params {
+			pa.ZeroGrad()
+		}
+		model.Backward(dl)
+		opt.Step(params)
+		f.EndStep()
+	}
+	return logits
 }
 
 // requireBitwise fails unless two checkpoints agree in every slot, every
@@ -174,4 +185,123 @@ func TestElasticStudy(t *testing.T) {
 		}
 	}
 	t.Log("\n" + FormatElastic(points))
+}
+
+// TestRestoreReusesMoments walks one session pair the way an elastic run
+// does — megatron [4] and seqpar [4] on one cluster, training on one side,
+// re-sharding onto the other, and back — and checks what Restore does with an
+// optimiser that already holds moments of the shard's shape: it stages into
+// that storage (no moment buffer is allocated from the second visit on), and
+// the weights and both moments it leaves are, bit for bit, those of restoring
+// the same checkpoint into a freshly built model and optimiser, although the
+// reused buffers went in holding the previous visit's training state.
+func TestRestoreReusesMoments(t *testing.T) {
+	ds, mcfg, tc := elasticFixture()
+	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	layouts := [2]parallel.Layout{{Family: "megatron", Ranks: 4}, {Family: "seqpar", Ranks: 4}}
+
+	type rankState struct {
+		fam   parallel.Family
+		model *vit.DistModel
+		opt   *nn.Adam
+	}
+	build := func(c *dist.Cluster, l parallel.Layout) []rankState {
+		t.Helper()
+		st := make([]rankState, 4)
+		if err := c.Run(func(w *dist.Worker) error {
+			f, err := parallel.New(w, l)
+			if err != nil {
+				return err
+			}
+			st[w.Rank()] = rankState{f, vit.NewDistModel(f, mcfg), nn.NewAdam(tc.LR, tc.WeightDecay)}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	c := dist.New(dist.Config{WorldSize: 4})
+	sides := [2][]rankState{build(c, layouts[0]), build(c, layouts[1])}
+
+	// storage lists the first element of every moment buffer a side holds.
+	storage := func(st []rankState) []*float64 {
+		var out []*float64
+		for _, s := range st {
+			for _, p := range s.model.Params() {
+				m, v := s.opt.Moments(p)
+				if m == nil || v == nil {
+					t.Fatalf("parameter %s has no moments", p.Name)
+				}
+				out = append(out, &m.Data[0], &v.Data[0])
+			}
+		}
+		return out
+	}
+	requireSameBits := func(what string, rank int, name string, got, want *tensor.Matrix) {
+		t.Helper()
+		if !got.SameShape(want) {
+			t.Fatalf("%s, rank %d, %s: %dx%d against %dx%d", what, rank, name, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Errorf("%s, rank %d, %s[%d]: %x after a reusing restore, %x after a fresh one",
+					what, rank, name, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+				return
+			}
+		}
+	}
+
+	visited := [2]bool{true, false}
+	for hop, from := 0, 0; hop < 4; hop, from = hop+1, 1-from {
+		to := 1 - from
+		src, dst := sides[from], sides[to]
+		var before []*float64
+		if visited[to] {
+			before = storage(dst)
+		}
+		cks := make([]*parallel.Checkpoint, 4)
+		if err := c.Run(func(w *dist.Worker) error {
+			s := src[w.Rank()]
+			fixedBatchSteps(s.fam, s.model, s.opt, 2, mcfg.SeqLen, x, labels)
+			ck, err := parallel.Collect(s.fam, s.model, s.opt)
+			if err != nil {
+				return err
+			}
+			cks[w.Rank()] = ck
+			d := dst[w.Rank()]
+			return parallel.Restore(d.fam, d.model, d.opt, ck)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		what := layouts[from].String() + " → " + layouts[to].String()
+		if !visited[to] {
+			visited[to] = true
+			continue // a first restore adopts fresh buffers: nothing to reuse yet
+		}
+		for i, p := range storage(dst) {
+			if p != before[i] {
+				t.Fatalf("%s: moment buffer %d moved: the restore allocated moment storage", what, i)
+			}
+		}
+		fresh := build(dist.New(dist.Config{WorldSize: 4}), layouts[to])
+		if err := fresh[0].fam.Worker().Cluster().Run(func(w *dist.Worker) error {
+			f := fresh[w.Rank()]
+			return parallel.Restore(f.fam, f.model, f.opt, cks[w.Rank()])
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r := range dst {
+			gp, wp := dst[r].model.Params(), fresh[r].model.Params()
+			for i := range wp {
+				gm, gv := dst[r].opt.Moments(gp[i])
+				wm, wv := fresh[r].opt.Moments(wp[i])
+				requireSameBits(what, r, wp[i].Name+" value", gp[i].Value, wp[i].Value)
+				requireSameBits(what, r, wp[i].Name+" first moment", gm, wm)
+				requireSameBits(what, r, wp[i].Name+" second moment", gv, wv)
+			}
+		}
+		if got, want := dst[0].opt.StepCount(), fresh[0].opt.StepCount(); got != want {
+			t.Errorf("%s: step count %d, a fresh restore gives %d", what, got, want)
+		}
+	}
 }

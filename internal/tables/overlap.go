@@ -28,25 +28,23 @@ type OverlapPoint struct {
 }
 
 // OverlapStudy runs Tesseract rows in phantom mode and reports predicted
-// versus measured communication overlap for each. Rows from other schemes
-// are skipped (they have no pipelined SUMMA schedule to predict).
+// versus measured communication overlap for each, in row order. Rows from
+// other schemes are skipped (they have no pipelined SUMMA schedule to
+// predict); the rest replay concurrently (replayEach).
 func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	var out []OverlapPoint
+	var tess []Row
 	for _, row := range rows {
-		if row.Scheme != Tesseract {
-			continue
+		if row.Scheme == Tesseract {
+			tess = append(tess, row)
 		}
-		pt, err := overlapRow(row, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
 	}
-	return out, nil
+	return replayEach(len(tess), func(i int) (OverlapPoint, error) {
+		return overlapRow(tess[i], opts)
+	})
 }
 
 func overlapRow(row Row, opts Options) (OverlapPoint, error) {

@@ -29,7 +29,8 @@ func DefaultAlgos() []plan.Algo {
 // RunRow replays a table row: the full cluster, every rank. The workload's
 // sequence length, layer count and recompute setting override the options so
 // both sides of the predicted-vs-measured comparison describe the same
-// execution.
+// execution. The measurer keeps no state between calls — each builds its own
+// cluster — so it may be called from several goroutines at once.
 func MeasurePlan(w plan.Workload, opts Options) plan.Measurer {
 	w, werr := w.WithDefaults()
 	opts.SeqLen = w.SeqLen
@@ -104,6 +105,12 @@ func (p PlannerPoint) Best() plan.Plan { return p.Plans[0] }
 // reproducing the paper's best-layout rows from the planner instead of
 // hard-coded grids. topN bounds the replayed candidates (default 3 when
 // zero).
+//
+// The leaders of all scenarios are one batch of independent replays
+// (replayEach), each validated with Plan.Validate. plan.ValidateTop is not
+// made concurrent instead: it calls its Measurer one plan at a time, in rank
+// order, and callers hand it closures with state; what it would return from
+// MeasurePlan is what this returns.
 func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]PlannerPoint, error) {
 	if topN <= 0 {
 		topN = 3
@@ -112,18 +119,36 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 	if err != nil {
 		return nil, err
 	}
-	var out []PlannerPoint
-	for _, sc := range scenarios {
+	type leader struct {
+		scenario int
+		plan     plan.Plan
+	}
+	var leaders []leader
+	out := make([]PlannerPoint, len(scenarios))
+	for i, sc := range scenarios {
 		topo := plan.Topology{Cost: opts.Cost, GPUsPerNode: opts.GPUsPerNode, RankBudget: sc.RankBudget, ExactRanks: true}
 		plans, err := plan.Search(sc.Workload, topo, DefaultAlgos())
 		if err != nil {
 			return nil, fmt.Errorf("tables: planner study %q: %w", sc.Name, err)
 		}
-		vs, err := plan.ValidateTop(plans, topN, MeasurePlan(sc.Workload, opts))
-		if err != nil {
-			return nil, fmt.Errorf("tables: planner study %q: %w", sc.Name, err)
+		out[i] = PlannerPoint{Scenario: sc, Plans: plans}
+		for _, p := range plans[:min(topN, len(plans))] {
+			leaders = append(leaders, leader{i, p})
 		}
-		out = append(out, PlannerPoint{Scenario: sc, Plans: plans, Validations: vs})
+	}
+	vs, err := replayEach(len(leaders), func(k int) (plan.Validation, error) {
+		l, sc := leaders[k], scenarios[leaders[k].scenario]
+		v, err := l.plan.Validate(MeasurePlan(sc.Workload, opts))
+		if err != nil {
+			return v, fmt.Errorf("tables: planner study %q: %w", sc.Name, err)
+		}
+		return v, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, l := range leaders {
+		out[l.scenario].Validations = append(out[l.scenario].Validations, vs[k])
 	}
 	return out, nil
 }

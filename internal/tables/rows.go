@@ -6,6 +6,13 @@
 // code executes its full communication schedule while matrices stay
 // shape-only, so a 64-GPU row completes in milliseconds of wall time while
 // the simulated clocks report the α-β/FLOPS cost of the real schedule.
+//
+// The rows of a table, the leaders of a planner study and the points of the
+// overlap and depth studies are independent replays, each on a cluster of its
+// own, and run up to GOMAXPROCS at a time (replayEach); results keep the
+// input's order and every number is what one replay after another gives.
+// There is nothing to configure and nothing is kept between calls — see
+// docs/architecture.md, "tables: independent replays".
 package tables
 
 import "fmt"

@@ -26,18 +26,15 @@ type AblationPoint struct {
 // DepthAblation sweeps the Tesseract depth at fixed q for the Table 1
 // problem (batch 16, hidden 3072, 64 heads), isolating the paper's central
 // trade: deeper meshes shrink the SUMMA panels broadcast inside each layer
-// at the cost of the (rare) depth all-reduce.
+// at the cost of the (rare) depth all-reduce. The depths replay concurrently
+// (replayEach); points come back in the order of depths.
 func DepthAblation(q int, depths []int, opts Options) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, d := range depths {
+	return replayEach(len(depths), func(i int) (AblationPoint, error) {
+		d := depths[i]
 		row := Row{Scheme: Tesseract, GPUs: q * q * d, Q: q, D: d, Batch: 16, Hidden: 3072, Heads: 64}
 		res, err := RunRow(row, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationPoint{Q: q, D: d, GPUs: row.GPUs, Result: res})
-	}
-	return out, nil
+		return AblationPoint{Q: q, D: d, GPUs: row.GPUs, Result: res}, err
+	})
 }
 
 // FormatAblation renders a depth sweep.

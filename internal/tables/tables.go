@@ -13,17 +13,18 @@ type TableResult struct {
 	Measured Result
 }
 
-// RunTable executes every row with the same options.
+// RunTable executes every row with the same options and returns the results
+// in row order. Rows are independent replays and run concurrently
+// (replayEach); the error is the first failing row's.
 func RunTable(rows []Row, opts Options) ([]TableResult, error) {
-	out := make([]TableResult, 0, len(rows))
-	for _, r := range rows {
+	return replayEach(len(rows), func(i int) (TableResult, error) {
+		r := rows[i]
 		res, err := RunRow(r, opts)
 		if err != nil {
-			return nil, fmt.Errorf("row %s %s: %w", r.Scheme, r.Shape(), err)
+			return TableResult{}, fmt.Errorf("row %s %s: %w", r.Scheme, r.Shape(), err)
 		}
-		out = append(out, TableResult{Row: r, Measured: res})
-	}
-	return out, nil
+		return TableResult{Row: r, Measured: res}, nil
+	})
 }
 
 // Format renders results in the layout of the paper's tables, with the

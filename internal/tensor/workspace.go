@@ -55,10 +55,16 @@ import "fmt"
 // # Phantoms
 //
 // The pool is phantom-aware: requesting a phantom shape yields a pooled
-// shape-only matrix (phantom flag is part of the free-list key, so a phantom
-// can never satisfy a real request or vice versa). Zeroing is skipped and
-// Put/ReleaseAll recycle the headers, keeping paper-scale phantom runs
-// allocation-free too.
+// shape-only matrix. A phantom has no storage to recycle, only a header, so
+// every phantom shape shares one free list and a checkout re-stamps
+// Rows/Cols: a paper-scale replay touches hundreds of shapes once each, and
+// a bucket, a map insert and a header per shape were most of what it
+// allocated. The list is the phantoms' alone, so a phantom can never satisfy
+// a real request or vice versa. Checkout, Put, Borrow and ReleaseAll
+// discipline and the statistics are those of a real buffer; what differs is
+// that a phantom returned to the pool may come back under another shape, so
+// reading a header's shape after its Put is as wrong as reading a real
+// buffer's data.
 //
 // # Implementation note
 //
@@ -69,6 +75,9 @@ import "fmt"
 // swap-removal.
 type Workspace struct {
 	free map[wsKey]*wsBucket
+	// phantoms is the one free list behind every phantom shape (see
+	// "Phantoms" above); free and cache hold real shapes only.
+	phantoms wsBucket
 	// cache is a direct-mapped front for the free map: a training step asks
 	// for the same handful of shapes thousands of times, and the map lookup
 	// (hash + probe) was ~7% of a step. A shape's bucket is remembered in
@@ -94,19 +103,13 @@ type wsCacheEntry struct {
 // in one slot (each eviction costs a map probe).
 func cacheSlot(k wsKey) int {
 	h := k.rows*0x9E3779B1 + k.cols*0x85EBCA77
-	if k.phantom {
-		h += 1543
-	}
 	return (h ^ h>>7) & (wsCacheSlots - 1)
 }
 
-type wsKey struct {
-	rows, cols int
-	phantom    bool
-}
+type wsKey struct{ rows, cols int }
 
-// wsBucket is one per-shape free list. Matrices remember their bucket, so
-// Put and ReleaseAll recycle without a map lookup.
+// wsBucket is one free list: a real shape's, or the phantoms'. Matrices
+// remember their bucket, so Put and ReleaseAll recycle without a map lookup.
 type wsBucket struct {
 	items []*Matrix
 }
@@ -160,49 +163,56 @@ func (ws *Workspace) Get(rows, cols int) *Matrix {
 // GetUninit checks out a rows×cols matrix with unspecified contents. Use it
 // only for destinations that are fully overwritten before being read.
 func (ws *Workspace) GetUninit(rows, cols int) *Matrix {
-	return ws.get(wsKey{rows, cols, false})
+	return ws.get(rows, cols, false)
 }
 
 // GetMatch is Get with the phantomness of the computation the buffer joins:
 // phantom inputs get a pooled shape-only matrix, real inputs a zeroed one.
 func (ws *Workspace) GetMatch(rows, cols int, phantom bool) *Matrix {
 	if phantom {
-		return ws.get(wsKey{rows, cols, true})
+		return ws.get(rows, cols, true)
 	}
 	return ws.Get(rows, cols)
 }
 
 // GetUninitMatch is GetUninit with a phantom variant.
 func (ws *Workspace) GetUninitMatch(rows, cols int, phantom bool) *Matrix {
-	return ws.get(wsKey{rows, cols, phantom})
+	return ws.get(rows, cols, phantom)
 }
 
-func (ws *Workspace) get(k wsKey) *Matrix {
-	checkDims(k.rows, k.cols)
+func (ws *Workspace) get(rows, cols int, phantom bool) *Matrix {
+	checkDims(rows, cols)
 	ws.stats.Gets++
-	var bucket *wsBucket
-	slot := cacheSlot(k)
-	if e := &ws.cache[slot]; e.b != nil && e.key == k {
-		bucket = e.b
-	} else {
-		bucket = ws.free[k]
-		if bucket == nil {
-			bucket = &wsBucket{}
-			ws.free[k] = bucket
+	bucket := &ws.phantoms
+	if !phantom {
+		k := wsKey{rows, cols}
+		slot := cacheSlot(k)
+		if e := &ws.cache[slot]; e.b != nil && e.key == k {
+			bucket = e.b
+		} else {
+			bucket = ws.free[k]
+			if bucket == nil {
+				bucket = &wsBucket{}
+				ws.free[k] = bucket
+			}
+			ws.cache[slot] = wsCacheEntry{key: k, b: bucket}
 		}
-		ws.cache[slot] = wsCacheEntry{key: k, b: bucket}
 	}
 	var m *Matrix
 	if n := len(bucket.items); ws.pooling && n > 0 {
 		m = bucket.items[n-1]
 		bucket.items[n-1] = nil
 		bucket.items = bucket.items[:n-1]
+		// The header's shape is the request's: already so in a per-shape
+		// bucket, whatever shape it was last checked out under in the
+		// phantoms' list.
+		m.Rows, m.Cols = rows, cols
 	} else {
 		ws.stats.Allocs++
-		if k.phantom {
-			m = NewPhantom(k.rows, k.cols)
+		if phantom {
+			m = NewPhantom(rows, cols)
 		} else {
-			m = New(k.rows, k.cols)
+			m = New(rows, cols)
 		}
 		m.bucket = bucket
 	}
