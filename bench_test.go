@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -77,7 +78,10 @@ func BenchmarkFigure7ViT(b *testing.B) {
 	b.ResetTimer()
 	var loss float64
 	for i := 0; i < b.N; i++ {
-		serial := vit.TrainSerial(ds, mcfg, tc)
+		serial, err := vit.TrainSerial(ds, mcfg, tc)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
 			h, err := vit.TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 			if err != nil {
@@ -464,6 +468,35 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.SoftmaxRows(x)
+	}
+}
+
+// BenchmarkGELU is the activation's steady-state cost per element, forward
+// (GELUTo) and backward (GELUGradHadamardTo), on 64-row shards at the three
+// MLP widths the benchmark's workloads produce — once on the kernels the CPU
+// bound and once on the portable loops.
+func BenchmarkGELU(b *testing.B) {
+	for _, binding := range []string{"bound", "portable"} {
+		for _, width := range []int{32, 128, 512} {
+			rng := tensor.NewRNG(uint64(width))
+			pre := tensor.RandomMatrix(64, width, rng)
+			dy := tensor.RandomMatrix(64, width, rng)
+			dst := tensor.New(64, width)
+			run := func(name string, f func()) {
+				b.Run(fmt.Sprintf("%s/%s/64x%d", name, binding, width), func(b *testing.B) {
+					if binding == "portable" {
+						defer tensor.PortableGELU()()
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						f()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dst.Size()), "ns/elem")
+				})
+			}
+			run("fwd", func() { tensor.GELUTo(dst, pre) })
+			run("bwd", func() { tensor.GELUGradHadamardTo(dst, pre, dy) })
+		}
 	}
 }
 

@@ -94,6 +94,9 @@ func main() {
 	// actionable line on stderr, never a panic deep inside model
 	// construction, a NaN curve, or an error after the serial baseline has
 	// already trained.
+	if err := tc.Check(); err != nil {
+		fatalf("%v", err)
+	}
 	if *batch < 1 || *batch > len(ds.Train) {
 		fatalf("-batch %d outside [1, %d training samples]: no step would run (lower -batch or raise -classes/-train-per-class)",
 			*batch, len(ds.Train))
@@ -151,7 +154,11 @@ func main() {
 			fmt.Printf("%s,%d,%.6f,%.4f,%.4f\n", h.Setting, e+1, h.Loss[e], h.TrainAcc[e], h.TestAcc[e])
 		}
 	}
-	emit(vit.TrainSerial(ds, mcfg, tc))
+	serial, err := vit.TrainSerial(ds, mcfg, tc)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	emit(serial)
 	for _, note := range planNotes {
 		fmt.Fprintln(os.Stderr, "vit-train:", note)
 	}

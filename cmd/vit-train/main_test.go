@@ -36,6 +36,9 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"hidden not divisible by heads", []string{"-hidden", "66", "-heads", "4"}, "66"},
 		{"batch larger than the dataset", []string{"-batch", "64"}, "-batch 64"},
 		{"layout without ranks", []string{"-family", "megatron", "-ranks", "0"}, "rank count"},
+		{"NaN lr", []string{"-lr", "NaN"}, "learning rate NaN"},
+		{"negative lr", []string{"-lr", "-1"}, "learning rate -1"},
+		{"negative weight decay", []string{"-weight-decay", "-5"}, "weight decay -5"},
 	}
 	modes := []struct {
 		name string

@@ -33,7 +33,11 @@ func main() {
 	fmt.Printf("synthetic ImageNet-%d stand-in: %d train / %d test images, %d patches of dim %d\n\n",
 		dcfg.Classes, len(ds.Train), len(ds.Test), mcfg.SeqLen, mcfg.PatchDim)
 
-	histories := []vit.History{vit.TrainSerial(ds, mcfg, tc)}
+	serial, err := vit.TrainSerial(ds, mcfg, tc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	histories := []vit.History{serial}
 	for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
 		h, err := vit.TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 		if err != nil {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -312,5 +313,51 @@ func TestHandleCopyCannotWaitTwice(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRoundPoolDoubles pins the pool's growth: a group that has had three
+// rounds in flight owns four, so the fourth — which on a training step
+// arrives only when the host lets one member run far enough ahead — costs
+// no allocation; a fifth doubles the pool again. The rounds of one batch
+// share their backing arrays, so the sums are checked too: every round must
+// see its own slots and nobody else's.
+func TestRoundPoolDoubles(t *testing.T) {
+	c := New(Config{WorldSize: 2})
+	g := c.WorldGroup()
+	inFlight := func(k int) {
+		t.Helper()
+		if err := c.Run(func(w *Worker) error {
+			ms := make([]*tensor.Matrix, k)
+			hs := make([]Handle, k)
+			for i := range ms {
+				ms[i] = tensor.New(1, 3)
+				ms[i].Fill(float64((i + 1) * (w.Rank() + 1)))
+				hs[i] = g.IAllReduceInto(w, ms[i], ms[i])
+			}
+			for i, h := range hs {
+				h.Wait()
+				for _, v := range ms[i].Data {
+					if want := float64(3 * (i + 1)); v != want {
+						return fmt.Errorf("rank %d round %d of %d: sum %v, want %v", w.Rank(), i, k, v, want)
+					}
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(g.open) != 0 || len(g.spare) != g.made {
+			t.Fatalf("after %d in flight: %d open, %d spare of %d made", k, len(g.open), len(g.spare), g.made)
+		}
+	}
+	for _, step := range []struct{ k, made int }{{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {3, 8}} {
+		inFlight(step.k)
+		if g.made != step.made {
+			t.Fatalf("%d rounds in flight: the group owns %d, want %d", step.k, g.made, step.made)
+		}
+	}
+	if cap(g.open) < g.made || cap(g.spare) < g.made {
+		t.Fatalf("open has room for %d and spare for %d of %d rounds: join or retire would regrow them", cap(g.open), cap(g.spare), g.made)
 	}
 }

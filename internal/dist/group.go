@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,6 +30,7 @@ type Group struct {
 	mu    sync.Mutex
 	open  []*round // incomplete operations, oldest first
 	spare []*round // retired rounds, recycled to keep collectives off the allocator
+	made  int      // rounds allocated so far: len(open) + len(spare) + those being read
 
 	// lastFinish is the simulated time the group's previous operation
 	// completed. Operations on one group serialise behind it — the group
@@ -265,39 +267,64 @@ func (r *round) settle(w *Worker) {
 	}
 }
 
-// newRound recycles a spare round or allocates the group's first few. The
-// caller must hold g.mu.
+// newRound recycles a spare round, growing the pool first if none is idle.
+// The caller must hold g.mu.
 func (g *Group) newRound(kind opKind, root int) *round {
-	n := len(g.ranks)
-	if s := len(g.spare); s > 0 {
-		r := g.spare[s-1]
-		g.spare[s-1] = nil
-		g.spare = g.spare[:s-1]
-		r.kind, r.root = kind, root
-		r.arrived, r.parked = 0, r.parked[:0]
-		r.exited.Store(0)
-		r.gen.Add(1)
-		for i := 0; i < n; i++ {
-			r.filled[i] = false
-			r.waited[i] = false
-			r.clocks[i] = 0
-			r.steps[i] = 0
-			r.slots[i], r.dsts[i] = nil, nil
-		}
-		r.completed.Store(false)
-		r.commBase, r.newClock = 0, 0
-		return r
+	if len(g.spare) == 0 {
+		g.growRounds()
 	}
-	return &round{
-		kind:   kind,
-		root:   root,
-		filled: make([]bool, n),
-		waited: make([]bool, n),
-		clocks: make([]float64, n),
-		steps:  make([]int, n),
-		slots:  make([]*tensor.Matrix, n),
-		dsts:   make([]*tensor.Matrix, n),
-		parked: make([]*Worker, 0, n),
+	n := len(g.ranks)
+	s := len(g.spare)
+	r := g.spare[s-1]
+	g.spare[s-1] = nil
+	g.spare = g.spare[:s-1]
+	r.kind, r.root = kind, root
+	r.arrived, r.parked = 0, r.parked[:0]
+	r.exited.Store(0)
+	r.gen.Add(1)
+	for i := 0; i < n; i++ {
+		r.filled[i] = false
+		r.waited[i] = false
+		r.clocks[i] = 0
+		r.steps[i] = 0
+		r.slots[i], r.dsts[i] = nil, nil
+	}
+	r.completed.Store(false)
+	r.commBase, r.newClock = 0, 0
+	return r
+}
+
+// growRounds doubles the group's pool of rounds (one round the first time),
+// carving the new rounds' per-member state from one allocation per field.
+// How many rounds a group has in flight at once is bounded by its members'
+// program, but how near a run comes to the bound depends on how far the
+// host lets one member run ahead of another: a pool that grows by one
+// allocates at rare, timing-dependent moments for as long as the group
+// lives (a Hidden-256 tesseract [2,2,2] step leaves each column group with
+// three rounds after warm-up, and some of them want a fourth somewhere in
+// the next 150 steps). Doubling has the fourth in hand when the third is
+// made. open and spare get room for every round made, so neither join nor
+// retire regrows them. The caller must hold g.mu.
+func (g *Group) growRounds() {
+	n := len(g.ranks)
+	k := max(1, g.made)
+	g.made += k
+	g.open = slices.Grow(g.open, g.made-len(g.open))
+	g.spare = slices.Grow(g.spare, g.made-len(g.spare))
+	rounds := make([]round, k)
+	flags := make([]bool, 2*k*n)
+	clocks := make([]float64, k*n)
+	steps := make([]int, k*n)
+	mats := make([]*tensor.Matrix, 2*k*n)
+	parked := make([]*Worker, k*n)
+	for i := range rounds {
+		r := &rounds[i]
+		r.filled, r.waited, flags = flags[:n:n], flags[n:2*n:2*n], flags[2*n:]
+		r.clocks, clocks = clocks[:n:n], clocks[n:]
+		r.steps, steps = steps[:n:n], steps[n:]
+		r.slots, r.dsts, mats = mats[:n:n], mats[n:2*n:2*n], mats[2*n:]
+		r.parked, parked = parked[:0:n], parked[n:]
+		g.spare = append(g.spare, r)
 	}
 }
 

@@ -158,9 +158,10 @@ func TestPlannerStudyEqualsSequentialValidateTop(t *testing.T) {
 // TestRunRowAllocationCeiling keeps the replay of Table 1's [4,4,4] row — 64
 // ranks, the most expensive row of both tables — from creeping back up. It
 // was 12,925 allocations while phantom headers were pooled by shape and every
-// group lookup built a string key, and is 8,650 without either; the count
-// wobbles by a few dozen with how many rounds are open at once. The ceiling
-// sits between the two, so a new per-shape or per-rank-per-call cost trips it.
+// group lookup built a string key, 8,650 without either (wobbling by a few
+// dozen with how many rounds were open at once), and is 7,935 now that a
+// group's round pool grows by batches. The ceiling sits between the first
+// two, so a new per-shape or per-rank-per-call cost trips it.
 func TestRunRowAllocationCeiling(t *testing.T) {
 	row := Table1Rows()[10]
 	if row.Scheme != Tesseract || row.Q != 4 || row.D != 4 {

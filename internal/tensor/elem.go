@@ -13,6 +13,16 @@ import "math"
 // implementation). Division and square root are included: VDIVPD and
 // VSQRTPD are correctly rounded per lane, exactly like their scalar forms.
 //
+// The two GELU kernels are the same kind of thing one level up. Their
+// definition is geluScalar / geluGradScalar, which call math.Tanh and through
+// it math.Exp; the amd64 kernels (gelu_amd64.s) expand both in place and
+// perform, per lane, the operations those functions perform on this
+// toolchain — including the fused multiply-adds of math.Exp's own amd64
+// assembly, the one place the package fuses, and only because its definition
+// does. A replica, not a redefinition: no loss or weight moves by a bit, and
+// TestGELUKernelsMatchScalarBitwise / TestTanhCoreMatchesMath are what hold
+// it there. They are bound only where math.Exp takes that path (AVX2 ∧ FMA).
+//
 // The package-level function variables are declared here with the portable
 // implementation and rebound to the AVX2 versions by the amd64 init when the
 // CPU qualifies.
@@ -23,6 +33,9 @@ var (
 	vscale = vscaleGeneric // dst[i] *= alpha
 
 	adamKernel = adamUpdateGeneric
+
+	geluTo        = geluToGeneric        // dst[i] = GELU(src[i])
+	geluGradMulTo = geluGradMulToGeneric // dst[i] = dy[i] * GELU'(pre[i])
 )
 
 func vaddToGeneric(dst, a, b []float64) {
@@ -60,6 +73,40 @@ func vmulToGeneric(dst, a, b []float64) {
 func vscaleGeneric(dst []float64, alpha float64) {
 	for i := range dst {
 		dst[i] *= alpha
+	}
+}
+
+// PortableGELU rebinds the GELU kernels to the portable loops and returns the
+// function that restores the binding it found. It is for tests and benchmarks
+// that want both bindings on one host; nothing may be computing meanwhile.
+func PortableGELU() (restore func()) {
+	to, grad := geluTo, geluGradMulTo
+	geluTo, geluGradMulTo = geluToGeneric, geluGradMulToGeneric
+	return func() { geluTo, geluGradMulTo = to, grad }
+}
+
+// geluToGeneric is GELUTo's and the fused epilogue's loop: geluScalar per
+// element.
+func geluToGeneric(dst, src []float64) {
+	if len(src) == 0 {
+		return
+	}
+	_ = dst[len(src)-1]
+	for i, v := range src {
+		dst[i] = geluScalar(v)
+	}
+}
+
+// geluGradMulToGeneric is GELUGradHadamardTo's loop: geluGradScalar per
+// element, then the one multiply by dy.
+func geluGradMulToGeneric(dst, pre, dy []float64) {
+	if len(pre) == 0 {
+		return
+	}
+	_ = dst[len(pre)-1]
+	_ = dy[len(pre)-1]
+	for i, v := range pre {
+		dst[i] = dy[i] * geluGradScalar(v)
 	}
 }
 

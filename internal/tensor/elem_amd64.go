@@ -24,13 +24,33 @@ func vscalePtr(dst *float64, n int, alpha float64)
 //go:noescape
 func adamPtr(val, grad, m, v *float64, n int, lr, b1, omb1, b2, omb2, eps, wd, bc1, bc2 float64)
 
+// The GELU kernels of gelu_amd64.s (see elem.go for what they replicate and
+// why they need FMA). n must be a multiple of 4.
+
+//go:noescape
+func geluPtr(dst, src *float64, n int)
+
+//go:noescape
+func geluGradMulPtr(dst, pre, dy *float64, n int)
+
+// tanhPtr is the kernels' tanh core on its own; only TestTanhCoreMatchesMath
+// calls it.
+//
+//go:noescape
+func tanhPtr(dst, src *float64, n int)
+
 func init() {
-	if cpuHasAVX2() {
+	avx2, fma := cpuAVX2FMA()
+	if avx2 {
 		vaddTo = vaddToAVX2
 		vaddIn = vaddInAVX2
 		vmulTo = vmulToAVX2
 		vscale = vscaleAVX2
 		adamKernel = adamAVX2
+	}
+	if avx2 && fma {
+		geluTo = geluToAVX2
+		geluGradMulTo = geluGradMulToAVX2
 	}
 }
 
@@ -86,4 +106,25 @@ func adamAVX2(val, grad, m, v []float64, lr, b1, b2, eps, wd, bc1, bc2 float64) 
 		vh := v[i] / bc2
 		val[i] -= lr * (mh/(math.Sqrt(vh)+eps) + wd*val[i])
 	}
+}
+
+// The lanes past the last multiple of four go to the portable loops.
+
+func geluToAVX2(dst, src []float64) {
+	n4 := len(src) &^ 3
+	if n4 > 0 {
+		_ = dst[n4-1]
+		geluPtr(&dst[0], &src[0], n4)
+	}
+	geluToGeneric(dst[n4:], src[n4:])
+}
+
+func geluGradMulToAVX2(dst, pre, dy []float64) {
+	n4 := len(pre) &^ 3
+	if n4 > 0 {
+		_ = dst[n4-1]
+		_ = dy[n4-1]
+		geluGradMulPtr(&dst[0], &pre[0], &dy[0], n4)
+	}
+	geluGradMulToGeneric(dst[n4:], pre[n4:], dy[n4:])
 }

@@ -33,16 +33,7 @@ func (e *epilogue) applyRows(c *Matrix, i0, i1 int) {
 			vaddIn(row, e.bias.Data)
 		}
 		if e.act != nil {
-			geluSlice(e.act.Data[i*n:(i+1)*n], row)
+			geluTo(e.act.Data[i*n:(i+1)*n], row)
 		}
-	}
-}
-
-// geluSlice writes GELU(src) into dst element by element — the same
-// per-element evaluation GELUTo performs.
-func geluSlice(dst, src []float64) {
-	_ = dst[len(src)-1]
-	for j, v := range src {
-		dst[j] = geluScalar(v)
 	}
 }

@@ -7,9 +7,13 @@ package tensor
 // sees exactly the scalar kernel's sequence of individually rounded
 // operations — the optimised path is bitwise identical to the naive one.
 // Detection happens at init; pre-AVX2 machines keep the portable kernel.
+// ("Never FMA" is the rule wherever the Go twin is unfused, which is every
+// kernel but one: gelu_amd64.s replicates math.Exp's amd64 assembly, which
+// fuses, and so must its replica — see elem.go.)
 
-// cpuHasAVX2 reports AVX2 plus OS support for YMM state (CPUID + XGETBV).
-func cpuHasAVX2() bool
+// cpuAVX2FMA reports AVX2 plus OS support for YMM state (CPUID + XGETBV),
+// and whether such a CPU also has FMA3.
+func cpuAVX2FMA() (avx2, fma bool)
 
 // gemmTile4x8 is gemmTileGeneric's full-tile case in assembly: strides and
 // the three row offsets ao1..ao3 of A are in elements, and all four C rows
@@ -18,7 +22,7 @@ func cpuHasAVX2() bool
 //go:noescape
 func gemmTile4x8(c *float64, ldc int, a *float64, ao1, ao2, ao3, aks int, b *float64, k int, zero bool)
 
-func init() { tileAsm = cpuHasAVX2() }
+func init() { tileAsm, _ = cpuAVX2FMA() }
 
 // gemmTile runs the micro-kernel on one tile (see gemmTileGeneric for the
 // contract). The assembly kernel always computes gemmMR rows, so a tile
@@ -51,4 +55,25 @@ func packRows(panel, b []float64, ldb, nr, kc int) {
 	_ = panel[kc*gemmNR-1]
 	_ = b[(kc-1)*ldb+gemmNR-1]
 	packRows8(&panel[0], &b[0], ldb, kc)
+}
+
+// packCols8 is packColsGeneric's full-width case, four k steps at a time.
+//
+//go:noescape
+func packCols8(panel, b *float64, ldb, k int)
+
+// packCols packs a strip of a row-major Bᵀ (see packColsGeneric). The k steps
+// past the last multiple of four go to the portable gather.
+func packCols(panel, b []float64, ldb, nr, kc int) {
+	kc4 := kc &^ 3
+	if !tileAsm || nr < gemmNR || kc4 == 0 {
+		packColsGeneric(panel, b, ldb, nr, kc)
+		return
+	}
+	_ = panel[kc*gemmNR-1]
+	_ = b[(gemmNR-1)*ldb+kc-1]
+	packCols8(&panel[0], &b[0], ldb, kc4)
+	if kc4 < kc {
+		packColsGeneric(panel[kc4*gemmNR:], b[kc4:], ldb, nr, kc-kc4)
+	}
 }

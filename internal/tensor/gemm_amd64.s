@@ -7,8 +7,10 @@
 // ascending-k order, making it bitwise identical to the scalar reference
 // kernels.
 
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+// func cpuAVX2FMA() (avx2, fma bool)
+TEXT ·cpuAVX2FMA(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, fma+1(FP)
 	MOVL $0, AX
 	CPUID
 	CMPL AX, $7
@@ -19,6 +21,7 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JZ    novx
 	TESTL $(1<<28), CX // AVX
 	JZ    novx
+	MOVL CX, R8
 	XORL CX, CX
 	XGETBV
 	ANDL $6, AX        // XMM and YMM state enabled by the OS
@@ -29,10 +32,11 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	TESTL $(1<<5), BX  // AVX2
 	JZ    novx
-	MOVB $1, ret+0(FP)
-	RET
+	MOVB $1, avx2+0(FP)
+	TESTL $(1<<12), R8 // FMA3
+	JZ    novx
+	MOVB $1, fma+1(FP)
 novx:
-	MOVB $0, ret+0(FP)
 	RET
 
 // func gemmTile4x8(c *float64, ldc int, a *float64, ao1, ao2, ao3, aks int, b *float64, k int, zero bool)
@@ -145,5 +149,49 @@ prloop:
 	DECQ CX
 	JNZ  prloop
 prdone:
+	VZEROUPPER
+	RET
+
+// func packCols8(panel, b *float64, ldb, k int)
+// panel[l*8+j] = b[j*ldb+l] for l < k, j < 8; k a positive multiple of 4.
+// Each step transposes a 4×4 block of rows 0–3 and one of rows 4–7 in
+// registers: a register takes two elements of one row in its low half and of
+// the row two below in its high half, so that unpacking it against its
+// neighbour row yields one panel half-row — four stores of four lanes where
+// the scalar gather makes sixteen of one.
+#define TRANSPOSE4(src, off) \
+	VMOVUPD (src), X0; \
+	VMOVUPD (src)(DX*1), X1; \
+	VMOVUPD 16(src), X2; \
+	VMOVUPD 16(src)(DX*1), X3; \
+	VINSERTF128 $1, (src)(DX*2), Y0, Y0; \
+	VINSERTF128 $1, (src)(BX*1), Y1, Y1; \
+	VINSERTF128 $1, 16(src)(DX*2), Y2, Y2; \
+	VINSERTF128 $1, 16(src)(BX*1), Y3, Y3; \
+	VUNPCKLPD Y1, Y0, Y4; \
+	VUNPCKHPD Y1, Y0, Y5; \
+	VUNPCKLPD Y3, Y2, Y6; \
+	VUNPCKHPD Y3, Y2, Y7; \
+	VMOVUPD Y4, off(DI); \
+	VMOVUPD Y5, (off+64)(DI); \
+	VMOVUPD Y6, (off+128)(DI); \
+	VMOVUPD Y7, (off+192)(DI)
+
+TEXT ·packCols8(SB), NOSPLIT, $0-32
+	MOVQ panel+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ ldb+16(FP), DX
+	MOVQ k+24(FP), CX
+	SHLQ $3, DX
+	LEAQ (DX)(DX*2), BX
+	LEAQ (SI)(DX*4), R8
+pcloop:
+	TRANSPOSE4(SI, 0)
+	TRANSPOSE4(R8, 32)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $256, DI
+	SUBQ $4, CX
+	JNZ  pcloop
 	VZEROUPPER
 	RET

@@ -10,3 +10,5 @@ func gemmTile(c []float64, ldc int, a []float64, ars, aks, mr int, b []float64, 
 }
 
 func packRows(panel, b []float64, ldb, nr, kc int) { packRowsGeneric(panel, b, ldb, nr, kc) }
+
+func packCols(panel, b []float64, ldb, nr, kc int) { packColsGeneric(panel, b, ldb, nr, kc) }

@@ -10,7 +10,8 @@ package tensor
 //
 //   - B (NN, TN): packRows copies gemmNR consecutive elements of each row.
 //   - Bᵀ (NT): packCols gathers one element from each of gemmNR rows of B —
-//     the only transposition left in the package, eight rows at a time.
+//     the only transposition left in the package, eight rows at a time (on
+//     amd64 as 4×4 blocks transposed in registers).
 //
 // Packing only relocates operands, so it cannot change a bit of the result.
 // A strip narrower than gemmNR fills only its own columns; the kernel still
@@ -35,8 +36,10 @@ func packRowsGeneric(panel, b []float64, ldb, nr, kc int) {
 	}
 }
 
-// packCols fills panel[l·gemmNR+j] = b[j·ldb+l] for l < kc, j < nr.
-func packCols(panel, b []float64, ldb, nr, kc int) {
+// packColsGeneric fills panel[l·gemmNR+j] = b[j·ldb+l] for l < kc, j < nr. It
+// is the portable twin of packCols, which on amd64 transposes full-width
+// strips four k steps at a time in registers.
+func packColsGeneric(panel, b []float64, ldb, nr, kc int) {
 	if nr < gemmNR {
 		for j := 0; j < nr; j++ {
 			for l, v := range b[j*ldb : j*ldb+kc] {

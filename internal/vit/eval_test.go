@@ -108,7 +108,10 @@ func TestEvalDistCoversTail(t *testing.T) {
 func TestHistoryAccuraciesAreExactCounts(t *testing.T) {
 	ds, mcfg := tinyData()
 	tc := TrainConfig{Epochs: 1, BatchSize: 8, LR: 0.003, WeightDecay: 0.05, Seed: 5}
-	hist := TrainSerial(ds, mcfg, tc)
+	hist, err := TrainSerial(ds, mcfg, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	model := NewModel(mcfg)
 	opt := nn.NewAdam(tc.LR, tc.WeightDecay)

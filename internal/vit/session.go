@@ -37,9 +37,9 @@ type Session struct {
 	cks      []*parallel.Checkpoint
 }
 
-// NewSession validates the layout and the model, applies the TrainConfig
-// defaults — the one place they are applied for distributed training — and
-// builds every rank's family, model and optimiser on c. A nil c means a bare
+// NewSession validates the layout and the model, checks the TrainConfig and
+// applies its defaults — the one place that happens for distributed training —
+// and builds every rank's family, model and optimiser on c. A nil c means a bare
 // cluster of exactly the layout's ranks. An unusable train batch does not
 // fail construction (a session that only serves never needs one); Train
 // reports it before any step runs.
@@ -51,6 +51,10 @@ func NewSession(c *dist.Cluster, l parallel.Layout, ds *Dataset, mcfg ModelConfi
 	if err := TrainableErr(l, l.RowShards(), mcfg); err != nil {
 		return nil, err
 	}
+	tc, err = tc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if c == nil {
 		c = dist.New(dist.Config{WorldSize: l.Ranks})
 	}
@@ -58,7 +62,7 @@ func NewSession(c *dist.Cluster, l parallel.Layout, ds *Dataset, mcfg ModelConfi
 		return nil, fmt.Errorf("vit: %s needs %d ranks, the cluster has %d", l, l.Ranks, c.WorldSize())
 	}
 	s := &Session{
-		c: c, l: l, ds: ds, mcfg: mcfg, tc: tc.withDefaults(),
+		c: c, l: l, ds: ds, mcfg: mcfg, tc: tc,
 		fams:   make([]parallel.Family, l.Ranks),
 		models: make([]*DistModel, l.Ranks),
 		opts:   make([]*nn.Adam, l.Ranks),

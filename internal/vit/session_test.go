@@ -19,8 +19,19 @@ func TestTrainBatchLargerThanTrainingSplit(t *testing.T) {
 	ds, mcfg := tinyData() // 32 training samples
 	tc := elasticTC()
 	tc.BatchSize = 64
+	for name, run := range trainEntries(ds, mcfg, tc) {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), "batch 64") || !strings.Contains(err.Error(), "32 training samples") {
+			t.Errorf("%s: want one error naming batch 64 and the 32 training samples, got %v", name, err)
+		}
+	}
+}
+
+// trainEntries is every distributed entry point that builds a session from a
+// TrainConfig, each reduced to the error it returns.
+func trainEntries(ds *Dataset, mcfg ModelConfig, tc TrainConfig) map[string]func() error {
 	l := tess22
-	entries := map[string]func() error{
+	return map[string]func() error{
 		"TrainLayout":      func() error { _, err := TrainLayout(l, ds, mcfg, tc); return err },
 		"TrainLayoutSteps": func() error { _, err := TrainLayoutSteps(l, ds, mcfg, tc, 2); return err },
 		"TrainFaulty":      func() error { _, err := TrainFaulty(l, nil, dist.CostModel{}, ds, mcfg, tc, 2); return err },
@@ -36,11 +47,39 @@ func TestTrainBatchLargerThanTrainingSplit(t *testing.T) {
 		},
 		"NewStepBencher": func() error { _, err := NewStepBencher(l, ds, mcfg, tc, 0); return err },
 	}
-	for name, run := range entries {
-		err := run()
-		if err == nil || !strings.Contains(err.Error(), "batch 64") || !strings.Contains(err.Error(), "32 training samples") {
-			t.Errorf("%s: want one error naming batch 64 and the 32 training samples, got %v", name, err)
+}
+
+// TestBadOptimiserSettingsAreErrors: a learning rate or weight decay that is
+// negative or not finite used to train NaN weights and hand them back as a
+// curve with a nil error. Every entry point, the serial trainer included, now
+// returns the one error TrainConfig.Check reports; zero still means default.
+func TestBadOptimiserSettingsAreErrors(t *testing.T) {
+	ds, mcfg := tinyData()
+	bad := map[string]func(*TrainConfig){
+		"learning rate NaN":  func(tc *TrainConfig) { tc.LR = math.NaN() },
+		"learning rate -1":   func(tc *TrainConfig) { tc.LR = -1 },
+		"learning rate +Inf": func(tc *TrainConfig) { tc.LR = math.Inf(1) },
+		"weight decay -5":    func(tc *TrainConfig) { tc.WeightDecay = -5 },
+		"weight decay NaN":   func(tc *TrainConfig) { tc.WeightDecay = math.NaN() },
+		"weight decay +Inf":  func(tc *TrainConfig) { tc.WeightDecay = math.Inf(1) },
+	}
+	for want, set := range bad {
+		tc := elasticTC()
+		set(&tc)
+		entries := trainEntries(ds, mcfg, tc)
+		entries["TrainSerial"] = func() error { _, err := TrainSerial(ds, mcfg, tc); return err }
+		entries["Check"] = tc.Check
+		for name, run := range entries {
+			if err := run(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: want an error naming %q, got %v", name, want, err)
+			}
 		}
+	}
+	if err := (TrainConfig{}).Check(); err != nil {
+		t.Fatalf("the zero TrainConfig means all defaults: %v", err)
+	}
+	if tc, err := (TrainConfig{}).withDefaults(); err != nil || tc.LR != 0.003 {
+		t.Fatalf("LR 0 must keep meaning the default 0.003, got %v, %v", tc.LR, err)
 	}
 }
 

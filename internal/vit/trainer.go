@@ -1,6 +1,9 @@
 package vit
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -18,7 +21,18 @@ type TrainConfig struct {
 	Seed        uint64
 }
 
-func (c TrainConfig) withDefaults() TrainConfig {
+// withDefaults fills the zero fields and rejects optimiser settings no run
+// can honour: a learning rate or weight decay that is negative or not finite
+// trains NaN weights and reports them as a curve. It is the one place both
+// happen — NewSession and TrainSerial call it, so every trainer, the step
+// bencher and the serving runtime inherit the check.
+func (c TrainConfig) withDefaults() (TrainConfig, error) {
+	if !(c.LR >= 0) || math.IsInf(c.LR, 1) {
+		return c, fmt.Errorf("vit: learning rate %v: want a finite value above 0 (0 means the default)", c.LR)
+	}
+	if !(c.WeightDecay >= 0) || math.IsInf(c.WeightDecay, 1) {
+		return c, fmt.Errorf("vit: weight decay %v: want a finite value, 0 or above", c.WeightDecay)
+	}
 	if c.Epochs == 0 {
 		c.Epochs = 5
 	}
@@ -31,7 +45,14 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Seed == 0 {
 		c.Seed = 7
 	}
-	return c
+	return c, nil
+}
+
+// Check reports what NewSession and TrainSerial would reject in c, so a front
+// end can refuse it before any training starts.
+func (c TrainConfig) Check() error {
+	_, err := c.withDefaults()
+	return err
 }
 
 // History records one curve of Figure 7.
@@ -50,8 +71,11 @@ func epochOrder(n int, epoch int, seed uint64) []int {
 }
 
 // TrainSerial trains the reference model and returns its curve.
-func TrainSerial(ds *Dataset, mcfg ModelConfig, tc TrainConfig) History {
-	tc = tc.withDefaults()
+func TrainSerial(ds *Dataset, mcfg ModelConfig, tc TrainConfig) (History, error) {
+	tc, err := tc.withDefaults()
+	if err != nil {
+		return History{}, err
+	}
 	model := NewModel(mcfg)
 	opt := nn.NewAdam(tc.LR, tc.WeightDecay)
 	params := model.Params()
@@ -78,7 +102,7 @@ func TrainSerial(ds *Dataset, mcfg ModelConfig, tc TrainConfig) History {
 		hist.TrainAcc = append(hist.TrainAcc, float64(correct)/float64(seen))
 		hist.TestAcc = append(hist.TestAcc, evalSerial(model, ds, tc.BatchSize))
 	}
-	return hist
+	return hist, nil
 }
 
 // testAccuracy scores the whole test split in batches of the given size —

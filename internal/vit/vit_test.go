@@ -212,7 +212,10 @@ func TestFigure7CurvesCoincide(t *testing.T) {
 	// are indistinguishable because Tesseract introduces no approximation.
 	ds, mcfg := tinyData()
 	tc := TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.003, WeightDecay: 0.3, Seed: 5}
-	serial := TrainSerial(ds, mcfg, tc)
+	serial, err := TrainSerial(ds, mcfg, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
 		hist, err := TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 		if err != nil {
@@ -235,7 +238,10 @@ func TestFigure7CurvesCoincide(t *testing.T) {
 func TestTrainingLearns(t *testing.T) {
 	ds, mcfg := tinyData()
 	tc := TrainConfig{Epochs: 6, BatchSize: 8, LR: 0.003, WeightDecay: 0.05, Seed: 5}
-	hist := TrainSerial(ds, mcfg, tc)
+	hist, err := TrainSerial(ds, mcfg, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, last := hist.Loss[0], hist.Loss[len(hist.Loss)-1]
 	if last >= first {
 		t.Fatalf("loss did not fall: %g -> %g", first, last)
