@@ -241,12 +241,9 @@ func BenchmarkStraggler(b *testing.B) {
 	// be invisible in the step clock.
 	cost := dist.CostModel{FLOPS: 1e8, Alpha: 1e-7, BetaIntra: 1.0 / 250e9, BetaInter: 1.0 / 6.25e9}
 	algos := tables.DefaultAlgos()
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	var budget int64
-	for _, a := range algos {
-		if a.Family == "megatron" {
-			budget = a.Memory(w, plan.Grid{Ranks: 1}) - 1
-		}
+	budget, err := plan.DistributedBudget(mcfg.Workload(tc.BatchSize), algos)
+	if err != nil {
+		b.Fatal(err)
 	}
 	const total, probe = 24, 6
 	fp := &dist.FaultPlan{Ranks: []dist.RankFault{{Rank: 7, From: probe, To: dist.Forever, Factor: 4}}}
@@ -401,7 +398,10 @@ func BenchmarkClaimTransmissions(b *testing.B) {
 func BenchmarkClaimMemory(b *testing.B) {
 	var pts []tables.MemoryPoint
 	for i := 0; i < b.N; i++ {
-		pts = tables.MemoryStudy(4096, 4096, 4096)
+		var err error
+		if pts, err = tables.MemoryStudy(4096, 4096, 4096); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(pts[0].FormulaElems, "tess-221-elems")
 }

@@ -79,7 +79,11 @@ func main() {
 	}
 	if all || *memory {
 		const a, b, c = 4096, 4096, 4096
-		fmt.Println(tables.FormatMemory(a, b, c, tables.MemoryStudy(a, b, c)))
+		points, err := tables.MemoryStudy(a, b, c)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(tables.FormatMemory(a, b, c, points))
 	}
 	if all || *ablation {
 		points, err := tables.DepthAblation(4, []int{1, 2, 4}, opts)

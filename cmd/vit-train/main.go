@@ -27,7 +27,6 @@ import (
 	"os"
 
 	"repro/internal/dist"
-	"repro/internal/megatron"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/serve"
@@ -196,11 +195,13 @@ func planLayout(budget, batch int, mcfg vit.ModelConfig) (parallel.Layout, []str
 }
 
 // replanBudget is the per-rank memory budget the -elastic and -chaos
-// replanners run under: just below the whole model's single-rank
-// footprint, so a replan may not collapse onto one survivor — the usual
-// reason elasticity matters in the first place.
+// replanners run under: a replan may not collapse onto one survivor.
 func replanBudget(w plan.Workload) int64 {
-	return megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1
+	budget, err := plan.DistributedBudget(w, tables.DefaultAlgos())
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return budget
 }
 
 func fatalf(format string, args ...any) {

@@ -54,12 +54,12 @@ func main() {
 	distLosses := make([]float64, steps)
 	cluster := dist.New(dist.Config{WorldSize: q * q * d})
 	err := cluster.Run(func(w *dist.Worker) error {
-		p := tesseract.NewProc(w, q, d)
-		block := tesseract.NewBlock(p, hidden, heads, seqLen, tensor.NewRNG(99))
+		f := tesseract.NewFamily(w, q, d)
+		block := f.NewBlock(hidden, heads, seqLen, tensor.NewRNG(99))
 		opt := nn.NewAdam(1e-2, 0)
 		for i := 0; i < steps; i++ {
-			y := block.Forward(p, p.DistributeA(xs[i]))
-			full := p.CollectA(y)
+			y := block.Forward(f.Distribute(xs[i]))
+			full := f.Collect(y)
 			loss, dyFull := nn.MSE(full, targets[i])
 			if w.Rank() == 0 {
 				distLosses[i] = loss
@@ -67,10 +67,10 @@ func main() {
 			for _, pa := range block.Params() {
 				pa.ZeroGrad()
 			}
-			block.Backward(p, p.DistributeA(dyFull))
-			p.DrainGradients() // complete the queued depth all-reduces before stepping
+			block.Backward(f.Distribute(dyFull))
+			f.DrainGradients() // complete the queued depth all-reduces before stepping
 			opt.Step(block.Params())
-			w.Workspace().ReleaseAll() // step boundary: recycle panels, partials, activations
+			f.EndStep() // step boundary: recycle panels, partials, activations
 		}
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -19,6 +20,27 @@ func init() {
 	parallel.Register("megatron", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 		return NewFamily(w, l, Replicated), nil
 	})
+}
+
+// PlanAlgo describes Megatron-LM to the auto-parallelism planner: [p]
+// layouts for every p that divides the head count. What a layout costs and
+// what a rank holds — the replicated activations that make the family cheap
+// to communicate and expensive to hold — the planner finds by replaying the
+// block this package registers.
+func PlanAlgo() plan.Algo {
+	return plan.Algo{
+		Family: "megatron",
+		// heads % p == 0 implies every weight split the layers perform.
+		Grids: func(w plan.Workload, budget int) []plan.Grid {
+			var out []plan.Grid
+			for p := 1; p <= budget && p <= w.Heads; p++ {
+				if w.Heads%p == 0 {
+					out = append(out, plan.Grid{Ranks: p})
+				}
+			}
+			return out
+		},
+	}
 }
 
 // Family is Megatron-LM's implementation of the family-agnostic model

@@ -6,7 +6,7 @@
 // shapes [2,2] vs [2,2,1] confirm near-identical behaviour. The package is
 // therefore two descriptors over the shared SUMMA layers and no layer code
 // of its own: Family runs them on a depth-1 mesh under the name "optimus",
-// PlanAlgo prices them for the planner. Keeping one implementation
+// PlanAlgo enumerates its grids for the planner. Keeping one implementation
 // guarantees the baseline and the contribution differ only in the dimension
 // under study.
 package optimus
@@ -17,6 +17,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/tesseract"
 )
 
@@ -33,6 +34,25 @@ func init() {
 	parallel.Register("optimus", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 		return newFamily(w, l), nil
 	})
+}
+
+// PlanAlgo describes Optimus to the auto-parallelism planner: the depth-1
+// grids of the Tesseract enumeration under the family's own name, exactly
+// like the runtime implementation.
+func PlanAlgo() plan.Algo {
+	inner := tesseract.PlanAlgo()
+	return plan.Algo{
+		Family: "optimus",
+		Grids: func(w plan.Workload, budget int) []plan.Grid {
+			var out []plan.Grid
+			for _, g := range inner.Grids(w, budget) {
+				if g.D == 1 {
+					out = append(out, g)
+				}
+			}
+			return out
+		},
+	}
 }
 
 // Family is Optimus' implementation of the family-agnostic model layer.

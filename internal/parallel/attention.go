@@ -18,8 +18,9 @@ import (
 // the 1-D families n/p heads of every sequence. Heads is the local count.
 //
 // Q, K, V and the per-head probabilities are workspace buffers retained
-// for the backward pass; they ride to the step boundary unless the owner
-// calls Release first.
+// for the backward pass (in phantom mode the probabilities are one phantom of
+// their total size); they ride to the step boundary unless the owner calls
+// Release first.
 type HeadAttention struct {
 	Heads, HeadDim, SeqLen int
 
@@ -46,29 +47,35 @@ func (a *HeadAttention) Split(w *dist.Worker, qkv *tensor.Matrix) {
 // outputs [rows, Heads·HeadDim], a workspace buffer. In phantom mode the
 // arithmetic is skipped and the flop cost is charged analytically, using a
 // possibly fractional sequences-per-rank count (the paper's Table 1
-// includes shapes like [4,4,2] with batch 12, where b/(dq) = 1.5).
+// includes shapes like [4,4,2] with batch 12, where b/(dq) = 1.5); the
+// buffers are checked out all the same — the per-head scratch, and one
+// [rows·Heads, SeqLen] phantom standing for the retained probabilities — so
+// the workspace holds what the real loop holds.
 func (a *HeadAttention) Forward(w *dist.Worker) *tensor.Matrix {
 	ws := w.Workspace()
 	q, k, v := a.q, a.k, a.v
 	dh, s := a.HeadDim, a.SeqLen
-	if q.Phantom() {
+	ph := q.Phantom()
+	if !ph && q.Rows%s != 0 {
+		panic(fmt.Sprintf("parallel: attention rows %d not divisible by seq len %d (ranks must hold whole sequences)", q.Rows, s))
+	}
+	out := ws.GetUninitMatch(q.Rows, q.Cols, ph) // every head block is overwritten below
+	a.probs = a.probs[:0]
+	qs := ws.GetUninitMatch(s, dh, ph)
+	ks := ws.GetUninitMatch(s, dh, ph)
+	vs := ws.GetUninitMatch(s, dh, ph)
+	scores := ws.GetUninitMatch(s, s, ph)
+	head := ws.GetUninitMatch(s, dh, ph)
+	if ph {
 		seqF := float64(q.Rows) / float64(s)
 		perHead := 4*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
 		w.Compute(seqF * float64(a.Heads) * perHead)
-		return ws.GetUninitMatch(q.Rows, q.Cols, true)
-	}
-	if q.Rows%s != 0 {
-		panic(fmt.Sprintf("parallel: attention rows %d not divisible by seq len %d (ranks must hold whole sequences)", q.Rows, s))
+		a.probs = append(a.probs, ws.GetUninitMatch(q.Rows*a.Heads, s, true))
+		ws.Put(qs, ks, vs, scores, head)
+		return out
 	}
 	nseq := q.Rows / s
 	scale := 1 / math.Sqrt(float64(dh))
-	out := ws.GetUninit(q.Rows, q.Cols) // every head block is overwritten below
-	a.probs = a.probs[:0]
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	scores := ws.GetUninit(s, s)
-	head := ws.GetUninit(s, dh)
 	for sq := 0; sq < nseq; sq++ {
 		for hd := 0; hd < a.Heads; hd++ {
 			tensor.SubMatrixInto(qs, q, sq*s, hd*dh)
@@ -90,29 +97,32 @@ func (a *HeadAttention) Forward(w *dist.Worker) *tensor.Matrix {
 
 // Backward maps the gradient of Forward's output to the gradient of the
 // fused [Q | K | V] block Split consumed, a workspace buffer owned by the
-// caller.
+// caller. Phantom mode charges the flops analytically and checks out the
+// scratch the real loop takes.
 func (a *HeadAttention) Backward(w *dist.Worker, dout *tensor.Matrix) *tensor.Matrix {
 	ws := w.Workspace()
 	dh, s := a.HeadDim, a.SeqLen
 	hl := a.Heads * dh
-	if dout.Phantom() {
+	ph := dout.Phantom()
+	dqkv := ws.GetUninitMatch(dout.Rows, 3*hl, ph) // every block is overwritten below
+	dhead := ws.GetUninitMatch(s, dh, ph)
+	qs := ws.GetUninitMatch(s, dh, ph)
+	ks := ws.GetUninitMatch(s, dh, ph)
+	vs := ws.GetUninitMatch(s, dh, ph)
+	dvs := ws.GetUninitMatch(s, dh, ph)
+	dprobs := ws.GetUninitMatch(s, s, ph)
+	dscores := ws.GetUninitMatch(s, s, ph)
+	dqs := ws.GetUninitMatch(s, dh, ph)
+	dks := ws.GetUninitMatch(s, dh, ph)
+	if ph {
 		seqF := float64(dout.Rows) / float64(s)
 		perHead := 8*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
 		w.Compute(seqF * float64(a.Heads) * perHead)
-		return ws.GetUninitMatch(dout.Rows, 3*hl, true)
+		ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
+		return dqkv
 	}
 	nseq := dout.Rows / s
 	scale := 1 / math.Sqrt(float64(dh))
-	dqkv := ws.GetUninit(dout.Rows, 3*hl) // every block is overwritten below
-	dhead := ws.GetUninit(s, dh)
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	dvs := ws.GetUninit(s, dh)
-	dprobs := ws.GetUninit(s, s)
-	dscores := ws.GetUninit(s, s)
-	dqs := ws.GetUninit(s, dh)
-	dks := ws.GetUninit(s, dh)
 	for sq := 0; sq < nseq; sq++ {
 		for hd := 0; hd < a.Heads; hd++ {
 			probs := a.probs[sq*a.Heads+hd]

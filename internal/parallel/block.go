@@ -18,10 +18,9 @@ import (
 // every family do not retain their inputs), while the sub-layer
 // activations ride to the step boundary. Backward always draws its result
 // from the worker's workspace, so the caller owns the returned gradient
-// buffer; gradient intermediates produced by the sub-layers are left to
-// their family's own lifetime regime (Tesseract's specialised
-// tesseract.Block recycles them eagerly; families composed here simply
-// let theirs reach the step boundary or the garbage collector).
+// buffer, and it recycles every gradient intermediate the moment its last
+// consumer has returned: a sub-layer's Backward hands back a workspace
+// buffer the composition owns and never retains the one it was passed.
 type Block struct {
 	// H is the full hidden width.
 	H int
@@ -40,6 +39,8 @@ type Block struct {
 // returns, so a norm that saves x (instead of derived statistics, as
 // nn.LayerNorm and tesseract.LayerNorm both do — they keep x̂ and 1/σ)
 // would see its saved activation overwritten before the backward pass.
+// And every sub-layer's Backward must return a buffer checked out of w's
+// workspace that it keeps no reference to: the composition Puts it.
 func NewBlock(w *dist.Worker, h int, attn, ln1, mlp, ln2 Layer) *Block {
 	return &Block{H: h, Attn: attn, Ln1: ln1, Mlp: mlp, Ln2: ln2, w: w}
 }
@@ -83,10 +84,12 @@ func (b *Block) Backward(dz *tensor.Matrix) *tensor.Matrix {
 	dmlp := b.Mlp.Backward(dr2)
 	dy := ws.GetUninitMatch(dr2.Rows, dr2.Cols, dr2.Phantom() || dmlp.Phantom())
 	compute.AddTo(b.w, dy, dr2, dmlp)
+	ws.Put(dr2, dmlp)
 	dr1 := b.Ln1.Backward(dy)
 	ws.Put(dy)
 	dattn := b.Attn.Backward(dr1)
 	dx := ws.GetUninitMatch(dr1.Rows, dr1.Cols, dr1.Phantom() || dattn.Phantom())
 	compute.AddTo(b.w, dx, dr1, dattn)
+	ws.Put(dr1, dattn)
 	return dx
 }

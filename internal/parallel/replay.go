@@ -11,6 +11,10 @@ type Stack struct {
 	Family Family
 	Blocks []Layer
 	X, DY  *tensor.Matrix
+
+	// held is the footprint the rank recorded at the end of its last Step or
+	// Forward phase (see footprint).
+	held int64
 }
 
 // NewPhantomStack builds the shape-only stack for a batch of whole
@@ -43,6 +47,25 @@ func (s *Stack) Backward() {
 		dy = s.Blocks[i].Backward(dy)
 	}
 	s.Family.DrainGradients()
+}
+
+// footprint is the bytes this rank holds across the phases it has run: k
+// copies of its parameter shards (phantom or real — a shape is enough), the
+// given inputs, which live outside the pool, and the workspace's high-water
+// mark. k belongs to the phase: 4 for a training step — value, gradient and
+// Adam's two moments, what nn.Param and nn.Adam allocate — 1 for a forward
+// that only reads the weights.
+func (s *Stack) footprint(k int64, inputs ...*tensor.Matrix) int64 {
+	var elems int64
+	for _, b := range s.Blocks {
+		for _, p := range b.Params() {
+			elems += k * int64(p.Value.Size())
+		}
+	}
+	for _, m := range inputs {
+		elems += int64(m.Size())
+	}
+	return 8*elems + s.Family.Worker().Workspace().Stats().HighWaterBytes
 }
 
 // Replay is a layer stack built on every rank of a cluster, timed one phase
@@ -86,17 +109,29 @@ func (r *Replay) Phase(run func(s *Stack)) (float64, error) {
 }
 
 // StepClocks is one timed training step: the simulated seconds of each
-// phase (the paper's forward-time/backward-time split) and how much of their
+// phase (the paper's forward-time/backward-time split), how much of their
 // sum rank 0 spent on its own arithmetic (dist.Worker.Busy) — the rest is
-// communication it could not hide.
+// communication it could not hide — and the bytes the heaviest rank held.
 type StepClocks struct {
 	Forward, Backward, Busy float64
+	// MemoryBytes is the largest footprint over the ranks the replay ran
+	// (one on a solo cluster, all on a full one): parameters with their
+	// training state, the input and output-gradient blocks, and the
+	// workspace high-water between the step boundaries. A family's rank 0
+	// is never lighter than its peers — on a mesh it sits on grid row 0,
+	// which owns the biases — so a solo replay reports the full cluster's
+	// largest.
+	MemoryBytes int64
 }
 
 // Step times one training step as two phases: the forward pass, then — in a
 // fresh window — the backward pass, which first re-runs the forward when
 // recompute is set (activation checkpointing, how memory-constrained runs at
-// the paper's sizes execute).
+// the paper's sizes execute). The step has a trainer's boundaries
+// (Family.EndStep, host-only, so no clock moves): checkpointing drops the
+// first forward's activations before the recompute forward checks out its
+// own — without recompute the backward needs them, and there is none — and
+// the step ends after the backward and its gradient drain.
 func (r *Replay) Step(recompute bool) (StepClocks, error) {
 	rank0 := r.stacks[0].Family.Worker()
 	var st StepClocks
@@ -107,12 +142,46 @@ func (r *Replay) Step(recompute bool) (StepClocks, error) {
 	st.Busy = rank0.Busy()
 	if st.Backward, err = r.Phase(func(s *Stack) {
 		if recompute {
+			s.Family.EndStep()
 			s.Forward()
 		}
 		s.Backward()
+		s.Family.EndStep()
+		s.held = s.footprint(4, s.X, s.DY)
 	}); err != nil {
 		return st, err
 	}
 	st.Busy += rank0.Busy()
+	st.MemoryBytes = r.largestHeld()
 	return st, nil
+}
+
+// Forward times one inference pass — the forward phase alone, Backward left
+// zero — and charges the rank what serving holds: its weights once, no
+// gradients or optimiser state, the input and the forward's high-water.
+func (r *Replay) Forward() (StepClocks, error) {
+	var st StepClocks
+	var err error
+	if st.Forward, err = r.Phase(func(s *Stack) {
+		s.Forward()
+		s.Family.EndStep()
+		s.held = s.footprint(1, s.X)
+	}); err != nil {
+		return st, err
+	}
+	st.Busy = r.stacks[0].Family.Worker().Busy()
+	st.MemoryBytes = r.largestHeld()
+	return st, nil
+}
+
+// largestHeld is the heaviest footprint the ranks recorded; a solo cluster
+// built only rank 0's stack.
+func (r *Replay) largestHeld() int64 {
+	var max int64
+	for _, s := range r.stacks {
+		if s != nil && s.held > max {
+			max = s.held
+		}
+	}
+	return max
 }

@@ -27,21 +27,28 @@
 // is replayed on an ordinary full cluster. The choice is a pure function of
 // the layout and Topology.GPUsPerNode; no caller makes it.
 //
-// Memory stays a formula: each family's Memory closure restates the paper's
-// Eq. 7–10 footprint, because a phantom replay allocates nothing to measure
-// (deriving it from a real replay's workspace high-water is the open rest).
+// Memory is the same replay's: a phantom checked out of the workspace counts
+// the bytes its shape stands for, the replay has a trainer's step boundaries,
+// and each rank records what it held — its parameter shards four times over
+// (value, gradient, Adam's two moments), the input and output-gradient blocks
+// and the workspace high-water. Breakdown.MemoryBytes is the largest over the
+// ranks the replay ran, Topology.MemoryBudget is checked against it after
+// pricing, and DistributedBudget states "the model must stay distributed" for
+// the elastic replans. No family restates the paper's Eq. 7–10.
 //
 // # Families, searches, validation
 //
 // The planner knows nothing about any particular scheme. Each family
 // package describes itself with an Algo: the name its constructor is
-// registered under plus Grids (feasible layouts within a rank budget) and
-// Memory. megatron.PlanAlgo, seqpar.PlanAlgo, optimus.PlanAlgo and
+// registered under plus Grids (feasible layouts within a rank budget).
+// megatron.PlanAlgo, seqpar.PlanAlgo, optimus.PlanAlgo and
 // tesseract.PlanAlgo are the built-in descriptors, bundled as
 // tables.DefaultAlgos. Search and SearchServing share one candidate walk
-// (grids, exact-rank and memory filters, the no-feasible error, the
-// tie-breaking sort) and differ in the scorer: a training step, or forward
-// passes at the layout's minimum batch and at the full batch.
+// (grids, the exact-rank filter, the memory filter on what the scorer's
+// replay held, the no-feasible error, the tie-breaking sort) and differ in
+// the scorer: a training step, or forward passes at the layout's minimum
+// batch and at the full batch — a served layout is charged its weights once
+// and no gradients.
 //
 // A Plan stays checkable: Plan.Validate replays it through a Measurer
 // (tables.MeasurePlan: the full cluster, every rank), ValidateTop the

@@ -57,11 +57,6 @@ func (w Workload) WithDefaults() (Workload, error) {
 // Tokens returns batch·seqLen, the global activation row count.
 func (w Workload) Tokens() int { return w.Batch * w.SeqLen }
 
-// BytesPerElem is the element size every estimate uses. The simulated
-// cluster moves float64 matrices, so both sides of the
-// predicted-vs-measured comparison price 8-byte elements.
-const BytesPerElem = 8
-
 // Grid is one processor layout. Ranks is the total processor count; Q and D
 // describe the mesh for the 2-D/2.5-D families ([q, q] when D == 1 from an
 // Optimus descriptor, [q, q, d] for Tesseract) and are zero for the 1-D
@@ -128,8 +123,8 @@ func (t Topology) WithDefaults() (Topology, error) {
 // Breakdown is the score of one candidate: the simulated seconds its forward
 // and backward phases take (the backward includes the recompute forward
 // unless the workload disables it) as replayed by Price, with the
-// comm/compute split kept for diagnostics, plus the per-rank memory
-// estimate.
+// comm/compute split kept for diagnostics, plus the bytes the replay's
+// heaviest rank held.
 type Breakdown struct {
 	// Forward and Backward are predicted seconds per phase for the whole
 	// layer stack, comparable to tables.Result.
@@ -140,8 +135,10 @@ type Breakdown struct {
 	// CommSeconds is the rest of Forward+Backward — the communication the
 	// double-buffered schedules could not overlap with compute.
 	CommSeconds float64
-	// MemoryBytes is the per-rank memory estimate from the family's
-	// Memory closure.
+	// MemoryBytes is what the replay's heaviest rank held over the step:
+	// its parameter shards four times over (value, gradient, Adam's two
+	// moments), the input and output-gradient blocks, and the workspace
+	// high-water between the step boundaries (parallel.StepClocks).
 	MemoryBytes int64
 }
 
@@ -150,20 +147,16 @@ type Breakdown struct {
 func (b Breakdown) Step() float64 { return b.Forward + b.Backward }
 
 // Algo describes one algorithm family to the planner: the name its runtime
-// constructor is registered under (internal/parallel) plus the two closures
-// only the family can state. What a layout costs is not among them: the
-// planner replays the family's own layers (see Price). The closures must be
-// pure — the planner calls them for every candidate grid.
+// constructor is registered under (internal/parallel) plus the one thing
+// only the family can state, which layouts it accepts. What a layout costs
+// and what it holds are not among them: the planner replays the family's own
+// layers (see Price). Grids must be pure — the planner calls it per search.
 type Algo struct {
 	// Family names the scheme ("tesseract", "megatron", "optimus").
 	Family string
 	// Grids enumerates the family's feasible layouts for a workload
 	// within a rank budget (divisibility constraints included).
 	Grids func(w Workload, rankBudget int) []Grid
-	// Memory estimates the bytes one rank must hold: parameter shards
-	// with gradients, retained activations, and the pipeline's working
-	// buffers.
-	Memory func(w Workload, g Grid) int64
 }
 
 // Plan is one ranked candidate: a family, a grid, and its score.
@@ -182,28 +175,27 @@ func (p Plan) String() string { return fmt.Sprintf("%s %s", p.Family, p.Grid.Sha
 // Search enumerates every feasible (family, grid) candidate within the
 // topology's budgets, prices each by replay, and returns the full list
 // ranked by predicted step time (ties: fewer ranks first, then less
-// memory). Candidates over the memory budget are dropped; if every
-// candidate is dropped, Search returns an error naming the tightest one so
-// the caller can see how far the budget misses.
+// memory). Candidates whose replay held more than the memory budget are
+// dropped; if every candidate is dropped, Search returns an error naming the
+// tightest one so the caller can see how far the budget misses.
 func Search(w Workload, t Topology, algos []Algo) ([]Plan, error) {
-	return search(w, t, algos, "", nil, func(w Workload, t Topology, c Plan) (Plan, float64, error) {
-		b, err := Price(w, c.Layout(), t)
-		b.MemoryBytes = c.Predicted.MemoryBytes
-		c.Predicted = b
-		return c, b.Step(), err
+	return search(w, t, algos, "", nil, func(w Workload, t Topology, c Plan) (Plan, float64, int64, error) {
+		var err error
+		c.Predicted, err = Price(w, c.Layout(), t)
+		return c, c.Predicted.Step(), c.Predicted.MemoryBytes, err
 	})
 }
 
 // search is the one candidate walk behind Search and SearchServing: defaults
 // and validation, every family's grids, the admit filter (nil admits all),
-// the exact-rank and memory filters, score, the no-feasible error — what
-// names the search in it — and the ranking. A candidate is a Plan with
-// nothing predicted yet but, once past admit, its memory estimate; score
-// receives the defaulted workload and topology and returns the candidate's
-// ranked value with its key (ascending; ties prefer fewer ranks, then less
-// memory).
+// the exact-rank filter, score, the memory filter on what the score's replay
+// held, the no-feasible error — what names the search in it — and the
+// ranking. A candidate is a Plan with nothing predicted yet; score receives
+// the defaulted workload and topology and returns the candidate's ranked
+// value with its key (ascending; ties prefer fewer ranks, then less memory)
+// and the per-rank bytes the budget is checked against.
 func search[P any](w Workload, t Topology, algos []Algo, what string, admit func(Workload, Plan) bool,
-	score func(Workload, Topology, Plan) (P, float64, error)) ([]P, error) {
+	score func(Workload, Topology, Plan) (P, float64, int64, error)) ([]P, error) {
 	w, err := w.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -216,12 +208,13 @@ func search[P any](w Workload, t Topology, algos []Algo, what string, admit func
 		return nil, fmt.Errorf("plan: no algorithm families to search")
 	}
 	type ranked struct {
-		p   P
-		key float64
-		c   Plan
+		p     P
+		key   float64
+		ranks int
+		mem   int64
 	}
 	var out []ranked
-	var tightest int64 = -1
+	var tightest Plan // the smallest candidate the budget dropped
 	for _, a := range algos {
 		for _, g := range a.Grids(w, t.RankBudget) {
 			c := Plan{Family: a.Family, Grid: g}
@@ -231,25 +224,24 @@ func search[P any](w Workload, t Topology, algos []Algo, what string, admit func
 			if t.ExactRanks && g.Ranks != t.RankBudget {
 				continue
 			}
-			mem := a.Memory(w, g)
-			if t.MemoryBudget > 0 && mem > t.MemoryBudget {
-				if tightest < 0 || mem < tightest {
-					tightest = mem
-				}
-				continue
-			}
-			c.Predicted.MemoryBytes = mem
-			p, key, err := score(w, t, c)
+			p, key, mem, err := score(w, t, c)
 			if err != nil {
 				return nil, fmt.Errorf("plan: pricing %s: %w", c, err)
 			}
-			out = append(out, ranked{p, key, c})
+			if t.MemoryBudget > 0 && mem > t.MemoryBudget {
+				if tightest.Family == "" || mem < tightest.Predicted.MemoryBytes {
+					tightest = c
+					tightest.Predicted.MemoryBytes = mem
+				}
+				continue
+			}
+			out = append(out, ranked{p, key, g.Ranks, mem})
 		}
 	}
 	if len(out) == 0 {
-		if tightest >= 0 {
-			return nil, fmt.Errorf("plan: %w within %s per rank (smallest candidate needs %s)",
-				ErrNoFeasible, FormatBytes(t.MemoryBudget), FormatBytes(tightest))
+		if tightest.Family != "" {
+			return nil, fmt.Errorf("plan: %w within %s per rank (smallest candidate %s needs %s)",
+				ErrNoFeasible, FormatBytes(t.MemoryBudget), tightest, FormatBytes(tightest.Predicted.MemoryBytes))
 		}
 		constraint := "within"
 		if t.ExactRanks {
@@ -261,10 +253,10 @@ func search[P any](w Workload, t Topology, algos []Algo, what string, admit func
 		if out[i].key != out[j].key {
 			return out[i].key < out[j].key
 		}
-		if out[i].c.Grid.Ranks != out[j].c.Grid.Ranks {
-			return out[i].c.Grid.Ranks < out[j].c.Grid.Ranks
+		if out[i].ranks != out[j].ranks {
+			return out[i].ranks < out[j].ranks
 		}
-		return out[i].c.Predicted.MemoryBytes < out[j].c.Predicted.MemoryBytes
+		return out[i].mem < out[j].mem
 	})
 	plans := make([]P, len(out))
 	for i, r := range out {

@@ -3,6 +3,7 @@ package plan_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -70,24 +71,43 @@ func TestSearchExactRanks(t *testing.T) {
 
 // TestBestPlanRespectsMemoryBudget is the planner's core safety property:
 // no returned candidate — in particular the winner — may exceed the
-// per-rank memory budget, and an impossible budget must error rather than
-// return an over-budget plan.
+// per-rank memory budget, the ranking under a budget is the unbudgeted
+// ranking with the over-budget candidates taken out (none of them is scored
+// into it), and an impossible budget must error rather than return an
+// over-budget plan.
 func TestBestPlanRespectsMemoryBudget(t *testing.T) {
+	all, err := plan.Search(table1, plan.Topology{RankBudget: 64}, algos())
+	if err != nil {
+		t.Fatal(err)
+	}
 	budget := int64(1) << 30 // 1 GiB excludes the small-rank layouts
 	plans, err := plan.Search(table1, plan.Topology{RankBudget: 64, MemoryBudget: budget}, algos())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range plans {
-		if p.Predicted.MemoryBytes > budget {
-			t.Fatalf("plan %s needs %s, budget %s", p,
-				plan.FormatBytes(p.Predicted.MemoryBytes), plan.FormatBytes(budget))
+	var fit []plan.Plan
+	smallest := all[0]
+	for _, p := range all {
+		if p.Predicted.MemoryBytes <= budget {
+			fit = append(fit, p)
 		}
+		if p.Predicted.MemoryBytes < smallest.Predicted.MemoryBytes {
+			smallest = p
+		}
+	}
+	if len(fit) == 0 || len(fit) == len(all) {
+		t.Fatalf("%d of %d candidates fit 1 GiB: the budget decides nothing", len(fit), len(all))
+	}
+	if !reflect.DeepEqual(plans, fit) {
+		t.Fatalf("budgeted ranking\n%v\nis not the unbudgeted one minus what does not fit\n%v", plans, fit)
 	}
 	// An unsatisfiable budget errors with the tightest candidate named.
 	_, err = plan.Search(table1, plan.Topology{RankBudget: 64, MemoryBudget: 1 << 10}, algos())
 	if err == nil || !strings.Contains(err.Error(), "no feasible layout") {
 		t.Fatalf("1 KiB budget must fail with a diagnostic, got %v", err)
+	}
+	if want := smallest.String() + " needs " + plan.FormatBytes(smallest.Predicted.MemoryBytes); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the tightest candidate (%s)", err, want)
 	}
 }
 
@@ -176,7 +196,6 @@ func TestPriceIsTheSearchsScore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.MemoryBytes = p.Predicted.MemoryBytes
 		if b != p.Predicted {
 			t.Errorf("%s: Price %+v, Search ranked it by %+v", p, b, p.Predicted)
 		}

@@ -10,8 +10,8 @@ import (
 // running it: the family's own phantom layer stack, forward then recompute +
 // backward + gradient drain, through the timing scaffold tables.RunRow
 // measures with (parallel.Replay.Step). Forward and Backward are the
-// replay's clocks, ComputeSeconds its representative rank's busy seconds
-// and CommSeconds the remainder; MemoryBytes is left to the caller. The
+// replay's clocks, ComputeSeconds its representative rank's busy seconds,
+// CommSeconds the remainder and MemoryBytes what its heaviest rank held. The
 // layout's family must be registered (import its package). Only the
 // topology's cost model and node size are read, and the layout is priced
 // based at rank 0 of a cluster of its own, wherever Base puts it at run time.
@@ -33,17 +33,20 @@ func Price(w Workload, l parallel.Layout, t Topology) (Breakdown, error) {
 		Backward:       st.Backward,
 		ComputeSeconds: st.Busy,
 		CommSeconds:    st.Forward + st.Backward - st.Busy,
+		MemoryBytes:    st.MemoryBytes,
 	}, nil
 }
 
 // priceForward prices one forward pass of the workload's layer stack at the
-// given batch — the serving scorer's replay.
-func priceForward(w Workload, batch int, l parallel.Layout, t Topology) (float64, error) {
+// given batch — the serving scorer's replay: its seconds and the bytes a rank
+// serving it holds.
+func priceForward(w Workload, batch int, l parallel.Layout, t Topology) (float64, int64, error) {
 	rp, err := newReplay(w, batch, l, t)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return rp.Phase((*parallel.Stack).Forward)
+	st, err := rp.Forward()
+	return st.Forward, st.MemoryBytes, err
 }
 
 // newReplay builds the workload's phantom layer stack at the given batch on

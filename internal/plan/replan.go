@@ -69,3 +69,19 @@ func Replan(w Workload, t Topology, algos []Algo, surviving int, ok func(Plan) b
 		Err:       fmt.Errorf("%w: all %d candidates rejected by the instantiation filter", ErrNoFeasible, len(plans)),
 	}
 }
+
+// DistributedBudget is the per-rank memory budget that states "the model
+// must stay distributed": one byte under the smallest footprint any of the
+// families has on a single rank, so a Replan under it cannot collapse onto
+// one survivor — the usual reason elasticity matters in the first place.
+func DistributedBudget(w Workload, algos []Algo) (int64, error) {
+	plans, err := Search(w, Topology{RankBudget: 1}, algos)
+	if err != nil {
+		return 0, err
+	}
+	smallest := plans[0].Predicted.MemoryBytes
+	for _, p := range plans[1:] {
+		smallest = min(smallest, p.Predicted.MemoryBytes)
+	}
+	return smallest - 1, nil
+}

@@ -48,8 +48,9 @@ type ServingPredicted struct {
 	// Throughput is the predicted saturated service rate, Batch /
 	// FullLatency, in requests per second.
 	Throughput float64
-	// MemoryBytes is the family's (training-shaped, hence conservative)
-	// per-rank memory estimate.
+	// MemoryBytes is what the heaviest rank of the full-batch forward
+	// replay held: its weights once — no gradients, no optimiser state —
+	// the input block and the forward's workspace high-water.
 	MemoryBytes int64
 }
 
@@ -78,9 +79,9 @@ func (p ServingPlan) Layout() parallel.Layout { return Plan{Family: p.Family, Gr
 // replayed forward-only at two batch sizes — the grid's minimum and the
 // workload's full batch — and the weighted objective ranks the list
 // (ascending; ties prefer fewer ranks, then less memory). The workload's
-// Batch is the serving batcher's MaxBatch. The memory filter reuses the
-// training-shaped Memory closure, a conservative bound for an inference
-// process that holds no gradients or optimiser state.
+// Batch is the serving batcher's MaxBatch. The memory filter reads the
+// full-batch replay's footprint: an inference process holds its weights once
+// and no gradients or optimiser state.
 func SearchServing(w Workload, t Topology, algos []Algo, o ServingObjective) ([]ServingPlan, error) {
 	o, err := o.WithDefaults()
 	if err != nil {
@@ -89,15 +90,15 @@ func SearchServing(w Workload, t Topology, algos []Algo, o ServingObjective) ([]
 	// A layout whose row-shard unit exceeds the batch cannot fit even one
 	// padded request per forward.
 	admit := func(w Workload, c Plan) bool { return c.Layout().RowShards() <= w.Batch }
-	return search(w, t, algos, " for serving", admit, func(w Workload, t Topology, c Plan) (ServingPlan, float64, error) {
+	return search(w, t, algos, " for serving", admit, func(w Workload, t Topology, c Plan) (ServingPlan, float64, int64, error) {
 		l := c.Layout()
-		pred := ServingPredicted{MinBatch: l.RowShards(), MemoryBytes: c.Predicted.MemoryBytes}
+		pred := ServingPredicted{MinBatch: l.RowShards()}
 		var err error
-		if pred.MinLatency, err = priceForward(w, pred.MinBatch, l, t); err != nil {
-			return ServingPlan{}, 0, err
+		if pred.MinLatency, _, err = priceForward(w, pred.MinBatch, l, t); err != nil {
+			return ServingPlan{}, 0, 0, err
 		}
-		if pred.FullLatency, err = priceForward(w, w.Batch, l, t); err != nil {
-			return ServingPlan{}, 0, err
+		if pred.FullLatency, pred.MemoryBytes, err = priceForward(w, w.Batch, l, t); err != nil {
+			return ServingPlan{}, 0, 0, err
 		}
 		if pred.FullLatency > 0 {
 			pred.Throughput = float64(w.Batch) / pred.FullLatency
@@ -108,7 +109,7 @@ func SearchServing(w Workload, t Topology, algos []Algo, o ServingObjective) ([]
 			Predicted: pred,
 			Score:     o.LatencyWeight*pred.MinLatency + o.ThroughputWeight*pred.FullLatency/float64(w.Batch),
 		}
-		return p, p.Score, nil
+		return p, p.Score, pred.MemoryBytes, nil
 	})
 }
 

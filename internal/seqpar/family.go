@@ -7,6 +7,7 @@ import (
 	"repro/internal/megatron"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -21,6 +22,30 @@ func init() {
 	parallel.Register("seqpar", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 		return NewFamily(w, l), nil
 	})
+}
+
+// PlanAlgo describes sequence parallelism to the auto-parallelism planner:
+// [p] layouts for every p dividing both the head count (the attention head
+// split) and the batch (whole sequences per rank, the row-shard alignment
+// vit.TrainLayout checks). What a layout costs and what a rank holds the
+// planner finds by replaying the block this package registers. The family is
+// never the fastest — its gather/scatter brackets move the same bytes as
+// Megatron's all-reduces forward and half again backward — so the planner
+// picks it exactly when memory is the binding constraint, which is the trade
+// the family exists for.
+func PlanAlgo() plan.Algo {
+	return plan.Algo{
+		Family: "seqpar",
+		Grids: func(w plan.Workload, budget int) []plan.Grid {
+			var out []plan.Grid
+			for p := 1; p <= budget && p <= w.Heads; p++ {
+				if w.Heads%p == 0 && w.Batch%p == 0 {
+					out = append(out, plan.Grid{Ranks: p})
+				}
+			}
+			return out
+		},
+	}
 }
 
 // Family is sequence parallelism's implementation of the family-agnostic

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/megatron"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/vit"
@@ -43,11 +42,13 @@ type ElasticPoint struct {
 func ElasticStudy() ([]ElasticPoint, error) {
 	ds, mcfg, tc := elasticFixture()
 	const failStep, totalSteps = 2, 4
-	// The per-rank memory budget sits just below the single-rank footprint —
-	// the usual elastic constraint: the model no longer fits on one survivor,
+	// The usual elastic constraint: the model no longer fits on one survivor,
 	// so the replan must keep a genuinely distributed layout.
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	topo := plan.Topology{MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1}
+	budget, err := plan.DistributedBudget(mcfg.Workload(tc.BatchSize), DefaultAlgos())
+	if err != nil {
+		return nil, fmt.Errorf("tables: elastic study: %w", err)
+	}
+	topo := plan.Topology{MemoryBudget: budget}
 	var out []ElasticPoint
 	for _, from := range DefaultFamilyLayouts() {
 		run, err := vit.TrainElastic(from, vit.ElasticConfig{

@@ -164,7 +164,8 @@ func TestCrossLayoutReshardChain(t *testing.T) {
 
 // TestElasticStudy runs the full table and checks its correctness columns:
 // every row must keep the post-reshard loss curve on the uninterrupted
-// trajectory and report a positive re-shard cost.
+// trajectory, report a positive re-shard cost, and — the study's budget says
+// the model no longer fits one rank — stay distributed.
 func TestElasticStudy(t *testing.T) {
 	points, err := ElasticStudy()
 	if err != nil {
@@ -180,8 +181,8 @@ func TestElasticStudy(t *testing.T) {
 		if p.ReshardRatio <= 0 || math.IsInf(p.ReshardRatio, 0) || math.IsNaN(p.ReshardRatio) {
 			t.Errorf("%s → %s: degenerate re-shard ratio %g", p.From, p.To, p.ReshardRatio)
 		}
-		if p.To.Ranks >= p.From.Ranks {
-			t.Errorf("%s → %s: replan did not shrink the layout", p.From, p.To)
+		if p.To.Ranks >= p.From.Ranks || p.To.Ranks < 2 {
+			t.Errorf("%s → %s: replan must shrink the layout and keep it distributed", p.From, p.To)
 		}
 	}
 	t.Log("\n" + FormatElastic(points))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/plan"
 )
 
@@ -109,7 +110,9 @@ var exactnessSearches = []struct {
 // held to, but to rounding (the solo replay and the full cluster may order
 // a float sum differently; they agree to 1e-12) — with recompute on and off
 // and one layer or two. The hand-mirrored cost files this replaced missed
-// [2,2,2] by 0.1-3% in three of the four searches.
+// [2,2,2] by 0.1-3% in three of the four searches. The footprint the planner
+// charges is the same replay's, so it equals the full cluster's largest rank
+// to the byte: rank 0, the one a solo replay runs, is never the lighter one.
 func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 	total := 0
 	for _, s := range exactnessSearches {
@@ -129,12 +132,20 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 					t.Errorf("%s: %d candidates, want %d", name, len(plans), s.candidates)
 				}
 				seen := map[string]bool{}
-				measure := MeasurePlan(w, Options{})
+				// MeasurePlan's replay, with the footprint it drops.
+				measure := func(p plan.Plan) (parallel.StepClocks, error) {
+					row := Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
+					return timeStep(p.Layout(), row, Options{SeqLen: w.SeqLen, Layers: layers, NoRecompute: noRecompute})
+				}
 				for _, p := range plans {
 					seen[p.String()] = true
 					m, err := measure(p)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", name, p, err)
+					}
+					if m.MemoryBytes <= 0 || p.Predicted.MemoryBytes != m.MemoryBytes {
+						t.Errorf("%s: %s priced at %d B a rank, the full cluster's largest holds %d B",
+							name, p, p.Predicted.MemoryBytes, m.MemoryBytes)
 					}
 					for _, v := range []struct {
 						phase      string

@@ -159,8 +159,9 @@ func TestPlannerStudyEqualsSequentialValidateTop(t *testing.T) {
 // ranks, the most expensive row of both tables — from creeping back up. It
 // was 12,925 allocations while phantom headers were pooled by shape and every
 // group lookup built a string key, 8,650 without either (wobbling by a few
-// dozen with how many rounds were open at once), and is 7,935 now that a
-// group's round pool grows by batches. The ceiling sits between the first
+// dozen with how many rounds were open at once), 7,935 once a group's round
+// pool grew by batches, and is 7,985 now that the replay has step boundaries
+// and every rank records what it held. The ceiling sits between the first
 // two, so a new per-shape or per-rank-per-call cost trips it.
 func TestRunRowAllocationCeiling(t *testing.T) {
 	row := Table1Rows()[10]

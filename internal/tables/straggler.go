@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/dist"
-	"repro/internal/megatron"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/vit"
@@ -70,12 +69,12 @@ var StragglerFactors = []float64{2, 4, 8}
 func StragglerStudy() ([]StragglerPoint, error) {
 	ds, mcfg, tc := elasticFixture()
 	const totalSteps, probe = 24, 6
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	topo := plan.Topology{
-		Cost: stragglerCost(),
-		// As in the elastic study: the model must stay distributed.
-		MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1,
+	// As in the elastic study: the model must stay distributed.
+	budget, err := plan.DistributedBudget(mcfg.Workload(tc.BatchSize), DefaultAlgos())
+	if err != nil {
+		return nil, fmt.Errorf("tables: straggler study: %w", err)
 	}
+	topo := plan.Topology{Cost: stragglerCost(), MemoryBudget: budget}
 	var out []StragglerPoint
 	for _, from := range DefaultFamilyLayouts() {
 		from, err := from.Normalize()

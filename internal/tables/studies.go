@@ -2,12 +2,15 @@ package tables
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cannon"
 	"repro/internal/claims"
 	"repro/internal/dist"
+	"repro/internal/megatron"
 	"repro/internal/mesh"
+	"repro/internal/nn"
 	"repro/internal/solomonik"
 	"repro/internal/summa"
 	"repro/internal/tensor"
@@ -56,45 +59,84 @@ type MemoryPoint struct {
 	GPUs int
 	// FormulaElems is the Eq. 7-10 element count per processor.
 	FormulaElems float64
-	// MeasuredElems is what the implementation actually holds.
+	// MeasuredElems is what a rank of the phantom run holds across the
+	// multiply — its two operand blocks and the result — which is what
+	// Eq. 8/10 count.
 	MeasuredElems int
+	// PeakElems is the most the rank held at once: the operands plus the
+	// workspace high-water, which adds the transients the equations leave
+	// out (SUMMA's double-buffered receive panels).
+	PeakElems int
 }
 
-// MemoryStudy evaluates Eqs. 7-10 and cross-checks them against the element
-// counts the implementations actually hold per processor (A block + B block
-// + C block for Tesseract; replicated input + weight/output shards for
-// Megatron-LM).
-func MemoryStudy(a, b, c int) []MemoryPoint {
+// MemoryStudy evaluates Eqs. 7-10 and checks them against a run: each
+// arrangement's one multiply in phantom mode — summa.MulAB on the mesh for
+// Tesseract (A block · B block), Megatron-LM's column-parallel product
+// (replicated input · weight shard) — measuring, on the heaviest rank, the
+// matrices it holds (operands x and wt plus the result y) and the peak its
+// workspace reached on top of the operands.
+func MemoryStudy(a, b, c int) ([]MemoryPoint, error) {
 	var out []MemoryPoint
-	for _, cfg := range []struct{ q, d int }{{2, 1}, {2, 2}, {4, 2}, {4, 4}} {
-		p := cfg.q * cfg.q * cfg.d
-		measured := a/(cfg.d*cfg.q)*(b/cfg.q) + b/cfg.q*(c/cfg.q) + a/(cfg.d*cfg.q)*(c/cfg.q)
-		out = append(out, MemoryPoint{
-			Label:         fmt.Sprintf("Tesseract [%d,%d,%d]", cfg.q, cfg.q, cfg.d),
-			GPUs:          p,
-			FormulaElems:  claims.MemoryTesseract(float64(a), float64(b), float64(c), float64(cfg.q), float64(cfg.d)),
-			MeasuredElems: measured,
+	run := func(pt MemoryPoint, divides bool, mul func(w *dist.Worker) (x, wt, y *tensor.Matrix)) error {
+		if !divides {
+			return fmt.Errorf("tables: memory study: [%d,%d]x[%d,%d] does not divide over %s", a, b, b, c, pt.Label)
+		}
+		held, peaks := make([]int, pt.GPUs), make([]int, pt.GPUs)
+		err := dist.New(dist.Config{WorldSize: pt.GPUs}).Run(func(w *dist.Worker) error {
+			x, wt, y := mul(w)
+			operands := x.Size() + wt.Size()
+			held[w.Rank()] = operands + y.Size()
+			peaks[w.Rank()] = operands + int(w.Workspace().Stats().HighWaterBytes/8)
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+		pt.MeasuredElems, pt.PeakElems = slices.Max(held), slices.Max(peaks)
+		out = append(out, pt)
+		return nil
+	}
+	for _, cfg := range []struct{ q, d int }{{2, 1}, {2, 2}, {4, 2}, {4, 4}} {
+		shape := mesh.Shape{Q: cfg.q, D: cfg.d}
+		err := run(MemoryPoint{
+			Label:        fmt.Sprintf("Tesseract [%d,%d,%d]", cfg.q, cfg.q, cfg.d),
+			GPUs:         shape.Size(),
+			FormulaElems: claims.MemoryTesseract(float64(a), float64(b), float64(c), float64(cfg.q), float64(cfg.d)),
+		}, a%(cfg.d*cfg.q) == 0 && b%cfg.q == 0 && c%cfg.q == 0, func(w *dist.Worker) (x, wt, y *tensor.Matrix) {
+			p := mesh.NewProc(w, shape)
+			x = summa.DistributeA(p, tensor.NewPhantom(a, b))
+			wt = summa.DistributeB(p, tensor.NewPhantom(b, c))
+			return x, wt, summa.MulAB(p, x, wt)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	for _, p := range []int{4, 8, 32, 64} {
-		measured := a*b + b*(c/p) + a*(c/p)
-		out = append(out, MemoryPoint{
-			Label:         fmt.Sprintf("Megatron-LM [%d]", p),
-			GPUs:          p,
-			FormulaElems:  claims.MemoryMegatron(float64(a), float64(b), float64(c), float64(p)),
-			MeasuredElems: measured,
+		err := run(MemoryPoint{
+			Label:        fmt.Sprintf("Megatron-LM [%d]", p),
+			GPUs:         p,
+			FormulaElems: claims.MemoryMegatron(float64(a), float64(b), float64(c), float64(p)),
+		}, c%p == 0, func(w *dist.Worker) (x, wt, y *tensor.Matrix) {
+			mp := megatron.NewProcAt(w, p, 0)
+			l := megatron.NewColLinearPhantom(mp, b, c, nn.ActNone, false)
+			x = tensor.NewPhantom(a, b)
+			return x, l.W.Value, l.Forward(mp, x)
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
 // FormatMemory renders the memory study.
 func FormatMemory(a, b, c int, points []MemoryPoint) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Per-GPU memory for one [%d,%d]x[%d,%d] multiply (Eqs. 7-10), in elements\n", a, b, b, c)
-	fmt.Fprintf(&sb, "%-22s %5s %14s %14s\n", "arrangement", "#GPUs", "formula", "measured")
+	fmt.Fprintf(&sb, "%-22s %5s %14s %14s %14s\n", "arrangement", "#GPUs", "formula", "measured", "peak")
 	for _, p := range points {
-		fmt.Fprintf(&sb, "%-22s %5d %14.0f %14d\n", p.Label, p.GPUs, p.FormulaElems, p.MeasuredElems)
+		fmt.Fprintf(&sb, "%-22s %5d %14.0f %14d %14d\n", p.Label, p.GPUs, p.FormulaElems, p.MeasuredElems, p.PeakElems)
 	}
 	return sb.String()
 }

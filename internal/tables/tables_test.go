@@ -220,15 +220,29 @@ func TestDepthAblationMonotonic(t *testing.T) {
 	}
 }
 
+// TestMemoryStudyFormulaMatchesMeasured holds Eq. 8/10 to a run: the formula
+// is the operand blocks plus the result a rank of the phantom multiply
+// holds. The peak shows what the equations leave out — SUMMA's two receive
+// panels per operand — and nothing for Megatron-LM, whose product needs no
+// transient.
 func TestMemoryStudyFormulaMatchesMeasured(t *testing.T) {
-	points := MemoryStudy(4096, 4096, 4096)
-	if len(points) == 0 {
-		t.Fatal("empty memory study")
+	points, err := MemoryStudy(4096, 4096, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 8 {
+		t.Fatalf("%d arrangements, want 8", len(points))
 	}
 	for _, p := range points {
 		if math.Abs(p.FormulaElems-float64(p.MeasuredElems)) > 0.5 {
 			t.Errorf("%s: formula %.0f vs measured %d", p.Label, p.FormulaElems, p.MeasuredElems)
 		}
+		if tess := strings.HasPrefix(p.Label, "Tesseract"); tess != (p.PeakElems > p.MeasuredElems) || p.PeakElems < p.MeasuredElems {
+			t.Errorf("%s: holds %d elements, peaks at %d", p.Label, p.MeasuredElems, p.PeakElems)
+		}
+	}
+	if _, err := MemoryStudy(8, 8, 8); err == nil {
+		t.Error("8 rows do not divide over [4,4,4]: want an error")
 	}
 }
 
@@ -280,9 +294,15 @@ func TestFormatOutputs(t *testing.T) {
 			t.Errorf("formatted table missing %q:\n%s", want, out)
 		}
 	}
-	mem := FormatMemory(8, 8, 8, MemoryStudy(8, 8, 8))
-	if !strings.Contains(mem, "Megatron-LM") {
-		t.Error("memory table missing Megatron rows")
+	points, err := MemoryStudy(16, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := FormatMemory(16, 16, 64, points)
+	for _, want := range []string{"Megatron-LM", "measured", "peak"} {
+		if !strings.Contains(mem, want) {
+			t.Errorf("memory table missing %q:\n%s", want, mem)
+		}
 	}
 }
 

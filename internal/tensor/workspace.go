@@ -61,10 +61,12 @@ import "fmt"
 // a bucket, a map insert and a header per shape were most of what it
 // allocated. The list is the phantoms' alone, so a phantom can never satisfy
 // a real request or vice versa. Checkout, Put, Borrow and ReleaseAll
-// discipline and the statistics are those of a real buffer; what differs is
-// that a phantom returned to the pool may come back under another shape, so
-// reading a header's shape after its Put is as wrong as reading a real
-// buffer's data.
+// discipline and the statistics are those of a real buffer — a checked-out
+// phantom counts the 8·rows·cols bytes its shape stands for, so the
+// LiveBytes and HighWaterBytes of a phantom replay are the bytes the same
+// run would hold with real data. What differs is that a phantom returned to
+// the pool may come back under another shape, so reading a header's shape
+// after its Put is as wrong as reading a real buffer's data.
 //
 // # Implementation note
 //
@@ -126,11 +128,13 @@ type WorkspaceStats struct {
 	// HighWater is the maximum Live ever observed — the arena footprint of
 	// one step. Flat HighWater across steps means no leak.
 	HighWater int
-	// LiveBytes is the storage behind the currently checked-out buffers
-	// (8 bytes per element; phantoms carry no storage and count zero).
+	// LiveBytes is the storage the currently checked-out buffers stand
+	// for: 8 bytes per element, for a phantom the bytes a real matrix of
+	// its shape would hold.
 	LiveBytes int64
 	// HighWaterBytes is the maximum LiveBytes ever observed — the peak
-	// activation footprint memory studies compare across families.
+	// activation footprint the planner charges a layout and memory studies
+	// compare across families; a phantom replay's equals its real twin's.
 	HighWaterBytes int64
 }
 
@@ -232,12 +236,10 @@ func (ws *Workspace) get(rows, cols int, phantom bool) *Matrix {
 	return m
 }
 
-// storageBytes is the heap storage behind one pooled buffer: 8 bytes per
-// element for real matrices, zero for phantoms (shape-only headers).
+// storageBytes is the storage one pooled buffer stands for: 8 bytes per
+// element, whether the elements exist (a real matrix) or only their shape
+// does (a phantom).
 func storageBytes(m *Matrix) int64 {
-	if m.Phantom() {
-		return 0
-	}
 	return 8 * int64(m.Rows) * int64(m.Cols)
 }
 

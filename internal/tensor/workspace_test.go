@@ -88,16 +88,17 @@ func TestWorkspacePhantomsShareOneFreeList(t *testing.T) {
 	if got := ws.Stats().Allocs - allocs; got != 1 {
 		t.Fatalf("%d allocations for two phantom requests against one free header, want 1", got)
 	}
-	if s := ws.Stats(); s.LiveBytes != 0 || s.HighWaterBytes != 8*7*5 {
-		t.Fatalf("stats %+v: phantoms hold no storage; the peak is the one real 7x5", s)
+	if s := ws.Stats(); s.LiveBytes != 8*(7*5+2*3) || s.HighWaterBytes != s.LiveBytes {
+		t.Fatalf("stats %+v: a phantom counts the bytes its shape stands for; the two live ones are the peak", s)
 	}
 }
 
 // TestWorkspaceStatsOnRecordedSequence pins the counters on one recorded mix
 // of real and phantom traffic: Put, ReleaseAll, a double-booked shape and a
-// borrow. The numbers are the ones the pool produced when phantoms were
+// borrow. The counts are the ones the pool produced when phantoms were
 // pooled by shape too — every phantom request here either finds a free header
-// of its own shape or finds none at all, where the two designs agree.
+// of its own shape or finds none at all, where the two designs agree. The
+// byte columns charge a phantom what a real matrix of its shape holds.
 func TestWorkspaceStatsOnRecordedSequence(t *testing.T) {
 	ws := NewWorkspace()
 	want := func(step string, s WorkspaceStats) {
@@ -109,24 +110,24 @@ func TestWorkspaceStatsOnRecordedSequence(t *testing.T) {
 	r1 := ws.Get(4, 4)
 	p1 := ws.GetMatch(4, 4, true)
 	p2 := ws.GetUninitMatch(2, 8, true)
-	want("three checkouts", WorkspaceStats{Allocs: 3, Gets: 3, Live: 3, HighWater: 3, LiveBytes: 128, HighWaterBytes: 128})
+	want("three checkouts", WorkspaceStats{Allocs: 3, Gets: 3, Live: 3, HighWater: 3, LiveBytes: 384, HighWaterBytes: 384})
 	ws.Borrow(p2)
 	ws.Put(p1)
 	ws.Release(p2)
-	want("phantom Put", WorkspaceStats{Allocs: 3, Gets: 3, Live: 2, HighWater: 3, LiveBytes: 128, HighWaterBytes: 128})
+	want("phantom Put", WorkspaceStats{Allocs: 3, Gets: 3, Live: 2, HighWater: 3, LiveBytes: 256, HighWaterBytes: 384})
 	p3 := ws.GetMatch(4, 4, true) // p1's header
 	r2 := ws.GetUninit(4, 4)      // a second real 4x4: r1 is still out
 	if p3 != p1 || r2 == r1 {
 		t.Fatal("recycling went to the wrong list")
 	}
-	want("refill", WorkspaceStats{Allocs: 4, Gets: 5, Live: 4, HighWater: 4, LiveBytes: 256, HighWaterBytes: 256})
+	want("refill", WorkspaceStats{Allocs: 4, Gets: 5, Live: 4, HighWater: 4, LiveBytes: 512, HighWaterBytes: 512})
 	ws.ReleaseAll()
-	want("step boundary", WorkspaceStats{Allocs: 4, Gets: 5, Live: 0, HighWater: 4, LiveBytes: 0, HighWaterBytes: 256})
+	want("step boundary", WorkspaceStats{Allocs: 4, Gets: 5, Live: 0, HighWater: 4, LiveBytes: 0, HighWaterBytes: 512})
 	ws.Get(4, 4)
 	ws.GetMatch(2, 8, true)
 	ws.GetMatch(4, 4, true)
 	ws.Get(1, 1)
-	want("next step", WorkspaceStats{Allocs: 5, Gets: 9, Live: 4, HighWater: 4, LiveBytes: 136, HighWaterBytes: 256})
+	want("next step", WorkspaceStats{Allocs: 5, Gets: 9, Live: 4, HighWater: 4, LiveBytes: 392, HighWaterBytes: 512})
 }
 
 // TestWorkspacePhantomReplayAllocatesOnce replays the shape of a timed

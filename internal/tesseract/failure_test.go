@@ -22,9 +22,9 @@ func TestWorkerErrorDuringForwardUnblocksPeers(t *testing.T) {
 		if w.Rank() == 5 {
 			return sentinel // dies before joining any collective
 		}
-		b := NewBlock(p, 8, 2, 2, tensor.NewRNG(1))
+		b := family(p).NewBlock(8, 2, 2, tensor.NewRNG(1))
 		x := tensor.RandomMatrix(2, 4, tensor.NewRNG(2))
-		b.Forward(p, x) // peers block in row/col broadcasts until aborted
+		b.Forward(x) // peers block in row/col broadcasts until aborted
 		return nil
 	})
 	if err == nil || !errors.Is(err, sentinel) {

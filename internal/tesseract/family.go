@@ -7,6 +7,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -20,6 +21,32 @@ func init() {
 	parallel.Register("tesseract", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 		return &Family{p: NewProcAt(w, mesh.Shape{Q: l.Q, D: l.D, Base: l.Base}), layout: l}, nil
 	})
+}
+
+// PlanAlgo describes Tesseract to the auto-parallelism planner: the feasible
+// [q, q, d] grids within a rank budget. What a grid costs and what a rank
+// holds the planner finds by replaying the block this package registers.
+func PlanAlgo() plan.Algo {
+	return plan.Algo{Family: "tesseract", Grids: grids}
+}
+
+// grids enumerates the [q, q, d] layouts (1 ≤ d ≤ q, q²d within budget)
+// whose divisibility constraints the layer stack accepts: hidden and heads
+// split over q, activation rows split over d·q.
+func grids(w plan.Workload, budget int) []plan.Grid {
+	var out []plan.Grid
+	for q := 1; q*q <= budget; q++ {
+		if w.Hidden%q != 0 || w.Heads%q != 0 {
+			continue
+		}
+		for d := 1; d <= q && q*q*d <= budget; d++ {
+			if w.Tokens()%(d*q) != 0 {
+				continue
+			}
+			out = append(out, plan.Grid{Ranks: q * q * d, Q: q, D: d})
+		}
+	}
+	return out
 }
 
 // Family is Tesseract's implementation of the family-agnostic model layer:
@@ -64,14 +91,27 @@ func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tenso
 	return bound{p: f.p, m: NewLinear(f.p, in, out, act, bias, rng)}
 }
 
-// NewBlock builds one Tesseract-parallel Transformer block.
+// NewBlock builds one Tesseract-parallel Transformer block, drawing
+// parameters from rng in the serial order (attention Wq..Wo, then MLP Fc1,
+// Fc2) — identical to nn.NewBlock, so the two produce identical numbers on
+// identical seeds.
 func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	return bound{p: f.p, m: NewBlock(f.p, h, heads, seqLen, rng)}
+	attn := NewAttention(f.p, h, heads, seqLen, rng)
+	return f.block(h, attn, NewMLP(f.p, h, rng))
 }
 
 // NewBlockPhantom builds the shape-only block for paper-scale timing.
 func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	return bound{p: f.p, m: NewBlockPhantom(f.p, h, heads, seqLen)}
+	return f.block(h, NewAttentionPhantom(f.p, h, heads, seqLen), NewMLPPhantom(f.p, h))
+}
+
+// block composes one Transformer layer from its two modules via the shared
+// composition: the residual adds are local (§3.2.2), the layer norms
+// all-reduce their row statistics and do not retain their inputs.
+func (f *Family) block(h int, attn *Attention, mlp *MLP) parallel.Layer {
+	return parallel.NewBlock(f.p.W, h,
+		bound{p: f.p, m: attn}, f.NewLayerNorm(h),
+		bound{p: f.p, m: mlp}, f.NewLayerNorm(h))
 }
 
 // NewLayerNorm builds the distributed layer norm of §3.2.2.

@@ -43,15 +43,15 @@ func runBlockSteps(t *testing.T, q, d, steps int, pooling bool) [][]blockStepSna
 	testutil.Run(t, world, func(w *dist.Worker) error {
 		w.Workspace().SetPooling(pooling)
 		p := NewProcAt(w, mesh.Shape{Q: q, D: d})
-		b := NewBlock(p, h, heads, seqLen, tensor.NewRNG(23))
+		b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(23))
 		params := b.Params()
 		mine := make([]blockStepSnapshot, 0, steps)
 		for i := 0; i < steps; i++ {
 			for _, pa := range params {
 				pa.ZeroGrad()
 			}
-			out := b.Forward(p, p.DistributeA(xs[i]))
-			dx := b.Backward(p, p.DistributeA(dys[i]))
+			out := b.Forward(p.DistributeA(xs[i]))
+			dx := b.Backward(p.DistributeA(dys[i]))
 			p.DrainGradients()
 			s := blockStepSnapshot{out: out.Clone(), dx: dx.Clone()}
 			for _, pa := range params {
@@ -110,15 +110,15 @@ func TestPooledBlockWorkspaceIsLeakFree(t *testing.T) {
 	dy := tensor.RandomMatrix(rows, h, rng)
 	testutil.Run(t, world, func(w *dist.Worker) error {
 		p := NewProcAt(w, mesh.Shape{Q: q, D: d})
-		b := NewBlock(p, h, heads, seqLen, tensor.NewRNG(23))
+		b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(23))
 		params := b.Params()
 		var after1 tensor.WorkspaceStats
 		for i := 0; i < steps; i++ {
 			for _, pa := range params {
 				pa.ZeroGrad()
 			}
-			b.Forward(p, p.DistributeA(x))
-			b.Backward(p, p.DistributeA(dy))
+			b.Forward(p.DistributeA(x))
+			b.Backward(p.DistributeA(dy))
 			p.DrainGradients()
 			w.Workspace().ReleaseAll()
 			s := w.Workspace().Stats()

@@ -66,8 +66,3 @@ func (m *MLP) State(p *Proc) []parallel.State {
 
 // State returns nil: §3.2.2 layer normalisation is parameter-free.
 func (l *LayerNorm) State(p *Proc) []parallel.State { return nil }
-
-// State concatenates the sub-layers' slots in Params order.
-func (b *Block) State(p *Proc) []parallel.State {
-	return append(b.Attn.State(p), b.Mlp.State(p)...)
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
@@ -21,6 +22,9 @@ func runMesh(t *testing.T, q, d int, fn func(p *Proc) error) *dist.Cluster {
 		return fn(NewProcAt(w, s))
 	})
 }
+
+// family wraps a mesh view for the block constructors.
+func family(p *Proc) *Family { return &Family{p: p} }
 
 func TestMatMulABMatchesSerial(t *testing.T) {
 	for _, ms := range meshShapes {
@@ -235,9 +239,9 @@ func TestBlockMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				b := NewBlock(p, h, heads, seqLen, tensor.NewRNG(99))
-				y := b.Forward(p, p.DistributeA(x))
-				dx := b.Backward(p, p.DistributeA(dy))
+				b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(99))
+				y := b.Forward(p.DistributeA(x))
+				dx := b.Backward(p.DistributeA(dy))
 				p.DrainGradients()
 				ys.Put(p.W.Rank(), p.CollectA(y))
 				dxs.Put(p.W.Rank(), p.CollectA(dx))
@@ -279,18 +283,18 @@ func TestTrainingStepsStayInSyncWithSerial(t *testing.T) {
 
 	losses := testutil.NewScalars()
 	runMesh(t, 2, 2, func(p *Proc) error {
-		b := NewBlock(p, h, heads, seqLen, tensor.NewRNG(7))
+		b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(7))
 		opt := nn.NewAdam(1e-2, 0)
 		var lastLoss float64
 		for i := 0; i < steps; i++ {
-			y := b.Forward(p, p.DistributeA(xs[i]))
+			y := b.Forward(p.DistributeA(xs[i]))
 			full := p.CollectA(y)
 			loss, dyFull := nn.MSE(full, targets[i])
 			lastLoss = loss
 			for _, pa := range b.Params() {
 				pa.ZeroGrad()
 			}
-			b.Backward(p, p.DistributeA(dyFull))
+			b.Backward(p.DistributeA(dyFull))
 			p.DrainGradients()
 			opt.Step(b.Params())
 			if i == 0 && loss != wantLosses[0] {
@@ -322,18 +326,18 @@ func TestBlockPhantomMatchesRealClock(t *testing.T) {
 		c := dist.New(dist.Config{WorldSize: s.Size()})
 		if err := c.Run(func(w *dist.Worker) error {
 			p := NewProcAt(w, s)
-			var b *Block
+			var b parallel.Layer
 			var x *tensor.Matrix
 			if phantom {
-				b = NewBlockPhantom(p, h, heads, seqLen)
+				b = family(p).NewBlockPhantom(h, heads, seqLen)
 				x = tensor.NewPhantom(rows/4, h/2)
 			} else {
-				b = NewBlock(p, h, heads, seqLen, tensor.NewRNG(5))
+				b = family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(5))
 				rng := tensor.NewRNG(uint64(w.Rank()) + 1)
 				x = tensor.RandomMatrix(rows/4, h/2, rng)
 			}
-			y := b.Forward(p, x)
-			b.Backward(p, y)
+			y := b.Forward(x)
+			b.Backward(y)
 			p.DrainGradients()
 			return nil
 		}); err != nil {

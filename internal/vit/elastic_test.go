@@ -28,8 +28,11 @@ func elasticTC() TrainConfig {
 // collapse onto a single survivor, and the knob that makes the replan keep a
 // multi-rank layout.
 func elasticTopology(mcfg ModelConfig, tc TrainConfig) plan.Topology {
-	oneRank := megatron.PlanAlgo().Memory(mcfg.Workload(tc.BatchSize), plan.Grid{Ranks: 1})
-	return plan.Topology{MemoryBudget: oneRank - 1}
+	budget, err := plan.DistributedBudget(mcfg.Workload(tc.BatchSize), elasticAlgos())
+	if err != nil {
+		panic(err)
+	}
+	return plan.Topology{MemoryBudget: budget}
 }
 
 // TestTrainElastic runs the full elastic loop — train, checkpoint, lose the

@@ -242,9 +242,12 @@ func TestSeqparMemoryGate(t *testing.T) {
 // infeasible and the search must return seqpar plans alone.
 func TestSearchMemoryBudgetPrefersSeqpar(t *testing.T) {
 	w := plan.Workload{Batch: 16, SeqLen: 512, Hidden: 1024, Heads: 16, Layers: 2}
-	sp := seqpar.PlanAlgo()
-	budget := sp.Memory(w, plan.Grid{Ranks: 4})
-	algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), sp}
+	held, err := plan.Price(w, parallel.Layout{Family: "seqpar", Ranks: 4}, plan.Topology{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := held.MemoryBytes
+	algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
 	plans, err := plan.Search(w, plan.Topology{RankBudget: 4, ExactRanks: true, MemoryBudget: budget}, algos)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@
 # what the docs promise of it: no fused multiply-add (docs/architecture.md §3),
 # and the tree to what the package map promises: no internal package that
 # nothing shipped imports, and no family package restating its schedule as
-# cost-model arithmetic.
+# cost-model arithmetic or its footprint as a memory formula.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -36,6 +36,16 @@ fi
 if grep -rnE 'Seconds\(|plan\.Coster|plan\.Assemble' --include='*.go' \
     internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
     echo "docs_check: a family package prices with the cost model instead of being replayed" >&2
+    fail=1
+fi
+
+# Nor does it read a layout's memory from a formula: what a rank holds is what
+# the same replay's workspace held. A family package that mentions an element
+# size or hands the planner a Memory closure is growing the Eq. 7-10 mirror
+# back.
+if grep -rnE 'BytesPerElem|Memory:' --include='*.go' \
+    internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
+    echo "docs_check: a family package estimates its memory instead of being replayed" >&2
     fail=1
 fi
 
