@@ -38,6 +38,7 @@ type Handle struct {
 	finisher bool
 	payload  *tensor.Matrix
 	dst      *tensor.Matrix
+	lent     *tensor.Matrix // IBroadcastLend: the root's payload, set by Wait
 	waited   bool
 	valid    bool
 }
@@ -58,6 +59,9 @@ func (h *Handle) Wait() {
 		h.w.park()
 	}
 	h.r.settle(h.w)
+	if h.dst == nil && h.r.kind == opBroadcast {
+		h.lent = h.r.slots[h.r.root] // stays filed until the last member retires
+	}
 	ws := h.w.Workspace()
 	ws.Release(h.payload)
 	ws.Release(h.dst)
@@ -104,9 +108,11 @@ func (g *Group) mustRootIdx(root int, kind opKind) int {
 // know the shape it is about to receive, exactly as with MPI_Bcast — and
 // the root may pass its payload as dst to skip the self-copy. The member
 // completing the operation copies the payload into every dst while the
-// operation is still in flight, so the root's buffer is never aliased once
-// the call returns and the root may mutate it immediately. Time is charged
-// as a binomial tree. Returns dst.
+// operation is still in flight, so in this destination-passing form (and
+// IBroadcastInto after Wait) the root's buffer is never aliased once the call
+// returns and the root may mutate it immediately; IBroadcastLend is the form
+// that leaves receivers holding the root's buffer. Time is charged as a
+// binomial tree. Returns dst.
 func (g *Group) BroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opBroadcast)
 	ridx := g.mustRootIdx(root, opBroadcast)
@@ -129,6 +135,29 @@ func (g *Group) IBroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix)
 	}
 	return g.issueAsync(w, opBroadcast, ridx, idx, payload, dst)
 }
+
+// IBroadcastLend is IBroadcastInto without the copy: the root passes its
+// payload, every other member passes nil and no destination, and after Wait
+// Handle.Lent is the root's own matrix on every member. The round is a
+// broadcast like any other — it pairs with IBroadcastInto arrivals on the
+// same group (those members receive their copy), and it is priced from the
+// root's payload, so clocks, statistics and fault charges are the copying
+// form's. The lent matrix is read-only for every member, the root included,
+// and valid until the enclosing Run ends: the caller owns the argument that
+// nobody writes it before then (see doc.go). A solo cluster cannot lend to a
+// receiver — nothing there states the shape to price — so that panics.
+func (g *Group) IBroadcastLend(w *Worker, root int, payload *tensor.Matrix) Handle {
+	idx := g.mustIndex(w, opBroadcast)
+	ridx := g.mustRootIdx(root, opBroadcast)
+	if g.c.solo && payload == nil {
+		panic(fmt.Sprintf("dist: rank %d would borrow a broadcast payload on a solo cluster, where no root runs to lend it", w.rank))
+	}
+	return g.issueAsync(w, opBroadcast, ridx, idx, payload, nil)
+}
+
+// Lent returns the matrix an IBroadcastLend lent this member: the root's
+// payload, not a copy. It is nil before Wait and for every other collective.
+func (h *Handle) Lent() *tensor.Matrix { return h.lent }
 
 // ReduceInto sums every member's matrix into the root's dst (which may
 // alias its m). The partial sums combine in the fixed association of a

@@ -52,6 +52,20 @@
 // rules) — and dist never allocates a result: steady-state collectives
 // allocate nothing.
 //
+// IBroadcastLend is the one exception to destination-passing, and to "a
+// member's buffers are exclusively its own again": its receivers pass no
+// destination and after Wait hold the root's payload itself (Handle.Lent),
+// which saves the copy when the payload is something nobody is going to
+// write — a served model's weight block. The contract is the caller's to
+// keep: a lent matrix is read-only for every member, the root included, and
+// valid until the enclosing Run ends — Run returns only after every rank has,
+// so the first write after it is ordered behind the last read. Nothing in
+// dist checks that (the race detector does, in the tests). The round itself
+// is an ordinary broadcast: it pairs with IBroadcastInto arrivals, and it is
+// priced, counted and fault-perturbed from the root's payload exactly as the
+// copying form. A solo cluster refuses a borrower, whose arguments state no
+// shape to price.
+//
 // # Nonblocking collectives
 //
 // IBroadcastInto, IReduceInto, IAllReduceInto and IReduceScatterInto issue

@@ -436,9 +436,10 @@ func (g *Group) move(r *round) (b, gathered int64) {
 			panic(fmt.Sprintf("dist: broadcast root %d passed a nil payload", rootRank(g, r.root)))
 		}
 		for _, d := range r.dsts {
-			if d == m {
-				// The root broadcasting into its own payload (the
-				// in-place idiom) needs no copy.
+			if d == nil || d == m {
+				// A member borrowing the payload (IBroadcastLend) and the
+				// root broadcasting into its own payload (the in-place
+				// idiom) need no copy.
 				continue
 			}
 			tensor.CopyInto(d, m)

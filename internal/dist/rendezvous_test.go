@@ -83,8 +83,8 @@ func mesh222(w *Worker) (row, col, depth, world *Group) {
 
 // abortSchedule is the op sequence the abort-anywhere test fails inside:
 // blocking and nonblocking collectives on all three mesh axes and the world
-// group, handles held across other operations and waited out of issue
-// order, and a Send/Recv exchange. The victim dies ahead of one of the ops.
+// group, a lending broadcast among them, handles held across other
+// operations and waited out of issue order, and a Send/Recv exchange. The victim dies ahead of one of the ops.
 func abortSchedule(w *Worker) []func() {
 	row, col, depth, world := mesh222(w)
 	r := w.Rank()
@@ -94,7 +94,11 @@ func abortSchedule(w *Worker) []func() {
 	if depth.Index(r) == 0 {
 		red = tensor.New(2, 4)
 	}
-	var hb, hr, hs Handle
+	var lend *tensor.Matrix // the depth group's second member lends, the first borrows
+	if depth.Index(r) == 1 {
+		lend = b
+	}
+	var hb, hr, hs, hl Handle
 	return []func(){
 		func() { row.AllReduceInto(w, a, a) },
 		func() { hb = col.IBroadcastInto(w, col.Ranks()[0], b, b) },
@@ -111,8 +115,10 @@ func abortSchedule(w *Worker) []func() {
 		},
 		func() { hr = row.IAllReduceInto(w, a, a) },
 		func() { hs = world.IReduceScatterInto(w, part, sum) },
+		func() { hl = depth.IBroadcastLend(w, depth.Ranks()[1], lend) },
 		func() { hs.Wait() },
 		func() { hr.Wait() },
+		func() { hl.Wait() },
 		func() { world.Barrier(w) },
 		func() { col.AllGatherInto(w, sum, tensor.New(2, 4)) },
 	}

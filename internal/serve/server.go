@@ -11,26 +11,32 @@ import (
 
 // Server is a vit.Session in inference mode on its own simulated cluster:
 // requests index the dataset's test split (round-robin), the batcher
-// coalesces them, and every forward slices a padded batch through the same
-// vit.DistModel path the trainer evaluates with — workspace-pooled, so
-// steady-state serving stays out of the allocator exactly like steady-state
-// training. The session owns the model, the optimiser, the TrainConfig
-// defaults and their validation, so the served weights are the trainer's.
+// coalesces them, and every forward runs each rank's block of a padded batch
+// through the same vit.DistModel path the trainer evaluates with —
+// workspace-pooled, so steady-state serving stays out of the allocator
+// exactly like steady-state training. The session owns the model, the
+// optimiser, the TrainConfig defaults and their validation, so the served
+// weights are the trainer's.
 type Server struct {
 	*vit.Session
 	cfg  Config
 	ds   *vit.Dataset
 	mcfg vit.ModelConfig
 
-	unit  int
-	xbuf  []*tensor.Matrix // per-rank [maxPadded·s, patchDim] batch assembly buffer
-	views [][]*tensor.Matrix
-	sync  []*clockSync
+	unit int
+	sync []*clockSync
 }
+
+// forwardOnly is implemented by families that run a Run of nothing but
+// forwards cheaper when told so (tesseract, and optimus through it): between
+// ForwardOnly(true) and the return of the enclosing Run no rank writes a
+// parameter. Serve is such a Run; Session.EvalLogits, the oracle served
+// logits are compared with, deliberately is not.
+type forwardOnly interface{ ForwardOnly(on bool) }
 
 // NewServer builds the session (per-rank models drawn from ModelConfig.Seed,
 // so every rank and every independently built reference shard the same
-// weights) and preallocates the serving buffers. tc configures TrainSteps;
+// weights) and the per-rank clock agreement. tc configures TrainSteps;
 // a train batch the layout cannot use is TrainSteps' error, not NewServer's.
 func NewServer(l parallel.Layout, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig, cfg Config) (*Server, error) {
 	cfg, err := cfg.WithDefaults()
@@ -44,22 +50,12 @@ func NewServer(l parallel.Layout, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.
 	if err != nil {
 		return nil, err
 	}
-	world := sess.Layout().Ranks
-	unit := sess.Layout().RowShards()
 	s := &Server{
 		Session: sess, cfg: cfg, ds: ds, mcfg: mcfg,
-		unit:  unit,
-		xbuf:  make([]*tensor.Matrix, world),
-		views: make([][]*tensor.Matrix, world),
-		sync:  make([]*clockSync, world),
+		unit: sess.Layout().RowShards(),
+		sync: make([]*clockSync, sess.Layout().Ranks),
 	}
-	maxPadded := (cfg.MaxBatch + unit - 1) / unit * unit
-	for r := range s.xbuf {
-		s.xbuf[r] = tensor.New(maxPadded*mcfg.SeqLen, mcfg.PatchDim)
-		for k := 1; k <= maxPadded/unit; k++ {
-			rows := k * unit * mcfg.SeqLen
-			s.views[r] = append(s.views[r], tensor.FromSlice(rows, mcfg.PatchDim, s.xbuf[r].Data[:rows*mcfg.PatchDim]))
-		}
+	for r := range s.sync {
 		s.sync[r] = newClockSync(s.Cluster())
 	}
 	return s, nil
@@ -110,7 +106,9 @@ func (cs *clockSync) now(w *dist.Worker) float64 {
 // model, and returns the full latency report. Request i is served the test
 // sample i mod len(Test); ragged batches are padded up to the family's row
 // divisibility unit by repeating the batch's first sample — exactly the
-// trainer's eval-tail treatment — and padding rows are discarded.
+// trainer's eval-tail treatment — and padding rows are discarded. Each rank
+// assembles only the block of the padded batch its family's Slice says it
+// holds. The whole trace is one forward-only Run (see forwardOnly).
 func (s *Server) Serve(a ArrivalConfig) (*Report, error) {
 	arrivals, err := a.Times()
 	if err != nil {
@@ -129,18 +127,24 @@ func (s *Server) Serve(a ArrivalConfig) (*Report, error) {
 	err = s.Cluster().Run(func(w *dist.Worker) error {
 		r := w.Rank()
 		model, sync, seq := s.Model(r), s.sync[r], s.mcfg.SeqLen
+		if f, ok := model.F.(forwardOnly); ok {
+			f.ForwardOnly(true)
+			defer f.ForwardOnly(false)
+		}
 		prev := sync.now(w)
 		tr := runTrace(s.cfg, arrivals, func(ids []int) (int, float64) {
 			padded := (len(ids) + s.unit - 1) / s.unit * s.unit
-			x := s.views[r][padded/s.unit-1]
-			for j := 0; j < padded; j++ {
+			sl := model.F.Slice(padded*seq, s.mcfg.PatchDim)
+			x := w.Workspace().GetUninitMatch(sl.Rows, sl.Cols, false)
+			for i := 0; i < sl.Rows; i++ {
+				j, tok := (sl.Row0+i)/seq, (sl.Row0+i)%seq
 				id := ids[0] // padding repeats the batch head's sample
 				if j < len(ids) {
 					id = ids[j]
 				}
-				x.SetSubMatrix(j*seq, 0, s.ds.Test[id%len(s.ds.Test)].Patches)
+				copy(x.Row(i), s.ds.Test[id%len(s.ds.Test)].Patches.Row(tok)[sl.Col0:sl.Col0+sl.Cols])
 			}
-			out := model.Forward(vit.DistributeBatch(model.F, x, seq))
+			out := model.Forward(x)
 			if r == 0 {
 				for j, id := range ids {
 					classes[id] = argmax(out.Row(j))

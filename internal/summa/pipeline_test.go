@@ -2,6 +2,7 @@ package summa
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
@@ -150,5 +151,59 @@ func TestPipelinedPhantomSameClockAndStats(t *testing.T) {
 	}
 	if hidden < 0 || hidden > total {
 		t.Fatalf("hidden comm %g outside [0, %g]", hidden, total)
+	}
+}
+
+// TestLentMulABMatchesCopyingBitwise: MulABEpi against every rank's packed
+// view of its own B block — the owner lends it down the column, nobody copies
+// or packs — produces the bits of the copying schedule, epilogue included, on
+// the same clocks, overlap account and traffic; across repeated calls with a
+// B that changes between them (repacked, as a forward-only scope repacks per
+// Run). Column widths off the strip width and depths either side of the
+// shallow panel go through the packed GEMM's edges.
+func TestLentMulABMatchesCopyingBitwise(t *testing.T) {
+	for _, sh := range pipelineShapes {
+		for _, dims := range [][3]int{{3, 4, 2}, {5, 33, 11}, {8, 16, 24}} {
+			s := mesh.Shape{Q: sh.q, D: sh.d}
+			run := func(lend bool) (*dist.Cluster, [][]*tensor.Matrix) {
+				out := make([][]*tensor.Matrix, s.Size())
+				c := runMesh(t, s, func(p *mesh.Proc) error {
+					ws := p.W.Workspace()
+					view := new(tensor.Matrix)
+					for step := 0; step < 3; step++ {
+						a := blockFor(p, dims[0], dims[1], uint64(step))
+						b := blockFor(p, dims[1], dims[2], uint64(step)+50)
+						epi := Epilogue{Bias: blockFor(p, 1, dims[2], uint64(step)+90), Act: ws.GetUninit(dims[0], dims[2])}
+						if lend {
+							tensor.PackNN(view, b)
+							b = view
+						}
+						pre := MulABEpi(p, a, b, epi)
+						out[p.W.Rank()] = append(out[p.W.Rank()], pre.Clone(), epi.Act.Clone())
+						// A lent block is read until the slowest column peer's
+						// last GEMM; only then may the next step's repack write it.
+						p.Col.Barrier(p.W)
+						ws.ReleaseAll()
+					}
+					return nil
+				})
+				return c, out
+			}
+			lc, lent := run(true)
+			cc, copied := run(false)
+			for r := range lent {
+				for i := range lent[r] {
+					if !lent[r][i].Equal(copied[r][i]) {
+						t.Fatalf("[%d,%d,%d] %v rank %d result %d: lending differs bitwise from copying", sh.q, sh.q, sh.d, dims, r, i)
+					}
+				}
+			}
+			lh, lt := lc.Overlap()
+			ch, ct := cc.Overlap()
+			if lc.MaxClock() != cc.MaxClock() || lh != ch || lt != ct || !reflect.DeepEqual(lc.Stats(), cc.Stats()) {
+				t.Fatalf("[%d,%d,%d] %v: lending moved the simulation: clock %g vs %g, overlap %g/%g vs %g/%g, stats %+v vs %+v",
+					sh.q, sh.q, sh.d, dims, lc.MaxClock(), cc.MaxClock(), lh, lt, ch, ct, lc.Stats(), cc.Stats())
+			}
+		}
 	}
 }

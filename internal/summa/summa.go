@@ -89,6 +89,9 @@ func MulABEpi(p *mesh.Proc, a, b *tensor.Matrix, epi Epilogue) *tensor.Matrix {
 		}
 		hA[cur].Wait()
 		hB[cur].Wait()
+		if bps[cur] == nil {
+			bps[cur] = hB[cur].Lent()
+		}
 		switch {
 		case t < p.Shape.Q-1 || (epi.Bias == nil && epi.Act == nil):
 			compute.MatMulInto(p.W, c, aps[cur], bps[cur])
@@ -229,8 +232,18 @@ func prefetchRowPanel(p *mesh.Proc, t int, a, panel *tensor.Matrix) (dist.Handle
 }
 
 // prefetchColPanel is prefetchRowPanel for B panels down the grid column
-// (owner at grid row t of this column).
+// (owner at grid row t of this column). A b that comes packed (tensor.PackNN)
+// is a weight block its caller vouches nobody writes before the Run ends —
+// every rank of the column passes its own block that way or none does — so
+// the owner lends it and the others multiply against it where it lies: the
+// returned buffer is nil and the panel is the handle's Lent once waited.
 func prefetchColPanel(p *mesh.Proc, t int, b, panel *tensor.Matrix) (dist.Handle, *tensor.Matrix) {
+	if b.Packed() {
+		if p.I != t {
+			b = nil
+		}
+		return p.Col.IBroadcastLend(p.W, p.ColRank(t), b), nil
+	}
 	if p.I == t {
 		return p.Col.IBroadcastInto(p.W, p.ColRank(t), b, b), b
 	}

@@ -19,7 +19,9 @@ import "runtime"
 //     panel on the stack (pack.go) that stays cache-resident while the
 //     band's row tiles stream past it: a row copy for B, a gather of
 //     gemmNR rows for Bᵀ. C = A·Bᵀ overwrites, so its first k block starts
-//     the accumulators from zero instead of reading C;
+//     the accumulators from zero instead of reading C. A B that arrives
+//     already packed (PackNN's view, NN only) is read strip by strip where
+//     it lies, at full depth, with no panel at all;
 //   - ragged edges (rows%gemmMR, cols%gemmNR) run the same kernel on a
 //     full-size stack tile and copy the valid corner back;
 //   - row-band parallelism over the rows of C through the persistent worker
@@ -85,6 +87,9 @@ func bandRange(rows, band, bands int) (int, int) {
 // gemm runs one GEMM of the given orientation over all rows of C, banded
 // through the pool, applying the epilogue to each band as it finishes.
 func gemm(op gemmOp, c, a, b *Matrix, epi epilogue) {
+	if c.packed || a.packed || (b.packed && op != opNN) {
+		panic("tensor: a packed matrix (PackNN) is only the right operand of C += A·B")
+	}
 	t := gemmTask{op: op, c: c, a: a, b: b, epi: epi}
 	runGEMM(&t, c.Rows, gemmBands(GEMMFlops(float64(c.Rows), float64(c.Cols), float64(t.depth())), c.Rows))
 }
@@ -102,6 +107,10 @@ func (t *gemmTask) depth() int {
 // costs more than the whole product of the Hidden-16 models, so products no
 // deeper than gemmKCShallow take a panel of that depth instead.
 func gemmRows(t *gemmTask, i0, i1 int) {
+	if t.b.packed {
+		gemmRowsPanel(t, i0, i1, nil) // B came packed (PackNN): no panel to fill
+		return
+	}
 	if t.depth() <= gemmKCShallow {
 		var panel [gemmKCShallow * gemmNR]float64
 		gemmRowsPanel(t, i0, i1, panel[:])
@@ -122,10 +131,16 @@ func gemmRowsDeep(t *gemmTask, i0, i1 int) {
 
 // gemmRowsPanel is the loop nest: k blocks of the panel's depth outermost,
 // then gemmNR-column strips of B packed once per block, then the band's row
-// tiles against the packed strip.
+// tiles against the packed strip. A nil panel means B came packed: one k
+// block of the whole depth, each strip read where PackNN left it.
 func gemmRowsPanel(t *gemmTask, i0, i1 int, panel []float64) {
 	c, a, b := t.c, t.a, t.b
 	n, k := c.Cols, t.depth()
+	kb := len(panel) / gemmNR
+	var strips []float64
+	if panel == nil {
+		kb, strips = k, b.Data
+	}
 	ars, aks := a.Cols, 1
 	if t.op == opTN {
 		ars, aks = 1, a.Cols
@@ -134,14 +149,17 @@ func gemmRowsPanel(t *gemmTask, i0, i1 int, panel []float64) {
 		clear(c.Data[i0*n : i1*n])
 	}
 	var edge [gemmMR * gemmNR]float64
-	for k0 := 0; k0 < k; k0 += len(panel) / gemmNR {
-		kc := min(len(panel)/gemmNR, k-k0)
+	for k0 := 0; k0 < k; k0 += kb {
+		kc := min(kb, k-k0)
 		zero := t.op == opNT && k0 == 0
 		for j0 := 0; j0 < n; j0 += gemmNR {
 			nr := min(gemmNR, n-j0)
-			if t.op == opNT {
+			switch {
+			case strips != nil:
+				panel = strips[j0*k : (j0+gemmNR)*k]
+			case t.op == opNT:
 				packCols(panel, b.Data[j0*k+k0:], k, nr, kc)
-			} else {
+			default:
 				packRows(panel, b.Data[k0*n+j0:], n, nr, kc)
 			}
 			for i := i0; i < i1; i += gemmMR {

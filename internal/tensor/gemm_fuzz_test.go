@@ -45,6 +45,8 @@ func sprinkle(m *Matrix, mask uint8, rng *RNG) {
 // equals the naive kernel followed by the separate bias and GELU passes, bit
 // for bit — once on the micro-kernel the CPU selected and once with tileAsm
 // cleared, so the portable twin runs through the same loop nest on amd64 too.
+// An NN product runs a second time against PackNN's view of B, packed under
+// the same binding: the pre-packed operand must not move a bit either.
 func FuzzGEMMBitwise(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint64(1))     // full tiles, shallow panel
 	f.Add(uint8(4), uint8(8), uint8(12), uint8(1), uint8(1), uint8(2), uint8(1), uint64(2))    // ragged NT across the deep panel, NaN
@@ -86,13 +88,21 @@ func FuzzGEMMBitwise(f *testing.F) {
 		defer func(asm bool) { tileAsm = asm }(tileAsm)
 		for _, asm := range []bool{tileAsm, false} {
 			tileAsm = asm
-			got := seedC.Clone()
-			runGEMM(&gemmTask{op: op, c: got, a: a, b: b, epi: epi}, m, bands)
-			if !sameBits(got, want) {
-				t.Fatalf("op %d %dx%dx%d bands %d asm %v: C diverges from naive", op, m, k, n, bands, asm)
+			rights := []*Matrix{b}
+			if op == opNN {
+				packed := new(Matrix)
+				PackNN(packed, b)
+				rights = append(rights, packed)
 			}
-			if epi.act != nil && !sameBits(epi.act, wantAct) {
-				t.Fatalf("op %d %dx%dx%d bands %d asm %v: fused GELU diverges", op, m, k, n, bands, asm)
+			for _, b := range rights {
+				got := seedC.Clone()
+				runGEMM(&gemmTask{op: op, c: got, a: a, b: b, epi: epi}, m, bands)
+				if !sameBits(got, want) {
+					t.Fatalf("op %d %dx%dx%d bands %d asm %v packed %v: C diverges from naive", op, m, k, n, bands, asm, b.Packed())
+				}
+				if epi.act != nil && !sameBits(epi.act, wantAct) {
+					t.Fatalf("op %d %dx%dx%d bands %d asm %v packed %v: fused GELU diverges", op, m, k, n, bands, asm, b.Packed())
+				}
 			}
 		}
 	})

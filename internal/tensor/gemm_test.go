@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // The GEMM contract: at every shape — odd sizes, degenerate slivers, sizes
@@ -299,5 +300,56 @@ func TestGEMMIntoAllocatesNothing(t *testing.T) {
 				t.Errorf("%s %dx%dx%d: %v allocations per run, want 0", name, s.m, s.k, s.n, allocs)
 			}
 		}
+	}
+}
+
+// TestPackNNTracksItsSource: repacking reuses the buffer, a pack taken before
+// the source changed multiplies against the old values and a repack against
+// the new ones — the property a forward-only scope's per-Run refill rests
+// on — and a packed matrix is refused everywhere its strip-ordered Data would
+// be read as rows. The header stays one 64-byte size class.
+func TestPackNNTracksItsSource(t *testing.T) {
+	if size := unsafe.Sizeof(Matrix{}); size != 64 {
+		t.Fatalf("Matrix is %d bytes, want 64", size)
+	}
+	rng := NewRNG(9)
+	a, b := RandomMatrix(5, 33, rng), RandomMatrix(33, 11, rng)
+	var view Matrix
+	PackNN(&view, b)
+	if !view.Packed() || b.Packed() || view.Rows != 33 || view.Cols != 11 {
+		t.Fatal("PackNN did not make a packed 33x11")
+	}
+	buf := &view.Data[0]
+	b.Data[7] += 1
+	stale, want := New(5, 11), New(5, 11)
+	MatMulInto(stale, a, &view)
+	matMulAccumNaive(want, a, b)
+	if stale.Equal(want) {
+		t.Fatal("a pack taken before its source changed multiplied against the new values: the test cannot see staleness")
+	}
+	PackNN(&view, b)
+	if &view.Data[0] != buf {
+		t.Fatal("repacking a same-shaped source reallocated the buffer")
+	}
+	got := New(5, 11)
+	MatMulInto(got, a, &view)
+	if !got.Equal(want) {
+		t.Fatal("product against the repacked operand differs from the naive kernel")
+	}
+	for name, misuse := range map[string]func(){
+		"PackNN of a phantom":      func() { PackNN(new(Matrix), NewPhantom(4, 4)) },
+		"PackNN of a pack":         func() { PackNN(new(Matrix), &view) },
+		"CopyInto from a pack":     func() { CopyInto(New(33, 11), &view) },
+		"a pack as the NT operand": func() { MatMulNTInto(New(5, 33), RandomMatrix(5, 11, rng), &view) },
+		"a pack as the left side":  func() { MatMulInto(New(33, 4), &view, New(11, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			misuse()
+		}()
 	}
 }

@@ -34,10 +34,14 @@ type Matrix struct {
 	// checked out of (nil otherwise), wsIdx its slot in that pool's
 	// checked-out list, bucket its home free list, and borrows the number
 	// of in-flight nonblocking collectives currently reading or writing it
-	// (see Workspace.Borrow).
+	// (see Workspace.Borrow). packed marks what PackNN made (pack.go): the
+	// one kind of Matrix whose Data is not row-major. The struct is 64
+	// bytes, one allocator size class and one cache line; a phantom replay
+	// allocates headers by the thousand, so a field added here is paid there.
 	ws      *Workspace
 	wsIdx   int32
-	borrows int32
+	borrows int16
+	packed  bool
 	bucket  *wsBucket
 }
 
@@ -141,6 +145,9 @@ func CopyInto(dst, src *Matrix) {
 	}
 	if dst == src {
 		return
+	}
+	if dst.packed || src.packed {
+		panic("tensor: CopyInto of a packed GEMM operand (PackNN), whose Data is not row-major")
 	}
 	if (dst.Data == nil) != (src.Data == nil) {
 		panic(fmt.Sprintf("tensor: CopyInto phantomness mismatch (dst phantom=%v, src phantom=%v)", dst.Data == nil, src.Data == nil))

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // Strip packing. The tile kernel reads B as a contiguous [kc][gemmNR] panel:
 // one 64-byte row per k step, so a strip's whole k block sits in a few KB of
 // L1 however wide B is (read in place, a gemmNR-column strip of a row-major
@@ -18,6 +20,40 @@ package tensor
 // computes all gemmNR lanes, and the lanes past the strip — whatever the
 // panel held there — land in the part of the edge tile that is never copied
 // back to C.
+//
+// A right operand that does not change between products — a served model's
+// weight block — can be packed once instead of once per product: PackNN lays
+// the whole matrix out as the strips packRows would produce, each strip at
+// full depth, and the NN loop nest reads a strip where it lies instead of
+// filling a stack panel. The operands the tile kernel sees are the same
+// values in the same order, so the product is the same bits.
+
+// PackNN makes view the packed form of b for the right-operand slot of
+// C += A·B: b's shape, and in Data b's elements laid out as ⌈Cols/gemmNR⌉
+// strips of [Rows][gemmNR] (the last one padded), which the NN kernel
+// multiplies against in place of packing b again. view's Data is reused when
+// it is large enough. A packed matrix is good for exactly two things — that
+// operand slot, and lending as a broadcast payload (its shape prices it) —
+// and CopyInto and the other GEMM slots refuse it; nothing else looks. It
+// goes stale the moment b is written: whoever packs owns the argument that
+// nobody writes b while the packed form is in use. b must be real.
+func PackNN(view, b *Matrix) {
+	if b.Phantom() || b.packed {
+		panic(fmt.Sprintf("tensor: PackNN of a phantom or already packed %dx%d matrix", b.Rows, b.Cols))
+	}
+	k, n := b.Rows, b.Cols
+	need := (n + gemmNR - 1) / gemmNR * gemmNR * k
+	if cap(view.Data) < need {
+		view.Data = make([]float64, need)
+	}
+	view.Rows, view.Cols, view.Data, view.packed = k, n, view.Data[:need], true
+	for j0 := 0; j0 < n && k > 0; j0 += gemmNR {
+		packRows(view.Data[j0*k:], b.Data[j0:], n, min(gemmNR, n-j0), k)
+	}
+}
+
+// Packed reports whether m was made by PackNN.
+func (m *Matrix) Packed() bool { return m.packed }
 
 // packRowsGeneric fills panel[l·gemmNR+j] = b[l·ldb+j] for l < kc, j < nr. It
 // is the portable twin of packRows, which on amd64 hands full-width strips

@@ -175,6 +175,9 @@ func (f *Family) GatherPooled(local *tensor.Matrix) *tensor.Matrix {
 // DrainGradients completes the queued §3.1 depth all-reduces.
 func (f *Family) DrainGradients() { f.p.DrainGradients() }
 
+// ForwardOnly opens or closes the rank's forward-only scope (Proc.ForwardOnly).
+func (f *Family) ForwardOnly(on bool) { f.p.ForwardOnly(on) }
+
 // EndStep recycles the rank's workspace at the step boundary.
 func (f *Family) EndStep() { f.p.W.Workspace().ReleaseAll() }
 

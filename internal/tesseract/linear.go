@@ -111,7 +111,7 @@ func (l *Linear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 	if l.Act == nn.ActGELU {
 		epi.Act = ws.GetUninitMatch(x.Rows, outCols, ph)
 	}
-	y := p.MatMulABEpi(x, l.W.Value, epi)
+	y := p.MatMulABEpi(x, p.rightOperand(l.W.Value), epi)
 	if biasScratch != nil {
 		ws.Put(biasScratch)
 	}

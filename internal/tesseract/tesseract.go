@@ -35,6 +35,59 @@ type Proc struct {
 	// shard, issued the moment the shard's gradient is ready) until
 	// DrainGradients waits them and folds the results into the parameters.
 	pending []pendingGrad
+
+	// forwardOnly is set for the length of a Run that only runs forwards
+	// (ForwardOnly); packs holds, per weight block this rank owns, the
+	// packed view it lends down its column inside such a Run.
+	forwardOnly bool
+	packs       map[*tensor.Matrix]*pack
+}
+
+// pack is one weight block's strip-packed view and whether it was filled in
+// the current forward-only Run.
+type pack struct {
+	view  tensor.Matrix
+	fresh bool
+}
+
+// ForwardOnly opens (on) or closes a forward-only scope on this rank. The
+// caller promises that between opening it and the return of the cluster Run
+// it was opened in, no rank of the mesh writes a parameter: the Run runs
+// forwards and nothing else. Inside the scope a linear's weight panels are
+// not copied down the column and packed again by every receiver on every
+// batch: each rank packs its own block once (tensor.PackNN), on first use in
+// this scope — so whatever trained, re-sharded or restored the weights since
+// the previous scope is picked up, with no version to keep — and the column
+// multiplies against the owner's packed block where it lies (summa's lending
+// prefetch). Every simulated second, message and byte is the copying
+// schedule's. Training must stay outside: an owner's optimiser step is not
+// ordered after a column peer's last backward GEMM.
+func (p *Proc) ForwardOnly(on bool) {
+	p.forwardOnly = on
+	for _, pk := range p.packs {
+		pk.fresh = false
+	}
+}
+
+// rightOperand returns the form of weight block w a forward multiplies
+// against: w itself, or inside a forward-only scope its packed view.
+func (p *Proc) rightOperand(w *tensor.Matrix) *tensor.Matrix {
+	if !p.forwardOnly || w.Phantom() {
+		return w
+	}
+	pk := p.packs[w]
+	if pk == nil {
+		if p.packs == nil {
+			p.packs = make(map[*tensor.Matrix]*pack)
+		}
+		pk = new(pack)
+		p.packs[w] = pk
+	}
+	if !pk.fresh {
+		tensor.PackNN(&pk.view, w)
+		pk.fresh = true
+	}
+	return &pk.view
 }
 
 // pendingGrad is one queued gradient synchronisation: wait h, accumulate
