@@ -183,7 +183,8 @@ func planLayout(budget, batch int, mcfg vit.ModelConfig) (parallel.Layout, []str
 	}
 	best, skipped := pickTrainable(plans, batch, mcfg)
 	if skipped == len(plans) {
-		return parallel.Layout{}, nil, fmt.Errorf("no searched layout can train this model (batch/patch-dim divisibility)")
+		return parallel.Layout{}, nil, fmt.Errorf("no searched layout can train this model; the best-ranked, %s: %v",
+			plans[0], vit.TrainableErr(plans[0].Layout(), batch, mcfg))
 	}
 	var notes []string
 	if skipped > 0 {

@@ -24,8 +24,9 @@ func vitTrain(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // TestMisuseIsOneLineBeforeTraining: flag values the model or the layout
 // cannot honour exit 1 with a single actionable line on stderr and nothing
 // on stdout, in every mode — these used to reach a divide by zero, an nn
-// constructor panic, a NaN curve declared a success, or an error printed
-// only after the serial baseline had trained.
+// constructor panic, an index out of range in the Adam kernel after the CSV
+// header, a model with no blocks, a NaN curve declared a success, or an error
+// printed only after the serial baseline had trained.
 func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 	misuses := []struct {
 		name string
@@ -34,6 +35,11 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 	}{
 		{"no heads", []string{"-heads", "0"}, "heads"},
 		{"hidden not divisible by heads", []string{"-hidden", "66", "-heads", "4"}, "66"},
+		// -plan refuses non-positive workload dimensions in plan's own line.
+		{"no hidden width", []string{"-hidden", "0"}, "hidden"},
+		{"negative hidden width", []string{"-hidden", "-4"}, "hidden"},
+		{"no classes", []string{"-classes", "0"}, "class count 0"},
+		{"negative layers", []string{"-layers", "-1"}, "layer"},
 		{"batch larger than the dataset", []string{"-batch", "64"}, "-batch 64"},
 		{"layout without ranks", []string{"-family", "megatron", "-ranks", "0"}, "rank count"},
 		{"NaN lr", []string{"-lr", "NaN"}, "learning rate NaN"},

@@ -48,10 +48,10 @@ func PlanAlgo() plan.Algo {
 // charges it with), weights split 1-D across the tensor-parallel group.
 // Distribute, Collect, Slice and GatherPooled are therefore identities —
 // replication is this family's distribution — and the Transformer block is
-// the shared parallel.Block composition over this package's column/row
-// linears and attention, with parallel.ReplicatedLayerNorm for the
-// un-sharded layer norms. Package seqpar embeds it under the RowSharded
-// bracket and overrides the distribution half.
+// the shared parallel.Block over this package's column/row linear pairs,
+// with parallel.ReplicatedLayerNorm for the un-sharded layer norms. Package
+// seqpar embeds it under the RowSharded bracket and overrides the
+// distribution half.
 type Family struct {
 	p      *Proc
 	layout parallel.Layout
@@ -89,16 +89,49 @@ func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tenso
 	return parallel.NewReplicatedLinearAt(f.p.W, f.layout.Base, in, out, act, bias, rng)
 }
 
+// Shards returns p: weights split their columns, and attention its heads,
+// over the whole group.
+func (f *Family) Shards() int { return f.p.P }
+
+// NewLinearPair shards a sub-module's two weights as a column-parallel
+// linear feeding a row-parallel one, so the wide activation between them
+// never leaves the rank. Behind a GELU the row layer knows its source:
+// RowSharded, it recycles the GELU output after its forward GEMM and
+// recomputes it from the column layer's saved pre-activation for the weight
+// gradient, halving the MLP's retained activations.
+func (f *Family) NewLinearPair(in, out parallel.Weight, act nn.Activation) (parallel.Layer, parallel.Layer) {
+	col, row := newCol(f.p, in, act, true), newRow(f.p, out, true)
+	if act == nn.ActGELU {
+		row.src = col
+	}
+	return col, row
+}
+
+// Lifetime follows the bracket: Replicated, every intermediate rides to the
+// step boundary; RowSharded, each goes back the moment its last reader is
+// done.
+func (f *Family) Lifetime() parallel.Lifetime {
+	if f.p.bracket == RowSharded {
+		return parallel.Transient
+	}
+	return parallel.KeepAll
+}
+
 // NewBlock builds one 1-D parallel Transformer block under the family's
-// bracket, drawing parameters from rng in the serial order (attention
-// Wq..Wo, then MLP Fc1, Fc2).
+// bracket; a nil rng builds the shape-only one. The layer norms and residual
+// adds are row-local, so they run on whatever rows the bracket leaves on the
+// rank. Per layer and direction the Replicated block performs exactly two
+// all-reduces of the [b·s, h] activation — the volume 2β(p−1)·b·s·h/p §3.1
+// attributes to Megatron-LM; the RowSharded block moves the same bytes
+// forward as two all-gathers plus two reduce-scatters, and half again
+// backward for the re-gathers.
 func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	return newBlock(f.p, h, NewAttention(f.p, h, heads, seqLen, rng), NewMLP(f.p, h, rng))
+	return parallel.NewBlock(f, h, heads, seqLen, rng)
 }
 
 // NewBlockPhantom builds the shape-only block for paper-scale timing.
 func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	return newBlock(f.p, h, NewAttentionPhantom(f.p, h, heads, seqLen), NewMLPPhantom(f.p, h))
+	return f.NewBlock(h, heads, seqLen, nil)
 }
 
 // NewLayerNorm builds the replicated (un-sharded) layer norm.

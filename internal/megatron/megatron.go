@@ -3,9 +3,10 @@
 // baseline, and sequence parallelism (Korthikanti et al.), which is the
 // same weight sharding under a different activation bracket. Parameter
 // matrices are split along one dimension across all p processors of the
-// tensor-parallel group, and each Transformer sub-module pairs a
-// column-parallel linear with a row-parallel linear. What happens to the
-// activation between modules is the group view's Bracket:
+// tensor-parallel group, and each Transformer sub-module — the shared
+// parallel.Attention and parallel.MLP — runs over a column-parallel linear
+// paired with a row-parallel linear (Family.NewLinearPair). What happens to
+// the activation between modules is the group view's Bracket:
 //
 //   - Replicated (family "megatron"): every rank holds the full [b·s, h]
 //     activation — the memory cost Eq. 9 charges Megatron-LM with — and
@@ -19,9 +20,10 @@
 //     1/p activation footprint comes from.
 //
 // The bracket is read at four seams — ColLinear.Forward/Backward and
-// RowLinear.Forward/Backward — plus the lifetime decisions in Attention and
-// MLP; a further bracket (folded tensor+sequence parallelism, say) is one
-// more case at those seams, not another set of layers.
+// RowLinear.Forward/Backward — plus Family.Lifetime, which tells the shared
+// modules when their intermediates go back; a further bracket (folded
+// tensor+sequence parallelism, say) is one more case at those seams, not
+// another set of layers.
 //
 // Simulated clocks are float sums and bench/baseline.json pins them
 // bit-exactly, so the order in which each bracket charges its GEMMs, bias
@@ -35,6 +37,7 @@ import (
 	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -123,34 +126,30 @@ type ColLinear struct {
 	W       *nn.Param // [In, Out/p]
 	B       *nn.Param // [1, Out/p]
 
+	p   *Proc
 	x   *tensor.Matrix
 	pre *tensor.Matrix
 }
 
 // NewColLinear draws the full Xavier weight from rng (same stream as
-// nn.NewLinear) and keeps the local column block.
+// nn.NewLinear) and keeps the local column block; a nil rng builds the
+// shape-only layer of a timing run.
 func NewColLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ColLinear {
-	full := tensor.XavierMatrix(in, out, rng)
-	return newColFromGlobal(p, full, act, bias)
+	return newCol(p, parallel.Draw(in, out, rng), act, bias)
 }
 
-func newColFromGlobal(p *Proc, full *tensor.Matrix, act nn.Activation, bias bool) *ColLinear {
+func newCol(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *ColLinear {
 	in, out := full.Rows, full.Cols
 	if out%p.P != 0 {
 		panic(fmt.Sprintf("megatron: output %d not divisible by p=%d", out, p.P))
 	}
 	bc := out / p.P
-	l := &ColLinear{In: in, Out: out, Act: act}
-	l.W = nn.NewParam("megatron.col.w", full.SubMatrix(0, p.Rank*bc, in, bc))
+	l := &ColLinear{In: in, Out: out, Act: act, p: p}
+	l.W = nn.NewParam("megatron.col.w", full.Block(0, p.Rank*bc, in, bc))
 	if bias {
-		l.B = nn.NewParam("megatron.col.b", zerosMaybePhantom(1, bc, full.Phantom()))
+		l.B = nn.NewParam("megatron.col.b", full.Zeros(1, bc))
 	}
 	return l
-}
-
-// NewColLinearPhantom builds the shape-only variant.
-func NewColLinearPhantom(p *Proc, in, out int, act nn.Activation, bias bool) *ColLinear {
-	return newColFromGlobal(p, tensor.NewPhantom(in, out), act, bias)
 }
 
 // Params returns the local shards.
@@ -165,7 +164,8 @@ func (l *ColLinear) Params() []*nn.Param {
 // the bias add and optional GELU fused into the GEMM write-back. The
 // result is a workspace buffer; the GELU pre-activation is retained for
 // Backward.
-func (l *ColLinear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
+func (l *ColLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	l.x = x
 	ws := p.W.Workspace()
 	ph := x.Phantom() || l.W.Value.Phantom()
@@ -199,7 +199,8 @@ func (l *ColLinear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 // activation recomputes the GELU output from the saved pre-activation —
 // one element-wise pass, bitwise identical to the fused forward epilogue —
 // into a workspace buffer owned by the caller.
-func (l *ColLinear) activation(p *Proc) *tensor.Matrix {
+func (l *ColLinear) activation() *tensor.Matrix {
+	p := l.p
 	act := p.W.Workspace().GetUninitMatch(l.pre.Rows, l.pre.Cols, l.pre.Phantom())
 	compute.GELUTo(p.W, act, l.pre)
 	return act
@@ -211,7 +212,8 @@ func (l *ColLinear) activation(p *Proc) *tensor.Matrix {
 // RowSharded regime dy belongs to the layer for the duration of the call —
 // the GELU gradient overwrites it in place — and the saved pre-activation
 // is recycled as soon as that pass has read it.
-func (l *ColLinear) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
+func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	ws := p.W.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
 	sharded := p.bracket == RowSharded
@@ -271,33 +273,28 @@ type RowLinear struct {
 	// pre-activation for the weight gradient.
 	src *ColLinear
 
+	p *Proc
 	x *tensor.Matrix
 }
 
 // NewRowLinear draws the full Xavier weight from rng and keeps the local row
-// block.
+// block; a nil rng builds the shape-only layer.
 func NewRowLinear(p *Proc, in, out int, bias bool, rng *tensor.RNG) *RowLinear {
-	full := tensor.XavierMatrix(in, out, rng)
-	return newRowFromGlobal(p, full, bias)
+	return newRow(p, parallel.Draw(in, out, rng), bias)
 }
 
-func newRowFromGlobal(p *Proc, full *tensor.Matrix, bias bool) *RowLinear {
+func newRow(p *Proc, full parallel.Weight, bias bool) *RowLinear {
 	in, out := full.Rows, full.Cols
 	if in%p.P != 0 {
 		panic(fmt.Sprintf("megatron: input %d not divisible by p=%d", in, p.P))
 	}
 	br := in / p.P
-	l := &RowLinear{In: in, Out: out}
-	l.W = nn.NewParam("megatron.row.w", full.SubMatrix(p.Rank*br, 0, br, out))
+	l := &RowLinear{In: in, Out: out, p: p}
+	l.W = nn.NewParam("megatron.row.w", full.Block(p.Rank*br, 0, br, out))
 	if bias {
-		l.B = nn.NewParam("megatron.row.b", zerosMaybePhantom(1, out, full.Phantom()))
+		l.B = nn.NewParam("megatron.row.b", full.Zeros(1, out))
 	}
 	return l
-}
-
-// NewRowLinearPhantom builds the shape-only variant.
-func NewRowLinearPhantom(p *Proc, in, out int, bias bool) *RowLinear {
-	return newRowFromGlobal(p, tensor.NewPhantom(in, out), bias)
 }
 
 // Params returns the local shards.
@@ -312,7 +309,8 @@ func (l *RowLinear) Params() []*nn.Param {
 // sums the partial products across the group — in place, or down to the
 // local rows — and adds the bias to the sum. The output is a workspace
 // buffer.
-func (l *RowLinear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
+func (l *RowLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	l.x = x
 	ws := p.W.Workspace()
 	ph := x.Phantom() || l.W.Value.Phantom()
@@ -342,7 +340,8 @@ func (l *RowLinear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 // output gradient is transient, the bias sums run over the full rows (so
 // they are identical on all ranks) and the saved input is recycled once
 // the weight gradient has read it.
-func (l *RowLinear) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
+func (l *RowLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	ws := p.W.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
 	sharded := p.bracket == RowSharded
@@ -351,7 +350,7 @@ func (l *RowLinear) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 		dy = p.Gather(dy)
 		p.accumColSums(l.B, dy, ph)
 		if x == nil {
-			x = l.src.activation(p)
+			x = l.src.activation()
 		}
 	}
 	p.accumTN(l.W, x, dy, ph)
@@ -367,11 +366,4 @@ func (l *RowLinear) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 		ws.Put(dy)
 	}
 	return dx
-}
-
-func zerosMaybePhantom(rows, cols int, phantom bool) *tensor.Matrix {
-	if phantom {
-		return tensor.NewPhantom(rows, cols)
-	}
-	return tensor.New(rows, cols)
 }

@@ -95,9 +95,9 @@ func TestColLinearMatchesSerial(t *testing.T) {
 		gbs := testutil.NewCollector()
 		runTP(t, tp, b, func(mp *Proc) error {
 			l := NewColLinear(mp, in, out, nn.ActGELU, true, tensor.NewRNG(9))
-			y := l.Forward(mp, local(mp, x))
+			y := l.Forward(local(mp, x))
 			ys.Put(mp.W.Rank(), hcat(mp, y))
-			dx := l.Backward(mp, colBlock(mp, dy))
+			dx := l.Backward(colBlock(mp, dy))
 			dxs.Put(mp.W.Rank(), global(mp, dx))
 			gws.Put(mp.W.Rank(), hcat(mp, l.W.Grad))
 			gbs.Put(mp.W.Rank(), hcat(mp, l.B.Grad))
@@ -128,9 +128,9 @@ func TestRowLinearMatchesSerial(t *testing.T) {
 		gbs := testutil.NewCollector()
 		runTP(t, tp, b, func(mp *Proc) error {
 			l := NewRowLinear(mp, in, out, true, tensor.NewRNG(11))
-			y := l.Forward(mp, colBlock(mp, x))
+			y := l.Forward(colBlock(mp, x))
 			ys.Put(mp.W.Rank(), global(mp, y))
-			dx := l.Backward(mp, local(mp, dy))
+			dx := l.Backward(local(mp, dy))
 			dxs.Put(mp.W.Rank(), hcat(mp, dx))
 			gbs.Put(mp.W.Rank(), l.B.Grad)
 			return nil
@@ -180,14 +180,14 @@ func moduleMatchesSerial(t *testing.T, rows, h int, seed uint64, tol float64, re
 func TestMLPMatchesSerial(t *testing.T) {
 	const h, rows = 8, 8
 	moduleMatchesSerial(t, rows, h, 3, 1e-9, nn.NewMLP(h, tensor.NewRNG(13)), func(mp *Proc) parallel.Layer {
-		return bound{p: mp, m: NewMLP(mp, h, tensor.NewRNG(13))}
+		return parallel.NewMLP(family(mp), h, tensor.NewRNG(13))
 	})
 }
 
 func TestAttentionMatchesSerial(t *testing.T) {
 	const h, heads, seqLen, rows = 8, 4, 2, 8
 	moduleMatchesSerial(t, rows, h, 4, 1e-9, nn.NewMultiHeadAttention(h, heads, seqLen, tensor.NewRNG(17)), func(mp *Proc) parallel.Layer {
-		return bound{p: mp, m: NewAttention(mp, h, heads, seqLen, tensor.NewRNG(17))}
+		return parallel.NewAttention(family(mp), h, heads, seqLen, tensor.NewRNG(17))
 	})
 }
 

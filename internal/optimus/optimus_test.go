@@ -89,13 +89,14 @@ func TestMLPMatchesSerial(t *testing.T) {
 	ys := testutil.NewCollector()
 	dxs := testutil.NewCollector()
 	testutil.Run(t, 4, func(w *dist.Worker) error {
-		// Optimus' feed-forward module is Tesseract's on the depth-1 mesh.
-		p := tesseract.NewProc(w, 2, 1)
-		m := tesseract.NewMLP(p, h, tensor.NewRNG(37))
-		y := m.Forward(p, p.DistributeA(x))
-		dx := m.Backward(p, p.DistributeA(dy))
-		ys.Put(w.Rank(), p.CollectA(y))
-		dxs.Put(w.Rank(), p.CollectA(dx))
+		// Optimus' feed-forward module is the shared one over Tesseract's
+		// linears on the depth-1 mesh.
+		f := NewFamily(w, 2)
+		m := parallel.NewMLP(f, h, tensor.NewRNG(37))
+		y := m.Forward(f.Distribute(x))
+		dx := m.Backward(f.Distribute(dy))
+		ys.Put(w.Rank(), f.Collect(y))
+		dxs.Put(w.Rank(), f.Collect(dx))
 		return nil
 	})
 	testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)

@@ -11,8 +11,8 @@ import (
 // z = LN₂(y + MLP(y)) with y = LN₁(x + Attn(x)), the paper's
 // residual-plus-layer-norm structure. Residual adds are local in every
 // family — Tesseract adds local blocks (§3.2.2), Megatron adds replicated
-// activations — so one composition serves all of them; only the four
-// sub-layers differ.
+// activations — so one composition serves all of them; only the linears
+// and the layer norms differ (Linears).
 //
 // The residual sums are transient workspace scratch (the layer norms of
 // every family do not retain their inputs), while the sub-layer
@@ -25,24 +25,31 @@ type Block struct {
 	// H is the full hidden width.
 	H int
 
-	// Attn, Ln1, Mlp, Ln2 are the family's sub-layers.
-	Attn, Ln1, Mlp, Ln2 Layer
+	Attn     *Attention
+	Mlp      *MLP
+	Ln1, Ln2 Layer // the family's layer norms
 
 	w *dist.Worker
 }
 
-// NewBlock composes a Transformer block from a family's sub-layers.
+// NewBlock builds a family's Transformer block, drawing parameters from rng
+// in the serial order (attention Wq..Wo, then MLP Fc1, Fc2 — identical to
+// nn.NewBlock, so the two produce identical numbers on identical seeds); a
+// nil rng builds the shape-only block of a timing run.
 //
-// Contract on ln1/ln2, stricter than the general Layer contract: their
-// Forward must NOT retain its input. The composition hands each layer
-// norm a transient residual buffer and recycles it the moment Forward
-// returns, so a norm that saves x (instead of derived statistics, as
+// Contract on the family's layer norms, stricter than the general Layer
+// contract: their Forward must NOT retain its input. The composition hands
+// each layer norm a transient residual buffer and recycles it the moment
+// Forward returns, so a norm that saves x (instead of derived statistics, as
 // nn.LayerNorm and tesseract.LayerNorm both do — they keep x̂ and 1/σ)
 // would see its saved activation overwritten before the backward pass.
-// And every sub-layer's Backward must return a buffer checked out of w's
-// workspace that it keeps no reference to: the composition Puts it.
-func NewBlock(w *dist.Worker, h int, attn, ln1, mlp, ln2 Layer) *Block {
-	return &Block{H: h, Attn: attn, Ln1: ln1, Mlp: mlp, Ln2: ln2, w: w}
+// And every sub-layer's Backward must return a buffer checked out of the
+// worker's workspace that it keeps no reference to: the composition Puts it.
+func NewBlock(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Block {
+	b := &Block{H: h, w: f.Worker()}
+	b.Attn, b.Ln1 = NewAttention(f, h, heads, seqLen, rng), f.NewLayerNorm(h)
+	b.Mlp, b.Ln2 = NewMLP(f, h, rng), f.NewLayerNorm(h)
+	return b
 }
 
 // Params returns the shards this rank owns, in the serial parameter order

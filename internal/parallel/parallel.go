@@ -1,15 +1,19 @@
 // Package parallel defines the family-agnostic model layer: one Family
 // interface that every tensor-parallel scheme in this repository —
-// Tesseract [q, q, d], Optimus [q, q] and Megatron-LM [p] — implements, so
-// models, trainers, the experiment harness and the auto-parallelism planner
-// are written once against the interface instead of once per scheme.
+// Tesseract [q, q, d], Optimus [q, q], Megatron-LM [p] and sequence
+// parallelism [p] — implements, so models, trainers, the experiment harness
+// and the auto-parallelism planner are written once against the interface
+// instead of once per scheme.
 //
-// The paper's point is that the three schemes are interchangeable layouts
-// of the same Transformer math; this package is that point as an API. A
-// Family knows how its activations are laid out (Distribute, Collect,
-// Slice, GatherPooled), how to build the distributed layers that operate on
-// that layout (NewLinear, NewBlock, NewLayerNorm, NewHead), and how a
-// training step finishes (DrainGradients, EndStep). Everything above —
+// The paper's point is that the schemes are interchangeable layouts of the
+// same Transformer math; this package is that point as an API, and as code:
+// the Transformer block, its attention and its MLP exist once, here (Block,
+// Attention, MLP), composed from the linears, the layer norm and the buffer
+// lifetimes a family contributes (Linears). A Family knows how its
+// activations are laid out (Distribute, Collect, Slice, GatherPooled), how
+// to build the distributed layers that operate on that layout (NewLinear,
+// NewBlock, NewLayerNorm, NewHead), and how a training step finishes
+// (DrainGradients, EndStep). Everything above —
 // vit.DistModel, vit.Session and the trainers, serving and tables runners
 // that drive it — only ever sees these contracts, which is what lets
 // plan.Plan.Instantiate turn a searched layout directly into a trainable
@@ -83,7 +87,7 @@ type Slice struct {
 // turned into families by name.
 type Family interface {
 	// Name returns the registered family name ("tesseract", "optimus",
-	// "megatron").
+	// "megatron", "seqpar").
 	Name() string
 	// Layout returns the normalized layout the family was built from.
 	Layout() Layout
@@ -91,7 +95,8 @@ type Family interface {
 	Worker() *dist.Worker
 	// RowShards returns how many ways activation rows are partitioned:
 	// d·q for Tesseract, q for Optimus, 1 for Megatron's replicated
-	// activations. Batches must contain a multiple of RowShards sequences.
+	// activations, p for sequence parallelism. Batches must contain a
+	// multiple of RowShards sequences.
 	RowShards() int
 
 	// NewLinear builds the family's fully connected layer (the ViT patch
@@ -100,9 +105,10 @@ type Family interface {
 	// shard the identical serial parameters.
 	NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) Layer
 	// NewBlock builds one Transformer block (attention, MLP, residuals,
-	// layer norms), drawing parameters from rng in the serial order.
+	// layer norms), drawing parameters from rng in the serial order; a nil
+	// rng builds the shape-only block of a paper-scale timing run.
 	NewBlock(h, heads, seqLen int, rng *tensor.RNG) Layer
-	// NewBlockPhantom builds the shape-only block for paper-scale timing.
+	// NewBlockPhantom is NewBlock with a nil rng.
 	NewBlockPhantom(h, heads, seqLen int) Layer
 	// NewLayerNorm builds the family's layer normalisation over hidden
 	// width h.

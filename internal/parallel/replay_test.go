@@ -17,21 +17,20 @@ import (
 // and 4, the batch into whole sequences per row shard of each.
 const fpHidden, fpHeads, fpSeqLen, fpBatch = 24, 12, 4, 12
 
-// footprintReplay builds the layout's stack on a full cluster — phantom, or
-// its real twin the way tables.newStack builds one — and steps it.
-func footprintReplay(t *testing.T, l parallel.Layout, layers int, real, recompute bool) (*parallel.Replay, parallel.StepClocks) {
+// footprintStacks builds the layout's stack on every rank c runs — phantom,
+// or its real twin the way tables.newStack builds one — and returns the
+// replay with the stacks it holds, by rank.
+func footprintStacks(t *testing.T, c *dist.Cluster, l parallel.Layout, layers int, real bool) (*parallel.Replay, []*parallel.Stack) {
 	t.Helper()
-	l, err := parallel.Validate(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := parallel.NewReplay(dist.New(dist.Config{WorldSize: l.Ranks}), func(w *dist.Worker) (*parallel.Stack, error) {
+	stacks := make([]*parallel.Stack, c.WorldSize())
+	rp, err := parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
 		f, err := parallel.New(w, l)
 		if err != nil {
 			return nil, err
 		}
 		if !real {
-			return parallel.NewPhantomStack(f, fpBatch, fpSeqLen, fpHidden, fpHeads, layers), nil
+			stacks[w.Rank()] = parallel.NewPhantomStack(f, fpBatch, fpSeqLen, fpHidden, fpHeads, layers)
+			return stacks[w.Rank()], nil
 		}
 		s := &parallel.Stack{Family: f}
 		for i := 0; i < layers; i++ {
@@ -40,11 +39,23 @@ func footprintReplay(t *testing.T, l parallel.Layout, layers int, real, recomput
 		sl := f.Slice(fpBatch*fpSeqLen, fpHidden)
 		s.X = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(100))
 		s.DY = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(200))
+		stacks[w.Rank()] = s
 		return s, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rp, stacks
+}
+
+// footprintReplay builds the layout's stack on a full cluster and steps it.
+func footprintReplay(t *testing.T, l parallel.Layout, layers int, real, recompute bool) (*parallel.Replay, parallel.StepClocks) {
+	t.Helper()
+	l, err := parallel.Validate(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, _ := footprintStacks(t, dist.New(dist.Config{WorldSize: l.Ranks}), l, layers, real)
 	st, err := rp.Step(recompute)
 	if err != nil {
 		t.Fatal(err)

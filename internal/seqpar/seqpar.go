@@ -12,9 +12,9 @@
 // memory/comm trade the planner exploits under tight memory budgets.
 //
 // The weight sharding is Megatron-LM's, and so are the layers: the
-// Transformer block is package megatron's column/row-parallel linears,
-// attention and MLP run under the megatron.RowSharded bracket, which is
-// also why checkpoints re-shard freely between the two families. What
+// Transformer block is the shared parallel.Block over package megatron's
+// column/row-parallel linears run under the megatron.RowSharded bracket,
+// which is also why checkpoints re-shard freely between the two families. What
 // lives here is what genuinely differs for row-sharded activations: the
 // Family adapter (Distribute slices rows, Collect and GatherPooled
 // all-gather them), the shard-local patch embedding with its deferred

@@ -121,7 +121,10 @@ func TestCheckpointRoundTripAllPairs(t *testing.T) {
 // sequence the elastic path produces — tesseract [2,2,2] → tesseract
 // [2,2,1] → megatron [2], two training steps at each stop — and requires
 // the logits after every stop to match a serial model trained the same six
-// steps within 1e-8: re-sharding does not perturb the trajectory.
+// steps within 1e-8: re-sharding does not perturb the trajectory. It then
+// carries the first stop's checkpoint, untrained, across every shard count
+// the fused QKV slot is cut by — mesh columns, four 1-D ranks, two — and
+// back, bit for bit.
 func TestCrossLayoutReshardChain(t *testing.T) {
 	ds, mcfg, tc := elasticFixture()
 	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
@@ -149,7 +152,7 @@ func TestCrossLayoutReshardChain(t *testing.T) {
 		{Family: "tesseract", Q: 2, D: 1},
 		{Family: "megatron", Ranks: 2},
 	}
-	var ck *parallel.Checkpoint
+	var ck, first *parallel.Checkpoint
 	for i, l := range chain {
 		var logits *tensor.Matrix
 		ck, logits = chainSegment(t, l, ck, 2, mcfg, tc, x, labels)
@@ -159,6 +162,15 @@ func TestCrossLayoutReshardChain(t *testing.T) {
 		if d := logits.MaxAbsDiff(ref[i]); d > 1e-8 || math.IsNaN(d) {
 			t.Errorf("%s (steps %d-%d): logits diverged from serial by %g", l, 2*i+1, 2*i+2, d)
 		}
+		if i == 0 {
+			first = ck
+		}
+	}
+
+	hop := first
+	for _, l := range []parallel.Layout{{Family: "megatron", Ranks: 4}, {Family: "seqpar", Ranks: 2}, chain[0]} {
+		hop, _ = chainSegment(t, l, hop, 0, mcfg, tc, x, labels)
+		requireBitwise(t, first, hop, chain[0].String()+" carried to "+l.String())
 	}
 }
 

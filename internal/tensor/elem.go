@@ -115,6 +115,9 @@ func geluGradMulToGeneric(dst, pre, dy []float64) {
 // the AVX2 kernel and nn.Adam must perform exactly these operations in
 // exactly this order per element.
 func adamUpdateGeneric(val, grad, m, v []float64, lr, b1, b2, eps, wd, bc1, bc2 float64) {
+	if len(val) == 0 {
+		return
+	}
 	_ = grad[len(val)-1]
 	_ = m[len(val)-1]
 	_ = v[len(val)-1]

@@ -89,6 +89,9 @@ func vscaleAVX2(dst []float64, alpha float64) {
 
 func adamAVX2(val, grad, m, v []float64, lr, b1, b2, eps, wd, bc1, bc2 float64) {
 	n := len(val)
+	if n == 0 {
+		return
+	}
 	_ = grad[n-1]
 	_ = m[n-1]
 	_ = v[n-1]

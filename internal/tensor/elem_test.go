@@ -79,9 +79,6 @@ func TestElementwiseKernelsMatchGenericBitwise(t *testing.T) {
 func TestAdamKernelMatchesGenericBitwise(t *testing.T) {
 	rng := NewRNG(11)
 	for _, n := range elemLens() {
-		if n == 0 {
-			continue
-		}
 		val := make([]float64, n)
 		grad := make([]float64, n)
 		m := make([]float64, n)
@@ -136,4 +133,15 @@ func TestAdamUpdateMatrixWrapper(t *testing.T) {
 
 	ph := NewPhantom(3, 5)
 	AdamUpdate(ph, NewPhantom(3, 5), NewPhantom(3, 5), NewPhantom(3, 5), 1e-3, 0.9, 0.999, 1e-8, 0.01, 0.1, 0.002)
+
+	// An empty parameter is nothing to update under either binding, not an
+	// index out of range.
+	bound := adamKernel
+	defer func() { adamKernel = bound }()
+	for _, kernel := range []func(val, grad, m, v []float64, lr, b1, b2, eps, wd, bc1, bc2 float64){bound, adamUpdateGeneric} {
+		adamKernel = kernel
+		for _, e := range []*Matrix{New(0, 0), New(0, 5)} {
+			AdamUpdate(e, e, e, e, 1e-3, 0.9, 0.999, 1e-8, 0.01, 0.1, 0.002)
+		}
+	}
 }

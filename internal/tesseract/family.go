@@ -88,36 +88,37 @@ func (f *Family) RowShards() int { return f.p.Shape.Q * f.p.Shape.D }
 
 // NewLinear builds a Tesseract-parallel linear layer.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
-	return bound{p: f.p, m: NewLinear(f.p, in, out, act, bias, rng)}
+	return NewLinear(f.p, in, out, act, bias, rng)
 }
 
-// NewBlock builds one Tesseract-parallel Transformer block, drawing
-// parameters from rng in the serial order (attention Wq..Wo, then MLP Fc1,
-// Fc2) — identical to nn.NewBlock, so the two produce identical numbers on
-// identical seeds.
+// Shards returns q: weights split their columns, and attention its heads,
+// over the grid columns.
+func (f *Family) Shards() int { return f.p.Shape.Q }
+
+// NewLinearPair shards a sub-module's two weights as SUMMA linears: on a
+// mesh both directions are the same layer.
+func (f *Family) NewLinearPair(in, out parallel.Weight, act nn.Activation) (parallel.Layer, parallel.Layer) {
+	return newLinear(f.p, in, act, true), newLinear(f.p, out, nn.ActNone, true)
+}
+
+// Lifetime returns RecycleGrads: saved activations ride to the step
+// boundary, gradient intermediates go back as soon as they are read.
+func (f *Family) Lifetime() parallel.Lifetime { return parallel.RecycleGrads }
+
+// NewBlock builds one Tesseract-parallel Transformer block; a nil rng
+// builds the shape-only one. The residual adds are local (§3.2.2), the layer
+// norms all-reduce their row statistics and do not retain their inputs.
 func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	attn := NewAttention(f.p, h, heads, seqLen, rng)
-	return f.block(h, attn, NewMLP(f.p, h, rng))
+	return parallel.NewBlock(f, h, heads, seqLen, rng)
 }
 
 // NewBlockPhantom builds the shape-only block for paper-scale timing.
 func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	return f.block(h, NewAttentionPhantom(f.p, h, heads, seqLen), NewMLPPhantom(f.p, h))
-}
-
-// block composes one Transformer layer from its two modules via the shared
-// composition: the residual adds are local (§3.2.2), the layer norms
-// all-reduce their row statistics and do not retain their inputs.
-func (f *Family) block(h int, attn *Attention, mlp *MLP) parallel.Layer {
-	return parallel.NewBlock(f.p.W, h,
-		bound{p: f.p, m: attn}, f.NewLayerNorm(h),
-		bound{p: f.p, m: mlp}, f.NewLayerNorm(h))
+	return f.NewBlock(h, heads, seqLen, nil)
 }
 
 // NewLayerNorm builds the distributed layer norm of §3.2.2.
-func (f *Family) NewLayerNorm(h int) parallel.Layer {
-	return bound{p: f.p, m: NewLayerNorm(f.p, h)}
-}
+func (f *Family) NewLayerNorm(h int) parallel.Layer { return NewLayerNorm(f.p, h) }
 
 // NewHead builds the replicated classifier head; the mesh base rank is its
 // checkpoint primary.
@@ -180,23 +181,3 @@ func (f *Family) ForwardOnly(on bool) { f.p.ForwardOnly(on) }
 
 // EndStep recycles the rank's workspace at the step boundary.
 func (f *Family) EndStep() { f.p.W.Workspace().ReleaseAll() }
-
-// procModule is the method shape every layer in this package shares:
-// forward/backward over the mesh view plus the owned parameter shards.
-type procModule interface {
-	Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix
-	Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix
-	Params() []*nn.Param
-	State(p *Proc) []parallel.State
-}
-
-// bound binds a layer to its mesh view, adapting it to parallel.Layer.
-type bound struct {
-	p *Proc
-	m procModule
-}
-
-func (b bound) Forward(x *tensor.Matrix) *tensor.Matrix   { return b.m.Forward(b.p, x) }
-func (b bound) Backward(dy *tensor.Matrix) *tensor.Matrix { return b.m.Backward(b.p, dy) }
-func (b bound) Params() []*nn.Param                       { return b.m.Params() }
-func (b bound) State() []parallel.State                   { return b.m.State(b.p) }

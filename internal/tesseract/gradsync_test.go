@@ -36,8 +36,8 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 
 				// Live path: Backward queues, DrainGradients completes.
 				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(71))
-				l.Forward(p, p.DistributeA(x))
-				l.Backward(p, p.DistributeA(dy))
+				l.Forward(p.DistributeA(x))
+				l.Backward(p.DistributeA(dy))
 				p.DrainGradients()
 				gotW[w.Rank()] = l.W.Grad.Clone()
 				if l.B != nil {
@@ -48,7 +48,7 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 				// synchronous, accumulation immediate (the pre-async
 				// schedule of Linear.Backward).
 				ref := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(71))
-				ref.Forward(p, p.DistributeA(x))
+				ref.Forward(p.DistributeA(x))
 				ldy := p.DistributeA(dy)
 				g := tensor.GELUGrad(ref.pre)
 				gdy := tensor.Mul(ldy, g)
@@ -95,8 +95,8 @@ func TestDrainGradientsIdempotentAndRequired(t *testing.T) {
 	testutil.Run(t, 4, func(w *dist.Worker) error {
 		p := NewProcAt(w, mesh.Shape{Q: 2, D: 1})
 		l := NewLinear(p, in, out, nn.ActNone, false, tensor.NewRNG(9))
-		l.Forward(p, p.DistributeA(x))
-		l.Backward(p, p.DistributeA(dy))
+		l.Forward(p.DistributeA(x))
+		l.Backward(p.DistributeA(dy))
 		// d == 1: the queue short-circuits, gradients are already final.
 		before := l.W.Grad.Clone()
 		p.DrainGradients()

@@ -26,6 +26,7 @@ type LayerNorm struct {
 	H   int // full hidden width
 	Eps float64
 
+	p      *Proc
 	xhat   *tensor.Matrix
 	invstd *tensor.Matrix
 }
@@ -35,14 +36,15 @@ func NewLayerNorm(p *Proc, h int) *LayerNorm {
 	if h%p.Shape.Q != 0 {
 		panic(fmt.Sprintf("tesseract: LayerNorm width %d not divisible by q=%d", h, p.Shape.Q))
 	}
-	return &LayerNorm{H: h, Eps: 1e-5}
+	return &LayerNorm{H: h, Eps: 1e-5, p: p}
 }
 
 // Params returns nil: Eq. 13 normalisation is parameter-free.
 func (l *LayerNorm) Params() []*nn.Param { return nil }
 
 // Forward normalises the local block x of shape [m̂, H/q].
-func (l *LayerNorm) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
+func (l *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	ws := p.W.Workspace()
 	ph := x.Phantom()
 	sq := ws.GetUninitMatch(x.Rows, x.Cols, ph)
@@ -75,7 +77,8 @@ func (l *LayerNorm) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward applies Eq. 14 to the local gradient block dy.
-func (l *LayerNorm) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
+func (l *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	ws := p.W.Workspace()
 	ph := dy.Phantom() || l.xhat.Phantom()
 	prod := ws.GetUninitMatch(dy.Rows, dy.Cols, ph)

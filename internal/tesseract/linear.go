@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compute"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/summa"
 	"repro/internal/tensor"
 )
@@ -27,49 +28,29 @@ type Linear struct {
 
 	hasBias bool // configuration flag, identical on every processor
 
+	p   *Proc
 	x   *tensor.Matrix
 	pre *tensor.Matrix
 }
 
 // NewLinear draws the full Xavier weight from rng (consuming exactly the
-// same stream as nn.NewLinear) and keeps only the local shard. All
-// processors must call it collectively with identically seeded RNGs.
+// same stream as nn.NewLinear) and keeps only the local shard; a nil rng
+// builds the shape-only layer of a timing run. All processors must call it
+// collectively with identically seeded RNGs.
 func NewLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *Linear {
-	full := tensor.XavierMatrix(in, out, rng)
-	return newLinearFromGlobal(p, full, act, bias)
+	return newLinear(p, parallel.Draw(in, out, rng), act, bias)
 }
 
-// newLinearFromGlobal shards a replicated global weight. The fused QKV
-// projection uses it with a column-permuted weight.
-func newLinearFromGlobal(p *Proc, full *tensor.Matrix, act nn.Activation, bias bool) *Linear {
-	l := &Linear{In: full.Rows, Out: full.Cols, Act: act, hasBias: bias}
-	l.W = nn.NewParam("tesseract.linear.w", p.DistributeB(full))
-	if bias {
-		l.B = biasParam(p, full.Cols, full.Phantom())
+// newLinear keeps block (i, j) of a replicated global weight (Figure 4b).
+// The fused QKV projection passes a column-permuted one.
+func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Linear {
+	br, bc := p.BBlockShape(full.Rows, full.Cols)
+	l := &Linear{In: full.Rows, Out: full.Cols, Act: act, hasBias: bias, p: p}
+	l.W = nn.NewParam("tesseract.linear.w", full.Block(p.I*br, p.J*bc, br, bc))
+	if bias && p.I == 0 {
+		l.B = nn.NewParam("tesseract.linear.b", full.Zeros(1, bc))
 	}
 	return l
-}
-
-// NewLinearPhantom builds a shape-only layer for paper-scale timing runs.
-func NewLinearPhantom(p *Proc, in, out int, act nn.Activation, bias bool) *Linear {
-	br, bc := p.BBlockShape(in, out)
-	l := &Linear{In: in, Out: out, Act: act, hasBias: bias}
-	l.W = nn.NewParam("tesseract.linear.w", tensor.NewPhantom(br, bc))
-	if bias {
-		l.B = biasParam(p, out, true)
-	}
-	return l
-}
-
-func biasParam(p *Proc, out int, phantom bool) *nn.Param {
-	if p.I != 0 {
-		return nil
-	}
-	cols := out / p.Shape.Q
-	if phantom {
-		return nn.NewParam("tesseract.linear.b", tensor.NewPhantom(1, cols))
-	}
-	return nn.NewParam("tesseract.linear.b", tensor.New(1, cols))
 }
 
 // Params returns the parameter shards this processor owns.
@@ -88,7 +69,8 @@ func (l *Linear) Params() []*nn.Param {
 // and the returned activation are retained for the backward pass, so they
 // live until the step-boundary ReleaseAll; bias receive buffers are
 // transient workspace scratch.
-func (l *Linear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
+func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	if x.Cols != l.In/p.Shape.Q {
 		panic(fmt.Sprintf("tesseract: Linear forward block %dx%d through %d->%d on q=%d",
 			x.Rows, x.Cols, l.In, l.Out, p.Shape.Q))
@@ -133,7 +115,8 @@ func (l *Linear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 // d > 1 the gradients land in l.W.Grad/l.B.Grad only once
 // Proc.DrainGradients has been called — trainers drain after the full
 // backward pass, before the optimiser step.
-func (l *Linear) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
+func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	p := l.p
 	ws := p.W.Workspace()
 	var dyScratch *tensor.Matrix
 	if l.Act == nn.ActGELU {

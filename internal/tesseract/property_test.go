@@ -102,8 +102,8 @@ func TestQuickDepthReplicaInvariant(t *testing.T) {
 		err := cluster.Run(func(w *dist.Worker) error {
 			p := NewProcAt(w, mesh.Shape{Q: q, D: d})
 			l := NewLinear(p, 8, 8, 0, true, tensor.NewRNG(seed^0xabc))
-			l.Forward(p, p.DistributeA(x))
-			l.Backward(p, p.DistributeA(dy))
+			l.Forward(p.DistributeA(x))
+			l.Backward(p.DistributeA(dy))
 			p.DrainGradients() // gradients are final only after the queued depth sync
 			grads.Put(w.Rank(), l.W.Grad)
 			return nil
@@ -139,9 +139,9 @@ func TestQuickLayerNormInvariants(t *testing.T) {
 		err := cluster.Run(func(w *dist.Worker) error {
 			p := NewProcAt(w, mesh.Shape{Q: q, D: d})
 			l := NewLayerNorm(p, h)
-			outs.Put(w.Rank(), p.CollectA(l.Forward(p, p.DistributeA(x))))
+			outs.Put(w.Rank(), p.CollectA(l.Forward(p.DistributeA(x))))
 			l2 := NewLayerNorm(p, h)
-			outsShift.Put(w.Rank(), p.CollectA(l2.Forward(p, p.DistributeA(xShift))))
+			outsShift.Put(w.Rank(), p.CollectA(l2.Forward(p.DistributeA(xShift))))
 			return nil
 		})
 		if err != nil {

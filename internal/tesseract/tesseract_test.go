@@ -80,8 +80,8 @@ func TestLinearForwardBackwardMatchesSerial(t *testing.T) {
 			gbs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
 				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(42))
-				y := l.Forward(p, p.DistributeA(x))
-				dx := l.Backward(p, p.DistributeA(dy))
+				y := l.Forward(p.DistributeA(x))
+				dx := l.Backward(p.DistributeA(dy))
 				p.DrainGradients() // gradients are final only after the queued depth sync completes
 				ys.Put(p.W.Rank(), p.CollectA(y))
 				dxs.Put(p.W.Rank(), p.CollectA(dx))
@@ -121,8 +121,8 @@ func TestLayerNormMatchesSerial(t *testing.T) {
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
 				l := NewLayerNorm(p, h)
-				y := l.Forward(p, p.DistributeA(x))
-				dx := l.Backward(p, p.DistributeA(dy))
+				y := l.Forward(p.DistributeA(x))
+				dx := l.Backward(p.DistributeA(dy))
 				ys.Put(p.W.Rank(), p.CollectA(y))
 				dxs.Put(p.W.Rank(), p.CollectA(dx))
 				return nil
@@ -142,7 +142,7 @@ func TestLayerNormRowStatistics(t *testing.T) {
 	ys := testutil.NewCollector()
 	runMesh(t, 2, 2, func(p *Proc) error {
 		l := NewLayerNorm(p, h)
-		y := l.Forward(p, p.DistributeA(x))
+		y := l.Forward(p.DistributeA(x))
 		ys.Put(p.W.Rank(), p.CollectA(y))
 		return nil
 	})
@@ -181,9 +181,9 @@ func TestAttentionMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				a := NewAttention(p, h, heads, seqLen, tensor.NewRNG(77))
-				y := a.Forward(p, p.DistributeA(x))
-				dx := a.Backward(p, p.DistributeA(dy))
+				a := parallel.NewAttention(family(p), h, heads, seqLen, tensor.NewRNG(77))
+				y := a.Forward(p.DistributeA(x))
+				dx := a.Backward(p.DistributeA(dy))
 				p.DrainGradients()
 				ys.Put(p.W.Rank(), p.CollectA(y))
 				dxs.Put(p.W.Rank(), p.CollectA(dx))
@@ -210,9 +210,9 @@ func TestMLPMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				m := NewMLP(p, h, tensor.NewRNG(88))
-				y := m.Forward(p, p.DistributeA(x))
-				dx := m.Backward(p, p.DistributeA(dy))
+				m := parallel.NewMLP(family(p), h, tensor.NewRNG(88))
+				y := m.Forward(p.DistributeA(x))
+				dx := m.Backward(p.DistributeA(dy))
 				p.DrainGradients()
 				ys.Put(p.W.Rank(), p.CollectA(y))
 				dxs.Put(p.W.Rank(), p.CollectA(dx))
@@ -358,7 +358,7 @@ func TestBlockPhantomMatchesRealClock(t *testing.T) {
 func TestBlockShapeValidation(t *testing.T) {
 	runMesh(t, 2, 1, func(p *Proc) error {
 		defer func() { recover() }()
-		NewAttention(p, 8, 3, 2, tensor.NewRNG(1)) // 3 heads not divisible by q=2
+		parallel.NewAttention(family(p), 8, 3, 2, tensor.NewRNG(1)) // 3 heads not divisible by q=2
 		t.Errorf("rank %d: expected panic for heads %% q != 0", p.W.Rank())
 		return nil
 	})

@@ -23,8 +23,8 @@ type ElasticConfig struct {
 	FailStep int
 	// TotalSteps is the full run length, > FailStep.
 	TotalSteps int
-	// FailRank is the rank that dies; -1 (the default zero value is rank 0,
-	// so use -1 explicitly for "last") picks the highest rank.
+	// FailRank is the rank that dies. The zero value is rank 0; any
+	// negative value picks the layout's highest rank.
 	FailRank int
 	// Algos are the planner candidates Replan searches over.
 	Algos []plan.Algo
@@ -90,6 +90,15 @@ func TrainableErr(l parallel.Layout, batch int, mcfg ModelConfig) error {
 		return fmt.Errorf("vit: %d attention heads, need at least 1", mcfg.Heads)
 	case mcfg.Hidden%mcfg.Heads != 0:
 		return fmt.Errorf("vit: hidden %d not divisible by %d heads", mcfg.Hidden, mcfg.Heads)
+	}
+	for _, dim := range []struct {
+		name string
+		n    int
+	}{{"hidden width", mcfg.Hidden}, {"layer count", mcfg.Layers}, {"class count", mcfg.Classes},
+		{"patch dimension", mcfg.PatchDim}, {"sequence length", mcfg.SeqLen}} {
+		if dim.n < 1 {
+			return fmt.Errorf("vit: %s %d, need at least 1", dim.name, dim.n)
+		}
 	}
 	if batch%l.RowShards() != 0 {
 		return fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", batch, l, l.RowShards())

@@ -6,7 +6,8 @@
 # what the docs promise of it: no fused multiply-add (docs/architecture.md §3),
 # and the tree to what the package map promises: no internal package that
 # nothing shipped imports, and no family package restating its schedule as
-# cost-model arithmetic or its footprint as a memory formula.
+# cost-model arithmetic, its footprint as a memory formula, or the shared
+# attention and MLP modules as types of its own.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -46,6 +47,19 @@ fi
 if grep -rnE 'BytesPerElem|Memory:' --include='*.go' \
     internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
     echo "docs_check: a family package estimates its memory instead of being replayed" >&2
+    fail=1
+fi
+
+# Nor does it carry a Transformer sub-module of its own: attention, the MLP
+# and the fused-QKV checkpoint slot exist once, in internal/parallel, over the
+# family's linears (docs/architecture.md §6), and a phantom layer is a nil rng,
+# not a second constructor. A family package that declares an Attention or MLP
+# type, an adapter that re-attaches its Proc, or a New...Phantom constructor is
+# growing the second copy back. (The NewBlockPhantom method stays: it is
+# NewBlock with a nil rng, on the interface for the benchmark's sake.)
+if grep -rnE '^type (Attention|MLP|bound|procModule) |^func New[A-Za-z]*Phantom\(' --include='*.go' \
+    internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
+    echo "docs_check: a family package declares a Transformer sub-module, a Proc adapter or a phantom constructor of its own" >&2
     fail=1
 fi
 
