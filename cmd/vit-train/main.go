@@ -131,19 +131,56 @@ func main() {
 		}
 		layouts[i] = nl
 	}
+	// The staged modes' own flags are checked here too: a trace, a batcher
+	// or a failure step that cannot run is refused before any step trains.
+	total := tc.Epochs * (len(ds.Train) / tc.BatchSize)
+	var srvCfg serve.Config
+	var rate float64
+	switch {
+	case *doServe:
+		var err error
+		if rate, err = serve.ParseRate(*srvRate); err != nil {
+			fatalf("%v", err)
+		}
+		budget, err := serve.ParseDuration(*srvBudget)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		// Zero still means the batcher's default.
+		if srvCfg, err = (serve.Config{MaxBatch: *srvBatch, LatencyBudget: budget, QueueDepth: *srvDepth}).WithDefaults(); err != nil {
+			fatalf("%v", err)
+		}
+		if *srvReqs < 0 || *srvSteps < 0 {
+			fatalf("-serve-requests %d, -serve-steps %d: neither count may be negative", *srvReqs, *srvSteps)
+		}
+	case *chaos:
+		if total < 4*chaosProbe {
+			fatalf("-chaos needs at least %d total steps so the fault lands after a clean probe window (raise -epochs or -train-per-class)", 4*chaosProbe)
+		}
+	case *elastic:
+		if total < 2 {
+			fatalf("-elastic needs at least 2 total steps (raise -epochs or -train-per-class)")
+		}
+		if *failAt <= 0 {
+			*failAt = total / 2
+		}
+		if *failAt >= total {
+			fatalf("-fail-step %d outside (0, %d)", *failAt, total)
+		}
+	}
 
 	fmt.Fprintf(os.Stderr, "vit-train: %d classes, %d train / %d test samples, seq %d, patch dim %d\n",
 		*classes, len(ds.Train), len(ds.Test), mcfg.SeqLen, mcfg.PatchDim)
 
 	switch {
 	case *doServe:
-		runServe(layouts[0], *srvRate, *srvBudget, *srvReqs, *srvBatch, *srvDepth, *srvSteps, ds, mcfg, tc)
+		runServe(layouts[0], srvCfg, rate, *srvReqs, *srvSteps, ds, mcfg, tc)
 		return
 	case *chaos:
-		runChaos(layouts[0], *chaosAt, ds, mcfg, tc)
+		runChaos(layouts[0], *chaosAt, total, ds, mcfg, tc)
 		return
 	case *elastic:
-		runElastic(layouts[0], *failAt, ds, mcfg, tc)
+		runElastic(layouts[0], *failAt, total, ds, mcfg, tc)
 		return
 	}
 
@@ -234,17 +271,9 @@ func layoutFromFlags(family string, q, d, ranks int, set map[string]bool) (paral
 // runServe is the -serve mode: train a few steps, then drain one arrival
 // trace through the continuous batcher and print per-request records plus a
 // latency/throughput summary on stderr.
-func runServe(l parallel.Layout, rateS, budgetS string, n, maxBatch, depth, steps int,
+func runServe(l parallel.Layout, cfg serve.Config, rate float64, n, steps int,
 	ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig) {
-	rate, err := serve.ParseRate(rateS)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	budget, err := serve.ParseDuration(budgetS)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	srv, err := serve.NewServer(l, ds, mcfg, tc, serve.Config{MaxBatch: maxBatch, LatencyBudget: budget, QueueDepth: depth})
+	srv, err := serve.NewServer(l, ds, mcfg, tc, cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -283,22 +312,9 @@ func pickTrainable(plans []plan.Plan, batch int, mcfg vit.ModelConfig) (plan.Pla
 }
 
 // runElastic is the -elastic mode: the full recovery loop with the failure
-// injected mid-run, reported as a step-indexed loss CSV plus a cost summary
-// on stderr.
-func runElastic(from parallel.Layout, failAt int, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig) {
-	spe := len(ds.Train) / tc.BatchSize
-	total := tc.Epochs * spe
-	if total < 2 {
-		fmt.Fprintln(os.Stderr, "vit-train: -elastic needs at least 2 total steps (raise -epochs or -train-per-class)")
-		os.Exit(1)
-	}
-	if failAt <= 0 {
-		failAt = total / 2
-	}
-	if failAt < 1 || failAt >= total {
-		fmt.Fprintf(os.Stderr, "vit-train: -fail-step %d outside (0, %d)\n", failAt, total)
-		os.Exit(1)
-	}
+// injected at step failAt of total, reported as a step-indexed loss CSV plus
+// a cost summary on stderr.
+func runElastic(from parallel.Layout, failAt, total int, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig) {
 	run, err := vit.TrainElastic(from, vit.ElasticConfig{
 		FailStep:   failAt,
 		TotalSteps: total,
@@ -326,24 +342,20 @@ func runElastic(from parallel.Layout, failAt int, ds *vit.Dataset, mcfg vit.Mode
 	fmt.Fprintln(os.Stderr, "vit-train: done — the post-reshard curve continues the pre-failure trajectory")
 }
 
+// chaosProbe is the -chaos watchdog's window, in steps.
+const chaosProbe = 6
+
 // runChaos is the -chaos mode: a seeded fault plan (one straggler, maybe a
 // sick link and transient stalls) hits the run, and the adaptive watchdog
 // decides whether demoting the straggler pays for the re-shard. The loss
 // CSV is unchanged by construction — gray faults move clocks, never
 // arithmetic.
-func runChaos(from parallel.Layout, seed uint64, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig) {
-	spe := len(ds.Train) / tc.BatchSize
-	total := tc.Epochs * spe
-	const probe = 6
-	if total < 4*probe {
-		fmt.Fprintf(os.Stderr, "vit-train: -chaos needs at least %d total steps so the fault lands after a clean probe window (raise -epochs or -train-per-class)\n", 4*probe)
-		os.Exit(1)
-	}
+func runChaos(from parallel.Layout, seed uint64, total int, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig) {
 	fp := dist.NewChaosPlan(seed, from.Ranks, total)
 	run, err := vit.TrainAdaptive(from, vit.AdaptiveConfig{
 		TotalSteps: total,
-		Probe:      probe,
-		Monitor:    dist.MonitorConfig{Window: probe, K: 1.5, W: 3},
+		Probe:      chaosProbe,
+		Monitor:    dist.MonitorConfig{Window: chaosProbe, K: 1.5, W: 3},
 		Faults:     fp,
 		Algos:      tables.DefaultAlgos(),
 		Topology:   plan.Topology{Cost: tables.StragglerCost(), MemoryBudget: replanBudget(mcfg.Workload(tc.BatchSize))},

@@ -67,6 +67,29 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 			})
 		}
 	}
+	// A staged mode's own flags are checked up front too: these used to print
+	// the banner first, and a negative request count failed only after
+	// training. The test dataset makes two steps in all.
+	for _, mis := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"serve/unparsable rate", []string{"-serve", "-serve-rate", "bogus"}, `rate "bogus"`},
+		{"serve/negative budget", []string{"-serve", "-serve-budget", "-3ms"}, `duration "-3ms"`},
+		{"serve/negative requests", []string{"-serve", "-serve-requests", "-1"}, "-serve-requests -1"},
+		{"serve/negative batch", []string{"-serve", "-serve-batch", "-1"}, "MaxBatch"},
+		{"serve/negative depth", []string{"-serve", "-serve-depth", "-1"}, "QueueDepth"},
+		{"serve/negative steps", []string{"-serve", "-serve-steps", "-2"}, "-serve-steps -2"},
+		{"elastic/fail step past the run", []string{"-elastic", "-fail-step", "99"}, "-fail-step 99"},
+		{"elastic/one step", []string{"-elastic", "-batch", "16"}, "at least 2 total steps"},
+		{"chaos/too few steps", []string{"-chaos"}, "at least 24 total steps"},
+	} {
+		t.Run(mis.name, func(t *testing.T) {
+			code, stdout, stderr := vitTrain(t, mis.args...)
+			testutil.CheckMisuse(t, "vit-train", mis.want, code, stdout, stderr)
+		})
+	}
 }
 
 // TestValidFlagsStillTrain: the up-front checks do not reject what worked.

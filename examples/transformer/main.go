@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/tesseract"
 )
@@ -54,7 +55,7 @@ func main() {
 	distLosses := make([]float64, steps)
 	cluster := dist.New(dist.Config{WorldSize: q * q * d})
 	err := cluster.Run(func(w *dist.Worker) error {
-		f := tesseract.NewFamily(w, q, d)
+		f := tesseract.NewFamily(w, parallel.Layout{Family: "tesseract", Q: q, D: d, Ranks: q * q * d})
 		block := f.NewBlock(hidden, heads, seqLen, tensor.NewRNG(99))
 		opt := nn.NewAdam(1e-2, 0)
 		for i := 0; i < steps; i++ {

@@ -40,47 +40,40 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 	return out
 }
 
-// Family is Megatron-LM's implementation of the family-agnostic model
-// layer: activations fully replicated on every rank (the memory cost Eq. 9
-// charges it with), weights split 1-D across the tensor-parallel group.
-// Distribute, Collect, Slice and GatherPooled are therefore identities —
-// replication is this family's distribution — and the Transformer block is
-// the shared parallel.Block over this package's column/row linear pairs,
-// with parallel.ReplicatedLayerNorm for the un-sharded layer norms. Package
-// seqpar embeds it under the RowSharded bracket and overrides the
-// distribution half.
+// Family is the 1-D families' model layer: weights split across the
+// tensor-parallel group, activations replicated on every rank (Replicated:
+// the memory cost Eq. 9 charges Megatron-LM with) or split by rows over it
+// (RowSharded). The Transformer block is the shared parallel.Block over this
+// package's column/row linear pairs, with parallel.ReplicatedLayerNorm for
+// the un-sharded layer norms. Package seqpar embeds it under RowSharded with
+// a patch embedding of its own.
 type Family struct {
-	p      *Proc
-	layout parallel.Layout
+	parallel.View
+	p *Proc
 }
 
 // NewFamily attaches the calling worker to the tensor-parallel group
 // layout l names and returns the family view whose blocks run under
 // bracket b.
 func NewFamily(w *dist.Worker, l parallel.Layout, b Bracket) *Family {
-	p := NewProcAt(w, l.Ranks, l.Base)
+	p := NewProc(w, l.Ranks)
 	p.bracket = b
-	return &Family{p: p, layout: l}
+	var rows *dist.Group
+	if b == RowSharded {
+		rows = p.TP
+	}
+	return &Family{View: parallel.NewView(w, l, rows, nil, &p.Grads), p: p}
 }
-
-// Layout returns the 1-D layout.
-func (f *Family) Layout() parallel.Layout { return f.layout }
-
-// Worker returns the rank's cluster view.
-func (f *Family) Worker() *dist.Worker { return f.p.W }
 
 // Proc exposes the underlying tensor-parallel view.
 func (f *Family) Proc() *Proc { return f.p }
-
-// RowShards returns 1: activations are replicated, never row-split.
-func (f *Family) RowShards() int { return 1 }
 
 // NewLinear builds the replicated serial linear: Megatron keeps
 // activations replicated, so a model-level linear that must map a
 // replicated input to a replicated output (the ViT patch embedding) is
 // computed redundantly on every rank, exactly like the classifier head.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewReplicatedLinearAt(f.p.W, f.layout.Base, in, out, act, bias, rng)
+	return parallel.NewReplicatedLinear(f.p.W, in, out, act, bias, rng)
 }
 
 // Shards returns p: weights split their columns, and attention its heads,
@@ -132,25 +125,3 @@ func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
 func (f *Family) NewLayerNorm(h int) parallel.Layer {
 	return parallel.NewReplicatedLayerNorm(f.p.W, h)
 }
-
-// Distribute is the identity: every rank holds the full activation.
-func (f *Family) Distribute(global *tensor.Matrix) *tensor.Matrix { return global }
-
-// Collect is the identity: activations are already replicated.
-func (f *Family) Collect(local *tensor.Matrix) *tensor.Matrix { return local }
-
-// Slice reports the whole matrix: this rank holds all of it.
-func (f *Family) Slice(rows, cols int) parallel.Slice {
-	return parallel.Slice{Rows: rows, Cols: cols}
-}
-
-// GatherPooled is the identity: pooling a replicated activation yields the
-// full replicated result on every rank.
-func (f *Family) GatherPooled(local *tensor.Matrix) *tensor.Matrix { return local }
-
-// DrainGradients is a no-op: the column/row-parallel linears synchronise
-// activations in-line and their weight-shard gradients are rank-local.
-func (f *Family) DrainGradients() {}
-
-// EndStep recycles the rank's workspace at the step boundary.
-func (f *Family) EndStep() { f.p.W.Workspace().ReleaseAll() }

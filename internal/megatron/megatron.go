@@ -11,7 +11,7 @@
 //   - Replicated (family "megatron"): every rank holds the full [b·s, h]
 //     activation — the memory cost Eq. 9 charges Megatron-LM with — and
 //     one all-reduce per module (two per layer and direction) restores it.
-//   - RowSharded (family "seqpar", see package seqpar for the adapter):
+//   - RowSharded (family "seqpar", see package seqpar):
 //     every rank holds b·s/p rows; an all-gather restores full rows in
 //     front of each column-parallel GEMM and a reduce-scatter sums the
 //     row-parallel partial products straight down to the local rows.
@@ -21,7 +21,8 @@
 //
 // The bracket is read at four seams — ColLinear.Forward/Backward and
 // RowLinear.Forward/Backward — plus Family.Lifetime, which tells the shared
-// modules when their intermediates go back; a further bracket (folded
+// modules when their intermediates go back, and NewFamily, which splits the
+// activation rows over the group under RowSharded; a further bracket (folded
 // tensor+sequence parallelism, say) is one more case at those seams, not
 // another set of layers.
 //
@@ -51,7 +52,9 @@ const (
 	RowSharded
 )
 
-// Proc is one processor's view of a 1-D tensor-parallel group.
+// Proc is one processor's view of a 1-D tensor-parallel group, with its
+// queue of deferred gradient all-reduces (only seqpar's replicated patch
+// embedding defers any: the linears' weight-shard gradients are rank-local).
 type Proc struct {
 	W *dist.Worker
 	// P is the tensor-parallel size.
@@ -61,26 +64,26 @@ type Proc struct {
 	Rank int
 	// TP is the tensor-parallel communicator.
 	TP *dist.Group
+	parallel.Grads
 
 	// bracket is the activation layout between modules, set by NewFamily;
 	// the zero value is Megatron-LM's replication.
 	bracket Bracket
 }
 
-// NewProcAt attaches the calling worker to the tensor-parallel group
-// spanning cluster ranks [base, base+p), so the group can sit anywhere on a
-// cluster it shares with others.
-func NewProcAt(w *dist.Worker, p, base int) *Proc {
+// NewProc attaches the calling worker to the tensor-parallel group spanning
+// cluster ranks [0, p).
+func NewProc(w *dist.Worker, p int) *Proc {
 	ranks := make([]int, p)
 	for i := range ranks {
-		ranks[i] = base + i
+		ranks[i] = i
 	}
 	g := w.Cluster().Group(ranks...)
 	idx := g.Index(w.Rank())
 	if idx < 0 {
-		panic(fmt.Sprintf("megatron: rank %d outside tensor-parallel group [%d,%d)", w.Rank(), base, base+p))
+		panic(fmt.Sprintf("megatron: rank %d outside tensor-parallel group [0,%d)", w.Rank(), p))
 	}
-	return &Proc{W: w, P: p, Rank: idx, TP: g}
+	return &Proc{W: w, P: p, Rank: idx, TP: g, Grads: parallel.NewGrads(w)}
 }
 
 // Gather all-gathers a row-sharded activation into a pooled full-row

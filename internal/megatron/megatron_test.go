@@ -38,8 +38,12 @@ func runTP(t *testing.T, tp int, b Bracket, fn func(mp *Proc) error) *dist.Clust
 	})
 }
 
-// family wraps a group view for the block constructors.
-func family(mp *Proc) *Family { return &Family{p: mp} }
+// family wraps a group view for the block constructors, which read no
+// activation layout.
+func family(mp *Proc) *Family {
+	l := parallel.Layout{Family: "megatron", Ranks: mp.P}
+	return &Family{View: parallel.NewView(mp.W, l, nil, nil, &mp.Grads), p: mp}
+}
 
 // pooled copies m into a workspace buffer: the row-sharded bracket recycles
 // the activations it is handed, which only pooled buffers allow.
@@ -317,7 +321,7 @@ func TestProcValidation(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 2})
 	err := c.Run(func(w *dist.Worker) error {
 		defer func() { recover() }()
-		NewProcAt(w, 4, 0) // group larger than the cluster
+		NewProc(w, 4) // group larger than the cluster
 		t.Errorf("rank %d: expected panic", w.Rank())
 		return nil
 	})

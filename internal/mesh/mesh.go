@@ -3,10 +3,11 @@
 // algorithm needs: rows and columns inside a depth layer, depth fibres, and
 // "slabs" (all processors sharing a grid column across layers).
 //
-// Rank layout is layer-major: rank = base + k·q² + i·q + j. With 4 GPUs per
-// node this keeps each layer's rows packed onto as few nodes as possible,
-// matching the paper's observation that Tesseract communicates most inside a
-// layer and rarely across depth.
+// Rank layout is layer-major: rank = k·q² + i·q + j, on ranks [0, d·q²) of a
+// cluster that may be larger. With 4 GPUs per node this keeps each layer's
+// rows packed onto as few nodes as possible, matching the paper's
+// observation that Tesseract communicates most inside a layer and rarely
+// across depth.
 package mesh
 
 import (
@@ -19,9 +20,6 @@ import (
 // Optimus) special case; D = Q is the 3-D special case.
 type Shape struct {
 	Q, D int
-	// Base is the first cluster rank used by the mesh, allowing several
-	// meshes to share a cluster.
-	Base int
 }
 
 // Size returns the number of processors p = d·q².
@@ -39,15 +37,14 @@ func (s Shape) Validate() error {
 }
 
 // Rank returns the cluster rank of grid position (i, j, k).
-func (s Shape) Rank(i, j, k int) int { return s.Base + k*s.Q*s.Q + i*s.Q + j }
+func (s Shape) Rank(i, j, k int) int { return k*s.Q*s.Q + i*s.Q + j }
 
 // Coords inverts Rank.
 func (s Shape) Coords(rank int) (i, j, k int) {
-	r := rank - s.Base
 	q2 := s.Q * s.Q
-	k = r / q2
-	r %= q2
-	return r / s.Q, r % s.Q, k
+	k = rank / q2
+	rank %= q2
+	return rank / s.Q, rank % s.Q, k
 }
 
 // UniformLinks reports whether placement treats every processor alike: with
@@ -108,8 +105,8 @@ func NewProc(w *dist.Worker, s Shape) *Proc {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	if w.Rank() < s.Base || w.Rank() >= s.Base+s.Size() {
-		panic(fmt.Sprintf("mesh: rank %d outside mesh base=%d size=%d", w.Rank(), s.Base, s.Size()))
+	if w.Rank() >= s.Size() {
+		panic(fmt.Sprintf("mesh: rank %d outside mesh of size %d", w.Rank(), s.Size()))
 	}
 	i, j, k := s.Coords(w.Rank())
 	p := &Proc{W: w, Shape: s, I: i, J: j, K: k}

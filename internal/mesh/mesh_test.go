@@ -50,17 +50,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestBaseOffset(t *testing.T) {
-	s := Shape{Q: 2, D: 1, Base: 10}
-	if s.Rank(0, 0, 0) != 10 || s.Rank(1, 1, 0) != 13 {
-		t.Fatal("base offset not applied")
-	}
-	i, j, k := s.Coords(13)
-	if i != 1 || j != 1 || k != 0 {
-		t.Fatal("coords with base offset wrong")
-	}
-}
-
 func TestProcGroups(t *testing.T) {
 	s := Shape{Q: 2, D: 2}
 	c := dist.New(dist.Config{WorldSize: s.Size()})

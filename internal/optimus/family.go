@@ -4,18 +4,17 @@
 // exactly the d = 1 special case of Tesseract — the paper itself notes that
 // "d = 1 makes Tesseract a 2-D algorithm like SUMMA", and its Table 1/2
 // shapes [2,2] vs [2,2,1] confirm near-identical behaviour. The package is
-// therefore two descriptors over the shared SUMMA layers and no layer code
-// of its own: Family runs them on a depth-1 mesh under the name "optimus",
-// Grids enumerates its layouts for the planner. Keeping one implementation
-// guarantees the baseline and the contribution differ only in the dimension
-// under study.
+// therefore one registration and one enumerator, with no family type or
+// layer code of its own: its Spec builds Tesseract's family on the depth-1
+// mesh under the name "optimus", and Grids enumerates its layouts for the
+// planner. Keeping one implementation guarantees the baseline and the
+// contribution differ only in the dimension under study.
 package optimus
 
 import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/mesh"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/tesseract"
@@ -25,7 +24,7 @@ func init() {
 	parallel.Register(parallel.Spec{
 		Name: "optimus",
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
-			return newFamily(w, l), nil
+			return tesseract.NewFamily(w, l), nil
 		},
 		Check: func(l parallel.Layout) error {
 			if l.Q < 1 {
@@ -52,27 +51,3 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 	}
 	return out
 }
-
-// Family is Optimus' implementation of the family-agnostic model layer.
-// Optimus is exactly the d = 1 special case of Tesseract, so the family
-// embeds a depth-1 Tesseract family and differs only in its name and
-// layout — the same first-class delegation the planner descriptor uses,
-// now shared by models, trainers and the experiment harness.
-type Family struct {
-	*tesseract.Family
-	layout parallel.Layout
-}
-
-// NewFamily attaches the calling worker to a q×q mesh based at rank 0 and
-// returns the family view.
-func NewFamily(w *dist.Worker, q int) *Family {
-	return newFamily(w, parallel.Layout{Family: "optimus", Q: q, D: 1, Ranks: q * q})
-}
-
-func newFamily(w *dist.Worker, l parallel.Layout) *Family {
-	inner := tesseract.NewFamilyAt(w, mesh.Shape{Q: l.Q, D: 1, Base: l.Base})
-	return &Family{Family: inner, layout: l}
-}
-
-// Layout returns the 2-D mesh layout.
-func (f *Family) Layout() parallel.Layout { return f.layout }

@@ -13,6 +13,17 @@ import (
 	"repro/internal/testutil"
 )
 
+// newFamily attaches the calling worker to the optimus [q, q] layout through
+// the family's registration, which builds Tesseract's family on the depth-1
+// mesh.
+func newFamily(w *dist.Worker, q int) *tesseract.Family {
+	f, err := parallel.New(w, parallel.Layout{Family: "optimus", Q: q})
+	if err != nil {
+		panic(err)
+	}
+	return f.(*tesseract.Family)
+}
+
 func TestMatMulABMatchesSerial(t *testing.T) {
 	for _, q := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
@@ -20,7 +31,7 @@ func TestMatMulABMatchesSerial(t *testing.T) {
 			want := nn.NewLinear(3*q, 2*q, nn.ActNone, false, tensor.NewRNG(11)).Forward(x)
 			results := testutil.NewCollector()
 			testutil.Run(t, q*q, func(w *dist.Worker) error {
-				f := NewFamily(w, q)
+				f := newFamily(w, q)
 				l := f.NewLinear(3*q, 2*q, nn.ActNone, false, tensor.NewRNG(11))
 				results.Put(w.Rank(), f.Collect(l.Forward(f.Distribute(x))))
 				return nil
@@ -45,7 +56,7 @@ func TestBlockMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			testutil.Run(t, q*q, func(w *dist.Worker) error {
-				f := NewFamily(w, q)
+				f := newFamily(w, q)
 				b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(31))
 				y := b.Forward(f.Distribute(x))
 				dx := b.Backward(f.Distribute(dy))
@@ -61,7 +72,7 @@ func TestBlockMatchesSerial(t *testing.T) {
 
 func TestCoordsExposed(t *testing.T) {
 	testutil.Run(t, 4, func(w *dist.Worker) error {
-		f := NewFamily(w, 2)
+		f := newFamily(w, 2)
 		want := parallel.Layout{Family: "optimus", Q: 2, D: 1, Ranks: 4}
 		if f.Layout() != want {
 			t.Errorf("family layout %+v, want %+v", f.Layout(), want)
@@ -91,7 +102,7 @@ func TestMLPMatchesSerial(t *testing.T) {
 	testutil.Run(t, 4, func(w *dist.Worker) error {
 		// Optimus' feed-forward module is the shared one over Tesseract's
 		// linears on the depth-1 mesh.
-		f := NewFamily(w, 2)
+		f := newFamily(w, 2)
 		m := parallel.NewMLP(f, h, tensor.NewRNG(37))
 		y := m.Forward(f.Distribute(x))
 		dx := m.Backward(f.Distribute(dy))
@@ -124,8 +135,10 @@ func TestOptimusIsTesseractDepthOne(t *testing.T) {
 		})
 		return c, ys, dxs
 	}
-	oc, oys, odxs := run(func(w *dist.Worker) parallel.Family { return NewFamily(w, q) })
-	tc, tys, tdxs := run(func(w *dist.Worker) parallel.Family { return tesseract.NewFamily(w, q, 1) })
+	oc, oys, odxs := run(func(w *dist.Worker) parallel.Family { return newFamily(w, q) })
+	tc, tys, tdxs := run(func(w *dist.Worker) parallel.Family {
+		return tesseract.NewFamily(w, parallel.Layout{Family: "tesseract", Q: q, D: 1, Ranks: q * q})
+	})
 	sameBits := func(a, b *tensor.Matrix) bool {
 		if !a.SameShape(b) {
 			return false

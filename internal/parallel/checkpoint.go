@@ -121,13 +121,17 @@ func (ck *Checkpoint) familyGroup(f Family) *dist.Group {
 	if ck.group != nil && ck.cluster == c {
 		return ck.group
 	}
-	l := f.Layout()
-	ranks := make([]int, l.Ranks)
-	for i := range ranks {
-		ranks[i] = l.Base + i
-	}
-	ck.group, ck.cluster = c.Group(ranks...), c
+	ck.group, ck.cluster = c.Group(familyRanks(f)...), c
 	return ck.group
+}
+
+// familyRanks lists the ranks the family occupies, [0, Ranks).
+func familyRanks(f Family) []int {
+	ranks := make([]int, f.Layout().Ranks)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	return ranks
 }
 
 // CollectInto snapshots the model (and optimiser moments, when opt is
@@ -210,15 +214,10 @@ func Restore(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
 	if len(ck.Slots) != len(slots) {
 		return fmt.Errorf("parallel: checkpoint has %d slots, model has %d", len(ck.Slots), len(slots))
 	}
-	l := f.Layout()
 	w := f.Worker()
 	ws := w.Workspace()
-	ranks := make([]int, l.Ranks)
-	for i := range ranks {
-		ranks[i] = l.Base + i
-	}
-	g := w.Cluster().Group(ranks...)
-	root := l.Base
+	g := w.Cluster().Group(familyRanks(f)...)
+	const root = 0
 	isRoot := w.Rank() == root
 	// Only the root's replica goes over the wire; verify it before a single
 	// byte is broadcast. The root erroring out unwinds the other ranks the

@@ -26,33 +26,27 @@ type ReplicatedLinear struct {
 	*nn.Linear
 	w *dist.Worker
 
-	// primary is the one rank of the family that writes this layer's
-	// (replicated, bit-identical) parameters into a checkpoint.
-	primary int
-
 	x   *tensor.Matrix
 	pre *tensor.Matrix
 }
 
-// NewReplicatedLinearAt draws the full weight from rng (the serial stream)
-// and replicates it on the calling rank; primary is the rank that writes it
-// into a checkpoint — the family's base rank.
-func NewReplicatedLinearAt(w *dist.Worker, primary, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
-	return &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w, primary: primary}
+// NewReplicatedLinear draws the full weight from rng (the serial stream)
+// and replicates it on the calling rank.
+func NewReplicatedLinear(w *dist.Worker, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
+	return &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w}
 }
 
 // NewHead builds any family's classifier head: a replicated serial linear
 // computed redundantly on every rank from replicated features — the
-// standard treatment for heads whose cost is negligible — with the family's
-// base rank as its checkpoint primary.
+// standard treatment for heads whose cost is negligible.
 func NewHead(f Family, in, out int, rng *tensor.RNG) *ReplicatedLinear {
-	return NewReplicatedLinearAt(f.Worker(), f.Layout().Base, in, out, nn.ActNone, true, rng)
+	return NewReplicatedLinear(f.Worker(), in, out, nn.ActNone, true, rng)
 }
 
 // State exposes the replicated weight (and bias, if present) as canonical
-// slots; only the primary rank contributes to a collect.
+// slots; only rank 0, the family's first, contributes to a collect.
 func (l *ReplicatedLinear) State() []State {
-	p := l.w.Rank() == l.primary
+	p := l.w.Rank() == 0
 	out := []State{FullState(l.W, l.In, l.Out, p)}
 	if l.B != nil {
 		out = append(out, FullState(l.B, 1, l.Out, p))

@@ -9,14 +9,15 @@
 // same Transformer math; this package is that point as an API, and as code:
 // the Transformer block, its attention and its MLP exist once, here (Block,
 // Attention, MLP), composed from the linears, the layer norm and the buffer
-// lifetimes a family contributes (Linears). A Family knows how its
-// activations are laid out (Distribute, Collect, Slice, GatherPooled), how
-// to build the distributed layers that operate on that layout (NewLinear,
+// lifetimes a family contributes (Linears). So do the activation layout
+// (Distribute, Collect, Slice, GatherPooled) and the step boundary
+// (DrainGradients, EndStep): View implements them for every family from the
+// two groups its activations split over, with one deferred-gradient queue
+// (Grads). A family builds the distributed layers (NewLinear,
 // NewBlock, NewLayerNorm; the classifier head is NewHead, the same
-// replicated linear for every family), and how a training step finishes
-// (DrainGradients, EndStep). Everything above —
-// vit.DistModel, vit.Session and the trainers, serving and tables runners
-// that drive it — only ever sees these contracts.
+// replicated linear for every family). Everything above — vit.DistModel,
+// vit.Session and the trainers, serving and tables runners that drive it —
+// only ever sees these contracts.
 //
 // # One description per family
 //
@@ -37,11 +38,11 @@
 //
 // # Grad-sync ordering
 //
-// Backward passes may defer parameter-gradient synchronisation (Tesseract
-// queues its §3.1 depth all-reduces per layer and lets them fly behind the
-// remaining backward work). Gradients are only final after
-// Family.DrainGradients returns; trainers must drain after the full
-// backward pass and before the optimiser reads any gradient. Drain is
+// Backward passes may defer parameter-gradient synchronisation onto the
+// rank's Grads (Tesseract queues its §3.1 depth all-reduces per layer and
+// lets them fly behind the remaining backward work). Gradients are only
+// final after Family.DrainGradients returns; trainers must drain after the
+// full backward pass and before the optimiser reads any gradient. Drain is
 // idempotent and free for families that synchronise eagerly.
 //
 // # EndStep

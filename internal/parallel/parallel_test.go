@@ -102,8 +102,8 @@ func TestReplicatedLinearMatchesSerial(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
 		rng := tensor.NewRNG(3)
-		a := NewReplicatedLinearAt(w, 0, 4, 6, nn.ActGELU, true, rng)
-		b := NewReplicatedLinearAt(w, 0, 6, 4, nn.ActNone, true, rng)
+		a := NewReplicatedLinear(w, 4, 6, nn.ActGELU, true, rng)
+		b := NewReplicatedLinear(w, 6, 4, nn.ActNone, true, rng)
 
 		refA := nn.NewLinear(4, 6, nn.ActGELU, true, tensor.NewRNG(3))
 		rng2 := tensor.NewRNG(3)
@@ -141,7 +141,7 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 		if ln.Params() != nil {
 			t.Error("layer norm must be parameter-free")
 		}
-		lin := NewReplicatedLinearAt(w, 0, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
+		lin := NewReplicatedLinear(w, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
 		lin.Forward(x)
 		lin.Backward(tensor.RandomMatrix(4, 2, tensor.NewRNG(3)))
 		return nil

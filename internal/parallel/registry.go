@@ -12,7 +12,8 @@ import (
 // also the planner's candidate: a family's grid enumerator returns Layouts,
 // and plan.Plan embeds the one it ranked. Q and D describe the mesh for the
 // 2-D/2.5-D families and are zero for 1-D families, whose arrangement is
-// just [Ranks].
+// just [Ranks]. A layout occupies ranks [0, Ranks) of a cluster that may be
+// larger (vit.Session's); the ranks past it idle.
 type Layout struct {
 	// Family is the registered family name.
 	Family string
@@ -22,11 +23,6 @@ type Layout struct {
 	// Ranks is the total processor count. Zero means "derive from the
 	// mesh" (q²·d) in Normalize.
 	Ranks int
-	// Base is the first cluster rank the family occupies, so a layout can
-	// sit anywhere on a cluster larger than itself and several can share
-	// one; ranks outside [Base, Base+Ranks) idle. vit.Session is the caller
-	// that runs layouts on shared, oversized clusters.
-	Base int
 }
 
 // Normalize fills the derivable zero fields (D defaults to 1 on meshes,
@@ -37,7 +33,7 @@ func (l Layout) Normalize() (Layout, error) {
 	if l.Family == "" {
 		return l, fmt.Errorf("parallel: layout needs a family name")
 	}
-	if l.Q < 0 || l.D < 0 || l.Ranks < 0 || l.Base < 0 {
+	if l.Q < 0 || l.D < 0 || l.Ranks < 0 {
 		return l, fmt.Errorf("parallel: negative layout field in %+v", l)
 	}
 	if l.Q > 0 {
@@ -102,7 +98,7 @@ type Spec struct {
 	// Name is the family name a Layout carries ("tesseract", "megatron").
 	Name string
 	// New builds one rank's family view for a validated layout. Every rank
-	// in [l.Base, l.Base+l.Ranks) must call it collectively.
+	// in [0, l.Ranks) must call it collectively.
 	New func(w *dist.Worker, l Layout) (Family, error)
 	// Check, if set, rejects a layout the constructor would refuse (1-D
 	// families cannot take a mesh, Tesseract requires d ≤ q) without a

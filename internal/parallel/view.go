@@ -1,0 +1,140 @@
+package parallel
+
+import (
+	"fmt"
+
+	"repro/internal/dist"
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// View is every family's activation layout and step hooks, built from the
+// two groups a family splits activations over (a Mesh-TensorFlow layout):
+// rows over one, columns over the other, nil for an axis not split.
+// Tesseract and Optimus split rows over the slab in block-row order
+// h = i + k·q and columns over the grid row (Figure 4a); sequence
+// parallelism splits rows over its group; Megatron-LM splits neither, so
+// Distribute, Collect and GatherPooled return their argument. A named group
+// is gathered even when it has one member.
+type View struct {
+	*Grads // the rank's deferred gradient all-reduces
+
+	layout     Layout
+	w          *dist.Worker
+	rows, cols *dist.Group
+	row, col   int // the rank's index in rows and cols, 0 where not split
+}
+
+// NewView builds the calling rank's view of layout l, whose activation rows
+// split over rows and columns over cols, deferring gradients onto grads.
+func NewView(w *dist.Worker, l Layout, rows, cols *dist.Group, grads *Grads) View {
+	v := View{Grads: grads, layout: l, w: w, rows: rows, cols: cols}
+	if rows != nil {
+		v.row = rows.Index(w.Rank())
+	}
+	if cols != nil {
+		v.col = cols.Index(w.Rank())
+	}
+	return v
+}
+
+// Layout, Worker, RowShards (the row group's size) and EndStep (the
+// workspace released at a step boundary) are parallel.Family's.
+func (v *View) Layout() Layout       { return v.layout }
+func (v *View) Worker() *dist.Worker { return v.w }
+func (v *View) RowShards() int       { return shards(v.rows) }
+func (v *View) EndStep()             { v.w.Workspace().ReleaseAll() }
+
+func shards(g *dist.Group) int {
+	if g == nil {
+		return 1
+	}
+	return g.Size()
+}
+
+// Slice is block (row, col) of the row and column splits.
+func (v *View) Slice(rows, cols int) Slice {
+	rs, cs := v.RowShards(), shards(v.cols)
+	if rows%rs != 0 || cols%cs != 0 {
+		panic(fmt.Sprintf("parallel: %s cannot split a %dx%d activation into %dx%d blocks", v.layout, rows, cols, rs, cs))
+	}
+	r, c := rows/rs, cols/cs
+	return Slice{Row0: v.row * r, Col0: v.col * c, Rows: r, Cols: c}
+}
+
+// Distribute copies the rank's Slice into a workspace buffer.
+func (v *View) Distribute(global *tensor.Matrix) *tensor.Matrix {
+	if v.rows == nil && v.cols == nil {
+		return global
+	}
+	s := v.Slice(global.Rows, global.Cols)
+	local := v.w.Workspace().GetUninitMatch(s.Rows, s.Cols, global.Phantom())
+	tensor.SubMatrixInto(local, global, s.Row0, s.Col0)
+	return local
+}
+
+// Collect leaves local with the caller (a saved activation);
+// GatherPooled takes it over and returns it to the workspace.
+func (v *View) Collect(local *tensor.Matrix) *tensor.Matrix      { return v.gather(local, false) }
+func (v *View) GatherPooled(local *tensor.Matrix) *tensor.Matrix { return v.gather(local, true) }
+
+// gather all-gathers columns, then rows, into workspace buffers. An
+// all-gather has read every member's block when it returns, so each buffer
+// it read — x when owned, the intermediate always — goes back right after.
+func (v *View) gather(x *tensor.Matrix, owned bool) *tensor.Matrix {
+	ws := v.w.Workspace()
+	if v.cols != nil {
+		wide := ws.GetUninitMatch(x.Rows, v.cols.Size()*x.Cols, x.Phantom())
+		v.cols.AllGatherInto(v.w, x, wide)
+		if owned {
+			ws.Put(x)
+		}
+		x, owned = wide, true
+	}
+	if v.rows != nil {
+		full := ws.GetUninitMatch(v.rows.Size()*x.Rows, x.Cols, x.Phantom())
+		v.rows.AllGatherInto(v.w, x, full)
+		if owned {
+			ws.Put(x)
+		}
+		x = full
+	}
+	return x
+}
+
+// Grads is one rank's queue of deferred gradient all-reduces: a backward
+// pass launches a partial gradient's sum the moment it is ready and carries
+// on into earlier layers, and DrainGradients folds the sums in.
+type Grads struct {
+	w       *dist.Worker
+	pending []pendingGrad
+}
+
+type pendingGrad struct {
+	param *nn.Param
+	buf   *tensor.Matrix
+	h     dist.Handle
+}
+
+// NewGrads returns the calling rank's empty queue.
+func NewGrads(w *dist.Worker) Grads { return Grads{w: w} }
+
+// DeferAllReduce launches g's in-place all-reduce of buf, param's partial
+// gradient; the workspace buffer belongs to the queue from here on.
+func (q *Grads) DeferAllReduce(g *dist.Group, param *nn.Param, buf *tensor.Matrix) {
+	q.pending = append(q.pending, pendingGrad{param: param, buf: buf, h: g.IAllReduceInto(q.w, buf, buf)})
+}
+
+// DrainGradients waits every queued sum in issue order, accumulates it into
+// its parameter and recycles its buffer; afterwards gradients are final.
+func (q *Grads) DrainGradients() {
+	ws := q.w.Workspace()
+	for i := range q.pending {
+		pg := &q.pending[i]
+		pg.h.Wait()
+		pg.param.AccumGrad(pg.buf)
+		ws.Put(pg.buf)
+		*pg = pendingGrad{}
+	}
+	q.pending = q.pending[:0]
+}

@@ -13,8 +13,8 @@ import (
 // replay's clocks, ComputeSeconds its representative rank's busy seconds,
 // CommSeconds the remainder and MemoryBytes what its heaviest rank held. The
 // layout's family must be registered (import its package). Only the
-// topology's cost model and node size are read, and the layout is priced
-// based at rank 0 of a cluster of its own, wherever Base puts it at run time.
+// topology's cost model and node size are read, and the layout is priced on a
+// cluster of its own.
 func Price(w Workload, l parallel.Layout, t Topology) (Breakdown, error) {
 	w, err := w.WithDefaults()
 	if err != nil {
@@ -52,7 +52,6 @@ func priceForward(w Workload, batch int, l parallel.Layout, t Topology) (float64
 // newReplay builds the workload's phantom layer stack at the given batch on
 // the cluster that prices the layout: solo where that is exact, else full.
 func newReplay(w Workload, batch int, l parallel.Layout, t Topology) (*parallel.Replay, error) {
-	l.Base = 0
 	l, err := parallel.Validate(l)
 	if err != nil {
 		return nil, err

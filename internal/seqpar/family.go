@@ -47,19 +47,14 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 }
 
 // Family is sequence parallelism's implementation of the family-agnostic
-// model layer: activations sharded p ways along rows (whole sequences per
-// rank), weights sharded exactly like Megatron-LM. It is megatron's family
-// under the RowSharded bracket — layout, blocks, layer norms, head and step
-// boundary are inherited; the layer norms and residual adds inside the
+// model layer: megatron's family under the RowSharded bracket — activations
+// split p ways along rows (whole sequences per rank), weights sharded
+// exactly like Megatron-LM; layout, blocks, layer norms, head and step
+// boundary are inherited, and the layer norms and residual adds inside the
 // block run on 1/p of the rows, which is where the activation-memory edge
-// over Megatron comes from — with the distribution half overridden:
-// Distribute slices the rank's row block, Collect all-gathers it back.
+// over Megatron comes from. Only the patch embedding is its own.
 type Family struct {
 	*megatron.Family
-
-	// pending are the replicated-weight gradient all-reduces the patch
-	// embedding queues per backward pass, drained by DrainGradients.
-	pending []gradSync
 }
 
 // NewFamily attaches the calling worker to the sequence-parallel group
@@ -68,65 +63,9 @@ func NewFamily(w *dist.Worker, l parallel.Layout) *Family {
 	return &Family{Family: megatron.NewFamily(w, l, megatron.RowSharded)}
 }
 
-// RowShards returns p: every rank owns 1/p of the activation rows.
-func (f *Family) RowShards() int { return f.Proc().P }
-
 // NewLinear builds the shard-local linear (the ViT patch embedding): the
 // weight is replicated, the GEMM runs on the local rows, and the gradient
 // all-reduce is deferred to DrainGradients.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
 	return newShardLinear(f, in, out, act, bias, rng)
-}
-
-// Distribute slices this rank's row block out of the replicated global
-// activation into a pooled buffer.
-func (f *Family) Distribute(global *tensor.Matrix) *tensor.Matrix {
-	p := f.Proc()
-	if global.Rows%p.P != 0 {
-		panic(fmt.Sprintf("seqpar: cannot distribute %d rows across p=%d", global.Rows, p.P))
-	}
-	br := global.Rows / p.P
-	local := p.W.Workspace().GetUninitMatch(br, global.Cols, global.Phantom())
-	tensor.SubMatrixInto(local, global, p.Rank*br, 0)
-	return local
-}
-
-// Collect all-gathers the row shards into the full replicated activation
-// on every rank. The local shard stays checked out by its owner.
-func (f *Family) Collect(local *tensor.Matrix) *tensor.Matrix {
-	return f.Proc().Gather(local)
-}
-
-// Slice reports this rank's row block of a replicated [rows, cols]
-// activation.
-func (f *Family) Slice(rows, cols int) parallel.Slice {
-	p := f.Proc()
-	if rows%p.P != 0 {
-		panic(fmt.Sprintf("seqpar: cannot slice %d rows across p=%d", rows, p.P))
-	}
-	br := rows / p.P
-	return parallel.Slice{Row0: p.Rank * br, Rows: br, Cols: cols}
-}
-
-// GatherPooled all-gathers a row-pooled local block into the full
-// replicated matrix and recycles the local buffer, whose ownership the
-// contract transfers here.
-func (f *Family) GatherPooled(local *tensor.Matrix) *tensor.Matrix {
-	full := f.Proc().Gather(local)
-	f.Worker().Workspace().Put(local)
-	return full
-}
-
-// DrainGradients completes the patch embedding's queued replicated-weight
-// gradient all-reduces; afterwards gradients are final on every rank.
-func (f *Family) DrainGradients() {
-	ws := f.Worker().Workspace()
-	for i := range f.pending {
-		s := &f.pending[i]
-		s.h.Wait()
-		s.param.AccumGrad(s.buf)
-		ws.Put(s.buf)
-		*s = gradSync{}
-	}
-	f.pending = f.pending[:0]
 }

@@ -14,28 +14,20 @@
 // The weight sharding is Megatron-LM's, and so are the layers: the
 // Transformer block is the shared parallel.Block over package megatron's
 // column/row-parallel linears run under the megatron.RowSharded bracket,
-// which is also why checkpoints re-shard freely between the two families. What
-// lives here is what genuinely differs for row-sharded activations: the
-// Family adapter (Distribute slices rows, Collect and GatherPooled
-// all-gather them), the shard-local patch embedding with its deferred
-// replicated-weight gradient sync, and the planner descriptor.
+// which is also why checkpoints re-shard freely between the two families, and
+// so is the activation layout: the bracket's parallel.View splits rows over
+// the group and nothing over columns. What lives here is what genuinely
+// differs for row-sharded activations: the shard-local patch embedding, whose
+// replicated-weight gradient sums defer onto the rank's parallel.Grads, and
+// the planner descriptor.
 package seqpar
 
 import (
 	"repro/internal/compute"
-	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
-
-// gradSync is one in-flight replicated-parameter gradient all-reduce: the
-// handle, the parameter it lands on, and the pooled buffer carrying the sum.
-type gradSync struct {
-	h     dist.Handle
-	param *nn.Param
-	buf   *tensor.Matrix
-}
 
 // shardLinear is the family's fully connected layer (the ViT patch
 // embedding): the weight is replicated — the input rows are already
@@ -108,15 +100,11 @@ func (l *shardLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dw := ws.GetUninitMatch(l.In, l.Out, ph)
 	dw.Zero()
 	compute.MatMulTNInto(w, dw, l.x, dy)
-	f.pending = append(f.pending, gradSync{
-		h: f.Proc().TP.IAllReduceInto(w, dw, dw), param: l.W, buf: dw,
-	})
+	f.DeferAllReduce(f.Proc().TP, l.W, dw)
 	if l.B != nil {
 		db := ws.GetUninitMatch(1, l.Out, ph)
 		compute.ColSumsInto(w, db, dy)
-		f.pending = append(f.pending, gradSync{
-			h: f.Proc().TP.IAllReduceInto(w, db, db), param: l.B, buf: db,
-		})
+		f.DeferAllReduce(f.Proc().TP, l.B, db)
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
 	compute.MatMulNTInto(w, dx, dy, l.W.Value)

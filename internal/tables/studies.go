@@ -118,7 +118,7 @@ func MemoryStudy(a, b, c int) ([]MemoryPoint, error) {
 			GPUs:         p,
 			FormulaElems: claims.MemoryMegatron(float64(a), float64(b), float64(c), float64(p)),
 		}, c%p == 0, func(w *dist.Worker) (x, wt, y *tensor.Matrix) {
-			mp := megatron.NewProcAt(w, p, 0)
+			mp := megatron.NewProc(w, p)
 			l := megatron.NewColLinear(mp, b, c, nn.ActNone, false, nil)
 			x = tensor.NewPhantom(a, b)
 			return x, l.W.Value, l.Forward(x)

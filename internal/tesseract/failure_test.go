@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/mesh"
 	"repro/internal/tensor"
 )
 
@@ -18,7 +17,7 @@ func TestWorkerErrorDuringForwardUnblocksPeers(t *testing.T) {
 	sentinel := errors.New("injected fault")
 	c := dist.New(dist.Config{WorldSize: 8})
 	err := c.Run(func(w *dist.Worker) error {
-		p := NewProcAt(w, mesh.Shape{Q: 2, D: 2})
+		p := NewProc(w, 2, 2)
 		if w.Rank() == 5 {
 			return sentinel // dies before joining any collective
 		}
@@ -38,7 +37,7 @@ func TestWorkerErrorDuringForwardUnblocksPeers(t *testing.T) {
 func TestPanicMidCollectiveUnblocksPeers(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 4})
 	err := c.Run(func(w *dist.Worker) error {
-		p := NewProcAt(w, mesh.Shape{Q: 2, D: 1})
+		p := NewProc(w, 2, 1)
 		a := tensor.RandomMatrix(2, 2, tensor.NewRNG(uint64(w.Rank())))
 		b := tensor.RandomMatrix(2, 2, tensor.NewRNG(uint64(w.Rank())+10))
 		if w.Rank() == 3 {

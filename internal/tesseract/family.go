@@ -15,13 +15,13 @@ func init() {
 	parallel.Register(parallel.Spec{
 		Name: "tesseract",
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
-			return &Family{p: NewProcAt(w, mesh.Shape{Q: l.Q, D: l.D, Base: l.Base}), layout: l}, nil
+			return NewFamily(w, l), nil
 		},
 		Check: func(l parallel.Layout) error {
 			if l.Q < 1 {
 				return fmt.Errorf("tesseract: layout %s needs a mesh dimension q", l)
 			}
-			return mesh.Shape{Q: l.Q, D: l.D, Base: l.Base}.Validate()
+			return mesh.Shape{Q: l.Q, D: l.D}.Validate()
 		},
 	})
 }
@@ -48,38 +48,23 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 }
 
 // Family is Tesseract's implementation of the family-agnostic model layer:
-// A-distributed activations, B-distributed weights, SUMMA linears and the
-// queued §3.1 depth gradient synchronisation, behind parallel.Family.
+// A-distributed activations — rows over the slab in block-row order
+// h = i + k·q, columns over the grid row (Figure 4a) — B-distributed
+// weights, SUMMA linears and the queued §3.1 depth gradient
+// synchronisation, behind parallel.Family.
 type Family struct {
-	p      *Proc
-	layout parallel.Layout
+	parallel.View
+	p *Proc
 }
 
-// NewFamily attaches the calling worker to a [q, q, d] mesh based at rank 0
-// and returns the family view. All ranks of the mesh must call it
-// collectively.
-func NewFamily(w *dist.Worker, q, d int) *Family {
-	return NewFamilyAt(w, mesh.Shape{Q: q, D: d})
+// NewFamily attaches the calling worker to the mesh of a validated layout —
+// Tesseract's [q, q, d], or Optimus' [q, q], which is its d = 1 case under
+// another name — and returns the family view. All ranks of the mesh must
+// call it collectively.
+func NewFamily(w *dist.Worker, l parallel.Layout) *Family {
+	p := NewProc(w, l.Q, l.D)
+	return &Family{View: parallel.NewView(w, l, p.Slab, p.Row, &p.Grads), p: p}
 }
-
-// NewFamilyAt attaches the calling worker to an arbitrary mesh shape —
-// used by the Optimus depth-1 delegation.
-func NewFamilyAt(w *dist.Worker, s mesh.Shape) *Family {
-	return &Family{
-		p:      NewProcAt(w, s),
-		layout: parallel.Layout{Family: "tesseract", Q: s.Q, D: s.D, Ranks: s.Size(), Base: s.Base},
-	}
-}
-
-// Layout returns the mesh layout.
-func (f *Family) Layout() parallel.Layout { return f.layout }
-
-// Worker returns the rank's cluster view.
-func (f *Family) Worker() *dist.Worker { return f.p.W }
-
-// RowShards returns d·q: activation rows split across the depth layers and
-// grid rows.
-func (f *Family) RowShards() int { return f.p.Shape.Q * f.p.Shape.D }
 
 // NewLinear builds a Tesseract-parallel linear layer.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
@@ -115,58 +100,5 @@ func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
 // NewLayerNorm builds the distributed layer norm of §3.2.2.
 func (f *Family) NewLayerNorm(h int) parallel.Layer { return NewLayerNorm(f.p, h) }
 
-// Distribute slices a replicated global activation into this rank's A
-// block (Figure 4a).
-func (f *Family) Distribute(global *tensor.Matrix) *tensor.Matrix {
-	br, bc := f.p.ABlockShape(global.Rows, global.Cols)
-	local := f.p.W.Workspace().GetUninitMatch(br, bc, global.Phantom())
-	tensor.SubMatrixInto(local, global, f.p.BlockRow()*br, f.p.J*bc)
-	return local
-}
-
-// Collect reassembles an A-distributed activation on every rank, out of
-// pooled buffers: hidden columns gather along the grid row, sequence blocks
-// along the slab, mirroring GatherPooled but leaving ownership of local
-// with the caller (it is a saved activation, not a transient). The returned
-// matrix is a workspace buffer that lives until the step boundary.
-func (f *Family) Collect(local *tensor.Matrix) *tensor.Matrix {
-	p, ws := f.p, f.p.W.Workspace()
-	wide := ws.GetUninitMatch(local.Rows, p.Row.Size()*local.Cols, local.Phantom())
-	p.Row.AllGatherInto(p.W, local, wide)
-	full := ws.GetUninitMatch(p.Slab.Size()*wide.Rows, wide.Cols, wide.Phantom())
-	p.Slab.AllGatherInto(p.W, wide, full)
-	ws.Put(wide)
-	return full
-}
-
-// Slice reports the rank's share of a replicated [rows, cols] activation:
-// block row h = i + k·q of the d·q row partitions, grid column j of the q
-// column partitions.
-func (f *Family) Slice(rows, cols int) parallel.Slice {
-	r, c := f.p.ABlockShape(rows, cols)
-	return parallel.Slice{Row0: f.p.BlockRow() * r, Col0: f.p.J * c, Rows: r, Cols: c}
-}
-
-// GatherPooled all-gathers a row-pooled local block into the replicated
-// full matrix: hidden columns along the grid row, sequence blocks along
-// the slab. AllGatherInto reads every member's block before returning (no
-// snapshots), so the intermediates recycle immediately.
-func (f *Family) GatherPooled(local *tensor.Matrix) *tensor.Matrix {
-	p, ws := f.p, f.p.W.Workspace()
-	wide := ws.GetUninitMatch(local.Rows, p.Row.Size()*local.Cols, local.Phantom())
-	p.Row.AllGatherInto(p.W, local, wide)
-	ws.Put(local)
-	full := ws.GetUninitMatch(p.Slab.Size()*wide.Rows, wide.Cols, wide.Phantom())
-	p.Slab.AllGatherInto(p.W, wide, full)
-	ws.Put(wide)
-	return full
-}
-
-// DrainGradients completes the queued §3.1 depth all-reduces.
-func (f *Family) DrainGradients() { f.p.DrainGradients() }
-
 // ForwardOnly opens or closes the rank's forward-only scope (Proc.ForwardOnly).
 func (f *Family) ForwardOnly(on bool) { f.p.ForwardOnly(on) }
-
-// EndStep recycles the rank's workspace at the step boundary.
-func (f *Family) EndStep() { f.p.W.Workspace().ReleaseAll() }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/mesh"
 	"repro/internal/nn"
 	"repro/internal/summa"
 	"repro/internal/tensor"
@@ -32,7 +31,7 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 			wantW := make([]*tensor.Matrix, world)
 			wantB := make([]*tensor.Matrix, world)
 			testutil.Run(t, world, func(w *dist.Worker) error {
-				p := NewProcAt(w, mesh.Shape{Q: ms.q, D: ms.d})
+				p := NewProc(w, ms.q, ms.d)
 
 				// Live path: Backward queues, DrainGradients completes.
 				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(71))
@@ -93,7 +92,7 @@ func TestDrainGradientsIdempotentAndRequired(t *testing.T) {
 	x := tensor.RandomMatrix(rows, in, rng)
 	dy := tensor.RandomMatrix(rows, out, rng)
 	testutil.Run(t, 4, func(w *dist.Worker) error {
-		p := NewProcAt(w, mesh.Shape{Q: 2, D: 1})
+		p := NewProc(w, 2, 1)
 		l := NewLinear(p, in, out, nn.ActNone, false, tensor.NewRNG(9))
 		l.Forward(p.DistributeA(x))
 		l.Backward(p.DistributeA(dy))

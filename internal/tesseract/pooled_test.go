@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/mesh"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
@@ -42,7 +41,7 @@ func runBlockSteps(t *testing.T, q, d, steps int, pooling bool) [][]blockStepSna
 	}
 	testutil.Run(t, world, func(w *dist.Worker) error {
 		w.Workspace().SetPooling(pooling)
-		p := NewProcAt(w, mesh.Shape{Q: q, D: d})
+		p := NewProc(w, q, d)
 		b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(23))
 		params := b.Params()
 		mine := make([]blockStepSnapshot, 0, steps)
@@ -109,7 +108,7 @@ func TestPooledBlockWorkspaceIsLeakFree(t *testing.T) {
 	x := tensor.RandomMatrix(rows, h, rng)
 	dy := tensor.RandomMatrix(rows, h, rng)
 	testutil.Run(t, world, func(w *dist.Worker) error {
-		p := NewProcAt(w, mesh.Shape{Q: q, D: d})
+		p := NewProc(w, q, d)
 		b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(23))
 		params := b.Params()
 		var after1 tensor.WorkspaceStats

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dist"
-	"repro/internal/mesh"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
@@ -29,7 +28,7 @@ func TestQuickMatMulMatchesSerial(t *testing.T) {
 		results := testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProcAt(w, mesh.Shape{Q: q, D: d})
+			p := NewProc(w, q, d)
 			lc := p.MatMulAB(p.DistributeA(ga), p.DistributeB(gb))
 			results.Put(w.Rank(), p.CollectA(lc))
 			return nil
@@ -70,7 +69,7 @@ func TestQuickGradientIdentity(t *testing.T) {
 		dws := testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProcAt(w, mesh.Shape{Q: q, D: d})
+			p := NewProc(w, q, d)
 			lw := p.DistributeB(gw)
 			lx := p.DistributeA(gx)
 			ldy := p.DistributeA(gdy)
@@ -100,7 +99,7 @@ func TestQuickDepthReplicaInvariant(t *testing.T) {
 		grads := testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProcAt(w, mesh.Shape{Q: q, D: d})
+			p := NewProc(w, q, d)
 			l := NewLinear(p, 8, 8, 0, true, tensor.NewRNG(seed^0xabc))
 			l.Forward(p.DistributeA(x))
 			l.Backward(p.DistributeA(dy))
@@ -137,7 +136,7 @@ func TestQuickLayerNormInvariants(t *testing.T) {
 		outsShift := testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProcAt(w, mesh.Shape{Q: q, D: d})
+			p := NewProc(w, q, d)
 			l := NewLayerNorm(p, h)
 			outs.Put(w.Rank(), p.CollectA(l.Forward(p.DistributeA(x))))
 			l2 := NewLayerNorm(p, h)

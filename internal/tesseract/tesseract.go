@@ -20,21 +20,17 @@ import (
 	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/summa"
 	"repro/internal/tensor"
 )
 
 // Proc is one processor's view of a Tesseract mesh. It embeds the mesh
-// bookkeeping (coordinates and communicator groups) and carries the
-// processor's queue of in-flight gradient synchronisations.
+// bookkeeping (coordinates and communicator groups) and the processor's
+// queue of the depth all-reduces its layers defer (QueueGradSync).
 type Proc struct {
 	*mesh.Proc
-
-	// pending holds the depth all-reduces launched by the layers' Backward
-	// passes (DDP-style bucketing: one nonblocking all-reduce per parameter
-	// shard, issued the moment the shard's gradient is ready) until
-	// DrainGradients waits them and folds the results into the parameters.
-	pending []pendingGrad
+	parallel.Grads
 
 	// forwardOnly is set for the length of a Run that only runs forwards
 	// (ForwardOnly); packs holds, per weight block this rank owns, the
@@ -90,58 +86,24 @@ func (p *Proc) rightOperand(w *tensor.Matrix) *tensor.Matrix {
 	return &pk.view
 }
 
-// pendingGrad is one queued gradient synchronisation: wait h, accumulate
-// buf into param.Grad, recycle buf.
-type pendingGrad struct {
-	param *nn.Param
-	buf   *tensor.Matrix
-	h     dist.Handle
-}
-
-// QueueGradSync launches the §3.1 depth all-reduce for one parameter
-// shard's freshly computed layer-partial gradient without blocking: the
-// reduction runs while the backward pass continues into earlier layers, and
-// DrainGradients later folds the finished sum into param.Grad and recycles
-// buf (a workspace buffer whose ownership transfers to the queue). On a
-// depth-1 mesh the sum is the partial itself, so the gradient is folded in
-// immediately — callers never need to special-case d = 1, but they must
-// call DrainGradients before reading gradients on deeper meshes.
+// QueueGradSync defers the §3.1 depth all-reduce of one parameter shard's
+// layer-partial gradient buf (a workspace buffer the queue takes over) until
+// DrainGradients. On a depth-1 mesh the sum is the partial itself, so it is
+// folded in immediately — callers never special-case d = 1, but they must
+// drain before reading gradients on deeper meshes.
 func (p *Proc) QueueGradSync(param *nn.Param, buf *tensor.Matrix) {
 	if p.Depth.Size() == 1 {
 		param.AccumGrad(buf)
 		p.W.Workspace().Put(buf)
 		return
 	}
-	h := p.Depth.IAllReduceInto(p.W, buf, buf)
-	p.pending = append(p.pending, pendingGrad{param: param, buf: buf, h: h})
+	p.DeferAllReduce(p.Depth, param, buf)
 }
 
-// DrainGradients completes every queued gradient synchronisation, in issue
-// order: each handle is waited, the reduced gradient accumulated into its
-// parameter, and the buffer recycled. Call it after the backward pass and
-// before the optimiser reads gradients (or before EndStep). It is
-// idempotent and cheap when nothing is pending.
-func (p *Proc) DrainGradients() {
-	ws := p.W.Workspace()
-	for i := range p.pending {
-		pg := &p.pending[i]
-		pg.h.Wait()
-		pg.param.AccumGrad(pg.buf)
-		ws.Put(pg.buf)
-		pg.param, pg.buf = nil, nil
-	}
-	p.pending = p.pending[:0]
-}
-
-// NewProc attaches the calling worker to a [q, q, d] mesh based at rank 0.
+// NewProc attaches the calling worker to the [q, q, d] mesh on ranks
+// [0, d·q²).
 func NewProc(w *dist.Worker, q, d int) *Proc {
-	return NewProcAt(w, mesh.Shape{Q: q, D: d})
-}
-
-// NewProcAt attaches the calling worker to an arbitrary mesh shape: any
-// base rank on a cluster the mesh shares with others.
-func NewProcAt(w *dist.Worker, s mesh.Shape) *Proc {
-	return &Proc{Proc: mesh.NewProc(w, s)}
+	return &Proc{Proc: mesh.NewProc(w, mesh.Shape{Q: q, D: d}), Grads: parallel.NewGrads(w)}
 }
 
 // MatMulAB computes C = A·B (Algorithm 3). a is the caller's A-distributed
@@ -198,16 +160,6 @@ func (p *Proc) CollectA(local *tensor.Matrix) *tensor.Matrix {
 // caller's layer.
 func (p *Proc) CollectB(local *tensor.Matrix) *tensor.Matrix {
 	return summa.CollectB(p.Proc, local)
-}
-
-// ABlockShape returns the local A-block shape for a global [rows, cols]
-// activation matrix.
-func (p *Proc) ABlockShape(rows, cols int) (int, int) {
-	q, d := p.Shape.Q, p.Shape.D
-	if rows%(q*d) != 0 || cols%q != 0 {
-		panic(fmt.Sprintf("tesseract: global %dx%d not divisible by mesh [%d,%d,%d]", rows, cols, q, q, d))
-	}
-	return rows / (q * d), cols / q
 }
 
 // BBlockShape returns the local B-block shape for a global [rows, cols]

@@ -19,12 +19,16 @@ func runMesh(t *testing.T, q, d int, fn func(p *Proc) error) *dist.Cluster {
 	t.Helper()
 	s := mesh.Shape{Q: q, D: d}
 	return testutil.Run(t, s.Size(), func(w *dist.Worker) error {
-		return fn(NewProcAt(w, s))
+		return fn(NewProc(w, s.Q, s.D))
 	})
 }
 
-// family wraps a mesh view for the block constructors.
-func family(p *Proc) *Family { return &Family{p: p} }
+// family wraps a mesh view for the block constructors; the family's
+// gradient queue is the view's, so p.DrainGradients completes its layers'.
+func family(p *Proc) *Family {
+	l := parallel.Layout{Family: "tesseract", Q: p.Shape.Q, D: p.Shape.D, Ranks: p.Shape.Size()}
+	return &Family{View: parallel.NewView(p.W, l, p.Slab, p.Row, &p.Grads), p: p}
+}
 
 func TestMatMulABMatchesSerial(t *testing.T) {
 	for _, ms := range meshShapes {
@@ -325,7 +329,7 @@ func TestBlockPhantomMatchesRealClock(t *testing.T) {
 		s := mesh.Shape{Q: 2, D: 2}
 		c := dist.New(dist.Config{WorldSize: s.Size()})
 		if err := c.Run(func(w *dist.Worker) error {
-			p := NewProcAt(w, s)
+			p := NewProc(w, s.Q, s.D)
 			var b parallel.Layer
 			var x *tensor.Matrix
 			if phantom {
@@ -364,11 +368,10 @@ func TestBlockShapeValidation(t *testing.T) {
 	})
 }
 
+// TestABBlockShapeHelpers: a parameter's B block; an activation's A block
+// is the family's Slice (parallel.TestLayoutContract).
 func TestABBlockShapeHelpers(t *testing.T) {
 	runMesh(t, 2, 2, func(p *Proc) error {
-		if r, c := p.ABlockShape(16, 8); r != 4 || c != 4 {
-			t.Errorf("ABlockShape = %dx%d", r, c)
-		}
 		if r, c := p.BBlockShape(8, 6); r != 4 || c != 3 {
 			t.Errorf("BBlockShape = %dx%d", r, c)
 		}

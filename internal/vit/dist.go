@@ -39,8 +39,7 @@ func NewDistModel(f parallel.Family, cfg ModelConfig) *DistModel {
 	for i := 0; i < cfg.Layers; i++ {
 		m.Blocks = append(m.Blocks, f.NewBlock(cfg.Hidden, cfg.Heads, cfg.SeqLen, rng))
 	}
-	// Every family's head is the replicated serial linear, with the family's
-	// base rank as its checkpoint primary.
+	// Every family's head is the replicated serial linear.
 	m.Head = parallel.NewHead(f, cfg.Hidden, cfg.Classes, rng)
 	return m
 }

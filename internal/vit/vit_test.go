@@ -163,15 +163,15 @@ func TestDistForwardMatchesSerial(t *testing.T) {
 	want := serial.Forward(x)
 
 	for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
+		world := shape.q * shape.q * shape.d
 		results := testutil.NewCollector()
-		testutil.Run(t, shape.q*shape.q*shape.d, func(w *dist.Worker) error {
-			f := tesseract.NewFamily(w, shape.q, shape.d)
+		testutil.Run(t, world, func(w *dist.Worker) error {
+			f := tesseract.NewFamily(w, parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d, Ranks: world})
 			model := NewDistModel(f, mcfg)
 			logits := model.Forward(DistributeBatch(f, x, mcfg.SeqLen))
 			results.Put(w.Rank(), logits)
 			return nil
 		})
-		world := shape.q * shape.q * shape.d
 		for r := 0; r < world; r++ {
 			testutil.CheckClose(t, "logits", results.Get(r), want, 1e-8)
 		}
@@ -191,7 +191,7 @@ func TestDistBackwardMatchesSerialGrads(t *testing.T) {
 
 	headGrads := testutil.NewCollector()
 	testutil.Run(t, 8, func(w *dist.Worker) error {
-		f := tesseract.NewFamily(w, 2, 2)
+		f := tesseract.NewFamily(w, parallel.Layout{Family: "tesseract", Q: 2, D: 2, Ranks: 8})
 		model := NewDistModel(f, mcfg)
 		lg := model.Forward(DistributeBatch(f, x, mcfg.SeqLen))
 		_, dl := nn.CrossEntropy(lg, labels)

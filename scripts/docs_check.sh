@@ -8,8 +8,10 @@
 # nothing shipped imports, and no family package restating its schedule as
 # cost-model arithmetic, its footprint as a memory formula, or the shared
 # attention and MLP modules as types of its own; dist to one way of moving
-# bytes: collectives, no point-to-point Send/Recv; and each family to one
-# description: a parallel.Spec and a grid enumerator of parallel.Layouts.
+# bytes: collectives, no point-to-point Send/Recv; each family to one
+# description: a parallel.Spec and a grid enumerator of parallel.Layouts; and
+# a family package to its layers: the activation layout, the step boundary
+# and the deferred-gradient queue live once, in parallel.View.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -85,6 +87,22 @@ fi
 if grep -rnE 'RegisterCheck|RegisterRowShards|PlanAlgo|type Grid struct|Instantiate\(|HiddenFraction|BroadcastSeconds|GEMMSeconds' \
     --include='*.go' internal cmd examples >&2; then
     echo "docs_check: a family or a price is described twice again" >&2
+    fail=1
+fi
+
+# A family is its layers (docs/architecture.md §6): it names the two groups
+# its activations split over and parallel.View derives the layout methods,
+# the step boundary and the one gradient queue. A family package that
+# declares one of those methods or a pending-gradient type of its own is
+# growing the per-family copy back; a Base field on parallel.Layout or
+# mesh.Shape is the rank offset no caller set.
+if grep -rnE '^func \([a-z]+ \*?[A-Za-z]+\) (Layout|Worker|RowShards|Slice|Distribute|Collect|GatherPooled|EndStep|DrainGradients)\(|^type [A-Za-z]*([pP]ending|[gG]radSync)[A-Za-z]* ' \
+    --include='*.go' internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
+    echo "docs_check: a family package declares its own activation layout, step boundary or gradient queue" >&2
+    fail=1
+fi
+if grep -nE '^[[:space:]]+([A-Za-z]+, *)*Base( *, *[A-Za-z]+)* +int' internal/parallel/registry.go internal/mesh/mesh.go >&2; then
+    echo "docs_check: parallel.Layout or mesh.Shape has a Base rank offset again" >&2
     fail=1
 fi
 
