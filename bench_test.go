@@ -604,7 +604,8 @@ func BenchmarkTesseractMatMulReal(b *testing.B) {
 
 func BenchmarkTesseractBlockPhantom64(b *testing.B) {
 	// One paper-scale [4,4,4] Transformer layer forward+backward in
-	// phantom mode — the unit of work behind every Table 1/2 cell.
+	// phantom mode — the unit of work behind every Table 1/2 cell, priced
+	// as a cell is: plan.Price's replay of rank 0 alone.
 	row := tables.Row{Scheme: tables.Tesseract, GPUs: 64, Q: 4, D: 4, Batch: 16, Hidden: 3072, Heads: 64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@
 //
 //	tesseract-bench                  # everything
 //	tesseract-bench -table 1         # one table
+//	tesseract-bench -speedups        # both tables and their §4 speedups
 //	tesseract-bench -claims -memory  # selected studies
 //	tesseract-bench -seqlen 1024     # different sequence length
 package main
@@ -48,6 +49,7 @@ func main() {
 		fatal(err)
 	}
 	all := !*claimsOnly && !*memory && !*ablation && !*overlap && !*planner && !*families && !*elastic && !*straggler && !*serving && !*speedups && *table == ""
+	bothTables := all || (*speedups && *table == "")
 
 	runTable := func(rows []tables.Row, title string, derive func([]tables.TableResult) []tables.Speedup, label string) {
 		res, err := tables.RunTable(rows, opts)
@@ -60,12 +62,12 @@ func main() {
 		}
 	}
 
-	if all || *table == "1" {
+	if bothTables || *table == "1" {
 		runTable(tables.Table1Rows(),
 			"Table 1 — strong scaling (batch 12/16, hidden 3072, 64 heads; simulated seconds)",
 			tables.StrongScalingSpeedups, "Derived §4.1 strong-scaling speedups (Tesseract [4,4,4] vs baselines)")
 	}
-	if all || *table == "2" {
+	if bothTables || *table == "2" {
 		runTable(tables.Table2Rows(),
 			"Table 2 — weak scaling (per-GPU problem fixed; simulated seconds)",
 			tables.WeakScalingSpeedups, "Derived §4.2 weak-scaling speedups (Tesseract [4,4,4] vs baselines)")

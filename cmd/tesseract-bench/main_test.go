@@ -73,3 +73,23 @@ func TestValidFlagsStillRun(t *testing.T) {
 		t.Errorf("a valid run printed a non-finite number:\n%s", stdout)
 	}
 }
+
+// TestSpeedupsAloneRunsBothTables: -speedups without -table prints both
+// tables with their derived speed-ups and no other study. It used to print
+// nothing and exit 0.
+func TestSpeedupsAloneRunsBothTables(t *testing.T) {
+	code, stdout, stderr := testutil.RunCLI(t, asCLI, "-speedups", "-seqlen", "16")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	for _, want := range []string{"Table 1", "Derived §4.1", "Table 2", "Derived §4.2"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	for _, study := range []string{"Auto-parallelism planner", "Inter-GPU transfers", "Per-GPU memory", "Depth ablation", "Communication overlap", "Cross-family parity"} {
+		if strings.Contains(stdout, study) {
+			t.Errorf("stdout has %q, from a study -speedups did not ask for:\n%s", study, stdout)
+		}
+	}
+}

@@ -68,10 +68,10 @@ func (s *Stack) footprint(k int64, inputs ...*tensor.Matrix) int64 {
 	return 8*elems + s.Family.Worker().Workspace().Stats().HighWaterBytes
 }
 
-// Replay is a layer stack built on every rank of a cluster, timed one phase
-// at a time — the one timing scaffold: tables.RunRow measures a table row
-// with it and internal/plan prices a candidate with it, so a prediction and
-// its measurement are one program run twice.
+// Replay is a layer stack built on every rank a cluster runs, timed one
+// phase at a time — the one timing scaffold: plan.Price (and tables.RunRow
+// through it) prices with it, solo wherever rank 0 stands for every rank,
+// and tables.OverlapStudy reads a full cluster's overlap after one window.
 type Replay struct {
 	c      *dist.Cluster
 	stacks []*Stack

@@ -11,8 +11,8 @@
 // The planner holds no cost formulas. Price builds the candidate's family
 // through the parallel registry, stacks the workload's phantom blocks and
 // times one training step with parallel.Replay.Step — forward, then
-// recompute + backward + gradient drain — the scaffold tables.RunRow
-// measures a table row with. A family's schedule is stated once, in its
+// recompute + backward + gradient drain; tables.RunRow prices a table row by
+// calling Price. A family's schedule is stated once, in its
 // layers, so a prediction is as right as the simulator after every schedule
 // change; ComputeSeconds is the replay's representative rank's busy seconds
 // and CommSeconds the rest of the step.
@@ -51,11 +51,13 @@
 // training step, or forward passes at the layout's minimum batch and at the
 // full batch — a served layout is charged its weights once and no gradients.
 //
-// A Plan stays checkable: Plan.Validate replays it through a Measurer
-// (tables.MeasurePlan: the full cluster, every rank), ValidateTop the
-// leaders of a search. Both sides run the same scaffold, so what the error
-// validates now is the symmetry argument above; it reads 0.0% unless that
-// argument is wrong for a layout.
+// A Plan stays checkable: Plan.Validate replays it through a Measurer,
+// ValidateTop the leaders of a search. tables.MeasurePlan is Price on the
+// cluster Price picks, so the error reads 0.0% by construction and checks
+// only that the candidate builds and replays. The symmetry argument above is
+// checked by test: tables.TestEveryPredictionEqualsItsMeasurement replays
+// every candidate on its full cluster, every rank, and holds the price to it
+// bit for bit.
 //
 // ValidateServingTop is the one validation that measures something the
 // price does not: serve.MeasureLayout drives the real batcher, and every

@@ -8,8 +8,9 @@ import (
 
 // Price prices one layout's training step on the topology's machine by
 // running it: the family's own phantom layer stack, forward then recompute +
-// backward + gradient drain, through the timing scaffold tables.RunRow
-// measures with (parallel.Replay.Step). Forward and Backward are the
+// backward + gradient drain, through the timing scaffold
+// (parallel.Replay.Step), on the cluster soloExact picks. tables.RunRow
+// prices a table row with it. Forward and Backward are the
 // replay's clocks, ComputeSeconds its representative rank's busy seconds,
 // CommSeconds the remainder and MemoryBytes what its heaviest rank held. The
 // layout's family must be registered (import its package). Only the

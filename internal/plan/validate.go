@@ -15,10 +15,10 @@ type Measurement struct {
 // Step returns the measured seconds per training step.
 func (m Measurement) Step() float64 { return m.Forward + m.Backward }
 
-// Measurer executes one plan for real — typically on the simulated
-// dist.Cluster via tables.MeasurePlan, which builds a cluster of
-// Plan.Ranks workers, runs the scheme's layer stack in phantom mode and
-// reads the clocks back — and returns what it measured. Keeping the replay
+// Measurer executes one plan — typically tables.MeasurePlan, which runs the
+// scheme's layer stack in phantom mode through Price, on the cluster Price
+// picks (rank 0 alone wherever that is exact), and reads the clocks back —
+// and returns what it measured. Keeping the replay
 // behind a closure lets the planner stay ignorant of the runners while
 // callers choose sequence length, node size and cost model once for both
 // sides of the comparison.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/dist"
 	"repro/internal/parallel"
 )
 
@@ -24,7 +25,8 @@ type OverlapPoint struct {
 // OverlapStudy runs Tesseract rows in phantom mode and reports the measured
 // communication overlap of each, in row order. Rows from other schemes are
 // skipped (they have no pipelined SUMMA schedule); the rest replay
-// concurrently (replayEach).
+// concurrently (replayEach). It is the one study that reads every rank's
+// overlap account, so each row replays on its full cluster, not solo.
 func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -46,7 +48,14 @@ func overlapRow(row Row, opts Options) (OverlapPoint, error) {
 	if err != nil {
 		return OverlapPoint{}, err
 	}
-	rp, err := newReplay(l, row, opts)
+	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: opts.GPUsPerNode})
+	rp, err := parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
+		f, err := parallel.New(w, l)
+		if err != nil {
+			return nil, err
+		}
+		return parallel.NewPhantomStack(f, row.Batch, opts.SeqLen, row.Hidden, row.Heads, opts.Layers), nil
+	})
 	if err != nil {
 		return OverlapPoint{}, err
 	}
@@ -57,7 +66,7 @@ func overlapRow(row Row, opts Options) (OverlapPoint, error) {
 	}); err != nil {
 		return OverlapPoint{}, err
 	}
-	hidden, total := rp.Cluster().Overlap()
+	hidden, total := c.Overlap()
 	pt := OverlapPoint{Row: row, HiddenSeconds: hidden, TotalCommSeconds: total}
 	if total > 0 {
 		pt.MeasuredFrac = hidden / total

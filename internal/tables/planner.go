@@ -7,7 +7,6 @@ import (
 	"repro/internal/claims"
 	"repro/internal/megatron"
 	"repro/internal/optimus"
-	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/seqpar"
 	"repro/internal/tesseract"
@@ -21,7 +20,9 @@ func DefaultAlgos() []plan.Algo {
 }
 
 // MeasurePlan returns the plan.Measurer that replays candidates the way
-// RunRow replays a table row: the full cluster, every rank. The workload's
+// RunRow replays a table row: plan.Price, on the cluster it picks (rank 0
+// alone wherever that is exact). So a validation compares Price with Price
+// and reads 0; that solo ≡ full cluster is pinned by test. The workload's
 // sequence length, layer count and recompute setting override the options so
 // both sides of the predicted-vs-measured comparison describe the same
 // execution. The measurer keeps no state between calls — each builds its own
@@ -35,12 +36,8 @@ func MeasurePlan(w plan.Workload, opts Options) plan.Measurer {
 		if werr != nil {
 			return plan.Measurement{}, werr
 		}
-		l, err := parallel.Validate(p.Grid)
-		if err != nil {
-			return plan.Measurement{}, err
-		}
-		st, err := timeStep(l, Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}, opts)
-		return plan.Measurement{Forward: st.Forward, Backward: st.Backward}, err
+		b, err := timeStep(p.Grid, Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}, opts)
+		return plan.Measurement{Forward: b.Forward, Backward: b.Backward}, err
 	}
 }
 

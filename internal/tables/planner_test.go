@@ -105,16 +105,28 @@ var exactnessSearches = []struct {
 		[]string{"tesseract [2,2,2]", "tesseract [6,6]", "tesseract [3,3]", "tesseract [3,3,2]", "tesseract [3,3,3]", "optimus [3,3]"}},
 }
 
-// TestEveryPredictionEqualsItsMeasurement: a price is a replay, so the
-// planner's forward and backward seconds equal tables.MeasurePlan's on every
-// candidate of every search — not within the 25% the analytic mirror was
-// held to, but to rounding (the solo replay and the full cluster may order
-// a float sum differently; they agree to 1e-12) — with recompute on and off
-// and one layer or two. The hand-mirrored cost files this replaced missed
-// [2,2,2] by 0.1-3% in three of the four searches. The footprint the planner
-// charges is the same replay's, so it equals the full cluster's largest rank
-// to the byte: rank 0, the one a solo replay runs, is never the lighter one.
+// TestEveryPredictionEqualsItsMeasurement: a price is a replay, and a
+// rank-symmetric layout is replayed on rank 0 alone (plan.Price's solo
+// cluster) — which is exact only if every rank's clock and footprint is rank
+// 0's. So the planner's forward and backward seconds equal, to the bit, the
+// same phantom step replayed on the layout's full cluster, every rank, on
+// every candidate of every search, with recompute on and off and one layer or
+// two. The footprint the planner charges equals the
+// full cluster's largest rank to the byte: rank 0, the one a solo replay runs,
+// is never the lighter one. The node-misaligned search keeps the [3,3,d]
+// meshes, which Price replays on the full cluster itself, in the set.
+//
+// Table rows and measured plans are priced by the same replay, so the same
+// holds for what RunTable prints for all 25 rows of both paper tables and
+// for both sides of every PlannerStudy validation.
 func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
+	same := func(what string, fwd, bwd float64, full parallel.StepClocks) {
+		t.Helper()
+		if full.Forward <= 0 || full.Backward <= 0 || fwd != full.Forward || bwd != full.Backward {
+			t.Errorf("%s: forward %.17g, backward %.17g; the full cluster's %.17g, %.17g",
+				what, fwd, bwd, full.Forward, full.Backward)
+		}
+	}
 	total := 0
 	for _, s := range exactnessSearches {
 		for _, noRecompute := range []bool{false, true} {
@@ -133,30 +145,19 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 					t.Errorf("%s: %d candidates, want %d", name, len(plans), s.candidates)
 				}
 				seen := map[string]bool{}
-				// MeasurePlan's replay, with the footprint it drops.
-				measure := func(p plan.Plan) (parallel.StepClocks, error) {
-					row := Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
-					return timeStep(p.Grid, row, Options{SeqLen: w.SeqLen, Layers: layers, NoRecompute: noRecompute})
-				}
+				row := Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
+				opts := Options{SeqLen: w.SeqLen, Layers: layers, NoRecompute: noRecompute}
 				for _, p := range plans {
 					seen[p.String()] = true
-					m, err := measure(p)
+					full, err := fullPhantomStep(p.Grid, row, opts)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", name, p, err)
 					}
-					if m.MemoryBytes <= 0 || p.Predicted.MemoryBytes != m.MemoryBytes {
+					if full.MemoryBytes <= 0 || p.Predicted.MemoryBytes != full.MemoryBytes {
 						t.Errorf("%s: %s priced at %d B a rank, the full cluster's largest holds %d B",
-							name, p, p.Predicted.MemoryBytes, m.MemoryBytes)
+							name, p, p.Predicted.MemoryBytes, full.MemoryBytes)
 					}
-					for _, v := range []struct {
-						phase      string
-						pred, meas float64
-					}{{"forward", p.Predicted.Forward, m.Forward}, {"backward", p.Predicted.Backward, m.Backward}} {
-						if v.meas <= 0 || math.Abs(v.pred-v.meas) > 1e-12*v.meas {
-							t.Errorf("%s: %s %s predicted %.17g, measured %.17g (off by %.3g)",
-								name, p, v.phase, v.pred, v.meas, math.Abs(v.pred-v.meas)/v.meas)
-						}
-					}
+					same(name+": "+p.String(), p.Predicted.Forward, p.Predicted.Backward, full)
 					if pr := p.Predicted; pr.ComputeSeconds <= 0 || pr.CommSeconds < 0 ||
 						math.Abs(pr.ComputeSeconds+pr.CommSeconds-pr.Step()) > 1e-12*pr.Step() {
 						t.Errorf("%s: %s compute %g + comm %g is not its step %g", name, p, pr.ComputeSeconds, pr.CommSeconds, pr.Step())
@@ -176,6 +177,62 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 	}
 	if !testing.Short() && total != 4*(23+26+11+32) {
 		t.Errorf("checked %d candidates, want %d", total, 4*(23+26+11+32))
+	}
+
+	tabs := [][]Row{Table1Rows(), Table2Rows()}
+	if testing.Short() {
+		tabs = [][]Row{Table1Rows()[:8], Table2Rows()[:5]} // nothing wider than 16 ranks
+	}
+	rows := 0
+	for _, tab := range tabs {
+		res, err := RunTable(tab, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			l, err := LayoutForRow(r.Row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := fullPhantomStep(l, r.Row, Options{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", r.Row.Scheme, r.Row.Shape(), err)
+			}
+			same(fmt.Sprintf("table row %s %s", r.Row.Scheme, r.Row.Shape()), r.Measured.Forward, r.Measured.Backward, full)
+			rows++
+		}
+	}
+	if !testing.Short() && rows != 25 {
+		t.Errorf("checked %d table rows, want 25", rows)
+	}
+	if testing.Short() {
+		return
+	}
+
+	points, err := PlannerStudy(PlannerScenarios(), 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaders := 0
+	for _, pt := range points {
+		w, err := pt.Scenario.Workload.WithDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
+		for _, v := range pt.Validations {
+			full, err := fullPhantomStep(v.Plan.Grid, row, Options{SeqLen: w.SeqLen, Layers: w.Layers, NoRecompute: w.NoRecompute})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", pt.Scenario.Name, v.Plan, err)
+			}
+			what := fmt.Sprintf("%s: leader %s", pt.Scenario.Name, v.Plan)
+			same(what+" predicted", v.Plan.Predicted.Forward, v.Plan.Predicted.Backward, full)
+			same(what+" measured", v.Measured.Forward, v.Measured.Backward, full)
+			leaders++
+		}
+	}
+	if leaders != 6 {
+		t.Errorf("checked %d planner-study leaders, want 6", leaders)
 	}
 }
 

@@ -156,19 +156,21 @@ func TestPlannerStudyEqualsSequentialValidateTop(t *testing.T) {
 }
 
 // TestRunRowAllocationCeiling keeps the replay of Table 1's [4,4,4] row — 64
-// ranks, the most expensive row of both tables — from creeping back up. It
-// was 12,925 allocations while phantom headers were pooled by shape and every
-// group lookup built a string key, 8,650 without either (wobbling by a few
-// dozen with how many rounds were open at once), 7,935 once a group's round
-// pool grew by batches, and is 7,985 now that the replay has step boundaries
-// and every rank records what it held. The ceiling sits between the first
-// two, so a new per-shape or per-rank-per-call cost trips it.
+// ranks, the most expensive row of both tables — from creeping back up. On
+// the full cluster it was 12,925 allocations while phantom headers were
+// pooled by shape and every group lookup built a string key, 8,650 without
+// either, 7,935 once a group's round pool grew by batches, and 7,985 once
+// the replay had step boundaries and every rank recorded what it held. Priced
+// as the planner prices it — plan.Price's solo replay, rank 0 alone — it is
+// about 206. The ceiling sits far below any full-cluster replay, so a change
+// that sends table rows back to every rank trips it, and so does a new
+// per-shape cost.
 func TestRunRowAllocationCeiling(t *testing.T) {
 	row := Table1Rows()[10]
 	if row.Scheme != Tesseract || row.Q != 4 || row.D != 4 {
 		t.Fatalf("Table 1 row 10 is %s %s, not Tesseract [4,4,4]", row.Scheme, row.Shape())
 	}
-	const ceiling = 10000
+	const ceiling = 1000
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := RunRow(row, Options{}); err != nil {
 			t.Fatal(err)

@@ -7,10 +7,11 @@
 // shape-only, so a 64-GPU row completes in milliseconds of wall time while
 // the simulated clocks report the α-β/FLOPS cost of the real schedule.
 //
-// The rows of a table, the leaders of a planner study and the points of the
-// overlap and depth studies are independent replays, each on a cluster of its
-// own, and run up to GOMAXPROCS at a time (replayEach); results keep the
-// input's order and every number is what one replay after another gives.
+// Table rows, planner-study leaders and depth points are plan.Price calls
+// (rank 0 alone wherever that is exact); overlap rows replay the full cluster.
+// Each is an independent replay on a cluster of its own, run up to GOMAXPROCS
+// at a time (replayEach); results keep the input's order and every number is
+// what one replay after another gives.
 // There is nothing to configure and nothing is kept between calls — see
 // docs/architecture.md, "tables: independent replays".
 package tables
@@ -69,8 +70,7 @@ type Result struct {
 	Throughput, Inference float64
 }
 
-func newResult(batch int, fwd, bwd float64) Result {
-	_ = batch
+func newResult(fwd, bwd float64) Result {
 	return Result{
 		Forward:    fwd,
 		Backward:   bwd,

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dist"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 )
 
 // Options controls how the harness executes a row.
@@ -99,47 +99,33 @@ func replayEach[T any](n int, run func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// RunRow executes one table row on a fresh simulated cluster and returns the
-// measured columns. The forward pass and backward pass are timed separately
-// (parallel.Replay.Step resets the simulated clocks in between), exactly
-// mirroring the paper's forward-time/backward-time split.
+// RunRow times one table row and returns the measured columns, the forward
+// and backward passes timed separately as in the paper. The row is priced as
+// the planner prices a candidate (plan.Price): on rank 0 alone where
+// placement treats every rank alike, which the SPMD schedules make exact to
+// the bit, and on the full cluster otherwise.
 func RunRow(row Row, opts Options) (Result, error) {
 	l, err := LayoutForRow(row)
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := timeStep(l, row, opts)
+	b, err := timeStep(l, row, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	return newResult(row.Batch, st.Forward, st.Backward), nil
+	return newResult(b.Forward, b.Backward), nil
 }
 
-// timeStep times one training step of the row's model (its Batch, Hidden and
-// Heads) under a layout.
-func timeStep(l parallel.Layout, row Row, opts Options) (parallel.StepClocks, error) {
+// timeStep prices one training step of the row's model (its Batch, Hidden
+// and Heads) under a layout with plan.Price.
+func timeStep(l parallel.Layout, row Row, opts Options) (plan.Breakdown, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
-		return parallel.StepClocks{}, err
+		return plan.Breakdown{}, err
 	}
-	rp, err := newReplay(l, row, opts)
-	if err != nil {
-		return parallel.StepClocks{}, err
-	}
-	return rp.Step(!opts.NoRecompute)
-}
-
-// newReplay builds the layout's cluster and, untimed, the row's layer stack
-// and inputs on every rank.
-func newReplay(l parallel.Layout, row Row, opts Options) (*parallel.Replay, error) {
-	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: opts.GPUsPerNode})
-	return parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return nil, err
-		}
-		return parallel.NewPhantomStack(f, row.Batch, opts.SeqLen, row.Hidden, row.Heads, opts.Layers), nil
-	})
+	w := plan.Workload{Batch: row.Batch, Hidden: row.Hidden, Heads: row.Heads,
+		SeqLen: opts.SeqLen, Layers: opts.Layers, NoRecompute: opts.NoRecompute}
+	return plan.Price(w, l, plan.Topology{GPUsPerNode: opts.GPUsPerNode})
 }
 
 // LayoutForRow converts a table row into the runtime layout its scheme

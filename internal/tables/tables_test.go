@@ -18,10 +18,44 @@ func smallRow(s Scheme, gpus, q, d int) Row {
 	return Row{Scheme: s, GPUs: gpus, Q: q, D: d, Batch: 8, Hidden: 16, Heads: 4}
 }
 
-// runRowReal times a row as RunRow does — same layout, cluster and step —
-// but on real random weights and inputs instead of phantoms. Replicated
-// activations (Megatron) are identical on every rank; split ones get
-// independent per-rank blocks.
+// fullClusterStep times one training step of a layout on its full cluster —
+// every rank, whichever cluster plan.Price would pick — with the stack
+// build makes on each rank. It is the oracle a solo replay is held to.
+func fullClusterStep(l parallel.Layout, opts Options, build func(f parallel.Family, w *dist.Worker) *parallel.Stack) (parallel.StepClocks, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return parallel.StepClocks{}, err
+	}
+	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: opts.GPUsPerNode})
+	rp, err := parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
+		f, err := parallel.New(w, l)
+		if err != nil {
+			return nil, err
+		}
+		return build(f, w), nil
+	})
+	if err != nil {
+		return parallel.StepClocks{}, err
+	}
+	return rp.Step(!opts.NoRecompute)
+}
+
+// fullPhantomStep is the row's phantom step — RunRow's program — on the
+// layout's full cluster.
+func fullPhantomStep(l parallel.Layout, row Row, opts Options) (parallel.StepClocks, error) {
+	o, err := opts.withDefaults()
+	if err != nil {
+		return parallel.StepClocks{}, err
+	}
+	return fullClusterStep(l, o, func(f parallel.Family, _ *dist.Worker) *parallel.Stack {
+		return parallel.NewPhantomStack(f, row.Batch, o.SeqLen, row.Hidden, row.Heads, o.Layers)
+	})
+}
+
+// runRowReal times a row as RunRow does — same layout and step, on the full
+// cluster — but on real random weights and inputs instead of phantoms.
+// Replicated activations (Megatron) are identical on every rank; split ones
+// get independent per-rank blocks.
 func runRowReal(row Row, opts Options) (Result, error) {
 	l, err := LayoutForRow(row)
 	if err != nil {
@@ -31,12 +65,7 @@ func runRowReal(row Row, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: opts.GPUsPerNode})
-	rp, err := parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return nil, err
-		}
+	st, err := fullClusterStep(l, opts, func(f parallel.Family, w *dist.Worker) *parallel.Stack {
 		s := &parallel.Stack{Family: f}
 		for i := 0; i < opts.Layers; i++ {
 			s.Blocks = append(s.Blocks, f.NewBlock(row.Hidden, row.Heads, opts.SeqLen, tensor.NewRNG(uint64(1+i))))
@@ -48,16 +77,12 @@ func runRowReal(row Row, opts Options) (Result, error) {
 		}
 		s.X = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(seed+100))
 		s.DY = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(seed+200))
-		return s, nil
+		return s
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := rp.Step(!opts.NoRecompute)
-	if err != nil {
-		return Result{}, err
-	}
-	return newResult(row.Batch, st.Forward, st.Backward), nil
+	return newResult(st.Forward, st.Backward), nil
 }
 
 func TestPhantomMatchesRealTiming(t *testing.T) {
