@@ -1,7 +1,8 @@
 // Command tesseract-bench regenerates the paper's quantitative artifacts on
 // the simulated cluster: Table 1 (strong scaling), Table 2 (weak scaling),
-// the §4 speedup claims, the §1/§3.1 transmission-count comparison, the
-// Eq. 7-10 memory study, and this repository's depth ablation.
+// the §4 speedup claims, the §1/§3.1 transmission claim measured on one
+// multiply per algorithm, the Eq. 7-10 memory study, and this repository's
+// depth ablation.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@ import (
 func main() {
 	var (
 		table      = flag.String("table", "", "which table to run: 1, 2, or empty for both")
-		claimsOnly = flag.Bool("claims", false, "run the transmission-count study")
+		claimsOnly = flag.Bool("claims", false, "run the transmission study (Cannon, 2.5-D and Tesseract on one multiply: messages, rounds, bytes, seconds)")
 		memory     = flag.Bool("memory", false, "run the Eq. 7-10 memory study")
 		ablation   = flag.Bool("ablation", false, "run the depth ablation")
 		overlap    = flag.Bool("overlap", false, "run the communication-overlap study (comm hidden behind compute, measured)")

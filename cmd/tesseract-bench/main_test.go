@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,7 +12,37 @@ import (
 
 const asCLI = "TESSERACT_BENCH_TEST_AS_CLI"
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
 func TestMain(m *testing.M) { testutil.CLIMain(m, asCLI, main) }
+
+// TestGolden holds each study's stdout to its file under testdata, byte for
+// byte: a changed number is a diff to read, not prose to trust.
+// `go test ./cmd/tesseract-bench -update` rewrites the files.
+func TestGolden(t *testing.T) {
+	for _, study := range []string{"claims", "memory", "planner", "ablation"} {
+		t.Run(study, func(t *testing.T) {
+			code, stdout, stderr := testutil.RunCLI(t, asCLI, "-"+study)
+			if code != 0 || stderr != "" {
+				t.Fatalf("exit %d\nstderr: %s", code, stderr)
+			}
+			path := filepath.Join("testdata", study+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout != string(want) {
+				t.Errorf("stdout differs from %s (-update rewrites it)\n--- got\n%s--- want\n%s", path, stdout, want)
+			}
+		})
+	}
+}
 
 // TestCheckTable: a typo'd -table is one actionable error, not a silent run
 // of nothing.
@@ -87,7 +120,7 @@ func TestSpeedupsAloneRunsBothTables(t *testing.T) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
 	}
-	for _, study := range []string{"Auto-parallelism planner", "Inter-GPU transfers", "Per-GPU memory", "Depth ablation", "Communication overlap", "Cross-family parity"} {
+	for _, study := range []string{"Auto-parallelism planner", "Communication of one", "Per-GPU memory", "Depth ablation", "Communication overlap", "Cross-family parity"} {
 		if strings.Contains(stdout, study) {
 			t.Errorf("stdout has %q, from a study -speedups did not ask for:\n%s", study, stdout)
 		}

@@ -161,10 +161,10 @@ func main() {
 		if total < 2 {
 			fatalf("-elastic needs at least 2 total steps (raise -epochs or -train-per-class)")
 		}
-		if *failAt <= 0 {
+		if *failAt == 0 {
 			*failAt = total / 2
 		}
-		if *failAt >= total {
+		if *failAt < 0 || *failAt >= total {
 			fatalf("-fail-step %d outside (0, %d)", *failAt, total)
 		}
 	}

@@ -82,6 +82,8 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"serve/negative depth", []string{"-serve", "-serve-depth", "-1"}, "QueueDepth"},
 		{"serve/negative steps", []string{"-serve", "-serve-steps", "-2"}, "-serve-steps -2"},
 		{"elastic/fail step past the run", []string{"-elastic", "-fail-step", "99"}, "-fail-step 99"},
+		// Zero is the default (halfway); a negative step used to mean it too.
+		{"elastic/negative fail step", []string{"-elastic", "-fail-step", "-3"}, "-fail-step -3"},
 		{"elastic/one step", []string{"-elastic", "-batch", "16"}, "at least 2 total steps"},
 		{"chaos/too few steps", []string{"-chaos"}, "at least 24 total steps"},
 	} {

@@ -26,8 +26,8 @@
 //   - internal/vit        — the Figure 7 Vision Transformer experiment; its Session
 //     (one layout, model and optimiser on one cluster) is what every
 //     distributed trainer, the step bencher and internal/serve drive
-//   - internal/claims     — the paper's closed-form formulas (Eqs. 1-10, §3.1)
-//   - internal/tables     — harness regenerating Tables 1-2 and the studies
+//   - internal/tables     — harness regenerating Tables 1-2 and the studies,
+//     among them the §1/§3.1 transmission claim measured on one multiply
 //
 // Everything runs on the simulated cluster: one goroutine per rank, one
 // destination-passing form of each collective that the last rank to arrive

@@ -2,10 +2,8 @@ package cannon
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
-	"repro/internal/claims"
 	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/tensor"
@@ -59,8 +57,7 @@ func TestTransferCountMatchesFormula(t *testing.T) {
 		// Every transfer is a two-member broadcast: one message of one block.
 		st := c.Stats()
 		got := st.PerOp["broadcast"].Messages
-		want := int64(math.Round(claims.CannonTransfers(float64(q * q))))
-		if got != want || want != int64(2*q*q*q-2*q) {
+		if want := int64(2*q*q*q - 2*q); got != want {
 			t.Fatalf("q=%d: measured %d transfers, formula says %d", q, got, want)
 		}
 		if len(st.PerOp) != 1 || st.Messages != got || st.Bytes != 32*got {

@@ -2,10 +2,8 @@ package solomonik
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
-	"repro/internal/claims"
 	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/tensor"
@@ -65,7 +63,7 @@ func TestDepthOneReducesToCannonSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := shiftMessages(c.Stats(), s)
-	if want := int64(math.Round(claims.CannonTransfers(float64(q * q)))); got != want {
+	if want := int64(2*q*q*q - 2*q); got != want {
 		t.Fatalf("d=1 sends %d messages, Cannon sends %d", got, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/claims"
 	"repro/internal/megatron"
 	"repro/internal/optimus"
 	"repro/internal/plan"
@@ -145,6 +144,12 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 	return out, nil
 }
 
+// summaTransferCount is §3.1's transfer count for one Tesseract multiply on
+// [q, q, d]: 2q row and column broadcasts of q−1, one depth all-reduce.
+func summaTransferCount(q, d int) int {
+	return 2*q*(q-1) + 2*(d-1)
+}
+
 // FormatPlannerStudy renders a planner study: per scenario the paper's
 // best layout next to the planner's, then the validated leaders with their
 // predicted-vs-measured errors and (for mesh layouts) the §3.1 per-matmul
@@ -160,7 +165,7 @@ func FormatPlannerStudy(points []PlannerPoint) string {
 		for _, v := range pt.Validations {
 			transfers := "-"
 			if g := v.Plan.Grid; g.Q > 0 {
-				transfers = fmt.Sprintf("%.0f", claims.TesseractTransfersGrid(float64(g.Q), float64(max(g.D, 1))))
+				transfers = fmt.Sprint(summaTransferCount(g.Q, max(g.D, 1)))
 			}
 			fmt.Fprintf(&b, "  %-22s | %9.4f %9.4f %6.1f%% | %14s\n",
 				v.Plan.String(), v.Plan.Predicted.Step(), v.Measured.Step(), 100*v.StepErr, transfers)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/cannon"
-	"repro/internal/claims"
 	"repro/internal/dist"
 	"repro/internal/megatron"
 	"repro/internal/mesh"
@@ -101,7 +100,7 @@ func MemoryStudy(a, b, c int) ([]MemoryPoint, error) {
 		err := run(MemoryPoint{
 			Label:        fmt.Sprintf("Tesseract [%d,%d,%d]", cfg.q, cfg.q, cfg.d),
 			GPUs:         shape.Size(),
-			FormulaElems: claims.MemoryTesseract(float64(a), float64(b), float64(c), float64(cfg.q), float64(cfg.d)),
+			FormulaElems: memoryTesseract(float64(a), float64(b), float64(c), float64(cfg.q), float64(cfg.d)),
 		}, a%(cfg.d*cfg.q) == 0 && b%cfg.q == 0 && c%cfg.q == 0, func(w *dist.Worker) (x, wt, y *tensor.Matrix) {
 			p := mesh.NewProc(w, shape)
 			x = summa.DistributeA(p, tensor.NewPhantom(a, b))
@@ -116,7 +115,7 @@ func MemoryStudy(a, b, c int) ([]MemoryPoint, error) {
 		err := run(MemoryPoint{
 			Label:        fmt.Sprintf("Megatron-LM [%d]", p),
 			GPUs:         p,
-			FormulaElems: claims.MemoryMegatron(float64(a), float64(b), float64(c), float64(p)),
+			FormulaElems: memoryMegatron(float64(a), float64(b), float64(c), float64(p)),
 		}, c%p == 0, func(w *dist.Worker) (x, wt, y *tensor.Matrix) {
 			mp := megatron.NewProc(w, p)
 			l := megatron.NewColLinear(mp, b, c, nn.ActNone, false, nil)
@@ -130,6 +129,19 @@ func MemoryStudy(a, b, c int) ([]MemoryPoint, error) {
 	return out, nil
 }
 
+// memoryTesseract is Eq. 8: per-GPU elements for one [a,b]·[b,c] multiply on
+// p = d·q² processors, ab/p + bcd/p + ac/p.
+func memoryTesseract(a, b, c, q, d float64) float64 {
+	p := d * q * q
+	return a*b/p + b*c*d/p + a*c/p
+}
+
+// memoryMegatron is Eq. 10: a replicated input plus 1/p of the weight and
+// the output, ab + bc/p + ac/p.
+func memoryMegatron(a, b, c, p float64) float64 {
+	return a*b + b*c/p + a*c/p
+}
+
 // FormatMemory renders the memory study.
 func FormatMemory(a, b, c int, points []MemoryPoint) string {
 	var sb strings.Builder
@@ -141,77 +153,134 @@ func FormatMemory(a, b, c int, points []MemoryPoint) string {
 	return sb.String()
 }
 
-// TransmissionPoint compares the paper's closed-form transfer counts with
-// the block-message counts our implementations actually generate for one
-// matrix multiplication at p = 64.
+// transmissionN is the side of the one square multiply every algorithm runs.
+const transmissionN = 4096
+
+// TransmissionPoint is one algorithm's measured communication for the
+// study's multiply, beside the paper's count.
 type TransmissionPoint struct {
 	// Algorithm names the scheme and its arrangement.
 	Algorithm string
-	// Formula is the paper's closed-form transfer count.
-	Formula float64
-	// MeasuredBlocks counts the pairwise block transfers our
-	// implementation generated.
-	MeasuredBlocks int64
-	// RatioToTesseract is Formula divided by Tesseract's formula count.
-	RatioToTesseract float64
+	// D is the arrangement's depth (1 for Cannon).
+	D int
+	// Paper is the paper's §3.1 transfer count at p = 64.
+	Paper int
+	// Messages counts block messages in dist.OpStats' convention: a
+	// broadcast over n ranks is n−1, an all-reduce 2(n−1).
+	Messages int64
+	// Rounds counts collective calls, one per group call (Σ OpStats.Calls).
+	Rounds int64
+	// Bytes is the payload those messages moved.
+	Bytes int64
+	// Seconds is the multiply's simulated time, compute included (MaxClock).
+	Seconds float64
+	// PaperRatio, ByteRatio and SecondRatio divide Paper, Bytes and Seconds
+	// by Tesseract's.
+	PaperRatio, ByteRatio, SecondRatio float64
+	// PaperUnit names the measured count equal to Paper ("" if none).
+	PaperUnit string
 }
 
-// TransmissionStudy reproduces the §1 claim (Cannon 31.5×, 2.5-D 3.75× the
-// communication of Tesseract at 64 GPUs). The formula column uses the
-// paper's expressions; the measured column counts every pairwise block
-// transfer in our implementations (broadcast/reduce over n ranks = n−1
-// transfers, all-reduce = 2(n−1)), which uses a finer-grained convention
-// than the paper's per-operation count and is reported for transparency.
+// TransmissionStudy tests the §1 claim — at p = 64 Cannon needs 31.5× and
+// 2.5-D 3.75× the communication of Tesseract — by running Cannon [8,8], 2.5-D
+// [4,4,4] and Tesseract [4,4,4] on one phantom
+// [4096,4096]·[4096,4096] multiply and reading every number off that run's
+// dist.Stats and MaxClock. The paper's counts are kept beside the
+// measurement, each with the measured unit it equals, if any.
 func TransmissionStudy() ([]TransmissionPoint, error) {
-	const p = 64
-
-	countMessages := func(shape mesh.Shape, run func(pr *mesh.Proc) error) (int64, error) {
-		c := dist.New(dist.Config{WorldSize: shape.Size()})
+	const n = transmissionN
+	var points []TransmissionPoint
+	for _, alg := range []struct {
+		name  string
+		shape mesh.Shape
+		paper int
+		mul   func(pr *mesh.Proc)
+	}{
+		// The paper's §3.1 counts at p = 64 are 2p^{3/2} − 2p^{1/2}, 2p −
+		// 2p^{1/3} and 2p^{2/3}, whose quotients are §1's 31.5× and 3.75×.
+		// Cannon and 2.5-D hold square [n/q, n/q] blocks of A and B (2.5-D's
+		// deeper layers receive theirs); Tesseract holds an [n/(dq), n/q]
+		// block of A and an [n/q, n/q] block of B.
+		{"Cannon [8,8]", mesh.Shape{Q: 8, D: 1}, 1008, func(pr *mesh.Proc) {
+			cannon.MulAB(pr, tensor.NewPhantom(n/8, n/8), tensor.NewPhantom(n/8, n/8))
+		}},
+		{"2.5-D [4,4,4]", mesh.Shape{Q: 4, D: 4}, 120, func(pr *mesh.Proc) {
+			solomonik.MulAB(pr, tensor.NewPhantom(n/4, n/4), tensor.NewPhantom(n/4, n/4))
+		}},
+		{"Tesseract [4,4,4]", mesh.Shape{Q: 4, D: 4}, 32, func(pr *mesh.Proc) {
+			summa.MulAB(pr, tensor.NewPhantom(n/16, n/4), tensor.NewPhantom(n/4, n/4))
+		}},
+	} {
+		c := dist.New(dist.Config{WorldSize: alg.shape.Size()})
 		if err := c.Run(func(w *dist.Worker) error {
-			return run(mesh.NewProc(w, shape))
+			alg.mul(mesh.NewProc(w, alg.shape))
+			return nil
 		}); err != nil {
-			return 0, err
+			return nil, err
 		}
-		return c.Stats().Messages, nil
+		st := c.Stats()
+		pt := TransmissionPoint{Algorithm: alg.name, D: alg.shape.D, Paper: alg.paper,
+			Messages: st.Messages, Bytes: st.Bytes, Seconds: c.MaxClock()}
+		for _, op := range st.PerOp {
+			pt.Rounds += op.Calls
+		}
+		points = append(points, pt)
 	}
-
-	cannonCount, err := countMessages(mesh.Shape{Q: 8, D: 1}, func(pr *mesh.Proc) error {
-		cannon.MulAB(pr, tensor.NewPhantom(8, 8), tensor.NewPhantom(8, 8))
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	tess := points[len(points)-1]
+	for i := range points {
+		p := &points[i]
+		p.PaperRatio = float64(p.Paper) / float64(tess.Paper)
+		p.ByteRatio = float64(p.Bytes) / float64(tess.Bytes)
+		p.SecondRatio = p.Seconds / tess.Seconds
+		d := int64(p.D)
+		for _, u := range []struct {
+			name       string
+			count, per int64
+		}{
+			{"block messages", p.Messages, 1},
+			{"rounds", p.Rounds, 1},
+			{"block messages ÷ d", p.Messages, d},
+			{"rounds ÷ d", p.Rounds, d},
+		} {
+			if u.count == int64(p.Paper)*u.per {
+				p.PaperUnit = u.name
+				break
+			}
+		}
 	}
-	soloCount, err := countMessages(mesh.Shape{Q: 4, D: 4}, func(pr *mesh.Proc) error {
-		solomonik.MulAB(pr, tensor.NewPhantom(8, 8), tensor.NewPhantom(8, 8))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tessCount, err := countMessages(mesh.Shape{Q: 4, D: 4}, func(pr *mesh.Proc) error {
-		summa.MulAB(pr, tensor.NewPhantom(4, 8), tensor.NewPhantom(8, 8))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	tess := claims.TesseractTransfers(p)
-	return []TransmissionPoint{
-		{"Cannon [8,8]", claims.CannonTransfers(p), cannonCount, claims.CannonTransfers(p) / tess},
-		{"2.5-D [4,4,4]", claims.Solomonik25DTransfers(p), soloCount, claims.Solomonik25DTransfers(p) / tess},
-		{"Tesseract [4,4,4]", tess, tessCount, 1},
-	}, nil
+	return points, nil
 }
 
-// FormatTransmissions renders the transmission study.
+// FormatTransmissions renders the transmission study: the measured columns,
+// one verdict line per §1 ratio, and the unit of each paper count.
 func FormatTransmissions(points []TransmissionPoint) string {
 	var b strings.Builder
-	b.WriteString("Inter-GPU transfers for one matmul at p = 64 (paper §1/§3.1)\n")
-	fmt.Fprintf(&b, "%-18s %14s %16s %18s\n", "algorithm", "paper formula", "measured blocks", "formula/Tesseract")
+	fmt.Fprintf(&b, "Communication of one [%d,%d]x[%d,%d] multiply at p = 64, measured (paper §1/§3.1)\n",
+		transmissionN, transmissionN, transmissionN, transmissionN)
+	fmt.Fprintf(&b, "%-18s %6s %9s %7s %14s %10s | %8s %8s %8s\n",
+		"algorithm", "paper", "messages", "rounds", "bytes", "sim(s)", "paper/T", "bytes/T", "sim/T")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-18s %14.1f %16d %18.2f\n", p.Algorithm, p.Formula, p.MeasuredBlocks, p.RatioToTesseract)
+		fmt.Fprintf(&b, "%-18s %6d %9d %7d %14d %10.6f | %7.2fx %7.2fx %7.2fx\n",
+			p.Algorithm, p.Paper, p.Messages, p.Rounds, p.Bytes, p.Seconds, p.PaperRatio, p.ByteRatio, p.SecondRatio)
+	}
+	holds := func(measured, paper float64) string {
+		if measured >= paper {
+			return "holds"
+		}
+		return "does not hold"
+	}
+	tess := points[len(points)-1]
+	for _, p := range points[:len(points)-1] {
+		fmt.Fprintf(&b, "§1 claims %s needs %.4gx %s's communication: in bytes %.2fx, %s; in seconds %.2fx, %s\n",
+			p.Algorithm, p.PaperRatio, tess.Algorithm, p.ByteRatio, holds(p.ByteRatio, p.PaperRatio),
+			p.SecondRatio, holds(p.SecondRatio, p.PaperRatio))
+	}
+	for _, p := range points {
+		unit := "no measured count"
+		if p.PaperUnit != "" {
+			unit = "its " + p.PaperUnit
+		}
+		fmt.Fprintf(&b, "paper's %d for %s (d = %d) is %s\n", p.Paper, p.Algorithm, p.D, unit)
 	}
 	return b.String()
 }

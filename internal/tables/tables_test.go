@@ -313,6 +313,59 @@ func TestMemoryStudyFormulaMatchesMeasured(t *testing.T) {
 	}
 }
 
+// TestMemoryFormulaValues hand-checks Eq. 8 and Eq. 10.
+func TestMemoryFormulaValues(t *testing.T) {
+	// Eq. 8 at q=2, d=2 (p=8), a=b=c=8: ab/p + bcd/p + ac/p = 8 + 16 + 8.
+	if got := memoryTesseract(8, 8, 8, 2, 2); got != 32 {
+		t.Errorf("Eq. 8 = %g, want 32", got)
+	}
+	// Eq. 10 at p=8: 64 + 8 + 8.
+	if got := memoryMegatron(8, 8, 8, 8); got != 80 {
+		t.Errorf("Eq. 10 = %g, want 80", got)
+	}
+}
+
+// TestMemoryComparison checks the comparison around Eq. 8 and Eq. 10:
+// Megatron-LM's replicated input costs p times Tesseract's A block, which
+// Tesseract's d-fold B replication does not give back.
+func TestMemoryComparison(t *testing.T) {
+	for _, cfg := range []struct{ q, d float64 }{{2, 1}, {4, 2}, {4, 4}, {8, 1}} {
+		p := cfg.d * cfg.q * cfg.q
+		if mt, mm := memoryTesseract(4096, 4096, 4096, cfg.q, cfg.d), memoryMegatron(4096, 4096, 4096, p); mt >= mm {
+			t.Errorf("[%g,%g,%g]: Tesseract holds %g elements, Megatron-LM %g", cfg.q, cfg.q, cfg.d, mt, mm)
+		}
+		// With c = 0 only the A term is left, and it differs by exactly p.
+		if mt, mm := memoryTesseract(4096, 4096, 0, cfg.q, cfg.d), memoryMegatron(4096, 4096, 0, p); mm/mt != p {
+			t.Errorf("[%g,%g,%g]: A terms %g and %g, want a ratio of %g", cfg.q, cfg.q, cfg.d, mt, mm, p)
+		}
+	}
+}
+
+// TestTransferCountsAt64 holds the study's paper counts to §3.1's formulas at
+// p = 64 — 2p^{3/2} − 2p^{1/2} for Cannon, 2p − 2p^{1/3} for 2.5-D and
+// 2p^{2/3} for Tesseract — and their quotients to §1's 31.5× and 3.75×.
+func TestTransferCountsAt64(t *testing.T) {
+	points, err := TransmissionStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 64.0
+	for i, want := range []struct{ count, ratio float64 }{
+		{2*math.Pow(p, 1.5) - 2*math.Sqrt(p), 31.5},
+		{2*p - 2*math.Cbrt(p), 3.75},
+		{2 * math.Pow(p, 2.0/3), 1},
+	} {
+		pt := points[i]
+		if math.Abs(float64(pt.Paper)-want.count) > 1e-9 || math.Abs(pt.PaperRatio-want.ratio) > 1e-9 {
+			t.Errorf("%s: paper count %d (%gx), §3.1 gives %g (%gx)", pt.Algorithm, pt.Paper, pt.PaperRatio, want.count, want.ratio)
+		}
+	}
+}
+
+// TestTransmissionStudy pins the paper's §3.1 counts and what one
+// [4096,4096]·[4096,4096] multiply measures: Cannon's 1008 is its block
+// messages and Tesseract's 32 its rounds ÷ d, while 2.5-D's 120 is no
+// measured count; in bytes and in seconds neither §1 ratio holds.
 func TestTransmissionStudy(t *testing.T) {
 	points, err := TransmissionStudy()
 	if err != nil {
@@ -321,30 +374,31 @@ func TestTransmissionStudy(t *testing.T) {
 	if len(points) != 3 {
 		t.Fatalf("got %d points", len(points))
 	}
-	// The formula column must reproduce the paper's 31.5x / 3.75x exactly.
-	if math.Abs(points[0].RatioToTesseract-31.5) > 1e-9 {
-		t.Errorf("Cannon ratio %.4f, want 31.5", points[0].RatioToTesseract)
-	}
-	if math.Abs(points[1].RatioToTesseract-3.75) > 1e-9 {
-		t.Errorf("2.5D ratio %.4f, want 3.75", points[1].RatioToTesseract)
-	}
-	// Cannon's measured block count equals its formula exactly (2q³−2q).
-	if points[0].MeasuredBlocks != int64(math.Round(points[0].Formula)) {
-		t.Errorf("Cannon measured %d, formula %.0f", points[0].MeasuredBlocks, points[0].Formula)
-	}
-	// The measured column uses a finer-grained convention (every pairwise
-	// transfer inside a collective counts), so the broadcast-based
-	// algorithms report more block messages than the paper's per-operation
-	// count; Cannon, which has no collectives, must still lead by far.
-	if points[0].MeasuredBlocks <= points[1].MeasuredBlocks || points[0].MeasuredBlocks <= points[2].MeasuredBlocks {
-		t.Errorf("Cannon must move the most blocks: %+v", points)
-	}
-	// The counts themselves are a property of the three schedules: the
-	// 2.5-D depth broadcasts and all-reduce and SUMMA's panel broadcasts
-	// book the same transfers whichever buffers they land in.
-	for i, want := range []int64{1008, 288, 384} {
-		if points[i].MeasuredBlocks != want {
-			t.Errorf("%s measured %d blocks, want %d", points[i].Algorithm, points[i].MeasuredBlocks, want)
+	tess := points[2]
+	for i, want := range []struct {
+		paper                   int
+		paperRatio              float64
+		messages, rounds, bytes int64
+		unit                    string
+	}{
+		{1008, 31.5, 1008, 1008, 2113929216, "block messages"},
+		{120, 3.75, 288, 144, 2415919104, ""},
+		{32, 1, 384, 128, 2013265920, "rounds ÷ d"},
+	} {
+		p := points[i]
+		if p.Paper != want.paper || p.PaperRatio != want.paperRatio || p.PaperUnit != want.unit {
+			t.Errorf("%s: paper %d (%gx, unit %q), want %d (%gx, unit %q)",
+				p.Algorithm, p.Paper, p.PaperRatio, p.PaperUnit, want.paper, want.paperRatio, want.unit)
+		}
+		if p.Messages != want.messages || p.Rounds != want.rounds || p.Bytes != want.bytes {
+			t.Errorf("%s: %d messages, %d rounds, %d bytes; want %d, %d, %d",
+				p.Algorithm, p.Messages, p.Rounds, p.Bytes, want.messages, want.rounds, want.bytes)
+		}
+		if p.ByteRatio != float64(p.Bytes)/float64(tess.Bytes) || p.SecondRatio != p.Seconds/tess.Seconds {
+			t.Errorf("%s: ratios %g, %g do not divide by Tesseract's run", p.Algorithm, p.ByteRatio, p.SecondRatio)
+		}
+		if i < 2 && (p.ByteRatio <= 1 || p.ByteRatio >= p.PaperRatio || p.SecondRatio >= p.PaperRatio) {
+			t.Errorf("%s: %gx in bytes, %gx in seconds against the paper's %gx", p.Algorithm, p.ByteRatio, p.SecondRatio, p.PaperRatio)
 		}
 	}
 }

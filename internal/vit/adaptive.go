@@ -72,8 +72,6 @@ type AdaptiveConfig struct {
 	// A re-layout happens only when the modeled per-step gain over the
 	// remaining steps pays this back. Zero means 10.
 	ReshardSteps float64
-	// MaxRelayouts bounds how many times the run may re-shard. Zero means 1.
-	MaxRelayouts int
 }
 
 // AdaptiveRun is the outcome of one watchdog training run.
@@ -140,9 +138,6 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 	if cfg.ReshardSteps == 0 {
 		cfg.ReshardSteps = 10
 	}
-	if cfg.MaxRelayouts == 0 {
-		cfg.MaxRelayouts = 1
-	}
 	run := &AdaptiveRun{
 		From: from, To: from,
 		Losses:       make([]float64, 0, cfg.TotalSteps),
@@ -169,7 +164,6 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 	}
 	wl := s.Workload()
 
-	relayouts := 0
 	for len(run.Losses) < cfg.TotalSteps {
 		losses, err := s.Train(min(probe, cfg.TotalSteps-len(run.Losses)))
 		if err != nil {
@@ -187,7 +181,8 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 			}
 			continue
 		}
-		if step >= cfg.TotalSteps || relayouts >= cfg.MaxRelayouts || cur.Ranks != s.c.WorldSize() {
+		// A run re-lays-out at most once.
+		if step >= cfg.TotalSteps || run.RelayoutStep >= 0 || cur.Ranks != s.c.WorldSize() {
 			continue
 		}
 		suspects := mon.Suspects()
@@ -280,7 +275,6 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		run.To = to
 		run.RelayoutStep = step
 		run.RodeOut, run.RideOutReason = false, ""
-		relayouts++
 	}
 	run.TotalSeconds += s.c.MaxClock()
 	return run, nil
