@@ -16,17 +16,29 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 func TestMain(m *testing.M) { testutil.CLIMain(m, asCLI, main) }
 
-// TestGolden holds each study's stdout to its file under testdata, byte for
-// byte: a changed number is a diff to read, not prose to trust.
+// TestGolden holds each invocation's stdout to its file under testdata, byte
+// for byte: a changed number is a diff to read, not prose to trust.
 // `go test ./cmd/tesseract-bench -update` rewrites the files.
 func TestGolden(t *testing.T) {
-	for _, study := range []string{"claims", "memory", "planner", "ablation"} {
-		t.Run(study, func(t *testing.T) {
-			code, stdout, stderr := testutil.RunCLI(t, asCLI, "-"+study)
+	for _, golden := range []struct {
+		name string // testdata/<name>.golden
+		args []string
+	}{
+		{"claims", []string{"-claims"}},
+		{"memory", []string{"-memory"}},
+		{"planner", []string{"-planner"}},
+		{"ablation", []string{"-ablation"}},
+		{"table1-speedups", []string{"-table", "1", "-speedups"}},
+		{"table2-speedups", []string{"-table", "2", "-speedups"}},
+		{"elastic", []string{"-elastic"}},
+		{"straggler", []string{"-straggler"}},
+	} {
+		t.Run(golden.name, func(t *testing.T) {
+			code, stdout, stderr := testutil.RunCLI(t, asCLI, golden.args...)
 			if code != 0 || stderr != "" {
 				t.Fatalf("exit %d\nstderr: %s", code, stderr)
 			}
-			path := filepath.Join("testdata", study+".golden")
+			path := filepath.Join("testdata", golden.name+".golden")
 			if *update {
 				if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
 					t.Fatal(err)

@@ -73,6 +73,12 @@ func main() {
 		Classes: *classes, ImageSize: 16, Channels: 3, PatchSize: 4,
 		Train: *train, Test: *test, Seed: *seed,
 	}
+	if err := dcfg.Check(); err != nil {
+		fatalf("%v", err)
+	}
+	if *planFor < 0 {
+		fatalf("-plan %d: want a rank budget of 1 or more (0 means no search)", *planFor)
+	}
 	ds := vit.NewDataset(dcfg)
 	mcfg := vit.ModelConfig{
 		PatchDim: dcfg.PatchDim(),

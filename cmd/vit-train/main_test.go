@@ -86,6 +86,12 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"elastic/negative fail step", []string{"-elastic", "-fail-step", "-3"}, "-fail-step -3"},
 		{"elastic/one step", []string{"-elastic", "-batch", "16"}, "at least 2 total steps"},
 		{"chaos/too few steps", []string{"-chaos"}, "at least 24 total steps"},
+		// These used to panic in the dataset constructor, or exit 0 having
+		// trained nothing or the default trio; zero keeps meaning the default.
+		{"negative train samples", []string{"-train-per-class", "-2"}, "training samples per class -2"},
+		{"negative test samples", []string{"-test-per-class", "-1"}, "test samples per class -1"},
+		{"negative epochs", []string{"-epochs", "-1"}, "epoch count -1"},
+		{"negative plan budget", []string{"-plan", "-2"}, "-plan -2"},
 	} {
 		t.Run(mis.name, func(t *testing.T) {
 			code, stdout, stderr := vitTrain(t, mis.args...)

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -91,9 +92,23 @@ type Cluster struct {
 	abortOnce sync.Once
 	abortErr  error
 
-	// running is set for the duration of a Run: the workers' clocks and
-	// parking slots belong to that Run's goroutines alone.
-	running atomic.Bool
+	// life guards the Run lifecycle. running is set for the duration of a
+	// Run: the workers' clocks and parking slots belong to that Run's
+	// goroutines alone. closed is set by Close. slots are the rank
+	// goroutines' start slots, made by the first full-cluster Run and closed
+	// (releasing the goroutines) by Close, by a poisoning Run's end or by
+	// cleanup once the cluster is unreachable.
+	life    sync.Mutex
+	running bool
+	closed  bool
+	slots   []chan *Worker
+	cleanup runtime.Cleanup
+
+	// fn, errs and done are the active Run's function, the per-rank
+	// results and the count of ranks still running it.
+	fn   func(w *Worker) error
+	errs []error
+	done sync.WaitGroup
 
 	failMu   sync.Mutex
 	failures []*Failure
@@ -143,6 +158,7 @@ func newCluster(cfg Config, live int) *Cluster {
 		gpn:    gpn,
 		groups: make(map[string]*Group),
 		stats:  newStatsBook(live),
+		errs:   make([]error, live),
 	}
 	workers := make([]Worker, live)
 	c.workers = make([]*Worker, live)
@@ -181,50 +197,153 @@ func (c *Cluster) WorldSize() int { return c.cfg.WorldSize }
 // node returns the node index of a rank.
 func (c *Cluster) node(rank int) int { return rank / c.gpn }
 
-// Run executes fn once per rank, each invocation on its own goroutine, and
-// waits for all of them. The first worker error or panic (by rank order)
-// becomes Run's error, wrapped so errors.Is sees the cause and the message
-// names the worker; every other worker is unblocked and unwound. After such
-// an abort the cluster is permanently poisoned: subsequent Runs fail fast.
-// On a solo cluster (NewSolo) Run calls fn for rank 0 only, on the caller's
-// own goroutine, with the same error and panic handling.
+// errClosed is what Run returns on a closed cluster.
+var errClosed = errors.New("dist: Run on a closed cluster")
+
+// Run executes fn once per rank, each invocation on that rank's own
+// goroutine, and waits for all of them. The first worker error or panic (by
+// rank order) becomes Run's error, wrapped so errors.Is sees the cause and
+// the message names the worker; every other worker is unblocked and unwound.
+// After such an abort the cluster is permanently poisoned: subsequent Runs
+// fail fast. On a solo cluster (NewSolo) Run calls fn for rank 0 only, on
+// the caller's own goroutine, with the same error and panic handling.
+//
+// The rank goroutines live as long as the cluster: the first Run starts
+// them, and between Runs each is parked on its start slot, holding nothing
+// else, so a steady-state Run allocates nothing. Close releases them; so
+// does an abort, and so does the garbage collector once nothing references
+// the cluster.
 //
 // A cluster runs one Run at a time: a Run issued while another is active on
 // the same cluster — nested from a worker, or from a second goroutine —
-// returns ErrRunActive without starting anything.
+// returns ErrRunActive without starting anything. A Run after Close returns
+// an error.
 func (c *Cluster) Run(fn func(w *Worker) error) error {
 	if err := c.abortedErr(); err != nil {
 		return fmt.Errorf("dist: cluster aborted by earlier run: %w", err)
 	}
-	if !c.running.CompareAndSwap(false, true) {
-		return ErrRunActive
+	if err := c.begin(); err != nil {
+		return err
 	}
-	defer c.running.Store(false)
-	errs := make([]error, len(c.workers))
+	c.fn = fn
 	if c.solo {
-		errs[0] = c.runWorker(c.workers[0], fn)
+		c.errs[0] = c.runWorker(c.workers[0], fn)
 	} else {
-		var wg sync.WaitGroup
-		for _, w := range c.workers {
-			wg.Add(1)
-			go func(w *Worker) {
-				defer wg.Done()
-				errs[w.rank] = c.runWorker(w, fn)
-			}(w)
+		c.done.Add(len(c.workers))
+		for r, w := range c.workers {
+			c.slots[r] <- w
 		}
-		wg.Wait()
+		c.done.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	c.fn = nil
+	var err error
+	for r, e := range c.errs {
+		if err == nil {
+			err = e
 		}
+		c.errs[r] = nil
+	}
+	c.end()
+	if err != nil {
+		return err
 	}
 	// Every worker unwound quietly but the cluster aborted anyway (a
 	// failure surfaced outside any worker's own frame): report the poison.
-	if err := c.abortedErr(); err != nil {
-		return err
+	return c.abortedErr()
+}
+
+// begin claims the cluster for one Run, starting the rank goroutines on
+// the first full-cluster Run.
+func (c *Cluster) begin() error {
+	c.life.Lock()
+	defer c.life.Unlock()
+	switch {
+	case c.closed:
+		return errClosed
+	case c.running:
+		return ErrRunActive
+	}
+	c.running = true
+	if !c.solo && c.slots == nil {
+		c.slots = make([]chan *Worker, len(c.workers))
+		for r := range c.slots {
+			c.slots[r] = make(chan *Worker, 1)
+			go rankLoop(c.slots[r])
+		}
+		// The cleanup holds the slots, never the cluster, so it does not
+		// keep the cluster reachable.
+		c.cleanup = runtime.AddCleanup(c, closeSlots, c.slots)
 	}
 	return nil
+}
+
+// end releases the Run's claim. A poisoned cluster never runs again, so its
+// rank goroutines exit now, as does a cluster Closed during the Run.
+func (c *Cluster) end() {
+	c.life.Lock()
+	defer c.life.Unlock()
+	c.running = false
+	if c.closed || c.aborted.Load() {
+		c.releaseLocked()
+	}
+}
+
+// Close releases the cluster's rank goroutines; a Run after it returns an
+// error. Clocks, statistics and failures stay readable. Close is idempotent,
+// and a Close during a Run takes effect when that Run returns. A cluster
+// that is simply dropped is released by the garbage collector instead, so
+// Close is for callers that want the goroutines gone now.
+func (c *Cluster) Close() {
+	c.life.Lock()
+	defer c.life.Unlock()
+	c.closed = true
+	if !c.running {
+		c.releaseLocked()
+	}
+}
+
+// releaseLocked closes the start slots once, which ends every rank
+// goroutine. The caller holds c.life.
+func (c *Cluster) releaseLocked() {
+	if c.slots == nil {
+		return
+	}
+	c.cleanup.Stop()
+	closeSlots(c.slots)
+	c.slots = nil
+}
+
+// closeSlots ends the rank goroutines parked on slots.
+func closeSlots(slots []chan *Worker) {
+	for _, s := range slots {
+		close(s)
+	}
+}
+
+// rankLoop is one rank's goroutine: it runs the active Run's function for
+// each worker its slot delivers and exits when the slot closes. While parked
+// it holds the slot alone — never the worker or the cluster, which stay
+// collectable.
+func rankLoop(slot <-chan *Worker) {
+	for w := range slot {
+		w.c.runRank(w)
+	}
+}
+
+// runRank runs the active Run's function on w's goroutine and reports the
+// rank done. Should fn end the goroutine itself (runtime.Goexit, as
+// t.FailNow from a worker does), the rank gets a fresh goroutine on the
+// same slot.
+func (c *Cluster) runRank(w *Worker) {
+	exited := true
+	defer func() {
+		if exited {
+			go rankLoop(c.slots[w.rank])
+		}
+		c.done.Done()
+	}()
+	c.errs[w.rank] = c.runWorker(w, c.fn)
+	exited = false
 }
 
 // runWorker calls fn for one rank and turns its error or panic into the

@@ -9,12 +9,21 @@
 // # Runtime
 //
 // dist.New(dist.Config{WorldSize: n}) builds a Cluster of n Workers; Run
-// executes one function per rank, each on its own goroutine. A worker that
-// errors or panics aborts the whole cluster (peers unwind, Run names the
-// rank; a fresh cluster is the recovery). A cluster runs one Run at a time:
-// a nested or concurrent Run on the same cluster returns ErrRunActive.
-// Clocks and traffic statistics persist across Runs; ResetClocks opens a
-// new timing window.
+// executes one function per rank, each on that rank's own goroutine. A
+// worker that errors or panics aborts the whole cluster (peers unwind, Run
+// names the rank; a fresh cluster is the recovery). A cluster runs one Run
+// at a time: a nested or concurrent Run on the same cluster returns
+// ErrRunActive. Clocks and traffic statistics persist across Runs;
+// ResetClocks opens a new timing window.
+//
+// The rank goroutines live as long as the cluster. The first Run starts
+// them; between Runs each is parked on its own start slot, so a Run is
+// publish fn, wake n, wait n, and a steady-state Run allocates nothing. A
+// parked rank holds only its slot — never its Worker or the Cluster — so a
+// cluster nobody references is still garbage. The goroutines exit when the
+// slots close: on Close (idempotent; a later Run returns an error), at the
+// end of a Run that poisoned the cluster, or by a runtime cleanup once the
+// collector finds the cluster unreachable.
 //
 // # Solo clusters
 //

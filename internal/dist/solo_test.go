@@ -244,7 +244,7 @@ func TestSoloRunStartsNoGoroutine(t *testing.T) {
 		"panic": func(w *Worker) error { panic(cause) },
 	} {
 		c := NewSolo(Config{WorldSize: 64})
-		base := runtime.NumGoroutine()
+		base := quietGoroutines()
 		ranks, during := 0, 0
 		err := c.Run(func(w *Worker) error {
 			ranks++

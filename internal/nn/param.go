@@ -123,7 +123,7 @@ func (a *Adam) StepCount() int { return a.t }
 // restoring optimiser state from a checkpoint.
 func (a *Adam) SetStepCount(t int) {
 	a.t = t
-	a.cachedParams = nil
+	a.cachedParams = a.cachedParams[:0]
 }
 
 // Moments returns the first and second moment accumulators for p, or nils
@@ -151,7 +151,9 @@ func (a *Adam) SetMoments(p *Param, m, v *tensor.Matrix) {
 	if v != nil {
 		a.v[p] = v
 	}
-	a.cachedParams = nil
+	// Truncated, not dropped: the next Step realigns the moment slices in
+	// their existing backing arrays.
+	a.cachedParams = a.cachedParams[:0]
 }
 
 // cacheMatches reports whether the moment cache is aligned with params —

@@ -35,13 +35,10 @@ type Checkpoint struct {
 	// Slots hold the canonical tensors, in the model's State() order.
 	Slots []CheckpointSlot
 
-	// group and states cache the family communicator and the model's slot
-	// walk between per-step collects so a steady-state checkpoint allocates
-	// nothing.
-	group   *dist.Group
-	cluster *dist.Cluster
-	stater  Stater
-	states  []State
+	// stater and states cache the model's slot walk between per-step
+	// collects so a steady-state checkpoint allocates nothing.
+	stater Stater
+	states []State
 }
 
 // CheckpointSlot is one canonical tensor with its Adam moments.
@@ -114,24 +111,17 @@ func (ck *Checkpoint) Verify() error {
 	return nil
 }
 
-// familyGroup returns the communicator spanning the family's ranks in
-// ascending order, cached on the checkpoint.
-func (ck *Checkpoint) familyGroup(f Family) *dist.Group {
-	c := f.Worker().Cluster()
-	if ck.group != nil && ck.cluster == c {
-		return ck.group
+// familyGroup returns the communicator spanning the ranks the family
+// occupies, [0, Ranks), in ascending order. The rank list is spelled on the
+// stack (dist.Cluster.Group keeps no reference to it), so finding the cached
+// group allocates nothing up to 64 ranks.
+func familyGroup(f Family) *dist.Group {
+	var buf [64]int
+	ranks := buf[:0]
+	for r := range f.Layout().Ranks {
+		ranks = append(ranks, r)
 	}
-	ck.group, ck.cluster = c.Group(familyRanks(f)...), c
-	return ck.group
-}
-
-// familyRanks lists the ranks the family occupies, [0, Ranks).
-func familyRanks(f Family) []int {
-	ranks := make([]int, f.Layout().Ranks)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return ranks
+	return f.Worker().Cluster().Group(ranks...)
 }
 
 // CollectInto snapshots the model (and optimiser moments, when opt is
@@ -165,7 +155,7 @@ func CollectInto(ck *Checkpoint, f Family, m Stater, opt *nn.Adam) (*Checkpoint,
 		}
 		ck.Slots = make([]CheckpointSlot, len(slots))
 	}
-	g := ck.familyGroup(f)
+	g := familyGroup(f)
 	w := f.Worker()
 	ck.Step = 0
 	if opt != nil {
@@ -216,7 +206,7 @@ func Restore(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
 	}
 	w := f.Worker()
 	ws := w.Workspace()
-	g := w.Cluster().Group(familyRanks(f)...)
+	g := familyGroup(f)
 	const root = 0
 	isRoot := w.Rank() == root
 	// Only the root's replica goes over the wire; verify it before a single

@@ -25,6 +25,7 @@ func Price(w Workload, l parallel.Layout, t Topology) (Breakdown, error) {
 	if err != nil {
 		return Breakdown{}, err
 	}
+	defer rp.Cluster().Close()
 	st, err := rp.Step(!w.NoRecompute)
 	if err != nil {
 		return Breakdown{}, err
@@ -46,6 +47,7 @@ func priceForward(w Workload, batch int, l parallel.Layout, t Topology) (float64
 	if err != nil {
 		return 0, 0, err
 	}
+	defer rp.Cluster().Close()
 	st, err := rp.Forward()
 	return st.Forward, st.MemoryBytes, err
 }

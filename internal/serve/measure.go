@@ -94,6 +94,7 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 		return measured{}, err
 	}
 	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: t.GPUsPerNode, Cost: t.Cost})
+	defer c.Close()
 	unit := l.RowShards()
 	var rep *Report
 	err = c.Run(func(wk *dist.Worker) error {

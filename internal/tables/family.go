@@ -67,6 +67,7 @@ func FamilyParityStudy(layouts []parallel.Layout) ([]FamilyParity, error) {
 			}
 			return nil
 		})
+		c.Close()
 		if err != nil {
 			return nil, fmt.Errorf("tables: family study %s: %w", l, err)
 		}

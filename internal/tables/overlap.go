@@ -49,6 +49,7 @@ func overlapRow(row Row, opts Options) (OverlapPoint, error) {
 		return OverlapPoint{}, err
 	}
 	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: opts.GPUsPerNode})
+	defer c.Close()
 	rp, err := parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
 		f, err := parallel.New(w, l)
 		if err != nil {

@@ -81,13 +81,15 @@ func MemoryStudy(a, b, c int) ([]MemoryPoint, error) {
 			return fmt.Errorf("tables: memory study: [%d,%d]x[%d,%d] does not divide over %s", a, b, b, c, pt.Label)
 		}
 		held, peaks := make([]int, pt.GPUs), make([]int, pt.GPUs)
-		err := dist.New(dist.Config{WorldSize: pt.GPUs}).Run(func(w *dist.Worker) error {
+		c := dist.New(dist.Config{WorldSize: pt.GPUs})
+		err := c.Run(func(w *dist.Worker) error {
 			x, wt, y := mul(w)
 			operands := x.Size() + wt.Size()
 			held[w.Rank()] = operands + y.Size()
 			peaks[w.Rank()] = operands + int(w.Workspace().Stats().HighWaterBytes/8)
 			return nil
 		})
+		c.Close()
 		if err != nil {
 			return err
 		}
@@ -212,10 +214,12 @@ func TransmissionStudy() ([]TransmissionPoint, error) {
 		}},
 	} {
 		c := dist.New(dist.Config{WorldSize: alg.shape.Size()})
-		if err := c.Run(func(w *dist.Worker) error {
+		err := c.Run(func(w *dist.Worker) error {
 			alg.mul(mesh.NewProc(w, alg.shape))
 			return nil
-		}); err != nil {
+		})
+		c.Close()
+		if err != nil {
 			return nil, err
 		}
 		st := c.Stats()

@@ -63,17 +63,17 @@ func (r *RNG) Normal() float64 {
 // each layer or shard its own stream while keeping global determinism.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+// Perm fills p with a pseudo-random permutation of [0, len(p))
+// (Fisher-Yates); the caller owns the buffer, so a reused one costs no
+// allocation.
+func (r *RNG) Perm(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // RandomMatrix returns a rows×cols matrix of uniform deviates in [-1, 1).

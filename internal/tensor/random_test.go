@@ -75,7 +75,8 @@ func TestNormalMoments(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	rng := NewRNG(13)
-	p := rng.Perm(20)
+	p := make([]int, 20)
+	rng.Perm(p)
 	seen := make([]bool, 20)
 	for _, v := range p {
 		if v < 0 || v >= 20 || seen[v] {

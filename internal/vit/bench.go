@@ -44,7 +44,7 @@ func NewStepBencher(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainCo
 // Steps runs n full training steps on the fixed batch on every rank within
 // a single cluster run.
 func (sb *StepBencher) Steps(n int) error {
-	return sb.run(func(w *dist.Worker) error {
+	return sb.run(runArg{}, func(_ *Session, w *dist.Worker) error {
 		for i := 0; i < n; i++ {
 			sb.stepOn(w, sb.x, sb.labels, nil)
 		}
@@ -66,7 +66,7 @@ func (sb *StepBencher) TrainSteps(n int) error {
 // the checkpoints are built on first use and reused (and returned) so the
 // steady state allocates nothing.
 func (sb *StepBencher) StepsCheckpointed(n int, cks []*parallel.Checkpoint) error {
-	return sb.run(func(w *dist.Worker) error {
+	return sb.run(runArg{}, func(_ *Session, w *dist.Worker) error {
 		for i := 0; i < n; i++ {
 			sb.stepOn(w, sb.x, sb.labels, nil)
 			if err := sb.collect(w, cks); err != nil {

@@ -59,6 +59,30 @@ func (c DataConfig) withDefaults() DataConfig {
 	return c
 }
 
+// Check reports what NewDataset cannot build from c: a negative count or
+// size (zero means the default) or a patch that does not tile the image.
+func (c DataConfig) Check() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"class count", c.Classes},
+		{"image size", c.ImageSize},
+		{"channel count", c.Channels},
+		{"patch size", c.PatchSize},
+		{"training samples per class", c.Train},
+		{"test samples per class", c.Test},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("vit: %s %d: want 1 or more (0 means the default)", f.name, f.v)
+		}
+	}
+	if d := c.withDefaults(); d.ImageSize%d.PatchSize != 0 {
+		return fmt.Errorf("vit: patch %d does not divide image %d", d.PatchSize, d.ImageSize)
+	}
+	return nil
+}
+
 // Patches returns the number of patches per image (the sequence length s).
 func (c DataConfig) Patches() int {
 	side := c.ImageSize / c.PatchSize
@@ -81,12 +105,13 @@ type Dataset struct {
 	Train, Test []Sample
 }
 
-// NewDataset generates the dataset deterministically from the seed.
+// NewDataset generates the dataset deterministically from the seed. It
+// panics on a configuration Check rejects.
 func NewDataset(cfg DataConfig) *Dataset {
-	cfg = cfg.withDefaults()
-	if cfg.ImageSize%cfg.PatchSize != 0 {
-		panic(fmt.Sprintf("vit: patch %d does not divide image %d", cfg.PatchSize, cfg.ImageSize))
+	if err := cfg.Check(); err != nil {
+		panic(err.Error())
 	}
+	cfg = cfg.withDefaults()
 	rng := tensor.NewRNG(cfg.Seed)
 	pixels := cfg.ImageSize * cfg.ImageSize * cfg.Channels
 
@@ -163,9 +188,16 @@ func toPatches(cfg DataConfig, img *tensor.Matrix) *tensor.Matrix {
 // Batch assembles samples idx into a token matrix [len(idx)·s, patchDim]
 // plus labels, the layout the ViT forward pass consumes.
 func (d *Dataset) Batch(samples []Sample, idx []int) (*tensor.Matrix, []int) {
+	return d.batchInto(nil, nil, samples, idx)
+}
+
+// batchInto is Batch into the buffers of an earlier batch of the same size,
+// or into fresh ones when x is nil.
+func (d *Dataset) batchInto(x *tensor.Matrix, labels []int, samples []Sample, idx []int) (*tensor.Matrix, []int) {
 	s := d.Config.Patches()
-	x := tensor.New(len(idx)*s, d.Config.PatchDim())
-	labels := make([]int, len(idx))
+	if x == nil {
+		x, labels = tensor.New(len(idx)*s, d.Config.PatchDim()), make([]int, len(idx))
+	}
 	for i, j := range idx {
 		x.SetSubMatrix(i*s, 0, samples[j].Patches)
 		labels[i] = samples[j].Label

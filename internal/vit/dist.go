@@ -27,6 +27,12 @@ type DistModel struct {
 
 	batch  int
 	pooled *tensor.Matrix // replicated [b, hidden]
+
+	// params and state are the Params and State walks, made on first use:
+	// a walk allocates, and trainers and checkpoints ask on every step and
+	// every re-shard.
+	params []*nn.Param
+	state  []parallel.State
 }
 
 // NewDistModel draws parameters from the same stream as NewModel, so the
@@ -46,22 +52,31 @@ func NewDistModel(f parallel.Family, cfg ModelConfig) *DistModel {
 
 // State enumerates the model's canonical checkpoint slots in parameter
 // order (embedding, blocks, head) — the family-agnostic walk
-// parallel.Collect and parallel.Restore move training state through.
+// parallel.Collect and parallel.Restore move training state through. The
+// walk is made once; callers share the slice and must not modify it.
 func (m *DistModel) State() []parallel.State {
-	out := m.Embed.State()
-	for _, b := range m.Blocks {
-		out = append(out, b.State()...)
+	if m.state == nil {
+		m.state = m.Embed.State()
+		for _, b := range m.Blocks {
+			m.state = append(m.state, b.State()...)
+		}
+		m.state = append(m.state, m.Head.State()...)
 	}
-	return append(out, m.Head.State()...)
+	return m.state
 }
 
-// Params returns this processor's parameter shards plus the replicated head.
+// Params returns this processor's parameter shards plus the replicated
+// head. The walk is made once; callers share the slice and must not modify
+// it.
 func (m *DistModel) Params() []*nn.Param {
-	out := m.Embed.Params()
-	for _, b := range m.Blocks {
-		out = append(out, b.Params()...)
+	if m.params == nil {
+		m.params = m.Embed.Params()
+		for _, b := range m.Blocks {
+			m.params = append(m.params, b.Params()...)
+		}
+		m.params = append(m.params, m.Head.Params()...)
 	}
-	return append(out, m.Head.Params()...)
+	return m.params
 }
 
 // Forward maps the local token block to replicated logits [b, classes].

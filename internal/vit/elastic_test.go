@@ -206,5 +206,5 @@ func TestRestoreBitwise(t *testing.T) {
 
 // collectAll snapshots every rank of the bencher's live model.
 func collectAll(sb *StepBencher, cks []*parallel.Checkpoint) error {
-	return sb.run(func(w *dist.Worker) error { return sb.collect(w, cks) })
+	return sb.run(runArg{}, func(s *Session, w *dist.Worker) error { return s.collect(w, cks) })
 }

@@ -116,7 +116,8 @@ func TestHistoryAccuraciesAreExactCounts(t *testing.T) {
 	model := NewModel(mcfg)
 	opt := nn.NewAdam(tc.LR, tc.WeightDecay)
 	params := model.Params()
-	order := epochOrder(len(ds.Train), 0, tc.Seed)
+	order := make([]int, len(ds.Train))
+	epochOrder(order, 0, tc.Seed)
 	var correct, seen int
 	for start := 0; start+tc.BatchSize <= len(order); start += tc.BatchSize {
 		x, labels := ds.Batch(ds.Train, order[start:start+tc.BatchSize])

@@ -11,10 +11,9 @@ import (
 )
 
 // Session is one layout training one model on one cluster: per rank the
-// family, the model, the optimiser and the parameter walk, plus the flat
-// trainer-step counter. Every distributed trainer, the step bencher and the
-// serving runtime are callers of it, so a model reaches the same bits
-// however it was driven.
+// family, the model and the optimiser, plus the flat trainer-step counter.
+// Every distributed trainer, the step bencher and the serving runtime are
+// callers of it, so a model reaches the same bits however it was driven.
 //
 // The cluster may be shared between sessions and may be larger than the
 // layout; ranks past the layout's idle in every Run. Simulated clocks belong
@@ -27,14 +26,37 @@ type Session struct {
 	mcfg ModelConfig
 	tc   TrainConfig // defaults applied
 
-	fams   []parallel.Family
-	models []*DistModel
-	opts   []*nn.Adam
-	params [][]*nn.Param // models[r].Params(), walked once: the walk allocates
+	fams    []parallel.Family
+	models  []*DistModel
+	opts    []*nn.Adam
+	batches []trainBatch
 
 	step     int   // trainer steps taken; indexes the epoch-shuffled batch sequence
 	batchErr error // why the train batch is unusable; Train reports it
 	cks      []*parallel.Checkpoint
+
+	// The active run's operation and its arguments, which onRank, bound
+	// once, hands every rank (see run).
+	op     func(s *Session, w *dist.Worker) error
+	arg    runArg
+	onRank func(w *dist.Worker) error
+}
+
+// runArg is what an operation reads besides the session.
+type runArg struct {
+	losses  []float64            // train: rank 0 records the step losses
+	correct *int                 // train: rank 0's correct count, if wanted
+	from    *parallel.Checkpoint // Reshard: the checkpoint to install
+}
+
+// trainBatch is one rank's copy of the trainer's current batch, rebuilt in
+// place every step: the order of the epoch it is in, the tokens and the
+// labels.
+type trainBatch struct {
+	epoch  int
+	order  []int
+	x      *tensor.Matrix
+	labels []int
 }
 
 // NewSession validates the layout and the model, checks the TrainConfig and
@@ -63,27 +85,27 @@ func NewSession(c *dist.Cluster, l parallel.Layout, ds *Dataset, mcfg ModelConfi
 	}
 	s := &Session{
 		c: c, l: l, ds: ds, mcfg: mcfg, tc: tc,
-		fams:   make([]parallel.Family, l.Ranks),
-		models: make([]*DistModel, l.Ranks),
-		opts:   make([]*nn.Adam, l.Ranks),
-		params: make([][]*nn.Param, l.Ranks),
-		cks:    make([]*parallel.Checkpoint, l.Ranks),
+		fams:    make([]parallel.Family, l.Ranks),
+		models:  make([]*DistModel, l.Ranks),
+		opts:    make([]*nn.Adam, l.Ranks),
+		batches: make([]trainBatch, l.Ranks),
+		cks:     make([]*parallel.Checkpoint, l.Ranks),
 	}
+	s.onRank = s.runOp
 	if b := s.tc.BatchSize; b < 1 || b > len(ds.Train) {
 		s.batchErr = fmt.Errorf("vit: batch %d outside [1, %d training samples]: no step would run", b, len(ds.Train))
 	} else {
 		s.batchErr = TrainableErr(l, b, mcfg)
 	}
-	err = s.run(func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
+	err = s.run(runArg{}, func(s *Session, w *dist.Worker) error {
+		f, err := parallel.New(w, s.l)
 		if err != nil {
 			return err
 		}
 		r := w.Rank()
 		s.fams[r] = f
-		s.models[r] = NewDistModel(f, mcfg)
+		s.models[r] = NewDistModel(f, s.mcfg)
 		s.opts[r] = nn.NewAdam(s.tc.LR, s.tc.WeightDecay)
-		s.params[r] = s.models[r].Params()
 		return nil
 	})
 	if err != nil {
@@ -126,14 +148,33 @@ func (s *Session) Replan(topo plan.Topology, algos []plan.Algo, budget int) (par
 	return parallel.Validate(best.Grid)
 }
 
-// run executes fn on every rank of the layout; surplus cluster ranks idle.
-func (s *Session) run(fn func(w *dist.Worker) error) error {
-	return s.c.Run(func(w *dist.Worker) error {
-		if w.Rank() >= s.l.Ranks {
-			return nil
-		}
-		return fn(w)
-	})
+// run executes op on every rank of the layout, with arg in s.arg; surplus
+// cluster ranks idle. Only the steady-state verbs — Train, Collect and
+// Reshard — pass their arguments through runArg to a method expression, so
+// that they allocate nothing but their result; every other operation
+// (construction, EvalLogits, the StepBencher's fixed-batch loops) passes a
+// closure over its own arguments, one allocation per call off that path.
+// WorkspaceStats visits every cluster rank and calls the cluster directly.
+//
+// The s.op check repeats dist's ErrRunActive only because op and arg are
+// written before s.c.Run claims the cluster: a call from inside one of the
+// session's own operations would otherwise overwrite the running one's.
+func (s *Session) run(arg runArg, op func(s *Session, w *dist.Worker) error) error {
+	if s.op != nil {
+		return dist.ErrRunActive
+	}
+	s.op, s.arg = op, arg
+	err := s.c.Run(s.onRank)
+	s.op, s.arg = nil, runArg{}
+	return err
+}
+
+// runOp runs the active operation on one rank.
+func (s *Session) runOp(w *dist.Worker) error {
+	if w.Rank() >= s.l.Ranks {
+		return nil
+	}
+	return s.op(s, w)
 }
 
 // stepOn is the distributed training step on one batch, on one rank:
@@ -144,7 +185,8 @@ func (s *Session) run(fn func(w *dist.Worker) error) error {
 // every other caller's path because counting allocates.
 func (s *Session) stepOn(w *dist.Worker, x *tensor.Matrix, labels []int, correct *int) float64 {
 	r := w.Rank()
-	f, model, params := s.fams[r], s.models[r], s.params[r]
+	f, model := s.fams[r], s.models[r]
+	params := model.Params()
 	logits := model.Forward(DistributeBatch(f, x, s.mcfg.SeqLen))
 	dl := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
 	loss := nn.CrossEntropyInto(dl, logits, labels)
@@ -160,13 +202,23 @@ func (s *Session) stepOn(w *dist.Worker, x *tensor.Matrix, labels []int, correct
 	return loss
 }
 
-// stepBatch maps a flat step index onto the epoch-shuffled sample window, so
-// step-indexed and epoch-indexed runs see identical batches.
-func (s *Session) stepBatch(step int) []int {
+// stepBatch fills the rank's trainBatch with the batch of flat step index
+// step — the epoch-shuffled sample window, so step-indexed and
+// epoch-indexed runs see identical batches — and returns its tokens and
+// labels.
+func (s *Session) stepBatch(r, step int) (*tensor.Matrix, []int) {
+	b := &s.batches[r]
 	spe := len(s.ds.Train) / s.tc.BatchSize
-	order := epochOrder(len(s.ds.Train), step/spe, s.tc.Seed)
+	if epoch := step / spe; b.order == nil || b.epoch != epoch {
+		if b.order == nil {
+			b.order = make([]int, len(s.ds.Train))
+		}
+		epochOrder(b.order, epoch, s.tc.Seed)
+		b.epoch = epoch
+	}
 	start := (step % spe) * s.tc.BatchSize
-	return order[start : start+s.tc.BatchSize]
+	b.x, b.labels = s.ds.batchInto(b.x, b.labels, s.ds.Train, b.order[start:start+s.tc.BatchSize])
+	return b.x, b.labels
 }
 
 // trainStep is stepOn fed the trainer's batch for flat step index step,
@@ -176,7 +228,7 @@ func (s *Session) stepBatch(step int) []int {
 func (s *Session) trainStep(w *dist.Worker, step int, correct *int) float64 {
 	w.BeginStep(step)
 	defer w.EndStep()
-	x, labels := s.ds.Batch(s.ds.Train, s.stepBatch(step))
+	x, labels := s.stepBatch(w.Rank(), step)
 	return s.stepOn(w, x, labels, correct)
 }
 
@@ -186,24 +238,26 @@ func (s *Session) train(losses []float64, correct *int) error {
 	if s.batchErr != nil {
 		return s.batchErr
 	}
-	first := s.step
-	err := s.run(func(w *dist.Worker) error {
-		var hits *int
-		if w.Rank() == 0 {
-			hits = correct
-		}
-		for i := range losses {
-			loss := s.trainStep(w, first+i, hits)
-			if w.Rank() == 0 {
-				losses[i] = loss
-			}
-		}
-		return nil
-	})
+	err := s.run(runArg{losses: losses, correct: correct}, (*Session).trainRank)
 	if err != nil {
 		return err
 	}
 	s.step += len(losses)
+	return nil
+}
+
+// trainRank is train's operation on one rank.
+func (s *Session) trainRank(w *dist.Worker) error {
+	var hits *int
+	if w.Rank() == 0 {
+		hits = s.arg.correct
+	}
+	for i := range s.arg.losses {
+		loss := s.trainStep(w, s.step+i, hits)
+		if w.Rank() == 0 {
+			s.arg.losses[i] = loss
+		}
+	}
 	return nil
 }
 
@@ -241,7 +295,7 @@ func (s *Session) evalForward(w *dist.Worker, idx []int) *tensor.Matrix {
 // samples as, bit for bit.
 func (s *Session) EvalLogits(idx []int) (*tensor.Matrix, error) {
 	var out *tensor.Matrix
-	err := s.run(func(w *dist.Worker) error {
+	err := s.run(runArg{}, func(s *Session, w *dist.Worker) error {
 		logits := s.evalForward(w, idx)
 		if w.Rank() == 0 {
 			out = tensor.New(len(idx), logits.Cols)
@@ -255,6 +309,9 @@ func (s *Session) EvalLogits(idx []int) (*tensor.Matrix, error) {
 	}
 	return out, nil
 }
+
+// collectRank is Collect's operation on one rank.
+func (s *Session) collectRank(w *dist.Worker) error { return s.collect(w, s.cks) }
 
 // collect snapshots one rank into cks[rank], building the checkpoint on
 // first use and reusing it afterwards.
@@ -271,7 +328,7 @@ func (s *Session) collect(w *dist.Worker, cks []*parallel.Checkpoint) error {
 // all-reduces added to the cluster's largest clock.
 func (s *Session) Collect() (float64, error) {
 	pre := s.c.MaxClock()
-	err := s.run(func(w *dist.Worker) error { return s.collect(w, s.cks) })
+	err := s.run(runArg{}, (*Session).collectRank)
 	return s.c.MaxClock() - pre, err
 }
 
@@ -279,6 +336,9 @@ func (s *Session) Collect() (float64, error) {
 // still alive — after a node loss the dead rank's memory is gone, and the
 // replicas are identical — or nil if there is none.
 func (s *Session) Checkpoint() *parallel.Checkpoint {
+	if s.c.Failure() == nil {
+		return s.cks[0] // every rank survives; skip listing them
+	}
 	for _, r := range s.c.Survivors() {
 		if r < s.l.Ranks {
 			return s.cks[r]
@@ -294,11 +354,14 @@ func (s *Session) Checkpoint() *parallel.Checkpoint {
 // trainer stood (Relayout carries that).
 func (s *Session) Reshard(ck *parallel.Checkpoint) (float64, error) {
 	pre := s.c.MaxClock()
-	err := s.run(func(w *dist.Worker) error {
-		r := w.Rank()
-		return parallel.Restore(s.fams[r], s.models[r], s.opts[r], ck)
-	})
+	err := s.run(runArg{from: ck}, (*Session).restoreRank)
 	return s.c.MaxClock() - pre, err
+}
+
+// restoreRank is Reshard's operation on one rank.
+func (s *Session) restoreRank(w *dist.Worker) error {
+	r := w.Rank()
+	return parallel.Restore(s.fams[r], s.models[r], s.opts[r], s.arg.from)
 }
 
 // Relayout moves training onto layout l on cluster c — which may be this

@@ -1,6 +1,8 @@
 package vit
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -184,6 +186,78 @@ func TestTwoSessionsShareOneCluster(t *testing.T) {
 	}
 	if d := got.MaxAbsDiff(want); d > 1e-8 {
 		t.Fatalf("alternating megatron/seqpar logits differ from the pure megatron run by %g", d)
+	}
+}
+
+// TestReshardCycleAllocations: once warm, a megatron [4] → seqpar [4] →
+// megatron [4] cycle of Train, Collect and Reshard on one cluster allocates
+// only the two loss slices Train returns: the rank goroutines outlive a Run,
+// the models walk their parameters and checkpoint slots once, and the batch,
+// the checkpoint and the optimiser moments are reused in place. With a
+// goroutine per rank per Run and a walk per call, a cycle made 364.
+func TestReshardCycleAllocations(t *testing.T) {
+	ds, mcfg := tinyData()
+	tc := elasticTC()
+	c := dist.New(dist.Config{WorldSize: 4})
+	defer c.Close()
+	var pair [2]*Session
+	for i, family := range []string{"megatron", "seqpar"} {
+		s, err := NewSession(c, parallel.Layout{Family: family, Ranks: 4}, ds, mcfg, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair[i] = s
+	}
+	cycle := func() {
+		for i, from := range pair {
+			to := pair[1-i]
+			if _, err := from.Train(2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := from.Collect(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := to.Reshard(from.Checkpoint()); err != nil {
+				t.Fatal(err)
+			}
+			to.step = from.step
+		}
+	}
+	for range 3 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs > 4 {
+		t.Errorf("a warm megatron → seqpar → megatron cycle allocates %v times, want at most 4", allocs)
+	}
+}
+
+// TestNestedSessionCallRefused: a session verb called from inside one of
+// the session's own operations gets dist.ErrRunActive, as a nested
+// Cluster.Run does, and leaves the operation in flight undisturbed.
+func TestNestedSessionCallRefused(t *testing.T) {
+	ds, mcfg := tinyData()
+	s, err := NewSession(nil, parallel.Layout{Family: "megatron", Ranks: 2}, ds, mcfg, elasticTC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := make([]float64, 1)
+	err = s.run(runArg{losses: losses}, func(s *Session, w *dist.Worker) error {
+		if w.Rank() == 0 {
+			if _, err := s.Train(1); !errors.Is(err, dist.ErrRunActive) {
+				return fmt.Errorf("nested Train returned %v, want ErrRunActive", err)
+			}
+		}
+		return s.trainRank(w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := TrainLayoutSteps(parallel.Layout{Family: "megatron", Ranks: 2}, ds, mcfg, elasticTC(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if losses[0] != want[0] {
+		t.Errorf("the step around the refused call lost %.17g, a plain step %.17g", losses[0], want[0])
 	}
 }
 

@@ -21,12 +21,16 @@ type TrainConfig struct {
 	Seed        uint64
 }
 
-// withDefaults fills the zero fields and rejects optimiser settings no run
-// can honour: a learning rate or weight decay that is negative or not finite
-// trains NaN weights and reports them as a curve. It is the one place both
-// happen — NewSession and TrainSerial call it, so every trainer, the step
-// bencher and the serving runtime inherit the check.
+// withDefaults fills the zero fields and rejects settings no run can honour:
+// a learning rate or weight decay that is negative or not finite trains NaN
+// weights and reports them as a curve, and a negative epoch count trains
+// nothing. It is the one place both happen — NewSession and TrainSerial call
+// it, so every trainer, the step bencher and the serving runtime inherit the
+// check.
 func (c TrainConfig) withDefaults() (TrainConfig, error) {
+	if c.Epochs < 0 {
+		return c, fmt.Errorf("vit: epoch count %d: want 1 or more (0 means the default)", c.Epochs)
+	}
 	if !(c.LR >= 0) || math.IsInf(c.LR, 1) {
 		return c, fmt.Errorf("vit: learning rate %v: want a finite value above 0 (0 means the default)", c.LR)
 	}
@@ -63,11 +67,11 @@ type History struct {
 	TestAcc  []float64
 }
 
-// epochOrder returns the deterministic sample order for one epoch; serial
-// and distributed runs share it so their curves are directly comparable.
-func epochOrder(n int, epoch int, seed uint64) []int {
-	rng := tensor.NewRNG(seed + uint64(epoch)*1000003)
-	return rng.Perm(n)
+// epochOrder writes the deterministic sample order for one epoch into p,
+// whose length is the sample count; serial and distributed runs share it so
+// their curves are directly comparable.
+func epochOrder(p []int, epoch int, seed uint64) {
+	tensor.NewRNG(seed + uint64(epoch)*1000003).Perm(p)
 }
 
 // TrainSerial trains the reference model and returns its curve.
@@ -80,8 +84,9 @@ func TrainSerial(ds *Dataset, mcfg ModelConfig, tc TrainConfig) (History, error)
 	opt := nn.NewAdam(tc.LR, tc.WeightDecay)
 	params := model.Params()
 	hist := History{Setting: "serial"}
+	order := make([]int, len(ds.Train))
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
-		order := epochOrder(len(ds.Train), epoch, tc.Seed)
+		epochOrder(order, epoch, tc.Seed)
 		var lossSum float64
 		var correct, seen int
 		for start := 0; start+tc.BatchSize <= len(order); start += tc.BatchSize {
