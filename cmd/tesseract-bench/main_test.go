@@ -1,9 +1,6 @@
 package main
 
 import (
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,13 +9,11 @@ import (
 
 const asCLI = "TESSERACT_BENCH_TEST_AS_CLI"
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
-
 func TestMain(m *testing.M) { testutil.CLIMain(m, asCLI, main) }
 
 // TestGolden holds each invocation's stdout to its file under testdata, byte
-// for byte: a changed number is a diff to read, not prose to trust.
-// `go test ./cmd/tesseract-bench -update` rewrites the files.
+// for byte (testutil.Golden). `go test ./cmd/tesseract-bench -update`
+// rewrites the files.
 func TestGolden(t *testing.T) {
 	for _, golden := range []struct {
 		name string // testdata/<name>.golden
@@ -32,26 +27,14 @@ func TestGolden(t *testing.T) {
 		{"table2-speedups", []string{"-table", "2", "-speedups"}},
 		{"elastic", []string{"-elastic"}},
 		{"straggler", []string{"-straggler"}},
+		{"overlap", []string{"-overlap"}},
+		{"families", []string{"-families"}},
+		{"serving", []string{"-serving"}},
+		{"table1-no-recompute-layers2", []string{"-table", "1", "-no-recompute", "-layers", "2"}},
+		{"table2-seqlen128", []string{"-seqlen", "128", "-table", "2"}},
 	} {
 		t.Run(golden.name, func(t *testing.T) {
-			code, stdout, stderr := testutil.RunCLI(t, asCLI, golden.args...)
-			if code != 0 || stderr != "" {
-				t.Fatalf("exit %d\nstderr: %s", code, stderr)
-			}
-			path := filepath.Join("testdata", golden.name+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stdout != string(want) {
-				t.Errorf("stdout differs from %s (-update rewrites it)\n--- got\n%s--- want\n%s", path, stdout, want)
-			}
+			testutil.Golden(t, asCLI, golden.name, false, golden.args...)
 		})
 	}
 }

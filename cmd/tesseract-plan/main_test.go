@@ -11,6 +11,35 @@ const asCLI = "TESSERACT_PLAN_TEST_AS_CLI"
 
 func TestMain(m *testing.M) { testutil.CLIMain(m, asCLI, main) }
 
+// TestGolden holds each invocation's stdout to its file under testdata, byte
+// for byte (testutil.Golden): the presets, a node-misaligned search whose
+// [3,3,d] candidates replay on the full cluster, and a memory budget between
+// what seqpar [4] holds (1,082,441,728 B) and what tesseract [2,2] holds
+// (1,392,934,912 B), which leaves seqpar alone.
+// `go test ./cmd/tesseract-plan -update` rewrites the files.
+func TestGolden(t *testing.T) {
+	for _, golden := range []struct {
+		name string // testdata/<name>.golden
+		args []string
+	}{
+		{"table1", []string{"-model", "table1"}},
+		{"table2", []string{"-model", "table2"}},
+		{"vit-base", []string{"-model", "vit-base"}},
+		{"vit-large", []string{"-model", "vit-large"}},
+		{"misaligned36", []string{"-ranks", "36", "-batch", "36", "-seq", "64", "-hidden", "1728", "-heads", "36", "-top", "40"}},
+		{"exact4-mem", []string{"-exact", "-ranks", "4", "-batch", "16", "-seq", "512", "-hidden", "1024", "-heads", "16", "-layers", "2", "-mem", "1150MiB"}},
+		// -validate compares plan.Price with plan.Price, so its 0.0 % is by
+		// construction; what it checks is that every candidate builds and
+		// replays.
+		{"vit-base-validate", []string{"-model", "vit-base", "-validate"}},
+		{"misaligned36-validate", []string{"-ranks", "36", "-batch", "36", "-seq", "64", "-hidden", "1728", "-heads", "36", "-top", "40", "-validate", "-validate-top", "40"}},
+	} {
+		t.Run(golden.name, func(t *testing.T) {
+			testutil.Golden(t, asCLI, golden.name, false, golden.args...)
+		})
+	}
+}
+
 // TestMisuseIsOneLine: a value no plan can honour exits 1 with a single
 // actionable line on stderr and nothing on stdout. The negative counts used
 // to be ignored in silence — the preset was planned instead, -top -1 printed

@@ -107,6 +107,9 @@ func main() {
 			*batch, len(ds.Train))
 	}
 	staged := *elastic || *chaos || *doServe
+	if staged && *planFor > 0 {
+		fatalf("-plan %d: -elastic, -chaos and -serve train the -family layout (default tesseract [2,2,2]), not a searched one", *planFor)
+	}
 	var layouts []parallel.Layout
 	var planNotes []string // -plan's report, printed where the planned run starts
 	switch {
@@ -164,6 +167,9 @@ func main() {
 			fatalf("-chaos needs at least %d total steps so the fault lands after a clean probe window (raise -epochs or -train-per-class)", 4*chaosProbe)
 		}
 	case *elastic:
+		if layouts[0].Ranks < 2 {
+			fatalf("-elastic needs a layout of at least 2 ranks to lose one, %s has %d", layouts[0], layouts[0].Ranks)
+		}
 		if total < 2 {
 			fatalf("-elastic needs at least 2 total steps (raise -epochs or -train-per-class)")
 		}

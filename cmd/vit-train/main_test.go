@@ -13,6 +13,30 @@ const asCLI = "VIT_TRAIN_TEST_AS_CLI"
 
 func TestMain(m *testing.M) { testutil.CLIMain(m, asCLI, main) }
 
+// TestGolden holds each invocation's stdout and stderr (where the command
+// reports) to its file under testdata, byte for byte (testutil.Golden): the
+// Figure 7 trio, a planned layout, the elastic and chaos runs, and a served
+// trace. `go test ./cmd/vit-train -update` rewrites the files.
+func TestGolden(t *testing.T) {
+	small := []string{"-epochs", "10", "-train-per-class", "8", "-classes", "4"}
+	for _, golden := range []struct {
+		name string // testdata/<name>.golden
+		args []string
+	}{
+		{"figure7", small},
+		{"plan4", append([]string{"-plan", "4"}, small...)},
+		{"elastic", append([]string{"-elastic"}, small...)},
+		{"chaos-seed1", append([]string{"-chaos", "-chaos-seed", "1"}, small...)},
+		{"chaos-seed3", append([]string{"-chaos", "-chaos-seed", "3"}, small...)},
+		{"chaos-seed5", append([]string{"-chaos", "-chaos-seed", "5"}, small...)},
+		{"serve", []string{"-serve", "-serve-rate", "2000/s", "-serve-requests", "24", "-classes", "4", "-train-per-class", "8"}},
+	} {
+		t.Run(golden.name, func(t *testing.T) {
+			testutil.Golden(t, asCLI, golden.name, true, golden.args...)
+		})
+	}
+}
+
 // vitTrain runs the CLI on a 16-sample dataset and returns its exit code
 // and both streams.
 func vitTrain(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -92,6 +116,13 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"negative test samples", []string{"-test-per-class", "-1"}, "test samples per class -1"},
 		{"negative epochs", []string{"-epochs", "-1"}, "epoch count -1"},
 		{"negative plan budget", []string{"-plan", "-2"}, "-plan -2"},
+		// The staged modes train -family's layout; -plan used to be dropped
+		// in silence and the default tesseract [2,2,2] trained instead.
+		{"chaos/plan", []string{"-chaos", "-plan", "4"}, "-plan 4"},
+		{"serve/plan", []string{"-serve", "-plan", "4"}, "-plan 4"},
+		{"elastic/plan", []string{"-elastic", "-plan", "4"}, "-plan 4"},
+		// One rank has no survivor: this used to train, then fail to replan.
+		{"elastic/one rank", []string{"-elastic", "-family", "megatron", "-ranks", "1"}, "at least 2 ranks"},
 	} {
 		t.Run(mis.name, func(t *testing.T) {
 			code, stdout, stderr := vitTrain(t, mis.args...)

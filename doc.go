@@ -22,7 +22,7 @@
 //   - internal/optimus    — 2-D Optimus baseline (§2.2): the depth-1 Tesseract family
 //     and planner descriptor under their own name
 //   - internal/plan       — auto-parallelism planner over the [p, q, d] space
-//   - internal/nn         — serial reference layers, losses, optimisers
+//   - internal/nn         — serial reference layers, losses, Adam (its moments live on the Param)
 //   - internal/vit        — the Figure 7 Vision Transformer experiment; its Session
 //     (one layout, model and optimiser on one cluster) is what every
 //     distributed trainer, the step bencher and internal/serve drive

@@ -207,17 +207,6 @@ func TestMSE(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := NewParam("w", tensor.FromRows([][]float64{{1, 2}}))
-	p.Grad.Set(0, 0, 0.5)
-	p.Grad.Set(0, 1, -0.5)
-	opt := &SGD{LR: 0.1}
-	opt.Step([]*Param{p})
-	if math.Abs(p.Value.At(0, 0)-0.95) > 1e-12 || math.Abs(p.Value.At(0, 1)-2.05) > 1e-12 {
-		t.Fatalf("SGD step wrong: %v", p.Value)
-	}
-}
-
 func TestAdamMatchesReference(t *testing.T) {
 	// Hand-computed first Adam step: m̂=g, v̂=g², so Δ = lr·g/(|g|+eps).
 	p := NewParam("w", tensor.FromRows([][]float64{{1}}))
@@ -298,5 +287,87 @@ func TestParamZeroAndAccum(t *testing.T) {
 	p.ZeroGrad()
 	if p.Grad.At(0, 0) != 0 {
 		t.Fatal("ZeroGrad must clear")
+	}
+}
+
+// adamParams returns two parameters with fixed values and gradients.
+func adamParams() []*Param {
+	a := NewParam("a", tensor.FromRows([][]float64{{1, -2, 0.5}}))
+	b := NewParam("b", tensor.FromRows([][]float64{{3}, {-0.25}}))
+	for i := range a.Grad.Data {
+		a.Grad.Data[i] = 0.1 * float64(i+1)
+	}
+	b.Grad.Data[0], b.Grad.Data[1] = -0.3, 0.7
+	return []*Param{a, b}
+}
+
+// TestNewAdamStartsFromZero: a new Adam over parameters another Adam has
+// stepped takes the step a new Adam takes on fresh copies of them, bit for
+// bit — the moments left on a Param are its stepping optimiser's, not the
+// next one's.
+func TestNewAdamStartsFromZero(t *testing.T) {
+	used := adamParams()
+	old := NewAdam(0.01, 0.1)
+	for i := 0; i < 3; i++ {
+		old.Step(used)
+	}
+	fresh := adamParams()
+	for i, p := range used {
+		copy(p.Value.Data, fresh[i].Value.Data)
+		copy(p.Grad.Data, fresh[i].Grad.Data)
+	}
+	next, ref := NewAdam(0.01, 0.1), NewAdam(0.01, 0.1)
+	for i := 0; i < 2; i++ {
+		next.Step(used)
+		ref.Step(fresh)
+	}
+	for i := range used {
+		for j, x := range used[i].Value.Data {
+			if y := fresh[i].Value.Data[j]; math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("param %d elem %d: %v after a used Adam, %v fresh", i, j, x, y)
+			}
+		}
+		gm, gv := next.Moments(used[i])
+		wm, wv := ref.Moments(fresh[i])
+		if !gm.Equal(wm) || !gv.Equal(wv) {
+			t.Fatalf("param %d: moments differ from a fresh Adam's", i)
+		}
+	}
+	if m, v := old.Moments(used[0]); m != nil || v != nil {
+		t.Fatal("the old Adam still reports moments it no longer owns")
+	}
+}
+
+// TestMomentsOfUnknownParamAreNil: Moments of a parameter this Adam never
+// stepped or had restored is nil, nil — even when another Adam has stepped
+// it — and a restored moment is adopted as is.
+func TestMomentsOfUnknownParamAreNil(t *testing.T) {
+	ps := adamParams()
+	a, b := NewAdam(0.01, 0), NewAdam(0.01, 0)
+	if m, v := a.Moments(ps[0]); m != nil || v != nil {
+		t.Fatal("moments of a never-stepped parameter")
+	}
+	b.Step(ps)
+	if m, v := a.Moments(ps[0]); m != nil || v != nil {
+		t.Fatal("moments of a parameter only another Adam stepped")
+	}
+	m := tensor.New(1, 3)
+	a.SetMoments(ps[0], m, nil)
+	if gm, gv := a.Moments(ps[0]); gm != m || gv != nil {
+		t.Fatalf("after SetMoments(m, nil): got %p, %v; want %p, nil", gm, gv, m)
+	}
+	if gm, _ := b.Moments(ps[0]); gm != nil {
+		t.Fatal("a restore left the previous Adam's moments reachable through it")
+	}
+}
+
+// TestAdamWarmStepAllocatesNothing: once every parameter holds its moments,
+// a step over the same slice allocates nothing.
+func TestAdamWarmStepAllocatesNothing(t *testing.T) {
+	ps := adamParams()
+	opt := NewAdam(0.01, 0.1)
+	opt.Step(ps)
+	if n := testing.AllocsPerRun(100, func() { opt.Step(ps) }); n != 0 {
+		t.Fatalf("warm Adam step allocates %v times, want 0", n)
 	}
 }

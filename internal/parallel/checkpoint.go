@@ -34,11 +34,6 @@ type Checkpoint struct {
 	Step int
 	// Slots hold the canonical tensors, in the model's State() order.
 	Slots []CheckpointSlot
-
-	// stater and states cache the model's slot walk between per-step
-	// collects so a steady-state checkpoint allocates nothing.
-	stater Stater
-	states []State
 }
 
 // CheckpointSlot is one canonical tensor with its Adam moments.
@@ -126,7 +121,8 @@ func familyGroup(f Family) *dist.Group {
 
 // CollectInto snapshots the model (and optimiser moments, when opt is
 // non-nil) into ck, reusing ck's buffers when shapes match so per-step
-// checkpointing reaches an allocation fixed point. Pass ck == nil to
+// checkpointing reaches an allocation fixed point — given a model whose
+// State walk is made once, as vit.DistModel's is. Pass ck == nil to
 // allocate a fresh checkpoint. Every rank of the family must call it
 // collectively; each rank ends holding an identical replica.
 //
@@ -139,15 +135,11 @@ func CollectInto(ck *Checkpoint, f Family, m Stater, opt *nn.Adam) (*Checkpoint,
 	if ck == nil {
 		ck = &Checkpoint{}
 	}
-	slots := ck.states
-	if ck.stater != m {
-		slots = m.State()
-		for i, s := range slots {
-			if err := checkState(s); err != nil {
-				return nil, fmt.Errorf("parallel: slot %d: %w", i, err)
-			}
+	slots := m.State()
+	for i, s := range slots {
+		if err := checkState(s); err != nil {
+			return nil, fmt.Errorf("parallel: slot %d: %w", i, err)
 		}
-		ck.stater, ck.states = m, slots
 	}
 	if len(ck.Slots) != len(slots) {
 		if len(ck.Slots) != 0 {
@@ -180,11 +172,6 @@ func CollectInto(ck *Checkpoint, f Family, m Stater, opt *nn.Adam) (*Checkpoint,
 		e.Sum = e.sum()
 	}
 	return ck, nil
-}
-
-// Collect is CollectInto with a fresh checkpoint.
-func Collect(f Family, m Stater, opt *nn.Adam) (*Checkpoint, error) {
-	return CollectInto(nil, f, m, opt)
 }
 
 // Restore rebuilds a freshly constructed model (and optimiser) at f's
@@ -226,7 +213,9 @@ func Restore(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
 			return fmt.Errorf("parallel: slot %d is %dx%d in the checkpoint, %dx%d in the model",
 				i, e.Value.Rows, e.Value.Cols, s.Rows, s.Cols)
 		}
-		install := func(global *tensor.Matrix, into func(*tensor.Matrix)) {
+		// install broadcasts one canonical tensor and stages this rank's
+		// rectangles of it into local (nil: nothing held here).
+		install := func(global, local *tensor.Matrix) {
 			recv := global
 			if !isRoot {
 				recv = ws.GetUninitMatch(global.Rows, global.Cols, global.Phantom())
@@ -234,34 +223,25 @@ func Restore(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
 			} else {
 				g.BroadcastInto(w, root, global, global)
 			}
-			into(recv)
+			if local != nil {
+				stageRestore(local, s, recv)
+			}
 			if !isRoot {
 				ws.Put(recv)
 			}
 		}
-		install(e.Value, func(recv *tensor.Matrix) {
-			if s.Param != nil {
-				stageRestore(s.Param.Value, s, recv)
+		var val, mm, vv *tensor.Matrix
+		if s.Param != nil {
+			val = s.Param.Value
+			if opt != nil && !val.Phantom() {
+				have, haveV := opt.Moments(s.Param)
+				mm, vv = momentBuffer(have, val), momentBuffer(haveV, val)
+				opt.SetMoments(s.Param, mm, vv)
 			}
-		})
-		var mm, vv *tensor.Matrix
-		restoreMoments := opt != nil && s.Param != nil && !s.Param.Value.Phantom()
-		if restoreMoments {
-			have, haveV := opt.Moments(s.Param)
-			mm, vv = momentBuffer(have, s.Param.Value), momentBuffer(haveV, s.Param.Value)
 		}
-		install(e.M, func(recv *tensor.Matrix) {
-			if restoreMoments {
-				stageRestore(mm, s, recv)
-				opt.SetMoments(s.Param, mm, nil)
-			}
-		})
-		install(e.V, func(recv *tensor.Matrix) {
-			if restoreMoments {
-				stageRestore(vv, s, recv)
-				opt.SetMoments(s.Param, nil, vv)
-			}
-		})
+		install(e.Value, val)
+		install(e.M, mm)
+		install(e.V, vv)
 	}
 	if opt != nil {
 		opt.SetStepCount(ck.Step)

@@ -83,10 +83,9 @@ type Linears interface {
 type Attention struct {
 	QKV, Proj Layer // h → 3h fused, h → h
 
-	core  HeadAttention // this rank's heads/shards heads
-	w     *dist.Worker
-	life  Lifetime
-	state []State
+	core HeadAttention // this rank's heads/shards heads
+	w    *dist.Worker
+	life Lifetime
 }
 
 // NewAttention draws Wq, Wk, Wv, Wo in nn.NewMultiHeadAttention's order
@@ -122,29 +121,25 @@ func (a *Attention) Params() []*nn.Param {
 // State un-fuses the QKV linear's own slots onto the canonical [Wq | Wk | Wv]
 // (and its [1, 3h] bias): a rectangle covering column shard j of the fused
 // weight is [Wq_j | Wk_j | Wv_j], so its third t, h/shards wide, lands at
-// serial column t·h + j·h/shards. The walk is computed once — shards and
-// rectangles never move, and every collect and restore asks for it.
+// serial column t·h + j·h/shards.
 func (a *Attention) State() []State {
-	if a.state == nil {
-		a.state = a.QKV.State()
-		for i, s := range a.state {
-			blocks := make([]StateBlock, 0, 3*len(s.Blocks))
-			for _, b := range s.Blocks {
-				if b.Cols%3 != 0 || b.GlobalCol%b.Cols != 0 {
-					panic(fmt.Sprintf("parallel: fused QKV rectangle %+v is not a column shard of [%d, %d]", b, s.Rows, s.Cols))
-				}
-				for t := 0; t < 3; t++ {
-					r := b
-					r.Cols = b.Cols / 3
-					r.LocalCol, r.GlobalCol = b.LocalCol+t*r.Cols, t*s.Cols/3+b.GlobalCol/3
-					blocks = append(blocks, r)
-				}
+	state := a.QKV.State()
+	for i, s := range state {
+		blocks := make([]StateBlock, 0, 3*len(s.Blocks))
+		for _, b := range s.Blocks {
+			if b.Cols%3 != 0 || b.GlobalCol%b.Cols != 0 {
+				panic(fmt.Sprintf("parallel: fused QKV rectangle %+v is not a column shard of [%d, %d]", b, s.Rows, s.Cols))
 			}
-			a.state[i].Blocks = blocks
+			for t := 0; t < 3; t++ {
+				r := b
+				r.Cols = b.Cols / 3
+				r.LocalCol, r.GlobalCol = b.LocalCol+t*r.Cols, t*s.Cols/3+b.GlobalCol/3
+				blocks = append(blocks, r)
+			}
 		}
-		a.state = append(a.state, a.Proj.State()...)
+		state[i].Blocks = blocks
 	}
-	return a.state[:len(a.state):len(a.state)] // a caller's append copies
+	return append(state, a.Proj.State()...)
 }
 
 // Forward attends over the family-distributed x, whose rows cover whole

@@ -40,7 +40,7 @@ func chainSegment(t *testing.T, l parallel.Layout, ck *parallel.Checkpoint, step
 		if lg := fixedBatchSteps(f, model, opt, steps, mcfg.SeqLen, x, labels); w.Rank() == 0 {
 			logits = lg
 		}
-		out, err := parallel.Collect(f, model, opt)
+		out, err := parallel.CollectInto(nil, f, model, opt)
 		cks[w.Rank()] = out
 		return err
 	})
@@ -276,7 +276,7 @@ func TestRestoreReusesMoments(t *testing.T) {
 		if err := c.Run(func(w *dist.Worker) error {
 			s := src[w.Rank()]
 			fixedBatchSteps(s.fam, s.model, s.opt, 2, mcfg.SeqLen, x, labels)
-			ck, err := parallel.Collect(s.fam, s.model, s.opt)
+			ck, err := parallel.CollectInto(nil, s.fam, s.model, s.opt)
 			if err != nil {
 				return err
 			}

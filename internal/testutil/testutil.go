@@ -1,13 +1,16 @@
 // Package testutil provides shared helpers for the repository's tests:
 // running simulated clusters, comparing matrices, collecting per-rank
-// results deterministically, and driving a command's real main().
+// results deterministically, and driving a command's real main() and
+// holding its output to a golden file.
 package testutil
 
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -25,14 +28,6 @@ func Run(t *testing.T, worldSize int, fn func(w *dist.Worker) error) *dist.Clust
 		t.Fatalf("cluster run failed: %v", err)
 	}
 	return c
-}
-
-// RunCluster executes fn on an existing cluster and fails the test on error.
-func RunCluster(t *testing.T, c *dist.Cluster, fn func(w *dist.Worker) error) {
-	t.Helper()
-	if err := c.Run(fn); err != nil {
-		t.Fatalf("cluster run failed: %v", err)
-	}
 }
 
 // Collector gathers one result per rank, safely across worker goroutines.
@@ -56,13 +51,6 @@ func (c *Collector) Get(rank int) *tensor.Matrix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.vals[rank]
-}
-
-// Len returns the number of stored results.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.vals)
 }
 
 // CheckClose fails the test unless got and want agree elementwise within tol.
@@ -147,5 +135,39 @@ func CheckMisuse(t *testing.T, prog, want string, code int, stdout, stderr strin
 	if strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, prog+": ") ||
 		!strings.Contains(stderr, want) || strings.Contains(stderr, "goroutine") {
 		t.Errorf("stderr is not one actionable line naming %q: %q", want, stderr)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// Golden runs the command with args (see RunCLI), requires exit 0, and holds
+// its output to testdata/<name>.golden byte for byte: a changed number is a
+// diff to read, not prose to trust. The output is stdout, and stderr must be
+// empty; a command that reports on stderr passes withStderr, and the file
+// holds both streams, stderr after a "--- stderr" line.
+// `go test ./cmd/<command> -update` rewrites the files.
+func Golden(t *testing.T, marker, name string, withStderr bool, args ...string) {
+	t.Helper()
+	code, stdout, stderr := RunCLI(t, marker, args...)
+	if code != 0 || (stderr != "" && !withStderr) {
+		t.Fatalf("%v: exit %d\nstderr: %s", args, code, stderr)
+	}
+	got := stdout
+	if withStderr {
+		got += "--- stderr\n" + stderr
+	}
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%v: output differs from %s (-update rewrites it)\n--- got\n%s--- want\n%s", args, path, got, want)
 	}
 }

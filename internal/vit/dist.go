@@ -52,7 +52,7 @@ func NewDistModel(f parallel.Family, cfg ModelConfig) *DistModel {
 
 // State enumerates the model's canonical checkpoint slots in parameter
 // order (embedding, blocks, head) — the family-agnostic walk
-// parallel.Collect and parallel.Restore move training state through. The
+// parallel.CollectInto and parallel.Restore move training state through. The
 // walk is made once; callers share the slice and must not modify it.
 func (m *DistModel) State() []parallel.State {
 	if m.state == nil {

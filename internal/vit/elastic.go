@@ -144,6 +144,9 @@ func TrainElastic(from parallel.Layout, cfg ElasticConfig, ds *Dataset, mcfg Mod
 		return nil, err
 	}
 	from, c := s.l, s.c
+	if from.Ranks < 2 {
+		return nil, fmt.Errorf("vit: elastic needs a layout of at least 2 ranks to lose one, %s has %d", from, from.Ranks)
+	}
 	failRank := cfg.FailRank
 	if failRank < 0 {
 		failRank = from.Ranks - 1

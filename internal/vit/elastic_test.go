@@ -3,6 +3,7 @@ package vit
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -123,6 +124,24 @@ func TestTrainElasticFirstStep(t *testing.T) {
 		if d := math.Abs(run.Losses[s] - ref[s]); d > 1e-8 {
 			t.Errorf("step %d: elastic loss %.12f vs uninterrupted %.12f", s, run.Losses[s], ref[s])
 		}
+	}
+}
+
+// TestTrainElasticRefusesOneRank: a one-rank layout has no survivor to
+// replan onto, so it is refused before the first step instead of training
+// to the failure and then finding no layout for zero ranks.
+func TestTrainElasticRefusesOneRank(t *testing.T) {
+	ds, mcfg := tinyData()
+	tc := elasticTC()
+	_, err := TrainElastic(parallel.Layout{Family: "megatron", Ranks: 1}, ElasticConfig{
+		FailStep:   1,
+		TotalSteps: 2,
+		FailRank:   -1,
+		Algos:      elasticAlgos(),
+		Topology:   elasticTopology(mcfg, tc),
+	}, ds, mcfg, tc)
+	if err == nil || !strings.Contains(err.Error(), "at least 2 ranks") {
+		t.Fatalf("want a refusal naming the 2-rank minimum, got %v", err)
 	}
 }
 
