@@ -555,10 +555,12 @@ func BenchmarkReduceScatter8(b *testing.B) {
 // rounds inside, so ns/op is ns per round. barrier8 and barrier64 are the
 // blocking path at the step fixture's and the tables' group sizes;
 // ibroadcast64 is the nonblocking one (issue, then Wait registers late).
+// solo64 and isolo64 are the same two paths on a 64-rank solo cluster, the
+// one a table row or planner candidate is replayed on: ns per solo round.
 func BenchmarkRendezvous(b *testing.B) {
-	run := func(world int, op func(w *dist.Worker, g *dist.Group, m *tensor.Matrix)) func(b *testing.B) {
+	run := func(newCluster func(dist.Config) *dist.Cluster, world int, op func(w *dist.Worker, g *dist.Group, m *tensor.Matrix)) func(b *testing.B) {
 		return func(b *testing.B) {
-			c := dist.New(dist.Config{WorldSize: world})
+			c := newCluster(dist.Config{WorldSize: world})
 			g := c.WorldGroup()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -576,12 +578,15 @@ func BenchmarkRendezvous(b *testing.B) {
 		}
 	}
 	barrier := func(w *dist.Worker, g *dist.Group, _ *tensor.Matrix) { g.Barrier(w) }
-	b.Run("barrier8", run(8, barrier))
-	b.Run("barrier64", run(64, barrier))
-	b.Run("ibroadcast64", run(64, func(w *dist.Worker, g *dist.Group, m *tensor.Matrix) {
+	ibroadcast := func(w *dist.Worker, g *dist.Group, m *tensor.Matrix) {
 		h := g.IBroadcastInto(w, 0, m, m)
 		h.Wait()
-	}))
+	}
+	b.Run("barrier8", run(dist.New, 8, barrier))
+	b.Run("barrier64", run(dist.New, 64, barrier))
+	b.Run("ibroadcast64", run(dist.New, 64, ibroadcast))
+	b.Run("solo64", run(dist.NewSolo, 64, barrier))
+	b.Run("isolo64", run(dist.NewSolo, 64, ibroadcast))
 }
 
 func BenchmarkTesseractMatMulReal(b *testing.B) {

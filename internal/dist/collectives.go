@@ -50,8 +50,12 @@ func (h *Handle) Wait() {
 	if !h.valid {
 		panic("dist: Wait on a zero or already-consumed Handle")
 	}
+	if h.g.c.solo {
+		h.soloWait()
+		return
+	}
 	if h.waited || h.r.gen.Load() != h.gen || h.r.waited[h.idx] {
-		panic("dist: Handle.Wait called twice (possibly through a copy of the Handle)")
+		panic(waitTwiceMsg)
 	}
 	h.waited = true
 	h.r.waited[h.idx] = true
@@ -68,12 +72,36 @@ func (h *Handle) Wait() {
 	h.g.retire(h.r)
 }
 
+const waitTwiceMsg = "dist: Handle.Wait called twice (possibly through a copy of the Handle)"
+
+// soloWait is Wait on a solo cluster, whose round completed at issue: the
+// same checks, on the one-slot round; a solo lend's root is the running rank.
+func (h *Handle) soloWait() {
+	if h.waited || h.r.soloGen != h.gen || h.r.waited[0] {
+		panic(waitTwiceMsg)
+	}
+	h.waited = true
+	h.r.waited[0] = true
+	h.r.settle(h.w)
+	if h.dst == nil && h.r.kind == opBroadcast {
+		h.lent = h.payload
+	}
+	ws := h.w.Workspace()
+	ws.Release(h.payload)
+	ws.Release(h.dst)
+	h.g.soloRetire(h.r)
+}
+
 // issueAsync files a nonblocking arrival and borrows the buffers it lends
 // to the collective until Wait.
 func (g *Group) issueAsync(w *Worker, kind opKind, root, idx int, payload, dst *tensor.Matrix) Handle {
 	ws := w.Workspace()
 	ws.Borrow(payload)
 	ws.Borrow(dst)
+	if g.c.solo {
+		r := g.soloJoin(w, kind, payload, dst)
+		return Handle{g: g, w: w, r: r, gen: r.soloGen, payload: payload, dst: dst, valid: true}
+	}
 	r, finisher := g.join(w, kind, root, idx, payload, dst, false)
 	// r cannot be recycled before this member retires (which happens only
 	// in Wait), so the generation read here is stable.
@@ -82,9 +110,15 @@ func (g *Group) issueAsync(w *Worker, kind opKind, root, idx int, payload, dst *
 
 // runBlocking is the shared blocking path: join — registering for a wake-up
 // in the same critical section — park until the round completes, settle the
-// caller's clock and retire. The outcome itself already sits in the
-// members' destinations.
+// caller's clock and retire (soloJoin and soloRetire on a solo cluster). The
+// outcome itself already sits in the members' destinations.
 func (g *Group) runBlocking(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix) {
+	if g.c.solo {
+		r := g.soloJoin(w, kind, slot, dst)
+		r.settle(w)
+		g.soloRetire(r)
+		return
+	}
 	r, finisher := g.join(w, kind, root, idx, slot, dst, true)
 	if !finisher {
 		w.park()

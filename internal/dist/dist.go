@@ -70,8 +70,8 @@ type Cluster struct {
 	gpn     int
 	workers []*Worker
 
-	// solo marks a cluster built by NewSolo: workers holds rank 0 alone and
-	// every group completes a round on that one arrival.
+	// solo marks a cluster built by NewSolo: workers holds rank 0 alone, and
+	// every collective is a direct call on its goroutine (Group.soloJoin).
 	solo bool
 
 	groupMu sync.Mutex
@@ -129,8 +129,8 @@ func New(cfg Config) *Cluster {
 
 // NewSolo builds a solo cluster: a world of WorldSize ranks — groups have
 // their full size and span the links their rank lists say — of which Run
-// executes rank 0 alone, on the calling goroutine, every collective
-// completing on its arrival. It prices SPMD phantom schedules and is exact
+// executes rank 0 alone, on the calling goroutine, every collective a
+// direct call that completes on its arrival. It prices SPMD phantom schedules and is exact
 // only under the rank symmetry the package comment spells out ("Solo
 // clusters"), which the caller vouches for; it panics on a fault plan.
 func NewSolo(cfg Config) *Cluster {
@@ -467,8 +467,8 @@ func (c *Cluster) checkAbort() {
 
 // Group returns the communicator over the given cluster ranks, in exactly
 // the given canonical order. Groups are cached: every member calling with
-// the same rank list shares one object (and its channel plumbing). It
-// panics on an empty list, an out-of-range rank, or a duplicate.
+// the same rank list shares one object (and its round pool and channel
+// clock). It panics on an empty list, an out-of-range rank, or a duplicate.
 func (c *Cluster) Group(ranks ...int) *Group {
 	if len(ranks) == 0 {
 		panic("dist: empty group")

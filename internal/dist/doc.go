@@ -29,16 +29,20 @@
 //
 // dist.NewSolo builds the same world but runs rank 0 alone, on the caller's
 // goroutine: groups keep their full size and the links their rank lists
-// span, every collective completes on rank 0's arrival, is priced by the one
-// α–β switch in Group.finish from the byte count rank 0's own arguments
-// state, and moves nothing. It exists to price SPMD schedules — the
-// planner's replay — and is exact for rank 0's clock, busy seconds and
-// overlap account exactly when all ranks of the full run would agree on
-// them: same operations, same shapes, same compute everywhere, and sibling
-// groups on the same link class. The caller owns that argument; what dist
-// can see it refuses loudly instead of pricing wrong — a real (non-phantom)
-// payload fails the Run naming the operation, a fault plan panics in
-// NewSolo, AttachMonitor and an IBroadcastLend borrower panic.
+// span, and a collective is a direct call — no rendezvous, no lock, no
+// atomic, no parking — that prices it with the one α–β switch full rounds
+// use, from the byte count rank 0's own arguments state, and moves nothing.
+// It exists to price SPMD schedules — the planner's replay — and is exact
+// for rank 0's clock, busy seconds and overlap account exactly when all
+// ranks of the full run would agree on them: same operations, same shapes,
+// same compute everywhere, and sibling groups on the same link class. The
+// caller owns that argument; what dist can see it refuses loudly instead of
+// pricing wrong — a real (non-phantom) payload fails the Run naming the
+// operation, a fault plan panics in NewSolo, AttachMonitor and an
+// IBroadcastLend borrower panic. The rest of a full cluster's checks run
+// too: an abort is polled at every collective, a Handle's second Wait (also
+// through a copy) or a stale copy's panics, and its buffers are borrowed
+// from the workspace until Wait.
 //
 // # Groups and collectives
 //

@@ -23,13 +23,12 @@ type Group struct {
 	index map[int]int
 	beta  float64 // per-byte cost of the slowest link the group spans
 
-	// quorum is how many arrivals complete a round: every member's, or on a
-	// solo cluster the one rank that runs.
-	quorum int
-
+	// mu serialises a full cluster's rounds: the pool and what finish
+	// touches. A solo cluster's collectives (soloJoin) never take it: only
+	// the goroutine running its exclusive Run touches its groups.
 	mu    sync.Mutex
 	open  []*round // incomplete operations, oldest first
-	spare []*round // retired rounds, recycled to keep collectives off the allocator
+	spare []*round // retired rounds, recycled to keep collectives off the allocator; one-slot on a solo cluster
 	made  int      // rounds allocated so far: len(open) + len(spare) + those being read
 
 	// lastFinish is the simulated time the group's previous operation
@@ -95,6 +94,10 @@ func (k opKind) String() string { return statNames[k] }
 // the flag and unwinds. A token nobody consumes — abort's to a worker that
 // never parks again, or a finisher's to a member abort already unwound — is
 // harmless: it can only exist on a poisoned cluster, which never runs again.
+//
+// A solo cluster skips all of it: soloJoin returns a one-slot round already
+// complete and soloRetire takes it back once the caller has settled (at
+// once, or at Wait) — no lock, atomic or parking slot, and soloGen for gen.
 type round struct {
 	kind    opKind
 	root    int // group index of the root, -1 for rootless ops
@@ -110,8 +113,10 @@ type round struct {
 
 	// gen increments every time the round is recycled, so a stale Handle
 	// (kept past its Wait while the round moved on) is detected instead of
-	// silently corrupting a live operation.
-	gen atomic.Uint32
+	// silently corrupting a live operation. soloGen is the same stamp on a
+	// solo cluster's rounds, which only one goroutine ever touches.
+	gen     atomic.Uint32
+	soloGen uint32
 
 	completed atomic.Bool
 
@@ -129,10 +134,6 @@ func newGroup(c *Cluster, ranks []int) *Group {
 		ranks: append([]int(nil), ranks...),
 		index: make(map[int]int, len(ranks)),
 		beta:  c.cost.BetaIntra,
-	}
-	g.quorum = len(g.ranks)
-	if c.solo {
-		g.quorum = 1
 	}
 	for i, r := range g.ranks {
 		if _, dup := g.index[r]; dup {
@@ -203,7 +204,7 @@ func (g *Group) join(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Ma
 	r.slots[idx] = slot
 	r.dsts[idx] = dst
 	r.arrived++
-	last := r.arrived == g.quorum
+	last := r.arrived == len(g.ranks)
 	if last {
 		// Members fill rounds oldest-first, so a complete round is
 		// necessarily the oldest open one.
@@ -270,14 +271,8 @@ func (r *round) settle(w *Worker) {
 // newRound recycles a spare round, growing the pool first if none is idle.
 // The caller must hold g.mu.
 func (g *Group) newRound(kind opKind, root int) *round {
-	if len(g.spare) == 0 {
-		g.growRounds()
-	}
 	n := len(g.ranks)
-	s := len(g.spare)
-	r := g.spare[s-1]
-	g.spare[s-1] = nil
-	g.spare = g.spare[:s-1]
+	r := g.takeRound(n)
 	r.kind, r.root = kind, root
 	r.arrived, r.parked = 0, r.parked[:0]
 	r.exited.Store(0)
@@ -294,8 +289,21 @@ func (g *Group) newRound(kind opKind, root int) *round {
 	return r
 }
 
+// takeRound pops a spare round, first growing the pool by rounds of n slots
+// if none is idle. On a full cluster the caller must hold g.mu.
+func (g *Group) takeRound(n int) *round {
+	if len(g.spare) == 0 {
+		g.growRounds(n)
+	}
+	s := len(g.spare)
+	r := g.spare[s-1]
+	g.spare[s-1] = nil
+	g.spare = g.spare[:s-1]
+	return r
+}
+
 // growRounds doubles the group's pool of rounds (one round the first time),
-// carving the new rounds' per-member state from one allocation per field.
+// carving the new rounds' n-slot state from one allocation per field.
 // How many rounds a group has in flight at once is bounded by its members'
 // program, but how near a run comes to the bound depends on how far the
 // host lets one member run ahead of another: a pool that grows by one
@@ -304,9 +312,8 @@ func (g *Group) newRound(kind opKind, root int) *round {
 // three rounds after warm-up, and some of them want a fourth somewhere in
 // the next 150 steps). Doubling has the fourth in hand when the third is
 // made. open and spare get room for every round made, so neither join nor
-// retire regrows them. The caller must hold g.mu.
-func (g *Group) growRounds() {
-	n := len(g.ranks)
+// retire regrows them. On a full cluster the caller must hold g.mu.
+func (g *Group) growRounds(n int) {
 	k := max(1, g.made)
 	g.made += k
 	g.open = slices.Grow(g.open, g.made-len(g.open))
@@ -334,7 +341,7 @@ func (g *Group) growRounds() {
 // unwound by an abort never retires — that round is simply dropped to the
 // garbage collector along with the poisoned cluster.
 func (g *Group) retire(r *round) {
-	if int(r.exited.Add(1)) != g.quorum {
+	if int(r.exited.Add(1)) != len(g.ranks) {
 		return
 	}
 	// Drop payload references now rather than at reuse: a group that goes
@@ -364,22 +371,44 @@ func (g *Group) finishOrUnlock(rank int, r *round) {
 }
 
 // finish computes a completed round's outcome exactly once, under g.mu:
-// data movement and summation (move), the post-op clock, and the traffic
-// statistics. It runs on whichever member arrived last, but everything it
-// computes is a pure function of the slots, so the outcome is independent
-// of scheduling.
+// data movement and summation (move), the post-op clock (price, then the
+// fault plan's perturbation), and the traffic statistics. It runs on
+// whichever member arrived last, but everything it computes is a pure
+// function of the slots, so the outcome is independent of scheduling.
 func (g *Group) finish(rank int, r *round) {
-	n := len(g.ranks)
 	r.commBase = maxClock(r.clocks)
 	if g.lastFinish > r.commBase {
 		r.commBase = g.lastFinish
 	}
-	var b, gathered int64
-	if g.c.solo {
-		b, gathered = g.soloBytes(r, g.index[rank])
-	} else {
-		b, gathered = g.move(r)
+	b, gathered := g.move(r)
+	g.price(rank, r, b, gathered)
+	if f := g.c.fault; f != nil {
+		// The operation runs at the latest member step (faults activate by
+		// the furthest-along participant's window). Degraded links stretch
+		// the wire time, transient collective failures add their bounded
+		// retry/backoff stall, and the perturbed completion time carries into
+		// lastFinish — a sick link backs up the whole group channel.
+		step := r.steps[0]
+		for _, s := range r.steps[1:] {
+			if s > step {
+				step = s
+			}
+		}
+		if bf, ea := f.linkPerturb(g.ranks, step); bf != 1 || ea != 0 {
+			r.newClock = r.commBase + (r.newClock-r.commBase)*bf + ea
+		}
+		if d := f.collectiveDelay(g.ranks, step); d != 0 {
+			r.newClock += d
+		}
 	}
+	g.lastFinish = r.newClock
+}
+
+// price sets the completion time of a round starting at r.commBase — its
+// kind's α–β charge for b bytes a member contributes (gathered: an
+// all-gather's blocks added up) — and books its traffic on rank's shard.
+func (g *Group) price(rank int, r *round, b, gathered int64) {
+	n := len(g.ranks)
 	cost := &g.c.cost
 	var wire float64      // the operation's α–β time
 	var msgs, bytes int64 // the traffic it books
@@ -401,26 +430,6 @@ func (g *Group) finish(rank int, r *round) {
 	}
 	r.newClock = r.commBase + wire
 	g.c.stats.record(rank, statOp(r.kind), msgs, bytes)
-	if f := g.c.fault; f != nil {
-		// The operation runs at the latest member step (faults activate by
-		// the furthest-along participant's window). Degraded links stretch
-		// the wire time, transient collective failures add their bounded
-		// retry/backoff stall, and the perturbed completion time carries into
-		// lastFinish — a sick link backs up the whole group channel.
-		step := r.steps[0]
-		for _, s := range r.steps[1:] {
-			if s > step {
-				step = s
-			}
-		}
-		if bf, ea := f.linkPerturb(g.ranks, step); bf != 1 || ea != 0 {
-			r.newClock = r.commBase + (r.newClock-r.commBase)*bf + ea
-		}
-		if d := f.collectiveDelay(g.ranks, step); d != 0 {
-			r.newClock += d
-		}
-	}
-	g.lastFinish = r.newClock
 }
 
 // move performs a completed round's data movement — copies into every
@@ -476,26 +485,37 @@ func (g *Group) move(r *round) (b, gathered int64) {
 	return 0, 0
 }
 
-// soloBytes stands in for move on a solo cluster. Nothing moves: the round
-// holds the arrival of the one running rank, in slot idx, alone, and what it
-// lent must be phantom — a real matrix would come back unsummed, so it is
-// refused here rather than priced. The byte counts come from that rank's own
-// arguments, which the destination-passing API makes sufficient: every
-// member knows an operation's shape from its own payload, or for a broadcast
-// receiver its destination.
-func (g *Group) soloBytes(r *round, idx int) (b, gathered int64) {
-	m, dst := r.slots[idx], r.dsts[idx]
-	for _, x := range [...]*tensor.Matrix{m, dst} {
+// soloJoin is join and finish as one direct call on a solo cluster, where
+// the running rank's arrival is the whole round: it polls for an abort and
+// returns a one-slot round complete, priced by finish's α–β switch from the
+// rank's own arguments (the destination-passing API states every shape), for
+// the caller to settle and pass to soloRetire. Nothing moves, so a real
+// payload — it would come back unsummed — is refused rather than priced.
+func (g *Group) soloJoin(w *Worker, kind opKind, slot, dst *tensor.Matrix) *round {
+	w.c.checkAbort()
+	for _, x := range [...]*tensor.Matrix{slot, dst} {
 		if x != nil && !x.Phantom() {
-			panic(fmt.Sprintf("dist: %s of a real %dx%d matrix on a solo cluster, which prices phantom schedules only", r.kind, x.Rows, x.Cols))
+			panic(fmt.Sprintf("dist: %s of a real %dx%d matrix on a solo cluster, which prices phantom schedules only", kind, x.Rows, x.Cols))
 		}
 	}
-	if m == nil {
-		m = dst
+	if slot == nil {
+		slot = dst
 	}
-	b = matrixBytes(m)
-	return b, int64(len(g.ranks)) * b
+	b := matrixBytes(slot)
+	r := g.takeRound(1)
+	r.soloGen++
+	r.kind, r.waited[0] = kind, false
+	r.commBase = w.clock
+	if g.lastFinish > r.commBase {
+		r.commBase = g.lastFinish
+	}
+	g.price(w.rank, r, b, int64(len(g.ranks))*b)
+	g.lastFinish = r.newClock
+	return r
 }
+
+// soloRetire returns a solo round, which holds no payload, to the pool.
+func (g *Group) soloRetire(r *round) { g.spare = append(g.spare, r) }
 
 // combineInto sums every member's slot into dst using the association of a
 // binomial reduction tree rooted at the round's root (virtual position 0),

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,9 @@ import (
 // the symmetry a solo run stands on. Each covers one collective, blocking
 // and — where the nonblocking form exists — with compute charged between
 // issue and Wait, from both ends of the group where there is a root, and
-// twice in a row so the group channel's lastFinish takes part.
+// twice in a row so the group channel's lastFinish takes part. ideferred is
+// the gradient queue, which grows the solo round pool past its warm size,
+// and ilend the one lend a solo cluster accepts.
 var soloSchedules = map[string]func(w *Worker, g *Group){
 	"broadcast": func(w *Worker, g *Group) {
 		n := g.Size()
@@ -105,6 +108,44 @@ var soloSchedules = map[string]func(w *Worker, g *Group){
 		w.Compute(1e8)
 		g.Barrier(w)
 		g.Barrier(w)
+	},
+	"ideferred": func(w *Worker, g *Group) {
+		// 20 all-reduces outstanding on g while blocking ones run on the
+		// same ranks in reverse order — a second group, except at n = 1 —
+		// then drained in issue order.
+		ranks := g.Ranks()
+		slices.Reverse(ranks)
+		other := w.Cluster().Group(ranks...)
+		x := tensor.NewPhantom(8, 8)
+		var hs [20]Handle
+		for i := range hs {
+			m := tensor.NewPhantom(32+i, 16)
+			hs[i] = g.IAllReduceInto(w, m, m)
+			w.Compute(float64(i+1) * 1e7)
+			if i%4 == 3 {
+				other.Barrier(w)
+			} else {
+				other.AllReduceInto(w, x, x)
+			}
+		}
+		for i := range hs {
+			hs[i].Wait()
+			w.Compute(1e6)
+		}
+	},
+	"ilend": func(w *Worker, g *Group) {
+		for i := 0; i < 2; i++ {
+			var payload *tensor.Matrix
+			if w.Rank() == 0 {
+				payload = tensor.NewPhantom(48, 24+i)
+			}
+			h := g.IBroadcastLend(w, 0, payload)
+			w.Compute(1e8)
+			h.Wait()
+			if l := h.Lent(); l == nil || l.Rows != 48 || l.Cols != 24+i {
+				panic(fmt.Sprintf("rank %d: lent %v, want the root's 48x%d", w.Rank(), l, 24+i))
+			}
+		}
 	},
 }
 
@@ -269,5 +310,108 @@ func TestSoloRunStartsNoGoroutine(t *testing.T) {
 		case name == "error" && !errors.Is(err, cause):
 			t.Errorf("error: failure does not wrap the cause: %v", err)
 		}
+	}
+}
+
+// TestSoloHandleChecks: a solo Handle refuses what a full cluster's does —
+// a second Wait through a copy, a Wait on a stale copy whose round was
+// recycled, a Wait on a zero Handle — with the same panic. (The solo lend
+// borrower's refusal is TestBroadcastLendSoloAndPhantom's.)
+func TestSoloHandleChecks(t *testing.T) {
+	misuse := func(w *Worker) []string {
+		g := w.Cluster().WorldGroup()
+		m := tensor.NewPhantom(4, 4)
+		catch := func(fn func()) (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			fn()
+			return
+		}
+		var got []string
+
+		h := g.IAllReduceInto(w, m, m)
+		cp := h
+		h.Wait()
+		got = append(got, catch(cp.Wait))
+
+		h = g.IAllReduceInto(w, m, m)
+		stale := h
+		h.Wait()
+		for i := 0; i < 3; i++ {
+			g.Barrier(w)
+		}
+		if w.c.solo && stale.r.soloGen == stale.gen {
+			t.Error("solo: the stale copy's round was not recycled by the barriers")
+		}
+		got = append(got, catch(stale.Wait))
+
+		var zero Handle
+		got = append(got, catch(zero.Wait))
+		return got
+	}
+	want := []string{waitTwiceMsg, waitTwiceMsg, "dist: Wait on a zero or already-consumed Handle"}
+	for name, c := range map[string]*Cluster{"full": New(Config{WorldSize: 4}), "solo": NewSolo(Config{WorldSize: 4})} {
+		if err := c.Run(func(w *Worker) error {
+			if got := misuse(w); !slices.Equal(got, want) {
+				t.Errorf("%s rank %d: panics %q, want %q", name, w.Rank(), got, want)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestSoloNonblockingRunAllocatesNothing: a warm solo Run of a SUMMA-shaped
+// schedule — on a 4×4 mesh, the next two panels prefetched on rank 0's row
+// and column groups while the current ones are waited and multiplied —
+// allocates nothing: the rounds come from the groups' pools and go back.
+func TestSoloNonblockingRunAllocatesNothing(t *testing.T) {
+	const q = 4
+	c := NewSolo(Config{WorldSize: q * q})
+	row, col := make([]int, q), make([]int, q)
+	for i := range row {
+		row[i], col[i] = i, i*q
+	}
+	groups := [2]*Group{c.Group(row...), c.Group(col...)}
+	var panels [2][q]*tensor.Matrix
+	for i := range panels {
+		for k := range panels[i] {
+			panels[i][k] = tensor.NewPhantom(64, 64)
+		}
+	}
+	fn := func(w *Worker) error {
+		var hs [2][2]Handle
+		issue := func(k int) {
+			for i, g := range groups {
+				var payload *tensor.Matrix
+				if k == 0 {
+					payload = panels[i][k] // rank 0 owns the first panel of both
+				}
+				hs[i][k%2] = g.IBroadcastInto(w, g.ranks[k], payload, panels[i][k])
+			}
+		}
+		issue(0)
+		issue(1)
+		for k := 0; k < q; k++ {
+			hs[0][k%2].Wait()
+			hs[1][k%2].Wait()
+			if k+2 < q {
+				issue(k + 2)
+			}
+			w.ChargeGEMM(64, 64, 64)
+		}
+		return nil
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Run(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := c.Run(fn); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm solo Run of a prefetching schedule allocates %v times, want 0", allocs)
 	}
 }
