@@ -102,8 +102,10 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"serve/unparsable rate", []string{"-serve", "-serve-rate", "bogus"}, `rate "bogus"`},
 		{"serve/negative budget", []string{"-serve", "-serve-budget", "-3ms"}, `duration "-3ms"`},
 		{"serve/negative requests", []string{"-serve", "-serve-requests", "-1"}, "-serve-requests -1"},
-		{"serve/negative batch", []string{"-serve", "-serve-batch", "-1"}, "MaxBatch"},
-		{"serve/negative depth", []string{"-serve", "-serve-depth", "-1"}, "QueueDepth"},
+		// The batcher names the value it refuses; it used to print its whole
+		// config, KeepLogits test hook and all.
+		{"serve/negative batch", []string{"-serve", "-serve-batch", "-1"}, "MaxBatch -1, want ≥ 1"},
+		{"serve/negative depth", []string{"-serve", "-serve-depth", "-1"}, "QueueDepth -1, want ≥ 1"},
 		{"serve/negative steps", []string{"-serve", "-serve-steps", "-2"}, "-serve-steps -2"},
 		{"elastic/fail step past the run", []string{"-elastic", "-fail-step", "99"}, "-fail-step 99"},
 		// Zero is the default (halfway); a negative step used to mean it too.

@@ -44,9 +44,11 @@
 //
 // The benchmarks in bench_test.go regenerate every table and figure; the
 // binaries under cmd/ print them (tesseract-bench for the paper's tables,
-// tesseract-plan for the planner); the programs under examples/ show the
-// API. For the long-form subsystem walkthrough — the rendezvous-round
-// collective engine, the workspace ownership rules, the pipelined SUMMA
-// schedules, and a worked [2,2,2] step — see docs/architecture.md; for the
-// package map, quickstart and benchmark trajectory, see README.md.
+// tesseract-plan for the planner); the two programs under examples/ walk
+// through the API (quickstart: Algorithm 3 on one matmul; transformer: a
+// Family training loop), and golden files pin every one's output. For the
+// long-form subsystem walkthrough — the rendezvous-round collective engine,
+// the workspace ownership rules, the pipelined SUMMA schedules, and a
+// worked [2,2,2] step — see docs/architecture.md; for the package map,
+// quickstart and benchmark trajectory, see README.md.
 package repro

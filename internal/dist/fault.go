@@ -3,6 +3,8 @@ package dist
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/tensor"
 )
 
 // FaultPlan is a deterministic, step-indexed perturbation schedule for a
@@ -229,21 +231,6 @@ func (p *FaultPlan) Remap(survivors []int) *FaultPlan {
 	return out
 }
 
-// chaosRNG is a splitmix64 generator: tiny, seedable, and stable across
-// platforms, so a chaos seed names one exact fault schedule forever.
-type chaosRNG struct{ state uint64 }
-
-func (r *chaosRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a uniform int in [0, n).
-func (r *chaosRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // NewChaosPlan synthesises a seeded random fault plan for a world of the
 // given size over a run of totalSteps: one compute straggler (factor 2, 4
 // or 8) striking after a clean lead-in, plus — with probability ½ each — a
@@ -255,35 +242,37 @@ func NewChaosPlan(seed uint64, world, totalSteps int) *FaultPlan {
 	if world < 1 || totalSteps < 1 {
 		panic(fmt.Sprintf("dist: chaos plan needs a positive world (%d) and steps (%d)", world, totalSteps))
 	}
-	rng := &chaosRNG{state: seed}
+	// SplitMix64 is stable across platforms, so a chaos seed names one
+	// exact fault schedule forever.
+	rng := tensor.NewRNG(seed)
 	p := &FaultPlan{Seed: seed}
 	factors := [...]float64{2, 4, 8}
 	// The straggler arrives after at least a quarter of the run (the
 	// detector needs a healthy baseline window) and stays until the end —
 	// gray failures rarely fix themselves.
-	from := totalSteps/4 + rng.intn(totalSteps/4+1)
+	from := totalSteps/4 + rng.Intn(totalSteps/4+1)
 	p.Ranks = append(p.Ranks, RankFault{
-		Rank:   rng.intn(world),
+		Rank:   rng.Intn(world),
 		From:   from,
 		To:     Forever,
-		Factor: factors[rng.intn(len(factors))],
+		Factor: factors[rng.Intn(len(factors))],
 	})
-	if rng.next()%2 == 0 {
+	if rng.Uint64()%2 == 0 {
 		p.Links = append(p.Links, LinkFault{
-			Rank:       rng.intn(world),
-			From:       from + rng.intn(totalSteps/4+1),
+			Rank:       rng.Intn(world),
+			From:       from + rng.Intn(totalSteps/4+1),
 			To:         Forever,
-			BetaFactor: 2 + float64(rng.intn(3)),
-			ExtraAlpha: 1e-6 * float64(1+rng.intn(4)),
+			BetaFactor: 2 + float64(rng.Intn(3)),
+			ExtraAlpha: 1e-6 * float64(1+rng.Intn(4)),
 		})
 	}
-	if rng.next()%2 == 0 {
-		stall := from + rng.intn(totalSteps/2+1)
+	if rng.Uint64()%2 == 0 {
+		stall := from + rng.Intn(totalSteps/2+1)
 		p.Collectives = append(p.Collectives, CollectiveFault{
-			Rank:    rng.intn(world),
+			Rank:    rng.Intn(world),
 			From:    stall,
-			To:      stall + rng.intn(4),
-			Retries: 1 + rng.intn(3),
+			To:      stall + rng.Intn(4),
+			Retries: 1 + rng.Intn(3),
 			Backoff: 1e-5,
 		})
 	}

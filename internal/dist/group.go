@@ -43,21 +43,24 @@ type Group struct {
 }
 
 // opKind names the collective an arrival wants to run; arrivals pairing
-// into one round must agree on it. There is one kind per collective the
-// statistics record, under the same value and name, so a finished round
-// books its traffic under statOp(kind).
+// into one round must agree on it. It also indexes the statistics: a
+// finished round books its traffic under its kind, and a nonblocking
+// collective under the same kind as its blocking form.
 type opKind uint8
 
 const (
-	opBroadcast     = opKind(statBroadcast)
-	opReduce        = opKind(statReduce)
-	opAllReduce     = opKind(statAllReduce)
-	opAllGather     = opKind(statAllGather)
-	opReduceScatter = opKind(statReduceScatter)
-	opBarrier       = opKind(statBarrier)
+	opBroadcast opKind = iota
+	opReduce
+	opAllReduce
+	opAllGather
+	opReduceScatter
+	opBarrier
+	nOpKinds
 )
 
-func (k opKind) String() string { return statNames[k] }
+var opNames = [nOpKinds]string{"broadcast", "reduce", "allreduce", "allgather", "reducescatter", "barrier"}
+
+func (k opKind) String() string { return opNames[k] }
 
 // round is one collective operation in flight: every member contributes its
 // clock and payload/destination slots, and the last member to arrive
@@ -429,7 +432,7 @@ func (g *Group) price(rank int, r *round, b, gathered int64) {
 		wire = cost.barrierTime(n)
 	}
 	r.newClock = r.commBase + wire
-	g.c.stats.record(rank, statOp(r.kind), msgs, bytes)
+	g.c.stats.record(rank, r.kind, msgs, bytes)
 }
 
 // move performs a completed round's data movement — copies into every

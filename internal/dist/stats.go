@@ -24,22 +24,6 @@ type Stats struct {
 	PerOp map[string]OpStats
 }
 
-// statOp indexes the fixed set of recorded operation kinds. A nonblocking
-// collective records under the same kind as its blocking form.
-type statOp uint8
-
-const (
-	statBroadcast statOp = iota
-	statReduce
-	statAllReduce
-	statAllGather
-	statReduceScatter
-	statBarrier
-	nStatOps
-)
-
-var statNames = [nStatOps]string{"broadcast", "reduce", "allreduce", "allgather", "reducescatter", "barrier"}
-
 // statsBook is the mutable collector behind Cluster.Stats. It is sharded
 // per rank: every record happens on a goroutine acting for exactly one
 // worker (its own frame, or the group operation it is finishing), so each
@@ -51,7 +35,7 @@ type statsBook struct {
 }
 
 type statShard struct {
-	ops [nStatOps]OpStats
+	ops [nOpKinds]OpStats
 	_   [64]byte // keep neighbouring shards off one cache line
 }
 
@@ -60,7 +44,7 @@ func newStatsBook(world int) *statsBook {
 }
 
 // record adds one operation of the named kind to the acting worker's shard.
-func (s *statsBook) record(rank int, op statOp, messages, bytes int64) {
+func (s *statsBook) record(rank int, op opKind, messages, bytes int64) {
 	e := &s.shards[rank].ops[op]
 	e.Calls++
 	e.Messages += messages
@@ -70,8 +54,8 @@ func (s *statsBook) record(rank int, op statOp, messages, bytes int64) {
 // snapshot returns an independent copy with the totals filled in. Kinds
 // never recorded are omitted, matching the sparse per-op map of old.
 func (s *statsBook) snapshot() Stats {
-	out := Stats{PerOp: make(map[string]OpStats, nStatOps)}
-	for op := statOp(0); op < nStatOps; op++ {
+	out := Stats{PerOp: make(map[string]OpStats, nOpKinds)}
+	for op := opKind(0); op < nOpKinds; op++ {
 		var e OpStats
 		for i := range s.shards {
 			c := &s.shards[i].ops[op]
@@ -82,7 +66,7 @@ func (s *statsBook) snapshot() Stats {
 		if e.Calls == 0 {
 			continue
 		}
-		out.PerOp[statNames[op]] = e
+		out.PerOp[op.String()] = e
 		out.Messages += e.Messages
 		out.Bytes += e.Bytes
 	}

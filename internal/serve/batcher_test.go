@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -240,15 +241,21 @@ func TestConfigDefaults(t *testing.T) {
 	if c.MaxBatch != 8 || c.QueueDepth != 32 || c.LatencyBudget != 2e-3 {
 		t.Fatalf("unexpected defaults %+v", c)
 	}
-	for _, bad := range []Config{
-		{MaxBatch: -1},
-		{QueueDepth: -3},
-		{LatencyBudget: -1e-3},
-		{LatencyBudget: math.Inf(1)},
-		{LatencyBudget: math.NaN()},
+	// The error names the one out-of-range field, never the others (a CLI
+	// user sets no KeepLogits).
+	for _, bad := range []struct {
+		c    Config
+		want string
+	}{
+		{Config{MaxBatch: -1}, "MaxBatch -1"},
+		{Config{QueueDepth: -3}, "QueueDepth -3"},
+		{Config{LatencyBudget: -1e-3}, "LatencyBudget -0.001"},
+		{Config{LatencyBudget: math.Inf(1)}, "LatencyBudget +Inf"},
+		{Config{LatencyBudget: math.NaN()}, "LatencyBudget NaN"},
 	} {
-		if _, err := bad.WithDefaults(); err == nil {
-			t.Errorf("Config %+v must error", bad)
+		_, err := bad.c.WithDefaults()
+		if err == nil || !strings.Contains(err.Error(), bad.want) || strings.Contains(err.Error(), "KeepLogits") {
+			t.Errorf("Config %+v: error %v, want one naming %q alone", bad.c, err, bad.want)
 		}
 	}
 }

@@ -37,9 +37,11 @@ type Config struct {
 	// MaxBatch is the most requests one forward pass may carry (default 8).
 	MaxBatch int
 	// LatencyBudget is the longest a request may wait in the open batch for
-	// co-batching, in simulated seconds (default 2ms). A batch closes when
-	// its oldest request has waited this long, or earlier when it fills.
-	// Zero means batches close as soon as the server is free.
+	// co-batching, in simulated seconds. A batch closes when its oldest
+	// request has waited this long, or earlier when it fills. Zero means the
+	// default, 2ms. Only MeasureLayout's saturated probe, which skips
+	// WithDefaults, runs at zero: its batches close as soon as the server
+	// is free.
 	LatencyBudget float64
 	// QueueDepth bounds the pending queue; arrivals that find it full are
 	// rejected (default 32). Slots free when a batch closes.
@@ -60,9 +62,13 @@ func (c Config) WithDefaults() (Config, error) {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 32
 	}
-	if c.MaxBatch < 1 || c.QueueDepth < 1 || c.LatencyBudget < 0 ||
-		math.IsNaN(c.LatencyBudget) || math.IsInf(c.LatencyBudget, 0) {
-		return c, fmt.Errorf("serve: config needs MaxBatch ≥ 1, QueueDepth ≥ 1 and a finite LatencyBudget ≥ 0, got %+v", c)
+	switch {
+	case c.MaxBatch < 1:
+		return c, fmt.Errorf("serve: MaxBatch %d, want ≥ 1", c.MaxBatch)
+	case c.QueueDepth < 1:
+		return c, fmt.Errorf("serve: QueueDepth %d, want ≥ 1", c.QueueDepth)
+	case c.LatencyBudget < 0 || math.IsNaN(c.LatencyBudget) || math.IsInf(c.LatencyBudget, 0):
+		return c, fmt.Errorf("serve: LatencyBudget %v, want a finite value ≥ 0", c.LatencyBudget)
 	}
 	return c, nil
 }

@@ -144,16 +144,9 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 	return out, nil
 }
 
-// summaTransferCount is §3.1's transfer count for one Tesseract multiply on
-// [q, q, d]: 2q row and column broadcasts of q−1, one depth all-reduce.
-func summaTransferCount(q, d int) int {
-	return 2*q*(q-1) + 2*(d-1)
-}
-
 // FormatPlannerStudy renders a planner study: per scenario the paper's
 // best layout next to the planner's, then the validated leaders with their
-// predicted-vs-measured errors and (for mesh layouts) the §3.1 per-matmul
-// transfer count the ranking agrees with.
+// predicted-vs-measured errors.
 func FormatPlannerStudy(points []PlannerPoint) string {
 	var b strings.Builder
 	b.WriteString("Auto-parallelism planner vs the paper's best layouts\n")
@@ -161,14 +154,10 @@ func FormatPlannerStudy(points []PlannerPoint) string {
 		best := pt.Best()
 		fmt.Fprintf(&b, "\n%s (budget %d ranks)\n", pt.Scenario.Name, pt.Scenario.RankBudget)
 		fmt.Fprintf(&b, "  paper best: Tesseract %s   planner best: %s\n", pt.Scenario.PaperBest, best)
-		fmt.Fprintf(&b, "  %-22s | %9s %9s %7s | %14s\n", "candidate", "pred(s)", "meas(s)", "err", "§3.1 transfers")
+		fmt.Fprintf(&b, "  %-22s | %9s %9s %7s\n", "candidate", "pred(s)", "meas(s)", "err")
 		for _, v := range pt.Validations {
-			transfers := "-"
-			if g := v.Plan.Grid; g.Q > 0 {
-				transfers = fmt.Sprint(summaTransferCount(g.Q, max(g.D, 1)))
-			}
-			fmt.Fprintf(&b, "  %-22s | %9.4f %9.4f %6.1f%% | %14s\n",
-				v.Plan.String(), v.Plan.Predicted.Step(), v.Measured.Step(), 100*v.StepErr, transfers)
+			fmt.Fprintf(&b, "  %-22s | %9.4f %9.4f %6.1f%%\n",
+				v.Plan.String(), v.Plan.Predicted.Step(), v.Measured.Step(), 100*v.StepErr)
 		}
 	}
 	return b.String()

@@ -79,7 +79,7 @@ func TestFormatPlannerStudySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := FormatPlannerStudy(points)
-	for _, want := range []string{"paper best: Tesseract [4,4,4]", "planner best:", "§3.1 transfers"} {
+	for _, want := range []string{"paper best: Tesseract [4,4,4]", "planner best:", "pred(s)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("study output missing %q:\n%s", want, out)
 		}

@@ -111,9 +111,10 @@ fi
 # reads a run's dist.Stats and MaxClock), not restated: internal/claims and
 # cmd/comm-model, or a closed-form transfer count, lower bound or
 # isoefficiency function outside a test, is the unchecked side channel
-# growing back.
+# growing back. Any function or method with Transfer or LowerBound anywhere
+# in its name counts (summaTransferCount, transfersAt, …).
 if [ -e internal/claims ] || [ -e cmd/comm-model ] ||
-    grep -rnE 'internal/claims|cmd/comm-model|func [A-Za-z0-9]*(Transfers|LowerBound)\(|func Isoefficiency[A-Za-z0-9]*\(' \
+    grep -rnE 'internal/claims|cmd/comm-model|func (\([^)]*\) )?[A-Za-z0-9_]*([Tt]ransfer|LowerBound)[A-Za-z0-9_]*\(|func Isoefficiency[A-Za-z0-9]*\(' \
         --include='*.go' --exclude='*_test.go' . >&2; then
     echo "docs_check: the closed-form transmission claims are back beside the measured study" >&2
     fail=1
