@@ -78,10 +78,17 @@ func TestMisuseIsOneLine(t *testing.T) {
 		// The serving table takes no options and used to print in full
 		// before the serving planner, next in line, rejected them.
 		{"negative layers, serving", []string{"-serving", "-layers", "-1"}, "layers -1"},
+		// A row whose activation does not split over its layout is refused
+		// before its cluster is built; it used to exit with a worker panic.
+		{"seqlen 3, table 1", []string{"-seqlen", "3", "-table", "1"}, "row Optimus [8,8]: parallel: optimus [8,8] cannot split 36 activation rows"},
+		{"seqlen 3, overlap", []string{"-seqlen", "3", "-overlap"}, "row Tesseract [4,4,2]: parallel: tesseract [4,4,2] cannot split 36 activation rows"},
 	} {
 		t.Run(mis.name, func(t *testing.T) {
 			code, stdout, stderr := testutil.RunCLI(t, asCLI, mis.args...)
 			testutil.CheckMisuse(t, "tesseract-bench", mis.want, code, stdout, stderr)
+			if strings.Contains(stderr, "panicked") {
+				t.Errorf("a flag-reachable misuse is a recovered panic: %q", stderr)
+			}
 		})
 	}
 }

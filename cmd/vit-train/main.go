@@ -99,6 +99,12 @@ func main() {
 	// actionable line on stderr, never a panic deep inside model
 	// construction, a NaN curve, or an error after the serial baseline has
 	// already trained.
+	//
+	// -epochs defaults to 5 at the flag, so 0 is a request to train nothing,
+	// not TrainConfig's zero-means-default.
+	if *epochs < 1 {
+		fatalf("epoch count %d from -epochs: want 1 or more", *epochs)
+	}
 	if err := tc.Check(); err != nil {
 		fatalf("%v", err)
 	}

@@ -117,6 +117,11 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"negative train samples", []string{"-train-per-class", "-2"}, "training samples per class -2"},
 		{"negative test samples", []string{"-test-per-class", "-1"}, "test samples per class -1"},
 		{"negative epochs", []string{"-epochs", "-1"}, "epoch count -1"},
+		// Zero used to train the default 5 epochs in Figure 7 mode while
+		// -elastic and -chaos refused it for having no steps.
+		{"zero epochs", []string{"-epochs", "0"}, "epoch count 0"},
+		{"elastic/zero epochs", []string{"-elastic", "-epochs", "0"}, "epoch count 0"},
+		{"chaos/zero epochs", []string{"-chaos", "-epochs", "0"}, "epoch count 0"},
 		{"negative plan budget", []string{"-plan", "-2"}, "-plan -2"},
 		// The staged modes train -family's layout; -plan used to be dropped
 		// in silence and the default tesseract [2,2,2] trained instead.

@@ -45,8 +45,8 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 // the memory cost Eq. 9 charges Megatron-LM with) or split by rows over it
 // (RowSharded). The Transformer block is the shared parallel.Block over this
 // package's column/row linear pairs, with parallel.ReplicatedLayerNorm for
-// the un-sharded layer norms. Package seqpar embeds it under RowSharded with
-// a patch embedding of its own.
+// the un-sharded layer norms; the patch embedding is parallel.ReplicatedLinear.
+// Package seqpar is this family registered under RowSharded.
 type Family struct {
 	parallel.View
 	p *Proc
@@ -65,15 +65,16 @@ func NewFamily(w *dist.Worker, l parallel.Layout, b Bracket) *Family {
 	return &Family{View: parallel.NewView(w, l, rows, nil, &p.Grads), p: p}
 }
 
-// Proc exposes the underlying tensor-parallel view.
-func (f *Family) Proc() *Proc { return f.p }
-
-// NewLinear builds the replicated serial linear: Megatron keeps
-// activations replicated, so a model-level linear that must map a
-// replicated input to a replicated output (the ViT patch embedding) is
-// computed redundantly on every rank, exactly like the classifier head.
+// NewLinear builds the patch embedding, a parallel.ReplicatedLinear on the
+// rows the bracket leaves on the rank: all of them, computed redundantly
+// like the head, or RowSharded the local ones, whose gradients then sum over
+// the group.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewReplicatedLinear(f.p.W, in, out, act, bias, rng)
+	var sum *dist.Group
+	if f.p.bracket == RowSharded {
+		sum = f.p.TP
+	}
+	return parallel.NewReplicatedLinear(f.p.W, sum, &f.p.Grads, in, out, act, bias, rng)
 }
 
 // Shards returns p: weights split their columns, and attention its heads,

@@ -21,10 +21,11 @@
 //
 // The bracket is read at four seams — ColLinear.Forward/Backward and
 // RowLinear.Forward/Backward — plus Family.Lifetime, which tells the shared
-// modules when their intermediates go back, and NewFamily, which splits the
-// activation rows over the group under RowSharded; a further bracket (folded
-// tensor+sequence parallelism, say) is one more case at those seams, not
-// another set of layers.
+// modules when their intermediates go back, NewFamily, which splits the
+// activation rows over the group under RowSharded, and Family.NewLinear,
+// which sums the replicated patch embedding's gradients over that group; a
+// further bracket (folded tensor+sequence parallelism, say) is one more case
+// at those seams, not another set of layers or family type.
 //
 // Simulated clocks are float sums and bench/baseline.json pins them
 // bit-exactly, so the order in which each bracket charges its GEMMs, bias
@@ -53,8 +54,9 @@ const (
 )
 
 // Proc is one processor's view of a 1-D tensor-parallel group, with its
-// queue of deferred gradient all-reduces (only seqpar's replicated patch
-// embedding defers any: the linears' weight-shard gradients are rank-local).
+// queue of deferred gradient all-reduces (only the replicated patch embedding
+// under RowSharded defers any: the linears' weight-shard gradients are
+// rank-local).
 type Proc struct {
 	W *dist.Worker
 	// P is the tensor-parallel size.

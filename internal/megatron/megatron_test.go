@@ -34,7 +34,7 @@ func eachBracket(t *testing.T, sizes []int, fn func(t *testing.T, b Bracket, tp 
 func runTP(t *testing.T, tp int, b Bracket, fn func(mp *Proc) error) *dist.Cluster {
 	t.Helper()
 	return testutil.Run(t, tp, func(w *dist.Worker) error {
-		return fn(NewFamily(w, parallel.Layout{Family: "megatron", Ranks: tp}, b).Proc())
+		return fn(NewFamily(w, parallel.Layout{Family: "megatron", Ranks: tp}, b).p)
 	})
 }
 

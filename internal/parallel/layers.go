@@ -10,37 +10,37 @@ import (
 	"repro/internal/tensor"
 )
 
-// ReplicatedLinear is a serial nn.Linear computed redundantly on every
-// rank of a family whose input is replicated, with the arithmetic charged
-// to the simulated clock. Every family's classifier head is one of these
-// (replicated pooled features in, replicated logits out, parameters
-// bit-identical across ranks because the inputs are); Megatron also uses
-// it for the patch embedding, since its activations are replicated
-// everywhere.
-//
-// The forward and backward passes run out of workspace buffers with the
-// bias add and GELU fused into the GEMM write-back — bitwise identical to
-// nn.Linear (whose x/pre stashes stay unused), zero steady-state
-// allocations. Outputs live until the step-boundary ReleaseAll.
+// ReplicatedLinear is the one replicated-weight linear: a serial nn.Linear
+// every rank holds whole, run on the rows the rank holds, every flop charged
+// through compute. It is every family's classifier head and the 1-D
+// families' patch embedding. A weight replicated over row-split input is one
+// layout whose gradient sums over the row group (Mesh-TensorFlow): with sum
+// set, Backward queues the weight and bias partials' all-reduces on grads
+// for DrainGradients; with sum nil (the head, Megatron's replicated input)
+// it accumulates them in place, bitwise identical to nn.Linear. Buffers come
+// from the workspace, bias and GELU fused into the GEMM write-back; outputs
+// live until the step-boundary ReleaseAll.
 type ReplicatedLinear struct {
 	*nn.Linear
-	w *dist.Worker
+	w     *dist.Worker
+	sum   *dist.Group
+	grads *Grads
 
 	x   *tensor.Matrix
 	pre *tensor.Matrix
 }
 
 // NewReplicatedLinear draws the full weight from rng (the serial stream)
-// and replicates it on the calling rank.
-func NewReplicatedLinear(w *dist.Worker, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
-	return &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w}
+// and replicates it on the calling rank; sum and grads may be nil.
+func NewReplicatedLinear(w *dist.Worker, sum *dist.Group, grads *Grads, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
+	return &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w, sum: sum, grads: grads}
 }
 
 // NewHead builds any family's classifier head: a replicated serial linear
 // computed redundantly on every rank from replicated features — the
 // standard treatment for heads whose cost is negligible.
 func NewHead(f Family, in, out int, rng *tensor.RNG) *ReplicatedLinear {
-	return NewReplicatedLinear(f.Worker(), in, out, nn.ActNone, true, rng)
+	return NewReplicatedLinear(f.Worker(), nil, nil, in, out, nn.ActNone, true, rng)
 }
 
 // State exposes the replicated weight (and bias, if present) as canonical
@@ -54,12 +54,12 @@ func (l *ReplicatedLinear) State() []State {
 	return out
 }
 
-// Forward charges the GEMM and applies the layer out of pooled buffers.
+// Forward runs the GEMM on the rank's rows, bias and GELU fused into the
+// write-back.
 func (l *ReplicatedLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("parallel: ReplicatedLinear forward %dx%d through %d->%d", x.Rows, x.Cols, l.In, l.Out))
 	}
-	l.w.ChargeGEMM(float64(x.Rows), float64(l.Out), float64(l.In))
 	ws := l.w.Workspace()
 	ph := x.Phantom() || l.W.Value.Phantom()
 	l.x = x
@@ -72,48 +72,54 @@ func (l *ReplicatedLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	}
 	if l.Act == nn.ActGELU {
 		act := ws.GetUninitMatch(x.Rows, l.Out, ph)
-		tensor.MatMulBiasGELUInto(act, pre, x, l.W.Value, bias)
+		compute.MatMulBiasGELUInto(l.w, act, pre, x, l.W.Value, bias)
 		return act
 	}
 	if bias != nil {
-		tensor.MatMulBiasInto(pre, x, l.W.Value, bias)
+		compute.MatMulBiasInto(l.w, pre, x, l.W.Value, bias)
 	} else {
-		tensor.MatMulInto(pre, x, l.W.Value)
+		compute.MatMulInto(l.w, pre, x, l.W.Value)
 	}
 	return pre
 }
 
-// Backward charges the two gradient GEMMs and propagates out of pooled
-// buffers; the returned input gradient is a workspace buffer owned by the
-// caller.
+// Backward folds in or queues the weight and bias gradients and returns the
+// input gradient, a workspace buffer owned by the caller.
 func (l *ReplicatedLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	l.w.ChargeGEMM(float64(dy.Rows), float64(l.Out), float64(l.In))
-	l.w.ChargeGEMM(float64(dy.Rows), float64(l.In), float64(l.Out))
 	ws := l.w.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
 	var dyScratch *tensor.Matrix
 	if l.Act == nn.ActGELU {
 		g := ws.GetUninitMatch(dy.Rows, dy.Cols, dy.Phantom() || l.pre.Phantom())
-		tensor.GELUGradHadamardTo(g, l.pre, dy)
+		compute.GELUGradHadamardTo(l.w, g, l.pre, dy)
 		dy, dyScratch = g, g
 	}
 	dw := ws.GetUninitMatch(l.In, l.Out, ph)
 	dw.Zero()
-	tensor.MatMulTNInto(dw, l.x, dy)
-	l.W.AccumGrad(dw)
-	ws.Put(dw)
+	compute.MatMulTNInto(l.w, dw, l.x, dy)
+	l.accum(l.W, dw)
 	if l.B != nil {
 		db := ws.GetUninitMatch(1, l.Out, ph)
-		tensor.ColSumsInto(db, dy)
-		l.B.AccumGrad(db)
-		ws.Put(db)
+		compute.ColSumsInto(l.w, db, dy)
+		l.accum(l.B, db)
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
-	tensor.MatMulNTInto(dx, dy, l.W.Value)
+	compute.MatMulNTInto(l.w, dx, dy, l.W.Value)
 	if dyScratch != nil {
 		ws.Put(dyScratch)
 	}
 	return dx
+}
+
+// accum folds a gradient into p now, or queues its sum over the row group,
+// which takes the buffer over.
+func (l *ReplicatedLinear) accum(p *nn.Param, g *tensor.Matrix) {
+	if l.sum == nil {
+		p.AccumGrad(g)
+		l.w.Workspace().Put(g)
+		return
+	}
+	l.grads.DeferAllReduce(l.sum, p, g)
 }
 
 // ReplicatedLayerNorm is the Eq. 13 layer norm computed redundantly on a

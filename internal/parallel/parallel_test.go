@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -102,8 +103,8 @@ func TestReplicatedLinearMatchesSerial(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
 		rng := tensor.NewRNG(3)
-		a := NewReplicatedLinear(w, 4, 6, nn.ActGELU, true, rng)
-		b := NewReplicatedLinear(w, 6, 4, nn.ActNone, true, rng)
+		a := NewReplicatedLinear(w, nil, nil, 4, 6, nn.ActGELU, true, rng)
+		b := NewReplicatedLinear(w, nil, nil, 6, 4, nn.ActNone, true, rng)
 
 		refA := nn.NewLinear(4, 6, nn.ActGELU, true, tensor.NewRNG(3))
 		rng2 := tensor.NewRNG(3)
@@ -141,7 +142,7 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 		if ln.Params() != nil {
 			t.Error("layer norm must be parameter-free")
 		}
-		lin := NewReplicatedLinear(w, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
+		lin := NewReplicatedLinear(w, nil, nil, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
 		lin.Forward(x)
 		lin.Backward(tensor.RandomMatrix(4, 2, tensor.NewRNG(3)))
 		return nil
@@ -150,6 +151,45 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 	}
 	if c.MaxClock() <= 0 {
 		t.Fatal("replicated layers must charge the simulated clock")
+	}
+}
+
+// TestReplicatedLinearChargesThroughCompute: a GELU+bias ReplicatedLinear's
+// forward and backward advance the busy clock exactly as the five compute
+// calls it makes do on a second worker — the bias add, the GELU, its
+// gradient and the bias column sums included, not only the GEMMs.
+func TestReplicatedLinearChargesThroughCompute(t *testing.T) {
+	const rows, in, out = 5, 4, 6
+	run := func(fn func(w *dist.Worker)) float64 {
+		c := dist.New(dist.Config{WorldSize: 1})
+		defer c.Close()
+		var busy float64
+		if err := c.Run(func(w *dist.Worker) error {
+			fn(w)
+			busy = w.Busy()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return busy
+	}
+	x := tensor.RandomMatrix(rows, in, tensor.NewRNG(9))
+	dy := tensor.RandomMatrix(rows, out, tensor.NewRNG(10))
+	got := run(func(w *dist.Worker) {
+		l := NewReplicatedLinear(w, nil, nil, in, out, nn.ActGELU, true, tensor.NewRNG(3))
+		l.Backward(l.Forward(x))
+	})
+	want := run(func(w *dist.Worker) {
+		wt, bias := tensor.New(in, out), tensor.New(1, out)
+		pre, act := tensor.New(rows, out), tensor.New(rows, out)
+		compute.MatMulBiasGELUInto(w, act, pre, x, wt, bias)
+		compute.GELUGradHadamardTo(w, act, pre, dy)
+		compute.MatMulTNInto(w, tensor.New(in, out), x, act)
+		compute.ColSumsInto(w, tensor.New(1, out), act)
+		compute.MatMulNTInto(w, tensor.New(rows, in), act, wt)
+	})
+	if got != want || got <= 0 {
+		t.Fatalf("ReplicatedLinear forward+backward busy %g s, the compute calls %g s", got, want)
 	}
 }
 

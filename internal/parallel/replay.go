@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"fmt"
+
 	"repro/internal/dist"
 	"repro/internal/tensor"
 )
@@ -90,6 +92,32 @@ func NewReplay(c *dist.Cluster, build func(w *dist.Worker) (*Stack, error)) (*Re
 		return nil, err
 	}
 	return r, nil
+}
+
+// NewPhantomReplay replays l's phantom stack (NewPhantomStack) on the cluster
+// newCluster builds from cfg, sized to l. A [batch·seqLen, hidden]
+// activation l cannot split is refused before the cluster is built.
+func NewPhantomReplay(newCluster func(dist.Config) *dist.Cluster, cfg dist.Config, l Layout, batch, seqLen, hidden, heads, layers int) (*Replay, error) {
+	if rows, rs := batch*seqLen, l.RowShards(); rows%rs != 0 {
+		return nil, fmt.Errorf("parallel: %s cannot split %d activation rows (batch %d × sequence length %d) %d ways",
+			l, rows, batch, seqLen, rs)
+	}
+	if l.Q > 0 && hidden%l.Q != 0 {
+		return nil, fmt.Errorf("parallel: %s cannot split hidden width %d %d ways", l, hidden, l.Q)
+	}
+	cfg.WorldSize = l.Ranks
+	c := newCluster(cfg)
+	rp, err := NewReplay(c, func(w *dist.Worker) (*Stack, error) {
+		f, err := New(w, l)
+		if err != nil {
+			return nil, err
+		}
+		return NewPhantomStack(f, batch, seqLen, hidden, heads, layers), nil
+	})
+	if err != nil {
+		c.Close()
+	}
+	return rp, err
 }
 
 // Cluster returns the replay's cluster, for what a phase left on it (Overlap).

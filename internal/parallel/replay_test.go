@@ -3,6 +3,7 @@ package parallel_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -133,6 +134,30 @@ func TestRecomputeBoundaryDropsFirstForward(t *testing.T) {
 		}
 		if again != with {
 			t.Errorf("%s: second step %+v, first %+v", l, again, with)
+		}
+	}
+}
+
+// TestPhantomReplayRefusesUnsplittable: an activation a layout cannot split
+// is an error naming the dimension, returned before any cluster is built —
+// not a worker panic inside NewPhantomStack.
+func TestPhantomReplayRefusesUnsplittable(t *testing.T) {
+	for _, tc := range []struct {
+		l                     parallel.Layout
+		batch, seqLen, hidden int
+		want                  string
+	}{
+		{parallel.Layout{Family: "optimus", Q: 2, D: 1, Ranks: 4}, 3, 3, 8, "cannot split 9 activation rows (batch 3 × sequence length 3) 2 ways"},
+		{parallel.Layout{Family: "seqpar", Ranks: 4}, 2, 3, 8, "cannot split 6 activation rows (batch 2 × sequence length 3) 4 ways"},
+		{parallel.Layout{Family: "tesseract", Q: 2, D: 2, Ranks: 8}, 4, 4, 9, "cannot split hidden width 9 2 ways"},
+	} {
+		built := false
+		_, err := parallel.NewPhantomReplay(func(cfg dist.Config) *dist.Cluster {
+			built = true
+			return dist.New(cfg)
+		}, dist.Config{}, tc.l, tc.batch, tc.seqLen, tc.hidden, 4, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || built {
+			t.Errorf("%s: err %v, cluster built %v; want %q before any cluster", tc.l, err, built, tc.want)
 		}
 	}
 }

@@ -63,18 +63,12 @@ func newReplay(w Workload, batch int, l parallel.Layout, t Topology) (*parallel.
 	if t, err = t.WithDefaults(); err != nil {
 		return nil, err
 	}
-	cfg := dist.Config{WorldSize: l.Ranks, GPUsPerNode: t.GPUsPerNode, Cost: t.Cost}
 	newCluster := dist.New
 	if soloExact(l, t.GPUsPerNode) {
 		newCluster = dist.NewSolo
 	}
-	return parallel.NewReplay(newCluster(cfg), func(wk *dist.Worker) (*parallel.Stack, error) {
-		f, err := parallel.New(wk, l)
-		if err != nil {
-			return nil, err
-		}
-		return parallel.NewPhantomStack(f, batch, w.SeqLen, w.Hidden, w.Heads, w.Layers), nil
-	})
+	return parallel.NewPhantomReplay(newCluster, dist.Config{GPUsPerNode: t.GPUsPerNode, Cost: t.Cost},
+		l, batch, w.SeqLen, w.Hidden, w.Heads, w.Layers)
 }
 
 // soloExact decides solo or full — a pure function of the layout and the

@@ -1,3 +1,24 @@
+// Package seqpar is the sequence-parallel family (Korthikanti et al.,
+// "Reducing Activation Recomputation in Large Transformer Models"; the
+// natural fourth member of the paper's family zoo): a 1-D layout [p] that
+// shards *activations* along the sequence/row dimension instead of
+// replicating them. Layer norms, residual adds and element-wise ops run on
+// the local R/p-row shard; each parallel linear pair is bracketed by an
+// all-gather (restore the full rows its GEMM needs) on the way in and a
+// reduce-scatter (sum the partial products and keep only the local rows) on
+// the way out. The combined volume of one all-gather plus one
+// reduce-scatter equals one all-reduce, so the family moves the same bytes
+// as Megatron-LM per layer while holding 1/p of its activations — the
+// memory/comm trade the planner exploits under tight memory budgets.
+//
+// The weight sharding is Megatron-LM's, and so is every layer: the package
+// is one registration and one enumerator, with no family type or layer code
+// of its own, exactly like package optimus. Its Spec builds megatron's
+// family under the megatron.RowSharded bracket, whose parallel.View splits
+// activation rows over the group and nothing over columns, and whose patch
+// embedding — parallel.ReplicatedLinear, the replicated weight every family's
+// head also is — sums its gradients over that group. Sharing the layers is
+// also why checkpoints re-shard freely between the two families.
 package seqpar
 
 import (
@@ -5,17 +26,15 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/megatron"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/plan"
-	"repro/internal/tensor"
 )
 
 func init() {
 	parallel.Register(parallel.Spec{
 		Name: "seqpar",
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
-			return NewFamily(w, l), nil
+			return megatron.NewFamily(w, l, megatron.RowSharded), nil
 		},
 		Check: func(l parallel.Layout) error {
 			if l.Q != 0 {
@@ -44,28 +63,4 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 		}
 	}
 	return out
-}
-
-// Family is sequence parallelism's implementation of the family-agnostic
-// model layer: megatron's family under the RowSharded bracket — activations
-// split p ways along rows (whole sequences per rank), weights sharded
-// exactly like Megatron-LM; layout, blocks, layer norms, head and step
-// boundary are inherited, and the layer norms and residual adds inside the
-// block run on 1/p of the rows, which is where the activation-memory edge
-// over Megatron comes from. Only the patch embedding is its own.
-type Family struct {
-	*megatron.Family
-}
-
-// NewFamily attaches the calling worker to the sequence-parallel group
-// layout l names and returns the family view.
-func NewFamily(w *dist.Worker, l parallel.Layout) *Family {
-	return &Family{Family: megatron.NewFamily(w, l, megatron.RowSharded)}
-}
-
-// NewLinear builds the shard-local linear (the ViT patch embedding): the
-// weight is replicated, the GEMM runs on the local rows, and the gradient
-// all-reduce is deferred to DrainGradients.
-func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
-	return newShardLinear(f, in, out, act, bias, rng)
 }

@@ -11,21 +11,30 @@ import (
 	"repro/internal/testutil"
 )
 
-// The Transformer layers this family runs are package megatron's under the
-// RowSharded bracket and are tested there, both brackets in one table; the
-// tests here cover what the family adds: the shard-local patch embedding
-// and the row-sharded Distribute/Collect adapter around the block.
+// The layers this family runs are package megatron's under the RowSharded
+// bracket and are tested there, both brackets in one table; the tests here
+// run them through the registration: the patch embedding, whose replicated
+// gradient sums over the row shards, and the row-sharded Distribute/Collect
+// adapter around the block.
 
-// shard returns rank's row block of a replicated matrix.
-func shard(m *tensor.Matrix, rank, p int) *tensor.Matrix {
-	br := m.Rows / p
-	return m.SubMatrix(rank*br, 0, br, m.Cols)
-}
-
+// TestShardLinearMatchesSerial runs the patch embedding a family builds
+// (parallel.ReplicatedLinear) against nn.Linear. On seqpar's row shards the
+// weight and bias gradients are partial until DrainGradients sums them over
+// the group; on Megatron's replicated rows they are whole at once, and no
+// gradient is deferred: the drain finds nothing queued and no all-reduce
+// runs.
 func TestShardLinearMatchesSerial(t *testing.T) {
 	const in, out, rows = 8, 12, 8
-	for _, tp := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("p%d", tp), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		family string
+		p      int
+	}{
+		{"p1", "seqpar", 1}, {"p2", "seqpar", 2}, {"p4", "seqpar", 4},
+		{"megatron/p2", "megatron", 2}, {"megatron/p4", "megatron", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			deferred := tc.family == "seqpar"
 			dataRng := tensor.NewRNG(1)
 			x := tensor.RandomMatrix(rows, in, dataRng)
 			dy := tensor.RandomMatrix(rows, out, dataRng)
@@ -38,25 +47,42 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 			dxs := testutil.NewCollector()
 			gws := testutil.NewCollector()
 			gbs := testutil.NewCollector()
-			testutil.Run(t, tp, func(w *dist.Worker) error {
-				f := NewFamily(w, parallel.Layout{Family: "seqpar", Ranks: tp})
-				l := newShardLinear(f, in, out, nn.ActGELU, true, tensor.NewRNG(9))
-				y := l.Forward(shard(x, w.Rank(), tp))
-				dx := l.Backward(shard(dy, w.Rank(), tp))
+			undrained := testutil.NewCollector()
+			c := testutil.Run(t, tc.p, func(w *dist.Worker) error {
+				f, err := parallel.New(w, parallel.Layout{Family: tc.family, Ranks: tc.p})
+				if err != nil {
+					return err
+				}
+				l := f.NewLinear(in, out, nn.ActGELU, true, tensor.NewRNG(9))
+				y := l.Forward(f.Distribute(x))
+				dx := l.Backward(f.Distribute(dy))
+				wp := l.Params()[0]
+				undrained.Put(w.Rank(), wp.Grad.Clone())
 				f.DrainGradients()
 				ys.Put(w.Rank(), f.Collect(y))
 				dxs.Put(w.Rank(), f.Collect(dx))
-				gws.Put(w.Rank(), l.W.Grad)
-				gbs.Put(w.Rank(), l.B.Grad)
+				gws.Put(w.Rank(), wp.Grad)
+				gbs.Put(w.Rank(), l.Params()[1].Grad)
 				return nil
 			})
-			for r := 0; r < tp; r++ {
+			for r := 0; r < tc.p; r++ {
 				testutil.CheckClose(t, "y", ys.Get(r), wantY, 1e-9)
 				testutil.CheckClose(t, "dx", dxs.Get(r), wantDx, 1e-9)
 				// Gradients sum over every rank's row shard, so after the
 				// drain they match the serial full-batch gradients.
 				testutil.CheckClose(t, "dW", gws.Get(r), ref.W.Grad, 1e-9)
 				testutil.CheckClose(t, "dB", gbs.Get(r), ref.B.Grad, 1e-9)
+				if got := undrained.Get(r).Equal(gws.Get(r)); got == deferred {
+					t.Errorf("rank %d: weight gradient whole before the drain = %v, want %v", r, got, !deferred)
+				}
+			}
+			// seqpar sums the weight and the bias; Megatron sums nothing.
+			want := int64(0)
+			if deferred {
+				want = 2
+			}
+			if got := c.Stats().PerOp["allreduce"].Calls; got != want {
+				t.Errorf("%d all-reduces, want %d", got, want)
 			}
 		})
 	}
@@ -77,7 +103,10 @@ func TestBlockMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			testutil.Run(t, tp, func(w *dist.Worker) error {
-				f := NewFamily(w, parallel.Layout{Family: "seqpar", Ranks: tp})
+				f, err := parallel.New(w, parallel.Layout{Family: "seqpar", Ranks: tp})
+				if err != nil {
+					return err
+				}
 				b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(19))
 				y := b.Forward(f.Distribute(x))
 				dx := b.Backward(f.Distribute(dy))

@@ -48,18 +48,13 @@ func overlapRow(row Row, opts Options) (OverlapPoint, error) {
 	if err != nil {
 		return OverlapPoint{}, err
 	}
-	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: opts.GPUsPerNode})
-	defer c.Close()
-	rp, err := parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return nil, err
-		}
-		return parallel.NewPhantomStack(f, row.Batch, opts.SeqLen, row.Hidden, row.Heads, opts.Layers), nil
-	})
+	rp, err := parallel.NewPhantomReplay(dist.New, dist.Config{GPUsPerNode: opts.GPUsPerNode},
+		l, row.Batch, opts.SeqLen, row.Hidden, row.Heads, opts.Layers)
 	if err != nil {
-		return OverlapPoint{}, err
+		return OverlapPoint{}, fmt.Errorf("row %s %s: %w", row.Scheme, row.Shape(), err)
 	}
+	c := rp.Cluster()
+	defer c.Close()
 	// One window over the whole layer, without the recompute forward.
 	if _, err := rp.Phase(func(s *parallel.Stack) {
 		s.Forward()

@@ -11,8 +11,11 @@
 # bytes: collectives, no point-to-point Send/Recv; each family to one
 # description: a parallel.Spec and a grid enumerator of parallel.Layouts; and
 # a family package to its layers: the activation layout, the step boundary
-# and the deferred-gradient queue live once, in parallel.View; and the §1/§3.1
-# transmission claim to its measurement: no closed-form side channel.
+# and the deferred-gradient queue live once, in parallel.View, and a family
+# that runs another family's layers (optimus, seqpar) has no layer code; the
+# simulated clock to internal/compute: no GEMM charged or multiplied beside
+# it; and the §1/§3.1 transmission claim to its measurement: no closed-form
+# side channel.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -104,6 +107,29 @@ if grep -rnE '^func \([a-z]+ \*?[A-Za-z]+\) (Layout|Worker|RowShards|Slice|Distr
 fi
 if grep -nE '^[[:space:]]+([A-Za-z]+, *)*Base( *, *[A-Za-z]+)* +int' internal/parallel/registry.go internal/mesh/mesh.go >&2; then
     echo "docs_check: parallel.Layout or mesh.Shape has a Base rank offset again" >&2
+    fail=1
+fi
+
+# A family that is another family's layers under a name of its own — optimus
+# is tesseract's at depth 1, seqpar megatron's under the RowSharded bracket —
+# is a registration and a grid enumerator (docs/architecture.md §6). A type or
+# a Forward/Backward method in either package is a layer of its own growing
+# back beside the ones it runs.
+if grep -rnE '^type |^func \([a-z]+ \*?[A-Za-z]+\) (Forward|Backward)\(' --include='*.go' \
+    internal/optimus internal/seqpar >&2; then
+    echo "docs_check: optimus or seqpar declares a type or layer code of its own" >&2
+    fail=1
+fi
+
+# Arithmetic and its simulated seconds move together (internal/compute): a
+# GEMM is charged and run by one compute call, so timing and values cannot
+# drift apart. A Worker.ChargeGEMM or tensor.MatMul* call in non-test Go
+# anywhere else in internal/ or cmd/ is a hand-charged copy growing back;
+# internal/tensor is the kernels and internal/nn the serial reference, both
+# off the clock (as is an example's serial check).
+if grep -rnE '\.ChargeGEMM\(|tensor\.MatMul' --include='*.go' --exclude='*_test.go' internal cmd |
+    grep -vE '^internal/(compute|tensor|nn)/' >&2; then
+    echo "docs_check: a GEMM is charged or run outside internal/compute" >&2
     fail=1
 fi
 
