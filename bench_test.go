@@ -202,7 +202,7 @@ func BenchmarkReshard(b *testing.B) {
 	if err := sb.StepsCheckpointed(1, cks); err != nil {
 		b.Fatal(err)
 	}
-	if err := sb.Restore(cks[0]); err != nil {
+	if err := sb.Restore(cks); err != nil {
 		b.Fatal(err)
 	}
 	reshardSec := sb.MaxClock() - stepSec // the checkpointed window includes one step
@@ -212,7 +212,7 @@ func BenchmarkReshard(b *testing.B) {
 		if err := sb.StepsCheckpointed(1, cks); err != nil {
 			b.Fatal(err)
 		}
-		if err := sb.Restore(cks[0]); err != nil {
+		if err := sb.Restore(cks); err != nil {
 			b.Fatal(err)
 		}
 	}

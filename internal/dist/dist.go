@@ -197,6 +197,10 @@ func (c *Cluster) WorldSize() int { return c.cfg.WorldSize }
 // node returns the node index of a rank.
 func (c *Cluster) node(rank int) int { return rank / c.gpn }
 
+// GPUsPerNode returns the node size: ranks r with equal r/GPUsPerNode share
+// a node.
+func (c *Cluster) GPUsPerNode() int { return c.gpn }
+
 // errClosed is what Run returns on a closed cluster.
 var errClosed = errors.New("dist: Run on a closed cluster")
 

@@ -1,5 +1,11 @@
 package parallel
 
+import "repro/internal/dist"
+
+// SetBeforeRound installs f to run before every round a collect or a
+// restore issues (nil removes it); set it only between cluster runs.
+func SetBeforeRound(f func(w *dist.Worker)) { beforeRound = f }
+
 // Held exposes the footprint each rank recorded in its last Step or Forward
 // phase, indexed by rank (zero where a solo cluster built no stack), to the
 // external tests that compare a phantom replay with its real twin.

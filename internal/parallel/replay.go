@@ -94,16 +94,36 @@ func NewReplay(c *dist.Cluster, build func(w *dist.Worker) (*Stack, error)) (*Re
 	return r, nil
 }
 
-// NewPhantomReplay replays l's phantom stack (NewPhantomStack) on the cluster
-// newCluster builds from cfg, sized to l. A [batch·seqLen, hidden]
-// activation l cannot split is refused before the cluster is built.
-func NewPhantomReplay(newCluster func(dist.Config) *dist.Cluster, cfg dist.Config, l Layout, batch, seqLen, hidden, heads, layers int) (*Replay, error) {
+// CheckActivation refuses a [batch·seqLen, hidden] activation with heads
+// attention heads that l cannot split — its rows over l's row shards, its
+// width over a mesh side, its heads over the attention's column shards (a
+// mesh side, or every rank of a 1-D layout) — before anything builds a
+// phantom stack that would panic on it.
+func CheckActivation(l Layout, batch, seqLen, hidden, heads int) error {
 	if rows, rs := batch*seqLen, l.RowShards(); rows%rs != 0 {
-		return nil, fmt.Errorf("parallel: %s cannot split %d activation rows (batch %d × sequence length %d) %d ways",
+		return fmt.Errorf("parallel: %s cannot split %d activation rows (batch %d × sequence length %d) %d ways",
 			l, rows, batch, seqLen, rs)
 	}
 	if l.Q > 0 && hidden%l.Q != 0 {
-		return nil, fmt.Errorf("parallel: %s cannot split hidden width %d %d ways", l, hidden, l.Q)
+		return fmt.Errorf("parallel: %s cannot split hidden width %d %d ways", l, hidden, l.Q)
+	}
+	shards := l.Ranks
+	if l.Q > 0 {
+		shards = l.Q
+	}
+	if heads < 1 || hidden%heads != 0 || heads%shards != 0 {
+		return fmt.Errorf("parallel: %s cannot split hidden width %d into %d heads over %d shards", l, hidden, heads, shards)
+	}
+	return nil
+}
+
+// NewPhantomReplay replays l's phantom stack (NewPhantomStack) on the cluster
+// newCluster builds from cfg, sized to l. A [batch·seqLen, hidden]
+// activation l cannot split is refused before the cluster is built
+// (CheckActivation).
+func NewPhantomReplay(newCluster func(dist.Config) *dist.Cluster, cfg dist.Config, l Layout, batch, seqLen, hidden, heads, layers int) (*Replay, error) {
+	if err := CheckActivation(l, batch, seqLen, hidden, heads); err != nil {
+		return nil, err
 	}
 	cfg.WorldSize = l.Ranks
 	c := newCluster(cfg)

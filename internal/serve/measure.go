@@ -20,13 +20,11 @@ const measureBatches = 3
 // batcher event loop with clock-synced completions: one at the workload's
 // full batch (full-batch latency and saturated throughput) and one at the
 // grid's row-shard minimum (interactive latency). It is plan.Validate's
-// serving twin; wrap it with Measurer to get a plan.ServingMeasurer.
+// serving twin; wrap it with Measurer to get a plan.ServingMeasurer. The
+// cluster is sized from the layout, so t's RankBudget is not read; a
+// workload the layout cannot split is refused before any cluster is built.
 func MeasureLayout(p plan.ServingPlan, w plan.Workload, t plan.Topology) (plan.ServingMeasurement, error) {
 	w, err := w.WithDefaults()
-	if err != nil {
-		return plan.ServingMeasurement{}, err
-	}
-	t, err = t.WithDefaults()
 	if err != nil {
 		return plan.ServingMeasurement{}, err
 	}
@@ -34,9 +32,17 @@ func MeasureLayout(p plan.ServingPlan, w plan.Workload, t plan.Topology) (plan.S
 	if err != nil {
 		return plan.ServingMeasurement{}, err
 	}
+	t.RankBudget = l.Ranks
+	t, err = t.WithDefaults()
+	if err != nil {
+		return plan.ServingMeasurement{}, err
+	}
 	unit := l.RowShards()
 	if unit > w.Batch {
 		return plan.ServingMeasurement{}, fmt.Errorf("serve: layout %s needs %d sequences per forward, workload batches %d", l, unit, w.Batch)
+	}
+	if err := parallel.CheckActivation(l, w.Batch, w.SeqLen, w.Hidden, w.Heads); err != nil {
+		return plan.ServingMeasurement{}, err
 	}
 	full, err := measureTrace(l, w, t, w.Batch)
 	if err != nil {

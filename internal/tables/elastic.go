@@ -119,7 +119,7 @@ func FormatElastic(points []ElasticPoint) string {
 			p.From, p.To, p.FailedRank, p.FailClock,
 			p.CollectSeconds, p.RestoreSeconds, p.StepSeconds, p.ReshardRatio, p.MaxLossDev)
 	}
-	b.WriteString("re-shard cost counts the replicated snapshot plus the broadcast re-distribution;\n")
+	b.WriteString("re-shard cost counts the buddy-exchange snapshot plus the survivors' re-assembly;\n")
 	b.WriteString("max|Δloss| compares post-reshard steps against an uninterrupted run at the new layout.\n")
 	return b.String()
 }

@@ -8,15 +8,16 @@ import (
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 	"repro/internal/vit"
 )
 
 // chainSegment trains `steps` fixed-batch ViT steps at layout l — seeding
-// the fresh model and optimiser from ck first when ck is non-nil — and
-// returns the resulting replicated checkpoint plus rank 0's last-step
-// logits (nil when steps == 0).
-func chainSegment(t *testing.T, l parallel.Layout, ck *parallel.Checkpoint, steps int,
-	mcfg vit.ModelConfig, tc vit.TrainConfig, x *tensor.Matrix, labels []int) (*parallel.Checkpoint, *tensor.Matrix) {
+// the fresh model and optimiser from the per-rank checkpoints from first
+// when there are any, new rank j from from[j] — and returns the resulting
+// per-rank checkpoints plus rank 0's last-step logits (nil when steps == 0).
+func chainSegment(t *testing.T, l parallel.Layout, from []*parallel.Checkpoint, steps int,
+	mcfg vit.ModelConfig, tc vit.TrainConfig, x *tensor.Matrix, labels []int) ([]*parallel.Checkpoint, *tensor.Matrix) {
 	t.Helper()
 	l, err := parallel.Validate(l)
 	if err != nil {
@@ -32,7 +33,11 @@ func chainSegment(t *testing.T, l parallel.Layout, ck *parallel.Checkpoint, step
 		}
 		model := vit.NewDistModel(f, mcfg)
 		opt := nn.NewAdam(tc.LR, tc.WeightDecay)
-		if ck != nil {
+		if from != nil {
+			var ck *parallel.Checkpoint
+			if w.Rank() < len(from) {
+				ck = from[w.Rank()]
+			}
 			if err := parallel.Restore(f, model, opt, ck); err != nil {
 				return err
 			}
@@ -47,7 +52,7 @@ func chainSegment(t *testing.T, l parallel.Layout, ck *parallel.Checkpoint, step
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cks[0], logits
+	return cks, logits
 }
 
 // fixedBatchSteps trains one rank's model for `steps` steps on the same
@@ -72,26 +77,23 @@ func fixedBatchSteps(f parallel.Family, model *vit.DistModel, opt *nn.Adam, step
 	return logits
 }
 
-// requireBitwise fails unless two checkpoints agree in every slot, every
-// moment, and the optimiser step count — bit for bit.
-func requireBitwise(t *testing.T, want, got *parallel.Checkpoint, what string) {
+// requireBitwise fails unless two collects' checkpoints assemble to the
+// same canonical tensors in every slot and every moment, with the same
+// optimiser step count — bit for bit.
+func requireBitwise(t *testing.T, want, got []*parallel.Checkpoint, what string) {
 	t.Helper()
-	if got.Step != want.Step {
-		t.Errorf("%s: step count %d became %d", what, want.Step, got.Step)
+	if got[0].Step != want[0].Step {
+		t.Errorf("%s: step count %d became %d", what, want[0].Step, got[0].Step)
 	}
-	if len(got.Slots) != len(want.Slots) {
-		t.Fatalf("%s: slot count %d became %d", what, len(want.Slots), len(got.Slots))
+	a, b := testutil.Canonical(t, want), testutil.Canonical(t, got)
+	if len(b) != len(a) {
+		t.Fatalf("%s: slot count %d became %d", what, len(a), len(b))
 	}
-	for i := range want.Slots {
-		a, b := want.Slots[i], got.Slots[i]
-		if !a.Value.Equal(b.Value) {
-			t.Errorf("%s: slot %d value drifted by %g", what, i, a.Value.MaxAbsDiff(b.Value))
-		}
-		if !a.M.Equal(b.M) {
-			t.Errorf("%s: slot %d first moment drifted by %g", what, i, a.M.MaxAbsDiff(b.M))
-		}
-		if !a.V.Equal(b.V) {
-			t.Errorf("%s: slot %d second moment drifted by %g", what, i, a.V.MaxAbsDiff(b.V))
+	for i := range a {
+		for k, name := range [...]string{"value", "first moment", "second moment"} {
+			if !a[i][k].Equal(b[i][k]) {
+				t.Errorf("%s: slot %d %s drifted by %g", what, i, name, a[i][k].MaxAbsDiff(b[i][k]))
+			}
 		}
 	}
 }
@@ -152,7 +154,7 @@ func TestCrossLayoutReshardChain(t *testing.T) {
 		{Family: "tesseract", Q: 2, D: 1},
 		{Family: "megatron", Ranks: 2},
 	}
-	var ck, first *parallel.Checkpoint
+	var ck, first []*parallel.Checkpoint
 	for i, l := range chain {
 		var logits *tensor.Matrix
 		ck, logits = chainSegment(t, l, ck, 2, mcfg, tc, x, labels)

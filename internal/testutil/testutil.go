@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -170,4 +172,60 @@ func Golden(t *testing.T, marker, name string, withStderr bool, args ...string) 
 	if got != string(want) {
 		t.Errorf("%v: output differs from %s (-update rewrites it)\n--- got\n%s--- want\n%s", args, path, got, want)
 	}
+}
+
+// Canonical assembles one collect's per-rank checkpoints into the canonical
+// tensors a replica held: slot i's value, first and second moment, placed
+// from every checkpoint's own primary pieces. It fails the test unless the
+// primary pieces cover every element exactly once and every other piece —
+// a replica's copy or a buddy's — holds the same bits.
+func Canonical(t testing.TB, cks []*parallel.Checkpoint) [][3]*tensor.Matrix {
+	t.Helper()
+	out := make([][3]*tensor.Matrix, len(cks[0].Slots))
+	for i, e := range cks[0].Slots {
+		covered := make([]int, e.Rows*e.Cols)
+		for k := range out[i] {
+			out[i][k] = tensor.New(e.Rows, e.Cols)
+		}
+		for _, ck := range cks {
+			e := ck.Slots[i]
+			if !e.Primary {
+				continue
+			}
+			for _, p := range e.Pieces[:e.Own] {
+				for k, src := range [...]*tensor.Matrix{e.Value, e.M, e.V} {
+					for r := range p.Rows {
+						copy(out[i][k].Row(p.Row + r)[p.Col:p.Col+p.Cols], src.Data[p.Off+r*p.Cols:p.Off+(r+1)*p.Cols])
+					}
+				}
+				for r := range p.Rows {
+					for c := range p.Cols {
+						covered[(p.Row+r)*e.Cols+p.Col+c]++
+					}
+				}
+			}
+		}
+		for j, n := range covered {
+			if n != 1 {
+				t.Fatalf("slot %d element %d is in %d primary pieces, want 1", i, j, n)
+			}
+		}
+		for _, ck := range cks {
+			e := ck.Slots[i]
+			for _, p := range e.Pieces {
+				for k, src := range [...]*tensor.Matrix{e.Value, e.M, e.V} {
+					for r := range p.Rows {
+						for c := range p.Cols {
+							got, want := src.Data[p.Off+r*p.Cols+c], out[i][k].At(p.Row+r, p.Col+c)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("rank %d slot %d tensor %d (%d, %d): a piece holds %x, the primary %x",
+									ck.Rank, i, k, p.Row+r, p.Col+c, math.Float64bits(got), math.Float64bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
 }

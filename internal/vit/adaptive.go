@@ -104,8 +104,8 @@ type AdaptiveRun struct {
 	PredictedStepSeconds float64
 
 	// CollectSeconds and RestoreSeconds price the re-layout itself: the
-	// checkpoint all-reduces on the degraded cluster and the re-shard
-	// broadcasts on the healthy one. Zero when no re-layout happened.
+	// buddy exchange on the degraded cluster and the re-shard on the
+	// healthy one. Zero when no re-layout happened.
 	CollectSeconds, RestoreSeconds float64
 
 	// TotalSeconds is the end-to-end simulated time: training, checkpoint,
@@ -265,7 +265,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		// to the clock that TotalSeconds accumulates.
 		c2 := newCluster(len(healthy), cfg.Faults.Remap(healthy))
 		mon = c2.AttachMonitor(cfg.Monitor)
-		next, collect, restore, err := s.Relayout(c2, to)
+		next, collect, restore, err := s.Relayout(c2, to, healthy...)
 		if err != nil {
 			return nil, err
 		}

@@ -77,11 +77,11 @@ func (sb *StepBencher) StepsCheckpointed(n int, cks []*parallel.Checkpoint) erro
 	})
 }
 
-// Restore re-shards a checkpoint onto every rank's model and optimiser —
-// the same-layout restore path, used to measure re-shard cost against step
-// cost on one persistent cluster.
-func (sb *StepBencher) Restore(ck *parallel.Checkpoint) error {
-	_, err := sb.Reshard(ck)
+// Restore re-shards per-rank checkpoints onto every rank's model and
+// optimiser — the same-layout restore path, used to measure re-shard cost
+// against step cost on one persistent cluster.
+func (sb *StepBencher) Restore(cks []*parallel.Checkpoint) error {
+	_, err := sb.Reshard(cks)
 	return err
 }
 

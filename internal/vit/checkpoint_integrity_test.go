@@ -57,10 +57,10 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 		t.Fatalf("Verify checked a checksum-less slot: %v", err)
 	}
 
-	// Restore refuses the corrupt snapshot. Last, because the root's error
+	// Restore refuses the corrupt snapshot. Last, because the holder's error
 	// aborts the simulated cluster like a real node loss would.
 	row[0] = math.Float64frombits(math.Float64bits(orig) ^ 1)
-	if err := sb.Restore(ck); !errors.Is(err, parallel.ErrCheckpointCorrupt) {
+	if err := sb.Restore(cks); !errors.Is(err, parallel.ErrCheckpointCorrupt) {
 		t.Fatalf("Restore accepted a corrupt checkpoint: %v", err)
 	}
 }

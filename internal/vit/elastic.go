@@ -45,10 +45,11 @@ type ElasticRun struct {
 	Losses   []float64
 
 	// CollectSeconds is the simulated cost of snapshotting the model into
-	// the replicated checkpoint at the From layout (per-slot all-reduces).
+	// per-rank checkpoints at the From layout (the buddy exchange).
 	CollectSeconds float64
-	// RestoreSeconds is the simulated cost of re-sharding the checkpoint
-	// onto the To layout (per-slot broadcasts over the new group).
+	// RestoreSeconds is the simulated cost of re-sharding the survivors'
+	// checkpoints onto the To layout (the agreement round and one
+	// all-reduce per slot whose placement changes).
 	RestoreSeconds float64
 	// StepSeconds is the steady-state training-step cost at the To layout,
 	// averaged over the post-reshard steps.

@@ -191,34 +191,29 @@ func TestRestoreBitwise(t *testing.T) {
 	if err := sb.StepsCheckpointed(1, cks); err != nil {
 		t.Fatalf("StepsCheckpointed: %v", err)
 	}
-	ck := cks[0]
 	// Clobber: run more steps so every weight and moment moves on.
 	if err := sb.Steps(2); err != nil {
 		t.Fatalf("Steps: %v", err)
 	}
-	if err := sb.Restore(ck); err != nil {
+	if err := sb.Restore(cks); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	after := make([]*parallel.Checkpoint, 8)
 	if err := collectAll(sb, after); err != nil {
 		t.Fatalf("collect after restore: %v", err)
 	}
-	if len(after[0].Slots) != len(ck.Slots) {
-		t.Fatalf("slot count changed: %d vs %d", len(after[0].Slots), len(ck.Slots))
-	}
-	if after[0].Step != ck.Step {
-		t.Errorf("step count %d survived restore as %d", ck.Step, after[0].Step)
-	}
-	for i := range ck.Slots {
-		a, b := ck.Slots[i], after[0].Slots[i]
-		if d := a.Value.MaxAbsDiff(b.Value); d != 0 {
-			t.Errorf("slot %d value differs after round-trip: %g", i, d)
+	for r, ck := range cks {
+		if len(after[r].Slots) != len(ck.Slots) {
+			t.Fatalf("rank %d: slot count changed: %d vs %d", r, len(after[r].Slots), len(ck.Slots))
 		}
-		if d := a.M.MaxAbsDiff(b.M); d != 0 {
-			t.Errorf("slot %d first moment differs after round-trip: %g", i, d)
+		if after[r].Step != ck.Step {
+			t.Errorf("rank %d: step count %d survived restore as %d", r, ck.Step, after[r].Step)
 		}
-		if d := a.V.MaxAbsDiff(b.V); d != 0 {
-			t.Errorf("slot %d second moment differs after round-trip: %g", i, d)
+		for i := range ck.Slots {
+			a, b := ck.Slots[i], after[r].Slots[i]
+			if !a.Value.Equal(b.Value) || !a.M.Equal(b.M) || !a.V.Equal(b.V) || a.Sum != b.Sum {
+				t.Errorf("rank %d: slot %d differs after round-trip", r, i)
+			}
 		}
 	}
 }

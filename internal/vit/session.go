@@ -31,9 +31,9 @@ type Session struct {
 	opts    []*nn.Adam
 	batches []trainBatch
 
-	step     int   // trainer steps taken; indexes the epoch-shuffled batch sequence
-	batchErr error // why the train batch is unusable; Train reports it
-	cks      []*parallel.Checkpoint
+	step     int                    // trainer steps taken; indexes the epoch-shuffled batch sequence
+	batchErr error                  // why the train batch is unusable; Train reports it
+	cks      []*parallel.Checkpoint // the last Collect's, by rank
 
 	// The active run's operation and its arguments, which onRank, bound
 	// once, hands every rank (see run).
@@ -44,9 +44,9 @@ type Session struct {
 
 // runArg is what an operation reads besides the session.
 type runArg struct {
-	losses  []float64            // train: rank 0 records the step losses
-	correct *int                 // train: rank 0's correct count, if wanted
-	from    *parallel.Checkpoint // Reshard: the checkpoint to install
+	losses  []float64              // train: rank 0 records the step losses
+	correct *int                   // train: rank 0's correct count, if wanted
+	from    []*parallel.Checkpoint // Reshard: the checkpoints to install, by new rank
 }
 
 // trainBatch is one rank's copy of the trainer's current batch, rebuilt in
@@ -148,8 +148,9 @@ func (s *Session) Replan(topo plan.Topology, algos []plan.Algo, budget int) (par
 	return parallel.Validate(best.Grid)
 }
 
-// run executes op on every rank of the layout, with arg in s.arg; surplus
-// cluster ranks idle. Only the steady-state verbs — Train, Collect and
+// run executes op on every rank of the layout — and on every rank past it
+// that holds one of arg.from — with arg in s.arg; surplus cluster ranks
+// idle. Only the steady-state verbs — Train, Collect and
 // Reshard — pass their arguments through runArg to a method expression, so
 // that they allocate nothing but their result; every other operation
 // (construction, EvalLogits, the StepBencher's fixed-batch loops) passes a
@@ -171,7 +172,7 @@ func (s *Session) run(arg runArg, op func(s *Session, w *dist.Worker) error) err
 
 // runOp runs the active operation on one rank.
 func (s *Session) runOp(w *dist.Worker) error {
-	if w.Rank() >= s.l.Ranks {
+	if w.Rank() >= max(s.l.Ranks, len(s.arg.from)) {
 		return nil
 	}
 	return s.op(s, w)
@@ -322,69 +323,108 @@ func (s *Session) collect(w *dist.Worker, cks []*parallel.Checkpoint) error {
 	return err
 }
 
-// Collect snapshots model and optimiser into the session's replicated
-// checkpoint (every rank holds an identical replica; the buffers are reused
-// by later Collects) and returns the simulated seconds the per-slot
-// all-reduces added to the cluster's largest clock.
+// Collect snapshots model and optimiser into the session's checkpoints —
+// every rank its own pieces plus its buddy's; the buffers are reused by
+// later Collects — and returns the simulated seconds the buddy exchange
+// added to the cluster's largest clock.
 func (s *Session) Collect() (float64, error) {
 	pre := s.c.MaxClock()
 	err := s.run(runArg{}, (*Session).collectRank)
 	return s.c.MaxClock() - pre, err
 }
 
-// Checkpoint returns the last Collect's replica as held by a rank that is
-// still alive — after a node loss the dead rank's memory is gone, and the
-// replicas are identical — or nil if there is none.
-func (s *Session) Checkpoint() *parallel.Checkpoint {
-	if s.c.Failure() == nil {
-		return s.cks[0] // every rank survives; skip listing them
+// Checkpoint returns the last Collect's checkpoints of the ranks still alive,
+// in rank order — after a node loss the dead rank's memory is gone, and its
+// buddy holds its pieces — or nil if there is none.
+func (s *Session) Checkpoint() []*parallel.Checkpoint {
+	if s.c.Failure() != nil {
+		return s.checkpointsOf(s.c.Survivors())
 	}
-	for _, r := range s.c.Survivors() {
-		if r < s.l.Ranks {
-			return s.cks[r]
-		}
+	if s.cks[0] == nil {
+		return nil
 	}
-	return nil
+	return s.cks // every rank survives; skip listing them
 }
 
-// Reshard installs a checkpoint collected under any layout onto this
+// checkpointsOf returns the last Collect's checkpoints of the given ranks
+// that the layout holds, or nil if there is none.
+func (s *Session) checkpointsOf(ranks []int) []*parallel.Checkpoint {
+	var out []*parallel.Checkpoint
+	for _, r := range ranks {
+		if r < s.l.Ranks && s.cks[r] != nil {
+			out = append(out, s.cks[r])
+		}
+	}
+	return out
+}
+
+// Reshard installs checkpoints collected under any layout onto this
 // session's model and optimiser, and returns the simulated seconds the
-// per-slot broadcasts added to the cluster's largest clock. The step counter
-// is left alone: a checkpoint does not know where in the batch sequence its
-// trainer stood (Relayout carries that).
-func (s *Session) Reshard(ck *parallel.Checkpoint) (float64, error) {
+// restore added to the cluster's largest clock. cks[j] seeds cluster rank
+// j — the j-th surviving old rank's, as Checkpoint lists them; those past
+// the cluster's size are left out, and their pieces come from their
+// buddies. A rank past the layout that holds one still takes part
+// (parallel.Contribute). The step counter is left alone: a checkpoint does
+// not know where in the batch sequence its trainer stood (Relayout carries
+// that).
+func (s *Session) Reshard(cks []*parallel.Checkpoint) (float64, error) {
+	cks = cks[:min(len(cks), s.c.WorldSize())]
+	if len(cks) == 0 {
+		return 0, fmt.Errorf("vit: reshard onto %s: no checkpoint", s.l)
+	}
+	for _, ck := range cks {
+		if ck == nil || ck.Ranks != cks[0].Ranks {
+			return 0, fmt.Errorf("vit: reshard onto %s: the checkpoints are not one collect's", s.l)
+		}
+	}
+	if n := parallel.RestoreRanks(s.c.WorldSize(), s.l.Ranks, cks[0].Ranks); n > max(s.l.Ranks, len(cks)) {
+		return 0, fmt.Errorf("vit: reshard onto %s: %d checkpoints of a %d-rank layout leave ranks [%d, %d) of the cluster with neither",
+			s.l, len(cks), cks[0].Ranks, max(s.l.Ranks, len(cks)), n)
+	}
 	pre := s.c.MaxClock()
-	err := s.run(runArg{from: ck}, (*Session).restoreRank)
+	err := s.run(runArg{from: cks}, (*Session).restoreRank)
 	return s.c.MaxClock() - pre, err
 }
 
 // restoreRank is Reshard's operation on one rank.
 func (s *Session) restoreRank(w *dist.Worker) error {
 	r := w.Rank()
-	return parallel.Restore(s.fams[r], s.models[r], s.opts[r], s.arg.from)
+	var ck *parallel.Checkpoint
+	if r < len(s.arg.from) {
+		ck = s.arg.from[r]
+	}
+	if r >= s.l.Ranks {
+		return parallel.Contribute(w, ck)
+	}
+	return parallel.Restore(s.fams[r], s.models[r], s.opts[r], ck)
 }
 
 // Relayout moves training onto layout l on cluster c — which may be this
 // session's own cluster, a recovered one or a fresh one — and returns the new
 // session, continuing this one's step sequence. A live session is collected
 // first and the collect seconds land on its cluster's clock; one whose
-// cluster has failed cannot be, so the checkpoint from its last Collect is
-// what moves (collect is then 0). The re-shard seconds land on c's clock.
-func (s *Session) Relayout(c *dist.Cluster, l parallel.Layout) (to *Session, collect, restore float64, err error) {
+// cluster has failed cannot be, so the checkpoints from its last Collect are
+// what move (collect is then 0). holders lists the old ranks whose
+// checkpoints seed c's ranks 0, 1, …; none means every rank still alive.
+// The re-shard seconds land on c's clock.
+func (s *Session) Relayout(c *dist.Cluster, l parallel.Layout, holders ...int) (to *Session, collect, restore float64, err error) {
 	if s.c.Failure() == nil {
 		if collect, err = s.Collect(); err != nil {
 			return nil, 0, 0, err
 		}
 	}
-	ck := s.Checkpoint()
-	if ck == nil {
+	cks := s.Checkpoint()
+	if len(holders) > 0 {
+		cks = s.checkpointsOf(holders)
+	}
+	if cks == nil {
 		return nil, 0, 0, fmt.Errorf("vit: relayout of %s: no checkpoint was collected before its cluster failed", s.l)
 	}
 	if to, err = NewSession(c, l, s.ds, s.mcfg, s.tc); err != nil {
 		return nil, 0, 0, err
 	}
 	to.step = s.step
-	if restore, err = to.Reshard(ck); err != nil {
+	if restore, err = to.Reshard(cks); err != nil {
 		return nil, 0, 0, err
 	}
 	return to, collect, restore, nil
