@@ -246,7 +246,6 @@ func BenchmarkStraggler(b *testing.B) {
 	fp := &dist.FaultPlan{Ranks: []dist.RankFault{{Rank: 7, From: probe, To: dist.Forever, Factor: 4}}}
 	cfg := vit.AdaptiveConfig{
 		TotalSteps: total,
-		Probe:      probe,
 		Monitor:    dist.MonitorConfig{Window: probe, K: 2, W: 3},
 		Faults:     fp,
 		Algos:      algos,

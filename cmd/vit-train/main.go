@@ -173,8 +173,10 @@ func main() {
 			fatalf("-chaos needs at least %d total steps so the fault lands after a clean probe window (raise -epochs or -train-per-class)", 4*chaosProbe)
 		}
 	case *elastic:
-		if layouts[0].Ranks < 2 {
-			fatalf("-elastic needs a layout of at least 2 ranks to lose one, %s has %d", layouts[0], layouts[0].Ranks)
+		// The replan budget keeps the model distributed (replanBudget), so
+		// a lost rank must leave at least two survivors.
+		if layouts[0].Ranks < 3 {
+			fatalf("-elastic needs a layout of at least 3 ranks, %s has %d: the replan keeps the model on 2 or more survivors", layouts[0], layouts[0].Ranks)
 		}
 		if total < 2 {
 			fatalf("-elastic needs at least 2 total steps (raise -epochs or -train-per-class)")
@@ -372,7 +374,6 @@ func runChaos(from parallel.Layout, seed uint64, total int, ds *vit.Dataset, mcf
 	fp := dist.NewChaosPlan(seed, from.Ranks, total)
 	run, err := vit.TrainAdaptive(from, vit.AdaptiveConfig{
 		TotalSteps: total,
-		Probe:      chaosProbe,
 		Monitor:    dist.MonitorConfig{Window: chaosProbe, K: 1.5, W: 3},
 		Faults:     fp,
 		Algos:      tables.DefaultAlgos(),

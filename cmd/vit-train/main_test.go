@@ -128,8 +128,11 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"chaos/plan", []string{"-chaos", "-plan", "4"}, "-plan 4"},
 		{"serve/plan", []string{"-serve", "-plan", "4"}, "-plan 4"},
 		{"elastic/plan", []string{"-elastic", "-plan", "4"}, "-plan 4"},
-		// One rank has no survivor: this used to train, then fail to replan.
-		{"elastic/one rank", []string{"-elastic", "-family", "megatron", "-ranks", "1"}, "at least 2 ranks"},
+		// One rank has no survivor, and one survivor of two cannot hold the
+		// model under the distributed replan budget: both used to train,
+		// then fail to replan.
+		{"elastic/one rank", []string{"-elastic", "-family", "megatron", "-ranks", "1"}, "at least 3 ranks"},
+		{"elastic/two ranks", []string{"-elastic", "-family", "seqpar", "-ranks", "2"}, "at least 3 ranks, seqpar [2] has 2"},
 	} {
 		t.Run(mis.name, func(t *testing.T) {
 			code, stdout, stderr := vitTrain(t, mis.args...)

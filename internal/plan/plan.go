@@ -216,8 +216,9 @@ func search[P any](w Workload, t Topology, algos []Algo, what string, admit func
 	}
 	if len(out) == 0 {
 		if tightest.Family != "" {
-			return nil, fmt.Errorf("plan: %w within %s per rank (smallest candidate %s needs %s)",
-				ErrNoFeasible, FormatBytes(t.MemoryBudget), tightest, FormatBytes(tightest.Predicted.MemoryBytes))
+			need := tightest.Predicted.MemoryBytes
+			return nil, fmt.Errorf("plan: %w within %s per rank (smallest candidate %s needs %s, %s over)",
+				ErrNoFeasible, FormatBytes(t.MemoryBudget), tightest, FormatBytes(need), FormatBytes(need-t.MemoryBudget))
 		}
 		constraint := "within"
 		if t.ExactRanks {

@@ -101,13 +101,20 @@ func TestBestPlanRespectsMemoryBudget(t *testing.T) {
 	if !reflect.DeepEqual(plans, fit) {
 		t.Fatalf("budgeted ranking\n%v\nis not the unbudgeted one minus what does not fit\n%v", plans, fit)
 	}
-	// An unsatisfiable budget errors with the tightest candidate named.
+	// An unsatisfiable budget errors with the tightest candidate named and
+	// its shortfall, which tells a budget one byte short from one far off
+	// when both round to the same size.
 	_, err = plan.Search(table1, plan.Topology{RankBudget: 64, MemoryBudget: 1 << 10}, algos())
 	if err == nil || !strings.Contains(err.Error(), "no feasible layout") {
 		t.Fatalf("1 KiB budget must fail with a diagnostic, got %v", err)
 	}
-	if want := smallest.String() + " needs " + plan.FormatBytes(smallest.Predicted.MemoryBytes); !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name the tightest candidate (%s)", err, want)
+	need := smallest.Predicted.MemoryBytes
+	if want := smallest.String() + " needs " + plan.FormatBytes(need) + ", " + plan.FormatBytes(need-1<<10) + " over"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the tightest candidate and its shortfall (%s)", err, want)
+	}
+	_, err = plan.Search(table1, plan.Topology{RankBudget: 64, MemoryBudget: need - 1}, algos())
+	if want := smallest.String() + " needs " + plan.FormatBytes(need) + ", 1B over)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a budget one byte short: error %v, want it to contain %q", err, want)
 	}
 }
 

@@ -41,9 +41,6 @@ func MeasureLayout(p plan.ServingPlan, w plan.Workload, t plan.Topology) (plan.S
 	if unit > w.Batch {
 		return plan.ServingMeasurement{}, fmt.Errorf("serve: layout %s needs %d sequences per forward, workload batches %d", l, unit, w.Batch)
 	}
-	if err := parallel.CheckActivation(l, w.Batch, w.SeqLen, w.Hidden, w.Heads); err != nil {
-		return plan.ServingMeasurement{}, err
-	}
 	full, err := measureTrace(l, w, t, w.Batch)
 	if err != nil {
 		return plan.ServingMeasurement{}, err
@@ -88,9 +85,11 @@ func (m measured) meanService() float64 {
 }
 
 // measureTrace runs measureBatches saturated batches of `batch` requests
-// (one sequence each) through the phantom layer stack on a fresh cluster.
-// Every rank runs the identical event loop; service durations come from the
-// all-gathered clock maximum, exactly as in Server.Serve.
+// (one sequence each) through the phantom layer stack on a fresh cluster
+// (parallel.NewPhantomReplay, which refuses an activation the layout cannot
+// split before the cluster is built). Every rank runs the identical event
+// loop; service durations come from the all-gathered clock maximum, exactly
+// as in Server.Serve.
 func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int) (measured, error) {
 	// Saturated probe: zero budget seals batches as soon as the server is
 	// free, and the queue holds the whole burst so nothing is rejected.
@@ -99,16 +98,18 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 	if err != nil {
 		return measured{}, err
 	}
-	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: t.GPUsPerNode, Cost: t.Cost})
+	rp, err := parallel.NewPhantomReplay(dist.New, dist.Config{GPUsPerNode: t.GPUsPerNode, Cost: t.Cost},
+		l, batch, w.SeqLen, w.Hidden, w.Heads, w.Layers)
+	if err != nil {
+		return measured{}, err
+	}
+	c := rp.Cluster()
 	defer c.Close()
 	unit := l.RowShards()
 	var rep *Report
-	err = c.Run(func(wk *dist.Worker) error {
-		f, err := parallel.New(wk, l)
-		if err != nil {
-			return err
-		}
-		st := parallel.NewPhantomStack(f, batch, w.SeqLen, w.Hidden, w.Heads, w.Layers)
+	_, err = rp.Phase(func(st *parallel.Stack) {
+		f := st.Family
+		wk := f.Worker()
 		sync := newClockSync(c)
 		prev := sync.now(wk)
 		tr := runTrace(cfg, arrivals, func(ids []int) (int, float64) {
@@ -125,7 +126,6 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 		if wk.Rank() == 0 {
 			rep = tr.report()
 		}
-		return nil
 	})
 	if err != nil {
 		return measured{}, err

@@ -133,11 +133,11 @@ func MulABT(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 	var bps [2]*tensor.Matrix
 	var reducing [2]bool
 	var out *tensor.Matrix
-	hB[0], bps[0] = prefetchColOwnerRow(p, 0, b, bPanels[0])
+	hB[0], bps[0] = prefetchColPanel(p, 0, b, bPanels[0])
 	for j := 0; j < p.Shape.Q; j++ {
 		cur := j % 2
 		if nj := j + 1; nj < p.Shape.Q {
-			hB[nj%2], bps[nj%2] = prefetchColOwnerRow(p, nj, b, bPanels[nj%2])
+			hB[nj%2], bps[nj%2] = prefetchColPanel(p, nj, b, bPanels[nj%2])
 		}
 		hB[cur].Wait()
 		if reducing[cur] {
@@ -232,7 +232,8 @@ func prefetchRowPanel(p *mesh.Proc, t int, a, panel *tensor.Matrix) (dist.Handle
 }
 
 // prefetchColPanel is prefetchRowPanel for B panels down the grid column
-// (owner at grid row t of this column). A b that comes packed (tensor.PackNN)
+// (owner at grid row t of this column), for MulAB and MulABT alike. A b that
+// comes packed (tensor.PackNN; only a forward-only run's MulAB operand does)
 // is a weight block its caller vouches nobody writes before the Run ends —
 // every rank of the column passes its own block that way or none does — so
 // the owner lends it and the others multiply against it where it lies: the
@@ -248,15 +249,6 @@ func prefetchColPanel(p *mesh.Proc, t int, b, panel *tensor.Matrix) (dist.Handle
 		return p.Col.IBroadcastInto(p.W, p.ColRank(t), b, b), b
 	}
 	return p.Col.IBroadcastInto(p.W, p.ColRank(t), nil, panel), panel
-}
-
-// prefetchColOwnerRow issues MulABT's iteration-j broadcast of B[j, J] down
-// the column: the owner sits at grid row j.
-func prefetchColOwnerRow(p *mesh.Proc, j int, b, panel *tensor.Matrix) (dist.Handle, *tensor.Matrix) {
-	if p.I == j {
-		return p.Col.IBroadcastInto(p.W, p.ColRank(j), b, b), b
-	}
-	return p.Col.IBroadcastInto(p.W, p.ColRank(j), nil, panel), panel
 }
 
 // DistributeB slices a global matrix into the q×q B-distribution of the

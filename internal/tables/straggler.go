@@ -87,7 +87,6 @@ func StragglerStudy() ([]StragglerPoint, error) {
 			}}}
 			run, err := vit.TrainAdaptive(from, vit.AdaptiveConfig{
 				TotalSteps: totalSteps,
-				Probe:      probe,
 				// K 1.5 keeps the 2× straggler detectable: the test is
 				// strict (busy > K × median busy) and the last rank's own
 				// compute need not equal the median rank's, so at K 2 a

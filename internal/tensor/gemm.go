@@ -1,7 +1,5 @@
 package tensor
 
-import "runtime"
-
 // GEMM execution strategy. One register-tiled micro-kernel serves all three
 // orientations (C += A·B, C = A·Bᵀ, C += Aᵀ·B):
 //
@@ -17,17 +15,18 @@ import "runtime"
 //     in front of it. A is read in place through a row stride and a k
 //     stride (swapped for Aᵀ). B reaches the kernel as a [kc][gemmNR] strip
 //     panel on the stack (pack.go) that stays cache-resident while the
-//     band's row tiles stream past it: a row copy for B, a gather of
+//     row tiles of C stream past it: a row copy for B, a gather of
 //     gemmNR rows for Bᵀ. C = A·Bᵀ overwrites, so its first k block starts
 //     the accumulators from zero instead of reading C. A B that arrives
 //     already packed (PackNN's view, NN only) is read strip by strip where
 //     it lies, at full depth, with no panel at all;
 //   - ragged edges (rows%gemmMR, cols%gemmNR) run the same kernel on a
-//     full-size stack tile and copy the valid corner back;
-//   - row-band parallelism over the rows of C through the persistent worker
-//     pool (pool.go), gated behind a flop threshold so tiny test matrices
-//     stay serial. Banding never changes results: each C row's arithmetic
-//     is independent and identical in any band split.
+//     full-size stack tile and copy the valid corner back.
+//
+// A GEMM runs on its caller's goroutine. The simulated cluster already runs
+// one goroutine per rank, so the host's cores are busy without a second
+// level of parallelism inside each product, and the package starts no
+// goroutine of its own.
 const (
 	// gemmMR×gemmNR is the C tile: four rows of two 4-lane vectors, eight
 	// accumulators, which with two B vectors and the broadcast/product
@@ -40,9 +39,6 @@ const (
 	gemmKC = 256
 	// gemmKCShallow is the depth of the small panel (see gemmRows).
 	gemmKCShallow = 32
-	// gemmParallelFlops gates row banding: below 2·m·n·k of one million
-	// flops the hand-off overhead outweighs the help.
-	gemmParallelFlops = 1 << 20
 )
 
 // tileAsm selects the assembly micro-kernel. The amd64 init sets it when the
@@ -61,37 +57,20 @@ const (
 	opTN               // C += Aᵀ·B
 )
 
-// gemmBands picks the number of row bands for a kernel of the given flop
-// count and row count.
-func gemmBands(flops float64, rows int) int {
-	if flops < gemmParallelFlops || rows < 2 {
-		return 1 // before GOMAXPROCS, which takes the scheduler lock
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if procs <= 1 {
-		return 1
-	}
-	if procs > rows {
-		return rows
-	}
-	return procs
+// gemmTask is one GEMM's orientation and operands.
+type gemmTask struct {
+	op      gemmOp
+	c, a, b *Matrix
 }
 
-// bandRange splits [0, rows) into bands of near-equal size.
-func bandRange(rows, band, bands int) (int, int) {
-	lo := rows * band / bands
-	hi := rows * (band + 1) / bands
-	return lo, hi
-}
-
-// gemm runs one GEMM of the given orientation over all rows of C, banded
-// through the pool, applying the epilogue to each band as it finishes.
+// gemm runs one GEMM of the given orientation over all rows of C, then
+// applies the epilogue to them.
 func gemm(op gemmOp, c, a, b *Matrix, epi epilogue) {
 	if c.packed || a.packed || (b.packed && op != opNN) {
 		panic("tensor: a packed matrix (PackNN) is only the right operand of C += A·B")
 	}
-	t := gemmTask{op: op, c: c, a: a, b: b, epi: epi}
-	runGEMM(&t, c.Rows, gemmBands(GEMMFlops(float64(c.Rows), float64(c.Cols), float64(t.depth())), c.Rows))
+	gemmRows(&gemmTask{op: op, c: c, a: a, b: b})
+	epi.apply(c)
 }
 
 // depth is the inner dimension k of the task's product.
@@ -102,21 +81,21 @@ func (t *gemmTask) depth() int {
 	return t.a.Cols
 }
 
-// gemmRows runs the tile kernel over C rows [i0, i1) with a strip panel on
-// its own stack. Go zeroes a stack array on entry, and clearing gemmKC rows
+// gemmRows runs the tile kernel over all rows of C with a strip panel on its
+// own stack. Go zeroes a stack array on entry, and clearing gemmKC rows
 // costs more than the whole product of the Hidden-16 models, so products no
 // deeper than gemmKCShallow take a panel of that depth instead.
-func gemmRows(t *gemmTask, i0, i1 int) {
+func gemmRows(t *gemmTask) {
 	if t.b.packed {
-		gemmRowsPanel(t, i0, i1, nil) // B came packed (PackNN): no panel to fill
+		gemmRowsPanel(t, nil) // B came packed (PackNN): no panel to fill
 		return
 	}
 	if t.depth() <= gemmKCShallow {
 		var panel [gemmKCShallow * gemmNR]float64
-		gemmRowsPanel(t, i0, i1, panel[:])
+		gemmRowsPanel(t, panel[:])
 		return
 	}
-	gemmRowsDeep(t, i0, i1)
+	gemmRowsDeep(t)
 }
 
 // gemmRowsDeep is gemmRows with the full-depth panel; it is its own frame so
@@ -124,18 +103,18 @@ func gemmRows(t *gemmTask, i0, i1 int) {
 // never touch.
 //
 //go:noinline
-func gemmRowsDeep(t *gemmTask, i0, i1 int) {
+func gemmRowsDeep(t *gemmTask) {
 	var panel [gemmKC * gemmNR]float64
-	gemmRowsPanel(t, i0, i1, panel[:])
+	gemmRowsPanel(t, panel[:])
 }
 
 // gemmRowsPanel is the loop nest: k blocks of the panel's depth outermost,
-// then gemmNR-column strips of B packed once per block, then the band's row
-// tiles against the packed strip. A nil panel means B came packed: one k
+// then gemmNR-column strips of B packed once per block, then C's row tiles
+// against the packed strip. A nil panel means B came packed: one k
 // block of the whole depth, each strip read where PackNN left it.
-func gemmRowsPanel(t *gemmTask, i0, i1 int, panel []float64) {
+func gemmRowsPanel(t *gemmTask, panel []float64) {
 	c, a, b := t.c, t.a, t.b
-	n, k := c.Cols, t.depth()
+	m, n, k := c.Rows, c.Cols, t.depth()
 	kb := len(panel) / gemmNR
 	var strips []float64
 	if panel == nil {
@@ -146,7 +125,7 @@ func gemmRowsPanel(t *gemmTask, i0, i1 int, panel []float64) {
 		ars, aks = 1, a.Cols
 	}
 	if k == 0 && t.op == opNT {
-		clear(c.Data[i0*n : i1*n])
+		clear(c.Data[:m*n])
 	}
 	var edge [gemmMR * gemmNR]float64
 	for k0 := 0; k0 < k; k0 += kb {
@@ -162,8 +141,8 @@ func gemmRowsPanel(t *gemmTask, i0, i1 int, panel []float64) {
 			default:
 				packRows(panel, b.Data[k0*n+j0:], n, nr, kc)
 			}
-			for i := i0; i < i1; i += gemmMR {
-				mr := min(gemmMR, i1-i)
+			for i := 0; i < m; i += gemmMR {
+				mr := min(gemmMR, m-i)
 				at := a.Data[i*ars+k0*aks:]
 				if mr == gemmMR && nr == gemmNR {
 					gemmTile(c.Data[i*n+j0:], n, at, ars, aks, mr, panel, kc, zero)

@@ -40,24 +40,25 @@ func sprinkle(m *Matrix, mask uint8, rng *RNG) {
 }
 
 // FuzzGEMMBitwise draws a shape biased to the tile edges (every m%gemmMR and
-// n%gemmNR, depths from fuzzDepths), an orientation, an epilogue, a band
-// count and a sprinkle of NaN/±Inf/−0, and demands that the tiled kernel
+// n%gemmNR, depths from fuzzDepths), an orientation, an epilogue and a
+// sprinkle of NaN/±Inf/−0, and demands that the tiled kernel
 // equals the naive kernel followed by the separate bias and GELU passes, bit
 // for bit — once on the micro-kernel the CPU selected and once with tileAsm
 // cleared, so the portable twin runs through the same loop nest on amd64 too.
 // An NN product runs a second time against PackNN's view of B, packed under
-// the same binding: the pre-packed operand must not move a bit either.
+// the same binding: the pre-packed operand must not move a bit either. The
+// sixth byte is unused; it stays in the signature so the committed corpus
+// under testdata keeps decoding.
 func FuzzGEMMBitwise(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint64(1))     // full tiles, shallow panel
 	f.Add(uint8(4), uint8(8), uint8(12), uint8(1), uint8(1), uint8(2), uint8(1), uint64(2))    // ragged NT across the deep panel, NaN
 	f.Add(uint8(16), uint8(0), uint8(0), uint8(1), uint8(2), uint8(5), uint8(6), uint64(3))    // k = 0: NT must still overwrite
 	f.Add(uint8(6), uint8(33), uint8(13), uint8(2), uint8(2), uint8(16), uint8(15), uint64(4)) // TN, two deep blocks, every special
 	f.Add(uint8(0), uint8(2), uint8(9), uint8(0), uint8(1), uint8(0), uint8(8), uint64(5))     // one row, half a strip, −0
-	f.Fuzz(func(t *testing.T, mb, nb, kb, opb, epib, bandb, special uint8, seed uint64) {
+	f.Fuzz(func(t *testing.T, mb, nb, kb, opb, epib, _, special uint8, seed uint64) {
 		m, n := 1+int(mb)%19, 1+int(nb)%35
 		k := fuzzDepths[int(kb)%len(fuzzDepths)]
 		op := gemmOp(opb % 3)
-		bands := 1 + int(bandb)%m
 		rng := NewRNG(seed)
 
 		a, b := RandomMatrix(m, k, rng), RandomMatrix(k, n, rng)
@@ -96,12 +97,12 @@ func FuzzGEMMBitwise(f *testing.F) {
 			}
 			for _, b := range rights {
 				got := seedC.Clone()
-				runGEMM(&gemmTask{op: op, c: got, a: a, b: b, epi: epi}, m, bands)
+				gemm(op, got, a, b, epi)
 				if !sameBits(got, want) {
-					t.Fatalf("op %d %dx%dx%d bands %d asm %v packed %v: C diverges from naive", op, m, k, n, bands, asm, b.Packed())
+					t.Fatalf("op %d %dx%dx%d asm %v packed %v: C diverges from naive", op, m, k, n, asm, b.Packed())
 				}
 				if epi.act != nil && !sameBits(epi.act, wantAct) {
-					t.Fatalf("op %d %dx%dx%d bands %d asm %v packed %v: fused GELU diverges", op, m, k, n, bands, asm, b.Packed())
+					t.Fatalf("op %d %dx%dx%d asm %v packed %v: fused GELU diverges", op, m, k, n, asm, b.Packed())
 				}
 			}
 		}

@@ -3,25 +3,24 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
-// The GEMM contract: at every shape — odd sizes, degenerate slivers, sizes
-// straddling the parallelism threshold — the tiled kernel in all three
-// orientations and any row-band split of it produce bitwise exactly the
-// naive reference results.
+// The GEMM contract: at every shape — odd sizes, degenerate slivers, depths
+// either side of the k block — the tiled kernel in all three orientations
+// produces bitwise exactly the naive reference results.
 
 func gemmShapes() []struct{ m, k, n int } {
 	return []struct{ m, k, n int }{
 		{1, 1, 1}, {1, 7, 1}, {3, 1, 5}, {2, 3, 2},
 		{5, 5, 5}, {7, 11, 13}, {8, 8, 8}, {9, 17, 33},
 		{16, 64, 16}, {31, 29, 37}, {64, 64, 64},
-		{65, 63, 67},  // just past the microkernel widths
-		{80, 80, 80},  // straddles gemmParallelFlops (2·80³ ≈ 1.02M)
-		{81, 79, 83},  // odd straddler
-		{96, 128, 96}, // above the threshold
+		{65, 63, 67}, // just past the microkernel widths
+		{80, 80, 80},
+		{81, 79, 83},
+		{96, 128, 96},
 		{1, 300, 257}, // k longer than gemmKC, sliver output
 		{257, 300, 1}, // single-column output
 	}
@@ -155,93 +154,24 @@ func TestNarrowOutputMatchesNaiveBitwise(t *testing.T) {
 		want := New(s.m, s.n)
 		matMulAccumNaive(want, a, b)
 		got := New(s.m, s.n)
-		gemmRows(&gemmTask{op: opNN, c: got, a: a, b: b}, 0, s.m)
+		gemmRows(&gemmTask{op: opNN, c: got, a: a, b: b})
 		if !got.Equal(want) {
 			t.Fatalf("%dx%dx%d: narrow-output kernel diverges from naive (max diff %g)", s.m, s.k, s.n, got.MaxAbsDiff(want))
 		}
 	}
 }
 
-// TestBandedGEMMBitwiseAtEveryBandCount forces every band split (including
-// counts this host would never pick) through the worker pool for all three
-// kernels and demands bitwise agreement with the single-band run — the
-// property that makes the parallelism threshold a pure performance knob.
-// Multi-band runs exercise the persistent pool's claim/wake/done path even
-// on hosts where gemmBands would stay serial.
-func TestBandedGEMMBitwiseAtEveryBandCount(t *testing.T) {
-	for _, s := range []struct{ m, k, n int }{
-		{1, 5, 9}, {5, 7, 11}, {13, 17, 19}, {64, 32, 48}, {81, 80, 79},
-	} {
-		rng := NewRNG(uint64(s.m + s.k + s.n))
-		a := RandomMatrix(s.m, s.k, rng)
-		b := RandomMatrix(s.k, s.n, rng)
-		aT := Transpose(a)
-		bNT := RandomMatrix(s.n, s.k, rng)
-
-		wantNN := New(s.m, s.n)
-		gemmRows(&gemmTask{op: opNN, c: wantNN, a: a, b: b}, 0, s.m)
-		wantNT := New(s.m, s.n)
-		gemmRows(&gemmTask{op: opNT, c: wantNT, a: a, b: bNT}, 0, s.m)
-		wantTN := New(s.m, s.n)
-		gemmRows(&gemmTask{op: opTN, c: wantTN, a: aT, b: b}, 0, s.m)
-
-		for bands := 1; bands <= s.m+1; bands++ {
-			gotNN := New(s.m, s.n)
-			gotNT := New(s.m, s.n)
-			gotTN := New(s.m, s.n)
-			tNN := gemmTask{op: opNN, c: gotNN, a: a, b: b}
-			tNT := gemmTask{op: opNT, c: gotNT, a: a, b: bNT}
-			tTN := gemmTask{op: opTN, c: gotTN, a: aT, b: b}
-			runGEMM(&tNN, s.m, bands)
-			runGEMM(&tNT, s.m, bands)
-			runGEMM(&tTN, s.m, bands)
-			if !gotNN.Equal(wantNN) {
-				t.Fatalf("%dx%dx%d: NN diverges at %d bands", s.m, s.k, s.n, bands)
-			}
-			if !gotNT.Equal(wantNT) {
-				t.Fatalf("%dx%dx%d: NT diverges at %d bands", s.m, s.k, s.n, bands)
-			}
-			if !gotTN.Equal(wantTN) {
-				t.Fatalf("%dx%dx%d: TN diverges at %d bands", s.m, s.k, s.n, bands)
-			}
-		}
-	}
-}
-
-// TestGEMMPoolHammer launches many concurrent forced-band GEMMs so the race
-// detector sweeps the pool's claim/wake/done/return protocol — the pattern
-// the simulated cluster produces with one submitting goroutine per rank.
-func TestGEMMPoolHammer(t *testing.T) {
-	const goroutines = 8
-	const iters = 30
-	rng := NewRNG(99)
-	a := RandomMatrix(33, 17, rng)
-	b := RandomMatrix(17, 21, rng)
-	want := New(33, 21)
-	gemmRows(&gemmTask{op: opNN, c: want, a: a, b: b}, 0, 33)
-
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := New(33, 21)
-			for it := 0; it < iters; it++ {
-				c.Zero()
-				task := gemmTask{op: opNN, c: c, a: a, b: b}
-				runGEMM(&task, 33, 1+(g+it)%7)
-				if !c.Equal(want) {
-					errs <- fmt.Sprintf("goroutine %d iter %d: pooled GEMM diverges", g, it)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+// TestGEMMRunsOnCallerGoroutine pins that a product large enough to have
+// been split across goroutines runs on its caller's: the simulated cluster's
+// rank goroutines are the host parallelism, and the package starts none.
+func TestGEMMRunsOnCallerGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := NewRNG(256)
+	a, b, c := RandomMatrix(256, 256, rng), RandomMatrix(256, 256, rng), New(256, 256)
+	before := runtime.NumGoroutine()
+	MatMulInto(c, a, b)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("a 256x256x256 MatMulInto moved the goroutine count from %d to %d", before, after)
 	}
 }
 
@@ -284,7 +214,7 @@ func TestGEMMSpecialValues(t *testing.T) {
 
 // TestGEMMIntoAllocatesNothing pins the strip panel to the stack: all three
 // orientations, at a shape on the shallow panel, one on the deep panel and
-// one large enough to band through the pool, run without a heap allocation.
+// a larger one, run without a heap allocation.
 func TestGEMMIntoAllocatesNothing(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{{8, 8, 32}, {9, 300, 13}, {96, 128, 96}} {
 		rng := NewRNG(uint64(s.m + s.k + s.n))

@@ -253,9 +253,7 @@ func (m *Matrix) AllClose(n *Matrix, tol float64) bool {
 }
 
 // Equal reports exact element equality (and equal shape).
-func (m *Matrix) Equal(n *Matrix) bool { return m.MaxAbsDiffOK(n) }
-
-func (m *Matrix) MaxAbsDiffOK(n *Matrix) bool {
+func (m *Matrix) Equal(n *Matrix) bool {
 	if !m.SameShape(n) {
 		return false
 	}

@@ -15,10 +15,9 @@ func phantomAny(ms ...*Matrix) bool {
 	return false
 }
 
-// MatMul returns C = A·B via the register-tiled kernel in gemm.go and, above
-// a size threshold on multi-core hosts, goroutine row-band parallelism.
-// Results are bitwise identical to the naive reference kernel in naive.go at
-// every size and band count.
+// MatMul returns C = A·B via the register-tiled kernel in gemm.go, on the
+// caller's goroutine. Results are bitwise identical to the naive reference
+// kernel in naive.go at every size.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -7,8 +7,8 @@ import "fmt"
 // L1 however wide B is (read in place, a gemmNR-column strip of a row-major
 // B touches one cache line per row at a stride of the full row — at the
 // power-of-two widths the models use those lines alias into one L1 set).
-// The panel belongs to the band that packs it: a stack array in gemmRows,
-// filled once per (k block, strip) and reused by every row tile of the band.
+// The panel belongs to the GEMM that packs it: a stack array in gemmRows,
+// filled once per (k block, strip) and reused by every row tile of C.
 //
 //   - B (NN, TN): packRows copies gemmNR consecutive elements of each row.
 //   - Bᵀ (NT): packCols gathers one element from each of gemmNR rows of B —

@@ -49,13 +49,11 @@ func TrainFaulty(l parallel.Layout, faults *dist.FaultPlan, cost dist.CostModel,
 type AdaptiveConfig struct {
 	// TotalSteps is the run length (≥ 1).
 	TotalSteps int
-	// Probe is how many steps each watchdog window trains before the
-	// monitor is consulted; detection and re-layout happen only at window
-	// boundaries, where reading the telemetry is race-free. Zero means the
-	// monitor's ring window.
-	Probe int
 	// Monitor tunes the straggler detector (zero fields take the
-	// dist.MonitorConfig defaults: window 8, K 2, W 3).
+	// dist.MonitorConfig defaults: window 8, K 2, W 3). Its window is also
+	// how many steps the watchdog trains before it consults the monitor;
+	// detection and re-layout happen only at window boundaries, where
+	// reading the telemetry is race-free.
 	Monitor dist.MonitorConfig
 	// Faults is the gray-failure schedule installed on the cluster; it
 	// follows the healthy ranks through a re-layout via FaultPlan.Remap.
@@ -114,7 +112,7 @@ type AdaptiveRun struct {
 	TotalSeconds float64
 }
 
-// TrainAdaptive is the gray-failure watchdog loop: train in probe windows,
+// TrainAdaptive is the gray-failure watchdog loop: train in monitor windows,
 // read the monitor between them, and on sustained straggler detection
 // checkpoint, replan over the healthy subset priced at the measured
 // effective cost model, re-shard, and resume — but only when the modeled
@@ -154,10 +152,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 
 	c := newCluster(from.Ranks, cfg.Faults)
 	mon := c.AttachMonitor(cfg.Monitor)
-	probe := cfg.Probe
-	if probe <= 0 {
-		probe = mon.Config().Window
-	}
+	window := mon.Config().Window
 	s, err := NewSession(c, from, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
@@ -165,7 +160,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 	wl := s.Workload()
 
 	for len(run.Losses) < cfg.TotalSteps {
-		losses, err := s.Train(min(probe, cfg.TotalSteps-len(run.Losses)))
+		losses, err := s.Train(min(window, cfg.TotalSteps-len(run.Losses)))
 		if err != nil {
 			return nil, err
 		}

@@ -119,7 +119,6 @@ func TestTrainAdaptiveRelayout(t *testing.T) {
 	fp := stragglerPlan(7, failFrom, 4)
 	cfg := AdaptiveConfig{
 		TotalSteps:   total,
-		Probe:        probe,
 		Monitor:      dist.MonitorConfig{Window: probe, K: 2, W: 3},
 		Faults:       fp,
 		Algos:        elasticAlgos(),
@@ -196,7 +195,6 @@ func TestTrainAdaptiveRideOutOnPayback(t *testing.T) {
 	from := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
 	cfg := AdaptiveConfig{
 		TotalSteps:   total,
-		Probe:        probe,
 		Monitor:      dist.MonitorConfig{Window: probe, K: 2, W: 3},
 		Faults:       stragglerPlan(7, probe, 4),
 		Algos:        elasticAlgos(),
@@ -237,7 +235,6 @@ func TestTrainAdaptiveNoFeasibleRideOut(t *testing.T) {
 	topo.MemoryBudget = 1 // nothing fits
 	run, err := TrainAdaptive(from, AdaptiveConfig{
 		TotalSteps: total,
-		Probe:      probe,
 		Monitor:    dist.MonitorConfig{Window: probe, K: 2, W: 3},
 		Faults:     stragglerPlan(7, probe, 4),
 		Algos:      elasticAlgos(),

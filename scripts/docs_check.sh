@@ -3,8 +3,8 @@
 # docs. Every relative link target referenced from README.md and docs/*.md
 # must exist in the repository, so the package map and the architecture
 # notes cannot silently rot as files move. It also holds the GEMM kernel to
-# what the docs promise of it: no fused multiply-add (docs/architecture.md §3),
-# and the tree to what the package map promises: no internal package that
+# what the docs promise of it: no fused multiply-add and no goroutine of its
+# own (docs/architecture.md §3), and the tree to what the package map promises: no internal package that
 # nothing shipped imports, and no family package restating its schedule as
 # cost-model arithmetic, its footprint as a memory formula, or the shared
 # attention and MLP modules as types of its own; dist to one way of moving
@@ -35,6 +35,14 @@ go vet ./... || fail=1
 # such instruction in the micro-kernel would break bitwise equality with them.
 if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/gemm_amd64.s >&2; then
     echo "docs_check: internal/tensor/gemm_amd64.s uses a fused multiply-add" >&2
+    fail=1
+fi
+
+# A kernel runs on its caller's goroutine: the simulated cluster's rank
+# goroutines are the host parallelism, so a step's host time belongs to one
+# rank. A go statement in internal/tensor is a second level growing back.
+if grep -nE '^[[:space:]]+go [A-Za-z_(]' $(ls internal/tensor/*.go | grep -v '_test\.go$') >&2; then
+    echo "docs_check: internal/tensor starts a goroutine" >&2
     fail=1
 fi
 
