@@ -76,6 +76,15 @@ func main() {
 	if err := dcfg.Check(); err != nil {
 		fatalf("%v", err)
 	}
+	// -train-per-class and -test-per-class default to 12 and 4 at the flags,
+	// so 0 is a request for no samples, not DataConfig's zero-means-default
+	// of 20 and 5.
+	if *train == 0 {
+		fatalf("-train-per-class 0: want 1 or more training samples per class")
+	}
+	if *test == 0 {
+		fatalf("-test-per-class 0: want 1 or more test samples per class")
+	}
 	if *planFor < 0 {
 		fatalf("-plan %d: want a rank budget of 1 or more (0 means no search)", *planFor)
 	}

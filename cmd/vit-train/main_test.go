@@ -63,6 +63,8 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"no hidden width", []string{"-hidden", "0"}, "hidden"},
 		{"negative hidden width", []string{"-hidden", "-4"}, "hidden"},
 		{"no classes", []string{"-classes", "0"}, "class count 0"},
+		{"no training samples", []string{"-train-per-class", "0"}, "-train-per-class 0"},
+		{"no test samples", []string{"-test-per-class", "0"}, "-test-per-class 0"},
 		{"negative layers", []string{"-layers", "-1"}, "layer"},
 		{"batch larger than the dataset", []string{"-batch", "64"}, "-batch 64"},
 		{"layout without ranks", []string{"-family", "megatron", "-ranks", "0"}, "rank count"},

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"sync"
@@ -97,12 +99,14 @@ type Cluster struct {
 	// goroutines alone. closed is set by Close. slots are the rank
 	// goroutines' start slots, made by the first full-cluster Run and closed
 	// (releasing the goroutines) by Close, by a poisoning Run's end or by
-	// cleanup once the cluster is unreachable.
+	// cleanup once the cluster is unreachable. id is the cluster's number in
+	// its rank goroutines' profiler labels, drawn when they start.
 	life    sync.Mutex
 	running bool
 	closed  bool
 	slots   []chan *Worker
 	cleanup runtime.Cleanup
+	id      string
 
 	// fn, errs and done are the active Run's function, the per-rank
 	// results and the count of ranks still running it.
@@ -256,6 +260,10 @@ func (c *Cluster) Run(fn func(w *Worker) error) error {
 	return c.abortedErr()
 }
 
+// clusterIDs numbers the full clusters whose rank goroutines have started,
+// in the order they started, for the "cluster" profiler label.
+var clusterIDs atomic.Uint64
+
 // begin claims the cluster for one Run, starting the rank goroutines on
 // the first full-cluster Run.
 func (c *Cluster) begin() error {
@@ -270,9 +278,10 @@ func (c *Cluster) begin() error {
 	c.running = true
 	if !c.solo && c.slots == nil {
 		c.slots = make([]chan *Worker, len(c.workers))
+		c.id = strconv.FormatUint(clusterIDs.Add(1), 10)
 		for r := range c.slots {
 			c.slots[r] = make(chan *Worker, 1)
-			go rankLoop(c.slots[r])
+			go rankLoop(c.slots[r], r, c.id)
 		}
 		// The cleanup holds the slots, never the cluster, so it does not
 		// keep the cluster reachable.
@@ -327,8 +336,11 @@ func closeSlots(slots []chan *Worker) {
 // rankLoop is one rank's goroutine: it runs the active Run's function for
 // each worker its slot delivers and exits when the slot closes. While parked
 // it holds the slot alone — never the worker or the cluster, which stay
-// collectable.
-func rankLoop(slot <-chan *Worker) {
+// collectable. It first sets its profiler labels, rank and cluster, once for
+// its lifetime, so `go tool pprof -tagfocus rank=3` splits any CPU profile
+// by rank.
+func rankLoop(slot <-chan *Worker, rank int, cluster string) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("rank", strconv.Itoa(rank), "cluster", cluster)))
 	for w := range slot {
 		w.c.runRank(w)
 	}
@@ -342,7 +354,7 @@ func (c *Cluster) runRank(w *Worker) {
 	exited := true
 	defer func() {
 		if exited {
-			go rankLoop(c.slots[w.rank])
+			go rankLoop(c.slots[w.rank], w.rank, c.id)
 		}
 		c.done.Done()
 	}()

@@ -25,6 +25,11 @@
 // end of a Run that poisoned the cluster, or by a runtime cleanup once the
 // collector finds the cluster unreachable.
 //
+// Each rank goroutine carries the runtime/pprof labels rank (its rank) and
+// cluster (the cluster's number, in the order clusters started their
+// goroutines in this process), set once when it starts, so any CPU profile
+// splits by rank: go tool pprof -tagfocus rank=3.
+//
 // # Solo clusters
 //
 // dist.NewSolo builds the same world but runs rank 0 alone, on the caller's

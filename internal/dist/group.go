@@ -20,7 +20,7 @@ import (
 type Group struct {
 	c     *Cluster
 	ranks []int
-	index map[int]int
+	step  int     // ranks[i] = ranks[0] + i·step; 0 when the list is no arithmetic progression
 	beta  float64 // per-byte cost of the slowest link the group spans
 
 	// mu serialises a full cluster's rounds: the pool and what finish
@@ -28,8 +28,9 @@ type Group struct {
 	// the goroutine running its exclusive Run touches its groups.
 	mu    sync.Mutex
 	open  []*round // incomplete operations, oldest first
-	spare []*round // retired rounds, recycled to keep collectives off the allocator; one-slot on a solo cluster
-	made  int      // rounds allocated so far: len(open) + len(spare) + those being read
+	spare []*round // retired rounds, recycled to keep collectives off the allocator
+	made  int      // rounds allocated so far: len(open) + len(spare) + those being read; on a solo cluster, idle + in flight
+	idle  *round   // a solo cluster's idle rounds (soloTake), linked through round.next
 
 	// lastFinish is the simulated time the group's previous operation
 	// completed. Operations on one group serialise behind it — the group
@@ -101,6 +102,7 @@ func (k opKind) String() string { return opNames[k] }
 // A solo cluster skips all of it: soloJoin returns a one-slot round already
 // complete and soloRetire takes it back once the caller has settled (at
 // once, or at Wait) — no lock, atomic or parking slot, and soloGen for gen.
+// Its rounds are soloRounds, linked into the group's idle list through next.
 type round struct {
 	kind    opKind
 	root    int // group index of the root, -1 for rootless ops
@@ -120,6 +122,7 @@ type round struct {
 	// solo cluster's rounds, which only one goroutine ever touches.
 	gen     atomic.Uint32
 	soloGen uint32
+	next    *round
 
 	completed atomic.Bool
 
@@ -131,23 +134,47 @@ type round struct {
 	newClock float64
 }
 
+// newGroup builds the group over ranks, panicking on a duplicate. The
+// meshes' groups are arithmetic progressions — a row strides 1, a column or
+// slab q, a depth fibre q² — and so is every pair, so Index is arithmetic;
+// only another list is checked by sorting a copy and searched by a scan.
 func newGroup(c *Cluster, ranks []int) *Group {
 	g := &Group{
 		c:     c,
-		ranks: append([]int(nil), ranks...),
-		index: make(map[int]int, len(ranks)),
+		ranks: slices.Clone(ranks),
+		step:  arithmeticStep(ranks),
 		beta:  c.cost.BetaIntra,
 	}
-	for i, r := range g.ranks {
-		if _, dup := g.index[r]; dup {
-			panic(fmt.Sprintf("dist: duplicate rank %d in group %v", r, g.ranks))
+	if g.step == 0 {
+		sorted := slices.Sorted(slices.Values(ranks))
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i] == sorted[i-1] {
+				panic(fmt.Sprintf("dist: duplicate rank %d in group %v", sorted[i], g.ranks))
+			}
 		}
-		g.index[r] = i
+	}
+	for _, r := range g.ranks {
 		if c.node(r) != c.node(g.ranks[0]) {
 			g.beta = c.cost.BetaInter
+			break
 		}
 	}
 	return g
+}
+
+// arithmeticStep returns the common difference of ranks — 1 for a single
+// rank — or 0 if consecutive ranks differ by different amounts or repeat.
+func arithmeticStep(ranks []int) int {
+	if len(ranks) == 1 {
+		return 1
+	}
+	step := ranks[1] - ranks[0]
+	for i := 2; i < len(ranks); i++ {
+		if ranks[i]-ranks[i-1] != step {
+			return 0
+		}
+	}
+	return step
 }
 
 // Size returns the number of members.
@@ -159,7 +186,14 @@ func (g *Group) Ranks() []int { return append([]int(nil), g.ranks...) }
 // Index returns the slot of a cluster rank in the canonical order, or −1
 // if the rank is not a member.
 func (g *Group) Index(rank int) int {
-	if i, ok := g.index[rank]; ok {
+	if g.step == 0 {
+		return slices.Index(g.ranks, rank)
+	}
+	d := rank - g.ranks[0]
+	if d%g.step != 0 {
+		return -1
+	}
+	if i := d / g.step; i >= 0 && i < len(g.ranks) {
 		return i
 	}
 	return -1
@@ -167,8 +201,8 @@ func (g *Group) Index(rank int) int {
 
 // mustIndex resolves the calling worker's slot, panicking for non-members.
 func (g *Group) mustIndex(w *Worker, op opKind) int {
-	idx, ok := g.index[w.rank]
-	if !ok {
+	idx := g.Index(w.rank)
+	if idx < 0 {
 		panic(fmt.Sprintf("dist: rank %d is not a member of group %v (%s)", w.rank, g.ranks, op))
 	}
 	return idx
@@ -293,7 +327,7 @@ func (g *Group) newRound(kind opKind, root int) *round {
 }
 
 // takeRound pops a spare round, first growing the pool by rounds of n slots
-// if none is idle. On a full cluster the caller must hold g.mu.
+// if none is idle. The caller must hold g.mu.
 func (g *Group) takeRound(n int) *round {
 	if len(g.spare) == 0 {
 		g.growRounds(n)
@@ -315,7 +349,7 @@ func (g *Group) takeRound(n int) *round {
 // three rounds after warm-up, and some of them want a fourth somewhere in
 // the next 150 steps). Doubling has the fourth in hand when the third is
 // made. open and spare get room for every round made, so neither join nor
-// retire regrows them. On a full cluster the caller must hold g.mu.
+// retire regrows them. The caller must hold g.mu.
 func (g *Group) growRounds(n int) {
 	k := max(1, g.made)
 	g.made += k
@@ -505,7 +539,7 @@ func (g *Group) soloJoin(w *Worker, kind opKind, slot, dst *tensor.Matrix) *roun
 		slot = dst
 	}
 	b := matrixBytes(slot)
-	r := g.takeRound(1)
+	r := g.soloTake()
 	r.soloGen++
 	r.kind, r.waited[0] = kind, false
 	r.commBase = w.clock
@@ -517,8 +551,35 @@ func (g *Group) soloJoin(w *Worker, kind opKind, slot, dst *tensor.Matrix) *roun
 	return r
 }
 
-// soloRetire returns a solo round, which holds no payload, to the pool.
-func (g *Group) soloRetire(r *round) { g.spare = append(g.spare, r) }
+// soloRound is a solo cluster's round: its one member's waited flag, the
+// only per-member state soloJoin and soloWait touch, shares its allocation.
+type soloRound struct {
+	round
+	waited [1]bool
+}
+
+// soloTake pops an idle solo round. With none idle it first grows the
+// group's solo pool, doubling as growRounds does but from two rounds, all
+// of a growth in one allocation and linked into the idle list, which no
+// slice holds: a replay's group takes its rounds in one allocation.
+func (g *Group) soloTake() *round {
+	if g.idle == nil {
+		k := max(2, g.made)
+		g.made += k
+		rounds := make([]soloRound, k)
+		for i := range rounds {
+			r := &rounds[i].round
+			r.waited = rounds[i].waited[:]
+			g.soloRetire(r)
+		}
+	}
+	r := g.idle
+	g.idle, r.next = r.next, nil
+	return r
+}
+
+// soloRetire returns a solo round, which holds no payload, to the idle list.
+func (g *Group) soloRetire(r *round) { r.next, g.idle = g.idle, r }
 
 // combineInto sums every member's slot into dst using the association of a
 // binomial reduction tree rooted at the round's root (virtual position 0),

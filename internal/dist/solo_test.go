@@ -415,3 +415,44 @@ func TestSoloNonblockingRunAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm solo Run of a prefetching schedule allocates %v times, want 0", allocs)
 	}
 }
+
+// TestSoloRoundPoolDoubles: a solo group's pool starts at two rounds, all
+// in one allocation, and doubles as growRounds does; after every Run each
+// round it made is back on the idle list exactly once, so none is lost to a
+// retire and none is handed out twice.
+func TestSoloRoundPoolDoubles(t *testing.T) {
+	c := NewSolo(Config{WorldSize: 4})
+	g := c.WorldGroup()
+	for _, step := range []struct{ k, made int }{{1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {3, 8}} {
+		if err := c.Run(func(w *Worker) error {
+			hs := make([]Handle, step.k)
+			seen := map[*round]bool{}
+			for i := range hs {
+				hs[i] = g.IAllReduceInto(w, tensor.NewPhantom(1, 3), tensor.NewPhantom(1, 3))
+				if seen[hs[i].r] {
+					return fmt.Errorf("%d in flight: round %d is one already in flight", step.k, i)
+				}
+				seen[hs[i].r] = true
+			}
+			for _, h := range hs {
+				h.Wait()
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if g.made != step.made {
+			t.Fatalf("%d rounds in flight: the group owns %d, want %d", step.k, g.made, step.made)
+		}
+		idle := map[*round]bool{}
+		for r := g.idle; r != nil; r = r.next {
+			if idle[r] {
+				t.Fatalf("after %d in flight: a round is on the idle list twice", step.k)
+			}
+			idle[r] = true
+		}
+		if len(idle) != g.made {
+			t.Fatalf("after %d in flight: %d idle of %d made", step.k, len(idle), g.made)
+		}
+	}
+}

@@ -26,14 +26,22 @@ type Param struct {
 }
 
 // NewParam wraps a value matrix with a zeroed gradient of the same shape.
+// A phantom's gradient header shares the Param's allocation (phantomParam):
+// a phantom replay builds every parameter of its stack afresh.
 func NewParam(name string, value *tensor.Matrix) *Param {
-	var grad *tensor.Matrix
 	if value.Phantom() {
-		grad = tensor.NewPhantom(value.Rows, value.Cols)
-	} else {
-		grad = tensor.New(value.Rows, value.Cols)
+		p := &phantomParam{grad: tensor.Matrix{Rows: value.Rows, Cols: value.Cols}}
+		p.Param = Param{Name: name, Value: value, Grad: &p.grad}
+		return &p.Param
 	}
-	return &Param{Name: name, Value: value, Grad: grad}
+	return &Param{Name: name, Value: value, Grad: tensor.New(value.Rows, value.Cols)}
+}
+
+// phantomParam is a phantom Param and its shape-only gradient in one
+// allocation.
+type phantomParam struct {
+	Param
+	grad tensor.Matrix
 }
 
 // ZeroGrad clears the gradient accumulator.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/plan"
 )
 
@@ -155,28 +156,48 @@ func TestPlannerStudyEqualsSequentialValidateTop(t *testing.T) {
 	}
 }
 
-// TestRunRowAllocationCeiling keeps the replay of Table 1's [4,4,4] row — 64
-// ranks, the most expensive row of both tables — from creeping back up. On
-// the full cluster it was 12,925 allocations while phantom headers were
-// pooled by shape and every group lookup built a string key, 8,650 without
-// either, 7,935 once a group's round pool grew by batches, and 7,985 once
-// the replay had step boundaries and every rank recorded what it held. Priced
-// as the planner prices it — plan.Price's solo replay, rank 0 alone — it is
-// about 206. The ceiling sits far below any full-cluster replay, so a change
-// that sends table rows back to every rank trips it, and so does a new
-// per-shape cost.
+// TestRunRowAllocationCeiling keeps what one phantom replay allocates from
+// creeping back up: Table 1's [4,4,4] row — 64 ranks, the most expensive row
+// of both tables — its Megatron [64] and Optimus [8,8] rows, and one planner
+// candidate priced by plan.Price. A replay builds a solo cluster, its groups
+// and a phantom stack afresh (nothing is cached across replays), so each
+// ceiling is its replay's count plus at most 5 %: sending table rows back to
+// every rank trips it (thousands), and so does a new per-group, per-round,
+// per-header or per-parameter allocation.
 func TestRunRowAllocationCeiling(t *testing.T) {
-	row := Table1Rows()[10]
-	if row.Scheme != Tesseract || row.Q != 4 || row.D != 4 {
-		t.Fatalf("Table 1 row 10 is %s %s, not Tesseract [4,4,4]", row.Scheme, row.Shape())
+	t1 := Table1Rows()
+	for _, c := range []struct {
+		row     int
+		name    string
+		ceiling float64
+	}{
+		{10, "Tesseract [4,4,4]", 93},
+		{2, "Megatron-LM [64]", 71},
+		{5, "Optimus [8,8]", 81},
+	} {
+		row := t1[c.row]
+		if got := string(row.Scheme) + " " + row.Shape(); got != c.name {
+			t.Fatalf("Table 1 row %d is %s, not %s", c.row, got, c.name)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := RunRow(row, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.ceiling {
+			t.Errorf("RunRow %s: %.0f allocations, ceiling %.0f", c.name, allocs, c.ceiling)
+		}
 	}
-	const ceiling = 1000
+
+	// The planner's own price of the Table 2 problem's best layout.
+	sc := PlannerScenarios()[1]
+	l := parallel.Layout{Family: "tesseract", Q: 4, D: 4}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := RunRow(row, Options{}); err != nil {
+		if _, err := plan.Price(sc.Workload, l, plan.Topology{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > ceiling {
-		t.Errorf("RunRow %s %s: %.0f allocations, ceiling %d", row.Scheme, row.Shape(), allocs, ceiling)
+	if allocs > 93 {
+		t.Errorf("plan.Price %s %v: %.0f allocations, ceiling 93", sc.Name, l, allocs)
 	}
 }

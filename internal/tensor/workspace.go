@@ -59,14 +59,15 @@ import "fmt"
 // every phantom shape shares one free list and a checkout re-stamps
 // Rows/Cols: a paper-scale replay touches hundreds of shapes once each, and
 // a bucket, a map insert and a header per shape were most of what it
-// allocated. The list is the phantoms' alone, so a phantom can never satisfy
-// a real request or vice versa. Checkout, Put, Borrow and ReleaseAll
-// discipline and the statistics are those of a real buffer — a checked-out
-// phantom counts the 8·rows·cols bytes its shape stands for, so the
-// LiveBytes and HighWaterBytes of a phantom replay are the bytes the same
-// run would hold with real data. What differs is that a phantom returned to
-// the pool may come back under another shape, so reading a header's shape
-// after its Put is as wrong as reading a real buffer's data.
+// allocated. New headers are carved from slabs (phantomHeader). The list is
+// the phantoms' alone, so a phantom can never satisfy a real request or vice
+// versa. Checkout, Put, Borrow and ReleaseAll discipline and the statistics
+// are those of a real buffer — a checked-out phantom counts the 8·rows·cols
+// bytes its shape stands for, so the LiveBytes and HighWaterBytes of a
+// phantom replay are the bytes the same run would hold with real data. What
+// differs is that a phantom returned to the pool may come back under another
+// shape, so reading a header's shape after its Put is as wrong as reading a
+// real buffer's data.
 //
 // # Implementation note
 //
@@ -78,8 +79,11 @@ import "fmt"
 type Workspace struct {
 	free map[wsKey]*wsBucket
 	// phantoms is the one free list behind every phantom shape (see
-	// "Phantoms" above); free and cache hold real shapes only.
+	// "Phantoms" above); free and cache hold real shapes only. slab is
+	// where new phantom headers are carved from, headers how many were.
 	phantoms wsBucket
+	slab     []Matrix
+	headers  int
 	// cache is a direct-mapped front for the free map: a training step asks
 	// for the same handful of shapes thousands of times, and the map lookup
 	// (hash + probe) was ~7% of a step. A shape's bucket is remembered in
@@ -211,7 +215,7 @@ func (ws *Workspace) get(rows, cols int, phantom bool) *Matrix {
 	} else {
 		ws.stats.Allocs++
 		if phantom {
-			m = NewPhantom(rows, cols)
+			m = ws.phantomHeader(rows, cols)
 		} else {
 			m = New(rows, cols)
 		}
@@ -231,6 +235,38 @@ func (ws *Workspace) get(rows, cols int, phantom bool) *Matrix {
 		}
 	}
 	return m
+}
+
+// phantomHeader carves a new rows×cols phantom header from the slab. A slab
+// holds as many headers as were carved before it, sixteen at first, so a
+// replay holding k phantoms at once allocates about log₂ k slabs rather than
+// k headers; and each slab makes room on the phantoms' free list and the
+// checked-out list for every header the slabs hold, so in a phantom replay
+// neither a checkout nor a Put regrows them. A header pins its slab.
+func (ws *Workspace) phantomHeader(rows, cols int) *Matrix {
+	if len(ws.slab) == 0 {
+		n := max(16, ws.headers)
+		ws.slab = make([]Matrix, n)
+		ws.phantoms.items = withRoom(ws.phantoms.items, ws.headers+n)
+		ws.out = withRoom(ws.out, ws.headers+n)
+	}
+	m := &ws.slab[0]
+	ws.slab = ws.slab[1:]
+	ws.headers++
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
+// withRoom returns s with capacity for n items, moved in one allocation if
+// it has less (slices.Grow takes two under the race detector, which would
+// move the allocation counts CI pins there).
+func withRoom(s []*Matrix, n int) []*Matrix {
+	if cap(s) >= n {
+		return s
+	}
+	t := make([]*Matrix, len(s), n)
+	copy(t, s)
+	return t
 }
 
 // storageBytes is the storage one pooled buffer stands for: 8 bytes per
