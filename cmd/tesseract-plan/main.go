@@ -89,6 +89,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if budget < 1 {
+			fatal(fmt.Errorf("-mem %s is below 1 byte (omit -mem for no memory budget)", *mem))
+		}
 		topo.MemoryBudget = budget
 	}
 

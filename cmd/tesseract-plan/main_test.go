@@ -62,6 +62,9 @@ func TestMisuseIsOneLine(t *testing.T) {
 		{"unknown model", []string{"-model", "gpt"}, "unknown -model"},
 		{"hidden not divisible by heads", []string{"-hidden", "100", "-heads", "3"}, "not divisible"},
 		{"unparsable memory", []string{"-mem", "lots"}, "lots"},
+		{"zero memory", []string{"-mem", "0"}, "omit -mem"},
+		{"zero memory with a unit", []string{"-mem", "0GiB"}, "-mem 0GiB is below 1 byte"},
+		{"memory truncating to zero bytes", []string{"-mem", "0.5B"}, "-mem 0.5B is below 1 byte"},
 	} {
 		t.Run(mis.name, func(t *testing.T) {
 			code, stdout, stderr := testutil.RunCLI(t, asCLI, mis.args...)

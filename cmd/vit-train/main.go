@@ -279,8 +279,9 @@ func fatalf(format string, args ...any) {
 // layoutFromFlags builds the layout the -family/-q/-d/-ranks flags describe.
 // set marks flags the user passed explicitly; explicitly set flags that do
 // not apply to the family are rejected — a silently dropped -d would train a
-// different layout than the user asked for. Unknown family names flow
-// through to parallel.Validate's error at the call site.
+// different layout than the user asked for, and so are a mesh dimension or
+// depth below 1, which the layout would otherwise read as "unset". Unknown
+// family names flow through to parallel.Validate's error at the call site.
 func layoutFromFlags(family string, q, d, ranks int, set map[string]bool) (parallel.Layout, error) {
 	l := parallel.Layout{Family: family}
 	if family == "megatron" || family == "seqpar" {
@@ -292,6 +293,12 @@ func layoutFromFlags(family string, q, d, ranks int, set map[string]bool) (paral
 	}
 	if set["ranks"] {
 		return l, fmt.Errorf("-ranks applies only to the 1-D families megatron/seqpar (use -q/-d)")
+	}
+	if q < 1 {
+		return l, fmt.Errorf("-q %d: the %s mesh dimension must be at least 1", q, family)
+	}
+	if d < 1 {
+		return l, fmt.Errorf("-d %d: the %s depth must be at least 1", d, family)
 	}
 	l.Q, l.D = q, d
 	return l, nil

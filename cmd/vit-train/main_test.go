@@ -68,6 +68,12 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"negative layers", []string{"-layers", "-1"}, "layer"},
 		{"batch larger than the dataset", []string{"-batch", "64"}, "-batch 64"},
 		{"layout without ranks", []string{"-family", "megatron", "-ranks", "0"}, "rank count"},
+		// A mesh dimension or depth below 1 used to read as unset: -d 0
+		// trained tesseract [2,2], -q 0 blamed a missing q or -ranks.
+		{"mesh dimension 0", []string{"-family", "tesseract", "-q", "0"}, "-q 0"},
+		{"depth 0", []string{"-family", "tesseract", "-d", "0"}, "-d 0"},
+		{"mesh dimension and depth 0", []string{"-family", "tesseract", "-q", "0", "-d", "0"}, "-q 0"},
+		{"optimus depth 0", []string{"-family", "optimus", "-d", "0"}, "-d 0"},
 		{"NaN lr", []string{"-lr", "NaN"}, "learning rate NaN"},
 		{"negative lr", []string{"-lr", "-1"}, "learning rate -1"},
 		{"negative weight decay", []string{"-weight-decay", "-5"}, "weight decay -5"},
@@ -84,7 +90,7 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 	}
 	for _, mode := range modes {
 		for _, mis := range misuses {
-			if mode.name == "plan" && mis.name == "layout without ranks" {
+			if mode.name == "plan" && mis.args[0] == "-family" {
 				continue // -plan overrides -family: the flags are not a misuse there
 			}
 			t.Run(mode.name+"/"+mis.name, func(t *testing.T) {

@@ -44,9 +44,15 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 // tensor-parallel group, activations replicated on every rank (Replicated:
 // the memory cost Eq. 9 charges Megatron-LM with) or split by rows over it
 // (RowSharded). The Transformer block is the shared parallel.Block over this
-// package's column/row linear pairs, with parallel.ReplicatedLayerNorm for
-// the un-sharded layer norms; the patch embedding is parallel.ReplicatedLinear.
-// Package seqpar is this family registered under RowSharded.
+// package's column/row linear pairs; its layer norms and residual adds are
+// row-local, so they run on whatever rows the bracket leaves on the rank,
+// and the View sums no row statistic. Per layer and direction the
+// Replicated block performs exactly two all-reduces of the [b·s, h]
+// activation — the volume 2β(p−1)·b·s·h/p §3.1 attributes to Megatron-LM;
+// the RowSharded block moves the same bytes forward as two all-gathers plus
+// two reduce-scatters, and half again backward for the re-gathers. The patch
+// embedding is parallel.ReplicatedLinear. Package seqpar is this family
+// registered under RowSharded.
 type Family struct {
 	parallel.View
 	p *Proc
@@ -62,7 +68,9 @@ func NewFamily(w *dist.Worker, l parallel.Layout, b Bracket) *Family {
 	if b == RowSharded {
 		rows = p.TP
 	}
-	return &Family{View: parallel.NewView(w, l, rows, nil, &p.Grads), p: p}
+	f := &Family{p: p}
+	f.View = parallel.NewView(w, l, rows, nil, &p.Grads, f)
+	return f
 }
 
 // NewLinear builds the patch embedding, a parallel.ReplicatedLinear on the
@@ -103,26 +111,4 @@ func (f *Family) Lifetime() parallel.Lifetime {
 		return parallel.Transient
 	}
 	return parallel.KeepAll
-}
-
-// NewBlock builds one 1-D parallel Transformer block under the family's
-// bracket; a nil rng builds the shape-only one. The layer norms and residual
-// adds are row-local, so they run on whatever rows the bracket leaves on the
-// rank. Per layer and direction the Replicated block performs exactly two
-// all-reduces of the [b·s, h] activation — the volume 2β(p−1)·b·s·h/p §3.1
-// attributes to Megatron-LM; the RowSharded block moves the same bytes
-// forward as two all-gathers plus two reduce-scatters, and half again
-// backward for the re-gathers.
-func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewBlock(f, h, heads, seqLen, rng)
-}
-
-// NewBlockPhantom builds the shape-only block for paper-scale timing.
-func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	return f.NewBlock(h, heads, seqLen, nil)
-}
-
-// NewLayerNorm builds the replicated (un-sharded) layer norm.
-func (f *Family) NewLayerNorm(h int) parallel.Layer {
-	return parallel.NewReplicatedLayerNorm(f.p.W, h)
 }

@@ -42,7 +42,9 @@ func runTP(t *testing.T, tp int, b Bracket, fn func(mp *Proc) error) *dist.Clust
 // activation layout.
 func family(mp *Proc) *Family {
 	l := parallel.Layout{Family: "megatron", Ranks: mp.P}
-	return &Family{View: parallel.NewView(mp.W, l, nil, nil, &mp.Grads), p: mp}
+	f := &Family{p: mp}
+	f.View = parallel.NewView(mp.W, l, nil, nil, &mp.Grads, f)
+	return f
 }
 
 // pooled copies m into a workspace buffer: the row-sharded bracket recycles

@@ -11,61 +11,52 @@ import (
 // z = LN₂(y + MLP(y)) with y = LN₁(x + Attn(x)), the paper's
 // residual-plus-layer-norm structure. Residual adds are local in every
 // family — Tesseract adds local blocks (§3.2.2), Megatron adds replicated
-// activations — so one composition serves all of them; only the linears
-// and the layer norms differ (Linears).
+// activations — and so are the layer norms but for their row statistics'
+// sum over the View's column group, so one composition serves all of them;
+// only the linears differ (Linears).
 //
-// The residual sums are transient workspace scratch (the layer norms of
-// every family do not retain their inputs), while the sub-layer
-// activations ride to the step boundary. Backward always draws its result
-// from the worker's workspace, so the caller owns the returned gradient
-// buffer, and it recycles every gradient intermediate the moment its last
-// consumer has returned: a sub-layer's Backward hands back a workspace
-// buffer the composition owns and never retains the one it was passed.
+// The residual sums are transient workspace scratch (LayerNorm keeps x̂ and
+// 1/σ, never its input), while the sub-layer activations ride to the step
+// boundary. Backward always draws its result from the worker's workspace,
+// so the caller owns the returned gradient buffer, and it recycles every
+// gradient intermediate the moment its last consumer has returned: a
+// sub-layer's Backward hands back a workspace buffer the composition owns
+// and never retains the one it was passed.
 type Block struct {
 	// H is the full hidden width.
 	H int
 
 	Attn     *Attention
 	Mlp      *MLP
-	Ln1, Ln2 Layer // the family's layer norms
+	Ln1, Ln2 *LayerNorm
 
 	w *dist.Worker
 }
 
-// NewBlock builds a family's Transformer block, drawing parameters from rng
-// in the serial order (attention Wq..Wo, then MLP Fc1, Fc2 — identical to
-// nn.NewBlock, so the two produce identical numbers on identical seeds); a
-// nil rng builds the shape-only block of a timing run.
+// NewBlock builds one Transformer block over the family's linears, drawing
+// parameters from rng in the serial order (attention Wq..Wo, then MLP Fc1,
+// Fc2 — identical to nn.NewBlock, so the two produce identical numbers on
+// identical seeds); a nil rng builds the shape-only block of a timing run.
 //
-// Contract on the family's layer norms, stricter than the general Layer
-// contract: their Forward must NOT retain its input. The composition hands
-// each layer norm a transient residual buffer and recycles it the moment
-// Forward returns, so a norm that saves x (instead of derived statistics, as
-// nn.LayerNorm and tesseract.LayerNorm both do — they keep x̂ and 1/σ)
-// would see its saved activation overwritten before the backward pass.
-// And every sub-layer's Backward must return a buffer checked out of the
+// Every sub-layer's Backward must return a buffer checked out of the
 // worker's workspace that it keeps no reference to: the composition Puts it.
-func NewBlock(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Block {
-	b := &Block{H: h, w: f.Worker()}
-	b.Attn, b.Ln1 = NewAttention(f, h, heads, seqLen, rng), f.NewLayerNorm(h)
-	b.Mlp, b.Ln2 = NewMLP(f, h, rng), f.NewLayerNorm(h)
+func (v *View) NewBlock(h, heads, seqLen int, rng *tensor.RNG) Layer {
+	b := &Block{H: h, w: v.w}
+	b.Attn, b.Ln1 = NewAttention(v.lin, h, heads, seqLen, rng), NewLayerNorm(v.w, v.cols, h)
+	b.Mlp, b.Ln2 = NewMLP(v.lin, h, rng), NewLayerNorm(v.w, v.cols, h)
 	return b
 }
 
+// NewBlockPhantom is NewBlock with a nil rng: the shape-only block of a
+// paper-scale timing run.
+func (v *View) NewBlockPhantom(h, heads, seqLen int) Layer { return v.NewBlock(h, heads, seqLen, nil) }
+
 // Params returns the shards this rank owns, in the serial parameter order
 // (attention, then MLP; the layer norms are parameter-free).
-func (b *Block) Params() []*nn.Param {
-	out := append(b.Attn.Params(), b.Ln1.Params()...)
-	out = append(out, b.Mlp.Params()...)
-	return append(out, b.Ln2.Params()...)
-}
+func (b *Block) Params() []*nn.Param { return append(b.Attn.Params(), b.Mlp.Params()...) }
 
 // State concatenates the sub-layers' canonical slots in Params order.
-func (b *Block) State() []State {
-	out := append(b.Attn.State(), b.Ln1.State()...)
-	out = append(out, b.Mlp.State()...)
-	return append(out, b.Ln2.State()...)
-}
+func (b *Block) State() []State { return append(b.Attn.State(), b.Mlp.State()...) }
 
 // Forward computes the block output on this rank's activation blocks.
 func (b *Block) Forward(x *tensor.Matrix) *tensor.Matrix {

@@ -122,101 +122,131 @@ func (l *ReplicatedLinear) accum(p *nn.Param, g *tensor.Matrix) {
 	l.grads.DeferAllReduce(l.sum, p, g)
 }
 
-// ReplicatedLayerNorm is the Eq. 13 layer norm computed redundantly on a
-// replicated activation, with the normalisation flops charged to the
-// simulated clock — the pattern Megatron uses for its un-sharded layer
-// norms, hoisted here so no family needs its own thin wrapper.
+// LayerNorm is the one layer norm (Eq. 13, backward Eq. 14), whatever the
+// layout. A row-wise op needs only its rows' statistics summed over the
+// group that splits its reduced axis (Mesh-TensorFlow): cols, the group the
+// activation columns split over (§3.2.2's grid row), nil when rows are
+// whole. Each direction is one fused pass per row into a [rows, 2]
+// workspace message — Σx and Σx² forward, Σdy·x̂ and Σdy backward — that
+// cols all-reduces in place, then the rows normalise locally.
 //
-// The row statistics are computed in one fused pass per row out of pooled
-// buffers, bitwise identical to nn.LayerNorm's op-by-op chain: the running
-// sums accumulate the same individually rounded terms in the same
-// ascending-column order, and every subsequent rounding (mean, variance,
-// inverse std, normalise) is the identical operation sequence.
-type ReplicatedLayerNorm struct {
-	w   *dist.Worker
-	h   int
-	eps float64
+// The running sums accumulate the individually rounded terms in
+// ascending-column order and every later rounding (mean, variance, inverse
+// std, normalise) is nn.LayerNorm's operation sequence, so with whole rows
+// the output is nn.LayerNorm's bit for bit. x̂ and the per-row 1/σ ride to
+// the step boundary; the input is never retained.
+type LayerNorm struct {
+	w    *dist.Worker
+	cols *dist.Group
+	h    int // full hidden width
+	eps  float64
 
 	xhat   *tensor.Matrix
 	invstd *tensor.Matrix // per-row 1/sqrt(var+eps)
 }
 
-// NewReplicatedLayerNorm builds the replicated layer norm over width h.
-func NewReplicatedLayerNorm(w *dist.Worker, h int) *ReplicatedLayerNorm {
-	return &ReplicatedLayerNorm{w: w, h: h, eps: 1e-5}
+// NewLayerNorm builds the layer norm over hidden width h, whose columns
+// split over cols (nil: not split).
+func NewLayerNorm(w *dist.Worker, cols *dist.Group, h int) *LayerNorm {
+	if h%shards(cols) != 0 {
+		panic(fmt.Sprintf("parallel: LayerNorm width %d not divisible by %d column shards", h, shards(cols)))
+	}
+	return &LayerNorm{w: w, cols: cols, h: h, eps: 1e-5}
 }
 
-// Forward normalises the replicated activation into a workspace buffer.
-// The normalised rows and per-row inverse stds are retained for the
-// backward pass; the input is not.
-func (l *ReplicatedLayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != l.h {
-		panic(fmt.Sprintf("parallel: ReplicatedLayerNorm forward %dx%d with h=%d", x.Rows, x.Cols, l.h))
+// Forward normalises the rank's block x into a workspace buffer.
+func (l *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
+	if x.Cols*shards(l.cols) != l.h {
+		panic(fmt.Sprintf("parallel: LayerNorm forward %dx%d with h=%d", x.Rows, x.Cols, l.h))
 	}
-	l.w.Compute(float64(x.Size()) * (compute.FlopsPerNorm + 2))
 	ws := l.w.Workspace()
-	xhat := ws.GetUninitMatch(x.Rows, x.Cols, x.Phantom())
-	inv := ws.GetUninitMatch(x.Rows, 1, x.Phantom())
+	ph, n := x.Phantom(), x.Cols
+	stats := ws.GetUninitMatch(x.Rows, 2, ph)
+	if !ph {
+		for i := 0; i < x.Rows; i++ {
+			var s, s2 float64
+			for _, v := range x.Data[i*n : (i+1)*n] {
+				s += v
+				p := v * v
+				s2 += p
+			}
+			stats.Data[2*i], stats.Data[2*i+1] = s, s2
+		}
+	}
+	l.reduce(stats, x.Size())
+	xhat := ws.GetUninitMatch(x.Rows, n, ph)
+	inv := ws.GetUninitMatch(x.Rows, 1, ph)
 	l.xhat, l.invstd = xhat, inv
-	if x.Phantom() {
-		return xhat
-	}
-	n := x.Cols
-	invN := 1 / float64(n)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Data[i*n : (i+1)*n]
-		var s, s2 float64
-		for _, v := range row {
-			s += v
-			p := v * v
-			s2 += p
-		}
-		mean := invN * s
-		variance := invN*s2 - mean*mean
-		iv := 1 / math.Sqrt(variance+l.eps)
-		inv.Data[i] = iv
-		orow := xhat.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			orow[j] = (v - mean) * iv
+	if !ph {
+		invN := 1 / float64(l.h)
+		for i := 0; i < x.Rows; i++ {
+			mean := invN * stats.Data[2*i]
+			variance := invN*stats.Data[2*i+1] - mean*mean
+			iv := 1 / math.Sqrt(variance+l.eps)
+			inv.Data[i] = iv
+			orow := xhat.Data[i*n : (i+1)*n]
+			for j, v := range x.Data[i*n : (i+1)*n] {
+				orow[j] = (v - mean) * iv
+			}
 		}
 	}
+	ws.Put(stats)
 	return xhat
 }
 
-// Backward applies Eq. 14 on the replicated gradient, one fused pass per
-// row into a workspace buffer.
-func (l *ReplicatedLayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	l.w.Compute(float64(dy.Size()) * (compute.FlopsPerNorm + 2))
+// Backward applies Eq. 14 to the rank's gradient block, into a workspace
+// buffer.
+func (l *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	ws := l.w.Workspace()
-	ph := dy.Phantom() || l.xhat.Phantom()
-	out := ws.GetUninitMatch(dy.Rows, dy.Cols, ph)
-	if ph {
-		return out
-	}
-	n := dy.Cols
-	invN := 1 / float64(n)
-	for i := 0; i < dy.Rows; i++ {
-		drow := dy.Data[i*n : (i+1)*n]
-		xrow := l.xhat.Data[i*n : (i+1)*n]
-		var dot, sum float64
-		for j, d := range drow {
-			p := d * xrow[j]
-			dot += p
-			sum += d
-		}
-		a := invN * dot
-		b := invN * sum
-		iv := l.invstd.Data[i]
-		orow := out.Data[i*n : (i+1)*n]
-		for j, d := range drow {
-			orow[j] = ((d - xrow[j]*a) - b) * iv
+	ph, n := dy.Phantom() || l.xhat.Phantom(), dy.Cols
+	stats := ws.GetUninitMatch(dy.Rows, 2, ph)
+	if !ph {
+		for i := 0; i < dy.Rows; i++ {
+			xrow := l.xhat.Data[i*n : (i+1)*n]
+			var dot, sum float64
+			for j, d := range dy.Data[i*n : (i+1)*n] {
+				p := d * xrow[j]
+				dot += p
+				sum += d
+			}
+			stats.Data[2*i], stats.Data[2*i+1] = dot, sum
 		}
 	}
+	l.reduce(stats, dy.Size())
+	out := ws.GetUninitMatch(dy.Rows, n, ph)
+	if !ph {
+		invN := 1 / float64(l.h)
+		for i := 0; i < dy.Rows; i++ {
+			a := invN * stats.Data[2*i]
+			b := invN * stats.Data[2*i+1]
+			iv := l.invstd.Data[i]
+			xrow := l.xhat.Data[i*n : (i+1)*n]
+			orow := out.Data[i*n : (i+1)*n]
+			for j, d := range dy.Data[i*n : (i+1)*n] {
+				orow[j] = ((d - xrow[j]*a) - b) * iv
+			}
+		}
+	}
+	ws.Put(stats)
 	return out
 }
 
+// reduce sums the statistics message over cols in place and charges the
+// pass over size elements: the two sums before the all-reduce and the
+// normalisation after it, or all of it in one charge when nothing is
+// summed.
+func (l *LayerNorm) reduce(stats *tensor.Matrix, size int) {
+	if l.cols == nil {
+		l.w.Compute(float64(size) * (2*compute.FlopsPerAdd + compute.FlopsPerNorm))
+		return
+	}
+	l.w.Compute(float64(2*size) * compute.FlopsPerAdd)
+	l.cols.AllReduceInto(l.w, stats, stats)
+	l.w.Compute(float64(size) * compute.FlopsPerNorm)
+}
+
 // Params returns nil: Eq. 13 normalisation is parameter-free.
-func (l *ReplicatedLayerNorm) Params() []*nn.Param { return nil }
+func (l *LayerNorm) Params() []*nn.Param { return nil }
 
 // State returns nil: nothing to checkpoint.
-func (l *ReplicatedLayerNorm) State() []State { return nil }
+func (l *LayerNorm) State() []State { return nil }

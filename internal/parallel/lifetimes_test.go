@@ -27,7 +27,7 @@ type wsPin struct {
 func TestLifetimesPinned(t *testing.T) {
 	// Grid row 0 of a mesh owns the biases; ranks 2, 3, 6 and 7 of [2,2,2]
 	// sit on grid row 1.
-	row0, row1 := wsPin{250, 186, 89, 97344}, wsPin{250, 186, 82, 96000}
+	row0, row1 := wsPin{242, 178, 89, 97344}, wsPin{242, 178, 82, 96000}
 	cases := []struct {
 		layout          parallel.Layout
 		recompute, keep parallel.StepClocks
@@ -43,19 +43,19 @@ func TestLifetimesPinned(t *testing.T) {
 			layout:    parallel.Layout{Family: "optimus", Q: 2},
 			recompute: parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00019313456584615387, Busy: 6.103846153846158e-09, MemoryBytes: 261120},
 			keep:      parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00012880725430769232, Busy: 4.527692307692307e-09, MemoryBytes: 261120},
-			ranks:     slices.Repeat([]wsPin{wsPin{286, 186, 111, 139008}}, 4),
+			ranks:     slices.Repeat([]wsPin{wsPin{278, 178, 111, 139008}}, 4),
 		},
 		{
 			layout:    parallel.Layout{Family: "megatron", Ranks: 4},
 			recompute: parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 9.644722799999994e-05, Busy: 6.6023076923076924e-09, MemoryBytes: 343680},
 			keep:      parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 4.8224301692307696e-05, Busy: 4.8599999999999985e-09, MemoryBytes: 343680},
-			ranks:     slices.Repeat([]wsPin{wsPin{166, 64, 113, 208896}}, 4),
+			ranks:     slices.Repeat([]wsPin{wsPin{174, 72, 113, 208896}}, 4),
 		},
 		{
 			layout:    parallel.Layout{Family: "seqpar", Ranks: 4},
 			recompute: parallel.StepClocks{Forward: 4.8222760153846166e-05, Backward: 0.00012055761230769225, Busy: 6.228461538461539e-09, MemoryBytes: 213504},
 			keep:      parallel.StepClocks{Forward: 4.8222760153846166e-05, Backward: 7.233485215384615e-05, Busy: 4.652307692307693e-09, MemoryBytes: 213504},
-			ranks:     slices.Repeat([]wsPin{wsPin{186, 172, 104, 92544}}, 4),
+			ranks:     slices.Repeat([]wsPin{wsPin{194, 180, 104, 92544}}, 4),
 		},
 	}
 	for _, c := range cases {

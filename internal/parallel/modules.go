@@ -72,7 +72,6 @@ type Linears interface {
 	// reads the module's input and applies act, the second maps its output
 	// back to the module's activation layout.
 	NewLinearPair(in, out Weight, act nn.Activation) (Layer, Layer)
-	NewLayerNorm(h int) Layer
 	Lifetime() Lifetime
 }
 

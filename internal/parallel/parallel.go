@@ -7,17 +7,18 @@
 //
 // The paper's point is that the schemes are interchangeable layouts of the
 // same Transformer math; this package is that point as an API, and as code:
-// the Transformer block, its attention and its MLP exist once, here (Block,
-// Attention, MLP), composed from the linears, the layer norm and the buffer
-// lifetimes a family contributes (Linears). So do the activation layout
-// (Distribute, Collect, Slice, GatherPooled) and the step boundary
+// the Transformer block, its attention, its MLP and its layer norm exist
+// once, here (Block, Attention, MLP, LayerNorm), composed from the linears
+// and the buffer lifetimes a family contributes (Linears). So do the
+// activation layout (Distribute, Collect, Slice, GatherPooled), the block
+// constructors (NewBlock, NewLayerNorm) and the step boundary
 // (DrainGradients, EndStep): View implements them for every family from the
-// two groups its activations split over, with one deferred-gradient queue
-// (Grads). A family builds the distributed layers (NewLinear,
-// NewBlock, NewLayerNorm; the classifier head is NewHead, the same
-// replicated linear for every family). Everything above — vit.DistModel,
-// vit.Session and the trainers, serving and tables runners that drive it —
-// only ever sees these contracts.
+// two groups its activations split over and the family's Linears, with one
+// deferred-gradient queue (Grads). A family builds only its linears
+// (NewLinear, and the pairs a block shards; the classifier head is NewHead,
+// the same replicated linear for every family). Everything above —
+// vit.DistModel, vit.Session and the trainers, serving and tables runners
+// that drive it — only ever sees these contracts.
 //
 // # One description per family
 //
@@ -114,8 +115,7 @@ type Family interface {
 	NewBlock(h, heads, seqLen int, rng *tensor.RNG) Layer
 	// NewBlockPhantom is NewBlock with a nil rng.
 	NewBlockPhantom(h, heads, seqLen int) Layer
-	// NewLayerNorm builds the family's layer normalisation over hidden
-	// width h.
+	// NewLayerNorm builds the layer normalisation over hidden width h.
 	NewLayerNorm(h int) Layer
 
 	// Distribute slices a replicated global activation into this rank's

@@ -134,14 +134,6 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
 		x := tensor.RandomMatrix(4, 8, tensor.NewRNG(1))
-		ln := NewReplicatedLayerNorm(w, 8)
-		ref := nn.NewLayerNorm(8)
-		if got, want := ln.Forward(x), ref.Forward(x); !got.Equal(want) {
-			t.Error("ReplicatedLayerNorm.Forward diverged from nn.LayerNorm")
-		}
-		if ln.Params() != nil {
-			t.Error("layer norm must be parameter-free")
-		}
 		lin := NewReplicatedLinear(w, nil, nil, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
 		lin.Forward(x)
 		lin.Backward(tensor.RandomMatrix(4, 2, tensor.NewRNG(3)))

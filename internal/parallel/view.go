@@ -8,27 +8,31 @@ import (
 	"repro/internal/tensor"
 )
 
-// View is every family's activation layout and step hooks, built from the
-// two groups a family splits activations over (a Mesh-TensorFlow layout):
-// rows over one, columns over the other, nil for an axis not split.
-// Tesseract and Optimus split rows over the slab in block-row order
-// h = i + k·q and columns over the grid row (Figure 4a); sequence
-// parallelism splits rows over its group; Megatron-LM splits neither, so
-// Distribute, Collect and GatherPooled return their argument. A named group
-// is gathered even when it has one member.
+// View is every family's activation layout, layer norm, Transformer block
+// and step hooks. It is built from the family's linears and the two groups
+// the family splits activations over (a Mesh-TensorFlow layout): rows over
+// one, columns over the other, nil for an axis not split. Tesseract and
+// Optimus split rows over the slab in block-row order h = i + k·q and
+// columns over the grid row (Figure 4a); sequence parallelism splits rows
+// over its group; Megatron-LM splits neither, so Distribute, Collect and
+// GatherPooled return their argument. A named group is gathered even when
+// it has one member.
 type View struct {
 	*Grads // the rank's deferred gradient all-reduces
 
 	layout     Layout
 	w          *dist.Worker
 	rows, cols *dist.Group
-	row, col   int // the rank's index in rows and cols, 0 where not split
+	row, col   int     // the rank's index in rows and cols, 0 where not split
+	lin        Linears // the family's linears, which the blocks are built over
 }
 
 // NewView builds the calling rank's view of layout l, whose activation rows
-// split over rows and columns over cols, deferring gradients onto grads.
-func NewView(w *dist.Worker, l Layout, rows, cols *dist.Group, grads *Grads) View {
-	v := View{Grads: grads, layout: l, w: w, rows: rows, cols: cols}
+// split over rows and columns over cols, deferring gradients onto grads and
+// building blocks over lin. A family passes itself as lin:
+// f := &Family{…}; f.View = parallel.NewView(…, f).
+func NewView(w *dist.Worker, l Layout, rows, cols *dist.Group, grads *Grads, lin Linears) View {
+	v := View{Grads: grads, layout: l, w: w, rows: rows, cols: cols, lin: lin}
 	if rows != nil {
 		v.row = rows.Index(w.Rank())
 	}
@@ -51,6 +55,10 @@ func shards(g *dist.Group) int {
 	}
 	return g.Size()
 }
+
+// NewLayerNorm builds the layer norm over hidden width h, whose row
+// statistics sum over the column group.
+func (v *View) NewLayerNorm(h int) Layer { return NewLayerNorm(v.w, v.cols, h) }
 
 // Slice is block (row, col) of the row and column splits.
 func (v *View) Slice(rows, cols int) Slice {

@@ -69,7 +69,7 @@ func GELUGradTo(dst, m *Matrix) {
 
 // GELUGradHadamardTo computes dst = dy ⊙ GELU'(pre) — the fused backward
 // epilogue of a GELU linear layer. Per element it performs exactly
-// GELUGradTo's geluGradScalar evaluation followed by MulTo's single
+// GELUGradTo's geluGradScalar evaluation followed by Mul's single
 // multiply, so it is bitwise identical to the two-pass form while skipping
 // one full memory round trip. dst may alias dy or pre.
 func GELUGradHadamardTo(dst, pre, dy *Matrix) {

@@ -29,7 +29,6 @@ import "math"
 var (
 	vaddTo = vaddToGeneric // dst[i] = a[i] + b[i]
 	vaddIn = vaddInGeneric // dst[i] += src[i]
-	vmulTo = vmulToGeneric // dst[i] = a[i] * b[i]
 	vscale = vscaleGeneric // dst[i] *= alpha
 
 	adamKernel = adamUpdateGeneric
@@ -56,17 +55,6 @@ func vaddInGeneric(dst, src []float64) {
 	_ = src[len(dst)-1]
 	for i := range dst {
 		dst[i] += src[i]
-	}
-}
-
-func vmulToGeneric(dst, a, b []float64) {
-	if len(dst) == 0 {
-		return
-	}
-	_ = a[len(dst)-1]
-	_ = b[len(dst)-1]
-	for i := range dst {
-		dst[i] = a[i] * b[i]
 	}
 }
 

@@ -16,9 +16,6 @@ func vaddToPtr(dst, a, b *float64, n int)
 func vaddInPtr(dst, src *float64, n int)
 
 //go:noescape
-func vmulToPtr(dst, a, b *float64, n int)
-
-//go:noescape
 func vscalePtr(dst *float64, n int, alpha float64)
 
 //go:noescape
@@ -44,7 +41,6 @@ func init() {
 	if avx2 {
 		vaddTo = vaddToAVX2
 		vaddIn = vaddInAVX2
-		vmulTo = vmulToAVX2
 		vscale = vscaleAVX2
 		adamKernel = adamAVX2
 	}
@@ -69,15 +65,6 @@ func vaddInAVX2(dst, src []float64) {
 	}
 	_ = src[len(dst)-1]
 	vaddInPtr(&dst[0], &src[0], len(dst))
-}
-
-func vmulToAVX2(dst, a, b []float64) {
-	if len(dst) == 0 {
-		return
-	}
-	_ = a[len(dst)-1]
-	_ = b[len(dst)-1]
-	vmulToPtr(&dst[0], &a[0], &b[0], len(dst))
 }
 
 func vscaleAVX2(dst []float64, alpha float64) {

@@ -91,48 +91,6 @@ vaidone:
 	VZEROUPPER
 	RET
 
-// func vmulToPtr(dst, a, b *float64, n int)
-// dst[i] = a[i] * b[i]
-TEXT ·vmulToPtr(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   vmt4
-vmtloop8:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD 32(SI)(AX*8), Y1
-	VMULPD  (R8)(AX*8), Y0, Y0
-	VMULPD  32(R8)(AX*8), Y1, Y1
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y1, 32(DI)(AX*8)
-	ADDQ $8, AX
-	DECQ DX
-	JNZ  vmtloop8
-vmt4:
-	TESTQ $4, CX
-	JZ    vmt1
-	VMOVUPD (SI)(AX*8), Y0
-	VMULPD  (R8)(AX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-vmt1:
-	CMPQ AX, CX
-	JGE  vmtdone
-vmtscalar:
-	MOVSD (SI)(AX*8), X0
-	MULSD (R8)(AX*8), X0
-	MOVSD X0, (DI)(AX*8)
-	INCQ AX
-	CMPQ AX, CX
-	JL   vmtscalar
-vmtdone:
-	VZEROUPPER
-	RET
-
 // func vscalePtr(dst *float64, n int, alpha float64)
 // dst[i] *= alpha
 TEXT ·vscalePtr(SB), NOSPLIT, $0-24

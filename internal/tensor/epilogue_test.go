@@ -60,7 +60,7 @@ func TestFusedEpilogueBitwise(t *testing.T) {
 }
 
 // TestGELUGradHadamardBitwise pins the fused backward epilogue to the
-// two-pass GELUGradTo + MulTo form.
+// two-pass GELUGradTo + Mul form.
 func TestGELUGradHadamardBitwise(t *testing.T) {
 	rng := NewRNG(31)
 	pre := RandomMatrix(9, 14, rng)
@@ -68,9 +68,9 @@ func TestGELUGradHadamardBitwise(t *testing.T) {
 	pre.Set(0, 0, math.Inf(1))
 	dy.Set(0, 1, math.NaN())
 
-	want := New(9, 14)
-	GELUGradTo(want, pre)
-	MulTo(want, dy, want)
+	grad := New(9, 14)
+	GELUGradTo(grad, pre)
+	want := Mul(dy, grad)
 
 	got := New(9, 14)
 	GELUGradHadamardTo(got, pre, dy)

@@ -12,10 +12,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	if !dst.Equal(Add(a, b)) {
 		t.Fatal("AddTo differs from Add")
 	}
-	MulTo(dst, a, b)
-	if !dst.Equal(Mul(a, b)) {
-		t.Fatal("MulTo differs from Mul")
-	}
 	// Aliasing: dst == a.
 	aCopy := a.Clone()
 	AddTo(aCopy, aCopy, b)
@@ -48,13 +44,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	ColSumsInto(cs, a)
 	if !cs.Equal(ColSums(a)) {
 		t.Fatal("ColSumsInto differs from ColSums")
-	}
-
-	packed := New(5, 2)
-	RowSumsIntoCol(packed, 0, a)
-	RowSumsIntoCol(packed, 1, b)
-	if !packed.Equal(HCat(RowSums(a), RowSums(b))) {
-		t.Fatal("RowSumsIntoCol packing differs from HCat(RowSums, RowSums)")
 	}
 
 	sub := New(2, 3)
@@ -99,7 +88,6 @@ func TestIntoVariantsPhantomNoOps(t *testing.T) {
 	ph := NewPhantom(3, 3)
 	dst := NewPhantom(3, 3)
 	AddTo(dst, ph, ph)
-	MulTo(dst, ph, ph)
 	MatMulNTInto(dst, ph, ph)
 	MatMulTNInto(dst, ph, ph)
 	SubMatrixInto(dst, ph, 0, 0)

@@ -187,18 +187,6 @@ func AddTo(dst, a, b *Matrix) {
 // operand; a and b must be at least as long as dst.
 func AddSlices(dst, a, b []float64) { vaddTo(dst, a, b) }
 
-// MulTo computes dst = a ⊙ b elementwise into an existing matrix. dst may
-// alias either operand.
-func MulTo(dst, a, b *Matrix) {
-	if !a.SameShape(b) || !dst.SameShape(a) {
-		panic(fmt.Sprintf("tensor: MulTo %dx%d = %dx%d * %dx%d", dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if phantomAny(dst, a, b) {
-		return
-	}
-	vmulTo(dst.Data, a.Data, b.Data)
-}
-
 // AddInPlace computes a += b.
 func AddInPlace(a, b *Matrix) {
 	if !a.SameShape(b) {
@@ -297,26 +285,6 @@ func ColSumsInto(dst, m *Matrix) {
 	}
 	for i := 0; i < m.Rows; i++ {
 		vaddIn(dst.Data, m.Data[i*m.Cols:(i+1)*m.Cols])
-	}
-}
-
-// RowSumsIntoCol writes the row sums of m into column col of dst (a matrix
-// with m.Rows rows), overwriting that column. It is the packing primitive
-// behind the fused layer-norm statistics message.
-func RowSumsIntoCol(dst *Matrix, col int, m *Matrix) {
-	if dst.Rows != m.Rows || col < 0 || col >= dst.Cols {
-		panic(fmt.Sprintf("tensor: RowSumsIntoCol col %d of %dx%d from %dx%d", col, dst.Rows, dst.Cols, m.Rows, m.Cols))
-	}
-	if phantomAny(dst, m) {
-		return
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for _, v := range row {
-			s += v
-		}
-		dst.Data[i*dst.Cols+col] = s
 	}
 }
 

@@ -31,7 +31,7 @@ import "fmt"
 //     the backward pass (saved activations, attention probabilities,
 //     layer-norm statistics), so callers must never Put a buffer that
 //     crossed a Forward API — unless the callee documents that it does not
-//     retain it, as the tesseract layer norms do for their inputs.
+//     retain it, as parallel.LayerNorm does for its input.
 //
 // ReleaseAll may only run at a step boundary — after the optimiser step, or
 // after an evaluation forward whose outputs have been consumed — never

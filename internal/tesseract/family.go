@@ -49,7 +49,8 @@ func Grids(w plan.Workload, budget int) []parallel.Layout {
 
 // Family is Tesseract's implementation of the family-agnostic model layer:
 // A-distributed activations — rows over the slab in block-row order
-// h = i + k·q, columns over the grid row (Figure 4a) — B-distributed
+// h = i + k·q, columns over the grid row (Figure 4a), so the View's layer
+// norms sum their row statistics over the grid row (§3.2.2) — B-distributed
 // weights, SUMMA linears and the queued §3.1 depth gradient
 // synchronisation, behind parallel.Family.
 type Family struct {
@@ -63,7 +64,9 @@ type Family struct {
 // call it collectively.
 func NewFamily(w *dist.Worker, l parallel.Layout) *Family {
 	p := NewProc(w, l.Q, l.D)
-	return &Family{View: parallel.NewView(w, l, p.Slab, p.Row, &p.Grads), p: p}
+	f := &Family{p: p}
+	f.View = parallel.NewView(w, l, p.Slab, p.Row, &p.Grads, f)
+	return f
 }
 
 // NewLinear builds a Tesseract-parallel linear layer.
@@ -84,21 +87,6 @@ func (f *Family) NewLinearPair(in, out parallel.Weight, act nn.Activation) (para
 // Lifetime returns RecycleGrads: saved activations ride to the step
 // boundary, gradient intermediates go back as soon as they are read.
 func (f *Family) Lifetime() parallel.Lifetime { return parallel.RecycleGrads }
-
-// NewBlock builds one Tesseract-parallel Transformer block; a nil rng
-// builds the shape-only one. The residual adds are local (§3.2.2), the layer
-// norms all-reduce their row statistics and do not retain their inputs.
-func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewBlock(f, h, heads, seqLen, rng)
-}
-
-// NewBlockPhantom builds the shape-only block for paper-scale timing.
-func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	return f.NewBlock(h, heads, seqLen, nil)
-}
-
-// NewLayerNorm builds the distributed layer norm of §3.2.2.
-func (f *Family) NewLayerNorm(h int) parallel.Layer { return NewLayerNorm(f.p, h) }
 
 // ForwardOnly opens or closes the rank's forward-only scope (Proc.ForwardOnly).
 func (f *Family) ForwardOnly(on bool) { f.p.ForwardOnly(on) }

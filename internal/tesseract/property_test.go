@@ -123,8 +123,9 @@ func TestQuickDepthReplicaInvariant(t *testing.T) {
 	}
 }
 
-// TestQuickLayerNormInvariants: distributed LayerNorm rows have ~zero mean
-// and the output is invariant to adding a per-row constant to the input.
+// TestQuickLayerNormInvariants: the View layer norm's rows on a [2,2,2]
+// mesh have ~zero mean and the output is invariant to adding a per-row
+// constant to the input.
 func TestQuickLayerNormInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
@@ -137,9 +138,9 @@ func TestQuickLayerNormInvariants(t *testing.T) {
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
 			p := NewProc(w, q, d)
-			l := NewLayerNorm(p, h)
+			l := family(p).NewLayerNorm(h)
 			outs.Put(w.Rank(), p.CollectA(l.Forward(p.DistributeA(x))))
-			l2 := NewLayerNorm(p, h)
+			l2 := family(p).NewLayerNorm(h)
 			outsShift.Put(w.Rank(), p.CollectA(l2.Forward(p.DistributeA(xShift))))
 			return nil
 		})

@@ -25,6 +25,3 @@ func (l *Linear) State() []parallel.State {
 	}
 	return out
 }
-
-// State returns nil: §3.2.2 layer normalisation is parameter-free.
-func (l *LayerNorm) State() []parallel.State { return nil }

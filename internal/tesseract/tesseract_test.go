@@ -27,7 +27,9 @@ func runMesh(t *testing.T, q, d int, fn func(p *Proc) error) *dist.Cluster {
 // gradient queue is the view's, so p.DrainGradients completes its layers'.
 func family(p *Proc) *Family {
 	l := parallel.Layout{Family: "tesseract", Q: p.Shape.Q, D: p.Shape.D, Ranks: p.Shape.Size()}
-	return &Family{View: parallel.NewView(p.W, l, p.Slab, p.Row, &p.Grads), p: p}
+	f := &Family{p: p}
+	f.View = parallel.NewView(p.W, l, p.Slab, p.Row, &p.Grads, f)
+	return f
 }
 
 func TestMatMulABMatchesSerial(t *testing.T) {
@@ -109,6 +111,8 @@ func TestLinearForwardBackwardMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestLayerNormMatchesSerial checks the View layer norm on a Tesseract
+// mesh, fed the Proc's A-distributed blocks, against nn.LayerNorm.
 func TestLayerNormMatchesSerial(t *testing.T) {
 	const h, rows = 8, 8
 	for _, ms := range meshShapes {
@@ -124,7 +128,7 @@ func TestLayerNormMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				l := NewLayerNorm(p, h)
+				l := family(p).NewLayerNorm(h)
 				y := l.Forward(p.DistributeA(x))
 				dx := l.Backward(p.DistributeA(dy))
 				ys.Put(p.W.Rank(), p.CollectA(y))
@@ -145,7 +149,7 @@ func TestLayerNormRowStatistics(t *testing.T) {
 	x := tensor.RandomMatrix(rows, h, rng)
 	ys := testutil.NewCollector()
 	runMesh(t, 2, 2, func(p *Proc) error {
-		l := NewLayerNorm(p, h)
+		l := family(p).NewLayerNorm(h)
 		y := l.Forward(p.DistributeA(x))
 		ys.Put(p.W.Rank(), p.CollectA(y))
 		return nil

@@ -10,9 +10,10 @@
 # attention and MLP modules as types of its own; dist to one way of moving
 # bytes: collectives, no point-to-point Send/Recv; each family to one
 # description: a parallel.Spec and a grid enumerator of parallel.Layouts; and
-# a family package to its layers: the activation layout, the step boundary
-# and the deferred-gradient queue live once, in parallel.View, and a family
-# that runs another family's layers (optimus, seqpar) has no layer code; the
+# a family package to its linears: the activation layout, the layer norm,
+# the block constructors, the step boundary and the deferred-gradient queue
+# live once, in parallel.View, and a family that runs another family's
+# layers (optimus, seqpar) has no layer code; the
 # simulated clock to internal/compute: no GEMM charged or multiplied beside
 # it; and the §1/§3.1 transmission claim to its measurement: no closed-form
 # side channel.
@@ -102,15 +103,16 @@ if grep -rnE 'RegisterCheck|RegisterRowShards|PlanAlgo|type Grid struct|Instanti
     fail=1
 fi
 
-# A family is its layers (docs/architecture.md §6): it names the two groups
+# A family is its linears (docs/architecture.md §6): it names the two groups
 # its activations split over and parallel.View derives the layout methods,
-# the step boundary and the one gradient queue. A family package that
-# declares one of those methods or a pending-gradient type of its own is
-# growing the per-family copy back; a Base field on parallel.Layout or
-# mesh.Shape is the rank offset no caller set.
-if grep -rnE '^func \([a-z]+ \*?[A-Za-z]+\) (Layout|Worker|RowShards|Slice|Distribute|Collect|GatherPooled|EndStep|DrainGradients)\(|^type [A-Za-z]*([pP]ending|[gG]radSync)[A-Za-z]* ' \
+# the layer norm, the block constructors, the step boundary and the one
+# gradient queue. A family package that declares one of those methods, a
+# layer norm or a pending-gradient type of its own is growing the per-family
+# copy back; a Base field on parallel.Layout or mesh.Shape is the rank offset
+# no caller set.
+if grep -rnE '^func \([a-z]+ \*?[A-Za-z]+\) (Layout|Worker|RowShards|Slice|Distribute|Collect|GatherPooled|EndStep|DrainGradients|NewLayerNorm|NewBlock|NewBlockPhantom)\(|^type [A-Za-z]*([pP]ending|[gG]radSync)[A-Za-z]* |^type LayerNorm ' \
     --include='*.go' internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
-    echo "docs_check: a family package declares its own activation layout, step boundary or gradient queue" >&2
+    echo "docs_check: a family package declares its own activation layout, layer norm, block constructor, step boundary or gradient queue" >&2
     fail=1
 fi
 if grep -nE '^[[:space:]]+([A-Za-z]+, *)*Base( *, *[A-Za-z]+)* +int' internal/parallel/registry.go internal/mesh/mesh.go >&2; then
