@@ -43,12 +43,19 @@ func main() {
 	if err := checkTable(*table); err != nil {
 		fatal(err)
 	}
-	opts := tables.Options{SeqLen: *seqLen, Layers: *layers, NoRecompute: *noRecomp}
 	// Once, before the first study prints: some studies take no options, so
 	// leaving the check to the first one that does would let them run first.
-	if err := opts.Check(); err != nil {
-		fatal(err)
+	// Both flags default to tables.Options' defaults, so a zero came from the
+	// user; Options would read it as the default in silence.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"seqlen", *seqLen}, {"layers", *layers}} {
+		if f.v < 1 {
+			fatal(fmt.Errorf("-%s %d must be at least 1", f.name, f.v))
+		}
 	}
+	opts := tables.Options{SeqLen: *seqLen, Layers: *layers, NoRecompute: *noRecomp}
 	all := !*claimsOnly && !*memory && !*ablation && !*overlap && !*planner && !*families && !*elastic && !*straggler && !*serving && !*speedups && *table == ""
 	bothTables := all || (*speedups && *table == "")
 

@@ -70,14 +70,18 @@ func TestMisuseIsOneLine(t *testing.T) {
 		want string // substring of the message
 	}{
 		{"unknown table", []string{"-table", "3"}, "valid: 1, 2"},
-		{"negative layers", []string{"-layers", "-1"}, "layers -1"},
-		{"negative seqlen", []string{"-seqlen", "-1"}, "sequence length -1"},
+		{"negative layers", []string{"-layers", "-1"}, "-layers -1 must be at least 1"},
+		{"negative seqlen", []string{"-seqlen", "-1"}, "-seqlen -1 must be at least 1"},
 		{"negative layers, one table", []string{"-table", "1", "-layers", "-1"}, "layers -1"},
-		{"negative seqlen, planner study", []string{"-planner", "-seqlen", "-1"}, "sequence length -1"},
+		{"negative seqlen, planner study", []string{"-planner", "-seqlen", "-1"}, "-seqlen -1"},
 		{"negative layers, ablation", []string{"-ablation", "-layers", "-3"}, "layers -3"},
 		// The serving table takes no options and used to print in full
 		// before the serving planner, next in line, rejected them.
 		{"negative layers, serving", []string{"-serving", "-layers", "-1"}, "layers -1"},
+		// Zero used to select the default in silence.
+		{"zero seqlen", []string{"-table", "1", "-seqlen", "0"}, "-seqlen 0 must be at least 1"},
+		{"zero layers", []string{"-table", "1", "-layers", "0"}, "-layers 0 must be at least 1"},
+		{"zero layers, transmission study", []string{"-claims", "-layers", "0"}, "-layers 0"},
 		// A row whose activation does not split over its layout is refused
 		// before its cluster is built; it used to exit with a worker panic.
 		{"seqlen 3, table 1", []string{"-seqlen", "3", "-table", "1"}, "row Optimus [8,8]: parallel: optimus [8,8] cannot split 36 activation rows"},

@@ -49,17 +49,19 @@ func main() {
 	)
 	flag.Parse()
 
-	// Zero means "preset" (or "default") for every count below; a negative
-	// one used to be ignored in silence and the preset planned instead.
+	// Zero means "preset" (or "default") for the workload counts; a negative
+	// one used to be ignored in silence and the preset planned instead. The
+	// row counts default to 10 and 3, so a zero there came from the user and
+	// used to print every layout, or validate none.
 	for _, f := range []struct {
-		name string
-		v    int
+		name   string
+		v, min int
 	}{
-		{"batch", *batch}, {"seq", *seqLen}, {"hidden", *hidden}, {"heads", *heads}, {"layers", *layers},
-		{"top", *top}, {"validate-top", *valTop},
+		{"batch", *batch, 0}, {"seq", *seqLen, 0}, {"hidden", *hidden, 0}, {"heads", *heads, 0}, {"layers", *layers, 0},
+		{"top", *top, 1}, {"validate-top", *valTop, 1},
 	} {
-		if f.v < 0 {
-			fatal(fmt.Errorf("-%s %d must not be negative", f.name, f.v))
+		if f.v < f.min {
+			fatal(fmt.Errorf("-%s %d must be at least %d", f.name, f.v, f.min))
 		}
 	}
 	w, ok := presets[*model]

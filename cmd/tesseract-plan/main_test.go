@@ -57,6 +57,8 @@ func TestMisuseIsOneLine(t *testing.T) {
 		{"negative layers", []string{"-layers", "-2"}, "-layers -2"},
 		{"negative top", []string{"-top", "-1"}, "-top -1"},
 		{"negative validate-top", []string{"-validate", "-validate-top", "-3"}, "-validate-top -3"},
+		{"zero top", []string{"-top", "0"}, "-top 0 must be at least 1"},
+		{"zero validate-top", []string{"-validate", "-validate-top", "0"}, "-validate-top 0 must be at least 1"},
 		{"negative ranks", []string{"-ranks", "-1"}, "rank budget"},
 		{"negative node size", []string{"-gpus-per-node", "-2"}, "GPUsPerNode"},
 		{"unknown model", []string{"-model", "gpt"}, "unknown -model"},

@@ -170,7 +170,16 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		// Zero still means the batcher's default.
+		// serve.Config reads a zero as its default, which each flag
+		// defaults to already: a zero here came from the user.
+		switch {
+		case budget == 0:
+			fatalf("-serve-budget %s must be above zero", *srvBudget)
+		case *srvBatch < 1:
+			fatalf("-serve-batch %d must be at least 1", *srvBatch)
+		case *srvDepth < 1:
+			fatalf("-serve-depth %d must be at least 1", *srvDepth)
+		}
 		if srvCfg, err = (serve.Config{MaxBatch: *srvBatch, LatencyBudget: budget, QueueDepth: *srvDepth}).WithDefaults(); err != nil {
 			fatalf("%v", err)
 		}

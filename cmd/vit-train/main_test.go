@@ -112,8 +112,12 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"serve/negative requests", []string{"-serve", "-serve-requests", "-1"}, "-serve-requests -1"},
 		// The batcher names the value it refuses; it used to print its whole
 		// config, KeepLogits test hook and all.
-		{"serve/negative batch", []string{"-serve", "-serve-batch", "-1"}, "MaxBatch -1, want ≥ 1"},
-		{"serve/negative depth", []string{"-serve", "-serve-depth", "-1"}, "QueueDepth -1, want ≥ 1"},
+		{"serve/negative batch", []string{"-serve", "-serve-batch", "-1"}, "-serve-batch -1 must be at least 1"},
+		{"serve/negative depth", []string{"-serve", "-serve-depth", "-1"}, "-serve-depth -1 must be at least 1"},
+		{"serve/zero batch", []string{"-serve", "-serve-batch", "0"}, "-serve-batch 0 must be at least 1"},
+		{"serve/zero depth", []string{"-serve", "-serve-depth", "0"}, "-serve-depth 0 must be at least 1"},
+		{"serve/zero budget", []string{"-serve", "-serve-budget", "0"}, "-serve-budget 0 must be above zero"},
+		{"serve/zero budget with a unit", []string{"-serve", "-serve-budget", "0ms"}, "-serve-budget 0ms must be above zero"},
 		{"serve/negative steps", []string{"-serve", "-serve-steps", "-2"}, "-serve-steps -2"},
 		{"elastic/fail step past the run", []string{"-elastic", "-fail-step", "99"}, "-fail-step 99"},
 		// Zero is the default (halfway); a negative step used to mean it too.

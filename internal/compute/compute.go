@@ -22,19 +22,19 @@ const (
 
 // MatMulInto computes c += a·b and charges 2mnk flops.
 func MatMulInto(w *dist.Worker, c, a, b *tensor.Matrix) {
-	w.ChargeGEMM(float64(a.Rows), float64(b.Cols), float64(a.Cols))
+	w.Compute(tensor.GEMMFlops(float64(a.Rows), float64(b.Cols), float64(a.Cols)))
 	tensor.MatMulInto(c, a, b)
 }
 
 // MatMulNTInto computes c = a·bᵀ (overwriting c) and charges 2mnk flops.
 func MatMulNTInto(w *dist.Worker, c, a, b *tensor.Matrix) {
-	w.ChargeGEMM(float64(a.Rows), float64(b.Rows), float64(a.Cols))
+	w.Compute(tensor.GEMMFlops(float64(a.Rows), float64(b.Rows), float64(a.Cols)))
 	tensor.MatMulNTInto(c, a, b)
 }
 
 // MatMulTNInto computes c += aᵀ·b and charges 2mnk flops.
 func MatMulTNInto(w *dist.Worker, c, a, b *tensor.Matrix) {
-	w.ChargeGEMM(float64(a.Cols), float64(b.Cols), float64(a.Rows))
+	w.Compute(tensor.GEMMFlops(float64(a.Cols), float64(b.Cols), float64(a.Rows)))
 	tensor.MatMulTNInto(c, a, b)
 }
 
@@ -43,7 +43,7 @@ func MatMulTNInto(w *dist.Worker, c, a, b *tensor.Matrix) {
 // element for the add — identical to MatMulInto + AddRowVectorInPlace, in
 // clock and in bits.
 func MatMulBiasInto(w *dist.Worker, c, a, b, bias *tensor.Matrix) {
-	w.ChargeGEMM(float64(a.Rows), float64(b.Cols), float64(a.Cols))
+	w.Compute(tensor.GEMMFlops(float64(a.Rows), float64(b.Cols), float64(a.Cols)))
 	w.Compute(float64(c.Size()) * FlopsPerAdd)
 	tensor.MatMulBiasInto(c, a, b, bias)
 }
@@ -53,7 +53,7 @@ func MatMulBiasInto(w *dist.Worker, c, a, b, bias *tensor.Matrix) {
 // Charges the GEMM plus the bias add (when present) plus FlopsPerGELU per
 // element, exactly what the separate passes charge.
 func MatMulBiasGELUInto(w *dist.Worker, act, pre, a, b, bias *tensor.Matrix) {
-	w.ChargeGEMM(float64(a.Rows), float64(b.Cols), float64(a.Cols))
+	w.Compute(tensor.GEMMFlops(float64(a.Rows), float64(b.Cols), float64(a.Cols)))
 	if bias != nil {
 		w.Compute(float64(pre.Size()) * FlopsPerAdd)
 	}

@@ -9,7 +9,7 @@ import (
 // are seconds, all sizes bytes.
 type CostModel struct {
 	// FLOPS is the per-GPU dense floating-point throughput (flop/s) that
-	// Worker.Compute and Worker.ChargeGEMM divide by.
+	// Worker.Compute divides by.
 	FLOPS float64
 	// Alpha is the fixed per-message launch latency.
 	Alpha float64

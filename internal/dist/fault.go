@@ -38,9 +38,9 @@ type FaultPlan struct {
 	Collectives []CollectiveFault
 }
 
-// RankFault slows one rank's compute: every Worker.Compute/ChargeGEMM
-// second costs Factor seconds while the window is active. Factor < 1 is
-// rejected by Check — a gray failure never speeds a node up.
+// RankFault slows one rank's compute: every Worker.Compute second costs
+// Factor seconds while the window is active. Factor < 1 is rejected by
+// Check — a gray failure never speeds a node up.
 type RankFault struct {
 	Rank     int
 	From, To int

@@ -52,7 +52,7 @@ var soloSchedules = map[string]func(w *Worker, g *Group){
 			if w.Rank() == root {
 				dst = tensor.NewPhantom(9, 4)
 			}
-			w.ChargeGEMM(64, 64, 64)
+			w.Compute(tensor.GEMMFlops(64, 64, 64))
 			g.ReduceInto(w, root, tensor.NewPhantom(9, 4), dst)
 		}
 	},
@@ -398,7 +398,7 @@ func TestSoloNonblockingRunAllocatesNothing(t *testing.T) {
 			if k+2 < q {
 				issue(k + 2)
 			}
-			w.ChargeGEMM(64, 64, 64)
+			w.Compute(tensor.GEMMFlops(64, 64, 64))
 		}
 		return nil
 	}

@@ -110,16 +110,6 @@ func (w *Worker) Compute(flops float64) {
 	w.busy += t
 }
 
-// ChargeGEMM charges the 2·m·n·k flops of an m×k by k×n multiply.
-func (w *Worker) ChargeGEMM(m, n, k float64) {
-	t := 2 * m * n * k / w.c.cost.FLOPS
-	if w.slow != 1 {
-		t *= w.slow
-	}
-	w.clock += t
-	w.busy += t
-}
-
 // matrixBytes prices a matrix by shape (phantoms cost the same as real
 // data — that is the whole point of phantom mode).
 func matrixBytes(m *tensor.Matrix) int64 {

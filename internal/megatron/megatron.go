@@ -53,10 +53,9 @@ const (
 	RowSharded
 )
 
-// Proc is one processor's view of a 1-D tensor-parallel group, with its
-// queue of deferred gradient all-reduces (only the replicated patch embedding
-// under RowSharded defers any: the linears' weight-shard gradients are
-// rank-local).
+// Proc is one processor's view of a 1-D tensor-parallel group, with the
+// Grads its gradients land on (only the replicated patch embedding under
+// RowSharded sums any: the linears' weight-shard gradients are rank-local).
 type Proc struct {
 	W *dist.Worker
 	// P is the tensor-parallel size.
@@ -97,26 +96,23 @@ func (p *Proc) Gather(x *tensor.Matrix) *tensor.Matrix {
 	return p.TP.AllGatherInto(p.W, x, full)
 }
 
-// accumTN accumulates xᵀ·dy into param out of a pooled buffer.
+// accumTN lands xᵀ·dy, out of a pooled buffer, as param's gradient: a
+// weight shard is rank-local, so nothing sums it.
 func (p *Proc) accumTN(param *nn.Param, x, dy *tensor.Matrix, ph bool) {
-	ws := p.W.Workspace()
-	dw := ws.GetUninitMatch(param.Value.Rows, param.Value.Cols, ph)
+	dw := p.W.Workspace().GetUninitMatch(param.Value.Rows, param.Value.Cols, ph)
 	dw.Zero()
 	compute.MatMulTNInto(p.W, dw, x, dy)
-	param.AccumGrad(dw)
-	ws.Put(dw)
+	p.Land(nil, param, dw)
 }
 
-// accumColSums accumulates dy's column sums into the bias param, if any.
+// accumColSums lands dy's column sums as the bias param's gradient, if any.
 func (p *Proc) accumColSums(param *nn.Param, dy *tensor.Matrix, ph bool) {
 	if param == nil {
 		return
 	}
-	ws := p.W.Workspace()
-	db := ws.GetUninitMatch(1, dy.Cols, ph)
+	db := p.W.Workspace().GetUninitMatch(1, dy.Cols, ph)
 	compute.ColSumsInto(p.W, db, dy)
-	param.AccumGrad(db)
-	ws.Put(db)
+	p.Land(nil, param, db)
 }
 
 // ColLinear is a column-parallel linear layer: W is split [In, Out/p] and

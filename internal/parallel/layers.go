@@ -14,12 +14,12 @@ import (
 // every rank holds whole, run on the rows the rank holds, every flop charged
 // through compute. It is every family's classifier head and the 1-D
 // families' patch embedding. A weight replicated over row-split input is one
-// layout whose gradient sums over the row group (Mesh-TensorFlow): with sum
-// set, Backward queues the weight and bias partials' all-reduces on grads
-// for DrainGradients; with sum nil (the head, Megatron's replicated input)
-// it accumulates them in place, bitwise identical to nn.Linear. Buffers come
-// from the workspace, bias and GELU fused into the GEMM write-back; outputs
-// live until the step-boundary ReleaseAll.
+// layout whose gradient sums over the row group (Mesh-TensorFlow): Backward
+// lands the weight and bias partials on grads over sum, so with sum set
+// their all-reduces run until DrainGradients, and with sum nil (the head,
+// Megatron's replicated input) they fold in at once, bitwise identical to
+// nn.Linear. Buffers come from the workspace, bias and GELU fused into the
+// GEMM write-back; outputs live until the step-boundary ReleaseAll.
 type ReplicatedLinear struct {
 	*nn.Linear
 	w     *dist.Worker
@@ -31,16 +31,10 @@ type ReplicatedLinear struct {
 }
 
 // NewReplicatedLinear draws the full weight from rng (the serial stream)
-// and replicates it on the calling rank; sum and grads may be nil.
+// and replicates it on the calling rank, landing its gradients on grads
+// summed over sum (nil: not summed).
 func NewReplicatedLinear(w *dist.Worker, sum *dist.Group, grads *Grads, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
 	return &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w, sum: sum, grads: grads}
-}
-
-// NewHead builds any family's classifier head: a replicated serial linear
-// computed redundantly on every rank from replicated features — the
-// standard treatment for heads whose cost is negligible.
-func NewHead(f Family, in, out int, rng *tensor.RNG) *ReplicatedLinear {
-	return NewReplicatedLinear(f.Worker(), nil, nil, in, out, nn.ActNone, true, rng)
 }
 
 // State exposes the replicated weight (and bias, if present) as canonical
@@ -83,8 +77,8 @@ func (l *ReplicatedLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return pre
 }
 
-// Backward folds in or queues the weight and bias gradients and returns the
-// input gradient, a workspace buffer owned by the caller.
+// Backward lands the weight and bias gradients and returns the input
+// gradient, a workspace buffer owned by the caller.
 func (l *ReplicatedLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	ws := l.w.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
@@ -97,11 +91,11 @@ func (l *ReplicatedLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dw := ws.GetUninitMatch(l.In, l.Out, ph)
 	dw.Zero()
 	compute.MatMulTNInto(l.w, dw, l.x, dy)
-	l.accum(l.W, dw)
+	l.grads.Land(l.sum, l.W, dw)
 	if l.B != nil {
 		db := ws.GetUninitMatch(1, l.Out, ph)
 		compute.ColSumsInto(l.w, db, dy)
-		l.accum(l.B, db)
+		l.grads.Land(l.sum, l.B, db)
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
 	compute.MatMulNTInto(l.w, dx, dy, l.W.Value)
@@ -109,17 +103,6 @@ func (l *ReplicatedLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		ws.Put(dyScratch)
 	}
 	return dx
-}
-
-// accum folds a gradient into p now, or queues its sum over the row group,
-// which takes the buffer over.
-func (l *ReplicatedLinear) accum(p *nn.Param, g *tensor.Matrix) {
-	if l.sum == nil {
-		p.AccumGrad(g)
-		l.w.Workspace().Put(g)
-		return
-	}
-	l.grads.DeferAllReduce(l.sum, p, g)
 }
 
 // LayerNorm is the one layer norm (Eq. 13, backward Eq. 14), whatever the

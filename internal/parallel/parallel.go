@@ -11,11 +11,11 @@
 // once, here (Block, Attention, MLP, LayerNorm), composed from the linears
 // and the buffer lifetimes a family contributes (Linears). So do the
 // activation layout (Distribute, Collect, Slice, GatherPooled), the block
-// constructors (NewBlock, NewLayerNorm) and the step boundary
+// constructors (NewBlock, NewLayerNorm, NewHead) and the step boundary
 // (DrainGradients, EndStep): View implements them for every family from the
 // two groups its activations split over and the family's Linears, with one
-// deferred-gradient queue (Grads). A family builds only its linears
-// (NewLinear, and the pairs a block shards; the classifier head is NewHead,
+// place every partial gradient lands (Grads.Land). A family builds only its
+// linears (NewLinear, and the pairs a block shards; the classifier head is
 // the same replicated linear for every family). Everything above —
 // vit.DistModel, vit.Session and the trainers, serving and tables runners
 // that drive it — only ever sees these contracts.
@@ -39,12 +39,15 @@
 //
 // # Grad-sync ordering
 //
-// Backward passes may defer parameter-gradient synchronisation onto the
-// rank's Grads (Tesseract queues its §3.1 depth all-reduces per layer and
-// lets them fly behind the remaining backward work). Gradients are only
-// final after Family.DrainGradients returns; trainers must drain after the
-// full backward pass and before the optimiser reads any gradient. Drain is
-// idempotent and free for families that synchronise eagerly.
+// A backward pass finishes every partial parameter gradient through one
+// call, Grads.Land, naming only the group the partial sums over: the group
+// that replicates the weight (Tesseract's depth fibre, §3.1; the row group
+// of a replicated weight on row-split input), or nil when the partial is
+// already the gradient, which then folds in at once. A sum starts at once
+// and flies behind the remaining backward work. Gradients are only final
+// after Family.DrainGradients returns; trainers must drain after the full
+// backward pass and before the optimiser reads any gradient. Drain is
+// idempotent and free when nothing was summed.
 //
 // # EndStep
 //
@@ -117,6 +120,9 @@ type Family interface {
 	NewBlockPhantom(h, heads, seqLen int) Layer
 	// NewLayerNorm builds the layer normalisation over hidden width h.
 	NewLayerNorm(h int) Layer
+	// NewHead builds the classifier head: a replicated serial linear whose
+	// input features are replicated, drawn from rng in the serial order.
+	NewHead(in, out int, rng *tensor.RNG) *ReplicatedLinear
 
 	// Distribute slices a replicated global activation into this rank's
 	// block (the identity for families that replicate activations).

@@ -102,9 +102,9 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 func TestReplicatedLinearMatchesSerial(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
-		rng := tensor.NewRNG(3)
-		a := NewReplicatedLinear(w, nil, nil, 4, 6, nn.ActGELU, true, rng)
-		b := NewReplicatedLinear(w, nil, nil, 6, 4, nn.ActNone, true, rng)
+		rng, grads := tensor.NewRNG(3), NewGrads(w)
+		a := NewReplicatedLinear(w, nil, &grads, 4, 6, nn.ActGELU, true, rng)
+		b := NewReplicatedLinear(w, nil, &grads, 6, 4, nn.ActNone, true, rng)
 
 		refA := nn.NewLinear(4, 6, nn.ActGELU, true, tensor.NewRNG(3))
 		rng2 := tensor.NewRNG(3)
@@ -134,7 +134,8 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
 		x := tensor.RandomMatrix(4, 8, tensor.NewRNG(1))
-		lin := NewReplicatedLinear(w, nil, nil, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
+		grads := NewGrads(w)
+		lin := NewReplicatedLinear(w, nil, &grads, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
 		lin.Forward(x)
 		lin.Backward(tensor.RandomMatrix(4, 2, tensor.NewRNG(3)))
 		return nil
@@ -168,7 +169,8 @@ func TestReplicatedLinearChargesThroughCompute(t *testing.T) {
 	x := tensor.RandomMatrix(rows, in, tensor.NewRNG(9))
 	dy := tensor.RandomMatrix(rows, out, tensor.NewRNG(10))
 	got := run(func(w *dist.Worker) {
-		l := NewReplicatedLinear(w, nil, nil, in, out, nn.ActGELU, true, tensor.NewRNG(3))
+		grads := NewGrads(w)
+		l := NewReplicatedLinear(w, nil, &grads, in, out, nn.ActGELU, true, tensor.NewRNG(3))
 		l.Backward(l.Forward(x))
 	})
 	want := run(func(w *dist.Worker) {

@@ -60,6 +60,14 @@ func shards(g *dist.Group) int {
 // statistics sum over the column group.
 func (v *View) NewLayerNorm(h int) Layer { return NewLayerNorm(v.w, v.cols, h) }
 
+// NewHead builds the classifier head: a replicated serial linear computed
+// redundantly on every rank from replicated features, so its partials are
+// its gradients — the standard treatment for heads whose cost is
+// negligible.
+func (v *View) NewHead(in, out int, rng *tensor.RNG) *ReplicatedLinear {
+	return NewReplicatedLinear(v.w, nil, v.Grads, in, out, nn.ActNone, true, rng)
+}
+
 // Slice is block (row, col) of the row and column splits.
 func (v *View) Slice(rows, cols int) Slice {
 	rs, cs := v.RowShards(), shards(v.cols)
@@ -110,8 +118,8 @@ func (v *View) gather(x *tensor.Matrix, owned bool) *tensor.Matrix {
 	return x
 }
 
-// Grads is one rank's queue of deferred gradient all-reduces: a backward
-// pass launches a partial gradient's sum the moment it is ready and carries
+// Grads is where one rank's partial parameter gradients land (Land): a
+// backward pass launches a partial's sum the moment it is ready and carries
 // on into earlier layers, and DrainGradients folds the sums in.
 type Grads struct {
 	w       *dist.Worker
@@ -127,10 +135,17 @@ type pendingGrad struct {
 // NewGrads returns the calling rank's empty queue.
 func NewGrads(w *dist.Worker) Grads { return Grads{w: w} }
 
-// DeferAllReduce launches g's in-place all-reduce of buf, param's partial
-// gradient; the workspace buffer belongs to the queue from here on.
-func (q *Grads) DeferAllReduce(g *dist.Group, param *nn.Param, buf *tensor.Matrix) {
-	q.pending = append(q.pending, pendingGrad{param: param, buf: buf, h: g.IAllReduceInto(q.w, buf, buf)})
+// Land finishes buf, one partial of p's gradient, by summing it over g, the
+// group that replicates p (§3.1), and takes the workspace buffer over. With
+// g nil the partial is the gradient, so it folds in now; otherwise g's
+// in-place all-reduce starts now and folds in at DrainGradients.
+func (q *Grads) Land(g *dist.Group, p *nn.Param, buf *tensor.Matrix) {
+	if g == nil {
+		p.AccumGrad(buf)
+		q.w.Workspace().Put(buf)
+		return
+	}
+	q.pending = append(q.pending, pendingGrad{param: p, buf: buf, h: g.IAllReduceInto(q.w, buf, buf)})
 }
 
 // DrainGradients waits every queued sum in issue order, accumulates it into

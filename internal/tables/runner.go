@@ -48,13 +48,6 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// Check reports what withDefaults would reject, so a front end that runs
-// several studies from one Options can refuse it before the first prints.
-func (o Options) Check() error {
-	_, err := o.withDefaults()
-	return err
-}
-
 // replayEach runs the n independent replays run(0) … run(n-1), at most
 // runtime.GOMAXPROCS(0) of them at a time, and returns their results in index
 // order. Every replay builds a cluster of its own, so concurrent ones share

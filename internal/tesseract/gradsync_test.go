@@ -14,7 +14,7 @@ import (
 // TestAsyncGradSyncMatchesBlockingBitwise holds the queued gradient path to
 // the old synchronous contract: for a full Linear forward+backward on
 // [1,1,1], [2,2,1] and [2,2,2], the gradients left behind by
-// QueueGradSync + DrainGradients must equal — bit for bit, on every rank —
+// Land + DrainGradients must equal — bit for bit, on every rank —
 // a reference that runs the layer-partial product and the §3.1 depth
 // all-reduce fully blocking, exactly as Linear.Backward used to.
 func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {

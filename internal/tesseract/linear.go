@@ -44,7 +44,11 @@ func NewLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *tensor.R
 // newLinear keeps block (i, j) of a replicated global weight (Figure 4b).
 // The fused QKV projection passes a column-permuted one.
 func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Linear {
-	br, bc := p.BBlockShape(full.Rows, full.Cols)
+	q := p.Shape.Q
+	if full.Rows%q != 0 || full.Cols%q != 0 {
+		panic(fmt.Sprintf("tesseract: parameter %dx%d not divisible by q=%d", full.Rows, full.Cols, q))
+	}
+	br, bc := full.Rows/q, full.Cols/q
 	l := &Linear{In: full.Rows, Out: full.Cols, Act: act, hasBias: bias, p: p}
 	l.W = nn.NewParam("tesseract.linear.w", full.Block(p.I*br, p.J*bc, br, bc))
 	if bias && p.I == 0 {
@@ -93,7 +97,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if l.Act == nn.ActGELU {
 		epi.Act = ws.GetUninitMatch(x.Rows, outCols, ph)
 	}
-	y := p.MatMulABEpi(x, p.rightOperand(l.W.Value), epi)
+	y := summa.MulABEpi(p.Proc, x, p.rightOperand(l.W.Value), epi)
 	if biasScratch != nil {
 		ws.Put(biasScratch)
 	}
@@ -109,12 +113,11 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // read — gradient buffers, unlike activations, are never retained, so the
 // caller may recycle dy as soon as Backward returns.
 //
-// Parameter-gradient synchronisation is asynchronous: the §3.1 depth
-// all-reduces of dW and dB are queued on the Proc (QueueGradSync) and run
-// while the backward pass continues into earlier layers. On meshes with
-// d > 1 the gradients land in l.W.Grad/l.B.Grad only once
-// Proc.DrainGradients has been called — trainers drain after the full
-// backward pass, before the optimiser step.
+// dW and grid row 0's dB land on the Proc's Grads summed over the depth
+// fibre (§3.1): the all-reduces run while the backward pass continues into
+// earlier layers, so on meshes with d > 1 the gradients reach
+// l.W.Grad/l.B.Grad only once Proc.DrainGradients has been called —
+// trainers drain after the full backward pass, before the optimiser step.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	p := l.p
 	ws := p.W.Workspace()
@@ -124,20 +127,20 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		compute.GELUGradHadamardTo(p.W, g, l.pre, dy)
 		dy, dyScratch = g, g
 	}
-	p.QueueGradSync(l.W, summa.MulATB(p.Proc, l.x, dy))
+	p.Land(p.sum, l.W, summa.MulATB(p.Proc, l.x, dy))
 	if l.hasBias {
 		db := ws.GetUninitMatch(1, dy.Cols, dy.Phantom())
 		compute.ColSumsInto(p.W, db, dy)
 		if p.I == 0 {
 			r := ws.GetUninitMatch(1, dy.Cols, dy.Phantom())
 			p.Col.ReduceInto(p.W, p.ColRank(0), db, r)
-			p.QueueGradSync(l.B, r)
+			p.Land(p.sum, l.B, r)
 		} else {
 			p.Col.ReduceInto(p.W, p.ColRank(0), db, nil)
 		}
 		ws.Put(db)
 	}
-	dx := p.MatMulABT(dy, l.W.Value)
+	dx := summa.MulABT(p.Proc, dy, l.W.Value)
 	if dyScratch != nil {
 		ws.Put(dyScratch)
 	}

@@ -6,8 +6,11 @@
 // blocks of [a/(dq), b/q]; processor (i, j, k) holds block row h = i + k·q,
 // block column j. A parameter matrix B ∈ [b, c] is split into q² blocks of
 // [b/q, c/q], with one replica per depth layer. Each depth layer runs an
-// independent SUMMA over its q×q grid; parameter gradients are all-reduced
-// across the depth fibre so the replicas stay identical (§3.1).
+// independent SUMMA over its q×q grid; parameter gradients land
+// (parallel.Grads.Land) summed across the depth fibre so the replicas stay
+// identical (§3.1). The layers call summa directly; the Proc's MatMul,
+// Distribute and Collect methods are Algorithm 3 and Figure 4 as a caller
+// outside the layers (the quickstart, the benchmarks) uses them.
 //
 // Setting d = 1 recovers the 2-D SUMMA scheme (Optimus); d = q is the 3-D
 // special case. Setting q = d = 1 gives a serial execution, which the weak
@@ -15,22 +18,24 @@
 package tesseract
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
 	"repro/internal/mesh"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/summa"
 	"repro/internal/tensor"
 )
 
 // Proc is one processor's view of a Tesseract mesh. It embeds the mesh
-// bookkeeping (coordinates and communicator groups) and the processor's
-// queue of the depth all-reduces its layers defer (QueueGradSync).
+// bookkeeping (coordinates and communicator groups) and the Grads its
+// layers' gradients land on.
 type Proc struct {
 	*mesh.Proc
 	parallel.Grads
+
+	// sum is the group a weight shard's partial gradient sums over (§3.1):
+	// the depth fibre, or nil on a depth-1 mesh, where the partial is the
+	// gradient.
+	sum *dist.Group
 
 	// forwardOnly is set for the length of a Run that only runs forwards
 	// (ForwardOnly); packs holds, per weight block this rank owns, the
@@ -86,24 +91,14 @@ func (p *Proc) rightOperand(w *tensor.Matrix) *tensor.Matrix {
 	return &pk.view
 }
 
-// QueueGradSync defers the §3.1 depth all-reduce of one parameter shard's
-// layer-partial gradient buf (a workspace buffer the queue takes over) until
-// DrainGradients. On a depth-1 mesh the sum is the partial itself, so it is
-// folded in immediately — callers never special-case d = 1, but they must
-// drain before reading gradients on deeper meshes.
-func (p *Proc) QueueGradSync(param *nn.Param, buf *tensor.Matrix) {
-	if p.Depth.Size() == 1 {
-		param.AccumGrad(buf)
-		p.W.Workspace().Put(buf)
-		return
-	}
-	p.DeferAllReduce(p.Depth, param, buf)
-}
-
 // NewProc attaches the calling worker to the [q, q, d] mesh on ranks
 // [0, d·q²).
 func NewProc(w *dist.Worker, q, d int) *Proc {
-	return &Proc{Proc: mesh.NewProc(w, mesh.Shape{Q: q, D: d}), Grads: parallel.NewGrads(w)}
+	p := &Proc{Proc: mesh.NewProc(w, mesh.Shape{Q: q, D: d}), Grads: parallel.NewGrads(w)}
+	if p.Depth.Size() > 1 {
+		p.sum = p.Depth
+	}
+	return p
 }
 
 // MatMulAB computes C = A·B (Algorithm 3). a is the caller's A-distributed
@@ -111,13 +106,6 @@ func NewProc(w *dist.Worker, q, d int) *Proc {
 // A-distributed like a.
 func (p *Proc) MatMulAB(a, b *tensor.Matrix) *tensor.Matrix {
 	return summa.MulAB(p.Proc, a, b)
-}
-
-// MatMulABEpi is MatMulAB with a fused bias/GELU epilogue applied inside
-// the final SUMMA iteration's write-back (bitwise identical to the separate
-// passes — see summa.Epilogue).
-func (p *Proc) MatMulABEpi(a, b *tensor.Matrix, epi summa.Epilogue) *tensor.Matrix {
-	return summa.MulABEpi(p.Proc, a, b, epi)
 }
 
 // MatMulABT computes C = A·Bᵀ (the activation-gradient product A' = C'·Bᵀ of
@@ -160,14 +148,4 @@ func (p *Proc) CollectA(local *tensor.Matrix) *tensor.Matrix {
 // caller's layer.
 func (p *Proc) CollectB(local *tensor.Matrix) *tensor.Matrix {
 	return summa.CollectB(p.Proc, local)
-}
-
-// BBlockShape returns the local B-block shape for a global [rows, cols]
-// parameter matrix.
-func (p *Proc) BBlockShape(rows, cols int) (int, int) {
-	q := p.Shape.Q
-	if rows%q != 0 || cols%q != 0 {
-		panic(fmt.Sprintf("tesseract: parameter %dx%d not divisible by q=%d", rows, cols, q))
-	}
-	return rows / q, cols / q
 }

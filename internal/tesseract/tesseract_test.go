@@ -372,13 +372,17 @@ func TestBlockShapeValidation(t *testing.T) {
 	})
 }
 
-// TestABBlockShapeHelpers: a parameter's B block; an activation's A block
-// is the family's Slice (parallel.TestLayoutContract).
+// TestABBlockShapeHelpers: a linear keeps its weight's B block and refuses
+// a weight q does not divide; an activation's A block is the family's Slice
+// (parallel.TestLayoutContract).
 func TestABBlockShapeHelpers(t *testing.T) {
 	runMesh(t, 2, 2, func(p *Proc) error {
-		if r, c := p.BBlockShape(8, 6); r != 4 || c != 3 {
-			t.Errorf("BBlockShape = %dx%d", r, c)
+		if w := NewLinear(p, 8, 6, nn.ActNone, false, nil).W.Value; w.Rows != 4 || w.Cols != 3 {
+			t.Errorf("B block = %dx%d, want 4x3", w.Rows, w.Cols)
 		}
+		defer func() { recover() }()
+		NewLinear(p, 8, 5, nn.ActNone, false, nil)
+		t.Errorf("rank %d: expected panic for a 8x5 weight on q=2", p.W.Rank())
 		return nil
 	})
 }

@@ -46,7 +46,7 @@ func NewDistModel(f parallel.Family, cfg ModelConfig) *DistModel {
 		m.Blocks = append(m.Blocks, f.NewBlock(cfg.Hidden, cfg.Heads, cfg.SeqLen, rng))
 	}
 	// Every family's head is the replicated serial linear.
-	m.Head = parallel.NewHead(f, cfg.Hidden, cfg.Classes, rng)
+	m.Head = f.NewHead(cfg.Hidden, cfg.Classes, rng)
 	return m
 }
 

@@ -12,7 +12,8 @@
 # description: a parallel.Spec and a grid enumerator of parallel.Layouts; and
 # a family package to its linears: the activation layout, the layer norm,
 # the block constructors, the step boundary and the deferred-gradient queue
-# live once, in parallel.View, and a family that runs another family's
+# live once, in parallel.View, every partial gradient lands through
+# parallel.Grads.Land, and a family that runs another family's
 # layers (optimus, seqpar) has no layer code; the
 # simulated clock to internal/compute: no GEMM charged or multiplied beside
 # it; and the §1/§3.1 transmission claim to its measurement: no closed-form
@@ -133,13 +134,27 @@ fi
 
 # Arithmetic and its simulated seconds move together (internal/compute): a
 # GEMM is charged and run by one compute call, so timing and values cannot
-# drift apart. A Worker.ChargeGEMM or tensor.MatMul* call in non-test Go
+# drift apart. A tensor.GEMMFlops or tensor.MatMul* call in non-test Go
 # anywhere else in internal/ or cmd/ is a hand-charged copy growing back;
 # internal/tensor is the kernels and internal/nn the serial reference, both
 # off the clock (as is an example's serial check).
-if grep -rnE '\.ChargeGEMM\(|tensor\.MatMul' --include='*.go' --exclude='*_test.go' internal cmd |
+if grep -rnE 'tensor\.GEMMFlops\(|tensor\.MatMul' --include='*.go' --exclude='*_test.go' internal cmd |
     grep -vE '^internal/(compute|tensor|nn)/' >&2; then
     echo "docs_check: a GEMM is charged or run outside internal/compute" >&2
+    fail=1
+fi
+
+# Every partial gradient lands in one place, parallel.Grads.Land
+# (docs/architecture.md §6): a layer names the group its partial sums over
+# (nil: none) and Land folds it now or sums it by DrainGradients. An
+# AccumGrad call in non-test Go outside internal/nn (the serial reference)
+# and Land itself — in a family package, elsewhere in internal/parallel or
+# above them — or a DeferAllReduce or QueueGradSync anywhere, is a
+# per-family copy of that choice growing back.
+if grep -rn 'AccumGrad(' --include='*.go' --exclude='*_test.go' internal cmd examples |
+    grep -vE '^internal/(nn/|parallel/view\.go:)' >&2 ||
+    grep -rnE 'DeferAllReduce|QueueGradSync' --include='*.go' --exclude='*_test.go' . >&2; then
+    echo "docs_check: a partial gradient is finished outside parallel.Grads.Land" >&2
     fail=1
 fi
 
