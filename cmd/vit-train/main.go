@@ -85,6 +85,16 @@ func main() {
 	if *test == 0 {
 		fatalf("-test-per-class 0: want 1 or more test samples per class")
 	}
+	// -lr and -seed default to 0.003 and 2022 at the flags, so a 0 came
+	// from the user: TrainConfig and DataConfig would read it as their own
+	// default in silence (and the model and batch order would still use
+	// seeds 1 and 2).
+	if *lr == 0 {
+		fatalf("-lr 0: want a learning rate above 0")
+	}
+	if *seed == 0 {
+		fatalf("-seed 0: want a seed of 1 or more (the dataset reads 0 as its default, 2022)")
+	}
 	if *planFor < 0 {
 		fatalf("-plan %d: want a rank budget of 1 or more (0 means no search)", *planFor)
 	}

@@ -76,6 +76,10 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"optimus depth 0", []string{"-family", "optimus", "-d", "0"}, "-d 0"},
 		{"NaN lr", []string{"-lr", "NaN"}, "learning rate NaN"},
 		{"negative lr", []string{"-lr", "-1"}, "learning rate -1"},
+		// -lr 0 and -seed 0 used to run TrainConfig's and DataConfig's
+		// defaults in silence.
+		{"zero lr", []string{"-lr", "0"}, "-lr 0"},
+		{"zero seed", []string{"-seed", "0"}, "-seed 0"},
 		{"negative weight decay", []string{"-weight-decay", "-5"}, "weight decay -5"},
 	}
 	modes := []struct {

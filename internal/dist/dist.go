@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,7 +39,8 @@ type abortSignal struct{}
 // simulated clock, and why. It is the error Run returns when a worker fails
 // (errors.As recovers it through any wrapping), the error a poisoned
 // cluster keeps reporting, and the starting point for elastic recovery —
-// Survivors and Recover are derived from the recorded failures.
+// Survivors and Recover are derived from the failures the workers recorded,
+// one at most per rank.
 type Failure struct {
 	// Rank is the cluster rank whose function failed or panicked.
 	Rank int
@@ -64,8 +64,9 @@ func (f *Failure) Error() string {
 // Unwrap exposes the cause to errors.Is/errors.As.
 func (f *Failure) Unwrap() error { return f.Err }
 
-// Cluster is a set of simulated workers plus their shared plumbing: group
-// cache, clocks, statistics and abort state.
+// Cluster is a set of simulated workers, each the home of its rank's state,
+// plus their shared plumbing: group cache, fault plan, monitor, Run
+// lifecycle and abort state.
 type Cluster struct {
 	cfg     Config
 	cost    CostModel
@@ -79,12 +80,10 @@ type Cluster struct {
 	groupMu sync.Mutex
 	groups  map[string]*Group
 
-	stats *statsBook
-
 	// fault is the installed gray-failure schedule (nil when Config.Faults
 	// was nil or empty — the perturbation branches are then never taken).
-	// monitor is the optional telemetry sink workers report step samples to;
-	// both are set before any Run and immutable afterwards.
+	// monitor is the optional straggler detector over the workers' step
+	// samples; both are set before any Run and immutable afterwards.
 	fault   *FaultPlan
 	monitor *Monitor
 
@@ -108,14 +107,10 @@ type Cluster struct {
 	cleanup runtime.Cleanup
 	id      string
 
-	// fn, errs and done are the active Run's function, the per-rank
-	// results and the count of ranks still running it.
+	// fn and done are the active Run's function and the count of ranks
+	// still running it.
 	fn   func(w *Worker) error
-	errs []error
 	done sync.WaitGroup
-
-	failMu   sync.Mutex
-	failures []*Failure
 }
 
 // New builds a cluster with WorldSize workers. It panics on a non-positive
@@ -161,8 +156,6 @@ func newCluster(cfg Config, live int) *Cluster {
 		cost:   cfg.Cost.WithDefaults(),
 		gpn:    gpn,
 		groups: make(map[string]*Group),
-		stats:  newStatsBook(live),
-		errs:   make([]error, live),
 	}
 	workers := make([]Worker, live)
 	c.workers = make([]*Worker, live)
@@ -177,10 +170,10 @@ func newCluster(cfg Config, live int) *Cluster {
 // cluster (including one configured with an empty plan).
 func (c *Cluster) Faults() *FaultPlan { return c.fault }
 
-// AttachMonitor wires a telemetry sink sized for this cluster: every
-// Worker.EndStep reports its (total, busy) split to it. Call it before the
-// first Run; it panics on a second attach or a world-size mismatch. Returns
-// the monitor for convenience.
+// AttachMonitor gives every worker a ring of the config's Window step
+// samples, into which Worker.EndStep records its (total, busy) split, and
+// returns the detector that reads them. Call it before the first Run; it
+// panics on a second attach.
 func (c *Cluster) AttachMonitor(cfg MonitorConfig) *Monitor {
 	if c.solo {
 		panic("dist: a solo cluster takes no monitor (it would see one rank of the world)")
@@ -188,7 +181,7 @@ func (c *Cluster) AttachMonitor(cfg MonitorConfig) *Monitor {
 	if c.monitor != nil {
 		panic("dist: cluster already has a monitor attached")
 	}
-	c.monitor = newMonitor(cfg, c.cfg.WorldSize)
+	c.monitor = newMonitor(cfg, c.workers)
 	return c.monitor
 }
 
@@ -235,7 +228,7 @@ func (c *Cluster) Run(fn func(w *Worker) error) error {
 	}
 	c.fn = fn
 	if c.solo {
-		c.errs[0] = c.runWorker(c.workers[0], fn)
+		c.runWorker(c.workers[0], fn)
 	} else {
 		c.done.Add(len(c.workers))
 		for r, w := range c.workers {
@@ -244,16 +237,11 @@ func (c *Cluster) Run(fn func(w *Worker) error) error {
 		c.done.Wait()
 	}
 	c.fn = nil
-	var err error
-	for r, e := range c.errs {
-		if err == nil {
-			err = e
-		}
-		c.errs[r] = nil
-	}
 	c.end()
-	if err != nil {
-		return err
+	// A Run starts only on a healthy cluster, so every failure on record
+	// is this Run's.
+	if f := c.Failure(); f != nil {
+		return f
 	}
 	// Every worker unwound quietly but the cluster aborted anyway (a
 	// failure surfaced outside any worker's own frame): report the poison.
@@ -358,30 +346,25 @@ func (c *Cluster) runRank(w *Worker) {
 		}
 		c.done.Done()
 	}()
-	c.errs[w.rank] = c.runWorker(w, c.fn)
+	c.runWorker(w, c.fn)
 	exited = false
 }
 
 // runWorker calls fn for one rank and turns its error or panic into the
-// recorded *Failure that aborts the cluster; the quiet unwind of a worker
-// some other rank's failure released is no failure of its own.
-func (c *Cluster) runWorker(w *Worker, fn func(w *Worker) error) (failure error) {
+// *Failure the worker records and the cluster aborts with; the quiet unwind
+// of a worker some other rank's failure released is no failure of its own.
+func (c *Cluster) runWorker(w *Worker, fn func(w *Worker) error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, quiet := r.(abortSignal); quiet {
 				return
 			}
-			f := &Failure{Rank: w.rank, Clock: w.clock, Panicked: true, Err: fmt.Errorf("%v", r)}
-			c.recordFailure(f)
-			failure = f
+			c.fail(w, &Failure{Rank: w.rank, Clock: w.clock, Panicked: true, Err: fmt.Errorf("%v", r)})
 		}
 	}()
 	if err := fn(w); err != nil {
-		f := &Failure{Rank: w.rank, Clock: w.clock, Err: err}
-		c.recordFailure(f)
-		return f
+		c.fail(w, &Failure{Rank: w.rank, Clock: w.clock, Err: err})
 	}
-	return nil
 }
 
 // abortWith poisons the cluster with the first failure and releases every
@@ -397,51 +380,32 @@ func (c *Cluster) abortWith(err error) {
 	})
 }
 
-// recordFailure registers a worker failure and poisons the cluster with the
-// first one.
-func (c *Cluster) recordFailure(f *Failure) {
-	c.failMu.Lock()
-	c.failures = append(c.failures, f)
-	c.failMu.Unlock()
+// fail records a worker's failure on the worker and poisons the cluster
+// with the first one.
+func (c *Cluster) fail(w *Worker, f *Failure) {
+	w.failure = f
 	c.abortWith(f)
 }
 
 // Failure returns the abort cause — the lowest-rank recorded failure, for
 // determinism when several ranks fail in one run — or nil if the cluster
-// has not aborted (or aborted without a worker failure on record).
+// has not aborted (or aborted without a worker failure on record). Like
+// Stats, call it between Runs.
 func (c *Cluster) Failure() *Failure {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	var first *Failure
-	for _, f := range c.failures {
-		if first == nil || f.Rank < first.Rank {
-			first = f
+	for _, w := range c.workers {
+		if w.failure != nil {
+			return w.failure
 		}
 	}
-	return first
-}
-
-// Failures returns every recorded worker failure, sorted by rank.
-func (c *Cluster) Failures() []*Failure {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	out := append([]*Failure(nil), c.failures...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return out
+	return nil
 }
 
 // Survivors returns the ranks that never failed, in ascending order. On a
-// healthy cluster that is every rank.
+// healthy cluster that is every rank. Like Stats, call it between Runs.
 func (c *Cluster) Survivors() []int {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	dead := make(map[int]bool, len(c.failures))
-	for _, f := range c.failures {
-		dead[f.Rank] = true
-	}
-	out := make([]int, 0, len(c.workers)-len(dead))
-	for r := range c.workers {
-		if !dead[r] {
+	out := make([]int, 0, len(c.workers))
+	for r, w := range c.workers {
+		if w.failure == nil {
 			out = append(out, r)
 		}
 	}
@@ -568,9 +532,3 @@ func (c *Cluster) Overlap() (hidden, total float64) {
 	}
 	return hidden, total
 }
-
-// Stats returns a snapshot of the accumulated communication statistics.
-// Like MaxClock, call it between Runs: the per-rank shards it sums are
-// plain memory written by the worker goroutines, so a snapshot taken while
-// a Run is in progress would race.
-func (c *Cluster) Stats() Stats { return c.stats.snapshot() }

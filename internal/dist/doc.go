@@ -16,6 +16,13 @@
 // ErrRunActive. Clocks and traffic statistics persist across Runs;
 // ResetClocks opens a new timing window.
 //
+// A Worker is the one home of everything that belongs to its rank: clock,
+// busy and overlap accounts, the traffic of the rounds it finished, its
+// step-sample ring (AttachMonitor) and its failure. Each record has one
+// writer, the goroutine acting for that rank, so it is plain memory; Stats,
+// Overlap, MaxClock, Failure, Survivors and the Monitor's reads fold over
+// the workers and are called between Runs.
+//
 // The rank goroutines live as long as the cluster. The first Run starts
 // them; between Runs each is parked on its own start slot, so a Run is
 // publish fn, wake n, wait n, and a steady-state Run allocates nothing. A

@@ -217,8 +217,16 @@ func TestChaosPlanDeterministic(t *testing.T) {
 	}
 }
 
+// monitoredWorkers attaches a monitor to a fresh 4-rank cluster and returns
+// it with the workers whose rings it reads, for tests that feed samples by
+// hand.
+func monitoredWorkers(cfg MonitorConfig) (*Monitor, []*Worker) {
+	c := New(Config{WorldSize: 4})
+	return c.AttachMonitor(cfg), c.workers
+}
+
 func TestMonitorStragglerDetection(t *testing.T) {
-	m := newMonitor(MonitorConfig{Window: 8, K: 2, W: 3}, 4)
+	m, ws := monitoredWorkers(MonitorConfig{Window: 8, K: 2, W: 3})
 	// Cold window: no verdicts.
 	if s := m.Suspects(); s != nil {
 		t.Fatalf("cold monitor flagged %v", s)
@@ -228,7 +236,7 @@ func TestMonitorStragglerDetection(t *testing.T) {
 	healthy := func(n int) {
 		for ; n > 0; n-- {
 			for r := 0; r < 4; r++ {
-				m.record(r, step, 1.5, 1.0+0.01*float64(r))
+				ws[r].record(step, 1.5, 1.0+0.01*float64(r))
 			}
 			step++
 		}
@@ -240,7 +248,7 @@ func TestMonitorStragglerDetection(t *testing.T) {
 				if r == rank {
 					busy *= factor
 				}
-				m.record(r, step, busy+0.5, busy)
+				ws[r].record(step, busy+0.5, busy)
 			}
 			step++
 		}
@@ -263,14 +271,14 @@ func TestMonitorStragglerDetection(t *testing.T) {
 
 func TestMonitorEffectiveCost(t *testing.T) {
 	base := faultCost()
-	m := newMonitor(MonitorConfig{}, 4)
+	m, ws := monitoredWorkers(MonitorConfig{})
 	step := 0
 	feed := func(n int, busyScale, waitScale float64) {
 		for ; n > 0; n-- {
 			for r := 0; r < 4; r++ {
 				busy := busyScale * (1.0 + 0.001*float64(r))
 				wait := waitScale * 0.25
-				m.record(r, step, busy+wait, busy)
+				ws[r].record(step, busy+wait, busy)
 			}
 			step++
 		}

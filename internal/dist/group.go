@@ -252,7 +252,7 @@ func (g *Group) join(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Ma
 		copy(g.open, g.open[1:])
 		g.open[len(g.open)-1] = nil
 		g.open = g.open[:len(g.open)-1]
-		g.finishOrUnlock(w.rank, r)
+		g.finishOrUnlock(w, r)
 		r.completed.Store(true)
 	} else if park {
 		r.parked = append(r.parked, w)
@@ -396,14 +396,14 @@ func (g *Group) retire(r *round) {
 // round then never completes: members parked on it are woken by the abort the
 // panic becomes, and members still holding a Handle must be able to take the
 // lock in register to park and meet that abort too.
-func (g *Group) finishOrUnlock(rank int, r *round) {
+func (g *Group) finishOrUnlock(w *Worker, r *round) {
 	finished := false
 	defer func() {
 		if !finished {
 			g.mu.Unlock()
 		}
 	}()
-	g.finish(rank, r)
+	g.finish(w, r)
 	finished = true
 }
 
@@ -412,13 +412,13 @@ func (g *Group) finishOrUnlock(rank int, r *round) {
 // fault plan's perturbation), and the traffic statistics. It runs on
 // whichever member arrived last, but everything it computes is a pure
 // function of the slots, so the outcome is independent of scheduling.
-func (g *Group) finish(rank int, r *round) {
+func (g *Group) finish(w *Worker, r *round) {
 	r.commBase = maxClock(r.clocks)
 	if g.lastFinish > r.commBase {
 		r.commBase = g.lastFinish
 	}
 	b, gathered := g.move(r)
-	g.price(rank, r, b, gathered)
+	g.price(w, r, b, gathered)
 	if f := g.c.fault; f != nil {
 		// The operation runs at the latest member step (faults activate by
 		// the furthest-along participant's window). Degraded links stretch
@@ -443,8 +443,9 @@ func (g *Group) finish(rank int, r *round) {
 
 // price sets the completion time of a round starting at r.commBase — its
 // kind's α–β charge for b bytes a member contributes (gathered: an
-// all-gather's blocks added up) — and books its traffic on rank's shard.
-func (g *Group) price(rank int, r *round, b, gathered int64) {
+// all-gather's blocks added up) — and books its traffic on w, the rank that
+// finished it.
+func (g *Group) price(w *Worker, r *round, b, gathered int64) {
 	n := len(g.ranks)
 	cost := &g.c.cost
 	var wire float64      // the operation's α–β time
@@ -466,7 +467,7 @@ func (g *Group) price(rank int, r *round, b, gathered int64) {
 		wire = cost.barrierTime(n)
 	}
 	r.newClock = r.commBase + wire
-	g.c.stats.record(rank, r.kind, msgs, bytes)
+	w.book(r.kind, msgs, bytes)
 }
 
 // move performs a completed round's data movement — copies into every
@@ -546,7 +547,7 @@ func (g *Group) soloJoin(w *Worker, kind opKind, slot, dst *tensor.Matrix) *roun
 	if g.lastFinish > r.commBase {
 		r.commBase = g.lastFinish
 	}
-	g.price(w.rank, r, b, int64(len(g.ranks))*b)
+	g.price(w, r, b, int64(len(g.ranks))*b)
 	g.lastFinish = r.newClock
 	return r
 }

@@ -63,6 +63,24 @@ func TestLifetimeRunAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLifetimeConstructionAllocations pins what building a cluster
+// allocates: a rank's traffic, step samples and failure live on its Worker,
+// so a per-rank side store that comes back shows here as extra objects.
+func TestLifetimeConstructionAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *Cluster
+		max   float64
+	}{
+		{"NewSolo(64)", func() *Cluster { return NewSolo(Config{WorldSize: 64}) }, 5},
+		{"New(8)", func() *Cluster { return New(Config{WorldSize: 8}) }, 12},
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { tc.build() }); allocs > tc.max {
+			t.Errorf("%s allocates %v objects, want at most %v", tc.name, allocs, tc.max)
+		}
+	}
+}
+
 // dropCluster builds an 8-rank cluster, runs it once so its rank goroutines
 // are parked, and returns only a weak pointer to it.
 //

@@ -46,17 +46,18 @@ type StepSample struct {
 	Total, Busy float64
 }
 
-// Monitor collects per-rank per-step telemetry and runs the median-based
-// straggler detector over it. Writes are sharded per rank (each worker
-// goroutine records only its own shard, lock-free); every read-side method
-// — Suspects, MarkBaseline, EffectiveCost and friends — must be called
-// between cluster Runs, exactly like Cluster.Stats and MaxClock.
+// Monitor is the median-based straggler detector over the step samples the
+// workers record in their own rings (Worker.EndStep, each on its own
+// goroutine, lock-free). It holds the configuration and the baseline; every
+// read-side method — Samples, Suspects, MarkBaseline, EffectiveCost and
+// friends — must be called between cluster Runs, exactly like Cluster.Stats
+// and MaxClock.
 //
 // Recording never touches simulated clocks, so an attached monitor changes
 // no run's timing or arithmetic.
 type Monitor struct {
-	cfg    MonitorConfig
-	shards []monitorShard
+	cfg     MonitorConfig
+	workers []*Worker
 
 	// Baseline captured by MarkBaseline during known-healthy steps: the
 	// yardstick EffectiveCost measures degradation against.
@@ -66,61 +67,33 @@ type Monitor struct {
 	based    bool
 }
 
-// monitorShard is one rank's ring buffer. The trailing pad keeps
-// neighbouring shards off one cache line, as in statsBook.
-type monitorShard struct {
-	ring []StepSample
-	n    int // samples ever recorded; ring index is n mod len(ring)
-	_    [64]byte
-}
-
-func newMonitor(cfg MonitorConfig, world int) *Monitor {
+// newMonitor gives every worker its ring, all carved from one allocation.
+func newMonitor(cfg MonitorConfig, workers []*Worker) *Monitor {
 	cfg = cfg.withDefaults()
-	m := &Monitor{cfg: cfg, shards: make([]monitorShard, world)}
-	for i := range m.shards {
-		m.shards[i].ring = make([]StepSample, cfg.Window)
+	rings := make([]StepSample, cfg.Window*len(workers))
+	for i, w := range workers {
+		w.ring = rings[i*cfg.Window : (i+1)*cfg.Window]
 	}
-	return m
+	return &Monitor{cfg: cfg, workers: workers}
 }
 
 // Config returns the resolved (defaulted) configuration.
 func (m *Monitor) Config() MonitorConfig { return m.cfg }
 
-// record files one step sample for a rank. Called by Worker.EndStep on the
-// rank's own goroutine; single-writer per shard.
-func (m *Monitor) record(rank, step int, total, busy float64) {
-	sh := &m.shards[rank]
-	sh.ring[sh.n%len(sh.ring)] = StepSample{Step: step, Total: total, Busy: busy}
-	sh.n++
-}
-
-// count returns how many samples the shard currently holds.
-func (sh *monitorShard) count() int {
-	if sh.n < len(sh.ring) {
-		return sh.n
-	}
-	return len(sh.ring)
-}
-
-// last returns the j-th most recent sample (j = 0 is the newest).
-func (sh *monitorShard) last(j int) StepSample {
-	return sh.ring[(sh.n-1-j)%len(sh.ring)]
-}
-
 // depth returns how many aligned recent steps are available: the smallest
-// shard fill, shrunk further if the ranks' step indices disagree at some
+// ring fill, shrunk further if the ranks' step indices disagree at some
 // lag (ranks running different loops are not comparable).
 func (m *Monitor) depth() int {
-	d := m.shards[0].count()
-	for i := range m.shards {
-		if c := m.shards[i].count(); c < d {
+	d := m.workers[0].samples()
+	for _, w := range m.workers {
+		if c := w.samples(); c < d {
 			d = c
 		}
 	}
 	for j := 0; j < d; j++ {
-		step := m.shards[0].last(j).Step
-		for i := range m.shards {
-			if m.shards[i].last(j).Step != step {
+		step := m.workers[0].last(j).Step
+		for _, w := range m.workers {
+			if w.last(j).Step != step {
 				return j
 			}
 		}
@@ -130,11 +103,11 @@ func (m *Monitor) depth() int {
 
 // Samples returns a rank's recorded window in chronological order.
 func (m *Monitor) Samples(rank int) []StepSample {
-	sh := &m.shards[rank]
-	c := sh.count()
+	w := m.workers[rank]
+	c := w.samples()
 	out := make([]StepSample, c)
 	for j := 0; j < c; j++ {
-		out[c-1-j] = sh.last(j)
+		out[c-1-j] = w.last(j)
 	}
 	return out
 }
@@ -162,18 +135,18 @@ func (m *Monitor) Suspects() []int {
 		return nil
 	}
 	meds := make([]float64, w)
-	scratch := make([]float64, len(m.shards))
+	scratch := make([]float64, len(m.workers))
 	for j := 0; j < w; j++ {
-		for i := range m.shards {
-			scratch[i] = m.shards[i].last(j).Busy
+		for i, wk := range m.workers {
+			scratch[i] = wk.last(j).Busy
 		}
 		meds[j] = median(scratch)
 	}
 	var out []int
-	for i := range m.shards {
+	for i, wk := range m.workers {
 		flagged := true
 		for j := 0; j < w; j++ {
-			if meds[j] <= 0 || m.shards[i].last(j).Busy <= m.cfg.K*meds[j] {
+			if meds[j] <= 0 || wk.last(j).Busy <= m.cfg.K*meds[j] {
 				flagged = false
 				break
 			}
@@ -201,7 +174,7 @@ func (m *Monitor) meanBusy(rank, depth int) float64 {
 	}
 	var sum float64
 	for j := 0; j < depth; j++ {
-		sum += m.shards[rank].last(j).Busy
+		sum += m.workers[rank].last(j).Busy
 	}
 	return sum / float64(depth)
 }
@@ -215,8 +188,8 @@ func (m *Monitor) minWaitMean() float64 {
 	var sum float64
 	d := m.window(func(j int) {
 		min := -1.0
-		for i := range m.shards {
-			s := m.shards[i].last(j)
+		for _, wk := range m.workers {
+			s := wk.last(j)
 			w := s.Total - s.Busy
 			if min < 0 || w < min {
 				min = w
@@ -239,8 +212,8 @@ func (m *Monitor) stepSecondsMean() float64 {
 	var sum float64
 	d := m.window(func(j int) {
 		var max float64
-		for i := range m.shards {
-			if t := m.shards[i].last(j).Total; t > max {
+		for _, wk := range m.workers {
+			if t := wk.last(j).Total; t > max {
 				max = t
 			}
 		}
@@ -266,8 +239,8 @@ func (m *Monitor) MarkBaseline() {
 	if d == 0 {
 		return
 	}
-	m.baseBusy = make([]float64, len(m.shards))
-	for i := range m.shards {
+	m.baseBusy = make([]float64, len(m.workers))
+	for i := range m.workers {
 		m.baseBusy[i] = m.meanBusy(i, d)
 	}
 	m.baseWait = m.minWaitMean()

@@ -24,44 +24,20 @@ type Stats struct {
 	PerOp map[string]OpStats
 }
 
-// statsBook is the mutable collector behind Cluster.Stats. It is sharded
-// per rank: every record happens on a goroutine acting for exactly one
-// worker (its own frame, or the group operation it is finishing), so each
-// shard is single-writer plain memory — no locks, no atomics, no contended
-// cache line on the collective hot path. snapshot sums the shards; like
-// MaxClock it must only run between cluster runs.
-type statsBook struct {
-	shards []statShard
-}
-
-type statShard struct {
-	ops [nOpKinds]OpStats
-	_   [64]byte // keep neighbouring shards off one cache line
-}
-
-func newStatsBook(world int) *statsBook {
-	return &statsBook{shards: make([]statShard, world)}
-}
-
-// record adds one operation of the named kind to the acting worker's shard.
-func (s *statsBook) record(rank int, op opKind, messages, bytes int64) {
-	e := &s.shards[rank].ops[op]
-	e.Calls++
-	e.Messages += messages
-	e.Bytes += bytes
-}
-
-// snapshot returns an independent copy with the totals filled in. Kinds
-// never recorded are omitted, matching the sparse per-op map of old.
-func (s *statsBook) snapshot() Stats {
+// Stats sums the traffic every rank booked (Worker.ops) into a snapshot
+// with the totals filled in; kinds never booked are omitted. Like MaxClock,
+// call it between Runs: the records it sums are plain memory the worker
+// goroutines write, so a snapshot taken while a Run is in progress would
+// race.
+func (c *Cluster) Stats() Stats {
 	out := Stats{PerOp: make(map[string]OpStats, nOpKinds)}
 	for op := opKind(0); op < nOpKinds; op++ {
 		var e OpStats
-		for i := range s.shards {
-			c := &s.shards[i].ops[op]
-			e.Calls += c.Calls
-			e.Messages += c.Messages
-			e.Bytes += c.Bytes
+		for _, w := range c.workers {
+			o := &w.ops[op]
+			e.Calls += o.Calls
+			e.Messages += o.Messages
+			e.Bytes += o.Bytes
 		}
 		if e.Calls == 0 {
 			continue

@@ -2,9 +2,13 @@ package dist
 
 import "repro/internal/tensor"
 
-// Worker is one simulated rank. All methods must be called from the
-// goroutine Run started for this rank; the clock is private to it except at
-// collective rendezvous points.
+// Worker is one simulated rank and the one home of its state: clock, busy
+// and overlap accounts, booked traffic, step-sample ring and failure. Each
+// field's one writer is the goroutine acting for this rank (its own frame,
+// or a round it finishes); the cluster-wide views fold over the workers
+// between Runs. All methods must be called from the goroutine Run started
+// for this rank; the clock is private to it except at collective rendezvous
+// points.
 type Worker struct {
 	c     *Cluster
 	rank  int
@@ -37,6 +41,23 @@ type Worker struct {
 	slow      float64
 	busy      float64
 	stepStart float64
+
+	// ops is the traffic booked on this rank: every round it finished
+	// (Group.price), by operation kind. It survives ResetClocks.
+	ops [nOpKinds]OpStats
+
+	// ring holds the last Window step samples EndStep recorded for an
+	// attached Monitor (nil without one); n counts every sample ever
+	// recorded, so the ring index is n mod len(ring).
+	ring []StepSample
+	n    int
+
+	// failure is the error or panic this rank's function ended a Run with
+	// (nil if it never failed). A failure poisons the cluster, so it is
+	// written at most once.
+	failure *Failure
+
+	_ [64]byte // keep neighbouring ranks' records off one cache line
 }
 
 // BeginStep opens a telemetry window for one training step: it records the
@@ -53,11 +74,39 @@ func (w *Worker) BeginStep(step int) {
 }
 
 // EndStep closes the window opened by BeginStep and, when the cluster has a
-// monitor attached, reports the step's (total, busy) wall-clock split.
+// monitor attached, records the step's (total, busy) wall-clock split in
+// this rank's ring.
 func (w *Worker) EndStep() {
-	if w.c.monitor != nil {
-		w.c.monitor.record(w.rank, w.step, w.clock-w.stepStart, w.busy)
+	if w.ring != nil {
+		w.record(w.step, w.clock-w.stepStart, w.busy)
 	}
+}
+
+// record files one step sample in the ring.
+func (w *Worker) record(step int, total, busy float64) {
+	w.ring[w.n%len(w.ring)] = StepSample{Step: step, Total: total, Busy: busy}
+	w.n++
+}
+
+// samples returns how many samples the ring currently holds.
+func (w *Worker) samples() int {
+	if w.n < len(w.ring) {
+		return w.n
+	}
+	return len(w.ring)
+}
+
+// last returns the j-th most recent sample (j = 0 is the newest).
+func (w *Worker) last(j int) StepSample {
+	return w.ring[(w.n-1-j)%len(w.ring)]
+}
+
+// book adds one operation of the given kind to this rank's traffic.
+func (w *Worker) book(op opKind, messages, bytes int64) {
+	e := &w.ops[op]
+	e.Calls++
+	e.Messages += messages
+	e.Bytes += bytes
 }
 
 // park blocks until the finisher of the round this worker registered on, or

@@ -83,14 +83,20 @@ func (c DataConfig) Check() error {
 	return nil
 }
 
-// Patches returns the number of patches per image (the sequence length s).
+// Patches returns the number of patches per image (the sequence length s)
+// of the samples NewDataset builds from c, defaults applied.
 func (c DataConfig) Patches() int {
+	c = c.withDefaults()
 	side := c.ImageSize / c.PatchSize
 	return side * side
 }
 
-// PatchDim returns the flattened patch width (the ViT input width).
-func (c DataConfig) PatchDim() int { return c.PatchSize * c.PatchSize * c.Channels }
+// PatchDim returns the flattened patch width (the ViT input width) of the
+// samples NewDataset builds from c, defaults applied.
+func (c DataConfig) PatchDim() int {
+	c = c.withDefaults()
+	return c.PatchSize * c.PatchSize * c.Channels
+}
 
 // Sample is one image, already cut into flattened patches.
 type Sample struct {

@@ -30,6 +30,22 @@ func tinyData() (*Dataset, ModelConfig) {
 	return ds, mcfg
 }
 
+// TestPatchShapeMatchesSamples: Patches and PatchDim describe the samples
+// NewDataset builds, for a zero config (every default: 64 patches of 48) as
+// for a set one. On the zero config both used to skip the defaults, so
+// PatchDim returned 0 and Patches divided by zero.
+func TestPatchShapeMatchesSamples(t *testing.T) {
+	for _, cfg := range []DataConfig{
+		{Classes: 2, Train: 1, Test: 1},
+		{Classes: 2, ImageSize: 8, Channels: 1, PatchSize: 2, Train: 1, Test: 1},
+	} {
+		p := NewDataset(cfg).Train[0].Patches
+		if cfg.Patches() != p.Rows || cfg.PatchDim() != p.Cols {
+			t.Errorf("%+v: Patches %d × PatchDim %d, samples are %d×%d", cfg, cfg.Patches(), cfg.PatchDim(), p.Rows, p.Cols)
+		}
+	}
+}
+
 func TestDatasetShapes(t *testing.T) {
 	ds, _ := tinyData()
 	if len(ds.Train) != 4*8 || len(ds.Test) != 4*4 {

@@ -158,6 +158,17 @@ if grep -rn 'AccumGrad(' --include='*.go' --exclude='*_test.go' internal cmd exa
     fail=1
 fi
 
+# A rank's state lives on its dist.Worker (docs/architecture.md §1): the
+# traffic it booked, its step-sample ring and its failure. Cluster.Stats,
+# the Monitor's reads, Failure and Survivors fold over the workers. A
+# …Shard or …Book type or a failMu in non-test Go under internal/dist is a
+# per-rank side store growing back beside the Worker.
+if grep -rnE '^type [A-Za-z0-9_]*(Shard|Book)[[:space:]]|failMu' \
+    --include='*.go' --exclude='*_test.go' internal/dist >&2; then
+    echo "docs_check: per-rank state kept outside dist.Worker" >&2
+    fail=1
+fi
+
 # The paper's §1/§3.1 transmission claim is measured (tables.TransmissionStudy
 # reads a run's dist.Stats and MaxClock), not restated: internal/claims and
 # cmd/comm-model, or a closed-form transfer count, lower bound or
