@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/tensor"
 )
@@ -359,5 +360,15 @@ func TestRoundPoolDoubles(t *testing.T) {
 	}
 	if cap(g.open) < g.made || cap(g.spare) < g.made {
 		t.Fatalf("open has room for %d and spare for %d of %d rounds: join or retire would regrow them", cap(g.open), cap(g.spare), g.made)
+	}
+}
+
+// TestHandleFitsSixtyFourBytes: a Handle is copied by value three times per
+// collective (issue, the I-collective's return, a SUMMA prefetch slot). At 80
+// bytes amd64 copied it through runtime.duffcopy, 10 % of a phantom replay's
+// CPU; at 64 bytes or less the compiler copies it in registers.
+func TestHandleFitsSixtyFourBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Handle{}); n > 64 {
+		t.Errorf("dist.Handle is %d bytes, more than 64", n)
 	}
 }

@@ -450,33 +450,69 @@ func (c *Cluster) checkAbort() {
 // the same rank list shares one object (and its round pool and channel
 // clock). It panics on an empty list, an out-of-range rank, or a duplicate.
 func (c *Cluster) Group(ranks ...int) *Group {
-	if len(ranks) == 0 {
-		panic("dist: empty group")
+	var g [1]*Group
+	c.Groups(g[:], ranks)
+	return g[0]
+}
+
+// Groups sets out[i] to Group(lists[i]...) for every list. The groups not
+// made yet are made together: their Group values, rank lists and cache keys
+// take one allocation each, however many there are — mesh.NewProc asks for a
+// processor's row, column, depth fibre and slab at once, and a phantom
+// replay builds every processor afresh.
+func (c *Cluster) Groups(out []*Group, lists ...[]int) {
+	if len(out) != len(lists) {
+		panic(fmt.Sprintf("dist: %d groups asked into %d slots", len(lists), len(out)))
 	}
-	// The key is spelled into a stack buffer and looked up as
-	// groups[string(key)], which the compiler does without materialising the
-	// string: mesh.NewProc asks for four groups on every rank, and only the
-	// first asker of each pays for a key, on insert. 64 ranks fit the buffer;
-	// a longer list spills to the heap and still works.
-	var buf [256]byte
-	key := buf[:0]
-	for i, r := range ranks {
-		if r < 0 || r >= c.cfg.WorldSize {
-			panic(fmt.Sprintf("dist: group rank %d outside world of %d", r, c.cfg.WorldSize))
+	// The keys are spelled into a stack buffer, list i's at
+	// keys[at[i]:at[i+1]], and looked up as groups[string(key)], which the
+	// compiler does without materialising the string; only new groups pay
+	// for theirs, one string for the call. Four 64-rank lists fit the
+	// buffers; longer ones spill to the heap and still work.
+	var kbuf [1024]byte
+	var abuf [8]int
+	keys, at := kbuf[:0], abuf[:1]
+	for _, ranks := range lists {
+		if len(ranks) == 0 {
+			panic("dist: empty group")
 		}
-		if i > 0 {
-			key = append(key, ',')
+		for i, r := range ranks {
+			if r < 0 || r >= c.cfg.WorldSize {
+				panic(fmt.Sprintf("dist: group rank %d outside world of %d", r, c.cfg.WorldSize))
+			}
+			if i > 0 {
+				keys = append(keys, ',')
+			}
+			keys = strconv.AppendInt(keys, int64(r), 10)
 		}
-		key = strconv.AppendInt(key, int64(r), 10)
+		at = append(at, len(keys))
 	}
 	c.groupMu.Lock()
 	defer c.groupMu.Unlock()
-	if g, ok := c.groups[string(key)]; ok {
-		return g
+	missing, elems := 0, 0
+	for i, ranks := range lists {
+		if out[i] = c.groups[string(keys[at[i]:at[i+1]])]; out[i] == nil {
+			missing++
+			elems += len(ranks)
+		}
 	}
-	g := newGroup(c, ranks)
-	c.groups[string(key)] = g
-	return g
+	if missing == 0 {
+		return
+	}
+	// A list repeated within the call finds the group its first occurrence
+	// made, leaving a spare Group value unused.
+	gs, all, names := make([]Group, missing), make([]int, elems), string(keys)
+	for i, ranks := range lists {
+		name := names[at[i]:at[i+1]]
+		if out[i] = c.groups[name]; out[i] != nil {
+			continue
+		}
+		n := copy(all, ranks)
+		out[i] = &gs[0]
+		out[i].init(c, all[:n:n])
+		c.groups[name] = out[i]
+		gs, all = gs[1:], all[n:]
+	}
 }
 
 // WorldGroup returns the group spanning every rank in order.

@@ -134,17 +134,13 @@ type round struct {
 	newClock float64
 }
 
-// newGroup builds the group over ranks, panicking on a duplicate. The
-// meshes' groups are arithmetic progressions — a row strides 1, a column or
-// slab q, a depth fibre q² — and so is every pair, so Index is arithmetic;
-// only another list is checked by sorting a copy and searched by a scan.
-func newGroup(c *Cluster, ranks []int) *Group {
-	g := &Group{
-		c:     c,
-		ranks: slices.Clone(ranks),
-		step:  arithmeticStep(ranks),
-		beta:  c.cost.BetaIntra,
-	}
+// init makes g the group over ranks, which it keeps, panicking on a
+// duplicate. The meshes' groups are arithmetic progressions — a row strides
+// 1, a column or slab q, a depth fibre q² — and so is every pair, so Index is
+// arithmetic; only another list is checked by sorting a copy and searched by
+// a scan.
+func (g *Group) init(c *Cluster, ranks []int) {
+	g.c, g.ranks, g.step, g.beta = c, ranks, arithmeticStep(ranks), c.cost.BetaIntra
 	if g.step == 0 {
 		sorted := slices.Sorted(slices.Values(ranks))
 		for i := 1; i < len(sorted); i++ {
@@ -159,7 +155,6 @@ func newGroup(c *Cluster, ranks []int) *Group {
 			break
 		}
 	}
-	return g
 }
 
 // arithmeticStep returns the common difference of ranks — 1 for a single

@@ -127,6 +127,8 @@ type ColLinear struct {
 	W       *nn.Param // [In, Out/p]
 	B       *nn.Param // [1, Out/p]
 
+	params [2]*nn.Param // W, B: Params' backing, so a walk allocates nothing
+
 	p   *Proc
 	x   *tensor.Matrix
 	pre *tensor.Matrix
@@ -146,19 +148,21 @@ func newCol(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *ColLin
 	}
 	bc := out / p.P
 	l := &ColLinear{In: in, Out: out, Act: act, p: p}
-	l.W = nn.NewParam("megatron.col.w", full.Block(0, p.Rank*bc, in, bc))
+	l.W = full.Param("megatron.col.w", 0, p.Rank*bc, in, bc)
 	if bias {
-		l.B = nn.NewParam("megatron.col.b", full.Zeros(1, bc))
+		l.B = full.Bias("megatron.col.b", bc)
 	}
+	l.params = [2]*nn.Param{l.W, l.B}
 	return l
 }
 
-// Params returns the local shards.
+// Params returns the local shards. The slice is the layer's own: read it,
+// do not write it.
 func (l *ColLinear) Params() []*nn.Param {
 	if l.B == nil {
-		return []*nn.Param{l.W}
+		return l.params[:1:1]
 	}
-	return []*nn.Param{l.W, l.B}
+	return l.params[:2:2]
 }
 
 // Forward multiplies the full-row input by the local column shard, with
@@ -268,6 +272,8 @@ type RowLinear struct {
 	W       *nn.Param // [In/p, Out]
 	B       *nn.Param // [1, Out], replicated (identical update on all ranks)
 
+	params [2]*nn.Param // W, B: Params' backing, so a walk allocates nothing
+
 	// src, when set, is the GELU column layer whose output is this layer's
 	// input (the MLP pair). RowSharded, that input is transient: recycled
 	// once the forward GEMM has read it and recomputed from src's saved
@@ -291,19 +297,21 @@ func newRow(p *Proc, full parallel.Weight, bias bool) *RowLinear {
 	}
 	br := in / p.P
 	l := &RowLinear{In: in, Out: out, p: p}
-	l.W = nn.NewParam("megatron.row.w", full.Block(p.Rank*br, 0, br, out))
+	l.W = full.Param("megatron.row.w", p.Rank*br, 0, br, out)
 	if bias {
-		l.B = nn.NewParam("megatron.row.b", full.Zeros(1, out))
+		l.B = full.Bias("megatron.row.b", out)
 	}
+	l.params = [2]*nn.Param{l.W, l.B}
 	return l
 }
 
-// Params returns the local shards.
+// Params returns the local shards. The slice is the layer's own: read it,
+// do not write it.
 func (l *RowLinear) Params() []*nn.Param {
 	if l.B == nil {
-		return []*nn.Param{l.W}
+		return l.params[:1:1]
 	}
-	return []*nn.Param{l.W, l.B}
+	return l.params[:2:2]
 }
 
 // Forward multiplies the column-sharded input by the local row shard,

@@ -110,30 +110,29 @@ func NewProc(w *dist.Worker, s Shape) *Proc {
 	}
 	i, j, k := s.Coords(w.Rank())
 	p := &Proc{W: w, Shape: s, I: i, J: j, K: k}
-	c := w.Cluster()
 
-	row := make([]int, s.Q)
-	col := make([]int, s.Q)
-	for t := 0; t < s.Q; t++ {
-		row[t] = s.Rank(i, t, k)
-		col[t] = s.Rank(t, j, k)
+	// The row, column, depth fibre and slab rank lists share one stack
+	// buffer, and the groups not made yet are made together.
+	q, d := s.Q, s.D
+	var buf [256]int
+	ranks := buf[:0]
+	for t := 0; t < q; t++ {
+		ranks = append(ranks, s.Rank(i, t, k))
 	}
-	p.Row = c.Group(row...)
-	p.Col = c.Group(col...)
-
-	depth := make([]int, s.D)
-	for t := 0; t < s.D; t++ {
-		depth[t] = s.Rank(i, j, t)
+	for t := 0; t < q; t++ {
+		ranks = append(ranks, s.Rank(t, j, k))
 	}
-	p.Depth = c.Group(depth...)
-
-	slab := make([]int, 0, s.Q*s.D)
-	for t := 0; t < s.D; t++ {
-		for a := 0; a < s.Q; a++ {
-			slab = append(slab, s.Rank(a, j, t))
+	for t := 0; t < d; t++ {
+		ranks = append(ranks, s.Rank(i, j, t))
+	}
+	for t := 0; t < d; t++ {
+		for a := 0; a < q; a++ {
+			ranks = append(ranks, s.Rank(a, j, t))
 		}
 	}
-	p.Slab = c.Group(slab...)
+	var g [4]*dist.Group
+	w.Cluster().Groups(g[:], ranks[:q], ranks[q:2*q], ranks[2*q:2*q+d], ranks[2*q+d:])
+	p.Row, p.Col, p.Depth, p.Slab = g[0], g[1], g[2], g[3]
 	return p
 }
 

@@ -25,23 +25,29 @@ type Param struct {
 	opt  *Adam
 }
 
-// NewParam wraps a value matrix with a zeroed gradient of the same shape.
-// A phantom's gradient header shares the Param's allocation (phantomParam):
-// a phantom replay builds every parameter of its stack afresh.
+// NewParam wraps a value matrix with a zeroed gradient of the same shape (a
+// shape-only gradient for a phantom value).
 func NewParam(name string, value *tensor.Matrix) *Param {
 	if value.Phantom() {
-		p := &phantomParam{grad: tensor.Matrix{Rows: value.Rows, Cols: value.Cols}}
-		p.Param = Param{Name: name, Value: value, Grad: &p.grad}
-		return &p.Param
+		return &Param{Name: name, Value: value, Grad: tensor.NewPhantom(value.Rows, value.Cols)}
 	}
 	return &Param{Name: name, Value: value, Grad: tensor.New(value.Rows, value.Cols)}
 }
 
-// phantomParam is a phantom Param and its shape-only gradient in one
-// allocation.
+// NewPhantomParam is a shape-only [rows, cols] parameter whose value and
+// gradient headers share the Param's allocation: a phantom replay builds
+// every parameter of its stack afresh.
+func NewPhantomParam(name string, rows, cols int) *Param {
+	p := &phantomParam{value: tensor.Matrix{Rows: rows, Cols: cols}, grad: tensor.Matrix{Rows: rows, Cols: cols}}
+	p.Param = Param{Name: name, Value: &p.value, Grad: &p.grad}
+	return &p.Param
+}
+
+// phantomParam is a phantom Param and its shape-only value and gradient in
+// one allocation.
 type phantomParam struct {
 	Param
-	grad tensor.Matrix
+	value, grad tensor.Matrix
 }
 
 // ZeroGrad clears the gradient accumulator.

@@ -53,7 +53,12 @@ func (v *View) NewBlockPhantom(h, heads, seqLen int) Layer { return v.NewBlock(h
 
 // Params returns the shards this rank owns, in the serial parameter order
 // (attention, then MLP; the layer norms are parameter-free).
-func (b *Block) Params() []*nn.Param { return append(b.Attn.Params(), b.Mlp.Params()...) }
+func (b *Block) Params() []*nn.Param { return b.appendParams(nil) }
+
+// appendParams appends the shards this rank owns to dst, in Params order.
+func (b *Block) appendParams(dst []*nn.Param) []*nn.Param {
+	return b.Mlp.appendParams(b.Attn.appendParams(dst))
+}
 
 // State concatenates the sub-layers' canonical slots in Params order.
 func (b *Block) State() []State { return append(b.Attn.State(), b.Mlp.State()...) }

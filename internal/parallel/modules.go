@@ -27,20 +27,23 @@ func Draw(rows, cols int, rng *tensor.RNG) Weight {
 	return w
 }
 
-// Block cuts the [rows, cols] shard at (r0, c0) out as a matrix of its own.
-func (w Weight) Block(r0, c0, rows, cols int) *tensor.Matrix {
+// Param shards the [rows, cols] block at (r0, c0) out as a parameter of its
+// own; a phantom's value and gradient come with it in one allocation
+// (nn.NewPhantomParam).
+func (w Weight) Param(name string, r0, c0, rows, cols int) *nn.Param {
 	if w.Full == nil {
-		return tensor.NewPhantom(rows, cols)
+		return nn.NewPhantomParam(name, rows, cols)
 	}
-	return w.Full.SubMatrix(r0, c0, rows, cols)
+	return nn.NewParam(name, w.Full.SubMatrix(r0, c0, rows, cols))
 }
 
-// Zeros returns the zero bias that goes with a shard of the weight.
-func (w Weight) Zeros(rows, cols int) *tensor.Matrix {
+// Bias returns the zero [1, cols] bias parameter that goes with a shard of
+// the weight.
+func (w Weight) Bias(name string, cols int) *nn.Param {
 	if w.Full == nil {
-		return tensor.NewPhantom(rows, cols)
+		return nn.NewPhantomParam(name, 1, cols)
 	}
-	return tensor.New(rows, cols)
+	return nn.NewParam(name, tensor.New(1, cols))
 }
 
 // Lifetime is when a family's sub-modules return their intermediates to the
@@ -102,7 +105,7 @@ func NewAttention(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 		bc := h / shards
 		cols := make([]*tensor.Matrix, 0, 3*shards)
 		for j := 0; j < shards; j++ {
-			cols = append(cols, wq.Block(0, j*bc, h, bc), wk.Block(0, j*bc, h, bc), wv.Block(0, j*bc, h, bc))
+			cols = append(cols, wq.Full.SubMatrix(0, j*bc, h, bc), wk.Full.SubMatrix(0, j*bc, h, bc), wv.Full.SubMatrix(0, j*bc, h, bc))
 		}
 		fused.Full = tensor.HCat(cols...)
 	}
@@ -113,8 +116,11 @@ func NewAttention(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 }
 
 // Params returns the shards this rank owns.
-func (a *Attention) Params() []*nn.Param {
-	return append(a.QKV.Params(), a.Proj.Params()...)
+func (a *Attention) Params() []*nn.Param { return a.appendParams(nil) }
+
+// appendParams appends the shards this rank owns to dst.
+func (a *Attention) appendParams(dst []*nn.Param) []*nn.Param {
+	return append(append(dst, a.QKV.Params()...), a.Proj.Params()...)
 }
 
 // State un-fuses the QKV linear's own slots onto the canonical [Wq | Wk | Wv]
@@ -184,8 +190,11 @@ func NewMLP(f Linears, h int, rng *tensor.RNG) *MLP {
 }
 
 // Params returns the shards this rank owns.
-func (m *MLP) Params() []*nn.Param {
-	return append(m.Fc1.Params(), m.Fc2.Params()...)
+func (m *MLP) Params() []*nn.Param { return m.appendParams(nil) }
+
+// appendParams appends the shards this rank owns to dst.
+func (m *MLP) appendParams(dst []*nn.Param) []*nn.Param {
+	return append(append(dst, m.Fc1.Params()...), m.Fc2.Params()...)
 }
 
 // State concatenates both projections' slots.

@@ -2,8 +2,12 @@ package parallel
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dist"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -57,10 +61,20 @@ func (s *Stack) Backward() {
 // mark. k belongs to the phase: 4 for a training step — value, gradient and
 // Adam's two moments, what nn.Param and nn.Adam allocate — 1 for a forward
 // that only reads the weights.
+//
+// A Block's shards are appended to a stack buffer: Block.Params allocates
+// its slice on every call, and every replay walks every block.
 func (s *Stack) footprint(k int64, inputs ...*tensor.Matrix) int64 {
 	var elems int64
-	for _, b := range s.Blocks {
-		for _, p := range b.Params() {
+	var buf [8]*nn.Param
+	for _, l := range s.Blocks {
+		ps := buf[:0]
+		if b, ok := l.(*Block); ok {
+			ps = b.appendParams(ps)
+		} else {
+			ps = l.Params()
+		}
+		for _, p := range ps {
 			elems += k * int64(p.Value.Size())
 		}
 	}
@@ -77,21 +91,37 @@ func (s *Stack) footprint(k int64, inputs ...*tensor.Matrix) int64 {
 type Replay struct {
 	c      *dist.Cluster
 	stacks []*Stack
+
+	// every is what each Run of the replay hands the cluster — a method
+	// value, bound once — and it builds the rank's stack until phase is set,
+	// then runs phase on it: a timed phase allocates no closure.
+	every func(w *dist.Worker) error
+	build func(w *dist.Worker) (*Stack, error)
+	phase func(s *Stack)
 }
 
 // NewReplay runs build on every rank the cluster runs (untimed) and keeps
 // the stacks. The cluster should be fresh and sized to the layout.
 func NewReplay(c *dist.Cluster, build func(w *dist.Worker) (*Stack, error)) (*Replay, error) {
-	r := &Replay{c: c, stacks: make([]*Stack, c.WorldSize())}
-	err := c.Run(func(w *dist.Worker) error {
-		s, err := build(w)
-		r.stacks[w.Rank()] = s
-		return err
-	})
+	r := &Replay{c: c, stacks: make([]*Stack, c.WorldSize()), build: build}
+	r.every = r.rank
+	err := c.Run(r.every)
+	r.build = nil
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// rank builds the worker's stack, or runs the phase on it once built.
+func (r *Replay) rank(w *dist.Worker) error {
+	if r.build != nil {
+		s, err := r.build(w)
+		r.stacks[w.Rank()] = s
+		return err
+	}
+	r.phase(r.stacks[w.Rank()])
+	return nil
 }
 
 // CheckActivation refuses a [batch·seqLen, hidden] activation with heads
@@ -147,10 +177,8 @@ func (r *Replay) Cluster() *dist.Cluster { return r.c }
 // stack and returns the cluster's largest clock.
 func (r *Replay) Phase(run func(s *Stack)) (float64, error) {
 	r.c.ResetClocks()
-	if err := r.c.Run(func(w *dist.Worker) error {
-		run(r.stacks[w.Rank()])
-		return nil
-	}); err != nil {
+	r.phase = run
+	if err := r.c.Run(r.every); err != nil {
 		return 0, err
 	}
 	return r.c.MaxClock(), nil
@@ -188,20 +216,32 @@ func (r *Replay) Step(recompute bool) (StepClocks, error) {
 		return st, err
 	}
 	st.Busy = rank0.Busy()
-	if st.Backward, err = r.Phase(func(s *Stack) {
-		if recompute {
-			s.Family.EndStep()
-			s.Forward()
-		}
-		s.Backward()
-		s.Family.EndStep()
-		s.held = s.footprint(4, s.X, s.DY)
-	}); err != nil {
+	backward := (*Stack).trainBackward
+	if recompute {
+		backward = (*Stack).recomputeBackward
+	}
+	if st.Backward, err = r.Phase(backward); err != nil {
 		return st, err
 	}
 	st.Busy += rank0.Busy()
 	st.MemoryBytes = r.largestHeld()
 	return st, nil
+}
+
+// trainBackward is a training step's backward phase: the backward pass and
+// its gradient drain, the step boundary, and the rank's footprint.
+func (s *Stack) trainBackward() {
+	s.Backward()
+	s.Family.EndStep()
+	s.held = s.footprint(4, s.X, s.DY)
+}
+
+// recomputeBackward is trainBackward after dropping the first forward's
+// activations and re-running the forward (activation checkpointing).
+func (s *Stack) recomputeBackward() {
+	s.Family.EndStep()
+	s.Forward()
+	s.trainBackward()
 }
 
 // Forward times one inference pass — the forward phase alone, Backward left
@@ -232,4 +272,51 @@ func (r *Replay) largestHeld() int64 {
 		}
 	}
 	return max
+}
+
+// ReplayEach runs the n independent replays run(0) … run(n-1), at most
+// runtime.GOMAXPROCS(0) of them at a time, and returns their results in index
+// order. It is the one level of host parallelism above the rank goroutines:
+// table rows, study points, planner validations and the planner's candidate
+// prices (plan.Search, plan.SearchServing) all run through it. Every replay
+// builds a cluster of its own, so concurrent ones share nothing and each
+// result is what a loop over run would have produced. The calling goroutine
+// is one of the runners and waits for the others, so no goroutine outlives
+// the call.
+//
+// Indices are handed out in order and a failure only stops the hand-out, so
+// every replay below a failed one still runs to its end: the error returned
+// is that of the lowest failing index, as a sequential loop's would be.
+func ReplayEach[T any](n int, run func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	runner := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if out[i], errs[i] = run(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for k := min(runtime.GOMAXPROCS(0), n); k > 1; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runner()
+		}()
+	}
+	runner()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -50,6 +50,10 @@
 // no-feasible error, the tie-breaking sort) and differ in the scorer: a
 // training step, or forward passes at the layout's minimum batch and at the
 // full batch — a served layout is charged its weights once and no gradients.
+// Every candidate's replay builds a cluster of its own, so the walk scores
+// them side by side (parallel.ReplayEach) and then filters and ranks in
+// candidate order: the list and the error are what one score after another
+// gives.
 //
 // A Plan stays checkable: Plan.Validate replays it through a Measurer,
 // ValidateTop the leaders of a search. tables.MeasurePlan is Price on the

@@ -170,6 +170,12 @@ func Search(w Workload, t Topology, algos []Algo) ([]Plan, error) {
 // the defaulted workload and topology and returns the candidate's ranked
 // value with its key (ascending; ties prefer fewer ranks, then less memory)
 // and the per-rank bytes the budget is checked against.
+//
+// Every candidate is an independent replay on a cluster of its own, so all
+// of them are scored side by side (parallel.ReplayEach) before the memory
+// filter, the tightest-candidate error and the ranking walk the scores in
+// candidate order: the list, its order and the error — the lowest failing
+// candidate's — are what one score after another gives.
 func search[P any](w Workload, t Topology, algos []Algo, what string, admit func(Workload, Plan) bool,
 	score func(Workload, Topology, Plan) (P, float64, int64, error)) ([]P, error) {
 	w, err := w.WithDefaults()
@@ -183,14 +189,7 @@ func search[P any](w Workload, t Topology, algos []Algo, what string, admit func
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("plan: no algorithm families to search")
 	}
-	type ranked struct {
-		p     P
-		key   float64
-		ranks int
-		mem   int64
-	}
-	var out []ranked
-	var tightest Plan // the smallest candidate the budget dropped
+	var cands []Plan
 	for _, a := range algos {
 		for _, g := range a(w, t.RankBudget) {
 			c := Plan{Grid: g}
@@ -200,19 +199,37 @@ func search[P any](w Workload, t Topology, algos []Algo, what string, admit func
 			if t.ExactRanks && g.Ranks != t.RankBudget {
 				continue
 			}
-			p, key, mem, err := score(w, t, c)
-			if err != nil {
-				return nil, fmt.Errorf("plan: pricing %s: %w", c, err)
-			}
-			if t.MemoryBudget > 0 && mem > t.MemoryBudget {
-				if tightest.Family == "" || mem < tightest.Predicted.MemoryBytes {
-					tightest = c
-					tightest.Predicted.MemoryBytes = mem
-				}
-				continue
-			}
-			out = append(out, ranked{p, key, g.Ranks, mem})
+			cands = append(cands, c)
 		}
+	}
+	type ranked struct {
+		p     P
+		key   float64
+		ranks int
+		mem   int64
+	}
+	scores, err := parallel.ReplayEach(len(cands), func(i int) (ranked, error) {
+		c := cands[i]
+		p, key, mem, err := score(w, t, c)
+		if err != nil {
+			return ranked{}, fmt.Errorf("plan: pricing %s: %w", c, err)
+		}
+		return ranked{p, key, c.Ranks, mem}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := scores[:0]
+	var tightest Plan // the smallest candidate the budget dropped
+	for i, r := range scores {
+		if t.MemoryBudget > 0 && r.mem > t.MemoryBudget {
+			if tightest.Family == "" || r.mem < tightest.Predicted.MemoryBytes {
+				tightest = cands[i]
+				tightest.Predicted.MemoryBytes = r.mem
+			}
+			continue
+		}
+		out = append(out, r)
 	}
 	if len(out) == 0 {
 		if tightest.Family != "" {

@@ -25,7 +25,7 @@ type OverlapPoint struct {
 // OverlapStudy runs Tesseract rows in phantom mode and reports the measured
 // communication overlap of each, in row order. Rows from other schemes are
 // skipped (they have no pipelined SUMMA schedule); the rest replay
-// concurrently (replayEach). It is the one study that reads every rank's
+// concurrently (parallel.ReplayEach). It is the one study that reads every rank's
 // overlap account, so each row replays on its full cluster, not solo.
 func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
 	opts, err := opts.withDefaults()
@@ -38,7 +38,7 @@ func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
 			tess = append(tess, row)
 		}
 	}
-	return replayEach(len(tess), func(i int) (OverlapPoint, error) {
+	return parallel.ReplayEach(len(tess), func(i int) (OverlapPoint, error) {
 		return overlapRow(tess[i], opts)
 	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/megatron"
 	"repro/internal/optimus"
+	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/seqpar"
 	"repro/internal/tesseract"
@@ -98,7 +99,7 @@ func (p PlannerPoint) Best() plan.Plan { return p.Plans[0] }
 // zero).
 //
 // The leaders of all scenarios are one batch of independent replays
-// (replayEach), each validated with Plan.Validate. plan.ValidateTop is not
+// (parallel.ReplayEach), each validated with Plan.Validate. plan.ValidateTop is not
 // made concurrent instead: it calls its Measurer one plan at a time, in rank
 // order, and callers hand it closures with state; what it would return from
 // MeasurePlan is what this returns.
@@ -127,7 +128,7 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 			leaders = append(leaders, leader{i, p})
 		}
 	}
-	vs, err := replayEach(len(leaders), func(k int) (plan.Validation, error) {
+	vs, err := parallel.ReplayEach(len(leaders), func(k int) (plan.Validation, error) {
 		l, sc := leaders[k], scenarios[leaders[k].scenario]
 		v, err := l.plan.Validate(MeasurePlan(sc.Workload, opts))
 		if err != nil {

@@ -10,7 +10,7 @@
 // Table rows, planner-study leaders and depth points are plan.Price calls
 // (rank 0 alone wherever that is exact); overlap rows replay the full cluster.
 // Each is an independent replay on a cluster of its own, run up to GOMAXPROCS
-// at a time (replayEach); results keep the input's order and every number is
+// at a time (parallel.ReplayEach); results keep the input's order and every number is
 // what one replay after another gives.
 // There is nothing to configure and nothing is kept between calls — see
 // docs/architecture.md, "tables: independent replays".

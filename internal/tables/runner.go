@@ -2,9 +2,6 @@ package tables
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/plan"
@@ -46,50 +43,6 @@ func (o Options) withDefaults() (Options, error) {
 		o.GPUsPerNode = 4
 	}
 	return o, nil
-}
-
-// replayEach runs the n independent replays run(0) … run(n-1), at most
-// runtime.GOMAXPROCS(0) of them at a time, and returns their results in index
-// order. Every replay builds a cluster of its own, so concurrent ones share
-// nothing and each result is what a loop over run would have produced. The
-// calling goroutine is one of the runners and waits for the others, so no
-// goroutine outlives the call.
-//
-// Indices are handed out in order and a failure only stops the hand-out, so
-// every replay below a failed one still runs to its end: the error returned
-// is that of the lowest failing index, as a sequential loop's would be.
-func replayEach[T any](n int, run func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	runner := func() {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if out[i], errs[i] = run(i); errs[i] != nil {
-				failed.Store(true)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for k := min(runtime.GOMAXPROCS(0), n); k > 1; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner()
-		}()
-	}
-	runner()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // RunRow times one table row and returns the measured columns, the forward

@@ -10,6 +10,7 @@ import (
 	"repro/internal/megatron"
 	"repro/internal/mesh"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/solomonik"
 	"repro/internal/summa"
 	"repro/internal/tensor"
@@ -29,9 +30,9 @@ type AblationPoint struct {
 // problem (batch 16, hidden 3072, 64 heads), isolating the paper's central
 // trade: deeper meshes shrink the SUMMA panels broadcast inside each layer
 // at the cost of the (rare) depth all-reduce. The depths replay concurrently
-// (replayEach); points come back in the order of depths.
+// (parallel.ReplayEach); points come back in the order of depths.
 func DepthAblation(q int, depths []int, opts Options) ([]AblationPoint, error) {
-	return replayEach(len(depths), func(i int) (AblationPoint, error) {
+	return parallel.ReplayEach(len(depths), func(i int) (AblationPoint, error) {
 		d := depths[i]
 		row := Row{Scheme: Tesseract, GPUs: q * q * d, Q: q, D: d, Batch: 16, Hidden: 3072, Heads: 64}
 		res, err := RunRow(row, opts)

@@ -3,6 +3,8 @@ package tables
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/parallel"
 )
 
 // TableResult pairs a row with its measured columns.
@@ -15,9 +17,9 @@ type TableResult struct {
 
 // RunTable executes every row with the same options and returns the results
 // in row order. Rows are independent replays and run concurrently
-// (replayEach); the error is the first failing row's.
+// (parallel.ReplayEach); the error is the first failing row's.
 func RunTable(rows []Row, opts Options) ([]TableResult, error) {
-	return replayEach(len(rows), func(i int) (TableResult, error) {
+	return parallel.ReplayEach(len(rows), func(i int) (TableResult, error) {
 		r := rows[i]
 		res, err := RunRow(r, opts)
 		if err != nil {

@@ -26,6 +26,8 @@ type Linear struct {
 	W *nn.Param // local [In/q, Out/q]
 	B *nn.Param // [1, Out/q] on grid row 0, nil elsewhere
 
+	params [2]*nn.Param // W, B: Params' backing, so a walk allocates nothing
+
 	hasBias bool // configuration flag, identical on every processor
 
 	p   *Proc
@@ -50,19 +52,21 @@ func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Lin
 	}
 	br, bc := full.Rows/q, full.Cols/q
 	l := &Linear{In: full.Rows, Out: full.Cols, Act: act, hasBias: bias, p: p}
-	l.W = nn.NewParam("tesseract.linear.w", full.Block(p.I*br, p.J*bc, br, bc))
+	l.W = full.Param("tesseract.linear.w", p.I*br, p.J*bc, br, bc)
 	if bias && p.I == 0 {
-		l.B = nn.NewParam("tesseract.linear.b", full.Zeros(1, bc))
+		l.B = full.Bias("tesseract.linear.b", bc)
 	}
+	l.params = [2]*nn.Param{l.W, l.B}
 	return l
 }
 
-// Params returns the parameter shards this processor owns.
+// Params returns the parameter shards this processor owns. The slice is the
+// layer's own: read it, do not write it.
 func (l *Linear) Params() []*nn.Param {
 	if l.B == nil {
-		return []*nn.Param{l.W}
+		return l.params[:1:1]
 	}
-	return []*nn.Param{l.W, l.B}
+	return l.params[:2:2]
 }
 
 // Forward computes the local output block for a local A-distributed input x.

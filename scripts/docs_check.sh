@@ -3,8 +3,9 @@
 # docs. Every relative link target referenced from README.md and docs/*.md
 # must exist in the repository, so the package map and the architecture
 # notes cannot silently rot as files move. It also holds the GEMM kernel to
-# what the docs promise of it: no fused multiply-add and no goroutine of its
-# own (docs/architecture.md §3), and the tree to what the package map promises: no internal package that
+# what the docs promise of it: no fused multiply-add (docs/architecture.md
+# §3); the host to one level of parallelism: no goroutine outside dist's rank
+# loop and parallel.ReplayEach; and the tree to what the package map promises: no internal package that
 # nothing shipped imports, and no family package restating its schedule as
 # cost-model arithmetic, its footprint as a memory formula, or the shared
 # attention and MLP modules as types of its own; dist to one way of moving
@@ -40,11 +41,23 @@ if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/gemm_amd64.s >&2; then
     fail=1
 fi
 
-# A kernel runs on its caller's goroutine: the simulated cluster's rank
-# goroutines are the host parallelism, so a step's host time belongs to one
-# rank. A go statement in internal/tensor is a second level growing back.
-if grep -nE '^[[:space:]]+go [A-Za-z_(]' $(ls internal/tensor/*.go | grep -v '_test\.go$') >&2; then
-    echo "docs_check: internal/tensor starts a goroutine" >&2
+# One level of host parallelism (docs/architecture.md §3, §11): the simulated
+# cluster's rank goroutines (dist's rankLoop) and the runner of independent
+# replays (parallel.ReplayEach) are the only places that start a goroutine. A
+# go statement anywhere else in non-test Go under internal/, cmd/ or
+# examples/ — a kernel's row-band pool, a study's own fan-out — is a second
+# level growing back. The awk tracks the enclosing top-level func.
+if ! find internal cmd examples -name '*.go' ! -name '*_test.go' | sort | xargs awk '
+    FNR == 1 { fn = "" }
+    /^func / { fn = $0 }
+    /^[[:space:]]+go [A-Za-z_(]/ {
+        if (FILENAME == "internal/dist/dist.go" && $0 ~ /^[[:space:]]+go rankLoop\(/) next
+        if (FILENAME == "internal/parallel/replay.go" && fn ~ /^func ReplayEach\[/) next
+        printf "%s:%d: %s\n", FILENAME, FNR, $0 > "/dev/stderr"
+        bad = 1
+    }
+    END { exit bad }'; then
+    echo "docs_check: a goroutine is started outside dist's rank loop and parallel.ReplayEach" >&2
     fail=1
 fi
 
