@@ -127,7 +127,7 @@ type ColLinear struct {
 	W       *nn.Param // [In, Out/p]
 	B       *nn.Param // [1, Out/p]
 
-	params [2]*nn.Param // W, B: Params' backing, so a walk allocates nothing
+	params [2]*nn.Param // Params' backing, refilled from W and B on each call
 
 	p   *Proc
 	x   *tensor.Matrix
@@ -152,13 +152,13 @@ func newCol(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *ColLin
 	if bias {
 		l.B = full.Bias("megatron.col.b", bc)
 	}
-	l.params = [2]*nn.Param{l.W, l.B}
 	return l
 }
 
 // Params returns the local shards. The slice is the layer's own: read it,
 // do not write it.
 func (l *ColLinear) Params() []*nn.Param {
+	l.params = [2]*nn.Param{l.W, l.B}
 	if l.B == nil {
 		return l.params[:1:1]
 	}
@@ -272,7 +272,7 @@ type RowLinear struct {
 	W       *nn.Param // [In/p, Out]
 	B       *nn.Param // [1, Out], replicated (identical update on all ranks)
 
-	params [2]*nn.Param // W, B: Params' backing, so a walk allocates nothing
+	params [2]*nn.Param // Params' backing, refilled from W and B on each call
 
 	// src, when set, is the GELU column layer whose output is this layer's
 	// input (the MLP pair). RowSharded, that input is transient: recycled
@@ -301,13 +301,13 @@ func newRow(p *Proc, full parallel.Weight, bias bool) *RowLinear {
 	if bias {
 		l.B = full.Bias("megatron.row.b", out)
 	}
-	l.params = [2]*nn.Param{l.W, l.B}
 	return l
 }
 
 // Params returns the local shards. The slice is the layer's own: read it,
 // do not write it.
 func (l *RowLinear) Params() []*nn.Param {
+	l.params = [2]*nn.Param{l.W, l.B}
 	if l.B == nil {
 		return l.params[:1:1]
 	}

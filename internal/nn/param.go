@@ -25,11 +25,11 @@ type Param struct {
 	opt  *Adam
 }
 
-// NewParam wraps a value matrix with a zeroed gradient of the same shape (a
-// shape-only gradient for a phantom value).
+// NewParam wraps a value matrix with a zeroed gradient of the same shape. A
+// phantom parameter is NewPhantomParam's.
 func NewParam(name string, value *tensor.Matrix) *Param {
 	if value.Phantom() {
-		return &Param{Name: name, Value: value, Grad: tensor.NewPhantom(value.Rows, value.Cols)}
+		panic("nn: NewParam of a phantom value " + name + "; use NewPhantomParam")
 	}
 	return &Param{Name: name, Value: value, Grad: tensor.New(value.Rows, value.Cols)}
 }

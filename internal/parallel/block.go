@@ -30,6 +30,8 @@ type Block struct {
 	Mlp      *MLP
 	Ln1, Ln2 *LayerNorm
 
+	params [8]*nn.Param // Params' backing: four linears' weights and biases
+
 	w *dist.Worker
 }
 
@@ -52,12 +54,15 @@ func (v *View) NewBlock(h, heads, seqLen int, rng *tensor.RNG) Layer {
 func (v *View) NewBlockPhantom(h, heads, seqLen int) Layer { return v.NewBlock(h, heads, seqLen, nil) }
 
 // Params returns the shards this rank owns, in the serial parameter order
-// (attention, then MLP; the layer norms are parameter-free).
-func (b *Block) Params() []*nn.Param { return b.appendParams(nil) }
-
-// appendParams appends the shards this rank owns to dst, in Params order.
-func (b *Block) appendParams(dst []*nn.Param) []*nn.Param {
-	return b.Mlp.appendParams(b.Attn.appendParams(dst))
+// (attention, then MLP; the layer norms are parameter-free). The slice is
+// the block's own, refilled on each call so that a walk over every block of
+// a replay allocates nothing: read it, do not write it.
+func (b *Block) Params() []*nn.Param {
+	ps := b.params[:0]
+	for _, l := range [4]Layer{b.Attn.QKV, b.Attn.Proj, b.Mlp.Fc1, b.Mlp.Fc2} {
+		ps = append(ps, l.Params()...)
+	}
+	return ps[:len(ps):len(ps)]
 }
 
 // State concatenates the sub-layers' canonical slots in Params order.

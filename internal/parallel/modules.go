@@ -116,11 +116,8 @@ func NewAttention(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 }
 
 // Params returns the shards this rank owns.
-func (a *Attention) Params() []*nn.Param { return a.appendParams(nil) }
-
-// appendParams appends the shards this rank owns to dst.
-func (a *Attention) appendParams(dst []*nn.Param) []*nn.Param {
-	return append(append(dst, a.QKV.Params()...), a.Proj.Params()...)
+func (a *Attention) Params() []*nn.Param {
+	return append(a.QKV.Params(), a.Proj.Params()...)
 }
 
 // State un-fuses the QKV linear's own slots onto the canonical [Wq | Wk | Wv]
@@ -190,11 +187,8 @@ func NewMLP(f Linears, h int, rng *tensor.RNG) *MLP {
 }
 
 // Params returns the shards this rank owns.
-func (m *MLP) Params() []*nn.Param { return m.appendParams(nil) }
-
-// appendParams appends the shards this rank owns to dst.
-func (m *MLP) appendParams(dst []*nn.Param) []*nn.Param {
-	return append(append(dst, m.Fc1.Params()...), m.Fc2.Params()...)
+func (m *MLP) Params() []*nn.Param {
+	return append(m.Fc1.Params(), m.Fc2.Params()...)
 }
 
 // State concatenates both projections' slots.

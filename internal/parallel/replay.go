@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -61,20 +60,10 @@ func (s *Stack) Backward() {
 // mark. k belongs to the phase: 4 for a training step — value, gradient and
 // Adam's two moments, what nn.Param and nn.Adam allocate — 1 for a forward
 // that only reads the weights.
-//
-// A Block's shards are appended to a stack buffer: Block.Params allocates
-// its slice on every call, and every replay walks every block.
 func (s *Stack) footprint(k int64, inputs ...*tensor.Matrix) int64 {
 	var elems int64
-	var buf [8]*nn.Param
 	for _, l := range s.Blocks {
-		ps := buf[:0]
-		if b, ok := l.(*Block); ok {
-			ps = b.appendParams(ps)
-		} else {
-			ps = l.Params()
-		}
-		for _, p := range ps {
+		for _, p := range l.Params() {
 			elems += k * int64(p.Value.Size())
 		}
 	}
@@ -92,34 +81,29 @@ type Replay struct {
 	c      *dist.Cluster
 	stacks []*Stack
 
-	// every is what each Run of the replay hands the cluster — a method
-	// value, bound once — and it builds the rank's stack until phase is set,
-	// then runs phase on it: a timed phase allocates no closure.
+	// every is what each Phase hands the cluster — the method value
+	// runPhase, bound once — so a timed phase allocates no closure.
 	every func(w *dist.Worker) error
-	build func(w *dist.Worker) (*Stack, error)
 	phase func(s *Stack)
 }
 
 // NewReplay runs build on every rank the cluster runs (untimed) and keeps
 // the stacks. The cluster should be fresh and sized to the layout.
 func NewReplay(c *dist.Cluster, build func(w *dist.Worker) (*Stack, error)) (*Replay, error) {
-	r := &Replay{c: c, stacks: make([]*Stack, c.WorldSize()), build: build}
-	r.every = r.rank
-	err := c.Run(r.every)
-	r.build = nil
-	if err != nil {
+	r := &Replay{c: c, stacks: make([]*Stack, c.WorldSize())}
+	if err := c.Run(func(w *dist.Worker) error {
+		s, err := build(w)
+		r.stacks[w.Rank()] = s
+		return err
+	}); err != nil {
 		return nil, err
 	}
+	r.every = r.runPhase
 	return r, nil
 }
 
-// rank builds the worker's stack, or runs the phase on it once built.
-func (r *Replay) rank(w *dist.Worker) error {
-	if r.build != nil {
-		s, err := r.build(w)
-		r.stacks[w.Rank()] = s
-		return err
-	}
+// runPhase runs the current phase on the worker's stack.
+func (r *Replay) runPhase(w *dist.Worker) error {
 	r.phase(r.stacks[w.Rank()])
 	return nil
 }

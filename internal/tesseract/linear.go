@@ -26,7 +26,7 @@ type Linear struct {
 	W *nn.Param // local [In/q, Out/q]
 	B *nn.Param // [1, Out/q] on grid row 0, nil elsewhere
 
-	params [2]*nn.Param // W, B: Params' backing, so a walk allocates nothing
+	params [2]*nn.Param // Params' backing, refilled from W and B on each call
 
 	hasBias bool // configuration flag, identical on every processor
 
@@ -56,13 +56,13 @@ func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Lin
 	if bias && p.I == 0 {
 		l.B = full.Bias("tesseract.linear.b", bc)
 	}
-	l.params = [2]*nn.Param{l.W, l.B}
 	return l
 }
 
 // Params returns the parameter shards this processor owns. The slice is the
 // layer's own: read it, do not write it.
 func (l *Linear) Params() []*nn.Param {
+	l.params = [2]*nn.Param{l.W, l.B}
 	if l.B == nil {
 		return l.params[:1:1]
 	}
