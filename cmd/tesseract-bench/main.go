@@ -1,14 +1,16 @@
 // Command tesseract-bench regenerates the paper's quantitative artifacts on
 // the simulated cluster: Table 1 (strong scaling), Table 2 (weak scaling),
-// the §4 speedup claims, the §1/§3.1 transmission claim measured on one
-// multiply per algorithm, the Eq. 7-10 memory study, and this repository's
-// depth ablation.
+// the §1/§3.1 transmission claim measured on one multiply per algorithm, the
+// Eq. 7-10 memory study, the reproduction scorecard that sets every number
+// the paper states beside its measurement, and this repository's depth
+// ablation.
 //
 // Usage:
 //
 //	tesseract-bench                  # everything
 //	tesseract-bench -table 1         # one table
-//	tesseract-bench -speedups        # both tables and their §4 speedups
+//	tesseract-bench -speedups        # both tables and the scorecard over them
+//	tesseract-bench -speedups -claims -memory   # the whole scorecard
 //	tesseract-bench -claims -memory  # selected studies
 //	tesseract-bench -seqlen 1024     # different sequence length
 package main
@@ -33,7 +35,7 @@ func main() {
 		elastic    = flag.Bool("elastic", false, "run the elastic re-layout study (checkpoint, rank loss, replan, re-shard; cost vs step)")
 		straggler  = flag.Bool("straggler", false, "run the gray-failure study (2×/4×/8× compute stragglers: ride out vs detect-and-re-layout)")
 		serving    = flag.Bool("serving", false, "run the serving study (continuous batching per family/layout) and the serving-objective planner")
-		speedups   = flag.Bool("speedups", false, "print the derived §4 speedups")
+		speedups   = flag.Bool("speedups", false, "print the reproduction scorecard: every number the paper states beside its measurement, from the tables (both unless -table names one) and, with -claims and -memory, the §1 and Eq. 7-10 studies")
 		seqLen     = flag.Int("seqlen", tables.DefaultSeqLen, "Transformer sequence length")
 		layers     = flag.Int("layers", 1, "Transformer layers per model")
 		noRecomp   = flag.Bool("no-recompute", false, "disable activation recomputation in the backward pass")
@@ -59,34 +61,33 @@ func main() {
 	all := !*claimsOnly && !*memory && !*ablation && !*overlap && !*planner && !*families && !*elastic && !*straggler && !*serving && !*speedups && *table == ""
 	bothTables := all || (*speedups && *table == "")
 
-	runTable := func(rows []tables.Row, title string, derive func([]tables.TableResult) []tables.Speedup, label string) {
+	runTable := func(rows []tables.Row, title string) []tables.TableResult {
 		res, err := tables.RunTable(rows, opts)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(tables.Format(title, res))
-		if all || *speedups {
-			fmt.Println(tables.FormatSpeedups(label, derive(res)))
-		}
+		return res
 	}
-
+	var table1, table2 []tables.TableResult
 	if bothTables || *table == "1" {
-		runTable(tables.Table1Rows(),
-			"Table 1 — strong scaling (batch 12/16, hidden 3072, 64 heads; simulated seconds)",
-			tables.StrongScalingSpeedups, "Derived §4.1 strong-scaling speedups (Tesseract [4,4,4] vs baselines)")
+		table1 = runTable(tables.Table1Rows(), "Table 1 — strong scaling (batch 12/16, hidden 3072, 64 heads; simulated seconds)")
 	}
 	if bothTables || *table == "2" {
-		runTable(tables.Table2Rows(),
-			"Table 2 — weak scaling (per-GPU problem fixed; simulated seconds)",
-			tables.WeakScalingSpeedups, "Derived §4.2 weak-scaling speedups (Tesseract [4,4,4] vs baselines)")
+		table2 = runTable(tables.Table2Rows(), "Table 2 — weak scaling (per-GPU problem fixed; simulated seconds)")
 	}
+	// The scorecard reads whichever of the tables, the transmission study and
+	// the memory study ran.
+	var trans []tables.TransmissionPoint
 	if all || *claimsOnly {
 		points, err := tables.TransmissionStudy()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(tables.FormatTransmissions(points))
+		trans = points
 	}
+	var mem []tables.MemoryPoint
 	if all || *memory {
 		const a, b, c = 4096, 4096, 4096
 		points, err := tables.MemoryStudy(a, b, c)
@@ -94,6 +95,10 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(tables.FormatMemory(a, b, c, points))
+		mem = points
+	}
+	if all || *speedups {
+		fmt.Println(tables.FormatScorecard(tables.Scorecard(table1, table2, trans, mem)))
 	}
 	if all || *ablation {
 		points, err := tables.DepthAblation(4, []int{1, 2, 4}, opts)

@@ -103,7 +103,7 @@ func TestValidFlagsStillRun(t *testing.T) {
 	if code != 0 || stderr != "" {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
-	for _, want := range []string{"Table 1", "[4,4,4]", "Derived §4.1"} {
+	for _, want := range []string{"Table 1", "[4,4,4]", "Reproduction scorecard", "§4.1"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
@@ -114,14 +114,15 @@ func TestValidFlagsStillRun(t *testing.T) {
 }
 
 // TestSpeedupsAloneRunsBothTables: -speedups without -table prints both
-// tables with their derived speed-ups and no other study. It used to print
+// tables and the scorecard over both, and no other study: the scorecard's
+// §1 and Eq. 7-10 lines come with -claims and -memory. It used to print
 // nothing and exit 0.
 func TestSpeedupsAloneRunsBothTables(t *testing.T) {
 	code, stdout, stderr := testutil.RunCLI(t, asCLI, "-speedups", "-seqlen", "16")
 	if code != 0 || stderr != "" {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
-	for _, want := range []string{"Table 1", "Derived §4.1", "Table 2", "Derived §4.2"} {
+	for _, want := range []string{"Table 1", "Table 2", "Reproduction scorecard", "both tables", "§4.1", "§4.2"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}

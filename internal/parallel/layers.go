@@ -34,7 +34,9 @@ type ReplicatedLinear struct {
 // and replicates it on the calling rank, landing its gradients on grads
 // summed over sum (nil: not summed).
 func NewReplicatedLinear(w *dist.Worker, sum *dist.Group, grads *Grads, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
-	return &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w, sum: sum, grads: grads}
+	l := &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w, sum: sum, grads: grads}
+	grads.Expect(sum, len(l.Params()))
+	return l
 }
 
 // State exposes the replicated weight (and bias, if present) as canonical

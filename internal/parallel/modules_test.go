@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // qkvLayouts are the layouts the fused-QKV tests walk: every family, shard
@@ -167,6 +169,39 @@ func TestAttentionRejectsIndivisibleHeads(t *testing.T) {
 				}()
 				f.NewBlockPhantom(c.h, c.heads, 2)
 			}()
+		}
+	}
+}
+
+// TestMLPMatchesSerial runs the shared MLP over every family's linears, on
+// the layouts the fused-QKV tests walk, and holds each rank's collected
+// output and input gradient to nn.MLP's from the same seed. (CI runs it
+// under the race detector with the 1-D families.)
+func TestMLPMatchesSerial(t *testing.T) {
+	const h, rows = 12, 36 // h splits over every q and p; rows over every d·q and p
+	dataRng := tensor.NewRNG(3)
+	x, dy := tensor.RandomMatrix(rows, h, dataRng), tensor.RandomMatrix(rows, h, dataRng)
+	ref := nn.NewMLP(h, tensor.NewRNG(13))
+	wantY, wantDx := ref.Forward(x), ref.Backward(dy)
+	for _, l := range qkvLayouts() {
+		l, err := parallel.Validate(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys, dxs := testutil.NewCollector(), testutil.NewCollector()
+		testutil.Run(t, l.Ranks, func(w *dist.Worker) error {
+			f, err := parallel.New(w, l)
+			if err != nil {
+				return err
+			}
+			m := parallel.NewMLP(f.(parallel.Linears), h, tensor.NewRNG(13))
+			ys.Put(w.Rank(), f.Collect(m.Forward(f.Distribute(x))).Clone())
+			dxs.Put(w.Rank(), f.Collect(m.Backward(f.Distribute(dy))).Clone())
+			return nil
+		})
+		for r := 0; r < l.Ranks; r++ {
+			testutil.CheckClose(t, fmt.Sprintf("%s y, rank %d", l, r), ys.Get(r), wantY, 1e-9)
+			testutil.CheckClose(t, fmt.Sprintf("%s dx, rank %d", l, r), dxs.Get(r), wantDx, 1e-9)
 		}
 	}
 }

@@ -208,3 +208,46 @@ func TestValidateAppliesRegisteredCheck(t *testing.T) {
 		t.Fatalf("the spec's row shards not applied: %d, want 3", got)
 	}
 }
+
+// TestGradsQueueSizedOnce: the deferred-gradient queue is sized at its
+// first sum for every parameter the rank's layers said they land over a
+// group (Grads.Expect), keeps that backing array across steps, and is never
+// made on a rank whose every partial lands with a nil group.
+func TestGradsQueueSizedOnce(t *testing.T) {
+	c := dist.New(dist.Config{WorldSize: 2})
+	defer c.Close()
+	if err := c.Run(func(w *dist.Worker) error {
+		summed, local := NewGrads(w), NewGrads(w)
+		g, rng := w.Cluster().Group(0, 1), tensor.NewRNG(1)
+		layers := []*ReplicatedLinear{
+			NewReplicatedLinear(w, g, &summed, 4, 6, nn.ActGELU, true, rng),
+			NewReplicatedLinear(w, g, &summed, 6, 4, nn.ActNone, false, rng),
+			NewReplicatedLinear(w, nil, &summed, 4, 2, nn.ActNone, true, rng),
+			NewReplicatedLinear(w, nil, &local, 4, 2, nn.ActNone, true, rng),
+		}
+		x := tensor.RandomMatrix(5, 4, tensor.NewRNG(2))
+		var backing *pendingGrad
+		for step := 0; step < 2; step++ {
+			layers[0].Backward(layers[1].Backward(layers[1].Forward(layers[0].Forward(x))))
+			layers[2].Backward(layers[2].Forward(x))
+			layers[3].Backward(layers[3].Forward(x))
+			if len(summed.pending) != 3 || cap(summed.pending) != 3 {
+				t.Errorf("rank %d step %d: %d sums queued in %d slots, want 3 in 3", w.Rank(), step, len(summed.pending), cap(summed.pending))
+			}
+			if step == 0 {
+				backing = &summed.pending[0]
+			} else if &summed.pending[0] != backing {
+				t.Errorf("rank %d: the queue was made again at step %d", w.Rank(), step)
+			}
+			if local.pending != nil {
+				t.Errorf("rank %d step %d: a queue of %d slots with nothing summed", w.Rank(), step, cap(local.pending))
+			}
+			summed.DrainGradients()
+			local.DrainGradients()
+			w.Workspace().ReleaseAll()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

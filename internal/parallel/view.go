@@ -124,6 +124,7 @@ func (v *View) gather(x *tensor.Matrix, owned bool) *tensor.Matrix {
 type Grads struct {
 	w       *dist.Worker
 	pending []pendingGrad
+	summed  int // parameters the rank's layers land over a group (Expect)
 }
 
 type pendingGrad struct {
@@ -135,6 +136,16 @@ type pendingGrad struct {
 // NewGrads returns the calling rank's empty queue.
 func NewGrads(w *dist.Worker) Grads { return Grads{w: w} }
 
+// Expect is called by a layer as it is built: it will land n parameters
+// over g per backward pass. The queue is then sized once, at the first
+// sum, for every parameter the rank's layers land over a group; with g nil
+// nothing is queued and nothing is sized.
+func (q *Grads) Expect(g *dist.Group, n int) {
+	if g != nil {
+		q.summed += n
+	}
+}
+
 // Land finishes buf, one partial of p's gradient, by summing it over g, the
 // group that replicates p (§3.1), and takes the workspace buffer over. With
 // g nil the partial is the gradient, so it folds in now; otherwise g's
@@ -144,6 +155,9 @@ func (q *Grads) Land(g *dist.Group, p *nn.Param, buf *tensor.Matrix) {
 		p.AccumGrad(buf)
 		q.w.Workspace().Put(buf)
 		return
+	}
+	if q.pending == nil {
+		q.pending = make([]pendingGrad, 0, q.summed)
 	}
 	q.pending = append(q.pending, pendingGrad{param: p, buf: buf, h: g.IAllReduceInto(q.w, buf, buf)})
 }

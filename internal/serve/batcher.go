@@ -20,21 +20,28 @@ type trace struct {
 	req  []Request
 	stat []BatchStat
 
-	pending []int // admitted request ids, FIFO
-	batch   []int // the batch being handed to exec (reused)
-	next    int   // first arrival not yet admitted or rejected
-	now     float64
+	// queue is a ring of QueueDepth slots holding the admitted request ids
+	// in FIFO order: queued of them, the oldest at head. Sealing a batch of
+	// k moves head by k, so a batch costs O(k), not O(backlog).
+	queue        []int
+	head, queued int
+	batch        []int // the batch being handed to exec (reused)
+	next         int   // first arrival not yet admitted or rejected
+	now          float64
 }
 
 func newTrace(cfg Config, arrivals []float64) *trace {
 	return &trace{
-		cfg:     cfg,
-		arr:     arrivals,
-		req:     make([]Request, len(arrivals)),
-		pending: make([]int, 0, cfg.QueueDepth),
-		batch:   make([]int, 0, cfg.MaxBatch),
+		cfg:   cfg,
+		arr:   arrivals,
+		req:   make([]Request, len(arrivals)),
+		queue: make([]int, cfg.QueueDepth),
+		batch: make([]int, 0, cfg.MaxBatch),
 	}
 }
+
+// queuedAt is the id of the i-th oldest queued request.
+func (t *trace) queuedAt(i int) int { return t.queue[(t.head+i)%len(t.queue)] }
 
 // admit processes every arrival at or before t, in arrival order: each
 // either takes a queue slot or is rejected on the spot.
@@ -43,11 +50,12 @@ func (t *trace) admit(tm float64) {
 		i := t.next
 		t.next++
 		t.req[i] = Request{ID: i, Arrive: t.arr[i], Class: -1}
-		if len(t.pending) >= t.cfg.QueueDepth {
+		if t.queued >= len(t.queue) {
 			t.req[i].Rejected = true
 			continue
 		}
-		t.pending = append(t.pending, i)
+		t.queue[(t.head+t.queued)%len(t.queue)] = i
+		t.queued++
 	}
 }
 
@@ -58,36 +66,39 @@ func (t *trace) admit(tm float64) {
 // after a busy window the backlog closes immediately.
 func (t *trace) nextBatch() []int {
 	t.admit(t.now)
-	if len(t.pending) == 0 {
+	if t.queued == 0 {
 		if t.next >= len(t.arr) {
 			return nil
 		}
 		t.now = t.arr[t.next] // idle: jump to the next arrival
 		t.admit(t.now)
 	}
-	deadline := t.req[t.pending[0]].Arrive + t.cfg.LatencyBudget
+	deadline := t.req[t.queuedAt(0)].Arrive + t.cfg.LatencyBudget
 	if deadline < t.now {
 		deadline = t.now
 	}
 	// Let arrivals inside the wait window join (or bounce off) the queue.
-	for len(t.pending) < t.cfg.MaxBatch && t.next < len(t.arr) && t.arr[t.next] <= deadline {
+	for t.queued < t.cfg.MaxBatch && t.next < len(t.arr) && t.arr[t.next] <= deadline {
 		t.admit(t.arr[t.next])
 	}
-	k := len(t.pending)
+	k := t.queued
 	closeAt := deadline
 	if k >= t.cfg.MaxBatch {
 		k = t.cfg.MaxBatch
 		// Full before the deadline: seal when the filling request arrived
 		// (or right now, if the backlog was already there).
-		if at := t.req[t.pending[k-1]].Arrive; at > t.now {
+		if at := t.req[t.queuedAt(k-1)].Arrive; at > t.now {
 			closeAt = at
 		} else {
 			closeAt = t.now
 		}
 	}
-	t.batch = append(t.batch[:0], t.pending[:k]...)
-	n := copy(t.pending, t.pending[k:])
-	t.pending = t.pending[:n]
+	t.batch = t.batch[:0]
+	for i := range k {
+		t.batch = append(t.batch, t.queuedAt(i))
+	}
+	t.head = (t.head + k) % len(t.queue)
+	t.queued -= k
 	t.now = closeAt
 	for _, id := range t.batch {
 		t.req[id].BatchClose = closeAt

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -179,6 +180,37 @@ func TestBatcherDeterministicReplay(t *testing.T) {
 	for i := range a.stat {
 		if a.stat[i] != b.stat[i] {
 			t.Fatalf("batch %d differs across replays: %+v vs %+v", i, a.stat[i], b.stat[i])
+		}
+	}
+}
+
+// TestQueueServesInArrivalOrder: the queue is a ring of QueueDepth slots,
+// and however often its head wraps — a depth that is no multiple of
+// MaxBatch, a trace that overflows it — the batches, read one after
+// another, are every admitted request once, in arrival order.
+func TestQueueServesInArrivalOrder(t *testing.T) {
+	for _, depth := range []int{1, 5, 7} {
+		cfg := Config{MaxBatch: 3, LatencyBudget: 5e-4, QueueDepth: depth}
+		arrivals, err := ArrivalConfig{N: 300, Rate: 8000, Seed: 5}.Times()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var served []int
+		tr := runTrace(cfg, arrivals, func(ids []int) (int, float64) {
+			served = append(served, ids...)
+			return len(ids), 2e-4 * float64(len(ids))
+		})
+		var admitted []int
+		for _, r := range tr.report().Requests {
+			if !r.Rejected {
+				admitted = append(admitted, r.ID)
+			}
+		}
+		if len(admitted) == len(arrivals) {
+			t.Errorf("depth %d: nothing was rejected, so the queue never filled", depth)
+		}
+		if !slices.Equal(served, admitted) {
+			t.Errorf("depth %d: served %v, admitted %v", depth, served, admitted)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestRunRowAllocationCeiling(t *testing.T) {
 		name    string
 		ceiling float64
 	}{
-		{10, "Tesseract [4,4,4]", 57}, // 56
+		{10, "Tesseract [4,4,4]", 54}, // 53
 		{2, "Megatron-LM [64]", 49},   // 48
 		{5, "Optimus [8,8]", 50},      // 49
 	} {
@@ -201,8 +201,8 @@ func TestRunRowAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 57 { // 56
-		t.Errorf("plan.Price %s %v: %.0f allocations, ceiling 57", sc.Name, l, allocs)
+	if allocs > 54 { // 53
+		t.Errorf("plan.Price %s %v: %.0f allocations, ceiling 54", sc.Name, l, allocs)
 	}
 
 	// The search the planner study makes for the Table 1 problem.
@@ -213,8 +213,8 @@ func TestRunRowAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 242 { // 235
-		t.Errorf("plan.Search %s: %.0f allocations, ceiling 242", sc.Name, allocs)
+	if allocs > 239 { // 232
+		t.Errorf("plan.Search %s: %.0f allocations, ceiling 239", sc.Name, allocs)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package tables is the experiment harness: it re-runs every row of the
 // paper's Table 1 (strong scaling) and Table 2 (weak scaling) on the
 // simulated cluster, regenerates the §1/§3.1 transmission-count and memory
-// comparisons, and derives the speedup numbers quoted in §4. Timing rows run
+// comparisons, and sets every number the paper states beside its
+// measurement in one scorecard (Scorecard). Timing rows run
 // in phantom mode at the paper's true sizes (hidden 2048-8192): the layer
 // code executes its full communication schedule while matrices stay
 // shape-only, so a 64-GPU row completes in milliseconds of wall time while

@@ -256,8 +256,9 @@ func TransmissionStudy() ([]TransmissionPoint, error) {
 	return points, nil
 }
 
-// FormatTransmissions renders the transmission study: the measured columns,
-// one verdict line per §1 ratio, and the unit of each paper count.
+// FormatTransmissions renders the transmission study: the measured columns
+// and the unit of each paper count. The §1 ratios' verdicts are the
+// scorecard's (Scorecard).
 func FormatTransmissions(points []TransmissionPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Communication of one [%d,%d]x[%d,%d] multiply at p = 64, measured (paper §1/§3.1)\n",
@@ -267,18 +268,6 @@ func FormatTransmissions(points []TransmissionPoint) string {
 	for _, p := range points {
 		fmt.Fprintf(&b, "%-18s %6d %9d %7d %14d %10.6f | %7.2fx %7.2fx %7.2fx\n",
 			p.Algorithm, p.Paper, p.Messages, p.Rounds, p.Bytes, p.Seconds, p.PaperRatio, p.ByteRatio, p.SecondRatio)
-	}
-	holds := func(measured, paper float64) string {
-		if measured >= paper {
-			return "holds"
-		}
-		return "does not hold"
-	}
-	tess := points[len(points)-1]
-	for _, p := range points[:len(points)-1] {
-		fmt.Fprintf(&b, "§1 claims %s needs %.4gx %s's communication: in bytes %.2fx, %s; in seconds %.2fx, %s\n",
-			p.Algorithm, p.PaperRatio, tess.Algorithm, p.ByteRatio, holds(p.ByteRatio, p.PaperRatio),
-			p.SecondRatio, holds(p.SecondRatio, p.PaperRatio))
 	}
 	for _, p := range points {
 		unit := "no measured count"

@@ -52,7 +52,9 @@ func Format(title string, results []TableResult) string {
 	return b.String()
 }
 
-// Speedup is one of the §4 headline comparisons, measured and published.
+// Speedup is a ratio the paper states, measured and published: one of the
+// §4 headline comparisons, or (in a scorecard Claim) a §1 communication
+// ratio.
 type Speedup struct {
 	// Name describes the comparison, e.g. "throughput vs Optimus [8,8]".
 	Name string
@@ -70,61 +72,29 @@ func find(results []TableResult, s Scheme, gpus, q, d int) (TableResult, bool) {
 	return TableResult{}, false
 }
 
+// leaders returns the four 64-GPU rows the §4 comparisons read: Tesseract
+// [4,4,4], Megatron-LM [64], Optimus [8,8] and Tesseract [8,8,1]; ok is
+// false unless the results hold all four.
+func leaders(results []TableResult) (t444, m64, o88, t881 Result, ok bool) {
+	r1, ok1 := find(results, Tesseract, 64, 4, 4)
+	r2, ok2 := find(results, Megatron, 64, 0, 0)
+	r3, ok3 := find(results, Optimus, 64, 8, 0)
+	r4, ok4 := find(results, Tesseract, 64, 8, 1)
+	return r1.Measured, r2.Measured, r3.Measured, r4.Measured, ok1 && ok2 && ok3 && ok4
+}
+
 // StrongScalingSpeedups derives the §4.1 claims from Table 1 results:
 // Tesseract [4,4,4] forward time vs Megatron [64] (paper: 1.3751×), vs
-// Optimus [8,8] (1.5293×), and vs Tesseract [8,8,1] (2.0702×).
+// Optimus [8,8] (1.5293×), and vs Tesseract [8,8,1] (2.0702×). The
+// scorecard's §4.1 lines are these.
 func StrongScalingSpeedups(results []TableResult) []Speedup {
-	t444, ok1 := find(results, Tesseract, 64, 4, 4)
-	m64, ok2 := find(results, Megatron, 64, 0, 0)
-	o88, ok3 := find(results, Optimus, 64, 8, 0)
-	t881, ok4 := find(results, Tesseract, 64, 8, 1)
-	if !(ok1 && ok2 && ok3 && ok4) {
+	t444, m64, o88, t881, ok := leaders(results)
+	if !ok {
 		return nil
 	}
 	return []Speedup{
-		{"forward speedup vs Megatron-LM [64]", m64.Measured.Forward / t444.Measured.Forward, 1.3751},
-		{"forward speedup vs Optimus [8,8]", o88.Measured.Forward / t444.Measured.Forward, 1.5293},
-		{"forward speedup vs Tesseract [8,8,1]", t881.Measured.Forward / t444.Measured.Forward, 2.0702},
+		{"forward speedup vs Megatron-LM [64]", m64.Forward / t444.Forward, 1.3751},
+		{"forward speedup vs Optimus [8,8]", o88.Forward / t444.Forward, 1.5293},
+		{"forward speedup vs Tesseract [8,8,1]", t881.Forward / t444.Forward, 2.0702},
 	}
-}
-
-// WeakScalingSpeedups derives the §4.2 claims from Table 2 results at 64
-// GPUs: throughput 3.3746×/1.7144× and inference 4.0156×/1.6987× vs
-// Megatron/Optimus, plus the [4,4,4]-vs-[8,8,1] ratios 1.5092×/1.5576×.
-func WeakScalingSpeedups(results []TableResult) []Speedup {
-	t444, ok1 := find(results, Tesseract, 64, 4, 4)
-	m64, ok2 := find(results, Megatron, 64, 0, 0)
-	o88, ok3 := find(results, Optimus, 64, 8, 0)
-	t881, ok4 := find(results, Tesseract, 64, 8, 1)
-	if !(ok1 && ok2 && ok3 && ok4) {
-		return nil
-	}
-	perSeq := func(r TableResult) float64 {
-		return (r.Measured.Forward + r.Measured.Backward) / float64(r.Row.Batch)
-	}
-	return []Speedup{
-		{"throughput vs Megatron-LM [64]", t444.Measured.Throughput / m64.Measured.Throughput, 3.3746},
-		{"throughput vs Optimus [8,8]", t444.Measured.Throughput / o88.Measured.Throughput, 1.7144},
-		{"inference vs Megatron-LM [64]", t444.Measured.Inference / m64.Measured.Inference, 4.0156},
-		{"inference vs Optimus [8,8]", t444.Measured.Inference / o88.Measured.Inference, 1.6987},
-		{"throughput vs Tesseract [8,8,1]", t444.Measured.Throughput / t881.Measured.Throughput, 1.5092},
-		{"inference vs Tesseract [8,8,1]", t444.Measured.Inference / t881.Measured.Inference, 1.5576},
-		// Per-sequence normalisation (ours): Table 2 rows carry very
-		// different batch sizes (768 vs 30 at 64 GPUs), so we also report
-		// time-per-sequence ratios, where the partitioning advantage is
-		// independent of the batch discrepancy. The paper prints no such
-		// row; the reference value is the batch-ratio-adjusted throughput.
-		{"per-sequence time vs Megatron-LM [64]", perSeq(m64) / perSeq(t444), 3.3746 * 768 / 30},
-		{"per-sequence time vs Optimus [8,8]", perSeq(o88) / perSeq(t444), 1.7144 * 768 / 384},
-	}
-}
-
-// FormatSpeedups renders a speedup list.
-func FormatSpeedups(title string, sp []Speedup) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	for _, s := range sp {
-		fmt.Fprintf(&b, "  %-45s measured %6.3fx   paper %6.3fx\n", s.Name, s.Measured, s.Paper)
-	}
-	return b.String()
 }

@@ -244,9 +244,14 @@ func TestSpeedupDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wsp := WeakScalingSpeedups(res2)
-	if len(wsp) == 0 {
-		t.Fatal("no weak-scaling speedups derived")
+	card := Scorecard(nil, res2, nil, nil)
+	if len(card.Claims) != 6 {
+		t.Fatalf("expected 6 weak-scaling claims, got %d", len(card.Claims))
+	}
+	for _, c := range card.Claims {
+		if c.Section != "§4.2" {
+			t.Errorf("%s: section %s from Table 2 alone", c.Name, c.Section)
+		}
 	}
 }
 
@@ -365,7 +370,7 @@ func TestTransferCountsAt64(t *testing.T) {
 // TestTransmissionStudy pins the paper's §3.1 counts and what one
 // [4096,4096]·[4096,4096] multiply measures: Cannon's 1008 is its block
 // messages and Tesseract's 32 its rounds ÷ d, while 2.5-D's 120 is no
-// measured count; in bytes and in seconds neither §1 ratio holds.
+// measured count; in bytes and in seconds neither §1 ratio is reached.
 func TestTransmissionStudy(t *testing.T) {
 	points, err := TransmissionStudy()
 	if err != nil {
@@ -399,6 +404,14 @@ func TestTransmissionStudy(t *testing.T) {
 		}
 		if i < 2 && (p.ByteRatio <= 1 || p.ByteRatio >= p.PaperRatio || p.SecondRatio >= p.PaperRatio) {
 			t.Errorf("%s: %gx in bytes, %gx in seconds against the paper's %gx", p.Algorithm, p.ByteRatio, p.SecondRatio, p.PaperRatio)
+		}
+	}
+	// The scorecard's §1 verdicts: in bytes each ratio goes the paper's way,
+	// in seconds each fails (Cannon and 2.5-D both beat Tesseract).
+	claims := Scorecard(nil, nil, points, nil).Claims
+	for i, want := range []Verdict{Direction, Fails, Direction, Fails} {
+		if c := claims[i]; c.Section != "§1" || c.Verdict() != want {
+			t.Errorf("%s %s: %.3fx against %.3fx is %s, want %s", c.Section, c.Name, c.Measured, c.Paper, c.Verdict(), want)
 		}
 	}
 }

@@ -56,6 +56,7 @@ func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Lin
 	if bias && p.I == 0 {
 		l.B = full.Bias("tesseract.linear.b", bc)
 	}
+	p.Expect(p.sum, len(l.Params()))
 	return l
 }
 

@@ -195,6 +195,41 @@ if [ -e internal/claims ] || [ -e cmd/comm-model ] ||
     fail=1
 fi
 
+# CI selects what it names: every alternative of a -run, -bench or -fuzz
+# pattern in .github/workflows/ci.yml matches at least one test, benchmark or
+# fuzz target that `go test -list` finds in the packages of its command. A
+# step that names a test nobody wrote passes in silence and checks nothing.
+# ('^$', which selects nothing on purpose, is skipped.) The awk prints one
+# "flag alternative packages…" line per go test command and alternative.
+selections="$(sed 's/&&/\n/g' .github/workflows/ci.yml | awk '
+    /go test/ {
+        sub(/.*go test/, "")
+        gsub(/\047/, "")
+        pkgs = ""; n = 0
+        for (i = 1; i <= NF; i++) {
+            if ($i ~ /^-(run|bench|fuzz)$/ && i < NF) { flag[++n] = $i; pat[n] = $(i + 1); i++ }
+            else if ($i == "." || $i ~ /^\.\//) pkgs = pkgs " " $i
+        }
+        for (j = 1; j <= n; j++) {
+            k = split(pat[j], alt, "|")
+            for (a = 1; a <= k; a++) if (alt[a] != "^$") print flag[j], alt[a] pkgs
+        }
+    }' | sort -u)"
+[ -n "$selections" ] || { echo "docs_check: found no go test selection in ci.yml" >&2; fail=1; }
+while read -r flag alt pkgs; do
+    case "$flag" in
+    -run) kinds='^(Test|Example|Fuzz)' ;;
+    -bench) kinds='^Benchmark' ;;
+    -fuzz) kinds='^Fuzz' ;;
+    esac
+    if ! go test -list "$alt" $pkgs | grep -qE "$kinds"; then
+        echo "docs_check: ci.yml's go test $flag alternative '$alt' matches nothing in $pkgs" >&2
+        fail=1
+    fi
+done <<EOF_SELECTIONS
+$selections
+EOF_SELECTIONS
+
 # An internal package outside the import graph of every command, example and
 # the benchmark is code only its own tests run. internal/testutil is the
 # tests' shared helper and the one exception.
