@@ -252,7 +252,7 @@ func BenchmarkStraggler(b *testing.B) {
 		Topology:   plan.Topology{Cost: cost, MemoryBudget: budget},
 	}
 	from := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
-	rideOut, err := vit.TrainFaulty(from, fp, cost, ds, mcfg, tc, total)
+	rideOut, err := vit.TrainFaulty(from, fp, cfg.Topology.Machine(), ds, mcfg, tc, total)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func main() {
 	fmt.Println(plan.FormatPlans(title, plans, *top))
 
 	if *validate {
-		vs, err := plan.ValidateTop(plans, *valTop, tables.MeasurePlan(w, tables.Options{GPUsPerNode: topo.GPUsPerNode}))
+		vs, err := plan.ValidateTop(plans, *valTop, plan.Measure(w, topo))
 		if err != nil {
 			fatal(err)
 		}

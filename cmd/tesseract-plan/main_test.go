@@ -33,6 +33,9 @@ func TestGolden(t *testing.T) {
 		// replays.
 		{"vit-base-validate", []string{"-model", "vit-base", "-validate"}},
 		{"misaligned36-validate", []string{"-ranks", "36", "-batch", "36", "-seq", "64", "-hidden", "1728", "-heads", "36", "-top", "40", "-validate", "-validate-top", "40"}},
+		// The validation replay prices on the planned machine: measured at
+		// four GPUs a node, the eight-GPU plans would read off.
+		{"gpn8-validate", []string{"-gpus-per-node", "8", "-validate"}},
 	} {
 		t.Run(golden.name, func(t *testing.T) {
 			testutil.Golden(t, asCLI, golden.name, false, golden.args...)

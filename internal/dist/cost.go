@@ -35,49 +35,66 @@ func MeluxinaModel() CostModel {
 	}
 }
 
-// Check reports a model no cluster can run on: a negative, NaN or infinite
-// field (zero is valid everywhere — it selects the Meluxina default). It is
-// the one validity rule of the cost model: WithDefaults and dist.New panic
-// with its error, and callers that take a model from configuration (the
-// planner's Topology, the tables harness) return it instead.
-func (m CostModel) Check() error {
-	for _, v := range [...]float64{m.FLOPS, m.Alpha, m.BetaIntra, m.BetaInter} {
+// Machine is the simulated hardware a cluster runs on: the α–β cost model
+// and the node size that maps ranks to nodes for link pricing. Its zero
+// value is the paper's testbed, Meluxina's four-A100 nodes.
+type Machine struct {
+	// Cost is the machine model; a zero field takes MeluxinaModel's value.
+	Cost CostModel
+	// GPUsPerNode is the node size: ranks r with equal r/GPUsPerNode share a
+	// node (see Node). Zero means 4, as on Meluxina.
+	GPUsPerNode int
+}
+
+// Check reports a machine no cluster can run on: a negative node size, or a
+// negative, NaN or infinite cost field (zero is valid everywhere — it selects
+// the Meluxina default). It is the one validity rule of the machine:
+// WithDefaults and dist.New panic with its error, and callers that take a
+// machine from configuration (the planner's Topology) return it instead.
+func (m Machine) Check() error {
+	if m.GPUsPerNode < 0 {
+		return fmt.Errorf("dist: invalid machine: GPUsPerNode %d must not be negative (zero selects Meluxina's 4)", m.GPUsPerNode)
+	}
+	c := m.Cost
+	for _, v := range [...]float64{c.FLOPS, c.Alpha, c.BetaIntra, c.BetaInter} {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("dist: invalid cost model %+v (fields must be finite and non-negative; zero selects the Meluxina default)", m)
+			return fmt.Errorf("dist: invalid cost model %+v (fields must be finite and non-negative; zero selects the Meluxina default)", c)
 		}
 	}
 	return nil
 }
 
-// WithDefaults validates the model and substitutes the Meluxina preset per
-// field. It is the normalisation dist.New applies to Config.Cost — so
-// dist.New(dist.Config{WorldSize: n}) charges sane times out of the box and
-// a caller who overrides only some fields (say, Alpha for a latency study)
-// still gets a finite FLOPS rate instead of Inf/NaN compute times — and the
-// one out-of-cluster consumers (the auto-parallelism planner, analytic
-// studies) use to price operations with exactly the model a cluster built
-// from the same config would charge. A zero field always and uniformly
-// means "use the preset" — a study that wants genuinely free links must
-// pass an epsilon instead — and a model that fails Check panics.
-func (m CostModel) WithDefaults() CostModel {
+// WithDefaults validates the machine (panicking on a Check error) and
+// substitutes the Meluxina preset per field: the normalisation dist.New
+// applies to Config.Machine and the planner to its Topology. A zero field
+// always means "use the preset" — a caller overriding only Alpha still gets
+// a finite FLOPS rate, and a study that wants free links passes an epsilon.
+func (m Machine) WithDefaults() Machine {
 	if err := m.Check(); err != nil {
 		panic(err.Error())
 	}
 	def := MeluxinaModel()
-	if m.FLOPS == 0 {
-		m.FLOPS = def.FLOPS
+	if m.Cost.FLOPS == 0 {
+		m.Cost.FLOPS = def.FLOPS
 	}
-	if m.Alpha == 0 {
-		m.Alpha = def.Alpha
+	if m.Cost.Alpha == 0 {
+		m.Cost.Alpha = def.Alpha
 	}
-	if m.BetaIntra == 0 {
-		m.BetaIntra = def.BetaIntra
+	if m.Cost.BetaIntra == 0 {
+		m.Cost.BetaIntra = def.BetaIntra
 	}
-	if m.BetaInter == 0 {
-		m.BetaInter = def.BetaInter
+	if m.Cost.BetaInter == 0 {
+		m.Cost.BetaInter = def.BetaInter
+	}
+	if m.GPUsPerNode == 0 {
+		m.GPUsPerNode = 4
 	}
 	return m
 }
+
+// Node returns the node a rank sits on, ranks placed GPUsPerNode at a time.
+// The machine must be defaulted (WithDefaults).
+func (m Machine) Node(rank int) int { return rank / m.GPUsPerNode }
 
 // treeSteps is ⌈log₂ n⌉, the depth of a binomial tree over n ranks.
 func treeSteps(n int) float64 {

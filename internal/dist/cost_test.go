@@ -10,7 +10,7 @@ func TestCostModelPartialOverrideGetsPerFieldDefaults(t *testing.T) {
 	// overriding a single communication field ended up with a model whose
 	// other fields were zero — Inf/NaN compute times or free links.
 	def := MeluxinaModel()
-	m := CostModel{Alpha: 5e-6}.WithDefaults()
+	m := Machine{Cost: CostModel{Alpha: 5e-6}}.WithDefaults().Cost
 	if m.Alpha != 5e-6 {
 		t.Fatalf("explicit Alpha %g was overwritten to %g", 5e-6, m.Alpha)
 	}
@@ -21,7 +21,7 @@ func TestCostModelPartialOverrideGetsPerFieldDefaults(t *testing.T) {
 		t.Fatalf("compute time %g must be finite and positive", t1)
 	}
 
-	m = CostModel{FLOPS: 1e12}.WithDefaults()
+	m = Machine{Cost: CostModel{FLOPS: 1e12}}.WithDefaults().Cost
 	if m.FLOPS != 1e12 {
 		t.Fatalf("explicit FLOPS overwritten: %+v", m)
 	}
@@ -29,17 +29,19 @@ func TestCostModelPartialOverrideGetsPerFieldDefaults(t *testing.T) {
 		t.Fatalf("communication fields must default, got %+v", m)
 	}
 
-	if m := (CostModel{}).WithDefaults(); m != def {
-		t.Fatalf("zero model must equal the full preset, got %+v", m)
+	if m := (Machine{}).WithDefaults(); m != (Machine{Cost: def, GPUsPerNode: 4}) {
+		t.Fatalf("zero machine must equal the full preset, got %+v", m)
 	}
 }
 
-// TestCostModelNegativeFieldPanics: one rule, two deliveries — Check
+// TestCostModelNegativeFieldPanics: one rule, two deliveries — Machine.Check
 // returns the error a configuration reader reports, WithDefaults (and so
-// dist.New) panics with it — for every field and every kind of nonsense.
+// dist.New) panics with it — for every cost field and every kind of
+// nonsense. plan's TestBadCostModelIsAnErrorNotAPanic holds dist.New and
+// plan.Topology to the same text, a negative node size included.
 func TestCostModelNegativeFieldPanics(t *testing.T) {
 	for _, ok := range []CostModel{{}, MeluxinaModel(), {Alpha: 5e-6}} {
-		if err := ok.Check(); err != nil {
+		if err := (Machine{Cost: ok}).Check(); err != nil {
 			t.Errorf("model %+v must pass Check: %v", ok, err)
 		}
 	}
@@ -57,7 +59,7 @@ func TestCostModelNegativeFieldPanics(t *testing.T) {
 		{BetaIntra: math.Inf(1)},
 		{BetaInter: math.Inf(-1)},
 	} {
-		if bad.Check() == nil {
+		if (Machine{Cost: bad}).Check() == nil {
 			t.Errorf("model %+v must fail Check", bad)
 		}
 		func() {
@@ -66,13 +68,13 @@ func TestCostModelNegativeFieldPanics(t *testing.T) {
 					t.Errorf("model %+v must panic", bad)
 				}
 			}()
-			bad.WithDefaults()
+			Machine{Cost: bad}.WithDefaults()
 		}()
 	}
 }
 
 func TestClusterWithPartialCostModelHasFiniteClocks(t *testing.T) {
-	c := New(Config{WorldSize: 2, Cost: CostModel{Alpha: 1e-6}})
+	c := New(Config{WorldSize: 2, Machine: Machine{Cost: CostModel{Alpha: 1e-6}}})
 	if err := c.Run(func(w *Worker) error {
 		w.Compute(1e9)
 		w.Cluster().WorldGroup().Barrier(w)

@@ -15,11 +15,9 @@ import (
 type Config struct {
 	// WorldSize is the number of ranks (required, ≥ 1).
 	WorldSize int
-	// GPUsPerNode maps ranks to nodes for link pricing: ranks r with equal
-	// r/GPUsPerNode share a node. Zero means 4, as on Meluxina.
-	GPUsPerNode int
-	// Cost is the machine model; the zero value means MeluxinaModel().
-	Cost CostModel
+	// Machine is the hardware the cluster simulates; the zero value is
+	// Meluxina (MeluxinaModel, four GPUs per node).
+	Machine Machine
 	// Faults is an optional gray-failure schedule charged to the simulated
 	// clock (see FaultPlan). Nil or empty means a pristine cluster; an empty
 	// plan is treated exactly like nil, so unperturbed runs stay bitwise
@@ -69,8 +67,7 @@ func (f *Failure) Unwrap() error { return f.Err }
 // lifecycle and abort state.
 type Cluster struct {
 	cfg     Config
-	cost    CostModel
-	gpn     int
+	machine Machine // cfg.Machine with its defaults filled in
 	workers []*Worker
 
 	// solo marks a cluster built by NewSolo: workers holds rank 0 alone, and
@@ -114,7 +111,8 @@ type Cluster struct {
 }
 
 // New builds a cluster with WorldSize workers. It panics on a non-positive
-// world size; a zero cost model defaults to MeluxinaModel.
+// world size and on a machine that fails Machine.Check; zero machine fields
+// take the Meluxina defaults.
 func New(cfg Config) *Cluster {
 	c := newCluster(cfg, cfg.WorldSize)
 	if !cfg.Faults.Empty() {
@@ -147,15 +145,10 @@ func newCluster(cfg Config, live int) *Cluster {
 	if cfg.WorldSize < 1 {
 		panic(fmt.Sprintf("dist: world size %d", cfg.WorldSize))
 	}
-	gpn := cfg.GPUsPerNode
-	if gpn <= 0 {
-		gpn = 4
-	}
 	c := &Cluster{
-		cfg:    cfg,
-		cost:   cfg.Cost.WithDefaults(),
-		gpn:    gpn,
-		groups: make(map[string]*Group),
+		cfg:     cfg,
+		machine: cfg.Machine.WithDefaults(),
+		groups:  make(map[string]*Group),
 	}
 	workers := make([]Worker, live)
 	c.workers = make([]*Worker, live)
@@ -191,12 +184,8 @@ func (c *Cluster) Monitor() *Monitor { return c.monitor }
 // WorldSize returns the number of ranks.
 func (c *Cluster) WorldSize() int { return c.cfg.WorldSize }
 
-// node returns the node index of a rank.
-func (c *Cluster) node(rank int) int { return rank / c.gpn }
-
-// GPUsPerNode returns the node size: ranks r with equal r/GPUsPerNode share
-// a node.
-func (c *Cluster) GPUsPerNode() int { return c.gpn }
+// Machine returns the machine the cluster simulates, its defaults filled in.
+func (c *Cluster) Machine() Machine { return c.machine }
 
 // errClosed is what Run returns on a closed cluster.
 var errClosed = errors.New("dist: Run on a closed cluster")
@@ -413,11 +402,11 @@ func (c *Cluster) Survivors() []int {
 }
 
 // Recover constructs a fresh cluster over the surviving rank budget — same
-// cost model and node mapping, world size shrunk to the survivor count —
-// so a driver that caught an abort can replan and resume instead of staying
-// permanently poisoned. The poisoned cluster itself is left untouched (its
-// Failure record keeps reporting the original cause); simulated clocks and
-// statistics start from zero on the new cluster.
+// machine, world size shrunk to the survivor count — so a driver that caught an
+// abort can replan and resume instead of staying permanently poisoned. The
+// poisoned cluster itself is left untouched (its Failure record keeps reporting
+// the original cause); simulated clocks and statistics start from zero on the
+// new cluster.
 func (c *Cluster) Recover() (*Cluster, error) {
 	if c.abortedErr() == nil {
 		return nil, fmt.Errorf("dist: Recover on a healthy cluster")
@@ -426,7 +415,7 @@ func (c *Cluster) Recover() (*Cluster, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("dist: no surviving ranks to recover onto")
 	}
-	return New(Config{WorldSize: n, GPUsPerNode: c.cfg.GPUsPerNode, Cost: c.cfg.Cost}), nil
+	return New(Config{WorldSize: n, Machine: c.machine}), nil
 }
 
 // abortedErr returns the poisoning error, if any.

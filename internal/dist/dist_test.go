@@ -214,7 +214,7 @@ func TestCollectiveClocksAgree(t *testing.T) {
 
 func TestIntraNodeCheaperThanInterNode(t *testing.T) {
 	clockFor := func(ranks []int) float64 {
-		c := New(Config{WorldSize: 8, GPUsPerNode: 4})
+		c := New(Config{WorldSize: 8, Machine: Machine{GPUsPerNode: 4}})
 		if err := c.Run(func(w *Worker) error {
 			g := w.Cluster().Group(ranks...)
 			if g.Index(w.Rank()) < 0 {

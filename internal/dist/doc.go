@@ -110,10 +110,11 @@
 //
 // # Cost model and phantom mode
 //
-// CostModel is an α–β machine model (FLOPS, per-message Alpha, separate
-// per-byte Betas for intra- and inter-node links); a group is priced by
-// the slowest link it spans, with Config.GPUsPerNode mapping ranks to
-// nodes. MeluxinaModel is the paper's testbed preset. The per-op charges
+// Machine is the simulated hardware: an α–β CostModel (FLOPS, per-message
+// Alpha, separate per-byte Betas for intra- and inter-node links) and the
+// node size. A group is priced by the slowest link it spans, Machine.Node
+// mapping ranks to nodes, a matrix by its shape at tensor.ElemBytes an
+// element; the zero Machine is the paper's testbed. The per-op charges
 // (binomial-tree broadcast/reduce, ring all-reduce/all-gather) are tabled
 // in docs/architecture.md. Costs depend only on shapes and topology — never
 // on data or scheduling — so phantom (shape-only) runs advance exactly the

@@ -96,7 +96,7 @@ func TestPostAbortRunReportsOriginalCause(t *testing.T) {
 // exactly the failed ranks, and Recover builds a working fresh cluster over
 // the surviving budget while the old one stays poisoned.
 func TestSurvivorsAndRecover(t *testing.T) {
-	c := New(Config{WorldSize: 4, GPUsPerNode: 2})
+	c := New(Config{WorldSize: 4, Machine: Machine{GPUsPerNode: 2}})
 	_ = c.Run(func(w *Worker) error {
 		if w.Rank() == 1 {
 			return errors.New("gone")
@@ -138,8 +138,8 @@ func TestSurvivorsAndRecover(t *testing.T) {
 		t.Fatal("original cluster must stay poisoned after recovery")
 	}
 	// Recover keeps the machine description.
-	if c2.node(2) != 1 {
-		t.Fatalf("recovered cluster lost GPUsPerNode: node(2) = %d", c2.node(2))
+	if m := c2.Machine(); m != c.Machine() || m.GPUsPerNode != 2 {
+		t.Fatalf("recovered cluster's machine %+v, want the original's %+v", m, c.Machine())
 	}
 }
 

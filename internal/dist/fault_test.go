@@ -42,7 +42,7 @@ func TestFaultPlanCheck(t *testing.T) {
 }
 
 func TestComputeFaultStretchesClock(t *testing.T) {
-	c := New(Config{WorldSize: 2, Cost: faultCost(), Faults: &FaultPlan{
+	c := New(Config{WorldSize: 2, Machine: Machine{Cost: faultCost()}, Faults: &FaultPlan{
 		Ranks: []RankFault{{Rank: 1, From: 2, To: 3, Factor: 4}},
 	}})
 	var clocks [4][2]float64
@@ -68,7 +68,7 @@ func TestComputeFaultStretchesClock(t *testing.T) {
 
 func TestLinkFaultPerturbsCollectives(t *testing.T) {
 	run := func(faults *FaultPlan) float64 {
-		c := New(Config{WorldSize: 2, GPUsPerNode: 2, Cost: faultCost(), Faults: faults})
+		c := New(Config{WorldSize: 2, Machine: Machine{Cost: faultCost(), GPUsPerNode: 2}, Faults: faults})
 		g := c.Group(0, 1)
 		if err := c.Run(func(w *Worker) error {
 			w.BeginStep(0)
@@ -94,7 +94,7 @@ func TestLinkFaultPerturbsCollectives(t *testing.T) {
 
 func TestCollectiveFaultBackoff(t *testing.T) {
 	run := func(faults *FaultPlan) float64 {
-		c := New(Config{WorldSize: 2, Cost: faultCost(), Faults: faults})
+		c := New(Config{WorldSize: 2, Machine: Machine{Cost: faultCost()}, Faults: faults})
 		g := c.Group(0, 1)
 		if err := c.Run(func(w *Worker) error {
 			w.BeginStep(0)
@@ -121,7 +121,7 @@ func TestCollectiveFaultBackoff(t *testing.T) {
 // identity test lives in internal/vit.)
 func TestEmptyFaultPlanBitwiseIdentity(t *testing.T) {
 	run := func(faults *FaultPlan) ([]float64, float64, Stats) {
-		c := New(Config{WorldSize: 4, Cost: faultCost(), Faults: faults})
+		c := New(Config{WorldSize: 4, Machine: Machine{Cost: faultCost()}, Faults: faults})
 		g, pair := c.WorldGroup(), c.Group(0, 1)
 		out := make([]float64, 4)
 		if err := c.Run(func(w *Worker) error {
@@ -286,7 +286,7 @@ func TestMonitorEffectiveCost(t *testing.T) {
 	feed(8, 1, 1)
 	m.MarkBaseline()
 	// No degradation: the model comes back unchanged.
-	if got := m.EffectiveCost(base, []int{0, 1, 2, 3}); got != base.WithDefaults() {
+	if got := m.EffectiveCost(base, []int{0, 1, 2, 3}); got != base {
 		t.Fatalf("healthy EffectiveCost changed the model: %+v", got)
 	}
 	// Uniform 2× compute inflation and 3× wait inflation.
@@ -302,7 +302,7 @@ func TestMonitorEffectiveCost(t *testing.T) {
 
 func TestMonitorRecordingDoesNotPerturbClocks(t *testing.T) {
 	run := func(attach bool) float64 {
-		c := New(Config{WorldSize: 4, Cost: faultCost()})
+		c := New(Config{WorldSize: 4, Machine: Machine{Cost: faultCost()}})
 		if attach {
 			c.AttachMonitor(MonitorConfig{})
 		}

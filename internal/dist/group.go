@@ -140,7 +140,7 @@ type round struct {
 // arithmetic; only another list is checked by sorting a copy and searched by
 // a scan.
 func (g *Group) init(c *Cluster, ranks []int) {
-	g.c, g.ranks, g.step, g.beta = c, ranks, arithmeticStep(ranks), c.cost.BetaIntra
+	g.c, g.ranks, g.step, g.beta = c, ranks, arithmeticStep(ranks), c.machine.Cost.BetaIntra
 	if g.step == 0 {
 		sorted := slices.Sorted(slices.Values(ranks))
 		for i := 1; i < len(sorted); i++ {
@@ -150,8 +150,8 @@ func (g *Group) init(c *Cluster, ranks []int) {
 		}
 	}
 	for _, r := range g.ranks {
-		if c.node(r) != c.node(g.ranks[0]) {
-			g.beta = c.cost.BetaInter
+		if c.machine.Node(r) != c.machine.Node(g.ranks[0]) {
+			g.beta = c.machine.Cost.BetaInter
 			break
 		}
 	}
@@ -442,7 +442,7 @@ func (g *Group) finish(w *Worker, r *round) {
 // finished it.
 func (g *Group) price(w *Worker, r *round, b, gathered int64) {
 	n := len(g.ranks)
-	cost := &g.c.cost
+	cost := &g.c.machine.Cost
 	var wire float64      // the operation's α–β time
 	var msgs, bytes int64 // the traffic it books
 	switch r.kind {

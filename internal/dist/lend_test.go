@@ -14,7 +14,7 @@ import (
 // root's payload or passing a destination, and returns the cluster.
 func lendOrCopy(t *testing.T, lend bool, faults *FaultPlan, got [][]*tensor.Matrix) *Cluster {
 	t.Helper()
-	c := New(Config{WorldSize: 4, Cost: faultCost(), Faults: faults})
+	c := New(Config{WorldSize: 4, Machine: Machine{Cost: faultCost()}, Faults: faults})
 	err := c.Run(func(w *Worker) error {
 		g, r := c.WorldGroup(), w.Rank()
 		w.BeginStep(0)

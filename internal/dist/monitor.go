@@ -268,9 +268,10 @@ func (m *Monitor) BaselineStepSeconds() float64 { return m.baseStep }
 //
 // Inflations below 1 are clamped to 1 (a recovering cluster is priced as
 // healthy, never as better-than-spec). Without a baseline the model is
-// returned unchanged apart from defaulting. Call between Runs only.
+// returned unchanged. base is the model the cluster runs on, defaulted
+// (Cluster.Machine().Cost). Call between Runs only.
 func (m *Monitor) EffectiveCost(base CostModel, healthy []int) CostModel {
-	out := base.WithDefaults()
+	out := base
 	if !m.based {
 		return out
 	}

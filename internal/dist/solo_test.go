@@ -158,7 +158,7 @@ func TestSoloMatchesFullClusterRankZero(t *testing.T) {
 	for name, schedule := range soloSchedules {
 		for _, n := range []int{1, 2, 3, 8} {
 			for _, gpn := range []int{n, (n + 1) / 2} {
-				cfg := Config{WorldSize: n, GPUsPerNode: gpn}
+				cfg := Config{WorldSize: n, Machine: Machine{GPUsPerNode: gpn}}
 				run := func(c *Cluster) *Worker {
 					c.ResetClocks()
 					if err := c.Run(func(w *Worker) error {
@@ -203,7 +203,7 @@ func TestSoloMatchesFullClusterRankZero(t *testing.T) {
 // whole rank list spans, not by where rank 0 sits.
 func TestSoloSubgroupSpansItsRanksLinks(t *testing.T) {
 	clock := func(ranks ...int) float64 {
-		c := NewSolo(Config{WorldSize: 8, GPUsPerNode: 4})
+		c := NewSolo(Config{WorldSize: 8, Machine: Machine{GPUsPerNode: 4}})
 		if err := c.Run(func(w *Worker) error {
 			m := tensor.NewPhantom(64, 64)
 			w.Cluster().Group(ranks...).AllReduceInto(w, m, m)

@@ -151,7 +151,7 @@ func (w *Worker) Workspace() *tensor.Workspace {
 // Compute advances the simulated clock by flops at the model's FLOPS rate,
 // stretched by any active compute fault on this rank.
 func (w *Worker) Compute(flops float64) {
-	t := flops / w.c.cost.FLOPS
+	t := flops / w.c.machine.Cost.FLOPS
 	if w.slow != 1 {
 		t *= w.slow
 	}
@@ -165,5 +165,5 @@ func matrixBytes(m *tensor.Matrix) int64 {
 	if m == nil {
 		return 0
 	}
-	return 8 * int64(m.Rows) * int64(m.Cols)
+	return tensor.ElemBytes * int64(m.Rows) * int64(m.Cols)
 }

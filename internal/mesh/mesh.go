@@ -48,15 +48,15 @@ func (s Shape) Coords(rank int) (i, j, k int) {
 }
 
 // UniformLinks reports whether placement treats every processor alike: with
-// ranks mapped to nodes gpusPerNode at a time, do all the mesh's rows span
-// the same link class (all inside a node, or all across nodes — the
-// slowest-link rule dist.Group prices by), and likewise all its columns and
-// all its depth fibres, the three communicator families the layer schedules
-// run on? Then every rank's clock advances identically and one rank stands
+// ranks mapped to nodes as the machine places them (m.Node; m defaulted), do
+// all the mesh's rows span the same link class (all inside a node, or all
+// across nodes — the slowest-link rule dist.Group prices by), and likewise
+// all its columns and all its depth fibres, the three communicator families
+// the layer schedules run on? Then every rank's clock advances identically and one rank stands
 // for all. [3,3,d] at four GPUs per node is the counter-example: its first
 // row sits inside node 0, its second straddles nodes 0 and 1.
-func (s Shape) UniformLinks(gpusPerNode int) bool {
-	spans := func(lo, hi int) bool { return lo/gpusPerNode != hi/gpusPerNode }
+func (s Shape) UniformLinks(m dist.Machine) bool {
+	spans := func(lo, hi int) bool { return m.Node(lo) != m.Node(hi) }
 	last := s.Q - 1
 	row, col := spans(s.Rank(0, 0, 0), s.Rank(0, last, 0)), spans(s.Rank(0, 0, 0), s.Rank(last, 0, 0))
 	depth := spans(s.Rank(0, 0, 0), s.Rank(0, 0, s.D-1))

@@ -156,7 +156,7 @@ func TestUniformLinks(t *testing.T) {
 		{2, 2, 8, true},  // the whole mesh on one node
 	} {
 		s := Shape{Q: tc.q, D: tc.d}
-		if got := s.UniformLinks(tc.gpn); got != tc.want {
+		if got := s.UniformLinks(dist.Machine{GPUsPerNode: tc.gpn}); got != tc.want {
 			t.Errorf("[%d,%d,%d] at %d GPUs per node: UniformLinks = %v, want %v", tc.q, tc.q, tc.d, tc.gpn, got, tc.want)
 		}
 		// The predicate must agree with the groups dist actually prices:
@@ -164,7 +164,7 @@ func TestUniformLinks(t *testing.T) {
 		if tc.q*tc.q*tc.d > 64 {
 			continue
 		}
-		c := dist.New(dist.Config{WorldSize: s.Size(), GPUsPerNode: tc.gpn})
+		c := dist.New(dist.Config{WorldSize: s.Size(), Machine: dist.Machine{GPUsPerNode: tc.gpn}})
 		type key struct {
 			family string
 			inter  bool

@@ -30,9 +30,9 @@ var ErrCheckpointCorrupt = errors.New("checkpoint corrupt")
 //
 // CollectInto leaves one Checkpoint on every collecting rank; a driver keeps
 // them by rank and hands new rank j the checkpoint of the j-th surviving old
-// rank (see Restore). A checkpoint holds 3 × 8 bytes per element of its
-// rank's rectangles and its buddy's primary pieces: about 2/p of the model
-// for a family of p ranks, where a replica held the whole model.
+// rank (see Restore). A checkpoint holds 3 × tensor.ElemBytes bytes per
+// element of its rank's rectangles and its buddy's primary pieces: about 2/p
+// of the model for a family of p ranks, where a replica held the whole model.
 type Checkpoint struct {
 	// Step is the optimiser step count (Adam's bias-correction clock).
 	Step int
@@ -167,13 +167,13 @@ func (ck *Checkpoint) Verify() error {
 // buddyShift is how far round the family's ranks a rank's buddy sits: rank
 // r keeps the primary pieces of rank (r + shift) mod p. Half the family
 // apart pairs the ranks up when p is even, and puts every buddy on another
-// node once the family fills two nodes (p/2 ≥ gpn); a family on more than
-// one node but fewer than two full ones shifts by a node instead, which
-// crosses nodes for every rank that does not wrap round — no placement can
-// do better there, the first node holding more ranks than the rest.
-func buddyShift(p, gpn int) int {
+// node once the family fills two nodes (p/2 ≥ m.GPUsPerNode); a family on
+// more than one node but fewer than two full ones shifts by a node instead,
+// which crosses nodes for every rank that does not wrap round — no placement
+// can do better there, the first node holding more ranks than the rest.
+func buddyShift(p int, m dist.Machine) int {
 	s := p / 2
-	if p > gpn && s < gpn {
+	if gpn := m.GPUsPerNode; p > gpn && s < gpn {
 		s = gpn
 	}
 	return s
@@ -221,7 +221,7 @@ type buddies struct {
 
 func newBuddies(w *dist.Worker, p int) buddies {
 	r := w.Rank()
-	s := buddyShift(p, w.Cluster().GPUsPerNode())
+	s := buddyShift(p, w.Cluster().Machine())
 	keeps, keeper := (r+s)%p, (r-s+p)%p
 	return buddies{
 		w: w, rank: r, keeps: keeps,

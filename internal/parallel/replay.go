@@ -70,7 +70,7 @@ func (s *Stack) footprint(k int64, inputs ...*tensor.Matrix) int64 {
 	for _, m := range inputs {
 		elems += int64(m.Size())
 	}
-	return 8*elems + s.Family.Worker().Workspace().Stats().HighWaterBytes
+	return tensor.ElemBytes*elems + s.Family.Worker().Workspace().Stats().HighWaterBytes
 }
 
 // Replay is a layer stack built on every rank a cluster runs, timed one

@@ -25,7 +25,7 @@
 // throughout (mesh.Shape.UniformLinks). A mesh placement treats unevenly —
 // [3,3,d] on four-GPU nodes: the first row inside a node, the second not —
 // is replayed on an ordinary full cluster. The choice is a pure function of
-// the layout and Topology.GPUsPerNode; no caller makes it.
+// the layout and the Topology's dist.Machine; no caller makes it.
 //
 // Memory is the same replay's: a phantom checked out of the workspace counts
 // the bytes its shape stands for, the replay has a trainer's step boundaries,
@@ -56,9 +56,9 @@
 // gives.
 //
 // A Plan stays checkable: Plan.Validate replays it through a Measurer,
-// ValidateTop the leaders of a search. tables.MeasurePlan is Price on the
-// cluster Price picks, so the error reads 0.0% by construction and checks
-// only that the candidate builds and replays. The symmetry argument above is
+// ValidateTop the leaders of a search. Measure is Price at the search's
+// Topology, on the cluster Price picks, so the error reads 0.0% by
+// construction and checks only that the candidate builds and replays. The symmetry argument above is
 // checked by test: tables.TestEveryPredictionEqualsItsMeasurement replays
 // every candidate on its full cluster, every rank, and holds the price to it
 // bit for bit.

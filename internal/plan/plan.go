@@ -63,14 +63,13 @@ func (w Workload) Tokens() int { return w.Batch * w.SeqLen }
 // survives for callers that read a plan's p.Grid.Ranks, Q and D.
 type Grid = parallel.Layout
 
-// Topology is the machine the plans are priced against: the α–β cost model
-// and the node size the replay's cluster is built with, and the search
-// budgets.
+// Topology is the machine the plans are priced against — the α–β cost model
+// and the node size the replay's cluster is built with, the two fields of
+// Machine — and the search budgets.
 type Topology struct {
-	// Cost is the α–β machine model (zero fields take the Meluxina preset,
-	// exactly as in dist.Config).
+	// Cost is the α–β machine model (Machine().Cost).
 	Cost dist.CostModel
-	// GPUsPerNode maps ranks to nodes (default 4, as on Meluxina).
+	// GPUsPerNode is the node size (Machine().GPUsPerNode).
 	GPUsPerNode int
 	// RankBudget is the maximum processor count a grid may use.
 	RankBudget int
@@ -83,19 +82,22 @@ type Topology struct {
 	MemoryBudget int64
 }
 
-// WithDefaults fills the zero fields (Meluxina cost model, 4 GPUs per node)
-// and validates the rest.
+// Machine returns the machine the plans are priced on: zero fields take the
+// Meluxina defaults, exactly as in dist.Config.
+func (t Topology) Machine() dist.Machine {
+	return dist.Machine{Cost: t.Cost, GPUsPerNode: t.GPUsPerNode}
+}
+
+// WithDefaults fills the machine's zero fields (dist.Machine.WithDefaults)
+// and validates the rest; a machine that fails dist.Machine.Check is an
+// error here, not a panic.
 func (t Topology) WithDefaults() (Topology, error) {
-	if err := t.Cost.Check(); err != nil {
+	m := t.Machine()
+	if err := m.Check(); err != nil {
 		return t, fmt.Errorf("plan: %w", err)
 	}
-	t.Cost = t.Cost.WithDefaults()
-	if t.GPUsPerNode == 0 {
-		t.GPUsPerNode = 4
-	}
-	if t.GPUsPerNode < 1 {
-		return t, fmt.Errorf("plan: GPUsPerNode %d must be positive", t.GPUsPerNode)
-	}
+	m = m.WithDefaults()
+	t.Cost, t.GPUsPerNode = m.Cost, m.GPUsPerNode
 	if t.RankBudget < 1 {
 		return t, fmt.Errorf("plan: rank budget %d must be positive", t.RankBudget)
 	}

@@ -303,18 +303,31 @@ func TestWorkloadAndTopologyValidation(t *testing.T) {
 	}
 }
 
-// TestBadCostModelIsAnErrorNotAPanic: a negative or non-finite cost field is
-// a configuration value, so every planner entry point reports it like any
-// other bad Topology field instead of panicking in CostModel.WithDefaults.
+// TestBadCostModelIsAnErrorNotAPanic: a negative node size or a negative or
+// non-finite cost field is a configuration value, so every planner entry
+// point reports it like any other bad Topology field instead of panicking,
+// and the error is the one dist.New panics with: dist.Machine.Check is the
+// one rule. (dist.New used to price a negative node size at 4 GPUs a node.)
 func TestBadCostModelIsAnErrorNotAPanic(t *testing.T) {
 	w := plan.Workload{Batch: 16, Hidden: 64, Heads: 4}
-	for _, bad := range []dist.CostModel{
-		{FLOPS: -1}, {Alpha: -1}, {BetaIntra: -1}, {BetaInter: -1},
-		{FLOPS: math.NaN()}, {Alpha: math.Inf(1)},
+	for _, bad := range []dist.Machine{
+		{GPUsPerNode: -2},
+		{Cost: dist.CostModel{FLOPS: -1}}, {Cost: dist.CostModel{Alpha: -1}},
+		{Cost: dist.CostModel{BetaIntra: -1}}, {Cost: dist.CostModel{BetaInter: -1}},
+		{Cost: dist.CostModel{FLOPS: math.NaN()}}, {Cost: dist.CostModel{Alpha: math.Inf(1)}},
 	} {
-		topo := plan.Topology{RankBudget: 8, Cost: bad}
-		if _, err := topo.WithDefaults(); err == nil || !strings.Contains(err.Error(), "invalid cost model") {
-			t.Errorf("Topology.WithDefaults with %+v: got %v, want the cost-model error", bad, err)
+		panicked := func() (msg any) {
+			defer func() { msg = recover() }()
+			dist.New(dist.Config{WorldSize: 8, Machine: bad})
+			return nil
+		}()
+		want, _ := panicked.(string)
+		if want == "" || !strings.Contains(want, "invalid") {
+			t.Errorf("dist.New with %+v: panicked with %v, want the machine error", bad, panicked)
+		}
+		topo := plan.Topology{RankBudget: 8, Cost: bad.Cost, GPUsPerNode: bad.GPUsPerNode}
+		if _, err := topo.WithDefaults(); err == nil || err.Error() != "plan: "+want {
+			t.Errorf("Topology.WithDefaults with %+v: got %v, want %q", bad, err, "plan: "+want)
 		}
 		if _, err := plan.Search(w, topo, algos()); err == nil || errors.Is(err, plan.ErrNoFeasible) {
 			t.Errorf("Search with %+v: got %v, want a configuration error", bad, err)

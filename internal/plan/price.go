@@ -63,22 +63,22 @@ func newReplay(w Workload, batch int, l parallel.Layout, t Topology) (*parallel.
 	if t, err = t.WithDefaults(); err != nil {
 		return nil, err
 	}
-	newCluster := dist.New
-	if soloExact(l, t.GPUsPerNode) {
+	m, newCluster := t.Machine(), dist.New
+	if soloExact(l, m) {
 		newCluster = dist.NewSolo
 	}
-	return parallel.NewPhantomReplay(newCluster, dist.Config{GPUsPerNode: t.GPUsPerNode, Cost: t.Cost},
+	return parallel.NewPhantomReplay(newCluster, dist.Config{Machine: m},
 		l, batch, w.SeqLen, w.Hidden, w.Heads, w.Layers)
 }
 
 // soloExact decides solo or full — a pure function of the layout and the
-// node size, never a caller's choice. The layer schedules are SPMD, so when
-// placement treats every rank alike (a 1-D layout's single group, or a mesh
-// whose rows, columns and depth fibres each span one link class throughout)
-// every rank's clock advances identically and a solo cluster running rank 0
-// alone reproduces the full cluster's clocks at a fraction of the cost. A
-// mesh that placement treats unevenly — [3,3,d] on four-GPU nodes — is
-// replayed on the full cluster instead.
-func soloExact(l parallel.Layout, gpusPerNode int) bool {
-	return l.Q == 0 || mesh.Shape{Q: l.Q, D: l.D}.UniformLinks(gpusPerNode)
+// (defaulted) machine, never a caller's choice. The layer schedules are SPMD,
+// so when placement treats every rank alike (a 1-D layout's single group, or a
+// mesh whose rows, columns and depth fibres each span one link class
+// throughout) every rank's clock advances identically and a solo cluster
+// running rank 0 alone reproduces the full cluster's clocks at a fraction of
+// the cost. A mesh that placement treats unevenly — [3,3,d] on four-GPU nodes —
+// is replayed on the full cluster instead.
+func soloExact(l parallel.Layout, m dist.Machine) bool {
+	return l.Q == 0 || mesh.Shape{Q: l.Q, D: l.D}.UniformLinks(m)
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/parallel"
 )
 
@@ -25,7 +26,7 @@ func TestSoloExactIsAFunctionOfPlacement(t *testing.T) {
 		{parallel.Layout{Family: "tesseract", Q: 3, D: 3, Ranks: 27}, 9, true},
 		{parallel.Layout{Family: "optimus", Q: 6, D: 1, Ranks: 36}, 8, false},
 	} {
-		if got := soloExact(tc.l, tc.gpn); got != tc.solo {
+		if got := soloExact(tc.l, dist.Machine{GPUsPerNode: tc.gpn}); got != tc.solo {
 			t.Errorf("%s at %d GPUs per node: solo = %v, want %v", tc.l, tc.gpn, got, tc.solo)
 		}
 	}

@@ -15,14 +15,24 @@ type Measurement struct {
 // Step returns the measured seconds per training step.
 func (m Measurement) Step() float64 { return m.Forward + m.Backward }
 
-// Measurer executes one plan — typically tables.MeasurePlan, which runs the
-// scheme's layer stack in phantom mode through Price, on the cluster Price
-// picks (rank 0 alone wherever that is exact), and reads the clocks back —
-// and returns what it measured. Keeping the replay
-// behind a closure lets the planner stay ignorant of the runners while
-// callers choose sequence length, node size and cost model once for both
-// sides of the comparison.
+// Measurer executes one plan — typically Measure's, which runs the scheme's
+// layer stack in phantom mode through Price, on the cluster Price picks
+// (rank 0 alone wherever that is exact), and reads the clocks back — and
+// returns what it measured. Keeping the replay behind a closure lets callers
+// choose the workload and the machine once for both sides of the comparison.
 type Measurer func(Plan) (Measurement, error)
+
+// Measure returns the Measurer that replays a plan with Price on t's machine,
+// the replay Search priced it with — so a validation reads 0 and checks that
+// the candidate builds and replays. It keeps no state between calls (each
+// builds its own cluster), so it may be called from several goroutines at
+// once.
+func Measure(w Workload, t Topology) Measurer {
+	return func(p Plan) (Measurement, error) {
+		b, err := Price(w, p.Grid, t)
+		return Measurement{Forward: b.Forward, Backward: b.Backward}, err
+	}
+}
 
 // Validation pairs a plan with its replayed measurement and the
 // prediction errors.

@@ -98,7 +98,7 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 	if err != nil {
 		return measured{}, err
 	}
-	rp, err := parallel.NewPhantomReplay(dist.New, dist.Config{GPUsPerNode: t.GPUsPerNode, Cost: t.Cost},
+	rp, err := parallel.NewPhantomReplay(dist.New, dist.Config{Machine: t.Machine()},
 		l, batch, w.SeqLen, w.Hidden, w.Heads, w.Layers)
 	if err != nil {
 		return measured{}, err

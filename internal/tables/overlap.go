@@ -48,7 +48,7 @@ func overlapRow(row Row, opts Options) (OverlapPoint, error) {
 	if err != nil {
 		return OverlapPoint{}, err
 	}
-	rp, err := parallel.NewPhantomReplay(dist.New, dist.Config{GPUsPerNode: opts.GPUsPerNode},
+	rp, err := parallel.NewPhantomReplay(dist.New, dist.Config{},
 		l, row.Batch, opts.SeqLen, row.Hidden, row.Heads, opts.Layers)
 	if err != nil {
 		return OverlapPoint{}, fmt.Errorf("row %s %s: %w", row.Scheme, row.Shape(), err)

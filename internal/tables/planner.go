@@ -20,25 +20,13 @@ func DefaultAlgos() []plan.Algo {
 }
 
 // MeasurePlan returns the plan.Measurer that replays candidates the way
-// RunRow replays a table row: plan.Price, on the cluster it picks (rank 0
-// alone wherever that is exact). So a validation compares Price with Price
-// and reads 0; that solo ≡ full cluster is pinned by test. The workload's
-// sequence length, layer count and recompute setting override the options so
-// both sides of the predicted-vs-measured comparison describe the same
-// execution. The measurer keeps no state between calls — each builds its own
-// cluster — so it may be called from several goroutines at once.
-func MeasurePlan(w plan.Workload, opts Options) plan.Measurer {
-	w, werr := w.WithDefaults()
-	opts.SeqLen = w.SeqLen
-	opts.Layers = w.Layers
-	opts.NoRecompute = w.NoRecompute
-	return func(p plan.Plan) (plan.Measurement, error) {
-		if werr != nil {
-			return plan.Measurement{}, werr
-		}
-		b, err := timeStep(p.Grid, Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}, opts)
-		return plan.Measurement{Forward: b.Forward, Backward: b.Backward}, err
-	}
+// RunRow replays a table row: plan.Price on the Meluxina machine, on the
+// cluster it picks (rank 0 alone wherever that is exact). So a validation
+// compares Price with Price and reads 0; that solo ≡ full cluster is pinned
+// by test. The workload sets the sequence length, layer count and recompute
+// setting, so the options carry nothing a plan's replay reads.
+func MeasurePlan(w plan.Workload, _ Options) plan.Measurer {
+	return plan.Measure(w, plan.Topology{})
 }
 
 // PlannerScenario is one workload the planner study searches: a label, the
@@ -118,7 +106,7 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 	var leaders []leader
 	out := make([]PlannerPoint, len(scenarios))
 	for i, sc := range scenarios {
-		topo := plan.Topology{GPUsPerNode: opts.GPUsPerNode, RankBudget: sc.RankBudget, ExactRanks: true}
+		topo := plan.Topology{RankBudget: sc.RankBudget, ExactRanks: true}
 		plans, err := plan.Search(sc.Workload, topo, DefaultAlgos())
 		if err != nil {
 			return nil, fmt.Errorf("tables: planner study %q: %w", sc.Name, err)

@@ -111,10 +111,12 @@ var exactnessSearches = []struct {
 // 0's. So the planner's forward and backward seconds equal, to the bit, the
 // same phantom step replayed on the layout's full cluster, every rank, on
 // every candidate of every search, with recompute on and off and one layer or
-// two. The footprint the planner charges equals the
-// full cluster's largest rank to the byte: rank 0, the one a solo replay runs,
-// is never the lighter one. The node-misaligned search keeps the [3,3,d]
-// meshes, which Price replays on the full cluster itself, in the set.
+// two, on two machines: Meluxina, and six compute-bound GPUs a node, where
+// most meshes straddle nodes unevenly and are replayed on the full cluster.
+// The footprint the planner charges equals the full cluster's largest rank to
+// the byte: rank 0, the one a solo replay runs, is never the lighter one. The
+// node-misaligned search keeps the [3,3,d] meshes, which Price replays on the
+// full cluster itself, in the set.
 //
 // Table rows and measured plans are priced by the same replay, so the same
 // holds for what RunTable prints for all 25 rows of both paper tables and
@@ -127,56 +129,60 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 				what, fwd, bwd, full.Forward, full.Backward)
 		}
 	}
+	machines := []dist.Machine{{}, {Cost: StragglerCost(), GPUsPerNode: 6}}
 	total := 0
 	for _, s := range exactnessSearches {
-		for _, noRecompute := range []bool{false, true} {
-			for _, layers := range []int{1, 2} {
-				if testing.Short() && (noRecompute || layers != 1) {
-					continue
-				}
-				w := s.w
-				w.NoRecompute, w.Layers = noRecompute, layers
-				name := fmt.Sprintf("%s, recompute %v, %d layers", s.name, !noRecompute, layers)
-				plans, err := plan.Search(w, plan.Topology{RankBudget: s.budget}, DefaultAlgos())
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if len(plans) != s.candidates {
-					t.Errorf("%s: %d candidates, want %d", name, len(plans), s.candidates)
-				}
-				seen := map[string]bool{}
-				row := Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
-				opts := Options{SeqLen: w.SeqLen, Layers: layers, NoRecompute: noRecompute}
-				for _, p := range plans {
-					seen[p.String()] = true
-					full, err := fullPhantomStep(p.Grid, row, opts)
+		for mi, m := range machines {
+			for _, noRecompute := range []bool{false, true} {
+				for _, layers := range []int{1, 2} {
+					if testing.Short() && (noRecompute || layers != 1) {
+						continue
+					}
+					w := s.w
+					w.NoRecompute, w.Layers = noRecompute, layers
+					name := fmt.Sprintf("%s, machine %d, recompute %v, %d layers", s.name, mi, !noRecompute, layers)
+					topo := plan.Topology{Cost: m.Cost, GPUsPerNode: m.GPUsPerNode, RankBudget: s.budget}
+					plans, err := plan.Search(w, topo, DefaultAlgos())
 					if err != nil {
-						t.Fatalf("%s: %s: %v", name, p, err)
+						t.Fatalf("%s: %v", name, err)
 					}
-					if full.MemoryBytes <= 0 || p.Predicted.MemoryBytes != full.MemoryBytes {
-						t.Errorf("%s: %s priced at %d B a rank, the full cluster's largest holds %d B",
-							name, p, p.Predicted.MemoryBytes, full.MemoryBytes)
+					if len(plans) != s.candidates {
+						t.Errorf("%s: %d candidates, want %d", name, len(plans), s.candidates)
 					}
-					same(name+": "+p.String(), p.Predicted.Forward, p.Predicted.Backward, full)
-					if pr := p.Predicted; pr.ComputeSeconds <= 0 || pr.CommSeconds < 0 ||
-						math.Abs(pr.ComputeSeconds+pr.CommSeconds-pr.Step()) > 1e-12*pr.Step() {
-						t.Errorf("%s: %s compute %g + comm %g is not its step %g", name, p, pr.ComputeSeconds, pr.CommSeconds, pr.Step())
+					seen := map[string]bool{}
+					row := Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
+					opts := Options{SeqLen: w.SeqLen, Layers: layers, NoRecompute: noRecompute}
+					for _, p := range plans {
+						seen[p.String()] = true
+						full, err := fullPhantomStep(p.Grid, row, opts, m)
+						if err != nil {
+							t.Fatalf("%s: %s: %v", name, p, err)
+						}
+						if full.MemoryBytes <= 0 || p.Predicted.MemoryBytes != full.MemoryBytes {
+							t.Errorf("%s: %s priced at %d B a rank, the full cluster's largest holds %d B",
+								name, p, p.Predicted.MemoryBytes, full.MemoryBytes)
+						}
+						same(name+": "+p.String(), p.Predicted.Forward, p.Predicted.Backward, full)
+						if pr := p.Predicted; pr.ComputeSeconds <= 0 || pr.CommSeconds < 0 ||
+							math.Abs(pr.ComputeSeconds+pr.CommSeconds-pr.Step()) > 1e-12*pr.Step() {
+							t.Errorf("%s: %s compute %g + comm %g is not its step %g", name, p, pr.ComputeSeconds, pr.CommSeconds, pr.Step())
+						}
+						if p.Grid.Ranks == 1 && p.Predicted.CommSeconds != 0 {
+							t.Errorf("%s: %s communicates for %g s on one rank", name, p, p.Predicted.CommSeconds)
+						}
+						total++
 					}
-					if p.Grid.Ranks == 1 && p.Predicted.CommSeconds != 0 {
-						t.Errorf("%s: %s communicates for %g s on one rank", name, p, p.Predicted.CommSeconds)
-					}
-					total++
-				}
-				for _, want := range s.has {
-					if !seen[want] {
-						t.Errorf("%s: candidate %s missing", name, want)
+					for _, want := range s.has {
+						if !seen[want] {
+							t.Errorf("%s: candidate %s missing", name, want)
+						}
 					}
 				}
 			}
 		}
 	}
-	if !testing.Short() && total != 4*(23+26+11+32) {
-		t.Errorf("checked %d candidates, want %d", total, 4*(23+26+11+32))
+	if want := len(machines) * 4 * (23 + 26 + 11 + 32); !testing.Short() && total != want {
+		t.Errorf("checked %d candidates, want %d", total, want)
 	}
 
 	tabs := [][]Row{Table1Rows(), Table2Rows()}
@@ -194,7 +200,7 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := fullPhantomStep(l, r.Row, Options{})
+			full, err := fullPhantomStep(l, r.Row, Options{}, dist.Machine{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", r.Row.Scheme, r.Row.Shape(), err)
 			}
@@ -221,7 +227,7 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 		}
 		row := Row{Batch: w.Batch, Hidden: w.Hidden, Heads: w.Heads}
 		for _, v := range pt.Validations {
-			full, err := fullPhantomStep(v.Plan.Grid, row, Options{SeqLen: w.SeqLen, Layers: w.Layers, NoRecompute: w.NoRecompute})
+			full, err := fullPhantomStep(v.Plan.Grid, row, Options{SeqLen: w.SeqLen, Layers: w.Layers, NoRecompute: w.NoRecompute}, dist.Machine{})
 			if err != nil {
 				t.Fatalf("%s: %s: %v", pt.Scenario.Name, v.Plan, err)
 			}

@@ -131,17 +131,13 @@ func TestPlannerStudyEqualsSequentialValidateTop(t *testing.T) {
 	if len(got) != len(scen) {
 		t.Fatalf("%d points for %d scenarios", len(got), len(scen))
 	}
-	opts, err := Options{}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, sc := range scen {
-		topo := plan.Topology{GPUsPerNode: opts.GPUsPerNode, RankBudget: sc.RankBudget, ExactRanks: true}
+		topo := plan.Topology{RankBudget: sc.RankBudget, ExactRanks: true}
 		plans, err := plan.Search(sc.Workload, topo, DefaultAlgos())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plan.ValidateTop(plans, topN, MeasurePlan(sc.Workload, opts))
+		want, err := plan.ValidateTop(plans, topN, MeasurePlan(sc.Workload, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,6 @@ type Options struct {
 	// paper reports per-layer-stack times whose absolute scale we do not
 	// reproduce, only the relative shape).
 	Layers int
-	// GPUsPerNode overrides the node size (default 4, as on Meluxina).
-	GPUsPerNode int
 	// NoRecompute disables activation checkpointing. By default the
 	// backward pass re-runs the forward first (recompute), which is how
 	// memory-constrained runs at the paper's sizes execute and which
@@ -27,20 +25,17 @@ type Options struct {
 
 // withDefaults fills the zero fields and rejects what no run can honour — a
 // negative size — before any cluster is built. Zero always means "default".
-// Every row runs on the Meluxina cost model (dist.MeluxinaModel).
+// Every row runs on the Meluxina machine (the zero dist.Machine).
 func (o Options) withDefaults() (Options, error) {
-	if o.SeqLen < 0 || o.Layers < 0 || o.GPUsPerNode < 0 {
-		return o, fmt.Errorf("tables: sequence length %d, layers %d and GPUs per node %d must not be negative (zero selects the default)",
-			o.SeqLen, o.Layers, o.GPUsPerNode)
+	if o.SeqLen < 0 || o.Layers < 0 {
+		return o, fmt.Errorf("tables: sequence length %d and layers %d must not be negative (zero selects the default)",
+			o.SeqLen, o.Layers)
 	}
 	if o.SeqLen == 0 {
 		o.SeqLen = DefaultSeqLen
 	}
 	if o.Layers == 0 {
 		o.Layers = 1
-	}
-	if o.GPUsPerNode == 0 {
-		o.GPUsPerNode = 4
 	}
 	return o, nil
 }
@@ -55,23 +50,16 @@ func RunRow(row Row, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	b, err := timeStep(l, row, opts)
+	if opts, err = opts.withDefaults(); err != nil {
+		return Result{}, err
+	}
+	w := plan.Workload{Batch: row.Batch, Hidden: row.Hidden, Heads: row.Heads,
+		SeqLen: opts.SeqLen, Layers: opts.Layers, NoRecompute: opts.NoRecompute}
+	b, err := plan.Price(w, l, plan.Topology{})
 	if err != nil {
 		return Result{}, err
 	}
 	return newResult(b.Forward, b.Backward), nil
-}
-
-// timeStep prices one training step of the row's model (its Batch, Hidden
-// and Heads) under a layout with plan.Price.
-func timeStep(l parallel.Layout, row Row, opts Options) (plan.Breakdown, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return plan.Breakdown{}, err
-	}
-	w := plan.Workload{Batch: row.Batch, Hidden: row.Hidden, Heads: row.Heads,
-		SeqLen: opts.SeqLen, Layers: opts.Layers, NoRecompute: opts.NoRecompute}
-	return plan.Price(w, l, plan.Topology{GPUsPerNode: opts.GPUsPerNode})
 }
 
 // LayoutForRow converts a table row into the runtime layout its scheme

@@ -141,7 +141,7 @@ func ServingPlannerStudy(topN int, opts Options) (*ServingPlannerPoint, error) {
 		return nil, err
 	}
 	w := plan.Workload{Batch: 16, SeqLen: opts.SeqLen, Hidden: 3072, Heads: 64, Layers: opts.Layers}
-	topo := plan.Topology{GPUsPerNode: opts.GPUsPerNode, RankBudget: 64, ExactRanks: true}
+	topo := plan.Topology{RankBudget: 64, ExactRanks: true}
 	o := plan.ServingObjective{}
 	plans, err := plan.SearchServing(w, topo, DefaultAlgos(), o)
 	if err != nil {

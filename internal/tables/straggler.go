@@ -99,7 +99,7 @@ func StragglerStudy() ([]StragglerPoint, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tables: straggler study %s ×%g: %w", from, factor, err)
 			}
-			rideOut, err := vit.TrainFaulty(from, fp, StragglerCost(), ds, mcfg, tc, totalSteps)
+			rideOut, err := vit.TrainFaulty(from, fp, topo.Machine(), ds, mcfg, tc, totalSteps)
 			if err != nil {
 				return nil, fmt.Errorf("tables: straggler ride-out %s ×%g: %w", from, factor, err)
 			}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/parallel"
-	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -18,15 +17,15 @@ func smallRow(s Scheme, gpus, q, d int) Row {
 	return Row{Scheme: s, GPUs: gpus, Q: q, D: d, Batch: 8, Hidden: 16, Heads: 4}
 }
 
-// fullClusterStep times one training step of a layout on its full cluster —
-// every rank, whichever cluster plan.Price would pick — with the stack
-// build makes on each rank. It is the oracle a solo replay is held to.
-func fullClusterStep(l parallel.Layout, opts Options, build func(f parallel.Family, w *dist.Worker) *parallel.Stack) (parallel.StepClocks, error) {
+// fullClusterStep times one training step of a layout on its full cluster of
+// machine m — every rank, whichever cluster plan.Price would pick — with the
+// stack build makes on each rank. It is the oracle a solo replay is held to.
+func fullClusterStep(l parallel.Layout, opts Options, m dist.Machine, build func(f parallel.Family, w *dist.Worker) *parallel.Stack) (parallel.StepClocks, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return parallel.StepClocks{}, err
 	}
-	c := dist.New(dist.Config{WorldSize: l.Ranks, GPUsPerNode: opts.GPUsPerNode})
+	c := dist.New(dist.Config{WorldSize: l.Ranks, Machine: m})
 	rp, err := parallel.NewReplay(c, func(w *dist.Worker) (*parallel.Stack, error) {
 		f, err := parallel.New(w, l)
 		if err != nil {
@@ -41,13 +40,13 @@ func fullClusterStep(l parallel.Layout, opts Options, build func(f parallel.Fami
 }
 
 // fullPhantomStep is the row's phantom step — RunRow's program — on the
-// layout's full cluster.
-func fullPhantomStep(l parallel.Layout, row Row, opts Options) (parallel.StepClocks, error) {
+// layout's full cluster of machine m.
+func fullPhantomStep(l parallel.Layout, row Row, opts Options, m dist.Machine) (parallel.StepClocks, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return parallel.StepClocks{}, err
 	}
-	return fullClusterStep(l, o, func(f parallel.Family, _ *dist.Worker) *parallel.Stack {
+	return fullClusterStep(l, o, m, func(f parallel.Family, _ *dist.Worker) *parallel.Stack {
 		return parallel.NewPhantomStack(f, row.Batch, o.SeqLen, row.Hidden, row.Heads, o.Layers)
 	})
 }
@@ -65,7 +64,7 @@ func runRowReal(row Row, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := fullClusterStep(l, opts, func(f parallel.Family, w *dist.Worker) *parallel.Stack {
+	st, err := fullClusterStep(l, opts, dist.Machine{}, func(f parallel.Family, w *dist.Worker) *parallel.Stack {
 		s := &parallel.Stack{Family: f}
 		for i := 0; i < opts.Layers; i++ {
 			s.Blocks = append(s.Blocks, f.NewBlock(row.Hidden, row.Heads, opts.SeqLen, tensor.NewRNG(uint64(1+i))))
@@ -132,9 +131,6 @@ func TestRunRowDeterministic(t *testing.T) {
 }
 
 func TestTable1ShapeClaims(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 64-worker table in -short mode")
-	}
 	results, err := RunTable(Table1Rows(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +181,6 @@ func TestTable1ShapeClaims(t *testing.T) {
 }
 
 func TestTable2ShapeClaims(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 64-worker table in -short mode")
-	}
 	results, err := RunTable(Table2Rows(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +217,6 @@ func TestTable2ShapeClaims(t *testing.T) {
 }
 
 func TestSpeedupDerivations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full tables in -short mode")
-	}
 	res1, err := RunTable(Table1Rows(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -528,9 +518,8 @@ func TestFamilyParityStudy(t *testing.T) {
 	}
 }
 
-// TestNegativeOptionsAreOneError: a negative sequence length, layer count or
-// node size is one error from every
-// entry point that takes Options, before any cluster is built — they used to
+// TestNegativeOptionsAreOneError: a negative sequence length or layer count
+// is one error from every entry point that takes Options, before any cluster is built — they used to
 // print ±Inf rows or die inside a worker on negative tensor dimensions. Zero
 // keeps meaning "default".
 func TestNegativeOptionsAreOneError(t *testing.T) {
@@ -539,9 +528,8 @@ func TestNegativeOptionsAreOneError(t *testing.T) {
 		t.Fatalf("zero options must select the defaults: %v", err)
 	}
 	for name, bad := range map[string]Options{
-		"seqlen":        {SeqLen: -1},
-		"layers":        {Layers: -1},
-		"gpus per node": {GPUsPerNode: -4},
+		"seqlen": {SeqLen: -1},
+		"layers": {Layers: -1},
 	} {
 		entries := map[string]func() error{
 			"RunRow":   func() error { _, err := RunRow(row, bad); return err },
@@ -559,14 +547,6 @@ func TestNegativeOptionsAreOneError(t *testing.T) {
 				return err
 			},
 			"ServingPlannerStudy": func() error { _, err := ServingPlannerStudy(1, bad); return err },
-		}
-		if name == "gpus per node" {
-			// The workload overrides SeqLen and Layers; the rest is Options'.
-			entries["MeasurePlan"] = func() error {
-				w := plan.Workload{Batch: 8, SeqLen: 4, Hidden: 16, Heads: 4}
-				_, err := MeasurePlan(w, bad)(plan.Plan{Grid: plan.Grid{Family: "megatron", Ranks: 2}})
-				return err
-			}
 		}
 		for entry, run := range entries {
 			err := run()

@@ -22,6 +22,11 @@ import (
 	"strings"
 )
 
+// ElemBytes is the width of one matrix element in bytes: a Matrix holds
+// float64s. It is what a phantom's shape is priced at, on the wire
+// (dist) and in a rank's footprint (the workspace and parallel.Stack).
+const ElemBytes = 8
+
 // Matrix is a dense row-major matrix. The zero value is an empty matrix.
 // If Data is nil but Rows*Cols > 0 the matrix is a phantom: it has a shape
 // but no storage (see the package comment).

@@ -133,7 +133,7 @@ type WorkspaceStats struct {
 	// one step. Flat HighWater across steps means no leak.
 	HighWater int
 	// LiveBytes is the storage the currently checked-out buffers stand
-	// for: 8 bytes per element, for a phantom the bytes a real matrix of
+	// for: ElemBytes per element, for a phantom the bytes a real matrix of
 	// its shape would hold.
 	LiveBytes int64
 	// HighWaterBytes is the maximum LiveBytes ever observed — the peak
@@ -269,11 +269,11 @@ func withRoom(s []*Matrix, n int) []*Matrix {
 	return t
 }
 
-// storageBytes is the storage one pooled buffer stands for: 8 bytes per
+// storageBytes is the storage one pooled buffer stands for: ElemBytes per
 // element, whether the elements exist (a real matrix) or only their shape
 // does (a phantom).
 func storageBytes(m *Matrix) int64 {
-	return 8 * int64(m.Rows) * int64(m.Cols)
+	return ElemBytes * int64(m.Rows) * int64(m.Cols)
 }
 
 // Put returns checked-out buffers to their free lists. It panics on a matrix

@@ -20,18 +20,18 @@ type FaultyRun struct {
 }
 
 // TrainFaulty trains at one fixed layout for a flat number of steps on a
-// cluster with the given fault plan installed, riding out whatever the plan
-// does. It is both the ride-it-out baseline the StragglerStudy prices
-// TrainAdaptive against and — with a nil or empty plan — the unperturbed
-// reference the zero-perturbation identity tests compare clocks and stats
-// to bit-for-bit.
-func TrainFaulty(l parallel.Layout, faults *dist.FaultPlan, cost dist.CostModel,
+// cluster of the given machine with the given fault plan installed, riding out
+// whatever the plan does. It is both the ride-it-out baseline the
+// StragglerStudy prices TrainAdaptive against and — with a nil or empty plan —
+// the unperturbed reference the zero-perturbation identity tests compare clocks
+// and stats to bit-for-bit.
+func TrainFaulty(l parallel.Layout, faults *dist.FaultPlan, m dist.Machine,
 	ds *Dataset, mcfg ModelConfig, tc TrainConfig, total int) (*FaultyRun, error) {
 	l, err := parallel.Validate(l)
 	if err != nil {
 		return nil, err
 	}
-	c := dist.New(dist.Config{WorldSize: l.Ranks, Cost: cost, Faults: faults})
+	c := dist.New(dist.Config{WorldSize: l.Ranks, Machine: m, Faults: faults})
 	s, err := NewSession(c, l, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
@@ -142,12 +142,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		DetectedStep: -1, RelayoutStep: -1,
 	}
 	newCluster := func(world int, faults *dist.FaultPlan) *dist.Cluster {
-		return dist.New(dist.Config{
-			WorldSize:   world,
-			GPUsPerNode: cfg.Topology.GPUsPerNode,
-			Cost:        cfg.Topology.Cost,
-			Faults:      faults,
-		})
+		return dist.New(dist.Config{WorldSize: world, Machine: cfg.Topology.Machine(), Faults: faults})
 	}
 
 	c := newCluster(from.Ranks, cfg.Faults)
@@ -203,7 +198,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 			}
 		}
 		topo := cfg.Topology
-		topo.Cost = mon.EffectiveCost(cfg.Topology.Cost, healthy)
+		topo.Cost = mon.EffectiveCost(s.c.Machine().Cost, healthy)
 		to, err := s.Replan(topo, cfg.Algos, len(healthy))
 		if err != nil {
 			var nf *plan.NoFeasibleError

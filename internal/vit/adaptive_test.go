@@ -44,7 +44,7 @@ func TestZeroPerturbationIdentity(t *testing.T) {
 		{Family: "optimus", Q: 2},
 		{Family: "megatron", Ranks: 4},
 	}
-	cost := computeBoundCost()
+	cost := dist.Machine{Cost: computeBoundCost()}
 	for _, l := range layouts {
 		l := l
 		t.Run(l.String(), func(t *testing.T) {
@@ -86,7 +86,7 @@ func TestTrainFaultyStragglerStretchesClock(t *testing.T) {
 	tc := elasticTC()
 	const total = 6
 	l := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
-	cost := computeBoundCost()
+	cost := dist.Machine{Cost: computeBoundCost()}
 	bare, err := TrainFaulty(l, nil, cost, ds, mcfg, tc, total)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestTrainAdaptiveRelayout(t *testing.T) {
 	}
 
 	// And the whole point: adapting must beat riding the straggler out.
-	rideOut, err := TrainFaulty(from, fp, computeBoundCost(), ds, mcfg, tc, total)
+	rideOut, err := TrainFaulty(from, fp, dist.Machine{Cost: computeBoundCost()}, ds, mcfg, tc, total)
 	if err != nil {
 		t.Fatal(err)
 	}

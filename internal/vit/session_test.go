@@ -36,7 +36,7 @@ func trainEntries(ds *Dataset, mcfg ModelConfig, tc TrainConfig) map[string]func
 	return map[string]func() error{
 		"TrainLayout":      func() error { _, err := TrainLayout(l, ds, mcfg, tc); return err },
 		"TrainLayoutSteps": func() error { _, err := TrainLayoutSteps(l, ds, mcfg, tc, 2); return err },
-		"TrainFaulty":      func() error { _, err := TrainFaulty(l, nil, dist.CostModel{}, ds, mcfg, tc, 2); return err },
+		"TrainFaulty":      func() error { _, err := TrainFaulty(l, nil, dist.Machine{}, ds, mcfg, tc, 2); return err },
 		"TrainElastic": func() error {
 			_, err := TrainElastic(l, ElasticConfig{FailStep: 1, TotalSteps: 2, FailRank: -1,
 				Algos: elasticAlgos(), Topology: elasticTopology(mcfg, tc)}, ds, mcfg, tc)

@@ -17,8 +17,9 @@
 # parallel.Grads.Land, and a family that runs another family's
 # layers (optimus, seqpar) has no layer code; the
 # simulated clock to internal/compute: no GEMM charged or multiplied beside
-# it; and the §1/§3.1 transmission claim to its measurement: no closed-form
-# side channel.
+# it; the §1/§3.1 transmission claim to its measurement: no closed-form
+# side channel; and the machine to one value: no GPUsPerNode or CostModel
+# field outside dist.Machine and plan.Topology, no literal element width.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -192,6 +193,45 @@ if [ -e internal/claims ] || [ -e cmd/comm-model ] ||
     grep -rnE 'internal/claims|cmd/comm-model|func (\([^)]*\) )?[A-Za-z0-9_]*([Tt]ransfer|LowerBound)[A-Za-z0-9_]*\(|func Isoefficiency[A-Za-z0-9]*\(' \
         --include='*.go' --exclude='*_test.go' . >&2; then
     echo "docs_check: the closed-form transmission claims are back beside the measured study" >&2
+    fail=1
+fi
+
+# The machine is one value (docs/architecture.md, "The cost model and
+# phantom mode"): dist.Machine carries the cost model and the node size, and
+# plan.Topology's Cost and GPUsPerNode are its two fields until the
+# benchmark's adapter stops spelling them. A struct field named GPUsPerNode, or of type CostModel,
+# anywhere else in non-test Go under internal/ or cmd/ is the machine being
+# threaded in pieces again. The awk tracks the enclosing struct type by brace
+# depth, comments stripped.
+if ! find internal cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk '
+    FNR == 1 { st = "" }
+    st == "" && /^[[:space:]]*type [A-Za-z0-9_]+ struct[[:space:]]*\{/ { st = $2; depth = 0 }
+    st != "" {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (line ~ /^[[:space:]]+([A-Za-z_][A-Za-z0-9_]*[[:space:]]*,[[:space:]]*)*GPUsPerNode([[:space:],]|$)/ ||
+            line ~ /^[[:space:]]+([A-Za-z_][A-Za-z0-9_]*[[:space:],]+)*\*?(dist\.)?CostModel[[:space:]]*$/) {
+            if (!(FILENAME == "internal/dist/cost.go" && st == "Machine") &&
+                !(FILENAME == "internal/plan/plan.go" && st == "Topology")) {
+                printf "%s:%d: %s: %s\n", FILENAME, FNR, st, $0 > "/dev/stderr"
+                bad = 1
+            }
+        }
+        depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+        if (depth <= 0) st = ""
+    }
+    END { exit bad }'; then
+    echo "docs_check: a GPUsPerNode or CostModel field outside dist.Machine and plan.Topology" >&2
+    fail=1
+fi
+
+# The element width is one constant, tensor.ElemBytes: the wire (dist), the
+# workspace (tensor) and the footprint (parallel) price a shape with it. A
+# literal 8 multiplying a count in those packages is a second copy of the
+# width; a FLOP count (8*float64(...)) is not a byte price.
+if grep -rnE '(^|[^0-9A-Za-z_.])8 ?\*|\* ?8([^0-9A-Za-z_.]|$)' --include='*.go' --exclude='*_test.go' \
+    internal/dist internal/tensor internal/parallel | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//|8 ?\* ?float64\(' >&2; then
+    echo "docs_check: a byte price with a literal element width instead of tensor.ElemBytes" >&2
     fail=1
 fi
 
