@@ -97,12 +97,16 @@ func main() {
 		topo.MemoryBudget = budget
 	}
 
+	w, err := w.WithDefaults()
+	if err != nil {
+		fatal(err)
+	}
 	plans, err := plan.Search(w, topo, tables.DefaultAlgos())
 	if err != nil {
 		fatal(err)
 	}
 	title := fmt.Sprintf("Ranked layouts for %s (batch %d, seq %d, hidden %d, heads %d, layers %d) within %d ranks",
-		*model, w.Batch, orDefault(w.SeqLen, 512), w.Hidden, w.Heads, orDefault(w.Layers, 1), *ranks)
+		*model, w.Batch, w.SeqLen, w.Hidden, w.Heads, w.Layers, *ranks)
 	if topo.MemoryBudget > 0 {
 		title += fmt.Sprintf(", %s/rank", plan.FormatBytes(topo.MemoryBudget))
 	}
@@ -116,13 +120,6 @@ func main() {
 		fmt.Println(plan.FormatValidations("Replay on the simulated cluster (predicted vs measured)", vs))
 		fmt.Printf("max step-time error across top %d: %.1f%%\n", len(vs), 100*plan.MaxStepErr(vs))
 	}
-}
-
-func orDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 func fatal(err error) {

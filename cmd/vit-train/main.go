@@ -355,11 +355,11 @@ func runServe(l parallel.Layout, cfg serve.Config, rate float64, n, steps int,
 }
 
 // pickTrainable returns the first (best-ranked) plan whose layout the ViT
-// trainer accepts (vit.Trainable: whole sequences per rank and widths that
+// trainer accepts (vit.TrainableErr: whole sequences per rank and widths that
 // split over the mesh) plus how many better-ranked candidates were skipped.
 func pickTrainable(plans []plan.Plan, batch int, mcfg vit.ModelConfig) (plan.Plan, int) {
 	for i, p := range plans {
-		if vit.Trainable(p.Grid, batch, mcfg) {
+		if vit.TrainableErr(p.Grid, batch, mcfg) == nil {
 			return p, i
 		}
 	}

@@ -1,12 +1,9 @@
 package megatron
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -16,28 +13,8 @@ func init() {
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 			return NewFamily(w, l, Replicated), nil
 		},
-		Check: func(l parallel.Layout) error {
-			if l.Q != 0 {
-				return fmt.Errorf("megatron: 1-D family cannot take a mesh %s", l.Shape())
-			}
-			return nil
-		},
+		Arrangement: parallel.Flat,
 	})
-}
-
-// Grids is Megatron-LM's plan.Algo: [p] layouts for every p that divides the
-// head count, which implies every weight split the layers perform. What a
-// layout costs and what a rank holds — the replicated activations that make
-// the family cheap to communicate and expensive to hold — the planner finds
-// by replaying the block this package registers.
-func Grids(w plan.Workload, budget int) []parallel.Layout {
-	var out []parallel.Layout
-	for p := 1; p <= budget && p <= w.Heads; p++ {
-		if w.Heads%p == 0 {
-			out = append(out, parallel.Layout{Family: "megatron", Ranks: p})
-		}
-	}
-	return out
 }
 
 // Family is the 1-D families' model layer: weights split across the

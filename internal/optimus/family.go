@@ -4,11 +4,11 @@
 // exactly the d = 1 special case of Tesseract — the paper itself notes that
 // "d = 1 makes Tesseract a 2-D algorithm like SUMMA", and its Table 1/2
 // shapes [2,2] vs [2,2,1] confirm near-identical behaviour. The package is
-// therefore one registration and one enumerator, with no family type or
-// layer code of its own: its Spec builds Tesseract's family on the depth-1
-// mesh under the name "optimus", and Grids enumerates its layouts for the
-// planner. Keeping one implementation guarantees the baseline and the
-// contribution differ only in the dimension under study.
+// therefore one registration, with no family type or layer code of its own:
+// its Spec builds Tesseract's family on the depth-1 mesh under the name
+// "optimus". Keeping one implementation guarantees the baseline and the
+// contribution differ only in the dimension under study; the planner prices
+// it as tesseract [q,q].
 package optimus
 
 import (
@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/parallel"
-	"repro/internal/plan"
 	"repro/internal/tesseract"
 )
 
@@ -26,28 +25,12 @@ func init() {
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 			return tesseract.NewFamily(w, l), nil
 		},
+		Arrangement: parallel.Mesh,
 		Check: func(l parallel.Layout) error {
-			if l.Q < 1 {
-				return fmt.Errorf("optimus: layout %s needs a mesh dimension q", l)
-			}
 			if l.D > 1 {
 				return fmt.Errorf("optimus: 2-D family cannot take depth %d", l.D)
 			}
 			return nil
 		},
 	})
-}
-
-// Grids is Optimus' plan.Algo: the depth-1 layouts of the Tesseract
-// enumeration under the family's own name, exactly like the runtime
-// implementation.
-func Grids(w plan.Workload, budget int) []parallel.Layout {
-	var out []parallel.Layout
-	for _, l := range tesseract.Grids(w, budget) {
-		if l.D == 1 {
-			l.Family = "optimus"
-			out = append(out, l)
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 
@@ -9,10 +10,10 @@ import (
 )
 
 // Layout names a family and the processor arrangement it runs on. It is
-// also the planner's candidate: a family's grid enumerator returns Layouts,
-// and plan.Plan embeds the one it ranked. Q and D describe the mesh for the
-// 2-D/2.5-D families and are zero for 1-D families, whose arrangement is
-// just [Ranks]. A layout occupies ranks [0, Ranks) of a cluster that may be
+// also the planner's candidate: Layouts lists a family's, and plan.Plan
+// embeds the one it ranked. Q and D describe the mesh for the 2-D/2.5-D
+// families and are zero for 1-D families, whose arrangement is just
+// [Ranks]. A layout occupies ranks [0, Ranks) of a cluster that may be
 // larger (vit.Session's); the ranks past it idle.
 type Layout struct {
 	// Family is the registered family name.
@@ -26,9 +27,8 @@ type Layout struct {
 }
 
 // Normalize fills the derivable zero fields (D defaults to 1 on meshes,
-// Ranks to q²·d) and validates consistency. It does not check
-// family-specific constraints (d ≤ q, divisibility); those belong to the
-// family constructors.
+// Ranks to q²·d) and validates consistency. It does not check what the
+// family registered (its Arrangement, its Check); Validate does.
 func (l Layout) Normalize() (Layout, error) {
 	if l.Family == "" {
 		return l, fmt.Errorf("parallel: layout needs a family name")
@@ -91,17 +91,31 @@ func (l Layout) Shape() string {
 // String renders "family [shape]".
 func (l Layout) String() string { return fmt.Sprintf("%s %s", l.Family, l.Shape()) }
 
+// Arrangement is how a family lays out its processors.
+type Arrangement int
+
+const (
+	// Flat is the 1-D arrangement [p]: Q and D are zero.
+	Flat Arrangement = iota
+	// Mesh is the [q, q, d] arrangement, 1 ≤ d ≤ q; d = 1 is [q, q].
+	Mesh
+)
+
 // Spec is everything the runtime and the planner know about a family under
 // its name, registered once. The family packages call Register from init, so
-// importing a family package is what makes its name instantiable.
+// importing a family package is what makes its name instantiable — and, with
+// its Arrangement, what Layouts lists for the planner to search.
 type Spec struct {
 	// Name is the family name a Layout carries ("tesseract", "megatron").
 	Name string
 	// New builds one rank's family view for a validated layout. Every rank
 	// in [0, l.Ranks) must call it collectively.
 	New func(w *dist.Worker, l Layout) (Family, error)
-	// Check, if set, rejects a layout the constructor would refuse (1-D
-	// families cannot take a mesh, Tesseract requires d ≤ q) without a
+	// Arrangement is the shape every layout of the family has; Validate
+	// refuses the other one, and a mesh deeper than it is wide.
+	Arrangement Arrangement
+	// Check, if set, rejects a layout of the right arrangement the
+	// constructor would still refuse (Optimus takes no depth), without a
 	// cluster, so a composition can refuse an impossible configuration
 	// before sizing a cluster from it.
 	Check func(Layout) error
@@ -153,16 +167,63 @@ func validate(l Layout) (Spec, Layout, error) {
 	if err != nil {
 		return Spec{}, l, err
 	}
-	s, ok := lookup(l.Family)
-	if !ok {
-		return s, l, fmt.Errorf("parallel: unknown family %q (registered: %v)", l.Family, Families())
+	s, err := spec(l.Family)
+	if err != nil {
+		return s, l, err
 	}
 	if s.Check != nil {
 		if err := s.Check(l); err != nil {
 			return s, l, err
 		}
 	}
+	switch {
+	case s.Arrangement == Flat && l.Q != 0:
+		return s, l, fmt.Errorf("parallel: %s is a 1-D family and cannot take a mesh %s", l.Family, l.Shape())
+	case s.Arrangement == Mesh && l.Q == 0:
+		return s, l, fmt.Errorf("parallel: layout %s needs a mesh dimension q", l)
+	case s.Arrangement == Mesh && l.D > l.Q:
+		return s, l, fmt.Errorf("parallel: layout %s has depth d=%d above its dimension q=%d (the paper requires 1 <= d <= q)", l, l.D, l.Q)
+	}
 	return s, l, nil
+}
+
+// spec returns the Spec registered under name, or an error naming the
+// registered alternatives.
+func spec(name string) (Spec, error) {
+	s, ok := lookup(name)
+	if !ok {
+		return s, fmt.Errorf("parallel: unknown family %q (registered: %v)", name, Families())
+	}
+	return s, nil
+}
+
+// Layouts lists every layout of the named family on at most budget ranks
+// that Validate accepts, smallest first: [p] for p = 1…budget, or [q,q,d] by
+// q and then d. This is the planner's search space; which of them can split
+// a workload is Fits' to say. Nothing is materialised, so the walk is the
+// only cost of a large budget.
+func Layouts(family string, budget int) (iter.Seq[Layout], error) {
+	s, err := spec(family)
+	if err != nil {
+		return nil, err
+	}
+	return func(yield func(Layout) bool) {
+		// more skips what Check refuses and otherwise reports whether the
+		// caller wants the next layout.
+		more := func(l Layout) bool { return (s.Check != nil && s.Check(l) != nil) || yield(l) }
+		if s.Arrangement == Flat {
+			for p := 1; p <= budget && more(Layout{Family: family, Ranks: p}); p++ {
+			}
+			return
+		}
+		for q := 1; q*q <= budget; q++ {
+			for d := 1; d <= q && q*q*d <= budget; d++ {
+				if !more(Layout{Family: family, Q: q, D: d, Ranks: q * q * d}) {
+					return
+				}
+			}
+		}
+	}, nil
 }
 
 // New validates the layout and builds the calling worker's view of the

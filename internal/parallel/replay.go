@@ -108,27 +108,46 @@ func (r *Replay) runPhase(w *dist.Worker) error {
 	return nil
 }
 
-// CheckActivation refuses a [batch·seqLen, hidden] activation with heads
-// attention heads that l cannot split — its rows over l's row shards, its
-// width over a mesh side, its heads over the attention's column shards (a
-// mesh side, or every rank of a 1-D layout) — before anything builds a
-// phantom stack that would panic on it.
-func CheckActivation(l Layout, batch, seqLen, hidden, heads int) error {
-	if rows, rs := batch*seqLen, l.RowShards(); rows%rs != 0 {
-		return fmt.Errorf("parallel: %s cannot split %d activation rows (batch %d × sequence length %d) %d ways",
-			l, rows, batch, seqLen, rs)
-	}
-	if l.Q > 0 && hidden%l.Q != 0 {
-		return fmt.Errorf("parallel: %s cannot split hidden width %d %d ways", l, hidden, l.Q)
-	}
-	shards := l.Ranks
+// fit is the one rule of which [batch·seqLen, hidden] activations with heads
+// attention heads a layout splits: rows over its row shards — tokens, so a
+// shard may end mid-sequence, as Table 1's [4,4,2] row does — the width over
+// a mesh side, and heads that divide the width over the attention's column
+// shards (a mesh side, or every rank of a 1-D layout). It returns "" when l
+// splits the activation, else the refusal's format over (l, rows, batch,
+// seqLen, row shards, hidden, heads, shards): a constant, so Fits allocates
+// nothing.
+func fit(l Layout, batch, seqLen, hidden, heads int) (refusal string, rs, shards int) {
+	rs, shards = l.RowShards(), l.Ranks
 	if l.Q > 0 {
 		shards = l.Q
 	}
-	if heads < 1 || hidden%heads != 0 || heads%shards != 0 {
-		return fmt.Errorf("parallel: %s cannot split hidden width %d into %d heads over %d shards", l, hidden, heads, shards)
+	switch {
+	case (batch*seqLen)%rs != 0:
+		refusal = "parallel: %[1]s cannot split %[2]d activation rows (batch %[3]d × sequence length %[4]d) %[5]d ways"
+	case l.Q > 0 && hidden%shards != 0:
+		refusal = "parallel: %[1]s cannot split hidden width %[6]d %[8]d ways (not divisible by the mesh side q=%[8]d)"
+	case heads < 1 || hidden%heads != 0 || heads%shards != 0:
+		refusal = "parallel: %[1]s cannot split hidden width %[6]d into %[7]d heads over %[8]d shards (not divisible)"
 	}
-	return nil
+	return refusal, rs, shards
+}
+
+// Fits reports whether l splits a [batch·seqLen, hidden] activation with
+// heads attention heads: CheckActivation without the error, for the planner
+// to ask of every layout it lists.
+func Fits(l Layout, batch, seqLen, hidden, heads int) bool {
+	refusal, _, _ := fit(l, batch, seqLen, hidden, heads)
+	return refusal == ""
+}
+
+// CheckActivation refuses an activation l cannot split (Fits), naming the
+// dimension, before anything builds a phantom stack that would panic on it.
+func CheckActivation(l Layout, batch, seqLen, hidden, heads int) error {
+	refusal, rs, shards := fit(l, batch, seqLen, hidden, heads)
+	if refusal == "" {
+		return nil
+	}
+	return fmt.Errorf(refusal, l, batch*seqLen, batch, seqLen, rs, hidden, heads, shards)
 }
 
 // NewPhantomReplay replays l's phantom stack (NewPhantomStack) on the cluster

@@ -140,7 +140,8 @@ func TestRecomputeBoundaryDropsFirstForward(t *testing.T) {
 
 // TestPhantomReplayRefusesUnsplittable: an activation a layout cannot split
 // is an error naming the dimension, returned before any cluster is built —
-// not a worker panic inside NewPhantomStack.
+// not a worker panic inside NewPhantomStack — and Fits, the planner's read
+// of the same rule, refuses it without allocating.
 func TestPhantomReplayRefusesUnsplittable(t *testing.T) {
 	for _, tc := range []struct {
 		l                     parallel.Layout
@@ -150,6 +151,7 @@ func TestPhantomReplayRefusesUnsplittable(t *testing.T) {
 		{parallel.Layout{Family: "optimus", Q: 2, D: 1, Ranks: 4}, 3, 3, 8, "cannot split 9 activation rows (batch 3 × sequence length 3) 2 ways"},
 		{parallel.Layout{Family: "seqpar", Ranks: 4}, 2, 3, 8, "cannot split 6 activation rows (batch 2 × sequence length 3) 4 ways"},
 		{parallel.Layout{Family: "tesseract", Q: 2, D: 2, Ranks: 8}, 4, 4, 9, "cannot split hidden width 9 2 ways"},
+		{parallel.Layout{Family: "megatron", Ranks: 3}, 2, 2, 12, "cannot split hidden width 12 into 4 heads over 3 shards"},
 	} {
 		built := false
 		_, err := parallel.NewPhantomReplay(func(cfg dist.Config) *dist.Cluster {
@@ -158,6 +160,10 @@ func TestPhantomReplayRefusesUnsplittable(t *testing.T) {
 		}, dist.Config{}, tc.l, tc.batch, tc.seqLen, tc.hidden, 4, 1)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || built {
 			t.Errorf("%s: err %v, cluster built %v; want %q before any cluster", tc.l, err, built, tc.want)
+		}
+		fits := true
+		if allocs := testing.AllocsPerRun(10, func() { fits = parallel.Fits(tc.l, tc.batch, tc.seqLen, tc.hidden, 4) }); fits || allocs != 0 {
+			t.Errorf("%s: Fits says %v after %.0f allocations, want false after none", tc.l, fits, allocs)
 		}
 	}
 }

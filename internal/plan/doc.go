@@ -1,7 +1,7 @@
 // Package plan is the auto-parallelism planner: given a Transformer
-// workload, a rank budget and a per-rank memory budget, it enumerates every
-// feasible processor layout — Megatron's and sequence parallelism's [p],
-// Optimus' [q, q] and Tesseract's [q, q, d] — prices each candidate, and
+// workload, a rank budget and a per-rank memory budget, it lists every
+// feasible processor layout — Megatron's and sequence parallelism's [p] and
+// Tesseract's [q, q, d], [q, q] at d = 1 — prices each candidate, and
 // returns a ranked list of Plans. It closes the loop the paper leaves to the
 // reader: the best point of the [p, q, d] space depends on model shape and
 // cluster bandwidth, and the planner finds it instead of the user.
@@ -40,16 +40,19 @@
 //
 // The planner knows nothing about any particular scheme, and it has no
 // layout type of its own. A candidate is the runtime's parallel.Layout (Grid
-// is its name here), and each family package describes itself to the
-// planner with an Algo, its grid enumerator: megatron.Grids, seqpar.Grids,
-// optimus.Grids and tesseract.Grids, bundled as tables.DefaultAlgos. The
-// layouts an Algo returns carry the name the family registered its
-// parallel.Spec under, so a ranked Plan's Grid goes to parallel.New as it
-// is. Search and SearchServing share one candidate walk (grids, the
-// exact-rank filter, the memory filter on what the scorer's replay held, the
-// no-feasible error, the tie-breaking sort) and differ in the scorer: a
-// training step, or forward passes at the layout's minimum batch and at the
-// full batch — a served layout is charged its weights once and no gradients.
+// is its name here), and an Algo is the name a family registered its
+// parallel.Spec under: the registry is the search space. parallel.Layouts
+// lists the family's [p] or [q, q, d] layouts within the rank budget, and
+// parallel.Fits — the rule parallel.CheckActivation refuses a replay by —
+// keeps those that split the workload's activations, so a ranked Plan's Grid
+// goes to parallel.New as it is. tables.DefaultAlgos names tesseract,
+// megatron and seqpar: Optimus' [q, q] is Tesseract at d = 1, one schedule,
+// priced once under Tesseract's name. Search and SearchServing share one
+// candidate walk (layouts, the fit and exact-rank filters, the memory filter
+// on what the scorer's replay held, the no-feasible error, the tie-breaking
+// sort) and differ in the scorer: a training step, or forward passes at the
+// layout's minimum batch and at the full batch — a served layout is charged
+// its weights once and no gradients.
 // Every candidate's replay builds a cluster of its own, so the walk scores
 // them side by side (parallel.ReplayEach) and then filters and ranks in
 // candidate order: the list and the error are what one score after another

@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/plan"
-	"repro/internal/seqpar"
 )
 
 // tiny is a model small enough to search under many budgets.
 var tiny = plan.Workload{Batch: 8, SeqLen: 4, Hidden: 16, Heads: 4, Layers: 2}
 
-func allAlgos() []plan.Algo { return append(algos(), seqpar.Grids) }
+func allAlgos() []plan.Algo { return append(algos(), "seqpar") }
 
 // TestServingSearchAndReplanStayWithinBudget: with the budget set at each
 // candidate's own footprint in turn, SearchServing returns the unbudgeted

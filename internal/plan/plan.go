@@ -17,13 +17,21 @@ import (
 // malformed workload or topology.
 var ErrNoFeasible = errors.New("no feasible layout")
 
+// DefaultSeqLen and DefaultLayers are what zero SeqLen and Layers select.
+// The paper prints no sequence length; 512 is the usual Megatron-LM setting
+// and splits every row of both its tables.
+const (
+	DefaultSeqLen = 512
+	DefaultLayers = 1
+)
+
 // Workload describes the model a layout is being planned for: one stack of
 // Transformer blocks of the kind every scheme in this repository implements
 // (fused-QKV attention plus a 4h MLP, layer norms and residuals).
 type Workload struct {
 	// Batch is the global batch size (sequences per step).
 	Batch int
-	// SeqLen is the sequence length (default 512, as in internal/tables).
+	// SeqLen is the sequence length (default DefaultSeqLen).
 	SeqLen int
 	// Hidden is the model width h; the MLP expands to 4h.
 	Hidden int
@@ -37,14 +45,14 @@ type Workload struct {
 	NoRecompute bool
 }
 
-// WithDefaults fills the zero fields with the harness defaults (SeqLen 512,
-// Layers 1) and validates the rest.
+// WithDefaults fills the zero fields with DefaultSeqLen and DefaultLayers
+// and validates the rest.
 func (w Workload) WithDefaults() (Workload, error) {
 	if w.SeqLen == 0 {
-		w.SeqLen = 512
+		w.SeqLen = DefaultSeqLen
 	}
 	if w.Layers == 0 {
-		w.Layers = 1
+		w.Layers = DefaultLayers
 	}
 	if w.Batch <= 0 || w.Hidden <= 0 || w.Heads <= 0 || w.SeqLen <= 0 || w.Layers <= 0 {
 		return w, fmt.Errorf("plan: workload needs positive batch/hidden/heads/seqlen/layers, got %+v", w)
@@ -133,25 +141,22 @@ type Breakdown struct {
 // backward).
 func (b Breakdown) Step() float64 { return b.Forward + b.Backward }
 
-// Algo is one algorithm family as the planner sees it: the feasible layouts
-// of the family for a workload within a rank budget (divisibility
-// constraints included), each naming the family it belongs to. It is the one
-// thing only the family can state; what a layout costs and what it holds are
-// not among them — the planner replays the family's own layers (see Price).
-// An Algo must be pure: the planner calls it per search.
-type Algo func(w Workload, rankBudget int) []parallel.Layout
+// Algo is one algorithm family as the planner sees it: the name its
+// parallel.Spec is registered under. Its candidates are the
+// parallel.Layouts within the rank budget that parallel.Fits the workload;
+// what each costs and holds is a replay of the family's layers (Price).
+type Algo string
 
 // Plan is one ranked candidate: a layout and its score.
 type Plan struct {
-	// Grid is the candidate layout; its Family is the scheme that
-	// enumerated it.
+	// Grid is the candidate layout; its Family is the Algo that listed it.
 	Grid
 	// Predicted is the replayed score the ranking sorted by.
 	Predicted Breakdown
 }
 
-// Search enumerates every family's feasible layouts within the topology's
-// budgets, prices each by replay, and returns the full list ranked by
+// Search lists every family's layouts within the topology's budgets that
+// split the workload, prices each by replay, and returns them ranked by
 // predicted step time (ties: fewer ranks first, then less memory).
 // Candidates whose replay held more than the memory budget are dropped; if
 // every candidate is dropped, Search returns an error naming the tightest
@@ -165,8 +170,8 @@ func Search(w Workload, t Topology, algos []Algo) ([]Plan, error) {
 }
 
 // search is the one candidate walk behind Search and SearchServing: defaults
-// and validation, every family's grids, the admit filter (nil admits all),
-// the exact-rank filter, score, the memory filter on what the score's replay
+// and validation, every family's layouts, the exact-rank, fit and admit
+// filters (nil admits all), score, the memory filter on what the score's replay
 // held, the no-feasible error — what names the search in it — and the
 // ranking. A candidate is a Plan with nothing predicted yet; score receives
 // the defaulted workload and topology and returns the candidate's ranked
@@ -193,12 +198,14 @@ func search[P any](w Workload, t Topology, algos []Algo, what string, admit func
 	}
 	var cands []Plan
 	for _, a := range algos {
-		for _, g := range a(w, t.RankBudget) {
-			c := Plan{Grid: g}
-			if admit != nil && !admit(w, c) {
-				continue
-			}
-			if t.ExactRanks && g.Ranks != t.RankBudget {
+		ls, err := parallel.Layouts(string(a), t.RankBudget)
+		if err != nil {
+			return nil, fmt.Errorf("plan: %w", err)
+		}
+		for l := range ls {
+			c := Plan{Grid: l}
+			if (t.ExactRanks && l.Ranks != t.RankBudget) || !parallel.Fits(l, w.Batch, w.SeqLen, w.Hidden, w.Heads) ||
+				(admit != nil && !admit(w, c)) {
 				continue
 			}
 			cands = append(cands, c)

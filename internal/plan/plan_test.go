@@ -9,16 +9,19 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/megatron"
-	"repro/internal/optimus"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/tables"
-	"repro/internal/tesseract"
+
+	// The families the searches name register themselves with parallel.
+	_ "repro/internal/megatron"
+	_ "repro/internal/optimus"
+	_ "repro/internal/seqpar"
+	_ "repro/internal/tesseract"
 )
 
 func algos() []plan.Algo {
-	return []plan.Algo{tesseract.Grids, optimus.Grids, megatron.Grids}
+	return []plan.Algo{"tesseract", "optimus", "megatron"}
 }
 
 var table1 = plan.Workload{Batch: 16, Hidden: 3072, Heads: 64}

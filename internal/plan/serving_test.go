@@ -7,15 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/megatron"
-	"repro/internal/optimus"
 	"repro/internal/plan"
-	"repro/internal/seqpar"
-	"repro/internal/tesseract"
 )
 
 func servingAlgos() []plan.Algo {
-	return []plan.Algo{tesseract.Grids, optimus.Grids, megatron.Grids}
+	return []plan.Algo{"tesseract", "optimus", "megatron"}
 }
 
 var servingW = plan.Workload{Batch: 16, Hidden: 3072, Heads: 64}
@@ -89,7 +85,7 @@ func TestSearchServingSkipsOversizedGrids(t *testing.T) {
 // obstacle: the replay never has to split a sequence.
 func TestSearchServingMinBatchIsTheLayoutsRowShards(t *testing.T) {
 	w := plan.Workload{Batch: 6, SeqLen: 5, Hidden: 36, Heads: 6}
-	plans, err := plan.SearchServing(w, plan.Topology{RankBudget: 8}, append(servingAlgos(), seqpar.Grids), plan.ServingObjective{})
+	plans, err := plan.SearchServing(w, plan.Topology{RankBudget: 8}, append(servingAlgos(), "seqpar"), plan.ServingObjective{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@
 // memory/comm trade the planner exploits under tight memory budgets.
 //
 // The weight sharding is Megatron-LM's, and so is every layer: the package
-// is one registration and one enumerator, with no family type or layer code
-// of its own, exactly like package optimus. Its Spec builds megatron's
-// family under the megatron.RowSharded bracket, whose parallel.View splits
+// is one registration, with no family type or layer code of its own, exactly
+// like package optimus. Its Spec builds megatron's family under the megatron.RowSharded bracket, whose parallel.View splits
 // activation rows over the group and nothing over columns, and whose patch
 // embedding — parallel.ReplicatedLinear, the replicated weight every family's
 // head also is — sums its gradients over that group. Sharing the layers is
@@ -22,12 +21,9 @@
 package seqpar
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
 	"repro/internal/megatron"
 	"repro/internal/parallel"
-	"repro/internal/plan"
 )
 
 func init() {
@@ -36,31 +32,7 @@ func init() {
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 			return megatron.NewFamily(w, l, megatron.RowSharded), nil
 		},
-		Check: func(l parallel.Layout) error {
-			if l.Q != 0 {
-				return fmt.Errorf("seqpar: 1-D family cannot take a mesh %s", l.Shape())
-			}
-			return nil
-		},
-		RowShards: func(l parallel.Layout) int { return l.Ranks },
+		Arrangement: parallel.Flat,
+		RowShards:   func(l parallel.Layout) int { return l.Ranks },
 	})
-}
-
-// Grids is sequence parallelism's plan.Algo: [p] layouts for every p
-// dividing both the head count (the attention head split) and the batch
-// (whole sequences per rank, the row-shard alignment vit.TrainLayout
-// checks). What a layout costs and what a rank holds the planner finds by
-// replaying the block this package registers. The family is never the
-// fastest — its gather/scatter brackets move the same bytes as Megatron's
-// all-reduces forward and half again backward — so the planner picks it
-// exactly when memory is the binding constraint, which is the trade the
-// family exists for.
-func Grids(w plan.Workload, budget int) []parallel.Layout {
-	var out []parallel.Layout
-	for p := 1; p <= budget && p <= w.Heads; p++ {
-		if w.Heads%p == 0 && w.Batch%p == 0 {
-			out = append(out, parallel.Layout{Family: "seqpar", Ranks: p})
-		}
-	}
-	return out
 }

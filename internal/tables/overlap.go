@@ -28,8 +28,7 @@ type OverlapPoint struct {
 // concurrently (parallel.ReplayEach). It is the one study that reads every rank's
 // overlap account, so each row replays on its full cluster, not solo.
 func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
+	if err := opts.check(); err != nil {
 		return nil, err
 	}
 	var tess []Row
@@ -48,8 +47,12 @@ func overlapRow(row Row, opts Options) (OverlapPoint, error) {
 	if err != nil {
 		return OverlapPoint{}, err
 	}
+	w, err := opts.apply(row.workload()).WithDefaults()
+	if err != nil {
+		return OverlapPoint{}, err
+	}
 	rp, err := parallel.NewPhantomReplay(dist.New, dist.Config{},
-		l, row.Batch, opts.SeqLen, row.Hidden, row.Heads, opts.Layers)
+		l, row.Batch, w.SeqLen, row.Hidden, row.Heads, w.Layers)
 	if err != nil {
 		return OverlapPoint{}, fmt.Errorf("row %s %s: %w", row.Scheme, row.Shape(), err)
 	}

@@ -4,29 +4,31 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/megatron"
-	"repro/internal/optimus"
 	"repro/internal/parallel"
 	"repro/internal/plan"
-	"repro/internal/seqpar"
-	"repro/internal/tesseract"
+
+	// The families DefaultAlgos and the table rows name register themselves.
+	_ "repro/internal/megatron"
+	_ "repro/internal/optimus"
+	_ "repro/internal/seqpar"
+	_ "repro/internal/tesseract"
 )
 
-// DefaultAlgos bundles the four built-in families' grid enumerators the
-// planner searches over — the three schemes Tables 1 and 2 compare plus
-// sequence parallelism, which wins only under tight memory budgets.
+// DefaultAlgos names the families the planner searches: Tesseract, whose
+// depth-1 meshes are Optimus' schedule and are priced once, under
+// Tesseract's name; Megatron-LM; and sequence parallelism, which wins only
+// under tight memory budgets.
 func DefaultAlgos() []plan.Algo {
-	return []plan.Algo{tesseract.Grids, optimus.Grids, megatron.Grids, seqpar.Grids}
+	return []plan.Algo{"tesseract", "megatron", "seqpar"}
 }
 
 // MeasurePlan returns the plan.Measurer that replays candidates the way
-// RunRow replays a table row: plan.Price on the Meluxina machine, on the
-// cluster it picks (rank 0 alone wherever that is exact). So a validation
-// compares Price with Price and reads 0; that solo ≡ full cluster is pinned
-// by test. The workload sets the sequence length, layer count and recompute
-// setting, so the options carry nothing a plan's replay reads.
-func MeasurePlan(w plan.Workload, _ Options) plan.Measurer {
-	return plan.Measure(w, plan.Topology{})
+// RunRow replays a table row: plan.Price of w under the options on the
+// Meluxina machine, on the cluster it picks (rank 0 alone wherever that is
+// exact). So a validation of a plan searched for the same workload compares
+// Price with Price and reads 0; that solo ≡ full cluster is pinned by test.
+func MeasurePlan(w plan.Workload, opts Options) plan.Measurer {
+	return plan.Measure(opts.apply(w), plan.Topology{})
 }
 
 // PlannerScenario is one workload the planner study searches: a label, the
@@ -83,8 +85,9 @@ func (p PlannerPoint) Best() plan.Plan { return p.Plans[0] }
 // PlannerStudy searches every scenario with the default algorithm families
 // and validates the top candidates against the simulated cluster —
 // reproducing the paper's best-layout rows from the planner instead of
-// hard-coded grids. topN bounds the replayed candidates (default 3 when
-// zero).
+// hard-coded grids. Each scenario is searched and measured under the
+// options' sequence length, layer count and recompute setting. topN bounds
+// the replayed candidates (default 3 when zero).
 //
 // The leaders of all scenarios are one batch of independent replays
 // (parallel.ReplayEach), each validated with Plan.Validate. plan.ValidateTop is not
@@ -95,8 +98,7 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 	if topN <= 0 {
 		topN = 3
 	}
-	opts, err := opts.withDefaults()
-	if err != nil {
+	if err := opts.check(); err != nil {
 		return nil, err
 	}
 	type leader struct {
@@ -107,7 +109,7 @@ func PlannerStudy(scenarios []PlannerScenario, topN int, opts Options) ([]Planne
 	out := make([]PlannerPoint, len(scenarios))
 	for i, sc := range scenarios {
 		topo := plan.Topology{RankBudget: sc.RankBudget, ExactRanks: true}
-		plans, err := plan.Search(sc.Workload, topo, DefaultAlgos())
+		plans, err := plan.Search(opts.apply(sc.Workload), topo, DefaultAlgos())
 		if err != nil {
 			return nil, fmt.Errorf("tables: planner study %q: %w", sc.Name, err)
 		}

@@ -3,7 +3,9 @@ package tables
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,12 +51,12 @@ func TestPlannerStudyRediscoversPaperBest(t *testing.T) {
 }
 
 // TestMeasurePlanMatchesRunRow pins the adapter: measuring a plan must be
-// exactly RunRow on the equivalent row, with the workload's sequence
-// length and recompute setting winning over the options'.
+// exactly RunRow on the equivalent row under the same options, which win
+// over the workload's sequence length as they do over a row's default.
 func TestMeasurePlanMatchesRunRow(t *testing.T) {
-	w := plan.Workload{Batch: 8, Hidden: 16, Heads: 4, SeqLen: 4}
+	w := plan.Workload{Batch: 8, Hidden: 16, Heads: 4, SeqLen: 999}
 	p := plan.Plan{Grid: plan.Grid{Family: "tesseract", Ranks: 8, Q: 2, D: 2}}
-	got, err := MeasurePlan(w, Options{SeqLen: 999})(p)
+	got, err := MeasurePlan(w, Options{SeqLen: 4})(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +71,41 @@ func TestMeasurePlanMatchesRunRow(t *testing.T) {
 
 	if _, err := MeasurePlan(w, Options{})(plan.Plan{Grid: plan.Grid{Family: "nope"}}); err == nil {
 		t.Fatal("unknown family must error")
+	}
+}
+
+// TestPlannerStudyAppliesOptions: the study searches and measures every
+// scenario under the options' sequence length, layer count and recompute
+// setting — exactly what plan.Search and MeasurePlan give for the workload
+// so set — and the options move its seconds. (They used to be checked for
+// negatives and then dropped: -planner -seqlen 128 -layers 2 printed the
+// default study.)
+func TestPlannerStudyAppliesOptions(t *testing.T) {
+	scen := PlannerScenarios()[:1]
+	opts := Options{SeqLen: 128, Layers: 2, NoRecompute: true}
+	got, err := PlannerStudy(scen, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := PlannerStudy(scen, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := scen[0].Workload
+	w.SeqLen, w.Layers, w.NoRecompute = 128, 2, true
+	plans, err := plan.Search(w, plan.Topology{RankBudget: scen[0].RankBudget, ExactRanks: true}, DefaultAlgos())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.ValidateTop(plans, 2, MeasurePlan(w, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0].Plans, plans) || !reflect.DeepEqual(got[0].Validations, want) {
+		t.Errorf("the study under %+v is not the search and measurement of %+v", opts, w)
+	}
+	if g, d := got[0].Best().Predicted, def[0].Best().Predicted; g.Step() == d.Step() || g.MemoryBytes == d.MemoryBytes {
+		t.Errorf("options %+v left the best layout's price at the default's: %+v", opts, g)
 	}
 }
 
@@ -87,10 +124,10 @@ func TestFormatPlannerStudySmoke(t *testing.T) {
 }
 
 // exactnessSearches are four searches whose candidates between them cover
-// every family, 1-rank to 64-rank layouts, the deep mesh whose queued depth
-// all-reduces overlap the backward pass ([2,2,2]), and meshes placement
-// treats unevenly ([3,3], [3,3,2], [3,3,3] on four-GPU nodes: priced on the
-// full cluster, not solo).
+// every family the planner searches, 1-rank to 64-rank layouts, the deep
+// mesh whose queued depth all-reduces overlap the backward pass ([2,2,2]),
+// and meshes placement treats unevenly ([3,3], [3,3,2], [3,3,3] on four-GPU
+// nodes: priced on the full cluster, not solo).
 var exactnessSearches = []struct {
 	name       string
 	w          plan.Workload
@@ -98,11 +135,11 @@ var exactnessSearches = []struct {
 	candidates int
 	has        []string
 }{
-	{"Table 1 problem", PlannerScenarios()[0].Workload, 64, 23, []string{"tesseract [2,2,2]", "tesseract [4,4,4]", "megatron [64]"}},
-	{"Table 2 problem", PlannerScenarios()[1].Workload, 64, 26, []string{"tesseract [2,2,2]", "seqpar [64]"}},
-	{"tiny ViT", plan.Workload{Batch: 8, SeqLen: 4, Hidden: 16, Heads: 4, Layers: 2}, 8, 11, []string{"tesseract [2,2,2]", "seqpar [4]"}},
-	{"node-misaligned", plan.Workload{Batch: 36, SeqLen: 64, Hidden: 1728, Heads: 36}, 36, 32,
-		[]string{"tesseract [2,2,2]", "tesseract [6,6]", "tesseract [3,3]", "tesseract [3,3,2]", "tesseract [3,3,3]", "optimus [3,3]"}},
+	{"Table 1 problem", PlannerScenarios()[0].Workload, 64, 21, []string{"tesseract [2,2,2]", "tesseract [4,4,4]", "megatron [64]", "seqpar [64]"}},
+	{"Table 2 problem", PlannerScenarios()[1].Workload, 64, 22, []string{"tesseract [2,2,2]", "seqpar [64]"}},
+	{"tiny ViT", plan.Workload{Batch: 8, SeqLen: 4, Hidden: 16, Heads: 4, Layers: 2}, 8, 9, []string{"tesseract [2,2,2]", "seqpar [4]"}},
+	{"node-misaligned", plan.Workload{Batch: 36, SeqLen: 64, Hidden: 1728, Heads: 36}, 36, 27,
+		[]string{"tesseract [2,2,2]", "tesseract [6,6]", "tesseract [3,3]", "tesseract [3,3,2]", "tesseract [3,3,3]"}},
 }
 
 // TestEveryPredictionEqualsItsMeasurement: a price is a replay, and a
@@ -181,7 +218,7 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 			}
 		}
 	}
-	if want := len(machines) * 4 * (23 + 26 + 11 + 32); !testing.Short() && total != want {
+	if want := len(machines) * 4 * (21 + 22 + 9 + 27); !testing.Short() && total != want {
 		t.Errorf("checked %d candidates, want %d", total, want)
 	}
 
@@ -242,12 +279,13 @@ func TestEveryPredictionEqualsItsMeasurement(t *testing.T) {
 	}
 }
 
-// TestEveryCandidateIsARuntimeLayout pins the one-description contract: a
-// family's grid enumerator hands the planner the runtime's own layouts, so
-// every layout a default Algo enumerates — for both headline scenarios,
-// tesseract-plan's vit-base preset and the node-misaligned 36-rank workload —
-// is already what parallel.Validate makes of it, and the family parallel.New
-// builds from it, on every rank, reports that layout and its row shards.
+// TestEveryCandidateIsARuntimeLayout pins the one-description contract: the
+// registry hands the planner the runtime's own layouts, so every layout
+// parallel.Layouts lists for a default Algo that splits the workload — for
+// both headline scenarios, tesseract-plan's vit-base preset and the
+// node-misaligned 36-rank workload — is already what parallel.Validate makes
+// of it, and the family parallel.New builds from it, on every rank, reports
+// that layout and its row shards.
 func TestEveryCandidateIsARuntimeLayout(t *testing.T) {
 	type search struct {
 		w      plan.Workload
@@ -267,7 +305,14 @@ func TestEveryCandidateIsARuntimeLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, algo := range DefaultAlgos() {
-			for _, l := range algo(w, s.budget) {
+			ls, err := parallel.Layouts(string(algo), s.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := range ls {
+				if !parallel.Fits(l, w.Batch, w.SeqLen, w.Hidden, w.Heads) {
+					continue
+				}
 				total++
 				v, err := parallel.Validate(l)
 				if err != nil {
@@ -294,11 +339,87 @@ func TestEveryCandidateIsARuntimeLayout(t *testing.T) {
 			}
 		}
 	}
-	// Table 1's 23, Table 2's 26 (exactnessSearches), vit-base's 18 and the
-	// node-misaligned workload's 32.
-	if total != 23+26+18+32 {
-		t.Errorf("checked %d candidates, want %d", total, 23+26+18+32)
+	// Table 1's 21, Table 2's 22 (exactnessSearches), vit-base's 15 and the
+	// node-misaligned workload's 27.
+	if total != 21+22+15+27 {
+		t.Errorf("checked %d candidates, want %d", total, 21+22+15+27)
 	}
+}
+
+// TestSearchListsEveryFittingLayoutOnce is the planner's search space as a
+// property over generated workloads and rank budgets: plan.Search over
+// DefaultAlgos ranks exactly the layouts of those families, on at most the
+// budget's ranks, that parallel.Validate and parallel.CheckActivation accept
+// — the replay's own refusal, which splits activation rows per token — and
+// no two candidates run the same registration at the same shape: the
+// families parallel.New builds for them differ in type, shape, row shards or
+// buffer lifetimes. (A per-sequence filter once hid seqpar layouts the replay
+// runs, and Optimus' [q,q] was priced beside Tesseract's, the same family.)
+func TestSearchListsEveryFittingLayoutOnce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(48, 1))
+	for n := 0; n < 60; n++ {
+		heads := 1 + rng.IntN(8)
+		w := plan.Workload{Batch: 1 + rng.IntN(12), SeqLen: 1 + rng.IntN(8), Hidden: heads * (1 + rng.IntN(4)), Heads: heads}
+		budget := 1 + rng.IntN(20)
+		want := map[string]bool{}
+		for _, a := range DefaultAlgos() {
+			var ls []parallel.Layout
+			for p := 1; p <= budget; p++ {
+				ls = append(ls, parallel.Layout{Family: string(a), Ranks: p})
+				for q := 1; q*q <= p; q++ {
+					if p%(q*q) == 0 {
+						ls = append(ls, parallel.Layout{Family: string(a), Q: q, D: p / (q * q)})
+					}
+				}
+			}
+			for _, l := range ls {
+				if v, err := parallel.Validate(l); err == nil && parallel.CheckActivation(v, w.Batch, w.SeqLen, w.Hidden, w.Heads) == nil {
+					want[v.String()] = true
+				}
+			}
+		}
+		plans, err := plan.Search(w, plan.Topology{RankBudget: budget}, DefaultAlgos())
+		if err != nil {
+			t.Fatalf("%+v within %d ranks: %v", w, budget, err)
+		}
+		got := map[string]bool{}
+		runs := map[string]string{}
+		for _, p := range plans {
+			got[p.String()] = true
+			c := dist.NewSolo(dist.Config{WorldSize: p.Ranks})
+			if err := c.Run(func(wk *dist.Worker) error {
+				f, err := parallel.New(wk, p.Grid)
+				if err != nil {
+					return err
+				}
+				run := fmt.Sprintf("%T %s %d", f, p.Shape(), f.RowShards())
+				if lf, ok := f.(parallel.Linears); ok {
+					run += fmt.Sprint(" ", lf.Lifetime())
+				}
+				if other, dup := runs[run]; dup {
+					t.Errorf("%+v: %s and %s run the same family (%s)", w, other, p, run)
+				}
+				runs[run] = p.String()
+				return nil
+			}); err != nil {
+				t.Fatalf("%+v: building %s: %v", w, p, err)
+			}
+			c.Close()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v within %d ranks: searched %v, the registry's fitting layouts are %v", w, budget, keys(got), keys(want))
+		}
+	}
+}
+
+// keys returns a set's members, sorted.
+func keys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestExact64RankingPinned spells out the ranked order of both headline
@@ -307,8 +428,8 @@ func TestEveryCandidateIsARuntimeLayout(t *testing.T) {
 // shows up here as a reviewed diff.
 func TestExact64RankingPinned(t *testing.T) {
 	want := [][]string{
-		{"tesseract [4,4,4]", "tesseract [8,8]", "optimus [8,8]", "megatron [64]"},
-		{"tesseract [4,4,4]", "tesseract [8,8]", "optimus [8,8]", "megatron [64]", "seqpar [64]"},
+		{"tesseract [4,4,4]", "tesseract [8,8]", "megatron [64]", "seqpar [64]"},
+		{"tesseract [4,4,4]", "tesseract [8,8]", "megatron [64]", "seqpar [64]"},
 	}
 	for i, sc := range PlannerScenarios() {
 		plans, err := plan.Search(sc.Workload, plan.Topology{RankBudget: sc.RankBudget, ExactRanks: true}, DefaultAlgos())

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
+	"repro/internal/megatron"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 )
@@ -209,8 +212,8 @@ func TestRunRowAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 239 { // 232
-		t.Errorf("plan.Search %s: %.0f allocations, ceiling 239", sc.Name, allocs)
+	if allocs > 235 { // 224
+		t.Errorf("plan.Search %s: %.0f allocations, ceiling 235", sc.Name, allocs)
 	}
 }
 
@@ -313,25 +316,38 @@ func searchConcurrentEqualsSequential(t *testing.T, w plan.Workload, topo plan.T
 	}
 }
 
+// flakyFamily is megatron's family under a name of its own whose
+// constructor refuses [2] and [8]: the listed layouts a search cannot price.
+const flakyFamily = "tables-test-flaky"
+
+func init() {
+	parallel.Register(parallel.Spec{
+		Name: flakyFamily,
+		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
+			if l.Ranks == 2 || l.Ranks == 8 {
+				return nil, fmt.Errorf("%s refuses %d ranks", flakyFamily, l.Ranks)
+			}
+			return megatron.NewFamily(w, l, megatron.Replicated), nil
+		},
+		Arrangement: parallel.Flat,
+	})
+}
+
 // TestSearchErrorIsLowestCandidate: with the 2nd and the 4th of a family's
 // layouts unpriceable the search's error names the 2nd, whichever replay
 // failed first on the clock, and every goroutine the search started is gone
 // when it returns.
 func TestSearchErrorIsLowestCandidate(t *testing.T) {
-	w := plan.Workload{Batch: 8, Hidden: 16, Heads: 4, SeqLen: 4}
-	good := parallel.Layout{Family: "tesseract", Q: 2, D: 2, Ranks: 8}
-	bad1 := parallel.Layout{Family: "tesseract", Q: 3, D: 1, Ranks: 9} // 32 activation rows do not split 3 ways
-	bad2 := parallel.Layout{Family: "megatron", Ranks: 3}              // 4 heads do not split 3 ways
-	algo := func(plan.Workload, int) []parallel.Layout {
-		return []parallel.Layout{good, bad1, good, bad2, good, good, good, good}
-	}
+	w := plan.Workload{Batch: 8, Hidden: 16, Heads: 16, SeqLen: 4} // [1], [2], [4], [8] and [16] split it
+	bad1 := parallel.Layout{Family: flakyFamily, Ranks: 2}
+	bad2 := parallel.Layout{Family: flakyFamily, Ranks: 8}
 	for _, procs := range []int{1, 2, 8} {
 		var before int
 		var plans []plan.Plan
 		var err error
 		atProcs(procs, func() {
 			before = runtime.NumGoroutine()
-			plans, err = plan.Search(w, plan.Topology{RankBudget: 16}, []plan.Algo{algo})
+			plans, err = plan.Search(w, plan.Topology{RankBudget: 16}, []plan.Algo{flakyFamily})
 		})
 		if err == nil || plans != nil {
 			t.Fatalf("GOMAXPROCS %d: a search with bad candidates returned %v, %v", procs, plans, err)

@@ -17,7 +17,11 @@
 // docs/architecture.md, "tables: independent replays".
 package tables
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/plan"
+)
 
 // Scheme names a tensor-parallel method under test.
 type Scheme string
@@ -58,6 +62,11 @@ func (r Row) Shape() string {
 	}
 }
 
+// workload is the row's model as the planner prices it.
+func (r Row) workload() plan.Workload {
+	return plan.Workload{Batch: r.Batch, Hidden: r.Hidden, Heads: r.Heads}
+}
+
 // Result holds the four measured columns of Tables 1 and 2.
 type Result struct {
 	// Forward and Backward are seconds per batch.
@@ -80,10 +89,9 @@ func newResult(fwd, bwd float64) Result {
 	}
 }
 
-// DefaultSeqLen is the sequence length used by the timing experiments. The
-// paper does not print its value; 512 is the usual Megatron-LM benchmark
-// setting and satisfies every divisibility constraint in both tables.
-const DefaultSeqLen = 512
+// DefaultSeqLen is the sequence length used by the timing experiments:
+// plan's default.
+const DefaultSeqLen = plan.DefaultSeqLen
 
 // Table1Rows returns the twelve strong-scaling configurations of Table 1:
 // fixed problem (batch 12, hidden 3072, 64 heads), with batch 16 for the

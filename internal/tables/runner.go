@@ -7,13 +7,15 @@ import (
 	"repro/internal/plan"
 )
 
-// Options controls how the harness executes a row.
+// Options controls how the harness executes a row. A zero field leaves the
+// priced workload's own value, which plan defaults (plan.DefaultSeqLen,
+// plan.DefaultLayers).
 type Options struct {
-	// SeqLen is the Transformer sequence length (default DefaultSeqLen).
+	// SeqLen is the Transformer sequence length.
 	SeqLen int
-	// Layers is the number of Transformer layers timed (default 1; the
-	// paper reports per-layer-stack times whose absolute scale we do not
-	// reproduce, only the relative shape).
+	// Layers is the number of Transformer layers timed (the paper reports
+	// per-layer-stack times whose absolute scale we do not reproduce, only
+	// the relative shape).
 	Layers int
 	// NoRecompute disables activation checkpointing. By default the
 	// backward pass re-runs the forward first (recompute), which is how
@@ -23,21 +25,27 @@ type Options struct {
 	NoRecompute bool
 }
 
-// withDefaults fills the zero fields and rejects what no run can honour — a
-// negative size — before any cluster is built. Zero always means "default".
-// Every row runs on the Meluxina machine (the zero dist.Machine).
-func (o Options) withDefaults() (Options, error) {
+// check rejects what no run can honour — a negative size — before any
+// cluster is built.
+func (o Options) check() error {
 	if o.SeqLen < 0 || o.Layers < 0 {
-		return o, fmt.Errorf("tables: sequence length %d and layers %d must not be negative (zero selects the default)",
+		return fmt.Errorf("tables: sequence length %d and layers %d must not be negative (zero selects the default)",
 			o.SeqLen, o.Layers)
 	}
-	if o.SeqLen == 0 {
-		o.SeqLen = DefaultSeqLen
+	return nil
+}
+
+// apply returns w priced under the options: a set SeqLen or Layers replaces
+// w's, and NoRecompute switches recompute off.
+func (o Options) apply(w plan.Workload) plan.Workload {
+	if o.SeqLen != 0 {
+		w.SeqLen = o.SeqLen
 	}
-	if o.Layers == 0 {
-		o.Layers = 1
+	if o.Layers != 0 {
+		w.Layers = o.Layers
 	}
-	return o, nil
+	w.NoRecompute = w.NoRecompute || o.NoRecompute
+	return w
 }
 
 // RunRow times one table row and returns the measured columns, the forward
@@ -50,12 +58,10 @@ func RunRow(row Row, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if opts, err = opts.withDefaults(); err != nil {
+	if err := opts.check(); err != nil {
 		return Result{}, err
 	}
-	w := plan.Workload{Batch: row.Batch, Hidden: row.Hidden, Heads: row.Heads,
-		SeqLen: opts.SeqLen, Layers: opts.Layers, NoRecompute: opts.NoRecompute}
-	b, err := plan.Price(w, l, plan.Topology{})
+	b, err := plan.Price(opts.apply(row.workload()), l, plan.Topology{})
 	if err != nil {
 		return Result{}, err
 	}

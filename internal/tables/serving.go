@@ -136,11 +136,13 @@ func ServingPlannerStudy(topN int, opts Options) (*ServingPlannerPoint, error) {
 	if topN <= 0 {
 		topN = 3
 	}
-	opts, err := opts.withDefaults()
+	if err := opts.check(); err != nil {
+		return nil, err
+	}
+	w, err := opts.apply(plan.Workload{Batch: 16, Hidden: 3072, Heads: 64}).WithDefaults()
 	if err != nil {
 		return nil, err
 	}
-	w := plan.Workload{Batch: 16, SeqLen: opts.SeqLen, Hidden: 3072, Heads: 64, Layers: opts.Layers}
 	topo := plan.Topology{RankBudget: 64, ExactRanks: true}
 	o := plan.ServingObjective{}
 	plans, err := plan.SearchServing(w, topo, DefaultAlgos(), o)

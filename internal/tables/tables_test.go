@@ -21,8 +21,7 @@ func smallRow(s Scheme, gpus, q, d int) Row {
 // machine m — every rank, whichever cluster plan.Price would pick — with the
 // stack build makes on each rank. It is the oracle a solo replay is held to.
 func fullClusterStep(l parallel.Layout, opts Options, m dist.Machine, build func(f parallel.Family, w *dist.Worker) *parallel.Stack) (parallel.StepClocks, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
+	if err := opts.check(); err != nil {
 		return parallel.StepClocks{}, err
 	}
 	c := dist.New(dist.Config{WorldSize: l.Ranks, Machine: m})
@@ -42,12 +41,12 @@ func fullClusterStep(l parallel.Layout, opts Options, m dist.Machine, build func
 // fullPhantomStep is the row's phantom step — RunRow's program — on the
 // layout's full cluster of machine m.
 func fullPhantomStep(l parallel.Layout, row Row, opts Options, m dist.Machine) (parallel.StepClocks, error) {
-	o, err := opts.withDefaults()
+	w, err := opts.apply(row.workload()).WithDefaults()
 	if err != nil {
 		return parallel.StepClocks{}, err
 	}
-	return fullClusterStep(l, o, m, func(f parallel.Family, _ *dist.Worker) *parallel.Stack {
-		return parallel.NewPhantomStack(f, row.Batch, o.SeqLen, row.Hidden, row.Heads, o.Layers)
+	return fullClusterStep(l, opts, m, func(f parallel.Family, _ *dist.Worker) *parallel.Stack {
+		return parallel.NewPhantomStack(f, row.Batch, w.SeqLen, row.Hidden, row.Heads, w.Layers)
 	})
 }
 
@@ -60,18 +59,18 @@ func runRowReal(row Row, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	opts, err = opts.withDefaults()
+	wl, err := opts.apply(row.workload()).WithDefaults()
 	if err != nil {
 		return Result{}, err
 	}
 	st, err := fullClusterStep(l, opts, dist.Machine{}, func(f parallel.Family, w *dist.Worker) *parallel.Stack {
 		s := &parallel.Stack{Family: f}
-		for i := 0; i < opts.Layers; i++ {
-			s.Blocks = append(s.Blocks, f.NewBlock(row.Hidden, row.Heads, opts.SeqLen, tensor.NewRNG(uint64(1+i))))
+		for i := 0; i < wl.Layers; i++ {
+			s.Blocks = append(s.Blocks, f.NewBlock(row.Hidden, row.Heads, wl.SeqLen, tensor.NewRNG(uint64(1+i))))
 		}
-		sl := f.Slice(row.Batch*opts.SeqLen, row.Hidden)
+		sl := f.Slice(row.Batch*wl.SeqLen, row.Hidden)
 		seed := uint64(1)
-		if sl.Rows != row.Batch*opts.SeqLen || sl.Cols != row.Hidden {
+		if sl.Rows != row.Batch*wl.SeqLen || sl.Cols != row.Hidden {
 			seed += uint64(w.Rank())
 		}
 		s.X = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(seed+100))

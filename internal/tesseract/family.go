@@ -1,13 +1,9 @@
 package tesseract
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
-	"repro/internal/mesh"
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -17,34 +13,8 @@ func init() {
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 			return NewFamily(w, l), nil
 		},
-		Check: func(l parallel.Layout) error {
-			if l.Q < 1 {
-				return fmt.Errorf("tesseract: layout %s needs a mesh dimension q", l)
-			}
-			return mesh.Shape{Q: l.Q, D: l.D}.Validate()
-		},
+		Arrangement: parallel.Mesh,
 	})
-}
-
-// Grids is Tesseract's plan.Algo: the [q, q, d] layouts (1 ≤ d ≤ q, q²d
-// within budget) whose divisibility constraints the layer stack accepts —
-// hidden and heads split over q, activation rows split over d·q. What a
-// layout costs and what a rank holds the planner finds by replaying the
-// block this package registers.
-func Grids(w plan.Workload, budget int) []parallel.Layout {
-	var out []parallel.Layout
-	for q := 1; q*q <= budget; q++ {
-		if w.Hidden%q != 0 || w.Heads%q != 0 {
-			continue
-		}
-		for d := 1; d <= q && q*q*d <= budget; d++ {
-			if w.Tokens()%(d*q) != 0 {
-				continue
-			}
-			out = append(out, parallel.Layout{Family: "tesseract", Q: q, D: d, Ranks: q * q * d})
-		}
-	}
-	return out
 }
 
 // Family is Tesseract's implementation of the family-agnostic model layer:

@@ -67,30 +67,27 @@ func TrainLayoutSteps(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc Train
 	return s.Train(total)
 }
 
-// Trainable reports whether the ViT trainer can instantiate and train this
-// model at the given layout: whole sequences per rank (batch divisibility)
-// and widths that split over the mesh — the filter both the -plan CLI path
-// and the elastic replan use to skip layouts the searcher likes but the
-// model cannot run.
-func Trainable(l parallel.Layout, batch int, mcfg ModelConfig) bool {
-	return TrainableErr(l, batch, mcfg) == nil
-}
-
-// TrainableErr is Trainable with the reason: nil when the layout can train
-// the model, otherwise one actionable error naming the dimension that does
-// not divide — what the CLIs print instead of panicking deep inside model
-// construction. The head checks hold for the serial model too, so a CLI
-// that validates any layout first never reaches nn's constructor panics.
+// TrainableErr is nil when the ViT trainer can instantiate and train this
+// model at the given layout — the filter the -plan CLI path and the elastic
+// replan use to skip layouts the searcher likes but the model cannot run —
+// and otherwise one actionable error naming the dimension that does not
+// divide, where model construction would panic. The activation split is
+// parallel.CheckActivation's, the replay's own rule (its head checks hold for
+// the serial model too); the trainer adds whole sequences per rank, the patch
+// dimension over a mesh side and model dimensions of at least 1.
 func TrainableErr(l parallel.Layout, batch int, mcfg ModelConfig) error {
 	l, err := l.Normalize()
 	if err != nil {
 		return err
 	}
-	switch {
-	case mcfg.Heads < 1:
-		return fmt.Errorf("vit: %d attention heads, need at least 1", mcfg.Heads)
-	case mcfg.Hidden%mcfg.Heads != 0:
-		return fmt.Errorf("vit: hidden %d not divisible by %d heads", mcfg.Hidden, mcfg.Heads)
+	if batch%l.RowShards() != 0 {
+		return fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", batch, l, l.RowShards())
+	}
+	if err := parallel.CheckActivation(l, batch, mcfg.SeqLen, mcfg.Hidden, mcfg.Heads); err != nil {
+		return err
+	}
+	if l.Q > 0 && mcfg.PatchDim%l.Q != 0 {
+		return fmt.Errorf("vit: patch dim %d not divisible by %s's mesh side q=%d", mcfg.PatchDim, l, l.Q)
 	}
 	for _, dim := range []struct {
 		name string
@@ -100,27 +97,6 @@ func TrainableErr(l parallel.Layout, batch int, mcfg ModelConfig) error {
 		if dim.n < 1 {
 			return fmt.Errorf("vit: %s %d, need at least 1", dim.name, dim.n)
 		}
-	}
-	if batch%l.RowShards() != 0 {
-		return fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", batch, l, l.RowShards())
-	}
-	if l.Q > 0 {
-		switch {
-		case mcfg.PatchDim%l.Q != 0:
-			return fmt.Errorf("vit: patch dim %d not divisible by %s's mesh side q=%d", mcfg.PatchDim, l, l.Q)
-		case mcfg.Hidden%l.Q != 0:
-			return fmt.Errorf("vit: hidden %d not divisible by %s's mesh side q=%d", mcfg.Hidden, l, l.Q)
-		case mcfg.Heads%l.Q != 0:
-			return fmt.Errorf("vit: %d heads not divisible by %s's mesh side q=%d", mcfg.Heads, l, l.Q)
-		}
-		return nil
-	}
-	// 1-D megatron: hidden width and heads split across every rank.
-	switch {
-	case mcfg.Hidden%l.Ranks != 0:
-		return fmt.Errorf("vit: hidden %d not divisible by %s's %d ranks", mcfg.Hidden, l, l.Ranks)
-	case mcfg.Heads%l.Ranks != 0:
-		return fmt.Errorf("vit: %d heads not divisible by %s's %d ranks", mcfg.Heads, l, l.Ranks)
 	}
 	return nil
 }

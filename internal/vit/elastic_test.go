@@ -7,17 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/megatron"
-	"repro/internal/optimus"
 	"repro/internal/parallel"
 	"repro/internal/plan"
-	"repro/internal/tesseract"
 )
 
-// elasticAlgos mirrors tables.DefaultAlgos; vit tests cannot import tables
-// (tables imports vit).
+// elasticAlgos is tables.DefaultAlgos without sequence parallelism; vit
+// tests cannot import tables (tables imports vit).
 func elasticAlgos() []plan.Algo {
-	return []plan.Algo{tesseract.Grids, optimus.Grids, megatron.Grids}
+	return []plan.Algo{"tesseract", "megatron"}
 }
 
 func elasticTC() TrainConfig {

@@ -12,10 +12,11 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 
-	"repro/internal/megatron"
-	"repro/internal/optimus"
-	"repro/internal/seqpar"
-	"repro/internal/tesseract"
+	// The families the tests name register themselves with parallel.
+	_ "repro/internal/megatron"
+	_ "repro/internal/optimus"
+	_ "repro/internal/seqpar"
+	_ "repro/internal/tesseract"
 )
 
 // familyLayouts are the four schemes on comparable small arrangements.
@@ -137,7 +138,7 @@ func TestSearchInstantiateTrain(t *testing.T) {
 	wantLoss, _ := nn.CrossEntropy(serial.Forward(x), labels)
 
 	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	algos := []plan.Algo{tesseract.Grids, optimus.Grids, megatron.Grids, seqpar.Grids}
+	algos := []plan.Algo{"tesseract", "optimus", "megatron", "seqpar"}
 	plans, err := plan.Search(w, plan.Topology{RankBudget: 8}, algos)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +248,7 @@ func TestSearchMemoryBudgetPrefersSeqpar(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := held.MemoryBytes
-	algos := []plan.Algo{tesseract.Grids, optimus.Grids, megatron.Grids, seqpar.Grids}
+	algos := []plan.Algo{"tesseract", "optimus", "megatron", "seqpar"}
 	plans, err := plan.Search(w, plan.Topology{RankBudget: 4, ExactRanks: true, MemoryBudget: budget}, algos)
 	if err != nil {
 		t.Fatal(err)

@@ -140,7 +140,7 @@ func (c ModelConfig) Workload(batch int) plan.Workload {
 // *plan.NoFeasibleError passes through intact.
 func (s *Session) Replan(topo plan.Topology, algos []plan.Algo, budget int) (parallel.Layout, error) {
 	best, err := plan.Replan(s.Workload(), topo, algos, budget, func(p plan.Plan) bool {
-		return Trainable(p.Grid, s.tc.BatchSize, s.mcfg)
+		return TrainableErr(p.Grid, s.tc.BatchSize, s.mcfg) == nil
 	})
 	if err != nil {
 		return parallel.Layout{}, err

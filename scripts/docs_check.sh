@@ -10,7 +10,7 @@
 # cost-model arithmetic, its footprint as a memory formula, or the shared
 # attention and MLP modules as types of its own; dist to one way of moving
 # bytes: collectives, no point-to-point Send/Recv; each family to one
-# description: a parallel.Spec and a grid enumerator of parallel.Layouts; and
+# description: a parallel.Spec, which is also the planner's search space; and
 # a family package to its linears: the activation layout, the layer norm,
 # the block constructors, the step boundary and the deferred-gradient queue
 # live once, in parallel.View, every partial gradient lands through
@@ -107,14 +107,22 @@ if grep -rnE '^func \([a-z]+ \*?[A-Za-z]+\) (Send|Recv)\(|^type [A-Za-z]*[mM]ail
 fi
 
 # A family is described once (docs/architecture.md §6, §11): one
-# parallel.Spec registration, one grid enumerator returning the runtime's own
-# parallel.Layout. A registration map beside the Spec, a planner-side layout
-# struct, a plan-to-family converter or a descriptor wrapper around the
-# enumerator is a second description growing back; so is an analytic overlap
-# price beside the measured one (tables.OverlapStudy).
+# parallel.Spec registration, whose Arrangement is all the planner needs —
+# parallel.Layouts lists the family's layouts and parallel.Fits keeps the ones
+# a workload splits. A registration map beside the Spec, a planner-side layout
+# struct, a plan-to-family converter or a descriptor wrapper is a second
+# description growing back; so is an analytic overlap price beside the
+# measured one (tables.OverlapStudy). A family package that imports the
+# planner or declares its own grid enumerator (func Grids) is restating the
+# search space and the fit rule beside the registry.
 if grep -rnE 'RegisterCheck|RegisterRowShards|PlanAlgo|type Grid struct|Instantiate\(|HiddenFraction|BroadcastSeconds|GEMMSeconds' \
     --include='*.go' internal cmd examples >&2; then
     echo "docs_check: a family or a price is described twice again" >&2
+    fail=1
+fi
+if grep -rnE '"repro/internal/plan"|^func Grids\(' --include='*.go' \
+    internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
+    echo "docs_check: a family package imports the planner or enumerates its own grids" >&2
     fail=1
 fi
 
@@ -137,9 +145,9 @@ fi
 
 # A family that is another family's layers under a name of its own — optimus
 # is tesseract's at depth 1, seqpar megatron's under the RowSharded bracket —
-# is a registration and a grid enumerator (docs/architecture.md §6). A type or
-# a Forward/Backward method in either package is a layer of its own growing
-# back beside the ones it runs.
+# is a registration (docs/architecture.md §6). A type or a Forward/Backward
+# method in either package is a layer of its own growing back beside the
+# ones it runs.
 if grep -rnE '^type |^func \([a-z]+ \*?[A-Za-z]+\) (Forward|Backward)\(' --include='*.go' \
     internal/optimus internal/seqpar >&2; then
     echo "docs_check: optimus or seqpar declares a type or layer code of its own" >&2
