@@ -126,13 +126,15 @@ func BenchmarkTesseractStep(b *testing.B) {
 }
 
 // BenchmarkServeStep measures the serving hot path at [2,2,2]: one op is
-// one saturated full batch through the continuous batcher and the forward —
-// assembly into the persistent batch buffer, the distributed forward, the
-// clock-sync barrier, the latency stamps. All b.N batches run inside a
-// single Serve call (one cluster Run), so per-op numbers are the steady
-// state. With -benchmem, allocations per batch pin the pooled serving path;
-// it also reports the simulated p50/p99 latency and saturated throughput of
-// the timed trace.
+// one full batch through the continuous batcher and the forward — assembly
+// into the persistent batch buffer, the distributed forward, the clock-sync
+// barrier, the latency stamps. All b.N batches run inside a single Serve
+// call (one cluster Run), so per-op numbers are the steady state. With
+// -benchmem, allocations per batch pin the pooled serving path. The timed
+// trace is Poisson at three quarters of the saturated throughput the warm-up
+// trace measures, so the queue stays bounded and the simulated p50/p99
+// latency is the steady state's whatever b.N; serve_thru_rps is the
+// warm-up's saturated throughput.
 func BenchmarkServeStep(b *testing.B) {
 	dcfg := vit.DataConfig{Classes: 4, ImageSize: 8, Channels: 3, PatchSize: 4, Train: 8, Test: 4, Seed: 11}
 	ds := vit.NewDataset(dcfg)
@@ -150,22 +152,23 @@ func BenchmarkServeStep(b *testing.B) {
 	if err := srv.TrainSteps(3); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := srv.Serve(serve.Saturated(2 * maxBatch)); err != nil { // warm pools and caches
+	warm, err := srv.Serve(serve.Saturated(2 * maxBatch)) // warm pools and caches
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	rep, err := srv.Serve(serve.Saturated(b.N * maxBatch))
+	rep, err := srv.Serve(serve.ArrivalConfig{N: b.N * maxBatch, Rate: 0.75 * warm.Throughput()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()
 	if len(rep.Batches) != b.N {
-		b.Fatalf("saturated trace ran %d batches, want %d", len(rep.Batches), b.N)
+		b.Fatalf("paced trace ran %d batches, want %d full ones", len(rep.Batches), b.N)
 	}
 	b.ReportMetric(rep.P50(), "serve_p50_s")
 	b.ReportMetric(rep.P99(), "serve_p99_s")
-	b.ReportMetric(rep.Throughput(), "serve_thru_rps")
+	b.ReportMetric(warm.Throughput(), "serve_thru_rps")
 }
 
 // BenchmarkReshard measures the elastic checkpoint path at [2,2,2]: each
@@ -351,23 +354,20 @@ func BenchmarkSeqparMemory(b *testing.B) {
 // BenchmarkSummaPipelined exercises the double-buffered SUMMA kernels with
 // their nonblocking prefetch broadcasts and in-flight partial reduces on a
 // real-data [2,2,2] mesh — the benchmark the CI race job runs to hammer the
-// handle/round machinery under the race detector.
+// handle/round machinery under the race detector. Every rank multiplies the
+// blocks of a 64×48 activation, a 48×32 weight and a 64×32 output gradient.
 func BenchmarkSummaPipelined(b *testing.B) {
-	rng := tensor.NewRNG(9)
-	ga := tensor.RandomMatrix(64, 48, rng)
-	gb := tensor.RandomMatrix(48, 32, rng)
-	gdy := tensor.RandomMatrix(64, 32, rng)
+	la, lb, ldy := rankBlocks(8, 16, 24, 9), rankBlocks(8, 24, 16, 10), rankBlocks(8, 16, 16, 11)
 	c := dist.New(dist.Config{WorldSize: 8})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := c.Run(func(w *dist.Worker) error {
-			p := tesseract.NewProc(w, 2, 2)
+			p, r := tesseract.NewProc(w, 2, 2), w.Rank()
 			ws := w.Workspace()
-			la, lb, ldy := p.DistributeA(ga), p.DistributeB(gb), p.DistributeA(gdy)
-			ws.Put(p.MatMulAB(la, lb))   // forward: prefetch-broadcast pipeline
-			ws.Put(p.MatMulABT(ldy, lb)) // dX: broadcast + in-flight row reduce
-			ws.Put(p.MatMulATB(la, ldy)) // dW: broadcast + in-flight col reduce + depth all-reduce
+			ws.Put(p.MatMulAB(la[r], lb[r]))   // forward: prefetch-broadcast pipeline
+			ws.Put(p.MatMulABT(ldy[r], lb[r])) // dX: broadcast + in-flight row reduce
+			ws.Put(p.MatMulATB(la[r], ldy[r])) // dW: broadcast + in-flight col reduce + depth all-reduce
 			ws.ReleaseAll()
 			return nil
 		})
@@ -375,6 +375,17 @@ func BenchmarkSummaPipelined(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// rankBlocks draws every one of world ranks its own random [rows, cols]
+// operand block: the SUMMA benchmarks time the multiply on blocks a rank
+// already holds.
+func rankBlocks(world, rows, cols int, seed uint64) []*tensor.Matrix {
+	out := make([]*tensor.Matrix, world)
+	for r := range out {
+		out[r] = tensor.RandomMatrix(rows, cols, tensor.NewRNG(seed*100+uint64(r)))
+	}
+	return out
 }
 
 // BenchmarkClaimTransmissions measures the §1 transmission claim and reports
@@ -589,16 +600,15 @@ func BenchmarkRendezvous(b *testing.B) {
 }
 
 func BenchmarkTesseractMatMulReal(b *testing.B) {
-	// Real-data Algorithm 3 on a [2,2,2] mesh, 64×48 by 48×32.
-	rng := tensor.NewRNG(3)
-	ga := tensor.RandomMatrix(64, 48, rng)
-	gb := tensor.RandomMatrix(48, 32, rng)
+	// Real-data Algorithm 3 on a [2,2,2] mesh, 64×48 by 48×32: every rank
+	// multiplies its [16, 24] activation block by its [24, 16] weight block.
+	la, lb := rankBlocks(8, 16, 24, 3), rankBlocks(8, 24, 16, 4)
 	c := dist.New(dist.Config{WorldSize: 8})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := c.Run(func(w *dist.Worker) error {
-			p := tesseract.NewProc(w, 2, 2)
-			p.MatMulAB(p.DistributeA(ga), p.DistributeB(gb))
+			tesseract.NewProc(w, 2, 2).MatMulAB(la[w.Rank()], lb[w.Rank()])
+			w.Workspace().ReleaseAll()
 			return nil
 		})
 		if err != nil {

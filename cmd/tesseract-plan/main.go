@@ -105,8 +105,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The title names the preset only while it still supplies a field.
+	name := *model
+	if *batch > 0 && *seqLen > 0 && *hidden > 0 && *heads > 0 {
+		name = "custom workload"
+	}
 	title := fmt.Sprintf("Ranked layouts for %s (batch %d, seq %d, hidden %d, heads %d, layers %d) within %d ranks",
-		*model, w.Batch, w.SeqLen, w.Hidden, w.Heads, w.Layers, *ranks)
+		name, w.Batch, w.SeqLen, w.Hidden, w.Heads, w.Layers, *ranks)
 	if topo.MemoryBudget > 0 {
 		title += fmt.Sprintf(", %s/rank", plan.FormatBytes(topo.MemoryBudget))
 	}

@@ -95,3 +95,25 @@ func TestValidFlagsStillPlan(t *testing.T) {
 		t.Errorf("-top 2 must print exactly two ranked rows:\n%s", stdout)
 	}
 }
+
+// TestTitleNamesPresetWhileItSuppliesAField: the title names the -model
+// preset while the preset still supplies a workload field, and reads
+// "custom workload" once -batch, -seq, -hidden and -heads have replaced
+// them all.
+func TestTitleNamesPresetWhileItSuppliesAField(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-batch", "8", "-seq", "16", "-hidden", "64"}, "Ranked layouts for table1 (batch 8, seq 16, hidden 64, heads 64,"},
+		{[]string{"-model", "vit-base", "-batch", "8", "-seq", "16", "-hidden", "64", "-heads", "4"}, "Ranked layouts for custom workload (batch 8, seq 16, hidden 64, heads 4,"},
+	} {
+		code, stdout, stderr := testutil.RunCLI(t, asCLI, append([]string{"-ranks", "4", "-top", "1"}, tc.args...)...)
+		if code != 0 || stderr != "" {
+			t.Fatalf("%v: exit %d\nstderr: %s", tc.args, code, stderr)
+		}
+		if !strings.HasPrefix(stdout, tc.want) {
+			t.Errorf("%v: title\n%s\nwant it to begin %q", tc.args, strings.SplitN(stdout, "\n", 2)[0], tc.want)
+		}
+	}
+}

@@ -10,6 +10,8 @@ import (
 	"log"
 
 	"repro/internal/dist"
+	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/tesseract"
 )
@@ -17,24 +19,28 @@ import (
 func main() {
 	const q, d = 2, 2 // Tesseract dimension and depth: p = d·q² = 8 "GPUs"
 
-	// Random input A [a, b] and Xavier-initialised parameter B [b, c].
+	// Random input A [a, b] and a Xavier-initialised parameter B [b, c],
+	// drawn from rng after A — the stream every processor's linear below
+	// draws its weight from, starting where A ended.
 	rng := tensor.NewRNG(42)
 	a := tensor.RandomMatrix(16, 12, rng)
+	weights := *rng
 	b := tensor.XavierMatrix(12, 8, rng)
 	want := tensor.MatMul(a, b)
 
 	cluster := dist.New(dist.Config{WorldSize: q * q * d})
 	var fromRank0 *tensor.Matrix
 	err := cluster.Run(func(w *dist.Worker) error {
-		p := tesseract.NewProc(w, q, d)
-		// Every processor takes its block of A (shape [a/(dq), b/q]) and
-		// its replica block of B (shape [b/q, c/q])...
-		localA := p.DistributeA(a)
-		localB := p.DistributeB(b)
+		f := tesseract.NewFamily(w, parallel.Layout{Family: "tesseract", Q: q, D: d, Ranks: q * q * d})
+		// Every processor keeps its replica block of B (shape [b/q, c/q])
+		// as a linear layer's weight, takes its block of A (shape
+		// [a/(dq), b/q])...
+		stream := weights
+		linear := f.NewLinear(b.Rows, b.Cols, nn.ActNone, false, &stream)
 		// ...and runs Algorithm 3.
-		localC := p.MatMulAB(localA, localB)
+		localC := linear.Forward(f.Distribute(a))
 		// Reassemble for the check (training code never does this).
-		full := p.CollectA(localC)
+		full := f.Collect(localC)
 		if w.Rank() == 0 {
 			fromRank0 = full
 		}

@@ -124,8 +124,8 @@ func (p *Proc) accumColSums(param *nn.Param, dy *tensor.Matrix, ph bool) {
 type ColLinear struct {
 	In, Out int
 	Act     nn.Activation
-	W       *nn.Param // [In, Out/p]
-	B       *nn.Param // [1, Out/p]
+	W       parallel.Shard // [In, Out/p]
+	B       parallel.Shard // [1, Out/p]
 
 	params [2]*nn.Param // Params' backing, refilled from W and B on each call
 
@@ -150,7 +150,7 @@ func newCol(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *ColLin
 	l := &ColLinear{In: in, Out: out, Act: act, p: p}
 	l.W = full.Param("megatron.col.w", 0, p.Rank*bc, in, bc)
 	if bias {
-		l.B = full.Bias("megatron.col.b", bc)
+		l.B = full.Bias("megatron.col.b", p.Rank*bc, bc)
 	}
 	return l
 }
@@ -158,11 +158,21 @@ func newCol(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *ColLin
 // Params returns the local shards. The slice is the layer's own: read it,
 // do not write it.
 func (l *ColLinear) Params() []*nn.Param {
-	l.params = [2]*nn.Param{l.W, l.B}
-	if l.B == nil {
+	l.params = [2]*nn.Param{l.W.Param, l.B.Param}
+	if l.B.Param == nil {
 		return l.params[:1:1]
 	}
 	return l.params[:2:2]
+}
+
+// State is the column shard's checkpoint slots; every holder writes its
+// own block.
+func (l *ColLinear) State() []parallel.State {
+	out := append(make([]parallel.State, 0, 2), l.W.State(true))
+	if l.B.Param != nil {
+		out = append(out, l.B.State(true))
+	}
+	return out
 }
 
 // Forward multiplies the full-row input by the local column shard, with
@@ -182,7 +192,7 @@ func (l *ColLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	pre.Zero()
 	out := pre
 	var bias *tensor.Matrix
-	if l.B != nil {
+	if l.B.Param != nil {
 		bias = l.B.Value
 	}
 	switch {
@@ -234,8 +244,8 @@ func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		dy = g
 	}
 	if !sharded {
-		p.accumTN(l.W, l.x, dy, ph)
-		p.accumColSums(l.B, dy, ph)
+		p.accumTN(l.W.Param, l.x, dy, ph)
+		p.accumColSums(l.B.Param, dy, ph)
 		dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
 		compute.MatMulNTInto(p.W, dx, dy, l.W.Value)
 		ws.Put(scratch)
@@ -244,17 +254,17 @@ func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if gelu {
 		ws.Put(l.pre)
 		l.pre = nil
-		p.accumColSums(l.B, dy, ph) // rides the element-wise sweep
+		p.accumColSums(l.B.Param, dy, ph) // rides the element-wise sweep
 	}
 	dxFull := ws.GetUninitMatch(dy.Rows, l.In, ph)
 	compute.MatMulNTInto(p.W, dxFull, dy, l.W.Value)
 	dx := ws.GetUninitMatch(dy.Rows/p.P, l.In, ph)
 	rs := p.TP.IReduceScatterInto(p.W, dxFull, dx)
 	x := p.Gather(l.x)
-	p.accumTN(l.W, x, dy, ph)
+	p.accumTN(l.W.Param, x, dy, ph)
 	ws.Put(x)
 	if !gelu {
-		p.accumColSums(l.B, dy, ph)
+		p.accumColSums(l.B.Param, dy, ph)
 	}
 	rs.Wait()
 	ws.Put(dxFull)
@@ -269,8 +279,8 @@ func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // rows and Backward gathers the row-sharded output gradient.
 type RowLinear struct {
 	In, Out int
-	W       *nn.Param // [In/p, Out]
-	B       *nn.Param // [1, Out], replicated (identical update on all ranks)
+	W       parallel.Shard // [In/p, Out]
+	B       parallel.Shard // [1, Out], replicated (identical update on all ranks)
 
 	params [2]*nn.Param // Params' backing, refilled from W and B on each call
 
@@ -299,7 +309,7 @@ func newRow(p *Proc, full parallel.Weight, bias bool) *RowLinear {
 	l := &RowLinear{In: in, Out: out, p: p}
 	l.W = full.Param("megatron.row.w", p.Rank*br, 0, br, out)
 	if bias {
-		l.B = full.Bias("megatron.row.b", out)
+		l.B = full.Bias("megatron.row.b", 0, out)
 	}
 	return l
 }
@@ -307,11 +317,21 @@ func newRow(p *Proc, full parallel.Weight, bias bool) *RowLinear {
 // Params returns the local shards. The slice is the layer's own: read it,
 // do not write it.
 func (l *RowLinear) Params() []*nn.Param {
-	l.params = [2]*nn.Param{l.W, l.B}
-	if l.B == nil {
+	l.params = [2]*nn.Param{l.W.Param, l.B.Param}
+	if l.B.Param == nil {
 		return l.params[:1:1]
 	}
 	return l.params[:2:2]
+}
+
+// State is the row shard's checkpoint slots; group rank 0 writes the
+// replicated bias.
+func (l *RowLinear) State() []parallel.State {
+	out := append(make([]parallel.State, 0, 2), l.W.State(true))
+	if l.B.Param != nil {
+		out = append(out, l.B.State(l.p.Rank == 0))
+	}
+	return out
 }
 
 // Forward multiplies the column-sharded input by the local row shard,
@@ -338,7 +358,7 @@ func (l *RowLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	} else {
 		p.TP.AllReduceInto(p.W, y, y)
 	}
-	if l.B != nil {
+	if l.B.Param != nil {
 		compute.AddRowVectorInPlace(p.W, y, l.B.Value)
 	}
 	return y
@@ -357,17 +377,17 @@ func (l *RowLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	x := l.x
 	if sharded {
 		dy = p.Gather(dy)
-		p.accumColSums(l.B, dy, ph)
+		p.accumColSums(l.B.Param, dy, ph)
 		if x == nil {
 			x = l.src.activation()
 		}
 	}
-	p.accumTN(l.W, x, dy, ph)
+	p.accumTN(l.W.Param, x, dy, ph)
 	if sharded {
 		ws.Put(x)
 		l.x = nil
 	} else {
-		p.accumColSums(l.B, dy, ph)
+		p.accumColSums(l.B.Param, dy, ph)
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.W.Value.Rows, ph)
 	compute.MatMulNTInto(p.W, dx, dy, l.W.Value)

@@ -144,7 +144,3 @@ func (p *Proc) ColRank(i int) int { return p.Shape.Rank(i, p.J, p.K) }
 
 // DepthRank returns the rank of (I, J, k).
 func (p *Proc) DepthRank(k int) int { return p.Shape.Rank(p.I, p.J, k) }
-
-// BlockRow returns the activation block-row index h = i + k·q of this
-// processor (Figure 4a / Algorithm 3).
-func (p *Proc) BlockRow() int { return p.I + p.K*p.Shape.Q }

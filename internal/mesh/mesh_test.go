@@ -79,8 +79,8 @@ func TestProcGroups(t *testing.T) {
 	checkRanks(t, "col", p.Col.Ranks(), wantCol)
 	checkRanks(t, "depth", p.Depth.Ranks(), wantDepth)
 	checkRanks(t, "slab", p.Slab.Ranks(), wantSlab)
-	if p.BlockRow() != 1+1*2 {
-		t.Fatalf("BlockRow = %d", p.BlockRow())
+	if h := p.Slab.Index(6); h != 1+1*2 {
+		t.Fatalf("(1, 0, 1) is slab member %d, want block row h = i + k·q = 3", h)
 	}
 	if p.RowRank(1) != 7 || p.ColRank(0) != 4 || p.DepthRank(0) != 2 {
 		t.Fatal("rank helpers wrong")

@@ -43,9 +43,9 @@ func NewReplicatedLinear(w *dist.Worker, sum *dist.Group, grads *Grads, in, out 
 // slots; only rank 0, the family's first, contributes to a collect.
 func (l *ReplicatedLinear) State() []State {
 	p := l.w.Rank() == 0
-	out := []State{FullState(l.W, l.In, l.Out, p)}
+	out := []State{Shard{Param: l.W, Rows: l.In, Cols: l.Out}.State(p)}
 	if l.B != nil {
-		out = append(out, FullState(l.B, 1, l.Out, p))
+		out = append(out, Shard{Param: l.B, Rows: 1, Cols: l.Out}.State(p))
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/mesh"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -27,7 +28,8 @@ type gatherPin struct {
 // bit on every rank, the family's RowShards is its layout's, and the two
 // gathers cost the pinned clocks, traffic and pool counters — a one-member
 // group is gathered all the same. On a one-rank layout the steady-state
-// distribute, slice, pooled gather and step boundary allocate nothing.
+// distribute, slice, pooled gather and step boundary allocate nothing. On a
+// deeper mesh every rank's Slice is Figure 4a's block.
 func TestLayoutContract(t *testing.T) {
 	const rows, cols = 16, 8
 	x := tensor.RandomMatrix(rows, cols, tensor.NewRNG(11))
@@ -129,6 +131,38 @@ func TestLayoutContract(t *testing.T) {
 				checkNoAllocs(t, cl, l, x)
 			}
 		}
+	}
+	for _, l := range []parallel.Layout{{Family: "tesseract", Q: 2, D: 2}, {Family: "tesseract", Q: 4, D: 2}} {
+		checkFigure4a(t, l, rows, cols)
+	}
+}
+
+// checkFigure4a holds every rank's Slice of a [rows, cols] activation on a
+// tesseract mesh to Figure 4a, worked out from the rank's mesh coordinates:
+// processor (i, j, k) holds block row h = i + k·q, block column j.
+func checkFigure4a(t *testing.T, l parallel.Layout, rows, cols int) {
+	t.Helper()
+	l, err := parallel.Validate(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mesh.Shape{Q: l.Q, D: l.D}
+	r, c := rows/(l.Q*l.D), cols/l.Q
+	err = dist.New(dist.Config{WorldSize: l.Ranks}).Run(func(w *dist.Worker) error {
+		f, err := parallel.New(w, l)
+		if err != nil {
+			return err
+		}
+		i, j, k := s.Coords(w.Rank())
+		h := i + k*l.Q
+		want := parallel.Slice{Row0: h * r, Col0: j * c, Rows: r, Cols: c}
+		if got := f.Slice(rows, cols); got != want {
+			t.Errorf("%s rank %d = (%d, %d, %d): Slice %+v, want block (h = %d, j = %d) %+v", l, w.Rank(), i, j, k, got, h, j, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

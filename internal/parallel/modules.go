@@ -27,23 +27,29 @@ func Draw(rows, cols int, rng *tensor.RNG) Weight {
 	return w
 }
 
-// Param shards the [rows, cols] block at (r0, c0) out as a parameter of its
+// Param cuts the [rows, cols] block at (r0, c0) out as a parameter of its
 // own; a phantom's value and gradient come with it in one allocation
 // (nn.NewPhantomParam).
-func (w Weight) Param(name string, r0, c0, rows, cols int) *nn.Param {
+func (w Weight) Param(name string, r0, c0, rows, cols int) Shard {
+	s := Shard{Rows: w.Rows, Cols: w.Cols, Row: r0, Col: c0}
 	if w.Full == nil {
-		return nn.NewPhantomParam(name, rows, cols)
+		s.Param = nn.NewPhantomParam(name, rows, cols)
+	} else {
+		s.Param = nn.NewParam(name, w.Full.SubMatrix(r0, c0, rows, cols))
 	}
-	return nn.NewParam(name, w.Full.SubMatrix(r0, c0, rows, cols))
+	return s
 }
 
-// Bias returns the zero [1, cols] bias parameter that goes with a shard of
-// the weight.
-func (w Weight) Bias(name string, cols int) *nn.Param {
+// Bias returns the zero bias that goes with the weight's output columns
+// [c0, c0+cols): that block of the canonical [1, Cols] bias.
+func (w Weight) Bias(name string, c0, cols int) Shard {
+	s := Shard{Rows: 1, Cols: w.Cols, Col: c0}
 	if w.Full == nil {
-		return nn.NewPhantomParam(name, 1, cols)
+		s.Param = nn.NewPhantomParam(name, 1, cols)
+	} else {
+		s.Param = nn.NewParam(name, tensor.New(1, cols))
 	}
-	return nn.NewParam(name, tensor.New(1, cols))
+	return s
 }
 
 // Lifetime is when a family's sub-modules return their intermediates to the

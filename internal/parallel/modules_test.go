@@ -36,8 +36,8 @@ func shardsOf(l parallel.Layout) int {
 }
 
 // attentionStates builds the shared attention module on every rank of the
-// layout from one seed and returns each rank's fused-QKV weight and bias
-// slots.
+// layout from one seed and returns each rank's slots: the fused-QKV weight
+// and bias, then the output projection's.
 func attentionStates(t *testing.T, l parallel.Layout, h, heads int, seed uint64) [][]parallel.State {
 	t.Helper()
 	l, err := parallel.Validate(l)
@@ -51,7 +51,7 @@ func attentionStates(t *testing.T, l parallel.Layout, h, heads int, seed uint64)
 			return err
 		}
 		a := parallel.NewAttention(f.(parallel.Linears), h, heads, 2, tensor.NewRNG(seed))
-		states[w.Rank()] = a.State()[:2]
+		states[w.Rank()] = a.State()
 		return nil
 	})
 	if err != nil {
@@ -66,7 +66,10 @@ func attentionStates(t *testing.T, l parallel.Layout, h, heads int, seed uint64)
 // [h, 3h] (and [1, 3h]) exactly once, each holder's rectangles cover its own
 // shard exactly once, and what the primaries stage is, bit for bit, the
 // serial [Wq | Wk | Wv] drawn from the same seed — un-fusing undoes the
-// per-shard fusion whatever the shard count.
+// per-shard fusion whatever the shard count. The output projection's slots
+// hold the same way to the serial Wo and its [1, h] bias, so both linears
+// of every family (tesseract's on meshes up to [3,3,3], megatron's column
+// and row linears, seqpar's) are held to the rectangles they were cut at.
 func TestAttentionStateTilesCanonical(t *testing.T) {
 	for _, l := range qkvLayouts() {
 		for _, perShard := range []int{1, 2} {
@@ -75,8 +78,9 @@ func TestAttentionStateTilesCanonical(t *testing.T) {
 				h := heads * headDim
 				rng := tensor.NewRNG(41)
 				serial := tensor.HCat(tensor.XavierMatrix(h, h, rng), tensor.XavierMatrix(h, h, rng), tensor.XavierMatrix(h, h, rng))
+				wo := tensor.XavierMatrix(h, h, rng)
 				states := attentionStates(t, l, h, heads, 41)
-				for slot, canon := range []*tensor.Matrix{serial, tensor.New(1, 3*h)} {
+				for slot, canon := range []*tensor.Matrix{serial, tensor.New(1, 3*h), wo, tensor.New(1, h)} {
 					name := fmt.Sprintf("%s family, %s, h %d, %d heads, slot %d", l.Family, l.Shape(), h, heads, slot)
 					checkSlotTiles(t, name, canon, states, slot)
 				}
@@ -123,7 +127,7 @@ func checkSlotTiles(t *testing.T, name string, canon *tensor.Matrix, states [][]
 		t.Fatalf("%s: the primaries' rectangles do not cover the canonical tensor exactly once", name)
 	}
 	if !got.Equal(canon) {
-		t.Errorf("%s: un-fused shards differ from the serial [Wq | Wk | Wv]", name)
+		t.Errorf("%s: the staged shards differ from the serial tensor", name)
 	}
 }
 

@@ -12,27 +12,27 @@ import (
 )
 
 func TestLayoutNormalize(t *testing.T) {
-	l, err := Layout{Family: "x", Q: 2, D: 2}.Normalize()
+	l, err := Layout{Family: "x", Q: 2, D: 2}.normalize()
 	if err != nil || l.Ranks != 8 || l.D != 2 {
 		t.Fatalf("mesh normalize: %+v, %v", l, err)
 	}
-	l, err = Layout{Family: "x", Q: 3}.Normalize()
+	l, err = Layout{Family: "x", Q: 3}.normalize()
 	if err != nil || l.Ranks != 9 || l.D != 1 {
 		t.Fatalf("depthless mesh normalize: %+v, %v", l, err)
 	}
-	if _, err := (Layout{Family: "x", Q: 2, D: 1, Ranks: 5}).Normalize(); err == nil {
+	if _, err := (Layout{Family: "x", Q: 2, D: 1, Ranks: 5}).normalize(); err == nil {
 		t.Fatal("inconsistent Ranks must be rejected")
 	}
-	if _, err := (Layout{Family: "x"}).Normalize(); err == nil {
+	if _, err := (Layout{Family: "x"}).normalize(); err == nil {
 		t.Fatal("1-D layout without ranks must be rejected")
 	}
-	if _, err := (Layout{Family: "x", D: 2}).Normalize(); err == nil {
+	if _, err := (Layout{Family: "x", D: 2}).normalize(); err == nil {
 		t.Fatal("depth without q must be rejected")
 	}
-	if _, err := (Layout{Q: 2}).Normalize(); err == nil {
+	if _, err := (Layout{Q: 2}).normalize(); err == nil {
 		t.Fatal("missing family must be rejected")
 	}
-	if _, err := (Layout{Family: "x", Q: -1}).Normalize(); err == nil {
+	if _, err := (Layout{Family: "x", Q: -1}).normalize(); err == nil {
 		t.Fatal("negative field must be rejected")
 	}
 }

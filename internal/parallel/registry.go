@@ -22,14 +22,14 @@ type Layout struct {
 	// otherwise); both zero for 1-D families.
 	Q, D int
 	// Ranks is the total processor count. Zero means "derive from the
-	// mesh" (q²·d) in Normalize.
+	// mesh" (q²·d) in Validate.
 	Ranks int
 }
 
-// Normalize fills the derivable zero fields (D defaults to 1 on meshes,
+// normalize fills the derivable zero fields (D defaults to 1 on meshes,
 // Ranks to q²·d) and validates consistency. It does not check what the
 // family registered (its Arrangement, its Check); Validate does.
-func (l Layout) Normalize() (Layout, error) {
+func (l Layout) normalize() (Layout, error) {
 	if l.Family == "" {
 		return l, fmt.Errorf("parallel: layout needs a family name")
 	}
@@ -163,7 +163,7 @@ func Validate(l Layout) (Layout, error) {
 
 // validate is Validate that also returns the family's Spec.
 func validate(l Layout) (Spec, Layout, error) {
-	l, err := l.Normalize()
+	l, err := l.normalize()
 	if err != nil {
 		return Spec{}, l, err
 	}

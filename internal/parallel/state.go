@@ -49,23 +49,25 @@ type Stater interface {
 	State() []State
 }
 
-// FullState describes a shard that covers the whole canonical tensor
-// (replicated layers): one rectangle at the origin.
-func FullState(p *nn.Param, rows, cols int, primary bool) State {
-	return State{
-		Param: p, Rows: rows, Cols: cols, Primary: primary,
-		Blocks: []StateBlock{{Rows: rows, Cols: cols}},
-	}
+// Shard is a parameter and the rectangle of the canonical tensor it was cut
+// at: the canonical [Rows, Cols] and the origin (Row, Col) of the
+// parameter's block in it. Weight.Param and Weight.Bias record it where they
+// cut, so a layer's checkpoint slots read it (State) instead of working the
+// block out again. A zero Shard is a parameter the layer does not have.
+type Shard struct {
+	*nn.Param
+	Rows, Cols int
+	Row, Col   int
 }
 
-// BlockState describes a shard that is one contiguous rectangle of the
-// canonical tensor at (globalRow, globalCol).
-func BlockState(p *nn.Param, globalRows, globalCols, globalRow, globalCol int, primary bool) State {
+// State is the shard's checkpoint slot; primary marks the replica that
+// writes it in a collect.
+func (s Shard) State(primary bool) State {
 	return State{
-		Param: p, Rows: globalRows, Cols: globalCols, Primary: primary,
+		Param: s.Param, Rows: s.Rows, Cols: s.Cols, Primary: primary,
 		Blocks: []StateBlock{{
-			GlobalRow: globalRow, GlobalCol: globalCol,
-			Rows: p.Value.Rows, Cols: p.Value.Cols,
+			GlobalRow: s.Row, GlobalCol: s.Col,
+			Rows: s.Value.Rows, Cols: s.Value.Cols,
 		}},
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/plan"
 )
 
@@ -159,9 +160,9 @@ func TestServingPlanLayoutRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range plans[:3] {
-		l, err := p.Grid.Normalize()
+		l, err := parallel.Validate(p.Grid)
 		if err != nil {
-			t.Fatalf("%s: layout does not normalize: %v", p, err)
+			t.Fatalf("%s: layout does not validate: %v", p, err)
 		}
 		if l.Ranks != p.Grid.Ranks {
 			t.Fatalf("%s: layout ranks %d != grid ranks %d", p, l.Ranks, p.Grid.Ranks)

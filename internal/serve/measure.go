@@ -28,7 +28,7 @@ func MeasureLayout(p plan.ServingPlan, w plan.Workload, t plan.Topology) (plan.S
 	if err != nil {
 		return plan.ServingMeasurement{}, err
 	}
-	l, err := p.Normalize()
+	l, err := parallel.Validate(p.Grid)
 	if err != nil {
 		return plan.ServingMeasurement{}, err
 	}

@@ -64,6 +64,14 @@ func runPair(t *testing.T, sh struct{ q, d int }, steps int,
 	}
 }
 
+// runMesh executes fn on a fresh cluster shaped for s.
+func runMesh(t *testing.T, s mesh.Shape, fn func(p *mesh.Proc) error) *dist.Cluster {
+	t.Helper()
+	return testutil.Run(t, s.Size(), func(w *dist.Worker) error {
+		return fn(mesh.NewProc(w, s))
+	})
+}
+
 func blockFor(p *mesh.Proc, rows, cols int, seed uint64) *tensor.Matrix {
 	rng := tensor.NewRNG(seed*1000003 + uint64(p.W.Rank())*97 + 1)
 	return tensor.RandomMatrix(rows, cols, rng)

@@ -11,7 +11,10 @@
 // Tesseract mesh; the tesseract package composes them across layers. With an
 // A-distributed left operand (block rows h = i + k·q) each layer simply sees
 // its own q×q slice, so the same kernels serve both the 2-D baseline
-// (Optimus) and each Tesseract layer.
+// (Optimus) and each Tesseract layer. The kernels take blocks their caller
+// already holds: where a block sits is said once, by the tesseract
+// family's parallel.View (A blocks) and the parallel.Weight its linears cut
+// (B blocks).
 //
 // # Pipelining
 //
@@ -249,59 +252,4 @@ func prefetchColPanel(p *mesh.Proc, t int, b, panel *tensor.Matrix) (dist.Handle
 		return p.Col.IBroadcastInto(p.W, p.ColRank(t), b, b), b
 	}
 	return p.Col.IBroadcastInto(p.W, p.ColRank(t), nil, panel), panel
-}
-
-// DistributeB slices a global matrix into the q×q B-distribution of the
-// caller's layer: processor (i, j) receives block (i, j) of a q×q grid.
-// Every caller passes the same global matrix (deterministic replication, as
-// used for parameter initialisation).
-func DistributeB(p *mesh.Proc, global *tensor.Matrix) *tensor.Matrix {
-	q := p.Shape.Q
-	if global.Rows%q != 0 || global.Cols%q != 0 {
-		panic(fmt.Sprintf("summa: cannot B-distribute %dx%d over q=%d", global.Rows, global.Cols, q))
-	}
-	br, bc := global.Rows/q, global.Cols/q
-	return global.SubMatrix(p.I*br, p.J*bc, br, bc)
-}
-
-// DistributeA slices a global matrix into the Tesseract A-distribution:
-// processor (i, j, k) receives block (h, j) with h = i + k·q of a (d·q)×q
-// grid (Figure 4a).
-func DistributeA(p *mesh.Proc, global *tensor.Matrix) *tensor.Matrix {
-	q, d := p.Shape.Q, p.Shape.D
-	if global.Rows%(d*q) != 0 || global.Cols%q != 0 {
-		panic(fmt.Sprintf("summa: cannot A-distribute %dx%d over q=%d d=%d", global.Rows, global.Cols, q, d))
-	}
-	br, bc := global.Rows/(d*q), global.Cols/q
-	return global.SubMatrix(p.BlockRow()*br, p.J*bc, br, bc)
-}
-
-// CollectA reassembles an A-distributed matrix on every processor via
-// all-gathers along the row (columns of the matrix) and the slab (block
-// rows). It is used by tests and by redundantly-computed model heads; the
-// caller owns the returned matrix.
-func CollectA(p *mesh.Proc, local *tensor.Matrix) *tensor.Matrix {
-	// Slab order is h = i + k·q ascending, i.e. exactly block-row order.
-	return collect(p, p.Slab, local)
-}
-
-// CollectB reassembles a B-distributed matrix on every processor of a layer.
-func CollectB(p *mesh.Proc, local *tensor.Matrix) *tensor.Matrix {
-	return collect(p, p.Col, local)
-}
-
-// collect gathers local side by side along the grid row, then stacks the
-// wide blocks over the given group.
-func collect(p *mesh.Proc, stack *dist.Group, local *tensor.Matrix) *tensor.Matrix {
-	wide := newLike(local, local.Rows, p.Row.Size()*local.Cols)
-	p.Row.AllGatherInto(p.W, local, wide)
-	return stack.AllGatherInto(p.W, wide, newLike(wide, stack.Size()*wide.Rows, wide.Cols))
-}
-
-// newLike allocates a [rows, cols] matrix that is phantom exactly when m is.
-func newLike(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	if m.Phantom() {
-		return tensor.NewPhantom(rows, cols)
-	}
-	return tensor.New(rows, cols)
 }

@@ -1,4 +1,4 @@
-package summa
+package summa_test
 
 import (
 	"fmt"
@@ -6,21 +6,44 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/mesh"
+	"repro/internal/nn"
+	"repro/internal/parallel"
+	"repro/internal/summa"
 	"repro/internal/tensor"
+	"repro/internal/tesseract"
 	"repro/internal/testutil"
 )
 
-// runMesh executes fn on a fresh cluster shaped for s.
-func runMesh(t *testing.T, s mesh.Shape, fn func(p *mesh.Proc) error) *dist.Cluster {
+// runFamily executes fn on a fresh cluster shaped for s, handing every rank
+// its mesh and the tesseract family over it: the kernels take their operands
+// where the family places them — A blocks through its View (Figure 4a), B
+// blocks as its linears cut their weights (Figure 4b).
+func runFamily(t *testing.T, s mesh.Shape, fn func(p *tesseract.Proc, f *tesseract.Family) error) *dist.Cluster {
 	t.Helper()
+	l := parallel.Layout{Family: "tesseract", Q: s.Q, D: s.D, Ranks: s.Size()}
 	return testutil.Run(t, s.Size(), func(w *dist.Worker) error {
-		return fn(mesh.NewProc(w, s))
+		return fn(tesseract.NewProc(w, s.Q, s.D), tesseract.NewFamily(w, l))
 	})
 }
 
-func globals(a, b, c, seed int) (*tensor.Matrix, *tensor.Matrix) {
-	rng := tensor.NewRNG(uint64(seed))
-	return tensor.RandomMatrix(a, b, rng), tensor.RandomMatrix(b, c, rng)
+// xavier is the [rows, cols] weight a linear draws from seed.
+func xavier(rows, cols int, seed uint64) *tensor.Matrix {
+	return tensor.XavierMatrix(rows, cols, tensor.NewRNG(seed))
+}
+
+// weightBlock is the calling rank's block of xavier(rows, cols, seed), cut
+// where a tesseract linear cuts it.
+func weightBlock(p *tesseract.Proc, rows, cols int, seed uint64) *tensor.Matrix {
+	return tesseract.NewLinear(p, rows, cols, nn.ActNone, false, tensor.NewRNG(seed)).W.Value
+}
+
+// gatherB reassembles a B-distributed block on every rank of its layer:
+// the blocks side by side along the grid row, then the row bands down the
+// grid column.
+func gatherB(p *mesh.Proc, local *tensor.Matrix) *tensor.Matrix {
+	ws := p.W.Workspace()
+	wide := p.Row.AllGatherInto(p.W, local, ws.GetUninitMatch(local.Rows, p.Row.Size()*local.Cols, local.Phantom()))
+	return p.Col.AllGatherInto(p.W, wide, ws.GetUninitMatch(p.Col.Size()*wide.Rows, wide.Cols, wide.Phantom()))
 }
 
 func TestMulABMatchesSerial(t *testing.T) {
@@ -34,14 +57,13 @@ func TestMulABMatchesSerial(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("q%dd%d", tc.q, tc.d), func(t *testing.T) {
 			s := mesh.Shape{Q: tc.q, D: tc.d}
-			ga, gb := globals(tc.a, tc.b, tc.c, tc.q*10+tc.d)
-			want := tensor.MatMul(ga, gb)
+			seed := uint64(tc.q*10 + tc.d)
+			ga := tensor.RandomMatrix(tc.a, tc.b, tensor.NewRNG(seed))
+			want := tensor.MatMul(ga, xavier(tc.b, tc.c, seed+1))
 			results := testutil.NewCollector()
-			runMesh(t, s, func(p *mesh.Proc) error {
-				la := DistributeA(p, ga)
-				lb := DistributeB(p, gb)
-				lc := MulAB(p, la, lb)
-				results.Put(p.W.Rank(), CollectA(p, lc))
+			runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
+				lc := summa.MulAB(p.Proc, f.Distribute(ga), weightBlock(p, tc.b, tc.c, seed+1))
+				results.Put(p.W.Rank(), f.Collect(lc))
 				return nil
 			})
 			for r := 0; r < s.Size(); r++ {
@@ -61,16 +83,13 @@ func TestMulABTMatchesSerial(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("q%dd%d", tc.q, tc.d), func(t *testing.T) {
 			s := mesh.Shape{Q: tc.q, D: tc.d}
-			rng := tensor.NewRNG(uint64(tc.q*100 + tc.d))
-			gc := tensor.RandomMatrix(tc.a, tc.c, rng) // like dY
-			gb := tensor.RandomMatrix(tc.b, tc.c, rng) // like W
-			want := tensor.MatMulNT(gc, gb)
+			seed := uint64(tc.q*100 + tc.d)
+			gc := tensor.RandomMatrix(tc.a, tc.c, tensor.NewRNG(seed)) // like dY
+			want := tensor.MatMulNT(gc, xavier(tc.b, tc.c, seed+1))    // like W
 			results := testutil.NewCollector()
-			runMesh(t, s, func(p *mesh.Proc) error {
-				lc := DistributeA(p, gc)
-				lb := DistributeB(p, gb)
-				la := MulABT(p, lc, lb)
-				results.Put(p.W.Rank(), CollectA(p, la))
+			runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
+				la := summa.MulABT(p.Proc, f.Distribute(gc), weightBlock(p, tc.b, tc.c, seed+1))
+				results.Put(p.W.Rank(), f.Collect(la))
 				return nil
 			})
 			for r := 0; r < s.Size(); r++ {
@@ -91,11 +110,9 @@ func TestMulATBMatchesSerialPerLayer(t *testing.T) {
 			gc := tensor.RandomMatrix(4*q, 2*q, rng)
 			want := tensor.MatMulTN(ga, gc)
 			results := testutil.NewCollector()
-			runMesh(t, s, func(p *mesh.Proc) error {
-				la := DistributeA(p, ga)
-				lc := DistributeA(p, gc)
-				lb := MulATB(p, la, lc)
-				results.Put(p.W.Rank(), CollectB(p, lb))
+			runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
+				lb := summa.MulATB(p.Proc, f.Distribute(ga), f.Distribute(gc))
+				results.Put(p.W.Rank(), gatherB(p.Proc, lb))
 				return nil
 			})
 			for r := 0; r < s.Size(); r++ {
@@ -114,12 +131,10 @@ func TestMulATBAcrossDepthSumsToSerial(t *testing.T) {
 	gc := tensor.RandomMatrix(8, 4, rng)
 	want := tensor.MatMulTN(ga, gc)
 	results := testutil.NewCollector()
-	runMesh(t, s, func(p *mesh.Proc) error {
-		la := DistributeA(p, ga)
-		lc := DistributeA(p, gc)
-		partial := MulATB(p, la, lc)
+	runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
+		partial := summa.MulATB(p.Proc, f.Distribute(ga), f.Distribute(gc))
 		full := p.Depth.AllReduceInto(p.W, partial, partial)
-		results.Put(p.W.Rank(), CollectB(p, full))
+		results.Put(p.W.Rank(), gatherB(p.Proc, full))
 		return nil
 	})
 	for r := 0; r < s.Size(); r++ {
@@ -127,11 +142,12 @@ func TestMulATBAcrossDepthSumsToSerial(t *testing.T) {
 	}
 }
 
-// TestDistributeCollectRoundTrip: Collect(Distribute(x)) ≡ x bit for bit on
-// every rank, and the two all-gathers behind it cost what they always did —
-// the clocks and traffic below were recorded from the allocating AllGather
-// path CollectA/CollectB ran on before they were ported to AllGatherInto,
-// and hold for shape-only operands too.
+// TestDistributeCollectRoundTrip: the operands the kernels are fed go back
+// together bit for bit on every rank — A through the family's Distribute
+// and Collect, B from the blocks the linears cut, gathered along the row and
+// down the column — and the two all-gathers behind each cost what they
+// always did: the clocks and traffic below were recorded from the
+// allocating AllGather path, and hold for shape-only operands too.
 func TestDistributeCollectRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		q, d           int
@@ -146,29 +162,38 @@ func TestDistributeCollectRoundTrip(t *testing.T) {
 			dist.OpStats{Calls: 9, Messages: 126, Bytes: 14688}, dist.OpStats{Calls: 12, Messages: 72, Bytes: 6912}},
 	} {
 		s := mesh.Shape{Q: tc.q, D: tc.d}
-		rng := tensor.NewRNG(5)
-		ga := tensor.RandomMatrix(2*tc.q*tc.d, 3*tc.q, rng)
-		gb := tensor.RandomMatrix(2*tc.q, 3*tc.q, rng)
+		ga := tensor.RandomMatrix(2*tc.q*tc.d, 3*tc.q, tensor.NewRNG(5))
+		gb := xavier(2*tc.q, 3*tc.q, 6)
 		for _, side := range []struct {
 			name       string
 			global     *tensor.Matrix
-			distribute func(*mesh.Proc, *tensor.Matrix) *tensor.Matrix
-			collect    func(*mesh.Proc, *tensor.Matrix) *tensor.Matrix
+			distribute func(*tesseract.Proc, *tesseract.Family) *tensor.Matrix
+			collect    func(*tesseract.Proc, *tesseract.Family, *tensor.Matrix) *tensor.Matrix
 			clock      float64
 			stats      dist.OpStats
 		}{
-			{"A", ga, DistributeA, CollectA, tc.clockA, tc.statsA},
-			{"B", gb, DistributeB, CollectB, tc.clockB, tc.statsB},
+			{"A", ga,
+				func(_ *tesseract.Proc, f *tesseract.Family) *tensor.Matrix { return f.Distribute(ga) },
+				func(_ *tesseract.Proc, f *tesseract.Family, m *tensor.Matrix) *tensor.Matrix { return f.Collect(m) },
+				tc.clockA, tc.statsA},
+			{"B", gb,
+				func(p *tesseract.Proc, _ *tesseract.Family) *tensor.Matrix {
+					return weightBlock(p, gb.Rows, gb.Cols, 6)
+				},
+				func(p *tesseract.Proc, _ *tesseract.Family, m *tensor.Matrix) *tensor.Matrix {
+					return gatherB(p.Proc, m)
+				},
+				tc.clockB, tc.statsB},
 		} {
 			for _, phantom := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/q%dd%d/phantom=%v", side.name, tc.q, tc.d, phantom), func(t *testing.T) {
 					results := testutil.NewCollector()
-					c := runMesh(t, s, func(p *mesh.Proc) error {
-						local := side.distribute(p, side.global)
+					c := runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
+						local := side.distribute(p, f)
 						if phantom {
 							local = tensor.NewPhantom(local.Rows, local.Cols)
 						}
-						results.Put(p.W.Rank(), side.collect(p, local))
+						results.Put(p.W.Rank(), side.collect(p, f, local))
 						return nil
 					})
 					for r := 0; r < s.Size(); r++ {
@@ -203,10 +228,10 @@ func TestDistributeABlockPlacement(t *testing.T) {
 			ga.Set(i, j, float64(i/2)) // value = block row index
 		}
 	}
-	runMesh(t, s, func(p *mesh.Proc) error {
-		la := DistributeA(p, ga)
-		if got := la.At(0, 0); got != float64(p.BlockRow()) {
-			t.Errorf("proc (%d,%d,%d) holds block row %g, want %d", p.I, p.J, p.K, got, p.BlockRow())
+	runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
+		h := p.I + p.K*s.Q
+		if got := f.Distribute(ga).At(0, 0); got != float64(h) {
+			t.Errorf("proc (%d,%d,%d) holds block row %g, want %d", p.I, p.J, p.K, got, h)
 		}
 		return nil
 	})
@@ -229,7 +254,7 @@ func TestMulABPhantomSameClock(t *testing.T) {
 				la = tensor.RandomMatrix(2, 3, rng)
 				lb = tensor.RandomMatrix(3, 2, rng)
 			}
-			MulAB(p, la, lb)
+			summa.MulAB(p, la, lb)
 			return nil
 		}); err != nil {
 			return -1
@@ -248,7 +273,7 @@ func TestMulABShapePanics(t *testing.T) {
 	err := c.Run(func(w *dist.Worker) error {
 		p := mesh.NewProc(w, s)
 		defer func() { recover() }()
-		MulAB(p, tensor.New(2, 3), tensor.New(4, 2))
+		summa.MulAB(p, tensor.New(2, 3), tensor.New(4, 2))
 		t.Errorf("rank %d: expected shape panic", w.Rank())
 		return nil
 	})

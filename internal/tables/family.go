@@ -46,7 +46,7 @@ func FamilyParityStudy(layouts []parallel.Layout) ([]FamilyParity, error) {
 
 	var out []FamilyParity
 	for _, raw := range layouts {
-		l, err := raw.Normalize()
+		l, err := parallel.Validate(raw)
 		if err != nil {
 			return nil, err
 		}

@@ -84,7 +84,7 @@ func LayoutForRow(row Row) (parallel.Layout, error) {
 	default:
 		return l, fmt.Errorf("tables: unknown scheme %q", row.Scheme)
 	}
-	l, err := l.Normalize()
+	l, err := parallel.Validate(l)
 	if err != nil {
 		return l, err
 	}

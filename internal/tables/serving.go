@@ -58,7 +58,7 @@ func ServingStudy(layouts []parallel.Layout) ([]ServingPoint, error) {
 	cfg := serve.Config{MaxBatch: 8, LatencyBudget: 2e-3, QueueDepth: 16}
 	var out []ServingPoint
 	for _, raw := range layouts {
-		l, err := raw.Normalize()
+		l, err := parallel.Validate(raw)
 		if err != nil {
 			return nil, err
 		}

@@ -77,7 +77,7 @@ func StragglerStudy() ([]StragglerPoint, error) {
 	topo := plan.Topology{Cost: StragglerCost(), MemoryBudget: budget}
 	var out []StragglerPoint
 	for _, from := range DefaultFamilyLayouts() {
-		from, err := from.Normalize()
+		from, err := parallel.Validate(from)
 		if err != nil {
 			return nil, fmt.Errorf("tables: straggler study: %w", err)
 		}

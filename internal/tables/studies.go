@@ -14,6 +14,7 @@ import (
 	"repro/internal/solomonik"
 	"repro/internal/summa"
 	"repro/internal/tensor"
+	"repro/internal/tesseract"
 )
 
 // AblationPoint is one depth setting in the depth-sweep ablation.
@@ -70,8 +71,8 @@ type MemoryPoint struct {
 }
 
 // MemoryStudy evaluates Eqs. 7-10 and checks them against a run: each
-// arrangement's one multiply in phantom mode — summa.MulAB on the mesh for
-// Tesseract (A block · B block), Megatron-LM's column-parallel product
+// arrangement's one multiply in phantom mode — a Tesseract linear on the
+// mesh (A block · B block), Megatron-LM's column-parallel product
 // (replicated input · weight shard) — measuring, on the heaviest rank, the
 // matrices it holds (operands x and wt plus the result y) and the peak its
 // workspace reached on top of the operands.
@@ -99,16 +100,17 @@ func MemoryStudy(a, b, c int) ([]MemoryPoint, error) {
 		return nil
 	}
 	for _, cfg := range []struct{ q, d int }{{2, 1}, {2, 2}, {4, 2}, {4, 4}} {
-		shape := mesh.Shape{Q: cfg.q, D: cfg.d}
+		l := parallel.Layout{Family: "tesseract", Q: cfg.q, D: cfg.d, Ranks: cfg.q * cfg.q * cfg.d}
 		err := run(MemoryPoint{
 			Label:        fmt.Sprintf("Tesseract [%d,%d,%d]", cfg.q, cfg.q, cfg.d),
-			GPUs:         shape.Size(),
+			GPUs:         l.Ranks,
 			FormulaElems: memoryTesseract(float64(a), float64(b), float64(c), float64(cfg.q), float64(cfg.d)),
 		}, a%(cfg.d*cfg.q) == 0 && b%cfg.q == 0 && c%cfg.q == 0, func(w *dist.Worker) (x, wt, y *tensor.Matrix) {
-			p := mesh.NewProc(w, shape)
-			x = summa.DistributeA(p, tensor.NewPhantom(a, b))
-			wt = summa.DistributeB(p, tensor.NewPhantom(b, c))
-			return x, wt, summa.MulAB(p, x, wt)
+			f := tesseract.NewFamily(w, l)
+			lin := f.NewLinear(b, c, nn.ActNone, false, nil)
+			s := f.Slice(a, b)
+			x = tensor.NewPhantom(s.Rows, s.Cols)
+			return x, lin.Params()[0].Value, lin.Forward(x)
 		})
 		if err != nil {
 			return nil, err

@@ -32,14 +32,15 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 			wantB := make([]*tensor.Matrix, world)
 			testutil.Run(t, world, func(w *dist.Worker) error {
 				p := NewProc(w, ms.q, ms.d)
+				f := family(p)
 
 				// Live path: Backward queues, DrainGradients completes.
 				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(71))
-				l.Forward(p.DistributeA(x))
-				l.Backward(p.DistributeA(dy))
+				l.Forward(f.Distribute(x))
+				l.Backward(f.Distribute(dy))
 				p.DrainGradients()
 				gotW[w.Rank()] = l.W.Grad.Clone()
-				if l.B != nil {
+				if l.B.Param != nil {
 					gotB[w.Rank()] = l.B.Grad.Clone()
 				}
 
@@ -47,8 +48,8 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 				// synchronous, accumulation immediate (the pre-async
 				// schedule of Linear.Backward).
 				ref := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(71))
-				ref.Forward(p.DistributeA(x))
-				ldy := p.DistributeA(dy)
+				ref.Forward(f.Distribute(x))
+				ldy := f.Distribute(dy)
 				g := tensor.GELUGrad(ref.pre)
 				gdy := tensor.Mul(ldy, g)
 				gw := summa.MulATB(p.Proc, ref.x, gdy)
@@ -64,7 +65,7 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 					p.Col.ReduceInto(p.W, p.ColRank(0), tensor.ColSums(gdy), nil)
 				}
 				wantW[w.Rank()] = ref.W.Grad.Clone()
-				if ref.B != nil {
+				if ref.B.Param != nil {
 					wantB[w.Rank()] = ref.B.Grad.Clone()
 				}
 				return nil
@@ -93,9 +94,10 @@ func TestDrainGradientsIdempotentAndRequired(t *testing.T) {
 	dy := tensor.RandomMatrix(rows, out, rng)
 	testutil.Run(t, 4, func(w *dist.Worker) error {
 		p := NewProc(w, 2, 1)
+		f := family(p)
 		l := NewLinear(p, in, out, nn.ActNone, false, tensor.NewRNG(9))
-		l.Forward(p.DistributeA(x))
-		l.Backward(p.DistributeA(dy))
+		l.Forward(f.Distribute(x))
+		l.Backward(f.Distribute(dy))
 		// d == 1: the queue short-circuits, gradients are already final.
 		before := l.W.Grad.Clone()
 		p.DrainGradients()

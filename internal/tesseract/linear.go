@@ -23,8 +23,8 @@ type Linear struct {
 	In, Out int
 	Act     nn.Activation
 
-	W *nn.Param // local [In/q, Out/q]
-	B *nn.Param // [1, Out/q] on grid row 0, nil elsewhere
+	W parallel.Shard // local [In/q, Out/q]
+	B parallel.Shard // [1, Out/q] on grid row 0, no parameter elsewhere
 
 	params [2]*nn.Param // Params' backing, refilled from W and B on each call
 
@@ -54,7 +54,7 @@ func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Lin
 	l := &Linear{In: full.Rows, Out: full.Cols, Act: act, hasBias: bias, p: p}
 	l.W = full.Param("tesseract.linear.w", p.I*br, p.J*bc, br, bc)
 	if bias && p.I == 0 {
-		l.B = full.Bias("tesseract.linear.b", bc)
+		l.B = full.Bias("tesseract.linear.b", p.J*bc, bc)
 	}
 	p.Expect(p.sum, len(l.Params()))
 	return l
@@ -63,11 +63,26 @@ func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Lin
 // Params returns the parameter shards this processor owns. The slice is the
 // layer's own: read it, do not write it.
 func (l *Linear) Params() []*nn.Param {
-	l.params = [2]*nn.Param{l.W, l.B}
-	if l.B == nil {
+	l.params = [2]*nn.Param{l.W.Param, l.B.Param}
+	if l.B.Param == nil {
 		return l.params[:1:1]
 	}
 	return l.params[:2:2]
+}
+
+// State is the weight's checkpoint slot and, with a bias, the bias's: the
+// depth replica k = 0 writes both, and grid rows i != 0, which hold no bias,
+// still emit its slot so the walk stays aligned across the mesh.
+func (l *Linear) State() []parallel.State {
+	primary := l.p.K == 0
+	out := append(make([]parallel.State, 0, 2), l.W.State(primary))
+	switch {
+	case l.B.Param != nil:
+		out = append(out, l.B.State(primary))
+	case l.hasBias:
+		out = append(out, parallel.State{Rows: 1, Cols: l.Out})
+	}
+	return out
 }
 
 // Forward computes the local output block for a local A-distributed input x.
@@ -132,14 +147,14 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		compute.GELUGradHadamardTo(p.W, g, l.pre, dy)
 		dy, dyScratch = g, g
 	}
-	p.Land(p.sum, l.W, summa.MulATB(p.Proc, l.x, dy))
+	p.Land(p.sum, l.W.Param, summa.MulATB(p.Proc, l.x, dy))
 	if l.hasBias {
 		db := ws.GetUninitMatch(1, dy.Cols, dy.Phantom())
 		compute.ColSumsInto(p.W, db, dy)
 		if p.I == 0 {
 			r := ws.GetUninitMatch(1, dy.Cols, dy.Phantom())
 			p.Col.ReduceInto(p.W, p.ColRank(0), db, r)
-			p.Land(p.sum, l.B, r)
+			p.Land(p.sum, l.B.Param, r)
 		} else {
 			p.Col.ReduceInto(p.W, p.ColRank(0), db, nil)
 		}

@@ -29,8 +29,9 @@ func TestQuickMatMulMatchesSerial(t *testing.T) {
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
 			p := NewProc(w, q, d)
-			lc := p.MatMulAB(p.DistributeA(ga), p.DistributeB(gb))
-			results.Put(w.Rank(), p.CollectA(lc))
+			f := family(p)
+			lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, gb).Value)
+			results.Put(w.Rank(), f.Collect(lc))
 			return nil
 		})
 		if err != nil {
@@ -66,21 +67,29 @@ func TestQuickGradientIdentity(t *testing.T) {
 		wantDw := tensor.MatMulTN(gx, gdy)
 
 		dxs := testutil.NewCollector()
-		dws := testutil.NewCollector()
+		dws, wantDws := testutil.NewCollector(), testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
 			p := NewProc(w, q, d)
-			lw := p.DistributeB(gw)
-			lx := p.DistributeA(gx)
-			ldy := p.DistributeA(gdy)
-			dxs.Put(w.Rank(), p.CollectA(p.MatMulABT(ldy, lw)))
-			dws.Put(w.Rank(), p.CollectB(p.MatMulATB(lx, ldy)))
+			f := family(p)
+			lw := weightBlock(p, gw)
+			lx := f.Distribute(gx)
+			ldy := f.Distribute(gdy)
+			dxs.Put(w.Rank(), f.Collect(p.MatMulABT(ldy, lw.Value)))
+			// dW is B-distributed: the weight's block, at its rectangle.
+			dws.Put(w.Rank(), p.MatMulATB(lx, ldy))
+			wantDws.Put(w.Rank(), cutOf(wantDw, lw))
 			return nil
 		})
 		if err != nil {
 			return false
 		}
-		return dxs.Get(0).AllClose(wantDx, 1e-9) && dws.Get(0).AllClose(wantDw, 1e-9)
+		for r := 0; r < q*q*d; r++ {
+			if !dws.Get(r).AllClose(wantDws.Get(r), 1e-9) {
+				return false
+			}
+		}
+		return dxs.Get(0).AllClose(wantDx, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -100,9 +109,10 @@ func TestQuickDepthReplicaInvariant(t *testing.T) {
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
 			p := NewProc(w, q, d)
+			f := family(p)
 			l := NewLinear(p, 8, 8, 0, true, tensor.NewRNG(seed^0xabc))
-			l.Forward(p.DistributeA(x))
-			l.Backward(p.DistributeA(dy))
+			l.Forward(f.Distribute(x))
+			l.Backward(f.Distribute(dy))
 			p.DrainGradients() // gradients are final only after the queued depth sync
 			grads.Put(w.Rank(), l.W.Grad)
 			return nil
@@ -138,10 +148,11 @@ func TestQuickLayerNormInvariants(t *testing.T) {
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
 			p := NewProc(w, q, d)
-			l := family(p).NewLayerNorm(h)
-			outs.Put(w.Rank(), p.CollectA(l.Forward(p.DistributeA(x))))
-			l2 := family(p).NewLayerNorm(h)
-			outsShift.Put(w.Rank(), p.CollectA(l2.Forward(p.DistributeA(xShift))))
+			f := family(p)
+			l := f.NewLayerNorm(h)
+			outs.Put(w.Rank(), f.Collect(l.Forward(f.Distribute(x))))
+			l2 := f.NewLayerNorm(h)
+			outsShift.Put(w.Rank(), f.Collect(l2.Forward(f.Distribute(xShift))))
 			return nil
 		})
 		if err != nil {

@@ -8,9 +8,12 @@
 // [b/q, c/q], with one replica per depth layer. Each depth layer runs an
 // independent SUMMA over its q×q grid; parameter gradients land
 // (parallel.Grads.Land) summed across the depth fibre so the replicas stay
-// identical (§3.1). The layers call summa directly; the Proc's MatMul,
-// Distribute and Collect methods are Algorithm 3 and Figure 4 as a caller
-// outside the layers (the quickstart, the benchmarks) uses them.
+// identical (§3.1). Where each block sits is said once: the family's
+// parallel.View places activations (Slice, Distribute, Collect) and
+// parallel.Weight cuts each weight block where Linear is built, recording
+// the rectangle its checkpoint slot reads. The layers call summa directly;
+// the Proc's MatMul methods are Algorithm 3 on blocks a caller already
+// holds.
 //
 // Setting d = 1 recovers the 2-D SUMMA scheme (Optimus); d = q is the 3-D
 // special case. Setting q = d = 1 gives a serial execution, which the weak
@@ -123,29 +126,4 @@ func (p *Proc) MatMulABT(a, b *tensor.Matrix) *tensor.Matrix {
 func (p *Proc) MatMulATB(a, b *tensor.Matrix) *tensor.Matrix {
 	partial := summa.MulATB(p.Proc, a, b)
 	return p.Depth.AllReduceInto(p.W, partial, partial)
-}
-
-// DistributeA slices a replicated global activation matrix into this
-// processor's A block (Figure 4a).
-func (p *Proc) DistributeA(global *tensor.Matrix) *tensor.Matrix {
-	return summa.DistributeA(p.Proc, global)
-}
-
-// DistributeB slices a replicated global parameter matrix into this
-// processor's B block (Figure 4b); every depth layer receives a replica.
-func (p *Proc) DistributeB(global *tensor.Matrix) *tensor.Matrix {
-	return summa.DistributeB(p.Proc, global)
-}
-
-// CollectA reassembles an A-distributed matrix on every processor
-// (Figure 4c). Intended for tests, model heads and example programs; the
-// training loop itself never materialises global activations.
-func (p *Proc) CollectA(local *tensor.Matrix) *tensor.Matrix {
-	return summa.CollectA(p.Proc, local)
-}
-
-// CollectB reassembles a B-distributed matrix on every processor of the
-// caller's layer.
-func (p *Proc) CollectB(local *tensor.Matrix) *tensor.Matrix {
-	return summa.CollectB(p.Proc, local)
 }

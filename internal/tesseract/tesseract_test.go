@@ -32,6 +32,17 @@ func family(p *Proc) *Family {
 	return f
 }
 
+// weightBlock cuts the calling rank's block of m where a linear cuts its
+// weight (Figure 4b): the shard, with the rectangle it was cut at.
+func weightBlock(p *Proc, m *tensor.Matrix) parallel.Shard {
+	return newLinear(p, parallel.Weight{Rows: m.Rows, Cols: m.Cols, Full: m}, nn.ActNone, false).W
+}
+
+// cutOf is the block of the serial tensor m at shard s's rectangle.
+func cutOf(m *tensor.Matrix, s parallel.Shard) *tensor.Matrix {
+	return m.SubMatrix(s.Row, s.Col, s.Value.Rows, s.Value.Cols)
+}
+
 func TestMatMulABMatchesSerial(t *testing.T) {
 	for _, ms := range meshShapes {
 		t.Run(fmt.Sprintf("q%dd%d", ms.q, ms.d), func(t *testing.T) {
@@ -41,8 +52,9 @@ func TestMatMulABMatchesSerial(t *testing.T) {
 			want := tensor.MatMul(ga, gb)
 			results := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				lc := p.MatMulAB(p.DistributeA(ga), p.DistributeB(gb))
-				results.Put(p.W.Rank(), p.CollectA(lc))
+				f := family(p)
+				lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, gb).Value)
+				results.Put(p.W.Rank(), f.Collect(lc))
 				return nil
 			})
 			testutil.CheckClose(t, "C", results.Get(0), want, 1e-9)
@@ -57,14 +69,15 @@ func TestMatMulATBDepthAllReduce(t *testing.T) {
 	ga := tensor.RandomMatrix(8, 6, rng)
 	gc := tensor.RandomMatrix(8, 4, rng)
 	want := tensor.MatMulTN(ga, gc)
-	results := testutil.NewCollector()
+	results, wants := testutil.NewCollector(), testutil.NewCollector()
 	runMesh(t, 2, 2, func(p *Proc) error {
-		lb := p.MatMulATB(p.DistributeA(ga), p.DistributeA(gc))
-		results.Put(p.W.Rank(), p.CollectB(lb))
+		f := family(p)
+		results.Put(p.W.Rank(), p.MatMulATB(f.Distribute(ga), f.Distribute(gc)))
+		wants.Put(p.W.Rank(), cutOf(want, weightBlock(p, want)))
 		return nil
 	})
 	for r := 0; r < 8; r++ {
-		testutil.CheckClose(t, fmt.Sprintf("rank %d", r), results.Get(r), want, 1e-9)
+		testutil.CheckClose(t, fmt.Sprintf("rank %d", r), results.Get(r), wants.Get(r), 1e-9)
 	}
 }
 
@@ -82,37 +95,41 @@ func TestLinearForwardBackwardMatchesSerial(t *testing.T) {
 
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
-			gws := testutil.NewCollector()
-			gbs := testutil.NewCollector()
+			gws, wantGws := testutil.NewCollector(), testutil.NewCollector()
+			gbs, wantGbs := testutil.NewCollector(), testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
+				f := family(p)
 				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(42))
-				y := l.Forward(p.DistributeA(x))
-				dx := l.Backward(p.DistributeA(dy))
+				y := l.Forward(f.Distribute(x))
+				dx := l.Backward(f.Distribute(dy))
 				p.DrainGradients() // gradients are final only after the queued depth sync completes
-				ys.Put(p.W.Rank(), p.CollectA(y))
-				dxs.Put(p.W.Rank(), p.CollectA(dx))
-				gws.Put(p.W.Rank(), p.CollectB(l.W.Grad))
-				if p.I == 0 {
-					g := l.B.Grad
-					gbs.Put(p.W.Rank(), p.Row.AllGatherInto(p.W, g, tensor.New(g.Rows, p.Row.Size()*g.Cols)))
+				ys.Put(p.W.Rank(), f.Collect(y))
+				dxs.Put(p.W.Rank(), f.Collect(dx))
+				// Every replica's gradient is the serial one's block at the
+				// rectangle its weight was cut at (§3.1 keeps them equal).
+				gws.Put(p.W.Rank(), l.W.Grad)
+				wantGws.Put(p.W.Rank(), cutOf(ref.W.Grad, l.W))
+				if l.B.Param != nil {
+					gbs.Put(p.W.Rank(), l.B.Grad)
+					wantGbs.Put(p.W.Rank(), cutOf(ref.B.Grad, l.B))
 				}
 				return nil
 			})
 			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
 			testutil.CheckClose(t, "dx", dxs.Get(0), wantDx, 1e-9)
-			testutil.CheckClose(t, "dW", gws.Get(0), ref.W.Grad, 1e-9)
-			testutil.CheckClose(t, "dB", gbs.Get(0), ref.B.Grad, 1e-9)
-			// Weight-gradient replicas must agree across depth (§3.1).
 			world := ms.q * ms.q * ms.d
-			for r := 1; r < world; r++ {
-				testutil.CheckClose(t, fmt.Sprintf("dW replica %d", r), gws.Get(r), ref.W.Grad, 1e-9)
+			for r := 0; r < world; r++ {
+				testutil.CheckClose(t, fmt.Sprintf("dW rank %d", r), gws.Get(r), wantGws.Get(r), 1e-9)
+				if r < ms.q { // grid row 0 of depth layer 0 holds the bias
+					testutil.CheckClose(t, fmt.Sprintf("dB rank %d", r), gbs.Get(r), wantGbs.Get(r), 1e-9)
+				}
 			}
 		})
 	}
 }
 
 // TestLayerNormMatchesSerial checks the View layer norm on a Tesseract
-// mesh, fed the Proc's A-distributed blocks, against nn.LayerNorm.
+// mesh, fed the family's A-distributed blocks, against nn.LayerNorm.
 func TestLayerNormMatchesSerial(t *testing.T) {
 	const h, rows = 8, 8
 	for _, ms := range meshShapes {
@@ -128,11 +145,12 @@ func TestLayerNormMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				l := family(p).NewLayerNorm(h)
-				y := l.Forward(p.DistributeA(x))
-				dx := l.Backward(p.DistributeA(dy))
-				ys.Put(p.W.Rank(), p.CollectA(y))
-				dxs.Put(p.W.Rank(), p.CollectA(dx))
+				f := family(p)
+				l := f.NewLayerNorm(h)
+				y := l.Forward(f.Distribute(x))
+				dx := l.Backward(f.Distribute(dy))
+				ys.Put(p.W.Rank(), f.Collect(y))
+				dxs.Put(p.W.Rank(), f.Collect(dx))
 				return nil
 			})
 			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
@@ -149,9 +167,10 @@ func TestLayerNormRowStatistics(t *testing.T) {
 	x := tensor.RandomMatrix(rows, h, rng)
 	ys := testutil.NewCollector()
 	runMesh(t, 2, 2, func(p *Proc) error {
-		l := family(p).NewLayerNorm(h)
-		y := l.Forward(p.DistributeA(x))
-		ys.Put(p.W.Rank(), p.CollectA(y))
+		f := family(p)
+		l := f.NewLayerNorm(h)
+		y := l.Forward(f.Distribute(x))
+		ys.Put(p.W.Rank(), f.Collect(y))
 		return nil
 	})
 	y := ys.Get(0)
@@ -189,12 +208,13 @@ func TestAttentionMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				a := parallel.NewAttention(family(p), h, heads, seqLen, tensor.NewRNG(77))
-				y := a.Forward(p.DistributeA(x))
-				dx := a.Backward(p.DistributeA(dy))
+				f := family(p)
+				a := parallel.NewAttention(f, h, heads, seqLen, tensor.NewRNG(77))
+				y := a.Forward(f.Distribute(x))
+				dx := a.Backward(f.Distribute(dy))
 				p.DrainGradients()
-				ys.Put(p.W.Rank(), p.CollectA(y))
-				dxs.Put(p.W.Rank(), p.CollectA(dx))
+				ys.Put(p.W.Rank(), f.Collect(y))
+				dxs.Put(p.W.Rank(), f.Collect(dx))
 				return nil
 			})
 			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
@@ -218,12 +238,13 @@ func TestMLPMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				m := parallel.NewMLP(family(p), h, tensor.NewRNG(88))
-				y := m.Forward(p.DistributeA(x))
-				dx := m.Backward(p.DistributeA(dy))
+				f := family(p)
+				m := parallel.NewMLP(f, h, tensor.NewRNG(88))
+				y := m.Forward(f.Distribute(x))
+				dx := m.Backward(f.Distribute(dy))
 				p.DrainGradients()
-				ys.Put(p.W.Rank(), p.CollectA(y))
-				dxs.Put(p.W.Rank(), p.CollectA(dx))
+				ys.Put(p.W.Rank(), f.Collect(y))
+				dxs.Put(p.W.Rank(), f.Collect(dx))
 				return nil
 			})
 			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
@@ -247,12 +268,13 @@ func TestBlockMatchesSerial(t *testing.T) {
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(99))
-				y := b.Forward(p.DistributeA(x))
-				dx := b.Backward(p.DistributeA(dy))
+				f := family(p)
+				b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(99))
+				y := b.Forward(f.Distribute(x))
+				dx := b.Backward(f.Distribute(dy))
 				p.DrainGradients()
-				ys.Put(p.W.Rank(), p.CollectA(y))
-				dxs.Put(p.W.Rank(), p.CollectA(dx))
+				ys.Put(p.W.Rank(), f.Collect(y))
+				dxs.Put(p.W.Rank(), f.Collect(dx))
 				return nil
 			})
 			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-8)
@@ -291,18 +313,19 @@ func TestTrainingStepsStayInSyncWithSerial(t *testing.T) {
 
 	losses := testutil.NewScalars()
 	runMesh(t, 2, 2, func(p *Proc) error {
-		b := family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(7))
+		f := family(p)
+		b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(7))
 		opt := nn.NewAdam(1e-2, 0)
 		var lastLoss float64
 		for i := 0; i < steps; i++ {
-			y := b.Forward(p.DistributeA(xs[i]))
-			full := p.CollectA(y)
+			y := b.Forward(f.Distribute(xs[i]))
+			full := f.Collect(y)
 			loss, dyFull := nn.MSE(full, targets[i])
 			lastLoss = loss
 			for _, pa := range b.Params() {
 				pa.ZeroGrad()
 			}
-			b.Backward(p.DistributeA(dyFull))
+			b.Backward(f.Distribute(dyFull))
 			p.DrainGradients()
 			opt.Step(b.Params())
 			if i == 0 && loss != wantLosses[0] {

@@ -76,7 +76,7 @@ func TrainLayoutSteps(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc Train
 // the serial model too); the trainer adds whole sequences per rank, the patch
 // dimension over a mesh side and model dimensions of at least 1.
 func TrainableErr(l parallel.Layout, batch int, mcfg ModelConfig) error {
-	l, err := l.Normalize()
+	l, err := parallel.Validate(l)
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ func trainLayoutSteps(t *testing.T, l parallel.Layout, steps int) (logits *tenso
 	t.Helper()
 	ds, mcfg := tinyData()
 	tc := TrainConfig{Epochs: 1, BatchSize: 8, LR: 0.003, WeightDecay: 0.05, Seed: 5}
-	l, err := l.Normalize()
+	l, err := parallel.Validate(l)
 	if err != nil {
 		t.Fatal(err)
 	}

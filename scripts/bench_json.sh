@@ -25,9 +25,10 @@ go test -run '^$' -bench . -benchtime 1x -benchmem . ./internal/tensor/ > "$tmp"
 # seconds — prices a full elastic re-shard in training steps.
 # BenchmarkStraggler's straggler_* metrics (PR 8) come from simulated
 # clocks, so the 1x smoke row above is already exact. BenchmarkServeStep
-# (PR 9) rides along: 50 saturated serving batches through the continuous
-# batcher in one cluster run, reporting allocs/batch plus the simulated
-# serve_p50_s/serve_p99_s/serve_thru_rps of the trace. The awk below
+# rides along: 50 serving batches through the continuous batcher in
+# one cluster run, fed at three quarters of the saturated throughput,
+# reporting allocs/batch plus the simulated serve_p50_s/serve_p99_s of the
+# steady state and the saturated serve_thru_rps. The awk below
 # keeps one row per benchmark with the last line winning, so this pass
 # overrides the smoke rows.
 # PR 10 rows ride the same steady-state pass: BenchmarkFamilyStep/seqpar

@@ -126,6 +126,22 @@ if grep -rnE '"repro/internal/plan"|^func Grids\(' --include='*.go' \
     fail=1
 fi
 
+# Each shard is placed once (docs/architecture.md §5): a family's
+# parallel.View places activations (Figure 4a) and parallel.Weight cuts each
+# weight shard (Figure 4b), recording the rectangle a linear's checkpoint
+# slots read. A Distribute or Collect function in summa or such a method on
+# tesseract.Proc, a BlockRow helper, or a family package working a slot's
+# rectangle out again through BlockState or FullState is the second copy of
+# Figure 4 growing back.
+if grep -rnE '^func (\([a-z]+ \*?[A-Za-z]+\) )?(Distribute|Collect)[A-Za-z]*\(' --include='*.go' --exclude='*_test.go' internal/summa >&2 ||
+    grep -rnE '^func \([a-z]+ \*?Proc\) (Distribute|Collect)[A-Za-z]*\(' --include='*.go' internal/tesseract >&2 ||
+    grep -rnE '\bBlockRow\(' --include='*.go' internal cmd examples bench_test.go >&2 ||
+    grep -rnE '\b(BlockState|FullState)\(' --include='*.go' \
+        internal/tesseract internal/megatron internal/seqpar internal/optimus >&2; then
+    echo "docs_check: a block of Figure 4 is placed a second time beside parallel.View and parallel.Weight" >&2
+    fail=1
+fi
+
 # A family is its linears (docs/architecture.md §6): it names the two groups
 # its activations split over and parallel.View derives the layout methods,
 # the layer norm, the block constructors, the step boundary and the one
