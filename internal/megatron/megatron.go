@@ -96,23 +96,21 @@ func (p *Proc) Gather(x *tensor.Matrix) *tensor.Matrix {
 	return p.TP.AllGatherInto(p.W, x, full)
 }
 
-// accumTN lands xᵀ·dy, out of a pooled buffer, as param's gradient: a
-// weight shard is rank-local, so nothing sums it.
-func (p *Proc) accumTN(param *nn.Param, x, dy *tensor.Matrix, ph bool) {
-	dw := p.W.Workspace().GetUninitMatch(param.Value.Rows, param.Value.Cols, ph)
-	dw.Zero()
-	compute.MatMulTNInto(p.W, dw, x, dy)
-	p.Land(nil, param, dw)
+// accumTN computes xᵀ·dy into param's gradient and lands it: a weight
+// shard is rank-local, so nothing sums it.
+func (p *Proc) accumTN(param *nn.Param, x, dy *tensor.Matrix) {
+	param.Grad.Zero() // the TN kernel accumulates; the gradient starts fresh
+	compute.MatMulTNInto(p.W, param.Grad, x, dy)
+	p.Land(nil, param)
 }
 
-// accumColSums lands dy's column sums as the bias param's gradient, if any.
-func (p *Proc) accumColSums(param *nn.Param, dy *tensor.Matrix, ph bool) {
+// accumColSums is accumTN for the bias param's column sums, if any.
+func (p *Proc) accumColSums(param *nn.Param, dy *tensor.Matrix) {
 	if param == nil {
 		return
 	}
-	db := p.W.Workspace().GetUninitMatch(1, dy.Cols, ph)
-	compute.ColSumsInto(p.W, db, dy)
-	p.Land(nil, param, db)
+	compute.ColSumsInto(p.W, param.Grad, dy)
+	p.Land(nil, param)
 }
 
 // ColLinear is a column-parallel linear layer: W is split [In, Out/p] and
@@ -152,6 +150,7 @@ func newCol(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *ColLin
 	if bias {
 		l.B = full.Bias("megatron.col.b", p.Rank*bc, bc)
 	}
+	p.Expect(nil, len(l.Params()))
 	return l
 }
 
@@ -244,8 +243,8 @@ func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		dy = g
 	}
 	if !sharded {
-		p.accumTN(l.W.Param, l.x, dy, ph)
-		p.accumColSums(l.B.Param, dy, ph)
+		p.accumTN(l.W.Param, l.x, dy)
+		p.accumColSums(l.B.Param, dy)
 		dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
 		compute.MatMulNTInto(p.W, dx, dy, l.W.Value)
 		ws.Put(scratch)
@@ -254,17 +253,17 @@ func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if gelu {
 		ws.Put(l.pre)
 		l.pre = nil
-		p.accumColSums(l.B.Param, dy, ph) // rides the element-wise sweep
+		p.accumColSums(l.B.Param, dy) // rides the element-wise sweep
 	}
 	dxFull := ws.GetUninitMatch(dy.Rows, l.In, ph)
 	compute.MatMulNTInto(p.W, dxFull, dy, l.W.Value)
 	dx := ws.GetUninitMatch(dy.Rows/p.P, l.In, ph)
 	rs := p.TP.IReduceScatterInto(p.W, dxFull, dx)
 	x := p.Gather(l.x)
-	p.accumTN(l.W.Param, x, dy, ph)
+	p.accumTN(l.W.Param, x, dy)
 	ws.Put(x)
 	if !gelu {
-		p.accumColSums(l.B.Param, dy, ph)
+		p.accumColSums(l.B.Param, dy)
 	}
 	rs.Wait()
 	ws.Put(dxFull)
@@ -311,6 +310,7 @@ func newRow(p *Proc, full parallel.Weight, bias bool) *RowLinear {
 	if bias {
 		l.B = full.Bias("megatron.row.b", 0, out)
 	}
+	p.Expect(nil, len(l.Params()))
 	return l
 }
 
@@ -377,17 +377,17 @@ func (l *RowLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	x := l.x
 	if sharded {
 		dy = p.Gather(dy)
-		p.accumColSums(l.B.Param, dy, ph)
+		p.accumColSums(l.B.Param, dy)
 		if x == nil {
 			x = l.src.activation()
 		}
 	}
-	p.accumTN(l.W.Param, x, dy, ph)
+	p.accumTN(l.W.Param, x, dy)
 	if sharded {
 		ws.Put(x)
 		l.x = nil
 	} else {
-		p.accumColSums(l.B.Param, dy, ph)
+		p.accumColSums(l.B.Param, dy)
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.W.Value.Rows, ph)
 	compute.MatMulNTInto(p.W, dx, dy, l.W.Value)

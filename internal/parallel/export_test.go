@@ -18,3 +18,13 @@ func (r *Replay) Held() []int64 {
 	}
 	return out
 }
+
+// Landed reports the parameters landed since the last drain and those the
+// rank's layers declared (Expect), for the tests that hold every parameter
+// to one landing per backward pass.
+func (q *Grads) Landed() (landed, expected int) { return q.landed, q.expected }
+
+// GradsOf returns the Grads a family's layers land on.
+func GradsOf(f Family) *Grads { return f.(interface{ grads() *Grads }).grads() }
+
+func (v *View) grads() *Grads { return v.Grads }

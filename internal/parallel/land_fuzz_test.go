@@ -17,7 +17,9 @@ import (
 // sequence length and sequences per row shard, and holds every parameter's
 // landed gradient, read through State() in canonical coordinates, to
 // nn.Block's within 1e-9 on every rank that holds a piece of it. The fused
-// QKV slots are [Wq | Wk | Wv] and [bq | bk | bv].
+// QKV slots are [Wq | Wk | Wv] and [bq | bk | bv]. Every parameter the rank
+// holds lands once: a landing sums the gradient in place, so a second one
+// would sum a sum, or overwrite a partial a reduce already finished.
 func FuzzLandedGradients(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), uint8(1), uint8(2), uint8(0), uint64(1)) // tesseract [2,2,2]
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(1), uint8(0), uint8(1), uint8(1), uint64(2)) // optimus [2,2]
@@ -62,6 +64,9 @@ func FuzzLandedGradients(f *testing.F) {
 			blk := f.NewBlock(h, heads, s, tensor.NewRNG(seed+1))
 			blk.Forward(f.Distribute(x))
 			blk.Backward(f.Distribute(dz))
+			if landed, expected := parallel.GradsOf(f).Landed(); landed != len(blk.Params()) || expected != landed {
+				return fmt.Errorf("%d parameters landed, %d declared, the block holds %d", landed, expected, len(blk.Params()))
+			}
 			f.DrainGradients()
 			states := blk.State()
 			if len(states) != len(want) {
@@ -94,6 +99,64 @@ func FuzzLandedGradients(f *testing.F) {
 			t.Fatalf("%s, h %d, heads %d, seq %d, rows %d: %v", l, h, heads, s, rows, err)
 		}
 	})
+}
+
+// TestEveryParameterLandsOnce runs two real steps of every layer a
+// registered family builds — the patch embedding (NewLinear), a Transformer
+// block and the classifier head — on the family's widest layout of at most 8
+// ranks that the workload splits, and holds the parameters that landed in
+// each backward pass to the ones the rank holds, each declared once as its
+// layer was built; the drain starts the count afresh.
+func TestEveryParameterLandsOnce(t *testing.T) {
+	const in, h, heads, seqLen, batch, classes = 6, 16, 4, 2, 8, 3
+	rows := batch * seqLen
+	rng := tensor.NewRNG(7)
+	x, feats := tensor.RandomMatrix(rows, in, rng), tensor.RandomMatrix(rows, h, rng)
+	dz, dlogits := tensor.RandomMatrix(rows, h, rng), tensor.RandomMatrix(rows, classes, rng)
+	for _, name := range parallel.Families() {
+		layouts, err := parallel.Layouts(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l parallel.Layout
+		for c := range layouts {
+			if c.Ranks > l.Ranks && parallel.Fits(c, batch, seqLen, h, heads) {
+				l = c
+			}
+		}
+		c := dist.New(dist.Config{WorldSize: l.Ranks})
+		err = c.Run(func(w *dist.Worker) error {
+			f, err := parallel.New(w, l)
+			if err != nil {
+				return err
+			}
+			wrng := tensor.NewRNG(11)
+			emb := f.NewLinear(in, h, nn.ActGELU, true, wrng)
+			blk := f.NewBlock(h, heads, seqLen, wrng)
+			head := f.NewHead(h, classes, wrng)
+			held := len(emb.Params()) + len(blk.Params()) + len(head.Params())
+			g := parallel.GradsOf(f)
+			for step := 0; step < 2; step++ {
+				blk.Forward(emb.Forward(f.Distribute(x)))
+				head.Forward(feats)
+				head.Backward(dlogits)
+				emb.Backward(blk.Backward(f.Distribute(dz)))
+				if landed, expected := g.Landed(); landed != held || expected != held {
+					return fmt.Errorf("step %d: %d parameters landed, %d declared, the rank holds %d", step, landed, expected, held)
+				}
+				f.DrainGradients()
+				if landed, _ := g.Landed(); landed != 0 {
+					return fmt.Errorf("step %d: %d landings still counted after the drain", step, landed)
+				}
+				f.EndStep()
+			}
+			return nil
+		})
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", l, err)
+		}
+	}
 }
 
 // canonicalGrads lists nn.Block's gradients in the distributed block's State

@@ -15,11 +15,12 @@ import (
 // through compute. It is every family's classifier head and the 1-D
 // families' patch embedding. A weight replicated over row-split input is one
 // layout whose gradient sums over the row group (Mesh-TensorFlow): Backward
-// lands the weight and bias partials on grads over sum, so with sum set
-// their all-reduces run until DrainGradients, and with sum nil (the head,
-// Megatron's replicated input) they fold in at once, bitwise identical to
-// nn.Linear. Buffers come from the workspace, bias and GELU fused into the
-// GEMM write-back; outputs live until the step-boundary ReleaseAll.
+// computes the weight and bias partials into their Grads and lands them on
+// grads over sum, so with sum set their in-place all-reduces run until
+// DrainGradients, and with sum nil (the head, Megatron's replicated input)
+// the partials are the gradients, bitwise identical to nn.Linear's. Buffers
+// come from the workspace, bias and GELU fused into the GEMM write-back;
+// outputs live until the step-boundary ReleaseAll.
 type ReplicatedLinear struct {
 	*nn.Linear
 	w     *dist.Worker
@@ -90,14 +91,12 @@ func (l *ReplicatedLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		compute.GELUGradHadamardTo(l.w, g, l.pre, dy)
 		dy, dyScratch = g, g
 	}
-	dw := ws.GetUninitMatch(l.In, l.Out, ph)
-	dw.Zero()
-	compute.MatMulTNInto(l.w, dw, l.x, dy)
-	l.grads.Land(l.sum, l.W, dw)
+	l.W.Grad.Zero() // the TN kernel accumulates; the gradient starts fresh
+	compute.MatMulTNInto(l.w, l.W.Grad, l.x, dy)
+	l.grads.Land(l.sum, l.W)
 	if l.B != nil {
-		db := ws.GetUninitMatch(1, l.Out, ph)
-		compute.ColSumsInto(l.w, db, dy)
-		l.grads.Land(l.sum, l.B, db)
+		compute.ColSumsInto(l.w, l.B.Grad, dy)
+		l.grads.Land(l.sum, l.B)
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
 	compute.MatMulNTInto(l.w, dx, dy, l.W.Value)

@@ -25,37 +25,50 @@ type wsPin struct {
 // of the two-layer footprint model. A changed literal is a declared schedule
 // change, never a side effect of moving code.
 func TestLifetimesPinned(t *testing.T) {
-	// Grid row 0 of a mesh owns the biases; ranks 2, 3, 6 and 7 of [2,2,2]
-	// sit on grid row 1.
-	row0, row1 := wsPin{242, 178, 89, 97344}, wsPin{242, 178, 82, 96000}
+	// Grid row 0 of a mesh owns the biases, which it column-reduces in place
+	// in their gradients; ranks 2, 3, 6 and 7 of [2,2,2] sit on grid row 1
+	// and check out a column-sum scratch per bias instead. Every weight
+	// gradient is computed in its Grad and a q = 2 SUMMA checks out one panel
+	// and one partial per operand, not two (from 242 gets, 89 and 82 buffers,
+	// 97344 and 96000 B).
+	row0, row1 := wsPin{170, 106, 75, 67200}, wsPin{186, 122, 75, 67200}
 	cases := []struct {
 		layout          parallel.Layout
 		recompute, keep parallel.StepClocks
 		ranks           []wsPin
 	}{
 		{
-			layout:    parallel.Layout{Family: "tesseract", Q: 2, D: 2},
-			recompute: parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00019337939907692307, Busy: 3.051923076923079e-09, MemoryBytes: 217152},
-			keep:      parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00012914777530769226, Busy: 2.2638461538461535e-09, MemoryBytes: 217152},
+			layout: parallel.Layout{Family: "tesseract", Q: 2, D: 2},
+			// The footprint no longer counts each weight gradient a second
+			// time in the workspace (from 217152 B).
+			recompute: parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00019337939907692307, Busy: 3.051923076923079e-09, MemoryBytes: 187008},
+			keep:      parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00012914777530769226, Busy: 2.2638461538461535e-09, MemoryBytes: 187008},
 			ranks:     []wsPin{row0, row0, row1, row1, row0, row0, row1, row1},
 		},
 		{
-			layout:    parallel.Layout{Family: "optimus", Q: 2},
-			recompute: parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00019313456584615387, Busy: 6.103846153846158e-09, MemoryBytes: 261120},
-			keep:      parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00012880725430769232, Busy: 4.527692307692307e-09, MemoryBytes: 261120},
-			ranks:     slices.Repeat([]wsPin{wsPin{278, 178, 111, 139008}}, 4),
+			layout: parallel.Layout{Family: "optimus", Q: 2},
+			// As tesseract's (from 261120 B, and 278 gets and 139008 B on
+			// every rank): ranks 0 and 1 are grid row 0.
+			recompute: parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00019313456584615387, Busy: 6.103846153846158e-09, MemoryBytes: 251904},
+			keep:      parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00012880725430769232, Busy: 4.527692307692307e-09, MemoryBytes: 251904},
+			ranks:     []wsPin{{206, 106, 111, 129792}, {206, 106, 111, 129792}, {222, 122, 111, 129792}, {222, 122, 111, 129792}},
 		},
 		{
 			layout:    parallel.Layout{Family: "megatron", Ranks: 4},
 			recompute: parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 9.644722799999994e-05, Busy: 6.6023076923076924e-09, MemoryBytes: 343680},
 			keep:      parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 4.8224301692307696e-05, Busy: 4.8599999999999985e-09, MemoryBytes: 343680},
-			ranks:     slices.Repeat([]wsPin{wsPin{174, 72, 113, 208896}}, 4),
+			// The 16 weight and bias gradients of two blocks are computed in
+			// their Grads, not in workspace scratch (from 174 gets); the peak
+			// is the forward's.
+			ranks: slices.Repeat([]wsPin{wsPin{158, 56, 113, 208896}}, 4),
 		},
 		{
-			layout:    parallel.Layout{Family: "seqpar", Ranks: 4},
-			recompute: parallel.StepClocks{Forward: 4.8222760153846166e-05, Backward: 0.00012055761230769225, Busy: 6.228461538461539e-09, MemoryBytes: 213504},
-			keep:      parallel.StepClocks{Forward: 4.8222760153846166e-05, Backward: 7.233485215384615e-05, Busy: 4.652307692307693e-09, MemoryBytes: 213504},
-			ranks:     slices.Repeat([]wsPin{wsPin{194, 180, 104, 92544}}, 4),
+			layout: parallel.Layout{Family: "seqpar", Ranks: 4},
+			// As megatron's, and the gradients the backward peak held go
+			// (from 213504 B, and 194 gets and 92544 B).
+			recompute: parallel.StepClocks{Forward: 4.8222760153846166e-05, Backward: 0.00012055761230769225, Busy: 6.228461538461539e-09, MemoryBytes: 208896},
+			keep:      parallel.StepClocks{Forward: 4.8222760153846166e-05, Backward: 7.233485215384615e-05, Busy: 4.652307692307693e-09, MemoryBytes: 208896},
+			ranks:     slices.Repeat([]wsPin{wsPin{178, 164, 104, 87936}}, 4),
 		},
 	}
 	for _, c := range cases {

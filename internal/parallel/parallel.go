@@ -39,15 +39,15 @@
 //
 // # Grad-sync ordering
 //
-// A backward pass finishes every partial parameter gradient through one
-// call, Grads.Land, naming only the group the partial sums over: the group
-// that replicates the weight (Tesseract's depth fibre, §3.1; the row group
-// of a replicated weight on row-split input), or nil when the partial is
-// already the gradient, which then folds in at once. A sum starts at once
-// and flies behind the remaining backward work. Gradients are only final
-// after Family.DrainGradients returns; trainers must drain after the full
-// backward pass and before the optimiser reads any gradient. Drain is
-// idempotent and free when nothing was summed.
+// A backward pass computes each rank's partial parameter gradient straight
+// into the parameter's Grad and finishes it through one call, Grads.Land,
+// naming only the group the partial sums over: the group that replicates
+// the weight (Tesseract's depth fibre, §3.1; the row group of a replicated
+// weight on row-split input), or nil when the partial is the gradient. A sum
+// starts at once, in place, and flies behind the remaining backward work.
+// Gradients are only final after Family.DrainGradients returns; trainers
+// must drain after the full backward pass and before the optimiser reads any
+// gradient. Drain is idempotent and free when nothing was summed.
 //
 // # EndStep
 //

@@ -226,7 +226,7 @@ func TestGradsQueueSizedOnce(t *testing.T) {
 			NewReplicatedLinear(w, nil, &local, 4, 2, nn.ActNone, true, rng),
 		}
 		x := tensor.RandomMatrix(5, 4, tensor.NewRNG(2))
-		var backing *pendingGrad
+		var backing *dist.Handle
 		for step := 0; step < 2; step++ {
 			layers[0].Backward(layers[1].Backward(layers[1].Forward(layers[0].Forward(x))))
 			layers[2].Backward(layers[2].Forward(x))

@@ -118,60 +118,54 @@ func (v *View) gather(x *tensor.Matrix, owned bool) *tensor.Matrix {
 	return x
 }
 
-// Grads is where one rank's partial parameter gradients land (Land): a
-// backward pass launches a partial's sum the moment it is ready and carries
-// on into earlier layers, and DrainGradients folds the sums in.
+// Grads is where one rank's parameter gradients land (Land): a backward
+// pass computes each gradient's partial straight into the parameter's Grad,
+// launches its sum the moment it is ready and carries on into earlier
+// layers, and DrainGradients waits the sums.
 type Grads struct {
 	w       *dist.Worker
-	pending []pendingGrad
+	pending []dist.Handle
 	summed  int // parameters the rank's layers land over a group (Expect)
-}
 
-type pendingGrad struct {
-	param *nn.Param
-	buf   *tensor.Matrix
-	h     dist.Handle
+	expected, landed int // parameters declared (Expect) and landed since the last drain
 }
 
 // NewGrads returns the calling rank's empty queue.
 func NewGrads(w *dist.Worker) Grads { return Grads{w: w} }
 
 // Expect is called by a layer as it is built: it will land n parameters
-// over g per backward pass. The queue is then sized once, at the first
-// sum, for every parameter the rank's layers land over a group; with g nil
-// nothing is queued and nothing is sized.
+// over g (nil: not summed) per backward pass. The queue is then sized once,
+// at the first sum, for every parameter the rank's layers land over a group.
 func (q *Grads) Expect(g *dist.Group, n int) {
+	q.expected += n
 	if g != nil {
 		q.summed += n
 	}
 }
 
-// Land finishes buf, one partial of p's gradient, by summing it over g, the
-// group that replicates p (§3.1), and takes the workspace buffer over. With
-// g nil the partial is the gradient, so it folds in now; otherwise g's
-// in-place all-reduce starts now and folds in at DrainGradients.
-func (q *Grads) Land(g *dist.Group, p *nn.Param, buf *tensor.Matrix) {
+// Land finishes p's gradient, whose partial the layer has just computed
+// into p.Grad, by summing it in place over g, the group that replicates p
+// (§3.1). With g nil the partial is the gradient and nothing is left to do;
+// otherwise g's in-place all-reduce starts now and is waited at
+// DrainGradients. A parameter lands once per backward pass.
+func (q *Grads) Land(g *dist.Group, p *nn.Param) {
+	q.landed++
 	if g == nil {
-		p.AccumGrad(buf)
-		q.w.Workspace().Put(buf)
 		return
 	}
 	if q.pending == nil {
-		q.pending = make([]pendingGrad, 0, q.summed)
+		q.pending = make([]dist.Handle, 0, q.summed)
 	}
-	q.pending = append(q.pending, pendingGrad{param: p, buf: buf, h: g.IAllReduceInto(q.w, buf, buf)})
+	q.pending = append(q.pending, g.IAllReduceInto(q.w, p.Grad, p.Grad))
 }
 
-// DrainGradients waits every queued sum in issue order, accumulates it into
-// its parameter and recycles its buffer; afterwards gradients are final.
+// DrainGradients waits every queued sum in issue order; afterwards
+// gradients are final.
 func (q *Grads) DrainGradients() {
-	ws := q.w.Workspace()
 	for i := range q.pending {
-		pg := &q.pending[i]
-		pg.h.Wait()
-		pg.param.AccumGrad(pg.buf)
-		ws.Put(pg.buf)
-		*pg = pendingGrad{}
+		q.pending[i].Wait()
+		q.pending[i] = dist.Handle{}
 	}
 	q.pending = q.pending[:0]
+	q.landed = 0
 }

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,10 @@ func allAlgos() []plan.Algo { return append(algos(), "seqpar") }
 // TestServingSearchAndReplanStayWithinBudget: with the budget set at each
 // candidate's own footprint in turn, SearchServing returns the unbudgeted
 // ranking minus what does not fit — an over-budget candidate is dropped, not
-// ranked — and Replan's pick fits.
+// ranked — and Replan's pick onto 7 ranks fits. A budget that admits no
+// training candidate on 7 ranks or fewer (tesseract [2,2,2]'s, the smallest
+// footprint of the 8-rank search) is refused with a NoFeasibleError rather
+// than left.
 func TestServingSearchAndReplanStayWithinBudget(t *testing.T) {
 	topo := plan.Topology{RankBudget: 8}
 	serving, err := plan.SearchServing(tiny, topo, allAlgos(), plan.ServingObjective{})
@@ -45,7 +49,18 @@ func TestServingSearchAndReplanStayWithinBudget(t *testing.T) {
 	}
 	for _, at := range training {
 		topo.MemoryBudget = at.Predicted.MemoryBytes
+		admits := false
+		for _, c := range training {
+			admits = admits || c.Grid.Ranks <= 7 && c.Predicted.MemoryBytes <= topo.MemoryBudget
+		}
 		p, err := plan.Replan(tiny, topo, allAlgos(), 7, nil)
+		if !admits {
+			var nf *plan.NoFeasibleError
+			if !errors.As(err, &nf) {
+				t.Errorf("replan under %s's %d B, which no layout on 7 ranks fits: %v, %v", at, topo.MemoryBudget, p, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("replan under %s's %d B: %v", at, topo.MemoryBudget, err)
 		}

@@ -18,11 +18,15 @@ import (
 // adapter around the block.
 
 // TestShardLinearMatchesSerial runs the patch embedding a family builds
-// (parallel.ReplicatedLinear) against nn.Linear. On seqpar's row shards the
-// weight and bias gradients are partial until DrainGradients sums them over
-// the group; on Megatron's replicated rows they are whole at once, and no
-// gradient is deferred: the drain finds nothing queued and no all-reduce
-// runs.
+// (parallel.ReplicatedLinear) against nn.Linear. Backward computes each
+// rank's weight and bias gradients in place, bit for bit nn.Linear's on the
+// rank's rows. On seqpar's row shards that is a partial, summed in place
+// over the group by the all-reduce it starts: the ranks run their backward
+// one after another, so every rank but the last still reads its own partial
+// afterwards, and the last, whose issue completes the sum, already reads
+// the whole gradient; DrainGradients waits the sum. On Megatron's replicated
+// rows the partial is whole at once, and no gradient is deferred: the drain
+// finds nothing queued and no all-reduce runs.
 func TestShardLinearMatchesSerial(t *testing.T) {
 	const in, out, rows = 8, 12, 8
 	for _, tc := range []struct {
@@ -47,17 +51,27 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 			dxs := testutil.NewCollector()
 			gws := testutil.NewCollector()
 			gbs := testutil.NewCollector()
-			undrained := testutil.NewCollector()
+			undrainedW, undrainedB := testutil.NewCollector(), testutil.NewCollector()
+			slices := make([]parallel.Slice, tc.p)
+			turns := make([]chan struct{}, tc.p+1) // rank r backpropagates once turns[r] is closed
+			for i := range turns {
+				turns[i] = make(chan struct{})
+			}
+			close(turns[0])
 			c := testutil.Run(t, tc.p, func(w *dist.Worker) error {
 				f, err := parallel.New(w, parallel.Layout{Family: tc.family, Ranks: tc.p})
 				if err != nil {
 					return err
 				}
 				l := f.NewLinear(in, out, nn.ActGELU, true, tensor.NewRNG(9))
+				<-turns[w.Rank()]
 				y := l.Forward(f.Distribute(x))
 				dx := l.Backward(f.Distribute(dy))
 				wp := l.Params()[0]
-				undrained.Put(w.Rank(), wp.Grad.Clone())
+				undrainedW.Put(w.Rank(), wp.Grad.Clone())
+				undrainedB.Put(w.Rank(), l.Params()[1].Grad.Clone())
+				slices[w.Rank()] = f.Slice(rows, in)
+				close(turns[w.Rank()+1])
 				f.DrainGradients()
 				ys.Put(w.Rank(), f.Collect(y))
 				dxs.Put(w.Rank(), f.Collect(dx))
@@ -72,8 +86,22 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 				// drain they match the serial full-batch gradients.
 				testutil.CheckClose(t, "dW", gws.Get(r), ref.W.Grad, 1e-9)
 				testutil.CheckClose(t, "dB", gbs.Get(r), ref.B.Grad, 1e-9)
-				if got := undrained.Get(r).Equal(gws.Get(r)); got == deferred {
-					t.Errorf("rank %d: weight gradient whole before the drain = %v, want %v", r, got, !deferred)
+				if deferred && r == tc.p-1 {
+					if !undrainedW.Get(r).Equal(gws.Get(r)) || !undrainedB.Get(r).Equal(gbs.Get(r)) {
+						t.Errorf("rank %d: the last rank's issue completed the sum, yet its gradients changed in the drain", r)
+					}
+					continue
+				}
+				sl := slices[r]
+				own := nn.NewLinear(in, out, nn.ActGELU, true, tensor.NewRNG(9))
+				own.Forward(x.SubMatrix(sl.Row0, 0, sl.Rows, in))
+				own.Backward(dy.SubMatrix(sl.Row0, 0, sl.Rows, out))
+				if !undrainedW.Get(r).Equal(own.W.Grad) || !undrainedB.Get(r).Equal(own.B.Grad) {
+					t.Errorf("rank %d: before the sum the gradients are not nn.Linear's on rows [%d, %d) bit for bit",
+						r, sl.Row0, sl.Row0+sl.Rows)
+				}
+				if got := undrainedW.Get(r).Equal(gws.Get(r)); got == deferred {
+					t.Errorf("rank %d: weight gradient whole before the sum = %v, want %v", r, got, !deferred)
 				}
 			}
 			// seqpar sums the weight and the bias; Megatron sums nothing.

@@ -15,10 +15,11 @@ import (
 // calls (so the double-buffered panels and partials are genuinely reused),
 // the nonblocking double-buffered schedules produce bit-for-bit the results
 // of the blocking reference schedules in blocking.go. [1,1,1] covers the
-// degenerate self-broadcast, [2,2,1]/[2,2,2] the paper's small meshes, and
-// [4,4,1] reduce groups with interior tree positions.
+// degenerate self-broadcast, [2,2,1]/[2,2,2] the paper's small meshes,
+// [3,3,1] a parity class the middle rank serves alone, and [4,4,1] reduce
+// groups with interior tree positions.
 
-var pipelineShapes = []struct{ q, d int }{{1, 1}, {2, 1}, {2, 2}, {4, 1}}
+var pipelineShapes = []struct{ q, d int }{{1, 1}, {2, 1}, {2, 2}, {3, 1}, {4, 1}}
 
 func runPair(t *testing.T, sh struct{ q, d int }, steps int,
 	pipelined, blocking func(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix,
@@ -106,12 +107,72 @@ func TestPipelinedMulABTMatchesBlockingBitwise(t *testing.T) {
 func TestPipelinedMulATBMatchesBlockingBitwise(t *testing.T) {
 	for _, sh := range pipelineShapes {
 		t.Run(fmt.Sprintf("q%dd%d", sh.q, sh.d), func(t *testing.T) {
-			runPair(t, sh, 3, MulATB, mulATBBlocking,
+			runPair(t, sh, 3, mulATBInto, mulATBBlocking,
 				func(p *mesh.Proc, step int) (*tensor.Matrix, *tensor.Matrix) {
 					a := blockFor(p, 6, 3, uint64(step)+200)
 					b := blockFor(p, 6, 2, uint64(step)+250)
 					return a, b
 				})
+		})
+	}
+}
+
+// mulATBInto runs MulATB into a recycled workspace buffer, whose stale
+// contents the product must overwrite.
+func mulATBInto(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
+	c := p.W.Workspace().GetUninit(a.Cols, b.Cols)
+	MulATB(p, a, b, c)
+	return c
+}
+
+// TestKernelsCheckOutOnlyWhatTheyWrite pins the panel rule. A rank serves
+// one iteration of each operand from what it holds — its own block as the
+// broadcast panel, the result as its reduce's partial — so per call it
+// checks out the result (MulAB, MulABT) and one receive panel or partial
+// per parity class of the q iterations that holds an iteration it does not
+// own: none at q = 1, one at q = 2 (an iteration each), two at q = 4, and at
+// q = 3 one for the middle rank, whose own class is itself alone. A packed B
+// block is lent down the column, so MulAB then receives no B panel at all.
+// Every buffer but the result is back in the pool when the call returns.
+func TestKernelsCheckOutOnlyWhatTheyWrite(t *testing.T) {
+	classes := func(q, own int) int {
+		var n [2]int
+		for it := 0; it < q; it++ {
+			if it != own {
+				n[it%2] = 1
+			}
+		}
+		return n[0] + n[1]
+	}
+	for q := 1; q <= 4; q++ {
+		s := mesh.Shape{Q: q, D: 1}
+		runMesh(t, s, func(p *mesh.Proc) error {
+			ws := p.W.Workspace()
+			a, b, dy := blockFor(p, 3, 4, 1), blockFor(p, 4, 2, 2), blockFor(p, 3, 2, 3)
+			grad, packed := tensor.New(4, 2), new(tensor.Matrix)
+			tensor.PackNN(packed, b)
+			for _, k := range []struct {
+				name          string
+				call          func() *tensor.Matrix
+				results, want int
+			}{
+				{"MulAB", func() *tensor.Matrix { return MulAB(p, a, b) }, 1, 1 + classes(q, p.J) + classes(q, p.I)},
+				{"lent MulAB", func() *tensor.Matrix { return MulAB(p, a, packed) }, 1, 1 + classes(q, p.J)},
+				{"MulABT", func() *tensor.Matrix { return MulABT(p, dy, b) }, 1, 1 + classes(q, p.I) + classes(q, p.J)},
+				{"MulATB", func() *tensor.Matrix { MulATB(p, a, dy, grad); return nil }, 0, classes(q, p.J) + classes(q, p.I)},
+			} {
+				before := ws.Stats()
+				c := k.call()
+				after := ws.Stats()
+				if gets := after.Gets - before.Gets; gets != k.want {
+					return fmt.Errorf("q=%d rank (%d,%d) %s: %d checkouts, want %d", q, p.I, p.J, k.name, gets, k.want)
+				}
+				if live := after.Live - before.Live; live != k.results {
+					return fmt.Errorf("q=%d rank (%d,%d) %s: %d buffers still out, want the %d result(s)", q, p.I, p.J, k.name, live, k.results)
+				}
+				ws.Put(c)
+			}
+			return nil
 		})
 	}
 }

@@ -18,16 +18,18 @@
 //
 // # Pipelining
 //
-// All three kernels run double-buffered: two receive panels per operand,
-// iteration t's GEMM overlapped with the nonblocking prefetch broadcast of
-// panel t+1, and — in the reduce variants — with the previous iteration's
-// partial reduce still in flight (two partial buffers alternate, each
-// overwritten only after the reduce that read it has been waited). The
-// dist runtime keeps nonblocking collectives bit-identical to their
-// blocking forms and pairs them in per-worker issue order, so the
-// pipelined schedules produce exactly the bits of the blocking schedules
-// kept in blocking_test.go — TestPipelinedMatchesBlockingBitwise holds the
-// kernels to that.
+// All three kernels run double-buffered: iteration t's GEMM overlapped with
+// the nonblocking prefetch broadcast of panel t+1, and — in the reduce
+// variants — with the previous iteration's partial reduce still in flight.
+// Buffers alternate by the parity of t, each reused only after the
+// collective that read it is waited, and exist only for a parity class with
+// an iteration the rank does not own: it lends its own block as that panel
+// and, as that reduce's root, reduces its partial in place in the result.
+// The dist runtime keeps nonblocking collectives bit-identical to their
+// blocking forms and pairs them in per-worker issue order, so the pipelined
+// schedules produce exactly the bits of the blocking schedules kept in
+// blocking_test.go — TestPipelinedMatchesBlockingBitwise holds the kernels to
+// that.
 package summa
 
 import (
@@ -45,9 +47,9 @@ import (
 //
 // The returned matrix is drawn from the calling worker's workspace: the
 // caller owns it and is responsible for recycling it (Put once its last
-// reader is done, or the step-boundary ReleaseAll). Two receive panels per
-// operand are reused across all q broadcast iterations, so a steady-state
-// call allocates nothing.
+// reader is done, or the step-boundary ReleaseAll). The receive panels are
+// reused across all q broadcast iterations, so a steady-state call
+// allocates nothing.
 func MulAB(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 	return MulABEpi(p, a, b, Epilogue{})
 }
@@ -75,10 +77,10 @@ func MulABEpi(p *mesh.Proc, a, b *tensor.Matrix, epi Epilogue) *tensor.Matrix {
 	}
 	ws := p.W.Workspace()
 	c := ws.GetMatch(a.Rows, b.Cols, a.Phantom() || b.Phantom())
-	var aPanels, bPanels [2]*tensor.Matrix
-	for i := range aPanels {
-		aPanels[i] = ws.GetUninitMatch(a.Rows, a.Cols, a.Phantom())
-		bPanels[i] = ws.GetUninitMatch(b.Rows, b.Cols, b.Phantom())
+	aPanels := buffers(ws, p.Shape.Q, p.J, a.Rows, a.Cols, a.Phantom())
+	var bPanels [2]*tensor.Matrix
+	if !b.Packed() { // a packed b is lent down the column, never received
+		bPanels = buffers(ws, p.Shape.Q, p.I, b.Rows, b.Cols, b.Phantom())
 	}
 	var hA, hB [2]dist.Handle
 	var aps, bps [2]*tensor.Matrix
@@ -118,20 +120,16 @@ func MulABEpi(p *mesh.Proc, a, b *tensor.Matrix, epi Epilogue) *tensor.Matrix {
 // the resident A block, and reduces the partials across the row to processor
 // (i, j) — the schedule described in §3.1 of the paper, double-buffered so
 // iteration j's GEMM overlaps both the prefetch of panel j+1 and the reduce
-// of partial j−1. A partial buffer is only overwritten after the reduce that
-// consumed it has been waited, and the returned matrix is a workspace buffer
-// owned by the caller.
+// of partial j−1; the root iteration j = J reduces its partial in place in
+// the result, a workspace buffer owned by the caller.
 func MulABT(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("summa: MulABT local blocks %dx%d by %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	ws := p.W.Workspace()
 	ph := a.Phantom() || b.Phantom()
-	var bPanels, partials [2]*tensor.Matrix
-	for i := range bPanels {
-		bPanels[i] = ws.GetUninitMatch(b.Rows, b.Cols, b.Phantom())
-		partials[i] = ws.GetUninitMatch(a.Rows, b.Rows, ph)
-	}
+	bPanels := buffers(ws, p.Shape.Q, p.I, b.Rows, b.Cols, b.Phantom())
+	partials := buffers(ws, p.Shape.Q, p.J, a.Rows, b.Rows, ph)
 	var hB, hR [2]dist.Handle
 	var bps [2]*tensor.Matrix
 	var reducing [2]bool
@@ -147,13 +145,13 @@ func MulABT(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 			hR[cur].Wait() // reduce j−2 done: its partial is ours again
 			reducing[cur] = false
 		}
-		compute.MatMulNTInto(p.W, partials[cur], a, bps[cur])
+		partial, root := partials[cur], (*tensor.Matrix)(nil)
 		if p.J == j {
 			out = ws.GetUninitMatch(a.Rows, b.Rows, ph)
-			hR[cur] = p.Row.IReduceInto(p.W, p.RowRank(j), partials[cur], out)
-		} else {
-			hR[cur] = p.Row.IReduceInto(p.W, p.RowRank(j), partials[cur], nil)
+			partial, root = out, out
 		}
+		compute.MatMulNTInto(p.W, partial, a, bps[cur])
+		hR[cur] = p.Row.IReduceInto(p.W, p.RowRank(j), partial, root)
 		reducing[cur] = true
 	}
 	for i := range hR {
@@ -165,9 +163,9 @@ func MulABT(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// MulATB computes C = Aᵀ·B where both a and b are A-distributed blocks with
-// equal row counts (activations and output gradients). The result is
-// B-distributed:
+// MulATB computes C = Aᵀ·B into dst (overwriting it), where a and b are
+// A-distributed blocks with equal row counts (activations and output
+// gradients) and dst is the caller's B-distributed block, a weight's Grad:
 //
 //	C[t, j] = Σ_h A[h, t]ᵀ·B[h, j]
 //
@@ -175,23 +173,19 @@ func MulABT(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 // against the resident right operand, and reduces the partials down the
 // column to processor (t, j). On a Tesseract mesh the caller must still
 // all-reduce the result across the depth group (the paper's §3.1 rule for
-// B'); this function handles one layer. The double-buffered panels,
-// partial-reuse discipline and caller-owned workspace result follow MulABT.
-func MulATB(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("summa: MulATB local blocks %dx%dᵀ by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// B'); this function handles one layer. The double-buffered panels, the
+// partial-reuse discipline and the in-place root iteration follow MulABT.
+func MulATB(p *mesh.Proc, a, b, dst *tensor.Matrix) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("summa: MulATB local blocks %dx%dᵀ by %dx%d into %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	ws := p.W.Workspace()
-	ph := a.Phantom() || b.Phantom()
-	var aPanels, partials [2]*tensor.Matrix
-	for i := range aPanels {
-		aPanels[i] = ws.GetUninitMatch(a.Rows, a.Cols, a.Phantom())
-		partials[i] = ws.GetUninitMatch(a.Cols, b.Cols, ph)
-	}
+	aPanels := buffers(ws, p.Shape.Q, p.J, a.Rows, a.Cols, a.Phantom())
+	partials := buffers(ws, p.Shape.Q, p.I, a.Cols, b.Cols, a.Phantom() || b.Phantom())
 	var hA, hR [2]dist.Handle
 	var aps [2]*tensor.Matrix
 	var reducing [2]bool
-	var out *tensor.Matrix
 	hA[0], aps[0] = prefetchRowPanel(p, 0, a, aPanels[0])
 	for t := 0; t < p.Shape.Q; t++ {
 		cur := t % 2
@@ -203,14 +197,13 @@ func MulATB(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 			hR[cur].Wait()
 			reducing[cur] = false
 		}
-		partials[cur].Zero() // the TN kernel accumulates; start each partial fresh
-		compute.MatMulTNInto(p.W, partials[cur], aps[cur], b)
+		partial, root := partials[cur], (*tensor.Matrix)(nil)
 		if p.I == t {
-			out = ws.GetUninitMatch(a.Cols, b.Cols, ph)
-			hR[cur] = p.Col.IReduceInto(p.W, p.ColRank(t), partials[cur], out)
-		} else {
-			hR[cur] = p.Col.IReduceInto(p.W, p.ColRank(t), partials[cur], nil)
+			partial, root = dst, dst
 		}
+		partial.Zero() // the TN kernel accumulates; start each partial fresh
+		compute.MatMulTNInto(p.W, partial, aps[cur], b)
+		hR[cur] = p.Col.IReduceInto(p.W, p.ColRank(t), partial, root)
 		reducing[cur] = true
 	}
 	for i := range hR {
@@ -219,7 +212,18 @@ func MulATB(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	ws.Put(aPanels[0], aPanels[1], partials[0], partials[1])
-	return out
+}
+
+// buffers checks out a [rows, cols] buffer for each parity class of the q
+// iterations that holds one other than own; a class of own alone stays nil.
+func buffers(ws *tensor.Workspace, q, own, rows, cols int, phantom bool) [2]*tensor.Matrix {
+	var bufs [2]*tensor.Matrix
+	for t := 0; t < q; t++ {
+		if t != own && bufs[t%2] == nil {
+			bufs[t%2] = ws.GetUninitMatch(rows, cols, phantom)
+		}
+	}
+	return bufs
 }
 
 // prefetchRowPanel issues the iteration-t A-panel broadcast along the grid

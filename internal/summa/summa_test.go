@@ -111,7 +111,9 @@ func TestMulATBMatchesSerialPerLayer(t *testing.T) {
 			want := tensor.MatMulTN(ga, gc)
 			results := testutil.NewCollector()
 			runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
-				lb := summa.MulATB(p.Proc, f.Distribute(ga), f.Distribute(gc))
+				la, lc := f.Distribute(ga), f.Distribute(gc)
+				lb := tensor.New(la.Cols, lc.Cols)
+				summa.MulATB(p.Proc, la, lc, lb)
 				results.Put(p.W.Rank(), gatherB(p.Proc, lb))
 				return nil
 			})
@@ -132,7 +134,9 @@ func TestMulATBAcrossDepthSumsToSerial(t *testing.T) {
 	want := tensor.MatMulTN(ga, gc)
 	results := testutil.NewCollector()
 	runFamily(t, s, func(p *tesseract.Proc, f *tesseract.Family) error {
-		partial := summa.MulATB(p.Proc, f.Distribute(ga), f.Distribute(gc))
+		la, lc := f.Distribute(ga), f.Distribute(gc)
+		partial := tensor.New(la.Cols, lc.Cols)
+		summa.MulATB(p.Proc, la, lc, partial)
 		full := p.Depth.AllReduceInto(p.W, partial, partial)
 		results.Put(p.W.Rank(), gatherB(p.Proc, full))
 		return nil

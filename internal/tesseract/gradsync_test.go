@@ -52,7 +52,8 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 				ldy := f.Distribute(dy)
 				g := tensor.GELUGrad(ref.pre)
 				gdy := tensor.Mul(ldy, g)
-				gw := summa.MulATB(p.Proc, ref.x, gdy)
+				gw := tensor.New(ref.x.Cols, gdy.Cols)
+				summa.MulATB(p.Proc, ref.x, gdy, gw)
 				p.Depth.AllReduceInto(p.W, gw, gw)
 				ref.W.AccumGrad(gw)
 				if p.I == 0 {

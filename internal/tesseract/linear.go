@@ -133,11 +133,12 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // read — gradient buffers, unlike activations, are never retained, so the
 // caller may recycle dy as soon as Backward returns.
 //
-// dW and grid row 0's dB land on the Proc's Grads summed over the depth
-// fibre (§3.1): the all-reduces run while the backward pass continues into
-// earlier layers, so on meshes with d > 1 the gradients reach
-// l.W.Grad/l.B.Grad only once Proc.DrainGradients has been called —
-// trainers drain after the full backward pass, before the optimiser step.
+// dW and grid row 0's dB are reduced into l.W.Grad/l.B.Grad and land on the
+// Proc's Grads summed in place over the depth fibre (§3.1): the all-reduces
+// run while the backward pass continues into earlier layers, so on meshes
+// with d > 1 the gradients are final only once Proc.DrainGradients has been
+// called — trainers drain after the full backward pass, before the
+// optimiser step.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	p := l.p
 	ws := p.W.Workspace()
@@ -147,17 +148,17 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		compute.GELUGradHadamardTo(p.W, g, l.pre, dy)
 		dy, dyScratch = g, g
 	}
-	p.Land(p.sum, l.W.Param, summa.MulATB(p.Proc, l.x, dy))
-	if l.hasBias {
+	summa.MulATB(p.Proc, l.x, dy, l.W.Grad)
+	p.Land(p.sum, l.W.Param)
+	switch {
+	case l.B.Param != nil:
+		compute.ColSumsInto(p.W, l.B.Grad, dy)
+		p.Col.ReduceInto(p.W, p.ColRank(0), l.B.Grad, l.B.Grad)
+		p.Land(p.sum, l.B.Param)
+	case l.hasBias:
 		db := ws.GetUninitMatch(1, dy.Cols, dy.Phantom())
 		compute.ColSumsInto(p.W, db, dy)
-		if p.I == 0 {
-			r := ws.GetUninitMatch(1, dy.Cols, dy.Phantom())
-			p.Col.ReduceInto(p.W, p.ColRank(0), db, r)
-			p.Land(p.sum, l.B.Param, r)
-		} else {
-			p.Col.ReduceInto(p.W, p.ColRank(0), db, nil)
-		}
+		p.Col.ReduceInto(p.W, p.ColRank(0), db, nil)
 		ws.Put(db)
 	}
 	dx := summa.MulABT(p.Proc, dy, l.W.Value)

@@ -120,10 +120,10 @@ func (p *Proc) MatMulABT(a, b *tensor.Matrix) *tensor.Matrix {
 // MatMulATB computes C = Aᵀ·B (the parameter-gradient product B' = Aᵀ·C' of
 // Eq. 3) and all-reduces the result across the depth fibre, per §3.1: each
 // layer contributes the partial sum over its own block rows, and the d
-// replicas must agree. The depth all-reduce runs in place on the layer
-// partial, so the returned matrix is the same caller-owned workspace buffer
-// summa handed back.
+// replicas must agree. The layer's product and the depth all-reduce both run
+// in place in one workspace buffer, which the caller owns.
 func (p *Proc) MatMulATB(a, b *tensor.Matrix) *tensor.Matrix {
-	partial := summa.MulATB(p.Proc, a, b)
-	return p.Depth.AllReduceInto(p.W, partial, partial)
+	c := p.W.Workspace().GetUninitMatch(a.Cols, b.Cols, a.Phantom() || b.Phantom())
+	summa.MulATB(p.Proc, a, b, c)
+	return p.Depth.AllReduceInto(p.W, c, c)
 }

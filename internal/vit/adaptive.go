@@ -32,6 +32,7 @@ func TrainFaulty(l parallel.Layout, faults *dist.FaultPlan, m dist.Machine,
 		return nil, err
 	}
 	c := dist.New(dist.Config{WorldSize: l.Ranks, Machine: m, Faults: faults})
+	defer c.Close()
 	s, err := NewSession(c, l, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
@@ -146,6 +147,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 	}
 
 	c := newCluster(from.Ranks, cfg.Faults)
+	defer c.Close()
 	mon := c.AttachMonitor(cfg.Monitor)
 	window := mon.Config().Window
 	s, err := NewSession(c, from, ds, mcfg, tc)
@@ -254,6 +256,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		// over the healthy ranks, re-shard, resume. Every phase is charged
 		// to the clock that TotalSeconds accumulates.
 		c2 := newCluster(len(healthy), cfg.Faults.Remap(healthy))
+		defer c2.Close() // at most one re-layout per run
 		mon = c2.AttachMonitor(cfg.Monitor)
 		next, collect, restore, err := s.Relayout(c2, to, healthy...)
 		if err != nil {

@@ -25,6 +25,7 @@ func NewStepBencher(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainCo
 		return nil, err
 	}
 	if s.batchErr != nil {
+		s.c.Close()
 		return nil, s.batchErr
 	}
 	idx := make([]int, s.tc.BatchSize)
@@ -35,6 +36,7 @@ func NewStepBencher(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainCo
 	sb.x, sb.labels = ds.Batch(ds.Train, idx)
 	if warmup > 0 {
 		if err := sb.Steps(warmup); err != nil {
+			s.c.Close()
 			return nil, err
 		}
 	}

@@ -64,6 +64,7 @@ func TrainLayoutSteps(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc Train
 	if err != nil {
 		return nil, err
 	}
+	defer s.c.Close()
 	return s.Train(total)
 }
 
@@ -121,6 +122,7 @@ func TrainElastic(from parallel.Layout, cfg ElasticConfig, ds *Dataset, mcfg Mod
 		return nil, err
 	}
 	from, c := s.l, s.c
+	defer c.Close()
 	if from.Ranks < 2 {
 		return nil, fmt.Errorf("vit: elastic needs a layout of at least 2 ranks to lose one, %s has %d", from, from.Ranks)
 	}
@@ -174,6 +176,7 @@ func TrainElastic(from parallel.Layout, cfg ElasticConfig, ds *Dataset, mcfg Mod
 	if err != nil {
 		return nil, err
 	}
+	defer c2.Close()
 	s, _, run.RestoreSeconds, err = s.Relayout(c2, run.To)
 	if err != nil {
 		return nil, err

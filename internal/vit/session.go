@@ -62,7 +62,8 @@ type trainBatch struct {
 // NewSession validates the layout and the model, checks the TrainConfig and
 // applies its defaults — the one place that happens for distributed training —
 // and builds every rank's family, model and optimiser on c. A nil c means a bare
-// cluster of exactly the layout's ranks. An unusable train batch does not
+// cluster of exactly the layout's ranks, which the session's Cluster returns
+// and whoever drops the session closes. An unusable train batch does not
 // fail construction (a session that only serves never needs one); Train
 // reports it before any step runs.
 func NewSession(c *dist.Cluster, l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainConfig) (*Session, error) {
@@ -77,7 +78,8 @@ func NewSession(c *dist.Cluster, l parallel.Layout, ds *Dataset, mcfg ModelConfi
 	if err != nil {
 		return nil, err
 	}
-	if c == nil {
+	built := c == nil
+	if built {
 		c = dist.New(dist.Config{WorldSize: l.Ranks})
 	}
 	if l.Ranks > c.WorldSize() {
@@ -109,6 +111,9 @@ func NewSession(c *dist.Cluster, l parallel.Layout, ds *Dataset, mcfg ModelConfi
 		return nil
 	})
 	if err != nil {
+		if built {
+			c.Close()
+		}
 		return nil, err
 	}
 	return s, nil

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/parallel"
@@ -49,6 +51,53 @@ func trainEntries(ds *Dataset, mcfg ModelConfig, tc TrainConfig) map[string]func
 		},
 		"NewStepBencher": func() error { _, err := NewStepBencher(l, ds, mcfg, tc, 0); return err },
 	}
+}
+
+// TestOneShotTrainersCloseTheirClusters: whoever builds a cluster closes it.
+// Every entry point that trains on a cluster it builds and hands no session
+// out leaves no rank goroutine behind once it returns — after a good run and
+// after a refused batch alike, without waiting for the collector to release
+// a dropped cluster. (NewStepBencher hands its session out when it
+// succeeds.)
+func TestOneShotTrainersCloseTheirClusters(t *testing.T) {
+	ds, mcfg := tinyData()
+	good, refused := elasticTC(), elasticTC()
+	refused.BatchSize = 64
+	for _, tc := range []TrainConfig{good, refused} {
+		for name, run := range trainEntries(ds, mcfg, tc) {
+			if name == "NewStepBencher" && tc.BatchSize == good.BatchSize {
+				continue
+			}
+			base := quietGoroutines()
+			err := run()
+			if (err == nil) != (tc.BatchSize == good.BatchSize) {
+				t.Fatalf("%s, batch %d: %v", name, tc.BatchSize, err)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%s, batch %d: %d goroutines after it returned, %d before", name, tc.BatchSize, n, base)
+			}
+		}
+	}
+}
+
+// quietGoroutines collects until the goroutine count holds still and returns
+// it: clusters earlier tests dropped release their rank goroutines only when
+// the collector gets to them.
+func quietGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 3 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 // TestBadOptimiserSettingsAreErrors: a learning rate or weight decay that is

@@ -154,6 +154,7 @@ func TrainLayout(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainConfi
 	if err != nil {
 		return History{}, err
 	}
+	defer s.c.Close()
 	if s.batchErr != nil {
 		return History{}, s.batchErr
 	}

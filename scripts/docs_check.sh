@@ -183,14 +183,14 @@ if grep -rnE 'tensor\.GEMMFlops\(|tensor\.MatMul' --include='*.go' --exclude='*_
 fi
 
 # Every partial gradient lands in one place, parallel.Grads.Land
-# (docs/architecture.md §6): a layer names the group its partial sums over
-# (nil: none) and Land folds it now or sums it by DrainGradients. An
-# AccumGrad call in non-test Go outside internal/nn (the serial reference)
-# and Land itself — in a family package, elsewhere in internal/parallel or
-# above them — or a DeferAllReduce or QueueGradSync anywhere, is a
-# per-family copy of that choice growing back.
+# (docs/architecture.md §6): a layer computes the partial into its
+# parameter's Grad, names the group it sums over (nil: none), and Land sums
+# it in place by DrainGradients. An AccumGrad call in non-test Go outside
+# internal/nn (the serial reference) — a gradient computed in a buffer of its
+# own and added in afterwards — or a DeferAllReduce or QueueGradSync
+# anywhere, is a per-family copy of that choice growing back.
 if grep -rn 'AccumGrad(' --include='*.go' --exclude='*_test.go' internal cmd examples |
-    grep -vE '^internal/(nn/|parallel/view\.go:)' >&2 ||
+    grep -v '^internal/nn/' >&2 ||
     grep -rnE 'DeferAllReduce|QueueGradSync' --include='*.go' --exclude='*_test.go' . >&2; then
     echo "docs_check: a partial gradient is finished outside parallel.Grads.Land" >&2
     fail=1
@@ -280,19 +280,43 @@ selections="$(sed 's/&&/\n/g' .github/workflows/ci.yml | awk '
         }
     }' | sort -u)"
 [ -n "$selections" ] || { echo "docs_check: found no go test selection in ci.yml" >&2; fail=1; }
-while read -r flag alt pkgs; do
-    case "$flag" in
-    -run) kinds='^(Test|Example|Fuzz)' ;;
-    -bench) kinds='^Benchmark' ;;
-    -fuzz) kinds='^Fuzz' ;;
-    esac
-    if ! go test -list "$alt" $pkgs | grep -qE "$kinds"; then
-        echo "docs_check: ci.yml's go test $flag alternative '$alt' matches nothing in $pkgs" >&2
-        fail=1
-    fi
-done <<EOF_SELECTIONS
-$selections
-EOF_SELECTIONS
+# Every package the selections name is listed once, in one go test -list
+# run, which prints a package's names and then its ok (or ?, or FAIL) line:
+# the first awk turns that into "import-path name" lines. The second matches
+# each alternative against the names in its own packages (a directory ./d/
+# is the module's package d, ./d/... every package under it).
+dirs="$(printf '%s\n' "$selections" | awk '{ for (i = 3; i <= NF; i++) print $i }' | sort -u)"
+listed="$(go test -list . $dirs 2>&1)" || { printf '%s\n' "$listed" >&2; fail=1; }
+names="$(printf '%s\n' "$listed" | awk '
+    /^(ok|FAIL|\?)[[:space:]]/ { for (i = 1; i <= n; i++) print $2, name[i]; n = 0; next }
+    /^(Test|Benchmark|Example|Fuzz)/ { name[++n] = $1 }')"
+unmatched="$(printf '%s\n' "$selections" | awk -v module="$(go list -m)" -v names="$names" '
+    BEGIN {
+        n = split(names, line, "\n")
+        for (i = 1; i <= n; i++) { split(line[i], f, " "); pkg[i] = f[1]; name[i] = f[2] }
+    }
+    {
+        kinds = "^(Test|Example|Fuzz)"
+        if ($1 == "-bench") kinds = "^Benchmark"
+        if ($1 == "-fuzz") kinds = "^Fuzz"
+        found = 0; pkgs = ""
+        for (j = 3; j <= NF; j++) {
+            pkgs = pkgs (j > 3 ? " " : "") $j
+            d = $j; sub(/^\.\/?/, "", d); sub(/\/$/, "", d)
+            path = d == "" ? module : module "/" d
+            tree = ""
+            if (path ~ /\/\.\.\.$/) tree = substr(path, 1, length(path) - 4)
+            for (i = 1; i <= n && !found; i++) {
+                if (pkg[i] != path && (tree == "" || (pkg[i] != tree && index(pkg[i], tree "/") != 1))) continue
+                found = name[i] ~ kinds && name[i] ~ $2
+            }
+        }
+        if (!found) printf "docs_check: ci.yml\047s go test %s alternative \047%s\047 matches nothing in %s\n", $1, $2, pkgs
+    }')"
+if [ -n "$unmatched" ]; then
+    printf '%s\n' "$unmatched" >&2
+    fail=1
+fi
 
 # An internal package outside the import graph of every command, example and
 # the benchmark is code only its own tests run. internal/testutil is the
