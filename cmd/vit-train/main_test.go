@@ -74,6 +74,8 @@ func TestMisuseIsOneLineBeforeTraining(t *testing.T) {
 		{"depth 0", []string{"-family", "tesseract", "-d", "0"}, "-d 0"},
 		{"mesh dimension and depth 0", []string{"-family", "tesseract", "-q", "0", "-d", "0"}, "-q 0"},
 		{"optimus depth 0", []string{"-family", "optimus", "-d", "0"}, "-d 0"},
+		// The Grid arrangement refuses a depth before a cluster is sized.
+		{"optimus depth 2", []string{"-family", "optimus", "-d", "2"}, "optimus is a 2-D family and cannot take depth 2"},
 		{"NaN lr", []string{"-lr", "NaN"}, "learning rate NaN"},
 		{"negative lr", []string{"-lr", "-1"}, "learning rate -1"},
 		// -lr 0 and -seed 0 used to run TrainConfig's and DataConfig's

@@ -79,13 +79,3 @@ func (f *Family) NewLinearPair(in, out parallel.Weight, act nn.Activation) (para
 	}
 	return col, row
 }
-
-// Lifetime follows the bracket: Replicated, every intermediate rides to the
-// step boundary; RowSharded, each goes back the moment its last reader is
-// done.
-func (f *Family) Lifetime() parallel.Lifetime {
-	if f.p.bracket == RowSharded {
-		return parallel.Transient
-	}
-	return parallel.KeepAll
-}

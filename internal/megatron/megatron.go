@@ -20,12 +20,13 @@
 //     1/p activation footprint comes from.
 //
 // The bracket is read at four seams — ColLinear.Forward/Backward and
-// RowLinear.Forward/Backward — plus Family.Lifetime, which tells the shared
-// modules when their intermediates go back, NewFamily, which splits the
-// activation rows over the group under RowSharded, and Family.NewLinear,
-// which sums the replicated patch embedding's gradients over that group; a
-// further bracket (folded tensor+sequence parallelism, say) is one more case
-// at those seams, not another set of layers or family type.
+// RowLinear.Forward/Backward — plus NewFamily, which splits the activation
+// rows over the group under RowSharded, and Family.NewLinear, which sums the
+// replicated patch embedding's gradients over that group; a further bracket
+// (folded tensor+sequence parallelism, say) is one more case at those seams,
+// not another set of layers or family type. When the shared modules'
+// intermediates go back is no bracket's to say: under both, a buffer goes
+// back at its last reader (parallel.Attention, parallel.MLP).
 //
 // Simulated clocks are float sums and bench/baseline.json pins them
 // bit-exactly, so the order in which each bracket charges its GEMMs, bias

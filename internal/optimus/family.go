@@ -5,15 +5,13 @@
 // "d = 1 makes Tesseract a 2-D algorithm like SUMMA", and its Table 1/2
 // shapes [2,2] vs [2,2,1] confirm near-identical behaviour. The package is
 // therefore one registration, with no family type or layer code of its own:
-// its Spec builds Tesseract's family on the depth-1 mesh under the name
-// "optimus". Keeping one implementation guarantees the baseline and the
+// its Spec builds Tesseract's family under the name "optimus" on the Grid
+// arrangement, the depth-1 mesh. Keeping one implementation guarantees the baseline and the
 // contribution differ only in the dimension under study; the planner prices
 // it as tesseract [q,q].
 package optimus
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
 	"repro/internal/parallel"
 	"repro/internal/tesseract"
@@ -25,12 +23,6 @@ func init() {
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 			return tesseract.NewFamily(w, l), nil
 		},
-		Arrangement: parallel.Mesh,
-		Check: func(l parallel.Layout) error {
-			if l.D > 1 {
-				return fmt.Errorf("optimus: 2-D family cannot take depth %d", l.D)
-			}
-			return nil
-		},
+		Arrangement: parallel.Grid,
 	})
 }

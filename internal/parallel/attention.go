@@ -19,8 +19,7 @@ import (
 //
 // Q, K, V and the per-head probabilities are workspace buffers retained
 // for the backward pass (in phantom mode the probabilities are one phantom of
-// their total size); they ride to the step boundary unless the owner calls
-// Release first.
+// their total size); Backward returns them once it has read them.
 type HeadAttention struct {
 	Heads, HeadDim, SeqLen int
 
@@ -29,8 +28,8 @@ type HeadAttention struct {
 }
 
 // Split copies the fused local projection into the retained Q, K and V
-// buffers. qkv is not referenced afterwards, so callers with a transient
-// regime may recycle it at once.
+// buffers. qkv is not referenced afterwards, so the caller may recycle it at
+// once.
 func (a *HeadAttention) Split(w *dist.Worker, qkv *tensor.Matrix) {
 	ws := w.Workspace()
 	hl := a.Heads * a.HeadDim
@@ -97,8 +96,9 @@ func (a *HeadAttention) Forward(w *dist.Worker) *tensor.Matrix {
 
 // Backward maps the gradient of Forward's output to the gradient of the
 // fused [Q | K | V] block Split consumed, a workspace buffer owned by the
-// caller. Phantom mode charges the flops analytically and checks out the
-// scratch the real loop takes.
+// caller, and returns the retained Q, K, V and probabilities to the
+// workspace: it is their last reader. Phantom mode charges the flops
+// analytically and checks out the scratch the real loop takes.
 func (a *HeadAttention) Backward(w *dist.Worker, dout *tensor.Matrix) *tensor.Matrix {
 	ws := w.Workspace()
 	dh, s := a.HeadDim, a.SeqLen
@@ -119,6 +119,7 @@ func (a *HeadAttention) Backward(w *dist.Worker, dout *tensor.Matrix) *tensor.Ma
 		perHead := 8*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
 		w.Compute(seqF * float64(a.Heads) * perHead)
 		ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
+		a.release(ws)
 		return dqkv
 	}
 	nseq := dout.Rows / s
@@ -147,13 +148,12 @@ func (a *HeadAttention) Backward(w *dist.Worker, dout *tensor.Matrix) *tensor.Ma
 		}
 	}
 	ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
+	a.release(ws)
 	return dqkv
 }
 
-// Release recycles the retained Q, K, V and probabilities once Backward
-// has read them, for owners that do not wait for the step boundary.
-func (a *HeadAttention) Release(w *dist.Worker) {
-	ws := w.Workspace()
+// release returns the retained Q, K, V and probabilities to ws.
+func (a *HeadAttention) release(ws *tensor.Workspace) {
 	ws.Put(a.q, a.k, a.v)
 	a.q, a.k, a.v = nil, nil, nil
 	ws.Put(a.probs...)

@@ -11,7 +11,8 @@ import (
 // TestHeadAttentionMatchesSerial drives the shared per-head core with all
 // heads local, between nn's own Q/K/V and output projections, and checks
 // both directions against nn.MultiHeadAttention — bitwise, since the core
-// runs the reference's operations in the reference's order.
+// runs the reference's operations in the reference's order — and that its
+// Backward returns Q, K, V and every probability to the workspace.
 func TestHeadAttentionMatchesSerial(t *testing.T) {
 	const h, heads, seqLen, rows = 8, 4, 3, 6
 	dataRng := tensor.NewRNG(4)
@@ -32,18 +33,16 @@ func TestHeadAttentionMatchesSerial(t *testing.T) {
 			t.Errorf("forward differs from nn by %g", got.MaxAbsDiff(wantY))
 		}
 
+		live := w.Workspace().Stats().Live
 		dqkv := core.Backward(w, proj.Wo.Backward(dy))
+		if got, want := w.Workspace().Stats().Live, live+1-3-rows/seqLen*heads; got != want {
+			t.Errorf("Backward left %d live buffers, want %d (its gradient checked out; Q, K, V and every probability recycled)", got, want)
+		}
 		dx := proj.Wq.Backward(dqkv.SubMatrix(0, 0, rows, h))
 		tensor.AddInPlace(dx, proj.Wk.Backward(dqkv.SubMatrix(0, h, rows, h)))
 		tensor.AddInPlace(dx, proj.Wv.Backward(dqkv.SubMatrix(0, 2*h, rows, h)))
 		if !dx.Equal(wantDx) {
 			t.Errorf("backward differs from nn by %g", dx.MaxAbsDiff(wantDx))
-		}
-
-		live := w.Workspace().Stats().Live
-		core.Release(w)
-		if got, want := w.Workspace().Stats().Live, live-3-rows/seqLen*heads; got != want {
-			t.Errorf("Release left %d live buffers, want %d (Q, K, V and every probability recycled)", got, want)
 		}
 		return nil
 	}); err != nil {

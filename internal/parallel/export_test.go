@@ -1,6 +1,9 @@
 package parallel
 
-import "repro/internal/dist"
+import (
+	"repro/internal/dist"
+	"repro/internal/tensor"
+)
 
 // SetBeforeRound installs f to run before every round a collect or a
 // restore issues (nil removes it); set it only between cluster runs.
@@ -28,3 +31,15 @@ func (q *Grads) Landed() (landed, expected int) { return q.landed, q.expected }
 func GradsOf(f Family) *Grads { return f.(interface{ grads() *Grads }).grads() }
 
 func (v *View) grads() *Grads { return v.Grads }
+
+// Retained returns the Q, K, V and probability buffers the attention core
+// holds for its backward pass.
+func (a *Attention) Retained() []*tensor.Matrix {
+	var out []*tensor.Matrix
+	for _, m := range []*tensor.Matrix{a.core.q, a.core.k, a.core.v} {
+		if m != nil {
+			out = append(out, m)
+		}
+	}
+	return append(out, a.core.probs...)
+}

@@ -17,21 +17,26 @@ type wsPin struct {
 	HighWaterBytes        int64
 }
 
-// TestLifetimesPinned states the buffer lifetimes as numbers. Simulated
-// clocks, the benchmark's workspace rows and every planner MemoryBytes
-// follow from where a layer checks a buffer out and where it returns it;
-// this pins, per family, the solo replay's step with and without recompute
-// (what plan.Price reads) and every rank's pool counters over one real step
-// of the two-layer footprint model. A changed literal is a declared schedule
-// change, never a side effect of moving code.
+// TestLifetimesPinned states the buffer lifetimes as numbers. Every planner
+// MemoryBytes and the benchmark's workspace rows follow from where a layer
+// checks a buffer out and where it returns it; the simulated clocks do not,
+// and are pinned beside them only so that a lifetime change shows it moved
+// footprints and pool counts alone. This pins, per family, the solo replay's
+// step with and without recompute (what plan.Price reads) and every rank's
+// pool counters over one real step of the two-layer footprint model. A
+// changed MemoryBytes or pool literal is a declared lifetime change, never a
+// side effect of moving code.
 func TestLifetimesPinned(t *testing.T) {
 	// Grid row 0 of a mesh owns the biases, which it column-reduces in place
 	// in their gradients; ranks 2, 3, 6 and 7 of [2,2,2] sit on grid row 1
 	// and check out a column-sum scratch per bias instead. Every weight
 	// gradient is computed in its Grad and a q = 2 SUMMA checks out one panel
 	// and one partial per operand, not two (from 242 gets, 89 and 82 buffers,
-	// 97344 and 96000 B).
-	row0, row1 := wsPin{170, 106, 75, 67200}, wsPin{186, 122, 75, 67200}
+	// 97344 and 96000 B). The attention core's Q, K, V and probabilities,
+	// the fused QKV output and the MLP's inner gradient go back at their
+	// last reader on every family (from 106 and 122 returns, 75 buffers and
+	// 67200 B).
+	row0, row1 := wsPin{170, 150, 72, 59136}, wsPin{186, 166, 72, 59136}
 	cases := []struct {
 		layout          parallel.Layout
 		recompute, keep parallel.StepClocks
@@ -39,28 +44,33 @@ func TestLifetimesPinned(t *testing.T) {
 	}{
 		{
 			layout: parallel.Layout{Family: "tesseract", Q: 2, D: 2},
-			// The footprint no longer counts each weight gradient a second
-			// time in the workspace (from 217152 B).
-			recompute: parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00019337939907692307, Busy: 3.051923076923079e-09, MemoryBytes: 187008},
-			keep:      parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00012914777530769226, Busy: 2.2638461538461535e-09, MemoryBytes: 187008},
+			// The fused QKV output goes back once it is split, and the
+			// core's Q, K, V and probabilities once its backward has read
+			// them (from 187008 B).
+			recompute: parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00019337939907692307, Busy: 3.051923076923079e-09, MemoryBytes: 178944},
+			keep:      parallel.StepClocks{Forward: 6.423162376923077e-05, Backward: 0.00012914777530769226, Busy: 2.2638461538461535e-09, MemoryBytes: 178944},
 			ranks:     []wsPin{row0, row0, row1, row1, row0, row0, row1, row1},
 		},
 		{
 			layout: parallel.Layout{Family: "optimus", Q: 2},
-			// As tesseract's (from 261120 B, and 278 gets and 139008 B on
-			// every rank): ranks 0 and 1 are grid row 0.
-			recompute: parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00019313456584615387, Busy: 6.103846153846158e-09, MemoryBytes: 251904},
-			keep:      parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00012880725430769232, Busy: 4.527692307692307e-09, MemoryBytes: 251904},
-			ranks:     []wsPin{{206, 106, 111, 129792}, {206, 106, 111, 129792}, {222, 122, 111, 129792}, {222, 122, 111, 129792}},
+			// As tesseract's (from 251904 B, and 106 and 122 returns, 111
+			// buffers and 129792 B): ranks 0 and 1 are grid row 0.
+			recompute: parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00019313456584615387, Busy: 6.103846153846158e-09, MemoryBytes: 235776},
+			keep:      parallel.StepClocks{Forward: 6.432731153846153e-05, Backward: 0.00012880725430769232, Busy: 4.527692307692307e-09, MemoryBytes: 235776},
+			ranks:     []wsPin{{206, 186, 108, 113664}, {206, 186, 108, 113664}, {222, 202, 108, 113664}, {222, 202, 108, 113664}},
 		},
 		{
-			layout:    parallel.Layout{Family: "megatron", Ranks: 4},
-			recompute: parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 9.644722799999994e-05, Busy: 6.6023076923076924e-09, MemoryBytes: 343680},
-			keep:      parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 4.8224301692307696e-05, Busy: 4.8599999999999985e-09, MemoryBytes: 343680},
+			layout: parallel.Layout{Family: "megatron", Ranks: 4},
+			// As tesseract's, and the MLP's inner gradient goes back once
+			// fc1 has read it, none of them riding to the step boundary
+			// (from 343680 B).
+			recompute: parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 9.644722799999994e-05, Busy: 6.6023076923076924e-09, MemoryBytes: 311424},
+			keep:      parallel.StepClocks{Forward: 4.8222926307692294e-05, Backward: 4.8224301692307696e-05, Busy: 4.8599999999999985e-09, MemoryBytes: 311424},
 			// The 16 weight and bias gradients of two blocks are computed in
-			// their Grads, not in workspace scratch (from 174 gets); the peak
-			// is the forward's.
-			ranks: slices.Repeat([]wsPin{wsPin{158, 56, 113, 208896}}, 4),
+			// their Grads, not in workspace scratch (from 174 gets), and the
+			// intermediates above go back at their last reader (from 56
+			// returns, 113 buffers and 208896 B).
+			ranks: slices.Repeat([]wsPin{wsPin{158, 138, 108, 176640}}, 4),
 		},
 		{
 			layout: parallel.Layout{Family: "seqpar", Ranks: 4},

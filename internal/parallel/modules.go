@@ -52,23 +52,6 @@ func (w Weight) Bias(name string, c0, cols int) Shard {
 	return s
 }
 
-// Lifetime is when a family's sub-modules return their intermediates to the
-// workspace. Simulated clocks and planner footprints depend on it: every
-// buffer goes back at exactly the program point its regime names.
-type Lifetime int
-
-const (
-	// KeepAll holds everything to the step boundary (Megatron-LM).
-	KeepAll Lifetime = iota
-	// RecycleGrads returns the MLP's inner gradient once fc1 has consumed it
-	// (Tesseract, Optimus).
-	RecycleGrads
-	// Transient also returns the fused QKV output once it is split and the
-	// attention core's saved Q, K, V and probabilities once their gradients
-	// are done (sequence parallelism).
-	Transient
-)
-
 // Linears is all that differs between the four families' Transformer
 // blocks; attention and the MLP are the serial math over these linears
 // (§3.2.1, Figure 5).
@@ -81,19 +64,20 @@ type Linears interface {
 	// reads the module's input and applies act, the second maps its output
 	// back to the module's activation layout.
 	NewLinearPair(in, out Weight, act nn.Activation) (Layer, Layer)
-	Lifetime() Lifetime
 }
 
 // Attention is multi-head self-attention (Figure 5b): a fused QKV linear
 // laid out so every column shard receives head-aligned Q, K and V slices,
 // the local per-head attention, and an output linear. The only
-// communication is inside the two linears.
+// communication is inside the two linears. Every intermediate the module
+// checks out goes back to the workspace at its last reader, on every
+// family: the buffer footprint a planner MemoryBytes reads follows from
+// that one rule.
 type Attention struct {
 	QKV, Proj Layer // h → 3h fused, h → h
 
 	core HeadAttention // this rank's heads/shards heads
 	w    *dist.Worker
-	life Lifetime
 }
 
 // NewAttention draws Wq, Wk, Wv, Wo in nn.NewMultiHeadAttention's order
@@ -115,7 +99,7 @@ func NewAttention(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 		}
 		fused.Full = tensor.HCat(cols...)
 	}
-	a := &Attention{w: f.Worker(), life: f.Lifetime(),
+	a := &Attention{w: f.Worker(),
 		core: HeadAttention{Heads: heads / shards, HeadDim: h / heads, SeqLen: seqLen}}
 	a.QKV, a.Proj = f.NewLinearPair(fused, wo, nn.ActNone)
 	return a
@@ -151,13 +135,12 @@ func (a *Attention) State() []State {
 }
 
 // Forward attends over the family-distributed x, whose rows cover whole
-// sequences; Q, K, V and the probabilities are retained for Backward.
+// sequences; Q, K, V and the probabilities are retained for Backward, and
+// the fused QKV output goes back once Split has copied it.
 func (a *Attention) Forward(x *tensor.Matrix) *tensor.Matrix {
 	qkv := a.QKV.Forward(x)
 	a.core.Split(a.w, qkv)
-	if a.life == Transient {
-		a.w.Workspace().Put(qkv)
-	}
+	a.w.Workspace().Put(qkv)
 	return a.Proj.Forward(a.core.Forward(a.w))
 }
 
@@ -168,9 +151,6 @@ func (a *Attention) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dout := a.Proj.Backward(dy)
 	dqkv := a.core.Backward(a.w, dout)
 	ws.Put(dout)
-	if a.life == Transient {
-		a.core.Release(a.w)
-	}
 	dx := a.QKV.Backward(dqkv)
 	ws.Put(dqkv)
 	return dx
@@ -181,13 +161,12 @@ func (a *Attention) Backward(dy *tensor.Matrix) *tensor.Matrix {
 type MLP struct {
 	Fc1, Fc2 Layer
 
-	w    *dist.Worker
-	life Lifetime
+	w *dist.Worker
 }
 
 // NewMLP draws Fc1, Fc2 in nn.NewMLP's order (nothing when rng is nil).
 func NewMLP(f Linears, h int, rng *tensor.RNG) *MLP {
-	m := &MLP{w: f.Worker(), life: f.Lifetime()}
+	m := &MLP{w: f.Worker()}
 	m.Fc1, m.Fc2 = f.NewLinearPair(Draw(h, 4*h, rng), Draw(4*h, h, rng), nn.ActGELU)
 	return m
 }
@@ -207,12 +186,11 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return m.Fc2.Forward(m.Fc1.Forward(x))
 }
 
-// Backward propagates through both projections.
+// Backward propagates through both projections and returns the inner
+// gradient to the workspace once fc1's backward has read it.
 func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	d1 := m.Fc2.Backward(dy)
 	dx := m.Fc1.Backward(d1)
-	if m.life != KeepAll {
-		m.w.Workspace().Put(d1)
-	}
+	m.w.Workspace().Put(d1)
 	return dx
 }

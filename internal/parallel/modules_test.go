@@ -177,6 +177,41 @@ func TestAttentionRejectsIndivisibleHeads(t *testing.T) {
 	}
 }
 
+// TestAttentionBackwardReturnsItsCore: on every registered family the
+// attention core holds Q, K, V and its probabilities from Forward to
+// Backward and none of them once Attention.Backward returns — a buffer is
+// dead at its last reader, whichever family's linears surround it.
+func TestAttentionBackwardReturnsItsCore(t *testing.T) {
+	const h, heads, seqLen, rows = 8, 4, 2, 16
+	dataRng := tensor.NewRNG(5)
+	x, dy := tensor.RandomMatrix(rows, h, dataRng), tensor.RandomMatrix(rows, h, dataRng)
+	for _, l := range []parallel.Layout{
+		{Family: "tesseract", Q: 2, D: 2}, {Family: "optimus", Q: 2},
+		{Family: "megatron", Ranks: 4}, {Family: "seqpar", Ranks: 4},
+	} {
+		l, err := parallel.Validate(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.Run(t, l.Ranks, func(w *dist.Worker) error {
+			f, err := parallel.New(w, l)
+			if err != nil {
+				return err
+			}
+			a := parallel.NewAttention(f.(parallel.Linears), h, heads, seqLen, tensor.NewRNG(9))
+			a.Forward(f.Distribute(x))
+			if n := len(a.Retained()); n == 0 {
+				t.Errorf("%s rank %d: the core holds nothing for its backward pass", l, w.Rank())
+			}
+			a.Backward(f.Distribute(dy))
+			if n := len(a.Retained()); n != 0 {
+				t.Errorf("%s rank %d: the core still holds %d Q, K, V or probability buffers after Backward", l, w.Rank(), n)
+			}
+			return nil
+		})
+	}
+}
+
 // TestMLPMatchesSerial runs the shared MLP over every family's linears, on
 // the layouts the fused-QKV tests walk, and holds each rank's collected
 // output and input gradient to nn.MLP's from the same seed. (CI runs it

@@ -1,7 +1,7 @@
 package parallel
 
 import (
-	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,25 +187,101 @@ func TestReplicatedLinearChargesThroughCompute(t *testing.T) {
 	}
 }
 
-func TestValidateAppliesRegisteredCheck(t *testing.T) {
-	Register(Spec{Name: "parallel-test-checked", New: nopFamily, Check: func(l Layout) error {
-		if l.Q != 0 {
-			return fmt.Errorf("checked: no meshes")
+// arrangementCase is what one arrangement promises a family registered
+// with it: the layouts Validate accepts with their row shards, those it
+// refuses (with a substring of the refusal) and the first candidates
+// Layouts lists.
+type arrangementCase struct {
+	arrangement Arrangement
+	accept      map[Layout]int // accepted layout → its Layout.RowShards
+	refuse      map[string]Layout
+	budget      int
+	layouts     []string // Layouts(budget), in order
+}
+
+// checkArrangement registers a family with c's arrangement and holds
+// Validate, Layout.RowShards and Layouts to c.
+func checkArrangement(t *testing.T, c arrangementCase) {
+	t.Helper()
+	name := "parallel-test-" + t.Name()
+	Register(Spec{Name: name, New: nopFamily, Arrangement: c.arrangement})
+	unregisterAfter(t, name)
+	for l, want := range c.accept {
+		l.Family = name
+		if l, err := Validate(l); err != nil {
+			t.Errorf("%+v refused: %v", l, err)
+		} else if got := l.RowShards(); got != want {
+			t.Errorf("%s RowShards = %d, want %d", l, got, want)
 		}
-		return nil
-	}, RowShards: func(l Layout) int { return l.Ranks }})
-	unregisterAfter(t, "parallel-test-checked")
-	if _, err := Validate(Layout{Family: "parallel-test-checked", Ranks: 2}); err != nil {
-		t.Fatalf("valid layout rejected: %v", err)
 	}
-	if _, err := Validate(Layout{Family: "parallel-test-checked", Q: 2}); err == nil || !strings.Contains(err.Error(), "no meshes") {
-		t.Fatalf("check not applied: %v", err)
+	for want, l := range c.refuse {
+		l.Family = name
+		if _, err := Validate(l); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: refusal %v, want one naming %q", l, err, want)
+		}
 	}
+	ls, err := Layouts(name, c.budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for l := range ls {
+		got = append(got, l.Shape())
+	}
+	if !slices.Equal(got, c.layouts) {
+		t.Errorf("Layouts within %d ranks = %v, want %v", c.budget, got, c.layouts)
+	}
+}
+
+func TestFlatArrangement(t *testing.T) {
+	checkArrangement(t, arrangementCase{
+		arrangement: Flat,
+		accept:      map[Layout]int{{Ranks: 1}: 1, {Ranks: 6}: 1},
+		refuse:      map[string]Layout{"1-D family and cannot take a mesh [2,2]": {Q: 2}},
+		budget:      3,
+		layouts:     []string{"[1]", "[2]", "[3]"},
+	})
+}
+
+func TestRowsArrangement(t *testing.T) {
+	checkArrangement(t, arrangementCase{
+		arrangement: Rows,
+		accept:      map[Layout]int{{Ranks: 1}: 1, {Ranks: 6}: 6},
+		refuse:      map[string]Layout{"1-D family and cannot take a mesh [2,2,2]": {Q: 2, D: 2}},
+		budget:      3,
+		layouts:     []string{"[1]", "[2]", "[3]"},
+	})
+}
+
+func TestGridArrangement(t *testing.T) {
+	checkArrangement(t, arrangementCase{
+		arrangement: Grid,
+		accept:      map[Layout]int{{Q: 1}: 1, {Q: 3, D: 1}: 3},
+		refuse: map[string]Layout{
+			"2-D family and cannot take depth 2": {Q: 2, D: 2},
+			"needs a mesh dimension q":           {Ranks: 4},
+		},
+		budget:  17,
+		layouts: []string{"[1,1]", "[2,2]", "[3,3]", "[4,4]"},
+	})
+}
+
+func TestMeshArrangement(t *testing.T) {
+	checkArrangement(t, arrangementCase{
+		arrangement: Mesh,
+		accept:      map[Layout]int{{Q: 1}: 1, {Q: 2, D: 2}: 4, {Q: 3}: 3, {Q: 4, D: 2}: 8},
+		refuse: map[string]Layout{
+			"depth d=3 above its dimension q=2": {Q: 2, D: 3},
+			"needs a mesh dimension q":          {Ranks: 4},
+		},
+		budget:  18,
+		layouts: []string{"[1,1]", "[2,2]", "[2,2,2]", "[3,3]", "[3,3,2]", "[4,4]"},
+	})
+}
+
+func TestValidateRefusesUnregisteredFamily(t *testing.T) {
 	if _, err := Validate(Layout{Family: "parallel-test-unregistered", Ranks: 1}); err == nil {
 		t.Fatal("unknown family must be rejected")
-	}
-	if got := (Layout{Family: "parallel-test-checked", Ranks: 3}).RowShards(); got != 3 {
-		t.Fatalf("the spec's row shards not applied: %d, want 3", got)
 	}
 }
 

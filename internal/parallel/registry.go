@@ -27,8 +27,8 @@ type Layout struct {
 }
 
 // normalize fills the derivable zero fields (D defaults to 1 on meshes,
-// Ranks to q²·d) and validates consistency. It does not check what the
-// family registered (its Arrangement, its Check); Validate does.
+// Ranks to q²·d) and validates consistency. It does not check the family's
+// registered Arrangement; Validate does.
 func (l Layout) normalize() (Layout, error) {
 	if l.Family == "" {
 		return l, fmt.Errorf("parallel: layout needs a family name")
@@ -59,20 +59,16 @@ func (l Layout) normalize() (Layout, error) {
 }
 
 // RowShards returns how many ways the layout partitions activation rows:
-// d·q on a mesh, the family's Spec.RowShards for 1-D families (sequence
-// parallelism shards rows p ways despite its flat arrangement), 1 otherwise.
+// d·q on a mesh, p for a family registered with the Rows arrangement, 1
+// otherwise.
 func (l Layout) RowShards() int {
 	if l.Q == 0 {
-		if s, ok := lookup(l.Family); ok && s.RowShards != nil {
-			return s.RowShards(l)
+		if s, ok := lookup(l.Family); ok && s.Arrangement == Rows {
+			return l.Ranks
 		}
 		return 1
 	}
-	d := l.D
-	if d == 0 {
-		d = 1
-	}
-	return l.Q * d
+	return l.Q * max(l.D, 1)
 }
 
 // Shape renders the arrangement the way the paper prints it: [p], [q,q] or
@@ -91,15 +87,27 @@ func (l Layout) Shape() string {
 // String renders "family [shape]".
 func (l Layout) String() string { return fmt.Sprintf("%s %s", l.Family, l.Shape()) }
 
-// Arrangement is how a family lays out its processors.
+// Arrangement is how a family lays out its processors and splits its
+// activation rows over them: the one fact about a family, beside its
+// constructor, that validation, the planner's search space and the batch
+// unit read.
 type Arrangement int
 
 const (
-	// Flat is the 1-D arrangement [p]: Q and D are zero.
+	// Flat is [p] with every activation row on every rank (Megatron-LM):
+	// Q and D are zero.
 	Flat Arrangement = iota
-	// Mesh is the [q, q, d] arrangement, 1 ≤ d ≤ q; d = 1 is [q, q].
+	// Rows is [p] with the activation rows split p ways (sequence
+	// parallelism).
+	Rows
+	// Grid is the 2-D mesh [q, q]: no depth (Optimus).
+	Grid
+	// Mesh is [q, q, d], 1 ≤ d ≤ q; d = 1 is [q, q].
 	Mesh
 )
+
+// mesh reports whether the arrangement's layouts carry a mesh dimension q.
+func (a Arrangement) mesh() bool { return a == Grid || a == Mesh }
 
 // Spec is everything the runtime and the planner know about a family under
 // its name, registered once. The family packages call Register from init, so
@@ -111,20 +119,11 @@ type Spec struct {
 	// New builds one rank's family view for a validated layout. Every rank
 	// in [0, l.Ranks) must call it collectively.
 	New func(w *dist.Worker, l Layout) (Family, error)
-	// Arrangement is the shape every layout of the family has; Validate
-	// refuses the other one, and a mesh deeper than it is wide.
-	Arrangement Arrangement
-	// Check, if set, rejects a layout of the right arrangement the
-	// constructor would still refuse (Optimus takes no depth), without a
+	// Arrangement is the shape every layout of the family has and how its
+	// activation rows split. Validate refuses any other shape without a
 	// cluster, so a composition can refuse an impossible configuration
 	// before sizing a cluster from it.
-	Check func(Layout) error
-	// RowShards, if set, is how a 1-D family partitions activation rows,
-	// overriding Layout.RowShards' default of 1. Sequence parallelism returns
-	// l.Ranks: every rank owns Rows/p activation rows even though the
-	// arrangement is flat. Mesh layouts never consult it — their row split is
-	// q·d by construction.
-	RowShards func(Layout) int
+	Arrangement Arrangement
 }
 
 var (
@@ -154,8 +153,8 @@ func lookup(name string) (Spec, bool) {
 	return s, ok
 }
 
-// Validate normalizes the layout and applies its family's static check
-// without building anything.
+// Validate normalizes the layout and checks it against its family's
+// arrangement without building anything.
 func Validate(l Layout) (Layout, error) {
 	_, l, err := validate(l)
 	return l, err
@@ -171,16 +170,13 @@ func validate(l Layout) (Spec, Layout, error) {
 	if err != nil {
 		return s, l, err
 	}
-	if s.Check != nil {
-		if err := s.Check(l); err != nil {
-			return s, l, err
-		}
-	}
 	switch {
-	case s.Arrangement == Flat && l.Q != 0:
+	case !s.Arrangement.mesh() && l.Q != 0:
 		return s, l, fmt.Errorf("parallel: %s is a 1-D family and cannot take a mesh %s", l.Family, l.Shape())
-	case s.Arrangement == Mesh && l.Q == 0:
+	case s.Arrangement.mesh() && l.Q == 0:
 		return s, l, fmt.Errorf("parallel: layout %s needs a mesh dimension q", l)
+	case s.Arrangement == Grid && l.D > 1:
+		return s, l, fmt.Errorf("parallel: %s is a 2-D family and cannot take depth %d", l.Family, l.D)
 	case s.Arrangement == Mesh && l.D > l.Q:
 		return s, l, fmt.Errorf("parallel: layout %s has depth d=%d above its dimension q=%d (the paper requires 1 <= d <= q)", l, l.D, l.Q)
 	}
@@ -198,27 +194,28 @@ func spec(name string) (Spec, error) {
 }
 
 // Layouts lists every layout of the named family on at most budget ranks
-// that Validate accepts, smallest first: [p] for p = 1…budget, or [q,q,d] by
-// q and then d. This is the planner's search space; which of them can split
-// a workload is Fits' to say. Nothing is materialised, so the walk is the
-// only cost of a large budget.
+// that Validate accepts, smallest first: [p] for p = 1…budget, [q,q] by q,
+// or [q,q,d] by q and then d. This is the planner's search space; which of
+// them can split a workload is Fits' to say. Nothing is materialised, so the
+// walk is the only cost of a large budget.
 func Layouts(family string, budget int) (iter.Seq[Layout], error) {
 	s, err := spec(family)
 	if err != nil {
 		return nil, err
 	}
 	return func(yield func(Layout) bool) {
-		// more skips what Check refuses and otherwise reports whether the
-		// caller wants the next layout.
-		more := func(l Layout) bool { return (s.Check != nil && s.Check(l) != nil) || yield(l) }
-		if s.Arrangement == Flat {
-			for p := 1; p <= budget && more(Layout{Family: family, Ranks: p}); p++ {
+		if !s.Arrangement.mesh() {
+			for p := 1; p <= budget && yield(Layout{Family: family, Ranks: p}); p++ {
 			}
 			return
 		}
 		for q := 1; q*q <= budget; q++ {
-			for d := 1; d <= q && q*q*d <= budget; d++ {
-				if !more(Layout{Family: family, Q: q, D: d, Ranks: q * q * d}) {
+			depth := q
+			if s.Arrangement == Grid {
+				depth = 1
+			}
+			for d := 1; d <= depth && q*q*d <= budget; d++ {
+				if !yield(Layout{Family: family, Q: q, D: d, Ranks: q * q * d}) {
 					return
 				}
 			}

@@ -13,8 +13,9 @@
 //
 // The weight sharding is Megatron-LM's, and so is every layer: the package
 // is one registration, with no family type or layer code of its own, exactly
-// like package optimus. Its Spec builds megatron's family under the megatron.RowSharded bracket, whose parallel.View splits
-// activation rows over the group and nothing over columns, and whose patch
+// like package optimus. Its Spec builds megatron's family under the
+// megatron.RowSharded bracket on the Rows arrangement: its parallel.View
+// splits activation rows over the group and nothing over columns, and its patch
 // embedding — parallel.ReplicatedLinear, the replicated weight every family's
 // head also is — sums its gradients over that group. Sharing the layers is
 // also why checkpoints re-shard freely between the two families.
@@ -32,7 +33,6 @@ func init() {
 		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
 			return megatron.NewFamily(w, l, megatron.RowSharded), nil
 		},
-		Arrangement: parallel.Flat,
-		RowShards:   func(l parallel.Layout) int { return l.Ranks },
+		Arrangement: parallel.Rows,
 	})
 }

@@ -352,9 +352,11 @@ func TestEveryCandidateIsARuntimeLayout(t *testing.T) {
 // budget's ranks, that parallel.Validate and parallel.CheckActivation accept
 // — the replay's own refusal, which splits activation rows per token — and
 // no two candidates run the same registration at the same shape: the
-// families parallel.New builds for them differ in type, shape, row shards or
-// buffer lifetimes. (A per-sequence filter once hid seqpar layouts the replay
-// runs, and Optimus' [q,q] was priced beside Tesseract's, the same family.)
+// families parallel.New builds for them differ in type, shape or row shards,
+// or their replays price differently (megatron [1] and seqpar [1] are one
+// type with one row shard, and seqpar's bracket holds less). (A
+// per-sequence filter once hid seqpar layouts the replay runs, and Optimus'
+// [q,q] was priced beside Tesseract's, the same family.)
 func TestSearchListsEveryFittingLayoutOnce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(48, 1))
 	for n := 0; n < 60; n++ {
@@ -392,10 +394,7 @@ func TestSearchListsEveryFittingLayoutOnce(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				run := fmt.Sprintf("%T %s %d", f, p.Shape(), f.RowShards())
-				if lf, ok := f.(parallel.Linears); ok {
-					run += fmt.Sprint(" ", lf.Lifetime())
-				}
+				run := fmt.Sprintf("%T %s %d %+v", f, p.Shape(), f.RowShards(), p.Predicted)
 				if other, dup := runs[run]; dup {
 					t.Errorf("%+v: %s and %s run the same family (%s)", w, other, p, run)
 				}

@@ -54,9 +54,5 @@ func (f *Family) NewLinearPair(in, out parallel.Weight, act nn.Activation) (para
 	return newLinear(f.p, in, act, true), newLinear(f.p, out, nn.ActNone, true)
 }
 
-// Lifetime returns RecycleGrads: saved activations ride to the step
-// boundary, gradient intermediates go back as soon as they are read.
-func (f *Family) Lifetime() parallel.Lifetime { return parallel.RecycleGrads }
-
 // ForwardOnly opens or closes the rank's forward-only scope (Proc.ForwardOnly).
 func (f *Family) ForwardOnly(on bool) { f.p.ForwardOnly(on) }

@@ -10,7 +10,9 @@
 # cost-model arithmetic, its footprint as a memory formula, or the shared
 # attention and MLP modules as types of its own; dist to one way of moving
 # bytes: collectives, no point-to-point Send/Recv; each family to one
-# description: a parallel.Spec, which is also the planner's search space; and
+# description: a parallel.Spec — a name, a constructor and an arrangement —
+# which is also the planner's search space; each buffer to one lifetime: dead
+# at its last reader, no family's regime; and
 # a family package to its linears: the activation layout, the layer norm,
 # the block constructors, the step boundary and the deferred-gradient queue
 # live once, in parallel.View, every partial gradient lands through
@@ -95,6 +97,17 @@ if grep -rnE '^type (Attention|MLP|bound|procModule) |^func New[A-Za-z]*Phantom\
     fail=1
 fi
 
+# A buffer is dead at its last reader, on every family (docs/architecture.md
+# §6): the shared attention and MLP return each intermediate where it is last
+# read, and a family hands them linears, not a policy. A Lifetime type or
+# method, or a KeepAll, RecycleGrads or Transient constant, in non-test Go is
+# the per-family buffer-lifetime regime growing back.
+if grep -rnE '^type Lifetime\b|^func \([a-z]+ \*?[A-Za-z]+\) Lifetime\(|\b(KeepAll|RecycleGrads|Transient)\b' \
+    --include='*.go' --exclude='*_test.go' internal cmd examples >&2; then
+    echo "docs_check: a family chooses a buffer lifetime for the shared modules again" >&2
+    fail=1
+fi
+
 # Collectives are the only way bytes move (docs/architecture.md §1): every
 # byte and simulated second is booked where a round finishes. A Send or Recv
 # method or a mailbox type in internal/dist, or a .Send(/.Recv( call anywhere
@@ -118,6 +131,28 @@ fi
 if grep -rnE 'RegisterCheck|RegisterRowShards|PlanAlgo|type Grid struct|Instantiate\(|HiddenFraction|BroadcastSeconds|GEMMSeconds' \
     --include='*.go' internal cmd examples >&2; then
     echo "docs_check: a family or a price is described twice again" >&2
+    fail=1
+fi
+# The same holds inside the Spec: it is a name, a constructor and an
+# Arrangement (Flat, Rows, Grid, Mesh), from which Validate, Layouts and
+# Layout.RowShards derive the refusals, the candidates and the row split. A
+# Check: or RowShards: field in a Spec literal is a per-family hook growing
+# back beside the arrangement. The awk tracks a Spec{ literal by brace depth.
+if ! find internal cmd examples -name '*.go' | sort | xargs awk '
+    FNR == 1 { in_spec = 0 }
+    !in_spec && /(^|[^A-Za-z0-9_])Spec\{/ { in_spec = 1; depth = 0 }
+    in_spec {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (line ~ /(^|[{,[:space:]])(Check|RowShards):/) {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0 > "/dev/stderr"
+            bad = 1
+        }
+        depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+        if (depth <= 0) in_spec = 0
+    }
+    END { exit bad }'; then
+    echo "docs_check: a parallel.Spec carries a Check or RowShards hook beside its Arrangement" >&2
     fail=1
 fi
 if grep -rnE '"repro/internal/plan"|^func Grids\(' --include='*.go' \
