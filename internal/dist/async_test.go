@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -82,6 +83,81 @@ func TestAsyncCollectivesMatchBlockingBitwise(t *testing.T) {
 		if !redGot.Equal(redWant) {
 			t.Fatalf("n=%d: IReduceInto differs bitwise from ReduceInto", n)
 		}
+	}
+}
+
+// TestIAllGatherMatchesAllGatherBitwise: the nonblocking all-gather leaves
+// every member's destination bitwise what the blocking one does, stacked and
+// side by side, and so does the in-place form, where each member's block is
+// its own row band of the destination it gathers into (the optimiser's
+// weight bands).
+func TestIAllGatherMatchesAllGatherBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 8} {
+		got := make([][3]*tensor.Matrix, n)
+		want := make([][3]*tensor.Matrix, n)
+		runWorld(t, n, func(w *Worker) error {
+			g, r := w.Cluster().WorldGroup(), w.Rank()
+			block := fillRank(r, 2, 3)
+			for i, dst := range [...]*tensor.Matrix{tensor.New(n*2, 3), tensor.New(2, n*3)} {
+				h := g.IAllGatherInto(w, block, dst)
+				h.Wait()
+				got[r][i] = dst
+				want[r][i] = g.AllGatherInto(w, block, tensor.New(dst.Rows, dst.Cols))
+			}
+			full := tensor.New(n*2, 3)
+			band := &tensor.Matrix{Rows: 2, Cols: 3, Data: full.Data[r*6 : (r+1)*6]}
+			copy(band.Data, block.Data)
+			h := g.IAllGatherInto(w, band, full)
+			h.Wait()
+			got[r][2], want[r][2] = full, want[r][0]
+			return nil
+		})
+		for r := range n {
+			for i, what := range []string{"stacked", "side by side", "in place"} {
+				if !got[r][i].Equal(want[r][i]) {
+					t.Fatalf("n=%d rank %d: IAllGatherInto %s differs from AllGatherInto", n, r, what)
+				}
+			}
+		}
+	}
+}
+
+// TestIAllGatherChargesLikePhantom: a nonblocking all-gather of real
+// blocks, with compute between issue and Wait, leaves every rank's clock,
+// the overlap account and the traffic statistics exactly what the same
+// schedule of phantom blocks does.
+func TestIAllGatherChargesLikePhantom(t *testing.T) {
+	run := func(phantom bool) *Cluster {
+		return runWorld(t, 4, func(w *Worker) error {
+			g := w.Cluster().WorldGroup()
+			block, dst := tensor.New(16, 8), tensor.New(64, 8)
+			if phantom {
+				block, dst = tensor.NewPhantom(16, 8), tensor.NewPhantom(64, 8)
+			}
+			for i := range 2 {
+				h := g.IAllGatherInto(w, block, dst)
+				w.Compute(float64(w.Rank()+i) * 1e6)
+				h.Wait()
+			}
+			return nil
+		})
+	}
+	real, ph := run(false), run(true)
+	for r := range 4 {
+		if a, b := real.workers[r].clock, ph.workers[r].clock; a != b {
+			t.Errorf("rank %d clock %g real, %g phantom", r, a, b)
+		}
+	}
+	if a, b := real.Stats(), ph.Stats(); !reflect.DeepEqual(a, b) {
+		t.Errorf("stats %+v real, %+v phantom", a, b)
+	}
+	rh, rt := real.Overlap()
+	ph2, pt := ph.Overlap()
+	if rh != ph2 || rt != pt {
+		t.Errorf("overlap %g/%g real, %g/%g phantom", rh, rt, ph2, pt)
+	}
+	if real.MaxClock() == 0 {
+		t.Error("the all-gathers charged nothing")
 	}
 }
 

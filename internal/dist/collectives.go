@@ -7,7 +7,8 @@ import (
 )
 
 // Handle is one in-flight nonblocking collective, returned by the
-// I-variants (IBroadcastInto, IReduceInto, IAllReduceInto). The issuing
+// I-variants (IBroadcastInto, IReduceInto, IAllReduceInto, IAllGatherInto,
+// IReduceScatterInto). The issuing
 // call never blocks; Wait blocks until the operation completes, advances
 // the caller's simulated clock to max(own compute, collective finish) —
 // communication overlapped with compute costs max, not sum — and returns
@@ -272,6 +273,23 @@ func checkAllReduceInto(w *Worker, m, dst *tensor.Matrix) {
 // ring. Returns dst.
 func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opAllGather)
+	checkAllGatherInto(w, g, m, dst)
+	g.runBlocking(w, opAllGather, -1, idx, m, dst)
+	return dst
+}
+
+// IAllGatherInto is the nonblocking AllGatherInto: the same round, filed
+// now and complete once Wait returns. m and dst are borrowed until Wait. A
+// member's m may be its own block of dst, in place — a row band of the
+// [n·rows, cols] matrix every member gathers into — since the round writes
+// each member's block back where it already lies.
+func (g *Group) IAllGatherInto(w *Worker, m, dst *tensor.Matrix) Handle {
+	idx := g.mustIndex(w, opAllGather)
+	checkAllGatherInto(w, g, m, dst)
+	return g.issueAsync(w, opAllGather, -1, idx, m, dst)
+}
+
+func checkAllGatherInto(w *Worker, g *Group, m, dst *tensor.Matrix) {
 	if m == nil {
 		panic(fmt.Sprintf("dist: rank %d passed nil to allgather", w.rank))
 	}
@@ -285,8 +303,6 @@ func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("dist: allgather dst %dx%d fits neither %dx%d nor %dx%d for %d blocks of %dx%d",
 			dst.Rows, dst.Cols, n*m.Rows, m.Cols, m.Rows, n*m.Cols, n, m.Rows, m.Cols))
 	}
-	g.runBlocking(w, opAllGather, -1, idx, m, dst)
-	return dst
 }
 
 // ReduceScatterInto sums every member's equal full-size partial m and

@@ -206,3 +206,36 @@ func TestBroadcastLendSoloAndPhantom(t *testing.T) {
 		t.Errorf("solo borrower: got %v, want a refusal naming the solo cluster", err)
 	}
 }
+
+// TestIAllGatherBorrowsUntilWait: a nonblocking all-gather borrows the
+// member's workspace block and destination until Wait — a Put of either in
+// between panics — and returns both after it, so the step boundary's
+// ReleaseAll finds nothing outstanding.
+func TestIAllGatherBorrowsUntilWait(t *testing.T) {
+	const n = 3
+	runWorld(t, n, func(w *Worker) error {
+		g, r, ws := w.Cluster().WorldGroup(), w.Rank(), w.Workspace()
+		block, dst := ws.GetUninit(2, 4), ws.GetUninit(n*2, 4)
+		copy(block.Data, fillRank(r, 2, 4).Data)
+		h := g.IAllGatherInto(w, block, dst)
+		for _, m := range []*tensor.Matrix{block, dst} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("rank %d: Put of a %dx%d buffer borrowed by an in-flight all-gather did not panic", r, m.Rows, m.Cols)
+					}
+				}()
+				ws.Put(m)
+			}()
+		}
+		h.Wait()
+		for v := range n {
+			if !dst.SubMatrix(v*2, 0, 2, 4).Equal(fillRank(v, 2, 4)) {
+				t.Errorf("rank %d: block %d of the gather is wrong", r, v)
+			}
+		}
+		ws.Put(block, dst)
+		ws.ReleaseAll() // panics if a borrow is still outstanding
+		return nil
+	})
+}

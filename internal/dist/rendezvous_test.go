@@ -100,7 +100,11 @@ func abortSchedule(w *Worker) []func() {
 	if depth.Index(r) == 1 {
 		lend = b
 	}
-	var hb, hr, hs, hl Handle
+	// The gather's blocks are row bands of the destination, in place, as the
+	// step boundary gathers an optimiser's weight bands.
+	full := tensor.New(4, 4)
+	band := &tensor.Matrix{Rows: 2, Cols: 4, Data: full.Data[8*depth.Index(r) : 8*(depth.Index(r)+1)]}
+	var hb, hr, hs, hl, hg Handle
 	return []func(){
 		func() { row.AllReduceInto(w, a, a) },
 		func() { hb = col.IBroadcastInto(w, col.Ranks()[0], b, b) },
@@ -120,8 +124,10 @@ func abortSchedule(w *Worker) []func() {
 		},
 		func() { hr = row.IAllReduceInto(w, a, a) },
 		func() { hs = world.IReduceScatterInto(w, part, sum) },
+		func() { hg = depth.IAllGatherInto(w, band, full) },
 		func() { hl = depth.IBroadcastLend(w, depth.Ranks()[1], lend) },
 		func() { hs.Wait() },
+		func() { hg.Wait() },
 		func() { hr.Wait() },
 		func() { hl.Wait() },
 		func() { world.Barrier(w) },

@@ -91,6 +91,16 @@ var soloSchedules = map[string]func(w *Worker, g *Group){
 		g.AllGatherInto(w, tensor.NewPhantom(2, 3), tensor.NewPhantom(n*2, 3))
 		g.AllGatherInto(w, tensor.NewPhantom(2, 3), tensor.NewPhantom(2, n*3))
 	},
+	"iallgather": func(w *Worker, g *Group) {
+		n := g.Size()
+		var hs [2]Handle
+		for i, dst := range [...]*tensor.Matrix{tensor.NewPhantom(n*32, 16), tensor.NewPhantom(32, n*16)} {
+			hs[i] = g.IAllGatherInto(w, tensor.NewPhantom(32, 16), dst)
+			w.Compute(float64(i+1) * 3e8)
+		}
+		hs[0].Wait()
+		hs[1].Wait()
+	},
 	"reducescatter": func(w *Worker, g *Group) {
 		n := g.Size()
 		w.Compute(2e8)

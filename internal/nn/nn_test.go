@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -369,5 +370,43 @@ func TestAdamWarmStepAllocatesNothing(t *testing.T) {
 	opt.Step(ps)
 	if n := testing.AllocsPerRun(100, func() { opt.Step(ps) }); n != 0 {
 		t.Fatalf("warm Adam step allocates %v times, want 0", n)
+	}
+}
+
+// TestAdamStepsOnlyTheBand: a banded parameter's step updates the band's
+// rows exactly as a step of the whole parameter updates them, against
+// band-sized moments, leaves the other rows alone and marks the parameter
+// stale until Gathered.
+func TestAdamStepsOnlyTheBand(t *testing.T) {
+	value := tensor.RandomMatrix(6, 3, tensor.NewRNG(4))
+	grad := tensor.RandomMatrix(6, 3, tensor.NewRNG(5))
+	whole, band := NewParam("w", value.Clone()), NewParam("w", value.Clone())
+	whole.Grad, band.Grad = grad.Clone(), grad.Clone()
+	band.SetBand(2, 4)
+	a, b := NewAdam(0.01, 0.1), NewAdam(0.01, 0.1)
+	for range 3 {
+		a.Step([]*Param{whole})
+		b.Step([]*Param{band})
+	}
+	if !band.Stale() || whole.Stale() {
+		t.Fatalf("stale: banded %v, whole %v; want true, false", band.Stale(), whole.Stale())
+	}
+	for r := range 6 {
+		want := value.Row(r)
+		if r >= 2 && r < 4 {
+			want = whole.Value.Row(r)
+		}
+		if !slices.Equal(band.Value.Row(r), want) {
+			t.Errorf("row %d: %v, want %v", r, band.Value.Row(r), want)
+		}
+	}
+	wm, wv := a.Moments(whole)
+	bm, bv := b.Moments(band)
+	if !bm.Equal(wm.SubMatrix(2, 0, 2, 3)) || !bv.Equal(wv.SubMatrix(2, 0, 2, 3)) {
+		t.Errorf("band moments %v %v are not rows [2, 4) of the whole's", bm, bv)
+	}
+	band.Gathered()
+	if band.Stale() {
+		t.Error("stale after Gathered")
 	}
 }

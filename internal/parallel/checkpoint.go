@@ -430,16 +430,30 @@ func stageCollect(e *CheckpointSlot, t int, s State, local *tensor.Matrix) {
 		clear(dst)
 		return
 	}
+	r0 := localRow0(s, t)
 	for j, b := range s.Blocks {
 		p := e.Pieces[j]
 		for r := range b.Rows {
-			copy(dst[p.Off+r*p.Cols:p.Off+(r+1)*p.Cols], local.Row(b.LocalRow + r)[b.LocalCol:b.LocalCol+b.Cols])
+			copy(dst[p.Off+r*p.Cols:p.Off+(r+1)*p.Cols], local.Row(b.LocalRow - r0 + r)[b.LocalCol:b.LocalCol+b.Cols])
 		}
 	}
 }
 
+// localRow0 is the shard row that row 0 of the slot's local tensor t holds:
+// 0 for the value, and the band's first row for the moments, which hold the
+// band's rows only (nn.Param.Band; 0 for an unbanded shard).
+func localRow0(s State, t int) int {
+	if t == 0 || s.Param == nil {
+		return 0
+	}
+	lo, _ := s.Param.Band()
+	return lo
+}
+
 // Restore rebuilds a freshly constructed model (and optimiser) at f's
-// layout from the checkpoints its cluster's ranks hold. It is collective
+// layout from the checkpoints its cluster's ranks hold, and ends with the
+// step boundary's gather (Family.GatherBands): a banded weight's slot
+// installs its band, and the gather fills in the rest. It is collective
 // over ranks [0, n) of the cluster, n the larger of the new layout's and
 // the old layout's rank counts, at most the cluster's size: every such rank
 // of the new layout calls Restore with its checkpoint, and every other holds
@@ -464,7 +478,11 @@ func stageCollect(e *CheckpointSlot, t int, s State, local *tensor.Matrix) {
 // walk); mismatched slot shapes are an error. Gradients are left untouched
 // (a fresh model has zero gradients, and trainers zero per step anyway).
 func Restore(f Family, m Stater, opt *nn.Adam, ck *Checkpoint) error {
-	return restore(f.Worker(), f.Layout().Ranks, true, m.State(), opt, ck)
+	if err := restore(f.Worker(), f.Layout().Ranks, true, m.State(), opt, ck); err != nil {
+		return err
+	}
+	f.GatherBands()
+	return nil
 }
 
 // RestoreRanks is how many cluster ranks, from rank 0, take part in a
@@ -567,9 +585,10 @@ func restore(w *dist.Worker, ranks int, placed bool, st []State, opt *nn.Adam, c
 			locals[0] = val
 			if opt != nil && !val.Phantom() {
 				have, haveV := opt.Moments(s.Param)
-				locals[1], locals[2] = momentBuffer(have, val), momentBuffer(haveV, val)
+				locals[1], locals[2] = momentBuffer(have, s.Param), momentBuffer(haveV, s.Param)
 				opt.SetMoments(s.Param, locals[1], locals[2])
 			}
+			s.Param.MarkStale()
 		}
 		if a[3*n+i] == 0 {
 			if s.Param != nil {
@@ -623,11 +642,12 @@ func installLocal(locals [3]*tensor.Matrix, s State, e *CheckpointSlot) {
 			continue
 		}
 		src := e.packed(t).Data
+		r0 := localRow0(s, t)
 		for _, b := range s.Blocks {
 			p := e.Pieces[pieceOf(e, b)]
 			for r := range b.Rows {
 				at := p.Off + (b.GlobalRow-p.Row+r)*p.Cols + b.GlobalCol - p.Col
-				copy(local.Row(b.LocalRow + r)[b.LocalCol:b.LocalCol+b.Cols], src[at:at+b.Cols])
+				copy(local.Row(b.LocalRow - r0 + r)[b.LocalCol:b.LocalCol+b.Cols], src[at:at+b.Cols])
 			}
 		}
 	}
@@ -682,24 +702,28 @@ func assemble(w *dist.Worker, g *dist.Group, i int, locals [3]*tensor.Matrix, s 
 		if local == nil || local.Phantom() {
 			continue
 		}
+		r0 := localRow0(s, t)
 		for _, b := range s.Blocks {
 			for r := range b.Rows {
-				copy(local.Row(b.LocalRow + r)[b.LocalCol:b.LocalCol+b.Cols], buf.Row(t*rows + b.GlobalRow + r)[b.GlobalCol:b.GlobalCol+b.Cols])
+				copy(local.Row(b.LocalRow - r0 + r)[b.LocalCol:b.LocalCol+b.Cols], buf.Row(t*rows + b.GlobalRow + r)[b.GlobalCol:b.GlobalCol+b.Cols])
 			}
 		}
 	}
 	return nil
 }
 
-// momentBuffer returns the zeroed shard-shaped buffer a restored moment is
-// staged into: the optimiser's own when it already holds one of the shard's
-// shape — a session re-sharded back and forth keeps its moment storage —
-// and a fresh one otherwise, as on the first restore. Zeroing the reused
-// buffer makes the restore bit for bit what it is into a fresh one even
-// where the slot's rectangles leave part of the shard uncovered.
-func momentBuffer(have, shard *tensor.Matrix) *tensor.Matrix {
-	if have == nil || have.Phantom() || have.Rows != shard.Rows || have.Cols != shard.Cols {
-		return tensor.New(shard.Rows, shard.Cols)
+// momentBuffer returns the zeroed buffer a restored moment of p is staged
+// into, shaped as p's band (nn.Param.Band; the whole shard unless banded):
+// the optimiser's own when it already holds one of that shape — a session
+// re-sharded back and forth keeps its moment storage — and a fresh one
+// otherwise, as on the first restore. Zeroing the reused buffer makes the
+// restore bit for bit what it is into a fresh one even where the slot's
+// rectangles leave part of the band uncovered.
+func momentBuffer(have *tensor.Matrix, p *nn.Param) *tensor.Matrix {
+	lo, hi := p.Band()
+	rows, cols := hi-lo, p.Value.Cols
+	if have == nil || have.Phantom() || have.Rows != rows || have.Cols != cols {
+		return tensor.New(rows, cols)
 	}
 	have.Zero()
 	return have

@@ -64,7 +64,8 @@ func attentionStates(t *testing.T, l parallel.Layout, h, heads int, seed uint64)
 // (layout, heads per shard, head width) draws: for every family's fused
 // weight and bias slot the primaries' rectangles cover the canonical
 // [h, 3h] (and [1, 3h]) exactly once, each holder's rectangles cover its own
-// shard exactly once, and what the primaries stage is, bit for bit, the
+// shard's band (nn.Param.Band: the whole shard unless depth members split its
+// optimiser state) exactly once, and what the primaries stage is, bit for bit, the
 // serial [Wq | Wk | Wv] drawn from the same seed — un-fusing undoes the
 // per-shard fusion whatever the shard count. The output projection's slots
 // hold the same way to the serial Wo and its [1, h] bias, so both linears
@@ -119,8 +120,15 @@ func checkSlotTiles(t *testing.T, name string, canon *tensor.Matrix, states [][]
 				}
 			}
 		}
-		if !reads.Equal(ones(local.Rows, local.Cols)) {
-			t.Fatalf("%s: rank %d: its rectangles do not cover its shard exactly once", name, r)
+		band := tensor.New(local.Rows, local.Cols) // the rows the rank's optimiser steps
+		lo, hi := s.Param.Band()
+		for i := lo; i < hi; i++ {
+			for j := range band.Row(i) {
+				band.Row(i)[j] = 1
+			}
+		}
+		if !reads.Equal(band) {
+			t.Fatalf("%s: rank %d: its rectangles do not cover its shard's band exactly once", name, r)
 		}
 	}
 	if !writes.Equal(ones(canon.Rows, canon.Cols)) {

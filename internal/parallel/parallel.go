@@ -144,6 +144,11 @@ type Family interface {
 	// synchronisation; afterwards gradients are final and the optimiser
 	// may step.
 	DrainGradients()
-	// EndStep recycles this rank's workspace at a training-step boundary.
+	// GatherBands all-gathers every weight band (Grads.Band) an optimiser
+	// stepped or a restore installed since the last gather, so that every
+	// replica's Value is whole again.
+	GatherBands()
+	// EndStep is the training-step boundary: it gathers the bands and
+	// recycles this rank's workspace.
 	EndStep()
 }

@@ -61,13 +61,17 @@ type Shard struct {
 }
 
 // State is the shard's checkpoint slot; primary marks the replica that
-// writes it in a collect.
+// writes it in a collect. A banded shard (nn.Param.SetBand) holds its
+// optimiser state for its band's rows only, so its slot is the band, and
+// every member of the band's group is primary for its own band.
 func (s Shard) State(primary bool) State {
+	lo, hi := s.Band()
 	return State{
-		Param: s.Param, Rows: s.Rows, Cols: s.Cols, Primary: primary,
+		Param: s.Param, Rows: s.Rows, Cols: s.Cols, Primary: primary || s.Banded(),
 		Blocks: []StateBlock{{
-			GlobalRow: s.Row, GlobalCol: s.Col,
-			Rows: s.Value.Rows, Cols: s.Value.Cols,
+			LocalRow:  lo,
+			GlobalRow: s.Row + lo, GlobalCol: s.Col,
+			Rows: hi - lo, Cols: s.Value.Cols,
 		}},
 	}
 }

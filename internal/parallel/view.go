@@ -42,12 +42,19 @@ func NewView(w *dist.Worker, l Layout, rows, cols *dist.Group, grads *Grads, lin
 	return v
 }
 
-// Layout, Worker, RowShards (the row group's size) and EndStep (the
-// workspace released at a step boundary) are parallel.Family's.
+// Layout, Worker and RowShards (the row group's size) are
+// parallel.Family's.
 func (v *View) Layout() Layout       { return v.layout }
 func (v *View) Worker() *dist.Worker { return v.w }
 func (v *View) RowShards() int       { return shards(v.rows) }
-func (v *View) EndStep()             { v.w.Workspace().ReleaseAll() }
+
+// EndStep is the step boundary: it gathers every band an optimiser stepped
+// since the last boundary (GatherBands), so every replica's Value is whole
+// before anything reads it, and releases the rank's workspace.
+func (v *View) EndStep() {
+	v.GatherBands()
+	v.w.Workspace().ReleaseAll()
+}
 
 func shards(g *dist.Group) int {
 	if g == nil {
@@ -121,13 +128,25 @@ func (v *View) gather(x *tensor.Matrix, owned bool) *tensor.Matrix {
 // Grads is where one rank's parameter gradients land (Land): a backward
 // pass computes each gradient's partial straight into the parameter's Grad,
 // launches its sum the moment it is ready and carries on into earlier
-// layers, and DrainGradients waits the sums.
+// layers, and DrainGradients waits the sums. It also holds the parameters
+// whose optimiser state splits by rows over the group that replicates them
+// (Band), which the step boundary gathers (GatherBands).
 type Grads struct {
 	w       *dist.Worker
 	pending []dist.Handle
 	summed  int // parameters the rank's layers land over a group (Expect)
 
 	expected, landed int // parameters declared (Expect) and landed since the last drain
+
+	bands []band
+}
+
+// band is one banded parameter, the group its bands gather over, and the
+// header of this rank's band that an in-flight gather borrows.
+type band struct {
+	p    *nn.Param
+	g    *dist.Group
+	rows tensor.Matrix
 }
 
 // NewGrads returns the calling rank's empty queue.
@@ -153,19 +172,68 @@ func (q *Grads) Land(g *dist.Group, p *nn.Param) {
 	if g == nil {
 		return
 	}
+	q.queue(g.IAllReduceInto(q.w, p.Grad, p.Grad))
+}
+
+// queue files h to be waited, sizing the queue once, at the first handle,
+// for every parameter the rank's layers land over a group — which the
+// bands, each landed over its group, never outnumber.
+func (q *Grads) queue(h dist.Handle) {
 	if q.pending == nil {
 		q.pending = make([]dist.Handle, 0, q.summed)
 	}
-	q.pending = append(q.pending, g.IAllReduceInto(q.w, p.Grad, p.Grad))
+	q.pending = append(q.pending, h)
+}
+
+// Band splits p's optimiser state by rows over g, the group that
+// replicates p (the depth fibre of §3.1): member k of n steps rows
+// [k·r/n, (k+1)·r/n) of p's r, against moments of that many rows, and
+// GatherBands puts the n bands back together on every member. It does
+// nothing when g is nil or has one member, when n does not divide r, or
+// for a phantom p, which no optimiser steps.
+func (q *Grads) Band(g *dist.Group, p *nn.Param) {
+	if g == nil || p.Value.Phantom() {
+		return
+	}
+	n, r := g.Size(), p.Value.Rows
+	if n == 1 || r%n != 0 {
+		return
+	}
+	k := g.Index(q.w.Rank())
+	p.SetBand(k*r/n, (k+1)*r/n)
+	q.bands = append(q.bands, band{p: p, g: g})
+}
+
+// GatherBands all-gathers every stale band (nn.Param.Stale) over its
+// group — one nonblocking all-gather each, all in flight before the first
+// Wait — so that every member's Value is whole again. Every member of a
+// band's group steps or restores the same parameters, so they gather the
+// same bands in the same order.
+func (q *Grads) GatherBands() {
+	for i := range q.bands {
+		b := &q.bands[i]
+		if !b.p.Stale() {
+			continue
+		}
+		b.rows = b.p.BandRows(b.p.Value)
+		q.queue(b.g.IAllGatherInto(q.w, &b.rows, b.p.Value))
+		b.p.Gathered()
+	}
+	q.wait()
 }
 
 // DrainGradients waits every queued sum in issue order; afterwards
 // gradients are final.
 func (q *Grads) DrainGradients() {
+	q.wait()
+	q.landed = 0
+}
+
+// wait waits every pending handle in issue order.
+func (q *Grads) wait() {
 	for i := range q.pending {
 		q.pending[i].Wait()
 		q.pending[i] = dist.Handle{}
 	}
 	q.pending = q.pending[:0]
-	q.landed = 0
 }

@@ -119,6 +119,47 @@ func TestCheckpointRoundTripAllPairs(t *testing.T) {
 	}
 }
 
+// TestBandedMomentsSurviveReshard: a tesseract [2,2,2] checkpoint, whose
+// weight slots are the depth members' row bands with band-sized moments,
+// carries its values and both moments bit for bit to optimus [2,2] and back
+// to tesseract [2,2,2], and to megatron [8]. Eight heads, so that megatron
+// can split them eight ways. Restored at [2,2,2], where each member installs
+// only its bands and the restore's gather fills in the rest, the model's next
+// step computes the logits an uninterrupted run does, bit for bit.
+func TestBandedMomentsSurviveReshard(t *testing.T) {
+	ds, mcfg, tc := elasticFixture()
+	mcfg.Heads = 8
+	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	tess := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
+	first, _ := chainSegment(t, tess, nil, 2, mcfg, tc, x, labels)
+	banded := 0
+	for _, e := range first[4].Slots { // depth member k = 1 of grid position (0, 0)
+		if e.Primary && e.Own == 1 && e.Pieces[0].Rows < e.Rows/2 {
+			banded++
+		}
+	}
+	if banded == 0 {
+		t.Fatal("no slot of a depth-1 member holds a row band of its weight block")
+	}
+	for _, hops := range [][]parallel.Layout{
+		{{Family: "optimus", Q: 2}, tess},
+		{{Family: "megatron", Ranks: 8}},
+	} {
+		ck, what := first, tess.String()
+		for _, l := range hops {
+			ck, _ = chainSegment(t, l, ck, 0, mcfg, tc, x, labels)
+			what += " → " + l.String()
+			requireBitwise(t, first, ck, what)
+		}
+	}
+
+	_, want := chainSegment(t, tess, nil, 3, mcfg, tc, x, labels)
+	back, _ := chainSegment(t, parallel.Layout{Family: "optimus", Q: 2}, first, 0, mcfg, tc, x, labels)
+	if _, got := chainSegment(t, tess, back, 1, mcfg, tc, x, labels); !got.Equal(want) {
+		t.Errorf("the step after a restore onto %s differs from the uninterrupted run's by %g", tess, got.MaxAbsDiff(want))
+	}
+}
+
 // TestCrossLayoutReshardChain walks a checkpoint through the shrinking
 // sequence the elastic path produces — tesseract [2,2,2] → tesseract
 // [2,2,1] → megatron [2], two training steps at each stop — and requires

@@ -18,7 +18,9 @@ import (
 //
 // The backward pass applies Eq. 3: dX = dY·Wᵀ via MulABT and dW = Xᵀ·dY via
 // MulATB followed by the depth all-reduce of §3.1, so the d weight replicas
-// stay bit-identical across training steps.
+// stay bit-identical across training steps. The replicas share one
+// optimiser: depth member k steps the k-th of d row bands of the weight
+// block (parallel.Grads.Band), and the step boundary gathers the bands.
 type Linear struct {
 	In, Out int
 	Act     nn.Activation
@@ -53,6 +55,7 @@ func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Lin
 	br, bc := full.Rows/q, full.Cols/q
 	l := &Linear{In: full.Rows, Out: full.Cols, Act: act, hasBias: bias, p: p}
 	l.W = full.Param("tesseract.linear.w", p.I*br, p.J*bc, br, bc)
+	p.Band(p.sum, l.W.Param)
 	if bias && p.I == 0 {
 		l.B = full.Bias("tesseract.linear.b", p.J*bc, bc)
 	}
@@ -71,8 +74,9 @@ func (l *Linear) Params() []*nn.Param {
 }
 
 // State is the weight's checkpoint slot and, with a bias, the bias's: the
-// depth replica k = 0 writes both, and grid rows i != 0, which hold no bias,
-// still emit its slot so the walk stays aligned across the mesh.
+// depth replica k = 0 writes both — every depth member its own band of a
+// banded weight — and grid rows i != 0, which hold no bias, still emit its
+// slot so the walk stays aligned across the mesh.
 func (l *Linear) State() []parallel.State {
 	primary := l.p.K == 0
 	out := append(make([]parallel.State, 0, 2), l.W.State(primary))
@@ -98,6 +102,10 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != l.In/p.Shape.Q {
 		panic(fmt.Sprintf("tesseract: Linear forward block %dx%d through %d->%d on q=%d",
 			x.Rows, x.Cols, l.In, l.Out, p.Shape.Q))
+	}
+	if l.W.Stale() {
+		panic(fmt.Sprintf("tesseract: rank %d: Linear forward through a weight whose row band an optimiser stepped (or a restore installed) with no step boundary (EndStep) since: the other depth members' rows are stale",
+			p.W.Rank()))
 	}
 	ws := p.W.Workspace()
 	l.x = x

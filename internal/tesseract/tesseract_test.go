@@ -328,6 +328,7 @@ func TestTrainingStepsStayInSyncWithSerial(t *testing.T) {
 			b.Backward(f.Distribute(dyFull))
 			p.DrainGradients()
 			opt.Step(b.Params())
+			f.EndStep()
 			if i == 0 && loss != wantLosses[0] {
 				// Loss is computed from the collected output; allow fp
 				// noise from the distributed reductions.

@@ -184,11 +184,14 @@ func (s *Session) runOp(w *dist.Worker) error {
 }
 
 // stepOn is the distributed training step on one batch, on one rank:
-// forward, loss, zero-grad, backward, optimiser update, and the step
-// boundary that recycles every activation and scratch buffer. It returns the
-// loss (replicated on every rank). A non-nil correct is advanced by the
-// batch's correctly classified rows — the epoch trainer's accuracy, kept off
-// every other caller's path because counting allocates.
+// forward, loss, backward, optimiser update, and the step boundary that
+// gathers the optimiser's weight bands and recycles every activation and
+// scratch buffer. No gradient is zeroed first: every layer computes a
+// parameter's partial into its Grad, overwriting it, before it lands
+// (TestBackwardOverwritesEveryGrad). It returns the loss (replicated on
+// every rank). A non-nil correct is advanced by the batch's correctly
+// classified rows — the epoch trainer's accuracy, kept off every other
+// caller's path because counting allocates.
 func (s *Session) stepOn(w *dist.Worker, x *tensor.Matrix, labels []int, correct *int) float64 {
 	r := w.Rank()
 	f, model := s.fams[r], s.models[r]
@@ -198,9 +201,6 @@ func (s *Session) stepOn(w *dist.Worker, x *tensor.Matrix, labels []int, correct
 	loss := nn.CrossEntropyInto(dl, logits, labels)
 	if correct != nil {
 		*correct += nn.CorrectCount(logits, labels)
-	}
-	for _, pa := range params {
-		pa.ZeroGrad()
 	}
 	model.Backward(dl)
 	s.opts[r].Step(params)

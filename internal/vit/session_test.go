@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // TestTrainBatchLargerThanTrainingSplit: a train batch the training split
@@ -359,6 +361,63 @@ func TestRelayoutContinuesLossCurve(t *testing.T) {
 				}
 			}
 			requireNoLiveBuffers(t, s2, "Relayout+Train")
+		}
+	}
+}
+
+// TestBackwardOverwritesEveryGrad: the distributed step (stepOn) does not
+// zero the gradients before a backward pass, because every layer computes a
+// parameter's partial into its Grad, overwriting it, before it lands. On
+// the widest layout of at most 8 ranks the tiny workload fits, for every
+// registered family, a backward pass from gradients filled with NaN leaves
+// every rank's gradients bitwise equal to one from zeroed gradients.
+func TestBackwardOverwritesEveryGrad(t *testing.T) {
+	ds, mcfg := tinyData()
+	const batch = 8
+	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	for _, name := range parallel.Families() {
+		layouts, err := parallel.Layouts(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l parallel.Layout
+		for c := range layouts {
+			if c.Ranks > l.Ranks && parallel.Fits(c, batch, mcfg.SeqLen, mcfg.Hidden, mcfg.Heads) {
+				l = c
+			}
+		}
+		if l.Ranks == 0 {
+			t.Fatalf("%s: no layout of at most 8 ranks fits the workload", name)
+		}
+		grads := func(fill float64) [][]*tensor.Matrix {
+			out := make([][]*tensor.Matrix, l.Ranks)
+			testutil.Run(t, l.Ranks, func(w *dist.Worker) error {
+				f, err := parallel.New(w, l)
+				if err != nil {
+					return err
+				}
+				model := NewDistModel(f, mcfg)
+				logits := model.Forward(DistributeBatch(f, x, mcfg.SeqLen))
+				_, dl := nn.CrossEntropy(logits, labels)
+				for _, p := range model.Params() {
+					p.Grad.Fill(fill)
+				}
+				model.Backward(dl)
+				for _, p := range model.Params() {
+					out[w.Rank()] = append(out[w.Rank()], p.Grad.Clone())
+				}
+				f.EndStep()
+				return nil
+			})
+			return out
+		}
+		zeroed, poisoned := grads(0), grads(math.NaN())
+		for r := range zeroed {
+			for i, g := range zeroed[r] {
+				if !poisoned[r][i].Equal(g) {
+					t.Errorf("%s: rank %d, parameter %d: the gradient from NaN-filled Grads differs from the one from zeroed Grads", l, r, i)
+				}
+			}
 		}
 	}
 }
