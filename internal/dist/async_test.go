@@ -104,7 +104,10 @@ func TestIAllGatherMatchesAllGatherBitwise(t *testing.T) {
 				got[r][i] = dst
 				want[r][i] = g.AllGatherInto(w, block, tensor.New(dst.Rows, dst.Cols))
 			}
+			// In place: the caller's block already sits in the destination,
+			// whose other blocks hold stale values the gather must replace.
 			full := tensor.New(n*2, 3)
+			full.Fill(-1)
 			band := &tensor.Matrix{Rows: 2, Cols: 3, Data: full.Data[r*6 : (r+1)*6]}
 			copy(band.Data, block.Data)
 			h := g.IAllGatherInto(w, band, full)

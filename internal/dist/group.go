@@ -748,7 +748,9 @@ func (g *Group) scatterCombineInto(r *round) {
 // gatherInto copies every member's slot into every member's destination in
 // canonical order. The orientation follows the destination shape: a
 // [n·rows, cols] destination stacks the blocks vertically, a [rows, n·cols]
-// destination side by side (shapes are validated at issue time).
+// destination side by side (shapes are validated at issue time). A stacked
+// slot that already is its own block of the destination — an in-place
+// gather's — is not copied onto itself.
 func (g *Group) gatherInto(r *round) {
 	n := len(g.ranks)
 	block := r.slots[0]
@@ -756,6 +758,9 @@ func (g *Group) gatherInto(r *round) {
 		byRows := d.Rows == n*block.Rows && d.Cols == block.Cols
 		for v, s := range r.slots {
 			if byRows {
+				if off := v * block.Rows * d.Cols; len(s.Data) > 0 && off < len(d.Data) && &s.Data[0] == &d.Data[off] {
+					continue
+				}
 				d.SetSubMatrix(v*block.Rows, 0, s)
 			} else {
 				d.SetSubMatrix(0, v*block.Cols, s)

@@ -11,30 +11,6 @@ import (
 	"repro/internal/testutil"
 )
 
-// qkvLayouts are the layouts the fused-QKV tests walk: every family, shard
-// counts 1 to 4, meshes with one to three grid rows and depths.
-func qkvLayouts() []parallel.Layout {
-	var out []parallel.Layout
-	for q := 1; q <= 3; q++ {
-		out = append(out, parallel.Layout{Family: "optimus", Q: q})
-		for d := 1; d <= q; d++ {
-			out = append(out, parallel.Layout{Family: "tesseract", Q: q, D: d})
-		}
-	}
-	for p := 1; p <= 4; p++ {
-		out = append(out, parallel.Layout{Family: "megatron", Ranks: p}, parallel.Layout{Family: "seqpar", Ranks: p})
-	}
-	return out
-}
-
-// shardsOf is the layout's column-shard count: q on a mesh, p in 1-D.
-func shardsOf(l parallel.Layout) int {
-	if l.Q > 0 {
-		return l.Q
-	}
-	return l.Ranks
-}
-
 // attentionStates builds the shared attention module on every rank of the
 // layout from one seed and returns each rank's slots: the fused-QKV weight
 // and bias, then the output projection's.
@@ -72,7 +48,7 @@ func attentionStates(t *testing.T, l parallel.Layout, h, heads int, seed uint64)
 // of every family (tesseract's on meshes up to [3,3,3], megatron's column
 // and row linears, seqpar's) are held to the rectangles they were cut at.
 func TestAttentionStateTilesCanonical(t *testing.T) {
-	for _, l := range qkvLayouts() {
+	for _, l := range parityLayouts(t) {
 		for _, perShard := range []int{1, 2} {
 			for _, headDim := range []int{1, 3} {
 				heads := shardsOf(l) * perShard
@@ -221,16 +197,15 @@ func TestAttentionBackwardReturnsItsCore(t *testing.T) {
 }
 
 // TestMLPMatchesSerial runs the shared MLP over every family's linears, on
-// the layouts the fused-QKV tests walk, and holds each rank's collected
-// output and input gradient to nn.MLP's from the same seed. (CI runs it
-// under the race detector with the 1-D families.)
+// the layouts the parity harness walks, and holds each rank's collected
+// output and input gradient to nn.MLP's from the same seed.
 func TestMLPMatchesSerial(t *testing.T) {
 	const h, rows = 12, 36 // h splits over every q and p; rows over every d·q and p
 	dataRng := tensor.NewRNG(3)
 	x, dy := tensor.RandomMatrix(rows, h, dataRng), tensor.RandomMatrix(rows, h, dataRng)
 	ref := nn.NewMLP(h, tensor.NewRNG(13))
 	wantY, wantDx := ref.Forward(x), ref.Backward(dy)
-	for _, l := range qkvLayouts() {
+	for _, l := range parityLayouts(t) {
 		l, err := parallel.Validate(l)
 		if err != nil {
 			t.Fatal(err)

@@ -70,19 +70,15 @@ func footprintReplay(t *testing.T, l parallel.Layout, layers int, real, recomput
 // backward clocks are its real twin's (to rounding: the two may sum a clock's
 // charges in a different order), and its footprint is the real twin's
 // on every rank, to the byte, with recompute on and off and one layer or
-// two — on the four default layouts, a depth-1 Tesseract mesh and a mesh no
-// node size aligns with. Rank 0 is never lighter than a peer, which is what
-// lets a solo replay report the cluster's largest.
+// two — on every layout the parity walk lists (parityLayouts) that the
+// fixture splits, depth-1 meshes and optimus [3,3], a mesh no node size
+// aligns with, among them. Rank 0 is never lighter than a peer, which is
+// what lets a solo replay report the cluster's largest.
 func TestPhantomFootprintEqualsReal(t *testing.T) {
-	layouts := []parallel.Layout{
-		{Family: "megatron", Ranks: 4},
-		{Family: "seqpar", Ranks: 4},
-		{Family: "optimus", Q: 2},
-		{Family: "tesseract", Q: 2, D: 2},
-		{Family: "tesseract", Q: 2, D: 1},
-		{Family: "optimus", Q: 3},
-	}
-	for _, l := range layouts {
+	for _, l := range parityLayouts(t) {
+		if !parallel.Fits(l, fpBatch, fpSeqLen, fpHidden, fpHeads) {
+			continue
+		}
 		for _, recompute := range []bool{true, false} {
 			for _, layers := range []int{1, 2} {
 				name := fmt.Sprintf("%s, recompute %v, %d layers", l, recompute, layers)

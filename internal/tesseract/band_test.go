@@ -29,8 +29,8 @@ func bandRun(t *testing.T, q, d, steps int, each func(p *Proc, b parallel.Layer,
 		xs[i], targets[i] = tensor.RandomMatrix(rows, h, rng), tensor.RandomMatrix(rows, h, rng)
 	}
 	losses := make([]float64, steps)
-	runMesh(t, q, d, func(p *Proc) error {
-		f := family(p)
+	runMesh(t, q, d, func(f *Family) error {
+		p := f.p
 		b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(81))
 		opt := nn.NewAdam(1e-2, 0.1)
 		for i := range steps {
@@ -128,8 +128,7 @@ func TestForwardBeforeBoundaryPanics(t *testing.T) {
 	x := tensor.RandomMatrix(rows, h, tensor.NewRNG(82))
 	s := mesh.Shape{Q: 2, D: 2}
 	err := dist.New(dist.Config{WorldSize: s.Size()}).Run(func(w *dist.Worker) error {
-		p := NewProc(w, s.Q, s.D)
-		f := family(p)
+		f := meshFamily(w, s.Q, s.D)
 		b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(81))
 		opt := nn.NewAdam(1e-2, 0)
 		y := b.Forward(f.Distribute(x))

@@ -17,11 +17,11 @@ func TestWorkerErrorDuringForwardUnblocksPeers(t *testing.T) {
 	sentinel := errors.New("injected fault")
 	c := dist.New(dist.Config{WorldSize: 8})
 	err := c.Run(func(w *dist.Worker) error {
-		p := NewProc(w, 2, 2)
+		f := meshFamily(w, 2, 2)
 		if w.Rank() == 5 {
 			return sentinel // dies before joining any collective
 		}
-		b := family(p).NewBlock(8, 2, 2, tensor.NewRNG(1))
+		b := f.NewBlock(8, 2, 2, tensor.NewRNG(1))
 		x := tensor.RandomMatrix(2, 4, tensor.NewRNG(2))
 		b.Forward(x) // peers block in row/col broadcasts until aborted
 		return nil

@@ -31,8 +31,8 @@ func TestAsyncGradSyncMatchesBlockingBitwise(t *testing.T) {
 			wantW := make([]*tensor.Matrix, world)
 			wantB := make([]*tensor.Matrix, world)
 			testutil.Run(t, world, func(w *dist.Worker) error {
-				p := NewProc(w, ms.q, ms.d)
-				f := family(p)
+				f := meshFamily(w, ms.q, ms.d)
+				p := f.p
 
 				// Live path: Backward queues, DrainGradients completes.
 				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(71))
@@ -94,8 +94,8 @@ func TestDrainGradientsIdempotentAndRequired(t *testing.T) {
 	x := tensor.RandomMatrix(rows, in, rng)
 	dy := tensor.RandomMatrix(rows, out, rng)
 	testutil.Run(t, 4, func(w *dist.Worker) error {
-		p := NewProc(w, 2, 1)
-		f := family(p)
+		f := meshFamily(w, 2, 1)
+		p := f.p
 		l := NewLinear(p, in, out, nn.ActNone, false, tensor.NewRNG(9))
 		l.Forward(f.Distribute(x))
 		l.Backward(f.Distribute(dy))

@@ -41,8 +41,8 @@ func runBlockSteps(t *testing.T, q, d, steps int, pooling bool) [][]blockStepSna
 	}
 	testutil.Run(t, world, func(w *dist.Worker) error {
 		w.Workspace().SetPooling(pooling)
-		p := NewProc(w, q, d)
-		f := family(p)
+		f := meshFamily(w, q, d)
+		p := f.p
 		b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(23))
 		params := b.Params()
 		mine := make([]blockStepSnapshot, 0, steps)
@@ -109,8 +109,8 @@ func TestPooledBlockWorkspaceIsLeakFree(t *testing.T) {
 	x := tensor.RandomMatrix(rows, h, rng)
 	dy := tensor.RandomMatrix(rows, h, rng)
 	testutil.Run(t, world, func(w *dist.Worker) error {
-		p := NewProc(w, q, d)
-		f := family(p)
+		f := meshFamily(w, q, d)
+		p := f.p
 		b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(23))
 		params := b.Params()
 		var after1 tensor.WorkspaceStats

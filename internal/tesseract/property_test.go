@@ -28,8 +28,8 @@ func TestQuickMatMulMatchesSerial(t *testing.T) {
 		results := testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProc(w, q, d)
-			f := family(p)
+			f := meshFamily(w, q, d)
+			p := f.p
 			lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, gb).Value)
 			results.Put(w.Rank(), f.Collect(lc))
 			return nil
@@ -70,8 +70,8 @@ func TestQuickGradientIdentity(t *testing.T) {
 		dws, wantDws := testutil.NewCollector(), testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProc(w, q, d)
-			f := family(p)
+			f := meshFamily(w, q, d)
+			p := f.p
 			lw := weightBlock(p, gw)
 			lx := f.Distribute(gx)
 			ldy := f.Distribute(gdy)
@@ -108,8 +108,8 @@ func TestQuickDepthReplicaInvariant(t *testing.T) {
 		grads := testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProc(w, q, d)
-			f := family(p)
+			f := meshFamily(w, q, d)
+			p := f.p
 			l := NewLinear(p, 8, 8, 0, true, tensor.NewRNG(seed^0xabc))
 			l.Forward(f.Distribute(x))
 			l.Backward(f.Distribute(dy))
@@ -147,8 +147,7 @@ func TestQuickLayerNormInvariants(t *testing.T) {
 		outsShift := testutil.NewCollector()
 		cluster := dist.New(dist.Config{WorldSize: q * q * d})
 		err := cluster.Run(func(w *dist.Worker) error {
-			p := NewProc(w, q, d)
-			f := family(p)
+			f := meshFamily(w, q, d)
 			l := f.NewLayerNorm(h)
 			outs.Put(w.Rank(), f.Collect(l.Forward(f.Distribute(x))))
 			l2 := f.NewLayerNorm(h)

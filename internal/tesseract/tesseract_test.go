@@ -15,21 +15,18 @@ import (
 // shapes exercised by most equivalence tests: serial, 2-D, 2.5-D, 3-D.
 var meshShapes = []struct{ q, d int }{{1, 1}, {2, 1}, {2, 2}}
 
-func runMesh(t *testing.T, q, d int, fn func(p *Proc) error) *dist.Cluster {
+// runMesh runs fn with every rank's family on the [q, q, d] mesh.
+func runMesh(t *testing.T, q, d int, fn func(f *Family) error) *dist.Cluster {
 	t.Helper()
-	s := mesh.Shape{Q: q, D: d}
-	return testutil.Run(t, s.Size(), func(w *dist.Worker) error {
-		return fn(NewProc(w, s.Q, s.D))
+	return testutil.Run(t, mesh.Shape{Q: q, D: d}.Size(), func(w *dist.Worker) error {
+		return fn(meshFamily(w, q, d))
 	})
 }
 
-// family wraps a mesh view for the block constructors; the family's
-// gradient queue is the view's, so p.DrainGradients completes its layers'.
-func family(p *Proc) *Family {
-	l := parallel.Layout{Family: "tesseract", Q: p.Shape.Q, D: p.Shape.D, Ranks: p.Shape.Size()}
-	f := &Family{p: p}
-	f.View = parallel.NewView(p.W, l, p.Slab, p.Row, &p.Grads, f)
-	return f
+// meshFamily attaches the calling worker to the [q, q, d] mesh through
+// NewFamily; the family's Proc is f.p.
+func meshFamily(w *dist.Worker, q, d int) *Family {
+	return NewFamily(w, parallel.Layout{Family: "tesseract", Q: q, D: d, Ranks: q * q * d})
 }
 
 // weightBlock cuts the calling rank's block of m where a linear cuts its
@@ -51,8 +48,8 @@ func TestMatMulABMatchesSerial(t *testing.T) {
 			gb := tensor.RandomMatrix(6, 4, rng)
 			want := tensor.MatMul(ga, gb)
 			results := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				f := family(p)
+			runMesh(t, ms.q, ms.d, func(f *Family) error {
+				p := f.p
 				lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, gb).Value)
 				results.Put(p.W.Rank(), f.Collect(lc))
 				return nil
@@ -70,8 +67,8 @@ func TestMatMulATBDepthAllReduce(t *testing.T) {
 	gc := tensor.RandomMatrix(8, 4, rng)
 	want := tensor.MatMulTN(ga, gc)
 	results, wants := testutil.NewCollector(), testutil.NewCollector()
-	runMesh(t, 2, 2, func(p *Proc) error {
-		f := family(p)
+	runMesh(t, 2, 2, func(f *Family) error {
+		p := f.p
 		results.Put(p.W.Rank(), p.MatMulATB(f.Distribute(ga), f.Distribute(gc)))
 		wants.Put(p.W.Rank(), cutOf(want, weightBlock(p, want)))
 		return nil
@@ -97,8 +94,8 @@ func TestLinearForwardBackwardMatchesSerial(t *testing.T) {
 			dxs := testutil.NewCollector()
 			gws, wantGws := testutil.NewCollector(), testutil.NewCollector()
 			gbs, wantGbs := testutil.NewCollector(), testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				f := family(p)
+			runMesh(t, ms.q, ms.d, func(f *Family) error {
+				p := f.p
 				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(42))
 				y := l.Forward(f.Distribute(x))
 				dx := l.Backward(f.Distribute(dy))
@@ -144,8 +141,8 @@ func TestLayerNormMatchesSerial(t *testing.T) {
 
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				f := family(p)
+			runMesh(t, ms.q, ms.d, func(f *Family) error {
+				p := f.p
 				l := f.NewLayerNorm(h)
 				y := l.Forward(f.Distribute(x))
 				dx := l.Backward(f.Distribute(dy))
@@ -166,8 +163,8 @@ func TestLayerNormRowStatistics(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	x := tensor.RandomMatrix(rows, h, rng)
 	ys := testutil.NewCollector()
-	runMesh(t, 2, 2, func(p *Proc) error {
-		f := family(p)
+	runMesh(t, 2, 2, func(f *Family) error {
+		p := f.p
 		l := f.NewLayerNorm(h)
 		y := l.Forward(f.Distribute(x))
 		ys.Put(p.W.Rank(), f.Collect(y))
@@ -207,11 +204,11 @@ func TestAttentionMatchesSerial(t *testing.T) {
 
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				f := family(p)
-				a := parallel.NewAttention(f, h, heads, seqLen, tensor.NewRNG(77))
-				y := a.Forward(f.Distribute(x))
-				dx := a.Backward(f.Distribute(dy))
+			runMesh(t, ms.q, ms.d, func(f *Family) error {
+				p := f.p
+				m := parallel.NewAttention(f, h, heads, seqLen, tensor.NewRNG(77))
+				y := m.Forward(f.Distribute(x))
+				dx := m.Backward(f.Distribute(dy))
 				p.DrainGradients()
 				ys.Put(p.W.Rank(), f.Collect(y))
 				dxs.Put(p.W.Rank(), f.Collect(dx))
@@ -237,8 +234,8 @@ func TestMLPMatchesSerial(t *testing.T) {
 
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				f := family(p)
+			runMesh(t, ms.q, ms.d, func(f *Family) error {
+				p := f.p
 				m := parallel.NewMLP(f, h, tensor.NewRNG(88))
 				y := m.Forward(f.Distribute(x))
 				dx := m.Backward(f.Distribute(dy))
@@ -267,11 +264,11 @@ func TestBlockMatchesSerial(t *testing.T) {
 
 			ys := testutil.NewCollector()
 			dxs := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(p *Proc) error {
-				f := family(p)
-				b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(99))
-				y := b.Forward(f.Distribute(x))
-				dx := b.Backward(f.Distribute(dy))
+			runMesh(t, ms.q, ms.d, func(f *Family) error {
+				p := f.p
+				m := f.NewBlock(h, heads, seqLen, tensor.NewRNG(99))
+				y := m.Forward(f.Distribute(x))
+				dx := m.Backward(f.Distribute(dy))
 				p.DrainGradients()
 				ys.Put(p.W.Rank(), f.Collect(y))
 				dxs.Put(p.W.Rank(), f.Collect(dx))
@@ -312,8 +309,8 @@ func TestTrainingStepsStayInSyncWithSerial(t *testing.T) {
 	}
 
 	losses := testutil.NewScalars()
-	runMesh(t, 2, 2, func(p *Proc) error {
-		f := family(p)
+	runMesh(t, 2, 2, func(f *Family) error {
+		p := f.p
 		b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(7))
 		opt := nn.NewAdam(1e-2, 0)
 		var lastLoss float64
@@ -354,23 +351,22 @@ func TestTrainingStepsStayInSyncWithSerial(t *testing.T) {
 func TestBlockPhantomMatchesRealClock(t *testing.T) {
 	const h, heads, seqLen, rows = 8, 2, 2, 8
 	clock := func(phantom bool) float64 {
-		s := mesh.Shape{Q: 2, D: 2}
-		c := dist.New(dist.Config{WorldSize: s.Size()})
+		c := dist.New(dist.Config{WorldSize: mesh.Shape{Q: 2, D: 2}.Size()})
 		if err := c.Run(func(w *dist.Worker) error {
-			p := NewProc(w, s.Q, s.D)
+			f := meshFamily(w, 2, 2)
 			var b parallel.Layer
 			var x *tensor.Matrix
 			if phantom {
-				b = family(p).NewBlockPhantom(h, heads, seqLen)
+				b = f.NewBlockPhantom(h, heads, seqLen)
 				x = tensor.NewPhantom(rows/4, h/2)
 			} else {
-				b = family(p).NewBlock(h, heads, seqLen, tensor.NewRNG(5))
+				b = f.NewBlock(h, heads, seqLen, tensor.NewRNG(5))
 				rng := tensor.NewRNG(uint64(w.Rank()) + 1)
 				x = tensor.RandomMatrix(rows/4, h/2, rng)
 			}
 			y := b.Forward(x)
 			b.Backward(y)
-			p.DrainGradients()
+			f.p.DrainGradients()
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -388,10 +384,10 @@ func TestBlockPhantomMatchesRealClock(t *testing.T) {
 }
 
 func TestBlockShapeValidation(t *testing.T) {
-	runMesh(t, 2, 1, func(p *Proc) error {
+	runMesh(t, 2, 1, func(f *Family) error {
 		defer func() { recover() }()
-		parallel.NewAttention(family(p), 8, 3, 2, tensor.NewRNG(1)) // 3 heads not divisible by q=2
-		t.Errorf("rank %d: expected panic for heads %% q != 0", p.W.Rank())
+		parallel.NewAttention(f, 8, 3, 2, tensor.NewRNG(1)) // 3 heads not divisible by q=2
+		t.Errorf("rank %d: expected panic for heads %% q != 0", f.p.W.Rank())
 		return nil
 	})
 }
@@ -400,7 +396,8 @@ func TestBlockShapeValidation(t *testing.T) {
 // a weight q does not divide; an activation's A block is the family's Slice
 // (parallel.TestLayoutContract).
 func TestABBlockShapeHelpers(t *testing.T) {
-	runMesh(t, 2, 2, func(p *Proc) error {
+	runMesh(t, 2, 2, func(f *Family) error {
+		p := f.p
 		if w := NewLinear(p, 8, 6, nn.ActNone, false, nil).W.Value; w.Rows != 4 || w.Cols != 3 {
 			t.Errorf("B block = %dx%d, want 4x3", w.Rows, w.Cols)
 		}
