@@ -12,13 +12,27 @@ import (
 )
 
 // Every test below runs once per bracket: the same layers, fed and read in
-// the bracket's activation layout.
+// the bracket's activation layout, and registered under the family name a
+// layout of the bracket carries.
 var brackets = []struct {
-	name string
-	b    Bracket
+	name, family string
+	b            Bracket
 }{
-	{"replicated", Replicated},
-	{"sharded", RowSharded},
+	{"replicated", "megatron", Replicated},
+	{"sharded", "seqpar", RowSharded},
+}
+
+// Package seqpar registers the RowSharded bracket as "seqpar", and imports
+// this package, so this package's tests register it under that name
+// themselves: the parity harness builds a family by its layout.
+func init() {
+	parallel.Register(parallel.Spec{
+		Name: "seqpar",
+		New: func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
+			return NewFamily(w, l, RowSharded), nil
+		},
+		Arrangement: parallel.Rows,
+	})
 }
 
 // eachBracket runs fn as a subtest per bracket and group size.
@@ -30,21 +44,29 @@ func eachBracket(t *testing.T, sizes []int, fn func(t *testing.T, b Bracket, tp 
 	}
 }
 
-// runTP runs fn on every rank of a tp-rank group under bracket b.
-func runTP(t *testing.T, tp int, b Bracket, fn func(mp *Proc) error) *dist.Cluster {
-	t.Helper()
-	return testutil.Run(t, tp, func(w *dist.Worker) error {
-		return fn(NewFamily(w, parallel.Layout{Family: "megatron", Ranks: tp}, b).p)
-	})
+// bracketParity runs the parity harness under both brackets at p = 1, 2
+// and 4, a subtest each.
+func bracketParity(t *testing.T, p testutil.Parity) {
+	for _, br := range brackets {
+		for _, tp := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/p%d", br.name, tp), func(t *testing.T) {
+				p.Check(t, parallel.Layout{Family: br.family, Ranks: tp})
+			})
+		}
+	}
 }
 
-// family wraps a group view for the block constructors, which read no
-// activation layout.
-func family(mp *Proc) *Family {
-	l := parallel.Layout{Family: "megatron", Ranks: mp.P}
-	f := &Family{p: mp}
-	f.View = parallel.NewView(mp.W, l, nil, nil, &mp.Grads, f)
-	return f
+// runTP runs fn with every rank's family on a tp-rank group under bracket
+// b, built as the registrations build it: RowSharded splits rows tp ways.
+func runTP(t *testing.T, tp int, b Bracket, fn func(f *Family) error) *dist.Cluster {
+	t.Helper()
+	return testutil.Run(t, tp, func(w *dist.Worker) error {
+		f := NewFamily(w, parallel.Layout{Family: "megatron", Ranks: tp}, b)
+		if b == RowSharded && f.RowShards() != tp {
+			return fmt.Errorf("a %d-rank RowSharded family splits rows %d ways", tp, f.RowShards())
+		}
+		return fn(f)
+	})
 }
 
 // pooled copies m into a workspace buffer: the row-sharded bracket recycles
@@ -99,7 +121,8 @@ func TestColLinearMatchesSerial(t *testing.T) {
 		dxs := testutil.NewCollector()
 		gws := testutil.NewCollector()
 		gbs := testutil.NewCollector()
-		runTP(t, tp, b, func(mp *Proc) error {
+		runTP(t, tp, b, func(f *Family) error {
+			mp := f.p
 			l := NewColLinear(mp, in, out, nn.ActGELU, true, tensor.NewRNG(9))
 			y := l.Forward(local(mp, x))
 			ys.Put(mp.W.Rank(), hcat(mp, y))
@@ -132,7 +155,8 @@ func TestRowLinearMatchesSerial(t *testing.T) {
 		ys := testutil.NewCollector()
 		dxs := testutil.NewCollector()
 		gbs := testutil.NewCollector()
-		runTP(t, tp, b, func(mp *Proc) error {
+		runTP(t, tp, b, func(f *Family) error {
+			mp := f.p
 			l := NewRowLinear(mp, in, out, true, tensor.NewRNG(11))
 			y := l.Forward(colBlock(mp, x))
 			ys.Put(mp.W.Rank(), global(mp, y))
@@ -150,58 +174,20 @@ func TestRowLinearMatchesSerial(t *testing.T) {
 	})
 }
 
-// serialModule is the forward/backward shape of nn's reference modules.
-type serialModule interface {
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	Backward(dy *tensor.Matrix) *tensor.Matrix
-}
-
-// moduleMatchesSerial checks a [rows, h] → [rows, h] module built by build
-// against the serial reference's output and input gradient.
-func moduleMatchesSerial(t *testing.T, rows, h int, seed uint64, tol float64, ref serialModule,
-	build func(mp *Proc) parallel.Layer) {
-	dataRng := tensor.NewRNG(seed)
-	x := tensor.RandomMatrix(rows, h, dataRng)
-	dy := tensor.RandomMatrix(rows, h, dataRng)
-	wantY := ref.Forward(x)
-	wantDx := ref.Backward(dy)
-	eachBracket(t, []int{1, 2, 4}, func(t *testing.T, b Bracket, tp int) {
-		ys := testutil.NewCollector()
-		dxs := testutil.NewCollector()
-		runTP(t, tp, b, func(mp *Proc) error {
-			m := build(mp)
-			y := m.Forward(local(mp, x))
-			ys.Put(mp.W.Rank(), global(mp, y))
-			dx := m.Backward(local(mp, dy))
-			dxs.Put(mp.W.Rank(), global(mp, dx))
-			return nil
-		})
-		for r := 0; r < tp; r++ {
-			testutil.CheckClose(t, "y", ys.Get(r), wantY, tol)
-			testutil.CheckClose(t, "dx", dxs.Get(r), wantDx, tol)
-		}
-	})
-}
+// blockDims are the sizes the attention, MLP and block pins run at: four
+// sequences of two tokens, 8 wide, four heads.
+var blockDims = testutil.Dims{H: 8, Heads: 4, SeqLen: 2, Rows: 8}
 
 func TestMLPMatchesSerial(t *testing.T) {
-	const h, rows = 8, 8
-	moduleMatchesSerial(t, rows, h, 3, 1e-9, nn.NewMLP(h, tensor.NewRNG(13)), func(mp *Proc) parallel.Layer {
-		return parallel.NewMLP(family(mp), h, tensor.NewRNG(13))
-	})
+	bracketParity(t, testutil.Parity{Modules: testutil.MLP, Dims: blockDims, Seed: 13})
 }
 
 func TestAttentionMatchesSerial(t *testing.T) {
-	const h, heads, seqLen, rows = 8, 4, 2, 8
-	moduleMatchesSerial(t, rows, h, 4, 1e-9, nn.NewMultiHeadAttention(h, heads, seqLen, tensor.NewRNG(17)), func(mp *Proc) parallel.Layer {
-		return parallel.NewAttention(family(mp), h, heads, seqLen, tensor.NewRNG(17))
-	})
+	bracketParity(t, testutil.Parity{Modules: testutil.Attention, Dims: blockDims, Seed: 17})
 }
 
 func TestBlockMatchesSerial(t *testing.T) {
-	const h, heads, seqLen, rows = 8, 4, 2, 8
-	moduleMatchesSerial(t, rows, h, 5, 1e-8, nn.NewBlock(h, heads, seqLen, tensor.NewRNG(19)), func(mp *Proc) parallel.Layer {
-		return family(mp).NewBlock(h, heads, seqLen, tensor.NewRNG(19))
-	})
+	bracketParity(t, testutil.Parity{Modules: testutil.Block, Dims: blockDims, Seed: 19})
 }
 
 // TestBracketsBitIdentical is what lets one set of layers serve both
@@ -220,8 +206,9 @@ func TestBracketsBitIdentical(t *testing.T) {
 			var got [2][][]*tensor.Matrix
 			for i, br := range brackets {
 				got[i] = make([][]*tensor.Matrix, tp)
-				runTP(t, tp, br.b, func(mp *Proc) error {
-					blk := family(mp).NewBlock(h, heads, seqLen, tensor.NewRNG(19))
+				runTP(t, tp, br.b, func(f *Family) error {
+					mp := f.p
+					blk := f.NewBlock(h, heads, seqLen, tensor.NewRNG(19))
 					y := global(mp, blk.Forward(local(mp, x))).Clone()
 					dx := global(mp, blk.Backward(local(mp, dy))).Clone()
 					out := []*tensor.Matrix{y, dx}
@@ -262,8 +249,8 @@ func TestBlockCollectiveCount(t *testing.T) {
 	}
 	for _, br := range brackets {
 		t.Run(br.name, func(t *testing.T) {
-			c := runTP(t, tp, br.b, func(mp *Proc) error {
-				b := family(mp).NewBlockPhantom(h, heads, seqLen)
+			c := runTP(t, tp, br.b, func(f *Family) error {
+				b := f.NewBlockPhantom(h, heads, seqLen)
 				x := tensor.NewPhantom(rows, h)
 				if br.b == RowSharded {
 					x = tensor.NewPhantom(rows/tp, h)
@@ -281,40 +268,13 @@ func TestBlockCollectiveCount(t *testing.T) {
 	}
 }
 
+// TestPhantomMatchesRealClock: the parity harness replays the block
+// shape-only on phantoms under each bracket and holds its clocks and
+// traffic to the real run's.
 func TestPhantomMatchesRealClock(t *testing.T) {
-	const h, heads, seqLen, rows, tp = 8, 4, 2, 8, 4
 	for _, br := range brackets {
 		t.Run(br.name, func(t *testing.T) {
-			local := rows
-			if br.b == RowSharded {
-				local = rows / tp
-			}
-			clock := func(phantom bool) float64 {
-				c := runTP(t, tp, br.b, func(mp *Proc) error {
-					var b parallel.Layer
-					var x *tensor.Matrix
-					if phantom {
-						b = family(mp).NewBlockPhantom(h, heads, seqLen)
-						x = tensor.NewPhantom(local, h)
-					} else {
-						b = family(mp).NewBlock(h, heads, seqLen, tensor.NewRNG(23))
-						x = tensor.RandomMatrix(local, h, tensor.NewRNG(29))
-					}
-					b.Backward(b.Forward(x))
-					return nil
-				})
-				return c.MaxClock()
-			}
-			real, ph := clock(false), clock(true)
-			if real <= 0 {
-				t.Fatal("expected nonzero simulated time")
-			}
-			// The phantom path charges attention flops as one lump sum, so
-			// the clocks may differ in the last ulp from floating-point
-			// association.
-			if rel := (real - ph) / real; rel > 1e-12 || rel < -1e-12 {
-				t.Fatalf("phantom clock %g != real clock %g", ph, real)
-			}
+			testutil.Parity{Modules: testutil.Block, Dims: blockDims, Seed: 23}.Check(t, parallel.Layout{Family: br.family, Ranks: 4})
 		})
 	}
 }

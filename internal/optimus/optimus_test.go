@@ -41,31 +41,14 @@ func TestMatMulABMatchesSerial(t *testing.T) {
 	}
 }
 
+// blockDims are the sizes the block and MLP pins run at: four sequences of
+// two tokens, 8 wide, two heads.
+var blockDims = testutil.Dims{H: 8, Heads: 2, SeqLen: 2, Rows: 8}
+
 func TestBlockMatchesSerial(t *testing.T) {
-	const h, heads, seqLen, rows = 8, 2, 2, 8
 	for _, q := range []int{1, 2} {
 		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
-			dataRng := tensor.NewRNG(6)
-			x := tensor.RandomMatrix(rows, h, dataRng)
-			dy := tensor.RandomMatrix(rows, h, dataRng)
-
-			ref := nn.NewBlock(h, heads, seqLen, tensor.NewRNG(31))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			testutil.Run(t, q*q, func(w *dist.Worker) error {
-				f := newFamily(w, q)
-				b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(31))
-				y := b.Forward(f.Distribute(x))
-				dx := b.Backward(f.Distribute(dy))
-				ys.Put(w.Rank(), f.Collect(y))
-				dxs.Put(w.Rank(), f.Collect(dx))
-				return nil
-			})
-			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-8)
-			testutil.CheckClose(t, "dx", dxs.Get(0), wantDx, 1e-8)
+			testutil.Parity{Modules: testutil.Block, Dims: blockDims, Seed: 6}.Check(t, parallel.Layout{Family: "optimus", Q: q})
 		})
 	}
 }
@@ -89,29 +72,10 @@ func TestCoordsExposed(t *testing.T) {
 	})
 }
 
+// TestMLPMatchesSerial: Optimus' feed-forward module is the shared one
+// over Tesseract's linears on the depth-1 mesh.
 func TestMLPMatchesSerial(t *testing.T) {
-	const h, rows = 8, 8
-	dataRng := tensor.NewRNG(7)
-	x := tensor.RandomMatrix(rows, h, dataRng)
-	dy := tensor.RandomMatrix(rows, h, dataRng)
-	ref := nn.NewMLP(h, tensor.NewRNG(37))
-	wantY := ref.Forward(x)
-	wantDx := ref.Backward(dy)
-	ys := testutil.NewCollector()
-	dxs := testutil.NewCollector()
-	testutil.Run(t, 4, func(w *dist.Worker) error {
-		// Optimus' feed-forward module is the shared one over Tesseract's
-		// linears on the depth-1 mesh.
-		f := newFamily(w, 2)
-		m := parallel.NewMLP(f, h, tensor.NewRNG(37))
-		y := m.Forward(f.Distribute(x))
-		dx := m.Backward(f.Distribute(dy))
-		ys.Put(w.Rank(), f.Collect(y))
-		dxs.Put(w.Rank(), f.Collect(dx))
-		return nil
-	})
-	testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
-	testutil.CheckClose(t, "dx", dxs.Get(0), wantDx, 1e-9)
+	testutil.Parity{Modules: testutil.MLP, Dims: blockDims, Seed: 7}.Check(t, parallel.Layout{Family: "optimus", Q: 2})
 }
 
 // TestOptimusIsTesseractDepthOne: the paper's Tables 1-2 show Optimus [q,q]

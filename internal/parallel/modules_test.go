@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
@@ -48,11 +47,11 @@ func attentionStates(t *testing.T, l parallel.Layout, h, heads int, seed uint64)
 // of every family (tesseract's on meshes up to [3,3,3], megatron's column
 // and row linears, seqpar's) are held to the rectangles they were cut at.
 func TestAttentionStateTilesCanonical(t *testing.T) {
-	for _, l := range parityLayouts(t) {
-		for _, perShard := range []int{1, 2} {
-			for _, headDim := range []int{1, 3} {
-				heads := shardsOf(l) * perShard
-				h := heads * headDim
+	for _, l := range testutil.ParityLayouts(t) {
+		for _, perShard := range []uint8{0, 1} { // one or two heads per column shard
+			for _, headDim := range []uint8{0, 2} { // of width 1 or 3
+				d := testutil.DrawDims(l, perShard, headDim, 0, 0, 0, 0)
+				h, heads := d.H, d.Heads
 				rng := tensor.NewRNG(41)
 				serial := tensor.HCat(tensor.XavierMatrix(h, h, rng), tensor.XavierMatrix(h, h, rng), tensor.XavierMatrix(h, h, rng))
 				wo := tensor.XavierMatrix(h, h, rng)
@@ -197,33 +196,10 @@ func TestAttentionBackwardReturnsItsCore(t *testing.T) {
 }
 
 // TestMLPMatchesSerial runs the shared MLP over every family's linears, on
-// the layouts the parity harness walks, and holds each rank's collected
-// output and input gradient to nn.MLP's from the same seed.
+// the layouts the parity harness walks, at a width every q and p splits and
+// rows every d·q and p does.
 func TestMLPMatchesSerial(t *testing.T) {
-	const h, rows = 12, 36 // h splits over every q and p; rows over every d·q and p
-	dataRng := tensor.NewRNG(3)
-	x, dy := tensor.RandomMatrix(rows, h, dataRng), tensor.RandomMatrix(rows, h, dataRng)
-	ref := nn.NewMLP(h, tensor.NewRNG(13))
-	wantY, wantDx := ref.Forward(x), ref.Backward(dy)
-	for _, l := range parityLayouts(t) {
-		l, err := parallel.Validate(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ys, dxs := testutil.NewCollector(), testutil.NewCollector()
-		testutil.Run(t, l.Ranks, func(w *dist.Worker) error {
-			f, err := parallel.New(w, l)
-			if err != nil {
-				return err
-			}
-			m := parallel.NewMLP(f.(parallel.Linears), h, tensor.NewRNG(13))
-			ys.Put(w.Rank(), f.Collect(m.Forward(f.Distribute(x))).Clone())
-			dxs.Put(w.Rank(), f.Collect(m.Backward(f.Distribute(dy))).Clone())
-			return nil
-		})
-		for r := 0; r < l.Ranks; r++ {
-			testutil.CheckClose(t, fmt.Sprintf("%s y, rank %d", l, r), ys.Get(r), wantY, 1e-9)
-			testutil.CheckClose(t, fmt.Sprintf("%s dx, rank %d", l, r), dxs.Get(r), wantDx, 1e-9)
-		}
+	for _, l := range testutil.ParityLayouts(t) {
+		testutil.Parity{Modules: testutil.MLP, Dims: testutil.Dims{H: 12, Rows: 36}, Seed: 3}.Check(t, l)
 	}
 }

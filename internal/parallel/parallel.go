@@ -22,10 +22,10 @@
 //
 // # One description per family
 //
-// A family package registers one Spec from init: its name, constructor,
-// static layout check and (for a flat family that splits rows) row-shard
-// count. The layout type is one too: the planner's candidates are Layouts,
-// so a ranked plan goes to New as it is.
+// A family package registers one Spec from init: its name, constructor and
+// arrangement, which Validate, Layouts and Layout.RowShards read. The
+// layout type is one too: the planner's candidates are Layouts, so a ranked
+// plan goes to New as it is.
 //
 // # Layer contract
 //

@@ -13,6 +13,7 @@ import (
 	_ "repro/internal/seqpar"
 	"repro/internal/tensor"
 	_ "repro/internal/tesseract"
+	"repro/internal/testutil"
 )
 
 // footprintModel divides over every layout below: heads and hidden by 2, 3
@@ -70,12 +71,12 @@ func footprintReplay(t *testing.T, l parallel.Layout, layers int, real, recomput
 // backward clocks are its real twin's (to rounding: the two may sum a clock's
 // charges in a different order), and its footprint is the real twin's
 // on every rank, to the byte, with recompute on and off and one layer or
-// two — on every layout the parity walk lists (parityLayouts) that the
+// two — on every layout the parity walk lists (testutil.ParityLayouts) that the
 // fixture splits, depth-1 meshes and optimus [3,3], a mesh no node size
 // aligns with, among them. Rank 0 is never lighter than a peer, which is
 // what lets a solo replay report the cluster's largest.
 func TestPhantomFootprintEqualsReal(t *testing.T) {
-	for _, l := range parityLayouts(t) {
+	for _, l := range testutil.ParityLayouts(t) {
 		if !parallel.Fits(l, fpBatch, fpSeqLen, fpHidden, fpHeads) {
 			continue
 		}

@@ -18,7 +18,8 @@ import (
 // adapter around the block.
 
 // TestShardLinearMatchesSerial runs the patch embedding a family builds
-// (parallel.ReplicatedLinear) against nn.Linear. Backward computes each
+// (parallel.ReplicatedLinear) through the parity harness, and then holds
+// its gradients before the sum. Backward computes each
 // rank's weight and bias gradients in place, bit for bit nn.Linear's on the
 // rank's rows. On seqpar's row shards that is a partial, summed in place
 // over the group by the all-reduce it starts: the ranks run their backward
@@ -38,19 +39,13 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 		{"megatron/p2", "megatron", 2}, {"megatron/p4", "megatron", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			l := parallel.Layout{Family: tc.family, Ranks: tc.p}
+			testutil.Parity{Modules: testutil.Linear, Dims: testutil.Dims{In: in, Out: out, Rows: rows}, Seed: 1}.Check(t, l)
 			deferred := tc.family == "seqpar"
 			dataRng := tensor.NewRNG(1)
 			x := tensor.RandomMatrix(rows, in, dataRng)
 			dy := tensor.RandomMatrix(rows, out, dataRng)
-
-			ref := nn.NewLinear(in, out, nn.ActGELU, true, tensor.NewRNG(9))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			gws := testutil.NewCollector()
-			gbs := testutil.NewCollector()
+			gws, gbs := testutil.NewCollector(), testutil.NewCollector()
 			undrainedW, undrainedB := testutil.NewCollector(), testutil.NewCollector()
 			slices := make([]parallel.Slice, tc.p)
 			turns := make([]chan struct{}, tc.p+1) // rank r backpropagates once turns[r] is closed
@@ -59,33 +54,25 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 			}
 			close(turns[0])
 			c := testutil.Run(t, tc.p, func(w *dist.Worker) error {
-				f, err := parallel.New(w, parallel.Layout{Family: tc.family, Ranks: tc.p})
+				f, err := parallel.New(w, l)
 				if err != nil {
 					return err
 				}
-				l := f.NewLinear(in, out, nn.ActGELU, true, tensor.NewRNG(9))
+				lin := f.NewLinear(in, out, nn.ActGELU, true, tensor.NewRNG(9))
 				<-turns[w.Rank()]
-				y := l.Forward(f.Distribute(x))
-				dx := l.Backward(f.Distribute(dy))
-				wp := l.Params()[0]
+				lin.Forward(f.Distribute(x))
+				lin.Backward(f.Distribute(dy))
+				wp, bp := lin.Params()[0], lin.Params()[1]
 				undrainedW.Put(w.Rank(), wp.Grad.Clone())
-				undrainedB.Put(w.Rank(), l.Params()[1].Grad.Clone())
+				undrainedB.Put(w.Rank(), bp.Grad.Clone())
 				slices[w.Rank()] = f.Slice(rows, in)
 				close(turns[w.Rank()+1])
 				f.DrainGradients()
-				ys.Put(w.Rank(), f.Collect(y))
-				dxs.Put(w.Rank(), f.Collect(dx))
 				gws.Put(w.Rank(), wp.Grad)
-				gbs.Put(w.Rank(), l.Params()[1].Grad)
+				gbs.Put(w.Rank(), bp.Grad)
 				return nil
 			})
 			for r := 0; r < tc.p; r++ {
-				testutil.CheckClose(t, "y", ys.Get(r), wantY, 1e-9)
-				testutil.CheckClose(t, "dx", dxs.Get(r), wantDx, 1e-9)
-				// Gradients sum over every rank's row shard, so after the
-				// drain they match the serial full-batch gradients.
-				testutil.CheckClose(t, "dW", gws.Get(r), ref.W.Grad, 1e-9)
-				testutil.CheckClose(t, "dB", gbs.Get(r), ref.B.Grad, 1e-9)
 				if deferred && r == tc.p-1 {
 					if !undrainedW.Get(r).Equal(gws.Get(r)) || !undrainedB.Get(r).Equal(gbs.Get(r)) {
 						t.Errorf("rank %d: the last rank's issue completed the sum, yet its gradients changed in the drain", r)
@@ -116,36 +103,13 @@ func TestShardLinearMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBlockMatchesSerial runs the parity harness on the block this
+// registration builds, at p = 1, 2 and 4.
 func TestBlockMatchesSerial(t *testing.T) {
-	const h, heads, seqLen, rows = 8, 4, 2, 8
 	for _, tp := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p%d", tp), func(t *testing.T) {
-			dataRng := tensor.NewRNG(5)
-			x := tensor.RandomMatrix(rows, h, dataRng)
-			dy := tensor.RandomMatrix(rows, h, dataRng)
-
-			ref := nn.NewBlock(h, heads, seqLen, tensor.NewRNG(19))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			testutil.Run(t, tp, func(w *dist.Worker) error {
-				f, err := parallel.New(w, parallel.Layout{Family: "seqpar", Ranks: tp})
-				if err != nil {
-					return err
-				}
-				b := f.NewBlock(h, heads, seqLen, tensor.NewRNG(19))
-				y := b.Forward(f.Distribute(x))
-				dx := b.Backward(f.Distribute(dy))
-				ys.Put(w.Rank(), f.Collect(y))
-				dxs.Put(w.Rank(), f.Collect(dx))
-				return nil
-			})
-			for r := 0; r < tp; r++ {
-				testutil.CheckClose(t, "y", ys.Get(r), wantY, 1e-8)
-				testutil.CheckClose(t, "dx", dxs.Get(r), wantDx, 1e-8)
-			}
+			dims := testutil.Dims{H: 8, Heads: 4, SeqLen: 2, Rows: 8}
+			testutil.Parity{Modules: testutil.Block, Dims: dims, Seed: 5}.Check(t, parallel.Layout{Family: "seqpar", Ranks: tp})
 		})
 	}
 }

@@ -15,6 +15,19 @@ import (
 // shapes exercised by most equivalence tests: serial, 2-D, 2.5-D, 3-D.
 var meshShapes = []struct{ q, d int }{{1, 1}, {2, 1}, {2, 2}}
 
+// meshParity runs the parity harness on every mesh shape, a subtest each.
+func meshParity(t *testing.T, p testutil.Parity) {
+	for _, ms := range meshShapes {
+		t.Run(fmt.Sprintf("q%dd%d", ms.q, ms.d), func(t *testing.T) {
+			p.Check(t, parallel.Layout{Family: "tesseract", Q: ms.q, D: ms.d})
+		})
+	}
+}
+
+// blockDims are the sizes the attention, MLP and block pins run at: four
+// sequences of two tokens, 8 wide, two heads.
+var blockDims = testutil.Dims{H: 8, Heads: 2, SeqLen: 2, Rows: 8}
+
 // runMesh runs fn with every rank's family on the [q, q, d] mesh.
 func runMesh(t *testing.T, q, d int, fn func(f *Family) error) *dist.Cluster {
 	t.Helper()
@@ -78,51 +91,11 @@ func TestMatMulATBDepthAllReduce(t *testing.T) {
 	}
 }
 
+// TestLinearForwardBackwardMatchesSerial holds the linear (GELU, bias) to
+// nn.Linear on every mesh shape: output, input gradient and the weight and
+// bias gradients every replica lands at the rectangle it was cut at.
 func TestLinearForwardBackwardMatchesSerial(t *testing.T) {
-	const in, out, rows = 8, 12, 8
-	for _, ms := range meshShapes {
-		t.Run(fmt.Sprintf("q%dd%d", ms.q, ms.d), func(t *testing.T) {
-			dataRng := tensor.NewRNG(10)
-			x := tensor.RandomMatrix(rows, in, dataRng)
-			dy := tensor.RandomMatrix(rows, out, dataRng)
-
-			ref := nn.NewLinear(in, out, nn.ActGELU, true, tensor.NewRNG(42))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			gws, wantGws := testutil.NewCollector(), testutil.NewCollector()
-			gbs, wantGbs := testutil.NewCollector(), testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(f *Family) error {
-				p := f.p
-				l := NewLinear(p, in, out, nn.ActGELU, true, tensor.NewRNG(42))
-				y := l.Forward(f.Distribute(x))
-				dx := l.Backward(f.Distribute(dy))
-				p.DrainGradients() // gradients are final only after the queued depth sync completes
-				ys.Put(p.W.Rank(), f.Collect(y))
-				dxs.Put(p.W.Rank(), f.Collect(dx))
-				// Every replica's gradient is the serial one's block at the
-				// rectangle its weight was cut at (§3.1 keeps them equal).
-				gws.Put(p.W.Rank(), l.W.Grad)
-				wantGws.Put(p.W.Rank(), cutOf(ref.W.Grad, l.W))
-				if l.B.Param != nil {
-					gbs.Put(p.W.Rank(), l.B.Grad)
-					wantGbs.Put(p.W.Rank(), cutOf(ref.B.Grad, l.B))
-				}
-				return nil
-			})
-			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
-			testutil.CheckClose(t, "dx", dxs.Get(0), wantDx, 1e-9)
-			world := ms.q * ms.q * ms.d
-			for r := 0; r < world; r++ {
-				testutil.CheckClose(t, fmt.Sprintf("dW rank %d", r), gws.Get(r), wantGws.Get(r), 1e-9)
-				if r < ms.q { // grid row 0 of depth layer 0 holds the bias
-					testutil.CheckClose(t, fmt.Sprintf("dB rank %d", r), gbs.Get(r), wantGbs.Get(r), 1e-9)
-				}
-			}
-		})
-	}
+	meshParity(t, testutil.Parity{Modules: testutil.Linear, Dims: testutil.Dims{In: 8, Out: 12, Rows: 8}, Seed: 10})
 }
 
 // TestLayerNormMatchesSerial checks the View layer norm on a Tesseract
@@ -190,94 +163,15 @@ func TestLayerNormRowStatistics(t *testing.T) {
 }
 
 func TestAttentionMatchesSerial(t *testing.T) {
-	const h, heads, seqLen = 8, 2, 2
-	const rows = 8 // 4 sequences of 2 tokens
-	for _, ms := range meshShapes {
-		t.Run(fmt.Sprintf("q%dd%d", ms.q, ms.d), func(t *testing.T) {
-			dataRng := tensor.NewRNG(30)
-			x := tensor.RandomMatrix(rows, h, dataRng)
-			dy := tensor.RandomMatrix(rows, h, dataRng)
-
-			ref := nn.NewMultiHeadAttention(h, heads, seqLen, tensor.NewRNG(77))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(f *Family) error {
-				p := f.p
-				m := parallel.NewAttention(f, h, heads, seqLen, tensor.NewRNG(77))
-				y := m.Forward(f.Distribute(x))
-				dx := m.Backward(f.Distribute(dy))
-				p.DrainGradients()
-				ys.Put(p.W.Rank(), f.Collect(y))
-				dxs.Put(p.W.Rank(), f.Collect(dx))
-				return nil
-			})
-			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
-			testutil.CheckClose(t, "dx", dxs.Get(0), wantDx, 1e-9)
-		})
-	}
+	meshParity(t, testutil.Parity{Modules: testutil.Attention, Dims: blockDims, Seed: 30})
 }
 
 func TestMLPMatchesSerial(t *testing.T) {
-	const h, rows = 8, 8
-	for _, ms := range meshShapes {
-		t.Run(fmt.Sprintf("q%dd%d", ms.q, ms.d), func(t *testing.T) {
-			dataRng := tensor.NewRNG(40)
-			x := tensor.RandomMatrix(rows, h, dataRng)
-			dy := tensor.RandomMatrix(rows, h, dataRng)
-
-			ref := nn.NewMLP(h, tensor.NewRNG(88))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(f *Family) error {
-				p := f.p
-				m := parallel.NewMLP(f, h, tensor.NewRNG(88))
-				y := m.Forward(f.Distribute(x))
-				dx := m.Backward(f.Distribute(dy))
-				p.DrainGradients()
-				ys.Put(p.W.Rank(), f.Collect(y))
-				dxs.Put(p.W.Rank(), f.Collect(dx))
-				return nil
-			})
-			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
-			testutil.CheckClose(t, "dx", dxs.Get(0), wantDx, 1e-9)
-		})
-	}
+	meshParity(t, testutil.Parity{Modules: testutil.MLP, Dims: blockDims, Seed: 40})
 }
 
 func TestBlockMatchesSerial(t *testing.T) {
-	const h, heads, seqLen, rows = 8, 2, 2, 8
-	for _, ms := range meshShapes {
-		t.Run(fmt.Sprintf("q%dd%d", ms.q, ms.d), func(t *testing.T) {
-			dataRng := tensor.NewRNG(50)
-			x := tensor.RandomMatrix(rows, h, dataRng)
-			dy := tensor.RandomMatrix(rows, h, dataRng)
-
-			ref := nn.NewBlock(h, heads, seqLen, tensor.NewRNG(99))
-			wantY := ref.Forward(x)
-			wantDx := ref.Backward(dy)
-
-			ys := testutil.NewCollector()
-			dxs := testutil.NewCollector()
-			runMesh(t, ms.q, ms.d, func(f *Family) error {
-				p := f.p
-				m := f.NewBlock(h, heads, seqLen, tensor.NewRNG(99))
-				y := m.Forward(f.Distribute(x))
-				dx := m.Backward(f.Distribute(dy))
-				p.DrainGradients()
-				ys.Put(p.W.Rank(), f.Collect(y))
-				dxs.Put(p.W.Rank(), f.Collect(dx))
-				return nil
-			})
-			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-8)
-			testutil.CheckClose(t, "dx", dxs.Get(0), wantDx, 1e-8)
-		})
-	}
+	meshParity(t, testutil.Parity{Modules: testutil.Block, Dims: blockDims, Seed: 50})
 }
 
 func TestTrainingStepsStayInSyncWithSerial(t *testing.T) {
@@ -348,39 +242,10 @@ func TestTrainingStepsStayInSyncWithSerial(t *testing.T) {
 	}
 }
 
+// TestBlockPhantomMatchesRealClock: the parity harness replays the block
+// shape-only on phantoms and holds its clocks and traffic to the real run's.
 func TestBlockPhantomMatchesRealClock(t *testing.T) {
-	const h, heads, seqLen, rows = 8, 2, 2, 8
-	clock := func(phantom bool) float64 {
-		c := dist.New(dist.Config{WorldSize: mesh.Shape{Q: 2, D: 2}.Size()})
-		if err := c.Run(func(w *dist.Worker) error {
-			f := meshFamily(w, 2, 2)
-			var b parallel.Layer
-			var x *tensor.Matrix
-			if phantom {
-				b = f.NewBlockPhantom(h, heads, seqLen)
-				x = tensor.NewPhantom(rows/4, h/2)
-			} else {
-				b = f.NewBlock(h, heads, seqLen, tensor.NewRNG(5))
-				rng := tensor.NewRNG(uint64(w.Rank()) + 1)
-				x = tensor.RandomMatrix(rows/4, h/2, rng)
-			}
-			y := b.Forward(x)
-			b.Backward(y)
-			f.p.DrainGradients()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return c.MaxClock()
-	}
-	real, ph := clock(false), clock(true)
-	if real <= 0 {
-		t.Fatal("expected nonzero simulated time")
-	}
-	rel := (real - ph) / real
-	if rel > 1e-12 || rel < -1e-12 {
-		t.Fatalf("phantom clock %g != real clock %g", ph, real)
-	}
+	testutil.Parity{Modules: testutil.Block, Dims: blockDims, Seed: 5}.Check(t, parallel.Layout{Family: "tesseract", Q: 2, D: 2})
 }
 
 func TestBlockShapeValidation(t *testing.T) {

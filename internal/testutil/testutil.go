@@ -1,7 +1,8 @@
 // Package testutil provides shared helpers for the repository's tests:
 // running simulated clusters, comparing matrices, collecting per-rank
-// results deterministically, and driving a command's real main() and
-// holding its output to a golden file.
+// results deterministically, holding a family's modules to their nn twins
+// (Parity), and driving a command's real main() and holding its output to
+// a golden file.
 package testutil
 
 import (

@@ -31,54 +31,6 @@ func adaptiveTopology(mcfg ModelConfig, tc TrainConfig) plan.Topology {
 	return t
 }
 
-// TestZeroPerturbationIdentity pins the tentpole invariant at the training
-// level for all three families: an empty fault plan, and one whose windows
-// never overlap the steps run, produce bitwise-identical losses, simulated
-// clocks and traffic statistics to a bare cluster.
-func TestZeroPerturbationIdentity(t *testing.T) {
-	ds, mcfg := tinyData()
-	tc := elasticTC()
-	const total = 4
-	layouts := []parallel.Layout{
-		{Family: "tesseract", Q: 2, D: 2},
-		{Family: "optimus", Q: 2},
-		{Family: "megatron", Ranks: 4},
-	}
-	cost := dist.Machine{Cost: computeBoundCost()}
-	for _, l := range layouts {
-		l := l
-		t.Run(l.String(), func(t *testing.T) {
-			bare, err := TrainFaulty(l, nil, cost, ds, mcfg, tc, total)
-			if err != nil {
-				t.Fatalf("bare run: %v", err)
-			}
-			plans := map[string]*dist.FaultPlan{
-				"empty": {},
-				"past-window": {
-					Ranks:       []dist.RankFault{{Rank: 0, From: total + 10, To: dist.Forever, Factor: 8}},
-					Links:       []dist.LinkFault{{Rank: 1, From: total + 10, To: dist.Forever, BetaFactor: 4, ExtraAlpha: 1e-6}},
-					Collectives: []dist.CollectiveFault{{Rank: 0, From: total + 10, To: total + 12, Retries: 2, Backoff: 1e-5}},
-				},
-			}
-			for name, fp := range plans {
-				got, err := TrainFaulty(l, fp, cost, ds, mcfg, tc, total)
-				if err != nil {
-					t.Fatalf("%s plan: %v", name, err)
-				}
-				if !reflect.DeepEqual(got.Losses, bare.Losses) {
-					t.Errorf("%s plan: losses differ from bare run:\n%v\n%v", name, got.Losses, bare.Losses)
-				}
-				if got.Seconds != bare.Seconds {
-					t.Errorf("%s plan: clock %g differs from bare %g", name, got.Seconds, bare.Seconds)
-				}
-				if !reflect.DeepEqual(got.Stats, bare.Stats) {
-					t.Errorf("%s plan: traffic stats differ from bare run", name)
-				}
-			}
-		})
-	}
-}
-
 // TestTrainFaultyStragglerStretchesClock checks the other half of the
 // invariant: a straggler changes the clock but not one bit of the losses.
 func TestTrainFaultyStragglerStretchesClock(t *testing.T) {

@@ -2,6 +2,7 @@ package vit
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/tensor"
-	"repro/internal/testutil"
 
 	// The families the tests name register themselves with parallel.
 	_ "repro/internal/megatron"
@@ -29,98 +29,30 @@ func familyLayouts() []parallel.Layout {
 	}
 }
 
-// trainedParams trains two ViT steps under a layout on the fixed tinyData
-// batch and returns rank 0's logits after both steps plus the final loss.
-func trainLayoutSteps(t *testing.T, l parallel.Layout, steps int) (logits *tensor.Matrix, loss float64) {
-	t.Helper()
-	ds, mcfg := tinyData()
-	tc := TrainConfig{Epochs: 1, BatchSize: 8, LR: 0.003, WeightDecay: 0.05, Seed: 5}
-	l, err := parallel.Validate(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	x, labels := ds.Batch(ds.Train, idx)
-	testutil.Run(t, l.Ranks, func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		model := NewDistModel(f, mcfg)
-		opt := nn.NewAdam(tc.LR, tc.WeightDecay)
-		params := model.Params()
-		for s := 0; s < steps; s++ {
-			lg := model.Forward(DistributeBatch(f, x, mcfg.SeqLen))
-			ls, dl := nn.CrossEntropy(lg, labels)
-			if w.Rank() == 0 {
-				loss = ls
-				logits = lg.Clone()
-			}
-			for _, pa := range params {
-				pa.ZeroGrad()
-			}
-			model.Backward(dl)
-			opt.Step(params)
-			f.EndStep()
-		}
-		return nil
-	})
-	return logits, loss
-}
-
-// TestCrossFamilyEquivalence trains two ViT steps under all four families
-// on the same seed and data and requires each to agree with the serial
-// reference logits within tolerance — the paper's interchangeability
-// claim, end to end through one interface.
-func TestCrossFamilyEquivalence(t *testing.T) {
-	ds, mcfg := tinyData()
-	tc := TrainConfig{Epochs: 1, BatchSize: 8, LR: 0.003, WeightDecay: 0.05, Seed: 5}
-	const steps = 2
-
-	// Serial reference: the identical two steps.
-	model := NewModel(mcfg)
-	opt := nn.NewAdam(tc.LR, tc.WeightDecay)
-	params := model.Params()
-	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	var wantLogits *tensor.Matrix
-	var wantLoss float64
-	for s := 0; s < steps; s++ {
-		lg := model.Forward(x)
-		wantLoss, _ = nn.CrossEntropy(lg, labels)
-		wantLogits = lg
-		_, dl := nn.CrossEntropy(lg, labels)
-		for _, pa := range params {
-			pa.ZeroGrad()
-		}
-		model.Backward(dl)
-		opt.Step(params)
-	}
-
-	for _, l := range familyLayouts() {
-		logits, loss := trainLayoutSteps(t, l, steps)
-		if logits == nil {
-			t.Fatalf("%s: no logits collected", l)
-		}
-		if d := logits.MaxAbsDiff(wantLogits); d > 1e-8 || math.IsNaN(d) {
-			t.Errorf("%s: step-%d logits diverged from serial by %g", l, steps, d)
-		}
-		if d := math.Abs(loss - wantLoss); d > 1e-8 {
-			t.Errorf("%s: step-%d loss %g vs serial %g", l, steps, loss, wantLoss)
-		}
-	}
-}
-
 // TestOptimusBitwiseTesseractDepth1 pins the first-class d=1 delegation:
-// an Optimus [2,2] training run and a Tesseract [2,2,1] training run are
-// the same algorithm, so their logits must agree bitwise.
+// an Optimus [2,2] session and a Tesseract [2,2,1] session are the same
+// algorithm, so two steps' losses and the eval logits after them agree
+// bitwise.
 func TestOptimusBitwiseTesseractDepth1(t *testing.T) {
-	opt, _ := trainLayoutSteps(t, parallel.Layout{Family: "optimus", Q: 2}, 2)
-	tess, _ := trainLayoutSteps(t, parallel.Layout{Family: "tesseract", Q: 2, D: 1}, 2)
-	if opt == nil || tess == nil {
-		t.Fatal("missing logits")
+	ds, mcfg := tinyData()
+	var losses [2][]float64
+	var logits [2]*tensor.Matrix
+	for i, l := range []parallel.Layout{{Family: "optimus", Q: 2}, {Family: "tesseract", Q: 2, D: 1}} {
+		s, err := NewSession(nil, l, ds, mcfg, elasticTC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Cluster().Close()
+		if losses[i], err = s.Train(2); err == nil {
+			logits[i], err = s.EvalLogits([]int{0, 1, 2, 3})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", l, err)
+		}
 	}
-	if !opt.Equal(tess) {
-		t.Fatalf("optimus [2,2] and tesseract [2,2,1] diverged bitwise: max|Δ| = %g", opt.MaxAbsDiff(tess))
+	if !reflect.DeepEqual(losses[0], losses[1]) || !logits[0].Equal(logits[1]) {
+		t.Fatalf("optimus [2,2] and tesseract [2,2,1] diverged bitwise: losses %v and %v, max|Δ logits| = %g",
+			losses[0], losses[1], logits[0].MaxAbsDiff(logits[1]))
 	}
 }
 

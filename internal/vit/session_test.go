@@ -313,58 +313,6 @@ func TestNestedSessionCallRefused(t *testing.T) {
 	}
 }
 
-// TestRelayoutContinuesLossCurve: over every ordered pair of the four
-// default family layouts, training three steps at one, Relayout onto the
-// other (on the same 8-rank cluster, so 4-rank layouts leave half of it
-// idle) and training three more continues the loss curve of an
-// uninterrupted run at the target within 1e-8.
-func TestRelayoutContinuesLossCurve(t *testing.T) {
-	ds, mcfg := tinyData()
-	tc := elasticTC()
-	const before, after = 3, 3
-	refs := map[parallel.Layout][]float64{}
-	for _, l := range familyLayouts() {
-		ref, err := TrainLayoutSteps(l, ds, mcfg, tc, before+after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[l] = ref
-	}
-	for _, from := range familyLayouts() {
-		for _, to := range familyLayouts() {
-			if from == to {
-				continue
-			}
-			c := dist.New(dist.Config{WorldSize: 8})
-			s, err := NewSession(c, from, ds, mcfg, tc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Train(before); err != nil {
-				t.Fatalf("%s: %v", from, err)
-			}
-			s2, collect, restore, err := s.Relayout(c, to)
-			if err != nil {
-				t.Fatalf("%s → %s: %v", from, to, err)
-			}
-			if collect <= 0 || restore <= 0 {
-				t.Errorf("%s → %s: relayout cost not positive: collect %g, restore %g", from, to, collect, restore)
-			}
-			losses, err := s2.Train(after)
-			if err != nil {
-				t.Fatalf("%s → %s: %v", from, to, err)
-			}
-			for i, loss := range losses {
-				if d := math.Abs(loss - refs[to][before+i]); d > 1e-8 {
-					t.Errorf("%s → %s step %d: loss %.12f vs uninterrupted %.12f (|Δ|=%.3g)",
-						from, to, before+i, loss, refs[to][before+i], d)
-				}
-			}
-			requireNoLiveBuffers(t, s2, "Relayout+Train")
-		}
-	}
-}
-
 // TestBackwardOverwritesEveryGrad: the distributed step (stepOn) does not
 // zero the gradients before a backward pass, because every layer computes a
 // parameter's partial into its Grad, overwriting it, before it lands. On
