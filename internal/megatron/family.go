@@ -28,7 +28,8 @@ func init() {
 // activation — the volume 2β(p−1)·b·s·h/p §3.1 attributes to Megatron-LM;
 // the RowSharded block moves the same bytes forward as two all-gathers plus
 // two reduce-scatters, and half again backward for the re-gathers. The patch
-// embedding is parallel.ReplicatedLinear. Package seqpar is this family
+// embedding is a whole-weight parallel.Dense, the core both linears run
+// on. Package seqpar is this family
 // registered under RowSharded.
 type Family struct {
 	parallel.View
@@ -50,16 +51,16 @@ func NewFamily(w *dist.Worker, l parallel.Layout, b Bracket) *Family {
 	return f
 }
 
-// NewLinear builds the patch embedding, a parallel.ReplicatedLinear on the
-// rows the bracket leaves on the rank: all of them, computed redundantly
-// like the head, or RowSharded the local ones, whose gradients then sum over
-// the group.
+// NewLinear builds the patch embedding, a parallel.Dense over the whole
+// weight on the rows the bracket leaves on the rank: all of them, computed
+// redundantly like the head, or RowSharded the local ones, whose gradients
+// then sum over the group.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
 	var sum *dist.Group
 	if f.p.bracket == RowSharded {
 		sum = f.p.TP
 	}
-	return parallel.NewReplicatedLinear(f.p.W, sum, &f.p.Grads, in, out, act, bias, rng)
+	return parallel.NewReplicatedDense(f.p.W, sum, &f.p.Grads, in, out, act, bias, rng)
 }
 
 // Shards returns p: weights split their columns, and attention its heads,

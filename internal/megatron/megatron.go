@@ -19,10 +19,16 @@
 //     moment their last gradient GEMM has read them, which is where the
 //     1/p activation footprint comes from.
 //
-// The bracket is read at four seams — ColLinear.Forward/Backward and
-// RowLinear.Forward/Backward — plus NewFamily, which splits the activation
-// rows over the group under RowSharded, and Family.NewLinear, which sums the
-// replicated patch embedding's gradients over that group; a further bracket
+// One local linear, parallel.Dense, runs under both of this package's
+// linears, the patch embedding and every family's head: ColLinear and
+// RowLinear are the collectives around its GEMM. The bracket is read at four
+// seams — ColLinear.Forward/Backward and RowLinear.Forward/Backward — plus
+// NewFamily, which splits the activation rows over the group under
+// RowSharded, and Family.NewLinear, which sums the patch embedding's
+// gradients over that group. Replicated, ColLinear.Forward and both
+// backwards are the core's, plus the all-reduce of ColLinear's input
+// gradient; RowLinear.Forward and the RowSharded backwards order their
+// charges their own way and keep their own schedules. A further bracket
 // (folded tensor+sequence parallelism, say) is one more case at those seams,
 // not another set of layers or family type. When the shared modules'
 // intermediates go back is no bracket's to say: under both, a buffer goes
@@ -115,22 +121,16 @@ func (p *Proc) accumColSums(param *nn.Param, dy *tensor.Matrix) {
 }
 
 // ColLinear is a column-parallel linear layer: W is split [In, Out/p] and
-// the full-row input multiplies the local shard (Figure 2, left path).
-// Replicated, the input already is full rows and the backward pass
-// all-reduces the input gradient. RowSharded, Forward gathers the rows (and
-// discards them after the GEMM — Backward re-gathers) and Backward
-// reduce-scatters the input gradient behind the weight-gradient GEMM.
+// the full-row input multiplies the local shard (Figure 2, left path), in
+// the parallel.Dense core. Replicated, the input already is full rows and
+// the backward pass is the core's plus an all-reduce of the input gradient.
+// RowSharded, Forward gathers the rows (and discards them after the GEMM —
+// Backward re-gathers) and Backward reduce-scatters the input gradient
+// behind the weight-gradient GEMM.
 type ColLinear struct {
-	In, Out int
-	Act     nn.Activation
-	W       parallel.Shard // [In, Out/p]
-	B       parallel.Shard // [1, Out/p]
+	parallel.Dense // W [In, Out/p], B [1, Out/p]; X is the local rows
 
-	params [2]*nn.Param // Params' backing, refilled from W and B on each call
-
-	p   *Proc
-	x   *tensor.Matrix
-	pre *tensor.Matrix
+	p *Proc
 }
 
 // NewColLinear draws the full Xavier weight from rng (same stream as
@@ -146,68 +146,26 @@ func newCol(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *ColLin
 		panic(fmt.Sprintf("megatron: output %d not divisible by p=%d", out, p.P))
 	}
 	bc := out / p.P
-	l := &ColLinear{In: in, Out: out, Act: act, p: p}
-	l.W = full.Param("megatron.col.w", 0, p.Rank*bc, in, bc)
+	var b parallel.Shard
 	if bias {
-		l.B = full.Bias("megatron.col.b", p.Rank*bc, bc)
+		b = full.Bias("megatron.col.b", p.Rank*bc, bc)
 	}
-	p.Expect(nil, len(l.Params()))
-	return l
+	w := full.Param("megatron.col.w", 0, p.Rank*bc, in, bc)
+	return &ColLinear{Dense: parallel.NewDense(p.W, nil, &p.Grads, w, b, act), p: p}
 }
 
-// Params returns the local shards. The slice is the layer's own: read it,
-// do not write it.
-func (l *ColLinear) Params() []*nn.Param {
-	l.params = [2]*nn.Param{l.W.Param, l.B.Param}
-	if l.B.Param == nil {
-		return l.params[:1:1]
-	}
-	return l.params[:2:2]
-}
-
-// State is the column shard's checkpoint slots; every holder writes its
-// own block.
-func (l *ColLinear) State() []parallel.State {
-	out := append(make([]parallel.State, 0, 2), l.W.State(true))
-	if l.B.Param != nil {
-		out = append(out, l.B.State(true))
-	}
-	return out
-}
-
-// Forward multiplies the full-row input by the local column shard, with
-// the bias add and optional GELU fused into the GEMM write-back. The
-// result is a workspace buffer; the GELU pre-activation is retained for
-// Backward.
+// Forward is the core's forward on the full-row input, gathered first when
+// RowSharded. The result is a workspace buffer; the GELU pre-activation is
+// retained for Backward.
 func (l *ColLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	p := l.p
-	l.x = x
-	ws := p.W.Workspace()
-	ph := x.Phantom() || l.W.Value.Phantom()
-	in := x
-	if p.bracket == RowSharded {
-		in = p.Gather(x)
+	if p.bracket != RowSharded {
+		return l.Dense.Forward(x)
 	}
-	pre := ws.GetUninitMatch(in.Rows, l.W.Value.Cols, ph)
-	pre.Zero()
-	out := pre
-	var bias *tensor.Matrix
-	if l.B.Param != nil {
-		bias = l.B.Value
-	}
-	switch {
-	case l.Act == nn.ActGELU:
-		l.pre = pre
-		out = ws.GetUninitMatch(in.Rows, l.W.Value.Cols, ph)
-		compute.MatMulBiasGELUInto(p.W, out, pre, in, l.W.Value, bias)
-	case bias != nil:
-		compute.MatMulBiasInto(p.W, pre, in, l.W.Value, bias)
-	default:
-		compute.MatMulInto(p.W, pre, in, l.W.Value)
-	}
-	if in != x {
-		ws.Put(in)
-	}
+	in := p.Gather(x)
+	out := l.Dense.Forward(in)
+	p.W.Workspace().Put(in)
+	l.X = x
 	return out
 }
 
@@ -216,8 +174,8 @@ func (l *ColLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // into a workspace buffer owned by the caller.
 func (l *ColLinear) activation() *tensor.Matrix {
 	p := l.p
-	act := p.W.Workspace().GetUninitMatch(l.pre.Rows, l.pre.Cols, l.pre.Phantom())
-	compute.GELUTo(p.W, act, l.pre)
+	act := p.W.Workspace().GetUninitMatch(l.Pre.Rows, l.Pre.Cols, l.Pre.Phantom())
+	compute.GELUTo(p.W, act, l.Pre)
 	return act
 }
 
@@ -229,38 +187,24 @@ func (l *ColLinear) activation() *tensor.Matrix {
 // is recycled as soon as that pass has read it.
 func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	p := l.p
-	ws := p.W.Workspace()
-	ph := dy.Phantom() || l.W.Value.Phantom()
-	sharded := p.bracket == RowSharded
-	gelu := l.Act == nn.ActGELU
-	var scratch *tensor.Matrix
-	if gelu {
-		g := dy
-		if !sharded {
-			scratch = ws.GetUninitMatch(dy.Rows, dy.Cols, dy.Phantom() || l.pre.Phantom())
-			g = scratch
-		}
-		compute.GELUGradHadamardTo(p.W, g, l.pre, dy)
-		dy = g
-	}
-	if !sharded {
-		p.accumTN(l.W.Param, l.x, dy)
-		p.accumColSums(l.B.Param, dy)
-		dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
-		compute.MatMulNTInto(p.W, dx, dy, l.W.Value)
-		ws.Put(scratch)
+	if p.bracket != RowSharded {
+		dx := l.Dense.Backward(dy)
 		return p.TP.AllReduceInto(p.W, dx, dx)
 	}
+	ws := p.W.Workspace()
+	ph := dy.Phantom() || l.W.Value.Phantom()
+	gelu := l.Act == nn.ActGELU
 	if gelu {
-		ws.Put(l.pre)
-		l.pre = nil
+		compute.GELUGradHadamardTo(p.W, dy, l.Pre, dy)
+		ws.Put(l.Pre)
+		l.Pre = nil
 		p.accumColSums(l.B.Param, dy) // rides the element-wise sweep
 	}
-	dxFull := ws.GetUninitMatch(dy.Rows, l.In, ph)
+	dxFull := ws.GetUninitMatch(dy.Rows, l.W.Value.Rows, ph)
 	compute.MatMulNTInto(p.W, dxFull, dy, l.W.Value)
-	dx := ws.GetUninitMatch(dy.Rows/p.P, l.In, ph)
+	dx := ws.GetUninitMatch(dy.Rows/p.P, l.W.Value.Rows, ph)
 	rs := p.TP.IReduceScatterInto(p.W, dxFull, dx)
-	x := p.Gather(l.x)
+	x := p.Gather(l.X)
 	p.accumTN(l.W.Param, x, dy)
 	ws.Put(x)
 	if !gelu {
@@ -274,15 +218,13 @@ func (l *ColLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // RowLinear is a row-parallel linear layer: W is split [In/p, Out] and the
 // column-sharded full-row input yields a partial product on every rank
 // (Figure 2, right path). Replicated, Forward all-reduces the partials in
-// place and Backward needs no communication because the output gradient is
-// replicated. RowSharded, Forward reduce-scatters the partials to the local
-// rows and Backward gathers the row-sharded output gradient.
+// place and Backward is the parallel.Dense core's, with no communication
+// because the output gradient is replicated. RowSharded, Forward
+// reduce-scatters the partials to the local rows and Backward gathers the
+// row-sharded output gradient. Forward adds the bias to the sum, not to
+// each partial, so it runs its own schedule over the core.
 type RowLinear struct {
-	In, Out int
-	W       parallel.Shard // [In/p, Out]
-	B       parallel.Shard // [1, Out], replicated (identical update on all ranks)
-
-	params [2]*nn.Param // Params' backing, refilled from W and B on each call
+	parallel.Dense // W [In/p, Out], B [1, Out] replicated (identical update on all ranks)
 
 	// src, when set, is the GELU column layer whose output is this layer's
 	// input (the MLP pair). RowSharded, that input is transient: recycled
@@ -291,7 +233,6 @@ type RowLinear struct {
 	src *ColLinear
 
 	p *Proc
-	x *tensor.Matrix
 }
 
 // NewRowLinear draws the full Xavier weight from rng and keeps the local row
@@ -306,33 +247,12 @@ func newRow(p *Proc, full parallel.Weight, bias bool) *RowLinear {
 		panic(fmt.Sprintf("megatron: input %d not divisible by p=%d", in, p.P))
 	}
 	br := in / p.P
-	l := &RowLinear{In: in, Out: out, p: p}
-	l.W = full.Param("megatron.row.w", p.Rank*br, 0, br, out)
+	var b parallel.Shard
 	if bias {
-		l.B = full.Bias("megatron.row.b", 0, out)
+		b = full.Bias("megatron.row.b", 0, out)
 	}
-	p.Expect(nil, len(l.Params()))
-	return l
-}
-
-// Params returns the local shards. The slice is the layer's own: read it,
-// do not write it.
-func (l *RowLinear) Params() []*nn.Param {
-	l.params = [2]*nn.Param{l.W.Param, l.B.Param}
-	if l.B.Param == nil {
-		return l.params[:1:1]
-	}
-	return l.params[:2:2]
-}
-
-// State is the row shard's checkpoint slots; group rank 0 writes the
-// replicated bias.
-func (l *RowLinear) State() []parallel.State {
-	out := append(make([]parallel.State, 0, 2), l.W.State(true))
-	if l.B.Param != nil {
-		out = append(out, l.B.State(l.p.Rank == 0))
-	}
-	return out
+	w := full.Param("megatron.row.w", p.Rank*br, 0, br, out)
+	return &RowLinear{Dense: parallel.NewDense(p.W, nil, &p.Grads, w, b, nn.ActNone), p: p}
 }
 
 // Forward multiplies the column-sharded input by the local row shard,
@@ -341,19 +261,19 @@ func (l *RowLinear) State() []parallel.State {
 // buffer.
 func (l *RowLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	p := l.p
-	l.x = x
+	l.X = x
 	ws := p.W.Workspace()
 	ph := x.Phantom() || l.W.Value.Phantom()
-	y := ws.GetUninitMatch(x.Rows, l.Out, ph)
+	y := ws.GetUninitMatch(x.Rows, l.W.Value.Cols, ph)
 	y.Zero()
 	compute.MatMulInto(p.W, y, x, l.W.Value)
 	if p.bracket == RowSharded {
 		if l.src != nil {
 			ws.Put(x)
-			l.x = nil
+			l.X = nil
 		}
 		partial := y
-		y = ws.GetUninitMatch(x.Rows/p.P, l.Out, ph)
+		y = ws.GetUninitMatch(x.Rows/p.P, l.W.Value.Cols, ph)
 		p.TP.ReduceScatterInto(p.W, partial, y)
 		ws.Put(partial)
 	} else {
@@ -372,28 +292,22 @@ func (l *RowLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // the weight gradient has read it.
 func (l *RowLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	p := l.p
+	if p.bracket != RowSharded {
+		return l.Dense.Backward(dy)
+	}
 	ws := p.W.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
-	sharded := p.bracket == RowSharded
-	x := l.x
-	if sharded {
-		dy = p.Gather(dy)
-		p.accumColSums(l.B.Param, dy)
-		if x == nil {
-			x = l.src.activation()
-		}
+	dy = p.Gather(dy)
+	p.accumColSums(l.B.Param, dy)
+	x := l.X
+	if x == nil {
+		x = l.src.activation()
 	}
 	p.accumTN(l.W.Param, x, dy)
-	if sharded {
-		ws.Put(x)
-		l.x = nil
-	} else {
-		p.accumColSums(l.B.Param, dy)
-	}
+	ws.Put(x)
+	l.X = nil
 	dx := ws.GetUninitMatch(dy.Rows, l.W.Value.Rows, ph)
 	compute.MatMulNTInto(p.W, dx, dy, l.W.Value)
-	if sharded {
-		ws.Put(dy)
-	}
+	ws.Put(dy)
 	return dx
 }

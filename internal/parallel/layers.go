@@ -10,99 +10,136 @@ import (
 	"repro/internal/tensor"
 )
 
-// ReplicatedLinear is the one replicated-weight linear: a serial nn.Linear
-// every rank holds whole, run on the rows the rank holds, every flop charged
-// through compute. It is every family's classifier head and the 1-D
-// families' patch embedding. A weight replicated over row-split input is one
-// layout whose gradient sums over the row group (Mesh-TensorFlow): Backward
-// computes the weight and bias partials into their Grads and lands them on
-// grads over sum, so with sum set their in-place all-reduces run until
-// DrainGradients, and with sum nil (the head, Megatron's replicated input)
-// the partials are the gradients, bitwise identical to nn.Linear's. Buffers
-// come from the workspace, bias and GELU fused into the GEMM write-back;
-// outputs live until the step-boundary ReleaseAll.
-type ReplicatedLinear struct {
-	*nn.Linear
-	w     *dist.Worker
-	sum   *dist.Group
-	grads *Grads
+// Dense is the one local linear: a serial linear over the weight shard the
+// rank holds, run on the rows the rank holds, every flop charged through
+// compute. Cut whole, so that every rank holds the same weight, it is every
+// family's classifier head and the 1-D families' patch embedding; cut by
+// columns or by rows it is the GEMM under Megatron-LM's column- and
+// row-parallel linears, which add the collectives around it (Figure 2). A
+// weight replicated over row-split input is one layout whose gradient sums
+// over the row group (Mesh-TensorFlow): Backward computes the weight and bias
+// partials into their Grads and lands them on grads over sum, so with sum
+// set their in-place all-reduces run until DrainGradients, and with sum nil
+// (the head, Megatron's replicated input, every weight shard) the partials
+// are the gradients — a whole weight's bitwise identical to nn.Linear's.
+// Buffers come from the workspace, bias and GELU fused into the GEMM
+// write-back; outputs live until the step-boundary ReleaseAll.
+type Dense struct {
+	W, B Shard // the weight shard and the bias of its columns; a zero B is no bias
+	Act  nn.Activation
+	// X and Pre are the input and pre-activation Forward saves for
+	// Backward. A layer that runs its own forward schedule over the core
+	// saves its input in X.
+	X, Pre *tensor.Matrix
 
-	x   *tensor.Matrix
-	pre *tensor.Matrix
+	w      *dist.Worker
+	sum    *dist.Group
+	grads  *Grads
+	params [2]*nn.Param // Params' backing, refilled from W and B on each call
 }
 
-// NewReplicatedLinear draws the full weight from rng (the serial stream)
-// and replicates it on the calling rank, landing its gradients on grads
-// summed over sum (nil: not summed).
-func NewReplicatedLinear(w *dist.Worker, sum *dist.Group, grads *Grads, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
-	l := &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w, sum: sum, grads: grads}
+// NewDense builds the local linear over the shards W and B cut from one
+// Weight, landing their gradients on grads summed over sum (nil: not
+// summed). Phantom shards (a nil rng's Weight) build the shape-only
+// layer. It returns the value, so a layer that runs on the core embeds it
+// without a second allocation.
+func NewDense(w *dist.Worker, sum *dist.Group, grads *Grads, W, B Shard, act nn.Activation) Dense {
+	l := Dense{W: W, B: B, Act: act, w: w, sum: sum, grads: grads}
 	grads.Expect(sum, len(l.Params()))
 	return l
 }
 
-// State exposes the replicated weight (and bias, if present) as canonical
-// slots; only rank 0, the family's first, contributes to a collect.
-func (l *ReplicatedLinear) State() []State {
-	p := l.w.Rank() == 0
-	out := []State{Shard{Param: l.W, Rows: l.In, Cols: l.Out}.State(p)}
-	if l.B != nil {
-		out = append(out, Shard{Param: l.B, Rows: 1, Cols: l.Out}.State(p))
+// NewReplicatedDense draws the whole [in, out] weight from rng (the serial
+// stream; nil: shape only) and builds the Dense every rank holds whole, with
+// a zero bias if bias is set.
+func NewReplicatedDense(w *dist.Worker, sum *dist.Group, grads *Grads, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *Dense {
+	full := Draw(in, out, rng)
+	var b Shard
+	if bias {
+		b = full.Bias("dense.b", 0, out)
+	}
+	l := NewDense(w, sum, grads, full.Param("dense.w", 0, 0, in, out), b, act)
+	return &l
+}
+
+// Params returns the weight and bias shards. The slice is the layer's own:
+// read it, do not write it.
+func (l *Dense) Params() []*nn.Param {
+	l.params = [2]*nn.Param{l.W.Param, l.B.Param}
+	if l.B.Param == nil {
+		return l.params[:1:1]
+	}
+	return l.params[:2:2]
+}
+
+// State is the shards' checkpoint slots. A shard cut whole is replicated on
+// every rank of the family, and only rank 0, the family's first, writes it
+// in a collect; every holder of a smaller block writes its own.
+func (l *Dense) State() []State {
+	out := append(make([]State, 0, 2), l.state(l.W))
+	if l.B.Param != nil {
+		out = append(out, l.state(l.B))
 	}
 	return out
 }
 
+func (l *Dense) state(s Shard) State {
+	whole := s.Value.Rows == s.Rows && s.Value.Cols == s.Cols
+	return s.State(!whole || l.w.Rank() == 0)
+}
+
 // Forward runs the GEMM on the rank's rows, bias and GELU fused into the
 // write-back.
-func (l *ReplicatedLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != l.In {
-		panic(fmt.Sprintf("parallel: ReplicatedLinear forward %dx%d through %d->%d", x.Rows, x.Cols, l.In, l.Out))
+func (l *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
+	wt := l.W.Value
+	if x.Cols != wt.Rows {
+		panic(fmt.Sprintf("parallel: Dense forward %dx%d through %dx%d", x.Rows, x.Cols, wt.Rows, wt.Cols))
 	}
 	ws := l.w.Workspace()
-	ph := x.Phantom() || l.W.Value.Phantom()
-	l.x = x
-	pre := ws.GetUninitMatch(x.Rows, l.Out, ph)
+	ph := x.Phantom() || wt.Phantom()
+	l.X = x
+	pre := ws.GetUninitMatch(x.Rows, wt.Cols, ph)
 	pre.Zero()
-	l.pre = pre
+	l.Pre = pre
 	var bias *tensor.Matrix
-	if l.B != nil {
+	if l.B.Param != nil {
 		bias = l.B.Value
 	}
 	if l.Act == nn.ActGELU {
-		act := ws.GetUninitMatch(x.Rows, l.Out, ph)
-		compute.MatMulBiasGELUInto(l.w, act, pre, x, l.W.Value, bias)
+		act := ws.GetUninitMatch(x.Rows, wt.Cols, ph)
+		compute.MatMulBiasGELUInto(l.w, act, pre, x, wt, bias)
 		return act
 	}
 	if bias != nil {
-		compute.MatMulBiasInto(l.w, pre, x, l.W.Value, bias)
+		compute.MatMulBiasInto(l.w, pre, x, wt, bias)
 	} else {
-		compute.MatMulInto(l.w, pre, x, l.W.Value)
+		compute.MatMulInto(l.w, pre, x, wt)
 	}
 	return pre
 }
 
 // Backward lands the weight and bias gradients and returns the input
 // gradient, a workspace buffer owned by the caller.
-func (l *ReplicatedLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (l *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	ws := l.w.Workspace()
-	ph := dy.Phantom() || l.W.Value.Phantom()
+	wt := l.W.Value
+	ph := dy.Phantom() || wt.Phantom()
 	var dyScratch *tensor.Matrix
 	if l.Act == nn.ActGELU {
-		g := ws.GetUninitMatch(dy.Rows, dy.Cols, dy.Phantom() || l.pre.Phantom())
-		compute.GELUGradHadamardTo(l.w, g, l.pre, dy)
+		g := ws.GetUninitMatch(dy.Rows, dy.Cols, dy.Phantom() || l.Pre.Phantom())
+		compute.GELUGradHadamardTo(l.w, g, l.Pre, dy)
 		dy, dyScratch = g, g
 	}
 	l.W.Grad.Zero() // the TN kernel accumulates; the gradient starts fresh
-	compute.MatMulTNInto(l.w, l.W.Grad, l.x, dy)
-	l.grads.Land(l.sum, l.W)
-	if l.B != nil {
+	compute.MatMulTNInto(l.w, l.W.Grad, l.X, dy)
+	l.grads.Land(l.sum, l.W.Param)
+	if l.B.Param != nil {
 		compute.ColSumsInto(l.w, l.B.Grad, dy)
-		l.grads.Land(l.sum, l.B)
+		l.grads.Land(l.sum, l.B.Param)
 	}
-	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
-	compute.MatMulNTInto(l.w, dx, dy, l.W.Value)
-	if dyScratch != nil {
-		ws.Put(dyScratch)
-	}
+	dx := ws.GetUninitMatch(dy.Rows, wt.Rows, ph)
+	compute.MatMulNTInto(l.w, dx, dy, wt)
+	ws.Put(dyScratch)
 	return dx
 }
 

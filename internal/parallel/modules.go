@@ -29,12 +29,16 @@ func Draw(rows, cols int, rng *tensor.RNG) Weight {
 
 // Param cuts the [rows, cols] block at (r0, c0) out as a parameter of its
 // own; a phantom's value and gradient come with it in one allocation
-// (nn.NewPhantomParam).
+// (nn.NewPhantomParam). The whole weight is cut without a copy: the
+// parameter takes Full over, so a Weight is cut whole at most once.
 func (w Weight) Param(name string, r0, c0, rows, cols int) Shard {
 	s := Shard{Rows: w.Rows, Cols: w.Cols, Row: r0, Col: c0}
-	if w.Full == nil {
+	switch {
+	case w.Full == nil:
 		s.Param = nn.NewPhantomParam(name, rows, cols)
-	} else {
+	case rows == w.Rows && cols == w.Cols:
+		s.Param = nn.NewParam(name, w.Full)
+	default:
 		s.Param = nn.NewParam(name, w.Full.SubMatrix(r0, c0, rows, cols))
 	}
 	return s

@@ -16,7 +16,8 @@
 // two groups its activations split over and the family's Linears, with one
 // place every partial gradient lands (Grads.Land). A family builds only its
 // linears (NewLinear, and the pairs a block shards; the classifier head is
-// the same replicated linear for every family). Everything above —
+// the same whole-weight Dense for every family, and Dense is also the local
+// GEMM under the 1-D families' linears). Everything above —
 // vit.DistModel, vit.Session and the trainers, serving and tables runners
 // that drive it — only ever sees these contracts.
 //
@@ -110,7 +111,8 @@ type Family interface {
 	// NewLinear builds the family's fully connected layer (the ViT patch
 	// embedding); input and output are family-distributed activations.
 	// The full weight is drawn from rng in the serial order, so families
-	// shard the identical serial parameters.
+	// shard the identical serial parameters; a nil rng builds the
+	// shape-only layer, on every family.
 	NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) Layer
 	// NewBlock builds one Transformer block (attention, MLP, residuals,
 	// layer norms), drawing parameters from rng in the serial order; a nil
@@ -120,9 +122,10 @@ type Family interface {
 	NewBlockPhantom(h, heads, seqLen int) Layer
 	// NewLayerNorm builds the layer normalisation over hidden width h.
 	NewLayerNorm(h int) Layer
-	// NewHead builds the classifier head: a replicated serial linear whose
-	// input features are replicated, drawn from rng in the serial order.
-	NewHead(in, out int, rng *tensor.RNG) *ReplicatedLinear
+	// NewHead builds the classifier head: a Dense over the whole weight,
+	// whose input features are replicated, drawn from rng in the serial
+	// order.
+	NewHead(in, out int, rng *tensor.RNG) *Dense
 
 	// Distribute slices a replicated global activation into this rank's
 	// block (the identity for families that replicate activations).

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -103,8 +104,8 @@ func TestReplicatedLinearMatchesSerial(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
 		rng, grads := tensor.NewRNG(3), NewGrads(w)
-		a := NewReplicatedLinear(w, nil, &grads, 4, 6, nn.ActGELU, true, rng)
-		b := NewReplicatedLinear(w, nil, &grads, 6, 4, nn.ActNone, true, rng)
+		a := NewReplicatedDense(w, nil, &grads, 4, 6, nn.ActGELU, true, rng)
+		b := NewReplicatedDense(w, nil, &grads, 6, 4, nn.ActNone, true, rng)
 
 		refA := nn.NewLinear(4, 6, nn.ActGELU, true, tensor.NewRNG(3))
 		rng2 := tensor.NewRNG(3)
@@ -135,7 +136,7 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 	if err := c.Run(func(w *dist.Worker) error {
 		x := tensor.RandomMatrix(4, 8, tensor.NewRNG(1))
 		grads := NewGrads(w)
-		lin := NewReplicatedLinear(w, nil, &grads, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
+		lin := NewReplicatedDense(w, nil, &grads, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
 		lin.Forward(x)
 		lin.Backward(tensor.RandomMatrix(4, 2, tensor.NewRNG(3)))
 		return nil
@@ -147,10 +148,13 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 	}
 }
 
-// TestReplicatedLinearChargesThroughCompute: a GELU+bias ReplicatedLinear's
+// TestReplicatedLinearChargesThroughCompute: a GELU+bias replicated Dense's
 // forward and backward advance the busy clock exactly as the five compute
 // calls it makes do on a second worker — the bias add, the GELU, its
-// gradient and the bias column sums included, not only the GEMMs.
+// gradient and the bias column sums included, not only the GEMMs. Built
+// from a nil rng and fed phantoms, a head and a row-summed GELU linear hold
+// phantom parameters and charge every rank's clock and the traffic of their
+// drawn twins exactly.
 func TestReplicatedLinearChargesThroughCompute(t *testing.T) {
 	const rows, in, out = 5, 4, 6
 	run := func(fn func(w *dist.Worker)) float64 {
@@ -170,7 +174,7 @@ func TestReplicatedLinearChargesThroughCompute(t *testing.T) {
 	dy := tensor.RandomMatrix(rows, out, tensor.NewRNG(10))
 	got := run(func(w *dist.Worker) {
 		grads := NewGrads(w)
-		l := NewReplicatedLinear(w, nil, &grads, in, out, nn.ActGELU, true, tensor.NewRNG(3))
+		l := NewReplicatedDense(w, nil, &grads, in, out, nn.ActGELU, true, tensor.NewRNG(3))
 		l.Backward(l.Forward(x))
 	})
 	want := run(func(w *dist.Worker) {
@@ -183,7 +187,50 @@ func TestReplicatedLinearChargesThroughCompute(t *testing.T) {
 		compute.MatMulNTInto(w, tensor.New(rows, in), act, wt)
 	})
 	if got != want || got <= 0 {
-		t.Fatalf("ReplicatedLinear forward+backward busy %g s, the compute calls %g s", got, want)
+		t.Fatalf("replicated Dense forward+backward busy %g s, the compute calls %g s", got, want)
+	}
+
+	replay := func(drawn bool) ([]float64, dist.Stats) {
+		c := dist.New(dist.Config{WorldSize: 2})
+		defer c.Close()
+		clocks := make([]float64, 2)
+		if err := c.Run(func(w *dist.Worker) error {
+			grads := NewGrads(w)
+			v := &View{w: w, Grads: &grads}
+			sum := w.Cluster().Group(0, 1)
+			var rng *tensor.RNG
+			if drawn {
+				rng = tensor.NewRNG(3)
+			}
+			for _, l := range []*Dense{v.NewHead(in, out, rng), NewReplicatedDense(w, sum, &grads, in, out, nn.ActGELU, true, rng)} {
+				x, dy := x, dy
+				if rng == nil {
+					x, dy = tensor.NewPhantom(rows, in), tensor.NewPhantom(rows, out)
+					for _, p := range l.Params() {
+						if !p.Value.Phantom() || !p.Grad.Phantom() {
+							t.Errorf("nil-rng %s holds a drawn value or gradient", p.Name)
+						}
+					}
+				}
+				l.Forward(x)
+				l.Backward(dy)
+			}
+			grads.DrainGradients()
+			w.Workspace().ReleaseAll()
+			clocks[w.Rank()] = w.Clock()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return clocks, c.Stats()
+	}
+	drawnClocks, drawnStats := replay(true)
+	phClocks, phStats := replay(false)
+	if !slices.Equal(phClocks, drawnClocks) || drawnClocks[0] <= 0 {
+		t.Errorf("shape-only clocks %v, drawn %v", phClocks, drawnClocks)
+	}
+	if !reflect.DeepEqual(phStats, drawnStats) || drawnStats.Bytes == 0 {
+		t.Errorf("shape-only traffic %+v, drawn %+v", phStats, drawnStats)
 	}
 }
 
@@ -295,11 +342,11 @@ func TestGradsQueueSizedOnce(t *testing.T) {
 	if err := c.Run(func(w *dist.Worker) error {
 		summed, local := NewGrads(w), NewGrads(w)
 		g, rng := w.Cluster().Group(0, 1), tensor.NewRNG(1)
-		layers := []*ReplicatedLinear{
-			NewReplicatedLinear(w, g, &summed, 4, 6, nn.ActGELU, true, rng),
-			NewReplicatedLinear(w, g, &summed, 6, 4, nn.ActNone, false, rng),
-			NewReplicatedLinear(w, nil, &summed, 4, 2, nn.ActNone, true, rng),
-			NewReplicatedLinear(w, nil, &local, 4, 2, nn.ActNone, true, rng),
+		layers := []*Dense{
+			NewReplicatedDense(w, g, &summed, 4, 6, nn.ActGELU, true, rng),
+			NewReplicatedDense(w, g, &summed, 6, 4, nn.ActNone, false, rng),
+			NewReplicatedDense(w, nil, &summed, 4, 2, nn.ActNone, true, rng),
+			NewReplicatedDense(w, nil, &local, 4, 2, nn.ActNone, true, rng),
 		}
 		x := tensor.RandomMatrix(5, 4, tensor.NewRNG(2))
 		var backing *dist.Handle

@@ -67,12 +67,12 @@ func shards(g *dist.Group) int {
 // statistics sum over the column group.
 func (v *View) NewLayerNorm(h int) Layer { return NewLayerNorm(v.w, v.cols, h) }
 
-// NewHead builds the classifier head: a replicated serial linear computed
-// redundantly on every rank from replicated features, so its partials are
-// its gradients — the standard treatment for heads whose cost is
-// negligible.
-func (v *View) NewHead(in, out int, rng *tensor.RNG) *ReplicatedLinear {
-	return NewReplicatedLinear(v.w, nil, v.Grads, in, out, nn.ActNone, true, rng)
+// NewHead builds the classifier head: the Dense over the whole weight,
+// computed redundantly on every rank from replicated features, so its
+// partials are its gradients — the standard treatment for heads whose cost
+// is negligible.
+func (v *View) NewHead(in, out int, rng *tensor.RNG) *Dense {
+	return NewReplicatedDense(v.w, nil, v.Grads, in, out, nn.ActNone, true, rng)
 }
 
 // Slice is block (row, col) of the row and column splits.

@@ -63,9 +63,6 @@ func (w Workload) WithDefaults() (Workload, error) {
 	return w, nil
 }
 
-// Tokens returns batch·seqLen, the global activation row count.
-func (w Workload) Tokens() int { return w.Batch * w.SeqLen }
-
 // Grid is a candidate's processor layout: the runtime's own parallel.Layout
 // (Family, Q, D, Ranks), which parallel.New builds as it is. The name
 // survives for callers that read a plan's p.Grid.Ranks, Q and D.

@@ -16,8 +16,8 @@
 // like package optimus. Its Spec builds megatron's family under the
 // megatron.RowSharded bracket on the Rows arrangement: its parallel.View
 // splits activation rows over the group and nothing over columns, and its patch
-// embedding — parallel.ReplicatedLinear, the replicated weight every family's
-// head also is — sums its gradients over that group. Sharing the layers is
+// embedding — a whole-weight parallel.Dense, the one local linear every
+// family's head also is — sums its gradients over that group. Sharing the layers is
 // also why checkpoints re-shard freely between the two families.
 package seqpar
 

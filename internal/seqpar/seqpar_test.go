@@ -18,7 +18,7 @@ import (
 // adapter around the block.
 
 // TestShardLinearMatchesSerial runs the patch embedding a family builds
-// (parallel.ReplicatedLinear) through the parity harness, and then holds
+// (a whole-weight parallel.Dense) through the parity harness, and then holds
 // its gradients before the sum. Backward computes each
 // rank's weight and bias gradients in place, bit for bit nn.Linear's on the
 // rank's rows. On seqpar's row shards that is a partial, summed in place

@@ -224,9 +224,7 @@ func sameClock(got, want float64) bool {
 // run builds the cases' modules on every rank of a fresh cluster and runs
 // them — real ones against their twins, or, in the phantom replay,
 // shape-only ones on phantoms — and returns the cluster and every rank's
-// clock. The replay keeps the linear, the patch embedding no replay prices,
-// as drawn on real inputs: a 1-D family's is an nn.Linear, which has no
-// shape-only form.
+// clock.
 func (p Parity) run(l parallel.Layout, cases []*parityCase, phantom bool) (*dist.Cluster, []float64, error) {
 	c := dist.New(dist.Config{WorldSize: l.Ranks})
 	defer c.Close()
@@ -243,7 +241,7 @@ func (p Parity) run(l parallel.Layout, cases []*parityCase, phantom bool) (*dist
 		held := 0
 		for i, pc := range cases {
 			x, dy, rng := pc.x, pc.dy, tensor.NewRNG(pc.seed)
-			if phantom && pc.module != Linear {
+			if phantom {
 				x, dy, rng = tensor.NewPhantom(x.Rows, x.Cols), tensor.NewPhantom(dy.Rows, dy.Cols), nil
 			}
 			m := pc.build(f, p.Dims, rng)

@@ -23,7 +23,7 @@ type DistModel struct {
 	Embed  parallel.Layer
 	Pos    *tensor.Matrix // full [s, hidden]; sliced locally on use
 	Blocks []parallel.Layer
-	Head   *parallel.ReplicatedLinear
+	Head   *parallel.Dense
 
 	batch  int
 	pooled *tensor.Matrix // replicated [b, hidden]
@@ -45,7 +45,7 @@ func NewDistModel(f parallel.Family, cfg ModelConfig) *DistModel {
 	for i := 0; i < cfg.Layers; i++ {
 		m.Blocks = append(m.Blocks, f.NewBlock(cfg.Hidden, cfg.Heads, cfg.SeqLen, rng))
 	}
-	// Every family's head is the replicated serial linear.
+	// Every family's head is the whole-weight Dense.
 	m.Head = f.NewHead(cfg.Hidden, cfg.Classes, rng)
 	return m
 }

@@ -17,7 +17,8 @@
 # the block constructors, the step boundary and the deferred-gradient queue
 # live once, in parallel.View, every partial gradient lands through
 # parallel.Grads.Land, and a family that runs another family's
-# layers (optimus, seqpar) has no layer code; the
+# layers (optimus, seqpar) has no layer code; the local linear to one core,
+# parallel.Dense; the
 # simulated clock to internal/compute: no GEMM charged or multiplied beside
 # it; the §1/§3.1 transmission claim to its measurement: no closed-form
 # side channel; and the machine to one value: no GPUsPerNode or CostModel
@@ -202,6 +203,20 @@ fi
 if grep -rnE '^type |^func \([a-z]+ \*?[A-Za-z]+\) (Forward|Backward)\(' --include='*.go' \
     internal/optimus internal/seqpar >&2; then
     echo "docs_check: optimus or seqpar declares a type or layer code of its own" >&2
+    fail=1
+fi
+
+# One local linear (docs/architecture.md §6): parallel.Dense, cut from a
+# parallel.Weight, is the GEMM under every family's head, the 1-D families'
+# patch embedding and Megatron-LM's column- and row-parallel linears, and a
+# nil rng builds its shape-only form. An nn.NewLinear call in non-test Go of
+# internal/parallel or a family package is the serial layer with no
+# shape-only form growing back; a compute.MatMulBias* call in non-test Go of
+# internal/megatron is the fused-epilogue GEMM written again beside the core.
+if grep -rn 'nn\.NewLinear(' --include='*.go' --exclude='*_test.go' \
+    internal/parallel internal/megatron internal/seqpar internal/tesseract internal/optimus >&2 ||
+    grep -rn 'compute\.MatMulBias' --include='*.go' --exclude='*_test.go' internal/megatron >&2; then
+    echo "docs_check: a linear's local GEMM is written beside parallel.Dense again" >&2
     fail=1
 fi
 
