@@ -133,9 +133,9 @@ type ColLinear struct {
 	p *Proc
 }
 
-// NewColLinear draws the full Xavier weight from rng (same stream as
-// nn.NewLinear) and keeps the local column block; a nil rng builds the
-// shape-only layer of a timing run.
+// NewColLinear draws only the local column block of the Xavier weight
+// nn.NewLinear would draw from rng (rng moves past the whole weight); a nil
+// rng builds the shape-only layer of a timing run.
 func NewColLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ColLinear {
 	return newCol(p, parallel.Draw(in, out, rng), act, bias)
 }
@@ -235,8 +235,8 @@ type RowLinear struct {
 	p *Proc
 }
 
-// NewRowLinear draws the full Xavier weight from rng and keeps the local row
-// block; a nil rng builds the shape-only layer.
+// NewRowLinear draws only the local row block of the Xavier weight from rng
+// (rng moves past the whole weight); a nil rng builds the shape-only layer.
 func NewRowLinear(p *Proc, in, out int, bias bool, rng *tensor.RNG) *RowLinear {
 	return newRow(p, parallel.Draw(in, out, rng), bias)
 }

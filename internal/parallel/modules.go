@@ -8,39 +8,69 @@ import (
 	"repro/internal/tensor"
 )
 
-// Weight is a global [Rows, Cols] parameter on its way to being sharded.
-// Full holds the values every rank drew from its identically seeded stream;
-// nil means shape only, and the shards cut from it are phantoms — which is
-// all a phantom layer is: no layer has a second constructor.
+// Weight is a global [Rows, Cols] parameter on its way to being sharded: a
+// recipe, not a matrix. It holds the generator state its first element is
+// drawn from (nil means shape only, and the shards cut from it are phantoms
+// — which is all a phantom layer is: no layer has a second constructor), or,
+// for a fused weight, the weights its columns map onto. A rank cuts its
+// rectangle by drawing that rectangle alone, so no rank holds the full
+// model.
 type Weight struct {
 	Rows, Cols int
-	Full       *tensor.Matrix
+
+	at *tensor.RNG // the state element (0, 0) is drawn from
+	// parts and run map a fused weight's columns: column shard j
+	// (run·len(parts) wide) is [parts[0]_j | parts[1]_j | …], run columns
+	// of each part.
+	parts []Weight
+	run   int
 }
 
-// Draw draws a Xavier weight from rng, consuming the stream nn.NewLinear
-// does; a nil rng draws nothing and yields the shape alone.
+// Draw takes a Xavier weight's recipe from rng and moves rng past the
+// rows·cols draws nn.NewLinear would consume, so every later draw is the
+// serial stream's; a nil rng draws nothing and yields the shape alone.
 func Draw(rows, cols int, rng *tensor.RNG) Weight {
 	w := Weight{Rows: rows, Cols: cols}
 	if rng != nil {
-		w.Full = tensor.XavierMatrix(rows, cols, rng)
+		at := *rng
+		w.at = &at
+		rng.Skip(rows * cols)
 	}
 	return w
 }
 
-// Param cuts the [rows, cols] block at (r0, c0) out as a parameter of its
-// own; a phantom's value and gradient come with it in one allocation
-// (nn.NewPhantomParam). The whole weight is cut without a copy: the
-// parameter takes Full over, so a Weight is cut whole at most once.
+// phantom reports a shape-only weight, whose cuts draw nothing.
+func (w Weight) phantom() bool { return w.at == nil && w.parts == nil }
+
+// fill draws row r's elements from column c on into dst, the len(dst) of
+// them alone: a part's run at a time for a fused weight.
+func (w Weight) fill(dst []float64, r, c int) {
+	if w.parts == nil {
+		tensor.XavierFill(dst, w.Rows, w.Cols, w.at, r*w.Cols+c)
+		return
+	}
+	for len(dst) > 0 {
+		j, t, k := c/(w.run*len(w.parts)), c/w.run%len(w.parts), c%w.run
+		n := min(len(dst), w.run-k)
+		w.parts[t].fill(dst[:n], r, j*w.run+k)
+		dst, c = dst[n:], c+n
+	}
+}
+
+// Param draws the [rows, cols] block at (r0, c0) as a parameter of its own,
+// allocating the block alone; a phantom's value and gradient come with it
+// in one allocation (nn.NewPhantomParam).
 func (w Weight) Param(name string, r0, c0, rows, cols int) Shard {
 	s := Shard{Rows: w.Rows, Cols: w.Cols, Row: r0, Col: c0}
-	switch {
-	case w.Full == nil:
+	if w.phantom() {
 		s.Param = nn.NewPhantomParam(name, rows, cols)
-	case rows == w.Rows && cols == w.Cols:
-		s.Param = nn.NewParam(name, w.Full)
-	default:
-		s.Param = nn.NewParam(name, w.Full.SubMatrix(r0, c0, rows, cols))
+		return s
 	}
+	m := tensor.New(rows, cols)
+	for i := 0; i < rows; i++ {
+		w.fill(m.Data[i*cols:(i+1)*cols], r0+i, c0)
+	}
+	s.Param = nn.NewParam(name, m)
 	return s
 }
 
@@ -48,7 +78,7 @@ func (w Weight) Param(name string, r0, c0, rows, cols int) Shard {
 // [c0, c0+cols): that block of the canonical [1, Cols] bias.
 func (w Weight) Bias(name string, c0, cols int) Shard {
 	s := Shard{Rows: 1, Cols: w.Cols, Col: c0}
-	if w.Full == nil {
+	if w.phantom() {
 		s.Param = nn.NewPhantomParam(name, 1, cols)
 	} else {
 		s.Param = nn.NewParam(name, tensor.New(1, cols))
@@ -84,10 +114,11 @@ type Attention struct {
 	w    *dist.Worker
 }
 
-// NewAttention draws Wq, Wk, Wv, Wo in nn.NewMultiHeadAttention's order
-// (nothing when rng is nil) and fuses the first three so that column shard j
-// is [Wq_j | Wk_j | Wv_j]: a shard's local QKV output then splits into
-// aligned Q, K, V blocks of whole heads.
+// NewAttention takes Wq, Wk, Wv, Wo from rng in nn.NewMultiHeadAttention's
+// order (nothing when rng is nil) and maps the fused QKV weight's columns
+// onto the first three so that column shard j is [Wq_j | Wk_j | Wv_j]: a
+// shard's local QKV output then splits into aligned Q, K, V blocks of whole
+// heads.
 func NewAttention(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 	shards := f.Shards()
 	if h%heads != 0 || heads%shards != 0 {
@@ -96,12 +127,7 @@ func NewAttention(f Linears, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 	wq, wk, wv, wo := Draw(h, h, rng), Draw(h, h, rng), Draw(h, h, rng), Draw(h, h, rng)
 	fused := Weight{Rows: h, Cols: 3 * h}
 	if rng != nil {
-		bc := h / shards
-		cols := make([]*tensor.Matrix, 0, 3*shards)
-		for j := 0; j < shards; j++ {
-			cols = append(cols, wq.Full.SubMatrix(0, j*bc, h, bc), wk.Full.SubMatrix(0, j*bc, h, bc), wv.Full.SubMatrix(0, j*bc, h, bc))
-		}
-		fused.Full = tensor.HCat(cols...)
+		fused.parts, fused.run = []Weight{wq, wk, wv}, h/shards
 	}
 	a := &Attention{w: f.Worker(),
 		core: HeadAttention{Heads: heads / shards, HeadDim: h / heads, SeqLen: seqLen}}

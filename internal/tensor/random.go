@@ -16,9 +16,13 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
+// gamma is SplitMix64's increment: the state after n draws is the seed plus
+// n·gamma, which is what lets Skip jump ahead.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits (SplitMix64).
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -59,6 +63,10 @@ func (r *RNG) Normal() float64 {
 	return u * f
 }
 
+// Skip advances r past n draws of Uint64 (and so of Float64) in O(1): the
+// state is a counter, so r then draws exactly what it would after n calls.
+func (r *RNG) Skip(n int) { r.state += uint64(n) * gamma }
+
 // Split returns an independent generator derived from r; useful for giving
 // each layer or shard its own stream while keeping global determinism.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
@@ -88,11 +96,22 @@ func RandomMatrix(rows, cols int, rng *RNG) *Matrix {
 // XavierMatrix returns a rows×cols matrix with Xavier/Glorot uniform
 // initialisation, the scheme the paper uses for its parameter matrices:
 // U(−√(6/(fanIn+fanOut)), +√(6/(fanIn+fanOut))) with fanIn=rows, fanOut=cols.
+// It leaves rng past the rows·cols draws.
 func XavierMatrix(rows, cols int, rng *RNG) *Matrix {
-	limit := math.Sqrt(6 / float64(rows+cols))
 	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = limit * (2*rng.Float64() - 1)
-	}
+	XavierFill(m.Data, rows, cols, rng, 0)
+	rng.Skip(rows * cols)
 	return m
+}
+
+// XavierFill writes elements k, k+1, … (row-major) of the rows×cols matrix
+// XavierMatrix would draw from at into dst, bit for bit, leaving at where
+// it was: a rank draws its block of a weight a row at a time, alone.
+func XavierFill(dst []float64, rows, cols int, at *RNG, k int) {
+	limit := math.Sqrt(6 / float64(rows+cols))
+	g := *at
+	g.Skip(k)
+	for i := range dst {
+		dst[i] = limit * (2*g.Float64() - 1)
+	}
 }

@@ -120,3 +120,54 @@ func TestRandomMatrixRange(t *testing.T) {
 		}
 	}
 }
+
+// FuzzXavierBlock: a rectangle drawn alone, row by row, from the state a
+// weight starts at (XavierFill, as parallel.Weight.Param draws) is that
+// rectangle of the whole matrix bit for bit, the whole matrix is the serial
+// stream's element by element, and a generator that copies its state and
+// jumps past the matrix (Skip, as parallel.Draw does) draws next what one
+// that drew every element in sequence draws.
+func FuzzXavierBlock(f *testing.F) {
+	f.Add(uint8(6), uint8(4), uint8(1), uint8(1), uint8(3), uint8(2), uint64(1)) // interior block
+	f.Add(uint8(8), uint8(8), uint8(0), uint8(0), uint8(8), uint8(8), uint64(2)) // the whole matrix
+	f.Add(uint8(5), uint8(9), uint8(4), uint8(0), uint8(1), uint8(9), uint64(3)) // last row, full width
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint64(0)) // one element, seed 0
+	f.Fuzz(func(t *testing.T, rb, cb, r0b, c0b, brb, bcb uint8, seed uint64) {
+		rows, cols := 1+int(rb)%48, 1+int(cb)%48
+		r0, c0 := int(r0b)%rows, int(c0b)%cols
+		br, bc := 1+int(brb)%(rows-r0), 1+int(bcb)%(cols-c0)
+
+		seq := NewRNG(seed)
+		limit := math.Sqrt(6 / float64(rows+cols))
+		want := New(rows, cols)
+		for i := range want.Data {
+			want.Data[i] = limit * (2*seq.Float64() - 1)
+		}
+
+		rng := NewRNG(seed)
+		at := *rng
+		rng.Skip(rows * cols)
+		if got, next := rng.Uint64(), seq.Uint64(); got != next {
+			t.Fatalf("[%d, %d]: after the jump the generator draws %#x, after the sequence %#x", rows, cols, got, next)
+		}
+		full := XavierMatrix(rows, cols, NewRNG(seed))
+		block := New(br, bc)
+		for i := 0; i < br; i++ {
+			XavierFill(block.Data[i*bc:(i+1)*bc], rows, cols, &at, (r0+i)*cols+c0)
+		}
+		cut := want.SubMatrix(r0, c0, br, bc)
+		for i := range want.Data {
+			if math.Float64bits(full.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("[%d, %d] element %d: XavierMatrix %v, the serial stream %v", rows, cols, i, full.Data[i], want.Data[i])
+			}
+		}
+		for i := range cut.Data {
+			if math.Float64bits(block.Data[i]) != math.Float64bits(cut.Data[i]) {
+				t.Fatalf("[%d, %d] block [%d, %d] at (%d, %d) element %d: %v, want %v", rows, cols, br, bc, r0, c0, i, block.Data[i], cut.Data[i])
+			}
+		}
+		if at != *NewRNG(seed) {
+			t.Fatal("XavierFill moved the state it drew from")
+		}
+	})
+}

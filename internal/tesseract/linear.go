@@ -37,16 +37,16 @@ type Linear struct {
 	pre *tensor.Matrix
 }
 
-// NewLinear draws the full Xavier weight from rng (consuming exactly the
-// same stream as nn.NewLinear) and keeps only the local shard; a nil rng
-// builds the shape-only layer of a timing run. All processors must call it
-// collectively with identically seeded RNGs.
+// NewLinear draws only the local shard of the Xavier weight nn.NewLinear
+// would draw from rng, moving rng past the whole weight as nn.NewLinear
+// does; a nil rng builds the shape-only layer of a timing run. All
+// processors must call it collectively with identically seeded RNGs.
 func NewLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *Linear {
 	return newLinear(p, parallel.Draw(in, out, rng), act, bias)
 }
 
-// newLinear keeps block (i, j) of a replicated global weight (Figure 4b).
-// The fused QKV projection passes a column-permuted one.
+// newLinear draws block (i, j) of a global weight (Figure 4b). The fused
+// QKV projection passes a column-permuted one.
 func newLinear(p *Proc, full parallel.Weight, act nn.Activation, bias bool) *Linear {
 	q := p.Shape.Q
 	if full.Rows%q != 0 || full.Cols%q != 0 {

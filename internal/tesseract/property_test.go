@@ -22,7 +22,8 @@ func TestQuickMatMulMatchesSerial(t *testing.T) {
 		b := q * (1 + rng.Intn(3))
 		c := q * (1 + rng.Intn(3))
 		ga := tensor.RandomMatrix(a, b, rng)
-		gb := tensor.RandomMatrix(b, c, rng)
+		bseed := rng.Uint64()
+		gb := xavier(b, c, bseed)
 		want := tensor.MatMul(ga, gb)
 
 		results := testutil.NewCollector()
@@ -30,7 +31,7 @@ func TestQuickMatMulMatchesSerial(t *testing.T) {
 		err := cluster.Run(func(w *dist.Worker) error {
 			f := meshFamily(w, q, d)
 			p := f.p
-			lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, gb).Value)
+			lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, b, c, bseed).Value)
 			results.Put(w.Rank(), f.Collect(lc))
 			return nil
 		})
@@ -60,7 +61,8 @@ func TestQuickGradientIdentity(t *testing.T) {
 		a := q * d * (1 + rng.Intn(2))
 		b := q * (1 + rng.Intn(2))
 		c := q * (1 + rng.Intn(2))
-		gw := tensor.RandomMatrix(b, c, rng) // parameter
+		wseed := rng.Uint64()
+		gw := xavier(b, c, wseed)            // parameter
 		gx := tensor.RandomMatrix(a, b, rng) // activation
 		gdy := tensor.RandomMatrix(a, c, rng)
 		wantDx := tensor.MatMulNT(gdy, gw)
@@ -72,7 +74,7 @@ func TestQuickGradientIdentity(t *testing.T) {
 		err := cluster.Run(func(w *dist.Worker) error {
 			f := meshFamily(w, q, d)
 			p := f.p
-			lw := weightBlock(p, gw)
+			lw := weightBlock(p, b, c, wseed)
 			lx := f.Distribute(gx)
 			ldy := f.Distribute(gdy)
 			dxs.Put(w.Rank(), f.Collect(p.MatMulABT(ldy, lw.Value)))

@@ -10,10 +10,10 @@
 // (parallel.Grads.Land) summed across the depth fibre so the replicas stay
 // identical (§3.1). Where each block sits is said once: the family's
 // parallel.View places activations (Slice, Distribute, Collect) and
-// parallel.Weight cuts each weight block where Linear is built, recording
-// the rectangle its checkpoint slot reads. The layers call summa directly;
-// the Proc's MatMul methods are Algorithm 3 on blocks a caller already
-// holds.
+// parallel.Weight draws each weight block alone where Linear is built,
+// recording the rectangle its checkpoint slot reads. The layers call summa
+// directly; the Proc's MatMul methods are Algorithm 3 on blocks a caller
+// already holds.
 //
 // Setting d = 1 recovers the 2-D SUMMA scheme (Optimus); d = q is the 3-D
 // special case. Setting q = d = 1 gives a serial execution, which the weak

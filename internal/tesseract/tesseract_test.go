@@ -42,10 +42,16 @@ func meshFamily(w *dist.Worker, q, d int) *Family {
 	return NewFamily(w, parallel.Layout{Family: "tesseract", Q: q, D: d, Ranks: q * q * d})
 }
 
-// weightBlock cuts the calling rank's block of m where a linear cuts its
-// weight (Figure 4b): the shard, with the rectangle it was cut at.
-func weightBlock(p *Proc, m *tensor.Matrix) parallel.Shard {
-	return newLinear(p, parallel.Weight{Rows: m.Rows, Cols: m.Cols, Full: m}, nn.ActNone, false).W
+// xavier is the [rows, cols] weight a linear draws from seed.
+func xavier(rows, cols int, seed uint64) *tensor.Matrix {
+	return tensor.XavierMatrix(rows, cols, tensor.NewRNG(seed))
+}
+
+// weightBlock draws the calling rank's block of xavier(rows, cols, seed)
+// where a linear cuts its weight (Figure 4b): the shard, with the rectangle
+// it was cut at.
+func weightBlock(p *Proc, rows, cols int, seed uint64) parallel.Shard {
+	return newLinear(p, parallel.Draw(rows, cols, tensor.NewRNG(seed)), nn.ActNone, false).W
 }
 
 // cutOf is the block of the serial tensor m at shard s's rectangle.
@@ -58,12 +64,12 @@ func TestMatMulABMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("q%dd%d", ms.q, ms.d), func(t *testing.T) {
 			rng := tensor.NewRNG(1)
 			ga := tensor.RandomMatrix(8, 6, rng)
-			gb := tensor.RandomMatrix(6, 4, rng)
+			gb := xavier(6, 4, 3)
 			want := tensor.MatMul(ga, gb)
 			results := testutil.NewCollector()
 			runMesh(t, ms.q, ms.d, func(f *Family) error {
 				p := f.p
-				lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, gb).Value)
+				lc := p.MatMulAB(f.Distribute(ga), weightBlock(p, 6, 4, 3).Value)
 				results.Put(p.W.Rank(), f.Collect(lc))
 				return nil
 			})
@@ -83,7 +89,7 @@ func TestMatMulATBDepthAllReduce(t *testing.T) {
 	runMesh(t, 2, 2, func(f *Family) error {
 		p := f.p
 		results.Put(p.W.Rank(), p.MatMulATB(f.Distribute(ga), f.Distribute(gc)))
-		wants.Put(p.W.Rank(), cutOf(want, weightBlock(p, want)))
+		wants.Put(p.W.Rank(), cutOf(want, weightBlock(p, want.Rows, want.Cols, 0)))
 		return nil
 	})
 	for r := 0; r < 8; r++ {

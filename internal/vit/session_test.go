@@ -283,6 +283,53 @@ func TestReshardCycleAllocations(t *testing.T) {
 	}
 }
 
+// TestSessionBuildByteCeiling keeps what building a session allocates from
+// creeping back up: the serving model (Hidden 64, no warm-up) on tesseract
+// [2,2,2] and on megatron [4], built on a warm cluster. Each rank draws only
+// its own rectangle of every weight (parallel.Weight is a recipe), so the
+// bytes are each rank's shards and their gradients; each ceiling is the
+// measured count, in the comment, plus at most 5 %. A rank that draws a
+// full weight and cuts its block out — every rank holding the whole model
+// for a moment — read 13.1 MB at tesseract [2,2,2].
+func TestSessionBuildByteCeiling(t *testing.T) {
+	ds, mcfg := tinyData()
+	mcfg.Hidden = 64
+	tc := elasticTC()
+	for _, c := range []struct {
+		l       parallel.Layout
+		ceiling uint64
+	}{
+		{parallel.Layout{Family: "tesseract", Q: 2, D: 2, Ranks: 8}, 3_580_000}, // 3_410_128
+		{parallel.Layout{Family: "megatron", Ranks: 4}, 1_950_000},              // 1_860_944
+	} {
+		cl := dist.New(dist.Config{WorldSize: c.l.Ranks})
+		build := func() {
+			if _, err := NewSession(cl, c.l, ds, mcfg, tc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := bytesPerRun(5, build)
+		cl.Close()
+		if got > c.ceiling {
+			t.Errorf("building a %v session allocates %d B, ceiling %d", c.l, got, c.ceiling)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs after a warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestNestedSessionCallRefused: a session verb called from inside one of
 // the session's own operations gets dist.ErrRunActive, as a nested
 // Cluster.Run does, and leaves the operation in flight undisturbed.

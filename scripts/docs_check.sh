@@ -18,7 +18,7 @@
 # live once, in parallel.View, every partial gradient lands through
 # parallel.Grads.Land, and a family that runs another family's
 # layers (optimus, seqpar) has no layer code; the local linear to one core,
-# parallel.Dense; the
+# parallel.Dense; a rank's weights to its own rectangles, drawn alone; the
 # simulated clock to internal/compute: no GEMM charged or multiplied beside
 # it; the §1/§3.1 transmission claim to its measurement: no closed-form
 # side channel; and the machine to one value: no GPUsPerNode or CostModel
@@ -217,6 +217,17 @@ if grep -rn 'nn\.NewLinear(' --include='*.go' --exclude='*_test.go' \
     internal/parallel internal/megatron internal/seqpar internal/tesseract internal/optimus >&2 ||
     grep -rn 'compute\.MatMulBias' --include='*.go' --exclude='*_test.go' internal/megatron >&2; then
     echo "docs_check: a linear's local GEMM is written beside parallel.Dense again" >&2
+    fail=1
+fi
+
+# Each rank draws only its own rectangle of a weight (docs/architecture.md
+# §6): parallel.Weight is a recipe — the generator state at its first
+# element — and a cut draws its block alone by jump-ahead. An XavierMatrix
+# call in non-test Go of internal/parallel or a family package is every rank
+# drawing the full weight to copy its block out, the whole model per rank.
+if grep -rn 'XavierMatrix(' --include='*.go' --exclude='*_test.go' \
+    internal/parallel internal/tesseract internal/megatron internal/optimus internal/seqpar >&2; then
+    echo "docs_check: a rank draws a full weight instead of its own rectangle" >&2
     fail=1
 fi
 
