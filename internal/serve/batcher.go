@@ -1,5 +1,7 @@
 package serve
 
+import "slices"
+
 // The continuous micro-batcher. One trace instance runs per rank, inside
 // one cluster Run, and every rank executes the identical pure event loop:
 // the only inputs are the arrival times (shared data) and each batch's
@@ -30,14 +32,24 @@ type trace struct {
 	now          float64
 }
 
-func newTrace(cfg Config, arrivals []float64) *trace {
-	return &trace{
-		cfg:   cfg,
-		arr:   arrivals,
-		req:   make([]Request, len(arrivals)),
-		queue: make([]int, cfg.QueueDepth),
-		batch: make([]int, 0, cfg.MaxBatch),
+// reset readies t for a new trace over arrivals, reusing the storage of
+// the last one: a Server runs one trace per rank per Serve call.
+func (t *trace) reset(cfg Config, arrivals []float64) {
+	t.cfg, t.arr = cfg, arrivals
+	t.req = resize(t.req, len(arrivals))
+	t.stat = t.stat[:0]
+	t.queue = resize(t.queue, cfg.QueueDepth)
+	t.batch = resize(t.batch, cfg.MaxBatch)[:0]
+	t.head, t.queued, t.next, t.now = 0, 0, 0, 0
+}
+
+// resize returns s at length n, reusing its storage when it has room. The
+// elements are left as they were: every caller overwrites them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // queuedAt is the id of the i-th oldest queued request.
@@ -121,9 +133,10 @@ func (t *trace) complete(padded int, dur float64) {
 	t.admit(t.now)
 }
 
-// report folds the drained trace into a Report.
+// report folds the drained trace into a Report, on fresh copies of its
+// records: callers keep reports, and the trace's storage serves the next.
 func (t *trace) report() *Report {
-	r := &Report{Requests: t.req, Batches: t.stat, SimSeconds: t.now}
+	r := &Report{Requests: slices.Clone(t.req), Batches: slices.Clone(t.stat), SimSeconds: t.now}
 	for _, q := range t.req {
 		if q.Rejected {
 			r.Rejected++
@@ -138,20 +151,27 @@ func (t *trace) report() *Report {
 	return r
 }
 
-// runTrace drives the event loop to exhaustion. exec runs one sealed batch
-// (request ids, in order) and returns its service duration in simulated
-// seconds; padded reports the row count the forward actually ran for the
-// batch statistics. Every rank of a cluster must call runTrace with
+// run drives the event loop over arrivals to exhaustion, on t's storage.
+// exec runs one sealed batch (request ids, in order) and returns its service
+// duration in simulated seconds; padded reports the row count the forward
+// actually ran for the batch statistics. Every rank of a cluster must run
 // identical cfg and arrivals and an exec whose returned duration is
 // identical on every rank (derive it from all-gathered clocks).
-func runTrace(cfg Config, arrivals []float64, exec func(ids []int) (padded int, dur float64)) *trace {
-	t := newTrace(cfg, arrivals)
+func (t *trace) run(cfg Config, arrivals []float64, exec func(ids []int) (padded int, dur float64)) {
+	t.reset(cfg, arrivals)
 	for {
 		b := t.nextBatch()
 		if b == nil {
-			return t
+			return
 		}
 		padded, dur := exec(b)
 		t.complete(padded, dur)
 	}
+}
+
+// runTrace is run on a new trace.
+func runTrace(cfg Config, arrivals []float64, exec func(ids []int) (padded int, dur float64)) *trace {
+	t := new(trace)
+	t.run(cfg, arrivals, exec)
+	return t
 }

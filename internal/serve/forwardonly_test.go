@@ -253,10 +253,11 @@ func (stuckOpen) ForwardOnly(bool) {}
 // TestServeAllocationCeiling: the packed blocks and the scope's bookkeeping
 // are built once per server — by the first Serve — not per Serve or per
 // batch. A second and a third Serve on a live tesseract [2,2,2] server
-// allocate what they did before lending existed, 95 objects for this trace
-// (the arrival times, the report, Cluster.Run's goroutines), give or take a
-// dist round pool doubling, which is timing-dependent and 8 allocations;
-// rebuilding eight ranks' packs would be over 150.
+// allocate no more than they did before lending existed, 95 objects for this
+// trace, give or take a dist round pool doubling, which is timing-dependent
+// and 8 allocations; rebuilding eight ranks' packs would be over 150. (Since
+// the batcher state moved onto the Server a warm Serve allocates only its
+// report: TestServeAllocatesOnlyItsReport.)
 func TestServeAllocationCeiling(t *testing.T) {
 	const ceiling = 95 + 2*8
 	ds, mcfg, tc := fixture()
@@ -279,6 +280,37 @@ func TestServeAllocationCeiling(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		if n := ms.Mallocs - before; i > 1 && n > ceiling {
 			t.Errorf("serve %d allocated %d objects, ceiling %d", i, n, ceiling)
+		}
+	}
+}
+
+// TestServeAllocatesOnlyItsReport: each rank's batcher state lives on the
+// Server and is reused, so a warm Serve allocates the Report, its Requests
+// and its Batches and nothing else — the same count for 600 requests as
+// for 1,200.
+func TestServeAllocatesOnlyItsReport(t *testing.T) {
+	const ceiling = 3
+	ds, mcfg, tc := fixture()
+	srv, err := NewServer(parallel.Layout{Family: "tesseract", Q: 2, D: 2}, ds, mcfg, tc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.TrainSteps(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1200, 600, 1200} {
+		a := ArrivalConfig{N: n, Rate: 40000, Seed: 7}
+		if _, err := srv.Serve(a); err != nil { // warm-up: traces grow to n
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := srv.Serve(a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d requests: %v allocations per warm Serve", n, allocs)
+		if allocs > ceiling {
+			t.Errorf("%d requests: a warm Serve allocates %v objects, ceiling %d", n, allocs, ceiling)
 		}
 	}
 }

@@ -88,7 +88,10 @@ type ArrivalConfig struct {
 // Times renders the process into nondecreasing arrival instants. Draws are
 // exponential with mean 1/Rate from a SplitMix64 stream, so the process is
 // Poisson and fully determined by (N, Rate, Seed).
-func (a ArrivalConfig) Times() ([]float64, error) {
+func (a ArrivalConfig) Times() ([]float64, error) { return a.timesInto(nil) }
+
+// timesInto is Times on dst's storage when it has room.
+func (a ArrivalConfig) timesInto(dst []float64) ([]float64, error) {
 	if a.N < 0 {
 		return nil, fmt.Errorf("serve: negative request count %d", a.N)
 	}
@@ -99,8 +102,9 @@ func (a ArrivalConfig) Times() ([]float64, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	out := make([]float64, a.N)
+	out := resize(dst, a.N)
 	if math.IsInf(a.Rate, 1) {
+		clear(out)
 		return out, nil // burst: all zeros
 	}
 	rng := tensor.NewRNG(seed)

@@ -14,17 +14,24 @@ import (
 // coalesces them, and every forward runs each rank's block of a padded batch
 // through the same vit.DistModel path the trainer evaluates with —
 // workspace-pooled, so steady-state serving stays out of the allocator
-// exactly like steady-state training. The session owns the model, the
-// optimiser, the TrainConfig defaults and their validation, so the served
-// weights are the trainer's.
+// exactly like steady-state training: a warm Serve allocates its Report and
+// nothing else. The session owns the model, the optimiser, the TrainConfig
+// defaults and their validation, so the served weights are the trainer's.
 type Server struct {
 	*vit.Session
 	cfg  Config
 	ds   *vit.Dataset
 	mcfg vit.ModelConfig
 
-	unit int
-	sync []*clockSync
+	unit   int
+	sync   []*clockSync
+	traces []trace // each rank's batcher state, reused across Serve calls
+	// serveRank is serveOn bound once; the call's arrivals, logits and
+	// report are handed to it through the fields below.
+	serveRank func(w *dist.Worker) error
+	arrivals  []float64
+	logits    *tensor.Matrix
+	rep       *Report
 }
 
 // forwardOnly is implemented by families that run a Run of nothing but
@@ -52,9 +59,11 @@ func NewServer(l parallel.Layout, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.
 	}
 	s := &Server{
 		Session: sess, cfg: cfg, ds: ds, mcfg: mcfg,
-		unit: sess.Layout().RowShards(),
-		sync: make([]*clockSync, sess.Layout().Ranks),
+		unit:   sess.Layout().RowShards(),
+		sync:   make([]*clockSync, sess.Layout().Ranks),
+		traces: make([]trace, sess.Layout().Ranks),
 	}
+	s.serveRank = s.serveOn
 	for r := range s.sync {
 		s.sync[r] = newClockSync(s.Cluster())
 	}
@@ -110,70 +119,71 @@ func (cs *clockSync) now(w *dist.Worker) float64 {
 // assembles only the block of the padded batch its family's Slice says it
 // holds. The whole trace is one forward-only Run (see forwardOnly).
 func (s *Server) Serve(a ArrivalConfig) (*Report, error) {
-	arrivals, err := a.Times()
+	arrivals, err := a.timesInto(s.arrivals)
 	if err != nil {
 		return nil, err
 	}
-	classes := make([]int, len(arrivals))
-	var logits *tensor.Matrix
+	s.arrivals = arrivals
+	s.logits = nil
 	if s.cfg.KeepLogits {
-		logits = tensor.New(len(arrivals), s.mcfg.Classes)
+		s.logits = tensor.New(len(arrivals), s.mcfg.Classes)
 	}
-	var rep *Report
 	// Fresh timing window: durations are differences of synced clocks, and
 	// starting every trace at t=0 keeps them bit-identical across repeated
 	// Serve calls (a large clock base would perturb the low-order bits).
 	s.Cluster().ResetClocks()
-	err = s.Cluster().Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		model, sync, seq := s.Model(r), s.sync[r], s.mcfg.SeqLen
-		if f, ok := model.F.(forwardOnly); ok {
-			f.ForwardOnly(true)
-			defer f.ForwardOnly(false)
-		}
-		prev := sync.now(w)
-		tr := runTrace(s.cfg, arrivals, func(ids []int) (int, float64) {
-			padded := (len(ids) + s.unit - 1) / s.unit * s.unit
-			sl := model.F.Slice(padded*seq, s.mcfg.PatchDim)
-			x := w.Workspace().GetUninitMatch(sl.Rows, sl.Cols, false)
-			for i := 0; i < sl.Rows; i++ {
-				j, tok := (sl.Row0+i)/seq, (sl.Row0+i)%seq
-				id := ids[0] // padding repeats the batch head's sample
-				if j < len(ids) {
-					id = ids[j]
-				}
-				copy(x.Row(i), s.ds.Test[id%len(s.ds.Test)].Patches.Row(tok)[sl.Col0:sl.Col0+sl.Cols])
-			}
-			out := model.Forward(x)
-			if r == 0 {
-				for j, id := range ids {
-					classes[id] = argmax(out.Row(j))
-					if logits != nil {
-						copy(logits.Row(id), out.Row(j))
-					}
-				}
-			}
-			model.F.EndStep()
-			t := sync.now(w)
-			dur := t - prev
-			prev = t
-			return padded, dur
-		})
-		if r == 0 {
-			rep = tr.report()
-		}
-		return nil
-	})
+	err = s.Cluster().Run(s.serveRank)
+	rep, logits := s.rep, s.logits
+	s.rep, s.logits = nil, nil // the caller's now
 	if err != nil {
 		return nil, err
 	}
-	for i := range rep.Requests {
-		if !rep.Requests[i].Rejected {
-			rep.Requests[i].Class = classes[i]
-		}
-	}
 	rep.Logits = logits
 	return rep, nil
+}
+
+// serveOn is one rank's share of a Serve call. Every rank runs the identical
+// event loop; rank 0 stamps each request's predicted class into its trace
+// and reports it.
+func (s *Server) serveOn(w *dist.Worker) error {
+	r := w.Rank()
+	model, sync, seq, tr := s.Model(r), s.sync[r], s.mcfg.SeqLen, &s.traces[r]
+	if f, ok := model.F.(forwardOnly); ok {
+		f.ForwardOnly(true)
+		defer f.ForwardOnly(false)
+	}
+	prev := sync.now(w)
+	tr.run(s.cfg, s.arrivals, func(ids []int) (int, float64) {
+		padded := (len(ids) + s.unit - 1) / s.unit * s.unit
+		sl := model.F.Slice(padded*seq, s.mcfg.PatchDim)
+		x := w.Workspace().GetUninitMatch(sl.Rows, sl.Cols, false)
+		for i := 0; i < sl.Rows; i++ {
+			j, tok := (sl.Row0+i)/seq, (sl.Row0+i)%seq
+			id := ids[0] // padding repeats the batch head's sample
+			if j < len(ids) {
+				id = ids[j]
+			}
+			copy(x.Row(i), s.ds.Test[id%len(s.ds.Test)].Patches.Row(tok)[sl.Col0:sl.Col0+sl.Cols])
+		}
+		out := model.Forward(x)
+		if r == 0 {
+			for j, id := range ids {
+				tr.req[id].Class = argmax(out.Row(j))
+				if s.logits != nil {
+					copy(s.logits.Row(id), out.Row(j))
+				}
+			}
+		}
+		model.F.EndStep()
+		t := sync.now(w)
+		dur := t - prev
+		prev = t
+		return padded, dur
+	})
+	if r == 0 {
+		s.rep = tr.report()
+	}
+	return nil
 }
 
 func argmax(row []float64) int {

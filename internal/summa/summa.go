@@ -25,6 +25,10 @@
 // collective that read it is waited, and exist only for a parity class with
 // an iteration the rank does not own: it lends its own block as that panel
 // and, as that reduce's root, reduces its partial in place in the result.
+// Every buffer goes back before the call returns, so a call's real ones are
+// views of the worker workspace's transient store (tensor.Workspace.Reserve),
+// reserved at the call's start for exactly what it receives: the store holds
+// the largest call's panels, not one buffer per panel shape.
 // The dist runtime keeps nonblocking collectives bit-identical to their
 // blocking forms and pairs them in per-worker issue order, so the pipelined
 // schedules produce exactly the bits of the blocking schedules kept in
@@ -77,11 +81,11 @@ func MulABEpi(p *mesh.Proc, a, b *tensor.Matrix, epi Epilogue) *tensor.Matrix {
 	}
 	ws := p.W.Workspace()
 	c := ws.GetMatch(a.Rows, b.Cols, a.Phantom() || b.Phantom())
-	aPanels := buffers(ws, p.Shape.Q, p.J, a.Rows, a.Cols, a.Phantom())
-	var bPanels [2]*tensor.Matrix
+	var bScratch scratch
 	if !b.Packed() { // a packed b is lent down the column, never received
-		bPanels = buffers(ws, p.Shape.Q, p.I, b.Rows, b.Cols, b.Phantom())
+		bScratch = newScratch(p.Shape.Q, p.I, b.Rows, b.Cols, b.Phantom())
 	}
+	aPanels, bPanels := checkout(ws, newScratch(p.Shape.Q, p.J, a.Rows, a.Cols, a.Phantom()), bScratch)
 	var hA, hB [2]dist.Handle
 	var aps, bps [2]*tensor.Matrix
 	hA[0], aps[0] = prefetchRowPanel(p, 0, a, aPanels[0])
@@ -128,8 +132,9 @@ func MulABT(p *mesh.Proc, a, b *tensor.Matrix) *tensor.Matrix {
 	}
 	ws := p.W.Workspace()
 	ph := a.Phantom() || b.Phantom()
-	bPanels := buffers(ws, p.Shape.Q, p.I, b.Rows, b.Cols, b.Phantom())
-	partials := buffers(ws, p.Shape.Q, p.J, a.Rows, b.Rows, ph)
+	bPanels, partials := checkout(ws,
+		newScratch(p.Shape.Q, p.I, b.Rows, b.Cols, b.Phantom()),
+		newScratch(p.Shape.Q, p.J, a.Rows, b.Rows, ph))
 	var hB, hR [2]dist.Handle
 	var bps [2]*tensor.Matrix
 	var reducing [2]bool
@@ -181,8 +186,9 @@ func MulATB(p *mesh.Proc, a, b, dst *tensor.Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	ws := p.W.Workspace()
-	aPanels := buffers(ws, p.Shape.Q, p.J, a.Rows, a.Cols, a.Phantom())
-	partials := buffers(ws, p.Shape.Q, p.I, a.Cols, b.Cols, a.Phantom() || b.Phantom())
+	aPanels, partials := checkout(ws,
+		newScratch(p.Shape.Q, p.J, a.Rows, a.Cols, a.Phantom()),
+		newScratch(p.Shape.Q, p.I, a.Cols, b.Cols, a.Phantom() || b.Phantom()))
 	var hA, hR [2]dist.Handle
 	var aps [2]*tensor.Matrix
 	var reducing [2]bool
@@ -214,16 +220,54 @@ func MulATB(p *mesh.Proc, a, b, dst *tensor.Matrix) {
 	ws.Put(aPanels[0], aPanels[1], partials[0], partials[1])
 }
 
-// buffers checks out a [rows, cols] buffer for each parity class of the q
-// iterations that holds one other than own; a class of own alone stays nil.
-func buffers(ws *tensor.Workspace, q, own, rows, cols int, phantom bool) [2]*tensor.Matrix {
-	var bufs [2]*tensor.Matrix
+// scratch is one operand's call-scoped buffers: a [rows, cols] buffer for
+// each parity class of the q iterations that holds one other than own (a
+// class of own alone needs none). The zero scratch has no buffers.
+type scratch struct {
+	class      [2]bool
+	rows, cols int
+	phantom    bool
+}
+
+func newScratch(q, own, rows, cols int, phantom bool) scratch {
+	s := scratch{rows: rows, cols: cols, phantom: phantom}
 	for t := 0; t < q; t++ {
-		if t != own && bufs[t%2] == nil {
-			bufs[t%2] = ws.GetUninitMatch(rows, cols, phantom)
+		s.class[t%2] = s.class[t%2] || t != own
+	}
+	return s
+}
+
+// elems is what s takes of the transient store; phantom buffers are
+// headers and take none.
+func (s scratch) elems() int {
+	if s.phantom {
+		return 0
+	}
+	n := 0
+	for _, in := range s.class {
+		if in {
+			n += s.rows * s.cols
+		}
+	}
+	return n
+}
+
+func (s scratch) get(ws *tensor.Workspace) [2]*tensor.Matrix {
+	var bufs [2]*tensor.Matrix
+	for i, in := range s.class {
+		if in {
+			bufs[i] = ws.GetTransient(s.rows, s.cols, s.phantom)
 		}
 	}
 	return bufs
+}
+
+// checkout reserves the transient store for one call's two operands'
+// scratch and checks both out, x's first; the call Puts every buffer before
+// it returns.
+func checkout(ws *tensor.Workspace, x, y scratch) (xb, yb [2]*tensor.Matrix) {
+	ws.Reserve(x.elems() + y.elems())
+	return x.get(ws), y.get(ws)
 }
 
 // prefetchRowPanel issues the iteration-t A-panel broadcast along the grid

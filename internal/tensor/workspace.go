@@ -2,10 +2,12 @@ package tensor
 
 import "fmt"
 
-// Workspace is a shape-keyed buffer pool for matrices, built so the training
+// Workspace is a size-keyed buffer pool for matrices, built so the training
 // hot path stops allocating: every panel, partial and activation a step
-// needs is drawn from per-shape free lists and recycled instead of being
-// handed to the garbage collector.
+// needs is drawn from free lists keyed by element count and recycled
+// instead of being handed to the garbage collector. A checkout re-stamps
+// Rows/Cols, so a buffer released as 2×3 may come back as 3×2 or 6×1: the
+// pool holds storage, not shapes.
 //
 // A workspace is intentionally NOT safe for concurrent use. Each simulated
 // worker owns exactly one (dist.Worker.Workspace), so the steady path takes
@@ -35,7 +37,8 @@ import "fmt"
 //
 // ReleaseAll may only run at a step boundary — after the optimiser step, or
 // after an evaluation forward whose outputs have been consumed — never
-// between a forward and its backward.
+// between a forward and its backward. Reading a buffer's data or shape after
+// its Put is reading whatever the next holder made of it.
 //
 // # Collective boundaries and borrows
 //
@@ -52,6 +55,19 @@ import "fmt"
 // panic, because an in-flight collective may still read or write the
 // storage. Drain every handle before the step boundary.
 //
+// # The transient store
+//
+// A call whose scratch is all returned before it returns — a SUMMA kernel's
+// receive panels and reduce partials — draws it from one store per
+// workspace instead of the free lists: Reserve(n) readies n elements for the
+// call, and each GetTransient checks out a header that views the next slice
+// of them. The views are checkouts like any other (Gets, Live, LiveBytes,
+// Borrow, Put and ReleaseAll treat them alike), so the footprint a step
+// reports is unchanged; what changes is that the storage behind them is the
+// largest one call needed rather than one buffer per shape any call ever
+// asked for. Reserve panics while a view is still out: the calls that use
+// the store never nest.
+//
 // # Phantoms
 //
 // The pool is phantom-aware: requesting a phantom shape yields a pooled
@@ -61,32 +77,37 @@ import "fmt"
 // a bucket, a map insert and a header per shape were most of what it
 // allocated. New headers are carved from slabs (phantomHeader). The list is
 // the phantoms' alone, so a phantom can never satisfy a real request or vice
-// versa. Checkout, Put, Borrow and ReleaseAll discipline and the statistics
-// are those of a real buffer — a checked-out phantom counts the 8·rows·cols
+// versa, and a phantom transient request takes a phantom header too.
+// Checkout, Put, Borrow and ReleaseAll discipline and the statistics are
+// those of a real buffer — a checked-out phantom counts the 8·rows·cols
 // bytes its shape stands for, so the LiveBytes and HighWaterBytes of a
-// phantom replay are the bytes the same run would hold with real data. What
-// differs is that a phantom returned to the pool may come back under another
-// shape, so reading a header's shape after its Put is as wrong as reading a
-// real buffer's data.
+// phantom replay are the bytes the same run would hold with real data.
 //
 // # Implementation note
 //
 // Checkout state lives intrusively on the Matrix itself (owning pool, slot
 // in the checked-out list, home free list, borrow count), so Get, Put and
-// ReleaseAll touch no hash map except the one shape lookup a Get performs —
+// ReleaseAll touch no hash map except the one size lookup a Get performs —
 // the checked-out set that used to be a map is a plain slice with O(1)
 // swap-removal.
 type Workspace struct {
-	free map[wsKey]*wsBucket
+	free map[int]*wsBucket
 	// phantoms is the one free list behind every phantom shape (see
-	// "Phantoms" above); free and cache hold real shapes only. slab is
+	// "Phantoms" above); free and cache hold real buffers only. slab is
 	// where new phantom headers are carved from, headers how many were.
 	phantoms wsBucket
 	slab     []Matrix
 	headers  int
+	// store is the transient store (see above): next is the first element
+	// no view of the current reservation holds, views the free list of
+	// view headers and viewsOut how many are checked out.
+	store    []float64
+	next     int
+	views    wsBucket
+	viewsOut int
 	// cache is a direct-mapped front for the free map: a training step asks
-	// for the same handful of shapes thousands of times, and the map lookup
-	// (hash + probe) was ~7% of a step. A shape's bucket is remembered in
+	// for the same handful of sizes thousands of times, and the map lookup
+	// (hash + probe) was ~7% of a step. A size's bucket is remembered in
 	// its hash slot on first lookup; collisions just fall back to the map.
 	cache [wsCacheSlots]wsCacheEntry
 	out   []*Matrix
@@ -99,23 +120,21 @@ type Workspace struct {
 const wsCacheSlots = 64
 
 type wsCacheEntry struct {
-	key wsKey
-	b   *wsBucket
+	elems int
+	b     *wsBucket
 }
 
-// cacheSlot hashes a shape key into the direct-mapped cache. The
-// multipliers spread the handful of near-power-of-two shapes a training
-// step cycles through across the slots, so two hot shapes rarely ping-pong
-// in one slot (each eviction costs a map probe).
-func cacheSlot(k wsKey) int {
-	h := k.rows*0x9E3779B1 + k.cols*0x85EBCA77
-	return (h ^ h>>7) & (wsCacheSlots - 1)
+// cacheSlot hashes an element count into the direct-mapped cache: the top
+// bits of a Fibonacci hash, so the near-power-of-two sizes a training step
+// cycles through spread across the slots and two hot sizes rarely
+// ping-pong in one slot (each eviction costs a map probe).
+func cacheSlot(elems int) int {
+	return int(uint64(elems) * 0x9E3779B97F4A7C15 >> 58)
 }
 
-type wsKey struct{ rows, cols int }
-
-// wsBucket is one free list: a real shape's, or the phantoms'. Matrices
-// remember their bucket, so Put and ReleaseAll recycle without a map lookup.
+// wsBucket is one free list: a real size's, the phantoms' or the transient
+// store's view headers. Matrices remember their bucket, so Put and
+// ReleaseAll recycle without a map lookup.
 type wsBucket struct {
 	items []*Matrix
 }
@@ -140,12 +159,17 @@ type WorkspaceStats struct {
 	// activation footprint the planner charges a layout and memory studies
 	// compare across families; a phantom replay's equals its real twin's.
 	HighWaterBytes int64
+	// HeldBytes is the storage the pool owns: every real buffer it has
+	// allocated, free or checked out, and the transient store. Phantoms
+	// own none. A warm rank's HeldBytes over its HighWaterBytes is what
+	// the pool holds beyond what the planner charges.
+	HeldBytes int64
 }
 
 // NewWorkspace returns an empty pool with pooling enabled.
 func NewWorkspace() *Workspace {
 	return &Workspace{
-		free:    make(map[wsKey]*wsBucket),
+		free:    make(map[int]*wsBucket),
 		pooling: true,
 	}
 }
@@ -190,50 +214,115 @@ func (ws *Workspace) get(rows, cols int, phantom bool) *Matrix {
 	ws.stats.Gets++
 	bucket := &ws.phantoms
 	if !phantom {
-		k := wsKey{rows, cols}
-		slot := cacheSlot(k)
-		if e := &ws.cache[slot]; e.b != nil && e.key == k {
+		n := rows * cols
+		slot := cacheSlot(n)
+		if e := &ws.cache[slot]; e.b != nil && e.elems == n {
 			bucket = e.b
 		} else {
-			bucket = ws.free[k]
+			bucket = ws.free[n]
 			if bucket == nil {
 				bucket = &wsBucket{}
-				ws.free[k] = bucket
+				ws.free[n] = bucket
 			}
-			ws.cache[slot] = wsCacheEntry{key: k, b: bucket}
+			ws.cache[slot] = wsCacheEntry{elems: n, b: bucket}
 		}
 	}
 	var m *Matrix
-	if n := len(bucket.items); ws.pooling && n > 0 {
-		m = bucket.items[n-1]
-		bucket.items[n-1] = nil
-		bucket.items = bucket.items[:n-1]
-		// The header's shape is the request's: already so in a per-shape
-		// bucket, whatever shape it was last checked out under in the
-		// phantoms' list.
-		m.Rows, m.Cols = rows, cols
-	} else {
+	if m = bucket.pop(ws.pooling); m == nil {
 		ws.stats.Allocs++
 		if phantom {
 			m = ws.phantomHeader(rows, cols)
 		} else {
 			m = New(rows, cols)
+			if ws.pooling {
+				ws.stats.HeldBytes += storageBytes(m)
+			}
 		}
 		m.bucket = bucket
 	}
-	if ws.pooling {
-		m.ws = ws
-		m.wsIdx = int32(len(ws.out))
-		ws.out = append(ws.out, m)
-		ws.stats.Live++
-		if ws.stats.Live > ws.stats.HighWater {
-			ws.stats.HighWater = ws.stats.Live
-		}
-		ws.stats.LiveBytes += storageBytes(m)
-		if ws.stats.LiveBytes > ws.stats.HighWaterBytes {
-			ws.stats.HighWaterBytes = ws.stats.LiveBytes
-		}
+	// The header's shape is the request's, whatever shape it was last
+	// checked out under: a bucket holds one size, or phantoms of any.
+	m.Rows, m.Cols = rows, cols
+	ws.checkout(m)
+	return m
+}
+
+// pop takes the last free item of b, or returns nil if there is none or
+// pooling is off.
+func (b *wsBucket) pop(pooling bool) *Matrix {
+	n := len(b.items)
+	if !pooling || n == 0 {
+		return nil
 	}
+	m := b.items[n-1]
+	b.items[n-1] = nil
+	b.items = b.items[:n-1]
+	return m
+}
+
+// checkout enters m in the checked-out list and the counters (pooling only).
+func (ws *Workspace) checkout(m *Matrix) {
+	if !ws.pooling {
+		return
+	}
+	m.ws = ws
+	m.wsIdx = int32(len(ws.out))
+	ws.out = append(ws.out, m)
+	ws.stats.Live++
+	if ws.stats.Live > ws.stats.HighWater {
+		ws.stats.HighWater = ws.stats.Live
+	}
+	ws.stats.LiveBytes += storageBytes(m)
+	if ws.stats.LiveBytes > ws.stats.HighWaterBytes {
+		ws.stats.HighWaterBytes = ws.stats.LiveBytes
+	}
+}
+
+// Reserve readies the transient store for one call's GetTransient views:
+// it takes back every element the previous call's views held and grows the
+// store to at least n elements. It panics if a view of the store is still
+// checked out — the calls that share the store must not nest. No-op when
+// pooling is disabled, where GetTransient allocates.
+func (ws *Workspace) Reserve(n int) {
+	if !ws.pooling {
+		return
+	}
+	if ws.viewsOut != 0 {
+		panic(fmt.Sprintf("tensor: workspace Reserve with %d transient view(s) still checked out — Put them before the next reservation", ws.viewsOut))
+	}
+	ws.next = 0
+	if n > len(ws.store) {
+		ws.stats.HeldBytes += ElemBytes * int64(n-len(ws.store))
+		ws.store = make([]float64, n)
+	}
+}
+
+// GetTransient checks out a rows×cols matrix with unspecified contents,
+// viewing the next rows·cols elements of the store the last Reserve
+// readied; it panics if they do not fit. A phantom request takes a phantom
+// header, as GetUninitMatch does, and with pooling disabled the view is a
+// plain allocation. The view is returned like any checkout, by Put or
+// ReleaseAll, and until it is the store's next Reserve panics.
+func (ws *Workspace) GetTransient(rows, cols int, phantom bool) *Matrix {
+	if phantom || !ws.pooling {
+		return ws.get(rows, cols, phantom)
+	}
+	checkDims(rows, cols)
+	n := rows * cols
+	if ws.next+n > len(ws.store) {
+		panic(fmt.Sprintf("tensor: workspace transient %dx%d past the %d reserved elements (%d in use)", rows, cols, len(ws.store), ws.next))
+	}
+	ws.stats.Gets++
+	m := ws.views.pop(true)
+	if m == nil {
+		ws.stats.Allocs++
+		m = &Matrix{bucket: &ws.views}
+	}
+	m.Rows, m.Cols = rows, cols
+	m.Data = ws.store[ws.next : ws.next+n : ws.next+n]
+	ws.next += n
+	ws.viewsOut++
+	ws.checkout(m)
 	return m
 }
 
@@ -297,8 +386,18 @@ func (ws *Workspace) Put(ms ...*Matrix) {
 			panic(fmt.Sprintf("tensor: workspace Put of a %dx%d matrix still borrowed by %d in-flight collective(s) — Wait the handle first", m.Rows, m.Cols, m.borrows))
 		}
 		ws.remove(m)
-		m.bucket.items = append(m.bucket.items, m)
+		ws.recycle(m)
 	}
+}
+
+// recycle files a returned buffer on its free list. A view header lets go
+// of the store, so an outgrown store is not kept alive by a free header.
+func (ws *Workspace) recycle(m *Matrix) {
+	if m.bucket == &ws.views {
+		m.Data = nil
+		ws.viewsOut--
+	}
+	m.bucket.items = append(m.bucket.items, m)
 }
 
 // remove unlinks m from the checked-out list in O(1) by swapping the tail
@@ -330,7 +429,7 @@ func (ws *Workspace) ReleaseAll() {
 	}
 	for i, m := range ws.out {
 		m.ws = nil
-		m.bucket.items = append(m.bucket.items, m)
+		ws.recycle(m)
 		ws.out[i] = nil
 	}
 	ws.out = ws.out[:0]

@@ -35,6 +35,10 @@ func TestWorkspaceGetUninitSkipsZeroing(t *testing.T) {
 	}
 }
 
+// TestWorkspaceShapeAndPhantomKeying: real buffers are pooled by element
+// count, so a released 2×3 buffer serves a 3×2 request, re-stamped and
+// zeroed; a phantom of the same shape never serves the real request, nor a
+// real buffer the phantom one.
 func TestWorkspaceShapeAndPhantomKeying(t *testing.T) {
 	ws := NewWorkspace()
 	real := ws.Get(2, 3)
@@ -42,12 +46,31 @@ func TestWorkspaceShapeAndPhantomKeying(t *testing.T) {
 	if !ph.Phantom() || real.Phantom() {
 		t.Fatal("phantom request must yield a phantom, real a real")
 	}
+	real.Fill(5)
 	ws.Put(real, ph)
-	if got := ws.GetMatch(2, 3, true); got != ph {
-		t.Fatal("phantom free list should recycle the phantom header")
+	got := ws.Get(3, 2)
+	if got != real || got.Rows != 3 || got.Cols != 2 || len(got.Data) != 6 {
+		t.Fatalf("a 3x2 request got %dx%d with %d elements, want the released 2x3 buffer re-stamped", got.Rows, got.Cols, len(got.Data))
 	}
-	if got := ws.Get(3, 2); got == real {
-		t.Fatal("a 3x2 request must not be satisfied by a 2x3 buffer")
+	for _, v := range got.Data {
+		if v != 0 {
+			t.Fatal("a re-stamped Get must still be zeroed")
+		}
+	}
+	if ws.Stats().Allocs != 2 {
+		t.Fatalf("stats %+v: the 3x2 request should not allocate", ws.Stats())
+	}
+	// The free phantom header does not serve a real 2x3 request …
+	if r := ws.GetUninit(2, 3); r == ph || r.Phantom() {
+		t.Fatal("a real request must not be served by a phantom header")
+	}
+	// … and a free real buffer does not serve a phantom one.
+	ws.Put(got)
+	if p := ws.GetUninitMatch(3, 2, true); p != ph || !p.Phantom() {
+		t.Fatal("a phantom request must be served by the phantom header, not a real buffer")
+	}
+	if p := ws.GetUninitMatch(6, 1, true); p == got || !p.Phantom() {
+		t.Fatal("a phantom request must not be served by a free real buffer of its size")
 	}
 }
 
@@ -98,7 +121,9 @@ func TestWorkspacePhantomsShareOneFreeList(t *testing.T) {
 // borrow. The counts are the ones the pool produced when phantoms were
 // pooled by shape too — every phantom request here either finds a free header
 // of its own shape or finds none at all, where the two designs agree. The
-// byte columns charge a phantom what a real matrix of its shape holds.
+// live and high-water byte columns charge a phantom what a real matrix of
+// its shape holds; HeldBytes counts real storage only (the two real 4x4s,
+// then the 1x1).
 func TestWorkspaceStatsOnRecordedSequence(t *testing.T) {
 	ws := NewWorkspace()
 	want := func(step string, s WorkspaceStats) {
@@ -110,24 +135,24 @@ func TestWorkspaceStatsOnRecordedSequence(t *testing.T) {
 	r1 := ws.Get(4, 4)
 	p1 := ws.GetMatch(4, 4, true)
 	p2 := ws.GetUninitMatch(2, 8, true)
-	want("three checkouts", WorkspaceStats{Allocs: 3, Gets: 3, Live: 3, HighWater: 3, LiveBytes: 384, HighWaterBytes: 384})
+	want("three checkouts", WorkspaceStats{Allocs: 3, Gets: 3, Live: 3, HighWater: 3, LiveBytes: 384, HighWaterBytes: 384, HeldBytes: 128})
 	ws.Borrow(p2)
 	ws.Put(p1)
 	ws.Release(p2)
-	want("phantom Put", WorkspaceStats{Allocs: 3, Gets: 3, Live: 2, HighWater: 3, LiveBytes: 256, HighWaterBytes: 384})
+	want("phantom Put", WorkspaceStats{Allocs: 3, Gets: 3, Live: 2, HighWater: 3, LiveBytes: 256, HighWaterBytes: 384, HeldBytes: 128})
 	p3 := ws.GetMatch(4, 4, true) // p1's header
 	r2 := ws.GetUninit(4, 4)      // a second real 4x4: r1 is still out
 	if p3 != p1 || r2 == r1 {
 		t.Fatal("recycling went to the wrong list")
 	}
-	want("refill", WorkspaceStats{Allocs: 4, Gets: 5, Live: 4, HighWater: 4, LiveBytes: 512, HighWaterBytes: 512})
+	want("refill", WorkspaceStats{Allocs: 4, Gets: 5, Live: 4, HighWater: 4, LiveBytes: 512, HighWaterBytes: 512, HeldBytes: 256})
 	ws.ReleaseAll()
-	want("step boundary", WorkspaceStats{Allocs: 4, Gets: 5, Live: 0, HighWater: 4, LiveBytes: 0, HighWaterBytes: 512})
+	want("step boundary", WorkspaceStats{Allocs: 4, Gets: 5, Live: 0, HighWater: 4, LiveBytes: 0, HighWaterBytes: 512, HeldBytes: 256})
 	ws.Get(4, 4)
 	ws.GetMatch(2, 8, true)
 	ws.GetMatch(4, 4, true)
 	ws.Get(1, 1)
-	want("next step", WorkspaceStats{Allocs: 5, Gets: 9, Live: 4, HighWater: 4, LiveBytes: 392, HighWaterBytes: 512})
+	want("next step", WorkspaceStats{Allocs: 5, Gets: 9, Live: 4, HighWater: 4, LiveBytes: 392, HighWaterBytes: 512, HeldBytes: 264})
 }
 
 // TestWorkspacePhantomReplayAllocatesOnce replays the shape of a timed
@@ -237,5 +262,101 @@ func TestWorkspaceHighWater(t *testing.T) {
 	}
 	if s := ws.Stats(); s.HighWater != 3 || s.Allocs != 3 {
 		t.Fatalf("stats %+v: steady 3-buffer steps must hold high water and allocs at 3", s)
+	}
+}
+
+// TestWorkspaceTransientViews: GetTransient carves the reserved store into
+// views that count like any checkout, a later Reserve hands the same
+// storage to the next call, and HeldBytes counts the store once.
+func TestWorkspaceTransientViews(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Reserve(2*3 + 4)
+	a, b := ws.GetTransient(2, 3, false), ws.GetTransient(4, 1, false)
+	if len(a.Data) != 6 || len(b.Data) != 4 || &a.Data[5] == &b.Data[0] {
+		t.Fatal("views must be disjoint slices of the store")
+	}
+	if s := ws.Stats(); s.Gets != 2 || s.Live != 2 || s.LiveBytes != 8*10 || s.HeldBytes != 8*10 {
+		t.Fatalf("stats %+v: two views are two checkouts of the 10 reserved elements", s)
+	}
+	a.Fill(1)
+	ws.Put(a, b)
+	if a.Data != nil {
+		t.Fatal("a returned view must let go of the store")
+	}
+	ws.Reserve(6)
+	c := ws.GetTransient(3, 2, false)
+	if c.Data[0] != 1 || c.Rows != 3 || c.Cols != 2 {
+		t.Fatal("the next reservation should view the same storage from its start")
+	}
+	ws.Put(c)
+	ws.Reserve(12) // outgrows the store: HeldBytes counts the new one only
+	if s := ws.Stats(); s.HeldBytes != 8*12 || s.Allocs != 2 || s.Live != 0 {
+		t.Fatalf("stats %+v: the store grew to 12 elements; two headers were allocated", s)
+	}
+	ph := ws.GetTransient(5, 5, true)
+	if !ph.Phantom() || ws.Stats().HeldBytes != 8*12 {
+		t.Fatal("a phantom transient request takes a phantom header and no store")
+	}
+	ws.ReleaseAll()
+}
+
+func TestWorkspaceReserveWithViewOutPanics(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Reserve(4)
+	ws.GetTransient(2, 2, false)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reserve with a view still out must panic — the next call's views would alias it")
+		}
+	}()
+	ws.Reserve(4)
+}
+
+func TestWorkspaceTransientOverflowPanics(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Reserve(4)
+	ws.GetTransient(1, 3, false)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a view past the reservation must panic")
+		}
+	}()
+	ws.GetTransient(1, 2, false)
+}
+
+// TestWorkspaceBorrowedViewPutPanics: a view lent to an in-flight collective
+// obeys the borrow rule of every checkout.
+func TestWorkspaceBorrowedViewPutPanics(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Reserve(4)
+	v := ws.GetTransient(2, 2, false)
+	ws.Borrow(v)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Put of a borrowed view must panic")
+			}
+		}()
+		ws.Put(v)
+	}()
+	ws.Release(v)
+	ws.Put(v)
+	ws.Reserve(4) // every view is back
+}
+
+// TestWorkspaceTransientWithPoolingDisabled: the allocating reference path
+// stays allocating — every view is a fresh matrix and nothing is held.
+func TestWorkspaceTransientWithPoolingDisabled(t *testing.T) {
+	ws := NewWorkspace()
+	ws.SetPooling(false)
+	ws.Reserve(4)
+	a := ws.GetTransient(2, 2, false)
+	ws.Put(a)
+	ws.Reserve(4)
+	if b := ws.GetTransient(2, 2, false); b == a || len(b.Data) != 4 {
+		t.Fatal("with pooling disabled every transient request must allocate fresh")
+	}
+	if s := ws.Stats(); s.HeldBytes != 0 || s.Live != 0 {
+		t.Fatalf("stats %+v: a disabled pool holds nothing", s)
 	}
 }

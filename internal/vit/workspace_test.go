@@ -90,3 +90,49 @@ func TestTrainingWorkspaceHighWaterFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkspaceHoldsWhatThePlannerCharges: after three warm steps every
+// rank's pool owns at most 1.2× the HighWaterBytes the planner charges it.
+// It holds because the pool keys real buffers by size and SUMMA's panels and
+// partials share one transient store per rank, so no weight-shaped panel
+// keeps a buffer of its own.
+func TestWorkspaceHoldsWhatThePlannerCharges(t *testing.T) {
+	const bound = 1.2
+	for _, c := range []struct {
+		layout                      parallel.Layout
+		image, hidden, heads, batch int
+	}{
+		{tess22, 8, 16, 4, 8},
+		{tess22, 8, 64, 4, 8},
+		{tess22, 16, 256, 8, 16},
+		{parallel.Layout{Family: "optimus", Q: 4}, 8, 64, 4, 16},
+		{parallel.Layout{Family: "megatron", Ranks: 4}, 8, 64, 4, 8},
+		{parallel.Layout{Family: "tesseract", Q: 1, D: 1}, 16, 256, 8, 16},
+	} {
+		dcfg := DataConfig{Classes: 4, ImageSize: c.image, Channels: 3, PatchSize: 4, Train: 8, Test: 4, Seed: 11}
+		mcfg := ModelConfig{
+			PatchDim: dcfg.PatchDim(), SeqLen: dcfg.Patches(),
+			Hidden: c.hidden, Heads: c.heads, Layers: 2, Classes: dcfg.Classes, Seed: 3,
+		}
+		tc := TrainConfig{Epochs: 1, BatchSize: c.batch, LR: 0.003, WeightDecay: 0.05, Seed: 5}
+		sb, err := NewStepBencher(c.layout, NewDataset(dcfg), mcfg, tc, 3)
+		if err != nil {
+			t.Fatalf("%s hidden %d: %v", c.layout, c.hidden, err)
+		}
+		stats, err := sb.WorkspaceStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, st := range stats {
+			ratio := float64(st.HeldBytes) / float64(st.HighWaterBytes)
+			if r == 0 {
+				t.Logf("%s hidden %d: rank 0 holds %d B against %d B charged (%.2f×)", c.layout, c.hidden, st.HeldBytes, st.HighWaterBytes, ratio)
+			}
+			if ratio > bound {
+				t.Errorf("%s hidden %d rank %d: the pool holds %d B, %.2f× the %d B charged; bound %.1f×",
+					c.layout, c.hidden, r, st.HeldBytes, ratio, st.HighWaterBytes, bound)
+			}
+		}
+		sb.Cluster().Close()
+	}
+}
