@@ -31,7 +31,6 @@ func main() {
 		ablation   = flag.Bool("ablation", false, "run the depth ablation")
 		overlap    = flag.Bool("overlap", false, "run the communication-overlap study (comm hidden behind compute, measured)")
 		planner    = flag.Bool("planner", false, "run the auto-parallelism planner study (best layouts from search, not hard-coded)")
-		families   = flag.Bool("families", false, "run the cross-family parity study (all schemes through one parallel.Family interface)")
 		elastic    = flag.Bool("elastic", false, "run the elastic re-layout study (checkpoint, rank loss, replan, re-shard; cost vs step)")
 		straggler  = flag.Bool("straggler", false, "run the gray-failure study (2×/4×/8× compute stragglers: ride out vs detect-and-re-layout)")
 		serving    = flag.Bool("serving", false, "run the serving study (continuous batching per family/layout) and the serving-objective planner")
@@ -58,7 +57,7 @@ func main() {
 		}
 	}
 	opts := tables.Options{SeqLen: *seqLen, Layers: *layers, NoRecompute: *noRecomp}
-	all := !*claimsOnly && !*memory && !*ablation && !*overlap && !*planner && !*families && !*elastic && !*straggler && !*serving && !*speedups && *table == ""
+	all := !*claimsOnly && !*memory && !*ablation && !*overlap && !*planner && !*elastic && !*straggler && !*serving && !*speedups && *table == ""
 	bothTables := all || (*speedups && *table == "")
 
 	runTable := func(rows []tables.Row, title string) []tables.TableResult {
@@ -120,13 +119,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(tables.FormatPlannerStudy(points))
-	}
-	if all || *families {
-		points, err := tables.FamilyParityStudy(tables.DefaultFamilyLayouts())
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tables.FormatFamilyParity(points))
 	}
 	if all || *elastic {
 		points, err := tables.ElasticStudy()

@@ -28,7 +28,6 @@ func TestGolden(t *testing.T) {
 		{"elastic", []string{"-elastic"}},
 		{"straggler", []string{"-straggler"}},
 		{"overlap", []string{"-overlap"}},
-		{"families", []string{"-families"}},
 		{"serving", []string{"-serving"}},
 		{"table1-no-recompute-layers2", []string{"-table", "1", "-no-recompute", "-layers", "2"}},
 		{"table2-seqlen128", []string{"-seqlen", "128", "-table", "2"}},

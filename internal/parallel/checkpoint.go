@@ -263,7 +263,7 @@ func (bx *buddies) swap(outs, ins []tensor.Matrix) {
 // moments, when opt is non-nil) into ck, reusing ck's buffers when the
 // pieces keep their sizes so per-step checkpointing reaches an allocation
 // fixed point — given a model whose State walk is made once, as
-// vit.DistModel's is. Pass ck == nil to allocate a fresh checkpoint. Every
+// Model's is. Pass ck == nil to allocate a fresh checkpoint. Every
 // rank of the family must call it collectively.
 //
 // The rank packs the rectangles it holds and swaps its primary pieces with

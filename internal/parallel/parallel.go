@@ -17,9 +17,11 @@
 // place every partial gradient lands (Grads.Land). A family builds only its
 // linears (NewLinear, and the pairs a block shards; the classifier head is
 // the same whole-weight Dense for every family, and Dense is also the local
-// GEMM under the 1-D families' linears). Everything above —
-// vit.DistModel, vit.Session and the trainers, serving and tables runners
-// that drive it — only ever sees these contracts.
+// GEMM under the 1-D families' linears). The network is one Model: the
+// trainer's, the server's and every replay's, which without an embedding and
+// a head is the paper's block stack (Stack). Everything above — vit.Session
+// and the trainers, serving and tables runners that drive it — only ever
+// sees these contracts.
 //
 // # One description per family
 //

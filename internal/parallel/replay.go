@@ -10,12 +10,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// Stack is one rank's stack of Transformer blocks with the input and
-// output-gradient blocks a timed replay feeds it.
+// Stack is one rank's Model without an embedding and a head — the paper's
+// stack of Transformer blocks — with the input and output-gradient blocks a
+// timed replay feeds it.
 type Stack struct {
-	Family Family
-	Blocks []Layer
-	X, DY  *tensor.Matrix
+	Model
+	X, DY *tensor.Matrix
 
 	// held is the footprint the rank recorded at the end of its last Step or
 	// Forward phase (see footprint).
@@ -23,35 +23,14 @@ type Stack struct {
 }
 
 // NewPhantomStack builds the shape-only stack for a batch of whole
-// sequences: layers phantom blocks and phantom X and DY of the rank's share
-// of the [batch·seqLen, hidden] activation.
+// sequences: NewModel's layers phantom blocks, and phantom X and DY of the
+// rank's share of the [batch·seqLen, hidden] activation.
 func NewPhantomStack(f Family, batch, seqLen, hidden, heads, layers int) *Stack {
-	s := &Stack{Family: f, Blocks: make([]Layer, layers)}
-	for i := range s.Blocks {
-		s.Blocks[i] = f.NewBlockPhantom(hidden, heads, seqLen)
-	}
+	s := new(Stack)
+	s.build(f, 0, seqLen, hidden, heads, layers, 0, nil, nil)
 	sl := f.Slice(batch*seqLen, hidden)
 	s.X, s.DY = tensor.NewPhantom(sl.Rows, sl.Cols), tensor.NewPhantom(sl.Rows, sl.Cols)
 	return s
-}
-
-// Forward runs X through the blocks.
-func (s *Stack) Forward() {
-	x := s.X
-	for _, b := range s.Blocks {
-		x = b.Forward(x)
-	}
-}
-
-// Backward runs DY back through the blocks and drains the gradient
-// synchronisations they deferred: Tesseract's §3.1 depth all-reduces overlap
-// the backward work, and a timed backward includes that overlap.
-func (s *Stack) Backward() {
-	dy := s.DY
-	for i := len(s.Blocks) - 1; i >= 0; i-- {
-		dy = s.Blocks[i].Backward(dy)
-	}
-	s.Family.DrainGradients()
 }
 
 // footprint is the bytes this rank holds across the phases it has run: k
@@ -70,7 +49,7 @@ func (s *Stack) footprint(k int64, inputs ...*tensor.Matrix) int64 {
 	for _, m := range inputs {
 		elems += int64(m.Size())
 	}
-	return tensor.ElemBytes*elems + s.Family.Worker().Workspace().Stats().HighWaterBytes
+	return tensor.ElemBytes*elems + s.F.Worker().Workspace().Stats().HighWaterBytes
 }
 
 // Replay is a layer stack built on every rank a cluster runs, timed one
@@ -212,10 +191,10 @@ type StepClocks struct {
 // own — without recompute the backward needs them, and there is none — and
 // the step ends after the backward and its gradient drain.
 func (r *Replay) Step(recompute bool) (StepClocks, error) {
-	rank0 := r.stacks[0].Family.Worker()
+	rank0 := r.stacks[0].F.Worker()
 	var st StepClocks
 	var err error
-	if st.Forward, err = r.Phase((*Stack).Forward); err != nil {
+	if st.Forward, err = r.Phase(func(s *Stack) { s.Forward(s.X) }); err != nil {
 		return st, err
 	}
 	st.Busy = rank0.Busy()
@@ -234,16 +213,16 @@ func (r *Replay) Step(recompute bool) (StepClocks, error) {
 // trainBackward is a training step's backward phase: the backward pass and
 // its gradient drain, the step boundary, and the rank's footprint.
 func (s *Stack) trainBackward() {
-	s.Backward()
-	s.Family.EndStep()
+	s.Backward(s.DY)
+	s.F.EndStep()
 	s.held = s.footprint(4, s.X, s.DY)
 }
 
 // recomputeBackward is trainBackward after dropping the first forward's
 // activations and re-running the forward (activation checkpointing).
 func (s *Stack) recomputeBackward() {
-	s.Family.EndStep()
-	s.Forward()
+	s.F.EndStep()
+	s.Forward(s.X)
 	s.trainBackward()
 }
 
@@ -254,13 +233,13 @@ func (r *Replay) Forward() (StepClocks, error) {
 	var st StepClocks
 	var err error
 	if st.Forward, err = r.Phase(func(s *Stack) {
-		s.Forward()
-		s.Family.EndStep()
+		s.Forward(s.X)
+		s.F.EndStep()
 		s.held = s.footprint(1, s.X)
 	}); err != nil {
 		return st, err
 	}
-	st.Busy = r.stacks[0].Family.Worker().Busy()
+	st.Busy = r.stacks[0].F.Worker().Busy()
 	st.MemoryBytes = r.largestHeld()
 	return st, nil
 }

@@ -35,10 +35,7 @@ func footprintStacks(t *testing.T, c *dist.Cluster, l parallel.Layout, layers in
 			stacks[w.Rank()] = parallel.NewPhantomStack(f, fpBatch, fpSeqLen, fpHidden, fpHeads, layers)
 			return stacks[w.Rank()], nil
 		}
-		s := &parallel.Stack{Family: f}
-		for i := 0; i < layers; i++ {
-			s.Blocks = append(s.Blocks, f.NewBlock(fpHidden, fpHeads, fpSeqLen, tensor.NewRNG(uint64(7+i))))
-		}
+		s := &parallel.Stack{Model: *parallel.NewModel(f, 0, fpSeqLen, fpHidden, fpHeads, layers, 0, nil, tensor.NewRNG(7))}
 		sl := f.Slice(fpBatch*fpSeqLen, fpHidden)
 		s.X = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(100))
 		s.DY = tensor.RandomMatrix(sl.Rows, sl.Cols, tensor.NewRNG(200))

@@ -43,7 +43,7 @@ type StateBlock struct {
 }
 
 // Stater enumerates canonical state slots — implemented by every Layer and
-// by model compositions (vit.DistModel) so CollectInto/Restore can walk any
+// by Model so CollectInto/Restore can walk any
 // model family-agnostically.
 type Stater interface {
 	State() []State

@@ -108,15 +108,14 @@ func measureTrace(l parallel.Layout, w plan.Workload, t plan.Topology, batch int
 	unit := l.RowShards()
 	var rep *Report
 	_, err = rp.Phase(func(st *parallel.Stack) {
-		f := st.Family
+		f := st.F
 		wk := f.Worker()
 		sync := newClockSync(c)
 		prev := sync.now(wk)
 		tr := runTrace(cfg, arrivals, func(ids []int) (int, float64) {
 			padded := (len(ids) + unit - 1) / unit * unit
 			sl := f.Slice(padded*w.SeqLen, w.Hidden)
-			st.X = tensor.NewPhantom(sl.Rows, sl.Cols)
-			st.Forward()
+			st.Forward(tensor.NewPhantom(sl.Rows, sl.Cols))
 			f.EndStep()
 			now := sync.now(wk)
 			dur := now - prev

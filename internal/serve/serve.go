@@ -15,9 +15,9 @@
 //     batch's forward finished — is agreed on by all-gathering the
 //     per-rank simulated clocks and taking the max locally, so batch
 //     formation is deterministic and invariant to goroutine scheduling.
-//   - Server (server.go) drives a real vit.DistModel; MeasureLayout
-//     (measure.go) drives a phantom block stack for the planner's
-//     predicted-vs-measured loop.
+//   - Server (server.go) and MeasureLayout (measure.go) drive one
+//     parallel.Model: the server the real classifier, MeasureLayout its
+//     phantom block stack for the planner's predicted-vs-measured loop.
 //
 // Per-request latency is accounted on the simulated clock through the whole
 // pipeline: enqueue (Arrive) → admit → batch close (BatchClose) → forward →

@@ -12,7 +12,7 @@ import (
 // Server is a vit.Session in inference mode on its own simulated cluster:
 // requests index the dataset's test split (round-robin), the batcher
 // coalesces them, and every forward runs each rank's block of a padded batch
-// through the same vit.DistModel path the trainer evaluates with —
+// through the same parallel.Model the trainer evaluates with —
 // workspace-pooled, so steady-state serving stays out of the allocator
 // exactly like steady-state training: a warm Serve allocates its Report and
 // nothing else. The session owns the model, the optimiser, the TrainConfig

@@ -60,8 +60,8 @@ func overlapRow(row Row, opts Options) (OverlapPoint, error) {
 	defer c.Close()
 	// One window over the whole layer, without the recompute forward.
 	if _, err := rp.Phase(func(s *parallel.Stack) {
-		s.Forward()
-		s.Backward()
+		s.Forward(s.X)
+		s.Backward(s.DY)
 	}); err != nil {
 		return OverlapPoint{}, err
 	}

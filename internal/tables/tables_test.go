@@ -64,10 +64,7 @@ func runRowReal(row Row, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	st, err := fullClusterStep(l, opts, dist.Machine{}, func(f parallel.Family, w *dist.Worker) *parallel.Stack {
-		s := &parallel.Stack{Family: f}
-		for i := 0; i < wl.Layers; i++ {
-			s.Blocks = append(s.Blocks, f.NewBlock(row.Hidden, row.Heads, wl.SeqLen, tensor.NewRNG(uint64(1+i))))
-		}
+		s := &parallel.Stack{Model: *parallel.NewModel(f, 0, wl.SeqLen, row.Hidden, row.Heads, wl.Layers, 0, nil, tensor.NewRNG(1))}
 		sl := f.Slice(row.Batch*wl.SeqLen, row.Hidden)
 		seed := uint64(1)
 		if sl.Rows != row.Batch*wl.SeqLen || sl.Cols != row.Hidden {
@@ -495,24 +492,6 @@ func TestOverlapStudy(t *testing.T) {
 	for _, want := range []string{"meas frac", "[2,2,2]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted overlap study missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFamilyParityStudy(t *testing.T) {
-	points, err := FamilyParityStudy(DefaultFamilyLayouts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("expected 4 rows, got %d", len(points))
-	}
-	for _, p := range points {
-		if p.MaxDiffY > 1e-9 || p.MaxDiffDx > 1e-9 {
-			t.Errorf("%s diverged from serial: |Δy|=%g |Δdx|=%g", p.Layout, p.MaxDiffY, p.MaxDiffDx)
-		}
-		if p.SimSeconds <= 0 || p.Bytes <= 0 {
-			t.Errorf("%s reported no simulated cost (%gs, %dB)", p.Layout, p.SimSeconds, p.Bytes)
 		}
 	}
 }

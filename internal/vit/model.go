@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -114,47 +115,13 @@ func addPositional(h, pos *tensor.Matrix) *tensor.Matrix {
 // meanPool averages each sequence's s token rows into one row.
 func meanPool(h *tensor.Matrix, s int) *tensor.Matrix {
 	out := tensor.New(h.Rows/s, h.Cols)
-	meanPoolInto(out, h, s)
+	parallel.MeanPoolInto(out, h, s)
 	return out
-}
-
-// meanPoolInto averages each sequence's s token rows into one row of out
-// (shape [h.Rows/s, h.Cols], overwritten).
-func meanPoolInto(out, h *tensor.Matrix, s int) {
-	nseq := h.Rows / s
-	inv := 1 / float64(s)
-	for seq := 0; seq < nseq; seq++ {
-		orow := out.Row(seq)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for t := 0; t < s; t++ {
-			row := h.Row(seq*s + t)
-			for j := range orow {
-				orow[j] += row[j] * inv
-			}
-		}
-	}
 }
 
 // meanPoolBackward spreads each pooled gradient row back over its s tokens.
 func meanPoolBackward(dpooled *tensor.Matrix, s int) *tensor.Matrix {
 	out := tensor.New(dpooled.Rows*s, dpooled.Cols)
-	meanPoolBackwardInto(out, dpooled, s)
+	parallel.MeanPoolBackwardInto(out, dpooled, s)
 	return out
-}
-
-// meanPoolBackwardInto spreads each pooled gradient row back over its s
-// tokens of out (shape [dpooled.Rows·s, dpooled.Cols], overwritten).
-func meanPoolBackwardInto(out, dpooled *tensor.Matrix, s int) {
-	inv := 1 / float64(s)
-	for seq := 0; seq < dpooled.Rows; seq++ {
-		drow := dpooled.Row(seq)
-		for t := 0; t < s; t++ {
-			orow := out.Row(seq*s + t)
-			for j := range orow {
-				orow[j] = drow[j] * inv
-			}
-		}
-	}
 }

@@ -220,6 +220,18 @@ if grep -rn 'nn\.NewLinear(' --include='*.go' --exclude='*_test.go' \
     fail=1
 fi
 
+# One model (docs/architecture.md §6): parallel.Model is the network the
+# trainer, the server and every replay run — with an embedding and a head the
+# classifier, without them the paper's block stack — so a price and a
+# training step run one walk. A struct field Blocks []Layer in non-test Go of
+# internal/, cmd/ or examples/ outside internal/parallel/model.go is a
+# second model walking the blocks its own way.
+if grep -rnE '^[[:space:]]+Blocks[[:space:]]+\[\](parallel\.)?Layer([[:space:]]|$)' --include='*.go' --exclude='*_test.go' \
+    internal cmd examples | grep -v '^internal/parallel/model\.go:' >&2; then
+    echo "docs_check: a second model holds its own blocks beside parallel.Model" >&2
+    fail=1
+fi
+
 # Each rank draws only its own rectangle of a weight (docs/architecture.md
 # §6): parallel.Weight is a recipe — the generator state at its first
 # element — and a cut draws its block alone by jump-ahead. An XavierMatrix
