@@ -43,3 +43,30 @@ func (a *Attention) Retained() []*tensor.Matrix {
 	}
 	return append(out, a.core.probs...)
 }
+
+// RecomputeStep is Step(true) spelled out as a trainer with activation
+// checkpointing runs it, for the test that holds Step to it: the forward in
+// a window of its own; then, in a fresh window, the step boundary that drops
+// its activations, the forward again, the backward and its drain, the
+// boundary and the footprint.
+func (r *Replay) RecomputeStep() (StepClocks, error) {
+	rank0 := r.stacks[0].F.Worker()
+	var st StepClocks
+	var err error
+	if st.Forward, err = r.Phase(func(s *Stack) { s.Forward(s.X) }); err != nil {
+		return st, err
+	}
+	st.Busy = rank0.Busy()
+	if st.Backward, err = r.Phase(func(s *Stack) {
+		s.F.EndStep()
+		s.Forward(s.X)
+		s.Backward(s.DY)
+		s.F.EndStep()
+		s.held = s.footprint(4, s.X, s.DY)
+	}); err != nil {
+		return st, err
+	}
+	st.Busy += rank0.Busy()
+	st.MemoryBytes = r.largestHeld()
+	return st, nil
+}

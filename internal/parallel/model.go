@@ -117,8 +117,9 @@ func (m *Model) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward takes the gradient of Forward's output and propagates it to
 // every shard, returning each block's input gradient to the workspace at its
-// last reader (dy stays the caller's). It ends with DrainGradients, so the
-// deferred gradient sums (§3.1) overlap the backward and the optimiser may step.
+// last reader and the embedding's at once (dy stays the caller's). It ends
+// with DrainGradients, so the deferred gradient sums (§3.1) overlap the
+// backward and the optimiser may step.
 func (m *Model) Backward(dy *tensor.Matrix) {
 	ws := m.F.Worker().Workspace()
 	dh := dy
@@ -141,7 +142,7 @@ func (m *Model) Backward(dy *tensor.Matrix) {
 		}
 	}
 	if m.Embed != nil {
-		m.Embed.Backward(dh)
+		ws.Put(m.Embed.Backward(dh)) // nothing reads the tokens' gradient
 	}
 	if dh != dy {
 		ws.Put(dh)

@@ -159,6 +159,11 @@ func (r *Replay) Cluster() *dist.Cluster { return r.c }
 // stack and returns the cluster's largest clock.
 func (r *Replay) Phase(run func(s *Stack)) (float64, error) {
 	r.c.ResetClocks()
+	return r.resume(run)
+}
+
+// resume is Phase in the window already open: the clocks carry on.
+func (r *Replay) resume(run func(s *Stack)) (float64, error) {
 	r.phase = run
 	if err := r.c.Run(r.every); err != nil {
 		return 0, err
@@ -182,14 +187,14 @@ type StepClocks struct {
 	MemoryBytes int64
 }
 
-// Step times one training step as two phases: the forward pass, then — in a
-// fresh window — the backward pass, which first re-runs the forward when
-// recompute is set (activation checkpointing, how memory-constrained runs at
-// the paper's sizes execute). The step has a trainer's boundaries
-// (Family.EndStep, host-only, so no clock moves): checkpointing drops the
-// first forward's activations before the recompute forward checks out its
-// own — without recompute the backward needs them, and there is none — and
-// the step ends after the backward and its gradient drain.
+// Step times one training step as two phases: the forward pass, then the
+// backward pass and its gradient drain, which with recompute (activation
+// checkpointing, how memory-constrained runs at the paper's sizes execute)
+// re-runs the forward first — charged by carrying the backward's window on
+// from the forward just timed: a window starts from nothing ResetClocks does
+// not zero on a replay's bare cluster, so a re-run would end where the timed
+// forward ended, in clocks and in what it holds. The step's one boundary
+// (Family.EndStep, host-only, so no clock moves) follows its drain.
 func (r *Replay) Step(recompute bool) (StepClocks, error) {
 	rank0 := r.stacks[0].F.Worker()
 	var st StepClocks
@@ -198,11 +203,11 @@ func (r *Replay) Step(recompute bool) (StepClocks, error) {
 		return st, err
 	}
 	st.Busy = rank0.Busy()
-	backward := (*Stack).trainBackward
+	backward := r.Phase
 	if recompute {
-		backward = (*Stack).recomputeBackward
+		backward = r.resume
 	}
-	if st.Backward, err = r.Phase(backward); err != nil {
+	if st.Backward, err = backward((*Stack).trainBackward); err != nil {
 		return st, err
 	}
 	st.Busy += rank0.Busy()
@@ -216,14 +221,6 @@ func (s *Stack) trainBackward() {
 	s.Backward(s.DY)
 	s.F.EndStep()
 	s.held = s.footprint(4, s.X, s.DY)
-}
-
-// recomputeBackward is trainBackward after dropping the first forward's
-// activations and re-running the forward (activation checkpointing).
-func (s *Stack) recomputeBackward() {
-	s.F.EndStep()
-	s.Forward(s.X)
-	s.trainBackward()
 }
 
 // Forward times one inference pass — the forward phase alone, Backward left

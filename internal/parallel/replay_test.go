@@ -3,11 +3,13 @@ package parallel_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	_ "repro/internal/megatron"
+	"repro/internal/mesh"
 	_ "repro/internal/optimus"
 	"repro/internal/parallel"
 	_ "repro/internal/seqpar"
@@ -110,11 +112,13 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestRecomputeBoundaryDropsFirstForward pins where the step boundaries sit:
-// checkpointing releases the first forward's activations before the
-// recompute forward checks out its own, so a recomputed step never holds
-// more than one that keeps its activations — and stepping a replay twice
-// holds what stepping it once does.
+// TestRecomputeBoundaryDropsFirstForward pins where a replay's one step
+// boundary sits: at the step's end. A recomputed step charges its recompute
+// forward by carrying the timed forward's window on, so no forward's
+// activations are checked out beside another's and the step never holds more
+// than one that keeps its activations; and the boundary at the end of a step
+// releases all it checked out, so stepping a replay twice holds what stepping
+// it once does.
 func TestRecomputeBoundaryDropsFirstForward(t *testing.T) {
 	for _, l := range []parallel.Layout{{Family: "megatron", Ranks: 4}, {Family: "tesseract", Q: 2, D: 2}} {
 		rp, with := footprintReplay(t, l, 2, false, true)
@@ -128,6 +132,66 @@ func TestRecomputeBoundaryDropsFirstForward(t *testing.T) {
 		}
 		if again != with {
 			t.Errorf("%s: second step %+v, first %+v", l, again, with)
+		}
+	}
+}
+
+// TestRecomputeStepEqualsExplicitRecompute holds Step(true), which charges
+// the recompute forward by continuing the backward's window from the forward
+// it just timed, to the step a checkpointing trainer runs (RecomputeStep: a
+// fresh window, the boundary that drops the forward's activations, the
+// forward again, the backward and its drain), bit for bit in both clocks,
+// busy seconds, footprint and overlap: on every parity layout the fixture
+// splits, phantom and real, one layer and two, on a full cluster and, where
+// placement treats every rank alike, on a solo one. And it holds what a
+// recomputed step sends on a fresh replay to a step that keeps its
+// activations: one forward's traffic and one backward's.
+func TestRecomputeStepEqualsExplicitRecompute(t *testing.T) {
+	m := dist.Machine{}.WithDefaults()
+	for _, l := range testutil.ParityLayouts(t) {
+		if !parallel.Fits(l, fpBatch, fpSeqLen, fpHidden, fpHeads) {
+			continue
+		}
+		l, err := parallel.Validate(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type cluster struct {
+			name       string
+			newCluster func(dist.Config) *dist.Cluster
+		}
+		clusters := []cluster{{"full", dist.New}}
+		if l.Q == 0 || (mesh.Shape{Q: l.Q, D: l.D}).UniformLinks(m) {
+			clusters = append(clusters, cluster{"solo", dist.NewSolo})
+		}
+		for _, c := range clusters {
+			for _, real := range []bool{false, true} {
+				if real && c.name == "solo" {
+					continue // a solo cluster prices phantom schedules only
+				}
+				for _, layers := range []int{1, 2} {
+					name := fmt.Sprintf("%s, %s cluster, real %v, %d layers", l, c.name, real, layers)
+					step := func(run func(*parallel.Replay) (parallel.StepClocks, error)) (parallel.StepClocks, [2]float64, dist.Stats) {
+						rp, _ := footprintStacks(t, c.newCluster(dist.Config{WorldSize: l.Ranks}), l, layers, real)
+						defer rp.Cluster().Close()
+						st, err := run(rp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						hidden, total := rp.Cluster().Overlap()
+						return st, [2]float64{hidden, total}, rp.Cluster().Stats()
+					}
+					got, gotOverlap, gotStats := step(func(rp *parallel.Replay) (parallel.StepClocks, error) { return rp.Step(true) })
+					want, wantOverlap, _ := step((*parallel.Replay).RecomputeStep)
+					if got != want || gotOverlap != wantOverlap {
+						t.Errorf("%s: Step(true) %#v, overlap %v; explicit recompute %#v, overlap %v", name, got, gotOverlap, want, wantOverlap)
+					}
+					_, _, keepStats := step(func(rp *parallel.Replay) (parallel.StepClocks, error) { return rp.Step(false) })
+					if !reflect.DeepEqual(gotStats, keepStats) {
+						t.Errorf("%s: a recomputed step sent %+v, a step keeping its activations %+v", name, gotStats, keepStats)
+					}
+				}
+			}
 		}
 	}
 }

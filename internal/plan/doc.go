@@ -11,11 +11,12 @@
 // The planner holds no cost formulas. Price builds the candidate's family
 // through the parallel registry, stacks the workload's phantom blocks and
 // times one training step with parallel.Replay.Step — forward, then
-// recompute + backward + gradient drain; tables.RunRow prices a table row by
-// calling Price. A family's schedule is stated once, in its
-// layers, so a prediction is as right as the simulator after every schedule
-// change; ComputeSeconds is the replay's representative rank's busy seconds
-// and CommSeconds the rest of the step.
+// recompute + backward + gradient drain, the recompute forward charged by
+// continuing the timed forward's clocks, which a re-run would repeat
+// exactly; tables.RunRow prices a table row by calling Price. A family's
+// schedule is stated once, in its layers, so a prediction is as right as
+// the simulator after every schedule change; ComputeSeconds is the replay's
+// representative rank's busy seconds and CommSeconds the rest of the step.
 //
 // The cluster the replay runs on keeps a search cheap. The layer schedules
 // are SPMD, so when placement treats every rank alike one rank stands for

@@ -8,14 +8,15 @@ import (
 
 // Price prices one layout's training step on the topology's machine by
 // running it: the family's own phantom layer stack, forward then recompute +
-// backward + gradient drain, through the timing scaffold
-// (parallel.Replay.Step), on the cluster soloExact picks. tables.RunRow
-// prices a table row with it. Forward and Backward are the
-// replay's clocks, ComputeSeconds its representative rank's busy seconds,
-// CommSeconds the remainder and MemoryBytes what its heaviest rank held. The
-// layout's family must be registered (import its package). Only the
-// topology's cost model and node size are read, and the layout is priced on a
-// cluster of its own.
+// backward + gradient drain (the recompute forward charged by continuing the
+// clocks from the timed one, which a re-run would repeat exactly), through
+// the timing scaffold (parallel.Replay.Step), on the cluster soloExact
+// picks. tables.RunRow prices a table row with it. Forward and Backward are
+// the replay's clocks, ComputeSeconds its representative rank's busy
+// seconds, CommSeconds the remainder and MemoryBytes what its heaviest rank
+// held. The layout's family must be registered (import its package). Only
+// the topology's cost model and node size are read, and the layout is
+// priced on a cluster of its own.
 func Price(w Workload, l parallel.Layout, t Topology) (Breakdown, error) {
 	w, err := w.WithDefaults()
 	if err != nil {

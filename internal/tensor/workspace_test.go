@@ -155,8 +155,8 @@ func TestWorkspaceStatsOnRecordedSequence(t *testing.T) {
 	want("next step", WorkspaceStats{Allocs: 5, Gets: 9, Live: 4, HighWater: 4, LiveBytes: 392, HighWaterBytes: 512, HeldBytes: 264})
 }
 
-// TestWorkspacePhantomReplayAllocatesOnce replays the shape of a timed
-// phantom step — a forward phase, the recompute forward, and a backward whose
+// TestWorkspacePhantomReplayAllocatesOnce replays the shape of a phantom
+// step that re-runs its forward — a forward phase, the recompute forward, and a backward whose
 // gradient and transposed-panel shapes the forward never asked for — with a
 // step boundary between phases. The backward holds no more headers at once
 // than the forward did, so the first phase's headers serve all three: the
