@@ -140,7 +140,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(tables.FormatServing(points))
-		pt, err := tables.ServingPlannerStudy(3, opts)
+		pt, err := tables.ServingPlannerStudy(opts)
 		if err != nil {
 			fatal(err)
 		}

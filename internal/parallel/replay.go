@@ -64,6 +64,11 @@ type Replay struct {
 	// runPhase, bound once — so a timed phase allocates no closure.
 	every func(w *dist.Worker) error
 	phase func(s *Stack)
+
+	// barrier is the clock agreement Forward ends with, built by the first
+	// Forward on phantom operands, which every rank can share: a phantom
+	// gather reads and writes no element.
+	barrier *ClockSync
 }
 
 // NewReplay runs build on every rank the cluster runs (untimed) and keeps
@@ -223,15 +228,21 @@ func (s *Stack) trainBackward() {
 	s.held = s.footprint(4, s.X, s.DY)
 }
 
-// Forward times one inference pass — the forward phase alone, Backward left
-// zero — and charges the rank what serving holds: its weights once, no
-// gradients or optimiser state, the input and the forward's high-water.
+// Forward times one inference pass as the server runs a batch — the forward
+// phase, the step boundary and the clock agreement that ends every served
+// batch (ClockSync), Backward left zero — and charges the rank what serving
+// holds: its weights once, no gradients or optimiser state, the input and
+// the forward's high-water.
 func (r *Replay) Forward() (StepClocks, error) {
+	if r.barrier == nil {
+		r.barrier = newClockSync(r.c, tensor.NewPhantom)
+	}
 	var st StepClocks
 	var err error
 	if st.Forward, err = r.Phase(func(s *Stack) {
 		s.Forward(s.X)
 		s.F.EndStep()
+		r.barrier.Now(s.F.Worker())
 		s.held = s.footprint(1, s.X)
 	}); err != nil {
 		return st, err
@@ -239,6 +250,45 @@ func (r *Replay) Forward() (StepClocks, error) {
 	st.Busy = r.stacks[0].F.Worker().Busy()
 	st.MemoryBytes = r.largestHeld()
 	return st, nil
+}
+
+// ClockSync is the barrier that ends every served batch: the ranks agree on
+// the instant the batch finished by all-gathering their simulated clocks and
+// taking the max locally, so every rank computes the identical value. The
+// gather is charged to the clock like any collective, which is why a serving
+// price (Replay.Forward) pays it too. One per rank on a live cluster: the
+// world group is cached (Group allocates its key) and the two blocks are the
+// gather's operands.
+type ClockSync struct {
+	world     *dist.Group
+	clk, clks *tensor.Matrix // 1×1 own clock, [world,1] gathered
+}
+
+// NewClockSync builds one rank's clock agreement on c.
+func NewClockSync(c *dist.Cluster) *ClockSync { return newClockSync(c, tensor.New) }
+
+// newClockSync builds the agreement on operands from alloc: tensor.New for
+// a live cluster, tensor.NewPhantom for a replay's priced-only gather.
+func newClockSync(c *dist.Cluster, alloc func(rows, cols int) *tensor.Matrix) *ClockSync {
+	return &ClockSync{world: c.WorldGroup(), clk: alloc(1, 1), clks: alloc(c.WorldSize(), 1)}
+}
+
+// Now runs the barrier and returns the largest clock the ranks brought to
+// it — on phantom operands, which gather nothing, the rank's own. A world of
+// one rank has nothing to agree on and pays nothing.
+func (cs *ClockSync) Now(w *dist.Worker) float64 {
+	m := w.Clock()
+	if cs.clks.Rows == 1 {
+		return m
+	}
+	if !cs.clk.Phantom() {
+		cs.clk.Data[0] = m
+	}
+	cs.world.AllGatherInto(w, cs.clk, cs.clks)
+	for _, v := range cs.clks.Data {
+		m = max(m, v)
+	}
+	return m
 }
 
 // largestHeld is the heaviest footprint the ranks recorded; a solo cluster

@@ -67,15 +67,14 @@
 // every candidate on its full cluster, every rank, and holds the price to it
 // bit for bit.
 //
-// ValidateServingTop is the one validation that measures something the
-// price does not: serve.MeasureLayout drives the real batcher, and every
-// batch it serves ends in the clock-sync all-gather that agrees on the
-// completion instant across the cluster. The forward replay has no such
-// barrier. On the Table 1 serving study (tesseract-bench -serving) the
-// errors are 1.5 % (megatron [64] min-batch), 0.2 % ([8,8] min-batch) and
-// 0.1 % (full batch); the gap, about 1.26e-4 s, is that 64-rank all-gather of
-// one clock each, 63·(α+8β) on inter-node links, which each measured batch
-// pays.
+// A serving price is what serve.Server's batcher measures for a batch:
+// parallel.Replay.Forward runs the forward, the step boundary and the
+// clock-sync all-gather that ends every served batch (parallel.ClockSync,
+// the barrier the server calls). serve.TestEveryServingPredictionEqualsItsMeasurement
+// runs the real batcher, saturated, over every candidate of the Table 1
+// serving search within 64 ranks, on four and on six GPUs per node, each on
+// its full cluster, and holds every batch's service time to the price within
+// 1e-12.
 //
 // cmd/tesseract-plan is the front end; tables.PlannerStudy regenerates the
 // paper's best-layout rows from a search.

@@ -34,14 +34,17 @@ func (o ServingObjective) WithDefaults() (ServingObjective, error) {
 // ServingPredicted is the replayed serving score of one candidate. The
 // workload's Batch is the batcher's full batch; MinBatch is the smallest
 // batch the layout can run (parallel.Layout.RowShards — one request padded
-// up — which is also what serve.MeasureLayout measures at).
+// up). A latency is what serve.Server's batcher measures for a batch of that
+// size: the forward plus the clock agreement that ends every served batch
+// (parallel.Replay.Forward), held to the batcher by
+// serve.TestEveryServingPredictionEqualsItsMeasurement.
 type ServingPredicted struct {
 	// MinBatch is the padded interactive batch size in sequences.
 	MinBatch int
-	// MinLatency is the predicted forward seconds at MinBatch — what a
+	// MinLatency is the predicted service seconds at MinBatch — what a
 	// lone request pays.
 	MinLatency float64
-	// FullLatency is the predicted forward seconds at the full batch.
+	// FullLatency is the predicted service seconds at the full batch.
 	FullLatency float64
 	// Throughput is the predicted saturated service rate, Batch /
 	// FullLatency, in requests per second.
@@ -101,84 +104,6 @@ func SearchServing(w Workload, t Topology, algos []Algo, o ServingObjective) ([]
 	})
 }
 
-// ServingMeasurement is what a serving replay of one candidate observed —
-// typically serve.MeasureLayout driving the real batcher over a phantom
-// layer stack on the simulated cluster.
-type ServingMeasurement struct {
-	// MinLatency and FullLatency are measured mean service seconds of
-	// min-batch and full-batch forwards.
-	MinLatency, FullLatency float64
-	// Throughput is the measured saturated rate in requests per second.
-	Throughput float64
-}
-
-// ServingMeasurer replays one serving candidate for real.
-type ServingMeasurer func(ServingPlan) (ServingMeasurement, error)
-
-// ServingValidation pairs a candidate with its replay and the relative
-// prediction errors.
-type ServingValidation struct {
-	// Plan is the candidate that was replayed.
-	Plan ServingPlan
-	// Measured is the replay's observation.
-	Measured ServingMeasurement
-	// MinErr, FullErr and ThrErr are |predicted − measured| / measured for
-	// the min-batch latency, full-batch latency and throughput.
-	MinErr, FullErr, ThrErr float64
-}
-
-// Validate replays the candidate through the measurer and reports the
-// predicted-vs-measured errors.
-func (p ServingPlan) Validate(measure ServingMeasurer) (ServingValidation, error) {
-	m, err := measure(p)
-	if err != nil {
-		return ServingValidation{}, fmt.Errorf("plan: validating serving %s: %w", p, err)
-	}
-	return ServingValidation{
-		Plan:     p,
-		Measured: m,
-		MinErr:   relErr(p.Predicted.MinLatency, m.MinLatency),
-		FullErr:  relErr(p.Predicted.FullLatency, m.FullLatency),
-		ThrErr:   relErr(p.Predicted.Throughput, m.Throughput),
-	}, nil
-}
-
-// ValidateServingTop replays the first n candidates of a ranked list and
-// returns their validations in rank order.
-func ValidateServingTop(plans []ServingPlan, n int, measure ServingMeasurer) ([]ServingValidation, error) {
-	if n > len(plans) {
-		n = len(plans)
-	}
-	if n < 0 {
-		n = 0
-	}
-	out := make([]ServingValidation, 0, n)
-	for _, p := range plans[:n] {
-		v, err := p.Validate(measure)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// MaxServingErr returns the largest latency error (min- or full-batch) in a
-// validation list — the number the serving acceptance gate tracks against
-// the PR 4 bound of 25%.
-func MaxServingErr(vs []ServingValidation) float64 {
-	var max float64
-	for _, v := range vs {
-		if v.MinErr > max {
-			max = v.MinErr
-		}
-		if v.FullErr > max {
-			max = v.FullErr
-		}
-	}
-	return max
-}
-
 // FormatServingPlans renders a ranked serving-plan list. n limits the rows
 // (0 = all).
 func FormatServingPlans(title string, plans []ServingPlan, n int) string {
@@ -195,24 +120,6 @@ func FormatServingPlans(title string, plans []ServingPlan, n int) string {
 		fmt.Fprintf(&b, "%4d %-12s %-9s %5d | %5d %11.5f %11.5f %11.1f | %10.5f %10s\n",
 			i+1, p.Family, p.Shape(), p.Ranks,
 			pr.MinBatch, pr.MinLatency, pr.FullLatency, pr.Throughput, p.Score, FormatBytes(pr.MemoryBytes))
-	}
-	return b.String()
-}
-
-// FormatServingValidations renders a serving-validation list: predicted vs
-// measured latencies and throughput with their relative errors.
-func FormatServingValidations(title string, vs []ServingValidation) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%4s %-12s %-9s | %10s %10s %7s | %10s %10s %7s | %7s\n",
-		"#", "family", "shape", "pred-min", "meas-min", "err", "pred-full", "meas-full", "err", "thr-err")
-	b.WriteString(strings.Repeat("-", 110) + "\n")
-	for i, v := range vs {
-		fmt.Fprintf(&b, "%4d %-12s %-9s | %10.5f %10.5f %6.1f%% | %10.5f %10.5f %6.1f%% | %6.1f%%\n",
-			i+1, v.Plan.Family, v.Plan.Shape(),
-			v.Plan.Predicted.MinLatency, v.Measured.MinLatency, 100*v.MinErr,
-			v.Plan.Predicted.FullLatency, v.Measured.FullLatency, 100*v.FullErr,
-			100*v.ThrErr)
 	}
 	return b.String()
 }

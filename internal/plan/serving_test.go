@@ -173,47 +173,6 @@ func TestServingPlanLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValidateServingTop: the validation plumbing computes relative errors
-// against whatever the measurer returns, and MaxServingErr tracks the worst
-// latency error.
-func TestValidateServingTop(t *testing.T) {
-	plans, err := plan.SearchServing(servingW, plan.Topology{RankBudget: 64}, servingAlgos(), plan.ServingObjective{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := func(p plan.ServingPlan) (plan.ServingMeasurement, error) {
-		return plan.ServingMeasurement{
-			MinLatency:  p.Predicted.MinLatency * 1.25,
-			FullLatency: p.Predicted.FullLatency,
-			Throughput:  p.Predicted.Throughput,
-		}, nil
-	}
-	vs, err := plan.ValidateServingTop(plans, 2, fake)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 2 {
-		t.Fatalf("want 2 validations, got %d", len(vs))
-	}
-	for _, v := range vs {
-		if math.Abs(v.MinErr-0.2) > 1e-9 { // |pred − 1.25·pred| / (1.25·pred) = 0.2
-			t.Fatalf("MinErr %.6g, want 0.2", v.MinErr)
-		}
-		if v.FullErr != 0 || v.ThrErr != 0 {
-			t.Fatalf("exact dimensions must have zero error, got %+v", v)
-		}
-	}
-	if got := plan.MaxServingErr(vs); math.Abs(got-0.2) > 1e-9 {
-		t.Fatalf("MaxServingErr %.6g, want 0.2", got)
-	}
-	bad := func(plan.ServingPlan) (plan.ServingMeasurement, error) {
-		return plan.ServingMeasurement{}, errors.New("boom")
-	}
-	if _, err := plan.ValidateServingTop(plans, 1, bad); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("measurer error must propagate, got %v", err)
-	}
-}
-
 func TestFormatServing(t *testing.T) {
 	plans, err := plan.SearchServing(servingW, plan.Topology{RankBudget: 64}, servingAlgos(), plan.ServingObjective{})
 	if err != nil {

@@ -15,9 +15,11 @@
 //     batch's forward finished — is agreed on by all-gathering the
 //     per-rank simulated clocks and taking the max locally, so batch
 //     formation is deterministic and invariant to goroutine scheduling.
-//   - Server (server.go) and MeasureLayout (measure.go) drive one
-//     parallel.Model: the server the real classifier, MeasureLayout its
-//     phantom block stack for the planner's predicted-vs-measured loop.
+//   - Server (server.go) runs the trained parallel.Model and ends every
+//     batch with parallel.ClockSync, the barrier the planner's serving price
+//     (parallel.Replay.Forward) pays too; a test serves every Table 1 serving
+//     candidate's phantom block stack through this batcher and holds each
+//     batch to its price.
 //
 // Per-request latency is accounted on the simulated clock through the whole
 // pipeline: enqueue (Arrive) → admit → batch close (BatchClose) → forward →
@@ -39,15 +41,13 @@ type Config struct {
 	// LatencyBudget is the longest a request may wait in the open batch for
 	// co-batching, in simulated seconds. A batch closes when its oldest
 	// request has waited this long, or earlier when it fills. Zero means the
-	// default, 2ms. Only MeasureLayout's saturated probe, which skips
-	// WithDefaults, runs at zero: its batches close as soon as the server
-	// is free.
+	// default, 2ms.
 	LatencyBudget float64
 	// QueueDepth bounds the pending queue; arrivals that find it full are
 	// rejected (default 32). Slots free when a batch closes.
 	QueueDepth int
 	// KeepLogits retains every admitted request's logits row in
-	// Report.Logits (Server only; the measurement path has no real data).
+	// Report.Logits.
 	KeepLogits bool
 }
 

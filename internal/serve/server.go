@@ -24,7 +24,7 @@ type Server struct {
 	mcfg vit.ModelConfig
 
 	unit   int
-	sync   []*clockSync
+	sync   []*parallel.ClockSync
 	traces []trace // each rank's batcher state, reused across Serve calls
 	// serveRank is serveOn bound once; the call's arrivals, logits and
 	// report are handed to it through the fields below.
@@ -60,12 +60,12 @@ func NewServer(l parallel.Layout, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.
 	s := &Server{
 		Session: sess, cfg: cfg, ds: ds, mcfg: mcfg,
 		unit:   sess.Layout().RowShards(),
-		sync:   make([]*clockSync, sess.Layout().Ranks),
+		sync:   make([]*parallel.ClockSync, sess.Layout().Ranks),
 		traces: make([]trace, sess.Layout().Ranks),
 	}
 	s.serveRank = s.serveOn
 	for r := range s.sync {
-		s.sync[r] = newClockSync(s.Cluster())
+		s.sync[r] = parallel.NewClockSync(s.Cluster())
 	}
 	return s, nil
 }
@@ -79,36 +79,6 @@ func (s *Server) TrainSteps(n int) error {
 	}
 	_, err := s.Train(n)
 	return err
-}
-
-// clockSync agrees on the current instant across a cluster: every rank
-// contributes its simulated clock as data and takes the max locally, so all
-// ranks compute the identical value. The gather itself is a batch's
-// completion barrier and is charged to the clock like any collective. One
-// per rank: the world group is cached (Group() allocates its key) and the
-// two blocks are the gather's operands.
-type clockSync struct {
-	world     *dist.Group
-	clk, clks *tensor.Matrix // 1×1 own clock, [world,1] gathered
-}
-
-func newClockSync(c *dist.Cluster) *clockSync {
-	return &clockSync{world: c.WorldGroup(), clk: tensor.New(1, 1), clks: tensor.New(c.WorldSize(), 1)}
-}
-
-func (cs *clockSync) now(w *dist.Worker) float64 {
-	if cs.clks.Rows == 1 {
-		return w.Clock()
-	}
-	cs.clk.Data[0] = w.Clock()
-	cs.world.AllGatherInto(w, cs.clk, cs.clks)
-	var m float64
-	for _, v := range cs.clks.Data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Serve drains one arrival trace through the queue, the batcher and the
@@ -152,7 +122,7 @@ func (s *Server) serveOn(w *dist.Worker) error {
 		f.ForwardOnly(true)
 		defer f.ForwardOnly(false)
 	}
-	prev := sync.now(w)
+	prev := sync.Now(w)
 	tr.run(s.cfg, s.arrivals, func(ids []int) (int, float64) {
 		padded := (len(ids) + s.unit - 1) / s.unit * s.unit
 		sl := model.F.Slice(padded*seq, s.mcfg.PatchDim)
@@ -175,7 +145,7 @@ func (s *Server) serveOn(w *dist.Worker) error {
 			}
 		}
 		model.F.EndStep()
-		t := sync.now(w)
+		t := sync.Now(w)
 		dur := t - prev
 		prev = t
 		return padded, dur

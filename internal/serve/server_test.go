@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
-	"repro/internal/plan"
 	"repro/internal/tensor"
 	"repro/internal/vit"
 
@@ -286,50 +285,5 @@ func TestServerUnusableTrainBatch(t *testing.T) {
 				t.Errorf("%s: served %d of 6 requests", tc.name, rep.Completed)
 			}
 		}
-	}
-}
-
-// TestMeasureLayoutRefusesUnsplittable: a layout that cannot split the
-// workload — its width over the mesh side, its heads over the shards — is
-// refused before any cluster is built by parallel.CheckActivation, the
-// refusal the planner's replay shares, never a worker panic recovered from
-// inside the trace.
-func TestMeasureLayoutRefusesUnsplittable(t *testing.T) {
-	for _, tc := range []struct {
-		l      parallel.Layout
-		hidden int
-		heads  int
-		want   string
-	}{
-		{parallel.Layout{Family: "tesseract", Q: 4, D: 1}, 18, 2, "hidden width 18 4 ways"},
-		{parallel.Layout{Family: "megatron", Ranks: 4}, 16, 2, "into 2 heads over 4 shards"},
-	} {
-		w := plan.Workload{Batch: 16, SeqLen: 8, Hidden: tc.hidden, Heads: tc.heads, Layers: 1}
-		_, err := MeasureLayout(plan.ServingPlan{Grid: tc.l}, w, plan.Topology{RankBudget: 16})
-		if err == nil || strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s at hidden %d, %d heads: want the refusal %q, got %v", tc.l, tc.hidden, tc.heads, tc.want, err)
-		}
-	}
-}
-
-// TestMeasureLayoutZeroTopology: MeasureLayout sizes its cluster from the
-// layout, so a zero Topology measures — as plan.Price prices — instead of
-// failing on the rank budget it never reads.
-func TestMeasureLayoutZeroTopology(t *testing.T) {
-	w := plan.Workload{Batch: 8, SeqLen: 16, Hidden: 16, Heads: 4, Layers: 1}
-	l := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
-	m, err := MeasureLayout(plan.ServingPlan{Grid: l}, w, plan.Topology{})
-	if err != nil {
-		t.Fatalf("MeasureLayout: %v", err)
-	}
-	if m.FullLatency <= 0 || m.Throughput <= 0 {
-		t.Fatalf("empty measurement %+v", m)
-	}
-	b, err := plan.Price(w, l, plan.Topology{})
-	if err != nil {
-		t.Fatalf("plan.Price: %v", err)
-	}
-	if b.Step() <= 0 {
-		t.Fatalf("empty price %+v", b)
 	}
 }

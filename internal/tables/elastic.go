@@ -40,7 +40,7 @@ type ElasticPoint struct {
 // deviation column doubles as the correctness witness — re-sharding is a
 // no-op for the training trajectory.
 func ElasticStudy() ([]ElasticPoint, error) {
-	ds, mcfg, tc := elasticFixture()
+	ds, mcfg, tc := studyFixture()
 	const failStep, totalSteps = 2, 4
 	// The usual elastic constraint: the model no longer fits on one survivor,
 	// so the replan must keep a genuinely distributed layout.
@@ -84,10 +84,10 @@ func ElasticStudy() ([]ElasticPoint, error) {
 	return out, nil
 }
 
-// elasticFixture is the tiny real-data training setup the elastic study
-// shares with the cross-family tests: small enough to run every layout in a
-// test, divisible enough for every default family.
-func elasticFixture() (*vit.Dataset, vit.ModelConfig, vit.TrainConfig) {
+// studyFixture is the tiny real-data ViT the elastic, straggler and serving
+// studies train and serve, shared with the cross-family tests: small enough
+// to run every layout in a test, divisible enough for every default family.
+func studyFixture() (*vit.Dataset, vit.ModelConfig, vit.TrainConfig) {
 	dcfg := vit.DataConfig{
 		Classes: 4, ImageSize: 8, Channels: 3, PatchSize: 4,
 		Train: 8, Test: 4, Noise: 0.3, Seed: 11,

@@ -105,7 +105,7 @@ func requireBitwise(t *testing.T, want, got []*parallel.Checkpoint, what string)
 // canonical form is layout-independent, and staging plus one disjoint
 // all-reduce loses nothing.
 func TestCheckpointRoundTripAllPairs(t *testing.T) {
-	ds, mcfg, tc := elasticFixture()
+	ds, mcfg, tc := studyFixture()
 	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	layouts := DefaultFamilyLayouts()
 	for _, from := range layouts {
@@ -127,7 +127,7 @@ func TestCheckpointRoundTripAllPairs(t *testing.T) {
 // only its bands and the restore's gather fills in the rest, the model's next
 // step computes the logits an uninterrupted run does, bit for bit.
 func TestBandedMomentsSurviveReshard(t *testing.T) {
-	ds, mcfg, tc := elasticFixture()
+	ds, mcfg, tc := studyFixture()
 	mcfg.Heads = 8
 	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	tess := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
@@ -169,7 +169,7 @@ func TestBandedMomentsSurviveReshard(t *testing.T) {
 // the fused QKV slot is cut by — mesh columns, four 1-D ranks, two — and
 // back, bit for bit.
 func TestCrossLayoutReshardChain(t *testing.T) {
-	ds, mcfg, tc := elasticFixture()
+	ds, mcfg, tc := studyFixture()
 	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
 
 	// Serial reference, capturing the logits at steps 2, 4 and 6.
@@ -252,7 +252,7 @@ func TestElasticStudy(t *testing.T) {
 // the same checkpoint into a freshly built model and optimiser, although the
 // reused buffers went in holding the previous visit's training state.
 func TestRestoreReusesMoments(t *testing.T) {
-	ds, mcfg, tc := elasticFixture()
+	ds, mcfg, tc := studyFixture()
 	x, labels := ds.Batch(ds.Train, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	layouts := [2]parallel.Layout{{Family: "megatron", Ranks: 4}, {Family: "seqpar", Ranks: 4}}
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/serve"
-	"repro/internal/vit"
 )
 
 // ServingPoint is one family/layout row of the serving study: tail
@@ -34,19 +33,6 @@ type ServingPoint struct {
 	Throughput float64
 }
 
-// servingFixture is the small real-data ViT the study serves — the same
-// model BenchmarkTesseractStep trains.
-func servingFixture() (*vit.Dataset, vit.ModelConfig, vit.TrainConfig) {
-	dcfg := vit.DataConfig{Classes: 4, ImageSize: 8, Channels: 3, PatchSize: 4, Train: 8, Test: 4, Seed: 11}
-	ds := vit.NewDataset(dcfg)
-	mcfg := vit.ModelConfig{
-		PatchDim: dcfg.PatchDim(), SeqLen: dcfg.Patches(),
-		Hidden: 16, Heads: 4, Layers: 2, Classes: dcfg.Classes, Seed: 3,
-	}
-	tc := vit.TrainConfig{Epochs: 1, BatchSize: 8, LR: 0.003, WeightDecay: 0.05, Seed: 5}
-	return ds, mcfg, tc
-}
-
 // ServingStudy serves the small trained ViT under every default family
 // layout through the continuous batcher and reports p50/p95/p99 latency,
 // throughput and admission behaviour per layout — the serving twin of the
@@ -54,7 +40,7 @@ func servingFixture() (*vit.Dataset, vit.ModelConfig, vit.TrainConfig) {
 // paced trace then offers 70% of that rate, so the batcher sees both
 // coalescing slack and occasional backlog.
 func ServingStudy(layouts []parallel.Layout) ([]ServingPoint, error) {
-	ds, mcfg, tc := servingFixture()
+	ds, mcfg, tc := studyFixture()
 	cfg := serve.Config{MaxBatch: 8, LatencyBudget: 2e-3, QueueDepth: 16}
 	var out []ServingPoint
 	for _, raw := range layouts {
@@ -107,8 +93,7 @@ func FormatServing(points []ServingPoint) string {
 }
 
 // ServingPlannerPoint is the serving-planner study result: the ranked
-// candidates under the serving objective and the replayed validations of
-// the leaders.
+// candidates under the serving objective, next to the training winner.
 type ServingPlannerPoint struct {
 	// Workload is the model searched for.
 	Workload plan.Workload
@@ -116,8 +101,6 @@ type ServingPlannerPoint struct {
 	Objective plan.ServingObjective
 	// Plans is the full ranked candidate list.
 	Plans []plan.ServingPlan
-	// Validations replays the top candidates through serve.MeasureLayout.
-	Validations []plan.ServingValidation
 	// TrainingBest names the layout plain plan.Search (the training
 	// objective) ranks first on the same workload — the comparison the
 	// serving objective exists to beat.
@@ -128,14 +111,10 @@ type ServingPlannerPoint struct {
 func (p ServingPlannerPoint) Best() plan.ServingPlan { return p.Plans[0] }
 
 // ServingPlannerStudy searches the Table 1 problem under the serving
-// objective at a 64-rank budget and validates the leaders through
-// serve.MeasureLayout — predicted-vs-measured for the forward-only serving
-// path, the same loop PlannerStudy closes for training. topN bounds the
-// replayed candidates (default 3 when zero).
-func ServingPlannerStudy(topN int, opts Options) (*ServingPlannerPoint, error) {
-	if topN <= 0 {
-		topN = 3
-	}
+// objective at a 64-rank budget and under the training objective beside it.
+// A serving price is already what the server's batcher measures
+// (plan.ServingPredicted).
+func ServingPlannerStudy(opts Options) (*ServingPlannerPoint, error) {
 	if err := opts.check(); err != nil {
 		return nil, err
 	}
@@ -149,25 +128,19 @@ func ServingPlannerStudy(topN int, opts Options) (*ServingPlannerPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tables: serving planner study: %w", err)
 	}
-	vs, err := plan.ValidateServingTop(plans, topN, serve.Measurer(w, topo))
-	if err != nil {
-		return nil, fmt.Errorf("tables: serving planner study: %w", err)
-	}
 	trained, err := plan.Search(w, topo, DefaultAlgos())
 	if err != nil {
 		return nil, fmt.Errorf("tables: serving planner study: training search: %w", err)
 	}
-	return &ServingPlannerPoint{Workload: w, Objective: o, Plans: plans, Validations: vs, TrainingBest: trained[0].String()}, nil
+	return &ServingPlannerPoint{Workload: w, Objective: o, Plans: plans, TrainingBest: trained[0].String()}, nil
 }
 
 // FormatServingPlanner renders the serving-planner study: the serving
-// ranking next to the training winner, then the validated leaders.
+// ranking next to the training winner.
 func FormatServingPlanner(pt *ServingPlannerPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Serving-objective planner (Table 1 problem, 64 ranks; forward-only)\n")
 	fmt.Fprintf(&b, "  serving best: %s   training best: %s\n\n", pt.Best(), pt.TrainingBest)
 	b.WriteString(plan.FormatServingPlans("  Ranked serving candidates (top 8)", pt.Plans, 8))
-	b.WriteString("\n")
-	b.WriteString(plan.FormatServingValidations("  Validated leaders (serve.MeasureLayout replay)", pt.Validations))
 	return b.String()
 }

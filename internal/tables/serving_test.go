@@ -3,8 +3,6 @@ package tables
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/plan"
 )
 
 // TestServingStudy: every default family layout serves the paced trace to
@@ -36,31 +34,20 @@ func TestServingStudy(t *testing.T) {
 	}
 }
 
-// TestServingPlannerStudyWithin25Percent is the acceptance gate: plan.Search
-// under the serving objective ranks layouts whose serve.MeasureLayout replay
-// confirms the prediction within the 25% bound, for the top 3 candidates.
-func TestServingPlannerStudyWithin25Percent(t *testing.T) {
-	pt, err := ServingPlannerStudy(3, Options{})
+// TestServingPlannerStudyUsesExactRanks: the serving planner study spends
+// the exact 64-rank budget and prints the serving winner beside the training
+// one. Its prices are held to the batcher by
+// serve.TestEveryServingPredictionEqualsItsMeasurement.
+func TestServingPlannerStudyUsesExactRanks(t *testing.T) {
+	pt, err := ServingPlannerStudy(Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(pt.Validations) != 3 {
-		t.Fatalf("want 3 validated leaders, got %d", len(pt.Validations))
-	}
-	if got := plan.MaxServingErr(pt.Validations); got > 0.25 {
-		t.Fatalf("serving predicted-vs-measured error %.1f%% exceeds the 25%% bound:\n%s",
-			100*got, plan.FormatServingValidations("validations", pt.Validations))
-	}
-	for _, v := range pt.Validations {
-		if v.ThrErr > 0.25 {
-			t.Fatalf("%s: throughput error %.1f%% exceeds 25%%", v.Plan, 100*v.ThrErr)
-		}
 	}
 	if pt.Best().Grid.Ranks != 64 {
 		t.Fatalf("serving best %s does not use the exact 64-rank budget", pt.Best())
 	}
 	out := FormatServingPlanner(pt)
-	for _, want := range []string{"serving best", "training best", "meas-min"} {
+	for _, want := range []string{"serving best", "training best", "min-lat(s)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("FormatServingPlanner missing %q:\n%s", want, out)
 		}

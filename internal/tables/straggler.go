@@ -67,7 +67,7 @@ var StragglerFactors = []float64{2, 4, 8}
 // not there. The loss-deviation column doubles as the correctness witness —
 // gray faults and re-layouts move clocks, never arithmetic.
 func StragglerStudy() ([]StragglerPoint, error) {
-	ds, mcfg, tc := elasticFixture()
+	ds, mcfg, tc := studyFixture()
 	const totalSteps, probe = 24, 6
 	// As in the elastic study: the model must stay distributed.
 	budget, err := plan.DistributedBudget(mcfg.Workload(tc.BatchSize), DefaultAlgos())

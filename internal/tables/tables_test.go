@@ -524,7 +524,7 @@ func TestNegativeOptionsAreOneError(t *testing.T) {
 				_, err := PlannerStudy(PlannerScenarios()[:1], 1, bad)
 				return err
 			},
-			"ServingPlannerStudy": func() error { _, err := ServingPlannerStudy(1, bad); return err },
+			"ServingPlannerStudy": func() error { _, err := ServingPlannerStudy(bad); return err },
 		}
 		for entry, run := range entries {
 			err := run()

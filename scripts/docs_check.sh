@@ -21,8 +21,10 @@
 # parallel.Dense; a rank's weights to its own rectangles, drawn alone; the
 # simulated clock to internal/compute: no GEMM charged or multiplied beside
 # it; the §1/§3.1 transmission claim to its measurement: no closed-form
-# side channel; and the machine to one value: no GPUsPerNode or CostModel
-# field outside dist.Machine and plan.Topology, no literal element width.
+# side channel; a serving price to what the server's batcher measures: no
+# measured serving twin beside it; and the machine to one value: no
+# GPUsPerNode or CostModel field outside dist.Machine and plan.Topology, no
+# literal element width.
 #
 # Usage: scripts/docs_check.sh
 set -eu
@@ -229,6 +231,19 @@ fi
 if grep -rnE '^[[:space:]]+Blocks[[:space:]]+\[\](parallel\.)?Layer([[:space:]]|$)' --include='*.go' --exclude='*_test.go' \
     internal cmd examples | grep -v '^internal/parallel/model\.go:' >&2; then
     echo "docs_check: a second model holds its own blocks beside parallel.Model" >&2
+    fail=1
+fi
+
+# A served batch is priced as the server runs it (docs/architecture.md, "The
+# serving objective"): parallel.Replay.Forward ends with the clock agreement
+# serve.Server pays per batch, and
+# serve.TestEveryServingPredictionEqualsItsMeasurement holds the price to the
+# batcher. A MeasureLayout, ServingMeasur…, ServingValidation or
+# ValidateServing… in non-test Go under internal/, cmd/ or examples/ is the
+# measured serving twin growing back beside the test.
+if grep -rnE '\b(MeasureLayout|ServingMeasur[A-Za-z]*|ServingValidation[A-Za-z]*|ValidateServing[A-Za-z]*)\b' \
+    --include='*.go' --exclude='*_test.go' internal cmd examples >&2; then
+    echo "docs_check: a measured serving twin is back beside the serving price" >&2
     fail=1
 fi
 
