@@ -1,9 +1,6 @@
 package parallel
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/tensor"
@@ -18,8 +15,9 @@ import (
 // the 1-D families n/p heads of every sequence. Heads is the local count.
 //
 // Q, K, V and the per-head probabilities are workspace buffers retained
-// for the backward pass (in phantom mode the probabilities are one phantom of
-// their total size); Backward returns them once it has read them.
+// for the backward pass — one [SeqLen, SeqLen] buffer per (sequence, head)
+// on real data, one phantom of their total size in phantom mode, the same
+// bytes — and Backward returns them once it has read them.
 type HeadAttention struct {
 	Heads, HeadDim, SeqLen int
 
@@ -43,119 +41,34 @@ func (a *HeadAttention) Split(w *dist.Worker, qkv *tensor.Matrix) {
 }
 
 // Forward attends over the split Q, K, V and returns the concatenated head
-// outputs [rows, Heads·HeadDim], a workspace buffer. In phantom mode the
-// arithmetic is skipped and the flop cost is charged analytically, using a
-// possibly fractional sequences-per-rank count (the paper's Table 1
-// includes shapes like [4,4,2] with batch 12, where b/(dq) = 1.5); the
-// buffers are checked out all the same — the per-head scratch, and one
-// [rows·Heads, SeqLen] phantom standing for the retained probabilities — so
-// the workspace holds what the real loop holds.
+// outputs [rows, Heads·HeadDim], a workspace buffer; compute.AttentionForward
+// charges and runs the core, one closed form on real and phantom operands.
 func (a *HeadAttention) Forward(w *dist.Worker) *tensor.Matrix {
-	ws := w.Workspace()
-	q, k, v := a.q, a.k, a.v
-	dh, s := a.HeadDim, a.SeqLen
-	ph := q.Phantom()
-	if !ph && q.Rows%s != 0 {
-		panic(fmt.Sprintf("parallel: attention rows %d not divisible by seq len %d (ranks must hold whole sequences)", q.Rows, s))
-	}
-	out := ws.GetUninitMatch(q.Rows, q.Cols, ph) // every head block is overwritten below
+	ws, q := w.Workspace(), a.q
+	out := ws.GetUninitMatch(q.Rows, q.Cols, q.Phantom()) // every head block is overwritten
 	a.probs = a.probs[:0]
-	qs := ws.GetUninitMatch(s, dh, ph)
-	ks := ws.GetUninitMatch(s, dh, ph)
-	vs := ws.GetUninitMatch(s, dh, ph)
-	scores := ws.GetUninitMatch(s, s, ph)
-	head := ws.GetUninitMatch(s, dh, ph)
-	if ph {
-		seqF := float64(q.Rows) / float64(s)
-		perHead := 4*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		w.Compute(seqF * float64(a.Heads) * perHead)
-		a.probs = append(a.probs, ws.GetUninitMatch(q.Rows*a.Heads, s, true))
-		ws.Put(qs, ks, vs, scores, head)
-		return out
-	}
-	nseq := q.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < a.Heads; hd++ {
-			tensor.SubMatrixInto(qs, q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, v, sq*s, hd*dh)
-			compute.MatMulNTInto(w, scores, qs, ks)
-			tensor.ScaleInPlace(scores, scale)
-			probs := ws.GetUninit(s, s) // retained for the backward pass
-			compute.SoftmaxRowsTo(w, probs, scores)
-			a.probs = append(a.probs, probs)
-			head.Zero()
-			compute.MatMulInto(w, head, probs, vs)
-			out.SetSubMatrix(sq*s, hd*dh, head)
+	if q.Phantom() {
+		a.probs = append(a.probs, ws.GetUninitMatch(q.Rows*a.Heads, a.SeqLen, true))
+	} else {
+		for range q.Rows / a.SeqLen * a.Heads {
+			a.probs = append(a.probs, ws.GetUninit(a.SeqLen, a.SeqLen))
 		}
 	}
-	ws.Put(qs, ks, vs, scores, head)
+	compute.AttentionForward(w, out, q, a.k, a.v, a.probs, a.Heads, a.SeqLen)
 	return out
 }
 
 // Backward maps the gradient of Forward's output to the gradient of the
 // fused [Q | K | V] block Split consumed, a workspace buffer owned by the
-// caller, and returns the retained Q, K, V and probabilities to the
-// workspace: it is their last reader. Phantom mode charges the flops
-// analytically and checks out the scratch the real loop takes.
+// caller (compute.AttentionBackward charges and runs the core), and returns
+// the retained Q, K, V and probabilities to the workspace: it is their last
+// reader.
 func (a *HeadAttention) Backward(w *dist.Worker, dout *tensor.Matrix) *tensor.Matrix {
 	ws := w.Workspace()
-	dh, s := a.HeadDim, a.SeqLen
-	hl := a.Heads * dh
-	ph := dout.Phantom()
-	dqkv := ws.GetUninitMatch(dout.Rows, 3*hl, ph) // every block is overwritten below
-	dhead := ws.GetUninitMatch(s, dh, ph)
-	qs := ws.GetUninitMatch(s, dh, ph)
-	ks := ws.GetUninitMatch(s, dh, ph)
-	vs := ws.GetUninitMatch(s, dh, ph)
-	dvs := ws.GetUninitMatch(s, dh, ph)
-	dprobs := ws.GetUninitMatch(s, s, ph)
-	dscores := ws.GetUninitMatch(s, s, ph)
-	dqs := ws.GetUninitMatch(s, dh, ph)
-	dks := ws.GetUninitMatch(s, dh, ph)
-	if ph {
-		seqF := float64(dout.Rows) / float64(s)
-		perHead := 8*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		w.Compute(seqF * float64(a.Heads) * perHead)
-		ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
-		a.release(ws)
-		return dqkv
-	}
-	nseq := dout.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < a.Heads; hd++ {
-			probs := a.probs[sq*a.Heads+hd]
-			tensor.SubMatrixInto(dhead, dout, sq*s, hd*dh)
-			tensor.SubMatrixInto(qs, a.q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, a.k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, a.v, sq*s, hd*dh)
-
-			dvs.Zero()
-			compute.MatMulTNInto(w, dvs, probs, dhead)
-			compute.MatMulNTInto(w, dprobs, dhead, vs)
-			compute.SoftmaxRowsBackwardTo(w, dscores, probs, dprobs)
-			tensor.ScaleInPlace(dscores, scale)
-			dqs.Zero()
-			compute.MatMulInto(w, dqs, dscores, ks)
-			dks.Zero()
-			compute.MatMulTNInto(w, dks, dscores, qs)
-
-			dqkv.SetSubMatrix(sq*s, hd*dh, dqs)
-			dqkv.SetSubMatrix(sq*s, hl+hd*dh, dks)
-			dqkv.SetSubMatrix(sq*s, 2*hl+hd*dh, dvs)
-		}
-	}
-	ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
-	a.release(ws)
-	return dqkv
-}
-
-// release returns the retained Q, K, V and probabilities to ws.
-func (a *HeadAttention) release(ws *tensor.Workspace) {
+	dqkv := ws.GetUninitMatch(dout.Rows, 3*a.q.Cols, dout.Phantom()) // every block is overwritten
+	compute.AttentionBackward(w, dqkv, dout, a.q, a.k, a.v, a.probs, a.Heads, a.SeqLen)
 	ws.Put(a.q, a.k, a.v)
-	a.q, a.k, a.v = nil, nil, nil
 	ws.Put(a.probs...)
-	a.probs = a.probs[:0]
+	a.q, a.k, a.v, a.probs = nil, nil, nil, a.probs[:0]
+	return dqkv
 }

@@ -12,7 +12,9 @@ import (
 // blocks, mean pooling, and the pooled features gathered into the Dense head,
 // which every rank computes redundantly (the standard treatment for a head
 // whose cost is negligible). Without an embedding and a head it is the
-// paper's block stack, which a replay (Stack) times.
+// paper's block stack, which a replay (Stack) times. A phantom pass checks
+// out and charges what a real one does, so the shape-only model (a nil rng),
+// classifier included, runs as its real twin bit for bit.
 type Model struct {
 	F      Family
 	Embed  Layer          // nil: the input is the first block's
@@ -106,7 +108,7 @@ func (m *Model) Forward(x *tensor.Matrix) *tensor.Matrix {
 	}
 	w := m.F.Worker()
 	w.Compute(float64(h.Size()))
-	pooledLocal := w.Workspace().GetUninit(h.Rows/m.Pos.Rows, h.Cols)
+	pooledLocal := w.Workspace().GetUninitMatch(h.Rows/m.Pos.Rows, h.Cols, h.Phantom())
 	MeanPoolInto(pooledLocal, h, m.Pos.Rows)
 	// The family gathers the pooled features into the full replicated
 	// [b, hidden] matrix (ownership of pooledLocal transfers to it); for
@@ -126,10 +128,10 @@ func (m *Model) Backward(dy *tensor.Matrix) {
 	if m.Head != nil {
 		dpooled := m.Head.Backward(dy) // replicated [b, hidden]
 		// Slice this rank's share of the pooled gradient back out.
-		sl := m.F.Slice(m.pooled.Rows, m.Pos.Cols)
-		local := ws.GetUninit(sl.Rows, sl.Cols)
+		sl, ph := m.F.Slice(m.pooled.Rows, m.Pos.Cols), dpooled.Phantom()
+		local := ws.GetUninitMatch(sl.Rows, sl.Cols, ph)
 		tensor.SubMatrixInto(local, dpooled, sl.Row0, sl.Col0)
-		dh = ws.GetUninit(sl.Rows*m.Pos.Rows, sl.Cols)
+		dh = ws.GetUninitMatch(sl.Rows*m.Pos.Rows, sl.Cols, ph)
 		MeanPoolBackwardInto(dh, local, m.Pos.Rows)
 		ws.Put(local)
 		m.F.Worker().Compute(float64(dh.Size()))
@@ -159,8 +161,8 @@ func (m *Model) addPositionalLocal(h *tensor.Matrix) *tensor.Matrix {
 	sl := m.F.Slice(h.Rows*m.F.RowShards(), m.Pos.Cols)
 	w := m.F.Worker()
 	w.Compute(float64(h.Size()) * compute.FlopsPerAdd)
-	out := w.Workspace().GetUninit(h.Rows, h.Cols)
-	for r := 0; r < h.Rows; r++ {
+	out := w.Workspace().GetUninitMatch(h.Rows, h.Cols, h.Phantom())
+	for r := 0; !h.Phantom() && r < h.Rows; r++ {
 		prow := m.Pos.Row((sl.Row0 + r) % m.Pos.Rows)[sl.Col0 : sl.Col0+h.Cols]
 		hrow := h.Row(r)
 		orow := out.Row(r)
@@ -172,10 +174,10 @@ func (m *Model) addPositionalLocal(h *tensor.Matrix) *tensor.Matrix {
 }
 
 // MeanPoolInto averages each sequence's s token rows into one row of out
-// (shape [h.Rows/s, h.Cols], overwritten).
+// ([h.Rows/s, h.Cols], overwritten; not on phantoms).
 func MeanPoolInto(out, h *tensor.Matrix, s int) {
 	inv := 1 / float64(s)
-	for seq := range h.Rows / s {
+	for seq := 0; !h.Phantom() && seq < h.Rows/s; seq++ {
 		orow := out.Row(seq)
 		clear(orow)
 		for t := 0; t < s; t++ {
@@ -188,10 +190,10 @@ func MeanPoolInto(out, h *tensor.Matrix, s int) {
 }
 
 // MeanPoolBackwardInto spreads each pooled gradient row back over its s
-// tokens of out (shape [dpooled.Rows·s, dpooled.Cols], overwritten).
+// tokens of out ([dpooled.Rows·s, dpooled.Cols], overwritten; not on phantoms).
 func MeanPoolBackwardInto(out, dpooled *tensor.Matrix, s int) {
 	inv := 1 / float64(s)
-	for seq := 0; seq < dpooled.Rows; seq++ {
+	for seq := 0; !dpooled.Phantom() && seq < dpooled.Rows; seq++ {
 		drow := dpooled.Row(seq)
 		for t := 0; t < s; t++ {
 			orow := out.Row(seq*s + t)

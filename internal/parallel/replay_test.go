@@ -2,7 +2,6 @@ package parallel_test
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,8 +66,8 @@ func footprintReplay(t *testing.T, l parallel.Layout, layers int, real, recomput
 
 // TestPhantomFootprintEqualsReal holds the numbers the planner and the
 // tables charge a layout to the real thing: a phantom replay's forward and
-// backward clocks are its real twin's (to rounding: the two may sum a clock's
-// charges in a different order), and its footprint is the real twin's
+// backward clocks are its real twin's bit for bit, and its footprint is the
+// real twin's
 // on every rank, to the byte, with recompute on and off and one layer or
 // two — on every layout the parity walk lists (testutil.ParityLayouts) that the
 // fixture splits, depth-1 meshes and optimus [3,3], a mesh no node size
@@ -84,7 +83,7 @@ func TestPhantomFootprintEqualsReal(t *testing.T) {
 				name := fmt.Sprintf("%s, recompute %v, %d layers", l, recompute, layers)
 				ph, phStep := footprintReplay(t, l, layers, false, recompute)
 				re, reStep := footprintReplay(t, l, layers, true, recompute)
-				if relDiff(phStep.Forward, reStep.Forward) > 1e-12 || relDiff(phStep.Backward, reStep.Backward) > 1e-12 {
+				if phStep.Forward != reStep.Forward || phStep.Backward != reStep.Backward {
 					t.Errorf("%s: phantom clocks (%g, %g) != real (%g, %g)",
 						name, phStep.Forward, phStep.Backward, reStep.Forward, reStep.Backward)
 				}
@@ -103,13 +102,6 @@ func TestPhantomFootprintEqualsReal(t *testing.T) {
 			}
 		}
 	}
-}
-
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
 // TestRecomputeBoundaryDropsFirstForward pins where a replay's one step

@@ -97,7 +97,7 @@ func TestPhantomMatchesRealTiming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s phantom: %v", row.Scheme, row.Shape(), err)
 		}
-		if relDiff(real.Forward, phantom.Forward) > 1e-12 || relDiff(real.Backward, phantom.Backward) > 1e-12 {
+		if real.Forward != phantom.Forward || real.Backward != phantom.Backward {
 			t.Fatalf("%s %s: phantom (%g, %g) != real (%g, %g)",
 				row.Scheme, row.Shape(), phantom.Forward, phantom.Backward, real.Forward, real.Backward)
 		}

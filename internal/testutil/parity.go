@@ -83,8 +83,7 @@ type Parity struct {
 // rectangle to 1e-9 after the drain. The family's row shards are the
 // layout's, and the step boundary leaves no buffer out. A second cluster
 // replays the same calls on shape-only modules (a nil rng) fed phantoms,
-// and every rank's clock must be the real run's (sameClock), its Stats the
-// real run's exactly.
+// and every rank's clock and its Stats must be the real run's exactly.
 func (p Parity) Check(t testing.TB, l parallel.Layout) {
 	t.Helper()
 	l, err := parallel.Validate(l)
@@ -203,7 +202,7 @@ func (p Parity) check(l parallel.Layout) error {
 		return fmt.Errorf("phantom replay: %w", err)
 	}
 	for r, want := range realClocks {
-		if got := phClocks[r]; !sameClock(got, want) {
+		if got := phClocks[r]; got != want {
 			return fmt.Errorf("rank %d: phantom clock %v, real %v", r, got, want)
 		}
 	}
@@ -211,14 +210,6 @@ func (p Parity) check(l parallel.Layout) error {
 		return fmt.Errorf("phantom traffic %+v, real %+v", got, want)
 	}
 	return nil
-}
-
-// sameClock is the phantom clock's contract with the real one: equal to
-// 1e-12 relative. A phantom attention core charges its flops in one sum
-// where the real loop charges them per head and sequence, so the two may
-// round differently in the last bits (parallel.HeadAttention.Forward).
-func sameClock(got, want float64) bool {
-	return math.Abs(got-want) <= 1e-12*math.Abs(want)
 }
 
 // run builds the cases' modules on every rank of a fresh cluster and runs

@@ -66,12 +66,12 @@ type AdaptiveConfig struct {
 	// model is replaced by the monitor's measured EffectiveCost before
 	// replanning. RankBudget is overwritten with the healthy count.
 	Topology plan.Topology
-	// ReshardSteps prices a checkpoint+reshard in healthy training steps —
-	// BenchmarkReshard's reshard_cost_ratio is the measured value to pass.
-	// A re-layout happens only when the modeled per-step gain over the
-	// remaining steps pays this back. Zero means 10.
-	ReshardSteps float64
 }
+
+// reshardSteps prices a checkpoint+reshard in healthy training steps
+// (BenchmarkReshard's reshard_cost_ratio measures it): a re-layout happens
+// only when the modeled per-step gain over the remaining steps pays it back.
+const reshardSteps = 10
 
 // AdaptiveRun is the outcome of one watchdog training run.
 type AdaptiveRun struct {
@@ -133,9 +133,6 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 	}
 	if len(cfg.Algos) == 0 {
 		return nil, fmt.Errorf("vit: adaptive replan needs planner algos")
-	}
-	if cfg.ReshardSteps == 0 {
-		cfg.ReshardSteps = 10
 	}
 	run := &AdaptiveRun{
 		From: from, To: from,
@@ -238,7 +235,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		run.PredictedStepSeconds = estNew
 		gain := degraded - estNew
 		remaining := float64(cfg.TotalSteps - step)
-		reshardBill := cfg.ReshardSteps * run.HealthyStepSeconds
+		reshardBill := reshardSteps * run.HealthyStepSeconds
 		if gain <= 0 {
 			run.RodeOut = true
 			run.RideOutReason = fmt.Sprintf("%s on %d healthy ranks models %.3gs/step, no better than the degraded %.3gs",

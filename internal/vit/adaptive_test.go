@@ -70,12 +70,11 @@ func TestTrainAdaptiveRelayout(t *testing.T) {
 	from := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
 	fp := stragglerPlan(7, failFrom, 4)
 	cfg := AdaptiveConfig{
-		TotalSteps:   total,
-		Monitor:      dist.MonitorConfig{Window: probe, K: 2, W: 3},
-		Faults:       fp,
-		Algos:        elasticAlgos(),
-		Topology:     adaptiveTopology(mcfg, tc),
-		ReshardSteps: 10,
+		TotalSteps: total,
+		Monitor:    dist.MonitorConfig{Window: probe, K: 2, W: 3},
+		Faults:     fp,
+		Algos:      elasticAlgos(),
+		Topology:   adaptiveTopology(mcfg, tc),
 	}
 	run, err := TrainAdaptive(from, cfg, ds, mcfg, tc)
 	if err != nil {
@@ -137,28 +136,28 @@ func TestTrainAdaptiveRelayout(t *testing.T) {
 }
 
 // TestTrainAdaptiveRideOutOnPayback: when the re-shard bill cannot be paid
-// back (here: priced absurdly high), the watchdog detects but stays put —
-// and the loss curve is bit-identical to a clean run, because gray faults
-// never touch arithmetic.
+// back (here: the straggler is detected at step 12 of 13, and one remaining
+// step cannot repay ten), the watchdog detects but stays put — and the loss
+// curve is bit-identical to a clean run, because gray faults never touch
+// arithmetic.
 func TestTrainAdaptiveRideOutOnPayback(t *testing.T) {
 	ds, mcfg := tinyData()
 	tc := elasticTC()
-	const total, probe = 18, 6
+	const total, probe = 13, 6
 	from := parallel.Layout{Family: "tesseract", Q: 2, D: 2}
 	cfg := AdaptiveConfig{
-		TotalSteps:   total,
-		Monitor:      dist.MonitorConfig{Window: probe, K: 2, W: 3},
-		Faults:       stragglerPlan(7, probe, 4),
-		Algos:        elasticAlgos(),
-		Topology:     adaptiveTopology(mcfg, tc),
-		ReshardSteps: 1e9,
+		TotalSteps: total,
+		Monitor:    dist.MonitorConfig{Window: probe, K: 2, W: 3},
+		Faults:     stragglerPlan(7, probe, 4),
+		Algos:      elasticAlgos(),
+		Topology:   adaptiveTopology(mcfg, tc),
 	}
 	run, err := TrainAdaptive(from, cfg, ds, mcfg, tc)
 	if err != nil {
 		t.Fatalf("TrainAdaptive: %v", err)
 	}
-	if run.DetectedStep < 0 {
-		t.Fatal("watchdog never detected the straggler")
+	if run.DetectedStep != total-1 {
+		t.Fatalf("DetectedStep = %d, want %d: one remaining step", run.DetectedStep, total-1)
 	}
 	if !run.RodeOut || run.RelayoutStep >= 0 || run.To != run.From {
 		t.Fatalf("expected a ride-out, got RelayoutStep=%d RodeOut=%v To=%s", run.RelayoutStep, run.RodeOut, run.To)

@@ -73,7 +73,10 @@ func drawSession(t testing.TB, from, to, heads, width, layers, classes, image, b
 //     and restore seconds wherever there is a rank to exchange with, and
 //     Relayout back leaves the eval logits bit for bit what they were;
 //   - training on at c.to continues the serial curve within 1e-8, ends at
-//     its logits within 1e-8 and leaves no buffer checked out.
+//     its logits within 1e-8 and leaves no buffer checked out;
+//   - the model's shape-only twin at c.from runs one forward and backward
+//     on phantoms as the real model runs them on a batch: every rank's
+//     clock and workspace HighWaterBytes, and the cluster's Stats, equal.
 func checkSession(t *testing.T, c sessionCase) {
 	t.Helper()
 	total, rows := c.before+c.after, make([]int, len(c.ds.Test))
@@ -95,6 +98,16 @@ func checkSession(t *testing.T, c sessionCase) {
 	curve := func(l []float64) *tensor.Matrix { return tensor.FromSlice(1, len(l), l) }
 
 	m := dist.Machine{Cost: computeBoundCost()}
+	realPass, err := twinPass(c, m, false)
+	if err != nil {
+		fail("real pass: %v", err)
+	}
+	switch phPass, err := twinPass(c, m, true); {
+	case err != nil:
+		fail("shape-only pass: %v", err)
+	case !reflect.DeepEqual(phPass, realPass):
+		fail("shape-only twin %+v, real model %+v", phPass, realPass)
+	}
 	bare, err := TrainFaulty(c.from, nil, m, c.ds, c.mcfg, c.tc, total)
 	if err != nil {
 		fail("bare run: %v", err)
@@ -162,6 +175,53 @@ func checkSession(t *testing.T, c sessionCase) {
 		fail("%v", err)
 	}
 	near(fmt.Sprintf("%s logits after %d steps", c.to, total), end, wantEnd)
+}
+
+// passResult is what a phantom pass must reproduce of a real one, bit for
+// bit: every rank's clock and workspace high-water bytes, and the traffic.
+type passResult struct {
+	Clocks    []float64
+	HighWater []int64
+	Stats     dist.Stats
+}
+
+// twinPass runs one forward and one backward of c's model at c.from on a
+// fresh cluster: with phantom false NewDistModel's model on the first
+// training batch, with phantom true its shape-only twin (the same
+// constructor with a nil rng) on a phantom of that batch, which DistributeBatch slices as it slices
+// the real one. The gradient fed back is the cross-entropy's, in a buffer
+// checked out as the trainer checks it out.
+func twinPass(c sessionCase, m dist.Machine, phantom bool) (passResult, error) {
+	idx := make([]int, c.tc.BatchSize)
+	for i := range idx {
+		idx[i] = i
+	}
+	x, labels := c.ds.Batch(c.ds.Train, idx)
+	if phantom {
+		x = tensor.NewPhantom(x.Rows, x.Cols)
+	}
+	cl := dist.New(dist.Config{WorldSize: c.from.Ranks, Machine: m})
+	defer cl.Close()
+	res := passResult{Clocks: make([]float64, c.from.Ranks), HighWater: make([]int64, c.from.Ranks)}
+	err := cl.Run(func(w *dist.Worker) error {
+		f, err := parallel.New(w, c.from)
+		if err != nil {
+			return err
+		}
+		cfg, rng := c.mcfg, tensor.NewRNG(c.mcfg.Seed) // NewDistModel's draw
+		if phantom {
+			rng = nil
+		}
+		model := parallel.NewModel(f, cfg.PatchDim, cfg.SeqLen, cfg.Hidden, cfg.Heads, cfg.Layers, cfg.Classes, cfg.Positional(), rng)
+		logits := model.Forward(DistributeBatch(f, x, cfg.SeqLen))
+		dl := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
+		nn.CrossEntropyInto(dl, logits, labels)
+		model.Backward(dl)
+		res.Clocks[w.Rank()], res.HighWater[w.Rank()] = w.Clock(), w.Workspace().Stats().HighWaterBytes
+		return nil
+	})
+	res.Stats = cl.Stats()
+	return res, err
 }
 
 // serialCurve trains the serial model down the session's batch sequence

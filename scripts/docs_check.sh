@@ -20,9 +20,10 @@
 # layers (optimus, seqpar) has no layer code; the local linear to one core,
 # parallel.Dense; a rank's weights to its own rectangles, drawn alone; the
 # simulated clock to internal/compute: no GEMM charged or multiplied beside
-# it; the §1/§3.1 transmission claim to its measurement: no closed-form
-# side channel; a serving price to what the server's batcher measures: no
-# measured serving twin beside it; and the machine to one value: no
+# it, and the attention core charged there alone, one closed form on real
+# and phantom operands; the §1/§3.1 transmission claim to its measurement:
+# no closed-form side channel; a serving price to what the server's batcher
+# measures: no measured serving twin beside it; and the machine to one value: no
 # GPUsPerNode or CostModel field outside dist.Machine and plan.Topology, no
 # literal element width.
 #
@@ -267,6 +268,15 @@ fi
 if grep -rnE 'tensor\.GEMMFlops\(|tensor\.MatMul' --include='*.go' --exclude='*_test.go' internal cmd |
     grep -vE '^internal/(compute|tensor|nn)/' >&2; then
     echo "docs_check: a GEMM is charged or run outside internal/compute" >&2
+    fail=1
+fi
+# The attention core is one compute operation (compute.AttentionForward and
+# AttentionBackward): one closed-form charge on real and phantom operands
+# alike, so a phantom replay's clock is its real twin's bit for bit. A
+# FlopsPerSoftmax in non-test Go under internal/parallel is a second,
+# phantom-only charge path growing back beside it.
+if grep -rn 'FlopsPerSoftmax' --include='*.go' --exclude='*_test.go' internal/parallel >&2; then
+    echo "docs_check: the attention core is charged outside internal/compute" >&2
     fail=1
 fi
 
